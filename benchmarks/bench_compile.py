@@ -1,34 +1,24 @@
-"""Plan-compilation ablations: fused dispatch count and shm transport.
+"""Plan-compilation ablation: fused vs unfused dispatch count.
 
-Two ablations, both with hard bars, recorded in ``BENCH_compile.json``:
+One ablation with a hard bar, recorded in ``BENCH_compile.json``: the
+compile pass exists to cut interpreter overhead, so the honest metric is
+how many dispatches the interpreter performs, not modeled seconds (fusion
+never changes those: ledgers are asserted bit-identical here). On the
+cost-only workload the fused plan must need >= 3x fewer dispatches, and
+the wall-clock per original task is reported for both forms.
 
-* **Fused vs unfused dispatch** — the compile pass exists to cut
-  interpreter overhead, so the honest metric is how many dispatches the
-  interpreter performs, not modeled seconds (fusion never changes those:
-  ledgers are asserted bit-identical here). On the cost-only workload the
-  fused plan must need >= 3x fewer dispatches, and the wall-clock per
-  original task is reported for both forms.
-* **Shm vs pickle transport** — the zero-copy fan-out ships
-  ``(segment, offset, shape)`` descriptors instead of block bytes. On a
-  numeric fan-out the shm path must ship >= 10x fewer bytes than the
-  pickle path, with bit-identical ledgers and factors.
-
-The transport ablation runs the ``serial`` in-process backend so the
-byte accounting is exact and core count is irrelevant; host-parallel
-speedup bars live in ``bench_parallel_scaling.py`` (and are skipped
-honestly on small hosts).
+Host-parallel speedup bars live in ``bench_parallel_scaling.py`` (and are
+skipped honestly on small hosts); end-to-end numbers in
+``benchmarks/e2e``.
 """
 
 import json
 import time
 from pathlib import Path
 
-import numpy as np
-
 from benchmarks.conftest import run_once, scale
 from repro.comm import ProcessGrid3D, Simulator
 from repro.lu2d.factor2d import FactorOptions
-from repro.lu3d import factor_3d
 from repro.lu3d.factor3d import CostOnlyData, Factor3DResult, _execute_plan3d
 from repro.plan import compile_plan
 from repro.plan.build import build_3d_plan
@@ -41,11 +31,7 @@ PZ = 8
 LEAF = 8
 #: Planar lattice edge per scale for the cost-only dispatch ablation.
 CONFIGS = {"tiny": 48, "small": 64, "medium": 80}
-#: The numeric transport ablation is fixed-size: byte ratios are a
-#: property of the transport, not the workload.
-TRANSPORT_NX, TRANSPORT_LEAF, TRANSPORT_PZ = 20, 16, 4
 MIN_DISPATCH_REDUCTION = 3.0
-MIN_SHM_BYTES_RATIO = 10.0
 REPS = 3
 OUT = Path(__file__).resolve().parent.parent / "BENCH_compile.json"
 
@@ -103,47 +89,13 @@ def _dispatch_ablation(sf, tf):
     }
 
 
-def _transport_run(sf, tf, use_shm: bool):
-    grid3 = ProcessGrid3D(2, 2, TRANSPORT_PZ)
-    sim = Simulator(grid3.size)
-    res = factor_3d(sf, tf, grid3, sim, numeric=True,
-                    options=FactorOptions(n_workers=2,
-                                          parallel_backend="serial",
-                                          shm_transport=use_shm))
-    levels = [st for st in res.parallel_stats if hasattr(st, "transport")]
-    return (ledger_state(sim), res.factors().to_dense(), levels)
-
-
-def _transport_ablation():
-    sf, tf = _prepare(TRANSPORT_NX, TRANSPORT_LEAF, TRANSPORT_PZ)
-    led_s, F_s, shm_levels = _transport_run(sf, tf, True)
-    led_p, F_p, pkl_levels = _transport_run(sf, tf, False)
-    assert led_s == led_p, "shm ledgers diverged from pickle"
-    assert np.array_equal(F_s, F_p), "shm factors diverged from pickle"
-    assert {st.transport for st in shm_levels} == {"shm"}
-    assert {st.transport for st in pkl_levels} == {"pickle"}
-    shm_bytes = float(sum(st.bytes_shipped for st in shm_levels))
-    pkl_bytes = float(sum(st.bytes_shipped for st in pkl_levels))
-    return {
-        "workload": f"grid2d_5pt({TRANSPORT_NX}), "
-                    f"leaf {TRANSPORT_LEAF}, pz={TRANSPORT_PZ}, numeric",
-        "levels_fanned_out": len(shm_levels),
-        "shm_bytes": shm_bytes,
-        "pickle_bytes": pkl_bytes,
-        "bytes_ratio": round(pkl_bytes / shm_bytes, 2),
-        "ledgers_identical": True,
-        "factors_identical": True,
-    }
-
-
 def test_compile_ablations(benchmark):
     sc = scale()
     nx = CONFIGS[sc]
     sf, tf = _prepare(nx, LEAF, PZ)
 
     def experiment():
-        return {"dispatch": _dispatch_ablation(sf, tf),
-                "transport": _transport_ablation()}
+        return {"dispatch": _dispatch_ablation(sf, tf)}
 
     rec = run_once(benchmark, experiment)
     record = {
@@ -153,13 +105,12 @@ def test_compile_ablations(benchmark):
                      "grid": f"2x2x{PZ}", "numeric": False,
                      "n_supernodes": sf.nb, "reps_best_of": REPS},
         "threshold_dispatch": MIN_DISPATCH_REDUCTION,
-        "threshold_bytes": MIN_SHM_BYTES_RATIO,
         "skipped": None,
         **rec,
     }
     OUT.write_text(json.dumps(record, indent=2) + "\n")
 
-    d, t = rec["dispatch"], rec["transport"]
+    d = rec["dispatch"]
     print()
     print(f"plan compilation @ {sc} (grid2d_5pt({nx}), leaf {LEAF}, "
           f"pz={PZ}, best of {REPS}):")
@@ -171,13 +122,8 @@ def test_compile_ablations(benchmark):
           f"{d['tasks_per_s_unfused']:.0f} -> "
           f"{d['tasks_per_s_fused']:.0f} tasks/s; "
           f"compile once {d['compile_s']:.3f}s)")
-    print(f"  transport  : {t['pickle_bytes']:.0f}B pickle -> "
-          f"{t['shm_bytes']:.0f}B shm  ({t['bytes_ratio']:.1f}x fewer "
-          f"bytes over {t['levels_fanned_out']} levels)")
     print(f"  record written to {OUT.name}")
 
     assert d["dispatch_reduction"] >= MIN_DISPATCH_REDUCTION, \
         f"dispatch reduction {d['dispatch_reduction']} < " \
         f"{MIN_DISPATCH_REDUCTION}"
-    assert t["bytes_ratio"] >= MIN_SHM_BYTES_RATIO, \
-        f"shm byte ratio {t['bytes_ratio']} < {MIN_SHM_BYTES_RATIO}"

@@ -4,7 +4,8 @@ The paper sketches two remedies for the shrunken-grid ancestor bottleneck
 and defers both: (a) merge idle grids into a larger 2D grid, or (b) run a
 dense 2.5D LU across the replication layers. Both are implemented here —
 (a) as a real per-block schedule (`factor_3d_merged`), (b) as a
-first-order cost model (`factor_3d_dense25`) — and compared against
+first-order cost model (`factor_3d` with
+`FactorOptions(ancestor_replication=Pz)`) — and compared against
 standard Algorithm 1. Expected ordering, from the analysis:
 
     standard  >=  merged  >=  2.5D      (modeled time, non-planar, big Pz)
@@ -21,24 +22,25 @@ from repro.analysis import FactorizationMetrics, format_table
 from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.experiments.harness import PreparedMatrix
 from repro.experiments.matrices import paper_suite
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.dense25 import factor_3d_dense25
 from repro.lu3d.merged import factor_3d_merged
 
 P = 96
 PZ_VALUES = (8, 16)
-VARIANTS = {"standard": factor_3d, "merged": factor_3d_merged,
-            "dense25": factor_3d_dense25}
+VARIANTS = ("standard", "merged", "dense25")
 
 
 def _run(pm, pz, variant):
     grid3 = ProcessGrid3D.from_total(P, pz)
     sim = Simulator(grid3.size, Machine.edison_like())
-    fn = VARIANTS[variant]
-    if variant == "standard":
-        fn(pm.sf, pm.partition(pz), grid3, sim, numeric=False)
+    sf, tf = pm.sf, pm.partition(pz)
+    if variant == "merged":
+        factor_3d_merged(sf, tf, grid3, sim)
     else:
-        fn(pm.sf, pm.partition(pz), grid3, sim)
+        c = pz if variant == "dense25" else 1
+        factor_3d(sf, tf, grid3, sim, numeric=False,
+                  options=FactorOptions(ancestor_replication=c))
     return FactorizationMetrics.from_simulator(sim)
 
 

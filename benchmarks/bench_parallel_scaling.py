@@ -136,9 +136,6 @@ def test_parallel_scaling(benchmark):
                 "mean_utilization": round(float(np.mean(
                     [st.utilization for st in res_p.parallel_stats
                      if hasattr(st, "utilization")])), 3),
-                "transports": sorted({st.transport
-                                      for st in res_p.parallel_stats
-                                      if hasattr(st, "transport")}),
             }
         out["interpreter_overhead"] = _interpreter_overhead(sf, tf)
         return out
@@ -168,8 +165,7 @@ def test_parallel_scaling(benchmark):
     for nw in WORKER_COUNTS:
         r = rec[f"workers_{nw}"]
         print(f"  {nw} workers: {r['time_s']:.3f}s  -> {r['speedup']:.2f}x  "
-              f"(util {r['mean_utilization']:.2f}, "
-              f"transport {'/'.join(r['transports'])})")
+              f"(util {r['mean_utilization']:.2f})")
     ov = rec["interpreter_overhead"]
     print(f"  cost-only interpreter overhead: "
           f"{ov['dispatches_unfused']} -> {ov['dispatches_fused']} "

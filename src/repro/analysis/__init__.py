@@ -17,7 +17,6 @@ from repro.analysis.planstats import (
     task_cost,
 )
 from repro.analysis.report import (
-    format_kernel_counters,
     format_parallel_stats,
     format_resilience_stats,
     format_table,
@@ -25,6 +24,6 @@ from repro.analysis.report import (
 from repro.analysis.trace import Trace, TraceEvent
 
 __all__ = ["FactorizationMetrics", "PlanStats", "Trace", "TraceEvent",
-           "format_table", "format_kernel_counters", "format_parallel_stats",
+           "format_table", "format_parallel_stats",
            "format_resilience_stats", "format_compile_summary",
            "format_plan_summary", "task_cost"]

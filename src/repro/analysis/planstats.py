@@ -14,8 +14,8 @@ Cost model (the simulator's own):
   reduction transfers;
 * compute: ``gamma_gemm`` per flop for Schur updates and reduce-adds,
   ``gamma_panel`` for diagonal/panel kernels, plus ``gemm_overhead`` per
-  block update a Schur task performs (1 when batched, ``n_pairs`` when
-  not).
+  block update a Schur task performs (``n_pairs`` — what the simulator
+  books).
 
 Because tids are assigned in emission order (``dep < tid``), one forward
 pass over ``iter_tasks()`` is a topological traversal — no sort needed.
@@ -51,8 +51,8 @@ def task_cost(task, machine: Machine) -> float:
         gamma = machine.gamma_gemm if kind in _GEMM_KINDS \
             else machine.gamma_panel
         cost += flops * gamma
-    if isinstance(task, SchurUpdate) and task.n_pairs:
-        cost += machine.gemm_overhead * (1 if task.batched else task.n_pairs)
+    if isinstance(task, SchurUpdate):
+        cost += machine.gemm_overhead * task.n_pairs
     return cost
 
 

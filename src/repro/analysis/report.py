@@ -6,8 +6,8 @@ and shows them with ``-s``); this module keeps the formatting in one place.
 
 from __future__ import annotations
 
-__all__ = ["format_table", "format_si", "format_kernel_counters",
-           "format_parallel_stats", "format_resilience_stats"]
+__all__ = ["format_table", "format_si", "format_parallel_stats",
+           "format_resilience_stats"]
 
 
 def format_si(x: float, digits: int = 3) -> str:
@@ -53,27 +53,6 @@ def format_table(headers: list[str], rows: list[list], title: str = "",
     return "\n".join(out)
 
 
-def format_kernel_counters(sim, result, title: str = "kernel counters") -> str:
-    """Summarize the batched-kernel perf counters of a factorization run.
-
-    ``sim`` is the :class:`repro.comm.Simulator` that executed the run and
-    ``result`` a ``Factor2DResult`` or ``Factor3DResult``. Shows the
-    batched-GEMM count and fill ratio (how much of each gathered
-    ``W = L @ U`` product landed in a destination block) next to the
-    simulator's per-kind event counts, so a bench can see at a glance how
-    much of the Schur work went through the batched path and what event
-    mix the run produced.
-    """
-    rows: list[list] = [
-        ["batched panel GEMMs", getattr(result, "n_batched_gemms", 0)],
-        ["schur block updates", getattr(result, "schur_block_updates", 0)],
-        ["batch fill ratio", float(getattr(result, "batch_fill_ratio", 0.0))],
-    ]
-    for kind in sorted(sim.event_counts):
-        rows.append([f"events[{kind}]", int(sim.event_counts[kind])])
-    return format_table(["counter", "value"], rows, title=title)
-
-
 def format_parallel_stats(result, title: str = "parallel execution") -> str:
     """Per-level worker utilization of a fanned-out 3D factorization.
 
@@ -84,31 +63,29 @@ def format_parallel_stats(result, title: str = "parallel execution") -> str:
     requested but the run stayed serial — that reason is printed here so
     the decision is never silent. Utilization is summed task seconds over
     ``workers x wall``; the serial fraction is the Amdahl share of
-    fork/export + merge/import time. The transport column says how each
-    level's replica blocks reached the workers (``shm`` descriptors vs
-    ``pickle`` copies vs ``none`` for cost-only) and ``shipped`` how many
-    payload bytes were serialized for the fan-out.
+    fork/export + merge/import time; ``shipped`` is how many bytes of
+    shared-memory descriptors were pickled for the fan-out (0 for
+    cost-only levels, which ship no blocks).
     """
     stats = getattr(result, "parallel_stats", None) or []
     levels = [st for st in stats if hasattr(st, "utilization")]
     fallbacks = [st for st in stats if hasattr(st, "reason")]
     out: list[str] = []
     if levels:
-        rows = [[st.level, st.n_tasks, st.n_workers, st.backend,
-                 getattr(st, "transport", "none"),
-                 format_si(float(getattr(st, "bytes_shipped", 0.0))) + "B",
+        rows = [[st.level, st.n_tasks, st.n_workers,
+                 format_si(float(st.bytes_shipped)) + "B",
                  st.wall_seconds * 1e3, st.task_seconds * 1e3,
                  st.utilization, st.serial_fraction]
                 for st in levels]
         out.append(format_table(
-            ["level", "grids", "workers", "backend", "transport",
-             "shipped", "wall [ms]", "task [ms]", "util", "serial frac"],
+            ["level", "grids", "workers", "shipped", "wall [ms]",
+             "task [ms]", "util", "serial frac"],
             rows, title=title))
     else:
         out.append(title)
     for fb in fallbacks:
         out.append(f"serial fallback ({fb.requested_workers} workers "
-                   f"requested, backend={fb.backend}): {fb.reason}")
+                   f"requested): {fb.reason}")
     if not levels and not fallbacks:
         out.append("(serial run: no levels fanned out)")
     return "\n".join(out)

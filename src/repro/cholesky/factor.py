@@ -26,12 +26,10 @@ import scipy.sparse as sp
 
 from repro.comm.grid import ProcessGrid2D, ProcessGrid3D
 from repro.comm.simulator import Simulator
+from repro.lu2d.factor2d import _factor_nodes
 from repro.lu2d.options import Factor2DResult, FactorOptions
 from repro.lu3d.factor3d import Factor3DResult, factor_3d
 from repro.plan.backends import cholesky_node_blocks
-from repro.plan.build import build_grid_plan
-from repro.plan.compile import compile_enabled, compile_plan
-from repro.plan.interpret import execute_grid_plan
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.tree.treeforest import TreeForest
 
@@ -44,21 +42,10 @@ def factor_nodes_chol_2d(sf: SymbolicFactorization, nodes, grid: ProcessGrid2D,
                          ) -> Factor2DResult:
     """Cholesky-factor ``nodes`` on one 2D grid (lower triangle in place).
 
-    Interface-compatible with :func:`repro.lu2d.factor_nodes_2d` so that
-    :func:`repro.lu3d.factor_3d` can drive it. ``perturbed_pivots`` counts
-    diagonal shifts.
+    :func:`repro.lu2d.factor_nodes_2d` with the Cholesky kernel backend;
+    ``perturbed_pivots`` counts diagonal shifts.
     """
-    opts = options or FactorOptions()
-    plan = build_grid_plan(sf, nodes, grid, opts, backend="cholesky",
-                           accelerated=sim.accelerator is not None)
-    compiled = compile_plan(plan, sf, opts) \
-        if compile_enabled(opts, sim) else None
-    result = execute_grid_plan(compiled.plan if compiled else plan, sf, sim,
-                               data=data, options=opts, grid=grid)
-    result.extras["plan"] = plan
-    if compiled is not None:
-        result.extras["compiled"] = compiled
-    return result
+    return _factor_nodes("cholesky", sf, nodes, grid, sim, data, options)
 
 
 def factor_chol_3d(sf: SymbolicFactorization, tf: TreeForest,
@@ -82,5 +69,4 @@ def factor_chol_3d(sf: SymbolicFactorization, tf: TreeForest,
         values = sp.tril(sf.A_perm if matrix is None else matrix).tocsr()
     return factor_3d(sf, tf, grid3, sim, numeric=numeric, options=options,
                      charge_storage=charge_storage, backend="cholesky",
-                     blocks_fn=cholesky_node_blocks, matrix=values,
-                     cached=cached, replicas=replicas)
+                     matrix=values, cached=cached, replicas=replicas)

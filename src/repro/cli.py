@@ -120,7 +120,6 @@ def cmd_solve(args) -> int:
     opts = FactorOptions(n_workers=args.workers, fault_plan=fault_plan,
                          checkpoint_every=args.checkpoint_every,
                          recovery=args.recovery,
-                         compile_plan=not args.no_compile,
                          compact_comm=args.compact,
                          blocking=args.blocking)
     if args.steps:
@@ -419,11 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="host worker processes for the per-level grid "
                         "fan-out (0 = one per core, 1 = serial); ledgers "
                         "and factors are identical at any setting")
-    s.add_argument("--no-compile", action="store_true",
-                   help="skip the plan-compilation pass (task fusion); "
-                        "ledgers and factors are identical either way — "
-                        "compilation only removes interpreter dispatch "
-                        "overhead")
     s.add_argument("--blocking", choices=("uniform", "irregular"),
                    default="uniform",
                    help="supernode-boundary strategy: 'uniform' caps "
@@ -436,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "sparsity-aware compact model (repro.comm.volume): "
                         "min(dense, 1.5*nnz) words per block; factors are "
                         "identical, only the communication/storage ledgers "
-                        "(and the worker wire format) change")
+                        "change")
     s.add_argument("--verify-plan", action="store_true",
                    help="after factorization, run the static plan analyzer "
                         "(races, cycles, malformed collectives) on the "

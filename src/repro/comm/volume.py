@@ -24,9 +24,8 @@ Two implementations:
 * :class:`CompactVolume` — ``min(dense_words, 1.5 * nnz(i, j))`` using the
   per-block fill-in tables of :mod:`repro.symbolic.blocknnz`. The 1.5
   words/entry model is an 8-byte value plus a 4-byte int32 position index
-  per structural nonzero — the same format the shared-memory transport
-  ships (:class:`repro.parallel.shm.PackedBlock`). Triangular diagonal
-  payloads (``dense_words < s*s``) are priced off the triangle's own nnz.
+  per structural nonzero. Triangular diagonal payloads
+  (``dense_words < s*s``) are priced off the triangle's own nnz.
 
 Because compact pricing is a per-block ``min`` against the dense price,
 ``compact <= dense`` holds per message, hence per phase and in total — the
@@ -34,8 +33,7 @@ invariant the comm-volume smoke gate asserts.
 
 Mode selection: ``FactorOptions.compact_comm`` (default off), overridden
 either way by the ``REPRO_COMPACT`` environment variable (on: ``1``,
-``true``, ``on``, ``yes``; off: ``0``, ``false``, ``off``, ``no``) — the
-same contract as ``REPRO_COMPILE`` / ``REPRO_SHM``.
+``true``, ``on``, ``yes``; off: ``0``, ``false``, ``off``, ``no``).
 """
 
 from __future__ import annotations

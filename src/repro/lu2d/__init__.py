@@ -11,18 +11,15 @@ simulated runtime:
 3. *Panel solve* — triangular solves producing the L and U panels;
 4. *Panel broadcast* — L-panel blocks along process rows, U-panel blocks
    along process columns;
-5. *Schur-complement update* — by default one gathered panel GEMM per
-   supernode with a scatter-subtract into the destination blocks
-   (:mod:`repro.lu2d.batched`); ``FactorOptions(batched_schur=False)``
-   falls back to one dense GEMM per (i, j) block pair, owner-only.
+5. *Schur-complement update* — one dense GEMM per (i, j) block pair,
+   owner-only, booked from the per-pair cost arrays of
+   :mod:`repro.lu2d.batched`.
 
 A lookahead window pipelines the panel work of upcoming independent
 supernodes with the current Schur update (Section II-F), which is what lets
 communication hide behind computation in the simulator's timing model.
 """
 
-from repro.lu2d.batched import (batched_schur_update, batched_syrk_update,
-                                gather_panels, panel_offsets)
 from repro.lu2d.factor2d import Factor2DResult, FactorOptions, factor_2d, factor_nodes_2d
 from repro.lu2d.kernels import getrf_nopiv, solve_lower_panel, solve_upper_panel
 from repro.lu2d.storage import allocate_factor_storage, factor_words_per_rank
@@ -31,14 +28,10 @@ __all__ = [
     "Factor2DResult",
     "FactorOptions",
     "allocate_factor_storage",
-    "batched_schur_update",
-    "batched_syrk_update",
     "factor_2d",
     "factor_nodes_2d",
     "factor_words_per_rank",
-    "gather_panels",
     "getrf_nopiv",
-    "panel_offsets",
     "solve_lower_panel",
     "solve_upper_panel",
 ]

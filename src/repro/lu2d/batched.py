@@ -1,30 +1,13 @@
-"""Batched supernodal Schur-update kernels (one panel GEMM + scatter).
+"""Per-pair cost arrays of a supernode's Schur update: the booking source.
 
-The per-block Schur loop issues one tiny ``A_ij -= L_ik @ U_kj`` GEMM per
-(i, j) block pair — thousands of BLAS calls whose fixed overhead dominates
-the runtime at supernodal granularity. The paper's 2D pipeline (Section
-II-F) and SuperLU_DIST instead perform the update as *one large panel
-GEMM followed by a scatter*, and GLU3.0 showed the same batching is the
-decisive kernel-level win for sparse LU on modern hardware. This module
-implements that layer:
-
-1. *gather* — stack the U-panel blocks of supernode ``k`` into one wide
-   ``U`` matrix (block positions come from prefix sums of the
-   :class:`~repro.sparse.blockmatrix.BlockLayout` sizes);
-2. *GEMM* — one row-blocked product ``W_i = L_ik @ U`` per L-panel block
-   (the product row stays cache-resident for its scatter instead of
-   materializing the full ``|L| x |U|`` intermediate);
-3. *scatter* — subtract each ``W_i`` tile from its destination block via
-   the precomputed column offset map.
-
-The result is numerically identical (to roundoff, < 1e-12 on the test
-problems) to the per-block loop, and the simulator events it books are
-*bit-for-bit* identical: :meth:`repro.comm.Simulator.compute_batch`
-replays the loop's per-pair costs in the loop's order. Selected by
-``FactorOptions.batched_schur`` (default on); panels below
-``FactorOptions.batch_min_pairs`` block pairs stay on the per-block loop,
-whose booked events are identical anyway, so the hybrid threshold is a
-pure wall-clock decision.
+A supernode's Schur update touches one destination block per (i, j) panel
+pair. The numeric bodies (:mod:`repro.plan.backends`) run one small GEMM
+per pair; the *ledger* side is booked from the arrays built here — every
+pair's owner rank and flop count, in the numeric loop's row-major order —
+through one :meth:`repro.comm.Simulator.compute_batch` call, which replays
+per-event booking bit for bit. The plan compiler
+(:mod:`repro.plan.compile`) concatenates the same arrays across a fused
+run, so fused and unfused execution read one cost definition.
 """
 
 from __future__ import annotations
@@ -32,161 +15,39 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.grid import ProcessGrid2D
-from repro.comm.simulator import Simulator
 
-__all__ = ["panel_offsets", "gather_panels", "schur_pair_costs",
-           "syrk_pair_costs", "apply_schur_numeric", "apply_syrk_numeric",
-           "batched_schur_update", "batched_syrk_update"]
-
-
-def panel_offsets(sizes: np.ndarray, panel) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of each panel block inside the stacked panel matrix.
-
-    Returns ``(panel, off)`` where ``off[a]:off[a+1]`` is the row (or
-    column) range of panel block ``a`` in the gathered matrix — the
-    scatter map derived from the :class:`BlockLayout` sizes.
-    """
-    panel = np.asarray(panel, dtype=np.int64)
-    off = np.zeros(panel.size + 1, dtype=np.int64)
-    np.cumsum(sizes[panel], out=off[1:])
-    return panel, off
-
-
-def gather_panels(store, k: int, lp, up) -> tuple[np.ndarray, np.ndarray]:
-    """Stack supernode ``k``'s L panel (tall) and U panel (wide)."""
-    L = np.concatenate([store[(int(i), k)] for i in lp], axis=0)
-    U = np.concatenate([store[(k, int(j))] for j in up], axis=1)
-    return L, U
+__all__ = ["schur_pair_costs", "syrk_pair_costs"]
 
 
 def schur_pair_costs(k: int, lp, up, sizes: np.ndarray, grid: ProcessGrid2D
-                     ) -> tuple[np.ndarray, np.ndarray, int, float, float]:
-    """Per-pair cost arrays of supernode ``k``'s LU Schur update.
-
-    Returns ``(owners, flops, n_pairs, fill_used, fill_total)`` with
-    ``owners``/``flops`` in the per-block loop's row-major (i, j) order —
-    the exact arrays :func:`batched_schur_update` feeds to
-    ``Simulator.compute_batch``, exposed separately so the plan compiler
-    (:mod:`repro.plan.compile`) can concatenate them across a fused run.
-    """
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``(owners, flops)`` of supernode ``k``'s LU Schur update, one entry
+    per (i, j) block pair in row-major (L panel outer, U panel inner)
+    order. Empty arrays when either panel is empty."""
     lp = np.asarray(lp, dtype=np.int64)
     up = np.asarray(up, dtype=np.int64)
     if lp.size == 0 or up.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0), 0, 0.0, 0.0
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     s = int(sizes[k])
-    si = sizes[lp]
-    sj = sizes[up]
-    # Same association order as the loop path's 2.0 * si * s * sj, so the
-    # booked per-pair flops are bit-identical.
-    flops = (2.0 * si)[:, None] * s * sj[None, :]
-    owners = grid.owner_map(lp, up)
-    words = float(int(si.sum()) * int(sj.sum()))
-    return owners.ravel(), flops.ravel(), int(lp.size * up.size), words, words
-
-
-def apply_schur_numeric(store, k: int, lp, up, sizes: np.ndarray) -> None:
-    """Numeric body of the gathered LU Schur update (no event booking).
-
-    Row-blocked GEMM: one U gather, then ``W_i = L_ik @ U`` per L-panel
-    block — the product row stays cache-resident for its scatter, avoiding
-    the full ``|L| x |U|`` intermediate.
-    """
-    lp = np.asarray(lp, dtype=np.int64)
-    up = np.asarray(up, dtype=np.int64)
-    if lp.size == 0 or up.size == 0:
-        return
-    sj = sizes[up]
-    col_off = np.zeros(up.size + 1, dtype=np.int64)
-    np.cumsum(sj, out=col_off[1:])
-    U = np.concatenate([store[(k, int(j))] for j in up], axis=1)
-    cols = [(int(j), slice(int(col_off[b]), int(col_off[b + 1])))
-            for b, j in enumerate(up)]
-    for i in lp:
-        i = int(i)
-        Wi = store[(i, k)] @ U
-        for j, cs in cols:
-            dst = store[(i, j)]
-            np.subtract(dst, Wi[:, cs], out=dst)
-
-
-def batched_schur_update(store, k: int, lp, up, sizes: np.ndarray,
-                         grid: ProcessGrid2D, sim: Simulator
-                         ) -> tuple[int, float, float]:
-    """Apply supernode ``k``'s whole Schur update as one gathered GEMM.
-
-    ``store`` is the block mapping (``None`` in cost-only mode — the
-    ledger events are booked either way). Returns ``(n_block_updates,
-    scattered_words, gemm_words)``; for LU every tile of ``W`` hits a
-    destination block, so the fill ratio is 1.
-    """
-    owners, flops, n_pairs, used, total = \
-        schur_pair_costs(k, lp, up, sizes, grid)
-    if n_pairs == 0:
-        return 0, 0.0, 0.0
-    if store is not None:
-        apply_schur_numeric(store, k, lp, up, sizes)
-    sim.compute_batch(owners, flops, "schur", n_block_updates=1)
-    return n_pairs, used, total
-
-
-def batched_syrk_update(store, k: int, lp, sizes: np.ndarray,
-                        grid: ProcessGrid2D, sim: Simulator
-                        ) -> tuple[int, float, float]:
-    """Symmetric (Cholesky) batched Schur update: ``W = P @ P^T``.
-
-    Gathers the L panel once, forms the full symmetric product, and
-    scatters only the lower-triangle tiles (``j <= i``); the booked flops
-    keep the loop path's convention — SYRK cost on the diagonal tiles,
-    GEMM cost below — so ledgers match the loop bit-for-bit. Returns
-    ``(n_block_updates, scattered_words, gemm_words)``.
-    """
-    owners, flops, n_pairs, used, total = syrk_pair_costs(k, lp, sizes, grid)
-    if n_pairs == 0:
-        return 0, 0.0, 0.0
-    if store is not None:
-        apply_syrk_numeric(store, k, lp, sizes)
-    sim.compute_batch(owners, flops, "schur", n_block_updates=1)
-    return n_pairs, used, total
+    # Association order of the scalar ``2.0 * si * s * sj``, so the booked
+    # per-pair flops are bit-identical to a per-pair loop's.
+    flops = (2.0 * sizes[lp])[:, None] * s * sizes[up][None, :]
+    return grid.owner_map(lp, up).ravel(), flops.ravel()
 
 
 def syrk_pair_costs(k: int, lp, sizes: np.ndarray, grid: ProcessGrid2D
-                    ) -> tuple[np.ndarray, np.ndarray, int, float, float]:
-    """Per-pair cost arrays of supernode ``k``'s symmetric Schur update.
-
-    The Cholesky analogue of :func:`schur_pair_costs`: lower-triangle
-    (i, j) pairs in the loop path's row-major order, SYRK cost on the
-    diagonal tiles and GEMM cost below. Returns ``(owners, flops,
-    n_pairs, fill_used, fill_total)``.
-    """
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky analogue of :func:`schur_pair_costs`: lower-triangle
+    (i, j) pairs of the L panel in row-major order, SYRK cost on the
+    diagonal tiles and GEMM cost below."""
     lp = np.asarray(lp, dtype=np.int64)
     if lp.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0), 0, 0.0, 0.0
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     s = int(sizes[k])
     sl = sizes[lp]
-    ii, jj = np.tril_indices(lp.size)  # row-major: the loop path's order
+    ii, jj = np.tril_indices(lp.size)  # row-major: the numeric loop's order
     si, sj = sl[ii], sl[jj]
     flops = 2.0 * si * s * sj
     diag = ii == jj
     flops[diag] = si[diag] * s * sj[diag]
-    owners = grid.owner_map(lp, lp)[ii, jj]
-    used = float((si * sj).sum())
-    return owners, flops, int(ii.size), used, float(int(sl.sum())) ** 2
-
-
-def apply_syrk_numeric(store, k: int, lp, sizes: np.ndarray) -> None:
-    """Numeric body of the gathered symmetric update (no event booking)."""
-    lp = np.asarray(lp, dtype=np.int64)
-    if lp.size == 0:
-        return
-    sl = sizes[lp]
-    off = np.zeros(lp.size + 1, dtype=np.int64)
-    np.cumsum(sl, out=off[1:])
-    PT = np.concatenate([store[(int(i), k)] for i in lp], axis=0).T
-    cols = [(int(j), slice(int(off[b]), int(off[b + 1])))
-            for b, j in enumerate(lp)]
-    for a, i in enumerate(lp):
-        i = int(i)
-        Wi = store[(i, k)] @ PT[:, :int(off[a + 1])]
-        for j, cs in cols[:a + 1]:
-            dst = store[(i, j)]
-            np.subtract(dst, Wi[:, cs], out=dst)
+    return grid.owner_map(lp, lp)[ii, jj], flops

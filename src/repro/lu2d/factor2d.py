@@ -8,8 +8,9 @@ in place on a :class:`repro.sparse.blockmatrix.BlockMatrix`-like store.
 
 Since the :mod:`repro.plan` refactor this module is a thin wrapper: it
 builds the node list's task plan (:func:`repro.plan.build.build_grid_plan`
-— which replays the Section II-F lookahead pipeline at build time) and
-hands it to the shared interpreter with the LU kernel backend. The emitted
+— which replays the Section II-F lookahead pipeline at build time),
+asks :func:`repro.plan.execmode.resolve_exec` how to run it, and hands it
+to the shared interpreter with the chosen kernel backend. The emitted
 simulator events are bit-identical to the historical imperative loop.
 """
 
@@ -20,7 +21,8 @@ from repro.comm.simulator import Simulator
 from repro.lu2d.options import Factor2DResult, FactorOptions
 from repro.lu2d.storage import allocate_factor_storage
 from repro.plan.build import build_grid_plan
-from repro.plan.compile import compile_enabled, compile_plan
+from repro.plan.compile import compile_plan
+from repro.plan.execmode import resolve_exec
 from repro.plan.interpret import execute_grid_plan
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 
@@ -42,22 +44,28 @@ def factor_nodes_2d(sf: SymbolicFactorization, nodes: list[int],
     plan compiler ran, the executed :class:`repro.plan.CompiledPlan` is on
     ``result.extras['compiled']``.
     """
+    return _factor_nodes("lu", sf, nodes, grid, sim, data, options)
+
+
+def _factor_nodes(backend: str, sf, nodes, grid, sim, data, options
+                  ) -> Factor2DResult:
+    """The one 2D node driver behind the LU and Cholesky entry points:
+    build the grid plan → resolve how to run it → execute."""
     opts = options or FactorOptions()
-    plan = build_grid_plan(sf, nodes, grid, opts, backend="lu",
-                           accelerated=sim.accelerator is not None)
-    if opts.resilience_active():
+    mode = resolve_exec(opts, sim, numeric=data is not None, merged=False,
+                        backend=backend)
+    plan = build_grid_plan(sf, nodes, grid, opts, backend=backend)
+    if mode.monitored:
         from repro.resilience.engine import execute_grid_plan_resilient
         result = execute_grid_plan_resilient(plan, sf, sim, data=data,
                                              options=opts, grid=grid)
-        result.extras["plan"] = plan
-        return result
-    compiled = compile_plan(plan, sf, opts) \
-        if compile_enabled(opts, sim) else None
-    result = execute_grid_plan(compiled.plan if compiled else plan, sf, sim,
-                               data=data, options=opts, grid=grid)
+    else:
+        compiled = compile_plan(plan, sf, opts) if mode.fuse else None
+        result = execute_grid_plan(compiled.plan if compiled else plan, sf,
+                                   sim, data=data, options=opts, grid=grid)
+        if compiled is not None:
+            result.extras["compiled"] = compiled
     result.extras["plan"] = plan
-    if compiled is not None:
-        result.extras["compiled"] = compiled
     return result
 
 

@@ -25,49 +25,19 @@ class FactorOptions:
     pivot_eps:
         GESP threshold: diagonal pivots below ``pivot_eps * ||A_kk||_max``
         are perturbed to that magnitude.
-    track_buffers:
-        Charge transient panel receive buffers to the memory ledgers.
     sparse_bcast:
         Prune broadcast receiver sets to the ranks that actually own an
         update target (SuperLU_DIST builds its BC/RD trees over exactly
         those ranks). ``False`` broadcasts along whole process rows/
         columns — the flat model Section IV analyzes.
-    batched_schur:
-        Apply each supernode's Schur update as one gathered panel GEMM +
-        scatter (:mod:`repro.lu2d.batched`) instead of one GEMM per block
-        pair. Numerically identical to roundoff and books bit-identical
-        simulator ledgers; automatically falls back to the per-block loop
-        when an accelerator is attached (offload decisions are per block).
-    batch_min_pairs:
-        Hybrid cutoff: panels with fewer than this many (i, j) block pairs
-        take the per-block loop even when ``batched_schur`` is on — below
-        ~32 pairs the gather/scatter fixed overhead exceeds the per-event
-        savings. Both paths book identical ledgers, so the cutoff affects
-        wall-clock only. Set to ``0`` to batch every panel.
-    compile_plan:
-        Run the plan compiler (:mod:`repro.plan.compile`) on the built
-        plan before executing it: maximal same-kind task runs are fused
-        into single vectorized dispatches (one batched ledger booking per
-        run/segment instead of one per task). Ledgers and factors are
-        bit-identical either way; resilience, tracing and accelerator
-        runs ignore the flag (they observe per-task boundaries). The
-        ``REPRO_COMPILE=0`` environment variable forces it off globally
-        (CI's uncompiled tier-1 run).
-    shm_transport:
-        Back the 3D process-pool fan-out's replica shipping with
-        ``multiprocessing.shared_memory``: workers receive (name, offset,
-        shape) descriptors instead of pickled block arrays. Falls back to
-        the pickle path when shared memory is unavailable; ``REPRO_SHM=0``
-        forces the fallback.
     n_workers:
         Host worker processes for the 3D drivers' per-level fan-out
         (:mod:`repro.parallel`). ``1`` (default) keeps the serial in-place
         schedule with no pool; ``0`` means one worker per host core.
         Ledgers and factors are identical either way — the fan-out merges
-        forked sub-simulator ledgers deterministically in grid order.
-    parallel_backend:
-        ``'process'`` (real multi-core), ``'thread'`` (BLAS-overlap only),
-        or ``'serial'`` (the fork/merge path run inline — test hook).
+        forked sub-simulator ledgers deterministically in grid order. When
+        the pool cannot engage (see :func:`repro.plan.execmode.resolve_exec`)
+        the run stays serial and records a ``ParallelFallback``.
     fault_plan:
         A :class:`repro.resilience.FaultPlan` of deterministic faults to
         inject (``None`` / empty = fault-free: every ledger stays
@@ -91,9 +61,9 @@ class FactorOptions:
         the sparsity-aware compact model (:mod:`repro.comm.volume`):
         ``min(dense, 1.5 * nnz)`` words per block off the filled pattern's
         per-block nnz tables, instead of dense ``rows * cols``. Numerics
-        are unaffected — only the booked word counts (and the worker
-        transport's wire format) change. The ``REPRO_COMPACT`` environment
-        variable overrides the flag either way (``1``/``0``).
+        are unaffected — only the booked word counts change. The
+        ``REPRO_COMPACT`` environment variable overrides the flag either
+        way (``1``/``0``).
     ancestor_replication:
         2.5D replication factor ``c`` for the dense common-ancestor levels
         (paper Section VII / Solomonik-Demmel). ``1`` (default) keeps
@@ -102,8 +72,9 @@ class FactorOptions:
         forest as one aggregate 2.5D sweep over ``min(c, 2^{l-q})`` of
         its replication range's grids — per-rank level volume drops from
         ``D/sqrt(Pxy)`` to ``D/(c*sqrt(Pxy))`` at ``c``-fold panel
-        traffic. ``c = Pz`` reproduces the legacy ``lu3d.dense25`` cost
-        study. A first-order *cost model*: ``c > 1`` requires cost-only
+        traffic. ``c = Pz`` replicates every ancestor level across its
+        whole range (the paper's 2.5D dense-ancestor study). A first-order
+        *cost model*: ``c > 1`` requires cost-only
         runs (``numeric=False``, no resilience) on the standard
         (non-merged) LU driver.
     blocking:
@@ -119,14 +90,8 @@ class FactorOptions:
 
     lookahead: int = 8
     pivot_eps: float = 1e-10
-    track_buffers: bool = True
     sparse_bcast: bool = False
-    batched_schur: bool = True
-    batch_min_pairs: int = 32
-    compile_plan: bool = True
-    shm_transport: bool = True
     n_workers: int = 1
-    parallel_backend: str = "process"
     fault_plan: object | None = None   # repro.resilience.FaultPlan
     checkpoint_every: int = 0
     recovery: str = "restart"
@@ -146,9 +111,6 @@ class FactorOptions:
             raise ValueError("pivot_eps must be positive")
         if self.n_workers < 0:
             raise ValueError("n_workers must be non-negative (0 = auto)")
-        if self.parallel_backend not in ("process", "thread", "serial"):
-            raise ValueError(
-                f"unknown parallel_backend {self.parallel_backend!r}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative (0 = off)")
         if self.recovery not in ("restart", "z-replica"):
@@ -166,10 +128,6 @@ class Factor2DResult:
 
     ``buffer_peak_words`` is the peak *transient* panel-receive-buffer
     footprint on any rank — static L/U factor storage is excluded.
-    ``n_batched_gemms`` counts gathered panel GEMMs issued by the batched
-    Schur path; ``batch_fill_ratio`` is the fraction of the gathered
-    ``W = L @ U`` products' entries that land in a destination block
-    (1.0 for LU, < 1 for the symmetric Cholesky variant).
     """
 
     nodes: list[int]
@@ -177,6 +135,4 @@ class Factor2DResult:
     panel_steps: int = 0
     schur_block_updates: int = 0
     buffer_peak_words: float = 0.0
-    n_batched_gemms: int = 0
-    batch_fill_ratio: float = 0.0
     extras: dict = field(default_factory=dict)

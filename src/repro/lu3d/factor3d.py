@@ -17,13 +17,18 @@ benchmarks can split ``W_fact`` / ``W_red`` exactly as Fig. 10 does.
 
 With ``FactorOptions(n_workers != 1)`` the active grids of each level run
 *concurrently* on a host worker pool (:mod:`repro.parallel`): each grid's
-sub-plan executes against a forked sub-simulator and an exported replica
-view, and the parent merges the returned ledger deltas in grid order —
-bit-for-bit identical to the serial schedule, because the grids' rank
-sets are disjoint. When the pool cannot engage (a simulator that cannot
-fork, a worker count resolving to 1), the run falls back to the serial
-path and records *why* on ``Factor3DResult.parallel_stats`` as a
-:class:`repro.parallel.ParallelFallback` — no more silent fallbacks.
+sub-plan executes against a forked sub-simulator and a shared-memory view
+of its replica blocks, and the parent merges the returned ledger deltas in
+grid order — bit-for-bit identical to the serial schedule, because the
+grids' rank sets are disjoint. When the pool cannot engage, the run stays
+serial and records *why* on ``Factor3DResult.parallel_stats`` as a
+:class:`repro.parallel.ParallelFallback` — no silent fallbacks.
+
+How a run executes (fused or not, monitored or not, how many workers) is
+decided once, by :func:`repro.plan.execmode.resolve_exec`; the standard,
+merged-grid and Cholesky entry points are argument bindings of one
+pipeline (:func:`_factor`): validate → acquire the plan bundle → charge
+storage → bind data → execute.
 """
 
 from __future__ import annotations
@@ -36,26 +41,18 @@ import numpy as np
 
 from repro.comm.grid import ProcessGrid2D, ProcessGrid3D
 from repro.comm.simulator import Simulator
-from repro.comm.volume import compact_enabled, volume_for
+from repro.comm.volume import volume_for
 from repro.lu2d.options import FactorOptions
-from repro.lu2d.storage import node_blocks
-from repro.lu3d.replication import ReplicaManager, replica_words_per_rank
+from repro.lu3d.replication import ReplicaManager
 from repro.parallel.engine import (
     GridTask,
     ParallelExecutor,
     ParallelFallback,
-    resolve_workers,
 )
-from repro.parallel.shm import (
-    PackedBlock,
-    ShmTransport,
-    ShmViewHandle,
-    pack_view,
-    shm_enabled,
-    unpack_view,
-)
+from repro.parallel.shm import ShmTransport
+from repro.plan.backends import get_backend
 from repro.plan.build import build_3d_plan
-from repro.plan.compile import compile_enabled, compile_plan
+from repro.plan.execmode import resolve_exec
 from repro.plan.interpret import (
     execute_grid_plan,
     execute_reduce,
@@ -77,22 +74,21 @@ class Factor3DResult:
     tf: TreeForest
     perturbed_pivots: int = 0
     schur_block_updates: int = 0
-    n_batched_gemms: int = 0
     reduction_messages: int = 0
     reduction_words: float = 0.0
     replicas: ReplicaManager | None = None
+    #: The merged-grid variant's single global block copy (numeric mode).
+    merged_blocks: BlockMatrix | None = None
     per_level_makespan: list[float] = field(default_factory=list)
     #: One :class:`repro.parallel.LevelStats` per fanned-out level, plus a
     #: :class:`repro.parallel.ParallelFallback` record when workers were
     #: requested but the run stayed serial (empty for plain serial runs).
     parallel_stats: list = field(default_factory=list)
-    #: The executed task-graph plan (:class:`repro.plan.Plan3D`); ``None``
-    #: only for legacy ``factor_fn`` plug-ins' grid work, whose per-grid
-    #: task lists are empty stubs.
+    #: The executed task-graph plan (:class:`repro.plan.Plan3D`).
     plan: Plan3D | None = None
-    #: The :class:`repro.plan.CompiledPlan` actually executed when the plan
-    #: compiler ran (``FactorOptions.compile_plan`` and the simulator allow
-    #: it); ``None`` otherwise. ``plan`` always stays the uncompiled DAG.
+    #: The :class:`repro.plan.CompiledPlan` actually executed when the run
+    #: fused (:attr:`repro.plan.ExecMode.fuse`); ``None`` otherwise.
+    #: ``plan`` always stays the uncompiled DAG.
     compiled: object | None = None
     #: :class:`repro.resilience.ResilienceStats` when the run went through
     #: the resilience engine (``FactorOptions.resilience_active()``);
@@ -101,7 +97,7 @@ class Factor3DResult:
     #: The :class:`repro.plan.PlanBundle` of pattern-only build products
     #: this run used (built cold or passed in via ``cached=``); feed it
     #: back as ``factor_3d(..., cached=result.bundle)`` to replay the plan
-    #: against fresh values. ``None`` for legacy ``factor_fn`` runs.
+    #: against fresh values.
     bundle: PlanBundle | None = None
 
     def factors(self) -> BlockMatrix:
@@ -122,7 +118,7 @@ class CostOnlyData:
 
     accumulate = None
     #: Shared-memory transport backing ``export`` / ``import_back``
-    #: (:class:`repro.parallel.ShmTransport`); ``None`` = pickle path.
+    #: (:class:`repro.parallel.ShmTransport`); ``None`` = nothing to ship.
     transport = None
     #: Whether z-replica crash recovery can rebuild a grid's state from
     #: sibling replicas. True here: with no numeric content there is
@@ -135,7 +131,7 @@ class CostOnlyData:
     def export(self, gp):
         return None
 
-    def import_back(self, g, blocks) -> None:
+    def import_back(self, g, handle) -> None:
         pass
 
     def mark_executed_inline(self, gp) -> None:
@@ -155,25 +151,18 @@ class CostOnlyData:
 class ReplicaData(CostOnlyData):
     """Standard numeric mode: per-grid replica views + z-axis summation.
 
-    With a :class:`repro.parallel.ShmTransport` attached, ``export`` ships
-    (segment, offset, shape) descriptors instead of pickled arrays and only
+    With a :class:`repro.parallel.ShmTransport` attached (pool runs),
+    ``export`` ships (segment, offset, shape) descriptors and only
     re-copies blocks dirtied since the previous fan-out (the z-reduction
-    accumulations and inline-executed levels register dirty marks); any
-    shared-memory failure downgrades the rest of the run to the pickle path.
-
-    With ``compact`` (the compact communication mode), pickle-path exports
-    ship index+value :class:`repro.parallel.shm.PackedBlock` payloads for
-    sparse blocks instead of full dense views — the runtime counterpart of
-    the compact word pricing. Packing is lossless (dropped entries are
-    exact zeros), so factors stay bit-identical to the dense transport.
+    accumulations and inline-executed levels register dirty marks). A
+    shared-memory failure makes ``export`` return ``None`` with the
+    transport closed; the executor then finishes the run inline.
     """
 
-    def __init__(self, replicas: ReplicaManager, transport=None,
-                 compact: bool = False):
+    def __init__(self, replicas: ReplicaManager, transport=None):
         self.replicas = replicas
         self.accumulate = replicas.accumulate
         self.transport = transport
-        self.compact = compact
         if transport is not None:
             replicas.add_dirty_hook(
                 lambda g, i, j: transport.mark_dirty(g, (i, j)))
@@ -182,25 +171,11 @@ class ReplicaData(CostOnlyData):
         return self.replicas.view(gp.g)
 
     def export(self, gp):
-        tr = self.transport
-        if tr is not None:
-            handle = tr.export(gp.g,
-                               self.replicas.grid_block_refs(gp.g, gp.nodes))
-            if handle is not None:
-                return handle
-            self.transport = None  # shm failed: pickle for the rest of run
-        view = self.replicas.export_view(gp.g, gp.nodes)
-        return pack_view(view) if self.compact else view
+        return self.transport.export(
+            gp.g, self.replicas.grid_block_refs(gp.g, gp.nodes))
 
-    def import_back(self, g, blocks) -> None:
-        tr = self.transport
-        if tr is not None and isinstance(blocks, ShmViewHandle):
-            self.replicas.import_view(g, tr.views_for(blocks))
-            return
-        if isinstance(blocks, dict) and \
-                any(isinstance(v, PackedBlock) for v in blocks.values()):
-            blocks = unpack_view(blocks)
-        self.replicas.import_view(g, blocks)
+    def import_back(self, g, handle) -> None:
+        self.replicas.import_view(g, self.transport.views_for(handle))
 
     def mark_executed_inline(self, gp) -> None:
         tr = self.transport
@@ -248,8 +223,7 @@ class GlobalStoreData(CostOnlyData):
 def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
               sim: Simulator, numeric: bool = True,
               options: FactorOptions | None = None,
-              charge_storage: bool = True, factor_fn=None, blocks_fn=None,
-              matrix=None, backend: str = "lu",
+              charge_storage: bool = True, matrix=None, backend: str = "lu",
               cached: PlanBundle | None = None,
               replicas: ReplicaManager | None = None) -> Factor3DResult:
     """Run Algorithm 1 on the 3D process grid.
@@ -268,17 +242,15 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
         Execute real block arithmetic (and enable :meth:`Factor3DResult.factors`).
     charge_storage:
         Charge static factor + replica storage to the memory ledgers.
+    matrix:
+        Overrides ``sf.A_perm`` as the numeric value source (same pattern,
+        fresh values — the re-factorization workflow).
     backend:
         Kernel backend executed by the shared plan interpreter: ``'lu'``
         (default) or ``'cholesky'`` (paper Section VII's "these principles
         could be applied to other variants"). Algorithm 1 itself — the
         level schedule and the pairwise reduction — is variant-independent,
         which the shared plan makes literal.
-
-    ``factor_fn`` / ``blocks_fn`` remain as a legacy plug-in point for
-    custom per-grid engines: when ``factor_fn`` is given, the 3D plan is
-    built structure-only and each grid's work is delegated to the callable
-    instead of the plan interpreter.
 
     ``cached`` replays a previous run's :class:`repro.plan.PlanBundle`
     (``result.bundle``): the build/compile/analyze phases are skipped and
@@ -292,182 +264,133 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
     With ``pz == 1`` this degenerates exactly to the baseline 2D algorithm
     (one layer, no reduction) — tests rely on that equivalence.
     """
+    return _factor(sf, tf, grid3, sim, numeric=numeric, options=options,
+                   charge_storage=charge_storage, matrix=matrix,
+                   backend=backend, merged=False, cached=cached,
+                   replicas=replicas)
+
+
+def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
+            backend, merged, cached, replicas=None) -> Factor3DResult:
+    """The one 3D pipeline behind every entry point (standard, merged,
+    Cholesky): validate → plan bundle → storage → data → execute."""
     if tf.pz != grid3.pz:
         raise ValueError(f"tree-forest pz={tf.pz} != grid pz={grid3.pz}")
     opts = options or FactorOptions()
-    custom = factor_fn is not None
-    if opts.ancestor_replication > 1:
-        if numeric:
-            raise NotImplementedError(
-                "2.5D ancestor factorization is a first-order cost study "
-                "(Section VII); numeric execution uses factor_3d with "
-                "ancestor_replication=1")
-        if opts.resilience_active():
-            raise ValueError(
-                "ancestor_replication > 1 emits aggregate cost sweeps with "
-                "no per-task recovery boundaries; resilience requires "
-                "ancestor_replication=1")
-    if cached is not None:
-        if custom:
-            raise ValueError(
-                "cached plan replay drives the plan interpreter; it cannot "
-                "replay through a custom factor_fn")
-        cached.check(grid3, backend, False, sim.accelerator is not None, opts)
-        blocks_fn = cached.blocks_fn
-    if blocks_fn is None:
-        if custom:
-            blocks_fn = node_blocks
-        else:
-            from repro.plan.backends import get_backend
-            blocks_fn = get_backend(backend).node_blocks
+    mode = resolve_exec(opts, sim, numeric=numeric, merged=merged,
+                        backend=backend)
     result = Factor3DResult(tf=tf)
-    volume = volume_for(sf, opts)
+    if mode.fallback is not None:
+        result.parallel_stats.append(mode.fallback)
+
+    if cached is not None:
+        cached.check(grid3, backend, merged, mode.accelerated, opts)
+        bundle = cached
+    else:
+        t0 = time.perf_counter()
+        blocks_fn = get_backend(backend).node_blocks
+        plan3 = build_3d_plan(sf, tf, grid3, opts, backend=backend,
+                              merged=merged, accelerated=mode.accelerated,
+                              blocks_fn=blocks_fn)
+        bundle = PlanBundle(
+            backend=backend, merged=merged,
+            grid_shape=(grid3.px, grid3.py, grid3.pz),
+            accelerated=mode.accelerated, opts_key=plan_options_key(opts),
+            blocks_fn=blocks_fn, plan3=plan3, volume=volume_for(sf, opts),
+            build_seconds=time.perf_counter() - t0)
+    result.plan = bundle.plan3
+    result.bundle = bundle
 
     if charge_storage:
-        if cached is not None:
-            words = cached.replica_words(sf, tf, grid3)
-        else:
-            words = replica_words_per_rank(sf, tf, grid3, blocks_fn=blocks_fn,
-                                           volume=volume)
+        # Merging re-partitions ownership, it does not change what is
+        # stored: the merged variant charges the standard replica storage.
+        words = bundle.replica_words(sf, tf, grid3)
         for r in np.flatnonzero(words):
             sim.alloc(int(r), float(words[r]))
 
-    if numeric:
-        if cached is not None:
-            pattern = cached.block_pattern(sf)
-        else:
-            pattern = {(i, j) for v in range(sf.nb)
-                       for i, j, _w in blocks_fn(sf, v)}
-        A_vals = sf.A_perm if matrix is None else matrix
-        base = BlockMatrix.from_csr(A_vals, sf.layout, block_pattern=pattern)
-        if replicas is not None:
-            replicas.reset(base)
-            result.replicas = replicas
-        else:
-            result.replicas = ReplicaManager(sf, tf, base,
-                                             blocks_fn=blocks_fn)
+    data = _bind_data(sf, tf, result, bundle, mode, numeric=numeric,
+                      merged=merged, matrix=matrix, replicas=replicas)
 
-    engine, fallback = _make_engine(opts, sim, sf,
-                                    factor_fn if custom else None)
-    if fallback is not None:
-        result.parallel_stats.append(fallback)
-
-    if cached is not None:
-        bundle = cached
-        plan3 = bundle.plan3
-    else:
-        t0 = time.perf_counter()
-        plan3 = build_3d_plan(sf, tf, grid3, opts,
-                              backend=None if custom else backend,
-                              merged=False,
-                              accelerated=sim.accelerator is not None,
-                              blocks_fn=blocks_fn)
-        bundle = None if custom else PlanBundle(
-            backend=backend, merged=False,
-            grid_shape=(grid3.px, grid3.py, grid3.pz),
-            accelerated=sim.accelerator is not None,
-            opts_key=plan_options_key(opts),
-            blocks_fn=blocks_fn, plan3=plan3, volume=volume,
-            build_seconds=time.perf_counter() - t0)
-    result.plan = plan3
-    result.bundle = bundle
-    if numeric:
-        transport = ShmTransport() \
-            if engine is not None and shm_enabled(opts) else None
-        data = ReplicaData(result.replicas, transport=transport,
-                           compact=compact_enabled(opts))
-    else:
-        data = CostOnlyData()
-    if opts.resilience_active():
-        if custom:
-            raise ValueError(
-                "resilience (fault_plan / checkpoint_every) requires the "
-                "plan interpreter; it cannot monitor a custom factor_fn")
+    if mode.monitored:
         from repro.resilience.engine import (
             ResilienceEngine,
             execute_plan3d_resilient,
         )
         rengine = ResilienceEngine(opts, sim)
-        execute_plan3d_resilient(plan3, sf, sim, result, opts, data,
+        execute_plan3d_resilient(bundle.plan3, sf, sim, result, opts, data,
                                  rengine, _absorb_2d)
         result.resilience = rengine.stats
         return result
-    if compile_enabled(opts, sim):
-        result.compiled = (bundle.compiled(sf, opts) if bundle is not None
-                           else compile_plan(plan3, sf, opts))
-    _execute_plan3d(result.compiled.plan if result.compiled else plan3,
-                    sf, sim, result, opts, engine, data, factor_fn=factor_fn)
+    if mode.fuse:
+        result.compiled = bundle.compiled(sf, opts)
+    engine = ParallelExecutor(mode.n_workers, sf, opts) \
+        if mode.n_workers > 1 else None
+    _execute_plan3d(result.compiled.plan if mode.fuse else bundle.plan3,
+                    sf, sim, result, opts, engine, data)
     return result
 
 
-def _make_engine(opts: FactorOptions, sim: Simulator, sf, factor_fn
-                 ) -> tuple[ParallelExecutor | None, ParallelFallback | None]:
-    """The level fan-out engine, or ``(None, why)`` for the serial path.
-
-    ``n_workers = 1`` (the default) never constructs an engine — no pool
-    is spawned, no fallback is recorded: the serial schedule is what was
-    asked for. When workers *were* requested but cannot engage, the reason
-    is returned as a :class:`ParallelFallback` so the run reports it
-    instead of silently ignoring the pool.
-    """
-    if opts.n_workers == 1 and not opts.resilience_active():
-        return None, None
-
-    def fallback(reason: str) -> ParallelFallback:
-        return ParallelFallback(reason=reason,
-                                requested_workers=opts.n_workers,
-                                backend=opts.parallel_backend)
-
-    if opts.resilience_active():
-        if opts.n_workers == 1:
-            return None, None
-        return None, fallback(
-            "resilience instrumentation (fault_plan / checkpoint_every) "
-            "requires the serial monitored schedule")
-    if not sim.can_fork():
-        return None, fallback(
-            "simulator cannot fork: trace, topology or accelerator "
-            "attached (these need globally ordered events)")
-    if resolve_workers(opts.n_workers) <= 1:
-        return None, fallback(
-            f"n_workers={opts.n_workers} resolves to a single worker "
-            "on this host")
-    return ParallelExecutor(opts.n_workers, opts.parallel_backend,
-                            sf, factor_fn, opts), None
+def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, mode, *,
+               numeric: bool, merged: bool, matrix, replicas):
+    """Scatter the values into block storage and pick the data strategy."""
+    if not numeric:
+        return CostOnlyData()
+    A_vals = sf.A_perm if matrix is None else matrix
+    if merged:
+        # One *global* copy of every block: the driver is sequential, Schur
+        # updates are pure accumulations, and merging means every rank of a
+        # range works on the same logical ancestor copy anyway.
+        store = BlockMatrix.from_csr(A_vals, sf.layout,
+                                     block_pattern=sf.fill.all_blocks())
+        result.merged_blocks = store
+        return GlobalStoreData(store)
+    base = BlockMatrix.from_csr(A_vals, sf.layout,
+                                block_pattern=bundle.block_pattern(sf))
+    if replicas is not None:
+        replicas.reset(base)
+    else:
+        replicas = ReplicaManager(sf, tf, base, blocks_fn=bundle.blocks_fn)
+    result.replicas = replicas
+    return ReplicaData(replicas, transport=ShmTransport()
+                       if mode.n_workers > 1 else None)
 
 
 def _absorb_2d(result: Factor3DResult, r2d) -> None:
     result.perturbed_pivots += r2d.perturbed_pivots
     result.schur_block_updates += r2d.schur_block_updates
-    result.n_batched_gemms += r2d.n_batched_gemms
 
 
 def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
                     result: Factor3DResult, opts: FactorOptions,
-                    engine: ParallelExecutor | None, data,
-                    factor_fn=None) -> None:
+                    engine: ParallelExecutor | None, data) -> None:
     """Walk the 3D plan level by level (shared by standard and merged).
 
     ``data`` is one of the data strategies above. Levels with ≥ 2 grid
     plans fan out to the engine when one is present; everything else runs
-    inline through the shared interpreter (or the legacy ``factor_fn`` for
-    structure-only plans).
+    inline through the shared interpreter. A shared-memory failure while
+    exporting a level ends the fan-out for the rest of the run: that level
+    and every later one run inline (the replicas are authoritative between
+    levels, so nothing is lost) and the run records why.
     """
+    fan_out = engine is not None
     try:
         for step in plan3.levels:
             sim.set_phase("fact")
-            if engine is not None and len(step.grid_plans) >= 2:
-                _fan_out_level(engine, sf, sim, result, step, data)
-            else:
+            fanned = False
+            if fan_out and len(step.grid_plans) >= 2:
+                fanned = fan_out = _fan_out_level(engine, sf, sim, result,
+                                                  step, data)
+                if not fanned:
+                    result.parallel_stats.append(ParallelFallback(
+                        reason="shared memory failed while exporting level "
+                               f"{step.level}'s replica blocks; this and "
+                               "the remaining levels ran inline",
+                        requested_workers=opts.n_workers))
+            if not fanned:
                 for gp in step.grid_plans:
                     grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
-                    if gp.backend is None:
-                        r2d = factor_fn(sf, gp.nodes, grid, sim,
-                                        data=data.view(gp), options=opts)
-                    else:
-                        r2d = execute_grid_plan(gp, sf, sim,
-                                                data=data.view(gp),
-                                                options=opts, grid=grid)
+                    r2d = execute_grid_plan(gp, sf, sim, data=data.view(gp),
+                                            options=opts, grid=grid)
                     _absorb_2d(result, r2d)
                     data.mark_executed_inline(gp)
             for rep in step.replicated:
@@ -491,37 +414,32 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
 
 
 def _fan_out_level(engine: ParallelExecutor, sf, sim: Simulator,
-                   result: Factor3DResult, step, data) -> None:
+                   result: Factor3DResult, step, data) -> bool:
     """Run one level's grid plans on the worker pool and merge back.
 
     Fork order, submission order and merge order are all ascending grid
     id; together with the disjoint per-grid rank sets this makes the
-    merged ledgers independent of worker scheduling.
+    merged ledgers independent of worker scheduling. Returns ``False`` —
+    with nothing forked, submitted or mutated — when the level's replica
+    blocks could not be exported to shared memory.
     """
     t0 = time.perf_counter()
-    tasks = []
-    shipped = 0.0
-    mode = "none"
-    for gp in step.grid_plans:
-        sub = sim.fork(list(range(gp.base, gp.base + gp.px * gp.py)))
-        blocks = data.export(gp)
-        if isinstance(blocks, ShmViewHandle):
-            shipped += float(len(pickle.dumps(blocks)))
-            mode = "shm"
-        elif blocks is not None:
-            shipped += float(sum(a.nbytes for a in blocks.values()))
-            mode = "pickle"
-        tasks.append(GridTask(g=gp.g, nodes=list(gp.nodes), px=gp.px,
-                              py=gp.py, base=gp.base, sub=sub,
-                              blocks=blocks,
-                              plan=gp if gp.backend is not None else None))
+    handles = {gp.g: data.export(gp) for gp in step.grid_plans}
+    if data.transport is not None and data.transport.broken:
+        return False
+    tasks = [GridTask(plan=gp, blocks=handles[gp.g],
+                      sub=sim.fork(range(gp.base, gp.base + gp.px * gp.py)))
+             for gp in step.grid_plans]
+    shipped = float(sum(len(pickle.dumps(h)) for h in handles.values()
+                        if h is not None))
     outcomes = engine.run_level(step.level, tasks,
                                 prep_seconds=time.perf_counter() - t0,
-                                transport=mode, bytes_shipped=shipped)
+                                bytes_shipped=shipped)
     t1 = time.perf_counter()
     for out in outcomes:  # ascending grid id (engine sorts)
         sim.merge_delta(out.delta)
-        if out.blocks is not None:
-            data.import_back(out.g, out.blocks)
+        if handles[out.g] is not None:
+            data.import_back(out.g, handles[out.g])
         _absorb_2d(result, out.result)
     engine.add_merge_seconds(time.perf_counter() - t1)
+    return True

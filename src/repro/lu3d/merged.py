@@ -19,41 +19,32 @@ their owner in the doubled layout and are summed there.
 Structurally this is :func:`repro.plan.build.build_3d_plan` with
 ``merged=True``: the same level schedule, with grid plans on merged grids
 and ``AncestorReduce`` tasks carrying explicit redistribution ops. The
-executor is the one shared with the standard driver
-(:func:`repro.lu3d.factor3d._execute_plan3d`).
+pipeline and executor are the ones the standard driver uses
+(:func:`repro.lu3d.factor3d._factor`); this entry point only binds
+``merged=True``.
 
 Numeric mode works too, through a deliberately simple data strategy: one
-*global* copy of every block. The driver is sequential, Schur updates are
-pure accumulations, and merging means every rank of a range works on the
-same logical ancestor copy anyway — so the per-layer replica machinery is
-unnecessary here and the reduction's numeric content degenerates to a
-no-op (its messages remain, for the cost ledgers).
+*global* copy of every block (``Factor3DResult.merged_blocks``). The
+driver is sequential, Schur updates are pure accumulations, and merging
+means every rank of a range works on the same logical ancestor copy
+anyway — so the per-layer replica machinery is unnecessary here and the
+reduction's numeric content degenerates to a no-op (its messages remain,
+for the cost ledgers). That shared copy also rules out the fork/merge
+fan-out: sibling forests at a level accumulate into shared ancestor
+blocks, so numeric runs that ask for workers stay serial and record a
+:class:`repro.parallel.ParallelFallback`. Cost-only runs have no shared
+data and parallelize like Algorithm 1 (the merged grids of a level span
+disjoint contiguous rank ranges).
 """
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
 from repro.comm.grid import ProcessGrid3D
 from repro.comm.simulator import Simulator
-from repro.comm.volume import volume_for
 from repro.lu2d.options import FactorOptions
-from repro.lu2d.storage import node_blocks
-from repro.lu3d.factor3d import (
-    CostOnlyData,
-    Factor3DResult,
-    GlobalStoreData,
-    _execute_plan3d,
-    _make_engine,
-)
-from repro.lu3d.replication import replica_words_per_rank
-from repro.parallel.engine import ParallelFallback
-from repro.plan.build import _merged_grid, build_3d_plan
-from repro.plan.compile import compile_enabled
-from repro.plan.replay import PlanBundle, plan_options_key
-from repro.sparse.blockmatrix import BlockMatrix
+from repro.lu3d.factor3d import Factor3DResult, _factor
+from repro.plan.build import _merged_grid
+from repro.plan.replay import PlanBundle
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.tree.treeforest import TreeForest
 
@@ -68,92 +59,12 @@ def factor_3d_merged(sf: SymbolicFactorization, tf: TreeForest,
                      cached: PlanBundle | None = None) -> Factor3DResult:
     """Algorithm 1 with merged-grid ancestor levels.
 
-    ``FactorOptions(n_workers != 1)`` fans the per-forest factorizations
-    of each level out to the :mod:`repro.parallel` worker pool in
-    cost-only mode; numeric mode stays serial because its single global
-    block copy is shared across sibling forests (see the in-line note),
-    and records that decision as a :class:`ParallelFallback` on
-    ``parallel_stats``.
-
     ``matrix`` overrides ``sf.A_perm`` as the numeric value source (same
     pattern, fresh values — the re-factorization workflow); ``cached``
     replays a previous run's :class:`repro.plan.PlanBundle` instead of
     rebuilding/recompiling the plan, exactly as in
     :func:`repro.lu3d.factor_3d`.
     """
-    if tf.pz != grid3.pz:
-        raise ValueError(f"tree-forest pz={tf.pz} != grid pz={grid3.pz}")
-    opts = options or FactorOptions()
-    if cached is not None:
-        cached.check(grid3, "lu", True, sim.accelerator is not None, opts)
-    result = Factor3DResult(tf=tf)
-    volume = volume_for(sf, opts)
-    store = None
-    if numeric:
-        A_vals = sf.A_perm if matrix is None else matrix
-        store = BlockMatrix.from_csr(A_vals, sf.layout,
-                                     block_pattern=sf.fill.all_blocks())
-        result.merged_blocks = store  # global-copy store (numeric mode)
-
-    if charge_storage:
-        # Same static replica storage as the standard algorithm: merging
-        # re-partitions ownership, it does not change what is stored.
-        if cached is not None:
-            words = cached.replica_words(sf, tf, grid3)
-        else:
-            words = replica_words_per_rank(sf, tf, grid3, volume=volume)
-        for r in np.flatnonzero(words):
-            sim.alloc(int(r), float(words[r]))
-
-    # The merged variant keeps ONE global copy of every block in numeric
-    # mode, so sibling forests at a level accumulate into shared ancestor
-    # blocks — that cross-task overlap rules out the fork/merge fan-out.
-    # Cost-only runs have no shared data and parallelize like Algorithm 1
-    # (the merged grids of a level span disjoint contiguous rank ranges).
-    if numeric:
-        engine = None
-        if opts.n_workers != 1:
-            result.parallel_stats.append(ParallelFallback(
-                reason="merged numeric mode keeps a single global block "
-                       "copy shared across sibling forests; grid fan-out "
-                       "would race on it",
-                requested_workers=opts.n_workers,
-                backend=opts.parallel_backend))
-    else:
-        engine, fallback = _make_engine(opts, sim, sf, None)
-        if fallback is not None:
-            result.parallel_stats.append(fallback)
-
-    if cached is not None:
-        bundle = cached
-        plan3 = bundle.plan3
-    else:
-        t0 = time.perf_counter()
-        plan3 = build_3d_plan(sf, tf, grid3, opts, backend="lu", merged=True,
-                              accelerated=sim.accelerator is not None)
-        bundle = PlanBundle(
-            backend="lu", merged=True,
-            grid_shape=(grid3.px, grid3.py, grid3.pz),
-            accelerated=sim.accelerator is not None,
-            opts_key=plan_options_key(opts),
-            blocks_fn=node_blocks, plan3=plan3, volume=volume,
-            build_seconds=time.perf_counter() - t0)
-    result.plan = plan3
-    result.bundle = bundle
-    data = GlobalStoreData(store) if numeric else CostOnlyData()
-    if opts.resilience_active():
-        from repro.lu3d.factor3d import _absorb_2d
-        from repro.resilience.engine import (
-            ResilienceEngine,
-            execute_plan3d_resilient,
-        )
-        rengine = ResilienceEngine(opts, sim)
-        execute_plan3d_resilient(plan3, sf, sim, result, opts, data,
-                                 rengine, _absorb_2d)
-        result.resilience = rengine.stats
-        return result
-    if compile_enabled(opts, sim):
-        result.compiled = bundle.compiled(sf, opts)
-    _execute_plan3d(result.compiled.plan if result.compiled else plan3,
-                    sf, sim, result, opts, engine, data)
-    return result
+    return _factor(sf, tf, grid3, sim, numeric=numeric, options=options,
+                   charge_storage=charge_storage, matrix=matrix,
+                   backend="lu", merged=True, cached=cached)

@@ -29,7 +29,7 @@ def touched_block_keys(sf: SymbolicFactorization, nodes,
 
     Covers the nodes' own panels (``blocks_fn``), the LU Schur targets
     (``lpanel × upanel``) and the symmetric engines' lower-triangle
-    targets (``i >= j`` pairs of the L panel). Used to build the compact
+    targets (``i >= j`` pairs of the L panel). Used to build the
     per-grid view shipped to pool workers: intersecting this set with a
     grid's replica store yields every block the 2D engine can read or
     write for ``nodes`` (Schur targets are ancestors, and ancestor
@@ -118,23 +118,12 @@ class ReplicaManager:
 
     # -- worker transport --------------------------------------------------
 
-    def export_view(self, g: int, nodes) -> dict[tuple[int, int], np.ndarray]:
-        """Copy grid ``g``'s replicas of the blocks ``nodes`` may touch.
-
-        The returned plain dict is self-contained (safe to pickle to a
-        pool worker, safe to mutate from a thread) and supports the same
-        mapping protocol the 2D engines use on :class:`GridStoreView`.
-        """
-        store = self._store
-        return {key: store[(g, *key)].copy()
-                for key in touched_block_keys(self.sf, nodes, self.blocks_fn)
-                if (g, *key) in store}
-
     def grid_block_refs(self, g: int,
                         nodes) -> dict[tuple[int, int], np.ndarray]:
-        """Like :meth:`export_view` but *direct* (non-copying) references,
-        deterministically ordered — the shared-memory transport's export
-        source (it copies only new/dirty blocks into its segments)."""
+        """Grid ``g``'s replicas of the blocks ``nodes`` may touch, as
+        *direct* (non-copying) references, deterministically ordered — the
+        shared-memory transport's export source (it copies only new/dirty
+        blocks into its segments)."""
         store = self._store
         return {key: store[(g, *key)]
                 for key in sorted(touched_block_keys(self.sf, nodes,

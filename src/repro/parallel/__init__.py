@@ -9,20 +9,19 @@ ledger state; see ``docs/simulator.md``). Enabled with
 ``FactorOptions(n_workers=...)`` or ``--workers`` on the CLI.
 
 Numeric fan-outs ship replica blocks over the zero-copy shared-memory
-transport (:mod:`repro.parallel.shm`) by default: workers receive
-``(segment, offset, shape)`` descriptors instead of pickled arrays and
-mutate the parent's segments in place. ``FactorOptions(shm_transport=
-False)`` or ``REPRO_SHM=0`` selects the pickle path; both produce
-bit-identical ledgers and factors.
+transport (:mod:`repro.parallel.shm`): workers receive ``(segment,
+offset, shape)`` descriptors and mutate the parent's segments in place.
+Where shared memory is missing or fails mid-run, the remaining levels run
+inline and the run records a :class:`ParallelFallback` — same ledgers,
+same factors.
 """
 
-from repro.parallel.engine import (BACKENDS, GridOutcome, GridTask,
-                                   LevelStats, ParallelExecutor,
-                                   ParallelFallback, resolve_workers)
+from repro.parallel.engine import (GridOutcome, GridTask, LevelStats,
+                                   ParallelExecutor, ParallelFallback,
+                                   resolve_workers)
 from repro.parallel.shm import (SHM_PREFIX, ShmBlockView, ShmTransport,
-                                ShmViewHandle, shm_available, shm_enabled)
+                                ShmViewHandle, shm_available)
 
-__all__ = ["BACKENDS", "GridOutcome", "GridTask", "LevelStats",
-           "ParallelExecutor", "ParallelFallback", "SHM_PREFIX",
-           "ShmBlockView", "ShmTransport", "ShmViewHandle",
-           "resolve_workers", "shm_available", "shm_enabled"]
+__all__ = ["GridOutcome", "GridTask", "LevelStats", "ParallelExecutor",
+           "ParallelFallback", "SHM_PREFIX", "ShmBlockView", "ShmTransport",
+           "ShmViewHandle", "resolve_workers", "shm_available"]

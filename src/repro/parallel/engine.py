@@ -8,16 +8,15 @@ module restores the missing concurrency at the host level:
 
 * the 3D level scheduler forks one sub-simulator per active grid
   (:meth:`repro.comm.Simulator.fork` — the grid's exact per-rank ledger
-  state, nothing else) and, in numeric mode, exports the grid's replica
-  blocks the level's nodes touch
-  (:meth:`repro.lu3d.replication.ReplicaManager.export_view`);
-* a worker pool (``ProcessPoolExecutor`` by default, with thread and
-  in-process serial fallbacks) runs the ordinary 2D engine —
-  ``factor_nodes_2d`` or any ``factor_fn`` plug-in — against each fork;
-* each worker returns a :class:`repro.comm.LedgerDelta` plus its mutated
-  blocks, and the parent merges them **in grid order**, so ledgers and
-  factors are bit-for-bit identical to the serial schedule no matter how
-  the OS schedules the workers.
+  state, nothing else) and, in numeric mode, lays the grid's replica
+  blocks the level's nodes touch out in shared memory
+  (:class:`repro.parallel.shm.ShmTransport`);
+* a ``ProcessPoolExecutor`` runs the shared plan interpreter on each
+  grid's sub-plan against its fork;
+* each worker returns a :class:`repro.comm.LedgerDelta` (its block
+  mutations landed in the shared segments), and the parent merges them
+  **in grid order**, so ledgers and factors are bit-for-bit identical to
+  the serial schedule no matter how the OS schedules the workers.
 
 Determinism holds because the per-level rank sets are disjoint (each
 z-layer is a contiguous rank block) and each fork starts from the exact
@@ -33,29 +32,16 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.grid import ProcessGrid2D
 from repro.comm.simulator import CommError, LedgerDelta, Simulator
-from repro.parallel.shm import (
-    PackedBlock,
-    ShmBlockView,
-    ShmViewHandle,
-    pack_view,
-    unpack_view,
-)
+from repro.parallel.shm import ShmBlockView, ShmViewHandle
 
-__all__ = ["BACKENDS", "GridTask", "GridOutcome", "LevelStats",
-           "ParallelExecutor", "ParallelFallback", "resolve_workers"]
-
-#: Recognized execution backends. ``process`` is the real multi-core
-#: engine; ``thread`` still overlaps the BLAS portions (dgemm releases the
-#: GIL); ``serial`` runs the identical fork/merge machinery inline and
-#: exists so tests can exercise the transport path without a pool.
-BACKENDS = ("process", "thread", "serial")
+__all__ = ["GridTask", "GridOutcome", "LevelStats", "ParallelExecutor",
+           "ParallelFallback", "resolve_workers"]
 
 
 def resolve_workers(n_workers: int) -> int:
@@ -69,37 +55,26 @@ def resolve_workers(n_workers: int) -> int:
 class GridTask:
     """One grid's share of a level, self-contained for worker transport.
 
-    The 2D grid is shipped as its ``(px, py, base)`` triple (cheaper than
-    pickling the memoized rank tables); ``sub`` is the forked simulator
-    carrying the grid's ledger state; ``blocks`` the exported replica
-    view — a plain dict of arrays (pickle transport), a
-    :class:`repro.parallel.shm.ShmViewHandle` descriptor (shared-memory
-    transport), or ``None`` in cost-only mode.
+    ``plan`` is the grid's :class:`repro.plan.GridPlan` (it names its
+    kernel backend as a string and its 2D grid as ``(px, py, base)``, so
+    it pickles as plain data); ``sub`` the forked simulator carrying the
+    grid's ledger state; ``blocks`` the exported replica view — a
+    :class:`repro.parallel.shm.ShmViewHandle` descriptor, or ``None`` in
+    cost-only mode.
     """
 
-    g: int
-    nodes: list[int]
-    px: int
-    py: int
-    base: int
+    plan: object
     sub: Simulator
-    blocks: object | None
-    #: The grid's :class:`repro.plan.GridPlan`, executed by the shared
-    #: plan interpreter in the worker; ``None`` falls back to the legacy
-    #: ``factor_fn`` plug-in path. The plan names its kernel backend as a
-    #: string, so shipping it to a process worker needs no callables.
-    plan: object | None = None
+    blocks: ShmViewHandle | None
 
 
 @dataclass
 class GridOutcome:
-    """What a worker hands back: the ledger delta, the mutated blocks and
-    the engine's own result object (``Factor2DResult`` for the built-in
-    engines)."""
+    """What a worker hands back: the ledger delta and the interpreter's
+    ``Factor2DResult`` (block mutations landed in shared memory)."""
 
     g: int
     delta: LedgerDelta
-    blocks: object | None
     result: object
     task_seconds: float
 
@@ -111,16 +86,11 @@ class LevelStats:
     level: int
     n_tasks: int
     n_workers: int
-    backend: str
     wall_seconds: float    # parallel region (submit -> last result)
     task_seconds: float    # sum of per-task busy time inside workers
     serial_seconds: float  # parent-side fork/export + merge/import time
-    #: Block transport used for this level's fan-out: ``'shm'`` (segment
-    #: descriptors), ``'pickle'`` (full array copies) or ``'none'``
-    #: (cost-only: no blocks shipped).
-    transport: str = "none"
-    #: Bytes of block payload serialized to the workers this level —
-    #: array bytes on the pickle path, descriptor bytes on the shm path.
+    #: Bytes of shared-memory descriptors pickled to the workers this
+    #: level (0 in cost-only mode: no blocks shipped).
     bytes_shipped: float = 0.0
 
     @property
@@ -147,89 +117,56 @@ class ParallelFallback:
 
     reason: str
     requested_workers: int
-    backend: str
+    #: Always ``'process'`` (the only pool kind); the field stays because
+    #: callers — ``benchmarks/e2e`` among them — construct fallbacks with it.
+    backend: str = "process"
 
 
 # Per-process worker state, installed once per pool worker by
-# ``_worker_init`` so the symbolic factorization and engine are shipped
-# (or inherited, under the fork start method) once instead of per task.
+# ``_worker_init`` so the symbolic factorization is shipped (or inherited,
+# under the fork start method) once instead of per task.
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(sf, factor_fn, options) -> None:
+def _worker_init(sf, options) -> None:
     _WORKER_STATE["sf"] = sf
-    _WORKER_STATE["factor_fn"] = factor_fn
     _WORKER_STATE["options"] = options
 
 
 def _worker_run(task: GridTask) -> GridOutcome:
-    return _execute(_WORKER_STATE["sf"], _WORKER_STATE["factor_fn"],
-                    _WORKER_STATE["options"], task)
-
-
-def _execute(sf, factor_fn, options, task: GridTask) -> GridOutcome:
-    """Run one grid's 2D factorization against its forked simulator.
+    """Run one grid's sub-plan against its forked simulator.
 
     A :class:`repro.parallel.shm.ShmViewHandle` payload is materialized
     into zero-copy views over the parent's shared segments; the in-place
-    block mutations then land directly in shared memory and only the
-    descriptor travels back. A packed payload (compact communication
-    mode: :class:`repro.parallel.shm.PackedBlock` entries on the pickle
-    path) is unpacked into dense working arrays here and the mutated
-    blocks are re-packed for the return trip.
+    block mutations land directly in shared memory.
     """
+    from repro.plan.interpret import execute_grid_plan
+
     t0 = time.perf_counter()
-    grid = ProcessGrid2D(task.px, task.py, base=task.base)
-    data = task.blocks
-    view = None
-    packed = False
-    if isinstance(data, ShmViewHandle):
-        view = ShmBlockView(data)
-        data = view
-    elif isinstance(data, dict) and \
-            any(isinstance(v, PackedBlock) for v in data.values()):
-        data = unpack_view(data)
-        packed = True
+    plan = task.plan
+    view = ShmBlockView(task.blocks) if task.blocks is not None else None
     try:
-        if task.plan is not None:
-            from repro.plan.interpret import execute_grid_plan
-            r2d = execute_grid_plan(task.plan, sf, task.sub, data=data,
-                                    options=options, grid=grid)
-        else:
-            r2d = factor_fn(sf, task.nodes, grid, task.sub, data=data,
-                            options=options)
+        r2d = execute_grid_plan(plan, _WORKER_STATE["sf"], task.sub,
+                                data=view, options=_WORKER_STATE["options"])
     finally:
         if view is not None:
             view.release()
-    ranks = np.arange(task.base, task.base + task.px * task.py)
-    delta = task.sub.extract_delta(ranks)
-    blocks_out = pack_view(data) if packed else task.blocks
-    return GridOutcome(g=task.g, delta=delta, blocks=blocks_out,
+    ranks = np.arange(plan.base, plan.base + plan.px * plan.py)
+    return GridOutcome(g=plan.g, delta=task.sub.extract_delta(ranks),
                        result=r2d, task_seconds=time.perf_counter() - t0)
 
 
 class ParallelExecutor:
     """Worker-pool lifecycle plus the per-level fan-out/merge protocol.
 
-    Use as a context manager (the 3D drivers do) so the pool is torn down
+    The 3D executor closes it in a ``finally`` so the pool is torn down
     even when a worker raises — the exception propagates to the caller
     unchanged after remaining tasks are cancelled.
     """
 
-    def __init__(self, n_workers: int, backend: str, sf, factor_fn, options):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown parallel backend {backend!r}; "
-                             f"expected one of {BACKENDS}")
-        if options is not None and getattr(options, "fault_plan", None):
-            # The fault injector's message-count state is global across
-            # ranks; forked sub-simulators cannot share it. Callers route
-            # resilient runs through the serial monitored walk instead.
-            raise ValueError("cannot fan out a run with an active fault "
-                             "plan; resilience requires the serial schedule")
-        self.n_workers = resolve_workers(n_workers)
-        self.backend = backend
+    def __init__(self, n_workers: int, sf, options):
+        self.n_workers = n_workers
         self._sf = sf
-        self._factor_fn = factor_fn
         self._options = options
         self._pool = None
         self.stats: list[LevelStats] = []
@@ -237,12 +174,10 @@ class ParallelExecutor:
     # -- pool lifecycle ---------------------------------------------------
 
     def _ensure_pool(self):
-        if self._pool is None and self.backend == "process":
+        if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.n_workers, initializer=_worker_init,
-                initargs=(self._sf, self._factor_fn, self._options))
-        elif self._pool is None and self.backend == "thread":
-            self._pool = ThreadPoolExecutor(max_workers=self.n_workers)
+                initargs=(self._sf, self._options))
         return self._pool
 
     def close(self) -> None:
@@ -250,16 +185,10 @@ class ParallelExecutor:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- level fan-out ----------------------------------------------------
 
     def run_level(self, level: int, tasks: list[GridTask],
-                  prep_seconds: float = 0.0, transport: str = "none",
+                  prep_seconds: float = 0.0,
                   bytes_shipped: float = 0.0) -> list[GridOutcome]:
         """Execute a level's tasks concurrently; outcomes in grid order.
 
@@ -276,33 +205,22 @@ class ParallelExecutor:
         from repro.verify.static import grid_plan_rank_escapes
 
         for task in tasks:
-            if task.plan is not None:
-                escapes = grid_plan_rank_escapes(task.plan)
-                if escapes:
-                    raise CommError(
-                        f"grid {task.g} plan references ranks outside its "
-                        f"span before fan-out: {escapes[:3]}")
+            escapes = grid_plan_rank_escapes(task.plan)
+            if escapes:
+                raise CommError(
+                    f"grid {task.plan.g} plan references ranks outside its "
+                    f"span before fan-out: {escapes[:3]}")
         t0 = time.perf_counter()
-        if self.backend == "serial":
-            outcomes = [_execute(self._sf, self._factor_fn, self._options, t)
-                        for t in tasks]
-        elif self.backend == "thread":
-            pool = self._ensure_pool()
-            futures = [pool.submit(_execute, self._sf, self._factor_fn,
-                                   self._options, t) for t in tasks]
-            outcomes = [f.result() for f in futures]
-        else:
-            pool = self._ensure_pool()
-            futures = [pool.submit(_worker_run, t) for t in tasks]
-            outcomes = [f.result() for f in futures]
+        pool = self._ensure_pool()
+        futures = [pool.submit(_worker_run, t) for t in tasks]
+        outcomes = [f.result() for f in futures]
         wall = time.perf_counter() - t0
         outcomes.sort(key=lambda o: o.g)
         self.stats.append(LevelStats(
             level=level, n_tasks=len(tasks), n_workers=self.n_workers,
-            backend=self.backend, wall_seconds=wall,
+            wall_seconds=wall,
             task_seconds=sum(o.task_seconds for o in outcomes),
-            serial_seconds=prep_seconds, transport=transport,
-            bytes_shipped=bytes_shipped))
+            serial_seconds=prep_seconds, bytes_shipped=bytes_shipped))
         return outcomes
 
     def add_merge_seconds(self, seconds: float) -> None:

@@ -1,9 +1,9 @@
 """Zero-copy shared-memory transport for the 3D fan-out's replica blocks.
 
-The pickle baseline ships every touched block array to the worker and back
-on every fanned-out level — O(replica bytes) through the pipe each way.
-This module replaces the payload with *descriptors*: the parent lays each
-grid's blocks out in ``multiprocessing.shared_memory`` segments once, and
+Shipping every touched block array to the worker and back on every
+fanned-out level would push O(replica bytes) through the pipe each way.
+This module ships *descriptors* instead: the parent lays each grid's
+blocks out in ``multiprocessing.shared_memory`` segments once, and
 ``export`` ships only a table of ``(segment name, offset, shape)`` triples.
 Workers attach the named segments and reconstruct zero-copy NumPy views
 (:class:`ShmBlockView`), mutate the blocks in place, and return the same
@@ -19,8 +19,9 @@ close or unlink — their attachments die with the pool processes — and an
 attach never touches the ``resource_tracker`` (see :func:`_attach`), so
 only the parent's create-registration exists and ``unlink`` consumes it
 exactly once. Any failure to create or map a segment makes ``export``
-return ``None`` and the caller falls back to the pickle path;
-``REPRO_SHM=0`` forces that fallback globally.
+return ``None`` (after unlinking what it owns); the 3D executor then
+finishes the run on the inline serial levels and records a
+:class:`repro.parallel.ParallelFallback`.
 """
 
 from __future__ import annotations
@@ -41,22 +42,15 @@ except ImportError:  # pragma: no cover - stdlib build without _posixshmem
 
 __all__ = [
     "SHM_PREFIX",
-    "PackedBlock",
     "ShmBlockView",
     "ShmTransport",
     "ShmViewHandle",
-    "pack_block",
-    "pack_view",
     "shm_available",
-    "shm_enabled",
-    "unpack_view",
 ]
 
 #: Every segment name starts with this, so tests (and operators) can assert
 #: no ``/dev/shm/repro_shm_*`` files survive a run.
 SHM_PREFIX = "repro_shm_"
-
-_OFF_VALUES = ("0", "false", "off", "no")
 
 _NAME_COUNTER = itertools.count()
 
@@ -64,73 +58,6 @@ _NAME_COUNTER = itertools.count()
 def shm_available() -> bool:
     """Whether ``multiprocessing.shared_memory`` exists on this platform."""
     return _HAVE_SHM
-
-
-def shm_enabled(options) -> bool:
-    """Whether a run with ``options`` should use the shm transport.
-
-    Requires platform support, ``FactorOptions.shm_transport`` and an
-    environment not forcing the pickle path (``REPRO_SHM=0/false/off/no``).
-    """
-    if os.environ.get("REPRO_SHM", "").strip().lower() in _OFF_VALUES:
-        return False
-    if options is not None and not getattr(options, "shm_transport", True):
-        return False
-    return shm_available()
-
-
-@dataclass(frozen=True)
-class PackedBlock:
-    """Index+value wire format for a sparse block on the pickle path.
-
-    The compact communication mode (:mod:`repro.comm.volume`) prices a
-    block message at one 8-byte value plus one 4-byte int32 flat index per
-    structural nonzero; this is the runtime realization of that model for
-    the worker fan-out's pickle transport. ``unpack`` reconstructs the
-    dense array exactly (dropped entries were exact zeros), so packing is
-    lossless and factors stay bit-identical.
-    """
-
-    shape: tuple
-    idx: np.ndarray    # int32 flat indices of the nonzero entries
-    vals: np.ndarray   # float64 values, parallel to ``idx``
-
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes — duck-typed with ``ndarray.nbytes`` so the 3D
-        executor's bytes-shipped accounting needs no special case."""
-        return self.idx.nbytes + self.vals.nbytes
-
-    def unpack(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
-        out.ravel()[self.idx] = self.vals
-        return out
-
-
-def pack_block(arr: np.ndarray):
-    """Pack ``arr`` when indices+values beat the dense bytes, else keep it.
-
-    The break-even density is 2/3 (12 bytes per shipped entry vs 8 bytes
-    per dense entry), matching :data:`repro.comm.volume.WORDS_PER_ENTRY`.
-    """
-    flat = arr.ravel()
-    idx = np.flatnonzero(flat)
-    if 12 * idx.size >= 8 * flat.size:
-        return arr
-    return PackedBlock(shape=arr.shape, idx=idx.astype(np.int32),
-                       vals=flat[idx])
-
-
-def pack_view(blocks: dict) -> dict:
-    """Pack every sufficiently sparse block of an exported view."""
-    return {k: pack_block(a) if isinstance(a, np.ndarray) else a
-            for k, a in blocks.items()}
-
-
-def unpack_view(blocks: dict) -> dict:
-    """Materialize a (possibly) packed view back into dense arrays."""
-    return {k: v.unpack() if isinstance(v, PackedBlock) else v
-            for k, v in blocks.items()}
 
 
 @dataclass(frozen=True)
@@ -180,9 +107,9 @@ def _attach(name: str):
 class ShmBlockView:
     """Worker-side mapping ``(i, j) -> ndarray`` over attached segments.
 
-    Drop-in for the dict the pickle path ships: the plan interpreter only
-    needs ``__getitem__`` (mutating the returned array in place writes the
-    shared segment directly) plus ``__setitem__`` / ``__contains__``.
+    The plan interpreter only needs ``__getitem__`` (mutating the returned
+    array in place writes the shared segment directly) plus
+    ``__setitem__`` / ``__contains__``.
     """
 
     def __init__(self, handle: ShmViewHandle):
@@ -230,7 +157,9 @@ class ShmTransport:
     def __init__(self):
         self._grids: dict[int, _GridState] = {}
         self._names: list[str] = []
-        self._broken = False
+        #: Set once a segment could not be created or mapped; every later
+        #: ``export`` returns ``None``.
+        self.broken = False
 
     def export(self, g: int, arrays: dict) -> ShmViewHandle | None:
         """Sync grid ``g``'s blocks into shared memory; return a handle.
@@ -241,7 +170,7 @@ class ShmTransport:
         re-copied; clean known keys cost nothing. Returns ``None`` if
         shared memory fails, permanently downgrading this transport.
         """
-        if self._broken:
+        if self.broken:
             return None
         try:
             st = self._grids.setdefault(g, _GridState())
@@ -264,7 +193,7 @@ class ShmTransport:
             return ShmViewHandle(g=g,
                                  entries={k: st.entries[k] for k in arrays})
         except (OSError, ValueError):
-            self._broken = True
+            self.broken = True
             self.close()
             return None
 
@@ -294,8 +223,8 @@ class ShmTransport:
                 except FileNotFoundError:
                     pass
         self._grids.clear()
-        # Serial/thread backends attach in this same process: purge those
-        # cached attachments so unlinked segments do not pin memory.
+        # A same-process attach (tests drive ShmBlockView directly) would
+        # pin the unlinked segments' memory: purge those cached mappings.
         for name in self._names:
             seg = _ATTACH_CACHE.pop(name, None)
             if seg is not None:

@@ -28,9 +28,9 @@ from repro.plan.build import build_3d_plan, build_grid_plan, sink_tids
 from repro.plan.compile import (
     CompiledPlan,
     CompileStats,
-    compile_enabled,
     compile_plan,
 )
+from repro.plan.execmode import ExecMode, resolve_exec
 from repro.plan.interpret import execute_grid_plan, execute_reduce
 from repro.plan.replay import PlanBundle, plan_options_key
 from repro.plan.tasks import (
@@ -55,6 +55,7 @@ __all__ = [
     "CholeskyBackend",
     "CompileStats",
     "CompiledPlan",
+    "ExecMode",
     "FusedTask",
     "GridPlan",
     "KernelBackend",
@@ -70,12 +71,12 @@ __all__ = [
     "build_3d_plan",
     "build_grid_plan",
     "cholesky_node_blocks",
-    "compile_enabled",
     "compile_plan",
     "execute_grid_plan",
     "execute_reduce",
     "get_backend",
     "plan_options_key",
+    "resolve_exec",
     "sink_tids",
     "task_comm",
     "task_flops",

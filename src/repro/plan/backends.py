@@ -8,8 +8,10 @@ A backend bundles everything variant-specific about a factorization:
   :class:`~repro.plan.tasks.BcastSpec` payloads);
 * **numeric kernels** — what actually runs when the interpreter reaches a
   task in numeric mode (``getrf_nopiv``/panel solves for LU,
-  ``potrf_shifted``/``chol_panel_solve``/SYRK for Cholesky), with the
-  cost-only mode booking identical simulator events;
+  ``potrf_shifted``/``chol_panel_solve``/SYRK for Cholesky); the
+  interpreter books the simulator events itself, from the task's own
+  fields and the backend's per-pair Schur cost arrays, so numeric and
+  cost-only runs book identical events;
 * **block enumeration** — the per-supernode block set the 3D replication
   and reduction layers iterate (full panels for LU, lower triangle for
   Cholesky).
@@ -23,12 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lu2d.batched import (
-    apply_schur_numeric,
-    apply_syrk_numeric,
-    batched_schur_update,
-    batched_syrk_update,
-)
+from repro.lu2d.batched import schur_pair_costs, syrk_pair_costs
 from repro.lu2d.kernels import getrf_nopiv, solve_lower_panel, \
     solve_upper_panel
 from repro.lu2d.storage import node_blocks
@@ -54,8 +51,7 @@ def cholesky_node_blocks(sf, k: int) -> list[tuple[int, int, int]]:
 class BuildContext:
     """Shared state of one :func:`repro.plan.build.build_grid_plan` call."""
 
-    def __init__(self, sf, grid, opts, counter, accelerated: bool,
-                 volume=None):
+    def __init__(self, sf, grid, opts, counter, volume=None):
         from repro.comm.volume import DenseVolume
         self.sf = sf
         self.grid = grid
@@ -66,9 +62,6 @@ class BuildContext:
         # volume model; DenseVolume's cap is the identity, so dense plans
         # are bit-identical to the historical r*c arithmetic.
         self.volume = volume if volume is not None else DenseVolume()
-        # Mirrors the drivers' gate: batching is per-panel, accelerator
-        # offload decisions are per-block, so they exclude each other.
-        self.use_batched = opts.batched_schur and not accelerated
 
     def next_tid(self) -> int:
         return self.counter.next()
@@ -79,7 +72,9 @@ class KernelBackend:
 
     name: str = ""
     #: Whether the interpreter runs the accelerator sync prologue/epilogue
-    #: around this backend's panels (the LU driver's HALO sync points).
+    #: around this backend's panels (the LU driver's HALO sync points) and
+    #: decides offload per block pair; such a backend also provides
+    #: ``accel_panel_ranks`` and ``pair_offload_words`` (see LUBackend).
     accel_aware: bool = False
 
     @staticmethod
@@ -94,19 +89,14 @@ class KernelBackend:
                     ) -> SchurUpdate:
         raise NotImplementedError
 
-    def exec_panel_factor(self, ctx, task: PanelFactor) -> None:
-        raise NotImplementedError
+    # -- execution ---------------------------------------------------------
+    # Numeric bodies only: the interpreter books every simulator event
+    # (fused or not) and calls these per task for the data movement alone.
 
-    def exec_panel_bcast(self, ctx, task: PanelBcast) -> None:
+    def pair_costs(self, sf, k: int, sizes, grid):
+        """``(owners, flops)`` of node ``k``'s Schur update, one entry per
+        block pair in :meth:`schur_numeric`'s order."""
         raise NotImplementedError
-
-    def exec_schur(self, ctx, task: SchurUpdate) -> None:
-        raise NotImplementedError
-
-    # -- numeric-only bodies (fused execution; repro.plan.compile) --------
-    # Same kernels as the exec_* methods but with no simulator bookings:
-    # the fused interpreter books one vectorized event batch per run and
-    # calls these per member for the data movement alone.
 
     def panel_numeric(self, ctx, task) -> None:
         raise NotImplementedError
@@ -220,79 +210,29 @@ class LUBackend(KernelBackend):
         n_pairs = len(lp) * len(up)
         return SchurUpdate(
             tid=b.next_tid(), deps=deps, node=k, n_pairs=n_pairs,
-            batched=b.use_batched and n_pairs >= b.opts.batch_min_pairs,
             flops=float(b.sf.costs.schur_flops[k]))
 
     # -- execution ---------------------------------------------------------
 
-    def exec_panel_factor(self, ctx, task):
-        k = task.node
-        sim, grid = ctx.sim, ctx.grid
-        lp, up = ctx.sf.fill.lpanel[k], ctx.sf.fill.upanel[k]
-        # Pending offloaded updates may target this supernode's blocks:
-        # drain the involved ranks' accelerators first (HALO sync point).
-        if sim.accelerator is not None:
-            sim.accel_sync(task.owner)
-            for j in up:
-                sim.accel_sync(grid.owner(k, int(j)))
-            for i in lp:
-                sim.accel_sync(grid.owner(int(i), k))
-        if ctx.numeric:
-            ctx.result.perturbed_pivots += getrf_nopiv(
-                ctx.store[(k, k)], ctx.opts.pivot_eps)
-        sim.compute(task.owner, task.flops, "diag")
-        for spec in task.bcasts:
-            ctx.run_bcast(k, spec)
+    def pair_costs(self, sf, k, sizes, grid):
+        return schur_pair_costs(k, sf.fill.lpanel[k], sf.fill.upanel[k],
+                                sizes, grid)
 
-    def exec_panel_bcast(self, ctx, task):
-        k = task.node
-        if ctx.numeric:
-            i, j = task.block
-            if task.side == "U":
-                ctx.store[(k, j)][:] = solve_upper_panel(
-                    ctx.store[(k, k)], ctx.store[(k, j)])
-            else:
-                ctx.store[(i, k)][:] = solve_lower_panel(
-                    ctx.store[(k, k)], ctx.store[(i, k)])
-        ctx.sim.compute(task.owner, task.flops, "panel")
-        for spec in task.bcasts:
-            ctx.run_bcast(k, spec)
+    def accel_panel_ranks(self, sf, k, grid) -> list[int]:
+        """Ranks whose accelerators must drain before node ``k``'s panel
+        is factored: pending offloaded updates may target its blocks (the
+        HALO sync point)."""
+        return [grid.owner(k, k)] \
+            + [grid.owner(k, int(j)) for j in sf.fill.upanel[k]] \
+            + [grid.owner(int(i), k) for i in sf.fill.lpanel[k]]
 
-    def exec_schur(self, ctx, task):
-        k = task.node
-        sim, grid, sizes = ctx.sim, ctx.grid, ctx.sizes
-        lp, up = ctx.sf.fill.lpanel[k], ctx.sf.fill.upanel[k]
-        if task.batched:
-            nupd, used, total = batched_schur_update(
-                ctx.data, k, lp, up, sizes, grid, sim)
-            if nupd:
-                ctx.result.schur_block_updates += nupd
-                ctx.result.n_batched_gemms += 1
-                ctx.fill_used += used
-                ctx.fill_total += total
-            return
+    def pair_offload_words(self, sf, k, sizes) -> np.ndarray:
+        """Words one offloaded pair GEMM moves over PCIe (both operands
+        plus the result), parallel to :meth:`pair_costs`."""
         s = int(sizes[k])
-        store = ctx.store
-        for i in lp:
-            i = int(i)
-            si = int(sizes[i])
-            Lik = store[(i, k)] if ctx.numeric else None
-            for j in up:
-                j = int(j)
-                sj = int(sizes[j])
-                o = grid.owner(i, j)
-                if ctx.numeric:
-                    store[(i, j)] -= Lik @ store[(k, j)]
-                flops = 2.0 * si * s * sj
-                if sim.accelerator is not None and \
-                        sim.accelerator.should_offload(flops):
-                    # HALO: big GEMMs go to the device (operands + result
-                    # cross PCIe); small ones stay on the host.
-                    words = float(si * s + s * sj + si * sj)
-                    sim.offload_gemm(o, flops, words)
-                else:
-                    sim.compute(o, flops, "schur", n_block_updates=1)
-                ctx.result.schur_block_updates += 1
+        si = sizes[np.asarray(sf.fill.lpanel[k], dtype=np.int64)][:, None]
+        sj = sizes[np.asarray(sf.fill.upanel[k], dtype=np.int64)][None, :]
+        return (si * s + s * sj + si * sj).ravel().astype(np.float64)
 
     def panel_numeric(self, ctx, task):
         k = task.node
@@ -311,9 +251,6 @@ class LUBackend(KernelBackend):
     def schur_numeric(self, ctx, task):
         k = task.node
         lp, up = ctx.sf.fill.lpanel[k], ctx.sf.fill.upanel[k]
-        if task.batched:
-            apply_schur_numeric(ctx.data, k, lp, up, ctx.sizes)
-            return
         store = ctx.store
         for i in lp:
             i = int(i)
@@ -374,63 +311,17 @@ class CholeskyBackend(KernelBackend):
                 flops += float(si * s * sj) if i == j else 2.0 * si * s * sj
         return SchurUpdate(
             tid=b.next_tid(), deps=deps, node=k, n_pairs=n_pairs,
-            batched=b.use_batched and n_pairs >= b.opts.batch_min_pairs,
             flops=flops)
 
     # -- execution ---------------------------------------------------------
 
-    def exec_panel_factor(self, ctx, task):
+    def pair_costs(self, sf, k, sizes, grid):
+        return syrk_pair_costs(k, sf.fill.lpanel[k], sizes, grid)
+
+    def panel_numeric(self, ctx, task):
         # Imported lazily: repro.cholesky's package init pulls the 3D
         # driver, which imports this module — a top-level import would
         # close that cycle.
-        from repro.cholesky.kernels import potrf_shifted
-        k = task.node
-        if ctx.numeric:
-            L, nshift = potrf_shifted(ctx.store[(k, k)], ctx.opts.pivot_eps)
-            ctx.store[(k, k)][:] = L
-            ctx.result.perturbed_pivots += nshift
-        ctx.sim.compute(task.owner, task.flops, "diag")
-        for spec in task.bcasts:
-            ctx.run_bcast(k, spec)
-
-    def exec_panel_bcast(self, ctx, task):
-        from repro.cholesky.kernels import chol_panel_solve
-        k = task.node
-        i = task.block[0]
-        if ctx.numeric:
-            ctx.store[(i, k)][:] = chol_panel_solve(
-                ctx.store[(k, k)], ctx.store[(i, k)])
-        ctx.sim.compute(task.owner, task.flops, "panel")
-        for spec in task.bcasts:
-            ctx.run_bcast(k, spec)
-
-    def exec_schur(self, ctx, task):
-        k = task.node
-        sim, grid, sizes = ctx.sim, ctx.grid, ctx.sizes
-        if task.batched:
-            nupd, used, total = batched_syrk_update(
-                ctx.data, k, ctx.sf.fill.lpanel[k], sizes, grid, sim)
-            if nupd:
-                ctx.result.schur_block_updates += nupd
-                ctx.result.n_batched_gemms += 1
-                ctx.fill_used += used
-                ctx.fill_total += total
-            return
-        s = int(sizes[k])
-        store = ctx.store
-        lp = [int(i) for i in ctx.sf.fill.lpanel[k]]
-        for a, i in enumerate(lp):
-            si = int(sizes[i])
-            for j in lp[:a + 1]:  # j <= i: lower triangle only
-                sj = int(sizes[j])
-                o = grid.owner(i, j)
-                flops = float(si * s * sj) if i == j else 2.0 * si * s * sj
-                if ctx.numeric:
-                    store[(i, j)] -= store[(i, k)] @ store[(j, k)].T
-                sim.compute(o, flops, "schur", n_block_updates=1)
-                ctx.result.schur_block_updates += 1
-
-    def panel_numeric(self, ctx, task):
         from repro.cholesky.kernels import chol_panel_solve, potrf_shifted
         k = task.node
         if isinstance(task, PanelFactor):
@@ -444,9 +335,6 @@ class CholeskyBackend(KernelBackend):
 
     def schur_numeric(self, ctx, task):
         k = task.node
-        if task.batched:
-            apply_syrk_numeric(ctx.data, k, ctx.sf.fill.lpanel[k], ctx.sizes)
-            return
         store = ctx.store
         lp = [int(i) for i in ctx.sf.fill.lpanel[k]]
         for a, i in enumerate(lp):

@@ -73,18 +73,16 @@ def sink_tids(plan: GridPlan) -> tuple[int, ...]:
 
 def build_grid_plan(sf, nodes, grid: ProcessGrid2D,
                     options: FactorOptions | None = None, *,
-                    backend: str = "lu", accelerated: bool = False,
+                    backend: str = "lu",
                     counter: TidCounter | None = None, g: int = 0,
                     level: int = 0,
                     barrier_dep: int | None = None,
                     volume=None) -> GridPlan:
     """Emit one grid's ordered task list for ``nodes`` (ascending ids).
 
-    ``accelerated`` mirrors the execution-time condition that disables
-    batched Schur updates (offload decisions are per block). ``barrier_dep``
-    is the previous level's barrier tid in a 3D plan: tasks with no
-    in-plan data dependency anchor to it, keeping the DAG connected across
-    levels. ``volume`` is the :class:`repro.comm.volume.BlockVolume`
+    ``barrier_dep`` is the previous level's barrier tid in a 3D plan:
+    tasks with no in-plan data dependency anchor to it, keeping the DAG
+    connected across levels. ``volume`` is the :class:`repro.comm.volume.BlockVolume`
     pricing every emitted message; ``None`` resolves it from ``options``
     (dense unless compact mode is on).
     """
@@ -93,8 +91,7 @@ def build_grid_plan(sf, nodes, grid: ProcessGrid2D,
     if volume is None:
         from repro.comm.volume import volume_for
         volume = volume_for(sf, opts)
-    b = BuildContext(sf, grid, opts, counter or TidCounter(), accelerated,
-                     volume=volume)
+    b = BuildContext(sf, grid, opts, counter or TidCounter(), volume=volume)
     nodes = sorted(int(k) for k in nodes)
     node_set = set(nodes)
 
@@ -168,20 +165,18 @@ def _merged_grid(grid3: ProcessGrid3D, first_layer: int, nlayers: int
 
 def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
                   options: FactorOptions | None = None, *,
-                  backend: str | None = "lu", merged: bool = False,
+                  backend: str = "lu", merged: bool = False,
                   accelerated: bool = False, blocks_fn=None) -> Plan3D:
     """Emit Algorithm 1's full level schedule as a :class:`Plan3D`.
 
-    ``backend=None`` builds a structure-only plan for a legacy
-    ``factor_fn`` plug-in: the level/grid decomposition and the reductions
-    are planned, but each grid's task list is empty and the 3D executor
-    calls the plug-in instead of the interpreter.
+    ``blocks_fn`` enumerates a node's stored blocks (default: the
+    backend's ``node_blocks``). ``accelerated`` is what callers record on
+    their :class:`~repro.plan.replay.PlanBundle`; the emitted tasks do not
+    depend on it (offload is decided per block pair at execution time).
     """
     opts = options or FactorOptions()
     if blocks_fn is None:
-        from repro.lu2d.storage import node_blocks
-        blocks_fn = get_backend(backend).node_blocks if backend \
-            else node_blocks
+        blocks_fn = get_backend(backend).node_blocks
     from repro.comm.volume import volume_for
     volume = volume_for(sf, opts)
     creplication = opts.ancestor_replication
@@ -247,18 +242,11 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
                     for g in range(0, tf.pz, width)
                     if (nodes := tf.forest_of_grid(g, lvl))]
 
-        grid_plans = []
-        for g, nodes, grid2 in work:
-            if backend is None:
-                grid_plans.append(GridPlan(
-                    backend=None, g=g, level=lvl, px=grid2.px, py=grid2.py,
-                    base=grid2.base,
-                    nodes=sorted(int(k) for k in nodes), tasks=[]))
-            else:
-                grid_plans.append(build_grid_plan(
-                    sf, nodes, grid2, opts, backend=backend,
-                    accelerated=accelerated, counter=counter, g=g,
-                    level=lvl, barrier_dep=prev_barrier, volume=volume))
+        grid_plans = [
+            build_grid_plan(sf, nodes, grid2, opts, backend=backend,
+                            counter=counter, g=g, level=lvl,
+                            barrier_dep=prev_barrier, volume=volume)
+            for g, nodes, grid2 in work]
         sinks = {gp.g: sink_tids(gp) for gp in grid_plans}
 
         def _dep_on(*gids) -> tuple[int, ...]:
@@ -310,10 +298,9 @@ def _build_replicated_level(sf, tf, grid3, blocks_fn, counter, lvl: int,
                             volume) -> list[ReplicatedFactor]:
     """Emit level ``lvl``'s forests as aggregate 2.5D sweeps (Section VII).
 
-    One :class:`ReplicatedFactor` per non-empty forest, in forest order —
-    the legacy ``lu3d.dense25`` loop's order. Aggregate flops come from
-    the symbolic per-node totals exactly as that loop computed them
-    (numpy sums, so dense-mode ledgers stay bit-identical); the moved
+    One :class:`ReplicatedFactor` per non-empty forest, in forest order.
+    Aggregate flops come from the symbolic per-node totals (numpy sums —
+    the pinned 2.5D goldens depend on that summation order); the moved
     words are re-priced per block through the volume model when it is not
     the dense identity.
     """

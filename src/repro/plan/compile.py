@@ -9,11 +9,10 @@ same idea to the plan layer. :func:`compile_plan` rewrites a built
 into a :class:`CompiledPlan` whose maximal runs of same-kind, contiguous
 tasks are collapsed into :class:`~repro.plan.tasks.FusedTask` nodes:
 
-* ``SchurUpdate`` runs become one gathered batched-GEMM booking — the
-  members' per-pair cost arrays (:func:`repro.lu2d.batched.schur_pair_costs`
-  / ``syrk_pair_costs``) concatenated into a single
-  ``Simulator.compute_batch`` call, generalizing the PR-1 kernel from one
-  panel to a whole plan segment;
+* ``SchurUpdate`` runs become one batched booking — the members'
+  per-pair cost arrays (:func:`repro.lu2d.batched.schur_pair_costs` /
+  ``syrk_pair_costs``) concatenated into a single
+  ``Simulator.compute_batch`` call covering a whole plan segment;
 * ``PanelFactor`` / ``PanelBcast`` runs become blocked sweeps: one
   ``compute_batch`` plus one ``sendrecv_batch`` per
   :class:`~repro.plan.tasks.PanelSegment`, with every broadcast tree
@@ -38,12 +37,11 @@ one by one, preserving error behavior.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 import numpy as np
 
 from repro.comm.grid import ProcessGrid2D
-from repro.lu2d.batched import schur_pair_costs, syrk_pair_costs
+from repro.plan.backends import get_backend
 from repro.plan.tasks import (
     FusedSchurPayload,
     FusedTask,
@@ -53,37 +51,10 @@ from repro.plan.tasks import (
     Plan3D,
 )
 
-__all__ = ["CompileStats", "CompiledPlan", "compile_plan", "compile_enabled"]
+__all__ = ["CompileStats", "CompiledPlan", "compile_plan"]
 
 #: Kinds the compiler fuses; everything else passes through untouched.
 _FUSABLE = ("panel_factor", "panel_bcast", "schur_update")
-
-#: Env values that force compilation off (CI's uncompiled tier-1 run).
-_OFF_VALUES = ("0", "false", "off", "no")
-
-
-def compile_enabled(options, sim) -> bool:
-    """Whether a driver should compile its plan before executing it.
-
-    Off when the ``REPRO_COMPILE`` environment variable says so, when
-    ``options.compile_plan`` is False, when resilience is active (the
-    checkpoint/recovery monitor needs per-task boundaries), or when the
-    simulator carries a trace, accelerator or fault schedule (those paths
-    observe individual events, which fusion would coarsen).
-    """
-    env = os.environ.get("REPRO_COMPILE", "").strip().lower()
-    if env in _OFF_VALUES:
-        return False
-    if options is not None:
-        if not getattr(options, "compile_plan", True):
-            return False
-        if options.resilience_active():
-            return False
-    if sim is not None and (sim.trace is not None or
-                            sim.accelerator is not None or
-                            sim.faults is not None):
-        return False
-    return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,8 +125,8 @@ def compile_plan(plan, sf, options=None) -> CompiledPlan:
 
 
 def _compile_grid_plan(gp: GridPlan, sf, tid_map, st) -> GridPlan:
-    if gp.backend is None or not gp.tasks:
-        return gp  # factor_fn plug-in grid: nothing to compile
+    if not gp.tasks:
+        return gp
     grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
     sizes = sf.layout.sizes()
     tasks = gp.tasks
@@ -207,21 +178,11 @@ def _fuse_run(run, kind, sf, backend, grid, sizes, tid_map, st) -> FusedTask:
 
 
 def _schur_payload(members, sf, backend, grid, sizes) -> FusedSchurPayload:
-    owners, flops, fills = [], [], []
-    for m in members:
-        k = m.node
-        if backend == "cholesky":
-            o, f, _n, used, total = syrk_pair_costs(
-                k, sf.fill.lpanel[k], sizes, grid)
-        else:
-            o, f, _n, used, total = schur_pair_costs(
-                k, sf.fill.lpanel[k], sf.fill.upanel[k], sizes, grid)
-        owners.append(o)
-        flops.append(f)
-        fills.append((used, total))
+    be = get_backend(backend)
+    owners, flops = zip(*(be.pair_costs(sf, m.node, sizes, grid)
+                          for m in members))
     return FusedSchurPayload(owners=np.concatenate(owners),
-                             flops=np.concatenate(flops),
-                             member_fill=tuple(fills))
+                             flops=np.concatenate(flops))
 
 
 def _panel_payload(members):

@@ -1,0 +1,109 @@
+"""The one decision table: how does this run execute.
+
+Every driver (2D, 3D, merged, Cholesky) asks :func:`resolve_exec` once
+and follows the returned :class:`ExecMode`; nothing else in the package
+reads the simulator's attachments (``trace`` / ``topology`` /
+``accelerator`` / ``faults``), ``FactorOptions.resilience_active()``, the
+worker count or shared-memory availability to *choose a path* (kernels and
+the simulator still read them to book events). The rows, first match wins:
+
+========================================  ==================================
+observed                                  outcome
+========================================  ==================================
+``ancestor_replication > 1`` + numeric    ``NotImplementedError``
+``ancestor_replication > 1`` + resilience ``ValueError``
+``ancestor_replication > 1`` + merged     ``ValueError``
+or a non-LU backend
+fault plan / checkpointing                monitored serial walk, unfused
+trace, accelerator or fault injector      unfused walk (per-task events)
+otherwise                                 compiled (fused) plan
+========================================  ==================================
+
+and, independently, for ``n_workers != 1`` the pool engages unless the
+data is one shared global copy (merged numeric), the walk is monitored,
+the simulator cannot fork, the count resolves to one worker, or a numeric
+run finds no shared memory — each recorded as a
+:class:`~repro.parallel.ParallelFallback`, never silent.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from repro.parallel.engine import ParallelFallback, resolve_workers
+from repro.parallel.shm import shm_available
+
+__all__ = ["ExecMode", "resolve_exec"]
+
+
+@dataclass(frozen=True)
+class ExecMode:
+    """How one factorization run executes its plan."""
+
+    #: Execute the compiled plan (fused dispatches) instead of the built one.
+    fuse: bool
+    #: Walk serially under the resilience engine's task-boundary monitor.
+    monitored: bool
+    #: Pool size for the per-level grid fan-out; ``1`` = inline levels.
+    n_workers: int
+    #: The simulator carries an accelerator (what plan bundles record).
+    accelerated: bool
+    #: Why a run that asked for workers stays serial (``None`` otherwise).
+    fallback: ParallelFallback | None = None
+
+
+def resolve_exec(opts, sim, *, numeric: bool, merged: bool,
+                 backend: str) -> ExecMode:
+    """Resolve ``opts`` and ``sim``'s attachments into an :class:`ExecMode`,
+    or raise the typed refusal for a combination that cannot run."""
+    monitored = opts.resilience_active()
+    if opts.ancestor_replication > 1:
+        if numeric:
+            raise NotImplementedError(
+                "2.5D ancestor factorization is a first-order cost study "
+                "(Section VII); numeric execution uses "
+                "ancestor_replication=1")
+        if monitored:
+            raise ValueError(
+                "ancestor_replication > 1 emits aggregate cost sweeps with "
+                "no per-task recovery boundaries; resilience requires "
+                "ancestor_replication=1")
+        if merged or backend != "lu":
+            raise ValueError(
+                "ancestor_replication > 1 (2.5D ancestor sweeps) requires "
+                "the standard LU driver; the merged-grid variant and other "
+                f"backends keep c=1 (got merged={merged}, "
+                f"backend={backend!r})")
+    # Fusion coarsens what a trace, an accelerator's per-pair offload or a
+    # fault injector observes, and the monitor needs per-task boundaries.
+    fuse = not monitored and sim.trace is None \
+        and sim.accelerator is None and sim.faults is None
+    n_workers, fallback = 1, None
+    if opts.n_workers != 1:
+        resolved = resolve_workers(opts.n_workers)
+        why = None
+        if merged and numeric:
+            why = ("merged numeric mode keeps a single global block copy "
+                   "shared across sibling forests; grid fan-out would race "
+                   "on it")
+        elif monitored:
+            why = ("resilience instrumentation (fault_plan / "
+                   "checkpoint_every) requires the serial monitored schedule")
+        elif not sim.can_fork():
+            why = ("simulator cannot fork: trace, topology or accelerator "
+                   "attached (these need globally ordered events)")
+        elif resolved <= 1:
+            why = (f"n_workers={opts.n_workers} resolves to a single worker "
+                   "on this host")
+        elif numeric and not shm_available():
+            why = ("shared memory (multiprocessing.shared_memory) is "
+                   "unavailable on this platform; replica blocks cannot "
+                   "reach the workers")
+        if why is None:
+            n_workers = resolved
+        else:
+            fallback = ParallelFallback(reason=why,
+                                        requested_workers=opts.n_workers)
+    return ExecMode(fuse=fuse, monitored=monitored, n_workers=n_workers,
+                    accelerated=sim.accelerator is not None,
+                    fallback=fallback)

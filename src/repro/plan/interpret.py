@@ -51,10 +51,8 @@ class _NullStore:
 class GridContext:
     """Mutable state of one grid-plan execution.
 
-    ``data`` is the caller's block mapping (``None`` in cost-only mode) —
-    handed as-is to the batched kernels, which take ``None`` to mean
-    cost-only. ``store`` wraps it so per-block code can be written
-    uniformly.
+    ``data`` is the caller's block mapping (``None`` in cost-only mode);
+    ``store`` wraps it so per-block code can be written uniformly.
     """
 
     def __init__(self, plan: GridPlan, sf, grid: ProcessGrid2D,
@@ -72,8 +70,6 @@ class GridContext:
         # the static L/U storage, which buffer_peak_words must exclude.
         self.buffers: dict[int, list[tuple[int, float]]] = {}
         self.buf_current = np.zeros(sim.nranks)
-        self.fill_used = 0.0
-        self.fill_total = 0.0
 
     def run_bcast(self, node: int, spec: BcastSpec) -> None:
         """Replay one planned broadcast: route hop, tree, buffer charges."""
@@ -82,15 +78,14 @@ class GridContext:
             sim.send(spec.route_from, spec.root, spec.words)
             sim.recv(spec.root, spec.route_from)
         bcast(sim, spec.root, list(spec.ranks), spec.words)
-        if self.opts.track_buffers:
-            result = self.result
-            for r in spec.ranks:
-                if r != spec.root:
-                    sim.alloc(r, spec.words)
-                    self.buffers.setdefault(node, []).append((r, spec.words))
-                    self.buf_current[r] += spec.words
-                    if self.buf_current[r] > result.buffer_peak_words:
-                        result.buffer_peak_words = float(self.buf_current[r])
+        result = self.result
+        for r in spec.ranks:
+            if r != spec.root:
+                sim.alloc(r, spec.words)
+                self.buffers.setdefault(node, []).append((r, spec.words))
+                self.buf_current[r] += spec.words
+                if self.buf_current[r] > result.buffer_peak_words:
+                    result.buffer_peak_words = float(self.buf_current[r])
 
     def free_buffers(self, node: int) -> None:
         """Release the node's panel receive buffers (post-Schur)."""
@@ -107,8 +102,7 @@ class GridContext:
 
     #: Result counters a checkpoint must roll back with the walk position.
     _RESULT_FIELDS = ("perturbed_pivots", "panel_steps",
-                      "schur_block_updates", "buffer_peak_words",
-                      "n_batched_gemms", "batch_fill_ratio")
+                      "schur_block_updates", "buffer_peak_words")
 
     def snapshot(self) -> dict:
         """Logical state of this plan execution at a task boundary.
@@ -122,8 +116,6 @@ class GridContext:
         return {
             "buffers": {n: list(v) for n, v in self.buffers.items()},
             "buf_current": self.buf_current.copy(),
-            "fill_used": self.fill_used,
-            "fill_total": self.fill_total,
             "result": {f: getattr(self.result, f)
                        for f in self._RESULT_FIELDS},
         }
@@ -132,32 +124,65 @@ class GridContext:
         """Roll logical state back to :meth:`snapshot` (same plan only)."""
         self.buffers = {n: list(v) for n, v in snap["buffers"].items()}
         self.buf_current = snap["buf_current"].copy()
-        self.fill_used = snap["fill_used"]
-        self.fill_total = snap["fill_total"]
         for f, val in snap["result"].items():
             setattr(self.result, f, val)
 
 
 def dispatch_task(be, ctx: GridContext, task) -> None:
-    """Execute one grid-plan task body against its context.
+    """Execute one grid-plan task against its context.
 
-    Shared by :func:`execute_grid_plan` (list-order walk) and the
-    schedule fuzzer (:mod:`repro.verify.fuzz`), which replays tasks in
-    randomized legal orders — both paths book events through the exact
-    same backend calls and bookkeeping.
+    Every task kind has one body: the backend's numeric kernel (numeric
+    mode only) plus event booking from the task's own ``owner`` / ``flops``
+    / ``bcasts`` and the backend's per-pair Schur cost arrays — a fused run
+    of width 1. Shared by :func:`execute_grid_plan` (list-order walk) and
+    the schedule fuzzer (:mod:`repro.verify.fuzz`), which replays tasks in
+    randomized legal orders through the same calls.
     """
     if isinstance(task, FusedTask):
         exec_fused(be, ctx, task)
-    elif isinstance(task, PanelFactor):
-        be.exec_panel_factor(ctx, task)
-        ctx.result.panel_steps += 1
-    elif isinstance(task, PanelBcast):
-        be.exec_panel_bcast(ctx, task)
+    elif isinstance(task, (PanelFactor, PanelBcast)):
+        _run_panel(be, ctx, task)
     elif isinstance(task, SchurUpdate):
-        be.exec_schur(ctx, task)
-        ctx.free_buffers(task.node)
+        _run_schur(be, ctx, task)
     else:  # pragma: no cover - builders emit only the three kinds
         raise TypeError(f"unexpected task in grid plan: {task!r}")
+
+
+def _run_panel(be, ctx: GridContext, task) -> None:
+    sim = ctx.sim
+    factor = isinstance(task, PanelFactor)
+    if factor and be.accel_aware and sim.accelerator is not None:
+        for r in be.accel_panel_ranks(ctx.sf, task.node, ctx.grid):
+            sim.accel_sync(r)
+    if ctx.numeric:
+        be.panel_numeric(ctx, task)
+    sim.compute(task.owner, task.flops, "diag" if factor else "panel")
+    for spec in task.bcasts:
+        ctx.run_bcast(task.node, spec)
+    if factor:
+        ctx.result.panel_steps += 1
+
+
+def _run_schur(be, ctx: GridContext, task: SchurUpdate) -> None:
+    sim = ctx.sim
+    if ctx.numeric:
+        be.schur_numeric(ctx, task)
+    owners, flops = be.pair_costs(ctx.sf, task.node, ctx.sizes, ctx.grid)
+    accel = sim.accelerator if be.accel_aware else None
+    if accel is None:
+        sim.compute_batch(owners, flops, "schur", n_block_updates=1)
+    else:
+        # HALO: the offload decision is per block pair — big GEMMs go to
+        # the device (operands + result cross PCIe), small ones stay on
+        # the host.
+        words = be.pair_offload_words(ctx.sf, task.node, ctx.sizes)
+        for o, f, w in zip(owners.tolist(), flops.tolist(), words.tolist()):
+            if accel.should_offload(f):
+                sim.offload_gemm(o, f, w)
+            else:
+                sim.compute(o, f, "schur", n_block_updates=1)
+    ctx.result.schur_block_updates += task.n_pairs
+    ctx.free_buffers(task.node)
 
 
 def exec_fused(be, ctx: GridContext, task: FusedTask) -> None:
@@ -179,26 +204,18 @@ def exec_fused(be, ctx: GridContext, task: FusedTask) -> None:
             dispatch_task(be, ctx, m)
         return
     sim = ctx.sim
+    members = task.members
     if task.fused_kind == "schur_update":
         pay = task.payload
         if ctx.numeric:
-            for m in task.members:
+            for m in members:
                 be.schur_numeric(ctx, m)
-        if len(pay.owners):
-            sim.compute_batch(pay.owners, pay.flops, "schur",
-                              n_block_updates=1)
-        res = ctx.result
-        for m, (used, total) in zip(task.members, pay.member_fill):
-            if m.n_pairs:
-                res.schur_block_updates += m.n_pairs
-                if m.batched:
-                    res.n_batched_gemms += 1
-                    ctx.fill_used += used
-                    ctx.fill_total += total
+        sim.compute_batch(pay.owners, pay.flops, "schur", n_block_updates=1)
+        for m in members:
+            ctx.result.schur_block_updates += m.n_pairs
             ctx.free_buffers(m.node)
         return
     kind = "diag" if task.fused_kind == "panel_factor" else "panel"
-    members = task.members
     for seg in task.payload:
         if ctx.numeric:
             for m in members[seg.start:seg.stop]:
@@ -206,14 +223,13 @@ def exec_fused(be, ctx: GridContext, task: FusedTask) -> None:
         sim.compute_batch(seg.owners, seg.flops, kind)
         if seg.srcs:
             sim.sendrecv_batch(seg.srcs, seg.dsts, seg.words)
-        if ctx.opts.track_buffers and seg.allocs:
-            result = ctx.result
-            for node, r, words in seg.allocs:
-                sim.alloc(r, words)
-                ctx.buffers.setdefault(node, []).append((r, words))
-                ctx.buf_current[r] += words
-                if ctx.buf_current[r] > result.buffer_peak_words:
-                    result.buffer_peak_words = float(ctx.buf_current[r])
+        result = ctx.result
+        for node, r, words in seg.allocs:
+            sim.alloc(r, words)
+            ctx.buffers.setdefault(node, []).append((r, words))
+            ctx.buf_current[r] += words
+            if ctx.buf_current[r] > result.buffer_peak_words:
+                result.buffer_peak_words = float(ctx.buf_current[r])
     if task.fused_kind == "panel_factor":
         ctx.result.panel_steps += len(members)
 
@@ -257,20 +273,17 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
     if be.accel_aware and sim.accelerator is not None:
         for r in grid.all_ranks():
             sim.accel_sync(r)
-    if ctx.fill_total > 0:
-        ctx.result.batch_fill_ratio = ctx.fill_used / ctx.fill_total
     return ctx.result
 
 
 def execute_replicated(task: ReplicatedFactor, sim: Simulator) -> None:
     """Execute one 2.5D ancestor sweep's aggregate cost events.
 
-    Replays the legacy ``lu3d.dense25`` loop's exact event order for one
-    forest: z-replication broadcasts of the level panel (one per (x, y)
-    position), then ``steps`` ring exchanges — all sends, then all
-    receives, per step — then the evenly-spread level flops, booked under
-    ``'schur'``. Cost-only by construction: there is no per-block numeric
-    content to execute.
+    Event order for one forest: z-replication broadcasts of the level
+    panel (one per (x, y) position), then ``steps`` ring exchanges — all
+    sends, then all receives, per step — then the evenly-spread level
+    flops, booked under ``'schur'``. Cost-only by construction: there is
+    no per-block numeric content to execute.
     """
     for spec in task.bcasts:
         bcast(sim, spec.root, list(spec.ranks), spec.words)

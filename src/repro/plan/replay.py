@@ -44,17 +44,15 @@ def plan_options_key(options) -> tuple:
     """The :class:`~repro.lu2d.options.FactorOptions` fields a built plan
     depends on.
 
-    Everything else — pivoting threshold, worker counts, transport,
-    resilience schedule, the ``compile_plan`` toggle itself — is a
-    property of one *execution*, not of the DAG, so bundles (and service
-    cache entries) stay valid across those settings. The resolved
-    block-volume kind (dense vs compact message pricing) is part of the
-    key: a plan carries its word counts baked into every task, so a
-    cross-mode replay would book the wrong ledgers.
+    Everything else — pivoting threshold, worker count, resilience
+    schedule — is a property of one *execution*, not of the DAG, so
+    bundles (and service cache entries) stay valid across those settings.
+    The resolved block-volume kind (dense vs compact message pricing) is
+    part of the key: a plan carries its word counts baked into every task,
+    so a cross-mode replay would book the wrong ledgers.
     """
     from repro.comm.volume import volume_kind
-    return (options.lookahead, options.sparse_bcast, options.batched_schur,
-            options.batch_min_pairs, options.track_buffers, options.blocking,
+    return (options.lookahead, options.sparse_bcast, options.blocking,
             volume_kind(options), options.ancestor_replication)
 
 
@@ -65,15 +63,15 @@ class PlanBundle:
     Attributes
     ----------
     backend:
-        Kernel backend the plan was built for (``'lu'`` / ``'cholesky'``,
-        or ``None`` for a legacy ``factor_fn`` structure-only plan).
+        Kernel backend the plan was built for (``'lu'`` / ``'cholesky'``).
     merged:
         Whether ``plan3`` is the merged-grid variant.
     grid_shape:
         ``(px, py, pz)`` of the 3D grid the plan's ranks refer to.
     accelerated:
         Whether the plan was built for a simulator with an accelerator
-        attached (the builder emits different batching in that case).
+        attached; a bundle is replayed only under the condition it was
+        built for.
     opts_key:
         :func:`plan_options_key` of the options the plan was built with.
     blocks_fn:
@@ -91,7 +89,7 @@ class PlanBundle:
         storage vector so replayed charges match the cold run's.
     """
 
-    backend: str | None
+    backend: str
     merged: bool
     grid_shape: tuple[int, int, int]
     accelerated: bool
@@ -130,8 +128,7 @@ class PlanBundle:
             raise ValueError(
                 "cached plan was built with different plan-relevant "
                 f"options {self.opts_key} (lookahead, sparse_bcast, "
-                "batched_schur, batch_min_pairs, track_buffers, "
-                "volume kind, ancestor_replication); got "
+                "blocking, volume kind, ancestor_replication); got "
                 f"{plan_options_key(options)}")
 
     # -- memoized lazy products -------------------------------------------
@@ -139,8 +136,8 @@ class PlanBundle:
     def compiled(self, sf, options):
         """The :class:`~repro.plan.compile.CompiledPlan`, compiled once.
 
-        Callers gate on :func:`repro.plan.compile.compile_enabled` first;
-        a bundle whose first execution could not compile (say, a trace was
+        Callers gate on :attr:`repro.plan.execmode.ExecMode.fuse` first; a
+        bundle whose first execution could not fuse (say, a trace was
         attached) compiles here on the first one that can.
         """
         with self._lock:

@@ -109,14 +109,13 @@ class PanelBcast(Task):
 class SchurUpdate(Task):
     """Supernode ``node``'s whole Schur update (all (i, j) target pairs).
 
-    ``batched`` is decided at build time with the same cutoff the drivers
-    used (``batched_schur``, ``batch_min_pairs``, accelerator presence);
-    both execution paths book identical ledgers.
+    ``n_pairs`` block pairs are updated by one small GEMM each; their
+    per-pair owners and flops (the booked events) come from the backend's
+    ``pair_costs`` at execution/compile time.
     """
 
     node: int
     n_pairs: int
-    batched: bool
     flops: float
 
     kind = "schur_update"
@@ -205,16 +204,13 @@ class FusedSchurPayload:
     """Precomputed cost arrays of a fused ``SchurUpdate`` run.
 
     ``owners``/``flops`` are the members' per-pair cost arrays concatenated
-    in member order — exactly what each member's batched kernel would have
-    passed to ``Simulator.compute_batch``, so one batched call over the
-    concatenation books the identical ledger. ``member_fill`` carries each
-    member's ``(fill_used, fill_total)`` contribution so the result
-    counters stay bit-identical too.
+    in member order — exactly what each member's unfused dispatch passes
+    to ``Simulator.compute_batch``, so one batched call over the
+    concatenation books the identical ledger.
     """
 
     owners: np.ndarray
     flops: np.ndarray
-    member_fill: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +337,7 @@ def task_flops(task: Task) -> tuple[str, float]:
         return "schur", task.flops
     if isinstance(task, ReplicatedFactor):
         # The aggregate sweep books the whole level under 'schur' (the
-        # dominant kernel), exactly as the legacy dense25 loop did.
+        # dominant kernel).
         return "schur", task.flops
     if isinstance(task, AncestorReduce):
         if task.ops is not None:
@@ -356,13 +352,11 @@ class GridPlan:
     """One grid's ordered task list for one level (or the whole 2D run).
 
     ``backend`` names the kernel backend (``'lu'`` / ``'cholesky'``) the
-    interpreter resolves — or ``None`` for a legacy ``factor_fn`` plug-in,
-    in which case ``tasks`` is empty and the 3D executor calls the
-    plug-in directly. The 2D grid ships as ``(px, py, base)`` so the plan
-    stays cheap to pickle to pool workers.
+    interpreter resolves. The 2D grid ships as ``(px, py, base)`` so the
+    plan stays cheap to pickle to pool workers.
     """
 
-    backend: str | None
+    backend: str
     g: int
     level: int
     px: int
@@ -399,7 +393,7 @@ class LevelStep:
 class Plan3D:
     """The whole 3D schedule, level-major (level ``l`` down to 0)."""
 
-    backend: str | None
+    backend: str
     merged: bool
     levels: list[LevelStep]
 

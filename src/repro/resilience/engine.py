@@ -57,8 +57,7 @@ __all__ = ["ResilienceEngine", "execute_plan3d_resilient",
 
 #: Factor3DResult counters a checkpoint must roll back with the walk.
 _RESULT3D_FIELDS = ("perturbed_pivots", "schur_block_updates",
-                    "n_batched_gemms", "reduction_messages",
-                    "reduction_words")
+                    "reduction_messages", "reduction_words")
 
 
 @dataclass

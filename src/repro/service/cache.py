@@ -66,8 +66,8 @@ def cache_key(A: sp.spmatrix, grid_shape: tuple[int, int, int],
     Pattern fingerprint × grid shape × backend × every solver knob the
     symbolic/partition phases read × the plan-relevant option fields
     (:func:`repro.plan.plan_options_key`). Runtime-only options (worker
-    counts, transport, the compile toggle, pivoting threshold) are
-    deliberately absent: one entry serves them all.
+    count, resilience schedule, pivoting threshold) are deliberately
+    absent: one entry serves them all.
     """
     geom_key = (geometry.shape, geometry.kind) if geometry is not None \
         else None
@@ -173,17 +173,22 @@ class PlanCache:
                     self._entries.move_to_end(key)
                     self._hits += 1
                     return entry, True
-            t0 = time.perf_counter()
-            entry = builder()
-            entry.build_seconds = time.perf_counter() - t0
-            with self._lock:
-                self._entries[key] = entry
-                self._entries.move_to_end(key)
-                self._misses += 1
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self._evictions += 1
-                self._building.pop(key, None)
+            try:
+                t0 = time.perf_counter()
+                entry = builder()
+                entry.build_seconds = time.perf_counter() - t0
+                with self._lock:
+                    self._entries[key] = entry
+                    self._entries.move_to_end(key)
+                    self._misses += 1
+                    while len(self._entries) > self.capacity:
+                        self._entries.popitem(last=False)
+                        self._evictions += 1
+            finally:
+                # Also when ``builder`` raised: a failed build must not
+                # leave its lock behind (the next caller builds afresh).
+                with self._lock:
+                    self._building.pop(key, None)
             return entry, False
 
     def get(self, key: tuple) -> PlanEntry | None:

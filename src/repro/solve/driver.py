@@ -44,51 +44,26 @@ from repro.utils import check_square_sparse
 __all__ = ["SparseLU3D"]
 
 
-class SparseLU3D:
-    """Communication-avoiding 3D sparse LU solver on a simulated grid.
+class _Solver3D:
+    """What the LU and Cholesky facades share: the constructor tail, the
+    symbolic phase, plan-bundle reuse, (re)factorization, the refined
+    solve wrapper and the ledger accessors.
 
-    Parameters
-    ----------
-    A:
-        Square sparse matrix.
-    geometry:
-        Optional lattice geometry (enables geometric nested dissection).
-    px, py, pz:
-        Process-grid shape; ``pz`` must be a power of two. ``pz=1`` is the
-        baseline 2D algorithm.
-    leaf_size:
-        Supernode granularity of the dissection.
-    max_block:
-        Cap on supernode size; big separators become chains of blocks
-        (SuperLU_DIST's ``maxsup`` analogue).
-    machine:
-        Cost model for the simulated runtime (default: Edison-like).
-    partition:
-        ``'greedy'`` (the paper's heuristic) or ``'naive'`` (plain ND split).
-    options:
-        :class:`repro.lu2d.FactorOptions` — lookahead window, pivot
-        threshold, buffer tracking.
-    numeric:
-        ``False`` runs the identical schedule without block arithmetic
-        (cost-only mode for large scaling studies); ``solve`` then raises.
-    equil:
-        Row/column equilibration before factoring (GESP's ``equil`` step);
-        recommended for badly scaled matrices.
-    relax:
-        Supernode relaxation threshold: blocks smaller than this are
-        amalgamated into their parents (``0`` disables) — fewer messages
-        at the cost of some extra fill.
+    Subclasses name their kernel ``backend``, may override :meth:`_values`
+    (the numeric value source) and provide :meth:`_raw_solve` (their
+    triangular sweeps over ``self._factor_blocks``).
     """
 
-    def __init__(self, A: sp.spmatrix, geometry: GridGeometry | None = None,
-                 px: int = 1, py: int = 1, pz: int = 1, leaf_size: int = 64,
-                 machine: Machine | None = None, partition: str = "greedy",
-                 options: FactorOptions | None = None, numeric: bool = True,
-                 nd_method: str = "bfs", max_block: int | None = 256,
-                 equil: bool = False, relax: int = 0):
-        self.A = check_square_sparse(A)
-        self.equ: Equilibration | None = equilibrate(self.A) if equil else None
-        self._A_work = self.equ.apply(self.A) if equil else self.A
+    #: Kernel backend name handed to :func:`repro.lu3d.factor_3d`.
+    backend = "lu"
+
+    def __init__(self, A: sp.spmatrix, geometry: GridGeometry | None,
+                 px: int, py: int, pz: int, leaf_size: int,
+                 machine: Machine | None, partition: str,
+                 options: FactorOptions | None, numeric: bool,
+                 nd_method: str, max_block: int | None, relax: int):
+        self.equ: Equilibration | None = None
+        self._bind(self._checked(A))
         self.geometry = geometry
         self.grid = ProcessGrid3D(px, py, pz)
         self.machine = machine or Machine.edison_like()
@@ -119,9 +94,17 @@ class SparseLU3D:
         #: via ``matrix=`` instead of rebinding ``sf.A_perm``.
         self._shared_symbolic = False
 
+    def _checked(self, A: sp.spmatrix) -> sp.spmatrix:
+        """Validate an input matrix (subclasses add their own conditions)."""
+        return check_square_sparse(A)
+
+    def _bind(self, A: sp.spmatrix) -> None:
+        """Make ``A`` the matrix being factored (subclasses rescale it)."""
+        self.A = self._A_work = A
+
     # -- pipeline ------------------------------------------------------------
 
-    def analyze(self) -> "SparseLU3D":
+    def analyze(self):
         """Run the symbolic phase (ordering + block fill + costs)."""
         tree = None
         if self._relax:
@@ -150,8 +133,7 @@ class SparseLU3D:
         self._shared_symbolic = False
         return self
 
-    def adopt(self, sf: SymbolicFactorization, tf, pattern=None,
-              bundle=None) -> "SparseLU3D":
+    def adopt(self, sf: SymbolicFactorization, tf, pattern=None, bundle=None):
         """Attach a *shared* symbolic factorization + partition.
 
         The :mod:`repro.service` entry point: a cache entry's symbolic
@@ -171,20 +153,28 @@ class SparseLU3D:
         self._shared_symbolic = True
         return self
 
-    def _usable_bundle(self, sim: Simulator):
+    def _usable_bundle(self):
         """The retained plan bundle iff it matches this run's conditions
-        (grid, backend, accelerator, plan-relevant options) — else None
-        and the run rebuilds cold."""
+        (grid, backend, plan-relevant options; the facade's own simulator
+        never carries an accelerator) — else None and the run rebuilds
+        cold."""
         if self._bundle is None:
             return None
         try:
-            self._bundle.check(self.grid, "lu", False,
-                               sim.accelerator is not None, self.options)
+            self._bundle.check(self.grid, self.backend, False, False,
+                               self.options)
         except ValueError:
             return None
         return self._bundle
 
-    def factorize(self) -> "SparseLU3D":
+    def _values(self):
+        """The ``matrix=`` value source of the next factorization
+        (``None`` = ``sf.A_perm``, which :meth:`refactorize` keeps fresh
+        unless the symbolic objects are shared)."""
+        return self.sf.perm.apply_matrix(self._A_work) \
+            if self._shared_symbolic else None
+
+    def factorize(self):
         """Numeric (or cost-only) factorization; idempotent symbolic phase.
 
         Repeat calls (and :meth:`refactorize`) replay the retained plan
@@ -194,21 +184,19 @@ class SparseLU3D:
         if self.sf is None:
             self.analyze()
         self.sim = Simulator(self.grid.size, self.machine)
-        cached = self._usable_bundle(self.sim)
+        cached = self._usable_bundle()
         replicas = self.result.replicas if cached is not None \
             and self.result is not None else None
-        matrix = self.sf.perm.apply_matrix(self._A_work) \
-            if self._shared_symbolic else None
         self.result = factor_3d(self.sf, self.tf, self.grid, self.sim,
                                 numeric=self.numeric, options=self.options,
-                                matrix=matrix, cached=cached,
-                                replicas=replicas)
-        self._bundle = self.result.bundle or self._bundle
+                                matrix=self._values(), backend=self.backend,
+                                cached=cached, replicas=replicas)
+        self._bundle = self.result.bundle
         if self.numeric:
             self._factor_blocks = self.result.replicas.home_view()
         return self
 
-    def refactorize(self, A_new: sp.spmatrix) -> "SparseLU3D":
+    def refactorize(self, A_new: sp.spmatrix):
         """Factor a new matrix with the *same sparsity pattern*.
 
         SuperLU_DIST's ``SamePattern`` option: the ordering, symbolic
@@ -228,14 +216,12 @@ class SparseLU3D:
         run are replayed — only the numeric kernels re-execute, with
         ledgers bit-identical to a cold ``factorize()``.
         """
-        A_new = check_square_sparse(A_new)
+        A_new = self._checked(A_new)
         if A_new.shape != self.A.shape:
             raise ValueError(
                 f"shape {A_new.shape} differs from original {self.A.shape}")
         if self.sf is None:
-            self.A = A_new
-            self._A_work = self.equ.apply(A_new) if self.equ is not None \
-                else A_new
+            self._bind(A_new)
             return self.factorize()
         if self._pattern is None:  # analyzed before this field existed
             self._pattern = symmetrize_pattern(self._A_work, stored=True)
@@ -245,13 +231,7 @@ class SparseLU3D:
             raise ValueError(
                 f"{outside} entries of the new matrix fall outside the "
                 "original pattern; run a fresh analyze()+factorize()")
-        self.A = A_new
-        if self.equ is not None:
-            from repro.solve.equilibrate import equilibrate
-            self.equ = equilibrate(A_new)
-            self._A_work = self.equ.apply(A_new)
-        else:
-            self._A_work = A_new
+        self._bind(A_new)
         if not self._shared_symbolic:
             # Refresh the permuted values inside the cached symbolic
             # object; pattern containment guarantees the cached fill
@@ -264,10 +244,7 @@ class SparseLU3D:
         return self.grid.layer(self.tf.home_grid(k))
 
     def _raw_solve(self, b_perm: np.ndarray) -> np.ndarray:
-        y = forward_solve(self.sf, self._factor_blocks, b_perm, self.sim,
-                          self._grid_of)
-        return backward_solve(self.sf, self._factor_blocks, y, self.sim,
-                              self._grid_of)
+        raise NotImplementedError
 
     def solve(self, b: np.ndarray, refine: bool = True,
               tol: float = 1e-14) -> np.ndarray:
@@ -302,6 +279,88 @@ class SparseLU3D:
         self.last_refinement = None
         return x
 
+    # -- evaluation accessors ---------------------------------------------------
+
+    @property
+    def makespan(self) -> float:
+        """Modeled critical-path factorization time (seconds)."""
+        self._require_factored()
+        return self.sim.makespan
+
+    def comm_volume(self, phase: str | None = None) -> np.ndarray:
+        """Per-rank communication volume in words (Fig. 10's quantity)."""
+        self._require_factored()
+        return self.sim.words_per_rank(phase)
+
+    @property
+    def peak_memory(self) -> np.ndarray:
+        """Per-rank peak memory in words (Fig. 11's quantity)."""
+        self._require_factored()
+        return self.sim.mem_peak
+
+    def _require_factored(self) -> None:
+        if self.sim is None:
+            raise RuntimeError("call factorize() first")
+
+
+class SparseLU3D(_Solver3D):
+    """Communication-avoiding 3D sparse LU solver on a simulated grid.
+
+    Parameters
+    ----------
+    A:
+        Square sparse matrix.
+    geometry:
+        Optional lattice geometry (enables geometric nested dissection).
+    px, py, pz:
+        Process-grid shape; ``pz`` must be a power of two. ``pz=1`` is the
+        baseline 2D algorithm.
+    leaf_size:
+        Supernode granularity of the dissection.
+    max_block:
+        Cap on supernode size; big separators become chains of blocks
+        (SuperLU_DIST's ``maxsup`` analogue).
+    machine:
+        Cost model for the simulated runtime (default: Edison-like).
+    partition:
+        ``'greedy'`` (the paper's heuristic) or ``'naive'`` (plain ND split).
+    options:
+        :class:`repro.lu2d.FactorOptions` — lookahead window, pivot
+        threshold, worker count, resilience, blocking.
+    numeric:
+        ``False`` runs the identical schedule without block arithmetic
+        (cost-only mode for large scaling studies); ``solve`` then raises.
+    equil:
+        Row/column equilibration before factoring (GESP's ``equil`` step);
+        recommended for badly scaled matrices.
+    relax:
+        Supernode relaxation threshold: blocks smaller than this are
+        amalgamated into their parents (``0`` disables) — fewer messages
+        at the cost of some extra fill.
+    """
+
+    def __init__(self, A: sp.spmatrix, geometry: GridGeometry | None = None,
+                 px: int = 1, py: int = 1, pz: int = 1, leaf_size: int = 64,
+                 machine: Machine | None = None, partition: str = "greedy",
+                 options: FactorOptions | None = None, numeric: bool = True,
+                 nd_method: str = "bfs", max_block: int | None = 256,
+                 equil: bool = False, relax: int = 0):
+        self._equil = equil
+        super().__init__(A, geometry, px, py, pz, leaf_size, machine,
+                         partition, options, numeric, nd_method, max_block,
+                         relax)
+
+    def _bind(self, A: sp.spmatrix) -> None:
+        self.A = A
+        self.equ = equilibrate(A) if self._equil else None
+        self._A_work = self.equ.apply(A) if self._equil else A
+
+    def _raw_solve(self, b_perm: np.ndarray) -> np.ndarray:
+        y = forward_solve(self.sf, self._factor_blocks, b_perm, self.sim,
+                          self._grid_of)
+        return backward_solve(self.sf, self._factor_blocks, y, self.sim,
+                              self._grid_of)
+
     def solve_transposed(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A^T x = b`` with the same factors (SuperLU's trans='T').
 
@@ -331,26 +390,3 @@ class SparseLU3D:
                 "condition_estimate requires a numeric factorization")
         return condest(self.A, lambda r: self.solve(r, refine=False),
                        self.solve_transposed)
-
-    # -- evaluation accessors ---------------------------------------------------
-
-    @property
-    def makespan(self) -> float:
-        """Modeled critical-path factorization time (seconds)."""
-        self._require_factored()
-        return self.sim.makespan
-
-    def comm_volume(self, phase: str | None = None) -> np.ndarray:
-        """Per-rank communication volume in words (Fig. 10's quantity)."""
-        self._require_factored()
-        return self.sim.words_per_rank(phase)
-
-    @property
-    def peak_memory(self) -> np.ndarray:
-        """Per-rank peak memory in words (Fig. 11's quantity)."""
-        self._require_factored()
-        return self.sim.mem_peak
-
-    def _require_factored(self) -> None:
-        if self.sim is None:
-            raise RuntimeError("call factorize() first")

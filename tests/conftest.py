@@ -87,7 +87,6 @@ if st is not None:
         opts = FactorOptions(
             lookahead=draw(st.integers(min_value=0, max_value=2)),
             sparse_bcast=(backend == "lu" and draw(st.booleans())),
-            batched_schur=draw(st.booleans()),
             blocking=blocking)
         px = draw(st.integers(min_value=1, max_value=3))
         py = draw(st.integers(min_value=1, max_value=3))

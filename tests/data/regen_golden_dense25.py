@@ -5,9 +5,8 @@ Run from the repo root::
     PYTHONPATH=src:tests python tests/data/regen_golden_dense25.py
 
 Records, for a fixed set of small deterministic cases, every per-rank
-simulator ledger produced by the 2.5D ancestor cost engine
-(``factor_3d_dense25`` — equivalently ``factor_3d`` with
-``FactorOptions(ancestor_replication=Pz)``), in both the dense and the
+simulator ledger produced by the 2.5D ancestor cost engine (``factor_3d``
+with ``FactorOptions(ancestor_replication=Pz)``), in both the dense and the
 compact block-volume modes. ``tests/test_dense25.py`` asserts that the
 plan-driven generalized-replication path reproduces the dense-mode
 ledgers *bit-identically*.
@@ -25,12 +24,13 @@ pricing, and say so in the PR description.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.comm.simulator import COMPUTE_KINDS, PHASES
 from repro.lu2d.factor2d import FactorOptions
-from repro.lu3d.dense25 import factor_3d_dense25
+from repro.lu3d import factor_3d
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
@@ -90,7 +90,8 @@ def main() -> None:
                              ("_compact", FactorOptions(compact_comm=True))):
             grid3 = ProcessGrid3D(px, py, pz)
             sim = Simulator(grid3.size, Machine.edison_like())
-            factor_3d_dense25(sf, tf, grid3, sim, options=opts)
+            factor_3d(sf, tf, grid3, sim, numeric=False,
+                      options=replace(opts, ancestor_replication=pz))
             cases[name + suffix] = ledger_dict(sim)
     OUT.write_text(json.dumps(cases, indent=1) + "\n")
     print(f"wrote {OUT} ({len(cases) - 1} cases)")

@@ -65,15 +65,10 @@ class TestSimulatorOffload:
 
 class TestHaloFactorization:
     def test_numeric_unchanged_by_offload(self):
-        """Offload is a cost-model decision; the numerics are identical.
-
-        Both runs use the per-block Schur loop (an attached accelerator
-        forces it anyway, since offload decisions are per block) so the
-        comparison isolates the offload effect from kernel batching.
-        """
+        """Offload is a cost-model decision; the numerics are identical."""
         A, g = grid3d_7pt(7)
         sf = symbolic_factorize(A, g, leaf_size=32)
-        opts = FactorOptions(batched_schur=False)
+        opts = FactorOptions()
         results = {}
         for accel in (False, True):
             sim = Simulator(4)

@@ -1,10 +1,11 @@
-"""Equivalence tests: batched Schur kernel and vectorized ledger paths.
+"""Equivalence tests: pair-cost booking and vectorized ledger paths.
 
-The batched paths (gathered panel GEMM, ``Simulator.compute_batch``,
-closed-form broadcast) are performance rewrites of the per-event loops;
-these tests pin down the contract that makes them safe to enable by
-default — factors within 1e-12 of the loop kernel, and simulator ledgers
-*bit-for-bit* identical to the per-event bookkeeping.
+The vectorized paths (``Simulator.compute_batch`` over the per-pair Schur
+cost arrays, closed-form broadcast) are performance rewrites of the
+per-event loops; these tests pin down the contract that makes them safe —
+simulator ledgers *bit-for-bit* identical to the per-event bookkeeping,
+against a per-pair reference loop written out here, and factors that do
+not depend on which booking path a run takes.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.comm import (CommError, ProcessGrid2D, ProcessGrid3D, Simulator,
                         UniformTopology)
 from repro.comm.accelerator import Accelerator
 from repro.comm.collectives import bcast
-from repro.lu2d import FactorOptions, factor_2d
+from repro.lu2d import factor_2d
+from repro.lu2d.batched import schur_pair_costs, syrk_pair_costs
 from repro.lu3d import factor_3d
 from repro.sparse import (BlockMatrix, delaunay_mesh_2d, grid2d_5pt,
                           grid3d_7pt)
@@ -59,44 +61,118 @@ def _fixtures():
     yield "delaunay", A, g
 
 
+def _book_lu_pairs_per_event(sim, sf, grid, k) -> int:
+    """The reference: one ``compute`` per (i, j) pair, row-major."""
+    sizes = sf.layout.sizes()
+    s = int(sizes[k])
+    n = 0
+    for i in sf.fill.lpanel[k]:
+        si = int(sizes[int(i)])
+        for j in sf.fill.upanel[k]:
+            sj = int(sizes[int(j)])
+            sim.compute(grid.owner(int(i), int(j)), 2.0 * si * s * sj,
+                        "schur", n_block_updates=1)
+            n += 1
+    return n
+
+
+def _book_chol_pairs_per_event(sim, sf, grid, k) -> int:
+    """Lower-triangle pairs: SYRK cost on the diagonal, GEMM cost below."""
+    sizes = sf.layout.sizes()
+    s = int(sizes[k])
+    lp = [int(i) for i in sf.fill.lpanel[k]]
+    n = 0
+    for a, i in enumerate(lp):
+        si = int(sizes[i])
+        for j in lp[:a + 1]:
+            sj = int(sizes[j])
+            flops = float(si * s * sj) if i == j else 2.0 * si * s * sj
+            sim.compute(grid.owner(i, j), flops, "schur", n_block_updates=1)
+            n += 1
+    return n
+
+
+class TestPairCostBooking:
+    """``compute_batch`` over the pair-cost arrays == per-event booking."""
+
+    @pytest.mark.parametrize("name,A,geom", list(_fixtures()),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_lu_pair_costs_match_loop(self, name, A, geom):
+        sf = symbolic_factorize(A, geom, leaf_size=24)
+        grid = ProcessGrid2D(2, 2)
+        sizes = sf.layout.sizes()
+        sim_loop, sim_batch = Simulator(4), Simulator(4)
+        total = 0
+        for k in range(sf.nb):
+            n = _book_lu_pairs_per_event(sim_loop, sf, grid, k)
+            owners, flops = schur_pair_costs(
+                k, sf.fill.lpanel[k], sf.fill.upanel[k], sizes, grid)
+            assert owners.size == flops.size == n
+            sim_batch.compute_batch(owners, flops, "schur",
+                                    n_block_updates=1)
+            total += n
+        assert total > 0
+        assert_ledgers_identical(sim_loop, sim_batch)
+
+    def test_chol_pair_costs_match_loop(self):
+        A, g = grid2d_5pt(14)
+        sf = symbolic_factorize(A, g, leaf_size=24)
+        grid = ProcessGrid2D(2, 2)
+        sizes = sf.layout.sizes()
+        sim_loop, sim_batch = Simulator(4), Simulator(4)
+        for k in range(sf.nb):
+            n = _book_chol_pairs_per_event(sim_loop, sf, grid, k)
+            owners, flops = syrk_pair_costs(k, sf.fill.lpanel[k], sizes, grid)
+            assert owners.size == n
+            sim_batch.compute_batch(owners, flops, "schur",
+                                    n_block_updates=1)
+        assert_ledgers_identical(sim_loop, sim_batch)
+
+    def test_empty_panels_book_nothing(self):
+        grid = ProcessGrid2D(2, 2)
+        sizes = np.array([3, 4, 5])
+        for owners, flops in (schur_pair_costs(0, [], [1, 2], sizes, grid),
+                              schur_pair_costs(0, [1], [], sizes, grid),
+                              syrk_pair_costs(0, [], sizes, grid)):
+            assert owners.size == flops.size == 0
+
+
+def _sim(nranks: int, traced: bool) -> Simulator:
+    """A traced simulator makes the drivers walk unfused and makes
+    ``compute_batch`` book per event — the reference path."""
+    return Simulator(nranks, trace=Trace() if traced else None)
+
+
 class TestFactor2DEquivalence:
     @pytest.mark.parametrize("name,A,geom", list(_fixtures()),
                              ids=lambda v: v if isinstance(v, str) else "")
-    def test_batched_matches_loop(self, name, A, geom):
-        """Same factors (1e-12) and bit-identical ledgers, both modes."""
+    def test_batched_booking_matches_per_event(self, name, A, geom):
+        """Same factors and bit-identical ledgers on both booking paths."""
         sf = symbolic_factorize(A, geom, leaf_size=24)
         grid = ProcessGrid2D(2, 2)
         runs = {}
-        for batched in (False, True):
-            sim = Simulator(4)
+        for traced in (True, False):
+            sim = _sim(4, traced)
             data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
                                         block_pattern=sf.fill.all_blocks())
-            res = factor_2d(sf, grid, sim, data=data,
-                            options=FactorOptions(batched_schur=batched,
-                                                  batch_min_pairs=0))
-            runs[batched] = (data.to_dense(), sim, res)
-        dense_loop, sim_loop, res_loop = runs[False]
-        dense_bat, sim_bat, res_bat = runs[True]
+            res = factor_2d(sf, grid, sim, data=data)
+            runs[traced] = (data.to_dense(), sim, res)
+        dense_loop, sim_loop, res_loop = runs[True]
+        dense_bat, sim_bat, res_bat = runs[False]
         scale = np.abs(dense_loop).max()
         assert np.allclose(dense_bat, dense_loop, atol=1e-12 * max(scale, 1))
         assert_ledgers_identical(sim_loop, sim_bat)
         assert res_bat.schur_block_updates == res_loop.schur_block_updates
         assert res_bat.buffer_peak_words == res_loop.buffer_peak_words
-        assert res_loop.n_batched_gemms == 0
-        assert res_bat.n_batched_gemms > 0
-        assert res_bat.batch_fill_ratio == 1.0  # LU scatters every W tile
 
     def test_cost_only_ledgers_identical(self):
         A, g = grid2d_5pt(14)
         sf = symbolic_factorize(A, g, leaf_size=24)
         sims = {}
-        for batched in (False, True):
-            sim = Simulator(4)
-            factor_2d(sf, ProcessGrid2D(2, 2), sim,
-                      options=FactorOptions(batched_schur=batched,
-                                                  batch_min_pairs=0))
-            sims[batched] = sim
-        assert_ledgers_identical(sims[False], sims[True])
+        for traced in (True, False):
+            sims[traced] = _sim(4, traced)
+            factor_2d(sf, ProcessGrid2D(2, 2), sims[traced])
+        assert_ledgers_identical(sims[True], sims[False])
 
     def test_event_counts_match_result_counters(self):
         A, g = grid2d_5pt(12)
@@ -110,55 +186,46 @@ class TestFactor2DEquivalence:
 
 
 class TestFactor3DEquivalence:
-    def test_batched_matches_loop_3d(self):
+    def test_batched_booking_matches_per_event_3d(self):
         A, g = grid3d_7pt(8)
         sf = symbolic_factorize(A, g, leaf_size=32)
         tf = greedy_partition(sf, 2)
         runs = {}
-        for batched in (False, True):
-            sim = Simulator(8)
+        for traced in (True, False):
+            sim = _sim(8, traced)
             res = factor_3d(sf, tf, ProcessGrid3D(2, 2, 2), sim,
-                            numeric=True,
-                            options=FactorOptions(batched_schur=batched,
-                                                  batch_min_pairs=0))
-            runs[batched] = (res.factors().to_dense(), sim, res)
-        dense_loop, sim_loop, res_loop = runs[False]
-        dense_bat, sim_bat, res_bat = runs[True]
+                            numeric=True)
+            runs[traced] = (res.factors().to_dense(), sim, res)
+        dense_loop, sim_loop, res_loop = runs[True]
+        dense_bat, sim_bat, res_bat = runs[False]
         scale = np.abs(dense_loop).max()
         assert np.allclose(dense_bat, dense_loop, atol=1e-12 * max(scale, 1))
         assert_ledgers_identical(sim_loop, sim_bat)
         assert res_bat.schur_block_updates == res_loop.schur_block_updates
-        assert res_bat.n_batched_gemms > 0 and res_loop.n_batched_gemms == 0
 
 
 class TestCholeskyEquivalence:
-    def test_batched_matches_loop_chol(self):
+    def test_batched_booking_matches_per_event_chol(self):
         A, g = grid2d_5pt(14)
         sf = symbolic_factorize(A, g, leaf_size=24)
         import scipy.sparse as sp
         nodes = list(range(sf.nb))
         runs = {}
-        for batched in (False, True):
-            sim = Simulator(4)
+        for traced in (True, False):
+            sim = _sim(4, traced)
             sim.set_phase("fact")
             data = BlockMatrix.from_csr(sp.tril(sf.A_perm).tocsr(), sf.layout,
                                         block_pattern=sf.fill.all_blocks())
             res = factor_nodes_chol_2d(sf, nodes, ProcessGrid2D(2, 2), sim,
-                                       data=data,
-                                       options=FactorOptions(
-                                           batched_schur=batched,
-                                           batch_min_pairs=0))
-            runs[batched] = (data.to_dense(), sim, res)
-        dense_loop, sim_loop, res_loop = runs[False]
-        dense_bat, sim_bat, res_bat = runs[True]
+                                       data=data)
+            runs[traced] = (data.to_dense(), sim, res)
+        dense_loop, sim_loop, res_loop = runs[True]
+        dense_bat, sim_bat, res_bat = runs[False]
         scale = np.abs(dense_loop).max()
         assert np.allclose(np.tril(dense_bat), np.tril(dense_loop),
                            atol=1e-12 * max(scale, 1))
         assert_ledgers_identical(sim_loop, sim_bat)
         assert res_bat.schur_block_updates == res_loop.schur_block_updates
-        assert res_bat.n_batched_gemms > 0
-        # Only the lower triangle of W = P P^T is scattered.
-        assert 0.0 < res_bat.batch_fill_ratio < 1.0
 
 
 class TestComputeBatch:
@@ -277,20 +344,3 @@ class TestGridMemoization:
         assert grid.col_ranks(1) is grid.col_ranks(4)
         assert grid.row_ranks(1) == [grid.rank(1, pj) for pj in range(3)]
         assert grid.col_ranks(2) == [grid.rank(pi, 2) for pi in range(2)]
-
-
-class TestKernelCountersReport:
-    def test_format_kernel_counters(self):
-        from repro.analysis import format_kernel_counters
-
-        A, g = grid2d_5pt(14)
-        sf = symbolic_factorize(A, g, leaf_size=24)
-        sim = Simulator(4)
-        res = factor_2d(sf, ProcessGrid2D(2, 2), sim,
-                        options=FactorOptions(batch_min_pairs=0))
-        text = format_kernel_counters(sim, res)
-        assert "batched panel GEMMs" in text
-        assert str(res.n_batched_gemms) in text
-        # Every event kind the run produced appears as a row.
-        for kind in sim.event_counts:
-            assert f"events[{kind}]" in text

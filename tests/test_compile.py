@@ -9,9 +9,15 @@ Two contracts from the compile layer (:mod:`repro.plan.compile`):
   rewritten DAG. The mutation self-test drops a dep edge *from a fused
   task* and demands the race detector fire — fusion must not blind it.
 * **Zero-copy transport hygiene** — the shm path ships descriptor bytes
-  instead of block bytes, falls back to pickle on demand (``REPRO_SHM``),
+  instead of block bytes, finishes the run inline (recording a
+  ``ParallelFallback``) when shared memory is missing or fails mid-run,
   and never leaks a ``/dev/shm/repro_shm_*`` segment, even when a worker
   crashes mid-level.
+
+The drivers decide fusion from what they observe (``resolve_exec``), so
+the unfused driver run here is the one a traced simulator gets; the
+plan-level on/off identity goes through ``compile_plan`` and the fuzzer's
+``canonical_ledger``.
 """
 
 from __future__ import annotations
@@ -22,28 +28,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.analysis import format_compile_summary, format_parallel_stats
+from repro.analysis import Trace, format_compile_summary, format_parallel_stats
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.lu2d.factor2d import FactorOptions, factor_2d
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
+from repro.parallel import LevelStats, ParallelFallback, ShmTransport
 from repro.plan import CompiledPlan, FusedTask, compile_plan
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify import analyze_plan, drop_dep_edge, fuzz_2d, fuzz_3d
 from repro.verify.oracle import ledger_state
-
-
-@pytest.fixture(autouse=True)
-def _own_the_toggles(monkeypatch):
-    """This suite drives compilation/transport through FactorOptions and
-    sets the env toggles explicitly where it tests them; an ambient
-    REPRO_COMPILE=0 / REPRO_SHM=0 (e.g. CI's uncompiled tier-1 run) must
-    not silently hollow out the compiled-mode assertions."""
-    monkeypatch.delenv("REPRO_COMPILE", raising=False)
-    monkeypatch.delenv("REPRO_SHM", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +63,16 @@ def _opts(**kw) -> FactorOptions:
     return FactorOptions(**kw)
 
 
+def _sim(nranks: int, traced: bool) -> Simulator:
+    return Simulator(nranks, Machine.edison_like(),
+                     trace=Trace() if traced else None)
+
+
 def assert_equivalent(run, compare_factors=True):
-    """Run ``run(opts)`` compiled and uncompiled; demand bit-identity."""
-    sim_c, res_c = run(_opts(compile_plan=True))
-    sim_u, res_u = run(_opts(compile_plan=False))
+    """Run ``run(traced)`` fused (plain simulator) and unfused (a traced
+    simulator observes per-task events); demand bit-identity."""
+    sim_c, res_c = run(False)
+    sim_u, res_u = run(True)
     assert ledger_state(sim_c) == ledger_state(sim_u)
     if compare_factors:
         Fc = res_c.factors().to_dense()
@@ -85,9 +88,9 @@ class TestCompiledBitIdentity:
         sf, _ = planar
         grid = ProcessGrid2D(2, 3)
 
-        def run(opts):
-            sim = Simulator(grid.size, Machine.edison_like())
-            res = factor_2d(sf, grid, sim, options=opts)
+        def run(traced):
+            sim = _sim(grid.size, traced)
+            res = factor_2d(sf, grid, sim)
             return sim, res
 
         res_c, res_u = assert_equivalent(run, compare_factors=False)
@@ -102,10 +105,9 @@ class TestCompiledBitIdentity:
         sf, tf = planar
         grid3 = ProcessGrid3D(2, 2, 4)
 
-        def run(opts):
-            sim = Simulator(grid3.size, Machine.edison_like())
-            res = factor_3d(sf, tf, grid3, sim, numeric=numeric,
-                            options=opts)
+        def run(traced):
+            sim = _sim(grid3.size, traced)
+            res = factor_3d(sf, tf, grid3, sim, numeric=numeric)
             return sim, res
 
         res_c, res_u = assert_equivalent(run, compare_factors=numeric)
@@ -121,10 +123,9 @@ class TestCompiledBitIdentity:
         sf, tf = planar
         grid3 = ProcessGrid3D(2, 2, 4)
 
-        def run(opts):
-            sim = Simulator(grid3.size, Machine.edison_like())
-            res = factor_3d_merged(sf, tf, grid3, sim, numeric=True,
-                                   options=opts)
+        def run(traced):
+            sim = _sim(grid3.size, traced)
+            res = factor_3d_merged(sf, tf, grid3, sim, numeric=True)
             return sim, res
 
         res_c, _ = assert_equivalent(run, compare_factors=False)
@@ -134,10 +135,9 @@ class TestCompiledBitIdentity:
         sf, tf = spd
         grid3 = ProcessGrid3D(2, 2, 2)
 
-        def run(opts):
-            sim = Simulator(grid3.size, Machine.edison_like())
-            res = factor_chol_3d(sf, tf, grid3, sim, numeric=True,
-                                 options=opts)
+        def run(traced):
+            sim = _sim(grid3.size, traced)
+            res = factor_chol_3d(sf, tf, grid3, sim, numeric=True)
             return sim, res
 
         res_c, _ = assert_equivalent(run)
@@ -212,24 +212,6 @@ class TestCompiledStatic:
 
 
 class TestCompileGating:
-    def test_env_toggle_disables(self, planar, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE", "0")
-        sf, tf = planar
-        grid3 = ProcessGrid3D(2, 2, 4)
-        sim = Simulator(grid3.size)
-        res = factor_3d(sf, tf, grid3, sim, numeric=False)
-        assert res.compiled is None
-
-    def test_env_toggle_ledger_identity(self, planar, monkeypatch):
-        sf, tf = planar
-        grid3 = ProcessGrid3D(2, 2, 4)
-        sim_on = Simulator(grid3.size)
-        factor_3d(sf, tf, grid3, sim_on, numeric=False)
-        monkeypatch.setenv("REPRO_COMPILE", "off")
-        sim_off = Simulator(grid3.size)
-        factor_3d(sf, tf, grid3, sim_off, numeric=False)
-        assert ledger_state(sim_on) == ledger_state(sim_off)
-
     def test_faults_disable_compile(self, planar):
         from repro.resilience import FaultPlan
         sf, tf = planar
@@ -244,74 +226,105 @@ def _no_shm_leftovers():
     return glob.glob("/dev/shm/repro_shm_*")
 
 
-def _crashing_factor_fn(sf, nodes, grid, sim, data=None, options=None):
-    raise RuntimeError("worker exploded")
+@pytest.fixture(scope="module")
+def circuit():
+    """Geometry-less circuit matrix whose level-1 forests touch blocks no
+    leaf-level export covered: the one fixture here where a *later* level
+    has to create a fresh shared-memory segment."""
+    from repro.sparse import circuit_like
+    A, geom = circuit_like(12, seed=3)
+    sf = symbolic_factorize(A, geom, leaf_size=16)
+    return sf, greedy_partition(sf, 4)
+
+
+def _run_numeric(setup, **kw):
+    sf, tf = setup
+    grid3 = ProcessGrid3D(2, 2, 4)
+    sim = Simulator(grid3.size)
+    res = factor_3d(sf, tf, grid3, sim, numeric=True, options=_opts(**kw))
+    return sim, res
+
+
+def _levels(res):
+    return [st for st in res.parallel_stats if isinstance(st, LevelStats)]
+
+
+def _fallbacks(res):
+    return [st for st in res.parallel_stats
+            if isinstance(st, ParallelFallback)]
 
 
 class TestShmTransport:
-    def test_shm_ships_fewer_bytes_than_pickle(self, planar):
-        sf, tf = planar
-        runs = {}
-        for label, opts in (
-                ("shm", _opts(n_workers=2, parallel_backend="serial")),
-                ("pickle", _opts(n_workers=2, parallel_backend="serial",
-                                 shm_transport=False))):
-            grid3 = ProcessGrid3D(2, 2, 4)
-            sim = Simulator(grid3.size)
-            res = factor_3d(sf, tf, grid3, sim, numeric=True, options=opts)
-            runs[label] = (ledger_state(sim),
-                           res.factors().to_dense(),
-                           [st for st in res.parallel_stats
-                            if hasattr(st, "transport")])
-        shm_levels, pkl_levels = runs["shm"][2], runs["pickle"][2]
-        assert {st.transport for st in shm_levels} == {"shm"}
-        assert {st.transport for st in pkl_levels} == {"pickle"}
-        shm_bytes = sum(st.bytes_shipped for st in shm_levels)
-        pkl_bytes = sum(st.bytes_shipped for st in pkl_levels)
-        # Compact mode packs the pickle payloads (index+value format), so
-        # the dense >= 10x descriptor advantage shrinks; it must still win.
-        from repro.comm.volume import volume_kind
-        margin = 10 if volume_kind(None) == "dense" else 2
-        assert 0 < shm_bytes < pkl_bytes / margin, \
-            f"shm shipped {shm_bytes}B vs pickle {pkl_bytes}B"
-        assert runs["shm"][0] == runs["pickle"][0]
-        assert np.array_equal(runs["shm"][1], runs["pickle"][1])
+    def test_shm_ships_descriptors_not_blocks(self, planar):
+        sim_s, res_s = _run_numeric(planar)
+        sim_p, res_p = _run_numeric(planar, n_workers=2)
+        levels = _levels(res_p)
+        assert levels and not _fallbacks(res_p)
+        shipped = sum(st.bytes_shipped for st in levels)
+        block_bytes = sum(a.nbytes
+                          for a in res_p.replicas.snapshot().values())
+        assert 0 < shipped < block_bytes / 10, \
+            f"shm shipped {shipped}B for {block_bytes}B of blocks"
+        assert ledger_state(sim_s) == ledger_state(sim_p)
+        assert np.array_equal(res_s.factors().to_dense(),
+                              res_p.factors().to_dense())
         assert _no_shm_leftovers() == []
 
-    def test_process_backend_no_leaks(self, planar):
-        sf, tf = planar
-        grid3 = ProcessGrid3D(2, 2, 4)
-        sim = Simulator(grid3.size)
-        res = factor_3d(sf, tf, grid3, sim, numeric=True,
-                        options=_opts(n_workers=2,
-                                      parallel_backend="process"))
-        assert any(getattr(st, "transport", None) == "shm"
-                   for st in res.parallel_stats)
-        assert res.factors() is not None
-        assert _no_shm_leftovers() == []
+    def test_worker_crash_leaves_no_segments(self, planar, monkeypatch):
+        """A kernel that raises inside a pool worker (the patched module
+        is inherited through fork) propagates unchanged and still unlinks
+        every segment."""
+        from repro.plan import backends
 
-    def test_worker_crash_leaves_no_segments(self, planar):
-        sf, tf = planar
-        grid3 = ProcessGrid3D(2, 2, 4)
-        sim = Simulator(grid3.size)
+        def exploding_getrf(block, eps):
+            raise RuntimeError("worker exploded")
+
+        monkeypatch.setattr(backends, "getrf_nopiv", exploding_getrf)
         with pytest.raises(RuntimeError, match="worker exploded"):
-            factor_3d(sf, tf, grid3, sim, numeric=True,
-                      factor_fn=_crashing_factor_fn,
-                      options=_opts(n_workers=2,
-                                    parallel_backend="serial"))
+            _run_numeric(planar, n_workers=2)
         assert _no_shm_leftovers() == []
 
-    def test_env_toggle_forces_pickle(self, planar, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        sf, tf = planar
-        grid3 = ProcessGrid3D(2, 2, 4)
-        sim = Simulator(grid3.size)
-        res = factor_3d(sf, tf, grid3, sim, numeric=True,
-                        options=_opts(n_workers=2,
-                                      parallel_backend="serial"))
-        levels = [st for st in res.parallel_stats
-                  if hasattr(st, "transport")]
-        assert levels and all(st.transport == "pickle" for st in levels)
+    @pytest.mark.parametrize("ok_creates", [0, 4],
+                             ids=["first-level", "later-level"])
+    def test_shm_failure_finishes_inline(self, circuit, monkeypatch,
+                                         ok_creates):
+        """``_create`` failing on the first export — or on level 1, after
+        the leaf level (4 grids = 4 segments) fanned out — must not raise:
+        the remaining levels run inline, the ledger is untouched and the
+        run says why."""
+        sim_s, res_s = _run_numeric(circuit)
+        real_create = ShmTransport._create
+        calls = {"n": 0}
+
+        def flaky_create(self, nbytes):
+            calls["n"] += 1
+            if calls["n"] > ok_creates:
+                raise OSError("no space left on /dev/shm")
+            return real_create(self, nbytes)
+
+        monkeypatch.setattr(ShmTransport, "_create", flaky_create)
+        sim_p, res_p = _run_numeric(circuit, n_workers=2)
+        assert calls["n"] == ok_creates + 1
+        (fb,) = _fallbacks(res_p)
+        assert "shared memory" in fb.reason and fb.requested_workers == 2
+        assert len(_levels(res_p)) == (1 if ok_creates else 0)
+        assert ledger_state(sim_s) == ledger_state(sim_p)
+        delta = np.abs(res_s.factors().to_dense()
+                       - res_p.factors().to_dense()).max()
+        assert delta <= 1e-12
+        assert _no_shm_leftovers() == []
+
+    def test_shm_missing_at_start_stays_serial(self, planar, monkeypatch):
+        from repro.plan import execmode
+        monkeypatch.setattr(execmode, "shm_available", lambda: False)
+        sim_s, res_s = _run_numeric(planar)
+        sim_p, res_p = _run_numeric(planar, n_workers=2)
+        (fb,) = res_p.parallel_stats
+        assert isinstance(fb, ParallelFallback)
+        assert "shared memory" in fb.reason
+        assert ledger_state(sim_s) == ledger_state(sim_p)
+        assert np.array_equal(res_s.factors().to_dense(),
+                              res_p.factors().to_dense())
 
     def test_dirty_block_recopied(self, planar):
         """Cross-level caching must not ship stale data: the z-reduction
@@ -319,7 +332,6 @@ class TestShmTransport:
         result still matches the fully-serial factorization bit-for-bit
         (already asserted above) -- here we check the transport actually
         reuses segments instead of re-exporting everything."""
-        from repro.parallel.shm import ShmTransport
         tr = ShmTransport()
         a = np.arange(6.0).reshape(2, 3)
         h1 = tr.export(7, {(0, 0): a})
@@ -346,13 +358,7 @@ class TestFormatting:
         assert "dispatch reduction" in out
         assert "tasks before" in out
 
-    def test_parallel_stats_show_transport(self, planar):
-        sf, tf = planar
-        grid3 = ProcessGrid3D(2, 2, 4)
-        sim = Simulator(grid3.size)
-        res = factor_3d(sf, tf, grid3, sim, numeric=True,
-                        options=_opts(n_workers=2,
-                                      parallel_backend="serial"))
+    def test_parallel_stats_show_shipped_bytes(self, planar):
+        _, res = _run_numeric(planar, n_workers=2)
         out = format_parallel_stats(res)
-        assert "transport" in out and "shipped" in out
-        assert "shm" in out
+        assert "shipped" in out and "workers" in out

@@ -1,4 +1,5 @@
-"""Tests for the 2.5D ancestor-level cost engine."""
+"""Tests for the 2.5D ancestor-level cost engine
+(``FactorOptions(ancestor_replication=Pz)``)."""
 
 import json
 from dataclasses import replace
@@ -11,12 +12,17 @@ from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.comm.simulator import COMPUTE_KINDS, PHASES
 from repro.lu2d.options import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.dense25 import factor_3d_dense25
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 
 GOLDEN = Path(__file__).parent / "data" / "golden_ledgers_dense25.json"
+
+
+def _dense25(sf, tf, grid3, sim, numeric=False):
+    """Every ancestor level replicated across its whole range: c = Pz."""
+    return factor_3d(sf, tf, grid3, sim, numeric=numeric,
+                     options=FactorOptions(ancestor_replication=tf.pz))
 
 
 def _setup(nx=10, pz=4, px=1, py=2):
@@ -31,10 +37,9 @@ class TestDense25:
         """The 2.5D schedule redistributes work; totals must match."""
         sf, tf, grid3 = _setup()
         sims = {}
-        for label, fn, kw in (("std", factor_3d, {"numeric": False}),
-                              ("d25", factor_3d_dense25, {})):
+        for label, fn in (("std", factor_3d), ("d25", _dense25)):
             sim = Simulator(grid3.size)
-            fn(sf, tf, grid3, sim, **kw)
+            fn(sf, tf, grid3, sim, numeric=False)
             sims[label] = sim
         tot = lambda s: sum(s.flops[k].sum()
                             for k in ("diag", "panel", "schur"))
@@ -43,7 +48,7 @@ class TestDense25:
     def test_conservation_and_drained(self):
         sf, tf, grid3 = _setup()
         sim = Simulator(grid3.size)
-        factor_3d_dense25(sf, tf, grid3, sim)
+        _dense25(sf, tf, grid3, sim)
         assert sim.total_words_sent() == pytest.approx(sim.total_words_recv())
         assert sim.pending_messages() == 0
 
@@ -51,30 +56,28 @@ class TestDense25:
         """Every rank of the machine does top-level work in 2.5D mode."""
         sf, tf, grid3 = _setup(pz=4)
         sim = Simulator(grid3.size)
-        factor_3d_dense25(sf, tf, grid3, sim)
+        _dense25(sf, tf, grid3, sim)
         comp = sum(sim.flops[k] for k in ("diag", "panel", "schur"))
         assert (comp > 0).all()
 
     def test_beats_standard_on_nonplanar_high_pz(self):
         sf, tf, grid3 = _setup(nx=12, pz=8, px=1, py=2)
         t = {}
-        for label, fn, kw in (("std", factor_3d, {"numeric": False}),
-                              ("d25", factor_3d_dense25, {})):
+        for label, fn in (("std", factor_3d), ("d25", _dense25)):
             sim = Simulator(grid3.size, Machine.edison_like())
-            fn(sf, tf, grid3, sim, **kw)
+            fn(sf, tf, grid3, sim, numeric=False)
             t[label] = sim.makespan
         assert t["d25"] < t["std"]
 
     def test_numeric_not_supported(self):
         sf, tf, grid3 = _setup()
         with pytest.raises(NotImplementedError):
-            factor_3d_dense25(sf, tf, grid3, Simulator(grid3.size),
-                              numeric=True)
+            _dense25(sf, tf, grid3, Simulator(grid3.size), numeric=True)
 
     def test_pz_mismatch_rejected(self):
         sf, tf, _ = _setup(pz=2)
         with pytest.raises(ValueError, match="pz"):
-            factor_3d_dense25(sf, tf, ProcessGrid3D(1, 2, 4), Simulator(8))
+            _dense25(sf, tf, ProcessGrid3D(1, 2, 4), Simulator(8))
 
     def test_pz1_runs_leaf_level_only(self):
         """With one grid there are no ancestor levels to model densely."""
@@ -82,7 +85,7 @@ class TestDense25:
         a = Simulator(grid3.size)
         factor_3d(sf, tf, grid3, a, numeric=False)
         b = Simulator(grid3.size)
-        factor_3d_dense25(sf, tf, grid3, b)
+        _dense25(sf, tf, grid3, b)
         assert np.allclose(a.clock, b.clock)
 
 

@@ -64,12 +64,49 @@ class TestCrossReferences:
             DenseVolume,
             volume_for,
         )
-        from repro.lu3d.dense25 import factor_3d_dense25  # noqa: F401
         from repro.lu3d.merged import factor_3d_merged  # noqa: F401
         from repro.ordering import relax_supernodes  # noqa: F401
-        from repro.parallel.shm import PackedBlock  # noqa: F401
+        from repro.parallel import (  # noqa: F401
+            LevelStats,
+            ParallelFallback,
+            ShmTransport,
+        )
+        from repro.plan import ExecMode, resolve_exec  # noqa: F401
         from repro.solve import condest, equilibrate  # noqa: F401
         from repro.symbolic import block_nnz_tables  # noqa: F401
+
+    def test_api_doc_lists_exactly_the_factor_options(self):
+        """The options table of docs/api.md is the dataclass, field for
+        field, in order — an option cannot appear or vanish undocumented."""
+        import dataclasses
+
+        from repro.lu2d import FactorOptions
+        section = _read("docs/api.md").split("## Options (`FactorOptions`)")[1]
+        section = section.split("\n## ")[0]
+        documented = re.findall(r"^\| `([a-z_]+)` \|", section, flags=re.M)
+        assert documented == [f.name for f in dataclasses.fields(FactorOptions)]
+
+    #: Names this repository deleted with the option/env/path they named;
+    #: a survivor in the program or its reference docs is a stale pointer.
+    DELETED_NAMES = (
+        "REPRO_COMPILE", "REPRO_SHM", "factor_fn", "PackedBlock", "pack_view",
+        "unpack_view", "compile_enabled", "shm_enabled", "_make_engine",
+        "batched_schur", "batch_min_pairs", "shm_transport",
+        "parallel_backend", "track_buffers", "compile_plan=",
+        "apply_schur_numeric", "apply_syrk_numeric", "batched_syrk_update",
+        "gather_panels", "panel_offsets", "n_batched_gemms",
+        "batch_fill_ratio", "format_kernel_counters", "exec_panel_factor",
+        "exec_panel_bcast", "exec_schur", "export_view", "factor_3d_dense25",
+        "lu3d/dense25", "lu3d.dense25", "--no-compile",
+    )
+
+    def test_no_deleted_name_survives(self):
+        files = list((ROOT / "src").rglob("*.py")) \
+            + list((ROOT / "docs").glob("*.md"))
+        for path in files:
+            text = path.read_text()
+            for name in self.DELETED_NAMES:
+                assert name not in text, f"{name!r} survives in {path}"
 
 
 class TestPublicApiHygiene:

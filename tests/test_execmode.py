@@ -1,0 +1,238 @@
+"""The execution-mode decision table, swept end to end.
+
+``repro.plan.resolve_exec`` is the only place that chooses how a run
+executes. This module sweeps the whole observable input space — the ten
+``FactorOptions`` fields × what is attached to the simulator × the driver
+× numeric/cost-only — and demands that every combination does exactly one
+of three things:
+
+* books the **serial reference ledger** bit for bit,
+* raises the **documented typed refusal**, or
+* books the reference ledger *and* records a ``ParallelFallback``
+
+— nothing else. The reference is independent of the drivers' path choice:
+for plain runs it is the plan-level unfused walk of the fuzzer
+(``fuzz_3d(...).canonical_ledger``, identity order, no compile pass), and
+the attachments used here are ledger-neutral by construction (an empty
+trace, a uniform topology, an accelerator whose threshold nothing
+reaches, an injector with no faults), so one reference serves them all.
+Resilient runs (faults / checkpoints change the ledger by design) are
+referenced against their own serial, unattached run.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.analysis import Trace  # noqa: E402
+from repro.cholesky import factor_chol_3d  # noqa: E402
+from repro.comm import (  # noqa: E402
+    Machine,
+    ProcessGrid3D,
+    Simulator,
+    UniformTopology,
+)
+from repro.comm.accelerator import Accelerator  # noqa: E402
+from repro.lu2d import FactorOptions  # noqa: E402
+from repro.lu3d import factor_3d  # noqa: E402
+from repro.lu3d.merged import factor_3d_merged  # noqa: E402
+from repro.parallel import (  # noqa: E402
+    LevelStats,
+    ParallelFallback,
+    resolve_workers,
+)
+from repro.plan import ExecMode, resolve_exec  # noqa: E402
+from repro.resilience import Fault, FaultInjector, FaultPlan  # noqa: E402
+from repro.tree import greedy_partition  # noqa: E402
+from repro.verify import fuzz_3d  # noqa: E402
+from repro.verify.oracle import ledger_state  # noqa: E402
+from tests.conftest import _symbolic  # noqa: E402
+
+PZ = 2
+GRID3 = ProcessGrid3D(2, 1, PZ)
+MACHINE = Machine.edison_like()
+ATTACHMENTS = ("none", "trace", "topology", "accelerator", "faults")
+DRIVERS = ("lu", "merged", "cholesky")
+FAULT_PLANS = {
+    "none": None,
+    "slow": FaultPlan((Fault("slow", rank=0, slow_factor=2.0),)),
+    "crash": FaultPlan((Fault("crash", grid=0, level=1),)),
+}
+
+
+def make_sim(attachment: str) -> Simulator:
+    """A simulator carrying one ledger-neutral attachment."""
+    if attachment == "trace":
+        return Simulator(GRID3.size, MACHINE, trace=Trace())
+    if attachment == "topology":
+        return Simulator(GRID3.size, MACHINE, topology=UniformTopology())
+    sim = Simulator(GRID3.size, MACHINE)
+    if attachment == "accelerator":
+        sim.attach_accelerator(Accelerator(min_flops=1e12))
+    elif attachment == "faults":
+        sim.attach_faults(FaultInjector(FaultPlan(), MACHINE))
+    return sim
+
+
+def setup_for(driver: str, blocking: str):
+    sf = _symbolic(12, 16, driver == "cholesky", blocking)
+    return sf, greedy_partition(sf, PZ)
+
+
+def run_driver(driver: str, sf, tf, sim, numeric: bool, opts: FactorOptions):
+    if driver == "merged":
+        return factor_3d_merged(sf, tf, GRID3, sim, numeric=numeric,
+                                options=opts)
+    fn = factor_chol_3d if driver == "cholesky" else factor_3d
+    return fn(sf, tf, GRID3, sim, numeric=numeric, options=opts)
+
+
+def expected_error(opts: FactorOptions, driver: str, numeric: bool):
+    """The documented refusals, restated independently of the table."""
+    if opts.ancestor_replication > 1:
+        if numeric:
+            return NotImplementedError
+        if opts.resilience_active() or driver != "lu":
+            return ValueError
+    return None
+
+
+def expect_fallback(opts, attachment, driver, numeric) -> bool:
+    if opts.n_workers == 1:
+        return False
+    return (driver == "merged" and numeric) or opts.resilience_active() \
+        or attachment != "none" or resolve_workers(opts.n_workers) <= 1
+
+
+_reference_cache: dict = {}
+
+
+def reference_ledger(driver, numeric, opts: FactorOptions) -> dict:
+    """The serial reference of ``opts``' ledger-relevant part."""
+    key = (driver, numeric, opts.lookahead, opts.sparse_bcast,
+           opts.compact_comm, opts.ancestor_replication, opts.blocking,
+           opts.fault_plan, opts.checkpoint_every, opts.recovery)
+    if key not in _reference_cache:
+        sf, tf = setup_for(driver, opts.blocking)
+        serial = dataclasses.replace(opts, n_workers=1)
+        if opts.resilience_active():
+            sim = make_sim("none")
+            run_driver(driver, sf, tf, sim, numeric, serial)
+            ledger = ledger_state(sim)
+        else:
+            ledger = fuzz_3d(
+                sf, tf, GRID3, numeric=numeric, n_orders=0, options=serial,
+                machine=MACHINE, merged=driver == "merged",
+                backend="cholesky" if driver == "cholesky" else "lu",
+            ).canonical_ledger
+        _reference_cache[key] = ledger
+    return _reference_cache[key]
+
+
+@st.composite
+def cases(draw):
+    fault = draw(st.sampled_from(sorted(FAULT_PLANS)))
+    opts = FactorOptions(
+        lookahead=draw(st.sampled_from([0, 8])),
+        pivot_eps=draw(st.sampled_from([1e-10, 1e-8])),
+        sparse_bcast=draw(st.booleans()),
+        n_workers=draw(st.sampled_from([1, 2, 0])),
+        fault_plan=FAULT_PLANS[fault],
+        checkpoint_every=draw(st.sampled_from([0, 7])),
+        recovery=draw(st.sampled_from(["restart", "z-replica"])),
+        compact_comm=draw(st.booleans()),
+        ancestor_replication=draw(st.sampled_from([1, 2])),
+        blocking=draw(st.sampled_from(["uniform", "irregular"])))
+    return (opts, draw(st.sampled_from(ATTACHMENTS)),
+            draw(st.sampled_from(DRIVERS)), draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=list(HealthCheck))
+@given(cases())
+def test_every_combination_matches_reference_raises_or_falls_back(case):
+    opts, attachment, driver, numeric = case
+    sf, tf = setup_for(driver, opts.blocking)
+    sim = make_sim(attachment)
+    error = expected_error(opts, driver, numeric)
+    if error is not None:
+        with pytest.raises(error):
+            run_driver(driver, sf, tf, sim, numeric, opts)
+        return
+    res = run_driver(driver, sf, tf, sim, numeric, opts)
+    assert ledger_state(sim) == reference_ledger(driver, numeric, opts)
+    fallbacks = [p for p in res.parallel_stats
+                 if isinstance(p, ParallelFallback)]
+    levels = [p for p in res.parallel_stats if isinstance(p, LevelStats)]
+    if expect_fallback(opts, attachment, driver, numeric):
+        assert len(fallbacks) == 1 and not levels
+        assert fallbacks[0].requested_workers == opts.n_workers
+    else:
+        assert not fallbacks
+        assert bool(levels) == (opts.n_workers != 1)
+
+
+class TestResolveExec:
+    """The table's rows, one by one, without running anything."""
+
+    @staticmethod
+    def mode(opts=None, attachment="none", **kw) -> ExecMode:
+        kw = {"numeric": True, "merged": False, "backend": "lu", **kw}
+        return resolve_exec(opts or FactorOptions(), make_sim(attachment),
+                            **kw)
+
+    def test_plain_run_fuses_inline(self):
+        assert self.mode() == ExecMode(fuse=True, monitored=False,
+                                       n_workers=1, accelerated=False)
+
+    @pytest.mark.parametrize("attachment",
+                             ["trace", "accelerator", "faults"])
+    def test_observed_runs_walk_unfused(self, attachment):
+        m = self.mode(attachment=attachment)
+        assert not m.fuse and not m.monitored
+        assert m.accelerated == (attachment == "accelerator")
+
+    def test_topology_only_blocks_the_fork(self):
+        m = self.mode(FactorOptions(n_workers=2), attachment="topology")
+        assert m.fuse and m.n_workers == 1
+        assert "cannot fork" in m.fallback.reason
+
+    def test_resilience_is_monitored_and_serial(self):
+        m = self.mode(FactorOptions(checkpoint_every=5, n_workers=2))
+        assert m.monitored and not m.fuse and m.n_workers == 1
+        assert "resilience" in m.fallback.reason
+
+    def test_pool_engages_with_resolved_count(self):
+        m = self.mode(FactorOptions(n_workers=3))
+        assert m.n_workers == 3 and m.fallback is None
+
+    def test_one_resolved_worker_is_a_fallback(self, monkeypatch):
+        import os
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        m = self.mode(FactorOptions(n_workers=0))
+        assert m.n_workers == 1 and "single worker" in m.fallback.reason
+
+    def test_merged_numeric_stays_serial_cost_only_fans_out(self):
+        opts = FactorOptions(n_workers=2)
+        assert "global block copy" in self.mode(opts, merged=True
+                                                ).fallback.reason
+        assert self.mode(opts, merged=True, numeric=False).n_workers == 2
+
+    def test_replication_refusals(self):
+        c2 = FactorOptions(ancestor_replication=2)
+        with pytest.raises(NotImplementedError):
+            self.mode(c2)
+        with pytest.raises(ValueError, match="recovery boundaries"):
+            self.mode(dataclasses.replace(c2, checkpoint_every=3),
+                      numeric=False)
+        with pytest.raises(ValueError, match="standard LU"):
+            self.mode(c2, numeric=False, merged=True)
+        with pytest.raises(ValueError, match="standard LU"):
+            self.mode(c2, numeric=False, backend="cholesky")
+        assert self.mode(c2, numeric=False).fuse

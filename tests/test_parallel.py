@@ -19,7 +19,7 @@ from repro.lu2d.factor2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
 from repro.parallel import engine as engine_mod
-from repro.parallel.engine import ParallelExecutor, resolve_workers
+from repro.parallel.engine import resolve_workers
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
@@ -75,12 +75,11 @@ def _run_lu(sf, tf, numeric, opts):
 
 class TestParallelMatchesSerial:
     @pytest.mark.parametrize("n_workers", [2, 4])
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_lu_numeric(self, planar_setup, n_workers, backend):
+    def test_lu_numeric(self, planar_setup, n_workers):
         _, sf, tf = planar_setup
         sim_s, res_s = _run_lu(sf, tf, True, FactorOptions())
-        sim_p, res_p = _run_lu(sf, tf, True, FactorOptions(
-            n_workers=n_workers, parallel_backend=backend))
+        sim_p, res_p = _run_lu(sf, tf, True,
+                               FactorOptions(n_workers=n_workers))
         assert_ledgers_identical(sim_s, sim_p)
         delta = np.abs(res_s.factors().to_dense()
                        - res_p.factors().to_dense()).max()
@@ -93,8 +92,7 @@ class TestParallelMatchesSerial:
     def test_lu_cost_only(self, planar_setup):
         _, sf, tf = planar_setup
         sim_s, _ = _run_lu(sf, tf, False, FactorOptions())
-        sim_p, res_p = _run_lu(sf, tf, False, FactorOptions(
-            n_workers=2, parallel_backend="process"))
+        sim_p, res_p = _run_lu(sf, tf, False, FactorOptions(n_workers=2))
         assert_ledgers_identical(sim_s, sim_p)
         assert res_p.parallel_stats
 
@@ -145,25 +143,27 @@ class TestParallelMatchesSerial:
             assert 0.0 <= st.serial_fraction <= 1.0
 
 
-def _failing_factor_fn(sf, nodes, grid, sim, data=None, options=None):
-    raise RuntimeError("worker exploded")
-
-
 class TestEngineMachinery:
-    def test_worker_error_propagates(self, planar_setup):
+    def test_worker_error_propagates(self, planar_setup, monkeypatch):
+        """A worker-side exception reaches the caller unchanged. The
+        monkeypatched interpreter entry is inherited through fork."""
+        from repro.plan import interpret
+
+        def exploding(*args, **kwargs):
+            raise RuntimeError("worker exploded")
+
+        monkeypatch.setattr(interpret, "execute_grid_plan", exploding)
         _, sf, tf = planar_setup
         grid3 = ProcessGrid3D(2, 2, PZ)
         sim = Simulator(grid3.size)
         with pytest.raises(RuntimeError, match="worker exploded"):
             factor_3d(sf, tf, grid3, sim, numeric=False,
-                      factor_fn=_failing_factor_fn,
                       options=FactorOptions(n_workers=2))
 
     def test_n_workers_1_spawns_no_pool(self, planar_setup, monkeypatch):
         def boom(*a, **k):
             raise AssertionError("pool spawned for n_workers=1")
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", boom)
-        monkeypatch.setattr(engine_mod, "ThreadPoolExecutor", boom)
         _, sf, tf = planar_setup
         grid3 = ProcessGrid3D(2, 2, PZ)
         sim = Simulator(grid3.size)
@@ -177,13 +177,9 @@ class TestEngineMachinery:
         with pytest.raises(ValueError):
             resolve_workers(-1)
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="parallel_backend"):
-            FactorOptions(parallel_backend="gpu")
+    def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
             FactorOptions(n_workers=-2)
-        with pytest.raises(ValueError, match="backend"):
-            ParallelExecutor(2, "gpu", None, None, None)
 
 
 class TestForkMerge:

@@ -185,18 +185,12 @@ class TestExplicitZeros:
 
 
 #: The refactorize × execution-mode interaction matrix: the plan-replay
-#: warm path must stay bit-identical to a cold factorization under every
-#: combination of the compiler and the worker fan-out/transport.
+#: warm path must stay bit-identical to a cold factorization on the inline
+#: serial levels and on the real process pool (shared-memory transport).
+#: The unfused walk is covered by ``test_unfused_replay_matches_cold``.
 INTERACTION_MODES = [
-    ("serial-compiled", FactorOptions(compile_plan=True)),
-    ("serial-uncompiled", FactorOptions(compile_plan=False)),
-    ("workers-shm", FactorOptions(n_workers=2, parallel_backend="serial",
-                                  shm_transport=True)),
-    ("workers-pickle", FactorOptions(n_workers=2, parallel_backend="serial",
-                                     shm_transport=False)),
-    ("workers-uncompiled", FactorOptions(n_workers=2,
-                                         parallel_backend="serial",
-                                         compile_plan=False)),
+    ("serial", FactorOptions()),
+    ("workers", FactorOptions(n_workers=2)),
 ]
 
 
@@ -224,10 +218,32 @@ class TestRefactorizeInteractions:
         x = solver.solve(b)
         assert np.linalg.norm(A2 @ x - b) / np.linalg.norm(b) < 1e-12
 
-    @pytest.mark.parametrize("label,opts",
-                             INTERACTION_MODES[:2] + INTERACTION_MODES[2:3],
-                             ids=["serial-compiled", "serial-uncompiled",
-                                  "workers-shm"])
+    def test_unfused_replay_matches_cold(self, stepping_pair):
+        """A bundle replayed on a traced simulator takes the unfused walk
+        (``resolve_exec``: trace => no fusion) and must still match a cold
+        traced run — and the fused run's ledger — bit for bit."""
+        from repro import ProcessGrid3D, Simulator
+        from repro.analysis import Trace
+        from repro.lu3d import factor_3d
+        A1, A2, g, _ = stepping_pair
+        solver = SparseLU3D(A1, geometry=g, px=2, py=2, pz=2, leaf_size=24)
+        solver.factorize()
+        sf, tf = solver.sf, solver.tf
+        grid3 = ProcessGrid3D(2, 2, 2)
+        A2p = sf.perm.apply_matrix(A2)
+        sims = {}
+        for label, cached in (("warm", solver.result.bundle), ("cold", None)):
+            sims[label] = Simulator(grid3.size, solver.machine, trace=Trace())
+            res = factor_3d(sf, tf, grid3, sims[label], matrix=A2p,
+                            cached=cached)
+            assert res.compiled is None  # traced: the unfused walk
+        assert ledger_state(sims["warm"]) == ledger_state(sims["cold"])
+        solver.refactorize(A2)  # fused replay of the same bundle
+        assert solver.result.compiled is not None
+        assert ledger_state(solver.sim) == ledger_state(sims["warm"])
+
+    @pytest.mark.parametrize("label,opts", INTERACTION_MODES,
+                             ids=[m[0] for m in INTERACTION_MODES])
     def test_cholesky_warm_matches_cold(self, stepping_pair, label, opts):
         from repro.cholesky import SparseCholesky3D
         A1, A2, g, n = stepping_pair

@@ -330,8 +330,7 @@ class TestSerialization:
         ledgers = {}
         for nw in (1, 2):
             _, _, sim, res = lu3d_run(options=FactorOptions(
-                fault_plan=plan, recovery="z-replica", n_workers=nw,
-                parallel_backend="serial"))
+                fault_plan=plan, recovery="z-replica", n_workers=nw))
             ledgers[nw] = ledger_dict(sim)
             if nw != 1:
                 fbs = [s for s in res.parallel_stats
@@ -339,11 +338,15 @@ class TestSerialization:
                 assert fbs and "resilience" in fbs[0].reason
         assert ledgers[1] == ledgers[2]
 
-    def test_pool_refuses_fault_plans(self):
-        from repro.parallel.engine import ParallelExecutor
-        opts = FactorOptions(fault_plan=FaultPlan((Fault("slow"),)))
-        with pytest.raises(ValueError, match="serial"):
-            ParallelExecutor(2, "serial", None, None, opts)
+    def test_decision_table_never_pairs_pool_with_fault_plan(self):
+        from repro import Simulator
+        from repro.plan import resolve_exec
+        opts = FactorOptions(fault_plan=FaultPlan((Fault("slow"),)),
+                             n_workers=2)
+        mode = resolve_exec(opts, Simulator(4), numeric=True, merged=False,
+                            backend="lu")
+        assert mode.monitored and not mode.fuse and mode.n_workers == 1
+        assert "serial" in mode.fallback.reason
 
 
 class TestReporting:

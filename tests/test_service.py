@@ -75,7 +75,7 @@ class TestFingerprint:
         assert k1 != cache_key(A, (2, 2, 2), "lu", FactorOptions(lookahead=0))
         # runtime-only knobs share the entry
         assert k1 == cache_key(A, (2, 2, 2), "lu",
-                               FactorOptions(n_workers=4, compile_plan=False))
+                               FactorOptions(n_workers=4, pivot_eps=1e-8))
 
 
 class TestPlanCache:
@@ -91,6 +91,20 @@ class TestPlanCache:
         assert stats.entries == 2 and stats.evictions == 1
         assert cache.get("a") is None          # oldest evicted
         assert cache.get("c") is not None
+
+    def test_failed_build_leaks_no_lock(self):
+        cache = PlanCache(capacity=2)
+
+        def broken():
+            raise RuntimeError("symbolic phase exploded")
+
+        with pytest.raises(RuntimeError, match="exploded"):
+            cache.get_or_build("a", broken)
+        assert cache._building == {}
+        entry, hit = cache.get_or_build("a", lambda: self._entry("a"))
+        assert not hit and entry.key == "a"
+        assert cache.stats().misses == 1
+        assert cache._building == {}
 
     def test_recency_touch(self):
         cache = PlanCache(capacity=2)

@@ -4,7 +4,7 @@ Pins the contract the comm-volume refactor rides on: dense pricing is the
 identity (so dense goldens stay bit-identical to the seed), compact
 pricing never exceeds dense per block — hence per phase and in total —
 and a compact run still passes the full verification stack (conservation
-oracle, order fuzzing, bit-identical factors, packed worker transport).
+oracle, order fuzzing, bit-identical factors, worker fan-out).
 Also covers the env/option mode resolution, the plan-bundle cross-mode
 guard, the ``words >= 0`` validation on :func:`reduce_pairwise`, the
 ``words_per_rank(phase=...)`` filter, and closed-form-vs-per-event
@@ -29,7 +29,6 @@ from repro.comm.volume import (
 )
 from repro.lu2d.factor2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.parallel.shm import PackedBlock, pack_block, pack_view, unpack_view
 from repro.plan.replay import plan_options_key
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
@@ -207,45 +206,14 @@ class TestBundleModeGuard:
         assert np.array_equal(sim.clock, sim2.clock)
 
 
-# -- packed worker transport ------------------------------------------------
+# -- worker fan-out under compact pricing -----------------------------------
 
 
-class TestPackedTransport:
-    def test_pack_roundtrip_exact(self):
-        rng = np.random.default_rng(0)
-        a = np.zeros((9, 7))
-        mask = rng.random(a.shape) < 0.2
-        a[mask] = rng.standard_normal(int(mask.sum()))
-        a[0, 0] = -2.25
-        p = pack_block(a)
-        assert isinstance(p, PackedBlock)
-        assert np.array_equal(p.unpack(), a)
-        assert p.idx.dtype == np.int32
-
-    def test_dense_blocks_stay_dense(self):
-        a = np.arange(1.0, 21.0).reshape(4, 5)   # fully dense
-        assert pack_block(a) is a
-        # At the 2/3 break-even density (12*6 >= 8*9): keep dense.
-        b = np.zeros((3, 3))
-        b.ravel()[:6] = 1.0
-        assert pack_block(b) is b
-
-    def test_view_roundtrip(self):
-        view = {(0, 0): np.eye(8), (1, 0): np.ones((4, 8)),
-                "meta": "untouched"}
-        packed = pack_view(view)
-        assert isinstance(packed[(0, 0)], PackedBlock)   # sparse: packed
-        assert packed[(1, 0)] is view[(1, 0)]            # dense: kept
-        assert packed["meta"] == "untouched"
-        back = unpack_view(packed)
-        assert np.array_equal(back[(0, 0)], view[(0, 0)])
-
+class TestCompactWorkerFanout:
     def test_compact_worker_fanout_matches_serial(self):
         sf, tf = small_setup(12, 16, 2)
         opts_serial = FactorOptions(compact_comm=True)
-        opts_workers = FactorOptions(compact_comm=True, n_workers=2,
-                                     parallel_backend="serial",
-                                     shm_transport=False)
+        opts_workers = FactorOptions(compact_comm=True, n_workers=2)
         sim1, r1 = run_3d(sf, tf, 2, options=opts_serial)
         sim2, r2 = run_3d(sf, tf, 2, options=opts_workers)
         assert np.array_equal(r1.factors().to_dense(),
