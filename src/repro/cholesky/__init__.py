@@ -19,7 +19,7 @@ from repro.cholesky.factor import (
     factor_chol_3d,
     factor_nodes_chol_2d,
 )
-from repro.cholesky.kernels import chol_panel_solve, potrf_shifted
+from repro.lu2d.kernels import chol_panel_solve, potrf_shifted
 
 __all__ = [
     "SparseCholesky3D",

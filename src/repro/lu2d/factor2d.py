@@ -20,11 +20,13 @@ from repro.comm.grid import ProcessGrid2D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import Factor2DResult, FactorOptions
 from repro.lu2d.storage import allocate_factor_storage
+from repro.plan.backends import get_backend
 from repro.plan.build import build_grid_plan
 from repro.plan.compile import compile_plan
 from repro.plan.execmode import resolve_exec
 from repro.plan.interpret import execute_grid_plan
 from repro.symbolic.symbolic_factor import SymbolicFactorization
+from repro.utils import require_finite
 
 __all__ = ["FactorOptions", "Factor2DResult", "factor_nodes_2d", "factor_2d"]
 
@@ -52,6 +54,13 @@ def _factor_nodes(backend: str, sf, nodes, grid, sim, data, options
     """The one 2D node driver behind the LU and Cholesky entry points:
     build the grid plan → resolve how to run it → execute."""
     opts = options or FactorOptions()
+    if data is not None:
+        # The kernels do not scan for NaN/inf: stop them here, on every
+        # block this call factors (its nodes' diagonal and panel blocks).
+        node_blocks = get_backend(backend).node_blocks
+        for k in nodes:
+            for i, j, _w in node_blocks(sf, k):
+                require_finite(data[(i, j)], f"data block ({i}, {j})")
     mode = resolve_exec(opts, sim, numeric=data is not None, merged=False,
                         backend=backend)
     plan = build_grid_plan(sf, nodes, grid, opts, backend=backend)

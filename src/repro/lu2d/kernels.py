@@ -1,4 +1,20 @@
-"""Dense numeric kernels for the supernodal factorization.
+"""The dense-kernel layer: every block operation of LU, Cholesky and the
+triangular sweeps, on raw BLAS/LAPACK handles fetched once at import.
+
+This is the only module that imports ``scipy.linalg.blas`` / ``.lapack``.
+The handles skip scipy's per-call wrappers (finiteness scans, operand and
+result copies), which on a supernodal factorization's small blocks cost
+several times the arithmetic. Two things make that safe:
+
+* **Finiteness is checked once, where values enter the library**
+  (:mod:`repro.utils.validation`), and ``solve`` refuses to return a
+  non-finite ``x``.
+* **In-place contract.** Blocks are C-contiguous float64. Fortran BLAS
+  sees such a block through its transposed view — an F-contiguous array
+  it may overwrite without a copy — so :func:`trsm` and :func:`gemm_sub`
+  solve the transposed problem and the result lands in the caller's
+  buffer. Any other operand (a strided sub-block view, an F-ordered or
+  non-float64 array) goes through a contiguous copy that is written back.
 
 The diagonal factorization is *unpivoted* LU with GESP perturbation —
 SuperLU_DIST's static-pivoting scheme: a pivot smaller than
@@ -6,18 +22,71 @@ SuperLU_DIST's static-pivoting scheme: a pivot smaller than
 backward error is cleaned up by iterative refinement
 (:mod:`repro.solve.refine`). Row exchanges are never performed, which is
 what makes the distributed schedule static — the property both the 2D
-pipeline and the 3D replication scheme depend on.
+pipeline and the 3D replication scheme depend on. :func:`potrf_shifted`
+is the SPD analogue: a diagonal shift instead of a perturbed pivot.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
+from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.lapack import dgetrf, dpotrf
 
-__all__ = ["getrf_nopiv", "solve_lower_panel", "solve_upper_panel"]
+__all__ = ["trsm", "gemm_sub", "getrf_nopiv", "potrf_shifted",
+           "solve_lower_panel", "solve_upper_panel", "chol_panel_solve"]
 
-#: Unblocked threshold for the recursive LU.
+#: Unblocked threshold for the recursive GESP LU.
 _NB = 32
+
+
+def _overwritable(X: np.ndarray) -> bool:
+    """Whether BLAS can overwrite ``X`` through its transposed view."""
+    return X.dtype == np.float64 and X.flags.c_contiguous
+
+
+def trsm(A: np.ndarray, B: np.ndarray, *, side: str = "L", lower: bool,
+         unit: bool = False, trans: bool = False) -> np.ndarray:
+    """Triangular solve overwriting ``B``; returns ``B``.
+
+    Solves ``op(A) X = B`` (``side='L'``) or ``X op(A) = B``
+    (``side='R'``) with ``op(A) = A^T`` if ``trans`` else ``A``, reading
+    only the ``lower`` (or upper) triangle of ``A`` and taking its diagonal
+    as ones if ``unit``. ``B`` is a 2-D block or, for ``side='L'``, a 1-D
+    right-hand side. No finiteness check and no singularity check: a zero
+    pivot yields ``inf``/``nan``, which the facade's ``solve`` rejects.
+    """
+    if side not in ("L", "R"):
+        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    X = B if _overwritable(B) else np.ascontiguousarray(B, dtype=np.float64)
+    # On the F-views A.T / X.T the problem is its own transpose: sides
+    # swap, the stored triangle flips, op() stays.
+    dtrsm(1.0, A.T, X.T if X.ndim == 2 else X[None, :], side=side == "L",
+          lower=not lower, trans_a=trans, diag=unit, overwrite_b=1)
+    if X is not B:
+        B[...] = X
+    return B
+
+
+def gemm_sub(C: np.ndarray, A: np.ndarray, B: np.ndarray,
+             trans_b: bool = False) -> np.ndarray:
+    """Accumulate ``C -= A @ op(B)`` in place (``op(B) = B^T`` if
+    ``trans_b``); returns ``C``. The Schur-update primitive: ``beta = 1``
+    GEMM into the caller's block, no product temporary."""
+    if C.ndim == 2 and _overwritable(C):
+        # C^T -= op(B)^T A^T on the F-views.
+        dgemm(-1.0, B.T, A.T, 1.0, C.T, trans_a=trans_b, overwrite_c=1)
+    else:
+        C -= A @ (B.T if trans_b else B)
+    return C
+
+
+def _threshold(A: np.ndarray, eps: float) -> float:
+    """``eps * ||A||_max`` of a square diagonal block (``eps`` if it is all
+    zero): the GESP pivot floor and the first Cholesky shift."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("diagonal block must be square")
+    norm = np.abs(A).max()
+    return eps * norm if norm > 0 else eps
 
 
 def _getrf_base(A: np.ndarray, tiny: float) -> int:
@@ -43,13 +112,19 @@ def getrf_nopiv(A: np.ndarray, eps: float = 1e-10) -> int:
     perturbed to ``±eps * ||A||_max`` (GESP); the return value counts the
     perturbations so callers can report them.
 
-    Uses recursive blocking so the bulk of the work is BLAS-3.
+    LAPACK's partially pivoted ``dgetrf`` runs first, on a copy. Its
+    result is taken only when it succeeded, swapped no rows and left every
+    ``|u_kk| >= eps * ||A||`` — exactly when partial pivoting and GESP
+    compute the same factors with no perturbation. Otherwise (a row swap,
+    a zero or tiny pivot, a NaN) the recursive GESP loop runs on the
+    untouched block.
     """
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("diagonal block must be square")
-    norm = np.abs(A).max()
-    tiny = eps * norm if norm > 0 else eps
+    tiny = _threshold(A, eps)
+    lu, piv, info = dgetrf(A)
+    if info == 0 and (piv == np.arange(len(piv))).all() \
+            and np.abs(lu.diagonal()).min() >= tiny:
+        A[...] = lu
+        return 0
     return _getrf_recurse(A, tiny)
 
 
@@ -62,19 +137,52 @@ def _getrf_recurse(A: np.ndarray, tiny: float) -> int:
     A21, A22 = A[h:, :h], A[h:, h:]
     perturbed = _getrf_recurse(A11, tiny)
     # A12 <- L11^{-1} A12 ; A21 <- A21 U11^{-1}
-    A12[:] = la.solve_triangular(A11, A12, lower=True, unit_diagonal=True)
-    A21[:] = la.solve_triangular(A11, A21.T, trans="T", lower=False).T
-    A22 -= A21 @ A12
+    trsm(A11, A12, side="L", lower=True, unit=True)
+    trsm(A11, A21, side="R", lower=False)
+    gemm_sub(A22, A21, A12)
     perturbed += _getrf_recurse(A22, tiny)
     return perturbed
 
 
+def potrf_shifted(A: np.ndarray, eps: float = 1e-10,
+                  max_shifts: int = 30) -> tuple[np.ndarray, int]:
+    """Lower Cholesky factor of ``A`` with diagonal-shift fallback.
+
+    Only the lower triangle of ``A`` is read; ``A`` is not modified.
+    Returns ``(L, nshifts)``; ``nshifts`` is how many times the shift was
+    doubled before the factorization succeeded.
+    """
+    shift = _threshold(A, eps)
+    nshifts = 0
+    M = A
+    while True:
+        L, info = dpotrf(M, lower=1, clean=1)
+        if info == 0:
+            return L, nshifts
+        nshifts += 1
+        if nshifts > max_shifts:
+            raise np.linalg.LinAlgError(
+                "diagonal block is not positive definite even after "
+                f"{max_shifts} shifts — is the matrix SPD?")
+        M = A + shift * np.eye(A.shape[0])
+        shift *= 2.0
+
+
 def solve_upper_panel(diag_lu: np.ndarray, A_kj: np.ndarray) -> np.ndarray:
-    """U-panel solve: ``U_kj = L_kk^{-1} A_kj`` given the packed LU of ``A_kk``."""
-    return la.solve_triangular(diag_lu, A_kj, lower=True, unit_diagonal=True)
+    """U-panel solve: ``U_kj = L_kk^{-1} A_kj`` given the packed LU of
+    ``A_kk``. Returns a new array (the in-place form is :func:`trsm`)."""
+    return trsm(diag_lu, np.array(A_kj, dtype=np.float64, order="C"),
+                side="L", lower=True, unit=True)
 
 
 def solve_lower_panel(diag_lu: np.ndarray, A_ik: np.ndarray) -> np.ndarray:
-    """L-panel solve: ``L_ik = A_ik U_kk^{-1}`` given the packed LU of ``A_kk``."""
-    # X U = B  <=>  U^T X^T = B^T, and U^T is (non-unit) lower triangular.
-    return la.solve_triangular(diag_lu, A_ik.T, trans="T", lower=False).T
+    """L-panel solve: ``L_ik = A_ik U_kk^{-1}`` given the packed LU of
+    ``A_kk``. Returns a new array."""
+    return trsm(diag_lu, np.array(A_ik, dtype=np.float64, order="C"),
+                side="R", lower=False)
+
+
+def chol_panel_solve(L_kk: np.ndarray, A_ik: np.ndarray) -> np.ndarray:
+    """Cholesky panel solve ``L_ik = A_ik L_kk^{-T}``. Returns a new array."""
+    return trsm(L_kk, np.array(A_ik, dtype=np.float64, order="C"),
+                side="R", lower=True, trans=True)

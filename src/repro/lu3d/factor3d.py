@@ -63,6 +63,7 @@ from repro.plan.tasks import Plan3D
 from repro.sparse.blockmatrix import BlockMatrix
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.tree.treeforest import TreeForest
+from repro.utils import require_finite
 
 __all__ = ["Factor3DResult", "factor_3d"]
 
@@ -276,6 +277,9 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
     Cholesky): validate → plan bundle → storage → data → execute."""
     if tf.pz != grid3.pz:
         raise ValueError(f"tree-forest pz={tf.pz} != grid pz={grid3.pz}")
+    if numeric:     # the kernels do not scan for NaN/inf: stop them here
+        require_finite((sf.A_perm if matrix is None else matrix).tocsr().data,
+                       "sf.A_perm" if matrix is None else "matrix")
     opts = options or FactorOptions()
     mode = resolve_exec(opts, sim, numeric=numeric, merged=merged,
                         backend=backend)

@@ -7,8 +7,9 @@ A backend bundles everything variant-specific about a factorization:
   participant list and routing (resolved here, at build time, into plain
   :class:`~repro.plan.tasks.BcastSpec` payloads);
 * **numeric kernels** — what actually runs when the interpreter reaches a
-  task in numeric mode (``getrf_nopiv``/panel solves for LU,
-  ``potrf_shifted``/``chol_panel_solve``/SYRK for Cholesky); the
+  task in numeric mode (``getrf_nopiv`` for LU, ``potrf_shifted`` for
+  Cholesky, in-place ``trsm`` panel solves and ``gemm_sub`` Schur
+  accumulation for both — all from :mod:`repro.lu2d.kernels`); the
   interpreter books the simulator events itself, from the task's own
   fields and the backend's per-pair Schur cost arrays, so numeric and
   cost-only runs book identical events;
@@ -26,8 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lu2d.batched import schur_pair_costs, syrk_pair_costs
-from repro.lu2d.kernels import getrf_nopiv, solve_lower_panel, \
-    solve_upper_panel
+from repro.lu2d.kernels import gemm_sub, getrf_nopiv, potrf_shifted, trsm
 from repro.lu2d.storage import node_blocks
 from repro.plan.tasks import BcastSpec, PanelBcast, PanelFactor, SchurUpdate
 
@@ -241,12 +241,11 @@ class LUBackend(KernelBackend):
                 ctx.store[(k, k)], ctx.opts.pivot_eps)
             return
         i, j = task.block
-        if task.side == "U":
-            ctx.store[(k, j)][:] = solve_upper_panel(
-                ctx.store[(k, k)], ctx.store[(k, j)])
-        else:
-            ctx.store[(i, k)][:] = solve_lower_panel(
-                ctx.store[(k, k)], ctx.store[(i, k)])
+        if task.side == "U":    # U_kj <- L_kk^{-1} A_kj
+            trsm(ctx.store[(k, k)], ctx.store[(k, j)], side="L", lower=True,
+                 unit=True)
+        else:                   # L_ik <- A_ik U_kk^{-1}
+            trsm(ctx.store[(k, k)], ctx.store[(i, k)], side="R", lower=False)
 
     def schur_numeric(self, ctx, task):
         k = task.node
@@ -257,7 +256,7 @@ class LUBackend(KernelBackend):
             Lik = store[(i, k)]
             for j in up:
                 j = int(j)
-                store[(i, j)] -= Lik @ store[(k, j)]
+                gemm_sub(store[(i, j)], Lik, store[(k, j)])
 
 
 class CholeskyBackend(KernelBackend):
@@ -319,19 +318,15 @@ class CholeskyBackend(KernelBackend):
         return syrk_pair_costs(k, sf.fill.lpanel[k], sizes, grid)
 
     def panel_numeric(self, ctx, task):
-        # Imported lazily: repro.cholesky's package init pulls the 3D
-        # driver, which imports this module — a top-level import would
-        # close that cycle.
-        from repro.cholesky.kernels import chol_panel_solve, potrf_shifted
         k = task.node
         if isinstance(task, PanelFactor):
             L, nshift = potrf_shifted(ctx.store[(k, k)], ctx.opts.pivot_eps)
             ctx.store[(k, k)][:] = L
             ctx.result.perturbed_pivots += nshift
             return
-        i = task.block[0]
-        ctx.store[(i, k)][:] = chol_panel_solve(
-            ctx.store[(k, k)], ctx.store[(i, k)])
+        # L_ik <- A_ik L_kk^{-T}
+        trsm(ctx.store[(k, k)], ctx.store[(task.block[0], k)], side="R",
+             lower=True, trans=True)
 
     def schur_numeric(self, ctx, task):
         k = task.node
@@ -339,7 +334,8 @@ class CholeskyBackend(KernelBackend):
         lp = [int(i) for i in ctx.sf.fill.lpanel[k]]
         for a, i in enumerate(lp):
             for j in lp[:a + 1]:
-                store[(i, j)] -= store[(i, k)] @ store[(j, k)].T
+                gemm_sub(store[(i, j)], store[(i, k)], store[(j, k)],
+                         trans_b=True)
 
 
 _BACKENDS: dict[str, KernelBackend] = {}

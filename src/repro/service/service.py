@@ -38,6 +38,7 @@ import scipy.sparse as sp
 from repro.comm.machine import Machine
 from repro.lu2d.options import FactorOptions
 from repro.service.cache import PlanCache, PlanEntry, cache_key
+from repro.utils import check_rhs, check_square_sparse
 
 __all__ = ["FactorizationService", "JobResult"]
 
@@ -234,6 +235,14 @@ class FactorizationService:
 
     def _run_job(self, A, b, cfg, explicit: frozenset = frozenset()
                  ) -> JobResult:
+        # Reject malformed / non-finite input before the cache is touched:
+        # a failed job leaves no entry, no build lock, no booked event.
+        A = check_square_sparse(A)
+        if b is not None:
+            if not cfg["numeric"]:
+                raise ValueError("b given but numeric=False: cost-only "
+                                 "jobs cannot solve")
+            b = check_rhs(b, A.shape[0])
         tuned_grid = self._adopt_tuned(A, cfg, explicit)
         key = cache_key(A, (cfg["px"], cfg["py"], cfg["pz"]),
                         cfg["backend"], cfg["options"],
@@ -253,13 +262,9 @@ class FactorizationService:
         t1 = time.perf_counter()
         x = residual = None
         if b is not None:
-            if not cfg["numeric"]:
-                raise ValueError("b given but numeric=False: cost-only "
-                                 "jobs cannot solve")
             x = solver.solve(b)
-            bv = np.asarray(b, dtype=np.float64)
-            residual = float(np.linalg.norm(A @ x - bv)
-                             / max(np.linalg.norm(bv), 1e-300))
+            residual = float(np.linalg.norm(A @ x - b)
+                             / max(np.linalg.norm(b), 1e-300))
         t2 = time.perf_counter()
         entry.record_job(t2 - t0, hit)
         return JobResult(

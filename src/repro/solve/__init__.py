@@ -16,7 +16,7 @@ from repro.solve.driver import SparseLU3D
 from repro.solve.equilibrate import Equilibration, equilibrate
 from repro.solve.refine import RefinementResult, iterative_refinement
 from repro.solve.triangular import backward_solve, forward_solve, \
-    transposed_solve
+    lower_transposed_solve, transposed_solve
 
 __all__ = [
     "Equilibration",
@@ -28,5 +28,6 @@ __all__ = [
     "forward_solve",
     "inverse_norm_est",
     "iterative_refinement",
+    "lower_transposed_solve",
     "transposed_solve",
 ]

@@ -39,13 +39,13 @@ from repro.sparse.generators import GridGeometry
 from repro.sparse.pattern import pattern_of, symmetrize_pattern
 from repro.symbolic.symbolic_factor import SymbolicFactorization, symbolic_factorize
 from repro.tree.partition import greedy_partition, naive_partition
-from repro.utils import check_square_sparse
+from repro.utils import check_rhs, check_square_sparse
 
 __all__ = ["SparseLU3D"]
 
 
 class _Solver3D:
-    """What the LU and Cholesky facades share: the constructor tail, the
+    """What the LU and Cholesky facades share: the constructor, the
     symbolic phase, plan-bundle reuse, (re)factorization, the refined
     solve wrapper and the ledger accessors.
 
@@ -57,11 +57,12 @@ class _Solver3D:
     #: Kernel backend name handed to :func:`repro.lu3d.factor_3d`.
     backend = "lu"
 
-    def __init__(self, A: sp.spmatrix, geometry: GridGeometry | None,
-                 px: int, py: int, pz: int, leaf_size: int,
-                 machine: Machine | None, partition: str,
-                 options: FactorOptions | None, numeric: bool,
-                 nd_method: str, max_block: int | None, relax: int):
+    def __init__(self, A: sp.spmatrix, geometry: GridGeometry | None = None,
+                 px: int = 1, py: int = 1, pz: int = 1, leaf_size: int = 64,
+                 machine: Machine | None = None, partition: str = "greedy",
+                 options: FactorOptions | None = None, numeric: bool = True,
+                 nd_method: str = "bfs", max_block: int | None = 256,
+                 relax: int = 0):
         self.equ: Equilibration | None = None
         self._bind(self._checked(A))
         self.geometry = geometry
@@ -258,11 +259,7 @@ class _Solver3D:
         if self._factor_blocks is None:
             raise RuntimeError(
                 "solve requires factorize() with numeric=True first")
-        b = np.asarray(b, dtype=np.float64)
-        n = self.A.shape[0]
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ValueError(
-                f"b must have shape ({n},) or ({n}, nrhs), got {b.shape}")
+        b = check_rhs(b, self.A.shape[0])
         perm = self.sf.perm
 
         def factored_solve(rhs: np.ndarray) -> np.ndarray:
@@ -271,12 +268,22 @@ class _Solver3D:
             y = perm.unapply_vector(self._raw_solve(perm.apply_vector(rhs)))
             return self.equ.unscale_solution(y) if self.equ is not None else y
 
-        x = factored_solve(b)
+        x = self._finite(factored_solve(b))
         if refine:
             res = iterative_refinement(self.A, b, x, factored_solve, tol=tol)
             self.last_refinement: RefinementResult | None = res
             return res.x
         self.last_refinement = None
+        return x
+
+    @staticmethod
+    def _finite(x: np.ndarray) -> np.ndarray:
+        """The factors' answer, or ``LinAlgError`` if it is not finite (a
+        zero pivot or overflowed factors — the kernels do not check)."""
+        if not np.isfinite(x).all():
+            raise np.linalg.LinAlgError(
+                "the factors produced a non-finite solution: the matrix is "
+                "numerically singular under static pivoting")
         return x
 
     # -- evaluation accessors ---------------------------------------------------
@@ -370,7 +377,7 @@ class SparseLU3D(_Solver3D):
         if self._factor_blocks is None:
             raise RuntimeError(
                 "solve_transposed requires factorize() with numeric=True first")
-        b = np.asarray(b, dtype=np.float64)
+        b = check_rhs(b, self.A.shape[0])
         if self.equ is not None:
             b = self.equ.col_scale * b if b.ndim == 1 else \
                 self.equ.col_scale[:, None] * b
@@ -381,7 +388,7 @@ class SparseLU3D(_Solver3D):
         if self.equ is not None:
             x = self.equ.row_scale * x if x.ndim == 1 else \
                 self.equ.row_scale[:, None] * x
-        return x
+        return self._finite(x)
 
     def condition_estimate(self) -> float:
         """Estimated 1-norm condition number of ``A`` (dgscon analogue)."""

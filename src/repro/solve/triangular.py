@@ -12,50 +12,64 @@ SuperLU_DIST's ``pdgstrs`` uses, here emitted as simulator events.
 :class:`BlockMatrix` for 2D runs, a :class:`HomeView` for 3D runs). The
 ``grid_of`` callable maps a supernode to the 2D layer it lives on (constant
 for 2D; ``layer(home_grid(k))`` for 3D).
+
+There are two loops: a *downward* sweep (ascending ``k``) for a lower
+operator — ``L``, or ``U^T`` over the U panels read transposed — and an
+*upward* one for ``U`` or ``L^T``. ``unit`` is the diagonal kind of ``L``:
+unit for packed LU factors, non-unit for a Cholesky ``L`` — the only
+difference between the two variants' solves. Every diagonal solve
+overwrites its segment of the work vector (:func:`repro.lu2d.kernels.trsm`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 
 from repro.comm.collectives import bcast
 from repro.comm.simulator import Simulator
+from repro.lu2d.kernels import trsm
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 
-__all__ = ["forward_solve", "backward_solve", "transposed_solve"]
+__all__ = ["forward_solve", "backward_solve", "transposed_solve",
+           "lower_transposed_solve"]
 
 
-def forward_solve(sf: SymbolicFactorization, blocks, b: np.ndarray,
-                  sim: Simulator, grid_of) -> np.ndarray:
-    """Solve ``L y = b`` (unit lower triangular, packed factors).
+def _work_copy(b: np.ndarray) -> tuple[np.ndarray, int]:
+    """A C-ordered float64 copy of ``b`` (so every block-row segment is a
+    contiguous slice :func:`trsm` overwrites) and its column count."""
+    y = np.array(b, dtype=np.float64, order="C")
+    return y, 1 if y.ndim == 1 else y.shape[1]
 
-    ``b`` is in the *permuted* ordering; the result ``y`` likewise. A 2-D
-    ``b`` of shape ``(n, nrhs)`` solves all columns in one sweep, with
-    communication and flops scaled accordingly.
+
+def _sweep_down(sf, blocks, b, sim, grid_of, lower: bool, unit: bool):
+    """Forward substitution with ``L`` (``lower``) or with ``U^T``.
+
+    After ``y_k`` is solved it is broadcast to the owners of node ``k``'s
+    off-diagonal panel (down its process column for ``L``, along its
+    process row for ``U^T``); each forms its partial product and sends it
+    to the target segment's diagonal owner.
     """
     layout = sf.layout
-    y = b.astype(np.float64).copy()
-    nrhs = 1 if y.ndim == 1 else y.shape[1]
+    y, nrhs = _work_copy(b)
     sim.set_phase("solve")
     for k in range(sf.nb):
         rk = layout.range_of(k)
         s = layout.block_size(k)
         grid = grid_of(k)
         diag_owner = grid.owner(k, k)
-        y[rk] = la.solve_triangular(blocks[(k, k)], y[rk], lower=True,
-                                    unit_diagonal=True)
+        trsm(blocks[(k, k)], y[rk], lower=lower, trans=not lower, unit=unit)
         sim.compute(diag_owner, float(s * s * nrhs), "solve")
-        lp = sf.fill.lpanel[k]
-        if len(lp) == 0:
-            continue
-        bcast(sim, diag_owner, grid.col_ranks(k), float(s * nrhs))
-        for i in lp:
+        panel = sf.fill.lpanel[k] if lower else sf.fill.upanel[k]
+        if len(panel):
+            bcast(sim, diag_owner,
+                  grid.col_ranks(k) if lower else grid.row_ranks(k),
+                  float(s * nrhs))
+        for i in panel:
             i = int(i)
             si = layout.block_size(i)
-            o = grid.owner(i, k)
-            ri = layout.range_of(i)
-            y[ri] -= blocks[(i, k)] @ y[rk]
+            key = (i, k) if lower else (k, i)
+            o, blk = grid.owner(*key), blocks[key]
+            y[layout.range_of(i)] -= (blk if lower else blk.T) @ y[rk]
             sim.compute(o, 2.0 * si * s * nrhs, "solve")
             # Partial result travels to the target segment's diagonal owner.
             tgt = grid_of(i).owner(i, i)
@@ -65,95 +79,75 @@ def forward_solve(sf: SymbolicFactorization, blocks, b: np.ndarray,
     return y
 
 
-def backward_solve(sf: SymbolicFactorization, blocks, y: np.ndarray,
-                   sim: Simulator, grid_of) -> np.ndarray:
-    """Solve ``U x = y`` (upper triangular, packed factors)."""
+def _sweep_up(sf, blocks, y, sim, grid_of, lower: bool, unit: bool):
+    """Backward substitution with ``L^T`` (``lower``: the L panels read
+    transposed) or with ``U``.
+
+    Descending order guarantees every ``x_i`` node ``k`` needs (``i > k``)
+    was solved and broadcast before; panel owners send their partial
+    products to ``k``'s diagonal owner, which then solves ``x_k``.
+    """
     layout = sf.layout
-    x = y.astype(np.float64).copy()
-    nrhs = 1 if x.ndim == 1 else x.shape[1]
+    x, nrhs = _work_copy(y)
     sim.set_phase("solve")
     for k in range(sf.nb - 1, -1, -1):
         rk = layout.range_of(k)
         s = layout.block_size(k)
         grid = grid_of(k)
         diag_owner = grid.owner(k, k)
-        for j in sf.fill.upanel[k]:
-            j = int(j)
-            sj = layout.block_size(j)
-            o = grid.owner(k, j)
-            rj = layout.range_of(j)
-            # x_j was broadcast when supernode j was solved (descending
-            # order guarantees j > k came first).
-            x[rk] -= blocks[(k, j)] @ x[rj]
-            sim.compute(o, 2.0 * s * sj * nrhs, "solve")
-            tgt = diag_owner
-            if o != tgt:
-                sim.send(o, tgt, float(s * nrhs))
-                sim.recv(tgt, o)
-            sim.compute(tgt, float(s * nrhs), "solve")
-        x[rk] = la.solve_triangular(blocks[(k, k)], x[rk], lower=False)
+        panel = sf.fill.lpanel[k] if lower else sf.fill.upanel[k]
+        for i in panel:
+            i = int(i)
+            si = layout.block_size(i)
+            key = (i, k) if lower else (k, i)
+            o, blk = grid.owner(*key), blocks[key]
+            x[rk] -= (blk.T if lower else blk) @ x[layout.range_of(i)]
+            sim.compute(o, 2.0 * s * si * nrhs, "solve")
+            if o != diag_owner:
+                sim.send(o, diag_owner, float(s * nrhs))
+                sim.recv(diag_owner, o)
+            sim.compute(diag_owner, float(s * nrhs), "solve")
+        trsm(blocks[(k, k)], x[rk], lower=lower, trans=lower, unit=unit)
         sim.compute(diag_owner, float(s * s * nrhs), "solve")
-        up_users = sf.fill.upanel[k]
-        if len(up_users):
-            # x_k feeds U-panel owners in process column k of their grids.
+        if len(panel):
+            # x_k feeds the panel owners in process column k of their grids.
             bcast(sim, diag_owner, grid.col_ranks(k), float(s * nrhs))
     return x
+
+
+def forward_solve(sf: SymbolicFactorization, blocks, b: np.ndarray,
+                  sim: Simulator, grid_of, unit: bool = True) -> np.ndarray:
+    """Solve ``L y = b`` (lower triangular; ``unit`` diagonal for packed LU
+    factors, ``unit=False`` for a Cholesky ``L``).
+
+    ``b`` is in the *permuted* ordering; the result ``y`` likewise. A 2-D
+    ``b`` of shape ``(n, nrhs)`` solves all columns in one sweep, with
+    communication and flops scaled accordingly.
+    """
+    return _sweep_down(sf, blocks, b, sim, grid_of, lower=True, unit=unit)
+
+
+def backward_solve(sf: SymbolicFactorization, blocks, y: np.ndarray,
+                   sim: Simulator, grid_of) -> np.ndarray:
+    """Solve ``U x = y`` (upper triangular, packed factors)."""
+    return _sweep_up(sf, blocks, y, sim, grid_of, lower=False, unit=False)
+
+
+def lower_transposed_solve(sf: SymbolicFactorization, blocks, y: np.ndarray,
+                           sim: Simulator, grid_of, unit: bool = True
+                           ) -> np.ndarray:
+    """Solve ``L^T x = y`` over the L panels: the second half of
+    :func:`transposed_solve`, and (``unit=False``) of the Cholesky solve."""
+    return _sweep_up(sf, blocks, y, sim, grid_of, lower=True, unit=unit)
 
 
 def transposed_solve(sf: SymbolicFactorization, blocks, b: np.ndarray,
                      sim: Simulator, grid_of) -> np.ndarray:
     """Solve ``(L U)^T x = b`` with the packed factors (trans='T').
 
-    ``U^T`` is lower triangular (non-unit): a forward column sweep over the
-    U panels; ``L^T`` is unit upper: a backward sweep over the L panels.
+    ``U^T`` is lower triangular (non-unit): a forward sweep over the U
+    panels; ``L^T`` is unit upper: a backward sweep over the L panels.
     Communication is modeled with the same pattern as the plain solves.
     """
-    layout = sf.layout
-    y = b.astype(np.float64).copy()
-    nrhs = 1 if y.ndim == 1 else y.shape[1]
-    sim.set_phase("solve")
-    # U^T y = b (forward).
-    for k in range(sf.nb):
-        rk = layout.range_of(k)
-        s = layout.block_size(k)
-        grid = grid_of(k)
-        diag_owner = grid.owner(k, k)
-        y[rk] = la.solve_triangular(blocks[(k, k)], y[rk], lower=False,
-                                    trans="T")
-        sim.compute(diag_owner, float(s * s * nrhs), "solve")
-        up = sf.fill.upanel[k]
-        if len(up):
-            bcast(sim, diag_owner, grid.row_ranks(k), float(s * nrhs))
-        for j in up:
-            j = int(j)
-            sj = layout.block_size(j)
-            o = grid.owner(k, j)
-            y[layout.range_of(j)] -= blocks[(k, j)].T @ y[rk]
-            sim.compute(o, 2.0 * sj * s * nrhs, "solve")
-            tgt = grid_of(j).owner(j, j)
-            sim.send(o, tgt, float(sj * nrhs))
-            sim.recv(tgt, o)
-            sim.compute(tgt, float(sj * nrhs), "solve")
-    # L^T x = y (backward, unit diagonal).
-    x = y
-    for k in range(sf.nb - 1, -1, -1):
-        rk = layout.range_of(k)
-        s = layout.block_size(k)
-        grid = grid_of(k)
-        diag_owner = grid.owner(k, k)
-        for i in sf.fill.lpanel[k]:
-            i = int(i)
-            si = layout.block_size(i)
-            o = grid.owner(i, k)
-            x[rk] -= blocks[(i, k)].T @ x[layout.range_of(i)]
-            sim.compute(o, 2.0 * s * si * nrhs, "solve")
-            if o != diag_owner:
-                sim.send(o, diag_owner, float(s * nrhs))
-                sim.recv(diag_owner, o)
-            sim.compute(diag_owner, float(s * nrhs), "solve")
-        x[rk] = la.solve_triangular(blocks[(k, k)], x[rk], lower=True,
-                                    trans="T", unit_diagonal=True)
-        sim.compute(diag_owner, float(s * s * nrhs), "solve")
-        if len(sf.fill.lpanel[k]):
-            bcast(sim, diag_owner, grid.col_ranks(k), float(s * nrhs))
-    return x
+    y = _sweep_down(sf, blocks, b, sim, grid_of, lower=False, unit=False)
+    return lower_transposed_solve(sf, blocks, y, sim, grid_of)

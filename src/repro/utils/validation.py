@@ -2,6 +2,10 @@
 
 All validators raise :class:`ValueError` or :class:`TypeError` with a message
 naming the offending argument, so call sites can stay one-liners.
+
+This is also where non-finite input stops: the dense kernels
+(:mod:`repro.lu2d.kernels`) make no per-block finiteness scan, so matrix
+values and right-hand sides are checked here, once, as they enter.
 """
 
 from __future__ import annotations
@@ -32,12 +36,32 @@ def check_power_of_two(value, name: str) -> int:
     return value
 
 
+def require_finite(values, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` if ``values`` holds NaN or inf."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains NaN or infinite values")
+
+
+def check_rhs(b, n: int, name: str = "b") -> np.ndarray:
+    """Validate a right-hand side for an ``n x n`` system: shape ``(n,)``
+    or ``(n, nrhs)``, all finite; return it as a float64 array."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(
+            f"{name} must have shape ({n},) or ({n}, nrhs), got {b.shape}")
+    require_finite(b, name)
+    return b
+
+
 def check_square_sparse(A, name: str = "A") -> sp.csr_matrix:
-    """Validate that ``A`` is a square 2-D sparse matrix; return it as CSR."""
+    """Validate that ``A`` is a square 2-D sparse matrix with finite stored
+    values; return it as CSR."""
     if not sp.issparse(A):
         raise TypeError(f"{name} must be a scipy sparse matrix, got {type(A).__name__}")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
     if A.shape[0] == 0:
         raise ValueError(f"{name} must be non-empty")
-    return A.tocsr()
+    A = A.tocsr()
+    require_finite(A.data, name)
+    return A

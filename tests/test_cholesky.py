@@ -174,3 +174,53 @@ class TestVsLU:
         assert c.sim.total_words_sent() == pytest.approx(
             c.sim.total_words_recv())
         assert c.sim.pending_messages() == 0
+
+
+class TestSolveLedger:
+    """The Cholesky solve runs the shared sweeps of `repro.solve.triangular`
+    (non-unit diagonal): its 1-RHS ledger is the one its former private
+    sweeps booked, and ``nrhs`` right-hand sides scale it exactly as LU's."""
+
+    @staticmethod
+    def _solve(cls, nrhs):
+        A, geom = grid2d_5pt(16)
+        s = cls(A, geometry=geom, px=2, py=2, pz=2, leaf_size=32)
+        s.factorize()
+        t0 = s.sim.makespan
+        b = np.ones(A.shape[0]) if nrhs == 1 else np.ones((A.shape[0], nrhs))
+        x = s.solve(b, refine=False)
+        assert np.abs(A @ x - b).max() < 1e-10
+        return s.sim, s.sim.makespan - t0
+
+    def test_one_rhs_ledger_is_the_historical_one(self):
+        """Numbers recorded from the private ``_forward`` / ``_backward``
+        sweeps the facade carried before they were folded into the shared
+        ones (bit-for-bit: the ledger is deterministic arithmetic)."""
+        sim, dt = self._solve(SparseCholesky3D, 1)
+        assert sim.words_sent["solve"].tolist() == \
+            [134.0, 157.0, 48.0, 122.0, 128.0, 162.0, 106.0, 128.0]
+        assert sim.words_recv["solve"].tolist() == \
+            [180.0, 122.0, 134.0, 143.0, 84.0, 112.0, 112.0, 98.0]
+        assert sim.msgs_sent["solve"].tolist() == [10, 10, 4, 6, 5, 12, 6, 10]
+        assert sim.msgs_recv["solve"].tolist() == [14, 6, 10, 10, 3, 8, 4, 8]
+        assert sim.flops["solve"].tolist() == \
+            [8346.0, 4056.0, 1024.0, 4265.0, 5040.0, 4368.0, 2464.0, 4214.0]
+        assert sim.words_per_rank("solve").sum() == 1970.0
+        assert dt == 3.107199999999999e-05
+
+    def test_nrhs_scales_words_and_flops_not_messages(self):
+        """Regression: the private sweeps ignored ``nrhs`` — a 4-RHS solve
+        booked the 1-RHS volume (1,970 words where LU books 7,880)."""
+        one, _ = self._solve(SparseCholesky3D, 1)
+        four, _ = self._solve(SparseCholesky3D, 4)
+        lu, _ = self._solve(SparseLU3D, 4)
+        assert four.words_per_rank("solve").sum() == 7880.0
+        for sim in (four, lu):
+            assert np.array_equal(sim.words_per_rank("solve").sum(),
+                                  4 * one.words_per_rank("solve").sum())
+            assert sim.flops["solve"].sum() == 4 * one.flops["solve"].sum()
+            assert sim.msgs_per_rank("solve").sum() == \
+                one.msgs_per_rank("solve").sum()
+        assert np.array_equal(four.words_sent["solve"],
+                              4 * one.words_sent["solve"])
+        assert np.array_equal(four.msgs_sent["solve"], one.msgs_sent["solve"])

@@ -109,6 +109,40 @@ class TestCrossReferences:
                 assert name not in text, f"{name!r} survives in {path}"
 
 
+class TestOneKernelLayer:
+    """`repro/lu2d/kernels.py` owns the BLAS/LAPACK handles; nothing else in
+    the program calls scipy's checked per-call wrappers or fetches its own."""
+
+    SOURCES = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    KERNELS = ROOT / "src" / "repro" / "lu2d" / "kernels.py"
+
+    def test_no_per_call_scipy_wrappers(self):
+        banned = re.compile(r"solve_triangular|check_finite|la\.cholesky\(")
+        for path in self.SOURCES:
+            for no, line in enumerate(path.read_text().splitlines(), 1):
+                assert not banned.search(line), f"{path}:{no}: {line.strip()}"
+
+    def test_blas_lapack_imported_by_the_kernel_module_only(self):
+        handles = re.compile(
+            r"^\s*(from|import)\s+scipy\.linalg\.(blas|lapack)\b"
+            r"|^\s*from\s+scipy\.linalg\s+import\s+.*\b(blas|lapack|"
+            r"get_blas_funcs|get_lapack_funcs)\b", re.M)
+        assert handles.search(self.KERNELS.read_text())
+        for path in self.SOURCES:
+            if path != self.KERNELS:
+                hit = handles.search(path.read_text())
+                assert hit is None, f"{path}: {hit.group(0).strip()}"
+
+    def test_networkx_is_not_a_runtime_dependency(self):
+        """No import of it remains in `src/`, so nothing declares it."""
+        for path in self.SOURCES:
+            assert not re.search(r"^\s*(import|from)\s+networkx", path.read_text(),
+                                 flags=re.M), f"{path} imports networkx"
+        deps = re.search(r"^dependencies = \[(.*)\]", _read("pyproject.toml"),
+                         flags=re.M).group(1)
+        assert "networkx" not in deps
+
+
 class TestPublicApiHygiene:
     def test_top_level_all_resolves(self):
         import repro

@@ -272,6 +272,40 @@ class TestServiceFrontend:
             with pytest.raises(ValueError, match="cost-only"):
                 svc.solve(A, np.ones(A.shape[0]))
 
+    @pytest.mark.parametrize("backend", ["lu", "cholesky"])
+    def test_non_finite_job_fails_clean(self, problem, backend):
+        """NaN/inf in ``A`` or ``b`` fails the job's future before the cache
+        is touched — cold pattern or cached one — leaving no entry, no build
+        lock and no job counted; the next good job runs as if it never
+        happened."""
+        A, geom = problem
+        bad_A = A.copy()
+        bad_A.data[3] = np.nan
+        bad_b = np.ones(A.shape[0])
+        bad_b[0] = np.inf
+        with FactorizationService(geometry=geom, px=2, py=2, pz=2,
+                                  leaf_size=16, backend=backend) as svc:
+            with pytest.raises(ValueError, match="A contains NaN"):
+                svc.submit(bad_A).result()              # cold pattern
+            with pytest.raises(ValueError, match="b contains NaN"):
+                svc.submit(A, bad_b).result()
+            assert len(svc.cache) == 0 and svc.cache._building == {}
+            st = svc.stats()
+            assert st["hits"] == st["misses"] == 0
+            good = svc.solve(A, np.ones(A.shape[0]))
+            assert not good.cache_hit and good.residual < 1e-12
+            with pytest.raises(ValueError, match="A contains NaN"):
+                svc.solve(bad_A)                        # cached pattern
+            with pytest.raises(ValueError, match="b contains NaN"):
+                svc.solve(A, bad_b)
+            with pytest.raises(TypeError, match="sparse"):
+                svc.solve(A.toarray())
+            st = svc.stats()
+            assert (st["hits"], st["misses"], st["entries"]) == (0, 1, 1)
+            assert st["per_entry"][0]["jobs"] == 1
+            assert svc.cache._building == {}
+            assert svc.solve(A).cache_hit
+
     def test_closed_service_rejects(self, problem):
         A, _ = problem
         svc = FactorizationService(leaf_size=16)

@@ -4,7 +4,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import (
+    FactorOptions,
+    Machine,
+    ProcessGrid2D,
+    ProcessGrid3D,
+    Simulator,
+    factor_2d,
+    factor_3d,
+    greedy_partition,
+    symbolic_factorize,
+)
+from repro.cholesky import SparseCholesky3D
 from repro.solve import SparseLU3D, iterative_refinement
+from repro.sparse import BlockMatrix
+from repro.verify.oracle import ledger_state
 
 
 class TestSparseLU3DFacade:
@@ -169,3 +183,95 @@ class TestSolveCommEvents:
         assert after > before
         assert solver.sim.total_words_sent("solve") == pytest.approx(
             solver.sim.total_words_recv("solve"))
+
+
+def _poisoned(A, value):
+    """``A`` with one stored entry replaced by ``value`` (same pattern)."""
+    B = A.copy()
+    B.data[B.nnz // 2] = value
+    return B
+
+
+class TestNonFiniteInput:
+    """NaN/inf is rejected once, where it enters — the dense kernels run on
+    raw BLAS/LAPACK and do not scan their blocks — and a non-finite ``x``
+    is never returned."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cls", [SparseLU3D, SparseCholesky3D])
+    def test_constructor_rejects_matrix(self, planar_small, cls, bad):
+        A, geom = planar_small
+        with pytest.raises(ValueError, match="A contains NaN or infinite"):
+            cls(_poisoned(A, bad), geometry=geom)
+
+    @pytest.mark.parametrize("cls", [SparseLU3D, SparseCholesky3D])
+    def test_refactorize_rejects_before_booking_anything(self, planar_small,
+                                                         cls):
+        A, geom = planar_small
+        solver = cls(A, geometry=geom, px=2, py=2, pz=2, leaf_size=16)
+        solver.factorize()
+        sim, ledger = solver.sim, ledger_state(solver.sim)
+        with pytest.raises(ValueError, match="A contains NaN or infinite"):
+            solver.refactorize(_poisoned(A, np.nan))
+        assert solver.sim is sim and ledger_state(sim) == ledger
+        b = np.ones(A.shape[0])     # the previous factors still serve
+        assert np.linalg.norm(A @ solver.solve(b) - b) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_rhs_rejected_before_booking_anything(self, planar_small, shape):
+        A, geom = planar_small
+        solver = SparseLU3D(A, geometry=geom, px=2, py=2, pz=2, leaf_size=16)
+        solver.factorize()
+        ledger = ledger_state(solver.sim)
+        b = np.ones((A.shape[0],) + shape)
+        b[5] = np.inf
+        for solve in (solver.solve, solver.solve_transposed):
+            with pytest.raises(ValueError, match="b contains NaN or infinite"):
+                solve(b)
+        assert ledger_state(solver.sim) == ledger
+
+    def test_direct_factor_3d_rejects_matrix_values(self, planar_small):
+        A, geom = planar_small
+        sf = symbolic_factorize(A, geom, leaf_size=16)
+        tf = greedy_partition(sf, 2)
+        grid3 = ProcessGrid3D(2, 2, 2)
+        sim = Simulator(grid3.size, Machine.edison_like())
+        bad = _poisoned(sf.A_perm, np.nan)
+        with pytest.raises(ValueError, match="matrix contains NaN"):
+            factor_3d(sf, tf, grid3, sim, matrix=bad)
+        assert not sim.event_counts and not sim.mem_current.any()
+        # Cost-only reads no value, so it has nothing to reject.
+        factor_3d(sf, tf, grid3, Simulator(grid3.size, Machine.edison_like()),
+                  numeric=False, matrix=bad)
+        sf.A_perm = bad
+        with pytest.raises(ValueError, match="sf.A_perm contains NaN"):
+            factor_3d(sf, tf, grid3, sim)
+        assert not sim.event_counts and not sim.mem_current.any()
+
+    def test_direct_factor_2d_rejects_a_poisoned_block(self, planar_small):
+        A, geom = planar_small
+        sf = symbolic_factorize(A, geom, leaf_size=16)
+        data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
+                                    block_pattern=sf.fill.all_blocks())
+        data[(1, 1)][0, 0] = np.nan
+        grid = ProcessGrid2D(2, 2)
+        sim = Simulator(grid.size, Machine.edison_like())
+        with pytest.raises(ValueError, match=r"data block \(1, 1\) contains"):
+            factor_2d(sf, grid, sim, data=data, charge_storage=False)
+        assert not sim.event_counts
+
+    def test_solve_refuses_to_return_a_non_finite_x(self):
+        """Static pivoting all but switched off (the smallest positive
+        ``pivot_eps``) on a matrix that needs it: the factors overflow, and
+        `solve` says so instead of returning NaNs."""
+        A = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0],
+                                    [0.0, 1.0, 1.0]]))
+        solver = SparseLU3D(
+            A, options=FactorOptions(pivot_eps=float(np.nextafter(0, 1))))
+        with np.errstate(all="ignore"):
+            solver.factorize()
+            for solve in (solver.solve, solver.solve_transposed):
+                with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                    solve(np.ones(3))
+        ok = SparseLU3D(A).factorize()      # GESP on: perturbed and refined
+        assert ok.result.perturbed_pivots >= 1

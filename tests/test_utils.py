@@ -8,6 +8,7 @@ from repro.utils import (
     Timer,
     check_positive_int,
     check_power_of_two,
+    check_rhs,
     check_square_sparse,
     is_power_of_two,
 )
@@ -77,6 +78,38 @@ class TestCheckSquareSparse:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
             check_square_sparse(sp.csr_matrix((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "lil"])
+    def test_rejects_non_finite_values_naming_the_argument(self, fmt, bad):
+        A = sp.eye(4, format="lil")
+        A[2, 1] = bad
+        with pytest.raises(ValueError, match="A_new contains NaN or infinite"):
+            check_square_sparse(A.asformat(fmt), "A_new")
+
+    def test_pattern_matrices_pass(self):
+        """Boolean / integer pattern matrices go through the same check."""
+        P = sp.eye(3, format="csr", dtype=bool)
+        assert check_square_sparse(P).dtype == bool
+
+
+class TestCheckRhs:
+    def test_returns_float64_vector_or_matrix(self):
+        assert check_rhs([1, 2, 3], 3).dtype == np.float64
+        assert check_rhs(np.ones((3, 2), dtype=np.float32), 3).shape == (3, 2)
+
+    @pytest.mark.parametrize("b", [np.ones(4), np.ones((2, 3)),
+                                   np.ones((3, 1, 1)), 1.0])
+    def test_rejects_wrong_shape(self, b):
+        with pytest.raises(ValueError, match=r"rhs must have shape \(3,\)"):
+            check_rhs(b, 3, "rhs")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        b = np.ones((3, 2))
+        b[1, 1] = bad
+        with pytest.raises(ValueError, match="b contains NaN or infinite"):
+            check_rhs(b, 3)
 
 
 def test_timer_measures_elapsed():
