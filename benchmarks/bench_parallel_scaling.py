@@ -65,29 +65,26 @@ def _best(sf, tf, n_workers: int):
 
 def _interpreter_overhead(sf, tf):
     """Cost-only interpreter-overhead row: with no numeric kernels the
-    run is pure dispatch, so execution tasks/second isolates what the
-    compile pass (:mod:`repro.plan.compile`) removes. Compilation itself
-    is a once-per-plan cost, timed separately."""
+    run is pure dispatch, so execution tasks/second isolates what walking
+    the plan's full-width runs saves over one dispatch per task."""
     from repro.lu3d.factor3d import (CostOnlyData, Factor3DResult,
                                      _execute_plan3d)
-    from repro.plan import compile_plan
     from repro.plan.build import build_3d_plan
 
     grid3 = ProcessGrid3D(2, 2, PZ)
     opts = FactorOptions()
     plan3 = build_3d_plan(sf, tf, grid3, opts, backend="lu")
-    comp = compile_plan(plan3, sf, opts)
 
-    def exec_once(plan):
+    def exec_once(fuse):
         sim = Simulator(grid3.size)
         t0 = time.perf_counter()
-        _execute_plan3d(plan, sf, sim, Factor3DResult(tf), opts,
-                        None, CostOnlyData())
+        _execute_plan3d(plan3, sf, sim, Factor3DResult(tf), opts,
+                        None, CostOnlyData(), fuse=fuse)
         return time.perf_counter() - t0
 
-    t_fused = min(exec_once(comp.plan) for _ in range(REPS))
-    t_plain = min(exec_once(plan3) for _ in range(REPS))
-    st = comp.stats
+    t_fused = min(exec_once(True) for _ in range(REPS))
+    t_plain = min(exec_once(False) for _ in range(REPS))
+    st = plan3.fusion_stats()
     return {
         "dispatches_unfused": int(st.n_tasks_before),
         "dispatches_fused": int(st.n_tasks_after),

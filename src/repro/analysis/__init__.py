@@ -12,7 +12,6 @@ benchmark harnesses.
 from repro.analysis.metrics import FactorizationMetrics
 from repro.analysis.planstats import (
     PlanStats,
-    format_compile_summary,
     format_plan_summary,
     task_cost,
 )
@@ -25,5 +24,4 @@ from repro.analysis.trace import Trace, TraceEvent
 
 __all__ = ["FactorizationMetrics", "PlanStats", "Trace", "TraceEvent",
            "format_table", "format_parallel_stats",
-           "format_resilience_stats", "format_compile_summary",
-           "format_plan_summary", "task_cost"]
+           "format_resilience_stats", "format_plan_summary", "task_cost"]

@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.comm.machine import Machine
-from repro.plan.tasks import FusedTask, SchurUpdate, task_comm, task_flops
+from repro.plan.tasks import SchurUpdate, task_comm, task_flops
 
-__all__ = ["PlanStats", "task_cost", "format_compile_summary",
-           "format_plan_summary"]
+__all__ = ["PlanStats", "task_cost", "format_plan_summary"]
 
 #: Compute kinds priced at the GEMM rate; everything else at the panel
 #: rate (mirrors ``Simulator.compute``).
@@ -37,13 +36,7 @@ _GEMM_KINDS = ("schur", "reduce_add")
 
 
 def task_cost(task, machine: Machine) -> float:
-    """Modeled seconds of one task: α·msgs + β·words + γ·flops (+overhead).
-
-    A fused task costs the sum of its members — fusion removes dispatch
-    overhead on the host, not modeled machine work.
-    """
-    if isinstance(task, FusedTask):
-        return sum(task_cost(m, machine) for m in task.members)
+    """Modeled seconds of one task: α·msgs + β·words + γ·flops (+overhead)."""
     msgs, words = task_comm(task)
     kind, flops = task_flops(task)
     cost = machine.alpha * msgs + machine.beta * words
@@ -134,29 +127,6 @@ def format_plan_summary(stats: PlanStats,
         f"(alpha-beta-gamma), avg parallelism {stats.parallelism:.2f}x",
     ]
     return "\n".join(lines)
-
-
-def format_compile_summary(compiled,
-                           title: str = "plan compilation") -> str:
-    """Render a :class:`repro.plan.CompiledPlan`'s fusion statistics.
-
-    Shows the interpreter-dispatch reduction (the quantity the compile
-    pass optimizes) next to the fusion ratio — how many original tasks
-    each surviving dispatch covers on average.
-    """
-    from repro.analysis.report import format_table
-
-    st = compiled.stats
-    rows: list[list] = [
-        ["tasks before", int(st.n_tasks_before)],
-        ["tasks after", int(st.n_tasks_after)],
-        ["fused runs", int(st.n_fused)],
-        ["tasks absorbed", int(st.n_members)],
-        ["vector-unsafe runs", int(st.n_vector_unsafe)],
-        ["dispatch reduction", float(st.dispatch_reduction)],
-        ["fusion ratio", float(st.fusion_ratio)],
-    ]
-    return format_table(["counter", "value"], rows, title=title)
 
 
 #: Which compute-kind ledger a task kind's flops land in.

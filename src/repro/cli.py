@@ -26,7 +26,6 @@ import numpy as np
 from repro.analysis import (
     FactorizationMetrics,
     PlanStats,
-    format_compile_summary,
     format_parallel_stats,
     format_plan_summary,
     format_resilience_stats,
@@ -130,17 +129,12 @@ def cmd_solve(args) -> int:
     solver.factorize()
     if args.verify_plan:
         from repro.verify import analyze_plan, conservation_issues
-        compiled = getattr(solver.result, "compiled", None)
-        plans = [("built plan", solver.result.plan)]
-        if compiled is not None:
-            plans.append(("compiled plan", compiled.plan))
-        for label, pl in plans:
-            report = analyze_plan(pl, solver.sf)
-            print(f"{label}: {report.summary()}")
-            if not report.ok:
-                for issue in report.issues:
-                    print(f"  [{issue.kind}] {issue.message}")
-                return 1
+        report = analyze_plan(solver.result.plan, solver.sf)
+        print(report.summary())
+        if not report.ok:
+            for issue in report.issues:
+                print(f"  [{issue.kind}] {issue.message}")
+            return 1
         if fault_plan is None:
             issues = conservation_issues(solver.sim, solver.result.plan)
             if issues:
@@ -177,9 +171,7 @@ def cmd_solve(args) -> int:
                                     machine=solver.sim.machine)
         print(format_plan_summary(
             stats, title=f"execution plan ({solver.result.plan.backend})"))
-        compiled = getattr(solver.result, "compiled", None)
-        if compiled is not None:
-            print(format_compile_summary(compiled))
+        print(solver.result.plan.fusion_stats().summary())
     if args.x_out:
         np.savetxt(args.x_out, x)
         print(f"solution written to {args.x_out}")
@@ -433,10 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "change")
     s.add_argument("--verify-plan", action="store_true",
                    help="after factorization, run the static plan analyzer "
-                        "(races, cycles, malformed collectives) on the "
-                        "built plan and, when compilation ran, the "
-                        "compiled plan, then the ledger-conservation "
-                        "oracle; non-zero exit on any finding")
+                        "(races, cycles, malformed collectives, task "
+                        "arrays vs their records) on the executed plan, "
+                        "then the ledger-conservation oracle; non-zero "
+                        "exit on any finding")
     s.add_argument("--dump-plan", action="store_true",
                    help="print the execution plan's task-kind totals and "
                         "critical-path length (tasks + modeled alpha-beta "

@@ -147,6 +147,24 @@ class Simulator:
             raise CommError(f"rank {r} out of range [0, {self.nranks})")
         return int(r)
 
+    def _check_batch(self, ranks, values, what: str):
+        """Validate one batch's parallel ``ranks`` / ``values`` (named
+        ``what`` in errors) once, before anything is booked; returns them
+        as flat arrays."""
+        ranks = np.asarray(ranks, dtype=np.intp).ravel()
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if ranks.shape != values.shape:
+            raise CommError(f"ranks and {what} must have the same length")
+        if ranks.size:
+            # Reinterpreted as unsigned, a negative rank is huge: one
+            # reduction checks both bounds.
+            if int(ranks.view(np.uintp).max()) >= self.nranks:
+                raise CommError(
+                    f"batch contains ranks outside [0, {self.nranks})")
+            if float(values.min()) < 0:
+                raise CommError(f"{what} must be non-negative")
+        return ranks, values
+
     def set_phase(self, phase: str) -> None:
         if phase not in PHASES:
             raise CommError(f"unknown phase {phase!r}")
@@ -203,7 +221,7 @@ class Simulator:
         recorded intervals match the loop path, too.
 
         Plain-``list`` inputs with a scalar ``n_block_updates`` (the plan
-        compiler's fused payloads) take a scalar fast path below
+        interpreter's panel segments) take a scalar fast path below
         ``_SCALAR_BATCH_MAX`` events: same additions in the same order,
         without the array conversion and reduction overhead that dwarfs
         small batches.
@@ -211,9 +229,9 @@ class Simulator:
         if kind not in COMPUTE_KINDS:
             raise CommError(f"unknown compute kind {kind!r}")
         if type(ranks) is list and type(flops) is list \
-                and isinstance(n_block_updates, (int, float)):
-            if len(ranks) != len(flops):
-                raise CommError("ranks and flops must have the same length")
+                and len(ranks) == len(flops) < _SCALAR_BATCH_MAX \
+                and isinstance(n_block_updates, (int, float)) \
+                and self.trace is None and self.faults is None:
             if not ranks:
                 return
             if min(ranks) < 0 or max(ranks) >= self.nranks:
@@ -221,33 +239,26 @@ class Simulator:
                     f"batch contains ranks outside [0, {self.nranks})")
             if min(flops) < 0:
                 raise CommError("flops must be non-negative")
-            if self.trace is None and self.faults is None \
-                    and len(ranks) < _SCALAR_BATCH_MAX:
-                gamma = self.machine.gamma_gemm \
-                    if kind in ("schur", "reduce_add") \
-                    else self.machine.gamma_panel
-                ov = n_block_updates * self.machine.gemm_overhead
-                clock = self.clock
-                fl = self.flops[kind]
-                tc = self.t_compute[kind]
-                for r, f in zip(ranks, flops):
-                    dt = f * gamma + ov
-                    clock[r] += dt
-                    fl[r] += f
-                    tc[r] += dt
-                self.event_counts[kind] += len(ranks)
-                return
-        ranks = np.asarray(ranks, dtype=np.intp).ravel()
-        flops = np.asarray(flops, dtype=np.float64).ravel()
-        if ranks.shape != flops.shape:
-            raise CommError("ranks and flops must have the same length")
+            gamma = self.machine.gamma_gemm \
+                if kind in ("schur", "reduce_add") \
+                else self.machine.gamma_panel
+            ov = n_block_updates * self.machine.gemm_overhead
+            # Scalar loops index the ledgers through memoryviews: items
+            # come back as Python floats (same IEEE doubles, same
+            # additions) at half the cost of ndarray scalars.
+            clock = memoryview(self.clock)
+            fl = memoryview(self.flops[kind])
+            tc = memoryview(self.t_compute[kind])
+            for r, f in zip(ranks, flops):
+                dt = f * gamma + ov
+                clock[r] += dt
+                fl[r] += f
+                tc[r] += dt
+            self.event_counts[kind] += len(ranks)
+            return
+        ranks, flops = self._check_batch(ranks, flops, "flops")
         if ranks.size == 0:
             return
-        if int(ranks.min()) < 0 or int(ranks.max()) >= self.nranks:
-            raise CommError(
-                f"batch contains ranks outside [0, {self.nranks})")
-        if float(flops.min()) < 0:
-            raise CommError("flops must be non-negative")
         if self.trace is not None or self.faults is not None:
             upd = np.broadcast_to(np.asarray(n_block_updates), ranks.shape)
             for r, f, u in zip(ranks, flops, upd):
@@ -329,9 +340,8 @@ class Simulator:
         """Book many matched ``send``→``recv`` pairs in one call.
 
         ``srcs``, ``dsts`` and ``words`` are parallel arrays — or plain
-        lists, which skip the array conversion and reduction overhead
-        entirely (the booking loop is scalar either way) — one entry per
-        message. With ``reduce_kind`` set, each pair is followed by a
+        lists, which skip the array round-trip (the booking loop is scalar
+        either way) — one entry per message. With ``reduce_kind`` set, each pair is followed by a
         compute event of that kind on the destination rank —
         :func:`repro.comm.collectives.reduce_pairwise`'s contract, with
         ``reduce_flops`` defaulting to one flop per word. All ledgers end
@@ -344,55 +354,28 @@ class Simulator:
         """
         if reduce_kind is not None and reduce_kind not in COMPUTE_KINDS:
             raise CommError(f"unknown compute kind {reduce_kind!r}")
-        if type(srcs) is list and type(dsts) is list and type(words) is list \
-                and (reduce_flops is None or type(reduce_flops) is list):
-            if not (len(srcs) == len(dsts) == len(words)):
-                raise CommError(
-                    "srcs, dsts and words must have the same length")
-            if not srcs:
-                return
-            if min(min(srcs), min(dsts)) < 0 \
-                    or max(max(srcs), max(dsts)) >= self.nranks:
-                raise CommError(
-                    f"batch contains ranks outside [0, {self.nranks})")
-            if min(words) < 0:
-                raise CommError("words must be non-negative")
-            if reduce_flops is None:
-                flops = words
-            else:
-                flops = reduce_flops
-                if len(flops) != len(words):
-                    raise CommError("reduce_flops must match words in length")
-                if min(flops) < 0:
-                    raise CommError("flops must be non-negative")
-            n_events = len(srcs)
-        else:
-            srcs = np.asarray(srcs, dtype=np.intp).ravel()
-            dsts = np.asarray(dsts, dtype=np.intp).ravel()
-            words = np.asarray(words, dtype=np.float64).ravel()
-            if not (srcs.shape == dsts.shape == words.shape):
-                raise CommError(
-                    "srcs, dsts and words must have the same length")
-            if srcs.size == 0:
-                return
-            lo = min(int(srcs.min()), int(dsts.min()))
-            hi = max(int(srcs.max()), int(dsts.max()))
-            if lo < 0 or hi >= self.nranks:
-                raise CommError(
-                    f"batch contains ranks outside [0, {self.nranks})")
-            if float(words.min()) < 0:
-                raise CommError("words must be non-negative")
-            if reduce_flops is None:
-                flops = words
-            else:
-                flops = np.asarray(reduce_flops, dtype=np.float64).ravel()
-                if flops.shape != words.shape:
-                    raise CommError("reduce_flops must match words in length")
-                if float(flops.min()) < 0:
-                    raise CommError("flops must be non-negative")
-            n_events = int(srcs.size)
-            srcs, dsts = srcs.tolist(), dsts.tolist()
-            words, flops = words.tolist(), flops.tolist()
+        cols = [srcs, dsts, words, words if reduce_flops is None
+                else reduce_flops]
+        if not all(type(c) is list for c in cols):
+            # The booking loop is scalar either way: arrays become lists.
+            cols = [np.asarray(c, dtype=t).ravel().tolist() for c, t in
+                    zip(cols, (np.intp, np.intp, np.float64, np.float64))]
+        srcs, dsts, words, flops = cols
+        if not (len(srcs) == len(dsts) == len(words)):
+            raise CommError("srcs, dsts and words must have the same length")
+        if len(flops) != len(words):
+            raise CommError("reduce_flops must match words in length")
+        if not srcs:
+            return
+        if min(min(srcs), min(dsts)) < 0 \
+                or max(max(srcs), max(dsts)) >= self.nranks:
+            raise CommError(
+                f"batch contains ranks outside [0, {self.nranks})")
+        if min(words) < 0:
+            raise CommError("words must be non-negative")
+        if flops is not words and min(flops) < 0:
+            raise CommError("flops must be non-negative")
+        n_events = len(srcs)
         if self.trace is not None or self.topology is not None \
                 or self.faults is not None or type(self) is not Simulator:
             for s, d, w, f in zip(srcs, dsts, words, flops):
@@ -400,18 +383,18 @@ class Simulator:
                 if reduce_kind is not None:
                     self.compute(int(d), float(f), reduce_kind)
             return
-        clock = self.clock
+        clock = memoryview(self.clock)  # see compute_batch's scalar loop
         alpha, beta = self.machine.alpha, self.machine.beta
-        ws = self.words_sent[self.phase]
-        wr = self.words_recv[self.phase]
-        ms = self.msgs_sent[self.phase]
-        mr = self.msgs_recv[self.phase]
+        ws = memoryview(self.words_sent[self.phase])
+        wr = memoryview(self.words_recv[self.phase])
+        ms = memoryview(self.msgs_sent[self.phase])
+        mr = memoryview(self.msgs_recv[self.phase])
         if reduce_kind is not None:
             gamma = self.machine.gamma_gemm \
                 if reduce_kind in ("schur", "reduce_add") \
                 else self.machine.gamma_panel
-            fl = self.flops[reduce_kind]
-            tc = self.t_compute[reduce_kind]
+            fl = memoryview(self.flops[reduce_kind])
+            tc = memoryview(self.t_compute[reduce_kind])
         npairs = 0
         for s, d, w, f in zip(srcs, dsts, words, flops):
             if s != d:
@@ -422,7 +405,8 @@ class Simulator:
                 ws[s] += w
                 ms[s] += 1
                 # recv: max(own clock, arrival), exactly as recv() writes it.
-                clock[d] = max(clock[d], arrival)
+                if arrival > clock[d]:
+                    clock[d] = arrival
                 wr[d] += w
                 mr[d] += 1
                 npairs += 1
@@ -612,9 +596,61 @@ class Simulator:
 
     def free(self, rank: int, words: float) -> None:
         rank = self._check_rank(rank)
+        if words < 0:
+            raise CommError("free words must be non-negative")
         self.mem_current[rank] -= words
         if self.mem_current[rank] < -1e-9:
             raise CommError(f"rank {rank} freed more memory than allocated")
+
+
+    def _small_lists(self, ranks, words) -> bool:
+        """Whether a memory batch books through the scalar loop (as in
+        :meth:`compute_batch`): valid plain lists below the size limit;
+        anything else goes through :meth:`_check_batch` and the arrays."""
+        return type(ranks) is list and type(words) is list \
+            and 0 < len(ranks) == len(words) < _SCALAR_BATCH_MAX \
+            and min(ranks) >= 0 and max(ranks) < self.nranks \
+            and min(words) >= 0
+
+    def alloc_batch(self, ranks, words) -> None:
+        """Book many :meth:`alloc` events in one call, bit for bit:
+        ``np.add.at`` applies the increments in order (as in
+        :meth:`compute_batch`), and within a batch of allocations a rank's
+        ``mem_current`` only rises — so its per-event peak is reached at
+        its last event and one ``np.maximum`` against the final
+        ``mem_current`` writes exactly the per-event ``mem_peak``."""
+        if self._small_lists(ranks, words):
+            cur, peak = memoryview(self.mem_current), memoryview(self.mem_peak)
+            for r, w in zip(ranks, words):
+                cur[r] += w
+                if cur[r] > peak[r]:
+                    peak[r] = cur[r]
+            return
+        ranks, words = self._check_batch(ranks, words, "alloc words")
+        if ranks.size:
+            np.add.at(self.mem_current, ranks, words)
+            np.maximum(self.mem_peak, self.mem_current, out=self.mem_peak)
+
+    def free_batch(self, ranks, words) -> None:
+        """Book many :meth:`free` events in one call, bit for bit: frees
+        never touch ``mem_peak``, and within a batch a rank's
+        ``mem_current`` only falls, so checking the final values catches
+        every over-free the per-event loop would."""
+        if self._small_lists(ranks, words):
+            cur = memoryview(self.mem_current)
+            for r, w in zip(ranks, words):
+                cur[r] -= w
+                if cur[r] < -1e-9:
+                    raise CommError(
+                        f"rank {r} freed more memory than allocated")
+            return
+        ranks, words = self._check_batch(ranks, words, "free words")
+        if ranks.size:
+            np.subtract.at(self.mem_current, ranks, words)
+            if float(self.mem_current.min()) < -1e-9:
+                bad = int(np.argmin(self.mem_current))
+                raise CommError(
+                    f"rank {bad} freed more memory than allocated")
 
     # -- derived quantities --------------------------------------------------------
 

@@ -14,7 +14,9 @@ This module centralizes the pricing decision behind one tiny protocol:
 
 ``BlockVolume.cap(i, j, dense_words)``
     Given a block coordinate and the historical dense word count for the
-    payload, return the words actually shipped/stored.
+    payload, return the words actually shipped/stored
+    (``cap_many`` prices parallel arrays of blocks in one call — what the
+    array-form plan builder and the replica accounting use).
 
 Two implementations:
 
@@ -31,15 +33,15 @@ Because compact pricing is a per-block ``min`` against the dense price,
 ``compact <= dense`` holds per message, hence per phase and in total — the
 invariant the comm-volume smoke gate asserts.
 
-Mode selection: ``FactorOptions.compact_comm`` (default off), overridden
-either way by the ``REPRO_COMPACT`` environment variable (on: ``1``,
-``true``, ``on``, ``yes``; off: ``0``, ``false``, ``off``, ``no``).
+Mode selection: ``FactorOptions.compact_comm`` (default off) — the only
+switch; no environment variable overrides it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Protocol
+
+import numpy as np
 
 __all__ = [
     "BlockVolume",
@@ -55,9 +57,6 @@ __all__ = [
 #: plus one 4-byte int32 flat index, in 8-byte words.
 WORDS_PER_ENTRY = 1.5
 
-_ON_VALUES = ("1", "true", "on", "yes")
-_OFF_VALUES = ("0", "false", "off", "no")
-
 
 class BlockVolume(Protocol):
     """Prices the payload of block ``(i, j)`` given its dense word count."""
@@ -68,6 +67,10 @@ class BlockVolume(Protocol):
         """Words shipped/stored for block ``(i, j)``."""
         ...
 
+    def cap_many(self, ii, jj, dense_words) -> np.ndarray:
+        """Elementwise :meth:`cap` over parallel arrays (float64 out)."""
+        ...
+
 
 class DenseVolume:
     """Dense pricing: the identity on the historical ``rows * cols`` words."""
@@ -76,6 +79,9 @@ class DenseVolume:
 
     def cap(self, i: int, j: int, dense_words: float) -> float:
         return dense_words
+
+    def cap_many(self, ii, jj, dense_words) -> np.ndarray:
+        return np.asarray(dense_words, dtype=np.float64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "DenseVolume()"
@@ -112,17 +118,20 @@ class CompactVolume:
             nnz = self.tables.block_nnz(i, j)
         return min(float(dense_words), WORDS_PER_ENTRY * nnz)
 
+    def cap_many(self, ii, jj, dense_words) -> np.ndarray:
+        # The nnz tables are a dict keyed by block: one lookup per block.
+        return np.fromiter(
+            (self.cap(i, j, w) for i, j, w in zip(
+                np.asarray(ii).tolist(), np.asarray(jj).tolist(),
+                np.asarray(dense_words, dtype=np.float64).tolist())),
+            dtype=np.float64, count=len(ii))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompactVolume(nb={self.sf.nb})"
 
 
 def compact_enabled(options) -> bool:
-    """Resolve the compact-comm toggle: env override, then options."""
-    env = os.environ.get("REPRO_COMPACT", "").strip().lower()
-    if env in _ON_VALUES:
-        return True
-    if env in _OFF_VALUES:
-        return False
+    """Whether ``options`` (``None`` = defaults) select compact pricing."""
     return bool(options is not None and
                 getattr(options, "compact_comm", False))
 
@@ -133,5 +142,5 @@ def volume_kind(options) -> str:
 
 
 def volume_for(sf, options) -> BlockVolume:
-    """The :class:`BlockVolume` implied by ``options`` (+ env override)."""
+    """The :class:`BlockVolume` implied by ``options``."""
     return CompactVolume(sf) if compact_enabled(options) else DenseVolume()

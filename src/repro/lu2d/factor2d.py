@@ -22,7 +22,6 @@ from repro.lu2d.options import Factor2DResult, FactorOptions
 from repro.lu2d.storage import allocate_factor_storage
 from repro.plan.backends import get_backend
 from repro.plan.build import build_grid_plan
-from repro.plan.compile import compile_plan
 from repro.plan.execmode import resolve_exec
 from repro.plan.interpret import execute_grid_plan
 from repro.symbolic.symbolic_factor import SymbolicFactorization
@@ -42,9 +41,9 @@ def factor_nodes_2d(sf: SymbolicFactorization, nodes: list[int],
     packed L\\U factors.
 
     The emitted plan is stored on ``result.extras['plan']`` so callers can
-    inspect the schedule (:class:`repro.analysis.PlanStats`); when the
-    plan compiler ran, the executed :class:`repro.plan.CompiledPlan` is on
-    ``result.extras['compiled']``.
+    inspect the schedule (:class:`repro.analysis.PlanStats`,
+    ``plan.fusion_stats()``); ``result.extras['fused']`` says whether the
+    run walked its full-width cut points.
     """
     return _factor_nodes("lu", sf, nodes, grid, sim, data, options)
 
@@ -69,12 +68,10 @@ def _factor_nodes(backend: str, sf, nodes, grid, sim, data, options
         result = execute_grid_plan_resilient(plan, sf, sim, data=data,
                                              options=opts, grid=grid)
     else:
-        compiled = compile_plan(plan, sf, opts) if mode.fuse else None
-        result = execute_grid_plan(compiled.plan if compiled else plan, sf,
-                                   sim, data=data, options=opts, grid=grid)
-        if compiled is not None:
-            result.extras["compiled"] = compiled
+        result = execute_grid_plan(plan, sf, sim, data=data, options=opts,
+                                   grid=grid, fuse=mode.fuse)
     result.extras["plan"] = plan
+    result.extras["fused"] = mode.fuse
     return result
 
 

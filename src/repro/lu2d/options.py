@@ -61,9 +61,8 @@ class FactorOptions:
         the sparsity-aware compact model (:mod:`repro.comm.volume`):
         ``min(dense, 1.5 * nnz)`` words per block off the filled pattern's
         per-block nnz tables, instead of dense ``rows * cols``. Numerics
-        are unaffected — only the booked word counts change. The
-        ``REPRO_COMPACT`` environment variable overrides the flag either
-        way (``1``/``0``).
+        are unaffected — only the booked word counts change. This field
+        is the only switch (no environment override).
     ancestor_replication:
         2.5D replication factor ``c`` for the dense common-ancestor levels
         (paper Section VII / Solomonik-Demmel). ``1`` (default) keeps

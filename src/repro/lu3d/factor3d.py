@@ -24,11 +24,11 @@ grids' rank sets are disjoint. When the pool cannot engage, the run stays
 serial and records *why* on ``Factor3DResult.parallel_stats`` as a
 :class:`repro.parallel.ParallelFallback` — no silent fallbacks.
 
-How a run executes (fused or not, monitored or not, how many workers) is
-decided once, by :func:`repro.plan.execmode.resolve_exec`; the standard,
-merged-grid and Cholesky entry points are argument bindings of one
-pipeline (:func:`_factor`): validate → acquire the plan bundle → charge
-storage → bind data → execute.
+How a run executes (full width or per task, monitored or not, how many
+workers) is decided once, by :func:`repro.plan.execmode.resolve_exec`; the
+standard, merged-grid and Cholesky entry points are argument bindings of
+one pipeline (:func:`_factor`): validate → acquire the plan bundle →
+charge storage → bind data → execute.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.comm.grid import ProcessGrid2D, ProcessGrid3D
 from repro.comm.simulator import Simulator
-from repro.comm.volume import volume_for
 from repro.lu2d.options import FactorOptions
 from repro.lu3d.replication import ReplicaManager
 from repro.parallel.engine import (
@@ -50,15 +49,13 @@ from repro.parallel.engine import (
     ParallelFallback,
 )
 from repro.parallel.shm import ShmTransport
-from repro.plan.backends import get_backend
-from repro.plan.build import build_3d_plan
 from repro.plan.execmode import resolve_exec
 from repro.plan.interpret import (
     execute_grid_plan,
     execute_reduce,
     execute_replicated,
 )
-from repro.plan.replay import PlanBundle, plan_options_key
+from repro.plan.replay import PlanBundle
 from repro.plan.tasks import Plan3D
 from repro.sparse.blockmatrix import BlockMatrix
 from repro.symbolic.symbolic_factor import SymbolicFactorization
@@ -87,9 +84,10 @@ class Factor3DResult:
     parallel_stats: list = field(default_factory=list)
     #: The executed task-graph plan (:class:`repro.plan.Plan3D`).
     plan: Plan3D | None = None
-    #: The :class:`repro.plan.CompiledPlan` actually executed when the run
-    #: fused (:attr:`repro.plan.ExecMode.fuse`); ``None`` otherwise.
-    #: ``plan`` always stays the uncompiled DAG.
+    #: ``plan`` with its full-width dispatch statistics
+    #: (:class:`repro.plan.FusedPlan`) when the run walked its full-width
+    #: cut points (:attr:`repro.plan.ExecMode.fuse`); ``None`` for a
+    #: width-1 run.
     compiled: object | None = None
     #: :class:`repro.resilience.ResilienceStats` when the run went through
     #: the resilience engine (``FactorOptions.resilience_active()``);
@@ -254,11 +252,12 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
         which the shared plan makes literal.
 
     ``cached`` replays a previous run's :class:`repro.plan.PlanBundle`
-    (``result.bundle``): the build/compile/analyze phases are skipped and
+    (``result.bundle``): the build/analyze phases are skipped and
     the cached DAG executes against the fresh values — same events, same
     order, so ledgers stay bit-identical to a cold run. The bundle is
     validated against (grid shape, backend, merged/accelerated mode,
-    plan-relevant options) and refused loudly on mismatch. ``replicas``
+    plan-relevant options, sparsity pattern) and refused loudly on
+    mismatch. ``replicas``
     additionally reuses a previous run's :class:`ReplicaManager` storage
     (reset in place) instead of allocating a fresh one.
 
@@ -288,29 +287,20 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
         result.parallel_stats.append(mode.fallback)
 
     if cached is not None:
-        cached.check(grid3, backend, merged, mode.accelerated, opts)
+        cached.check(grid3, backend, merged, mode.accelerated, opts, sf=sf)
         bundle = cached
     else:
-        t0 = time.perf_counter()
-        blocks_fn = get_backend(backend).node_blocks
-        plan3 = build_3d_plan(sf, tf, grid3, opts, backend=backend,
-                              merged=merged, accelerated=mode.accelerated,
-                              blocks_fn=blocks_fn)
-        bundle = PlanBundle(
-            backend=backend, merged=merged,
-            grid_shape=(grid3.px, grid3.py, grid3.pz),
-            accelerated=mode.accelerated, opts_key=plan_options_key(opts),
-            blocks_fn=blocks_fn, plan3=plan3, volume=volume_for(sf, opts),
-            build_seconds=time.perf_counter() - t0)
+        bundle = PlanBundle.build(sf, tf, grid3, opts, backend=backend,
+                                  merged=merged,
+                                  accelerated=mode.accelerated)
     result.plan = bundle.plan3
     result.bundle = bundle
 
     if charge_storage:
         # Merging re-partitions ownership, it does not change what is
         # stored: the merged variant charges the standard replica storage.
-        words = bundle.replica_words(sf, tf, grid3)
-        for r in np.flatnonzero(words):
-            sim.alloc(int(r), float(words[r]))
+        sim.alloc_batch(np.arange(grid3.size),
+                        bundle.replica_words(sf, tf, grid3))
 
     data = _bind_data(sf, tf, result, bundle, mode, numeric=numeric,
                       merged=merged, matrix=matrix, replicas=replicas)
@@ -326,11 +316,11 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
         result.resilience = rengine.stats
         return result
     if mode.fuse:
-        result.compiled = bundle.compiled(sf, opts)
+        result.compiled = bundle.compiled()
     engine = ParallelExecutor(mode.n_workers, sf, opts) \
         if mode.n_workers > 1 else None
-    _execute_plan3d(result.compiled.plan if mode.fuse else bundle.plan3,
-                    sf, sim, result, opts, engine, data)
+    _execute_plan3d(bundle.plan3, sf, sim, result, opts, engine, data,
+                    fuse=mode.fuse)
     return result
 
 
@@ -366,15 +356,18 @@ def _absorb_2d(result: Factor3DResult, r2d) -> None:
 
 def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
                     result: Factor3DResult, opts: FactorOptions,
-                    engine: ParallelExecutor | None, data) -> None:
+                    engine: ParallelExecutor | None, data, *,
+                    fuse: bool = False) -> None:
     """Walk the 3D plan level by level (shared by standard and merged).
 
-    ``data`` is one of the data strategies above. Levels with ≥ 2 grid
-    plans fan out to the engine when one is present; everything else runs
-    inline through the shared interpreter. A shared-memory failure while
-    exporting a level ends the fan-out for the rest of the run: that level
-    and every later one run inline (the replicas are authoritative between
-    levels, so nothing is lost) and the run records why.
+    ``data`` is one of the data strategies above; ``fuse`` selects the grid
+    plans' full-width cut points (see :func:`execute_grid_plan`). Levels
+    with ≥ 2 grid plans fan out to the engine when one is present;
+    everything else runs inline through the shared interpreter. A
+    shared-memory failure while exporting a level ends the fan-out for the
+    rest of the run: that level and every later one run inline (the
+    replicas are authoritative between levels, so nothing is lost) and the
+    run records why.
     """
     fan_out = engine is not None
     try:
@@ -383,7 +376,7 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
             fanned = False
             if fan_out and len(step.grid_plans) >= 2:
                 fanned = fan_out = _fan_out_level(engine, sf, sim, result,
-                                                  step, data)
+                                                  step, data, fuse)
                 if not fanned:
                     result.parallel_stats.append(ParallelFallback(
                         reason="shared memory failed while exporting level "
@@ -394,7 +387,8 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
                 for gp in step.grid_plans:
                     grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
                     r2d = execute_grid_plan(gp, sf, sim, data=data.view(gp),
-                                            options=opts, grid=grid)
+                                            options=opts, grid=grid,
+                                            fuse=fuse)
                     _absorb_2d(result, r2d)
                     data.mark_executed_inline(gp)
             for rep in step.replicated:
@@ -418,7 +412,7 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
 
 
 def _fan_out_level(engine: ParallelExecutor, sf, sim: Simulator,
-                   result: Factor3DResult, step, data) -> bool:
+                   result: Factor3DResult, step, data, fuse: bool) -> bool:
     """Run one level's grid plans on the worker pool and merge back.
 
     Fork order, submission order and merge order are all ascending grid
@@ -431,7 +425,7 @@ def _fan_out_level(engine: ParallelExecutor, sf, sim: Simulator,
     handles = {gp.g: data.export(gp) for gp in step.grid_plans}
     if data.transport is not None and data.transport.broken:
         return False
-    tasks = [GridTask(plan=gp, blocks=handles[gp.g],
+    tasks = [GridTask(plan=gp, blocks=handles[gp.g], fuse=fuse,
                       sub=sim.fork(range(gp.base, gp.base + gp.px * gp.py)))
              for gp in step.grid_plans]
     shipped = float(sum(len(pickle.dumps(h)) for h in handles.values()

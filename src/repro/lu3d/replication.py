@@ -14,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.grid import ProcessGrid3D
-from repro.lu2d.storage import node_blocks
+from repro.lu2d.storage import node_block_arrays, node_blocks
 from repro.sparse.blockmatrix import BlockMatrix
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.tree.treeforest import TreeForest
+from repro.utils.ragged import ragged
 
 __all__ = ["ReplicaManager", "GridStoreView", "replica_words_per_rank",
            "touched_block_keys"]
@@ -243,17 +244,21 @@ def replica_words_per_rank(sf: SymbolicFactorization, tf: TreeForest,
     its own layer's 2D block-cyclic map — this is the memory the paper's
     Fig. 11 measures the overhead of. ``volume`` is the
     :class:`repro.comm.volume.BlockVolume` pricing each block (``None`` =
-    dense, the historical ``rows * cols`` accounting).
+    dense, the historical ``rows * cols`` accounting). One ``np.add.at``
+    over every (node, replicating grid, block) triple in that nesting
+    order, so per-rank sums accumulate in the historical loop's order.
     """
-    blocks_fn = blocks_fn or node_blocks
+    ptr, ii, jj, ww = node_block_arrays(sf, blocks_fn)
+    if volume is not None:
+        ww = volume.cap_many(ii, jj, ww)
+    n_blocks = np.diff(ptr)
+    n_grids = 2 ** (tf.l - tf.node_level)           # per node, contiguous
+    first = tf.node_forest * n_grids                # from its home grid
+    node, w = ragged(n_grids * n_blocks)            # grid-major per node
+    at = ptr[node] + w % n_blocks[node]
+    layer0 = grid3.layer(0)
+    ranks = (first[node] + w // n_blocks[node]) * grid3.pxy \
+        + layer0.owner_pairs(ii[at], jj[at])
     words = np.zeros(grid3.size)
-    for v in range(sf.nb):
-        blocks = blocks_fn(sf, v)
-        if volume is not None:
-            blocks = [(i, j, volume.cap(i, j, float(w)))
-                      for i, j, w in blocks]
-        for g in tf.grids_of_node(v):
-            layer = grid3.layer(g)
-            for i, j, w in blocks:
-                words[layer.owner(i, j)] += w
+    np.add.at(words, ranks, ww[at])
     return words

@@ -56,16 +56,18 @@ class GridTask:
     """One grid's share of a level, self-contained for worker transport.
 
     ``plan`` is the grid's :class:`repro.plan.GridPlan` (it names its
-    kernel backend as a string and its 2D grid as ``(px, py, base)``, so
-    it pickles as plain data); ``sub`` the forked simulator carrying the
-    grid's ledger state; ``blocks`` the exported replica view — a
-    :class:`repro.parallel.shm.ShmViewHandle` descriptor, or ``None`` in
-    cost-only mode.
+    kernel backend as a string, its 2D grid as ``(px, py, base)`` and its
+    tasks as ndarrays, so it pickles as plain data); ``sub`` the forked
+    simulator carrying the grid's ledger state; ``blocks`` the exported
+    replica view — a :class:`repro.parallel.shm.ShmViewHandle` descriptor,
+    or ``None`` in cost-only mode; ``fuse`` the walk width
+    (:attr:`repro.plan.ExecMode.fuse`).
     """
 
     plan: object
     sub: Simulator
     blocks: ShmViewHandle | None
+    fuse: bool = False
 
 
 @dataclass
@@ -147,7 +149,8 @@ def _worker_run(task: GridTask) -> GridOutcome:
     view = ShmBlockView(task.blocks) if task.blocks is not None else None
     try:
         r2d = execute_grid_plan(plan, _WORKER_STATE["sf"], task.sub,
-                                data=view, options=_WORKER_STATE["options"])
+                                data=view, options=_WORKER_STATE["options"],
+                                fuse=task.fuse)
     finally:
         if view is not None:
             view.release()

@@ -4,7 +4,9 @@ The paper's Algorithm 1 is a dependency structure — per-forest 2D
 eliminations, pairwise ancestor reductions, level-wise grid growth — and
 this package makes that structure a first-class object. A *builder*
 (:mod:`repro.plan.build`) walks the symbolic factorization and tree-forest
-once and emits a typed DAG of tasks (:mod:`repro.plan.tasks`); a single
+once and emits the task DAG — per grid as one struct-of-arrays
+(:mod:`repro.plan.arrays`, fused by construction; typed task records,
+:mod:`repro.plan.tasks`, are its lazily materialised view); a single
 *interpreter* (:mod:`repro.plan.interpret`) executes any plan against a
 pluggable kernel backend (:mod:`repro.plan.backends` — LU or Cholesky,
 numeric or cost-only). Every driver (2D baseline, 3D, merged-grid,
@@ -24,19 +26,20 @@ from repro.plan.backends import (
     cholesky_node_blocks,
     get_backend,
 )
-from repro.plan.build import build_3d_plan, build_grid_plan, sink_tids
-from repro.plan.compile import (
-    CompiledPlan,
-    CompileStats,
-    compile_plan,
+from repro.plan.arrays import TaskArrays
+from repro.plan.build import (
+    build_3d_plan,
+    build_grid_plan,
+    pattern_signature,
+    sink_tids,
 )
 from repro.plan.execmode import ExecMode, resolve_exec
 from repro.plan.interpret import execute_grid_plan, execute_reduce
-from repro.plan.replay import PlanBundle, plan_options_key
+from repro.plan.replay import FusedPlan, PlanBundle, plan_options_key
 from repro.plan.tasks import (
     AncestorReduce,
     BcastSpec,
-    FusedTask,
+    FusionStats,
     GridPlan,
     LevelBarrier,
     LevelStep,
@@ -53,10 +56,9 @@ __all__ = [
     "AncestorReduce",
     "BcastSpec",
     "CholeskyBackend",
-    "CompileStats",
-    "CompiledPlan",
     "ExecMode",
-    "FusedTask",
+    "FusedPlan",
+    "FusionStats",
     "GridPlan",
     "KernelBackend",
     "LUBackend",
@@ -68,13 +70,14 @@ __all__ = [
     "PlanBundle",
     "SchurUpdate",
     "Task",
+    "TaskArrays",
     "build_3d_plan",
     "build_grid_plan",
     "cholesky_node_blocks",
-    "compile_plan",
     "execute_grid_plan",
     "execute_reduce",
     "get_backend",
+    "pattern_signature",
     "plan_options_key",
     "resolve_exec",
     "sink_tids",

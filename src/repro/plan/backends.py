@@ -2,17 +2,19 @@
 
 A backend bundles everything variant-specific about a factorization:
 
-* **plan emission** — how a supernode turns into ``PanelFactor`` /
-  ``PanelBcast`` / ``SchurUpdate`` tasks, including each broadcast's
-  participant list and routing (resolved here, at build time, into plain
-  :class:`~repro.plan.tasks.BcastSpec` payloads);
+* **plan emission** — the panel tasks of a whole node list as parallel
+  columns (:meth:`KernelBackend.emit_panels`: one diagonal-factor task per
+  node followed by its panel-solve tasks, and every broadcast's root,
+  communicator, payload and routing hop, all resolved here at build time)
+  and the Schur tasks' per-pair cost arrays
+  (:meth:`KernelBackend.emit_schur`) — numpy over the concatenated panels,
+  no per-block Python;
 * **numeric kernels** — what actually runs when the interpreter reaches a
   task in numeric mode (``getrf_nopiv`` for LU, ``potrf_shifted`` for
   Cholesky, in-place ``trsm`` panel solves and ``gemm_sub`` Schur
   accumulation for both — all from :mod:`repro.lu2d.kernels`); the
-  interpreter books the simulator events itself, from the task's own
-  fields and the backend's per-pair Schur cost arrays, so numeric and
-  cost-only runs book identical events;
+  interpreter books the simulator events itself, from the plan's arrays,
+  so numeric and cost-only runs book identical events;
 * **block enumeration** — the per-supernode block set the 3D replication
   and reduction layers iterate (full panels for LU, lower triangle for
   Cholesky).
@@ -24,12 +26,15 @@ a string.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from repro.lu2d.batched import schur_pair_costs, syrk_pair_costs
+from repro.lu2d.batched import schur_pairs, syrk_pairs
 from repro.lu2d.kernels import gemm_sub, getrf_nopiv, potrf_shifted, trsm
 from repro.lu2d.storage import node_blocks
-from repro.plan.tasks import BcastSpec, PanelBcast, PanelFactor, SchurUpdate
+from repro.plan.arrays import PANEL_FACTOR
+from repro.utils.ragged import ragged
 
 __all__ = ["BuildContext", "KernelBackend", "LUBackend", "CholeskyBackend",
            "get_backend", "cholesky_node_blocks"]
@@ -51,20 +56,58 @@ def cholesky_node_blocks(sf, k: int) -> list[tuple[int, int, int]]:
 class BuildContext:
     """Shared state of one :func:`repro.plan.build.build_grid_plan` call."""
 
-    def __init__(self, sf, grid, opts, counter, volume=None):
-        from repro.comm.volume import DenseVolume
+    def __init__(self, sf, grid, opts, volume):
         self.sf = sf
         self.grid = grid
         self.opts = opts
-        self.counter = counter
         self.sizes = sf.layout.sizes()
         # Every message the backends emit is priced through the block-
         # volume model; DenseVolume's cap is the identity, so dense plans
         # are bit-identical to the historical r*c arithmetic.
-        self.volume = volume if volume is not None else DenseVolume()
+        self.volume = volume
+        #: Interned communicators: rank tuple -> id, in id order.
+        self.comm_ids: dict[tuple[int, ...], int] = {}
+        self.row_comm = np.asarray(
+            [self.comm_id(grid.row_ranks(pi)) for pi in range(grid.px)])
+        self.col_comm = np.asarray(
+            [self.comm_id(grid.col_ranks(pj)) for pj in range(grid.py)])
 
-    def next_tid(self) -> int:
-        return self.counter.next()
+    def comm_id(self, ranks) -> int:
+        return self.comm_ids.setdefault(tuple(ranks), len(self.comm_ids))
+
+    def panel_layout(self, ks, upper: bool) -> SimpleNamespace:
+        """The panel-task columns both backends share. Node ``ks[g]``
+        contributes ``count[g]`` consecutive tasks: its factor task (at
+        ``pf[g]``), its U solves (``upper`` only; block ``(k, ju[e])`` at
+        ``pu[e]`` for node ``gu[e]``), then its L solves (``(il[e], k)``
+        at ``pl[e]`` for node ``gl[e]``). ``bi``/``bj``/``side`` are
+        complete, ``flops`` lacks the factor tasks'; ``s`` is the node
+        sizes and ``nu``/``nl`` the panel lengths."""
+        lp_ptr, lp_idx, up_ptr, up_idx = self.sf.fill.panel_csr()
+
+        def flat(ptr, idx):     # (n, group, offset, block ids) of a panel
+            n = ptr[ks + 1] - ptr[ks]
+            g, w = ragged(n)
+            return n, g, w, idx[ptr[ks][g] + w]
+
+        nl, gl, wl, il = flat(lp_ptr, lp_idx)
+        nu, gu, wu, ju = flat(up_ptr, up_idx) if upper \
+            else flat(np.zeros_like(up_ptr), up_idx)
+        count = 1 + nu + nl
+        pf = np.cumsum(count) - count
+        pu, pl = pf[gu] + 1 + wu, pf[gl] + 1 + nu[gl] + wl
+        n = int(count.sum())
+        bi, bj = np.empty(n, np.int64), np.empty(n, np.int64)
+        side, flops = np.zeros(n, np.int8), np.empty(n)
+        s = self.sizes[ks]
+        bi[pf] = bj[pf] = ks
+        bi[pu], bj[pu], side[pu] = ks[gu], ju, 1
+        bi[pl], bj[pl], side[pl] = il, ks[gl], 2
+        flops[pu] = s[gu] * s[gu] * self.sizes[ju]
+        flops[pl] = s[gl] * s[gl] * self.sizes[il]
+        return SimpleNamespace(
+            count=count, pf=pf, pu=pu, pl=pl, nu=nu, gu=gu, ju=ju, nl=nl,
+            gl=gl, il=il, s=s, bi=bi, bj=bj, side=side, flops=flops)
 
 
 class KernelBackend:
@@ -77,49 +120,45 @@ class KernelBackend:
     #: ``accel_panel_ranks`` and ``pair_offload_words`` (see LUBackend).
     accel_aware: bool = False
 
-    @staticmethod
-    def node_blocks(sf, k):  # pragma: no cover - interface
+    def emit_panels(self, b: BuildContext, ks: np.ndarray):
+        """Panel tasks of node list ``ks``, as columns: node ``g``
+        contributes ``count[g]`` consecutive tasks (its factor task first)
+        with blocks ``bi``/``bj``, ``side`` code and ``flops``; ``spec_*``
+        list every broadcast in task order (``spec_task`` indexes the
+        concatenated tasks, ``spec_route`` is -1 without a routing hop)."""
         raise NotImplementedError
 
-    def build_node(self, b: BuildContext, k: int, deps: tuple[int, ...]
-                   ) -> tuple[PanelFactor, list[PanelBcast]]:
-        raise NotImplementedError
-
-    def build_schur(self, b: BuildContext, k: int, deps: tuple[int, ...]
-                    ) -> SchurUpdate:
+    def emit_schur(self, b: BuildContext, ks: np.ndarray):
+        """Schur tasks of ``ks``: per-node total ``flops`` and pair
+        ``count``, concatenated per-pair ``owners`` / ``pair_flops``."""
         raise NotImplementedError
 
     # -- execution ---------------------------------------------------------
-    # Numeric bodies only: the interpreter books every simulator event
-    # (fused or not) and calls these per task for the data movement alone.
+    # Numeric bodies only: the interpreter books every simulator event and
+    # calls these per task for the data movement alone.
 
-    def pair_costs(self, sf, k: int, sizes, grid):
-        """``(owners, flops)`` of node ``k``'s Schur update, one entry per
-        block pair in :meth:`schur_numeric`'s order."""
+    def panel_numeric(self, ctx, kind: int, k: int, i: int, j: int) -> None:
+        """Factor ``(k, k)`` (``kind == PANEL_FACTOR``) or solve panel
+        block ``(i, j)`` of node ``k`` in place."""
         raise NotImplementedError
 
-    def panel_numeric(self, ctx, task) -> None:
-        raise NotImplementedError
-
-    def schur_numeric(self, ctx, task: SchurUpdate) -> None:
+    def schur_numeric(self, ctx, k: int) -> None:
         raise NotImplementedError
 
 
-def _member_spec(root: int, ranks, words: float) -> BcastSpec:
-    """LU convention: an owner outside the communicator joins it."""
-    ranks = list(ranks)
-    if root not in ranks:
-        ranks = [root] + ranks
-    return BcastSpec(root=root, ranks=tuple(ranks), words=words)
-
-
-def _routed_spec(root: int, ranks, words: float) -> BcastSpec:
-    """Cholesky convention: route through the communicator's entry rank."""
-    ranks = list(ranks)
-    if root not in ranks:
-        return BcastSpec(root=ranks[0], ranks=tuple(ranks), words=words,
-                         route_from=root)
-    return BcastSpec(root=root, ranks=tuple(ranks), words=words)
+def _panel_columns(lay, parts) -> SimpleNamespace:
+    """``emit_panels``' result: the task columns of layout ``lay`` plus
+    the per-family ``(task, sub, root, comm, words, route)`` spec columns
+    ``parts`` merged into task order (``sub`` orders a task's own
+    broadcasts)."""
+    spec = [np.concatenate([np.broadcast_to(p[c], p[0].shape) for p in parts])
+            for c in range(6)]
+    order = np.argsort(spec[0] * 2 + spec[1], kind="stable")
+    task, _sub, root, comm, words, route = (c[order] for c in spec)
+    return SimpleNamespace(
+        count=lay.count, bi=lay.bi, bj=lay.bj, side=lay.side,
+        flops=lay.flops, spec_task=task, spec_root=root, spec_comm=comm,
+        spec_words=words.astype(np.float64), spec_route=route)
 
 
 class LUBackend(KernelBackend):
@@ -131,92 +170,78 @@ class LUBackend(KernelBackend):
 
     # -- plan emission -----------------------------------------------------
 
-    def build_node(self, b, k, deps):
-        grid, sizes = b.grid, b.sizes
-        s = int(sizes[k])
-        lp, up = b.sf.fill.lpanel[k], b.sf.fill.upanel[k]
-        owner_kk = grid.owner(k, k)
-        tri_words = b.volume.cap(k, k, s * (s + 1) / 2.0)
-
+    def emit_panels(self, b, ks):
+        grid, sizes, lay = b.grid, b.sizes, b.panel_layout(ks, upper=True)
+        s, gu, ju, gl, il = lay.s, lay.gu, lay.ju, lay.gl, lay.il
+        lay.flops[lay.pf] = b.sf.costs.factor_flops[ks]
         if b.opts.sparse_bcast:
-            # SuperLU's BC trees span only ranks owning an update target:
-            # panel rows {i mod Px} and panel columns {j mod Py}. Fixed
-            # per node, so resolved once here (np.unique == sorted-set
-            # ordering, identical to the historical driver).
-            target_rows = np.unique(
-                np.asarray(lp, dtype=np.int64) % grid.px).tolist()
-            target_cols = np.unique(
-                np.asarray(up, dtype=np.int64) % grid.py).tolist()
-            row_cache: dict[int, list[int]] = {}
-            col_cache: dict[int, list[int]] = {}
+            row_of, col_of = self._sparse_comms(b, ks, gu, ju, gl, il)
+        else:           # whole process rows / columns (Section IV)
+            def row_of(g, i):
+                return b.row_comm[i % grid.px]
 
-            def ranks_in_row(ic):
-                ranks = row_cache.get(ic)
-                if ranks is None:
-                    ranks = [grid.rank(ic, pj) for pj in target_cols]
-                    row_cache[ic] = ranks
-                return ranks
+            def col_of(g, j):
+                return b.col_comm[j % grid.py]
 
-            def ranks_in_col(jc):
-                ranks = col_cache.get(jc)
-                if ranks is None:
-                    ranks = [grid.rank(pi, jc) for pi in target_rows]
-                    col_cache[jc] = ranks
-                return ranks
+        has_u, has_l = np.flatnonzero(lay.nu), np.flatnonzero(lay.nl)
+        k_u, k_l = ks[has_u], ks[has_l]
+        tri = b.volume.cap_many(ks, ks, s * (s + 1) / 2.0)
+        owner = grid.owner_pairs
+        return _panel_columns(lay, [
+            # U_kk along the process row, L_kk down the process column
+            (lay.pf[has_u], 0, owner(k_u, k_u), row_of(has_u, k_u),
+             tri[has_u], -1),
+            (lay.pf[has_l], 1, owner(k_l, k_l), col_of(has_l, k_l),
+             tri[has_l], -1),
+            (lay.pu, 0, owner(ks[gu], ju), col_of(gu, ju),
+             b.volume.cap_many(ks[gu], ju, s[gu] * sizes[ju]), -1),
+            (lay.pl, 0, owner(il, ks[gl]), row_of(gl, il),
+             b.volume.cap_many(il, ks[gl], sizes[il] * s[gl]), -1)])
 
-            diag_row = ranks_in_row(k % grid.px)
-            diag_col = ranks_in_col(k % grid.py)
-        else:
-            ranks_in_row = ranks_in_col = None
-            diag_row = grid.row_ranks(k)
-            diag_col = grid.col_ranks(k)
+    @staticmethod
+    def _sparse_comms(b, ks, gu, ju, gl, il):
+        """SuperLU's BC trees span only ranks owning an update target:
+        panel rows ``{i mod Px}`` and panel columns ``{j mod Py}`` of the
+        node, in sorted order; an owner outside them joins in front (the
+        LU convention). Returns the per-(node, block) communicator
+        lookups ``row_of(g, i)`` / ``col_of(g, j)``."""
+        grid = b.grid
+        px, py = grid.px, grid.py
 
-        specs = []
-        if len(up):
-            specs.append(_member_spec(owner_kk, diag_row, tri_words))
-        if len(lp):
-            specs.append(_member_spec(owner_kk, diag_col, tri_words))
-        pf = PanelFactor(tid=b.next_tid(), deps=deps, node=k, owner=owner_kk,
-                         flops=float(b.sf.costs.factor_flops[k]),
-                         bcasts=tuple(specs))
+        def table(present, own, lines, rank_at):
+            # present[g, x]: coordinate x of the line holds a target of
+            # node g; own[g]: the root's coordinate along the line.
+            q = present.shape[1]
+            key = (present @ (1 << np.arange(q))) * q + own
+            uniq, inv = np.unique(key, return_inverse=True)
+            ids = np.empty((uniq.size, lines), dtype=np.int64)
+            for u, (mask, o) in enumerate(divmod(int(v), q) for v in uniq):
+                members = [x for x in range(q) if mask >> x & 1]
+                for line in range(lines):
+                    ranks = [rank_at(line, x) for x in members]
+                    if o not in members:
+                        ranks.insert(0, rank_at(line, o))
+                    ids[u, line] = b.comm_id(ranks)
+            return ids[inv]
 
-        pbs = []
-        for j in up:
-            j = int(j)
-            sj = int(sizes[j])
-            o = grid.owner(k, j)
-            ranks = ranks_in_col(j % grid.py) if b.opts.sparse_bcast \
-                else grid.col_ranks(j)
-            pbs.append(PanelBcast(
-                tid=b.next_tid(), deps=(pf.tid,), node=k, block=(k, j),
-                side="U", owner=o, flops=float(s * s * sj),
-                bcasts=(_member_spec(o, ranks,
-                                     b.volume.cap(k, j, float(s * sj))),)))
-        for i in lp:
-            i = int(i)
-            si = int(sizes[i])
-            o = grid.owner(i, k)
-            ranks = ranks_in_row(i % grid.px) if b.opts.sparse_bcast \
-                else grid.row_ranks(i)
-            pbs.append(PanelBcast(
-                tid=b.next_tid(), deps=(pf.tid,), node=k, block=(i, k),
-                side="L", owner=o, flops=float(s * s * si),
-                bcasts=(_member_spec(o, ranks,
-                                     b.volume.cap(i, k, float(si * s))),)))
-        return pf, pbs
+        cols = np.zeros((ks.size, py), dtype=bool)
+        cols[gu, ju % py] = True
+        rows = np.zeros((ks.size, px), dtype=bool)
+        rows[gl, il % px] = True
+        row_tab = table(cols, ks % py, px, lambda pi, pj: grid.rank(pi, pj))
+        col_tab = table(rows, ks % px, py, lambda pj, pi: grid.rank(pi, pj))
+        return (lambda g, i: row_tab[g, i % px]), \
+            (lambda g, j: col_tab[g, j % py])
 
-    def build_schur(self, b, k, deps):
-        lp, up = b.sf.fill.lpanel[k], b.sf.fill.upanel[k]
-        n_pairs = len(lp) * len(up)
-        return SchurUpdate(
-            tid=b.next_tid(), deps=deps, node=k, n_pairs=n_pairs,
-            flops=float(b.sf.costs.schur_flops[k]))
+    def emit_schur(self, b, ks):
+        lp_ptr, lp_idx, up_ptr, up_idx = b.sf.fill.panel_csr()
+        count, owners, flops = schur_pairs(
+            b.sizes[ks], lp_ptr[ks], lp_ptr[ks + 1] - lp_ptr[ks], lp_idx,
+            up_ptr[ks], up_ptr[ks + 1] - up_ptr[ks], up_idx, b.sizes, b.grid)
+        return SimpleNamespace(flops=b.sf.costs.schur_flops[ks], count=count,
+                               owners=owners, pair_flops=flops)
 
     # -- execution ---------------------------------------------------------
-
-    def pair_costs(self, sf, k, sizes, grid):
-        return schur_pair_costs(k, sf.fill.lpanel[k], sf.fill.upanel[k],
-                                sizes, grid)
 
     def accel_panel_ranks(self, sf, k, grid) -> list[int]:
         """Ranks whose accelerators must drain before node ``k``'s panel
@@ -228,27 +253,23 @@ class LUBackend(KernelBackend):
 
     def pair_offload_words(self, sf, k, sizes) -> np.ndarray:
         """Words one offloaded pair GEMM moves over PCIe (both operands
-        plus the result), parallel to :meth:`pair_costs`."""
+        plus the result), parallel to the node's Schur pair arrays."""
         s = int(sizes[k])
         si = sizes[np.asarray(sf.fill.lpanel[k], dtype=np.int64)][:, None]
         sj = sizes[np.asarray(sf.fill.upanel[k], dtype=np.int64)][None, :]
         return (si * s + s * sj + si * sj).ravel().astype(np.float64)
 
-    def panel_numeric(self, ctx, task):
-        k = task.node
-        if isinstance(task, PanelFactor):
+    def panel_numeric(self, ctx, kind, k, i, j):
+        if kind == PANEL_FACTOR:
             ctx.result.perturbed_pivots += getrf_nopiv(
                 ctx.store[(k, k)], ctx.opts.pivot_eps)
-            return
-        i, j = task.block
-        if task.side == "U":    # U_kj <- L_kk^{-1} A_kj
+        elif i == k:            # U_kj <- L_kk^{-1} A_kj
             trsm(ctx.store[(k, k)], ctx.store[(k, j)], side="L", lower=True,
                  unit=True)
         else:                   # L_ik <- A_ik U_kk^{-1}
             trsm(ctx.store[(k, k)], ctx.store[(i, k)], side="R", lower=False)
 
-    def schur_numeric(self, ctx, task):
-        k = task.node
+    def schur_numeric(self, ctx, k):
         lp, up = ctx.sf.fill.lpanel[k], ctx.sf.fill.upanel[k]
         store = ctx.store
         for i in lp:
@@ -268,68 +289,51 @@ class CholeskyBackend(KernelBackend):
 
     # -- plan emission -----------------------------------------------------
 
-    def build_node(self, b, k, deps):
-        grid, sizes = b.grid, b.sizes
-        s = int(sizes[k])
-        lp = b.sf.fill.lpanel[k]
-        owner_kk = grid.owner(k, k)
-        specs = []
-        if len(lp):
-            # L_kk down the process column for the panel solves.
-            specs.append(_routed_spec(owner_kk, grid.col_ranks(k),
-                                      b.volume.cap(k, k, s * (s + 1) / 2.0)))
-        pf = PanelFactor(tid=b.next_tid(), deps=deps, node=k, owner=owner_kk,
-                         flops=s ** 3 / 3.0, bcasts=tuple(specs))
-        pbs = []
-        for i in lp:
-            i = int(i)
-            si = int(sizes[i])
-            o = grid.owner(i, k)
-            # Left operand for block-row i; transposed right operand for
-            # block-column i (the routed hop of pdpotrf).
-            pbs.append(PanelBcast(
-                tid=b.next_tid(), deps=(pf.tid,), node=k, block=(i, k),
-                side="L", owner=o, flops=float(s * s * si),
-                bcasts=(_routed_spec(o, grid.row_ranks(i),
-                                     b.volume.cap(i, k, float(si * s))),
-                        _routed_spec(o, grid.col_ranks(i),
-                                     b.volume.cap(i, k, float(si * s))))))
-        return pf, pbs
+    def emit_panels(self, b, ks):
+        grid, lay = b.grid, b.panel_layout(ks, upper=False)
+        s, gl, il = lay.s, lay.gl, lay.il
+        lay.flops[lay.pf] = s ** 3 / 3.0
+        has_l = np.flatnonzero(lay.nl)
+        k_l, kk = ks[has_l], ks[gl]
+        o = grid.owner_pairs(il, kk)
+        words = b.volume.cap_many(il, kk, b.sizes[il] * s[gl])
+        # The transposed operand goes down block-column i's process
+        # column; an owner outside it routes the payload through the
+        # column's entry rank first (the routed hop of pdpotrf).
+        inside = kk % grid.py == il % grid.py
+        entry = grid.owner_pairs(np.zeros_like(il), il)
+        return _panel_columns(lay, [
+            # L_kk down the process column for the panel solves
+            (lay.pf[has_l], 0, grid.owner_pairs(k_l, k_l),
+             b.col_comm[k_l % grid.py],
+             b.volume.cap_many(k_l, k_l, (s * (s + 1) / 2.0)[has_l]), -1),
+            # left operand along block-row i's process row
+            (lay.pl, 0, o, b.row_comm[il % grid.px], words, -1),
+            (lay.pl, 1, np.where(inside, o, entry), b.col_comm[il % grid.py],
+             words, np.where(inside, -1, o))])
 
-    def build_schur(self, b, k, deps):
-        npanel = len(b.sf.fill.lpanel[k])
-        n_pairs = npanel * (npanel + 1) // 2
-        sizes = b.sizes
-        s = int(sizes[k])
-        lp = [int(i) for i in b.sf.fill.lpanel[k]]
-        flops = 0.0
-        for a, i in enumerate(lp):
-            si = int(sizes[i])
-            for j in lp[:a + 1]:
-                sj = int(sizes[j])
-                flops += float(si * s * sj) if i == j else 2.0 * si * s * sj
-        return SchurUpdate(
-            tid=b.next_tid(), deps=deps, node=k, n_pairs=n_pairs,
-            flops=flops)
+    def emit_schur(self, b, ks):
+        lp_ptr, lp_idx, _up_ptr, _up_idx = b.sf.fill.panel_csr()
+        count, owners, flops = syrk_pairs(
+            b.sizes[ks], lp_ptr[ks], lp_ptr[ks + 1] - lp_ptr[ks], lp_idx,
+            b.sizes, b.grid)
+        node = np.repeat(np.arange(ks.size), count)
+        return SimpleNamespace(
+            flops=np.bincount(node, weights=flops, minlength=ks.size),
+            count=count, owners=owners, pair_flops=flops)
 
     # -- execution ---------------------------------------------------------
 
-    def pair_costs(self, sf, k, sizes, grid):
-        return syrk_pair_costs(k, sf.fill.lpanel[k], sizes, grid)
-
-    def panel_numeric(self, ctx, task):
-        k = task.node
-        if isinstance(task, PanelFactor):
+    def panel_numeric(self, ctx, kind, k, i, j):
+        if kind == PANEL_FACTOR:
             L, nshift = potrf_shifted(ctx.store[(k, k)], ctx.opts.pivot_eps)
             ctx.store[(k, k)][:] = L
             ctx.result.perturbed_pivots += nshift
-            return
-        # L_ik <- A_ik L_kk^{-T}
-        trsm(ctx.store[(k, k)], ctx.store[(task.block[0], k)], side="R",
-             lower=True, trans=True)
+        else:                   # L_ik <- A_ik L_kk^{-T}
+            trsm(ctx.store[(k, k)], ctx.store[(i, k)], side="R", lower=True,
+                 trans=True)
 
-    def schur_numeric(self, ctx, task):
-        k = task.node
+    def schur_numeric(self, ctx, k):
         store = ctx.store
         lp = [int(i) for i in ctx.sf.fill.lpanel[k]]
         for a, i in enumerate(lp):

@@ -4,8 +4,13 @@
 :class:`~repro.plan.tasks.GridPlan`. The list order *is* the schedule the
 historical imperative drivers executed — including the Section II-F
 lookahead interleave, which is replayed here at build time with the same
-``pending``/``panel_done`` bookkeeping the drivers carried at run time. The
-``deps`` edges are pure data dependencies layered on top:
+``pending``/``panel_done`` bookkeeping the drivers carried at run time.
+Only that replay (one short loop per node) is Python: the tasks themselves
+are emitted as whole columns — the backend's panel and Schur columns of
+the node list, scattered to their schedule positions, with the dependency
+CSR filled by index arithmetic — and completed by
+:meth:`repro.plan.arrays.TaskArrays.assemble`. The ``deps`` edges are pure
+data dependencies layered on top of the list order:
 
 * ``PanelBcast(k) -> PanelFactor(k)`` (solves consume the diagonal);
 * ``SchurUpdate(k) -> PanelBcast(k, *)`` (updates consume the panels);
@@ -23,10 +28,19 @@ merged redistribution ops — are fully resolved at build time.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.comm.grid import ProcessGrid2D, ProcessGrid3D
 from repro.lu2d.options import FactorOptions
+from repro.lu2d.storage import node_block_arrays
+from repro.plan.arrays import (
+    PANEL_BCAST,
+    PANEL_FACTOR,
+    SCHUR_UPDATE,
+    TaskArrays,
+)
 from repro.plan.backends import BuildContext, get_backend
 from repro.plan.tasks import (
     AncestorReduce,
@@ -37,9 +51,10 @@ from repro.plan.tasks import (
     Plan3D,
     ReplicatedFactor,
 )
+from repro.utils.ragged import csr_ptr, ragged
 
 __all__ = ["TidCounter", "build_grid_plan", "build_3d_plan", "sink_tids",
-           "POST_BUILD_HOOK"]
+           "pattern_signature", "POST_BUILD_HOOK"]
 
 #: Optional callback ``hook(plan, sf)`` invoked on every *complete* plan
 #: this module builds: each standalone :class:`GridPlan` and each finished
@@ -58,17 +73,73 @@ class TidCounter:
         self._next = start
 
     def next(self) -> int:
+        return self.take(1)
+
+    def take(self, n: int) -> int:
+        """Reserve ``n`` consecutive tids; returns the first."""
         tid = self._next
-        self._next += 1
+        self._next += n
         return tid
+
+
+def pattern_signature(sf) -> tuple:
+    """``(nb, digest)`` of what a plan depends on in ``sf``: the block-size
+    vector and both panel structures (memoized on ``sf``). Two symbolic
+    factorizations with equal signatures build identical plans."""
+    sig = getattr(sf, "_pattern_sig", None)
+    if sig is None:
+        h = hashlib.sha1()
+        for a in (sf.layout.sizes(), *sf.fill.panel_csr()):
+            h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+        sig = sf._pattern_sig = (sf.nb, h.hexdigest())
+    return sig
 
 
 def sink_tids(plan: GridPlan) -> tuple[int, ...]:
     """Tids of ``plan``'s sink tasks (consumed by no later task in it)."""
-    referenced: set[int] = set()
-    for t in plan.tasks:
-        referenced.update(t.deps)
-    return tuple(t.tid for t in plan.tasks if t.tid not in referenced)
+    a = plan.arrays
+    return tuple(a.tid[~np.isin(a.tid, a.dep_idx)].tolist())
+
+
+def _schedule(parent: list[int], nodes: list[int], lookahead: int
+              ) -> tuple[list[int], list[int]]:
+    """Replay the II-F lookahead interleave over ``nodes`` (ascending).
+
+    Returns the emission events in schedule order — ``q >= 0``: the panel
+    tasks of ``nodes[q]``, ``~q``: its Schur task — and each node's
+    nearest in-list ancestor (an index into ``nodes``, -1 for none): the
+    drivers' lookahead-readiness counters, replayed here so the emitted
+    order equals the executed order.
+    """
+    where = {k: q for q, k in enumerate(nodes)}
+    n = len(nodes)
+    chains: list[list[int]] = []
+    pending = [0] * n
+    for u in nodes:
+        chain = []
+        p = parent[u]
+        while p != -1:
+            q = where.get(p)
+            if q is not None:
+                chain.append(q)
+                pending[q] += 1
+            p = parent[p]
+        chains.append(chain)
+    done = [False] * n
+    events: list[int] = []
+    for q in range(n):
+        if not done[q]:
+            done[q] = True
+            events.append(q)
+        # Lookahead: panels of upcoming ready nodes interleave here.
+        for m in range(q + 1, min(q + 1 + lookahead, n)):
+            if not done[m] and pending[m] == 0:
+                done[m] = True
+                events.append(m)
+        events.append(~q)
+        for a in chains[q]:
+            pending[a] -= 1
+    return events, [c[0] if c else -1 for c in chains]
 
 
 def build_grid_plan(sf, nodes, grid: ProcessGrid2D,
@@ -78,7 +149,7 @@ def build_grid_plan(sf, nodes, grid: ProcessGrid2D,
                     level: int = 0,
                     barrier_dep: int | None = None,
                     volume=None) -> GridPlan:
-    """Emit one grid's ordered task list for ``nodes`` (ascending ids).
+    """Emit one grid's ordered task arrays for ``nodes`` (ascending ids).
 
     ``barrier_dep`` is the previous level's barrier tid in a 3D plan:
     tasks with no in-plan data dependency anchor to it, keeping the DAG
@@ -91,61 +162,79 @@ def build_grid_plan(sf, nodes, grid: ProcessGrid2D,
     if volume is None:
         from repro.comm.volume import volume_for
         volume = volume_for(sf, opts)
-    b = BuildContext(sf, grid, opts, counter or TidCounter(), volume=volume)
+    b = BuildContext(sf, grid, opts, volume)
     nodes = sorted(int(k) for k in nodes)
-    node_set = set(nodes)
+    n = len(nodes)
+    ks = np.asarray(nodes, dtype=np.int64)
+    events, near = _schedule(sf.tree.parent.tolist(), nodes, opts.lookahead)
+    ev = np.asarray(events, dtype=np.int64)
+    is_schur = ev < 0
+    pq, sq = ev[~is_schur], ~ev[is_schur]    # node indices, schedule order
+    pan = be.emit_panels(b, ks[pq])
+    sch = be.emit_schur(b, ks[sq])
 
-    # In-list ancestor chains: the drivers' lookahead-readiness counters,
-    # replayed here so the emitted order equals the executed order.
-    anc_in_list: dict[int, list[int]] = {}
-    pending = {k: 0 for k in nodes}
-    for u in nodes:
-        chain = []
-        p = int(sf.tree.parent[u])
-        while p != -1:
-            if p in node_set:
-                chain.append(p)
-                pending[p] += 1
-            p = int(sf.tree.parent[p])
-        anc_in_list[u] = chain
+    # Schedule positions: an event spans its node's panel tasks, or one
+    # Schur task.
+    span = np.ones(ev.size, dtype=np.int64)
+    span[~is_schur] = pan.count
+    first = np.cumsum(span) - span
+    T = int(span.sum())
+    grp, off = ragged(pan.count)
+    ppos = first[~is_schur][grp] + off      # every panel task
+    pf_of = np.empty(n, dtype=np.int64)     # per node: its factor task,
+    sp_of = np.empty(n, dtype=np.int64)     # its Schur task,
+    n_solve = np.empty(n, dtype=np.int64)   # its panel-solve task count
+    pf_of[pq], sp_of[sq], n_solve[pq] = first[~is_schur], first[is_schur], \
+        pan.count - 1
 
-    # Children by nearest in-list ancestor: PanelFactor(a) data-depends on
-    # exactly these nodes' SchurUpdates.
-    children: dict[int, list[int]] = {}
-    for u, chain in anc_in_list.items():
-        if chain:
-            children.setdefault(chain[0], []).append(u)
+    kind = np.full(T, PANEL_BCAST, dtype=np.int8)
+    kind[pf_of], kind[sp_of] = PANEL_FACTOR, SCHUR_UPDATE
+    node = np.empty(T, dtype=np.int64)
+    node[ppos], node[sp_of] = ks[pq][grp], ks
+    bi, bj = node.copy(), node.copy()
+    bi[ppos], bj[ppos] = pan.bi, pan.bj
+    side = np.zeros(T, dtype=np.int8)
+    side[ppos] = pan.side
+    flops = np.empty(T)
+    flops[ppos], flops[sp_of[sq]] = pan.flops, sch.flops
+    owner = np.full(T, -1, dtype=np.int64)
+    owner[ppos] = grid.owner_pairs(pan.bi, pan.bj)
+    tid0 = (counter or TidCounter()).take(T)
 
-    tasks = []
-    panel_done: set[int] = set()
-    panel_sink_tids: dict[int, tuple[int, ...]] = {}
-    schur_tid: dict[int, int] = {}
+    # Dependencies: solve -> its factor; Schur -> its node's solves (or
+    # the factor when there are none); factor -> the Schur tasks of the
+    # children by nearest in-list ancestor, else the previous barrier.
+    near = np.asarray(near, dtype=np.int64)
+    kids = np.flatnonzero(near >= 0)
+    kids = kids[np.argsort(near[kids], kind="stable")]
+    n_kids = np.bincount(near[kids], minlength=n)
+    n_dep = np.ones(T, dtype=np.int64)
+    n_dep[pf_of] = np.where(n_kids > 0, n_kids, int(barrier_dep is not None))
+    n_dep[sp_of] = np.maximum(n_solve, 1)
+    dep_ptr = csr_ptr(n_dep)
+    dep_idx = np.empty(int(dep_ptr[-1]), dtype=np.int64)
+    solves = off > 0
+    dep_idx[dep_ptr[ppos[solves]]] = tid0 + first[~is_schur][grp[solves]]
+    q, w = ragged(np.maximum(n_solve, 1))
+    dep_idx[dep_ptr[sp_of][q] + w] = tid0 + pf_of[q] + w + (n_solve[q] > 0)
+    q, w = ragged(n_kids)
+    dep_idx[dep_ptr[pf_of][q] + w] = tid0 + sp_of[kids]
+    if barrier_dep is not None:
+        dep_idx[dep_ptr[pf_of[n_kids == 0]]] = barrier_dep
 
-    def emit_panel(k: int) -> None:
-        deps = tuple(schur_tid[u] for u in children.get(k, ()))
-        if not deps and barrier_dep is not None:
-            deps = (barrier_dep,)
-        pf, pbs = be.build_node(b, k, deps)
-        tasks.append(pf)
-        tasks.extend(pbs)
-        panel_sink_tids[k] = tuple(t.tid for t in pbs) or (pf.tid,)
-        panel_done.add(k)
-
-    for pos, k in enumerate(nodes):
-        if k not in panel_done:
-            emit_panel(k)
-        # Lookahead: panels of upcoming ready nodes interleave here.
-        for m in nodes[pos + 1: pos + 1 + opts.lookahead]:
-            if m not in panel_done and pending[m] == 0:
-                emit_panel(m)
-        su = be.build_schur(b, k, panel_sink_tids[k])
-        tasks.append(su)
-        schur_tid[k] = su.tid
-        for a in anc_in_list[k]:
-            pending[a] -= 1
-
+    n_spec = np.bincount(ppos[pan.spec_task], minlength=T)
+    n_pair = np.zeros(T, dtype=np.int64)
+    n_pair[sp_of[sq]] = sch.count
+    arrays = TaskArrays.assemble(
+        tid=tid0 + np.arange(T), kind=kind, node=node, bi=bi, bj=bj,
+        side=side, owner=owner, flops=flops, dep_ptr=dep_ptr,
+        dep_idx=dep_idx, bc_ptr=csr_ptr(n_spec), bc_root=pan.spec_root,
+        bc_comm=pan.spec_comm, bc_words=pan.spec_words,
+        bc_route=pan.spec_route, comms=list(b.comm_ids),
+        pair_ptr=csr_ptr(n_pair),
+        pair_owner=sch.owners, pair_flops=sch.pair_flops)
     plan = GridPlan(backend=backend, g=g, level=level, px=grid.px,
-                    py=grid.py, base=grid.base, nodes=nodes, tasks=tasks)
+                    py=grid.py, base=grid.base, nodes=nodes, arrays=arrays)
     if POST_BUILD_HOOK is not None and counter is None:
         POST_BUILD_HOOK(plan, sf)
     return plan
@@ -197,57 +286,33 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
     for lvl in range(nlev, -1, -1):
         width = 2 ** (nlev - lvl)
         c_lvl = min(creplication, width)
+        replicated, grid_plans = [], []
+        sinks: dict[int, list[int]] = {}    # grid -> its sink tids
         if c_lvl > 1:
             replicated = _build_replicated_level(
                 sf, tf, grid3, blocks_fn, counter, lvl, c_lvl,
                 prev_barrier, volume)
-            sinks = {}
             for task in replicated:
                 for g in tf.grids_of_forest(lvl, task.forest):
                     sinks.setdefault(g, []).append(task.tid)
-
-            def _dep_on(*gids, _sinks=sinks) -> tuple[int, ...]:
-                deps = tuple(t for gid in gids for t in _sinks.get(gid, ()))
-                if not deps and prev_barrier is not None:
-                    deps = (prev_barrier,)
-                return deps
-
-            reduces = []
-            if lvl > 0:
-                for g in range(0, tf.pz, 2 * width):
-                    src = g + width
-                    red = _build_standard_reduce(
-                        sf, tf, grid3, blocks_fn, counter,
-                        deps=_dep_on(g, src), dst_grid=g, src_grid=src,
-                        below_level=lvl, volume=volume)
-                    if red is not None:
-                        reduces.append(red)
-            barrier_deps = tuple(t.tid for t in replicated) \
-                + tuple(r.tid for r in reduces)
-            if not barrier_deps and prev_barrier is not None:
-                barrier_deps = (prev_barrier,)
-            barrier = LevelBarrier(tid=counter.next(), deps=barrier_deps,
-                                   level=lvl)
-            prev_barrier = barrier.tid
-            levels.append(LevelStep(level=lvl, grid_plans=[],
-                                    reduces=reduces, barrier=barrier,
-                                    replicated=replicated))
-            continue
-        if merged:
-            work = [(bidx, nodes, _merged_grid(grid3, bidx * width, width))
-                    for bidx in range(2 ** lvl)
-                    if (nodes := tf.forests[(lvl, bidx)])]
+            level_sinks = tuple(t.tid for t in replicated)
         else:
-            work = [(g, nodes, grid3.layer(g))
-                    for g in range(0, tf.pz, width)
-                    if (nodes := tf.forest_of_grid(g, lvl))]
-
-        grid_plans = [
-            build_grid_plan(sf, nodes, grid2, opts, backend=backend,
-                            counter=counter, g=g, level=lvl,
-                            barrier_dep=prev_barrier, volume=volume)
-            for g, nodes, grid2 in work]
-        sinks = {gp.g: sink_tids(gp) for gp in grid_plans}
+            if merged:
+                work = [(bidx, nodes,
+                         _merged_grid(grid3, bidx * width, width))
+                        for bidx in range(2 ** lvl)
+                        if (nodes := tf.forests[(lvl, bidx)])]
+            else:
+                work = [(g, nodes, grid3.layer(g))
+                        for g in range(0, tf.pz, width)
+                        if (nodes := tf.forest_of_grid(g, lvl))]
+            grid_plans = [
+                build_grid_plan(sf, nodes, grid2, opts, backend=backend,
+                                counter=counter, g=g, level=lvl,
+                                barrier_dep=prev_barrier, volume=volume)
+                for g, nodes, grid2 in work]
+            sinks = {gp.g: sink_tids(gp) for gp in grid_plans}
+            level_sinks = tuple(t for gp in grid_plans for t in sinks[gp.g])
 
         def _dep_on(*gids) -> tuple[int, ...]:
             deps = tuple(t for gid in gids for t in sinks.get(gid, ()))
@@ -256,38 +321,33 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
             return deps
 
         reduces: list[AncestorReduce] = []
-        if lvl > 0:
-            if merged:
-                for b2 in range(2 ** (lvl - 1)):
-                    left_first = b2 * 2 * width
-                    red = _build_merged_reduce(
-                        sf, tf, grid3, blocks_fn, counter,
-                        deps=_dep_on(2 * b2, 2 * b2 + 1),
-                        left_first=left_first, width=width, below_level=lvl,
-                        volume=volume)
-                    if red is not None:
-                        reduces.append(red)
+        for first in range(0, tf.pz, 2 * width) if lvl > 0 else ():
+            if merged:      # forests 2k, 2k+1 merge into the doubled grid
+                k = first // (2 * width)
+                red = _build_merged_reduce(
+                    sf, tf, grid3, blocks_fn, counter,
+                    deps=_dep_on(2 * k, 2 * k + 1), left_first=first,
+                    width=width, below_level=lvl, volume=volume)
             else:
-                for g in range(0, tf.pz, 2 * width):
-                    src = g + width
-                    red = _build_standard_reduce(
-                        sf, tf, grid3, blocks_fn, counter,
-                        deps=_dep_on(g, src), dst_grid=g, src_grid=src,
-                        below_level=lvl, volume=volume)
-                    if red is not None:
-                        reduces.append(red)
+                red = _build_standard_reduce(
+                    sf, tf, grid3, blocks_fn, counter,
+                    deps=_dep_on(first, first + width), dst_grid=first,
+                    src_grid=first + width, below_level=lvl, volume=volume)
+            if red is not None:
+                reduces.append(red)
 
-        barrier_deps = tuple(t for gp in grid_plans for t in sinks[gp.g]) \
-            + tuple(r.tid for r in reduces)
+        barrier_deps = level_sinks + tuple(r.tid for r in reduces)
         if not barrier_deps and prev_barrier is not None:
             barrier_deps = (prev_barrier,)
         barrier = LevelBarrier(tid=counter.next(), deps=barrier_deps,
                                level=lvl)
         prev_barrier = barrier.tid
         levels.append(LevelStep(level=lvl, grid_plans=grid_plans,
-                                reduces=reduces, barrier=barrier))
+                                reduces=reduces, barrier=barrier,
+                                replicated=replicated))
 
-    plan = Plan3D(backend=backend, merged=merged, levels=levels)
+    plan = Plan3D(backend=backend, merged=merged, levels=levels,
+                  pattern_sig=pattern_signature(sf))
     if POST_BUILD_HOOK is not None:
         POST_BUILD_HOOK(plan, sf)
     return plan
@@ -348,61 +408,52 @@ def _build_replicated_level(sf, tf, grid3, blocks_fn, counter, lvl: int,
 
 def _ancestor_blocks(sf, tf, blocks_fn, grid_for_forests: int,
                      below_level: int):
-    """(i, j, words) of every common-ancestor block, in reduction order."""
-    for la in range(below_level - 1, -1, -1):
-        for s_node in tf.forest_of_grid(grid_for_forests, la):
-            yield from blocks_fn(sf, s_node)
+    """``(ii, jj, words)`` arrays of every common-ancestor block, in
+    reduction order — a gather from the per-node block arrays."""
+    ptr, ii, jj, ww = node_block_arrays(sf, blocks_fn)
+    nodes = np.asarray(
+        [s for la in range(below_level - 1, -1, -1)
+         for s in tf.forest_of_grid(grid_for_forests, la)], dtype=np.int64)
+    g, w = ragged(ptr[nodes + 1] - ptr[nodes])
+    at = ptr[nodes][g] + w
+    return ii[at], jj[at], ww[at]
 
 
 def _build_standard_reduce(sf, tf, grid3, blocks_fn, counter, deps,
                            dst_grid: int, src_grid: int, below_level: int,
-                           volume=None) -> AncestorReduce | None:
+                           volume) -> AncestorReduce | None:
     """Plan one pairwise z-hop: src layer's ancestor copies -> dst layer."""
-    if volume is None:
-        from repro.comm.volume import DenseVolume
-        volume = DenseVolume()
-    rows: list[int] = []
-    cols: list[int] = []
-    sizes: list[float] = []
-    for i, j, w in _ancestor_blocks(sf, tf, blocks_fn, dst_grid,
-                                    below_level):
-        rows.append(i)
-        cols.append(j)
-        sizes.append(float(volume.cap(i, j, float(w))))
-    if not rows:
+    ii, jj, ww = _ancestor_blocks(sf, tf, blocks_fn, dst_grid, below_level)
+    if not ii.size:
         return None
-    ii = np.asarray(rows, dtype=np.int64)
-    jj = np.asarray(cols, dtype=np.int64)
-    words = np.asarray(sizes, dtype=np.float64)
     return AncestorReduce(
         tid=counter.next(), deps=deps, dst_grid=dst_grid, src_grid=src_grid,
-        below_level=below_level, rows=ii, cols=jj, words=words,
+        below_level=below_level, rows=ii, cols=jj,
+        words=volume.cap_many(ii, jj, ww),
         srcs=grid3.layer(src_grid).owner_pairs(ii, jj),
         dsts=grid3.layer(dst_grid).owner_pairs(ii, jj))
 
 
 def _build_merged_reduce(sf, tf, grid3, blocks_fn, counter, deps,
                          left_first: int, width: int, below_level: int,
-                         volume=None) -> AncestorReduce | None:
+                         volume) -> AncestorReduce | None:
     """Plan one merged-grid reduce + redistribution into the doubled grid.
 
     The right half's copy always travels (reduce); the left half's copy
     travels only when its owner changes under the doubled layout
     (redistribution move). Sums land on the target owner.
     """
-    if volume is None:
-        from repro.comm.volume import DenseVolume
-        volume = DenseVolume()
     left = _merged_grid(grid3, left_first, width)
     right = _merged_grid(grid3, left_first + width, width)
     target = _merged_grid(grid3, left_first, 2 * width)
+    ii, jj, ww = _ancestor_blocks(sf, tf, blocks_fn, left_first, below_level)
     ops: list[tuple[str, int, int, float]] = []
-    for i, j, w in _ancestor_blocks(sf, tf, blocks_fn, left_first,
-                                    below_level):
-        w = float(volume.cap(i, j, float(w)))
-        dst = target.owner(i, j)
-        ops.append(("red", right.owner(i, j), dst, w))
-        src_l = left.owner(i, j)
+    for w, dst, src_r, src_l in zip(
+            volume.cap_many(ii, jj, ww).tolist(),
+            target.owner_pairs(ii, jj).tolist(),
+            right.owner_pairs(ii, jj).tolist(),
+            left.owner_pairs(ii, jj).tolist()):
+        ops.append(("red", src_r, dst, w))
         if src_l != dst:
             ops.append(("mov", src_l, dst, w))
     if not ops:

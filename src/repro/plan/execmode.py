@@ -14,10 +14,13 @@ observed                                  outcome
 ``ancestor_replication > 1`` + resilience ``ValueError``
 ``ancestor_replication > 1`` + merged     ``ValueError``
 or a non-LU backend
-fault plan / checkpointing                monitored serial walk, unfused
-trace, accelerator or fault injector      unfused walk (per-task events)
-otherwise                                 compiled (fused) plan
+fault plan / checkpointing                monitored serial walk, width 1
+trace, accelerator or fault injector      width-1 walk (per-task events)
+otherwise                                 full-width walk (fused runs)
 ========================================  ==================================
+
+Width is a choice of cut points over the plan's one array form
+(:mod:`repro.plan.arrays`), not of plan object or task body.
 
 and, independently, for ``n_workers != 1`` the pool engages unless the
 data is one shared global copy (merged numeric), the walk is monitored,
@@ -40,7 +43,8 @@ __all__ = ["ExecMode", "resolve_exec"]
 class ExecMode:
     """How one factorization run executes its plan."""
 
-    #: Execute the compiled plan (fused dispatches) instead of the built one.
+    #: Walk the plan's full-width runs (one dispatch per same-kind run)
+    #: instead of one dispatch per task.
     fuse: bool
     #: Walk serially under the resilience engine's task-boundary monitor.
     monitored: bool
@@ -74,8 +78,9 @@ def resolve_exec(opts, sim, *, numeric: bool, merged: bool,
                 "the standard LU driver; the merged-grid variant and other "
                 f"backends keep c=1 (got merged={merged}, "
                 f"backend={backend!r})")
-    # Fusion coarsens what a trace, an accelerator's per-pair offload or a
-    # fault injector observes, and the monitor needs per-task boundaries.
+    # Full-width runs coarsen what a trace, an accelerator's per-pair
+    # offload or a fault injector observes, and the monitor needs per-task
+    # boundaries.
     fuse = not monitored and sim.trace is None \
         and sim.accelerator is None and sim.faults is None
     n_workers, fallback = 1, None

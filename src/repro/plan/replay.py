@@ -4,9 +4,8 @@ on the *pattern*, packaged for reuse across numeric re-factorizations.
 The cold path of :func:`repro.lu3d.factor3d.factor_3d` spends most of its
 non-kernel time on work that is a pure function of (sparsity pattern,
 process-grid shape, plan-relevant options): building the level-schedule
-task DAG (:func:`repro.plan.build.build_3d_plan`), compiling it
-(:func:`repro.plan.compile.compile_plan`), computing the static replica
-storage vector and deriving the numeric block pattern. For the
+task DAG (:func:`repro.plan.build.build_3d_plan`), computing the static
+replica storage vector and deriving the numeric block pattern. For the
 circuit/transient-simulation workload (GLU3.0, PAPERS.md) — thousands of
 numeric factorizations against one pattern — that interpreter-side build
 cost is paid over and over for identical results.
@@ -14,7 +13,7 @@ cost is paid over and over for identical results.
 A :class:`PlanBundle` captures those products once. The drivers attach the
 bundle of every cold run to ``Factor3DResult.bundle``; passing it back via
 ``factor_3d(..., cached=bundle)`` (or ``factor_3d_merged``) skips the
-build/compile/analyze phases entirely, so a warm re-factorization costs
+build/analyze phases entirely, so a warm re-factorization costs
 only kernel execution plus fresh-value setup. The executed plan object is
 *the same* DAG the cold run walked, and the interpreter books events in
 the same order against a fresh simulator — warm ledgers are bit-for-bit
@@ -22,9 +21,10 @@ identical to cold ones (pinned by ``tests/test_service.py`` and the
 ``bench_service.py`` oracles).
 
 Bundles are validated, not trusted: :meth:`PlanBundle.check` rejects reuse
-under a different grid shape, backend, merged/accelerated mode or
-plan-relevant options (see :func:`plan_options_key`). Lazy products
-(compiled plan, replica words, block pattern) are memoized under a lock so
+under a different grid shape, backend, merged/accelerated mode,
+plan-relevant options (see :func:`plan_options_key`) or sparsity pattern
+(the plan's recorded :func:`repro.plan.build.pattern_signature`). Lazy
+products (replica words, block pattern) are memoized under a lock so
 concurrent service jobs (:mod:`repro.service`) can share one bundle.
 """
 
@@ -34,10 +34,19 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.plan.compile import compile_plan
-from repro.plan.tasks import Plan3D
+from repro.plan.tasks import FusionStats, Plan3D
 
-__all__ = ["PlanBundle", "plan_options_key"]
+__all__ = ["FusedPlan", "PlanBundle", "plan_options_key"]
+
+
+@dataclass(frozen=True)
+class FusedPlan:
+    """What :meth:`PlanBundle.compiled` returns: the plan (the one form —
+    full width is a cut-point array of it, not another object) and its
+    :class:`~repro.plan.tasks.FusionStats`."""
+
+    plan: Plan3D
+    stats: FusionStats
 
 
 def plan_options_key(options) -> tuple:
@@ -81,8 +90,7 @@ class PlanBundle:
         The built :class:`~repro.plan.tasks.Plan3D` (never mutated by
         execution — one object serves every replay).
     build_seconds:
-        Host seconds the cold build spent on plan construction; the
-        lazily-added compile cost accumulates into ``compile_seconds``.
+        Host seconds the cold build spent on plan construction.
     volume:
         The :class:`repro.comm.volume.BlockVolume` the build priced
         messages with (``None`` = dense); reused by the memoized replica
@@ -98,17 +106,37 @@ class PlanBundle:
     plan3: Plan3D
     volume: object | None = None
     build_seconds: float = 0.0
-    compile_seconds: float = 0.0
-    _compiled: object | None = None
     _replica_words: object | None = None
     _block_pattern: object | None = None
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
+    @classmethod
+    def build(cls, sf, tf, grid3, options, *, backend: str = "lu",
+              merged: bool = False, accelerated: bool = False
+              ) -> "PlanBundle":
+        """Build the plan of ``(sf, tf, grid3, options)`` and bundle it
+        (what every cold path — drivers, service, fuzzer — calls)."""
+        from repro.comm.volume import volume_for
+        from repro.plan.backends import get_backend
+        from repro.plan.build import build_3d_plan
+        t0 = time.perf_counter()
+        blocks_fn = get_backend(backend).node_blocks
+        plan3 = build_3d_plan(sf, tf, grid3, options, backend=backend,
+                              merged=merged, accelerated=accelerated,
+                              blocks_fn=blocks_fn)
+        return cls(backend=backend, merged=merged,
+                   grid_shape=(grid3.px, grid3.py, grid3.pz),
+                   accelerated=accelerated,
+                   opts_key=plan_options_key(options), blocks_fn=blocks_fn,
+                   plan3=plan3, volume=volume_for(sf, options),
+                   build_seconds=time.perf_counter() - t0)
+
     def check(self, grid3, backend, merged: bool, accelerated: bool,
-              options) -> None:
+              options, sf=None) -> None:
         """Refuse replay under conditions the cached plan was not built
         for — a wrong-bundle replay would book a wrong-but-plausible
-        ledger, which is strictly worse than failing loudly."""
+        ledger, which is strictly worse than failing loudly. With ``sf``
+        given, that includes a different sparsity pattern."""
         shape = (grid3.px, grid3.py, grid3.pz)
         if shape != self.grid_shape:
             raise ValueError(
@@ -130,22 +158,22 @@ class PlanBundle:
                 f"options {self.opts_key} (lookahead, sparse_bcast, "
                 "blocking, volume kind, ancestor_replication); got "
                 f"{plan_options_key(options)}")
+        if sf is not None and self.plan3.pattern_sig is not None:
+            from repro.plan.build import pattern_signature
+            if pattern_signature(sf) != self.plan3.pattern_sig:
+                raise ValueError(
+                    "cached plan was built from a different sparsity "
+                    f"pattern (nb, digest) = {self.plan3.pattern_sig}, got "
+                    f"{pattern_signature(sf)}")
 
     # -- memoized lazy products -------------------------------------------
 
-    def compiled(self, sf, options):
-        """The :class:`~repro.plan.compile.CompiledPlan`, compiled once.
-
-        Callers gate on :attr:`repro.plan.execmode.ExecMode.fuse` first; a
-        bundle whose first execution could not fuse (say, a trace was
-        attached) compiles here on the first one that can.
-        """
-        with self._lock:
-            if self._compiled is None:
-                t0 = time.perf_counter()
-                self._compiled = compile_plan(self.plan3, sf, options)
-                self.compile_seconds += time.perf_counter() - t0
-            return self._compiled
+    def compiled(self, sf=None, options=None) -> FusedPlan:
+        """The plan with its full-width dispatch statistics, O(1) from
+        the cut points. Nothing is compiled: the builder emits the fused
+        form; the name (and the unused arguments) are what callers of the
+        former compile pass keep using."""
+        return FusedPlan(self.plan3, self.plan3.fusion_stats())
 
     def replica_words(self, sf, tf, grid3):
         """Static factor + replica storage per rank (memoized)."""
@@ -161,12 +189,7 @@ class PlanBundle:
         """The numeric replica block pattern ``{(i, j)}`` (memoized)."""
         with self._lock:
             if self._block_pattern is None:
-                self._block_pattern = {
-                    (i, j) for v in range(sf.nb)
-                    for i, j, _w in self.blocks_fn(sf, v)}
+                from repro.lu2d.storage import node_block_arrays
+                _ptr, ii, jj, _ww = node_block_arrays(sf, self.blocks_fn)
+                self._block_pattern = set(zip(ii.tolist(), jj.tolist()))
             return self._block_pattern
-
-    @property
-    def total_build_seconds(self) -> float:
-        """Build + compile host cost the cache amortizes away."""
-        return self.build_seconds + self.compile_seconds

@@ -8,6 +8,13 @@ and :class:`TreeForest` (:mod:`repro.plan.build`), and executed by a
 single shared interpreter against a pluggable kernel backend
 (:mod:`repro.plan.interpret` / :mod:`repro.plan.backends`).
 
+The three per-grid kinds exist in one form only: the struct-of-arrays of
+:mod:`repro.plan.arrays`, which a :class:`GridPlan` holds and the
+interpreter walks. Their classes here are the records of the lazily
+materialised width-1 *view* (``GridPlan.tasks`` / ``iter_tasks()``) that
+analysis reads and no default run ever builds. The three level-scope
+kinds are few and already array payloads; they stay objects.
+
 Two orders coexist on every plan:
 
 * **list order** — the exact schedule the imperative drivers used to
@@ -31,10 +38,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.plan.arrays import TaskArrays
+
 __all__ = ["BcastSpec", "Task", "PanelFactor", "PanelBcast", "SchurUpdate",
-           "ReplicatedFactor", "AncestorReduce", "LevelBarrier", "FusedTask",
-           "FusedSchurPayload", "PanelSegment", "GridPlan", "LevelStep",
-           "Plan3D", "task_comm", "task_flops"]
+           "ReplicatedFactor", "AncestorReduce", "LevelBarrier", "FusionStats",
+           "GridPlan", "LevelStep", "Plan3D", "task_comm", "task_flops"]
 
 
 @dataclass(frozen=True)
@@ -52,9 +60,9 @@ class BcastSpec:
 
     ``words`` is priced at build time through the block-volume model
     (:mod:`repro.comm.volume` — dense ``rows * cols`` or compact
-    ``min(dense, 1.5 * nnz)``), so the interpreter, the plan compiler's
-    fused replays, :func:`task_comm` and the conservation oracle all see
-    one consistent number with no per-layer re-derivation.
+    ``min(dense, 1.5 * nnz)``), so the interpreter's flattened replays,
+    :func:`task_comm` and the conservation oracle all see one consistent
+    number with no per-layer re-derivation.
     """
 
     root: int
@@ -110,8 +118,8 @@ class SchurUpdate(Task):
     """Supernode ``node``'s whole Schur update (all (i, j) target pairs).
 
     ``n_pairs`` block pairs are updated by one small GEMM each; their
-    per-pair owners and flops (the booked events) come from the backend's
-    ``pair_costs`` at execution/compile time.
+    per-pair owners and flops (the booked events) are the plan's
+    ``pair_owner`` / ``pair_flops`` arrays.
     """
 
     node: int
@@ -199,70 +207,6 @@ class LevelBarrier(Task):
     kind = "level_barrier"
 
 
-@dataclass(frozen=True, eq=False)
-class FusedSchurPayload:
-    """Precomputed cost arrays of a fused ``SchurUpdate`` run.
-
-    ``owners``/``flops`` are the members' per-pair cost arrays concatenated
-    in member order — exactly what each member's unfused dispatch passes
-    to ``Simulator.compute_batch``, so one batched call over the
-    concatenation books the identical ledger.
-    """
-
-    owners: np.ndarray
-    flops: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class PanelSegment:
-    """One vectorizable slice ``members[start:stop]`` of a fused panel run.
-
-    Within a segment no member's compute owner appears in an *earlier*
-    member's communicator, so hoisting the segment's compute bookings
-    above its communication (the one event reorder vectorization needs)
-    cannot change any rank's clock. ``srcs``/``dsts``/``words`` are the
-    members' broadcast trees flattened to point-to-point pairs in replay
-    order (route hop first, then the binomial-tree spans); ``allocs`` is
-    the serial order of ``(node, rank, words)`` receive-buffer charges.
-    The event columns are plain lists: segments are usually a handful of
-    events, where the interpreter books them through the scalar simulator
-    calls anyway, and list storage skips an array round-trip per segment
-    on both sides.
-    """
-
-    start: int
-    stop: int
-    owners: list[int]
-    flops: list[float]
-    srcs: list[int]
-    dsts: list[int]
-    words: list[float]
-    allocs: tuple[tuple[int, int, float], ...]
-
-
-@dataclass(frozen=True, kw_only=True, eq=False)
-class FusedTask(Task):
-    """A maximal run of same-kind grid tasks executed as one dispatch.
-
-    Emitted by the compile pass (:mod:`repro.plan.compile`), never by the
-    builders. ``members`` is the original contiguous run in plan list
-    order; ``deps`` is the union of the members' external dependencies and
-    ``tid`` is the last member's tid, so DAG edges from later tasks into
-    the run stay valid and ``dep < tid`` still holds. ``payload`` holds
-    the precomputed vectorized form (:class:`FusedSchurPayload` for Schur
-    runs, a tuple of :class:`PanelSegment` for panel runs); ``None`` when
-    ``vector_safe`` is False, in which case the interpreter replays the
-    members one by one (same ledgers, no fusion win).
-    """
-
-    members: tuple[Task, ...]
-    fused_kind: str
-    vector_safe: bool = True
-    payload: object = None
-
-    kind = "fused"
-
-
 def _bcast_comm(spec: BcastSpec) -> tuple[int, float]:
     """(messages, words) a BcastSpec moves: binomial tree + route hop."""
     hops = len(spec.ranks) - 1
@@ -280,30 +224,17 @@ def task_comm(task: Task) -> tuple[int, float]:
     so it reports whatever block-volume model (dense or compact,
     :mod:`repro.comm.volume`) the plan was built under.
     """
-    if isinstance(task, FusedTask):
-        msgs, words = 0, 0.0
-        for m in task.members:
-            mm, mw = task_comm(m)
-            msgs += mm
-            words += mw
-        return msgs, words
-    if isinstance(task, (PanelFactor, PanelBcast)):
+    if isinstance(task, (PanelFactor, PanelBcast, ReplicatedFactor)):
         msgs, words = 0, 0.0
         for spec in task.bcasts:
             m, w = _bcast_comm(spec)
             msgs += m
             words += w
-        return msgs, words
-    if isinstance(task, ReplicatedFactor):
-        msgs, words = 0, 0.0
-        for spec in task.bcasts:
-            m, w = _bcast_comm(spec)
-            msgs += m
-            words += w
-        nranks = len(task.ranks)
-        if nranks > 1:  # a one-rank ring is a self-message: free
-            msgs += task.steps * nranks
-            words += task.steps * nranks * task.chunk
+        # The aggregate sweep's ring exchange; a one-rank ring is a
+        # self-message: free.
+        if isinstance(task, ReplicatedFactor) and len(task.ranks) > 1:
+            msgs += task.steps * len(task.ranks)
+            words += task.steps * len(task.ranks) * task.chunk
         return msgs, words
     if isinstance(task, AncestorReduce):
         # Self-messages (src == dst) are free in the simulator — a local
@@ -321,23 +252,13 @@ def task_comm(task: Task) -> tuple[int, float]:
 def task_flops(task: Task) -> tuple[str, float]:
     """``(compute kind, flops)`` of ``task`` (kind '' when it computes
     nothing). Reduces pay one flop per word at the receiving copy."""
-    if isinstance(task, FusedTask):
-        # Members share a kind, so their flops land in one ledger.
-        kind = ""
-        flops = 0.0
-        for m in task.members:
-            kind, f = task_flops(m)
-            flops += f
-        return kind, flops
     if isinstance(task, PanelFactor):
         return "diag", task.flops
     if isinstance(task, PanelBcast):
         return "panel", task.flops
-    if isinstance(task, SchurUpdate):
-        return "schur", task.flops
-    if isinstance(task, ReplicatedFactor):
-        # The aggregate sweep books the whole level under 'schur' (the
-        # dominant kernel).
+    # The aggregate sweep books the whole level under 'schur' (the
+    # dominant kernel).
+    if isinstance(task, (SchurUpdate, ReplicatedFactor)):
         return "schur", task.flops
     if isinstance(task, AncestorReduce):
         if task.ops is not None:
@@ -347,13 +268,42 @@ def task_flops(task: Task) -> tuple[str, float]:
     return "", 0.0
 
 
+@dataclass(frozen=True)
+class FusionStats:
+    """How far a plan's full-width cut points coarsen its task list."""
+
+    n_tasks_before: int   # tasks = width-1 dispatches
+    n_tasks_after: int    # full-width dispatches (runs + level-scope tasks)
+    n_fused: int          # runs of two or more tasks
+    n_members: int        # tasks inside those runs
+
+    @property
+    def dispatch_reduction(self) -> float:
+        """Width-1 dispatches replaced by one full-width dispatch."""
+        return self.n_tasks_before / self.n_tasks_after \
+            if self.n_tasks_after else 1.0
+
+    @property
+    def fusion_ratio(self) -> float:
+        """Fraction of the tasks that sit in a multi-task run."""
+        return self.n_members / self.n_tasks_before \
+            if self.n_tasks_before else 0.0
+
+    def summary(self) -> str:
+        return (f"full-width walk: {self.n_tasks_after} dispatches for "
+                f"{self.n_tasks_before} tasks ({self.dispatch_reduction:.2f}x "
+                f"fewer); {self.n_fused} fused runs hold "
+                f"{self.fusion_ratio:.0%} of the tasks")
+
+
 @dataclass
 class GridPlan:
-    """One grid's ordered task list for one level (or the whole 2D run).
+    """One grid's ordered tasks for one level (or the whole 2D run).
 
     ``backend`` names the kernel backend (``'lu'`` / ``'cholesky'``) the
-    interpreter resolves. The 2D grid ships as ``(px, py, base)`` so the
-    plan stays cheap to pickle to pool workers.
+    interpreter resolves. The 2D grid ships as ``(px, py, base)`` and the
+    tasks as :class:`~repro.plan.arrays.TaskArrays`, so the plan pickles
+    to pool workers as a few dozen ndarrays.
     """
 
     backend: str
@@ -363,14 +313,34 @@ class GridPlan:
     py: int
     base: int
     nodes: list[int]
-    tasks: list[Task] = field(default_factory=list)
+    arrays: TaskArrays
+
+    @property
+    def tasks(self) -> list[Task]:
+        """The width-1 view (:attr:`TaskArrays.records`)."""
+        return self.arrays.records
+
+    def with_tasks(self, tasks) -> "GridPlan":
+        """This plan with its task list replaced (mutation tests): packed
+        back into arrays, with this plan's nodes' Schur pair costs."""
+        arrays = TaskArrays.from_records(tasks,
+                                         self.arrays.schur_pair_costs())
+        return GridPlan(self.backend, self.g, self.level, self.px, self.py,
+                        self.base, self.nodes, arrays)
 
     def iter_tasks(self):
         yield from self.tasks
 
     @property
     def n_tasks(self) -> int:
-        return len(self.tasks)
+        return self.arrays.n_tasks
+
+    def fusion_stats(self) -> FusionStats:
+        """Full-width vs width-1 dispatch counts, O(1) from the cuts."""
+        width = np.diff(self.arrays.runs)
+        fused = width[width > 1]
+        return FusionStats(self.n_tasks, int(width.size), int(fused.size),
+                           int(fused.sum()))
 
 
 @dataclass
@@ -396,6 +366,10 @@ class Plan3D:
     backend: str
     merged: bool
     levels: list[LevelStep]
+    #: :func:`repro.plan.build.pattern_signature` of the symbolic
+    #: factorization the plan was built from — what
+    #: :meth:`repro.plan.PlanBundle.check` compares before a replay.
+    pattern_sig: tuple | None = None
 
     def iter_tasks(self):
         for step in self.levels:
@@ -405,9 +379,24 @@ class Plan3D:
             yield from step.reduces
             yield step.barrier
 
+    def _level_scope_tasks(self) -> int:
+        return sum(len(s.replicated) + len(s.reduces) + 1
+                   for s in self.levels)
+
     @property
     def n_tasks(self) -> int:
-        return sum(1 for _ in self.iter_tasks())
+        return self.fusion_stats().n_tasks_before
+
+    def fusion_stats(self) -> FusionStats:
+        """The grid plans' :meth:`GridPlan.fusion_stats`, summed; level-
+        scope tasks are one dispatch each at either width."""
+        parts = [gp.fusion_stats() for s in self.levels
+                 for gp in s.grid_plans]
+        extra = self._level_scope_tasks()
+        return FusionStats(
+            extra + sum(p.n_tasks_before for p in parts),
+            extra + sum(p.n_tasks_after for p in parts),
+            sum(p.n_fused for p in parts), sum(p.n_members for p in parts))
 
     # -- recovery support (repro.resilience) -------------------------------
 

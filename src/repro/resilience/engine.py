@@ -75,19 +75,6 @@ class _Checkpoint:
     compute_sum: float       # aggregate booked compute at snapshot time
 
 
-class _RecoveryCounters:
-    """Throwaway sink for ``execute_reduce`` counters during replay.
-
-    The original reduction's messages/words were already absorbed into
-    the real result; the replay's traffic belongs to the recovery stats
-    (read off the ``'rec'`` phase ledgers), not to the result counters.
-    """
-
-    def __init__(self):
-        self.reduction_messages = 0
-        self.reduction_words = 0.0
-
-
 class _MappingData:
     """Adapter giving a 2D run's plain block mapping the strategy API."""
 
@@ -201,7 +188,7 @@ class ResilienceEngine:
 
     # -- interpreter monitor protocol --------------------------------------
 
-    def before_task(self, plan, ctx, idx, task) -> None:
+    def before_task(self, plan, ctx, idx) -> None:
         for k, fault in enumerate(self._crashes):
             if self._crash_fired[k]:
                 continue
@@ -209,7 +196,8 @@ class ResilienceEngine:
                 continue
             if fault.level is not None and fault.level != plan.level:
                 continue
-            if fault.at_task is not None and fault.at_task != task.tid:
+            if fault.at_task is not None \
+                    and fault.at_task != plan.arrays.tid[idx]:
                 continue
             if fault.at_time is not None \
                     and self._grid_clock_max(plan) < fault.at_time:
@@ -219,7 +207,7 @@ class ResilienceEngine:
             self.stats.crashes += 1
             raise GridCrash(fault, plan, idx, ctx)
 
-    def after_task(self, plan, ctx, idx, task) -> None:
+    def after_task(self, plan, ctx, idx) -> None:
         every = self.opts.checkpoint_every
         if every <= 0:
             return
@@ -267,8 +255,8 @@ class ResilienceEngine:
     def recover(self, crash: GridCrash):
         """Handle a fired crash; returns the resume position
         ``(li, gi, ti, ctx)`` for the monitored walk."""
-        if crash.ctx is not None:
-            crash.ctx.release_all_buffers()
+        if crash.ctx is not None:   # the crashed walk's context ends here
+            self.sim.free_batch(*crash.ctx.live_buffers(crash.task_index))
         if self.policy == "z-replica":
             return self._recover_zreplica(crash)
         return self._recover_restart(crash)
@@ -305,12 +293,10 @@ class ResilienceEngine:
             ctx = GridContext(gp, self.sf, grid, sim,
                               self.data.view(gp), self.opts)
             ctx.restore(cp.ctx_snap)
-            # The snapshot's live transient buffers are part of the
-            # re-read state: re-charge them so the memory ledgers match
-            # the logical state.
-            for pairs in ctx.buffers.values():
-                for r, words in pairs:
-                    sim.alloc(r, words)
+            # The transient buffers live at the checkpoint are part of
+            # the re-read state: re-charge them so the memory ledgers
+            # match the logical state.
+            sim.alloc_batch(*ctx.live_buffers(cp.ti))
         self._since_checkpoint = 0
         return cp.li, cp.gi, cp.ti, ctx
 
@@ -341,7 +327,6 @@ class ResilienceEngine:
         compute0 = self._compute_sum()
         words0 = float(sim.words_sent[PHASE_REC].sum())
         sim.set_phase(PHASE_REC)
-        sink = _RecoveryCounters()
         for kind, item in self.plan3.recovery_schedule(gp.g, li):
             if kind == "plan":
                 grid = ProcessGrid2D(item.px, item.py, base=item.base)
@@ -349,8 +334,10 @@ class ResilienceEngine:
                                   data=self.data.view(item),
                                   options=self.opts, grid=grid)
             else:
-                execute_reduce(item, sim, sink,
-                               accumulate=self.data.accumulate)
+                # The original reduction's messages/words were already
+                # absorbed into the result; the replay's traffic belongs
+                # to the recovery stats ('rec' phase ledgers).
+                execute_reduce(item, sim, accumulate=self.data.accumulate)
         sim.set_phase(PHASE_FACT)
         st.recovery_compute_seconds += self._compute_sum() - compute0
         st.recovery_words += float(sim.words_sent[PHASE_REC].sum()) - words0

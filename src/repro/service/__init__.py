@@ -7,12 +7,11 @@ This package amortizes everything that depends only on the pattern:
 - :mod:`repro.service.cache` — a bounded-LRU :class:`PlanCache` keyed by
   canonical pattern fingerprint × grid shape × solver configuration ×
   plan-relevant options, holding the symbolic factorization, tree-forest
-  partition, built plan and compiled plan with per-entry hit/build/exec
-  accounting;
+  partition and built plan with per-entry hit/build/exec accounting;
 - :mod:`repro.service.service` — :class:`FactorizationService`, a
   thread-pool front-end where concurrent clients submit ``(A_values, b)``
-  jobs that replay shared cached plans (warm jobs skip
-  build/compile/analyze entirely and stay bit-identical to cold runs).
+  jobs that replay shared cached plans (warm jobs skip build/analyze
+  entirely and stay bit-identical to cold runs).
 
 See ``docs/api.md`` ("repro.service") and ``benchmarks/bench_service.py``
 for the measured cold-vs-warm speedup and throughput.

@@ -3,7 +3,7 @@
 A circuit/transient simulation factors thousands of matrices that share
 one sparsity pattern. Everything the pipeline computes *before* numeric
 kernels — ordering, symbolic fill, tree-forest partition, the built
-:class:`~repro.plan.Plan3D` and its compiled form — is a pure function of
+:class:`~repro.plan.Plan3D` — is a pure function of
 (pattern, grid shape, solver configuration, plan-relevant options). The
 :class:`PlanCache` maps a :func:`cache_key` of exactly those inputs to a
 :class:`PlanEntry` holding the shared products, under a bounded LRU with
@@ -104,8 +104,8 @@ class PlanEntry:
 
     @property
     def plan_build_seconds(self) -> float:
-        """Plan build + compile cost the replay path skips."""
-        return self.bundle.total_build_seconds if self.bundle else 0.0
+        """Plan build cost the replay path skips."""
+        return self.bundle.build_seconds if self.bundle else 0.0
 
     def stats(self) -> dict:
         with self.lock:

@@ -170,35 +170,19 @@ class FactorizationService:
                    relax=cfg["relax"], **extra)
 
     def _build_entry(self, key, A, cfg) -> PlanEntry:
-        """Cold path: symbolic phase + plan build + compile, once per key.
+        """Cold path: symbolic phase + plan build, once per key.
 
         The plan bundle is materialized *here* (not lazily by the first
         factorization) so that every job — including the one that paid
         the miss — replays the same DAG, and racing clients never build
         duplicate plans.
         """
-        from repro.plan.backends import get_backend
-        from repro.plan.build import build_3d_plan
-        from repro.plan.replay import PlanBundle, plan_options_key
+        from repro.plan.replay import PlanBundle
 
         solver = self._make_solver(A, cfg)
         solver.analyze()
-        opts = cfg["options"]
-        backend = cfg["backend"]
-        blocks_fn = get_backend(backend).node_blocks
-        grid3 = solver.grid
-        t0 = time.perf_counter()
-        plan3 = build_3d_plan(solver.sf, solver.tf, grid3, opts,
-                              backend=backend, merged=False,
-                              accelerated=False, blocks_fn=blocks_fn)
-        from repro.comm.volume import volume_for
-        bundle = PlanBundle(
-            backend=backend, merged=False,
-            grid_shape=(grid3.px, grid3.py, grid3.pz),
-            accelerated=False, opts_key=plan_options_key(opts),
-            blocks_fn=blocks_fn, plan3=plan3,
-            volume=volume_for(solver.sf, opts),
-            build_seconds=time.perf_counter() - t0)
+        bundle = PlanBundle.build(solver.sf, solver.tf, solver.grid,
+                                  cfg["options"], backend=cfg["backend"])
         return PlanEntry(key=key, sf=solver.sf, tf=solver.tf,
                          pattern=solver._pattern, bundle=bundle,
                          build_seconds=0.0)

@@ -156,14 +156,14 @@ class _Solver3D:
 
     def _usable_bundle(self):
         """The retained plan bundle iff it matches this run's conditions
-        (grid, backend, plan-relevant options; the facade's own simulator
-        never carries an accelerator) — else None and the run rebuilds
-        cold."""
+        (grid, backend, plan-relevant options, sparsity pattern; the
+        facade's own simulator never carries an accelerator) — else None
+        and the run rebuilds cold."""
         if self._bundle is None:
             return None
         try:
             self._bundle.check(self.grid, self.backend, False, False,
-                               self.options)
+                               self.options, sf=self.sf)
         except ValueError:
             return None
         return self._bundle
@@ -179,7 +179,7 @@ class _Solver3D:
         """Numeric (or cost-only) factorization; idempotent symbolic phase.
 
         Repeat calls (and :meth:`refactorize`) replay the retained plan
-        bundle — build/compile/analyze are skipped, ledgers stay
+        bundle — build/analyze are skipped, ledgers stay
         bit-identical to a cold run.
         """
         if self.sf is None:

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.sparse.blockmatrix import BlockLayout
+from repro.utils.ragged import csr_ptr
 
 __all__ = ["block_fill", "BlockFill"]
 
@@ -44,6 +45,21 @@ class BlockFill:
         self.lpanel = lpanel
         self.upanel = upanel
         self.nb = len(lpanel)
+        self._csr = None
+
+    def panel_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray]:
+        """``(lp_ptr, lp_idx, up_ptr, up_idx)``: both panel lists as CSR
+        over the nodes (memoized) — what the array-form plan builder, the
+        per-node block arrays and the pattern signature index."""
+        if self._csr is None:
+            out = []
+            for panels in (self.lpanel, self.upanel):
+                out.append(csr_ptr([p.size for p in panels]))
+                out.append(np.concatenate(panels).astype(np.int64)
+                           if panels else np.zeros(0, dtype=np.int64))
+            self._csr = tuple(out)
+        return self._csr
 
     def all_blocks(self) -> set[tuple[int, int]]:
         """Every structurally nonzero block of the filled factors, incl. diagonal."""

@@ -1,5 +1,6 @@
 """Small shared utilities: validation, timing, deterministic RNG helpers."""
 
+from repro.utils.ragged import csr_ptr, ragged
 from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_positive_int,
@@ -16,6 +17,8 @@ __all__ = [
     "check_power_of_two",
     "check_rhs",
     "check_square_sparse",
+    "csr_ptr",
     "is_power_of_two",
+    "ragged",
     "require_finite",
 ]

@@ -27,7 +27,6 @@ from repro.verify.access import (
     conflicts,
     grid_task_accesses,
     grid_task_ranks,
-    panel_buffer_ranks,
     reduce_accesses,
     reduce_ranks,
 )
@@ -54,7 +53,7 @@ from repro.verify.static import (
 __all__ = [
     "READ", "WRITE", "ACCUM", "GLOBAL_VIEW", "conflicts",
     "grid_task_accesses", "reduce_accesses", "grid_task_ranks",
-    "reduce_ranks", "panel_buffer_ranks",
+    "reduce_ranks",
     "Issue", "StaticReport", "PlanVerificationError", "analyze_plan",
     "drop_dep_edge", "grid_plan_rank_escapes",
     "FuzzReport", "fuzz_2d", "fuzz_3d", "random_legal_orders",

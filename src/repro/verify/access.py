@@ -33,13 +33,12 @@ only structural checks apply to them.
 
 from __future__ import annotations
 
-from repro.plan.tasks import AncestorReduce, FusedTask, PanelBcast, \
-    PanelFactor, ReplicatedFactor, SchurUpdate
+from repro.plan.tasks import AncestorReduce, PanelBcast, PanelFactor, \
+    ReplicatedFactor, SchurUpdate
 
 __all__ = ["READ", "WRITE", "ACCUM", "GLOBAL_VIEW", "conflicts",
            "grid_task_accesses", "reduce_accesses", "replicated_accesses",
-           "grid_task_ranks", "reduce_ranks", "replicated_ranks",
-           "panel_buffer_ranks"]
+           "grid_task_ranks", "reduce_ranks", "replicated_ranks"]
 
 READ = "R"
 WRITE = "W"
@@ -64,15 +63,8 @@ def grid_task_accesses(backend: str, sf, task) -> list[tuple[int, int, str]]:
     Mirrors the kernel backends (:mod:`repro.plan.backends`): the LU Schur
     update reads both panels and accumulates into the full ``lp x up``
     cross product; the Cholesky one reads the L panel and accumulates into
-    the lower triangle of its outer product. A compiler-emitted
-    :class:`~repro.plan.tasks.FusedTask` touches the union of its members'
-    accesses — its one dispatch performs all of their work.
+    the lower triangle of its outer product.
     """
-    if isinstance(task, FusedTask):
-        acc: list[tuple[int, int, str]] = []
-        for m in task.members:
-            acc.extend(grid_task_accesses(backend, sf, m))
-        return acc
     if isinstance(task, PanelFactor):
         return [(task.node, task.node, WRITE)]
     if isinstance(task, PanelBcast):
@@ -127,8 +119,7 @@ def replicated_accesses(sf, task: ReplicatedFactor) \
     shallower ancestors — on *every* grid of its replication group (each
     holds a replica of the level data). Modes mirror the per-block tasks:
     the forest's own blocks are written, the cross-product targets
-    accumulate. Intra-task repeats are internally ordered by construction,
-    exactly like a fused run's members.
+    accumulate. Intra-task repeats are internally ordered by construction.
     """
     out: list[tuple[int, int, int, str]] = []
     for g in task.grids:
@@ -146,22 +137,14 @@ def replicated_accesses(sf, task: ReplicatedFactor) \
     return out
 
 
-def grid_task_ranks(backend: str, sf, task, grid,
-                    buffer_ranks: frozenset | None = None) -> set[int]:
-    """Ranks a grid-plan task books simulator events on (a superset).
-
-    ``buffer_ranks`` is the node's panel-broadcast participant set (from
-    :func:`panel_buffer_ranks`): the Schur update frees the node's
-    transient receive buffers, so its memory-ledger events also land
-    there. Supersets are safe — the fuzzer only uses footprints to *add*
-    ordering constraints.
-    """
+def grid_task_ranks(backend: str, sf, task, grid) -> set[int]:
+    """Ranks a grid-plan task books clock/traffic events on (a superset —
+    the fuzzer only uses footprints to *add* ordering constraints). A
+    Schur update also releases its node's transient receive buffers; the
+    ranks of that memory-ledger footprint are the plan's ``buf_rank``
+    slice ``[free_lo, free_hi)`` of the task."""
     ranks: set[int] = set()
-    if isinstance(task, FusedTask):
-        for m in task.members:
-            ranks.update(grid_task_ranks(backend, sf, m, grid,
-                                         buffer_ranks=buffer_ranks))
-    elif isinstance(task, (PanelFactor, PanelBcast)):
+    if isinstance(task, (PanelFactor, PanelBcast)):
         ranks.add(task.owner)
         for spec in task.bcasts:
             ranks.add(spec.root)
@@ -171,8 +154,6 @@ def grid_task_ranks(backend: str, sf, task, grid,
     elif isinstance(task, SchurUpdate):
         for i, j, _m in grid_task_accesses(backend, sf, task):
             ranks.add(grid.owner(i, j))
-        if buffer_ranks:
-            ranks.update(buffer_ranks)
     return ranks
 
 
@@ -196,19 +177,3 @@ def replicated_ranks(task: ReplicatedFactor) -> set[int]:
         ranks.add(spec.root)
         ranks.update(spec.ranks)
     return ranks
-
-
-def panel_buffer_ranks(plan) -> dict[int, frozenset]:
-    """Per node: every rank that may hold one of its transient panel
-    receive buffers (allocated by the node's diagonal and panel
-    broadcasts, freed by its Schur update)."""
-    out: dict[int, set[int]] = {}
-    stack = list(plan.tasks)
-    for t in stack:
-        if isinstance(t, FusedTask):
-            stack.extend(t.members)
-        elif isinstance(t, (PanelFactor, PanelBcast)):
-            s = out.setdefault(t.node, set())
-            for spec in t.bcasts:
-                s.update(spec.ranks)
-    return {node: frozenset(s) for node, s in out.items()}

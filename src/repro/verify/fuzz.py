@@ -5,8 +5,8 @@ ordering that matters — that any legal schedule produces the same
 simulator ledgers and factors as the canonical list order. The fuzzer
 tests this dynamically: it draws N seeded random **legal schedules**,
 replays each through the existing interpreter machinery
-(:func:`repro.plan.interpret.dispatch_task` — the exact same backend
-calls the drivers use), and diffs every per-rank ledger bit-for-bit plus
+(:func:`repro.plan.interpret.run` — the one task body the drivers
+use), and diffs every per-rank ledger bit-for-bit plus
 the numeric factors to 1e-12 against the canonical order.
 
 What "legal schedule" means
@@ -43,15 +43,12 @@ from repro.comm.grid import ProcessGrid2D
 from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
-from repro.plan.backends import get_backend
-from repro.plan.build import build_3d_plan, build_grid_plan
-from repro.plan.compile import compile_plan
-from repro.plan.interpret import GridContext, dispatch_task, \
-    execute_reduce, execute_replicated
-from repro.plan.tasks import FusedTask, GridPlan, Plan3D
+from repro.plan.build import build_grid_plan
+from repro.plan.interpret import GridContext, execute_reduce, \
+    execute_replicated, run
+from repro.plan.tasks import GridPlan, Plan3D
 from repro.verify.access import (
     grid_task_ranks,
-    panel_buffer_ranks,
     reduce_ranks,
     replicated_ranks,
 )
@@ -127,47 +124,56 @@ def random_legal_orders(n: int, edges, n_orders: int, seed: int):
 
 # -- schedulable units -----------------------------------------------------
 
+@dataclass
 class _Unit:
-    """One schedulable unit: a grid task, a reduce, or a barrier."""
+    """One schedulable unit: a grid-plan dispatch interval (one task at
+    width 1, one same-kind run at full width), a reduce, or a barrier."""
 
-    __slots__ = ("kind", "task", "ctx_key", "phase", "ranks")
+    kind: str                   # 'grid' | 'replicated' | 'reduce' | 'barrier'
+    task: object = None         # the level-scope task (None for 'grid')
+    ctx_key: object = None      # 'grid': which GridContext executes it ...
+    span: tuple | None = None   # ... over which task interval [a, b)
+    tids: set | None = None
+    deps: set | None = None
+    phase: str = PHASE_FACT
+    ranks: frozenset = frozenset()
 
-    def __init__(self, kind, task, ctx_key=None, phase=PHASE_FACT,
-                 ranks=frozenset()):
-        self.kind = kind          # 'grid' | 'replicated' | 'reduce'
-        #                         # | 'barrier'
-        self.task = task
-        self.ctx_key = ctx_key    # which GridContext executes it
-        self.phase = phase
-        self.ranks = ranks
-
-
-def _task_buffer_ranks(task, bufranks) -> frozenset | None:
-    """The per-node buffer-rank lookup, unioned over a fusion's members."""
-    if isinstance(task, FusedTask):
-        s: set[int] = set()
-        for m in task.members:
-            s.update(bufranks.get(m.node, ()))
-        return frozenset(s)
-    return bufranks.get(task.node)
+    def __post_init__(self):
+        if self.task is not None:
+            self.tids, self.deps = {self.task.tid}, set(self.task.deps)
 
 
-def _plan3d_units(plan3: Plan3D, sf) -> tuple[list[_Unit], dict]:
+def _grid_units(gp: GridPlan, sf, key, fuse: bool) -> list[_Unit]:
+    """``gp``'s dispatch intervals at the chosen width, as units: an
+    interval's footprint is the union of its tasks', its dependencies the
+    union of theirs that leave the interval."""
+    grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
+    A = gp.arrays
+    cuts = A.cuts(fuse)
+    units = []
+    for a, b in zip(cuts, cuts[1:]):
+        members = gp.tasks[a:b]
+        # Memory-ledger footprint: the buffers the interval releases.
+        ranks = {r for t in range(a, b) for r in
+                 A.buf_rank[A.free_lo[t]:A.free_hi[t]].tolist()}
+        for t in members:
+            ranks |= grid_task_ranks(gp.backend, sf, t, grid)
+        tids = {t.tid for t in members}
+        units.append(_Unit(
+            "grid", ctx_key=key, span=(a, b), tids=tids,
+            deps={d for t in members for d in t.deps} - tids,
+            ranks=frozenset(ranks)))
+    return units
+
+
+def _plan3d_units(plan3: Plan3D, sf, fuse: bool) -> tuple[list[_Unit], dict]:
     """Flatten a 3D plan into canonical-order units + per-context plans."""
     units: list[_Unit] = []
     ctx_plans: dict = {}
     for li, step in enumerate(plan3.levels):
         for gi, gp in enumerate(step.grid_plans):
-            key = (li, gi)
-            ctx_plans[key] = gp
-            grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
-            bufranks = panel_buffer_ranks(gp)
-            for t in gp.tasks:
-                ranks = grid_task_ranks(
-                    gp.backend, sf, t, grid,
-                    buffer_ranks=_task_buffer_ranks(t, bufranks))
-                units.append(_Unit("grid", t, ctx_key=key,
-                                   ranks=frozenset(ranks)))
+            ctx_plans[(li, gi)] = gp
+            units += _grid_units(gp, sf, (li, gi), fuse)
         for rep in step.replicated:
             units.append(_Unit("replicated", rep,
                                ranks=frozenset(replicated_ranks(rep))))
@@ -178,24 +184,12 @@ def _plan3d_units(plan3: Plan3D, sf) -> tuple[list[_Unit], dict]:
     return units, ctx_plans
 
 
-def _grid_plan_units(plan: GridPlan, sf) -> tuple[list[_Unit], dict]:
-    grid = ProcessGrid2D(plan.px, plan.py, base=plan.base)
-    bufranks = panel_buffer_ranks(plan)
-    key = (0, 0)
-    units = [_Unit("grid", t, ctx_key=key,
-                   ranks=frozenset(grid_task_ranks(
-                       plan.backend, sf, t, grid,
-                       buffer_ranks=_task_buffer_ranks(t, bufranks))))
-             for t in plan.tasks]
-    return units, {key: plan}
-
-
 def _constraint_edges(units: list[_Unit]) -> set[tuple[int, int]]:
     """Dep edges plus per-rank canonical chains (conflict-equivalence)."""
-    pos_of = {u.task.tid: p for p, u in enumerate(units)}
+    pos_of = {tid: p for p, u in enumerate(units) for tid in u.tids}
     edges: set[tuple[int, int]] = set()
     for p, u in enumerate(units):
-        for d in u.task.deps:
+        for d in u.deps:
             dp = pos_of.get(d)
             if dp is not None and dp != p:
                 edges.add((dp, p))
@@ -209,28 +203,17 @@ def _constraint_edges(units: list[_Unit]) -> set[tuple[int, int]]:
     return edges
 
 
-class _CounterSink:
-    """Throwaway reduction-counter receiver (fuzz runs keep no result)."""
-
-    def __init__(self) -> None:
-        self.reduction_messages = 0
-        self.reduction_words = 0.0
-
-
 def _run_order(units, ctx_plans, order, setup, sf, opts):
     """Execute one schedule; return ``(ledger_state, dense_factors)``."""
     sim, data, factors_fn = setup()
     contexts: dict = {}
-    backends = {key: get_backend(gp.backend)
-                for key, gp in ctx_plans.items()}
-    sink = _CounterSink()
     for p in order:
         u = units[p]
         if u.kind == "barrier":
             continue
         sim.set_phase(u.phase)
         if u.kind == "reduce":
-            execute_reduce(u.task, sim, sink, accumulate=data.accumulate)
+            execute_reduce(u.task, sim, accumulate=data.accumulate)
         elif u.kind == "replicated":
             execute_replicated(u.task, sim)
         else:
@@ -240,7 +223,7 @@ def _run_order(units, ctx_plans, order, setup, sf, opts):
                 grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
                 ctx = GridContext(gp, sf, grid, sim, data.view(gp), opts)
                 contexts[u.ctx_key] = ctx
-            dispatch_task(backends[u.ctx_key], ctx, u.task)
+            run(ctx, *u.span)
     sim.set_phase(PHASE_FACT)
     if sim.pending_messages():  # pragma: no cover - would be a plan bug
         raise AssertionError("messages left in flight after the schedule")
@@ -277,29 +260,24 @@ def _fuzz(units, ctx_plans, setup, sf, opts, *, driver: str,
 def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
             numeric: bool = False, n_orders: int = 25, seed: int = 0,
             options: FactorOptions | None = None, machine=None,
-            matrix=None, compile: bool = False) -> FuzzReport:
+            matrix=None, fuse: bool = False) -> FuzzReport:
     """Fuzz a 3D plan (standard, merged, or Cholesky via ``backend``).
 
-    Builds the plan and the numeric state exactly as the corresponding
-    driver does (:func:`repro.lu3d.factor3d.factor_3d` /
+    Builds the plan and binds the numeric state with the drivers' own
+    steps (:func:`repro.lu3d.factor3d.factor_3d` /
     :func:`repro.lu3d.merged.factor_3d_merged` /
     :func:`repro.cholesky.factor_chol_3d`), so the identity-order run
     books the drivers' golden-pinned ledgers — the tests assert that
-    chain explicitly. With ``compile=True`` the plan is run through the
-    compile pass first and the *fused* tasks are the schedulable units,
-    so random legal orders exercise the rewritten dependency edges.
+    chain explicitly. With ``fuse=True`` the plan's full-width runs are
+    the schedulable units (one dispatch each, as a plain driver run walks
+    them), so random legal orders exercise the runs' unioned dependency
+    edges; the default is one unit per task.
     """
     # Imported here: repro.lu3d.factor3d pulls repro.parallel, which in
     # turn reaches back into repro.verify for its pre-flight check.
-    from repro.lu3d.factor3d import (
-        CostOnlyData,
-        GlobalStoreData,
-        ReplicaData,
-    )
-    from repro.lu3d.replication import ReplicaManager, replica_words_per_rank
-    from repro.sparse.blockmatrix import BlockMatrix
-
-    from repro.comm.volume import volume_for
+    from repro.lu3d.factor3d import Factor3DResult, _bind_data
+    from repro.plan.execmode import ExecMode
+    from repro.plan.replay import PlanBundle
 
     opts = options or FactorOptions()
     if numeric and opts.ancestor_replication > 1:
@@ -309,41 +287,26 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
     if backend == "cholesky" and numeric and matrix is None:
         import scipy.sparse as sp
         matrix = sp.tril(sf.A_perm).tocsr()
-    blocks_fn = get_backend(backend).node_blocks
-    volume = volume_for(sf, opts)
-
-    if merged:
-        plan3 = build_3d_plan(sf, tf, grid3, opts, backend="lu",
-                              merged=True)
-        charge = replica_words_per_rank(sf, tf, grid3, volume=volume)
-    else:
-        plan3 = build_3d_plan(sf, tf, grid3, opts, backend=backend,
-                              merged=False, blocks_fn=blocks_fn)
-        charge = replica_words_per_rank(sf, tf, grid3, blocks_fn=blocks_fn,
-                                        volume=volume)
-    if compile:
-        plan3 = compile_plan(plan3, sf, opts).plan
+    bundle = PlanBundle.build(sf, tf, grid3, opts, merged=merged,
+                              backend="lu" if merged else backend)
+    plan3 = bundle.plan3
+    charge = bundle.replica_words(sf, tf, grid3)
+    serial = ExecMode(fuse=fuse, monitored=False, n_workers=1,
+                      accelerated=False)
 
     def setup():
         sim = Simulator(grid3.size, mach)
-        for r in np.flatnonzero(charge):
-            sim.alloc(int(r), float(charge[r]))
+        sim.alloc_batch(np.arange(grid3.size), charge)
+        result = Factor3DResult(tf=tf)
+        data = _bind_data(sf, tf, result, bundle, serial, numeric=numeric,
+                          merged=merged, matrix=matrix, replicas=None)
         if not numeric:
-            return sim, CostOnlyData(), None
+            return sim, data, None
         if merged:
-            store = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                         block_pattern=sf.fill.all_blocks())
-            return sim, GlobalStoreData(store), store.to_dense
-        pattern = {(i, j) for v in range(sf.nb)
-                   for i, j, _w in blocks_fn(sf, v)}
-        A_vals = sf.A_perm if matrix is None else matrix
-        base = BlockMatrix.from_csr(A_vals, sf.layout,
-                                    block_pattern=pattern)
-        replicas = ReplicaManager(sf, tf, base, blocks_fn=blocks_fn)
-        return sim, ReplicaData(replicas), \
-            lambda: replicas.home_view().to_block_matrix().to_dense()
+            return sim, data, result.merged_blocks.to_dense
+        return sim, data, lambda: result.factors().to_dense()
 
-    units, ctx_plans = _plan3d_units(plan3, sf)
+    units, ctx_plans = _plan3d_units(plan3, sf, fuse)
     name = "merged" if merged else backend
     return _fuzz(units, ctx_plans, setup, sf, opts,
                  driver=f"{name}3d{'_numeric' if numeric else ''}",
@@ -353,10 +316,10 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
 def fuzz_2d(sf, grid, *, backend: str = "lu", numeric: bool = False,
             n_orders: int = 25, seed: int = 0,
             options: FactorOptions | None = None, machine=None,
-            compile: bool = False) -> FuzzReport:
+            fuse: bool = False) -> FuzzReport:
     """Fuzz a single-grid 2D plan (:func:`repro.lu2d.factor2d.factor_2d`
     setup: full node range, static factor storage charged up front).
-    ``compile=True`` fuzzes the compiled (fused) form of the plan."""
+    ``fuse=True`` fuzzes the plan's full-width runs."""
     from repro.comm.volume import volume_for
     from repro.lu2d.storage import allocate_factor_storage
     from repro.lu3d.factor3d import CostOnlyData, GlobalStoreData
@@ -366,8 +329,6 @@ def fuzz_2d(sf, grid, *, backend: str = "lu", numeric: bool = False,
     mach = machine if machine is not None else Machine.edison_like()
     nodes = list(range(sf.nb))
     plan = build_grid_plan(sf, nodes, grid, opts, backend=backend)
-    if compile:
-        plan = compile_plan(plan, sf, opts).plan
 
     def setup():
         sim = Simulator(grid.size, mach)
@@ -384,7 +345,7 @@ def fuzz_2d(sf, grid, *, backend: str = "lu", numeric: bool = False,
                                      block_pattern=sf.fill.all_blocks())
         return sim, GlobalStoreData(store), store.to_dense
 
-    units, ctx_plans = _grid_plan_units(plan, sf)
+    units, ctx_plans = _grid_units(plan, sf, (0, 0), fuse), {(0, 0): plan}
     return _fuzz(units, ctx_plans, setup, sf, opts,
                  driver=f"{backend}2d{'_numeric' if numeric else ''}",
                  n_orders=n_orders, seed=seed)

@@ -28,7 +28,13 @@ properties the rest of the system silently relies on:
   (the fork/merge fan-out of :mod:`repro.parallel` requires per-grid
   event locality);
 * **disconnected roots** — a task with no dependencies that is not a
-  panel root, a level barrier, or a first-level reduce.
+  panel root, a level barrier, or a first-level reduce;
+* **inconsistent arrays** — the analyzer reads a grid plan through its
+  typed width-1 view while the interpreter walks the arrays
+  (:mod:`repro.plan.arrays`), so the verdicts above transfer to what
+  executes only if the two agree: each grid plan's records are packed
+  back into arrays and compared column by column with the plan's own,
+  flattened broadcast pairs, buffer charges and cut points included.
 
 The check is exhaustive rather than sampled: reachability is computed
 for every task as a Python big-int ancestor bitmask (one forward pass,
@@ -44,9 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.comm.grid import ProcessGrid2D
+from repro.plan.arrays import SCHUR_UPDATE, TaskArrays
 from repro.plan.tasks import (
-    AncestorReduce,
-    FusedTask,
     GridPlan,
     LevelBarrier,
     PanelBcast,
@@ -59,9 +64,7 @@ from repro.verify.access import (
     GLOBAL_VIEW,
     conflicts,
     grid_task_accesses,
-    grid_task_ranks,
     reduce_accesses,
-    reduce_ranks,
     replicated_accesses,
 )
 
@@ -79,6 +82,7 @@ class Issue:
 
     kind: str  # 'race' | 'cycle' | 'malformed-bcast' | 'malformed-reduce'
     #          | 'reduce-alias' | 'rank-escape' | 'disconnected'
+    #          | 'inconsistent-arrays'
     message: str
     tids: tuple[int, ...] = ()
 
@@ -130,21 +134,17 @@ class StaticReport:
 _MAX_ISSUES_PER_KIND = 50
 
 
+@dataclass
 class _Entry:
     """One task in analyzer-normalized form."""
 
-    __slots__ = ("task", "pos", "view", "grid", "backend", "level_index",
-                 "is_reduce")
-
-    def __init__(self, task, pos, view=None, grid=None, backend=None,
-                 level_index=0, is_reduce=False):
-        self.task = task
-        self.pos = pos
-        self.view = view
-        self.grid = grid
-        self.backend = backend
-        self.level_index = level_index
-        self.is_reduce = is_reduce
+    task: object
+    pos: int
+    view: object = None
+    grid: ProcessGrid2D | None = None
+    backend: str | None = None
+    level_index: int = 0
+    is_reduce: bool = False
 
 
 def _entries(plan) -> tuple[list[_Entry], bool]:
@@ -174,34 +174,38 @@ def _entries(plan) -> tuple[list[_Entry], bool]:
     return out, plan.merged
 
 
+def _check_specs(task, allowed, where: str, add) -> None:
+    """Every broadcast of ``task`` is well-formed and stays inside the
+    rank set ``allowed`` (described as ``where`` in the finding)."""
+    for spec in task.bcasts:
+        for bad, what in (
+                (spec.root not in spec.ranks,
+                 f"bcast root {spec.root} not in its participant list"),
+                (len(set(spec.ranks)) != len(spec.ranks),
+                 "duplicate bcast participants"),
+                (not spec.ranks, "empty bcast participant list"),
+                (spec.words < 0, "negative bcast payload"),
+                (spec.route_from is not None
+                 and spec.route_from == spec.root,
+                 "bcast routed from its own root")):
+            if bad:
+                add("malformed-bcast", f"task {task.tid}: {what}",
+                    (task.tid,))
+        route = [] if spec.route_from is None else [spec.route_from]
+        bad = [r for r in dict.fromkeys((spec.root, *spec.ranks, *route))
+               if r not in allowed]
+        if bad:
+            add("rank-escape", f"task {task.tid}: bcast ranks {bad} "
+                f"outside {where}", (task.tid,))
+
+
 def _check_bcasts(entry: _Entry, add) -> None:
     task = entry.task
     lo, hi = entry.grid.base, entry.grid.base + entry.grid.px * entry.grid.py
     if not (lo <= task.owner < hi):
         add("rank-escape", f"task {task.tid} ({task.kind}) owner "
             f"{task.owner} outside grid span [{lo}, {hi})", (task.tid,))
-    for spec in task.bcasts:
-        if spec.root not in spec.ranks:
-            add("malformed-bcast", f"task {task.tid}: bcast root "
-                f"{spec.root} not in its participant list", (task.tid,))
-        if len(set(spec.ranks)) != len(spec.ranks):
-            add("malformed-bcast", f"task {task.tid}: duplicate bcast "
-                "participants", (task.tid,))
-        if not spec.ranks:
-            add("malformed-bcast", f"task {task.tid}: empty bcast "
-                "participant list", (task.tid,))
-        if spec.words < 0:
-            add("malformed-bcast", f"task {task.tid}: negative bcast "
-                "payload", (task.tid,))
-        if spec.route_from is not None and spec.route_from == spec.root:
-            add("malformed-bcast", f"task {task.tid}: bcast routed from "
-                "its own root", (task.tid,))
-        bad = [r for r in spec.ranks if not (lo <= r < hi)]
-        if spec.route_from is not None and not (lo <= spec.route_from < hi):
-            bad.append(spec.route_from)
-        if bad:
-            add("rank-escape", f"task {task.tid}: bcast ranks {bad} "
-                f"outside grid span [{lo}, {hi})", (task.tid,))
+    _check_specs(task, range(lo, hi), f"grid span [{lo}, {hi})", add)
 
 
 def _check_replicated(entry: _Entry, add) -> None:
@@ -220,24 +224,8 @@ def _check_replicated(entry: _Entry, add) -> None:
     if len(set(task.grids)) != len(task.grids):
         add("malformed-bcast", f"task {task.tid}: duplicate grids in "
             "replication group", (task.tid,))
-    rankset = set(task.ranks)
-    for spec in task.bcasts:
-        if spec.root not in spec.ranks:
-            add("malformed-bcast", f"task {task.tid}: bcast root "
-                f"{spec.root} not in its participant list", (task.tid,))
-        if len(set(spec.ranks)) != len(spec.ranks):
-            add("malformed-bcast", f"task {task.tid}: duplicate bcast "
-                "participants", (task.tid,))
-        if not spec.ranks:
-            add("malformed-bcast", f"task {task.tid}: empty bcast "
-                "participant list", (task.tid,))
-        if spec.words < 0:
-            add("malformed-bcast", f"task {task.tid}: negative bcast "
-                "payload", (task.tid,))
-        bad = [r for r in spec.ranks if r not in rankset]
-        if bad:
-            add("rank-escape", f"task {task.tid}: bcast ranks {bad} "
-                "outside the replication group's footprint", (task.tid,))
+    _check_specs(task, set(task.ranks),
+                 "the replication group's footprint", add)
 
 
 def _check_reduce(entry: _Entry, merged: bool, add) -> None:
@@ -315,6 +303,19 @@ def _check_retired_sources(plan: Plan3D, add) -> None:
             retired.add(red.src_grid)
 
 
+def _check_arrays(gp: GridPlan, add) -> None:
+    """The arrays the interpreter walks equal what the view derives."""
+    have = gp.arrays
+    want = TaskArrays.from_records(gp.tasks, have.schur_pair_costs())
+    for f in dataclasses.fields(TaskArrays):
+        if f.name in ("comms", "bc_comm"):   # interning order is free
+            continue
+        if not np.array_equal(getattr(have, f.name), getattr(want, f.name)):
+            add("inconsistent-arrays", f"grid {gp.g} level {gp.level}: "
+                f"column {f.name!r} differs from what the task records "
+                "derive", tuple(have.tid[:1].tolist()))
+
+
 def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
     """Run every static check on ``plan`` and return a report.
 
@@ -344,13 +345,6 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
         pos_of[t.tid] = e.pos
         if e.is_reduce:
             _check_reduce(e, merged, add)
-        elif isinstance(t, FusedTask):
-            # Fused runs keep their members' payloads verbatim: run the
-            # broadcast/rank checks per member so a malformed spec inside
-            # a fusion is still caught.
-            for m in t.members:
-                if isinstance(m, (PanelFactor, PanelBcast)):
-                    _check_bcasts(_Entry(m, e.pos, grid=e.grid), add)
         elif isinstance(t, ReplicatedFactor):
             _check_replicated(e, add)
         elif isinstance(t, (PanelFactor, PanelBcast)):
@@ -365,8 +359,7 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
             elif dp >= e.pos:
                 add("cycle", f"task {t.tid} depends on later task {d} "
                     "(forward edge / cycle)", (t.tid, d))
-        root_ok = isinstance(t, (PanelFactor, LevelBarrier)) or \
-            (isinstance(t, FusedTask) and t.fused_kind == "panel_factor")
+        root_ok = isinstance(t, (PanelFactor, LevelBarrier))
         if not t.deps and not root_ok \
                 and not (e.is_reduce and e.level_index == 0):
             add("disconnected", f"task {t.tid} ({t.kind}) has no "
@@ -374,6 +367,9 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
                 (t.tid,))
     if isinstance(plan, Plan3D) and not merged:
         _check_retired_sources(plan, add)
+    for gp in [plan] if isinstance(plan, GridPlan) else \
+            [gp for step in plan.levels for gp in step.grid_plans]:
+        _check_arrays(gp, add)
 
     # -- race pass ---------------------------------------------------------
     if len(entries) > max_race_tasks:
@@ -403,8 +399,7 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
             for g, i, j, mode in replicated_accesses(sf, t):
                 key = (("replica", g), i, j)
                 accesses.setdefault(key, []).append((e.pos, t.tid, mode))
-        elif isinstance(t, (PanelFactor, PanelBcast, SchurUpdate,
-                            FusedTask)):
+        elif isinstance(t, (PanelFactor, PanelBcast, SchurUpdate)):
             for i, j, mode in grid_task_accesses(e.backend, sf, t):
                 key = (e.view, i, j)
                 accesses.setdefault(key, []).append((e.pos, t.tid, mode))
@@ -420,7 +415,7 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
             for b in range(a + 1, n):
                 pb, tidb, mb = accs[b]
                 if pa == pb:
-                    # Same entry: a fused task's members access the block
+                    # Same entry: an aggregate sweep accesses the block
                     # more than once — internally ordered by construction.
                     continue
                 if not conflicts(ma, mb):
@@ -447,25 +442,20 @@ def grid_plan_rank_escapes(plan: GridPlan) -> list[str]:
     construction.
     """
     lo, hi = plan.base, plan.base + plan.px * plan.py
+    A = plan.arrays
+    panel = A.kind != SCHUR_UPDATE
+    ranks = np.concatenate(
+        [A.owner[panel], A.bc_root, A.bc_route[A.bc_route >= 0]]
+        + [np.asarray(c, dtype=np.int64) for c in A.comms])
+    if not ranks.size or (lo <= ranks.min() and ranks.max() < hi):
+        return []   # the common case: no record is ever built
     out: list[str] = []
-    stack = list(plan.tasks)
-    for t in stack:
-        if isinstance(t, FusedTask):
-            stack.extend(t.members)
-            continue
-        if not isinstance(t, (PanelFactor, PanelBcast)):
-            continue
-        bad = set()
-        if not (lo <= t.owner < hi):
-            bad.add(t.owner)
-        for spec in t.bcasts:
-            bad.update(r for r in spec.ranks if not (lo <= r < hi))
-            if spec.route_from is not None \
-                    and not (lo <= spec.route_from < hi):
-                bad.add(spec.route_from)
-        if bad:
-            out.append(f"task {t.tid} ({t.kind}, node {t.node}) references "
-                       f"ranks {sorted(bad)} outside [{lo}, {hi})")
+    grid = ProcessGrid2D(plan.px, plan.py, base=plan.base)
+    for pos, t in enumerate(plan.tasks):
+        if isinstance(t, (PanelFactor, PanelBcast)):
+            _check_bcasts(_Entry(t, pos, grid=grid),
+                          lambda kind, message, _tids:
+                          kind == "rank-escape" and out.append(message))
     return out
 
 
@@ -484,12 +474,6 @@ def _race_edge_candidates(plan) -> list[tuple]:
     Other edges (``PanelFactor -> SchurUpdate`` readiness edges, barrier
     anchors) are ordering-only — removing them may leave the block
     accesses transitively ordered, which would make the self-test flaky.
-
-    Compiled plans qualify through the same two classes with
-    :class:`FusedTask` nodes standing in for their ``fused_kind``: a fused
-    panel-bcast run's dep on the fused panel-factor run is the union of
-    its members' diagonal-read edges, so dropping it unorders every one of
-    those write/read pairs at once.
     """
     if isinstance(plan, GridPlan):
         walk = [((), plan)]
@@ -497,19 +481,12 @@ def _race_edge_candidates(plan) -> list[tuple]:
         walk = [((li, gi), gp) for li, step in enumerate(plan.levels)
                 for gi, gp in enumerate(step.grid_plans)]
 
-    def kind_of(task) -> str | None:
-        if task is None:
-            return None
-        return task.fused_kind if isinstance(task, FusedTask) else task.kind
-
     cands: list[tuple] = []
     for loc, gp in walk:
-        by_tid = {t.tid: t for t in gp.tasks}
+        kind_of = {t.tid: t.kind for t in gp.tasks}
         for ti, t in enumerate(gp.tasks):
-            tk = kind_of(t)
             for d in t.deps:
-                dk = kind_of(by_tid.get(d))
-                if (tk, dk) in (("panel_bcast", "panel_factor"),
+                if (t.kind, kind_of.get(d)) in (("panel_bcast", "panel_factor"),
                                 ("schur_update", "panel_bcast")):
                     cands.append((loc, ti, d))
     return cands
@@ -519,8 +496,8 @@ def drop_dep_edge(plan, seed: int = 0):
     """Return ``(mutated_plan, description)`` with one dep edge removed.
 
     The edge is drawn (seeded) from the guaranteed-race candidates of
-    :func:`_race_edge_candidates`; the mutated copy shares task objects
-    with the original except the one rebuilt task. Feeding the result to
+    :func:`_race_edge_candidates`; the mutated grid plan is re-packed from
+    its task records with the one task rebuilt. Feeding the result to
     :func:`analyze_plan` MUST produce at least one ``race`` issue — the
     mutation self-test that proves the analyzer is not vacuous.
     """
@@ -535,12 +512,9 @@ def drop_dep_edge(plan, seed: int = 0):
         old = tasks[ti]
         tasks[ti] = dataclasses.replace(
             old, deps=tuple(d for d in old.deps if d != dep))
-        label = old.fused_kind + " fusion" if isinstance(old, FusedTask) \
-            else f"{old.kind}, node {old.node}"
-        desc = f"dropped dep {dep} from task {old.tid} ({label})"
-        return GridPlan(backend=gp.backend, g=gp.g, level=gp.level,
-                        px=gp.px, py=gp.py, base=gp.base, nodes=gp.nodes,
-                        tasks=tasks), desc
+        desc = f"dropped dep {dep} from task {old.tid} " \
+            f"({old.kind}, node {old.node})"
+        return gp.with_tasks(tasks), desc
 
     if isinstance(plan, GridPlan):
         return mutate_grid_plan(plan)

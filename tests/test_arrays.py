@@ -1,0 +1,440 @@
+"""The array form of grid plans (:mod:`repro.plan.arrays`).
+
+Pins what makes one plan form safe:
+
+* the typed width-1 view and the arrays agree — ``from_records(records)``
+  reproduces every column, and ``PlanStats`` over the view equals the
+  numbers the pre-array typed builder produced (``golden_planstats.json``);
+* every emitted segment obeys the hoist rule, over random build
+  configurations (hypothesis);
+* ``alloc_batch`` / ``free_batch`` equal the per-event loop on random
+  interleavings with repeated ranks;
+* a hand-built malformed plan ends in an analyzer issue or a
+  ``CommError`` — never a booked ledger;
+* plans pickle as arrays only (no view, no list cache) to pool workers;
+* a plan bundle refuses to replay against a different sparsity pattern.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import pickle
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
+from repro.comm.simulator import CommError
+from repro.lu2d.options import FactorOptions
+from repro.lu3d import factor_3d
+from repro.plan import (
+    TaskArrays,
+    build_3d_plan,
+    build_grid_plan,
+    execute_grid_plan,
+    pattern_signature,
+)
+from repro.plan.arrays import SCHUR_UPDATE, tree_pattern
+from repro.sparse import grid2d_5pt
+from repro.symbolic import symbolic_factorize
+from repro.tree import greedy_partition
+from repro.verify import analyze_plan, ledger_state
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tests.conftest import plan_cases  # noqa: E402
+
+DATA = Path(__file__).parent / "data"
+
+
+def build(case):
+    """A conftest ``plan_cases`` draw -> ``(plan, sf)``."""
+    sf, opts = case["sf"], case["opts"]
+    if case["tf"] is None:
+        return build_grid_plan(sf, range(sf.nb),
+                               ProcessGrid2D(case["px"], case["py"]), opts,
+                               backend=case["backend"]), sf
+    grid3 = ProcessGrid3D(case["px"], case["py"], case["pz"])
+    return build_3d_plan(sf, case["tf"], grid3, opts,
+                         backend=case["backend"], merged=case["merged"]), sf
+
+
+def grid_plans(plan):
+    if hasattr(plan, "arrays"):
+        return [plan]
+    return [gp for step in plan.levels for gp in step.grid_plans]
+
+
+def assert_arrays_equal(a: TaskArrays, b: TaskArrays):
+    for f in dataclasses.fields(TaskArrays):
+        if f.name in ("comms", "bc_comm"):       # interning order is free
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+    assert [a.comms[c] for c in a.bc_comm] == [b.comms[c] for c in b.bc_comm]
+
+
+@pytest.fixture(scope="module")
+def lu2d():
+    A, geom = grid2d_5pt(12)
+    sf = symbolic_factorize(A, geom, leaf_size=16)
+    return build_grid_plan(sf, range(sf.nb), ProcessGrid2D(2, 3)), sf
+
+
+class TestViewAndArraysAgree:
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    @given(plan_cases())
+    def test_round_trip(self, case):
+        plan, _sf = build(case)
+        for gp in grid_plans(plan):
+            assert_arrays_equal(
+                gp.arrays, TaskArrays.from_records(
+                    gp.tasks, gp.arrays.schur_pair_costs()))
+
+    def test_tids_and_deps_are_consistent(self, lu2d):
+        plan, _ = lu2d
+        A = plan.arrays
+        assert A.tid.tolist() == list(range(A.n_tasks))
+        assert [t.tid for t in plan.tasks] == A.tid.tolist()
+        for t in plan.tasks:
+            assert all(d < t.tid for d in t.deps)
+
+    @pytest.mark.parametrize("name", sorted(
+        k for k in json.loads((DATA / "golden_planstats.json").read_text())
+        if not k.startswith("_")))
+    def test_planstats_equal_the_typed_builders(self, name):
+        """``PlanStats`` over the width-1 view == the numbers recorded from
+        the pre-array typed plans, dense and compact."""
+        from tests.data.regen_planstats import cases, planstats_record
+        want = json.loads((DATA / "golden_planstats.json").read_text())[name]
+        case = name.removesuffix("_compact")
+        builder = dict(cases())[case]
+        plan = builder(FactorOptions(compact_comm=name != case))
+        assert json.loads(json.dumps(planstats_record(plan))) == want
+
+    def test_tree_pattern_is_the_bcast_replay(self):
+        """The flattened pairs are what ``bcast`` issues event by event."""
+        from repro.analysis import Trace
+        from repro.comm.collectives import bcast
+        for root, comm in ((2, (0, 1, 2, 3, 4)), (0, (0, 3)), (5, (5,)),
+                           (1, (4, 1, 7, 2, 9, 0, 3))):
+            sim = Simulator(10, trace=Trace())
+            bcast(sim, root, list(comm), 3.0)
+            srcs, dsts, recv = tree_pattern(-1, root, comm)
+            sends = [e for e in sim.trace.events if e.kind == "send"]
+            assert [e.rank for e in sends] == srcs
+            assert sorted(dsts) == sorted(recv) == sorted(
+                r for r in comm if r != root)
+            routed = tree_pattern(8, root, comm)
+            assert (routed[0], routed[1]) == ([8] + srcs, [root] + dsts)
+
+
+class TestHoistRule:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    @given(plan_cases())
+    def test_every_segment_is_hoist_safe(self, case):
+        """Within a segment no member's compute rank is in an *earlier*
+        member's communicator; segments are maximal (the next task would
+        break the rule) and refine same-kind runs."""
+        plan, _sf = build(case)
+        for gp in grid_plans(plan):
+            A, tasks = gp.arrays, gp.tasks
+            runs, segs = A.runs.tolist(), A.segs.tolist()
+            assert runs[0] == segs[0] == 0
+            assert runs[-1] == segs[-1] == A.n_tasks
+            assert set(runs) <= set(segs)
+            assert all(a < b for a, b in zip(segs, segs[1:]))
+            for a, b in zip(runs, runs[1:]):
+                assert len({t.kind for t in tasks[a:b]}) == 1
+                assert a == 0 or tasks[a - 1].kind != tasks[a].kind
+            for a, b in zip(segs, segs[1:]):
+                if A.kind[a] == SCHUR_UPDATE:
+                    continue
+
+                def touched(t):
+                    return {r for s in t.bcasts for r in
+                            (*s.ranks, *([] if s.route_from is None
+                                         else [s.route_from]))}
+                seen: set = set()
+                for t in tasks[a:b]:
+                    assert t.owner not in seen, (gp.g, a, b, t.tid)
+                    seen |= touched(t)
+                if b not in runs:       # an inner cut: it was necessary
+                    assert tasks[b].owner in seen
+
+
+class TestMemoryBatches:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 4),
+                           st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e-3, 7.25,
+                                            1 / 3, 1e9])),
+                 min_size=0, max_size=12)), max_size=8))
+    def test_batches_equal_the_per_event_loop(self, batches):
+        """Random interleavings of alloc and free batches with repeated
+        ranks: ``mem_current`` and ``mem_peak`` match event by event, on
+        the scalar path (plain lists) and the array path alike."""
+        loop, lists, arrays = Simulator(5), Simulator(5), Simulator(5)
+        for sim in (loop, lists, arrays):   # headroom so frees stay legal
+            for r in range(5):
+                sim.alloc(r, 1e12)
+        for is_alloc, events in batches:
+            ranks = [r for r, _w in events]
+            words = [w for _r, w in events]
+            for r, w in events:
+                (loop.alloc if is_alloc else loop.free)(r, w)
+            name = "alloc_batch" if is_alloc else "free_batch"
+            getattr(lists, name)(ranks, words)
+            getattr(arrays, name)(np.asarray(ranks, dtype=np.intp),
+                                  np.asarray(words, dtype=np.float64))
+            for batch in (lists, arrays):
+                assert loop.mem_current.tolist() == batch.mem_current.tolist()
+                assert loop.mem_peak.tolist() == batch.mem_peak.tolist()
+
+    def test_negative_and_out_of_range_rejected_before_booking(self):
+        sim = Simulator(3)
+        sim.alloc(0, 10.0)
+        with pytest.raises(CommError, match="non-negative"):
+            sim.free(0, -5.0)       # used to *raise* mem_current silently
+        for call in (sim.alloc_batch, sim.free_batch,
+                     lambda r, w: sim.alloc_batch(np.asarray(r), w),
+                     lambda r, w: sim.free_batch(np.asarray(r), w)):
+            with pytest.raises(CommError, match="non-negative"):
+                call([0, 1], [1.0, -1.0])
+            with pytest.raises(CommError, match="outside"):
+                call([0, 3], [1.0, 1.0])
+            with pytest.raises(CommError, match="outside"):
+                call([-1], [1.0])
+            with pytest.raises(CommError, match="same length"):
+                call([0, 1], [1.0])
+        assert sim.mem_current.tolist() == [10.0, 0.0, 0.0]
+        assert sim.mem_peak.tolist() == [10.0, 0.0, 0.0]
+        for ranks in ([1, 1], np.asarray([1, 1])):
+            with pytest.raises(CommError, match="freed more"):
+                sim.free_batch(ranks, [0.5, 0.5])
+
+
+class TestMalformedPlans:
+    """Hand-built defects end in an analyzer issue or a ``CommError``."""
+
+    def outcome(self, bad, sf) -> set:
+        """Issue kinds the analyzer reports; if it reports none the plan
+        must refuse to execute, at either width."""
+        kinds = set(analyze_plan(bad, sf).counts())
+        if not kinds:
+            for fuse in (False, True):
+                sim = Simulator(bad.px * bad.py)
+                with pytest.raises(CommError):
+                    execute_grid_plan(bad, sf, sim, fuse=fuse)
+                kinds.add("CommError")
+        return kinds
+
+    def poke(self, plan, **cols):
+        return dataclasses.replace(
+            plan, arrays=dataclasses.replace(plan.arrays, **cols))
+
+    def first_spec_task(self, plan):
+        return next(t for t in plan.tasks if getattr(t, "bcasts", ()))
+
+    def test_root_outside_ranks(self, lu2d):
+        plan, sf = lu2d
+        A = plan.arrays
+        spec = int(np.flatnonzero(
+            [len(A.comms[c]) < plan.px * plan.py for c in A.bc_comm])[0])
+        outsider = next(r for r in range(plan.px * plan.py)
+                        if r not in A.comms[A.bc_comm[spec]])
+        root = A.bc_root.copy()
+        root[spec] = outsider
+        assert "malformed-bcast" in self.outcome(
+            self.poke(plan, bc_root=root), sf)
+
+    def test_negative_words_in_a_spec(self, lu2d):
+        plan, sf = lu2d
+        words = plan.arrays.bc_words.copy()
+        words[0] = -4.0
+        assert "malformed-bcast" in self.outcome(
+            self.poke(plan, bc_words=words), sf)
+
+    def test_negative_words_in_the_flattened_replay(self, lu2d):
+        """Only the executed column is tampered: the view looks sane, so
+        the analyzer's arrays-vs-records check has to catch it — and the
+        simulator refuses it anyway."""
+        plan, sf = lu2d
+        words = plan.arrays.p2p_words.copy()
+        words[0] = -4.0
+        bad = self.poke(plan, p2p_words=words)
+        assert self.outcome(bad, sf) == {"inconsistent-arrays"}
+        for fuse in (False, True):
+            sim = Simulator(plan.px * plan.py)
+            with pytest.raises(CommError, match="non-negative"):
+                execute_grid_plan(bad, sf, sim, fuse=fuse)
+
+    def test_rank_outside_the_grid(self, lu2d):
+        plan, sf = lu2d
+        victim = self.first_spec_task(plan)
+        bad = plan.with_tasks([
+            dataclasses.replace(t, owner=500) if t is victim else t
+            for t in plan.tasks])
+        assert "rank-escape" in self.outcome(bad, sf)
+        sim = Simulator(plan.px * plan.py)
+        with pytest.raises(CommError):      # and it cannot be booked
+            execute_grid_plan(bad, sf, sim, fuse=True)
+        assert not any(sim.clock)
+
+    def test_with_tasks_round_trips_an_untouched_list(self, lu2d):
+        plan, sf = lu2d
+        again = plan.with_tasks(list(plan.tasks))
+        assert_arrays_equal(plan.arrays, again.arrays)
+        sims = [Simulator(6), Simulator(6)]
+        execute_grid_plan(plan, sf, sims[0], fuse=True)
+        execute_grid_plan(again, sf, sims[1], fuse=False)
+        assert ledger_state(sims[0]) == ledger_state(sims[1])
+
+
+class TestBlockArrays:
+    """The per-node block arrays and the accounting gathered from them
+    equal the written-out loops they replaced, exactly."""
+
+    @pytest.fixture(scope="class", params=["lu", "cholesky"])
+    def setup(self, request):
+        from repro.plan import get_backend
+        from repro.sparse import grid3d_7pt
+        A, geom = grid3d_7pt(6)
+        sf = symbolic_factorize(A, geom, leaf_size=24)
+        return sf, greedy_partition(sf, 4), \
+            get_backend(request.param).node_blocks
+
+    def test_node_block_arrays_are_the_enumerator(self, setup):
+        from repro.lu2d.storage import node_block_arrays
+        sf, _tf, blocks_fn = setup
+        ptr, ii, jj, ww = node_block_arrays(sf, blocks_fn)
+        assert node_block_arrays(sf, blocks_fn)[0] is ptr     # memoized
+        for v in range(sf.nb):
+            got = list(zip(ii[ptr[v]:ptr[v + 1]].tolist(),
+                           jj[ptr[v]:ptr[v + 1]].tolist(),
+                           ww[ptr[v]:ptr[v + 1]].tolist()))
+            assert got == [(i, j, float(w)) for i, j, w in blocks_fn(sf, v)]
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_replica_words_equal_the_triple_loop(self, setup, compact):
+        from repro.comm.volume import CompactVolume
+        from repro.lu3d.replication import replica_words_per_rank
+        sf, tf, blocks_fn = setup
+        grid3 = ProcessGrid3D(2, 3, 4)
+        volume = CompactVolume(sf) if compact else None
+        want = np.zeros(grid3.size)
+        for v in range(sf.nb):
+            for g in tf.grids_of_node(v):
+                for i, j, w in blocks_fn(sf, v):
+                    if volume is not None:
+                        w = volume.cap(i, j, float(w))
+                    want[grid3.layer(g).owner(i, j)] += w
+        got = replica_words_per_rank(sf, tf, grid3, blocks_fn=blocks_fn,
+                                     volume=volume)
+        assert got.tolist() == want.tolist() and got.sum() > 0
+
+    def test_factor_words_equal_the_loop(self, setup):
+        from repro.comm.volume import CompactVolume
+        from repro.lu2d.storage import factor_words_per_rank, node_blocks
+        sf, _tf, _ = setup
+        grid = ProcessGrid2D(2, 3, base=6)
+        nodes = list(range(1, sf.nb, 2))
+        for volume in (None, CompactVolume(sf)):
+            want = np.zeros(12)
+            for k in nodes:
+                for i, j, w in node_blocks(sf, k):
+                    want[grid.owner(i, j)] += w if volume is None \
+                        else volume.cap(i, j, float(w))
+            got = factor_words_per_rank(sf, iter(nodes), grid, 12,
+                                        volume=volume)
+            assert got.tolist() == want.tolist()
+
+
+class TestPickling:
+    def test_plans_ship_as_arrays_only(self, lu2d):
+        plan, sf = lu2d
+        cold = len(pickle.dumps(plan))
+        plan.tasks                        # materialise the view ...
+        execute_grid_plan(plan, sf, Simulator(6), fuse=True)  # ... and lists
+        assert {"hot", "records"} <= set(plan.arrays.__dict__)
+        assert len(pickle.dumps(plan)) == cold
+        clone = pickle.loads(pickle.dumps(plan))
+        assert not {"hot", "records"} & set(clone.arrays.__dict__)
+        assert_arrays_equal(plan.arrays, clone.arrays)
+        sims = [Simulator(6), Simulator(6)]
+        execute_grid_plan(plan, sf, sims[0], fuse=True)
+        execute_grid_plan(clone, sf, sims[1], fuse=True)
+        assert ledger_state(sims[0]) == ledger_state(sims[1])
+
+
+class TestPatternSignature:
+    """``PlanBundle.check`` knows which pattern a bundle was built from."""
+
+    @staticmethod
+    def setup(nx):
+        A, geom = grid2d_5pt(nx)
+        sf = symbolic_factorize(A, geom, leaf_size=32)
+        return A, geom, sf, greedy_partition(sf, 2)
+
+    def test_signature_separates_equal_nb_patterns(self):
+        _, _, sf_a, _ = self.setup(16)
+        _, _, sf_b, _ = self.setup(17)
+        assert sf_a.nb == sf_b.nb == 15
+        assert pattern_signature(sf_a) != pattern_signature(sf_b)
+        assert pattern_signature(sf_a) == pattern_signature(
+            self.setup(16)[2])
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_foreign_bundle_refused(self, numeric):
+        _, _, sf_a, tf_a = self.setup(16)
+        _, _, sf_b, tf_b = self.setup(17)
+        grid3 = ProcessGrid3D(2, 2, 2)
+        res = factor_3d(sf_a, tf_a, grid3, Simulator(8), numeric=numeric)
+        sim = Simulator(8)
+        with pytest.raises(ValueError, match="different sparsity pattern"):
+            factor_3d(sf_b, tf_b, grid3, sim, numeric=numeric,
+                      cached=res.bundle)
+        assert not any(sim.clock) and not any(sim.mem_peak)
+        # The bundle still replays its own pattern, bit for bit.
+        ref, again = Simulator(8), Simulator(8)
+        factor_3d(sf_a, tf_a, grid3, ref, numeric=numeric)
+        factor_3d(sf_a, tf_a, grid3, again, numeric=numeric,
+                  cached=res.bundle)
+        assert ledger_state(ref) == ledger_state(again)
+
+    def test_facade_rebuilds_instead_of_replaying_a_foreign_bundle(self):
+        from repro.solve import SparseLU3D
+        A, geom, _, _ = self.setup(16)
+        B, geom_b, _, _ = self.setup(17)
+        a = SparseLU3D(A, geometry=geom, px=2, py=2, pz=2, leaf_size=32)
+        a.factorize()
+        b = SparseLU3D(B, geometry=geom_b, px=2, py=2, pz=2, leaf_size=32)
+        b.analyze()
+        b._bundle = a._bundle
+        assert b._usable_bundle() is None
+        x = b.factorize().solve(np.ones(B.shape[0]))
+        assert np.linalg.norm(B @ x - 1.0) <= 1e-10 * np.sqrt(B.shape[0])
+
+    def test_service_path_is_keyed_by_fingerprint(self):
+        """Two patterns with equal ``nb`` get two cache entries, each
+        replaying its own bundle: hits stay hits, ledgers stay cold's."""
+        from repro.service import FactorizationService
+        A, geom, _, _ = self.setup(16)
+        B, geom_b, _, _ = self.setup(17)
+        with FactorizationService(px=2, py=2, pz=2, leaf_size=32,
+                                  machine=Machine.edison_like()) as svc:
+            jobs = [svc.submit(M, np.ones(M.shape[0]), geometry=g).result()
+                    for M, g in ((A, geom), (B, geom_b), (A, geom),
+                                 (B, geom_b))]
+        assert [j.cache_hit for j in jobs] == [False, False, True, True]
+        for cold, warm in ((jobs[0], jobs[2]), (jobs[1], jobs[3])):
+            assert warm.residual <= 1e-10
+            assert ledger_state(cold.solver.sim) == \
+                ledger_state(warm.solver.sim)

@@ -18,7 +18,7 @@ from repro.comm import (CommError, ProcessGrid2D, ProcessGrid3D, Simulator,
 from repro.comm.accelerator import Accelerator
 from repro.comm.collectives import bcast
 from repro.lu2d import factor_2d
-from repro.lu2d.batched import schur_pair_costs, syrk_pair_costs
+from repro.lu2d.batched import schur_pairs, syrk_pairs
 from repro.lu3d import factor_3d
 from repro.sparse import (BlockMatrix, delaunay_mesh_2d, grid2d_5pt,
                           grid3d_7pt)
@@ -92,8 +92,52 @@ def _book_chol_pairs_per_event(sim, sf, grid, k) -> int:
     return n
 
 
+def _one(x) -> np.ndarray:
+    return np.asarray([x], dtype=np.int64)
+
+
+def schur_pair_costs(k, lp, up, sizes, grid):
+    """``schur_pairs`` of the one node ``k``: ``(owners, flops)``."""
+    lp, up = np.asarray(lp, dtype=np.int64), np.asarray(up, dtype=np.int64)
+    return schur_pairs(_one(sizes[k]), _one(0), _one(lp.size), lp, _one(0),
+                       _one(up.size), up, sizes, grid)[1:]
+
+
+def syrk_pair_costs(k, lp, sizes, grid):
+    """``syrk_pairs`` of the one node ``k``: ``(owners, flops)``."""
+    lp = np.asarray(lp, dtype=np.int64)
+    return syrk_pairs(_one(sizes[k]), _one(0), _one(lp.size), lp, sizes,
+                      grid)[1:]
+
+
 class TestPairCostBooking:
     """``compute_batch`` over the pair-cost arrays == per-event booking."""
+
+    def test_node_lists_concatenate_the_one_node_arrays(self):
+        """What the plan builder calls: a whole node list at once, any
+        order, empty panels included."""
+        A, g = grid3d_7pt(6)
+        sf = symbolic_factorize(A, g, leaf_size=24)
+        grid = ProcessGrid2D(2, 3, base=6)
+        sizes = sf.layout.sizes()
+        lp_ptr, lp_idx, up_ptr, up_idx = sf.fill.panel_csr()
+        ks = np.arange(sf.nb)[::-1].copy()
+        nl, nu = np.diff(lp_ptr)[ks], np.diff(up_ptr)[ks]
+        for got, one in (
+                (schur_pairs(sizes[ks], lp_ptr[ks], nl, lp_idx, up_ptr[ks],
+                             nu, up_idx, sizes, grid),
+                 lambda k: schur_pair_costs(k, sf.fill.lpanel[k],
+                                            sf.fill.upanel[k], sizes, grid)),
+                (syrk_pairs(sizes[ks], lp_ptr[ks], nl, lp_idx, sizes, grid),
+                 lambda k: syrk_pair_costs(k, sf.fill.lpanel[k], sizes,
+                                           grid))):
+            want = [one(int(k)) for k in ks]
+            assert got[0].tolist() == [o.size for o, _f in want]
+            assert got[0].sum() > 0 and 0 in got[0]
+            assert got[1].tolist() == np.concatenate(
+                [o for o, _f in want]).tolist()
+            assert got[2].tolist() == np.concatenate(
+                [f for _o, f in want]).tolist()
 
     @pytest.mark.parametrize("name,A,geom", list(_fixtures()),
                              ids=lambda v: v if isinstance(v, str) else "")

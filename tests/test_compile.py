@@ -1,23 +1,25 @@
-"""Plan-compilation + shared-memory-transport conformance tests.
+"""Full-width vs width-1 conformance + shared-memory-transport tests.
 
-Two contracts from the compile layer (:mod:`repro.plan.compile`):
+Two contracts:
 
-* **Observational equivalence** — running the fused plan books ledgers
-  bit-identical to the unfused plan and produces bit-equal factors,
-  across all four drivers (2D LU, 3D LU, merged 3D, Cholesky), under the
-  randomized-schedule fuzzer, and the static analyzer stays clean on the
-  rewritten DAG. The mutation self-test drops a dep edge *from a fused
-  task* and demands the race detector fire — fusion must not blind it.
+* **Observational equivalence of the two widths** — a plan is one array
+  form (:mod:`repro.plan.arrays`); walking its full-width runs books
+  ledgers bit-identical to walking it task by task and produces bit-equal
+  factors, across all four drivers (2D LU, 3D LU, merged 3D, Cholesky)
+  and under the randomized-schedule fuzzer; the static analyzer is clean
+  on it, cut points and derived columns included, and dropping a dep edge
+  still trips the race detector. (This file keeps its name from the
+  compile pass those guarantees were first pinned for.)
 * **Zero-copy transport hygiene** — the shm path ships descriptor bytes
   instead of block bytes, finishes the run inline (recording a
   ``ParallelFallback``) when shared memory is missing or fails mid-run,
   and never leaks a ``/dev/shm/repro_shm_*`` segment, even when a worker
   crashes mid-level.
 
-The drivers decide fusion from what they observe (``resolve_exec``), so
-the unfused driver run here is the one a traced simulator gets; the
-plan-level on/off identity goes through ``compile_plan`` and the fuzzer's
-``canonical_ledger``.
+The drivers decide the width from what they observe (``resolve_exec``), so
+the width-1 driver run here is the one a traced simulator gets; the
+plan-level identity goes through ``execute_grid_plan(fuse=...)`` and the
+fuzzer's ``canonical_ledger``.
 """
 
 from __future__ import annotations
@@ -28,14 +30,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.analysis import Trace, format_compile_summary, format_parallel_stats
+from repro.analysis import Trace, format_parallel_stats
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.lu2d.factor2d import FactorOptions, factor_2d
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
 from repro.parallel import LevelStats, ParallelFallback, ShmTransport
-from repro.plan import CompiledPlan, FusedTask, compile_plan
+from repro.plan import FusedPlan, build_3d_plan, build_grid_plan
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
@@ -69,20 +71,20 @@ def _sim(nranks: int, traced: bool) -> Simulator:
 
 
 def assert_equivalent(run, compare_factors=True):
-    """Run ``run(traced)`` fused (plain simulator) and unfused (a traced
-    simulator observes per-task events); demand bit-identity."""
+    """Run ``run(traced)`` at full width (plain simulator) and at width 1
+    (a traced simulator observes per-task events); demand bit-identity."""
     sim_c, res_c = run(False)
     sim_u, res_u = run(True)
     assert ledger_state(sim_c) == ledger_state(sim_u)
     if compare_factors:
         Fc = res_c.factors().to_dense()
         Fu = res_u.factors().to_dense()
-        assert np.array_equal(Fc, Fu), "factors diverged under fusion"
+        assert np.array_equal(Fc, Fu), "factors diverged between widths"
     return res_c, res_u
 
 
 class TestCompiledBitIdentity:
-    """Fused and unfused plans are observationally indistinguishable."""
+    """Full-width and width-1 walks are observationally indistinguishable."""
 
     def test_lu2d(self, planar):
         sf, _ = planar
@@ -94,11 +96,10 @@ class TestCompiledBitIdentity:
             return sim, res
 
         res_c, res_u = assert_equivalent(run, compare_factors=False)
-        compiled = res_c.extras["compiled"]
-        assert isinstance(compiled, CompiledPlan)
-        assert compiled.stats.n_fused > 0
-        assert compiled.stats.dispatch_reduction > 1.0
-        assert "compiled" not in res_u.extras
+        assert res_c.extras["fused"] and not res_u.extras["fused"]
+        stats = res_c.extras["plan"].fusion_stats()
+        assert stats.n_fused > 0
+        assert stats.dispatch_reduction > 1.0
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_lu3d(self, planar, numeric):
@@ -111,13 +112,12 @@ class TestCompiledBitIdentity:
             return sim, res
 
         res_c, res_u = assert_equivalent(run, compare_factors=numeric)
-        assert isinstance(res_c.compiled, CompiledPlan)
+        assert isinstance(res_c.compiled, FusedPlan)
         assert res_u.compiled is None
-        # The original (unfused) plan stays the public artifact.
-        assert not any(isinstance(t, FusedTask)
-                       for t in res_c.plan.iter_tasks())
-        assert any(isinstance(t, FusedTask)
-                   for t in res_c.compiled.plan.iter_tasks())
+        # One plan object serves both widths: "compiled" is a view of it.
+        assert res_c.compiled.plan is res_c.plan
+        st = res_c.compiled.stats
+        assert st.n_tasks_after < st.n_tasks_before == res_c.plan.n_tasks
 
     def test_merged(self, planar):
         sf, tf = planar
@@ -129,7 +129,7 @@ class TestCompiledBitIdentity:
             return sim, res
 
         res_c, _ = assert_equivalent(run, compare_factors=False)
-        assert isinstance(res_c.compiled, CompiledPlan)
+        assert isinstance(res_c.compiled, FusedPlan)
 
     def test_cholesky(self, spd):
         sf, tf = spd
@@ -141,49 +141,81 @@ class TestCompiledBitIdentity:
             return sim, res
 
         res_c, _ = assert_equivalent(run)
-        assert isinstance(res_c.compiled, CompiledPlan)
+        assert isinstance(res_c.compiled, FusedPlan)
 
     def test_fused_deps_point_backwards(self, planar):
+        """The fuzzer's full-width units (run = one dispatch, deps = the
+        members' edges leaving the run) still form a DAG in list order."""
+        from repro.verify.fuzz import _plan3d_units
         sf, tf = planar
-        from repro.plan.build import build_3d_plan
         plan3 = build_3d_plan(sf, tf, ProcessGrid3D(2, 2, 4), _opts())
-        compiled = compile_plan(plan3, sf, _opts())
+        units, _ = _plan3d_units(plan3, sf, fuse=True)
         seen: set = set()
-        for t in compiled.plan.iter_tasks():
-            assert all(d in seen for d in t.deps), \
-                "fused plan has a forward or dangling dep"
-            seen.add(t.tid)
+        for u in units:
+            assert u.deps <= seen, "full-width unit has a forward dep"
+            seen |= u.tids
+
+    def test_full_width_cuts_dispatches_by_three(self):
+        """The retired ``bench_compile`` bars, as deterministic
+        assertions on its input (``grid2d_5pt(48)``, leaf 8, 2x2x8):
+        full-width dispatches <= tasks / 3, ledgers equal at both widths."""
+        from repro.lu3d.factor3d import (CostOnlyData, Factor3DResult,
+                                         _execute_plan3d)
+        A, geom = grid2d_5pt(48)
+        sf = symbolic_factorize(A, geom, leaf_size=8)
+        tf = greedy_partition(sf, 8)
+        grid3 = ProcessGrid3D(2, 2, 8)
+        plan3 = build_3d_plan(sf, tf, grid3, _opts())
+        st = plan3.fusion_stats()
+        assert st.n_tasks_before == plan3.n_tasks
+        assert st.n_tasks_after * 3 <= st.n_tasks_before
+        ledgers = []
+        for fuse in (True, False):
+            sim = Simulator(grid3.size)
+            _execute_plan3d(plan3, sf, sim, Factor3DResult(tf), _opts(),
+                            None, CostOnlyData(), fuse=fuse)
+            ledgers.append(ledger_state(sim))
+        assert ledgers[0] == ledgers[1]
 
 
 class TestCompiledStatic:
-    """PR-5 static analyzer holds on fused plans — including its own
+    """The static analyzer holds on the array form — including its own
     non-vacuousness proof (the mutation self-test)."""
 
-    def _compiled_2d(self, planar) -> tuple:
+    def _plan_2d(self, planar) -> tuple:
         sf, _ = planar
-        from repro.plan.build import build_grid_plan
-        plan = build_grid_plan(sf, list(range(sf.nb)), ProcessGrid2D(2, 3),
-                               _opts())
-        return compile_plan(plan, sf, _opts()), sf
+        return build_grid_plan(sf, list(range(sf.nb)), ProcessGrid2D(2, 3),
+                               _opts()), sf
 
     def test_analyzer_clean_on_compiled_2d(self, planar):
-        compiled, sf = self._compiled_2d(planar)
-        report = analyze_plan(compiled.plan, sf)
+        plan, sf = self._plan_2d(planar)
+        report = analyze_plan(plan, sf)
         assert report.ok, report.summary()
 
     def test_analyzer_clean_on_compiled_3d(self, planar):
         sf, tf = planar
-        from repro.plan.build import build_3d_plan
         plan3 = build_3d_plan(sf, tf, ProcessGrid3D(2, 2, 4), _opts())
-        compiled = compile_plan(plan3, sf, _opts())
-        report = analyze_plan(compiled.plan, sf)
+        report = analyze_plan(plan3, sf)
         assert report.ok, report.summary()
 
+    def test_analyzer_flags_tampered_cut_points(self, planar):
+        """A segment cut removed from the arrays (the hoist rule no longer
+        holds inside the merged segment) is an analyzer finding."""
+        import dataclasses
+        plan, sf = self._plan_2d(planar)
+        A = plan.arrays
+        inner = np.setdiff1d(A.segs, A.runs)
+        assert inner.size, "fixture has no hoist cut inside a run"
+        bad = dataclasses.replace(
+            plan, arrays=dataclasses.replace(
+                A, segs=np.setdiff1d(A.segs, inner[:1])))
+        assert "inconsistent-arrays" in analyze_plan(bad, sf).counts()
+
     def test_mutation_trips_race_detector(self, planar):
-        """Dropping a dep edge off a *fused* task must surface a race —
-        fusion unions member edges precisely so this still holds."""
-        compiled, sf = self._compiled_2d(planar)
-        mutated, desc = drop_dep_edge(compiled.plan, seed=3)
+        """Dropping a dep edge and re-packing the task list into arrays
+        must surface a race."""
+        plan, sf = self._plan_2d(planar)
+        mutated, desc = drop_dep_edge(plan, seed=3)
         report = analyze_plan(mutated, sf)
         assert not report.ok, f"analyzer missed mutation: {desc}"
         assert any(i.kind == "race" for i in report.issues), desc
@@ -192,12 +224,13 @@ class TestCompiledStatic:
         sf, _ = planar
         grid = ProcessGrid2D(2, 3)
         rep_u = fuzz_2d(sf, grid, numeric=True, n_orders=6)
-        rep_c = fuzz_2d(sf, grid, numeric=True, n_orders=6, compile=True)
+        rep_c = fuzz_2d(sf, grid, numeric=True, n_orders=6, fuse=True)
         assert rep_c.ok, rep_c.summary()
-        # Fusion serializes the single-grid pipeline into a chain, so the
-        # identity order may be the only legal one here; the load-bearing
-        # assertion is that the compiled canonical run books the same
-        # ledgers as the uncompiled driver.
+        # Full-width runs serialize the single-grid pipeline into a chain,
+        # so the identity order may be the only legal one here; the
+        # load-bearing assertion is that the full-width canonical run
+        # books the same ledgers as the width-1 one.
+        assert rep_c.n_units < rep_u.n_units
         assert rep_c.canonical_ledger == rep_u.canonical_ledger
 
     def test_fuzz_3d_compiled(self, planar):
@@ -205,9 +238,9 @@ class TestCompiledStatic:
         grid3 = ProcessGrid3D(2, 2, 4)
         rep_u = fuzz_3d(sf, tf, grid3, numeric=True, n_orders=6)
         rep_c = fuzz_3d(sf, tf, grid3, numeric=True, n_orders=6,
-                        compile=True)
+                        fuse=True)
         assert rep_c.ok, rep_c.summary()
-        assert rep_c.n_perturbed > 0, "3D compiled fuzz was vacuous"
+        assert rep_c.n_perturbed > 0, "3D full-width fuzz was vacuous"
         assert rep_c.canonical_ledger == rep_u.canonical_ledger
 
 
@@ -351,12 +384,12 @@ class TestShmTransport:
 class TestFormatting:
     def test_compile_summary_renders(self, planar):
         sf, _ = planar
-        from repro.plan.build import build_grid_plan
         plan = build_grid_plan(sf, list(range(sf.nb)), ProcessGrid2D(2, 3),
                                _opts())
-        out = format_compile_summary(compile_plan(plan, sf, _opts()))
-        assert "dispatch reduction" in out
-        assert "tasks before" in out
+        st = plan.fusion_stats()
+        out = st.summary()
+        assert f"{st.n_tasks_after} dispatches" in out
+        assert f"{st.n_tasks_before} tasks" in out and "fused runs" in out
 
     def test_parallel_stats_show_shipped_bytes(self, planar):
         _, res = _run_numeric(planar, n_workers=2)

@@ -124,11 +124,7 @@ class TestGoldenLedgers:
 
     @pytest.mark.parametrize("name,gen,shape,pxy", CASES,
                              ids=[c[0] for c in CASES])
-    def test_bit_identical(self, golden, name, gen, shape, pxy,
-                           monkeypatch):
-        # Each suffix pins its own volume mode; neutralize any
-        # REPRO_COMPACT override so both are exercised as recorded.
-        monkeypatch.delenv("REPRO_COMPACT", raising=False)
+    def test_bit_identical(self, golden, name, gen, shape, pxy):
         nx, leaf, pz = shape
         A, g = gen(nx)
         sf = symbolic_factorize(A, g, leaf_size=leaf)
@@ -191,19 +187,27 @@ class TestGeneralizedReplication:
                     options=FactorOptions(ancestor_replication=2))
 
     def test_compile_preserves_replicated_tasks(self):
-        from repro.plan.compile import compile_plan
+        """Aggregate sweeps are one dispatch at either width: the
+        full-width statistics count them once on both sides, and a traced
+        (width-1) run books the full-width ledger."""
+        from repro.analysis import Trace
+        from repro.verify import ledger_state
         sf, tf, grid3 = _setup(nx=10, pz=8, px=1, py=2)
         opts = FactorOptions(ancestor_replication=4)
         sim = Simulator(grid3.size)
         res = factor_3d(sf, tf, grid3, sim, numeric=False, options=opts)
         n_rep = sum(len(s.replicated) for s in res.plan.levels)
         assert n_rep > 0
-        compiled = compile_plan(res.plan, sf)
-        reps = [r for s in compiled.plan.levels for r in s.replicated]
-        assert len(reps) == n_rep
-        words = sum(r.words for s in res.plan.levels for r in s.replicated)
-        words_c = sum(r.words for r in reps)
-        assert words_c == words
+        st = res.compiled.stats
+        n_grid = sum(gp.n_tasks for s in res.plan.levels
+                     for gp in s.grid_plans)
+        assert st.n_tasks_before - n_grid == st.n_tasks_after - sum(
+            gp.fusion_stats().n_tasks_after for s in res.plan.levels
+            for gp in s.grid_plans) >= n_rep
+        traced = Simulator(grid3.size, trace=Trace())
+        res_u = factor_3d(sf, tf, grid3, traced, numeric=False, options=opts)
+        assert res_u.compiled is None
+        assert ledger_state(traced) == ledger_state(sim)
 
     def test_more_replication_shortens_critical_path(self):
         """Section VII's trade: replicating ancestors spends extra total

@@ -92,7 +92,8 @@ class TestCrossReferences:
         "REPRO_COMPILE", "REPRO_SHM", "factor_fn", "PackedBlock", "pack_view",
         "unpack_view", "compile_enabled", "shm_enabled", "_make_engine",
         "batched_schur", "batch_min_pairs", "shm_transport",
-        "parallel_backend", "track_buffers", "compile_plan=",
+        "parallel_backend", "track_buffers", "compile_plan", "FusedTask",
+        "PanelSegment", "exec_fused", "REPRO_COMPACT",
         "apply_schur_numeric", "apply_syrk_numeric", "batched_syrk_update",
         "gather_panels", "panel_offsets", "n_batched_gemms",
         "batch_fill_ratio", "format_kernel_counters", "exec_panel_factor",
@@ -107,6 +108,41 @@ class TestCrossReferences:
             text = path.read_text()
             for name in self.DELETED_NAMES:
                 assert name not in text, f"{name!r} survives in {path}"
+
+
+class TestOnePlanForm:
+    """A grid plan exists as task arrays only; full width vs per task is
+    a choice of cut points over them, never a second plan object or a
+    second task body."""
+
+    SRC = ROOT / "src" / "repro"
+
+    def test_no_compile_module(self):
+        assert not (self.SRC / "plan" / "compile.py").exists()
+
+    def test_fuse_only_selects_cut_points(self):
+        """Nothing in the program branches on ``fuse`` except the cut-point
+        selector and the record of which width ran."""
+        branch = re.compile(r"\bif\s+(not\s+)?(\w+\.)?fuse\b"
+                            r"|\b(\w+\.)?fuse\s+else\b")
+        hits = sorted(
+            f"{path.relative_to(self.SRC)}: {line.strip()}"
+            for path in self.SRC.rglob("*.py")
+            for line in path.read_text().splitlines() if branch.search(line))
+        assert hits == [
+            "lu3d/factor3d.py: if mode.fuse:",
+            "plan/arrays.py: return self.hot.runs if fuse "
+            "else list(range(self.n_tasks + 1))"]
+
+    def test_one_task_body(self):
+        """``run`` is the only function that books a grid task's events:
+        the batch entries are called from nowhere else in ``plan/``."""
+        text = (self.SRC / "plan" / "interpret.py").read_text()
+        assert text.count("def run(") == 1
+        for path in (self.SRC / "plan").glob("*.py"):
+            if path.name != "interpret.py":
+                assert not re.search(r"\.(compute|sendrecv|alloc|free)_batch\(",
+                                     path.read_text()), path
 
 
 class TestOneKernelLayer:

@@ -11,11 +11,12 @@ of three things:
 * books the reference ledger *and* records a ``ParallelFallback``
 
 — nothing else. The reference is independent of the drivers' path choice:
-for plain runs it is the plan-level unfused walk of the fuzzer
-(``fuzz_3d(...).canonical_ledger``, identity order, no compile pass), and
-the attachments used here are ledger-neutral by construction (an empty
-trace, a uniform topology, an accelerator whose threshold nothing
-reaches, an injector with no faults), so one reference serves them all.
+for plain runs it is the plan-level width-1 walk of the fuzzer
+(``fuzz_3d(...).canonical_ledger``, identity order, one dispatch per
+task), and the attachments used here are ledger-neutral by construction
+(an empty trace, a uniform topology, an accelerator whose threshold
+nothing reaches, an injector with no faults), so one reference serves
+them all.
 Resilient runs (faults / checkpoints change the ledger by design) are
 referenced against their own serial, unattached run.
 """
@@ -176,6 +177,22 @@ def test_every_combination_matches_reference_raises_or_falls_back(case):
     else:
         assert not fallbacks
         assert bool(levels) == (opts.n_workers != 1)
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
+@pytest.mark.parametrize("observer", [*ATTACHMENTS, "monitor"])
+def test_width_follows_what_observes(observer, compact):
+    """Only a run nothing observes per task walks its full-width runs; a
+    trace, an accelerator, a fault injector or the resilience monitor get
+    one dispatch per task — same plan object, same ledger, either pricing."""
+    opts = FactorOptions(compact_comm=compact,
+                         checkpoint_every=7 if observer == "monitor" else 0)
+    sf, tf = setup_for("lu", "uniform")
+    sim = make_sim("none" if observer == "monitor" else observer)
+    res = run_driver("lu", sf, tf, sim, True, opts)
+    assert (res.compiled is not None) == (observer in ("none", "topology"))
+    assert res.plan is res.bundle.plan3
+    assert ledger_state(sim) == reference_ledger("lu", True, opts)
 
 
 class TestResolveExec:

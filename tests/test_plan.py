@@ -28,7 +28,6 @@ from repro.analysis import PlanStats, format_plan_summary
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.comm.simulator import COMPUTE_KINDS, PHASES
-from repro.comm.volume import volume_kind
 from repro.lu2d.factor2d import FactorOptions, factor_2d
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
@@ -39,12 +38,13 @@ from repro.tree import greedy_partition
 
 # The goldens are pinned per block-volume mode: the dense file is the
 # original seed (never regenerated by refactors); the compact file pins
-# the same cases under REPRO_COMPACT=1 / FactorOptions(compact_comm=True)
-# word pricing (CI's compact tier-1 re-run).
-_GOLDEN_FILE = ("golden_ledgers_compact.json"
-                if volume_kind(None) == "compact" else "golden_ledgers.json")
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / _GOLDEN_FILE).read_text())
+# the same cases under FactorOptions(compact_comm=True) word pricing.
+# ``TestGoldenLedgers`` runs every case dense, its ``...Compact`` subclass
+# compact — one tier-1 pass covers both.
+GOLDENS = {
+    compact: json.loads((Path(__file__).parent / "data" / name).read_text())
+    for compact, name in ((False, "golden_ledgers.json"),
+                          (True, "golden_ledgers_compact.json"))}
 
 
 def ledger_dict(sim: Simulator) -> dict:
@@ -63,8 +63,9 @@ def ledger_dict(sim: Simulator) -> dict:
     return out
 
 
-def assert_matches_golden(case: str, sim: Simulator, result=None):
-    want = GOLDEN[case]
+def assert_matches_golden(case: str, sim: Simulator, result=None,
+                          compact: bool = False):
+    want = GOLDENS[compact][case]
     got = ledger_dict(sim)
     for key, val in want.items():
         if key == "factor_checksum":
@@ -93,6 +94,15 @@ def spd_setup(nx: int, leaf: int, pz: int):
 
 
 class TestGoldenLedgers:
+    #: Block pricing of every case in this class (see the subclass below).
+    COMPACT = False
+
+    def opts(self, **kw) -> FactorOptions:
+        return FactorOptions(compact_comm=self.COMPACT, **kw)
+
+    def check(self, case, sim, result=None):
+        assert_matches_golden(case, sim, result, compact=self.COMPACT)
+
     @pytest.mark.parametrize("label,opts", [
         ("default", {}),
         ("lookahead0", {"lookahead": 0}),
@@ -106,17 +116,18 @@ class TestGoldenLedgers:
         sf = symbolic_factorize(A, geom, leaf_size=16)
         grid = ProcessGrid2D(2, 3)
         sim = Simulator(grid.size, Machine.edison_like())
-        factor_2d(sf, grid, sim, options=FactorOptions(**opts))
-        assert_matches_golden(f"lu2d_{label}", sim)
+        factor_2d(sf, grid, sim, options=self.opts(**opts))
+        self.check(f"lu2d_{label}", sim)
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_lu3d_planar(self, numeric):
         sf, tf = planar_setup(14, 16, 4)
         grid3 = ProcessGrid3D(2, 2, 4)
         sim = Simulator(grid3.size, Machine.edison_like())
-        res = factor_3d(sf, tf, grid3, sim, numeric=numeric)
+        res = factor_3d(sf, tf, grid3, sim, numeric=numeric,
+                        options=self.opts())
         case = "lu3d_pz4_numeric" if numeric else "lu3d_pz4"
-        assert_matches_golden(case, sim, res)
+        self.check(case, sim, res)
 
     def test_lu3d_brick(self):
         A, g = grid3d_7pt(6)
@@ -124,26 +135,27 @@ class TestGoldenLedgers:
         tf = greedy_partition(sf, 2)
         grid3 = ProcessGrid3D(1, 2, 2)
         sim = Simulator(grid3.size, Machine.edison_like())
-        factor_3d(sf, tf, grid3, sim, numeric=False)
-        assert_matches_golden("lu3d_brick_pz2", sim)
+        factor_3d(sf, tf, grid3, sim, numeric=False, options=self.opts())
+        self.check("lu3d_brick_pz2", sim)
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_merged(self, numeric):
         sf, tf = planar_setup(14, 16, 4)
         grid3 = ProcessGrid3D(2, 2, 4)
         sim = Simulator(grid3.size, Machine.edison_like())
-        factor_3d_merged(sf, tf, grid3, sim, numeric=numeric)
-        assert_matches_golden(
-            "merged_pz4_numeric" if numeric else "merged_pz4", sim)
+        factor_3d_merged(sf, tf, grid3, sim, numeric=numeric,
+                         options=self.opts())
+        self.check("merged_pz4_numeric" if numeric else "merged_pz4", sim)
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_cholesky(self, numeric):
         sf, tf = spd_setup(14, 16, 2)
         grid3 = ProcessGrid3D(2, 2, 2)
         sim = Simulator(grid3.size, Machine.edison_like())
-        res = factor_chol_3d(sf, tf, grid3, sim, numeric=numeric)
+        res = factor_chol_3d(sf, tf, grid3, sim, numeric=numeric,
+                             options=self.opts())
         case = "chol_pz2_numeric" if numeric else "chol_pz2"
-        assert_matches_golden(case, sim, res)
+        self.check(case, sim, res)
 
     @pytest.mark.parametrize("label", ["arrowhead", "powerlaw"])
     def test_irregular_blocking(self, label):
@@ -162,8 +174,15 @@ class TestGoldenLedgers:
         grid3 = ProcessGrid3D(2, 2, 2)
         sim = Simulator(grid3.size, Machine.edison_like())
         res = factor_3d(sf, tf, grid3, sim, numeric=True,
-                        options=FactorOptions(blocking="irregular"))
-        assert_matches_golden(f"lu3d_{label}_irregular", sim, res)
+                        options=self.opts(blocking="irregular"))
+        self.check(f"lu3d_{label}_irregular", sim, res)
+
+
+class TestGoldenLedgersCompact(TestGoldenLedgers):
+    """The same cases under compact block pricing, against their own
+    pinned file (what CI's second whole-suite pass used to cover)."""
+
+    COMPACT = True
 
 
 class TestPlanPlumbing:

@@ -203,6 +203,17 @@ class TestGoldenFaults:
         want = ledger_dict(sim)
         assert sum(want["words_sent:rec"]) > 0
 
+    @pytest.mark.parametrize("case,kw", [
+        ("lu3d_pz4_fault_restart", {"checkpoint_every": 20,
+                                    "recovery": "restart"}),
+        ("lu3d_pz4_fault_zreplica", {"recovery": "z-replica"})])
+    def test_compact_pricing(self, case, kw):
+        """The same two faulted runs under compact block pricing, against
+        the compact golden file."""
+        opts = FactorOptions(fault_plan=self.CRASH, compact_comm=True, **kw)
+        _, _, sim, res = lu3d_run(options=opts)
+        assert_matches_golden(case, sim, res, compact=True)
+
 
 class TestCrashRecovery:
     @pytest.fixture(scope="class")

@@ -167,7 +167,7 @@ def _tamper_task(plan, pred, **changes):
     for i, t in enumerate(tasks):
         if pred(t):
             tasks[i] = dataclasses.replace(t, **changes)
-            return dataclasses.replace(plan, tasks=tasks)
+            return plan.with_tasks(tasks)
     raise AssertionError("no matching task to tamper with")
 
 
@@ -346,6 +346,63 @@ class TestFuzzer:
         factor_2d(lu2d_sf, grid, sim)
         rep = fuzz_2d(lu2d_sf, grid, n_orders=1, seed=0)
         assert rep.canonical_ledger == ledger_state(sim)
+
+
+@pytest.mark.parametrize("fuse", [False, True], ids=["width1", "fullwidth"])
+@pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
+class TestVerifyStackBothVolumes:
+    """Analyzer + fuzz + conservation on every driver shape, in dense and
+    compact block pricing, walked task by task and at full width — what a
+    second whole-suite pass under an environment switch used to cover."""
+
+    DRIVERS = {"lu": {}, "merged": {"merged": True},
+               "cholesky": {"backend": "cholesky"}}
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_3d(self, planar2, spd2, driver, compact, fuse):
+        sf, tf = spd2 if driver == "cholesky" else planar2
+        grid3 = ProcessGrid3D(2, 2, 2)
+        opts = FactorOptions(compact_comm=compact)
+        kw = self.DRIVERS[driver]
+        plan = build_3d_plan(sf, tf, grid3, opts, **kw)
+        report = analyze_plan(plan, sf)
+        assert report.ok and report.n_pairs_checked > 0, report.summary()
+        rep = fuzz_3d(sf, tf, grid3, n_orders=FAST_FUZZ, seed=17,
+                      options=opts, fuse=fuse, numeric=True, **kw)
+        assert rep.ok, rep.summary()
+        # The fuzzer's canonical run at this width is the driver's run
+        # (plain simulator: full width; traced: width 1), and that run
+        # conserves against the plan's static cost model.
+        from repro.analysis import Trace
+        sim = Simulator(grid3.size, Machine.edison_like(),
+                        trace=None if fuse else Trace())
+        fn = {"lu": factor_3d, "merged": factor_3d_merged,
+              "cholesky": factor_chol_3d}[driver]
+        res = fn(sf, tf, grid3, sim, numeric=True, options=opts)
+        assert (res.compiled is not None) == fuse
+        assert ledger_state(sim) == rep.canonical_ledger
+        check_conservation(sim, res.plan)
+
+    def test_2d(self, lu2d_sf, compact, fuse):
+        opts = FactorOptions(compact_comm=compact)
+        grid = ProcessGrid2D(2, 3)
+        plan = build_grid_plan(lu2d_sf, range(lu2d_sf.nb), grid, opts)
+        assert analyze_plan(plan, lu2d_sf).ok
+        rep = fuzz_2d(lu2d_sf, grid, n_orders=FAST_FUZZ, seed=19,
+                      options=opts, fuse=fuse)
+        assert rep.ok, rep.summary()
+        sim = Simulator(grid.size, Machine.edison_like())
+        res = factor_2d(lu2d_sf, grid, sim, options=opts)
+        assert ledger_state(sim) == rep.canonical_ledger
+        check_conservation(sim, res.extras["plan"])
+
+    def test_mutation_still_trips_the_race_detector(self, lu2d_sf, compact,
+                                                    fuse):
+        plan = build_grid_plan(lu2d_sf, range(lu2d_sf.nb),
+                               ProcessGrid2D(2, 3),
+                               FactorOptions(compact_comm=compact))
+        mutated, desc = drop_dep_edge(plan, seed=int(fuse))
+        assert "race" in analyze_plan(mutated, lu2d_sf).counts(), desc
 
 
 @pytest.mark.slow

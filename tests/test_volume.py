@@ -5,7 +5,7 @@ identity (so dense goldens stay bit-identical to the seed), compact
 pricing never exceeds dense per block — hence per phase and in total —
 and a compact run still passes the full verification stack (conservation
 oracle, order fuzzing, bit-identical factors, worker fan-out).
-Also covers the env/option mode resolution, the plan-bundle cross-mode
+Also covers the option-only mode resolution, ``cap_many``, the plan-bundle cross-mode
 guard, the ``words >= 0`` validation on :func:`reduce_pairwise`, the
 ``words_per_rank(phase=...)`` filter, and closed-form-vs-per-event
 ``bcast`` event accounting.
@@ -28,6 +28,7 @@ from repro.comm.volume import (
     volume_kind,
 )
 from repro.lu2d.factor2d import FactorOptions
+from repro.lu2d.storage import node_block_arrays
 from repro.lu3d import factor_3d
 from repro.plan.replay import plan_options_key
 from repro.sparse import grid2d_5pt
@@ -62,8 +63,7 @@ class TestVolumeModel:
         for w in (0.0, 1.0, 17.0, 4096.0):
             assert v.cap(3, 5, w) == w
 
-    def test_compact_never_exceeds_dense(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPACT", raising=False)
+    def test_compact_never_exceeds_dense(self):
         sf, _ = small_setup()
         v = CompactVolume(sf)
         assert v.kind == "compact"
@@ -104,21 +104,31 @@ class TestVolumeModel:
         assert t1.total <= n * n
 
     def test_mode_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPACT", raising=False)
-        assert volume_kind(None) == "dense"
-        assert volume_kind(FactorOptions()) == "dense"
-        assert volume_kind(COMPACT) == "compact"
-        # Env forces compact even with options off...
-        monkeypatch.setenv("REPRO_COMPACT", "1")
-        assert compact_enabled(FactorOptions()) is True
-        assert volume_kind(None) == "compact"
-        # ...and forces dense even with options on.
-        monkeypatch.setenv("REPRO_COMPACT", "0")
-        assert compact_enabled(COMPACT) is False
+        """``FactorOptions.compact_comm`` is the only switch: the retired
+        environment twin is ignored in both directions."""
         sf, _ = small_setup(8, 8, 1)
-        assert isinstance(volume_for(sf, COMPACT), DenseVolume)
-        monkeypatch.setenv("REPRO_COMPACT", "yes")
-        assert isinstance(volume_for(sf, None), CompactVolume)
+        for env in (None, "1", "0"):
+            if env is not None:
+                monkeypatch.setenv("REPRO_COMPACT", env)
+            assert volume_kind(None) == "dense"
+            assert volume_kind(FactorOptions()) == "dense"
+            assert volume_kind(COMPACT) == "compact"
+            assert compact_enabled(FactorOptions()) is False
+            assert isinstance(volume_for(sf, COMPACT), CompactVolume)
+            assert isinstance(volume_for(sf, None), DenseVolume)
+
+    def test_cap_many_matches_cap(self):
+        sf, _ = small_setup()
+        sizes = sf.layout.sizes()
+        _ptr, ii, jj, ww = node_block_arrays(sf)
+        tri = sizes * (sizes + 1) / 2.0
+        k = np.arange(sf.nb)
+        for v in (DenseVolume(), CompactVolume(sf)):
+            for a, b, w in ((ii, jj, ww), (k, k, tri)):
+                want = [v.cap(i, j, x) for i, j, x in
+                        zip(a.tolist(), b.tolist(), w.tolist())]
+                got = v.cap_many(a, b, w)
+                assert got.dtype == np.float64 and got.tolist() == want
 
 
 # -- end-to-end: compact runs against the verify stack ---------------------
@@ -127,13 +137,9 @@ class TestVolumeModel:
 class TestCompactRuns:
     @pytest.fixture(scope="class")
     def pair(self):
-        # Neutralize any REPRO_COMPACT override: this class compares the
-        # two modes directly, so each run must honor its own options.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.delenv("REPRO_COMPACT", raising=False)
-            sf, tf = small_setup(12, 16, 2)
-            dense = run_3d(sf, tf, 2, options=FactorOptions())
-            compact = run_3d(sf, tf, 2, options=COMPACT)
+        sf, tf = small_setup(12, 16, 2)
+        dense = run_3d(sf, tf, 2, options=FactorOptions())
+        compact = run_3d(sf, tf, 2, options=COMPACT)
         return dense, compact
 
     def test_factors_bit_identical_across_modes(self, pair):
@@ -176,15 +182,13 @@ class TestCompactRuns:
 
 
 class TestBundleModeGuard:
-    def test_options_key_carries_volume_kind(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPACT", raising=False)
+    def test_options_key_carries_volume_kind(self):
         kd = plan_options_key(FactorOptions())
         kc = plan_options_key(COMPACT)
         assert kd[-2] == "dense" and kc[-2] == "compact"
         assert kd != kc
 
-    def test_cross_mode_replay_refused(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPACT", raising=False)
+    def test_cross_mode_replay_refused(self):
         sf, tf = small_setup(10, 12, 2)
         grid3 = ProcessGrid3D(2, 2, 2)
         sim = Simulator(grid3.size, Machine.edison_like())
