@@ -207,7 +207,8 @@ def geometric_nd(adj: sp.csr_matrix, coords: np.ndarray, leaf_size: int = 64,
     several vertices share a coordinate (e.g. the KKT proxy's state/adjoint
     pairs — both land in the same region or separator together). A
     :func:`repair_separator` pass afterwards restores the separation
-    invariant for matrices with couplings longer than one lattice step.
+    invariant for matrices with couplings longer than one lattice step;
+    it reads ``adj`` for its structure only (every stored entry an edge).
     """
     n = adj.shape[0]
     coords = np.asarray(coords)
@@ -254,7 +255,10 @@ def graph_nd(adj: sp.csr_matrix, leaf_size: int = 64, method: str = "bfs",
 
     ``method`` is ``'bfs'`` (George-style level-set separators, fast, good on
     mesh-like graphs) or ``'fiedler'`` (spectral; better cuts on irregular
-    graphs, slower).
+    graphs, slower). ``adj`` is read for its structure only — every stored
+    off-diagonal entry is an edge, whatever its value. A region the
+    separator cannot split (a clique, a star) becomes one leaf, chunked by
+    ``max_block`` like any other node, even when it exceeds ``leaf_size``.
     """
     if method not in ("bfs", "fiedler"):
         raise ValueError(f"unknown separator method {method!r}")
@@ -267,7 +271,10 @@ def graph_nd(adj: sp.csr_matrix, leaf_size: int = 64, method: str = "bfs",
         if vertices.size <= leaf_size:
             return builder.add(vertices, [])
         sep, part_a, part_b = find(adj, vertices)
-        if part_a.size == 0 and part_b.size == 0:
+        if max(sep.size, part_a.size, part_b.size) == vertices.size:
+            # Nothing was split (<= 2 vertices, or one component a single
+            # BFS level deep, e.g. a clique): a leaf, not a chain peeled
+            # off one vertex per recursion.
             return builder.add(vertices, [])
         sep, part_a, part_b = _ensure_nonempty_separator(sep, part_a, part_b)
         children = []
@@ -275,8 +282,6 @@ def graph_nd(adj: sp.csr_matrix, leaf_size: int = 64, method: str = "bfs",
             children.append(recurse(part_a))
         if part_b.size:
             children.append(recurse(part_b))
-        if not children:
-            return builder.add(vertices, [])
         return builder.add(sep, children)
 
     recurse(np.arange(n, dtype=np.int64))

@@ -5,6 +5,12 @@ vertex ids) of a global CSR adjacency, and return a triple
 ``(sep, part_a, part_b)`` of disjoint original-id arrays covering
 ``vertices``, such that after :func:`repair_separator` no edge connects
 ``part_a`` to ``part_b``.
+
+The adjacency is read for its **structure only**: every *stored*
+off-diagonal entry is an edge, whatever its value (negative, zero,
+boolean); stored diagonal entries are ignored. Every graph walk is built
+on one primitive, :func:`_neighbours`, over a graph held as its raw
+``(indptr, indices)`` arrays.
 """
 
 from __future__ import annotations
@@ -12,56 +18,75 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.utils import ragged
+
 __all__ = ["bfs_level_separator", "fiedler_separator", "repair_separator"]
 
+_NONE = np.array([], dtype=np.int64)
 
-def _induced_local_graph(adj: sp.csr_matrix, vertices: np.ndarray
-                         ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Extract the induced subgraph with local numbering.
 
-    Returns ``(G_local, vertices)`` where ``G_local`` is the CSR adjacency on
-    ``len(vertices)`` local ids, local id ``k`` being ``vertices[k]``.
+def _neighbours(G, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All stored neighbours of ``rows``, row after row, with repeats:
+    ``(nbrs, g)`` where ``nbrs[k]`` is a neighbour of ``rows[g[k]]``."""
+    indptr, indices = G
+    start = indptr[rows]
+    g, w = ragged(indptr[rows + 1] - start)
+    return indices[start[g] + w], g
+
+
+def _induced(G, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the subgraph induced by ``vertices`` (local id
+    ``k`` is ``vertices[k]``), self-loops dropped, row order kept."""
+    local = np.zeros(G[0].size - 1, dtype=np.int64)  # 0 = not in the subgraph
+    local[vertices] = np.arange(1, vertices.size + 1)
+    nbrs, g = _neighbours(G, vertices)
+    loc = local[nbrs] - 1
+    keep = (loc >= 0) & (loc != g)
+    indptr = np.zeros(vertices.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(g[keep], minlength=vertices.size), out=indptr[1:])
+    return indptr, loc[keep]
+
+
+def _bfs_levels(G, root: int) -> np.ndarray:
+    """BFS level of every vertex reachable from ``root``; -1 if unreachable.
+
+    One neighbour gather per level. Levels are graph distances, so they do
+    not depend on the order a frontier is held in.
     """
-    sub = adj[vertices][:, vertices].tocsr()
-    return sub, vertices
-
-
-def _bfs_levels(G: sp.csr_matrix, root: int) -> np.ndarray:
-    """BFS level of every vertex reachable from ``root``; -1 if unreachable."""
-    n = G.shape[0]
-    level = np.full(n, -1, dtype=np.int64)
+    level = np.full(G[0].size - 1, -1, dtype=np.int64)
     level[root] = 0
     frontier = np.array([root], dtype=np.int64)
     d = 0
-    indptr, indices = G.indptr, G.indices
     while frontier.size:
         d += 1
-        nxt = []
-        for u in frontier:
-            nbrs = indices[indptr[u]:indptr[u + 1]]
-            new = nbrs[level[nbrs] == -1]
-            level[new] = d
-            nxt.append(new)
-        frontier = np.unique(np.concatenate(nxt)) if nxt else np.array([], dtype=np.int64)
+        new = _neighbours(G, frontier)[0]
+        new = new[level[new] == -1]
+        # A vertex seen from several frontier vertices is in `new` several
+        # times. Dedupe without a sort: every occurrence writes its slot
+        # into the (still unset) level entry, one write survives.
+        slot = np.arange(new.size)
+        level[new] = slot
+        frontier = new[level[new] == slot]
+        level[frontier] = d
     return level
 
 
-def _pseudo_peripheral(G: sp.csr_matrix) -> int:
-    """Return a vertex of (approximately) maximal eccentricity."""
-    root = 0
-    last_ecc = -1
+def _peripheral_levels(G, level: np.ndarray) -> np.ndarray:
+    """Level structure rooted at a pseudo-peripheral vertex of a connected graph.
+
+    ``level`` is any vertex's level structure (the caller's discovery sweep).
+    Re-root at a minimum-degree vertex of the farthest level while the
+    eccentricity grows, at most four times; the last sweep made *is* the
+    chosen root's level structure.
+    """
+    degree = np.diff(G[0])
     for _ in range(4):
-        level = _bfs_levels(G, root)
-        reach = level >= 0
-        ecc = level[reach].max() if reach.any() else 0
-        if ecc <= last_ecc:
-            break
-        last_ecc = ecc
-        # Among the farthest vertices pick one of minimum degree.
+        ecc = level.max()
         far = np.flatnonzero(level == ecc)
-        deg = np.diff(G.indptr)[far]
-        root = int(far[np.argmin(deg)])
-    return root
+        level = _bfs_levels(G, int(far[np.argmin(degree[far])]))
+        if level.max() <= ecc:
+            break
+    return level
 
 
 def bfs_level_separator(adj: sp.csr_matrix, vertices: np.ndarray
@@ -71,13 +96,17 @@ def bfs_level_separator(adj: sp.csr_matrix, vertices: np.ndarray
     Runs BFS from a pseudo-peripheral vertex of the induced subgraph and
     takes as separator the level set at which half the vertices have been
     seen — the classic Kernighan/George level bisection. Disconnected pieces
-    of the subgraph are balanced greedily between the two parts.
+    of the subgraph are taken in order of their smallest vertex and balanced
+    greedily between the two parts; a piece less than two levels deep from
+    its smallest vertex goes whole into the lighter part. Edges are the
+    stored off-diagonal entries of ``adj``, values ignored.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    G, verts = _induced_local_graph(adj, vertices)
-    nloc = G.shape[0]
+    nloc = vertices.size
     if nloc <= 2:
-        return verts, np.array([], dtype=np.int64), np.array([], dtype=np.int64)
+        return vertices, _NONE, _NONE
+    adj = adj.tocsr()
+    G = _induced((adj.indptr, adj.indices), vertices)
 
     unassigned = np.ones(nloc, dtype=bool)
     part_a: list[np.ndarray] = []
@@ -86,74 +115,63 @@ def bfs_level_separator(adj: sp.csr_matrix, vertices: np.ndarray
     size_a = size_b = 0
 
     while unassigned.any():
-        comp_root = int(np.flatnonzero(unassigned)[0])
+        # The first unassigned vertex is the smallest id of its component
+        # (components are disjoint), i.e. local vertex 0 of the component.
+        comp_root = int(np.argmax(unassigned))
         level = _bfs_levels(G, comp_root)
-        comp = level >= 0
-        # BFS may reach vertices already assigned? No: components are
-        # disjoint, previously assigned vertices are in other components.
-        comp &= unassigned
-        comp_ids = np.flatnonzero(comp)
-        if comp_ids.size != np.count_nonzero(level >= 0):
-            # Restrict to this component only.
-            level = np.where(comp, level, -1)
+        comp_ids = np.flatnonzero(level >= 0)
         unassigned[comp_ids] = False
 
-        maxlev = level[comp_ids].max()
-        if maxlev < 2:
+        if level.max() < 2:
             # Too shallow to split: dump whole component into lighter part.
-            if size_a <= size_b:
-                part_a.append(comp_ids)
-                size_a += comp_ids.size
-            else:
-                part_b.append(comp_ids)
-                size_b += comp_ids.size
-            continue
-        # Re-root at a pseudo-peripheral vertex of the component for a
-        # thinner, better-centered level structure.
-        Gc = G[comp_ids][:, comp_ids].tocsr()
-        proot = _pseudo_peripheral(Gc)
-        clevel = _bfs_levels(Gc, proot)
-        maxlev = clevel.max()
-        csizes = np.bincount(clevel, minlength=maxlev + 1)
-        cum = np.cumsum(csizes)
-        half = comp_ids.size / 2
-        mid = int(np.searchsorted(cum, half))
-        mid = min(max(mid, 1), maxlev - 1) if maxlev >= 2 else 0
-        lo = comp_ids[clevel < mid]
-        hi = comp_ids[clevel > mid]
-        mids = comp_ids[clevel == mid]
-        sep.append(mids)
-        if size_a <= size_b:
-            part_a.append(lo)
-            part_b.append(hi)
-            size_a += lo.size
-            size_b += hi.size
+            lo, hi = comp_ids, _NONE
         else:
-            part_a.append(hi)
-            part_b.append(lo)
-            size_a += hi.size
-            size_b += lo.size
+            # Re-root at a pseudo-peripheral vertex of the component for a
+            # thinner, better-centered level structure. The discovery sweep
+            # above is that search's first sweep.
+            if comp_ids.size == nloc:
+                clevel = _peripheral_levels(G, level)
+            else:
+                clevel = _peripheral_levels(_induced(G, comp_ids),
+                                            level[comp_ids])
+            maxlev = clevel.max()
+            cum = np.cumsum(np.bincount(clevel, minlength=maxlev + 1))
+            mid = int(np.searchsorted(cum, comp_ids.size / 2))
+            mid = min(max(mid, 1), maxlev - 1)
+            sep.append(comp_ids[clevel == mid])
+            lo = comp_ids[clevel < mid]
+            hi = comp_ids[clevel > mid]
+        if size_a > size_b:
+            lo, hi = hi, lo
+        part_a.append(lo)
+        part_b.append(hi)
+        size_a += lo.size
+        size_b += hi.size
 
-    cat = lambda lst: (np.concatenate(lst) if lst else np.array([], dtype=np.int64))
-    return (verts[cat(sep)], verts[cat(part_a)], verts[cat(part_b)])
+    cat = lambda lst: vertices[np.concatenate(lst)] if lst else _NONE
+    return cat(sep), cat(part_a), cat(part_b)
 
 
 def fiedler_separator(adj: sp.csr_matrix, vertices: np.ndarray,
                       seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spectral separator from the Fiedler vector of the induced subgraph.
 
-    Vertices are split at the median Fiedler value; the separator is then
-    the set of part-A endpoints of crossing edges (vertex separator from the
-    edge cut). Falls back to :func:`bfs_level_separator` when the eigensolver
-    does not converge or the subgraph is disconnected.
+    Vertices are split at the median Fiedler value of the *pattern*
+    Laplacian (every stored off-diagonal entry an edge of weight one, values
+    ignored); the separator is then the set of part-A endpoints of crossing
+    edges (vertex separator from the edge cut). Falls back to
+    :func:`bfs_level_separator` when the eigensolver does not converge or
+    the subgraph is disconnected.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    G, verts = _induced_local_graph(adj, vertices)
-    nloc = G.shape[0]
+    nloc = vertices.size
     if nloc <= 8:
         return bfs_level_separator(adj, vertices)
-    deg = np.asarray(G.sum(axis=1)).ravel().astype(np.float64)
-    L = sp.diags(deg) - G.astype(np.float64)
+    adj = adj.tocsr()
+    indptr, indices = _induced((adj.indptr, adj.indices), vertices)
+    G = sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                      shape=(nloc, nloc))
+    L = sp.diags(np.diff(indptr).astype(np.float64)) - G
     try:
         rng = np.random.default_rng(seed)
         v0 = rng.random(nloc)
@@ -169,9 +187,8 @@ def fiedler_separator(adj: sp.csr_matrix, vertices: np.ndarray,
     b_ids = np.flatnonzero(~in_a)
     if a_ids.size == 0 or b_ids.size == 0:
         return bfs_level_separator(adj, vertices)
-    sep_loc, a_loc, b_loc = repair_separator(
-        G, np.array([], dtype=np.int64), a_ids, b_ids)
-    return verts[sep_loc], verts[a_loc], verts[b_loc]
+    sep_loc, a_loc, b_loc = repair_separator(G, _NONE, a_ids, b_ids)
+    return vertices[sep_loc], vertices[a_loc], vertices[b_loc]
 
 
 def repair_separator(adj: sp.csr_matrix, sep: np.ndarray, part_a: np.ndarray,
@@ -183,7 +200,8 @@ def repair_separator(adj: sp.csr_matrix, sep: np.ndarray, part_a: np.ndarray,
     longer-range couplings (e.g. :func:`repro.sparse.generators.circuit_like`
     vias) can leave crossing edges. This pass restores the separator
     invariant — no edge between the two parts — by promoting the part-A
-    endpoint of each crossing edge.
+    endpoint of each crossing edge. A crossing edge is any *stored* entry
+    of ``adj`` between the parts, whatever its value.
 
     All ids here are in one consistent numbering (caller's choice); the
     returned triple uses the same numbering.
@@ -193,14 +211,12 @@ def repair_separator(adj: sp.csr_matrix, sep: np.ndarray, part_a: np.ndarray,
     sep = np.asarray(sep, dtype=np.int64)
     if part_a.size == 0 or part_b.size == 0:
         return sep, part_a, part_b
-    n = adj.shape[0]
-    in_b = np.zeros(n, dtype=np.int64)
-    in_b[part_b] = 1
-    # One SpMV finds every part-A vertex with a part-B neighbor. The
-    # counts must accumulate in a wide dtype: an int8 sum wraps at 128
-    # crossing neighbors, silently *missing* near-dense rows (arrowhead
-    # borders, supply rails) and breaking the separation invariant.
-    crossings = (adj[part_a].astype(np.int64) @ in_b) > 0
+    adj = adj.tocsr()
+    in_b = np.zeros(adj.shape[0], dtype=bool)
+    in_b[part_b] = True
+    nbrs, g = _neighbours((adj.indptr, adj.indices), part_a)
+    crossings = np.zeros(part_a.size, dtype=bool)
+    crossings[g[in_b[nbrs]]] = True
     if crossings.any():
         sep = np.concatenate([sep, part_a[crossings]])
         part_a = part_a[~crossings]

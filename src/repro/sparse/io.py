@@ -53,12 +53,18 @@ def write_matrix_market(path: str | os.PathLike, A: sp.spmatrix,
             f.write(f"{r + 1} {c + 1} {v:.17g}\n")
 
 
-def _data_lines(f):
-    """Yield stripped, non-empty, non-comment lines (CRLF tolerant)."""
-    for raw in f:
-        line = raw.strip()
-        if line and not line.startswith("%"):
-            yield line
+#: One entry line as ``np.loadtxt`` reads it; ``pattern`` files carry no value.
+_ENTRY = [("row", np.int64), ("col", np.int64), ("val", np.float64)]
+
+
+def _first_malformed(entries: list[str], width: int) -> str | None:
+    """The first entry line with too few or unparseable tokens (error path)."""
+    for line in entries:
+        parts = line.split()
+        try:
+            int(parts[0]), int(parts[1]), float(parts[width - 1])
+        except (ValueError, IndexError):
+            return line
 
 
 def read_matrix_market(path: str | os.PathLike) -> sp.csr_matrix:
@@ -67,7 +73,9 @@ def read_matrix_market(path: str | os.PathLike) -> sp.csr_matrix:
     Accepts ``general``/``symmetric`` symmetry and ``real``/``integer``/
     ``pattern`` fields (pattern entries read as 1.0, symmetric storage is
     expanded to the full pattern). ``.gz`` paths are decompressed on the
-    fly — the format SuiteSparse downloads arrive in.
+    fly — the format SuiteSparse downloads arrive in. The entry block is
+    parsed and range-checked as arrays (one ``np.loadtxt`` over the
+    filtered lines), not line by line.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt") as f:
@@ -82,38 +90,40 @@ def read_matrix_market(path: str | os.PathLike) -> sp.csr_matrix:
             raise ValueError(f"{path}: unsupported field {field!r}")
         if symmetry not in ("general", "symmetric"):
             raise ValueError(f"{path}: unsupported symmetry {symmetry!r}")
-        lines = _data_lines(f)
-        try:
-            size_line = next(lines)
-        except StopIteration:
-            raise ValueError(f"{path}: missing size line") from None
-        try:
-            nrows, ncols, nnz = (int(t) for t in size_line.split())
-        except ValueError:
-            raise ValueError(
-                f"{path}: malformed size line {size_line!r}") from None
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        k = 0
-        for line in lines:
-            if k >= nnz:
-                raise ValueError(f"{path}: more than {nnz} entries")
-            parts = line.split()
-            if len(parts) < (2 if field == "pattern" else 3):
-                raise ValueError(f"{path}: malformed entry {line!r}")
-            r = int(parts[0])
-            c = int(parts[1])
-            if not (1 <= r <= nrows and 1 <= c <= ncols):
-                raise ValueError(
-                    f"{path}: entry ({r}, {c}) outside 1-based range "
-                    f"({nrows} x {ncols})")
-            rows[k] = r - 1
-            cols[k] = c - 1
-            vals[k] = float(parts[2]) if field != "pattern" else 1.0
-            k += 1
-        if k != nnz:
-            raise ValueError(f"{path}: expected {nnz} entries, found {k}")
+        # Stripped, non-empty, non-comment lines (CRLF tolerant).
+        lines = [s for s in map(str.strip, f) if s and s[0] != "%"]
+    if not lines:
+        raise ValueError(f"{path}: missing size line")
+    size_line, entries = lines[0], lines[1:]
+    try:
+        nrows, ncols, nnz = (int(t) for t in size_line.split())
+    except ValueError:
+        raise ValueError(
+            f"{path}: malformed size line {size_line!r}") from None
+    if len(entries) > nnz:
+        raise ValueError(f"{path}: more than {nnz} entries")
+    if len(entries) != nnz:
+        raise ValueError(
+            f"{path}: expected {nnz} entries, found {len(entries)}")
+    width = 2 if field == "pattern" else 3
+    dtype = np.dtype(_ENTRY[:width])
+    try:
+        # Tokens beyond `width` on a line are ignored, fewer are an error.
+        table = np.loadtxt(entries, dtype=dtype, comments=None,
+                           usecols=range(width), ndmin=1) \
+            if entries else np.empty(0, dtype=dtype)
+    except ValueError as e:
+        raise ValueError(f"{path}: malformed entry "
+                         f"{_first_malformed(entries, width) or e!r}") from None
+    rows, cols = table["row"], table["col"]
+    outside = (rows < 1) | (rows > nrows) | (cols < 1) | (cols > ncols)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(
+            f"{path}: entry ({rows[k]}, {cols[k]}) outside 1-based range "
+            f"({nrows} x {ncols})")
+    rows, cols = rows - 1, cols - 1
+    vals = np.ones(nnz) if field == "pattern" else table["val"]
     A = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
     if symmetry == "symmetric":
         off = rows != cols

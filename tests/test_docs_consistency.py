@@ -179,6 +179,48 @@ class TestOneKernelLayer:
         assert "networkx" not in deps
 
 
+class TestOrderingOnFrontiers:
+    """The ordering layer walks graphs through one CSR neighbour gather in
+    plain numpy: no graph library, no scipy fancy indexing of the adjacency."""
+
+    ORDERING = sorted((ROOT / "src" / "repro" / "ordering").glob("*.py"))
+    SEPARATORS = ROOT / "src" / "repro" / "ordering" / "separators.py"
+
+    def test_ordering_imports_no_graph_library(self):
+        banned = re.compile(r"^\s*(import|from)\s+(networkx|scipy\.sparse\.csgraph)"
+                            r"|^\s*from\s+scipy\.sparse\s+import\s+.*\bcsgraph\b",
+                            re.M)
+        for path in self.ORDERING:
+            hit = banned.search(path.read_text())
+            assert hit is None, f"{path}: {hit.group(0).strip()}"
+
+    def test_cli_process_loads_no_graph_library(self):
+        import os
+        import subprocess
+        import sys
+        code = ("import sys, repro.cli; print([m for m in "
+                "('scipy.sparse.csgraph', 'networkx') if m in sys.modules])")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert out.stdout.strip() == "[]", (
+            f"`import repro.cli` loaded {out.stdout.strip()}: "
+            "scipy.sparse.csgraph costs 15-29 ms per cold process (it pulls "
+            "scipy.sparse.linalg), more than its C BFS saves over the numpy "
+            "frontier gather on one-process-per-op traffic (EXPERIMENTS.md, "
+            "General-graph ordering)")
+
+    def test_separators_have_one_neighbour_gather(self):
+        text = self.SEPARATORS.read_text()
+        assert len(re.findall(r"\bindices\[", text)) == 1, \
+            "separators.py must read `indices[...]` in _neighbours only"
+        sliced = re.search(r"\b(adj|G|Gc|sub)\[(?!\d\])", text)
+        assert sliced is None, \
+            f"scipy fancy indexing of the adjacency is back: {sliced.group(0)}"
+        assert "@" not in re.sub(r'"""[\s\S]*?"""', "", text), \
+            "no SpMV crossing test: crossings come from the gather"
+
+
 class TestPublicApiHygiene:
     def test_top_level_all_resolves(self):
         import repro
