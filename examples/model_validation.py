@@ -5,7 +5,7 @@ expressions (Table II). This example measures those quantities on a
 sweep of 2D Poisson problems and prints measured/model ratios: a flat
 ratio column means the model captures the scaling law (the constants are
 absorbed in the first row). It is the interactive companion of
-``benchmarks/bench_table2_asymptotics.py``.
+``tests/claims/test_paper.py::test_table2_asymptotics``.
 
 Run:  python examples/model_validation.py
 """

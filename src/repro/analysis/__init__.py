@@ -6,7 +6,7 @@ split into ``T_scu`` and ``T_comm`` (Fig. 9), per-process communication
 volume split into ``W_fact`` and ``W_red`` (Fig. 10), per-process peak
 memory (Fig. 11), and achieved flop rate (Fig. 12).
 :mod:`repro.analysis.report` renders aligned text tables for the
-benchmark harnesses.
+experiment drivers.
 """
 
 from repro.analysis.metrics import FactorizationMetrics

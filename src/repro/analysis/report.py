@@ -1,7 +1,7 @@
-"""Plain-text table rendering for the benchmark harnesses.
+"""Plain-text table rendering for the experiment drivers.
 
-The benches print paper-style tables to stdout (pytest-benchmark captures
-and shows them with ``-s``); this module keeps the formatting in one place.
+``python -m repro report`` and the claim tests (``tests/claims``, with
+``-s``) print paper-style tables; this module keeps the formatting in one place.
 """
 
 from __future__ import annotations

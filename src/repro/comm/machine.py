@@ -21,7 +21,7 @@ Defaults approximate one MPI rank of the paper's testbed: NERSC Edison
 The absolute values set the time scale only; every claim the benchmarks
 check is about ratios and shapes, which are insensitive to moderate
 recalibration. ``Machine.edison_like()`` is the pinned configuration used
-by all paper-reproduction benches.
+by all paper-reproduction experiments.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class Machine:
 
     @classmethod
     def edison_like(cls) -> "Machine":
-        """The pinned calibration used by the paper-reproduction benches."""
+        """The pinned calibration used by the paper-reproduction experiments."""
         return cls()
 
     @classmethod

@@ -4,8 +4,8 @@
 :mod:`repro.experiments.harness` runs (matrix, P, Pz) configurations on the
 simulator and returns :class:`RunRecord` rows; the ``fig*``/``table*``
 modules assemble exactly the rows/series each paper table and figure
-reports. The ``benchmarks/`` directory contains one pytest-benchmark file
-per table/figure that drives these and prints the comparison.
+reports. ``python -m repro report`` prints them; ``tests/claims`` asserts
+the paper's claims on them at the ``small`` scale.
 """
 
 from repro.experiments.harness import (

@@ -2,11 +2,11 @@
 
 Each entry pairs a synthetic generator (matching the original matrix's
 geometry class — see the substitution table in DESIGN.md) with the paper's
-reference data for that matrix, so benches can print paper-vs-measured side
+reference data for that matrix, so reports can print paper-vs-measured side
 by side. The ``scale`` knob trades run time for fidelity:
 
 * ``tiny``   — unit-test sizes (n ≈ 1-4k), numeric-mode friendly;
-* ``small``  — benchmark default (n ≈ 8-37k), cost-only mode;
+* ``small``  — the report / claim-test scale (n ≈ 8-37k), cost-only mode;
 * ``medium`` — closer-to-paper shapes (n ≈ 60-260k), minutes per sweep.
 """
 

@@ -6,7 +6,7 @@ problems — planar (2D PDE) and non-planar (3D PDE) geometries — plus the
 generic formulas (Eqs. 1-3) and the optimal-``Pz`` selection rule (Eq. 8).
 
 They return values up to the constants the paper's O(·) notation hides;
-the Table II benchmark fits those constants against the simulator's
+the Table II experiment fits those constants against the simulator's
 measurements and checks the *scaling exponents*, which is exactly the
 claim the table makes.
 """

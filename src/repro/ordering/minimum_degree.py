@@ -4,7 +4,7 @@ SuperLU_DIST users choose between nested dissection (METIS) and minimum
 degree (MMD/AMD) fill-reducing orderings. The 3D algorithm *needs* the
 balanced subtree structure only dissection provides — minimum degree's
 elimination trees are tall and skinny — which this module exists to
-demonstrate quantitatively (see ``benchmarks/bench_ablation_ordering.py``):
+demonstrate quantitatively (see ``tests/claims/test_ablations.py``):
 
 * :func:`minimum_degree_order` — a quotient-graph minimum-degree with
   AMD-style approximate external degrees (element absorption, lazy heap);

@@ -169,6 +169,10 @@ def fiedler_separator(adj: sp.csr_matrix, vertices: np.ndarray,
         return bfs_level_separator(adj, vertices)
     adj = adj.tocsr()
     indptr, indices = _induced((adj.indptr, adj.indices), vertices)
+    if (_bfs_levels((indptr, indices), 0) < 0).any():
+        # Disconnected: the Laplacian's null space has one dimension per
+        # component and eigsh returns an arbitrary vector of it.
+        return bfs_level_separator(adj, vertices)
     G = sp.csr_matrix((np.ones(indices.size), indices, indptr),
                       shape=(nloc, nloc))
     L = sp.diags(np.diff(indptr).astype(np.float64)) - G

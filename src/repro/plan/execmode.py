@@ -15,12 +15,14 @@ observed                                  outcome
 ``ancestor_replication > 1`` + merged     ``ValueError``
 or a non-LU backend
 fault plan / checkpointing                monitored serial walk, width 1
-trace, accelerator or fault injector      width-1 walk (per-task events)
+accelerator or fault injector             width-1 walk (per-task events)
 otherwise                                 full-width walk (fused runs)
 ========================================  ==================================
 
 Width is a choice of cut points over the plan's one array form
-(:mod:`repro.plan.arrays`), not of plan object or task body.
+(:mod:`repro.plan.arrays`), not of plan object or task body. A trace does
+not select it: the simulator's batch entries book event by event under a
+trace, so a traced run walks the same width as an untraced one.
 
 and, independently, for ``n_workers != 1`` the pool engages unless the
 data is one shared global copy (merged numeric), the walk is monitored,
@@ -78,11 +80,9 @@ def resolve_exec(opts, sim, *, numeric: bool, merged: bool,
                 "the standard LU driver; the merged-grid variant and other "
                 f"backends keep c=1 (got merged={merged}, "
                 f"backend={backend!r})")
-    # Full-width runs coarsen what a trace, an accelerator's per-pair
-    # offload or a fault injector observes, and the monitor needs per-task
-    # boundaries.
-    fuse = not monitored and sim.trace is None \
-        and sim.accelerator is None and sim.faults is None
+    # Full-width runs coarsen what an accelerator's per-pair offload or a
+    # fault injector observes, and the monitor needs per-task boundaries.
+    fuse = not monitored and sim.accelerator is None and sim.faults is None
     n_workers, fallback = 1, None
     if opts.n_workers != 1:
         resolved = resolve_workers(opts.n_workers)

@@ -2,8 +2,8 @@
 
 :func:`execute_grid_plan` walks a :class:`~repro.plan.tasks.GridPlan`'s
 task arrays in list order, one :func:`run` per cut-point interval — the
-plan's ``runs`` (maximal same-kind runs) for a plain execution, every
-single task when something observes per-task events (a trace, an
+plan's ``runs`` (maximal same-kind runs) for a plain or traced execution,
+every single task when something observes per-task events (an
 accelerator, a fault injector, the resilience monitor, the fuzzer). Both
 are the same body over the same columns: the backend's numeric kernels
 (numeric mode only), then the interval's events booked in batches —

@@ -17,8 +17,8 @@ build/analyze phases entirely, so a warm re-factorization costs
 only kernel execution plus fresh-value setup. The executed plan object is
 *the same* DAG the cold run walked, and the interpreter books events in
 the same order against a fresh simulator — warm ledgers are bit-for-bit
-identical to cold ones (pinned by ``tests/test_service.py`` and the
-``bench_service.py`` oracles).
+identical to cold ones (pinned by ``tests/test_service.py`` and
+``tests/test_refactorize.py``).
 
 Bundles are validated, not trusted: :meth:`PlanBundle.check` rejects reuse
 under a different grid shape, backend, merged/accelerated mode,

@@ -13,8 +13,8 @@ This package amortizes everything that depends only on the pattern:
   jobs that replay shared cached plans (warm jobs skip build/analyze
   entirely and stay bit-identical to cold runs).
 
-See ``docs/api.md`` ("repro.service") and ``benchmarks/bench_service.py``
-for the measured cold-vs-warm speedup and throughput.
+See ``docs/api.md`` ("repro.service"); ``benchmarks/e2e`` measures the
+cold-vs-warm request time and throughput (``timestep_warm``, ``service_mix``).
 """
 
 from repro.service.cache import (

@@ -154,7 +154,7 @@ def greedy_partition(sf: SymbolicFactorization, pz: int,
 
     ``weights`` defaults to the symbolic per-node flop counts — the cost
     function the paper uses. Any positive array of length ``nb`` is accepted
-    (the ablation bench passes alternative cost models).
+    (the partition ablation test passes alternative cost models).
 
     The result is floored by the naive nested-dissection partition: both
     full partitions are built and the one with the smaller critical-path

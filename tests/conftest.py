@@ -38,6 +38,17 @@ def _verify_every_plan():
     build.POST_BUILD_HOOK = prev
 
 
+def width1_simulator(nranks: int, machine=None):
+    """A simulator whose driver runs walk the plan task by task: a fault
+    injector with no faults is something ``resolve_exec`` must give per-task
+    events to, and it perturbs nothing (the ledger is the plain run's)."""
+    from repro.comm import Simulator
+    from repro.resilience import FaultInjector, FaultPlan
+    sim = Simulator(nranks, machine)
+    sim.attach_faults(FaultInjector(FaultPlan(), sim.machine))
+    return sim
+
+
 # -- hypothesis strategies (tests/test_verify.py) --------------------------
 # Guarded: hypothesis is an optional dev dependency; without it the
 # property tests skip (pytest.importorskip) but collection must not break.

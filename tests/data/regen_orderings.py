@@ -6,7 +6,8 @@ Run from the repo root::
 
 Records, per case, the block count, the height and one sha1 over
 ``tree.perm.perm`` + ``tree.parent`` + the node sizes of
-``nested_dissection(A, geometry, leaf_size, method="bfs", max_block)``.
+``nested_dissection(A, geometry, leaf_size, method, max_block)`` —
+``method="bfs"`` on ``matrices()``, ``"fiedler"`` on ``fiedler_matrices()``.
 Everything downstream of the ordering (symbolic fill, plan, every
 simulated ledger) is a function of that tree, so an ordering refactor that
 keeps these hashes keeps all of it.
@@ -17,7 +18,10 @@ ordering layer was rebuilt on the CSR neighbour gather, so it pins the
 rebuilt layer to the original trees. With case names on the command line
 only those entries are regenerated and the rest of the file is kept: that
 is how the cases in ``REGENERATED`` (below) were updated, and the only way
-an entry may change.
+an entry may change. The ``fiedler`` cases were added by PR 20: those whose
+every dissected region is connected were generated at its parent commit
+``6df38a5`` (PR 20 leaves their trees alone); the rest are in
+``REGENERATED``.
 """
 
 from __future__ import annotations
@@ -53,6 +57,12 @@ OUT = Path(__file__).resolve().parent / "golden_orderings.json"
 REGENERATED = {
     "power_law_2000/leaf8": "PR 19: unsplittable region becomes a leaf",
     "power_law_2000/leaf8/mb16": "PR 19: unsplittable region becomes a leaf",
+    # PR 20: `fiedler_separator` takes its documented BFS fallback on a
+    # disconnected region instead of an arbitrary null-space vector (which
+    # differed from process to process on the power-law case).
+    **{f"{name}/{suffix}": "PR 20: disconnected region falls back to BFS"
+       for name in ("power_law_600_s1", "delaunay_500", "disconnected")
+       for suffix in ("fiedler/leaf16", "fiedler/leaf32/mb24")},
 }
 
 
@@ -85,9 +95,24 @@ def matrices():
     yield "kkt_8_geom", lambda: kkt_like(8)
 
 
+def fiedler_matrices():
+    """The ``method="fiedler"`` cases (no geometry): three whose every region
+    is connected, three that hit the disconnected-region fallback."""
+    yield "circuit_24", lambda: (circuit_like(24)[0], None)
+    yield "arrowhead_200", lambda: (load_fixture("arrowhead_200")[0], None)
+    yield "banded_rails_300", lambda: (load_fixture("banded_rails_300")[0],
+                                       None)
+    yield "power_law_600_s1", lambda: (power_law_laplacian(600, seed=1)[0],
+                                       None)
+    yield "delaunay_500", lambda: (delaunay_mesh_2d(500)[0], None)
+    yield "disconnected", lambda: (_disconnected(), None)
+
+
 #: (suffix, leaf_size, max_block) applied to every matrix.
 VARIANTS = (("leaf8", 8, None), ("leaf32", 32, None), ("leaf64", 64, None),
             ("leaf8/mb16", 8, 16), ("leaf32/mb24", 32, 24))
+FIEDLER_VARIANTS = (("fiedler/leaf16", 16, None),
+                    ("fiedler/leaf32/mb24", 32, 24))
 
 
 def tree_record(tree) -> dict:
@@ -101,12 +126,16 @@ def tree_record(tree) -> dict:
 
 def cases():
     """``case name -> thunk returning the record``; a matrix is built once."""
-    for name, make in matrices():
-        made = functools.cache(make)
-        for suffix, leaf, mb in VARIANTS:
-            yield f"{name}/{suffix}", lambda made=made, leaf=leaf, mb=mb: \
-                tree_record(nested_dissection(*made(), leaf_size=leaf,
-                                              method="bfs", max_block=mb))
+    for method, mats, variants in (("bfs", matrices(), VARIANTS),
+                                   ("fiedler", fiedler_matrices(),
+                                    FIEDLER_VARIANTS)):
+        for name, make in mats:
+            made = functools.cache(make)
+            for suffix, leaf, mb in variants:
+                yield f"{name}/{suffix}", \
+                    lambda made=made, leaf=leaf, mb=mb, method=method: \
+                    tree_record(nested_dissection(*made(), leaf_size=leaf,
+                                                  method=method, max_block=mb))
 
 
 def main(argv: list[str]) -> None:

@@ -17,9 +17,9 @@ Two contracts:
   crashes mid-level.
 
 The drivers decide the width from what they observe (``resolve_exec``), so
-the width-1 driver run here is the one a traced simulator gets; the
-plan-level identity goes through ``execute_grid_plan(fuse=...)`` and the
-fuzzer's ``canonical_ledger``.
+the width-1 driver run here is the one a simulator with an (empty) fault
+injector gets; the plan-level identity goes through
+``execute_grid_plan(fuse=...)`` and the fuzzer's ``canonical_ledger``.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.analysis import Trace, format_parallel_stats
+from repro.analysis import format_parallel_stats
 from repro.cholesky import factor_chol_3d
-from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
+from repro.comm import ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.lu2d.factor2d import FactorOptions, factor_2d
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
@@ -43,6 +43,7 @@ from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify import analyze_plan, drop_dep_edge, fuzz_2d, fuzz_3d
 from repro.verify.oracle import ledger_state
+from tests.conftest import width1_simulator
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +66,13 @@ def _opts(**kw) -> FactorOptions:
     return FactorOptions(**kw)
 
 
-def _sim(nranks: int, traced: bool) -> Simulator:
-    return Simulator(nranks, Machine.edison_like(),
-                     trace=Trace() if traced else None)
+def _sim(nranks: int, per_task: bool) -> Simulator:
+    return width1_simulator(nranks) if per_task else Simulator(nranks)
 
 
 def assert_equivalent(run, compare_factors=True):
-    """Run ``run(traced)`` at full width (plain simulator) and at width 1
-    (a traced simulator observes per-task events); demand bit-identity."""
+    """Run ``run(per_task)`` at full width (plain simulator) and at width 1
+    (a fault injector observes per-task events); demand bit-identity."""
     sim_c, res_c = run(False)
     sim_u, res_u = run(True)
     assert ledger_state(sim_c) == ledger_state(sim_u)
@@ -90,8 +90,8 @@ class TestCompiledBitIdentity:
         sf, _ = planar
         grid = ProcessGrid2D(2, 3)
 
-        def run(traced):
-            sim = _sim(grid.size, traced)
+        def run(per_task):
+            sim = _sim(grid.size, per_task)
             res = factor_2d(sf, grid, sim)
             return sim, res
 
@@ -106,8 +106,8 @@ class TestCompiledBitIdentity:
         sf, tf = planar
         grid3 = ProcessGrid3D(2, 2, 4)
 
-        def run(traced):
-            sim = _sim(grid3.size, traced)
+        def run(per_task):
+            sim = _sim(grid3.size, per_task)
             res = factor_3d(sf, tf, grid3, sim, numeric=numeric)
             return sim, res
 
@@ -123,8 +123,8 @@ class TestCompiledBitIdentity:
         sf, tf = planar
         grid3 = ProcessGrid3D(2, 2, 4)
 
-        def run(traced):
-            sim = _sim(grid3.size, traced)
+        def run(per_task):
+            sim = _sim(grid3.size, per_task)
             res = factor_3d_merged(sf, tf, grid3, sim, numeric=True)
             return sim, res
 
@@ -135,8 +135,8 @@ class TestCompiledBitIdentity:
         sf, tf = spd
         grid3 = ProcessGrid3D(2, 2, 2)
 
-        def run(traced):
-            sim = _sim(grid3.size, traced)
+        def run(per_task):
+            sim = _sim(grid3.size, per_task)
             res = factor_chol_3d(sf, tf, grid3, sim, numeric=True)
             return sim, res
 

@@ -188,10 +188,10 @@ class TestGeneralizedReplication:
 
     def test_compile_preserves_replicated_tasks(self):
         """Aggregate sweeps are one dispatch at either width: the
-        full-width statistics count them once on both sides, and a traced
-        (width-1) run books the full-width ledger."""
-        from repro.analysis import Trace
+        full-width statistics count them once on both sides, and a
+        width-1 run books the full-width ledger."""
         from repro.verify import ledger_state
+        from tests.conftest import width1_simulator
         sf, tf, grid3 = _setup(nx=10, pz=8, px=1, py=2)
         opts = FactorOptions(ancestor_replication=4)
         sim = Simulator(grid3.size)
@@ -204,10 +204,10 @@ class TestGeneralizedReplication:
         assert st.n_tasks_before - n_grid == st.n_tasks_after - sum(
             gp.fusion_stats().n_tasks_after for s in res.plan.levels
             for gp in s.grid_plans) >= n_rep
-        traced = Simulator(grid3.size, trace=Trace())
-        res_u = factor_3d(sf, tf, grid3, traced, numeric=False, options=opts)
+        unit = width1_simulator(grid3.size)
+        res_u = factor_3d(sf, tf, grid3, unit, numeric=False, options=opts)
         assert res_u.compiled is None
-        assert ledger_state(traced) == ledger_state(sim)
+        assert ledger_state(unit) == ledger_state(sim)
 
     def test_more_replication_shortens_critical_path(self):
         """Section VII's trade: replicating ancestors spends extra total

@@ -1,9 +1,9 @@
 """Documentation consistency guards.
 
-Docs rot silently; these tests pin the cross-references: every benchmark
-file the docs cite exists, every example the README lists runs from the
-repo, every public name docs/api.md mentions is importable, and the
-DESIGN.md experiment index points at real bench targets.
+Docs rot silently; these tests pin the cross-references: every test the
+docs cite exists, every claim test is in EXPERIMENTS.md, every example the
+README lists runs from the repo, every public name docs/api.md mentions is
+importable, and nothing points at the retired per-figure bench files.
 """
 
 import ast
@@ -21,24 +21,72 @@ def _read(name: str) -> str:
 
 
 class TestCrossReferences:
-    def test_experiments_bench_files_exist(self):
-        text = _read("EXPERIMENTS.md") + _read("DESIGN.md") + _read("README.md")
-        for name in set(re.findall(r"bench_[a-z0-9_]+\.py", text)):
-            assert (ROOT / "benchmarks" / name).exists(), f"missing {name}"
+    def test_cited_tests_resolve(self):
+        """Every ``tests/...py[::Class][::name]`` the paper map, DESIGN.md
+        section 4 and EXPERIMENTS.md cite: the file exists and each name
+        occurs in it."""
+        design = _read("DESIGN.md")
+        section4 = design[design.index("## 4. "):design.index("## 5. ")]
+        text = _read("docs/paper-map.md") + section4 + _read("EXPERIMENTS.md")
+        cited = set(re.findall(r"tests/[\w/]+\.py(?:::\w+)*", text))
+        assert len(cited) > 40
+        for ref in cited:
+            path, *names = ref.split("::")
+            assert (ROOT / path).is_file(), f"missing {path}"
+            source = (ROOT / path).read_text()
+            for name in names:
+                assert re.search(rf"\b{name}\b", source), \
+                    f"{ref}: no {name} in {path}"
 
     def test_readme_examples_exist(self):
         text = _read("README.md")
         listed = set(re.findall(r"`([a-z_]+\.py)`", text))
         for name in listed:
-            if name == "setup.py" or name.startswith("bench_"):
-                continue  # bench files are checked against benchmarks/
+            if name == "setup.py":
+                continue
             assert (ROOT / "examples" / name).exists(), f"missing {name}"
 
-    def test_all_benchmarks_documented(self):
-        """Every bench file must appear in EXPERIMENTS.md."""
+    def test_every_claim_test_is_documented(self):
+        """Every claim test must appear in EXPERIMENTS.md, by its id."""
         text = _read("EXPERIMENTS.md")
-        for path in (ROOT / "benchmarks").glob("bench_*.py"):
-            assert path.name in text, f"{path.name} undocumented"
+        found = 0
+        for path in sorted((ROOT / "tests" / "claims").glob("test_*.py")):
+            for name in re.findall(r"^def (test_\w+)", path.read_text(),
+                                   flags=re.M):
+                found += 1
+                ref = f"tests/claims/{path.name}::{name}"
+                assert ref in text, f"{ref} undocumented"
+        assert found >= 25
+
+    #: What the 27 per-figure bench files, their smoke script, scale knob,
+    #: plugin and JSON records were called (retired by PR 20).
+    RETIRED = ("benchmarks/bench_", "run_smoke", "REPRO_SCALE",
+               "--benchmark-only", "pytest-benchmark", "BENCH_")
+
+    def test_retired_bench_fleet_is_not_cited(self):
+        """``benchmarks/`` holds ``e2e/`` only, and no file outside the
+        history (CHANGES.md, ROADMAP.md, ISSUE.md, EXPERIMENTS.md's dated
+        per-PR sections) or the frozen ``benchmarks/e2e/`` names the fleet."""
+        assert [p.name for p in (ROOT / "benchmarks").iterdir()] == ["e2e"]
+        skip_dirs = {".git", ".hypothesis", ".pytest_cache", ".benchmarks",
+                     ".bench_build", "__pycache__", "e2e", "repro.egg-info"}
+        skip_files = {ROOT / "CHANGES.md", ROOT / "ROADMAP.md",
+                      ROOT / "ISSUE.md", Path(__file__).resolve()}
+        suffixes = {".md", ".py", ".toml", ".yml", ".yaml", ".sh", ".cfg",
+                    ".txt", ".json", ""}
+        for path in sorted(ROOT.rglob("*")):
+            if not path.is_file() or path.suffix not in suffixes \
+                    or path in skip_files \
+                    or skip_dirs & set(path.relative_to(ROOT).parts[:-1]):
+                continue
+            text = path.read_text(errors="replace")
+            if path == ROOT / "EXPERIMENTS.md":
+                # Drop the dated sections: "## <title> (PR <n>)" up to the
+                # next "## " heading.
+                text = re.sub(r"^## [^\n]*\(PR \d+\)\n.*?(?=^## |\Z)", "",
+                              text, flags=re.M | re.S)
+            for token in self.RETIRED:
+                assert token not in text, f"{token!r} in {path}"
 
     def test_all_examples_listed_in_readme(self):
         text = _read("README.md")

@@ -49,11 +49,11 @@ from repro.parallel import (  # noqa: E402
     resolve_workers,
 )
 from repro.plan import ExecMode, resolve_exec  # noqa: E402
-from repro.resilience import Fault, FaultInjector, FaultPlan  # noqa: E402
+from repro.resilience import Fault, FaultPlan  # noqa: E402
 from repro.tree import greedy_partition  # noqa: E402
 from repro.verify import fuzz_3d  # noqa: E402
 from repro.verify.oracle import ledger_state  # noqa: E402
-from tests.conftest import _symbolic  # noqa: E402
+from tests.conftest import _symbolic, width1_simulator  # noqa: E402
 
 PZ = 2
 GRID3 = ProcessGrid3D(2, 1, PZ)
@@ -73,11 +73,11 @@ def make_sim(attachment: str) -> Simulator:
         return Simulator(GRID3.size, MACHINE, trace=Trace())
     if attachment == "topology":
         return Simulator(GRID3.size, MACHINE, topology=UniformTopology())
+    if attachment == "faults":
+        return width1_simulator(GRID3.size, MACHINE)
     sim = Simulator(GRID3.size, MACHINE)
     if attachment == "accelerator":
         sim.attach_accelerator(Accelerator(min_flops=1e12))
-    elif attachment == "faults":
-        sim.attach_faults(FaultInjector(FaultPlan(), MACHINE))
     return sim
 
 
@@ -182,15 +182,17 @@ def test_every_combination_matches_reference_raises_or_falls_back(case):
 @pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
 @pytest.mark.parametrize("observer", [*ATTACHMENTS, "monitor"])
 def test_width_follows_what_observes(observer, compact):
-    """Only a run nothing observes per task walks its full-width runs; a
-    trace, an accelerator, a fault injector or the resilience monitor get
-    one dispatch per task — same plan object, same ledger, either pricing."""
+    """A run nothing observes per task walks its full-width runs — a trace
+    does not count, the batch entries book per event under it; an
+    accelerator, a fault injector or the resilience monitor get one
+    dispatch per task — same plan object, same ledger, either pricing."""
     opts = FactorOptions(compact_comm=compact,
                          checkpoint_every=7 if observer == "monitor" else 0)
     sf, tf = setup_for("lu", "uniform")
     sim = make_sim("none" if observer == "monitor" else observer)
     res = run_driver("lu", sf, tf, sim, True, opts)
-    assert (res.compiled is not None) == (observer in ("none", "topology"))
+    assert (res.compiled is not None) == (
+        observer in ("none", "trace", "topology"))
     assert res.plan is res.bundle.plan3
     assert ledger_state(sim) == reference_ledger("lu", True, opts)
 
@@ -208,8 +210,7 @@ class TestResolveExec:
         assert self.mode() == ExecMode(fuse=True, monitored=False,
                                        n_workers=1, accelerated=False)
 
-    @pytest.mark.parametrize("attachment",
-                             ["trace", "accelerator", "faults"])
+    @pytest.mark.parametrize("attachment", ["accelerator", "faults"])
     def test_observed_runs_walk_unfused(self, attachment):
         m = self.mode(attachment=attachment)
         assert not m.fuse and not m.monitored
@@ -217,6 +218,13 @@ class TestResolveExec:
 
     def test_topology_only_blocks_the_fork(self):
         m = self.mode(FactorOptions(n_workers=2), attachment="topology")
+        assert m.fuse and m.n_workers == 1
+        assert "cannot fork" in m.fallback.reason
+
+    def test_trace_only_blocks_the_fork(self):
+        """A trace no longer selects the walk: traced runs are full width."""
+        assert self.mode(attachment="trace") == self.mode()
+        m = self.mode(FactorOptions(n_workers=2), attachment="trace")
         assert m.fuse and m.n_workers == 1
         assert "cannot fork" in m.fallback.reason
 

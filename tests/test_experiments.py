@@ -88,7 +88,7 @@ class TestFitExponent:
 
 class TestFigureDrivers:
     """Tiny-scale smoke + shape checks for the per-figure drivers; the
-    full-scale claims live in benchmarks/."""
+    paper's claims are asserted at the ``small`` scale in tests/claims/."""
 
     def test_table3(self):
         rows = run_table3(scale="tiny", P=24)

@@ -164,6 +164,35 @@ class TestSeparatorPrimitives:
         assert S[a][:, b].nnz == 0
         assert min(a.size, b.size) > 10  # reasonably balanced
 
+    def test_fiedler_separator_disconnected_is_the_bfs_one(self):
+        """The documented fallback: no eigenvector of a disconnected region."""
+        blocks = sp.block_diag([strip_diagonal(grid2d_5pt(4)[0])] * 2).tocsr()
+        got = fiedler_separator(blocks, np.arange(32))
+        want = bfs_level_separator(blocks, np.arange(32))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_fiedler_ordering_repeats_across_processes(self):
+        """Five fresh processes gave five permutations of this matrix while
+        a disconnected region's separator was an arbitrary null-space vector
+        of its Laplacian."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        code = (
+            "import hashlib\n"
+            "from repro.ordering import nested_dissection\n"
+            "from repro.sparse import power_law_laplacian\n"
+            "tree = nested_dissection(power_law_laplacian(600, seed=1)[0],"
+            " None, leaf_size=16, method='fiedler')\n"
+            "print(hashlib.sha1(tree.perm.perm.tobytes()).hexdigest())\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = [subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+            for _ in range(2)]
+        assert runs[0] == runs[1] and len(runs[0].strip()) == 40
+
     def test_repair_separator_moves_endpoints(self):
         # 0-1 edge crossing the parts: endpoint 0 must be promoted.
         G = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=float))

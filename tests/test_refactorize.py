@@ -219,12 +219,13 @@ class TestRefactorizeInteractions:
         assert np.linalg.norm(A2 @ x - b) / np.linalg.norm(b) < 1e-12
 
     def test_unfused_replay_matches_cold(self, stepping_pair):
-        """A bundle replayed on a traced simulator takes the unfused walk
-        (``resolve_exec``: trace => no fusion) and must still match a cold
-        traced run — and the fused run's ledger — bit for bit."""
-        from repro import ProcessGrid3D, Simulator
-        from repro.analysis import Trace
+        """A bundle replayed under a fault injector takes the unfused walk
+        (``resolve_exec``: injector => no fusion) and must still match a
+        cold run observed the same way — and the fused run's ledger — bit
+        for bit."""
+        from repro import ProcessGrid3D
         from repro.lu3d import factor_3d
+        from tests.conftest import width1_simulator
         A1, A2, g, _ = stepping_pair
         solver = SparseLU3D(A1, geometry=g, px=2, py=2, pz=2, leaf_size=24)
         solver.factorize()
@@ -233,10 +234,10 @@ class TestRefactorizeInteractions:
         A2p = sf.perm.apply_matrix(A2)
         sims = {}
         for label, cached in (("warm", solver.result.bundle), ("cold", None)):
-            sims[label] = Simulator(grid3.size, solver.machine, trace=Trace())
+            sims[label] = width1_simulator(grid3.size, solver.machine)
             res = factor_3d(sf, tf, grid3, sims[label], matrix=A2p,
                             cached=cached)
-            assert res.compiled is None  # traced: the unfused walk
+            assert res.compiled is None  # observed per task: unfused walk
         assert ledger_state(sims["warm"]) == ledger_state(sims["cold"])
         solver.refactorize(A2)  # fused replay of the same bundle
         assert solver.result.compiled is not None

@@ -216,6 +216,42 @@ class TestServiceCorrectness:
 
 
 class TestServiceFrontend:
+    def test_hit_skips_every_pattern_only_stage(self, problem, monkeypatch):
+        """What a cache hit saves, by count and without a clock: a miss runs
+        ordering, symbolic analysis, partition and plan build once each, a
+        hit runs none of them (nor does the job that paid the miss run them
+        a second time when it factorizes)."""
+        import repro.plan.build
+        import repro.solve.driver
+        import repro.symbolic.symbolic_factor
+        calls = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(repro.symbolic.symbolic_factor, "nested_dissection")
+        count(repro.solve.driver, "symbolic_factorize")
+        count(repro.solve.driver, "greedy_partition")
+        count(repro.plan.build, "build_3d_plan")
+        A, geom = problem
+        with FactorizationService(geometry=geom, px=2, py=2, pz=2,
+                                  leaf_size=16) as svc:
+            assert not svc.solve(_perturbed(A, 0), np.ones(A.shape[0])).cache_hit
+            assert set(calls.values()) == {1}, calls
+            for seed in (1, 2):
+                assert svc.solve(_perturbed(A, seed),
+                                 np.ones(A.shape[0])).cache_hit
+            assert set(calls.values()) == {1}, calls
+            B, geom_b = grid2d_5pt(10)               # a second pattern
+            assert not svc.solve(B, geometry=geom_b).cache_hit
+            assert set(calls.values()) == {2}, calls
+
     def test_concurrent_clients_one_build(self, problem):
         A, geom = problem
         with FactorizationService(geometry=geom, px=2, py=2, pz=2,

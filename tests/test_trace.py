@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import Trace
 from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.lu3d import factor_3d
-from repro.sparse import grid2d_5pt
+from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 
@@ -96,6 +96,54 @@ class TestSimulatorIntegration:
         assert red, "expected reduction-phase events"
         assert any(ev.kind == "send" for ev in red)
         assert any(ev.kind == "reduce_add" for ev in red)
+
+
+class TestTraceDoesNotSelectTheWalk:
+    """A traced run walks the plan's full-width runs like an untraced one;
+    forcing it onto the per-task walk changes only the append order of
+    ``Trace.events`` (ranks interleave differently, each rank's own
+    timeline does not)."""
+
+    @staticmethod
+    def run(sf, tf, numeric, fuse, monkeypatch):
+        import dataclasses
+
+        from repro.lu3d import factor3d
+        from repro.verify.oracle import ledger_state
+        real = factor3d.resolve_exec
+        with monkeypatch.context() as m:
+            m.setattr(factor3d, "resolve_exec", lambda *a, **kw:
+                      dataclasses.replace(real(*a, **kw), fuse=fuse))
+            trace = Trace()
+            sim = Simulator(8, Machine.edison_like(), trace=trace)
+            res = factor_3d(sf, tf, ProcessGrid3D(2, 2, 2), sim,
+                            numeric=numeric)
+        return res, ledger_state(sim), trace
+
+    @pytest.mark.parametrize("numeric", [False, True],
+                             ids=["cost-only", "numeric"])
+    @pytest.mark.parametrize("make", [lambda: grid2d_5pt(12),
+                                      lambda: grid3d_7pt(6)],
+                             ids=["planar", "non-planar"])
+    def test_same_ledger_and_timelines_at_both_widths(self, make, numeric,
+                                                      monkeypatch):
+        A, g = make()
+        sf = symbolic_factorize(A, g, leaf_size=16)
+        tf = greedy_partition(sf, 2)
+        wide, ledger_w, trace_w = self.run(sf, tf, numeric, True, monkeypatch)
+        unit, ledger_1, trace_1 = self.run(sf, tf, numeric, False, monkeypatch)
+        assert wide.compiled is not None and unit.compiled is None
+        assert ledger_w == ledger_1
+        assert trace_w.to_rows() == trace_1.to_rows()
+        assert trace_w.by_rank() == trace_1.by_rank()
+
+    def test_traced_plain_run_is_the_full_width_run(self):
+        A, g = grid2d_5pt(12)
+        sf = symbolic_factorize(A, g, leaf_size=16)
+        sim = Simulator(8, Machine.edison_like(), trace=Trace())
+        res = factor_3d(sf, greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2),
+                        sim, numeric=True)
+        assert res.compiled is not None
 
 
 class TestRendering:

@@ -371,11 +371,10 @@ class TestVerifyStackBothVolumes:
                       options=opts, fuse=fuse, numeric=True, **kw)
         assert rep.ok, rep.summary()
         # The fuzzer's canonical run at this width is the driver's run
-        # (plain simulator: full width; traced: width 1), and that run
-        # conserves against the plan's static cost model.
-        from repro.analysis import Trace
-        sim = Simulator(grid3.size, Machine.edison_like(),
-                        trace=None if fuse else Trace())
+        # (plain simulator: full width; empty fault injector: width 1), and
+        # that run conserves against the plan's static cost model.
+        from tests.conftest import width1_simulator
+        sim = Simulator(grid3.size) if fuse else width1_simulator(grid3.size)
         fn = {"lu": factor_3d, "merged": factor_3d_merged,
               "cholesky": factor_chol_3d}[driver]
         res = fn(sf, tf, grid3, sim, numeric=True, options=opts)
