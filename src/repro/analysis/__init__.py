@@ -10,11 +10,7 @@ experiment drivers.
 """
 
 from repro.analysis.metrics import FactorizationMetrics
-from repro.analysis.planstats import (
-    PlanStats,
-    format_plan_summary,
-    task_cost,
-)
+from repro.analysis.planstats import PlanStats, format_plan_summary
 from repro.analysis.report import (
     format_parallel_stats,
     format_resilience_stats,
@@ -24,4 +20,4 @@ from repro.analysis.trace import Trace, TraceEvent
 
 __all__ = ["FactorizationMetrics", "PlanStats", "Trace", "TraceEvent",
            "format_table", "format_parallel_stats",
-           "format_resilience_stats", "format_plan_summary", "task_cost"]
+           "format_resilience_stats", "format_plan_summary"]

@@ -8,45 +8,90 @@ beat regardless of overlap — next to per-task-kind volume totals.
 
 Cost model (the simulator's own):
 
-* communication: ``alpha`` per message + ``beta`` per word, summed over a
-  task's broadcasts (binomial tree: ``|ranks| - 1`` hops, plus the routing
-  hop when the owner enters through the communicator's entry rank) or
-  reduction transfers;
+* communication: ``alpha`` per message + ``beta`` per word. A grid task's
+  messages and words are read off the plan's event stream (its broadcasts
+  flattened to point-to-point pairs: ``|ranks| - 1`` hops of a binomial
+  tree, plus the routing hop when the owner enters through the
+  communicator's entry rank) — the columns the simulator books, reduced
+  per task, with no task record materialised;
 * compute: ``gamma_gemm`` per flop for Schur updates and reduce-adds,
   ``gamma_panel`` for diagonal/panel kernels, plus ``gemm_overhead`` per
   block update a Schur task performs (``n_pairs`` — what the simulator
   books).
 
 Because tids are assigned in emission order (``dep < tid``), one forward
-pass over ``iter_tasks()`` is a topological traversal — no sort needed.
+pass in list order is a topological traversal — no sort needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.comm.events import COMPUTE_KINDS
 from repro.comm.machine import Machine
-from repro.plan.tasks import SchurUpdate, task_comm, task_flops
+from repro.comm.stream import MSG
+from repro.plan.arrays import SCHUR_UPDATE
+from repro.plan.tasks import AncestorReduce, ReplicatedFactor
 
-__all__ = ["PlanStats", "task_cost", "format_plan_summary"]
+__all__ = ["PlanStats", "format_plan_summary"]
 
-#: Compute kinds priced at the GEMM rate; everything else at the panel
-#: rate (mirrors ``Simulator.compute``).
-_GEMM_KINDS = ("schur", "reduce_add")
+#: Task-kind and compute-kind names by ``TaskArrays.kind`` code.
+_GRID_KINDS = (("panel_factor", "diag"), ("panel_bcast", "panel"),
+               ("schur_update", "schur"))
 
 
-def task_cost(task, machine: Machine) -> float:
-    """Modeled seconds of one task: α·msgs + β·words + γ·flops (+overhead)."""
-    msgs, words = task_comm(task)
-    kind, flops = task_flops(task)
+def _grid_rows(A, machine: Machine):
+    """``(tid, deps, task kind, msgs, words, compute kind, flops, modeled
+    seconds)`` of every task of a grid plan's arrays ``A``, in list
+    order; messages and words are the per-task sums of the event stream's
+    message events."""
+    T = A.n_tasks
+    msg = A.ev_kind == MSG
+    task = np.repeat(np.arange(T), np.diff(A.ev_ptr))[msg]
+    msgs = np.bincount(task, minlength=T)
+    words = np.bincount(task, A.ev_val[msg], minlength=T)
+    gamma = np.where(A.kind == SCHUR_UPDATE, machine.gamma_gemm,
+                     machine.gamma_panel)
+    cost = machine.alpha * msgs + machine.beta * words + A.flops * gamma \
+        + machine.gemm_overhead * np.diff(A.pair_ptr)
+    dep, ptr = A.dep_idx.tolist(), A.dep_ptr.tolist()
+    for t, (tid, k, m, w, f, c) in enumerate(zip(
+            A.tid.tolist(), A.kind.tolist(), msgs.tolist(), words.tolist(),
+            A.flops.tolist(), cost.tolist())):
+        kind, ckind = _GRID_KINDS[k]
+        yield tid, dep[ptr[t]:ptr[t + 1]], kind, m, w, ckind, f, c
+
+
+def _level_row(task, machine: Machine):
+    """The same row for one level-scope task, summed from its own event
+    stream: a reduce pays one flop per word at the receiving copy, an
+    aggregate 2.5D sweep books its level under ``'schur'`` (both at the
+    GEMM rate); a barrier costs nothing."""
+    msgs, words, ckind, flops = 0, 0.0, "", 0.0
+    if isinstance(task, (AncestorReduce, ReplicatedFactor)):
+        ev = task.stream() if isinstance(task, AncestorReduce) \
+            else task.volume_stream()
+        msg = ev.kind == MSG
+        msgs, words = int(msg.sum()), float(ev.val[msg].sum())
+        flops = float(ev.val[~msg].sum())
+        ckind = COMPUTE_KINDS[ev.kind[~msg][0]] if flops else ""
     cost = machine.alpha * msgs + machine.beta * words
     if flops:
-        gamma = machine.gamma_gemm if kind in _GEMM_KINDS \
-            else machine.gamma_panel
-        cost += flops * gamma
-    if isinstance(task, SchurUpdate):
-        cost += machine.gemm_overhead * task.n_pairs
-    return cost
+        cost += flops * machine.gamma_gemm
+    return task.tid, task.deps, task.kind, msgs, words, ckind, flops, cost
+
+
+def _rows(plan, machine: Machine):
+    if hasattr(plan, "arrays"):                 # a GridPlan
+        yield from _grid_rows(plan.arrays, machine)
+        return
+    for step in plan.levels:
+        for gp in step.grid_plans:
+            yield from _grid_rows(gp.arrays, machine)
+        for task in (*step.replicated, *step.reduces, step.barrier):
+            yield _level_row(task, machine)
 
 
 @dataclass
@@ -75,32 +120,30 @@ class PlanStats:
     @classmethod
     def from_plan(cls, plan, machine: Machine | None = None) -> "PlanStats":
         """Walk ``plan`` (a :class:`~repro.plan.tasks.GridPlan` or
-        :class:`~repro.plan.tasks.Plan3D`) once and fill every field."""
+        :class:`~repro.plan.tasks.Plan3D`) once, in list order, and fill
+        every field."""
         machine = machine or Machine.edison_like()
         stats = cls()
         # tid -> (finish time, tasks on the chain ending here)
         finish: dict[int, tuple[float, int]] = {}
         best = (0.0, 0)
-        for task in plan.iter_tasks():
+        for tid, deps, kind, msgs, words, ckind, flops, cost \
+                in _rows(plan, machine):
             stats.n_tasks += 1
-            stats.task_counts[task.kind] = \
-                stats.task_counts.get(task.kind, 0) + 1
-            msgs, words = task_comm(task)
+            stats.task_counts[kind] = stats.task_counts.get(kind, 0) + 1
             stats.comm_msgs += msgs
             stats.comm_words += words
-            ckind, flops = task_flops(task)
             if flops:
                 stats.flops_by_kind[ckind] = \
                     stats.flops_by_kind.get(ckind, 0.0) + flops
-            cost = task_cost(task, machine)
             stats.total_cost += cost
             start, depth = 0.0, 0
-            for d in task.deps:
+            for d in deps:
                 f = finish.get(d)
                 if f is not None and f[0] > start:
                     start, depth = f
             entry = (start + cost, depth + 1)
-            finish[task.tid] = entry
+            finish[tid] = entry
             if entry[0] > best[0]:
                 best = entry
         stats.critical_path_cost, stats.critical_path_tasks = best

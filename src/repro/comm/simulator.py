@@ -17,11 +17,14 @@ to the simulator as *events on virtual ranks*: ``compute``, ``send``,
   communication/computation overlap manifests: drivers that post sends
   early hide them behind later GEMMs.
 
-Hot drivers can book whole panels of compute events in one call with
-:meth:`Simulator.compute_batch`; it is bit-for-bit equivalent to the
-per-event loop (``np.add.at`` applies the increments sequentially, in
-order, even for repeated ranks) while paying the Python call overhead
-once per panel instead of once per block pair.
+A driver that holds its schedule as a flat
+:class:`~repro.comm.stream.EventStream` books a slice of it — a task, a
+run, a whole grid plan — with one :meth:`Simulator.book` call: the volume
+ledgers are the :class:`~repro.comm.stream.Volume` reduction this class
+inherits, and only the clocks, the one order-dependent quantity, replay
+the events in a scalar loop. The result is bit for bit the per-event
+calls'; a simulator that something observes event by event (a trace, a
+topology, a fault injector, a subclass) gets exactly those calls instead.
 
 Everything not booked as compute is, by definition, non-overlapped
 communication/synchronization — the paper's ``T_comm``.
@@ -57,81 +60,54 @@ import numpy as np
 # import them alongside the Simulator.
 from repro.comm.events import COMPUTE_KINDS, PHASES
 from repro.comm.machine import Machine
-from repro.utils import check_positive_int
+from repro.comm.stream import MSG, CommError, EventStream, Volume, mem_profile
 
 if TYPE_CHECKING:  # avoid the comm <-> analysis import cycle at runtime
     from repro.analysis.trace import Trace
 
 __all__ = ["Simulator", "CommError", "LedgerDelta"]
 
-#: List-input compute batches below this size book through a scalar loop:
-#: ``np.asarray`` + the validation reductions + ``np.add.at`` cost more
-#: than per-element numpy indexing until batches reach a few hundred
-#: events. Both paths apply identical additions in identical order.
-_SCALAR_BATCH_MAX = 256
-
-
-class CommError(RuntimeError):
-    """A causality or protocol violation in the simulated schedule."""
-
 
 @dataclass
 class LedgerDelta:
     """Compact ledger state of a forked sub-simulator, ready to merge.
 
-    Per-rank arrays hold the *absolute* final values for ``ranks`` (their
-    rank sets are disjoint across concurrent forks, so merging copies
-    rather than sums and stays bit-exact); ``event_counts`` holds integer
-    increments accumulated since the fork.
+    ``arrays`` holds, in :meth:`Simulator.ledgers` order, the *absolute*
+    final values of every per-rank ledger at ``ranks`` (their rank sets
+    are disjoint across concurrent forks, so merging copies rather than
+    sums and stays bit-exact); ``event_counts`` holds integer increments
+    accumulated since the fork.
     """
 
     ranks: np.ndarray
-    clock: np.ndarray
-    flops: dict[str, np.ndarray]
-    t_compute: dict[str, np.ndarray]
-    words_sent: dict[str, np.ndarray]
-    words_recv: dict[str, np.ndarray]
-    msgs_sent: dict[str, np.ndarray]
-    msgs_recv: dict[str, np.ndarray]
-    mem_current: np.ndarray
-    mem_peak: np.ndarray
+    arrays: list[np.ndarray]
     event_counts: dict[str, int] = field(default_factory=dict)
 
 
-class Simulator:
+class Simulator(Volume):
     """Virtual ranks, clocks, message queues and cost ledgers."""
 
     def __init__(self, nranks: int, machine: Machine | None = None,
                  trace: "Trace | None" = None, topology=None):
-        self.nranks = check_positive_int(nranks, "nranks")
+        super().__init__(nranks)
         self.machine = machine or Machine.edison_like()
         self.trace = trace
         #: Optional network model (see repro.comm.topology): scales the
         #: per-message alpha and beta by (src, dst)-dependent factors.
         self.topology = topology
         self.clock = np.zeros(self.nranks)
-
-        self.flops = {k: np.zeros(self.nranks) for k in COMPUTE_KINDS}
         self.t_compute = {k: np.zeros(self.nranks) for k in COMPUTE_KINDS}
-        self.words_sent = {p: np.zeros(self.nranks) for p in PHASES}
-        self.words_recv = {p: np.zeros(self.nranks) for p in PHASES}
-        self.msgs_sent = {p: np.zeros(self.nranks, dtype=np.int64) for p in PHASES}
-        self.msgs_recv = {p: np.zeros(self.nranks, dtype=np.int64) for p in PHASES}
-
-        self.mem_current = np.zeros(self.nranks)
-        self.mem_peak = np.zeros(self.nranks)
-
-        self.phase: str = "fact"
+        # Per-kind rate and fixed cost of an event, a message's last
+        # (EventStream kind -1): what book() prices a stream with.
+        m = self.machine
+        self._rate = np.array([self._gamma(k) for k in COMPUTE_KINDS]
+                              + [m.beta])
+        self._fixed = np.array([0.0] * len(COMPUTE_KINDS) + [m.alpha])
         self._queues: dict[tuple[int, int], deque] = defaultdict(deque)
-
-        #: Per-kind event counts (compute kinds plus 'send', 'recv',
-        #: 'offload') — perf counters for the batched-kernel reports.
-        self.event_counts: dict[str, int] = defaultdict(int)
 
         #: Optional fault injector (repro.resilience.FaultInjector):
         #: perturbs compute durations and message arrivals
-        #: deterministically. ``None`` (the default) leaves every fast
-        #: path untouched — ledgers stay bit-identical to seed.
+        #: deterministically, event by event.
         self.faults = None
 
         # Optional per-rank accelerators (attach_accelerator).
@@ -155,14 +131,11 @@ class Simulator:
         values = np.asarray(values, dtype=np.float64).ravel()
         if ranks.shape != values.shape:
             raise CommError(f"ranks and {what} must have the same length")
-        if ranks.size:
-            # Reinterpreted as unsigned, a negative rank is huge: one
-            # reduction checks both bounds.
-            if int(ranks.view(np.uintp).max()) >= self.nranks:
-                raise CommError(
-                    f"batch contains ranks outside [0, {self.nranks})")
-            if float(values.min()) < 0:
-                raise CommError(f"{what} must be non-negative")
+        if ranks.size and not 0 <= ranks.min() <= ranks.max() < self.nranks:
+            raise CommError(
+                f"batch contains ranks outside [0, {self.nranks})")
+        if values.size and values.min() < 0:
+            raise CommError(f"{what} must be non-negative")
         return ranks, values
 
     def set_phase(self, phase: str) -> None:
@@ -175,8 +148,8 @@ class Simulator:
 
         While attached, ``compute`` durations pass through the
         injector's slow-rank scaling and every ``send`` may be dropped
-        (timeout + retransmission, booked) or delayed. The batched fast
-        paths fall back to per-event booking so every event is observed.
+        (timeout + retransmission, booked) or delayed; :meth:`book`
+        issues every event through them.
         """
         self.faults = injector
 
@@ -194,9 +167,8 @@ class Simulator:
             raise CommError(f"unknown compute kind {kind!r}")
         if flops < 0:
             raise CommError("flops must be non-negative")
-        gamma = self.machine.gamma_gemm if kind in ("schur", "reduce_add") \
-            else self.machine.gamma_panel
-        dt = flops * gamma + n_block_updates * self.machine.gemm_overhead
+        dt = flops * self._gamma(kind) \
+            + n_block_updates * self.machine.gemm_overhead
         start = self.clock[rank]
         if self.faults is not None:
             dt = self.faults.scale_compute(rank, start, dt)
@@ -209,69 +181,12 @@ class Simulator:
 
     def compute_batch(self, ranks, flops, kind: str,
                       n_block_updates=0) -> None:
-        """Book many compute events in one vectorized call.
-
-        ``ranks`` and ``flops`` are parallel arrays (one entry per event);
-        ``n_block_updates`` may be a scalar applied to every event or an
-        array. Clock, flop, and time ledgers end up bit-for-bit identical
-        to calling :meth:`compute` once per element in order — repeated
-        ranks accumulate sequentially via ``np.add.at`` — so batched and
-        per-event drivers produce *exactly* the same simulation. With a
-        trace attached the call falls back to per-event booking so the
-        recorded intervals match the loop path, too.
-
-        Plain-``list`` inputs with a scalar ``n_block_updates`` (the plan
-        interpreter's panel segments) take a scalar fast path below
-        ``_SCALAR_BATCH_MAX`` events: same additions in the same order,
-        without the array conversion and reduction overhead that dwarfs
-        small batches.
-        """
+        """Book one compute event per entry of the parallel arrays
+        ``ranks`` / ``flops`` (``n_block_updates``: a scalar or an array):
+        :meth:`book` on :meth:`EventStream.computes`."""
         if kind not in COMPUTE_KINDS:
             raise CommError(f"unknown compute kind {kind!r}")
-        if type(ranks) is list and type(flops) is list \
-                and len(ranks) == len(flops) < _SCALAR_BATCH_MAX \
-                and isinstance(n_block_updates, (int, float)) \
-                and self.trace is None and self.faults is None:
-            if not ranks:
-                return
-            if min(ranks) < 0 or max(ranks) >= self.nranks:
-                raise CommError(
-                    f"batch contains ranks outside [0, {self.nranks})")
-            if min(flops) < 0:
-                raise CommError("flops must be non-negative")
-            gamma = self.machine.gamma_gemm \
-                if kind in ("schur", "reduce_add") \
-                else self.machine.gamma_panel
-            ov = n_block_updates * self.machine.gemm_overhead
-            # Scalar loops index the ledgers through memoryviews: items
-            # come back as Python floats (same IEEE doubles, same
-            # additions) at half the cost of ndarray scalars.
-            clock = memoryview(self.clock)
-            fl = memoryview(self.flops[kind])
-            tc = memoryview(self.t_compute[kind])
-            for r, f in zip(ranks, flops):
-                dt = f * gamma + ov
-                clock[r] += dt
-                fl[r] += f
-                tc[r] += dt
-            self.event_counts[kind] += len(ranks)
-            return
-        ranks, flops = self._check_batch(ranks, flops, "flops")
-        if ranks.size == 0:
-            return
-        if self.trace is not None or self.faults is not None:
-            upd = np.broadcast_to(np.asarray(n_block_updates), ranks.shape)
-            for r, f, u in zip(ranks, flops, upd):
-                self.compute(int(r), float(f), kind,
-                             n_block_updates=int(u))
-            return
-        gamma = self.machine.gamma_gemm if kind in ("schur", "reduce_add") \
-            else self.machine.gamma_panel
-        dt = flops * gamma + n_block_updates * self.machine.gemm_overhead
-        np.add.at(self.clock, ranks, dt)
-        np.add.at(self.flops[kind], ranks, flops)
-        np.add.at(self.t_compute[kind], ranks, dt)
-        self.event_counts[kind] += int(ranks.size)
+        self.book(EventStream.computes(ranks, flops, kind, n_block_updates))
 
     # -- point-to-point --------------------------------------------------------
 
@@ -337,89 +252,75 @@ class Simulator:
 
     def sendrecv_batch(self, srcs, dsts, words, reduce_kind: str | None = None,
                        reduce_flops=None) -> None:
-        """Book many matched ``send``→``recv`` pairs in one call.
-
-        ``srcs``, ``dsts`` and ``words`` are parallel arrays — or plain
-        lists, which skip the array round-trip (the booking loop is scalar
-        either way) — one entry per message. With ``reduce_kind`` set, each pair is followed by a
-        compute event of that kind on the destination rank —
+        """Book one matched ``send`` → ``recv`` per entry of the parallel
+        arrays; with ``reduce_kind`` set each is followed by a compute
+        event of that kind on the destination rank —
         :func:`repro.comm.collectives.reduce_pairwise`'s contract, with
-        ``reduce_flops`` defaulting to one flop per word. All ledgers end
-        up bit-for-bit identical to issuing the three calls per element in
-        order (the :meth:`compute_batch` contract): the per-event methods
-        are replayed on local scalars with the same additions and maxes in
-        the same sequence. Traced or topology-aware simulators — and
-        subclasses, whose overridden ``send``/``recv``/``compute`` hooks
-        must keep observing every event — fall back to the per-event loop.
-        """
+        ``reduce_flops`` defaulting to one flop per word. :meth:`book` on
+        :meth:`EventStream.pairs`."""
         if reduce_kind is not None and reduce_kind not in COMPUTE_KINDS:
             raise CommError(f"unknown compute kind {reduce_kind!r}")
-        cols = [srcs, dsts, words, words if reduce_flops is None
-                else reduce_flops]
-        if not all(type(c) is list for c in cols):
-            # The booking loop is scalar either way: arrays become lists.
-            cols = [np.asarray(c, dtype=t).ravel().tolist() for c, t in
-                    zip(cols, (np.intp, np.intp, np.float64, np.float64))]
-        srcs, dsts, words, flops = cols
-        if not (len(srcs) == len(dsts) == len(words)):
-            raise CommError("srcs, dsts and words must have the same length")
-        if len(flops) != len(words):
-            raise CommError("reduce_flops must match words in length")
-        if not srcs:
-            return
-        if min(min(srcs), min(dsts)) < 0 \
-                or max(max(srcs), max(dsts)) >= self.nranks:
-            raise CommError(
-                f"batch contains ranks outside [0, {self.nranks})")
-        if min(words) < 0:
-            raise CommError("words must be non-negative")
-        if flops is not words and min(flops) < 0:
-            raise CommError("flops must be non-negative")
-        n_events = len(srcs)
+        self.book(EventStream.pairs(srcs, dsts, words, reduce_kind,
+                                    reduce_flops))
+
+    # -- stream booking ------------------------------------------------------
+
+    def _gamma(self, kind: str) -> float:
+        return self.machine.gamma_gemm if kind in ("schur", "reduce_add") \
+            else self.machine.gamma_panel
+
+    def book(self, ev: EventStream, lo: int = 0, hi: int | None = None,
+             mlo: int = 0, mhi: int | None = None):
+        """Book events ``[lo, hi)`` and memory charges ``[mlo, mhi)`` of
+        ``ev``: bit for bit what issuing them through :meth:`compute` /
+        :meth:`send` + :meth:`recv` / :meth:`alloc` / :meth:`free` books —
+        which is what happens when a trace, a topology, a fault injector
+        or a subclass observes events.
+
+        Otherwise the volume ledgers are :meth:`Volume.add`'s reduction,
+        the durations one array expression (the per-event roundings:
+        ``alpha + beta*w``, ``f*gamma + n_upd*gemm_overhead``) and the
+        clocks the one scalar loop: a message advances its sender and
+        lifts its receiver to the arrival time; a compute event is the
+        case ``src == dst``. Ranks, signs and the memory balance are
+        checked first, and no message may be in flight on entry. Returns
+        the memory slice's :func:`~repro.comm.stream.mem_profile`."""
+        ev.check(self.nranks)
+        src, dst = ev.src[lo:hi], ev.dst[lo:hi]
+        val, kind = ev.val[lo:hi], ev.kind[lo:hi]
+        upd = 0 if ev.upd is None else ev.upd[lo:hi]
+        if self._queues and self.pending_messages():
+            raise CommError("book() with messages in flight: a queued "
+                            "message must be received first")
         if self.trace is not None or self.topology is not None \
                 or self.faults is not None or type(self) is not Simulator:
-            for s, d, w, f in zip(srcs, dsts, words, flops):
-                self.sendrecv(int(s), int(d), float(w))
-                if reduce_kind is not None:
-                    self.compute(int(d), float(f), reduce_kind)
-            return
-        clock = memoryview(self.clock)  # see compute_batch's scalar loop
-        alpha, beta = self.machine.alpha, self.machine.beta
-        ws = memoryview(self.words_sent[self.phase])
-        wr = memoryview(self.words_recv[self.phase])
-        ms = memoryview(self.msgs_sent[self.phase])
-        mr = memoryview(self.msgs_recv[self.phase])
-        if reduce_kind is not None:
-            gamma = self.machine.gamma_gemm \
-                if reduce_kind in ("schur", "reduce_add") \
-                else self.machine.gamma_panel
-            fl = memoryview(self.flops[reduce_kind])
-            tc = memoryview(self.t_compute[reduce_kind])
-        npairs = 0
-        for s, d, w, f in zip(srcs, dsts, words, flops):
-            if s != d:
-                # send: the queue append/popleft pair cancels, so only the
-                # clock advance and the phase ledgers remain.
-                arrival = clock[s] + (alpha + beta * w)
-                clock[s] = arrival
-                ws[s] += w
-                ms[s] += 1
-                # recv: max(own clock, arrival), exactly as recv() writes it.
-                if arrival > clock[d]:
-                    clock[d] = arrival
-                wr[d] += w
-                mr[d] += 1
-                npairs += 1
-            if reduce_kind is not None:
-                dt = f * gamma
-                clock[d] += dt
-                fl[d] += f
-                tc[d] += dt
-        if npairs:
-            self.event_counts["send"] += npairs
-            self.event_counts["recv"] += npairs
-        if reduce_kind is not None:
-            self.event_counts[reduce_kind] += n_events
+            for s, d, v, k, u in zip(
+                    src.tolist(), dst.tolist(), val.tolist(), kind.tolist(),
+                    np.broadcast_to(upd, src.shape).tolist()):
+                if k == MSG:
+                    self.send(s, d, v)
+                    self.recv(d, s)
+                else:
+                    self.compute(s, v, COMPUTE_KINDS[k], n_block_updates=u)
+            ranks, words = ev.mem_rank[mlo:mhi], ev.mem_words[mlo:mhi]
+            for r, w in zip(ranks.tolist(), words.tolist()):
+                if w < 0:
+                    self.free(r, -w)
+                else:
+                    self.alloc(r, w)
+            return mem_profile(ranks, words, self.nranks) \
+                if ranks.size else None
+        dt = val * self._rate[kind] \
+            + (self._fixed[kind] + upd * self.machine.gemm_overhead)
+        prof = self.add(ev, lo, hi, mlo, mhi, times=dt)
+        clock = self.clock.tolist()
+        for s, d, c in zip(src.tolist(), dst.tolist(), dt.tolist()):
+            a = clock[s] + c
+            clock[s] = a
+            if a > clock[d]:
+                clock[d] = a
+        self.clock[:] = clock
+        return prof
 
     # -- fork / merge -------------------------------------------------------
 
@@ -430,6 +331,9 @@ class Simulator:
         injector (its message-count state is global across ranks)."""
         return (self.trace is None and self.topology is None
                 and self.accelerator is None and self.faults is None)
+
+    def ledgers(self) -> list[np.ndarray]:
+        return [self.clock, *self.t_compute.values(), *super().ledgers()]
 
     def _pending_touching(self, rank_set: set[int]) -> int:
         return sum(len(q) for (s, d), q in self._queues.items()
@@ -455,17 +359,8 @@ class Simulator:
                             "forked rank set")
         sub = Simulator(self.nranks, self.machine)
         sub.phase = self.phase
-        sub.clock[idx] = self.clock[idx]
-        for k in COMPUTE_KINDS:
-            sub.flops[k][idx] = self.flops[k][idx]
-            sub.t_compute[k][idx] = self.t_compute[k][idx]
-        for p in PHASES:
-            sub.words_sent[p][idx] = self.words_sent[p][idx]
-            sub.words_recv[p][idx] = self.words_recv[p][idx]
-            sub.msgs_sent[p][idx] = self.msgs_sent[p][idx]
-            sub.msgs_recv[p][idx] = self.msgs_recv[p][idx]
-        sub.mem_current[idx] = self.mem_current[idx]
-        sub.mem_peak[idx] = self.mem_peak[idx]
+        for theirs, mine in zip(sub.ledgers(), self.ledgers()):
+            theirs[idx] = mine[idx]
         return sub
 
     def extract_delta(self, ranks) -> LedgerDelta:
@@ -482,31 +377,11 @@ class Simulator:
             raise CommError("extract_delta with messages still in flight")
         outside = np.ones(self.nranks, dtype=bool)
         outside[idx] = False
-        escaped = self.clock[outside].any() or self.mem_peak[outside].any()
-        for p in PHASES:
-            escaped = escaped or self.words_sent[p][outside].any() \
-                or self.words_recv[p][outside].any() \
-                or self.msgs_sent[p][outside].any() \
-                or self.msgs_recv[p][outside].any()
-        for k in COMPUTE_KINDS:
-            escaped = escaped or self.flops[k][outside].any() \
-                or self.t_compute[k][outside].any()
-        if escaped:
+        if any(a[outside].any() for a in self.ledgers()):
             raise CommError("forked events escaped the declared rank set")
-        return LedgerDelta(
-            ranks=idx,
-            clock=self.clock[idx].copy(),
-            flops={k: self.flops[k][idx].copy() for k in COMPUTE_KINDS},
-            t_compute={k: self.t_compute[k][idx].copy()
-                       for k in COMPUTE_KINDS},
-            words_sent={p: self.words_sent[p][idx].copy() for p in PHASES},
-            words_recv={p: self.words_recv[p][idx].copy() for p in PHASES},
-            msgs_sent={p: self.msgs_sent[p][idx].copy() for p in PHASES},
-            msgs_recv={p: self.msgs_recv[p][idx].copy() for p in PHASES},
-            mem_current=self.mem_current[idx].copy(),
-            mem_peak=self.mem_peak[idx].copy(),
-            event_counts=dict(self.event_counts),
-        )
+        return LedgerDelta(ranks=idx,
+                           arrays=[a[idx] for a in self.ledgers()],
+                           event_counts=dict(self.event_counts))
 
     def merge_delta(self, delta: LedgerDelta) -> None:
         """Splice a fork's final ledger state back into this simulator.
@@ -519,17 +394,8 @@ class Simulator:
         idx = np.asarray(delta.ranks, dtype=np.intp)
         if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self.nranks):
             raise CommError("delta ranks outside this simulator")
-        self.clock[idx] = delta.clock
-        for k in COMPUTE_KINDS:
-            self.flops[k][idx] = delta.flops[k]
-            self.t_compute[k][idx] = delta.t_compute[k]
-        for p in PHASES:
-            self.words_sent[p][idx] = delta.words_sent[p]
-            self.words_recv[p][idx] = delta.words_recv[p]
-            self.msgs_sent[p][idx] = delta.msgs_sent[p]
-            self.msgs_recv[p][idx] = delta.msgs_recv[p]
-        self.mem_current[idx] = delta.mem_current
-        self.mem_peak[idx] = delta.mem_peak
+        for mine, theirs in zip(self.ledgers(), delta.arrays):
+            mine[idx] = theirs
         for kind, n in delta.event_counts.items():
             if n:
                 self.event_counts[kind] += int(n)
@@ -602,55 +468,27 @@ class Simulator:
         if self.mem_current[rank] < -1e-9:
             raise CommError(f"rank {rank} freed more memory than allocated")
 
-
-    def _small_lists(self, ranks, words) -> bool:
-        """Whether a memory batch books through the scalar loop (as in
-        :meth:`compute_batch`): valid plain lists below the size limit;
-        anything else goes through :meth:`_check_batch` and the arrays."""
-        return type(ranks) is list and type(words) is list \
-            and 0 < len(ranks) == len(words) < _SCALAR_BATCH_MAX \
-            and min(ranks) >= 0 and max(ranks) < self.nranks \
-            and min(words) >= 0
-
     def alloc_batch(self, ranks, words) -> None:
-        """Book many :meth:`alloc` events in one call, bit for bit:
-        ``np.add.at`` applies the increments in order (as in
-        :meth:`compute_batch`), and within a batch of allocations a rank's
-        ``mem_current`` only rises — so its per-event peak is reached at
-        its last event and one ``np.maximum`` against the final
-        ``mem_current`` writes exactly the per-event ``mem_peak``."""
-        if self._small_lists(ranks, words):
-            cur, peak = memoryview(self.mem_current), memoryview(self.mem_peak)
-            for r, w in zip(ranks, words):
-                cur[r] += w
-                if cur[r] > peak[r]:
-                    peak[r] = cur[r]
-            return
+        """Book many :meth:`alloc` events in one call, bit for bit, for
+        any words: ``np.add.at`` applies the increments in order, and
+        within a batch of allocations a rank's ``mem_current`` only rises
+        — so its per-event peak is reached at its last event and one
+        ``np.maximum`` against the final ``mem_current`` writes exactly
+        the per-event ``mem_peak``."""
         ranks, words = self._check_batch(ranks, words, "alloc words")
-        if ranks.size:
-            np.add.at(self.mem_current, ranks, words)
-            np.maximum(self.mem_peak, self.mem_current, out=self.mem_peak)
+        np.add.at(self.mem_current, ranks, words)
+        np.maximum(self.mem_peak, self.mem_current, out=self.mem_peak)
 
     def free_batch(self, ranks, words) -> None:
         """Book many :meth:`free` events in one call, bit for bit: frees
         never touch ``mem_peak``, and within a batch a rank's
         ``mem_current`` only falls, so checking the final values catches
         every over-free the per-event loop would."""
-        if self._small_lists(ranks, words):
-            cur = memoryview(self.mem_current)
-            for r, w in zip(ranks, words):
-                cur[r] -= w
-                if cur[r] < -1e-9:
-                    raise CommError(
-                        f"rank {r} freed more memory than allocated")
-            return
         ranks, words = self._check_batch(ranks, words, "free words")
-        if ranks.size:
-            np.subtract.at(self.mem_current, ranks, words)
-            if float(self.mem_current.min()) < -1e-9:
-                bad = int(np.argmin(self.mem_current))
-                raise CommError(
-                    f"rank {bad} freed more memory than allocated")
+        np.subtract.at(self.mem_current, ranks, words)
+        if self.mem_current.min() < -1e-9:
+            bad = int(np.argmin(self.mem_current))
+            raise CommError(f"rank {bad} freed more memory than allocated")
 
     # -- derived quantities --------------------------------------------------------
 
@@ -682,18 +520,3 @@ class Simulator:
         if phase is None:
             return float(sum(w.sum() for w in self.words_recv.values()))
         return float(self.words_recv[phase].sum())
-
-    def words_per_rank(self, phase: str | None = None) -> np.ndarray:
-        """Per-rank communication volume (sent + received)."""
-        phases = PHASES if phase is None else (phase,)
-        out = np.zeros(self.nranks)
-        for p in phases:
-            out += self.words_sent[p] + self.words_recv[p]
-        return out
-
-    def msgs_per_rank(self, phase: str | None = None) -> np.ndarray:
-        phases = PHASES if phase is None else (phase,)
-        out = np.zeros(self.nranks, dtype=np.int64)
-        for p in phases:
-            out += self.msgs_sent[p] + self.msgs_recv[p]
-        return out

@@ -4,10 +4,10 @@ A supernode's Schur update touches one destination block per (i, j) panel
 pair. The numeric bodies (:mod:`repro.plan.backends`) run one small GEMM
 per pair; the *ledger* side is booked from the arrays built here — every
 pair's owner rank and flop count, in the numeric loop's row-major order —
-through one :meth:`repro.comm.Simulator.compute_batch` call, which replays
-per-event booking bit for bit. :func:`schur_pairs` / :func:`syrk_pairs`
-emit the arrays of a whole node list at once: what the plan builder stores
-per grid plan, so a run of Schur tasks books one contiguous slice.
+which the plan lays into its event stream as the Schur task's events
+(:mod:`repro.plan.arrays`). :func:`schur_pairs` / :func:`syrk_pairs` emit
+the arrays of a whole node list at once: what the plan builder stores per
+grid plan, so a run of Schur tasks is one contiguous slice.
 """
 
 from __future__ import annotations

@@ -48,8 +48,6 @@ from repro.plan.tasks import (
     Plan3D,
     SchurUpdate,
     Task,
-    task_comm,
-    task_flops,
 )
 
 __all__ = [
@@ -81,6 +79,4 @@ __all__ = [
     "plan_options_key",
     "resolve_exec",
     "sink_tids",
-    "task_comm",
-    "task_flops",
 ]

@@ -5,13 +5,16 @@ A grid plan *is* a :class:`TaskArrays`: parallel columns over the plan's
 (PAPERS.md) removed per-task host overhead the same way: levelized arrays
 emitted once, fused by construction.
 
-"Fused" and "per-task" execution are two *cut-point arrays* over the same
-columns: ``runs`` cuts at every task-kind change (one interpreter dispatch
-per maximal same-kind run), width 1 cuts at every task. Inside a panel
-run, ``segs`` refines the cuts wherever hoisting a member's compute
-booking above the run's earlier communication would not commute — so one
-``compute_batch`` + one ``sendrecv_batch`` per segment books the per-event
-ledger bit for bit.
+Everything a plan books is **one event stream**
+(:class:`repro.comm.stream.EventStream`), interleaved exactly as the
+per-event order is, with ``ev_ptr`` / ``mem_ptr`` marking each task's
+slice: booking a task, a run or the whole plan is one
+:meth:`repro.comm.Simulator.book` call on a slice — granularity is a
+choice of cut points, nothing else. "Fused" and "per-task" execution are
+two such choices: ``runs`` cuts at every task-kind change (one kernel
+dispatch per maximal same-kind run), width 1 cuts at every task.
+:meth:`TaskArrays.volume` reduces the stream to per-rank words, messages,
+flops and peak memory with no simulator at all.
 
 The builder (:mod:`repro.plan.build`; :meth:`TaskArrays.from_records` for
 a hand-edited task list) fills the primary columns and
@@ -30,12 +33,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.comm.stream import MSG, EventStream, Volume
 from repro.utils.ragged import csr_ptr, ragged
 
 __all__ = ["PANEL_FACTOR", "PANEL_BCAST", "SCHUR_UPDATE", "SIDES",
            "TaskArrays", "tree_pattern"]
 
-#: ``TaskArrays.kind`` codes.
+#: ``TaskArrays.kind`` codes — each is also the ``COMPUTE_KINDS`` index
+#: ('diag', 'panel', 'schur') of the compute events the kind books.
 PANEL_FACTOR, PANEL_BCAST, SCHUR_UPDATE = 0, 1, 2
 #: ``TaskArrays.side`` codes (index = code).
 SIDES = ("", "U", "L")
@@ -72,11 +77,14 @@ class TaskArrays:
     tids); ``bc_ptr`` over the specs ``bc_root``/``bc_comm`` (index into
     the interned communicators ``comms``)/``bc_words``/``bc_route`` (-1 =
     no routing hop); ``pair_ptr`` over ``pair_owner``/``pair_flops``.
-    Derived by :meth:`assemble`: ``p2p_*`` (every task's broadcasts
-    flattened to their point-to-point replay), ``buf_*`` (the receive
-    buffers they charge), ``free_lo``/``free_hi`` (what a Schur task
-    releases: its node's slice of ``buf_*``), the cut points ``runs`` /
-    ``segs``.
+    Derived by :meth:`assemble`: the event stream ``ev_src`` / ``ev_dst``
+    / ``ev_val`` / ``ev_kind`` (task ``t``'s events are
+    ``ev_ptr[t]:ev_ptr[t + 1]``: its compute event, then its broadcasts
+    flattened to their point-to-point replay with self-pairs dropped; a
+    Schur task's are its pairs' GEMMs), the memory stream ``mem_rank`` /
+    ``mem_words`` under ``mem_ptr`` (a panel task charges its receive
+    buffers, a Schur task releases its node's, negated), and the cut
+    points ``runs``.
     """
 
     tid: np.ndarray
@@ -98,17 +106,15 @@ class TaskArrays:
     pair_ptr: np.ndarray
     pair_owner: np.ndarray
     pair_flops: np.ndarray
-    p2p_ptr: np.ndarray = None
-    p2p_src: np.ndarray = None
-    p2p_dst: np.ndarray = None
-    p2p_words: np.ndarray = None
-    buf_ptr: np.ndarray = None
-    buf_rank: np.ndarray = None
-    buf_words: np.ndarray = None
-    free_lo: np.ndarray = None
-    free_hi: np.ndarray = None
+    ev_ptr: np.ndarray = None
+    ev_src: np.ndarray = None
+    ev_dst: np.ndarray = None
+    ev_val: np.ndarray = None
+    ev_kind: np.ndarray = None
+    mem_ptr: np.ndarray = None
+    mem_rank: np.ndarray = None
+    mem_words: np.ndarray = None
     runs: np.ndarray = None
-    segs: np.ndarray = None
 
     @property
     def n_tasks(self) -> int:
@@ -116,7 +122,7 @@ class TaskArrays:
 
     def cuts(self, fuse: bool) -> list[int]:
         """The walk's dispatch boundaries: ``runs`` or every task."""
-        return self.hot.runs if fuse else list(range(self.n_tasks + 1))
+        return self.runs.tolist() if fuse else list(range(self.n_tasks + 1))
 
     # -- derived columns ---------------------------------------------------
 
@@ -137,7 +143,7 @@ class TaskArrays:
         pat_src: list = []
         pat_dst: list = []
         pat_buf: list = []
-        n_pair, n_buf = [], []
+        n_pair_of, n_buf_of = [], []
         for u in uniq.tolist():
             u, comm = divmod(u, ncomm)
             route, root = divmod(u, span)
@@ -145,93 +151,99 @@ class TaskArrays:
             pat_src += s
             pat_dst += d
             pat_buf += b
-            n_pair.append(len(s))
-            n_buf.append(len(b))
+            n_pair_of.append(len(s))
+            n_buf_of.append(len(b))
 
         def flatten(counts, *patterns):
-            """Per-task ptr, per-entry words and pattern columns of every
-            spec's pattern entries, concatenated in spec order."""
+            """Per-spec entry counts, per-entry spec index and pattern
+            columns of every spec's pattern entries, in spec order."""
             counts = np.asarray(counts, dtype=_I64)
             start = csr_ptr(counts)[inv]
             counts = counts[inv]                  # per spec
             spec, off = ragged(counts)
             at = start[spec] + off
-            return (csr_ptr(counts)[self.bc_ptr],  # specs: task-contiguous
-                    self.bc_words[spec],
+            return (counts, spec,
                     *(np.asarray(p, dtype=_I64)[at] for p in patterns))
 
-        self.p2p_ptr, self.p2p_words, self.p2p_src, self.p2p_dst = flatten(
-            n_pair, pat_src, pat_dst)
-        self.buf_ptr, self.buf_words, self.buf_rank = flatten(n_buf, pat_buf)
-        # A Schur task releases its node's charges. A node's panel tasks
-        # are one contiguous group of the schedule, so that is one slice
-        # of the buffer columns: [free_lo, free_hi).
-        schur = np.flatnonzero(self.kind == SCHUR_UPDATE)
-        panel = np.flatnonzero(self.kind != SCHUR_UPDATE)
+        def per_task(per_spec):     # specs are task-contiguous
+            return np.diff(csr_ptr(per_spec)[self.bc_ptr])
+
+        schur = self.kind == SCHUR_UPDATE
+        n_pair = np.diff(self.pair_ptr)
+        # Event stream: a panel task's compute event, then its live pairs.
+        _n, spec, src, dst = flatten(n_pair_of, pat_src, pat_dst)
+        live = src != dst
+        spec, src, dst = spec[live], src[live], dst[live]
+        n_live = per_task(np.bincount(spec, minlength=self.bc_root.size))
+        self.ev_ptr = csr_ptr(np.where(schur, n_pair, 1 + n_live))
+        E = int(self.ev_ptr[-1])
+        self.ev_src, self.ev_dst = np.empty((2, E), dtype=_I64)
+        self.ev_val = np.empty(E)
+        self.ev_kind = np.full(E, MSG, dtype=np.int8)
+        head = self.ev_ptr[:-1][~schur]
+        self.ev_src[head] = self.ev_dst[head] = self.owner[~schur]
+        self.ev_val[head] = self.flops[~schur]
+        self.ev_kind[head] = self.kind[~schur]
+        task, off = ragged(n_live)
+        at = self.ev_ptr[task] + 1 + off
+        self.ev_src[at], self.ev_dst[at] = src, dst
+        self.ev_val[at] = self.bc_words[spec]
+        task, off = ragged(n_pair)      # pairs belong to Schur tasks only
+        at = self.ev_ptr[task] + off
+        self.ev_src[at] = self.ev_dst[at] = self.pair_owner
+        self.ev_val[at] = self.pair_flops
+        self.ev_kind[at] = SCHUR_UPDATE
+        # Memory stream: a panel task charges one receive buffer per
+        # broadcast receiver; a Schur task releases its node's charges. A
+        # node's panel tasks are one contiguous group of the schedule, so
+        # that is one slice [lo, hi) of the charges.
+        n_buf, spec, buf_rank = flatten(n_buf_of, pat_buf)
+        buf_words = self.bc_words[spec]
+        buf_ptr = csr_ptr(per_task(n_buf))
+        sch = np.flatnonzero(schur)
+        panel = np.flatnonzero(~schur)
         panel = panel[np.argsort(self.node[panel], kind="stable")]
-        first = np.searchsorted(self.node[panel], self.node[schur], "left")
-        last = np.searchsorted(self.node[panel], self.node[schur], "right")
-        schur, first, last = (x[last > first] for x in (schur, first, last))
+        first = np.searchsorted(self.node[panel], self.node[sch], "left")
+        last = np.searchsorted(self.node[panel], self.node[sch], "right")
+        sch, first, last = (x[last > first] for x in (sch, first, last))
         if (panel[last - 1] - panel[first] != last - first - 1).any():
             raise ValueError("a node's panel tasks must be contiguous in "
                              "plan list order")
-        self.free_lo, self.free_hi = np.zeros((2, T), dtype=_I64)
-        self.free_lo[schur] = self.buf_ptr[panel[first]]
-        self.free_hi[schur] = self.buf_ptr[panel[last - 1] + 1]
+        n_mem, start = np.diff(buf_ptr), buf_ptr[:-1].copy()
+        start[sch] = buf_ptr[panel[first]]
+        n_mem[sch] = buf_ptr[panel[last - 1] + 1] - start[sch]
+        self.mem_ptr = csr_ptr(n_mem)
+        task, at = ragged(n_mem)
+        at += start[task]
+        self.mem_rank, self.mem_words = buf_rank[at], buf_words[at]
+        np.negative(self.mem_words, out=self.mem_words, where=schur[task])
         # Cut points.
         self.runs = np.concatenate(
             ([0], np.flatnonzero(np.diff(self.kind)) + 1, [T])
         ).astype(_I64) if T else np.zeros(1, dtype=_I64)
-        self.segs = self._hoist_cuts()
         return self
 
-    def _hoist_cuts(self) -> np.ndarray:
-        """``runs`` refined by the hoist rule (greedy, maximal segments):
-        a panel segment books its members' compute events before its
-        communication, which commutes with the per-event order iff no
-        member's compute rank appears in an *earlier* member's
-        communicator (routing origin included). Ranks are bits of Python
-        ints, so one shift tests a member against the segment."""
-        masks = [0] * self.n_tasks
-        comm_mask = [sum(1 << r for r in set(c) if r >= 0)
-                     for c in self.comms]
-        task_of = np.repeat(np.arange(self.n_tasks),
-                            np.diff(self.bc_ptr)).tolist()
-        for t, c, route in zip(task_of, self.bc_comm.tolist(),
-                               self.bc_route.tolist()):
-            masks[t] |= comm_mask[c] | (1 << route if route >= 0 else 0)
-        owner = self.owner.tolist()
-        cuts = []
-        runs = self.runs.tolist()
-        for a, b in zip(runs, runs[1:]):
-            cuts.append(a)
-            seen = masks[a]
-            for t in range(a + 1, b):   # Schur runs: owner -1, masks 0
-                if owner[t] >= 0 and (seen >> owner[t]) & 1:
-                    cuts.append(t)
-                    seen = 0
-                seen |= masks[t]
-        cuts.append(self.n_tasks)
-        return np.asarray(cuts, dtype=_I64)
-
-    # -- the walk's view ---------------------------------------------------
+    # -- what execution reads ----------------------------------------------
 
     @cached_property
-    def hot(self) -> SimpleNamespace:
-        """The columns the interpreter indexes per dispatch, as plain
-        lists: scalar indexing and small slices cost a fraction of their
-        ndarray equivalents, and the simulator books small list batches
-        through scalar loops. Built on first execution, never pickled."""
-        names = ("kind", "node", "bi", "bj", "owner", "flops", "p2p_ptr",
-                 "p2p_src", "p2p_dst", "p2p_words", "buf_ptr", "buf_rank",
-                 "buf_words", "free_lo", "free_hi", "pair_ptr", "pair_owner",
-                 "pair_flops", "runs", "segs")
-        return SimpleNamespace(**{n: getattr(self, n).tolist()
-                                  for n in names})
+    def stream(self) -> EventStream:
+        """The derived columns as the :class:`EventStream` the simulator
+        books slices of (views; one block update per Schur GEMM)."""
+        return EventStream(self.ev_src, self.ev_dst, self.ev_val,
+                           self.ev_kind, self.ev_kind == SCHUR_UPDATE,
+                           self.mem_rank, self.mem_words)
+
+    def volume(self, nranks: int) -> Volume:
+        """Per-rank words and messages (phase ``'fact'``), flops by kind,
+        event counts and the receive-buffer peak of the whole plan: the
+        stream's reduction — what a simulator books — with no simulator."""
+        vol = Volume(nranks)
+        vol.add(self.stream)
+        return vol
 
     def __getstate__(self):     # the two caches never ship
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("hot", "records")}
+                if k not in ("stream", "records")}
 
     # -- the typed width-1 view --------------------------------------------
 

@@ -21,8 +21,9 @@ otherwise                                 full-width walk (fused runs)
 
 Width is a choice of cut points over the plan's one array form
 (:mod:`repro.plan.arrays`), not of plan object or task body. A trace does
-not select it: the simulator's batch entries book event by event under a
-trace, so a traced run walks the same width as an untraced one.
+not select it: :meth:`repro.comm.Simulator.book` issues a stream event by
+event under a trace, so a traced run walks the same width as an untraced
+one.
 
 and, independently, for ``n_workers != 1`` the pool engages unless the
 data is one shared global copy (merged numeric), the walk is monitored,

@@ -1,21 +1,22 @@
 """The shared plan interpreter: one executor for every driver variant.
 
 :func:`execute_grid_plan` walks a :class:`~repro.plan.tasks.GridPlan`'s
-task arrays in list order, one :func:`run` per cut-point interval — the
-plan's ``runs`` (maximal same-kind runs) for a plain or traced execution,
-every single task when something observes per-task events (an
-accelerator, a fault injector, the resilience monitor, the fuzzer). Both
-are the same body over the same columns: the backend's numeric kernels
-(numeric mode only), then the interval's events booked in batches —
-``compute_batch`` + ``sendrecv_batch`` per hoist-safe segment,
-``alloc_batch`` for the receive buffers a panel run charges,
-``free_batch`` for the ones a Schur run releases.
+task arrays in list order between cut points — the plan's ``runs``
+(maximal same-kind runs) for a plain or traced execution, every single
+task when something needs per-task boundaries (an accelerator, a fault
+injector, the resilience monitor, the fuzzer). Two things happen per
+interval: the backend's numeric kernels (numeric mode only, :func:`run`)
+and the booking of the interval's slice of the plan's one event stream
+(:func:`book`, one :meth:`repro.comm.Simulator.book` call). Booking
+granularity is a choice of cut points too: the ledger of a slice does not
+depend on how the stream is cut, so a full-width run that nothing monitors
+books the whole plan in a single call after its kernels.
 
 Because the plan's list order replays the historical drivers' exact event
 order, every broadcast's pair sequence was flattened at build time, and
-every batch entry books its per-event loop bit for bit, the simulator
-ledgers are identical to the pre-plan loop drivers at either width — the
-golden-ledger tests (:mod:`tests.test_plan`) pin this.
+the simulator books a stream slice as its per-event loop bit for bit, the
+ledgers are identical to the pre-plan loop drivers at any granularity —
+the golden-ledger tests (:mod:`tests.test_plan`) pin this.
 
 :func:`execute_reduce` is the matching executor for
 :class:`~repro.plan.tasks.AncestorReduce` tasks (both the batched standard
@@ -28,7 +29,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from repro.comm.collectives import bcast, reduce_pairwise
+from repro.comm.collectives import bcast
 from repro.comm.grid import ProcessGrid2D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import Factor2DResult, FactorOptions
@@ -36,8 +37,8 @@ from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
 from repro.plan.backends import get_backend
 from repro.plan.tasks import AncestorReduce, GridPlan, ReplicatedFactor
 
-__all__ = ["GridContext", "run", "execute_grid_plan", "execute_reduce",
-           "execute_replicated"]
+__all__ = ["GridContext", "run", "book", "execute_grid_plan",
+           "execute_reduce", "execute_replicated"]
 
 
 class GridContext:
@@ -56,22 +57,11 @@ class GridContext:
         self.numeric = data is not None
         self.sizes = sf.layout.sizes()
         self.result = Factor2DResult(nodes=list(plan.nodes))
-        # Transient panel-receive buffers only; sim.mem_peak also counts
-        # the static L/U storage, which buffer_peak_words must exclude.
-        self.buf_current = [0.0] * sim.nranks
-
-    def live_buffers(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(ranks, words)`` of the receive buffers live once tasks
-        ``[0, pos)`` have run: charged by a panel task before ``pos`` whose
-        node's Schur task (which releases them) has not run yet. Crash
-        recovery frees them, a restart from a checkpoint re-charges them."""
-        A = self.arrays
-        schur = np.flatnonzero(A.kind == SCHUR_UPDATE)
-        released = set(A.node[schur[schur < pos]].tolist())
-        at = [i for t in np.flatnonzero(A.kind[:pos] != SCHUR_UPDATE)
-              if int(A.node[t]) not in released
-              for i in range(A.buf_ptr[t], A.buf_ptr[t + 1])]
-        return A.buf_rank[at], A.buf_words[at]
+        #: Per-rank level of the live transient panel-receive buffers
+        #: (sim.mem_peak also counts the static L/U storage, which
+        #: buffer_peak_words must exclude). Crash recovery frees these, a
+        #: restart from a checkpoint re-charges them.
+        self.buf_current = np.zeros(sim.nranks)
 
     # -- checkpoint support (repro.resilience) -----------------------------
 
@@ -81,99 +71,81 @@ class GridContext:
 
     def snapshot(self) -> dict:
         """Logical state of this plan execution at a task boundary: the
-        transient buffer levels and the result counters (which buffers
-        are live follows from the walk position). Simulator ledgers are
-        deliberately *not* part of it: physical time and traffic keep
+        transient buffer levels and the result counters. Simulator ledgers
+        are deliberately *not* part of it: physical time and traffic keep
         accumulating across a rollback, which is exactly the recovery
         overhead the resilience stats report."""
         return {
-            "buf_current": list(self.buf_current),
+            "buf_current": self.buf_current.copy(),
             "result": {f: getattr(self.result, f)
                        for f in self._RESULT_FIELDS},
         }
 
     def restore(self, snap: dict) -> None:
         """Roll logical state back to :meth:`snapshot` (same plan only)."""
-        self.buf_current = list(snap["buf_current"])
+        self.buf_current = snap["buf_current"].copy()
         for f, val in snap["result"].items():
             setattr(self.result, f, val)
 
 
 def run(ctx: GridContext, a: int, b: int) -> None:
-    """Execute tasks ``[a, b)`` — one same-kind interval between two cut
-    points — as one dispatch: the only task body there is, shared by
-    :func:`execute_grid_plan` (either width) and the schedule fuzzer.
-
-    A panel interval books, per hoist-safe segment, its compute events
-    then its flattened broadcast pairs, and charges every receive buffer
-    in one ``alloc_batch`` (the memory ledger shares no state with the
-    clocks, so the charges need no segmenting); a Schur interval books
-    its pairs' GEMMs in one ``compute_batch`` and releases each node's
-    buffers in one ``free_batch``.
-    """
-    h, sim, be, result = ctx.arrays.hot, ctx.sim, ctx.be, ctx.result
-    kind = h.kind[a]
-    if kind == SCHUR_UPDATE:
-        if ctx.numeric:
-            for t in range(a, b):
-                be.schur_numeric(ctx, h.node[t])
-        lo, hi = h.pair_ptr[a], h.pair_ptr[b]
-        owners, flops = h.pair_owner[lo:hi], h.pair_flops[lo:hi]
-        accel = sim.accelerator if be.accel_aware else None
-        if accel is None:
-            sim.compute_batch(owners, flops, "schur", n_block_updates=1)
-        else:
-            # HALO: the offload decision is per block pair — big GEMMs go
-            # to the device (operands + result cross PCIe), small ones
-            # stay on the host.
-            words = np.concatenate([be.pair_offload_words(
-                ctx.sf, h.node[t], ctx.sizes) for t in range(a, b)])
-            for o, f, w in zip(owners, flops, words.tolist()):
-                if accel.should_offload(f):
-                    sim.offload_gemm(o, f, w)
-                else:
-                    sim.compute(o, f, "schur", n_block_updates=1)
-        result.schur_block_updates += hi - lo
-        level = ctx.buf_current
-        for t in range(a, b):
-            lo, hi = h.free_lo[t], h.free_hi[t]
-            if hi > lo:
-                ranks, words = h.buf_rank[lo:hi], h.buf_words[lo:hi]
-                sim.free_batch(ranks, words)
-                for r, w in zip(ranks, words):
-                    level[r] -= w
+    """The numeric kernels of tasks ``[a, b)`` — one same-kind interval
+    between two cut points — as one dispatch (a no-op in cost-only
+    mode): the only task body there is."""
+    if not ctx.numeric:
         return
-    factor = kind == PANEL_FACTOR
-    if factor and be.accel_aware and sim.accelerator is not None:
-        for t in range(a, b):
-            for r in be.accel_panel_ranks(ctx.sf, h.node[t], ctx.grid):
-                sim.accel_sync(r)
-    if ctx.numeric:
-        for t in range(a, b):
-            be.panel_numeric(ctx, kind, h.node[t], h.bi[t], h.bj[t])
-    ckind = "diag" if factor else "panel"
-    seg = bisect_right(h.segs, a)
-    s = a
-    while s < b:
-        e = min(h.segs[seg], b)
-        sim.compute_batch(h.owner[s:e], h.flops[s:e], ckind)
-        lo, hi = h.p2p_ptr[s], h.p2p_ptr[e]
-        if hi > lo:
-            sim.sendrecv_batch(h.p2p_src[lo:hi], h.p2p_dst[lo:hi],
-                               h.p2p_words[lo:hi])
-        s, seg = e, seg + 1
-    lo, hi = h.buf_ptr[a], h.buf_ptr[b]
-    if hi > lo:
-        ranks, words = h.buf_rank[lo:hi], h.buf_words[lo:hi]
-        sim.alloc_batch(ranks, words)
-        level, peak = ctx.buf_current, result.buffer_peak_words
-        for r, w in zip(ranks, words):
-            level[r] += w
-            if level[r] > peak:
-                peak = level[r]
-        result.buffer_peak_words = peak
-    if factor:
-        result.panel_steps += b - a
+    A, be = ctx.arrays, ctx.be
+    kind, nodes = int(A.kind[a]), A.node[a:b].tolist()
+    if kind == SCHUR_UPDATE:
+        for k in nodes:
+            be.schur_numeric(ctx, k)
+    else:
+        for k, i, j in zip(nodes, A.bi[a:b].tolist(), A.bj[a:b].tolist()):
+            be.panel_numeric(ctx, kind, k, i, j)
+
+
+def book(ctx: GridContext, a: int, b: int) -> None:
+    """Book everything tasks ``[a, b)`` (any kinds) put on the ledgers:
+    their slice of the plan's event and memory streams, in one
+    :meth:`~repro.comm.Simulator.book` call, and the result counters.
+    With an accelerator on an offload-aware backend the slice is booked
+    task by task (:func:`_book_offloading`)."""
+    A, sim, res = ctx.arrays, ctx.sim, ctx.result
+    if ctx.be.accel_aware and sim.accelerator is not None:
+        profs = [_book_offloading(ctx, t) for t in range(a, b)]
+    else:
+        profs = [sim.book(A.stream, A.ev_ptr[a], A.ev_ptr[b],
+                          A.mem_ptr[a], A.mem_ptr[b])]
+    for prof in profs:
+        if prof is not None:
+            net, peak, _low = prof
+            res.buffer_peak_words = max(
+                res.buffer_peak_words, float((ctx.buf_current + peak).max()))
+            ctx.buf_current += net
+    res.schur_block_updates += int(A.pair_ptr[b] - A.pair_ptr[a])
+    res.panel_steps += int(np.count_nonzero(A.kind[a:b] == PANEL_FACTOR))
+
+
+def _book_offloading(ctx: GridContext, t: int):
+    """Book task ``t`` under HALO: a diagonal factorization first drains
+    the devices it reads from; a Schur task's GEMMs go to the device (big
+    ones — operands + result cross PCIe) or stay on the host pair by
+    pair, and only its buffer releases are left to the stream."""
+    A, sim, be = ctx.arrays, ctx.sim, ctx.be
+    lo, hi = A.ev_ptr[t], A.ev_ptr[t + 1]
+    if A.kind[t] == PANEL_FACTOR:
+        for r in be.accel_panel_ranks(ctx.sf, int(A.node[t]), ctx.grid):
+            sim.accel_sync(r)
+    elif A.kind[t] == SCHUR_UPDATE:
+        words = be.pair_offload_words(ctx.sf, int(A.node[t]), ctx.sizes)
+        for o, f, w in zip(A.ev_src[lo:hi].tolist(),
+                           A.ev_val[lo:hi].tolist(), words.tolist()):
+            if sim.accelerator.should_offload(f):
+                sim.offload_gemm(o, f, w)
+            else:
+                sim.compute(o, f, "schur", n_block_updates=1)
+        lo = hi
+    return sim.book(A.stream, lo, hi, A.mem_ptr[t], A.mem_ptr[t + 1])
 
 
 def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
@@ -190,11 +162,14 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
     plan's ``(px, py, base)``.
 
     ``fuse`` selects the cut points: the plan's full-width runs
-    (:attr:`repro.plan.ExecMode.fuse`), or — the default, valid under any
-    observer — one dispatch per task. ``monitor`` is the resilience hook:
-    ``before_task(plan, ctx, idx)`` runs at every dispatch boundary and
-    may raise :class:`repro.resilience.GridCrash`, ``after_task(plan, ctx,
-    idx)`` may take a checkpoint. ``start``/``ctx`` resume a checkpointed
+    (:attr:`repro.plan.ExecMode.fuse`) — kernels dispatch per run and the
+    events of the whole plan are booked in one call — or, the default,
+    valid under any observer, one dispatch and one booking per task.
+    ``monitor`` is the resilience hook: ``before_task(plan, ctx, idx)``
+    runs at every dispatch boundary and may raise
+    :class:`repro.resilience.GridCrash`, ``after_task(plan, ctx, idx)``
+    may take a checkpoint; a monitored walk books per interval, so both
+    read true clocks. ``start``/``ctx`` resume a checkpointed
     interpretation at task index ``start`` with its restored context.
     """
     opts = options or FactorOptions()
@@ -204,13 +179,18 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
         ctx = GridContext(plan, sf, grid, sim, data, opts)
 
     cuts = plan.arrays.cuts(fuse)
-    for i in range(bisect_right(cuts, start) - 1, len(cuts) - 1):
-        a, b = cuts[i], cuts[i + 1]
+    first = bisect_right(cuts, start) - 1
+    whole = fuse and monitor is None
+    for a, b in zip(cuts[first:], cuts[first + 1:]):
         if monitor is not None:
             monitor.before_task(plan, ctx, a)
         run(ctx, a, b)
+        if not whole:
+            book(ctx, a, b)
         if monitor is not None:
             monitor.after_task(plan, ctx, a)
+    if whole:
+        book(ctx, cuts[first], cuts[-1])
 
     if ctx.be.accel_aware and sim.accelerator is not None:
         for r in grid.all_ranks():
@@ -253,22 +233,12 @@ def execute_reduce(task: AncestorReduce, sim: Simulator, result=None,
     cost-only mode and in the merged variant, whose single global copy
     makes the numeric content a no-op.
     """
-    if task.ops is not None:
-        for op, src, dst, w in task.ops:
-            if op == "red":
-                reduce_pairwise(sim, src, dst, w)
-            else:
-                sim.send(src, dst, w)
-                sim.recv(dst, src)
-            if result is not None:
-                result.reduction_messages += 1
-                result.reduction_words += w
-        return
-    sim.sendrecv_batch(task.srcs, task.dsts, task.words,
-                       reduce_kind="reduce_add")
+    sim.book(task.stream())
     if result is not None:
-        result.reduction_messages += int(task.words.size)
-        result.reduction_words += float(task.words.sum())
-    if accumulate is not None:
+        words = task.words if task.ops is None \
+            else np.array([w for *_x, w in task.ops])
+        result.reduction_messages += int(words.size)
+        result.reduction_words += float(words.sum())
+    if accumulate is not None and task.ops is None:
         for i, j in zip(task.rows.tolist(), task.cols.tolist()):
             accumulate(task.dst_grid, task.src_grid, i, j)

@@ -38,11 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.plan.arrays import TaskArrays
+from repro.comm.events import COMPUTE_KINDS, PHASE_FACT, PHASE_RED
+from repro.comm.stream import MSG, EventStream, Volume
+from repro.plan.arrays import TaskArrays, tree_pattern
 
 __all__ = ["BcastSpec", "Task", "PanelFactor", "PanelBcast", "SchurUpdate",
            "ReplicatedFactor", "AncestorReduce", "LevelBarrier", "FusionStats",
-           "GridPlan", "LevelStep", "Plan3D", "task_comm", "task_flops"]
+           "GridPlan", "LevelStep", "Plan3D"]
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,31 @@ class ReplicatedFactor(Task):
 
     kind = "replicated_factor"
 
+    def volume_stream(self) -> EventStream:
+        """The sweep's events, each rank's in the order
+        :func:`repro.plan.interpret.execute_replicated` issues them — for
+        :class:`~repro.comm.stream.Volume` reductions only: a ring step
+        posts every send before any receive, which is not a sequence of
+        matched pairs, so its *clocks* need the per-event replay."""
+        src, dst, val = [], [], []
+        for spec in self.bcasts:
+            s, d, _ = tree_pattern(-1, spec.root, spec.ranks)
+            src += s
+            dst += d
+            val += [spec.words] * len(s)
+        ring = list(self.ranks)
+        if len(ring) > 1:       # a one-rank ring is a self-message: free
+            src += ring * self.steps
+            dst += (ring[1:] + ring[:1]) * self.steps
+            val += [self.chunk] * (len(ring) * self.steps)
+        n, p = len(src), len(ring)
+        return EventStream(
+            np.array(src + ring, dtype=np.int64),
+            np.array(dst + ring, dtype=np.int64),
+            np.array(val + [self.flops / p] * p, dtype=np.float64),
+            np.array([MSG] * n + [COMPUTE_KINDS.index("schur")] * p, np.int8),
+            np.array([0] * n + [self.steps] * p))
+
 
 @dataclass(frozen=True, kw_only=True)
 class AncestorReduce(Task):
@@ -171,7 +198,7 @@ class AncestorReduce(Task):
 
     Standard variant: parallel arrays ``rows/cols/words`` (the ancestor
     blocks, in the driver's gather order) and ``srcs/dsts`` (their owner
-    ranks in the two layers), executed as one ``sendrecv_batch``.
+    ranks in the two layers), booked as one event stream.
 
     Merged-grid variant: ``ops`` is a tuple of ``(op, src, dst, words)``
     with ``op`` = ``'red'`` (pairwise reduce) or ``'mov'`` (redistribution
@@ -190,6 +217,18 @@ class AncestorReduce(Task):
 
     kind = "ancestor_reduce"
 
+    def stream(self) -> EventStream:
+        """The hop's events: per block one message (free where the owner
+        is unchanged) and — except after a merged ``'mov'`` — the
+        receiver's reduce-add, one flop per word."""
+        if self.ops is None:
+            return EventStream.pairs(self.srcs, self.dsts, self.words,
+                                     "reduce_add")
+        op, src, dst, words = zip(*self.ops) if self.ops else ((),) * 4
+        return EventStream.pairs(
+            src, dst, words, "reduce_add",
+            reduce_where=np.array([o == "red" for o in op], dtype=bool))
+
 
 @dataclass(frozen=True, kw_only=True)
 class LevelBarrier(Task):
@@ -205,67 +244,6 @@ class LevelBarrier(Task):
     level: int
 
     kind = "level_barrier"
-
-
-def _bcast_comm(spec: BcastSpec) -> tuple[int, float]:
-    """(messages, words) a BcastSpec moves: binomial tree + route hop."""
-    hops = len(spec.ranks) - 1
-    msgs, words = hops, hops * spec.words
-    if spec.route_from is not None:
-        msgs += 1
-        words += spec.words
-    return msgs, words
-
-
-def task_comm(task: Task) -> tuple[int, float]:
-    """Total (messages, words) ``task`` puts on the network.
-
-    Reads the words baked into each :class:`BcastSpec` / reduce payload,
-    so it reports whatever block-volume model (dense or compact,
-    :mod:`repro.comm.volume`) the plan was built under.
-    """
-    if isinstance(task, (PanelFactor, PanelBcast, ReplicatedFactor)):
-        msgs, words = 0, 0.0
-        for spec in task.bcasts:
-            m, w = _bcast_comm(spec)
-            msgs += m
-            words += w
-        # The aggregate sweep's ring exchange; a one-rank ring is a
-        # self-message: free.
-        if isinstance(task, ReplicatedFactor) and len(task.ranks) > 1:
-            msgs += task.steps * len(task.ranks)
-            words += task.steps * len(task.ranks) * task.chunk
-        return msgs, words
-    if isinstance(task, AncestorReduce):
-        # Self-messages (src == dst) are free in the simulator — a local
-        # pointer pass — so they don't count as network traffic here
-        # either. The merged redistribution hits this whenever a block's
-        # owner is unchanged under the doubled layout.
-        if task.ops is not None:
-            live = [w for _op, src, dst, w in task.ops if src != dst]
-            return len(live), float(sum(live))
-        mask = task.srcs != task.dsts
-        return int(mask.sum()), float(task.words[mask].sum())
-    return 0, 0.0
-
-
-def task_flops(task: Task) -> tuple[str, float]:
-    """``(compute kind, flops)`` of ``task`` (kind '' when it computes
-    nothing). Reduces pay one flop per word at the receiving copy."""
-    if isinstance(task, PanelFactor):
-        return "diag", task.flops
-    if isinstance(task, PanelBcast):
-        return "panel", task.flops
-    # The aggregate sweep books the whole level under 'schur' (the
-    # dominant kernel).
-    if isinstance(task, (SchurUpdate, ReplicatedFactor)):
-        return "schur", task.flops
-    if isinstance(task, AncestorReduce):
-        if task.ops is not None:
-            return "reduce_add", float(sum(
-                w for op, *_x, w in task.ops if op == "red"))
-        return "reduce_add", float(task.words.sum())
-    return "", 0.0
 
 
 @dataclass(frozen=True)
@@ -335,6 +313,11 @@ class GridPlan:
     def n_tasks(self) -> int:
         return self.arrays.n_tasks
 
+    def volume(self, nranks: int | None = None) -> Volume:
+        """:meth:`TaskArrays.volume` of this plan (default: its grid's
+        rank span)."""
+        return self.arrays.volume(nranks or self.base + self.px * self.py)
+
     def fusion_stats(self) -> FusionStats:
         """Full-width vs width-1 dispatch counts, O(1) from the cuts."""
         width = np.diff(self.arrays.runs)
@@ -397,6 +380,24 @@ class Plan3D:
             extra + sum(p.n_tasks_before for p in parts),
             extra + sum(p.n_tasks_after for p in parts),
             sum(p.n_fused for p in parts), sum(p.n_members for p in parts))
+
+    def volume(self, nranks: int) -> Volume:
+        """The whole schedule reduced to per-rank volume ledgers: every
+        grid plan, sweep and reduction in executed order, under the phase
+        it runs in — per rank and bit for bit what a fault-free run books
+        (memory: transient receive buffers only, no static storage)."""
+        vol = Volume(nranks)
+        for step in self.levels:
+            vol.phase = PHASE_FACT
+            for gp in step.grid_plans:
+                vol.add(gp.arrays.stream)
+            for rep in step.replicated:
+                vol.add(rep.volume_stream())
+            vol.phase = PHASE_RED
+            for red in step.reduces if step.level > 0 else ():
+                vol.add(red.stream())
+        vol.phase = PHASE_FACT
+        return vol
 
     # -- recovery support (repro.resilience) -------------------------------
 

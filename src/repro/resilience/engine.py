@@ -256,7 +256,8 @@ class ResilienceEngine:
         """Handle a fired crash; returns the resume position
         ``(li, gi, ti, ctx)`` for the monitored walk."""
         if crash.ctx is not None:   # the crashed walk's context ends here
-            self.sim.free_batch(*crash.ctx.live_buffers(crash.task_index))
+            self.sim.free_batch(range(self.sim.nranks),
+                                crash.ctx.buf_current)
         if self.policy == "z-replica":
             return self._recover_zreplica(crash)
         return self._recover_restart(crash)
@@ -296,7 +297,7 @@ class ResilienceEngine:
             # The transient buffers live at the checkpoint are part of
             # the re-read state: re-charge them so the memory ledgers
             # match the logical state.
-            sim.alloc_batch(*ctx.live_buffers(cp.ti))
+            sim.alloc_batch(range(sim.nranks), ctx.buf_current)
         self._since_checkpoint = 0
         return cp.li, cp.gi, cp.ti, ctx
 

@@ -26,9 +26,7 @@ from repro.verify.access import (
     WRITE,
     conflicts,
     grid_task_accesses,
-    grid_task_ranks,
     reduce_accesses,
-    reduce_ranks,
 )
 from repro.verify.fuzz import FuzzReport, fuzz_2d, fuzz_3d, \
     random_legal_orders
@@ -52,8 +50,7 @@ from repro.verify.static import (
 
 __all__ = [
     "READ", "WRITE", "ACCUM", "GLOBAL_VIEW", "conflicts",
-    "grid_task_accesses", "reduce_accesses", "grid_task_ranks",
-    "reduce_ranks",
+    "grid_task_accesses", "reduce_accesses",
     "Issue", "StaticReport", "PlanVerificationError", "analyze_plan",
     "drop_dep_edge", "grid_plan_rank_escapes",
     "FuzzReport", "fuzz_2d", "fuzz_3d", "random_legal_orders",

@@ -1,9 +1,9 @@
-"""Per-task block-access sets and rank footprints for plan verification.
+"""Per-task block-access sets for plan verification.
 
 This is the semantic model the static analyzer (:mod:`repro.verify.static`)
-and the schedule fuzzer (:mod:`repro.verify.fuzz`) share: what memory a
-task touches, in which mode, and which simulated ranks its ledger events
-land on.
+reads: what memory a task touches, in which mode. (Which simulated ranks
+a task's ledger events land on — the schedule fuzzer's footprint — is
+read off the plan's event stream, not re-derived here.)
 
 Access modes
 ------------
@@ -37,8 +37,7 @@ from repro.plan.tasks import AncestorReduce, PanelBcast, PanelFactor, \
     ReplicatedFactor, SchurUpdate
 
 __all__ = ["READ", "WRITE", "ACCUM", "GLOBAL_VIEW", "conflicts",
-           "grid_task_accesses", "reduce_accesses", "replicated_accesses",
-           "grid_task_ranks", "reduce_ranks", "replicated_ranks"]
+           "grid_task_accesses", "reduce_accesses", "replicated_accesses"]
 
 READ = "R"
 WRITE = "W"
@@ -135,45 +134,3 @@ def replicated_accesses(sf, task: ReplicatedFactor) \
                 for j in up:
                     out.append((g, i, j, ACCUM))
     return out
-
-
-def grid_task_ranks(backend: str, sf, task, grid) -> set[int]:
-    """Ranks a grid-plan task books clock/traffic events on (a superset —
-    the fuzzer only uses footprints to *add* ordering constraints). A
-    Schur update also releases its node's transient receive buffers; the
-    ranks of that memory-ledger footprint are the plan's ``buf_rank``
-    slice ``[free_lo, free_hi)`` of the task."""
-    ranks: set[int] = set()
-    if isinstance(task, (PanelFactor, PanelBcast)):
-        ranks.add(task.owner)
-        for spec in task.bcasts:
-            ranks.add(spec.root)
-            ranks.update(spec.ranks)
-            if spec.route_from is not None:
-                ranks.add(spec.route_from)
-    elif isinstance(task, SchurUpdate):
-        for i, j, _m in grid_task_accesses(backend, sf, task):
-            ranks.add(grid.owner(i, j))
-    return ranks
-
-
-def reduce_ranks(task: AncestorReduce) -> set[int]:
-    """Ranks an Ancestor-Reduction books events on."""
-    if task.ops is not None:
-        ranks: set[int] = set()
-        for _op, src, dst, _w in task.ops:
-            ranks.add(int(src))
-            ranks.add(int(dst))
-        return ranks
-    return set(task.srcs.tolist()) | set(task.dsts.tolist())
-
-
-def replicated_ranks(task: ReplicatedFactor) -> set[int]:
-    """Ranks a 2.5D aggregate sweep books events on: the whole replication
-    group's layers plus every z-broadcast participant (a subset of the
-    group by construction, included defensively)."""
-    ranks = set(task.ranks)
-    for spec in task.bcasts:
-        ranks.add(spec.root)
-        ranks.update(spec.ranks)
-    return ranks

@@ -5,8 +5,9 @@ ordering that matters — that any legal schedule produces the same
 simulator ledgers and factors as the canonical list order. The fuzzer
 tests this dynamically: it draws N seeded random **legal schedules**,
 replays each through the existing interpreter machinery
-(:func:`repro.plan.interpret.run` — the one task body the drivers
-use), and diffs every per-rank ledger bit-for-bit plus
+(:func:`repro.plan.interpret.run` + :func:`~repro.plan.interpret.book` —
+the one task body the drivers use, booking that unit's slice of the
+plan's event stream), and diffs every per-rank ledger bit-for-bit plus
 the numeric factors to 1e-12 against the canonical order.
 
 What "legal schedule" means
@@ -44,14 +45,9 @@ from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
 from repro.plan.build import build_grid_plan
-from repro.plan.interpret import GridContext, execute_reduce, \
+from repro.plan.interpret import GridContext, book, execute_reduce, \
     execute_replicated, run
 from repro.plan.tasks import GridPlan, Plan3D
-from repro.verify.access import (
-    grid_task_ranks,
-    reduce_ranks,
-    replicated_ranks,
-)
 from repro.verify.oracle import ledger_state
 
 __all__ = ["FuzzReport", "fuzz_2d", "fuzz_3d", "random_legal_orders"]
@@ -143,43 +139,44 @@ class _Unit:
             self.tids, self.deps = {self.task.tid}, set(self.task.deps)
 
 
-def _grid_units(gp: GridPlan, sf, key, fuse: bool) -> list[_Unit]:
+def _stream_ranks(ev, lo=0, hi=None, mlo=0, mhi=None) -> frozenset:
+    """Every rank a stream slice books an event or a memory charge on."""
+    return frozenset(np.concatenate(
+        (ev.src[lo:hi], ev.dst[lo:hi], ev.mem_rank[mlo:mhi])).tolist())
+
+
+def _grid_units(gp: GridPlan, key, fuse: bool) -> list[_Unit]:
     """``gp``'s dispatch intervals at the chosen width, as units: an
-    interval's footprint is the union of its tasks', its dependencies the
-    union of theirs that leave the interval."""
-    grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
+    interval's footprint is the ranks of its slice of the plan's event
+    and memory streams, its dependencies the union of its tasks' that
+    leave the interval."""
     A = gp.arrays
     cuts = A.cuts(fuse)
     units = []
     for a, b in zip(cuts, cuts[1:]):
-        members = gp.tasks[a:b]
-        # Memory-ledger footprint: the buffers the interval releases.
-        ranks = {r for t in range(a, b) for r in
-                 A.buf_rank[A.free_lo[t]:A.free_hi[t]].tolist()}
-        for t in members:
-            ranks |= grid_task_ranks(gp.backend, sf, t, grid)
-        tids = {t.tid for t in members}
+        tids = set(A.tid[a:b].tolist())
+        deps = set(A.dep_idx[A.dep_ptr[a]:A.dep_ptr[b]].tolist())
         units.append(_Unit(
-            "grid", ctx_key=key, span=(a, b), tids=tids,
-            deps={d for t in members for d in t.deps} - tids,
-            ranks=frozenset(ranks)))
+            "grid", ctx_key=key, span=(a, b), tids=tids, deps=deps - tids,
+            ranks=_stream_ranks(A.stream, A.ev_ptr[a], A.ev_ptr[b],
+                                A.mem_ptr[a], A.mem_ptr[b])))
     return units
 
 
-def _plan3d_units(plan3: Plan3D, sf, fuse: bool) -> tuple[list[_Unit], dict]:
+def _plan3d_units(plan3: Plan3D, fuse: bool) -> tuple[list[_Unit], dict]:
     """Flatten a 3D plan into canonical-order units + per-context plans."""
     units: list[_Unit] = []
     ctx_plans: dict = {}
     for li, step in enumerate(plan3.levels):
         for gi, gp in enumerate(step.grid_plans):
             ctx_plans[(li, gi)] = gp
-            units += _grid_units(gp, sf, (li, gi), fuse)
+            units += _grid_units(gp, (li, gi), fuse)
         for rep in step.replicated:
             units.append(_Unit("replicated", rep,
-                               ranks=frozenset(replicated_ranks(rep))))
+                               ranks=_stream_ranks(rep.volume_stream())))
         for red in step.reduces:
             units.append(_Unit("reduce", red, phase=PHASE_RED,
-                               ranks=frozenset(reduce_ranks(red))))
+                               ranks=_stream_ranks(red.stream())))
         units.append(_Unit("barrier", step.barrier))
     return units, ctx_plans
 
@@ -224,6 +221,7 @@ def _run_order(units, ctx_plans, order, setup, sf, opts):
                 ctx = GridContext(gp, sf, grid, sim, data.view(gp), opts)
                 contexts[u.ctx_key] = ctx
             run(ctx, *u.span)
+            book(ctx, *u.span)
     sim.set_phase(PHASE_FACT)
     if sim.pending_messages():  # pragma: no cover - would be a plan bug
         raise AssertionError("messages left in flight after the schedule")
@@ -306,7 +304,7 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
             return sim, data, result.merged_blocks.to_dense
         return sim, data, lambda: result.factors().to_dense()
 
-    units, ctx_plans = _plan3d_units(plan3, sf, fuse)
+    units, ctx_plans = _plan3d_units(plan3, fuse)
     name = "merged" if merged else backend
     return _fuzz(units, ctx_plans, setup, sf, opts,
                  driver=f"{name}3d{'_numeric' if numeric else ''}",
@@ -345,7 +343,7 @@ def fuzz_2d(sf, grid, *, backend: str = "lu", numeric: bool = False,
                                      block_pattern=sf.fill.all_blocks())
         return sim, GlobalStoreData(store), store.to_dense
 
-    units, ctx_plans = _grid_units(plan, sf, (0, 0), fuse), {(0, 0): plan}
+    units, ctx_plans = _grid_units(plan, (0, 0), fuse), {(0, 0): plan}
     return _fuzz(units, ctx_plans, setup, sf, opts,
                  driver=f"{backend}2d{'_numeric' if numeric else ''}",
                  n_orders=n_orders, seed=seed)

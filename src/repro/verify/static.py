@@ -252,7 +252,7 @@ def _check_reduce(entry: _Entry, merged: bool, add) -> None:
     lens = {len(a) for a in arrays}
     if len(lens) != 1:
         # Unequal srcs/dsts arrays are exactly an unmatched send/recv
-        # pair: sendrecv_batch would strand messages in flight.
+        # pair: no stream of matched pairs can be built from them.
         add("malformed-reduce", f"reduce {red.tid}: payload arrays have "
             f"mismatched lengths {sorted(lens)} (unmatched send/recv "
             "pairs)", (red.tid,))

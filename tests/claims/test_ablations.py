@@ -193,7 +193,6 @@ def test_optimal_pz_rule(suite):
     assert 1.3 < red < 3.0 * bound
 
 
-@pytest.mark.slow
 def test_supernode_relaxation(suite):
     """SuperLU's ``relax``: on a fine-grained (leaf=16) dissection, merging
     small blocks trades a bounded fill increase for far fewer blocks and
@@ -230,7 +229,6 @@ def test_supernode_relaxation(suite):
             f"{name}: relaxation should pay off at leaf=16"
 
 
-@pytest.mark.slow
 def test_sparse_broadcast_pruning(suite):
     """Section IV charges every panel broadcast to the full process row /
     column; SuperLU_DIST prunes its trees to the ranks owning an update
@@ -263,7 +261,6 @@ def test_sparse_broadcast_pruning(suite):
     assert red["K2D5pt4096"] > red["Serena"]
 
 
-@pytest.mark.slow
 def test_supernode_cap(suite):
     """DESIGN.md decision 1 (``max_block``, SuperLU's maxsup): uncapped, a
     top separator is one block whose diagonal factorization serializes on

@@ -127,7 +127,6 @@ def test_fig9_16_vs_64nodes(fig9_16nodes, fig9_64nodes):
         assert by64[name].speedup_at_max_pz > by16[name].speedup_at_max_pz
 
 
-@pytest.mark.slow
 def test_fig10_comm_volume():
     """Fig. 10: W_fact falls and W_red grows with Pz; the total drops 2x or
     more at the best Pz, by more on the planar matrix; on 96 ranks W_red

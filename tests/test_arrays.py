@@ -5,8 +5,10 @@ Pins what makes one plan form safe:
 * the typed width-1 view and the arrays agree — ``from_records(records)``
   reproduces every column, and ``PlanStats`` over the view equals the
   numbers the pre-array typed builder produced (``golden_planstats.json``);
-* every emitted segment obeys the hoist rule, over random build
-  configurations (hypothesis);
+* booking a plan's event stream on a plain ``Simulator`` — whole, per run,
+  per task, in a permuted legal order — equals the same plan issued event
+  by event, and ``volume()`` equals the walked ledger per rank, over
+  random build configurations in dense and compact pricing (hypothesis);
 * ``alloc_batch`` / ``free_batch`` equal the per-event loop on random
   interleavings with repeated ranks;
 * a hand-built malformed plan ends in an analyzer issue or a
@@ -21,12 +23,14 @@ import dataclasses
 import json
 import pickle
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.comm.simulator import CommError
+from repro.comm.stream import MSG
 from repro.lu2d.options import FactorOptions
 from repro.lu3d import factor_3d
 from repro.plan import (
@@ -51,9 +55,10 @@ from tests.conftest import plan_cases  # noqa: E402
 DATA = Path(__file__).parent / "data"
 
 
-def build(case):
+def build(case, compact=False):
     """A conftest ``plan_cases`` draw -> ``(plan, sf)``."""
-    sf, opts = case["sf"], case["opts"]
+    sf = case["sf"]
+    opts = dataclasses.replace(case["opts"], compact_comm=compact)
     if case["tf"] is None:
         return build_grid_plan(sf, range(sf.nb),
                                ProcessGrid2D(case["px"], case["py"]), opts,
@@ -134,43 +139,133 @@ class TestViewAndArraysAgree:
             assert (routed[0], routed[1]) == ([8] + srcs, [root] + dsts)
 
 
-class TestHoistRule:
-    @settings(max_examples=40, deadline=None, derandomize=True,
+def walk(plan, sf, sim, how: str, seed: int = 0):
+    """Book ``plan`` (cost-only) on ``sim`` at one choice of cut points:
+    ``'whole'`` (one call per grid plan), ``'runs'``, ``'tasks'``, or
+    ``'permuted'`` — per task, in a random legal order as the fuzzer
+    draws them."""
+    from repro.plan import execute_reduce
+    from repro.plan.interpret import GridContext, book
+    from repro.verify.fuzz import (_constraint_edges, _grid_units,
+                                   random_legal_orders)
+    steps = plan.levels if hasattr(plan, "levels") \
+        else [SimpleNamespace(grid_plans=[plan], reduces=[])]
+    for step in steps:
+        sim.set_phase("fact")
+        for gp in step.grid_plans:
+            if how in ("whole", "tasks"):
+                execute_grid_plan(gp, sf, sim, fuse=how == "whole")
+                continue
+            grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
+            ctx = GridContext(gp, sf, grid, sim, None, FactorOptions())
+            spans = list(zip(gp.arrays.runs[:-1].tolist(),
+                             gp.arrays.runs[1:].tolist()))
+            if how == "permuted":
+                units = _grid_units(gp, 0, fuse=False)
+                order = next(random_legal_orders(
+                    len(units), _constraint_edges(units), 1, seed))
+                spans = [units[p].span for p in order]
+            for a, b in spans:
+                book(ctx, a, b)
+        sim.set_phase("red")
+        for red in step.reduces:
+            execute_reduce(red, sim)
+    sim.set_phase("fact")
+    return ledger_state(sim)
+
+
+class TestOneEventStream:
+    @pytest.mark.parametrize("compact", [False, True])
+    @settings(max_examples=6, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    @given(plan_cases(), st.integers(0, 1000))
+    def test_booking_equals_the_event_loop_at_any_cut_points(
+            self, compact, case, seed):
+        """The plan booked as stream slices on a plain ``Simulator`` — the
+        reduction — equals, by ``ledger_state``, the plan issued event by
+        event through a subclass, whatever the cut points; a permuted
+        legal order books the canonical ledger on both."""
+        from tests.test_simulator import EventByEvent
+        plan, sf = build(case, compact)
+        n = case["px"] * case["py"] * case["pz"]
+        ref = walk(plan, sf, EventByEvent(n), "tasks")
+        assert ref["event_counts"]
+        for how in ("whole", "runs", "tasks", "permuted"):
+            assert walk(plan, sf, Simulator(n), how, seed) == ref, how
+        assert walk(plan, sf, EventByEvent(n), "permuted", seed) == ref
+        assert walk(plan, sf, EventByEvent(n), "whole") == ref
+
+    @pytest.mark.parametrize("compact", [False, True])
+    @settings(max_examples=8, deadline=None, derandomize=True,
               suppress_health_check=list(HealthCheck))
     @given(plan_cases())
-    def test_every_segment_is_hoist_safe(self, case):
-        """Within a segment no member's compute rank is in an *earlier*
-        member's communicator; segments are maximal (the next task would
-        break the rule) and refine same-kind runs."""
+    def test_volume_is_the_walked_ledger(self, compact, case):
+        """``volume()`` — no simulator, no clock — holds per rank the
+        words, messages, flops and buffer peak a walk books."""
+        from tests.test_simulator import EventByEvent
+        plan, sf = build(case, compact)
+        n = case["px"] * case["py"] * case["pz"]
+        sim = EventByEvent(n)
+        walk(plan, sf, sim, "tasks")
+        vol = plan.volume(n)
+        for name in ("flops", "words_sent", "words_recv", "msgs_sent",
+                     "msgs_recv"):
+            for key, arr in getattr(vol, name).items():
+                assert arr.tolist() == getattr(sim, name)[key].tolist(), \
+                    (name, key)
+        assert vol.mem_peak.tolist() == sim.mem_peak.tolist()
+        assert not vol.mem_current.any()
+        assert dict(vol.event_counts) == dict(sim.event_counts)
+        if case["tf"] is None:          # a GridPlan sizes itself
+            assert plan.volume().words_per_rank().tolist() == \
+                sim.words_per_rank().tolist()
+
+    @settings(max_examples=10, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    @given(plan_cases())
+    def test_stream_layout(self, case):
+        """Per task: its compute event then its live pairs (a Schur task:
+        its pairs' GEMMs); charges by panel tasks, releases — the same
+        words, negated — by the node's Schur task; ``runs`` are the
+        maximal same-kind intervals."""
         plan, _sf = build(case)
         for gp in grid_plans(plan):
-            A, tasks = gp.arrays, gp.tasks
-            runs, segs = A.runs.tolist(), A.segs.tolist()
-            assert runs[0] == segs[0] == 0
-            assert runs[-1] == segs[-1] == A.n_tasks
-            assert set(runs) <= set(segs)
-            assert all(a < b for a, b in zip(segs, segs[1:]))
+            A = gp.arrays
+            runs = A.runs.tolist()
+            assert runs[0] == 0 and runs[-1] == A.n_tasks
             for a, b in zip(runs, runs[1:]):
-                assert len({t.kind for t in tasks[a:b]}) == 1
-                assert a == 0 or tasks[a - 1].kind != tasks[a].kind
-            for a, b in zip(segs, segs[1:]):
-                if A.kind[a] == SCHUR_UPDATE:
+                assert a < b and len(set(A.kind[a:b].tolist())) == 1
+                assert a == 0 or A.kind[a - 1] != A.kind[a]
+            assert (A.ev_src[A.ev_kind == MSG]
+                    != A.ev_dst[A.ev_kind == MSG]).all()
+            for t, task in enumerate(gp.tasks):
+                ev = slice(A.ev_ptr[t], A.ev_ptr[t + 1])
+                mem = slice(A.mem_ptr[t], A.mem_ptr[t + 1])
+                if A.kind[t] == SCHUR_UPDATE:
+                    assert (A.ev_kind[ev] == SCHUR_UPDATE).all()
+                    assert A.ev_val[ev].sum() == task.flops
+                    charged = np.concatenate([
+                        np.arange(A.mem_ptr[u], A.mem_ptr[u + 1])
+                        for u in np.flatnonzero((A.node == A.node[t])
+                                                & (A.kind != SCHUR_UPDATE))])
+                    assert A.mem_rank[mem].tolist() == \
+                        A.mem_rank[charged].tolist()
+                    assert A.mem_words[mem].tolist() == \
+                        (-A.mem_words[charged]).tolist()
                     continue
-
-                def touched(t):
-                    return {r for s in t.bcasts for r in
-                            (*s.ranks, *([] if s.route_from is None
-                                         else [s.route_from]))}
-                seen: set = set()
-                for t in tasks[a:b]:
-                    assert t.owner not in seen, (gp.g, a, b, t.tid)
-                    seen |= touched(t)
-                if b not in runs:       # an inner cut: it was necessary
-                    assert tasks[b].owner in seen
+                head = A.ev_ptr[t]
+                assert (A.ev_src[head], A.ev_dst[head], A.ev_val[head],
+                        A.ev_kind[head]) == (task.owner, task.owner,
+                                             task.flops, A.kind[t])
+                assert (A.ev_kind[ev][1:] == MSG).all()
+                hops = sum(len(s.ranks) - 1 + (s.route_from is not None)
+                           for s in task.bcasts)
+                assert A.ev_ptr[t + 1] - head - 1 == hops
+                assert (A.mem_words[mem] >= 0).all()
 
 
 class TestMemoryBatches:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(
         st.booleans(),
         st.lists(st.tuples(st.integers(0, 4),
@@ -179,8 +274,9 @@ class TestMemoryBatches:
                  min_size=0, max_size=12)), max_size=8))
     def test_batches_equal_the_per_event_loop(self, batches):
         """Random interleavings of alloc and free batches with repeated
-        ranks: ``mem_current`` and ``mem_peak`` match event by event, on
-        the scalar path (plain lists) and the array path alike."""
+        ranks: ``mem_current`` and ``mem_peak`` match event by event,
+        given plain lists or arrays (one path now: the scalar fast path
+        for small lists is gone, hence half the examples it used to take)."""
         loop, lists, arrays = Simulator(5), Simulator(5), Simulator(5)
         for sim in (loop, lists, arrays):   # headroom so frees stay legal
             for r in range(5):
@@ -267,9 +363,10 @@ class TestMalformedPlans:
         the analyzer's arrays-vs-records check has to catch it — and the
         simulator refuses it anyway."""
         plan, sf = lu2d
-        words = plan.arrays.p2p_words.copy()
-        words[0] = -4.0
-        bad = self.poke(plan, p2p_words=words)
+        A = plan.arrays
+        words = A.ev_val.copy()
+        words[np.flatnonzero(A.ev_kind == MSG)[0]] = -4.0
+        bad = self.poke(plan, ev_val=words)
         assert self.outcome(bad, sf) == {"inconsistent-arrays"}
         for fuse in (False, True):
             sim = Simulator(plan.px * plan.py)
@@ -362,11 +459,11 @@ class TestPickling:
         plan, sf = lu2d
         cold = len(pickle.dumps(plan))
         plan.tasks                        # materialise the view ...
-        execute_grid_plan(plan, sf, Simulator(6), fuse=True)  # ... and lists
-        assert {"hot", "records"} <= set(plan.arrays.__dict__)
+        execute_grid_plan(plan, sf, Simulator(6), fuse=True)  # ... and stream
+        assert {"stream", "records"} <= set(plan.arrays.__dict__)
         assert len(pickle.dumps(plan)) == cold
         clone = pickle.loads(pickle.dumps(plan))
-        assert not {"hot", "records"} & set(clone.arrays.__dict__)
+        assert not {"stream", "records"} & set(clone.arrays.__dict__)
         assert_arrays_equal(plan.arrays, clone.arrays)
         sims = [Simulator(6), Simulator(6)]
         execute_grid_plan(plan, sf, sims[0], fuse=True)

@@ -149,7 +149,7 @@ class TestCompiledBitIdentity:
         from repro.verify.fuzz import _plan3d_units
         sf, tf = planar
         plan3 = build_3d_plan(sf, tf, ProcessGrid3D(2, 2, 4), _opts())
-        units, _ = _plan3d_units(plan3, sf, fuse=True)
+        units, _ = _plan3d_units(plan3, fuse=True)
         seen: set = set()
         for u in units:
             assert u.deps <= seen, "full-width unit has a forward dep"
@@ -199,17 +199,18 @@ class TestCompiledStatic:
         assert report.ok, report.summary()
 
     def test_analyzer_flags_tampered_cut_points(self, planar):
-        """A segment cut removed from the arrays (the hoist rule no longer
-        holds inside the merged segment) is an analyzer finding."""
+        """A run cut removed from the arrays (two kinds in one dispatch),
+        or a task's slice of the event stream shifted, is an analyzer
+        finding."""
         import dataclasses
         plan, sf = self._plan_2d(planar)
         A = plan.arrays
-        inner = np.setdiff1d(A.segs, A.runs)
-        assert inner.size, "fixture has no hoist cut inside a run"
-        bad = dataclasses.replace(
-            plan, arrays=dataclasses.replace(
-                A, segs=np.setdiff1d(A.segs, inner[:1])))
-        assert "inconsistent-arrays" in analyze_plan(bad, sf).counts()
+        ptr = A.ev_ptr.copy()
+        ptr[1] += 1
+        for cols in ({"runs": np.delete(A.runs, 1)}, {"ev_ptr": ptr}):
+            bad = dataclasses.replace(
+                plan, arrays=dataclasses.replace(A, **cols))
+            assert "inconsistent-arrays" in analyze_plan(bad, sf).counts()
 
     def test_mutation_trips_race_detector(self, planar):
         """Dropping a dep edge and re-packing the task list into arrays

@@ -174,7 +174,7 @@ class TestGeneralizedReplication:
         res = factor_3d(sf, tf, grid3, sim, numeric=False, options=opts)
         report = analyze_plan(res.plan, sf)
         assert not report.issues, report.issues
-        check_conservation(sim)
+        check_conservation(sim, res.plan)   # sweeps included, per rank
         fr = fuzz_3d(sf, tf, grid3, n_orders=3, numeric=False,
                      options=opts, seed=5)
         assert not fr.ledger_mismatches, fr

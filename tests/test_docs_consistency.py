@@ -170,27 +170,40 @@ class TestOnePlanForm:
 
     def test_fuse_only_selects_cut_points(self):
         """Nothing in the program branches on ``fuse`` except the cut-point
-        selector and the record of which width ran."""
+        selector, the booking granularity (one call per plan at full
+        width) and the record of which width ran."""
         branch = re.compile(r"\bif\s+(not\s+)?(\w+\.)?fuse\b"
-                            r"|\b(\w+\.)?fuse\s+else\b")
+                            r"|\b(\w+\.)?fuse\s+(else|and|or)\b")
         hits = sorted(
             f"{path.relative_to(self.SRC)}: {line.strip()}"
             for path in self.SRC.rglob("*.py")
             for line in path.read_text().splitlines() if branch.search(line))
         assert hits == [
             "lu3d/factor3d.py: if mode.fuse:",
-            "plan/arrays.py: return self.hot.runs if fuse "
-            "else list(range(self.n_tasks + 1))"]
+            "plan/arrays.py: return self.runs.tolist() if fuse "
+            "else list(range(self.n_tasks + 1))",
+            "plan/interpret.py: whole = fuse and monitor is None"]
 
     def test_one_task_body(self):
-        """``run`` is the only function that books a grid task's events:
-        the batch entries are called from nowhere else in ``plan/``."""
+        """``run`` is the only function that dispatches a grid task's
+        kernels and ``book`` the only one that books its events: no other
+        module of ``plan/`` calls a simulator booking entry."""
         text = (self.SRC / "plan" / "interpret.py").read_text()
-        assert text.count("def run(") == 1
+        assert text.count("def run(") == text.count("def book(") == 1
         for path in (self.SRC / "plan").glob("*.py"):
             if path.name != "interpret.py":
-                assert not re.search(r"\.(compute|sendrecv|alloc|free)_batch\(",
-                                     path.read_text()), path
+                assert not re.search(
+                    r"\.(book|(compute|sendrecv|alloc|free)_batch)\(",
+                    path.read_text()), path
+
+    def test_no_hoist_machinery_survives(self):
+        """The interleaved event stream has nothing to hoist and no size
+        threshold selects a booking path."""
+        for path in self.SRC.rglob("*.py"):
+            for name in ("_hoist_cuts", "segs", "_SCALAR_BATCH_MAX",
+                         "_small_lists"):
+                assert not re.search(rf"\b{name}\b", path.read_text()), \
+                    f"{name!r} survives in {path}"
 
 
 class TestOneKernelLayer:

@@ -15,6 +15,9 @@ from repro.comm import (
     near_square_grid,
     reduce_pairwise,
 )
+from repro.comm.events import COMPUTE_KINDS
+from repro.comm.stream import MSG, EventStream, Volume, mem_profile
+from repro.verify import ledger_state
 
 
 class TestMachine:
@@ -143,6 +146,175 @@ class TestMemoryLedger:
         sim.alloc(0, 10)
         with pytest.raises(CommError, match="freed more"):
             sim.free(0, 20)
+
+
+class EventByEvent(Simulator):
+    """A subclass observes events, so :meth:`Simulator.book` issues a
+    stream through ``compute`` / ``send`` / ``recv`` / ``alloc`` / ``free``
+    — the referee for the reduction a plain ``Simulator`` books."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.calls: list = []
+
+    def compute(self, rank, flops, kind, n_block_updates=0):
+        self.calls.append(("compute", rank, flops, kind, n_block_updates))
+        super().compute(rank, flops, kind, n_block_updates)
+
+    def send(self, src, dst, words):
+        self.calls.append(("send", src, dst, words))
+        super().send(src, dst, words)
+
+    def recv(self, dst, src):
+        self.calls.append(("recv", dst, src))
+        return super().recv(dst, src)
+
+    def alloc(self, rank, words):
+        self.calls.append(("alloc", rank, words))
+        super().alloc(rank, words)
+
+    def free(self, rank, words):
+        self.calls.append(("free", rank, words))
+        super().free(rank, words)
+
+
+#: Half-integer words (dense r*c, compact min(r*c, 1.5*nnz)); any flops.
+_WORDS = st.integers(0, 4000).map(lambda n: n / 2)
+_FLOPS = st.floats(0, 1e7, allow_nan=False) | st.just(2 / 3 * 13 ** 3)
+_EVENT = st.one_of(
+    st.tuples(st.just(MSG), st.integers(0, 4), st.integers(0, 4), _WORDS,
+              st.just(0)),
+    st.tuples(st.integers(0, len(COMPUTE_KINDS) - 1), st.integers(0, 4),
+              st.just(None), _FLOPS, st.integers(0, 2)))
+_CHARGE = st.tuples(st.integers(0, 4), _WORDS, st.booleans())
+
+
+def _stream(events, charges) -> EventStream:
+    events = [(k, s, s if d is None else d, v, u)
+              for k, s, d, v, u in events if k != MSG or s != d]
+    kind, src, dst, val, upd = (list(c) for c in zip(*events)) \
+        if events else ([], [], [], [], [])
+    level, ranks, words = [0.0] * 5, [], []
+    for r, w, free in charges:          # frees never overdraw a rank
+        w = -min(w, level[r]) if free else w
+        level[r] += w
+        ranks.append(r)
+        words.append(w)
+    return EventStream(
+        np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+        np.array(val, dtype=float), np.array(kind, dtype=np.int8),
+        np.array(upd, dtype=np.int64), np.array(ranks, dtype=np.int64),
+        np.array(words, dtype=float))
+
+
+class TestStreamBooking:
+    """``Simulator.book``: the reduction equals the per-event calls."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(_EVENT, max_size=40), st.lists(_CHARGE, max_size=30),
+           st.lists(st.floats(0, 1), max_size=4),
+           st.sampled_from(["fact", "red", "rec"]))
+    def test_reduction_equals_the_event_loop(self, events, charges, cuts,
+                                             phase):
+        """Whole stream or cut into slices anywhere: ``ledger_state`` of a
+        plain simulator == the same stream issued event by event, and the
+        clock-free ``Volume`` holds the same volume ledgers."""
+        ev = _stream(events, charges)
+        n, m = ev.src.size, ev.mem_rank.size
+        whole, sliced, loop = Simulator(5), Simulator(5), EventByEvent(5)
+        vol = Volume(5)
+        for led in (whole, sliced, loop, vol):
+            led.phase = phase
+        whole.book(ev)
+        loop.book(ev)
+        vol.add(ev)
+        assert len(loop.calls) == np.count_nonzero(ev.kind != MSG) \
+            + 2 * np.count_nonzero(ev.kind == MSG) + m
+        pts = sorted(cuts)
+        for a, b in zip([0.0] + pts, pts + [1.0]):
+            sliced.book(ev, int(a * n), int(b * n), int(a * m), int(b * m))
+        assert ledger_state(whole) == ledger_state(loop)
+        assert ledger_state(sliced) == ledger_state(loop)
+        for name in ("flops", "words_sent", "words_recv", "msgs_sent",
+                     "msgs_recv"):
+            for key, arr in getattr(vol, name).items():
+                assert arr.tolist() == getattr(loop, name)[key].tolist()
+        assert vol.mem_peak.tolist() == loop.mem_peak.tolist()
+        assert vol.mem_current.tolist() == loop.mem_current.tolist()
+        assert dict(vol.event_counts) == dict(loop.event_counts)
+
+    def test_continues_a_nonzero_ledger_exactly(self):
+        """Non-integer flops onto a non-zero ledger: the reduction adds in
+        stream order onto what is there (``a + (b + c)`` would differ)."""
+        f = [2 / 3 * n ** 3 for n in (7, 11, 13, 17, 19)]
+        a, b = Simulator(1), Simulator(1)
+        for x in f:
+            a.compute(0, x, "diag")
+        b.compute(0, f[0], "diag")
+        b.compute_batch([0] * 4, f[1:], "diag")
+        assert ledger_state(a) == ledger_state(b)
+
+    def test_queued_message_is_refused(self):
+        """A message already queued on a link must be received before a
+        stream books that link: booking used to receive its own 5 words
+        and strand the 100."""
+        ref = Simulator(2)
+        ref.send(0, 1, 100)
+        ref.send(0, 1, 5)
+        assert ref.recv(1, 0) == 100
+        sim = Simulator(2)
+        sim.send(0, 1, 100)
+        with pytest.raises(CommError, match="in flight"):
+            sim.sendrecv_batch([0], [1], [5])
+        assert sim.pending_messages() == 1
+        assert sim.recv(1, 0) == 100
+        sim.sendrecv_batch([0], [1], [5])       # drained: books normally
+        assert sim.words_recv["fact"][1] == 105
+
+    def test_bad_streams_are_refused_before_anything_is_booked(self):
+        for cls in (Simulator, EventByEvent):
+            sim = cls(3)
+            for bad in (EventStream.pairs([0, 1], [1, 3], [1.0, 1.0]),
+                        EventStream.pairs([0, -1], [1, 2], [1.0, 1.0]),
+                        EventStream.pairs([0, 1], [1, 2], [1.0, -1.0]),
+                        EventStream.computes([0, 1], [1.0, -2.0], "schur")):
+                with pytest.raises(CommError):
+                    sim.book(bad)
+            with pytest.raises(CommError, match="same length"):
+                sim.sendrecv_batch([0, 1], [1], [1.0, 2.0])
+            with pytest.raises(CommError, match="kind"):
+                sim.compute_batch([0], [1.0], "warp")
+            assert not sim.clock.any() and not sim.event_counts
+        sim = Simulator(2)
+        over = EventStream(*np.zeros((4, 0), dtype=np.int64),
+                           mem_rank=np.array([1, 1]),
+                           mem_words=np.array([2.0, -3.0]))
+        with pytest.raises(CommError, match="freed more"):
+            sim.book(over)
+        assert sim.mem_current.tolist() == sim.mem_peak.tolist() == [0, 0]
+
+    def test_pairs_drop_self_messages_and_keep_their_reduce(self):
+        ev = EventStream.pairs([0, 1, 2], [1, 1, 0], [4.0, 6.0, 8.0],
+                               "reduce_add", reduce_where=[True, True, False])
+        red = COMPUTE_KINDS.index("reduce_add")
+        assert ev.kind.tolist() == [MSG, red, red, MSG]
+        assert ev.src.tolist() == [0, 1, 1, 2]
+        assert ev.dst.tolist() == [1, 1, 1, 0]
+        assert ev.val.tolist() == [4.0, 4.0, 6.0, 8.0]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(_CHARGE, max_size=40))
+    def test_mem_profile_is_the_running_level(self, charges):
+        ev = _stream([], charges)
+        level, peak, low = [0.0] * 5, [0.0] * 5, [0.0] * 5
+        for r, w in zip(ev.mem_rank.tolist(), ev.mem_words.tolist()):
+            level[r] += w
+            peak[r], low[r] = max(peak[r], level[r]), min(low[r], level[r])
+        if not charges:
+            return
+        net, top, bottom = mem_profile(ev.mem_rank, ev.mem_words, 5)
+        assert (net.tolist(), top.tolist(), bottom.tolist()) == \
+            (level, peak, low)
 
 
 class TestBarrierAndPhases:
