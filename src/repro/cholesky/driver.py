@@ -1,16 +1,15 @@
 """`SparseCholesky3D` — solver facade for SPD systems.
 
 Mirrors :class:`repro.solve.SparseLU3D` but factors ``A = L L^T`` and
-solves with the two transposed sweeps over the same lower-panel blocks.
+solves by walking the two lower-panel solve plans
+(:mod:`repro.plan.solve`) with a non-unit diagonal.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import scipy.sparse as sp
 
 from repro.solve.driver import _Solver3D
-from repro.solve.triangular import forward_solve, lower_transposed_solve
 
 __all__ = ["SparseCholesky3D"]
 
@@ -29,6 +28,8 @@ class SparseCholesky3D(_Solver3D):
     """
 
     backend = "cholesky"
+    #: ``L y = b`` then ``L^T x = y``, both over the lower panels.
+    sweeps = ((True, True, False), (False, True, False))
 
     def _checked(self, A: sp.spmatrix) -> sp.spmatrix:
         A = super()._checked(A)
@@ -45,14 +46,3 @@ class SparseCholesky3D(_Solver3D):
             return None
         values = super()._values()
         return sp.tril(self.sf.A_perm if values is None else values).tocsr()
-
-    # -- solve -----------------------------------------------------------
-
-    def _raw_solve(self, b_perm: np.ndarray) -> np.ndarray:
-        """``L y = b`` then ``L^T x = y``: the LU sweeps over the same
-        lower panels with a non-unit diagonal."""
-        L = self._factor_blocks
-        y = forward_solve(self.sf, L, b_perm, self.sim, self._grid_of,
-                          unit=False)
-        return lower_transposed_solve(self.sf, L, y, self.sim, self._grid_of,
-                                      unit=False)

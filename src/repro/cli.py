@@ -127,31 +127,12 @@ def cmd_solve(args) -> int:
                     leaf_size=args.leaf_size, machine=Machine.edison_like(),
                     options=opts)
     solver.factorize()
-    if args.verify_plan:
-        from repro.verify import analyze_plan, conservation_issues
-        report = analyze_plan(solver.result.plan, solver.sf)
-        print(report.summary())
-        if not report.ok:
-            for issue in report.issues:
-                print(f"  [{issue.kind}] {issue.message}")
-            return 1
-        if fault_plan is None:
-            issues = conservation_issues(solver.sim, solver.result.plan)
-            if issues:
-                print("ledger conservation FAILED:")
-                for msg in issues:
-                    print(f"  {msg}")
-                return 1
-            print("ledger conservation: clean (send/recv symmetric, "
-                  "totals match the plan's static cost model)")
-        else:
-            print("ledger conservation: skipped (fault injection "
-                  "retransmits messages, breaking send/recv symmetry "
-                  "by design)")
     n = A.shape[0]
     rng = np.random.default_rng(args.seed)
     b = np.ones(n) if args.rhs == "ones" else rng.standard_normal(n)
     x = solver.solve(b)
+    if args.verify_plan and not _verify_plans(solver, fault_plan):
+        return 1
     res = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
     m = FactorizationMetrics.from_simulator(solver.sim)
     print(f"n={n}  grid {args.px}x{args.py}x{args.pz}  "
@@ -172,10 +153,42 @@ def cmd_solve(args) -> int:
         print(format_plan_summary(
             stats, title=f"execution plan ({solver.result.plan.backend})"))
         print(solver.result.plan.fusion_stats().summary())
+        for p in solver.solve_plans():
+            vol = p.volume(solver.grid.size)
+            print(f"solve plan ({'down' if p.down else 'up'}, "
+                  f"{'L' if p.lower else 'U'} panels): {p.n_tasks} tasks, "
+                  f"{p.ev.src.size} events, "
+                  f"{vol.words_per_rank('solve').max():.4g} words/rank/rhs")
     if args.x_out:
         np.savetxt(args.x_out, x)
         print(f"solution written to {args.x_out}")
     return 0 if res < args.tol else 1
+
+
+def _verify_plans(solver, fault_plan) -> bool:
+    """``--verify-plan``: the static analyzer on the factorization plan and
+    on each sweep's solve plan, then the conservation oracle — every
+    ledger the run booked against the plans' reduction."""
+    from repro.verify import analyze_plan, conservation_issues
+    solves = solver.solve_plans()
+    ok = True
+    for label, plan in [("", solver.result.plan)] + [("solve ", p)
+                                                     for p in solves]:
+        report = analyze_plan(plan, solver.sf)
+        print(label + report.summary())
+        ok &= report.ok
+    if fault_plan is not None:
+        print("ledger conservation: skipped (fault injection retransmits "
+              "messages, breaking send/recv symmetry by design)")
+        return ok
+    sweeps = 1 + solver.last_refinement.iterations
+    issues = conservation_issues(solver.sim, solver.result.plan,
+                                 [(p, 1) for p in solves] * sweeps)
+    print("ledger conservation: " + (
+        "FAILED\n  " + "\n  ".join(issues) if issues else
+        "clean (send/recv symmetric, totals match the plan's reduction, "
+        f"{sweeps} x {len(solves)} solve sweeps included)"))
+    return ok and not issues
 
 
 def _auto_grid(args, A) -> None:

@@ -7,109 +7,51 @@ per-rank volume, message counts, and critical-path timing all fall out of
 the point-to-point ledgers with no special-casing, and Σ sent = Σ received
 holds by construction.
 
-For untraced, topology-free simulations (the hot cost-only path) the
-broadcast takes a *closed-form* shortcut: every hop of a binomial tree
-over uniform links costs the same ``alpha + beta*words``, so the final
-clocks and ledger increments can be computed directly from the tree shape
-without routing each message through the simulator's queues. The shortcut
-replays the exact per-event arithmetic in the exact event order, so clocks
-and ledgers are bit-for-bit identical to the per-event path — tests assert
-this equivalence.
+A broadcast is its :func:`tree_pattern` — a flat list of matched pairs —
+booked with one :meth:`repro.comm.Simulator.book` call, exactly as the
+plan builders (:mod:`repro.plan.arrays`, :mod:`repro.plan.solve`) flatten
+theirs into a plan's event stream; an observed simulator (trace, topology,
+faults) gets the same pairs one by one from ``book`` itself.
 """
 
 from __future__ import annotations
 
-from repro.comm.simulator import Simulator
+import numpy as np
 
-__all__ = ["bcast", "reduce_pairwise"]
+from repro.comm.simulator import Simulator
+from repro.comm.stream import EventStream
+
+__all__ = ["bcast", "reduce_pairwise", "tree_pattern"]
+
+
+def tree_pattern(route: int, root: int, comm) -> tuple[list, list, list]:
+    """``(srcs, dsts, receivers)`` of one broadcast over ``comm``: the
+    exact pair sequence :func:`bcast` issues — the routing hop ``route ->
+    root`` first (``route < 0``: none), then the binomial spans over
+    ``[root] + others``, relays forwarding only after they have received —
+    and the ranks charged a receive buffer, in communicator order. It
+    depends only on the three arguments, so a plan computes it once per
+    distinct triple."""
+    order = [root] + [r for r in comm if r != root]
+    srcs, dsts = ([route], [root]) if route >= 0 else ([], [])
+    p, span = len(order), 1
+    while span < p:
+        n = min(span, p - span)
+        srcs += order[:n]
+        dsts += order[span:span + n]
+        span *= 2
+    return srcs, dsts, order[1:]
 
 
 def bcast(sim: Simulator, root: int, ranks: list[int], words: float) -> None:
-    """Binomial-tree broadcast of ``words`` from ``root`` to ``ranks``.
-
-    ``ranks`` is the participant list; ``root`` must be a member. Relay
-    ranks forward only after they have received (enforced naturally by the
-    simulator's arrival-time semantics). Untraced, topology-free runs take
-    the closed-form ledger path; both paths book identical clocks and
-    ledgers.
-    """
+    """Binomial-tree broadcast of ``words`` from ``root`` to ``ranks``
+    (the participant list; ``root`` must be a member)."""
     if root not in ranks:
         raise ValueError(f"root {root} not among participants {ranks}")
     if words < 0:
         raise ValueError("words must be non-negative")
-    # Rotate so the root is participant 0; binomial order on indices.
-    order = [root] + [r for r in ranks if r != root]
-    if len(order) <= 1:
-        return
-    if sim.trace is None and sim.topology is None \
-            and getattr(sim, "faults", None) is None \
-            and len(set(order)) == len(order):
-        _bcast_closed_form(sim, order, words)
-    else:
-        _bcast_events(sim, order, words)
-
-
-def _bcast_events(sim: Simulator, order: list[int], words: float) -> None:
-    """Per-event reference path: one simulated message per tree hop."""
-    p = len(order)
-    span = 1
-    while span < p:
-        for i in range(span):
-            j = i + span
-            if j < p:
-                sim.send(order[i], order[j], words)
-                sim.recv(order[j], order[i])
-        span *= 2
-
-
-def _bcast_closed_form(sim: Simulator, order: list[int], words: float) -> None:
-    """Closed-form ledger path: book the whole tree without queue traffic.
-
-    Every hop costs the same ``h = alpha + beta*words``, so the binomial
-    schedule is replayed on local scalars — the same additions and maxes,
-    in the same order, as ``_bcast_events`` issues through ``send``/
-    ``recv`` — and the results are written back to the per-rank ledgers
-    in one pass. Requires distinct participants, no trace, no topology.
-    """
-    p = len(order)
-    clock = sim.clock
-    nranks = sim.nranks
-    for r in order:
-        if not 0 <= r < nranks:
-            raise ValueError(f"rank {r} out of range [0, {nranks})")
-    m = sim.machine
-    h = m.alpha + m.beta * words
-    c = [clock[r] for r in order]
-    nsends = [0] * p
-    span = 1
-    while span < p:
-        for i in range(span):
-            j = i + span
-            if j < p:
-                ci = c[i] + h
-                c[i] = ci
-                nsends[i] += 1
-                if ci > c[j]:
-                    c[j] = ci
-        span *= 2
-    ws = sim.words_sent[sim.phase]
-    wr = sim.words_recv[sim.phase]
-    ms = sim.msgs_sent[sim.phase]
-    mr = sim.msgs_recv[sim.phase]
-    for idx, r in enumerate(order):
-        clock[r] = c[idx]
-        n = nsends[idx]
-        if n:
-            # Repeated adds, not n*words: keeps the float accumulation
-            # bit-identical to the per-event path (n <= log2 p, so cheap).
-            for _ in range(n):
-                ws[r] += words
-            ms[r] += n
-        if idx:
-            wr[r] += words
-            mr[r] += 1
-    sim.event_counts["send"] += p - 1
-    sim.event_counts["recv"] += p - 1
+    srcs, dsts, _receivers = tree_pattern(-1, root, ranks)
+    sim.book(EventStream.pairs(srcs, dsts, np.full(len(srcs), float(words))))
 
 
 def reduce_pairwise(sim: Simulator, src: int, dst: int, words: float,

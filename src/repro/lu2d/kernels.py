@@ -68,15 +68,16 @@ def trsm(A: np.ndarray, B: np.ndarray, *, side: str = "L", lower: bool,
 
 
 def gemm_sub(C: np.ndarray, A: np.ndarray, B: np.ndarray,
-             trans_b: bool = False) -> np.ndarray:
-    """Accumulate ``C -= A @ op(B)`` in place (``op(B) = B^T`` if
-    ``trans_b``); returns ``C``. The Schur-update primitive: ``beta = 1``
+             trans_b: bool = False, trans_a: bool = False) -> np.ndarray:
+    """Accumulate ``C -= op(A) @ op(B)`` in place (``op(X) = X^T`` if
+    ``trans_x``); returns ``C``. The Schur-update primitive: ``beta = 1``
     GEMM into the caller's block, no product temporary."""
     if C.ndim == 2 and _overwritable(C):
-        # C^T -= op(B)^T A^T on the F-views.
-        dgemm(-1.0, B.T, A.T, 1.0, C.T, trans_a=trans_b, overwrite_c=1)
+        # C^T -= op(B)^T op(A)^T on the F-views.
+        dgemm(-1.0, B.T, A.T, 1.0, C.T, trans_a=trans_b, trans_b=trans_a,
+              overwrite_c=1)
     else:
-        C -= A @ (B.T if trans_b else B)
+        C -= (A.T if trans_a else A) @ (B.T if trans_b else B)
     return C
 
 

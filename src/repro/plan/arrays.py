@@ -33,6 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.comm.collectives import tree_pattern
 from repro.comm.stream import MSG, EventStream, Volume
 from repro.utils.ragged import csr_ptr, ragged
 
@@ -46,24 +47,6 @@ PANEL_FACTOR, PANEL_BCAST, SCHUR_UPDATE = 0, 1, 2
 SIDES = ("", "U", "L")
 
 _I64 = np.int64
-
-
-def tree_pattern(route: int, root: int, comm) -> tuple[list, list, list]:
-    """``(srcs, dsts, receivers)`` of one broadcast over ``comm``: the
-    exact pair sequence :func:`repro.comm.collectives.bcast` issues — the
-    routing hop ``route -> root`` first (``route < 0``: none), then the
-    binomial spans over ``[root] + others`` — and the ranks charged a
-    receive buffer, in communicator order. It depends only on the three
-    arguments, so a plan computes it once per distinct triple."""
-    order = [root] + [r for r in comm if r != root]
-    srcs, dsts = ([route], [root]) if route >= 0 else ([], [])
-    p, span = len(order), 1
-    while span < p:
-        n = min(span, p - span)
-        srcs += order[:n]
-        dsts += order[span:span + n]
-        span *= 2
-    return srcs, dsts, order[1:]
 
 
 @dataclass(eq=False)

@@ -24,7 +24,8 @@ Bundles are validated, not trusted: :meth:`PlanBundle.check` rejects reuse
 under a different grid shape, backend, merged/accelerated mode,
 plan-relevant options (see :func:`plan_options_key`) or sparsity pattern
 (the plan's recorded :func:`repro.plan.build.pattern_signature`). Lazy
-products (replica words, block pattern) are memoized under a lock so
+products (replica words, block pattern, the triangular sweeps' solve
+plans) are memoized under a lock so
 concurrent service jobs (:mod:`repro.service`) can share one bundle.
 """
 
@@ -106,8 +107,7 @@ class PlanBundle:
     plan3: Plan3D
     volume: object | None = None
     build_seconds: float = 0.0
-    _replica_words: object | None = None
-    _block_pattern: object | None = None
+    _lazy: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @classmethod
@@ -175,21 +175,31 @@ class PlanBundle:
         former compile pass keep using."""
         return FusedPlan(self.plan3, self.plan3.fusion_stats())
 
+    def _memo(self, key, make):
+        """``make()`` once per ``key``, under the lock."""
+        with self._lock:
+            if key not in self._lazy:
+                self._lazy[key] = make()
+            return self._lazy[key]
+
     def replica_words(self, sf, tf, grid3):
         """Static factor + replica storage per rank (memoized)."""
-        with self._lock:
-            if self._replica_words is None:
-                from repro.lu3d.replication import replica_words_per_rank
-                self._replica_words = replica_words_per_rank(
-                    sf, tf, grid3, blocks_fn=self.blocks_fn,
-                    volume=self.volume)
-            return self._replica_words
+        from repro.lu3d.replication import replica_words_per_rank
+        return self._memo("replica_words", lambda: replica_words_per_rank(
+            sf, tf, grid3, blocks_fn=self.blocks_fn, volume=self.volume))
+
+    def solve_plan(self, sf, tf, grid3, down: bool, lower: bool):
+        """The :class:`~repro.plan.solve.SolvePlan` of one triangular
+        sweep shape over the home grids (memoized: refinement sweeps,
+        re-factorizations and service jobs on this bundle replay it)."""
+        from repro.plan.solve import build_solve_plan
+        return self._memo((down, lower), lambda: build_solve_plan(
+            sf, lambda k: grid3.layer(tf.home_grid(k)), down, lower))
 
     def block_pattern(self, sf):
         """The numeric replica block pattern ``{(i, j)}`` (memoized)."""
-        with self._lock:
-            if self._block_pattern is None:
-                from repro.lu2d.storage import node_block_arrays
-                _ptr, ii, jj, _ww = node_block_arrays(sf, self.blocks_fn)
-                self._block_pattern = set(zip(ii.tolist(), jj.tolist()))
-            return self._block_pattern
+        def make():
+            from repro.lu2d.storage import node_block_arrays
+            _ptr, ii, jj, _ww = node_block_arrays(sf, self.blocks_fn)
+            return set(zip(ii.tolist(), jj.tolist()))
+        return self._memo("block_pattern", make)

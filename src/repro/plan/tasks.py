@@ -38,9 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.comm.collectives import tree_pattern
 from repro.comm.events import COMPUTE_KINDS, PHASE_FACT, PHASE_RED
 from repro.comm.stream import MSG, EventStream, Volume
-from repro.plan.arrays import TaskArrays, tree_pattern
+from repro.plan.arrays import TaskArrays
 
 __all__ = ["BcastSpec", "Task", "PanelFactor", "PanelBcast", "SchurUpdate",
            "ReplicatedFactor", "AncestorReduce", "LevelBarrier", "FusionStats",

@@ -33,8 +33,7 @@ from repro.lu3d.factor3d import Factor3DResult, factor_3d
 from repro.solve.condest import condest
 from repro.solve.equilibrate import Equilibration, equilibrate
 from repro.solve.refine import RefinementResult, iterative_refinement
-from repro.solve.triangular import backward_solve, forward_solve,\
-    transposed_solve
+from repro.solve.triangular import sweep
 from repro.sparse.generators import GridGeometry
 from repro.sparse.pattern import pattern_of, symmetrize_pattern
 from repro.symbolic.symbolic_factor import SymbolicFactorization, symbolic_factorize
@@ -49,13 +48,15 @@ class _Solver3D:
     symbolic phase, plan-bundle reuse, (re)factorization, the refined
     solve wrapper and the ledger accessors.
 
-    Subclasses name their kernel ``backend``, may override :meth:`_values`
-    (the numeric value source) and provide :meth:`_raw_solve` (their
-    triangular sweeps over ``self._factor_blocks``).
+    Subclasses name their kernel ``backend`` and their ``sweeps``, and may
+    override :meth:`_values` (the numeric value source).
     """
 
     #: Kernel backend name handed to :func:`repro.lu3d.factor_3d`.
     backend = "lu"
+    #: ``(down, lower, unit)`` of each triangular sweep of a solve, in
+    #: order: ``L y = b`` downward over the unit-lower panels, ``U x = y``.
+    sweeps = ((True, True, True), (False, False, False))
 
     def __init__(self, A: sp.spmatrix, geometry: GridGeometry | None = None,
                  px: int = 1, py: int = 1, pz: int = 1, leaf_size: int = 64,
@@ -82,6 +83,8 @@ class _Solver3D:
         self.tf = None
         self.sim: Simulator | None = None
         self.result: Factor3DResult | None = None
+        #: Convergence record of the last refined :meth:`solve`.
+        self.last_refinement: RefinementResult | None = None
         self._factor_blocks = None
         #: Pattern the symbolic phase covered (captured at analyze time,
         #: explicitly-stored zeros included) — the containment referee for
@@ -241,11 +244,20 @@ class _Solver3D:
             self.sf.A_perm = self.sf.perm.apply_matrix(self._A_work)
         return self.factorize()
 
-    def _grid_of(self, k: int):
-        return self.grid.layer(self.tf.home_grid(k))
+    def solve_plans(self, sweeps=None) -> list:
+        """The bundle's memoized :class:`repro.plan.solve.SolvePlan` of
+        each sweep of :meth:`solve` (or of the given sweep shapes)."""
+        return [self._bundle.solve_plan(self.sf, self.tf, self.grid, down,
+                                        lower)
+                for down, lower, _unit in sweeps or self.sweeps]
 
-    def _raw_solve(self, b_perm: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def _raw_solve(self, y: np.ndarray, sweeps=None) -> np.ndarray:
+        """Walk each sweep's plan on the permuted ``y`` and book it."""
+        sweeps = sweeps or self.sweeps
+        for plan, (_down, _lower, unit) in zip(self.solve_plans(sweeps),
+                                               sweeps):
+            y = sweep(plan, self._factor_blocks, y, self.sim, unit)
+        return y
 
     def solve(self, b: np.ndarray, refine: bool = True,
               tol: float = 1e-14) -> np.ndarray:
@@ -271,7 +283,7 @@ class _Solver3D:
         x = self._finite(factored_solve(b))
         if refine:
             res = iterative_refinement(self.A, b, x, factored_solve, tol=tol)
-            self.last_refinement: RefinementResult | None = res
+            self.last_refinement = res
             return res.x
         self.last_refinement = None
         return x
@@ -346,6 +358,10 @@ class SparseLU3D(_Solver3D):
         at the cost of some extra fill.
     """
 
+    #: :meth:`solve_transposed`'s sweeps — ``U^T`` is lower: downward over
+    #: the U panels; then ``L^T`` (unit) upward over the L panels.
+    transposed_sweeps = ((True, False, False), (False, True, True))
+
     def __init__(self, A: sp.spmatrix, geometry: GridGeometry | None = None,
                  px: int = 1, py: int = 1, pz: int = 1, leaf_size: int = 64,
                  machine: Machine | None = None, partition: str = "greedy",
@@ -362,12 +378,6 @@ class SparseLU3D(_Solver3D):
         self.equ = equilibrate(A) if self._equil else None
         self._A_work = self.equ.apply(A) if self._equil else A
 
-    def _raw_solve(self, b_perm: np.ndarray) -> np.ndarray:
-        y = forward_solve(self.sf, self._factor_blocks, b_perm, self.sim,
-                          self._grid_of)
-        return backward_solve(self.sf, self._factor_blocks, y, self.sim,
-                              self._grid_of)
-
     def solve_transposed(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A^T x = b`` with the same factors (SuperLU's trans='T').
 
@@ -382,9 +392,8 @@ class SparseLU3D(_Solver3D):
             b = self.equ.col_scale * b if b.ndim == 1 else \
                 self.equ.col_scale[:, None] * b
         perm = self.sf.perm
-        y = transposed_solve(self.sf, self._factor_blocks,
-                             perm.apply_vector(b), self.sim, self._grid_of)
-        x = perm.unapply_vector(y)
+        x = perm.unapply_vector(self._raw_solve(perm.apply_vector(b),
+                                                self.transposed_sweeps))
         if self.equ is not None:
             x = self.equ.row_scale * x if x.ndim == 1 else \
                 self.equ.row_scale[:, None] * x

@@ -28,7 +28,7 @@ from repro.verify.access import (
     grid_task_accesses,
     reduce_accesses,
 )
-from repro.verify.fuzz import FuzzReport, fuzz_2d, fuzz_3d, \
+from repro.verify.fuzz import FuzzReport, fuzz_2d, fuzz_3d, fuzz_solve, \
     random_legal_orders
 from repro.verify.oracle import (
     VerificationError,
@@ -53,7 +53,8 @@ __all__ = [
     "grid_task_accesses", "reduce_accesses",
     "Issue", "StaticReport", "PlanVerificationError", "analyze_plan",
     "drop_dep_edge", "grid_plan_rank_escapes",
-    "FuzzReport", "fuzz_2d", "fuzz_3d", "random_legal_orders",
+    "FuzzReport", "fuzz_2d", "fuzz_3d", "fuzz_solve",
+    "random_legal_orders",
     "VerificationError", "ledger_state", "conservation_issues",
     "check_conservation", "lu_residual", "cholesky_error",
     "verify_factors",

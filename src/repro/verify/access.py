@@ -29,15 +29,21 @@ variant keeps one global copy (``GLOBAL_VIEW``) shared by every merged
 grid, and its redistribution reduces move no replica content (the numeric
 accumulate is a no-op there), so they carry no block accesses at all —
 only structural checks apply to them.
+
+A solve plan (:class:`repro.plan.solve.SolvePlan`) is modelled at segment
+level: besides the factor blocks, which a sweep only reads, the memory is
+the work vector's block-row segments ``("seg", k)``.
 """
 
 from __future__ import annotations
 
+from repro.plan.solve import DIAG_SOLVE
 from repro.plan.tasks import AncestorReduce, PanelBcast, PanelFactor, \
     ReplicatedFactor, SchurUpdate
 
 __all__ = ["READ", "WRITE", "ACCUM", "GLOBAL_VIEW", "conflicts",
-           "grid_task_accesses", "reduce_accesses", "replicated_accesses"]
+           "grid_task_accesses", "reduce_accesses", "replicated_accesses",
+           "solve_task_accesses"]
 
 READ = "R"
 WRITE = "W"
@@ -134,3 +140,14 @@ def replicated_accesses(sf, task: ReplicatedFactor) \
                 for j in up:
                     out.append((g, i, j, ACCUM))
     return out
+
+
+def solve_task_accesses(plan, t: int) -> list[tuple[tuple, str]]:
+    """``(key, mode)`` for task ``t`` of a solve plan: a diag-solve reads
+    block ``(k, k)`` and overwrites its segment (keyed by first row); an
+    update reads its panel block and the segment it multiplies, and
+    accumulates into its target segment (two such commute)."""
+    kind, i, j, t0, _t1, s0, _s1 = plan.steps[t].tolist()
+    if kind == DIAG_SOLVE:
+        return [(("blk", i, j), READ), (("seg", t0), WRITE)]
+    return [(("blk", i, j), READ), (("seg", s0), READ), (("seg", t0), ACCUM)]

@@ -48,9 +48,11 @@ from repro.plan.build import build_grid_plan
 from repro.plan.interpret import GridContext, book, execute_reduce, \
     execute_replicated, run
 from repro.plan.tasks import GridPlan, Plan3D
+from repro.utils.ragged import ragged
 from repro.verify.oracle import ledger_state
 
-__all__ = ["FuzzReport", "fuzz_2d", "fuzz_3d", "random_legal_orders"]
+__all__ = ["FuzzReport", "fuzz_2d", "fuzz_3d", "fuzz_solve",
+           "random_legal_orders"]
 
 
 @dataclass
@@ -229,21 +231,21 @@ def _run_order(units, ctx_plans, order, setup, sf, opts):
     return ledger_state(sim), F
 
 
-def _fuzz(units, ctx_plans, setup, sf, opts, *, driver: str,
-          n_orders: int, seed: int) -> FuzzReport:
-    report = FuzzReport(driver=driver, n_units=len(units))
-    edges = _constraint_edges(units)
-    identity = list(range(len(units)))
-    canonical_ledger, canonical_F = _run_order(units, ctx_plans, identity,
-                                               setup, sf, opts)
-    report.canonical_ledger = canonical_ledger
+def _fuzz(run, n_units: int, edges, *, driver: str, n_orders: int,
+          seed: int) -> FuzzReport:
+    """Diff ``run(order) -> (ledger, values)`` under ``n_orders`` random
+    linear extensions of ``edges`` against the identity order: every
+    ledger key exactly, the values (``None``: none) by max deviation."""
+    report = FuzzReport(driver=driver, n_units=n_units)
+    identity = list(range(n_units))
+    report.canonical_ledger, canonical_F = run(identity)
     for i, order in enumerate(
-            random_legal_orders(len(units), edges, n_orders, seed)):
+            random_legal_orders(n_units, edges, n_orders, seed)):
         report.n_orders += 1
         if order != identity:
             report.n_perturbed += 1
-        ledger, F = _run_order(units, ctx_plans, order, setup, sf, opts)
-        for key, val in canonical_ledger.items():
+        ledger, F = run(order)
+        for key, val in report.canonical_ledger.items():
             if ledger.get(key) != val:
                 report.ledger_mismatches.append(f"order {seed + i}: {key}")
         if F is not None:
@@ -306,7 +308,9 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
 
     units, ctx_plans = _plan3d_units(plan3, fuse)
     name = "merged" if merged else backend
-    return _fuzz(units, ctx_plans, setup, sf, opts,
+    return _fuzz(lambda order: _run_order(units, ctx_plans, order, setup, sf,
+                                          opts),
+                 len(units), _constraint_edges(units),
                  driver=f"{name}3d{'_numeric' if numeric else ''}",
                  n_orders=n_orders, seed=seed)
 
@@ -344,6 +348,31 @@ def fuzz_2d(sf, grid, *, backend: str = "lu", numeric: bool = False,
         return sim, GlobalStoreData(store), store.to_dense
 
     units, ctx_plans = _grid_units(plan, (0, 0), fuse), {(0, 0): plan}
-    return _fuzz(units, ctx_plans, setup, sf, opts,
+    return _fuzz(lambda order: _run_order(units, ctx_plans, order, setup, sf,
+                                          opts),
+                 len(units), _constraint_edges(units),
                  driver=f"{backend}2d{'_numeric' if numeric else ''}",
                  n_orders=n_orders, seed=seed)
+
+
+def fuzz_solve(plan, blocks, b, nranks: int, *, unit: bool,
+               n_orders: int = 25, seed: int = 0, machine=None
+               ) -> FuzzReport:
+    """Fuzz one triangular sweep (:class:`repro.plan.solve.SolvePlan`):
+    random linear extensions of its dependency DAG through
+    :func:`repro.solve.triangular.sweep` (numeric walk and task-by-task
+    booking in that order). The *volume* ledgers — words, messages, flops,
+    event counts: integer sums — must be bit-identical under any legal
+    order (clocks depend on the interleaving and are not compared); the
+    solution deviates only by reassociated segment accumulations."""
+    from repro.solve.triangular import sweep
+
+    def run(order):
+        sim = Simulator(nranks, machine)
+        x = sweep(plan, blocks, b, sim, unit, order)
+        return {k: v for k, v in ledger_state(sim).items() if k.startswith(
+            ("words_", "msgs_", "flops:", "event_counts"))}, x
+
+    task, _off = ragged(np.diff(plan.dep_ptr))
+    return _fuzz(run, plan.n_tasks, zip(plan.dep_idx.tolist(), task.tolist()),
+                 driver="solve", n_orders=n_orders, seed=seed)

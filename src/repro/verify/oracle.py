@@ -13,14 +13,15 @@ Two families of cross-checks that don't trust the code paths they verify:
   derivations share the stream columns and nothing else: one is a sum,
   the other a walk.
 
-  These invariants hold for a **fault-free run before any solve phase**:
-  fault injection retransmits dropped messages (the sender books extra
-  traffic the receiver never sees, deliberately breaking send/recv
-  symmetry), and the triangular solves book events the factorization
-  plan doesn't describe. :func:`conservation_issues` must therefore be
-  applied between ``factorize()`` and ``solve()`` on an un-faulted
-  simulator — which is exactly how the CLI's ``--verify-plan`` and the
-  tests use it.
+  These invariants hold for a **fault-free run**: fault injection
+  retransmits dropped messages (the sender books extra traffic the
+  receiver never sees, deliberately breaking send/recv symmetry). The
+  triangular solves book events the factorization plan doesn't describe,
+  so :func:`conservation_issues` is applied either between
+  ``factorize()`` and ``solve()`` or with every sweep booked since named
+  in ``solves`` (each a :class:`repro.plan.solve.SolvePlan` and its
+  right-hand-side count, reduced the same way under phase ``solve``) —
+  which is how the CLI's ``--verify-plan`` and the tests use it.
 
 * **Numeric factors** — the packed factors are checked against dense
   references that share no code with the block kernels:
@@ -33,8 +34,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.events import COMPUTE_KINDS, PHASE_FACT, PHASE_RED, PHASES
+from repro.comm.events import COMPUTE_KINDS, PHASE_FACT, PHASE_RED, \
+    PHASE_SOLVE, PHASES
 from repro.comm.simulator import Simulator
+from repro.comm.stream import Volume
 
 __all__ = ["VerificationError", "ledger_state", "conservation_issues",
            "check_conservation", "lu_residual", "cholesky_error",
@@ -68,14 +71,16 @@ def ledger_state(sim: Simulator) -> dict:
     return out
 
 
-def conservation_issues(sim: Simulator, plan=None) -> list[str]:
+def conservation_issues(sim: Simulator, plan=None, solves=()) -> list[str]:
     """Conservation/plan-reduction discrepancies (empty list = clean).
 
-    Valid on a fault-free simulator before any solve phase — see the
-    module docstring for why. With ``plan`` given (a ``GridPlan`` or a
-    ``Plan3D``, executed once on a fresh ``sim``), also compares the
-    factorization-phase (``fact``, ``red``) traffic and the per-kind
-    flops with ``plan.volume()`` — per rank and exactly.
+    Valid on a fault-free simulator — see the module docstring. With
+    ``plan`` given (a ``GridPlan`` or a ``Plan3D``, executed once on a
+    fresh ``sim``), also compares the factorization-phase (``fact``,
+    ``red``) traffic and the per-kind flops with ``plan.volume()`` — per
+    rank and exactly; with ``solves`` given (``(solve_plan, nrhs)`` per
+    sweep booked on ``sim``), the solve-phase traffic and
+    ``flops['solve']`` with their reduction likewise.
     """
     issues: list[str] = []
     if sim.pending_messages():
@@ -95,15 +100,21 @@ def conservation_issues(sim: Simulator, plan=None) -> list[str]:
     n_recv = int(sim.event_counts.get("recv", 0))
     if n_send != n_recv:
         issues.append(f"event counts: {n_send} sends != {n_recv} recvs")
-    if plan is not None:
-        vol = plan.volume(sim.nranks)
+    if plan is not None or solves:
+        vol = Volume(sim.nranks) if plan is None else plan.volume(sim.nranks)
+        vol.phase = PHASE_SOLVE
+        for solve_plan, nrhs in solves:
+            vol.add(solve_plan.stream(nrhs))
+        phases = ((PHASE_FACT, PHASE_RED) if plan is not None else ()) \
+            + ((PHASE_SOLVE,) if solves else ())
+        kinds = COMPUTE_KINDS if plan is not None else ("solve",)
         ledgers = [(f"{name}[{p}]", getattr(sim, name)[p],
                     getattr(vol, name)[p])
                    for name in ("words_sent", "words_recv", "msgs_sent",
                                 "msgs_recv")
-                   for p in (PHASE_FACT, PHASE_RED)]
+                   for p in phases]
         ledgers += [(f"flops[{k}]", sim.flops[k], vol.flops[k])
-                    for k in COMPUTE_KINDS]
+                    for k in kinds]
         for name, got, want in ledgers:
             bad = np.flatnonzero(got != want)
             if bad.size:
@@ -115,9 +126,9 @@ def conservation_issues(sim: Simulator, plan=None) -> list[str]:
     return issues
 
 
-def check_conservation(sim: Simulator, plan=None) -> None:
+def check_conservation(sim: Simulator, plan=None, solves=()) -> None:
     """Raise :class:`VerificationError` on any conservation issue."""
-    issues = conservation_issues(sim, plan)
+    issues = conservation_issues(sim, plan, solves)
     if issues:
         raise VerificationError(
             "ledger conservation failed:\n  " + "\n  ".join(issues))

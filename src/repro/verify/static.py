@@ -36,6 +36,10 @@ properties the rest of the system silently relies on:
   back into arrays and compared column by column with the plan's own,
   flattened broadcast pairs, buffer charges and cut points included.
 
+A :class:`~repro.plan.solve.SolvePlan` (one triangular sweep) gets the
+dependency checks, a check that its ``ev_ptr`` tiles its event stream, and
+the race pass over the segment-level access model.
+
 The check is exhaustive rather than sampled: reachability is computed
 for every task as a Python big-int ancestor bitmask (one forward pass,
 ``dep < tid`` makes list order topological), and every conflicting
@@ -51,6 +55,7 @@ import numpy as np
 
 from repro.comm.grid import ProcessGrid2D
 from repro.plan.arrays import SCHUR_UPDATE, TaskArrays
+from repro.plan.solve import SolvePlan
 from repro.plan.tasks import (
     GridPlan,
     LevelBarrier,
@@ -66,7 +71,9 @@ from repro.verify.access import (
     grid_task_accesses,
     reduce_accesses,
     replicated_accesses,
+    solve_task_accesses,
 )
+from repro.utils.ragged import csr_ptr
 
 __all__ = ["Issue", "StaticReport", "PlanVerificationError", "analyze_plan",
            "grid_plan_rank_escapes", "drop_dep_edge"]
@@ -317,7 +324,8 @@ def _check_arrays(gp: GridPlan, add) -> None:
 
 
 def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
-    """Run every static check on ``plan`` and return a report.
+    """Run every static check on ``plan`` (a grid plan, a 3D plan or a
+    solve plan) and return a report.
 
     ``sf`` is the symbolic factorization the plan was built from (the
     Schur access sets come from its fill panels). Plans larger than
@@ -333,6 +341,8 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
             report.issues.append(Issue(kind=kind, message=message,
                                        tids=tids))
 
+    if isinstance(plan, SolvePlan):
+        return _analyze_solve(plan, report, add, max_race_tasks)
     entries, merged = _entries(plan)
     report.n_tasks = len(entries)
     pos_of: dict[int, int] = {}
@@ -376,18 +386,6 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
         report.race_check_skipped = True
         return report
 
-    # Ancestor bitmask per task: bit p set iff entry p is reachable
-    # through dep edges. One forward pass suffices because list order is
-    # topological (any violation was already reported above).
-    reach: list[int] = [0] * len(entries)
-    for e in entries:
-        m = 0
-        for d in e.task.deps:
-            dp = pos_of.get(d)
-            if dp is not None and dp < e.pos:
-                m |= reach[dp] | (1 << dp)
-        reach[e.pos] = m
-
     accesses: dict[tuple, list[tuple[int, int, str]]] = {}
     for e in entries:
         t = e.task
@@ -403,7 +401,28 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
             for i, j, mode in grid_task_accesses(e.backend, sf, t):
                 key = (e.view, i, j)
                 accesses.setdefault(key, []).append((e.pos, t.tid, mode))
+    _race_pass(report, add, [[pos_of.get(d, len(entries))
+                              for d in e.task.deps] for e in entries],
+               accesses)
+    return report
 
+
+def _race_pass(report: StaticReport, add, deps, accesses) -> None:
+    """Every conflicting same-key access pair has a dependency path.
+
+    ``deps[p]`` are the positions entry ``p`` depends on (a position not
+    before ``p`` — already reported — is ignored); ``accesses`` maps a
+    memory key to its ``(position, tid, mode)`` accesses."""
+    # Ancestor bitmask per task: bit p set iff entry p is reachable
+    # through dep edges. One forward pass suffices because list order is
+    # topological.
+    reach: list[int] = [0] * len(deps)
+    for p, ds in enumerate(deps):
+        m = 0
+        for dp in ds:
+            if dp < p:
+                m |= reach[dp] | (1 << dp)
+        reach[p] = m
     report.n_blocks = len(accesses)
     pairs = 0
     for key, accs in accesses.items():
@@ -423,11 +442,36 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
                 pairs += 1
                 lo, hi = (pa, pb) if pa < pb else (pb, pa)
                 if not (reach[hi] >> lo) & 1:
-                    view, i, j = key
                     add("race", f"tasks {tida} ({ma}) and {tidb} ({mb}) "
-                        f"both touch block ({i}, {j}) of view {view} "
-                        "with no dependency path", (tida, tidb))
+                        f"both touch {key} with no dependency path",
+                        (tida, tidb))
     report.n_pairs_checked = pairs
+
+
+def _analyze_solve(plan: SolvePlan, report: StaticReport, add,
+                   max_race_tasks: int) -> StaticReport:
+    """The solve-plan checks: dependencies precede their task, ``ev_ptr``
+    tiles the event stream, no segment race."""
+    T = report.n_tasks = plan.n_tasks
+    ptr, dep_idx = plan.dep_ptr.tolist(), plan.dep_idx.tolist()
+    deps = [dep_idx[a:b] for a, b in zip(ptr, ptr[1:])]
+    for t, ds in enumerate(deps):
+        for d in ds:
+            if not 0 <= d < t:
+                add("cycle", f"solve task {t} depends on task {d}, which "
+                    "does not precede it", (t, d))
+    if plan.ev_ptr[0] != 0 or plan.ev_ptr[-1] != plan.ev.src.size \
+            or (np.diff(plan.ev_ptr) < 1).any():
+        add("inconsistent-arrays", "ev_ptr does not tile the solve "
+            "plan's event stream")
+    if T > max_race_tasks:
+        report.race_check_skipped = True
+        return report
+    accesses: dict = {}
+    for t in range(T):
+        for key, mode in solve_task_accesses(plan, t):
+            accesses.setdefault(key, []).append((t, t, mode))
+    _race_pass(report, add, deps, accesses)
     return report
 
 
@@ -499,8 +543,17 @@ def drop_dep_edge(plan, seed: int = 0):
     :func:`_race_edge_candidates`; the mutated grid plan is re-packed from
     its task records with the one task rebuilt. Feeding the result to
     :func:`analyze_plan` MUST produce at least one ``race`` issue — the
-    mutation self-test that proves the analyzer is not vacuous.
+    mutation self-test that proves the analyzer is not vacuous. Every edge
+    of a solve plan qualifies: each is the only path between a segment's
+    writer and a reader or accumulator of it.
     """
+    if isinstance(plan, SolvePlan):
+        e = int(np.random.default_rng(seed).integers(plan.dep_idx.size))
+        n_dep = np.diff(plan.dep_ptr)
+        n_dep[np.searchsorted(plan.dep_ptr, e, "right") - 1] -= 1
+        return dataclasses.replace(
+            plan, dep_ptr=csr_ptr(n_dep), dep_idx=np.delete(plan.dep_idx, e)
+        ), f"dropped solve-plan dep edge {e} (on task {plan.dep_idx[e]})"
     cands = _race_edge_candidates(plan)
     if not cands:
         raise ValueError("plan has no droppable race-guaranteed dep edges")

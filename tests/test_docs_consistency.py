@@ -196,6 +196,19 @@ class TestOnePlanForm:
                     r"\.(book|(compute|sendrecv|alloc|free)_batch)\(",
                     path.read_text()), path
 
+    def test_solve_books_only_through_book(self):
+        """A triangular sweep is a solve plan walked and booked in one
+        ``Simulator.book`` call: nothing under ``solve/`` or ``cholesky/``
+        narrates events to the simulator one call at a time."""
+        per_event = re.compile(r"sim\.(compute|send|recv)\(|\bbcast\(")
+        for pkg in ("solve", "cholesky"):
+            for path in (self.SRC / pkg).glob("*.py"):
+                hit = per_event.search(path.read_text())
+                assert hit is None, f"{path}: {hit.group(0)}"
+        text = (self.SRC / "solve" / "triangular.py").read_text()
+        assert "_sweep_down" not in text and "_sweep_up" not in text
+        assert text.count("sim.book(") == 2    # whole stream, or per task
+
     def test_no_hoist_machinery_survives(self):
         """The interleaved event stream has nothing to hoist and no size
         threshold selects a booking path."""

@@ -275,3 +275,133 @@ class TestNonFiniteInput:
                     solve(np.ones(3))
         ok = SparseLU3D(A).factorize()      # GESP on: perturbed and refined
         assert ok.result.perturbed_pivots >= 1
+
+
+class TestSolveGolden:
+    """``tests/data/golden_solve_ledgers.json`` was generated at the parent
+    of the solve plan, from the per-event sweeps: the plan's one-call
+    booking must reproduce every case byte for byte, and its in-place
+    numerics the old solutions to 1e-12."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        from tests.data.regen_solve_ledgers import build
+        return build()
+
+    def test_ledgers_byte_for_byte(self, built):
+        import json
+
+        from tests.data.regen_solve_ledgers import OUT, dumps
+        text = OUT.read_text()
+        assert len(built[0]) == 108
+        assert dumps(built[0], json.loads(text)["_readme"]) == text
+
+    def test_solutions_match_the_old_sweeps(self, built):
+        import json
+
+        from tests.data.regen_solve_ledgers import OUT_X
+        want = json.loads(OUT_X.read_text())
+        for name, probe in built[1].items():
+            got, old = (np.array([float.fromhex(v) for v in p["sample"]])
+                        for p in (probe, want[name]))
+            scale = float.fromhex(want[name]["norm_inf"])
+            assert np.abs(got - old).max() <= 1e-12 * scale, name
+
+
+class TestSolvePlanReplay:
+    def setup_solver(self, A, geom, pz=2, cls=SparseLU3D, **kw):
+        return cls(A, geometry=geom, px=2, py=2, pz=pz, leaf_size=16, **kw)
+
+    def test_last_refinement_is_none_before_the_first_solve(self,
+                                                            planar_small):
+        A, geom = planar_small
+        assert self.setup_solver(A, geom).last_refinement is None
+
+    def test_plan_is_built_once_per_bundle(self, planar_small):
+        """Refinement sweeps, repeat solves and a same-pattern
+        ``refactorize`` all replay the bundle's memoized plans."""
+        A, geom = planar_small
+        s = self.setup_solver(A, geom).factorize()
+        plans = s.solve_plans()
+        s.solve(np.ones(A.shape[0]), tol=0.0)     # forces refinement sweeps
+        s.refactorize(A * 2.0)
+        s.solve(np.ones((A.shape[0], 3)))
+        assert all(a is b for a, b in zip(plans, s.solve_plans()))
+        assert len(s._bundle._lazy.keys() & {(True, True), (False, False)}) \
+            == 2
+
+    def test_grid_change_rebuilds_the_plan_with_the_bundle(self,
+                                                           planar_small):
+        """``PlanBundle.check`` refuses the old bundle under a new ``pz``;
+        its memoized solve plans go with it, and the re-solve books what a
+        cold solver of the new grid books."""
+        A, geom = planar_small
+        b = np.ones(A.shape[0])
+        s = self.setup_solver(A, geom, pz=2).factorize()
+        s.solve(b)
+        old = s.solve_plans()
+        s.grid = ProcessGrid3D(2, 2, 4)
+        s.tf = greedy_partition(s.sf, 4)
+        assert s._usable_bundle() is None
+        x = s.factorize().solve(b)
+        assert not any(a is b_ for a, b_ in zip(old, s.solve_plans()))
+        cold = self.setup_solver(A, geom, pz=4).factorize()
+        assert np.array_equal(cold.solve(b), x)
+        assert ledger_state(cold.sim) == ledger_state(s.sim)
+
+    @pytest.mark.parametrize("cls", [SparseLU3D, SparseCholesky3D])
+    def test_observers_get_the_same_events(self, planar_small, cls):
+        """A trace, a topology and an idle fault injector each make
+        ``book`` issue the stream event by event — the only other way the
+        solve's events are issued — and the ledgers do not move."""
+        from repro.analysis.trace import Trace
+        from repro.comm.topology import UniformTopology
+        from repro.resilience import FaultInjector, FaultPlan
+        A, geom = planar_small
+        if cls is SparseCholesky3D:
+            A = (A + A.T + 20 * sp.eye(A.shape[0])).tocsr()
+        b = np.random.default_rng(3).standard_normal((A.shape[0], 2))
+
+        def solved(observe):
+            s = self.setup_solver(A, geom, cls=cls)
+            s.factorize()
+            observe(s.sim)
+            fact = dict(s.sim.event_counts)
+            s.solve(b, refine=False)
+            return s, fact
+
+        plain, _ = solved(lambda sim: None)
+        traced, fact = solved(lambda sim: setattr(sim, "trace", Trace()))
+        for observe in (
+                lambda sim: setattr(sim, "topology", UniformTopology()),
+                lambda sim: sim.attach_faults(
+                    FaultInjector(FaultPlan(), sim.machine))):
+            assert ledger_state(solved(observe)[0].sim) \
+                == ledger_state(plain.sim)
+        assert ledger_state(traced.sim) == ledger_state(plain.sim)
+        n_events = sum(p.ev.src.size for p in traced.solve_plans())
+        records = [e for e in traced.sim.trace.events
+                   if e.phase == "solve" and e.kind in ("solve", "send")]
+        assert len(records) == n_events
+        assert n_events == sum(
+            traced.sim.event_counts[k] - fact.get(k, 0)
+            for k in ("solve", "send"))
+
+    def test_public_sweeps_equal_the_facade(self, planar_small):
+        """``forward_solve`` / ``backward_solve`` build their own plan from
+        ``grid_of`` and book what the facade's memoized plans book."""
+        from repro.solve import backward_solve, forward_solve
+        A, geom = planar_small
+        s = self.setup_solver(A, geom).factorize()
+        ref = self.setup_solver(A, geom).factorize()
+        b = np.arange(A.shape[0], dtype=float)
+        bp = s.sf.perm.apply_vector(b)
+
+        def grid_of(k):
+            return s.grid.layer(s.tf.home_grid(k))
+
+        y = forward_solve(s.sf, s._factor_blocks, bp, s.sim, grid_of)
+        x = backward_solve(s.sf, s._factor_blocks, y, s.sim, grid_of)
+        assert np.array_equal(s.sf.perm.unapply_vector(x),
+                              ref.solve(b, refine=False))
+        assert ledger_state(s.sim) == ledger_state(ref.sim)

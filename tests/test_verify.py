@@ -22,6 +22,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
@@ -43,6 +44,7 @@ from repro.verify import (
     drop_dep_edge,
     fuzz_2d,
     fuzz_3d,
+    fuzz_solve,
     ledger_state,
     verify_factors,
 )
@@ -404,6 +406,75 @@ class TestVerifyStackBothVolumes:
         assert "race" in analyze_plan(mutated, lu2d_sf).counts(), desc
 
 
+@pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
+class TestVerifyStackOnSolvePlans:
+    """Analyzer, mutation self-test, conservation (reduction == walk) and
+    schedule fuzz on the solve plans of the LU, transposed and Cholesky
+    solves, in both block-pricing modes."""
+
+    #: name -> (facade, sweeps attribute, solve method)
+    SOLVES = {"lu": ("lu", "sweeps", "solve"),
+              "transposed": ("lu", "transposed_sweeps", "solve_transposed"),
+              "cholesky": ("cholesky", "sweeps", "solve")}
+    NRHS = 3
+
+    @pytest.fixture(scope="class")
+    def solvers(self):
+        from repro.cholesky import SparseCholesky3D
+        from repro.solve import SparseLU3D
+        A, geom = grid2d_5pt(12)
+        S = (A + A.T + 20 * sp.eye(A.shape[0])).tocsr()
+        return {(name, compact): cls(
+                    M, geometry=geom, px=2, py=2, pz=2, leaf_size=16,
+                    options=FactorOptions(compact_comm=compact)).factorize()
+                for name, cls, M in (("lu", SparseLU3D, A),
+                                     ("cholesky", SparseCholesky3D, S))
+                for compact in (False, True)}
+
+    @pytest.mark.parametrize("kind", sorted(SOLVES))
+    def test_solve_plans(self, solvers, kind, compact):
+        facade, sweeps_attr, method = self.SOLVES[kind]
+        s = solvers[facade, compact].factorize()    # fresh simulator
+        sweeps = getattr(s, sweeps_attr)
+        plans = s.solve_plans(sweeps)
+        for seed, plan in enumerate(plans):
+            report = analyze_plan(plan, s.sf)
+            assert report.ok and report.n_pairs_checked > 0, report.summary()
+            mutated, desc = drop_dep_edge(plan, seed=seed)
+            assert "race" in analyze_plan(mutated, s.sf).counts(), desc
+        # Reduction == walk, per rank and exactly, factorization included.
+        b = np.random.default_rng(5).standard_normal((s.A.shape[0],
+                                                      self.NRHS))
+        getattr(s, method)(b)
+        n_sweeps = 1 if kind == "transposed" \
+            else 1 + s.last_refinement.iterations
+        solves = [(p, self.NRHS) for p in plans] * n_sweeps
+        check_conservation(s.sim, s.result.plan, solves)
+        assert conservation_issues(s.sim, None, solves) == []
+        assert conservation_issues(s.sim, None, solves[1:])
+        for p in plans:
+            vol = p.volume(s.grid.size, self.NRHS)
+            assert vol.event_counts["send"] == int(vol.msgs_sent["solve"].sum())
+        # Random legal task orders: volume ledgers exact, x to 1e-12.
+        bp = s.sf.perm.apply_vector(b)
+        for plan, (_down, _lower, unit) in zip(plans, sweeps):
+            rep = fuzz_solve(plan, s._factor_blocks, bp, s.grid.size,
+                             unit=unit, n_orders=FAST_FUZZ, seed=23)
+            assert rep.ok and rep.n_perturbed > 0, rep.summary()
+            assert rep.canonical_ledger["flops:solve"] == \
+                plan.volume(s.grid.size, self.NRHS).flops["solve"].tolist()
+
+    def test_broken_stream_and_forward_edge_are_reported(self, solvers,
+                                                         compact):
+        plan = solvers["lu", compact].solve_plans()[0]
+        bad = dataclasses.replace(plan, ev_ptr=plan.ev_ptr[:-1])
+        assert "inconsistent-arrays" in analyze_plan(bad, None).counts()
+        dep_idx = plan.dep_idx.copy()
+        dep_idx[0] = plan.n_tasks - 1
+        bad = dataclasses.replace(plan, dep_idx=dep_idx)
+        assert "cycle" in analyze_plan(bad, None).counts()
+
+
 @pytest.mark.slow
 class TestFuzzerSweep:
     """Full ≥25-order sweeps per driver on the golden-size cases."""
@@ -517,6 +588,19 @@ class TestBuilderHook:
             build.POST_BUILD_HOOK = prev
         assert [t.__name__ for t in seen] == ["GridPlan", "Plan3D"]
 
+    def test_hook_sees_solve_plans(self, planar2):
+        from repro.plan import build
+        from repro.plan.solve import build_solve_plan
+        sf, _tf = planar2
+        seen = []
+        prev = build.POST_BUILD_HOOK
+        build.POST_BUILD_HOOK = lambda plan, sf: seen.append(type(plan))
+        try:
+            build_solve_plan(sf, lambda k: ProcessGrid2D(2, 2), True, True)
+        finally:
+            build.POST_BUILD_HOOK = prev
+        assert [t.__name__ for t in seen] == ["SolvePlan"]
+
     def test_suite_hook_is_installed(self):
         from repro.plan import build
         assert build.POST_BUILD_HOOK is not None
@@ -538,7 +622,9 @@ class TestCliVerifyPlan:
         out = capsys.readouterr().out
         assert rc == 0
         assert "plan verification" in out and "clean" in out
+        assert out.count("solve plan verification") == 2
         assert "ledger conservation: clean" in out
+        assert "solve sweeps included" in out
 
     def test_faulted_run_skips_conservation(self, mtx, capsys):
         from repro.cli import main
