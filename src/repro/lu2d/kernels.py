@@ -33,7 +33,11 @@ from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgetrf, dpotrf
 
 __all__ = ["trsm", "gemm_sub", "getrf_nopiv", "potrf_shifted",
-           "solve_lower_panel", "solve_upper_panel", "chol_panel_solve"]
+           "solve_lower_panel", "solve_upper_panel", "chol_panel_solve",
+           "GETRF", "POTRF", "TRSM", "GEMM", "trsm_op", "gemm_op", "execute"]
+
+#: Op codes of a bound kernel program (:func:`execute`).
+GETRF, POTRF, TRSM, GEMM = range(4)
 
 #: Unblocked threshold for the recursive GESP LU.
 _NB = 32
@@ -42,6 +46,47 @@ _NB = 32
 def _overwritable(X: np.ndarray) -> bool:
     """Whether BLAS can overwrite ``X`` through its transposed view."""
     return X.dtype == np.float64 and X.flags.c_contiguous
+
+
+def trsm_op(A: np.ndarray, B: np.ndarray, *, side: str = "L", lower: bool,
+            unit: bool = False, trans: bool = False) -> tuple:
+    """The bound form of :func:`trsm` on an overwritable ``B``: the
+    operands' F-views and ``dtrsm``'s flags, taken once."""
+    if side not in ("L", "R"):
+        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    # On the F-views A.T / B.T the problem is its own transpose: sides
+    # swap, the stored triangle flips, op() stays.
+    return (TRSM, B.T if B.ndim == 2 else B[None, :], A.T, None,
+            (side == "L", not lower, trans, unit, 1))
+
+
+def gemm_op(C: np.ndarray, A: np.ndarray, B: np.ndarray,
+            trans_b: bool = False, trans_a: bool = False) -> tuple:
+    """The bound form of :func:`gemm_sub` on an overwritable ``C``:
+    ``C^T -= op(B)^T op(A)^T`` on the F-views."""
+    return (GEMM, C.T, B.T, A.T, (trans_b, trans_a, 1))
+
+
+def execute(prog, lo: int = 0, hi: int | None = None,
+            eps: float = 1e-10) -> int:
+    """Run ops ``prog[lo:hi]`` of a bound kernel program, in order: tuples
+    ``(op, out, x, y, flags)`` from :func:`trsm_op` / :func:`gemm_op`
+    (``out``: the F-view overwritten) or ``GETRF`` / ``POTRF`` ops
+    factoring the diagonal block ``out`` in place (``eps``: pivot floor).
+    Returns the number of perturbed pivots / diagonal shifts."""
+    perturbed = 0
+    for op, out, x, y, flags in prog[lo:hi]:
+        if op == GEMM:
+            dgemm(-1.0, x, y, 1.0, out, *flags)
+        elif op == TRSM:
+            dtrsm(1.0, x, out, *flags)
+        elif op == GETRF:
+            perturbed += getrf_nopiv(out, eps)
+        else:
+            L, nshifts = potrf_shifted(out, eps)
+            out[:] = L
+            perturbed += nshifts
+    return perturbed
 
 
 def trsm(A: np.ndarray, B: np.ndarray, *, side: str = "L", lower: bool,
@@ -55,13 +100,8 @@ def trsm(A: np.ndarray, B: np.ndarray, *, side: str = "L", lower: bool,
     right-hand side. No finiteness check and no singularity check: a zero
     pivot yields ``inf``/``nan``, which the facade's ``solve`` rejects.
     """
-    if side not in ("L", "R"):
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     X = B if _overwritable(B) else np.ascontiguousarray(B, dtype=np.float64)
-    # On the F-views A.T / X.T the problem is its own transpose: sides
-    # swap, the stored triangle flips, op() stays.
-    dtrsm(1.0, A.T, X.T if X.ndim == 2 else X[None, :], side=side == "L",
-          lower=not lower, trans_a=trans, diag=unit, overwrite_b=1)
+    execute((trsm_op(A, X, side=side, lower=lower, unit=unit, trans=trans),))
     if X is not B:
         B[...] = X
     return B
@@ -73,9 +113,7 @@ def gemm_sub(C: np.ndarray, A: np.ndarray, B: np.ndarray,
     ``trans_x``); returns ``C``. The Schur-update primitive: ``beta = 1``
     GEMM into the caller's block, no product temporary."""
     if C.ndim == 2 and _overwritable(C):
-        # C^T -= op(B)^T op(A)^T on the F-views.
-        dgemm(-1.0, B.T, A.T, 1.0, C.T, trans_a=trans_b, trans_b=trans_a,
-              overwrite_c=1)
+        execute((gemm_op(C, A, B, trans_b, trans_a),))
     else:
         C -= (A.T if trans_a else A) @ (B.T if trans_b else B)
     return C

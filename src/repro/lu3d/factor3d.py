@@ -42,6 +42,7 @@ import numpy as np
 from repro.comm.grid import ProcessGrid2D, ProcessGrid3D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
+from repro.lu2d.storage import node_block_arrays
 from repro.lu3d.replication import ReplicaManager
 from repro.parallel.engine import (
     GridTask,
@@ -49,6 +50,7 @@ from repro.parallel.engine import (
     ParallelFallback,
 )
 from repro.parallel.shm import ShmTransport
+from repro.plan.backends import get_backend
 from repro.plan.execmode import resolve_exec
 from repro.plan.interpret import (
     execute_grid_plan,
@@ -103,7 +105,9 @@ class Factor3DResult:
         """Assembled L\\U factors (numeric runs only)."""
         if self.replicas is None:
             raise ValueError("cost-only run: no numeric factors")
-        return self.replicas.home_view().to_block_matrix()
+        out = BlockMatrix(self.replicas.sf.layout)
+        out.blocks = self.replicas.home_view()
+        return out.copy()
 
 
 # -- data strategies -------------------------------------------------------
@@ -113,7 +117,7 @@ class Factor3DResult:
 # standard and merged drivers share one plan executor.
 
 class CostOnlyData:
-    """No numeric content: every view is ``None``, reductions book only."""
+    """No numeric content: no program runs, reductions book only."""
 
     accumulate = None
     #: Shared-memory transport backing ``export`` / ``import_back``
@@ -124,7 +128,8 @@ class CostOnlyData:
     #: nothing to rebuild, so the policy is trivially applicable.
     supports_zreplica = True
 
-    def view(self, gp):
+    def program(self, gp, sf):
+        """``gp``'s kernel program on this run's blocks (``None``: none)."""
         return None
 
     def export(self, gp):
@@ -132,10 +137,6 @@ class CostOnlyData:
 
     def import_back(self, g, handle) -> None:
         pass
-
-    def mark_executed_inline(self, gp) -> None:
-        """A grid plan ran inline (mutating replicas directly): invalidate
-        any cached shared-memory copy of its blocks. No-op without shm."""
 
     def snapshot(self):
         return None
@@ -151,36 +152,28 @@ class ReplicaData(CostOnlyData):
     """Standard numeric mode: per-grid replica views + z-axis summation.
 
     With a :class:`repro.parallel.ShmTransport` attached (pool runs),
-    ``export`` ships (segment, offset, shape) descriptors and only
-    re-copies blocks dirtied since the previous fan-out (the z-reduction
-    accumulations and inline-executed levels register dirty marks). A
-    shared-memory failure makes ``export`` return ``None`` with the
-    transport closed; the executor then finishes the run inline.
+    ``export`` copies the blocks a grid plan may touch into shared memory
+    and ships (segment, offset, shape) descriptors. A shared-memory
+    failure makes ``export`` return ``None`` with the transport closed;
+    the executor then finishes the run inline.
     """
 
     def __init__(self, replicas: ReplicaManager, transport=None):
         self.replicas = replicas
         self.accumulate = replicas.accumulate
         self.transport = transport
-        if transport is not None:
-            replicas.add_dirty_hook(
-                lambda g, i, j: transport.mark_dirty(g, (i, j)))
 
-    def view(self, gp):
-        return self.replicas.view(gp.g)
+    def program(self, gp, sf):
+        return self.replicas.program(gp)
 
     def export(self, gp):
         return self.transport.export(
             gp.g, self.replicas.grid_block_refs(gp.g, gp.nodes))
 
     def import_back(self, g, handle) -> None:
-        self.replicas.import_view(g, self.transport.views_for(handle))
-
-    def mark_executed_inline(self, gp) -> None:
-        tr = self.transport
-        if tr is not None:
-            for key in self.replicas.grid_block_refs(gp.g, gp.nodes):
-                tr.mark_dirty(gp.g, key)
+        view = self.replicas.view(g)
+        for key, arr in self.transport.views_for(handle).items():
+            view[key][:] = arr      # in place: bound programs stay valid
 
     def snapshot(self):
         return self.replicas.snapshot()
@@ -207,16 +200,14 @@ class GlobalStoreData(CostOnlyData):
     def __init__(self, store):
         self.store = store
 
-    def view(self, gp):
-        return self.store
+    def program(self, gp, sf):
+        return get_backend(gp.backend).bind(gp.arrays, self.store, sf)
 
     def snapshot(self):
-        return {key: arr.copy() for key, arr in self.store.blocks.items()}
+        return self.store.buf.copy()
 
     def restore(self, snap) -> None:
-        blocks = self.store.blocks
-        for key, arr in snap.items():
-            blocks[key][:] = arr
+        self.store.buf[:] = snap
 
 
 def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
@@ -326,24 +317,25 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
 
 def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, mode, *,
                numeric: bool, merged: bool, matrix, replicas):
-    """Scatter the values into block storage and pick the data strategy."""
+    """Scatter the values into block storage — laid out once, only
+    refilled by a replay (``replicas``) — and pick the data strategy. A
+    value outside the block pattern raises (:meth:`BlockMatrix.rebind`):
+    no plan reads it, the factors would be those of another matrix."""
     if not numeric:
         return CostOnlyData()
     A_vals = sf.A_perm if matrix is None else matrix
-    if merged:
-        # One *global* copy of every block: the driver is sequential, Schur
-        # updates are pure accumulations, and merging means every rank of a
-        # range works on the same logical ancestor copy anyway.
-        store = BlockMatrix.from_csr(A_vals, sf.layout,
-                                     block_pattern=sf.fill.all_blocks())
-        result.merged_blocks = store
-        return GlobalStoreData(store)
-    base = BlockMatrix.from_csr(A_vals, sf.layout,
-                                block_pattern=bundle.block_pattern(sf))
     if replicas is not None:
-        replicas.reset(base)
+        replicas.reset(A_vals)
     else:
-        replicas = ReplicaManager(sf, tf, base, blocks_fn=bundle.blocks_fn)
+        _ptr, ii, jj, _ww = node_block_arrays(sf, bundle.blocks_fn)
+        store = BlockMatrix.zeros(sf.layout, ii, jj, A_vals)
+        if merged:
+            # One *global* copy of every block: the driver is sequential,
+            # Schur updates are pure accumulations, and merging means every
+            # rank of a range works on the same logical ancestor copy anyway.
+            result.merged_blocks = store
+            return GlobalStoreData(store)
+        replicas = ReplicaManager(sf, tf, store, blocks_fn=bundle.blocks_fn)
     result.replicas = replicas
     return ReplicaData(replicas, transport=ShmTransport()
                        if mode.n_workers > 1 else None)
@@ -386,11 +378,10 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
             if not fanned:
                 for gp in step.grid_plans:
                     grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
-                    r2d = execute_grid_plan(gp, sf, sim, data=data.view(gp),
-                                            options=opts, grid=grid,
-                                            fuse=fuse)
+                    r2d = execute_grid_plan(gp, sf, sim, options=opts,
+                                            grid=grid, fuse=fuse,
+                                            prog=data.program(gp, sf))
                     _absorb_2d(result, r2d)
-                    data.mark_executed_inline(gp)
             for rep in step.replicated:
                 execute_replicated(rep, sim)
 

@@ -15,224 +15,153 @@ import numpy as np
 
 from repro.comm.grid import ProcessGrid3D
 from repro.lu2d.storage import node_block_arrays, node_blocks
-from repro.sparse.blockmatrix import BlockMatrix
+from repro.plan.backends import get_backend
+from repro.sparse.blockmatrix import BlockMatrix, zero_buffer
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.tree.treeforest import TreeForest
-from repro.utils.ragged import ragged
+from repro.utils.ragged import csr_ptr, ragged
 
-__all__ = ["ReplicaManager", "GridStoreView", "replica_words_per_rank",
-           "touched_block_keys"]
-
-
-def touched_block_keys(sf: SymbolicFactorization, nodes,
-                       blocks_fn=None) -> set[tuple[int, int]]:
-    """Conservative superset of the blocks factoring ``nodes`` touches.
-
-    Covers the nodes' own panels (``blocks_fn``), the LU Schur targets
-    (``lpanel × upanel``) and the symmetric engines' lower-triangle
-    targets (``i >= j`` pairs of the L panel). Used to build the
-    per-grid view shipped to pool workers: intersecting this set with a
-    grid's replica store yields every block the 2D engine can read or
-    write for ``nodes`` (Schur targets are ancestors, and ancestor
-    replication domains nest, so the grid holds them all).
-    """
-    blocks_fn = blocks_fn or node_blocks
-    lpanel, upanel = sf.fill.lpanel, sf.fill.upanel
-    keys: set[tuple[int, int]] = set()
-    for v in nodes:
-        v = int(v)
-        keys.update((i, j) for i, j, _w in blocks_fn(sf, v))
-        rows = [int(i) for i in lpanel[v]]
-        cols = [int(j) for j in upanel[v]]
-        keys.update((i, j) for i in rows for j in cols)
-        keys.update((i, j) for a, i in enumerate(rows) for j in rows[:a + 1])
-    return keys
-
-
-class GridStoreView:
-    """Mapping ``(i, j) -> ndarray`` resolving to one grid's replicas.
-
-    This is the ``data`` object handed to ``factor_nodes_2d`` when it runs
-    on behalf of z-layer ``g`` — the 2D code is oblivious to replication.
-    """
-
-    def __init__(self, mgr: "ReplicaManager", g: int):
-        self._mgr = mgr
-        self._g = g
-
-    def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
-        return self._mgr.block(self._g, key[0], key[1])
-
-    def __setitem__(self, key: tuple[int, int], value: np.ndarray) -> None:
-        self._mgr.block(self._g, key[0], key[1])[:] = value
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        try:
-            self._mgr.block(self._g, key[0], key[1])
-            return True
-        except KeyError:
-            return False
+__all__ = ["ReplicaManager", "replica_words_per_rank"]
 
 
 class ReplicaManager:
-    """Owns every grid's copy of every block (numeric mode).
-
-    Parameters
-    ----------
-    sf, tf:
-        Symbolic factorization and the tree-forest partition.
-    base:
-        ``BlockMatrix`` holding the values of the permuted ``A`` expanded to
-        the full fill pattern. Its arrays become the *home* copies (they are
-        mutated in place during factorization).
-    """
+    """Owns every grid's copy of every block (numeric mode), in two
+    buffers laid out once: the arena of ``base`` — a :class:`BlockMatrix`
+    holding the permuted ``A`` over the full fill pattern, node-major
+    (:meth:`BlockMatrix.from_csr` / :meth:`~BlockMatrix.zeros`) — is the
+    *home* copies, mutated in place by the factorization; a second buffer
+    holds every other replica, grid-major. A node's blocks are contiguous,
+    in ``blocks_fn`` order, on every grid that holds them: one *segment*
+    per (grid, node)."""
 
     def __init__(self, sf: SymbolicFactorization, tf: TreeForest,
                  base: BlockMatrix, blocks_fn=None):
         self.sf = sf
         self.tf = tf
+        self.base = base
         self.blocks_fn = blocks_fn or node_blocks
-        self._dirty_hooks: list = []
-        self._store: dict[tuple[int, int, int], np.ndarray] = {}
-        layout = sf.layout
-        for v in range(sf.nb):
-            grids = tf.grids_of_node(v)
-            home = grids.start
-            for i, j, _w in self.blocks_fn(sf, v):
-                blk = base.get(i, j)
-                if blk is None:
-                    blk = np.zeros((layout.block_size(i), layout.block_size(j)))
-                self._store[(home, i, j)] = blk
-                for g in grids:
-                    if g != home:
-                        self._store[(g, i, j)] = np.zeros_like(blk)
+        self._programs: dict = {}       # see program()
+        ptr, ii, jj, _ww = node_block_arrays(sf, self.blocks_fn)
+        sizes = sf.layout.sizes()
+        rows, size = sizes[ii], sizes[ii] * sizes[jj]
+        n_blocks = np.diff(ptr)
+        node_of = np.repeat(np.arange(sf.nb), n_blocks)
+        rel = csr_ptr(size)
+        words = np.diff(rel[ptr])                       # per node
+        rel = rel[:-1] - rel[ptr[:-1]][node_of]         # block inside node
+        start = base.offsets_of(ii, jj)
+        home_off = start[ptr[:-1]]
+        if (start != home_off[node_of] + rel).any():
+            raise ValueError(
+                "base must be an arena BlockMatrix over (a superset of) the "
+                "replica block pattern, node-major (BlockMatrix.from_csr)")
+        # Node v lives on grids first[v] + 0 .. n_rep[v]; the first is home.
+        n_rep = 2 ** (tf.l - tf.node_level) - 1
+        first = tf.node_forest * (n_rep + 1)
+        node, w = ragged(n_rep)
+        g = first[node] + 1 + w
+        order = np.argsort(g, kind="stable")            # grid-major
+        node, g = node[order], g[order]
+        off = csr_ptr(words[node])
+        self._bufs = (base.buf, zero_buffer(int(off[-1])))
+        #: ``(grid, node) -> (buffer, lo, hi)``: where the segment lives.
+        self._seg = dict(zip(
+            zip(first.tolist() + g.tolist(), list(range(sf.nb)) + node.tolist()),
+            zip([0] * sf.nb + [1] * node.size,
+                home_off.tolist() + off[:-1].tolist(),
+                (home_off + words).tolist() + off[1:].tolist())))
+        keys = list(zip(ii.tolist(), jj.tolist()))
+        self._home = dict(zip(keys, map(base.blocks.__getitem__, keys)))
+        self._views: list[dict] = [{} for _ in range(tf.pz)]
+        for k, gv in zip(keys, first[node_of].tolist()):
+            self._views[gv][k] = self._home[k]
+        pair, t = ragged(n_blocks[node])
+        at = ptr[node][pair] + t
+        lo = off[pair] + rel[at]
+        for gv, k, s, e, r in zip(g[pair].tolist(), at.tolist(), lo.tolist(),
+                                  (lo + size[at]).tolist(), rows[at].tolist()):
+            self._views[gv][keys[k]] = self._bufs[1][s:e].reshape(r, -1)
 
-    def block(self, g: int, i: int, j: int) -> np.ndarray:
-        try:
-            return self._store[(g, i, j)]
-        except KeyError:
-            raise KeyError(f"grid {g} holds no replica of block ({i}, {j})") \
-                from None
+    def view(self, g: int) -> dict[tuple[int, int], np.ndarray]:
+        """Grid ``g``'s replicas ``(i, j) -> ndarray``: z-layer ``g``'s data."""
+        return self._views[g]
 
-    def view(self, g: int) -> GridStoreView:
-        return GridStoreView(self, g)
+    def program(self, gp) -> list:
+        """Grid plan ``gp``'s kernel program on grid ``gp.g``'s replicas
+        (:meth:`repro.plan.backends.KernelBackend.bind`), bound once:
+        :meth:`reset` keeps every array, so a replay runs the same list."""
+        prog = self._programs.get(gp.arrays)
+        if prog is None:
+            prog = self._programs[gp.arrays] = get_backend(gp.backend).bind(
+                gp.arrays, self._views[gp.g], self.sf)
+        return prog
 
     # -- worker transport --------------------------------------------------
 
     def grid_block_refs(self, g: int,
                         nodes) -> dict[tuple[int, int], np.ndarray]:
-        """Grid ``g``'s replicas of the blocks ``nodes`` may touch, as
-        *direct* (non-copying) references, deterministically ordered — the
-        shared-memory transport's export source (it copies only new/dirty
-        blocks into its segments)."""
-        store = self._store
-        return {key: store[(g, *key)]
-                for key in sorted(touched_block_keys(self.sf, nodes,
-                                                     self.blocks_fn))
-                if (g, *key) in store}
+        """Grid ``g``'s replicas of every block factoring ``nodes`` can
+        touch, as direct references in sorted key order — the shm
+        transport's export source. A conservative superset (the nodes' own
+        blocks, the LU Schur targets ``lpanel × upanel``, the symmetric
+        engines' ``i >= j`` pairs of the L panel) cut to what the grid
+        holds: targets are ancestors, whose replication domains nest."""
+        lpanel, upanel = self.sf.fill.lpanel, self.sf.fill.upanel
+        keys: set[tuple[int, int]] = set()
+        for v in map(int, nodes):
+            rows, cols = lpanel[v].tolist(), upanel[v].tolist()
+            keys.update((i, j) for i, j, _w in self.blocks_fn(self.sf, v))
+            keys.update((i, j) for i in rows for j in cols)
+            keys.update((i, j) for a, i in enumerate(rows) for j in rows[:a + 1])
+        view = self._views[g]
+        return {key: view[key] for key in sorted(keys) if key in view}
 
-    def import_view(self, g: int,
-                    blocks: dict[tuple[int, int], np.ndarray]) -> None:
-        """Write a worker's mutated blocks back into grid ``g``'s replicas.
+    def _segment(self, g: int, v: int) -> np.ndarray:
+        buf, lo, hi = self._seg[(g, v)]
+        return self._bufs[buf][lo:hi]
 
-        In-place copies, so views and the home-grid aliasing into the
-        original :class:`BlockMatrix` stay valid.
-        """
-        store = self._store
-        for (i, j), arr in blocks.items():
-            store[(g, i, j)][:] = arr
+    def accumulate(self, g_dst: int, g_src: int, rows: np.ndarray,
+                   cols: np.ndarray) -> None:
+        """One Ancestor-Reduction hop over blocks ``(rows[t], cols[t])`` —
+        whole nodes, node by node: ``dst += src``, one slice add per node."""
+        node = np.minimum(rows, cols)
+        for v in node[np.flatnonzero(np.diff(node, prepend=-1))].tolist():
+            self._segment(g_dst, v)[:] += self._segment(g_src, v)
 
-    def accumulate(self, g_dst: int, g_src: int, i: int, j: int) -> None:
-        """One Ancestor-Reduction hop: ``dst-copy += src-copy``."""
-        self._store[(g_dst, i, j)] += self._store[(g_src, i, j)]
-        for hook in self._dirty_hooks:
-            hook(g_dst, i, j)
-
-    def add_dirty_hook(self, hook) -> None:
-        """Register ``hook(g, i, j)`` to fire whenever a replica block is
-        mutated outside plan execution (currently: :meth:`accumulate`) —
-        how the shm transport learns which cached blocks went stale."""
-        self._dirty_hooks.append(hook)
-
-    def reset(self, base: BlockMatrix) -> None:
-        """Re-initialize every replica to Fig. 5's initial state with fresh
-        values, in place — the plan-replay path's allocation-free setup.
-
-        Home copies are refilled from ``base`` (structurally missing blocks
-        become zero fill again), non-home copies are zeroed, and dirty
-        hooks are dropped: each execution's transport registers its own,
-        and a stale hook would mark blocks dirty against a closed segment.
-        Array identities are preserved, so any outstanding views (and a
-        previous run's :class:`HomeView`) resolve to the new values.
-        """
-        sf, tf = self.sf, self.tf
-        store = self._store
-        self._dirty_hooks.clear()
-        for v in range(sf.nb):
-            grids = tf.grids_of_node(v)
-            home = grids.start
-            for i, j, _w in self.blocks_fn(sf, v):
-                blk = base.get(i, j)
-                if blk is None:
-                    store[(home, i, j)][:] = 0.0
-                else:
-                    store[(home, i, j)][:] = blk
-                for g in grids:
-                    if g != home:
-                        store[(g, i, j)][:] = 0.0
+    def reset(self, A) -> None:
+        """Re-initialize every replica to Fig. 5's initial state with the
+        values of the (permuted) CSR matrix ``A``, in place — the replay
+        path's allocation-free setup: the home arena is refilled
+        (:meth:`BlockMatrix.rebind`), the other replicas zeroed. Every
+        array keeps its identity, so outstanding views, a previous run's
+        :meth:`home_view` and the bound programs see the new values."""
+        self.base.rebind(A)
+        self._bufs[1].fill(0.0)
 
     # -- checkpoint / recovery support (repro.resilience) ------------------
 
-    def snapshot(self) -> dict[tuple[int, int, int], np.ndarray]:
-        """A deep copy of every grid's replica values."""
-        return {key: arr.copy() for key, arr in self._store.items()}
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """A copy of both buffers: every grid's replica values."""
+        return tuple(buf.copy() for buf in self._bufs)
 
-    def restore(self, snap: dict[tuple[int, int, int], np.ndarray]) -> None:
+    def restore(self, snap) -> None:
         """Write a :meth:`snapshot` back in place (views stay valid)."""
-        store = self._store
-        for key, arr in snap.items():
-            store[key][:] = arr
+        for buf, saved in zip(self._bufs, snap):
+            buf[:] = saved
 
-    def restore_grid(self, g: int,
-                     snap: dict[tuple[int, int, int], np.ndarray]) -> None:
-        """Restore only grid ``g``'s replicas from a snapshot.
+    def restore_grid(self, g: int, snap) -> None:
+        """Restore only grid ``g``'s replicas from a snapshot — z-replica
+        recovery with the *initial* (Fig. 5) one: the crashed grid returns
+        to its pre-factorization state, then its plans and the reduces
+        aimed at it are replayed; other grids' copies are untouched."""
+        for (gv, _v), (buf, lo, hi) in self._seg.items():
+            if gv == g:
+                self._bufs[buf][lo:hi] = snap[buf][lo:hi]
 
-        Used by z-replica recovery with the *initial* (Fig. 5) snapshot:
-        the crashed grid is reset to its pre-factorization state, then its
-        plans and the reduces aimed at it are replayed — every other
-        grid's copies are left untouched.
-        """
-        store = self._store
-        for key, arr in snap.items():
-            if key[0] == g:
-                store[key][:] = arr
-
-    def home_view(self) -> "HomeView":
-        return HomeView(self)
-
-
-class HomeView:
-    """Read-only view resolving every block to its home grid's copy.
-
-    After factorization the home copies hold the final L\\U factors; the
-    solve phase and the verification tests read through this view.
-    """
-
-    def __init__(self, mgr: ReplicaManager):
-        self._mgr = mgr
-        self._home = {v: mgr.tf.home_grid(v) for v in range(mgr.sf.nb)}
-
-    def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
-        i, j = key
-        return self._mgr.block(self._home[min(i, j)], i, j)
-
-    def to_block_matrix(self) -> BlockMatrix:
-        """Assemble the factored blocks into a plain BlockMatrix."""
-        out = BlockMatrix(self._mgr.sf.layout)
-        for v in range(self._mgr.sf.nb):
-            for i, j, _w in self._mgr.blocks_fn(self._mgr.sf, v):
-                out[(i, j)] = self[(i, j)].copy()
-        return out
+    def home_view(self) -> dict[tuple[int, int], np.ndarray]:
+        """Every block's home-grid copy, ``(i, j) -> ndarray``: after
+        factorization the final L\\U factors the solve phase reads."""
+        return self._home
 
 
 def replica_words_per_rank(sf: SymbolicFactorization, tf: TreeForest,

@@ -19,9 +19,9 @@ same factors.
 from repro.parallel.engine import (GridOutcome, GridTask, LevelStats,
                                    ParallelExecutor, ParallelFallback,
                                    resolve_workers)
-from repro.parallel.shm import (SHM_PREFIX, ShmBlockView, ShmTransport,
-                                ShmViewHandle, shm_available)
+from repro.parallel.shm import (SHM_PREFIX, ShmTransport, ShmViewHandle,
+                                attach_views, shm_available)
 
 __all__ = ["GridOutcome", "GridTask", "LevelStats", "ParallelExecutor",
-           "ParallelFallback", "SHM_PREFIX", "ShmBlockView", "ShmTransport",
-           "ShmViewHandle", "resolve_workers", "shm_available"]
+           "ParallelFallback", "SHM_PREFIX", "ShmTransport", "ShmViewHandle",
+           "attach_views", "resolve_workers", "shm_available"]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.comm.simulator import CommError, LedgerDelta, Simulator
-from repro.parallel.shm import ShmBlockView, ShmViewHandle
+from repro.parallel.shm import ShmViewHandle, attach_views
 
 __all__ = ["GridTask", "GridOutcome", "LevelStats", "ParallelExecutor",
            "ParallelFallback", "resolve_workers"]
@@ -139,21 +139,17 @@ def _worker_run(task: GridTask) -> GridOutcome:
     """Run one grid's sub-plan against its forked simulator.
 
     A :class:`repro.parallel.shm.ShmViewHandle` payload is materialized
-    into zero-copy views over the parent's shared segments; the in-place
-    block mutations land directly in shared memory.
+    into zero-copy views over the parent's shared segments
+    (:func:`repro.parallel.shm.attach_views`): the kernel program binds to
+    them, so the in-place block mutations land directly in shared memory.
     """
     from repro.plan.interpret import execute_grid_plan
 
     t0 = time.perf_counter()
     plan = task.plan
-    view = ShmBlockView(task.blocks) if task.blocks is not None else None
-    try:
-        r2d = execute_grid_plan(plan, _WORKER_STATE["sf"], task.sub,
-                                data=view, options=_WORKER_STATE["options"],
-                                fuse=task.fuse)
-    finally:
-        if view is not None:
-            view.release()
+    view = attach_views(task.blocks) if task.blocks is not None else None
+    r2d = execute_grid_plan(plan, _WORKER_STATE["sf"], task.sub, data=view,
+                            options=_WORKER_STATE["options"], fuse=task.fuse)
     ranks = np.arange(plan.base, plan.base + plan.px * plan.py)
     return GridOutcome(g=plan.g, delta=task.sub.extract_delta(ranks),
                        result=r2d, task_seconds=time.perf_counter() - t0)

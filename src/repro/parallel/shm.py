@@ -6,11 +6,11 @@ This module ships *descriptors* instead: the parent lays each grid's
 blocks out in ``multiprocessing.shared_memory`` segments once, and
 ``export`` ships only a table of ``(segment name, offset, shape)`` triples.
 Workers attach the named segments and reconstruct zero-copy NumPy views
-(:class:`ShmBlockView`), mutate the blocks in place, and return the same
+(:func:`attach_views`), mutate the blocks in place, and return the same
 tiny descriptor; the parent copies the mutated segments back into its
-replica store. Blocks are re-copied into shared memory only when dirtied
-between fan-outs (z-reduction accumulation, inline-executed levels) —
-steady-state levels ship descriptor bytes only.
+replica store. A block keeps its place in shared memory across levels;
+its values are copied in at every export — a block exported again is an
+ancestor block the z-reduction has summed into in between.
 
 Cleanup is parent-owned: segments are created with the ``repro_shm_``
 prefix and unlinked in :meth:`ShmTransport.close`, which the 3D executor
@@ -42,7 +42,7 @@ except ImportError:  # pragma: no cover - stdlib build without _posixshmem
 
 __all__ = [
     "SHM_PREFIX",
-    "ShmBlockView",
+    "attach_views",
     "ShmTransport",
     "ShmViewHandle",
     "shm_available",
@@ -104,55 +104,28 @@ def _attach(name: str):
         return seg
 
 
-class ShmBlockView:
-    """Worker-side mapping ``(i, j) -> ndarray`` over attached segments.
-
-    The plan interpreter only needs ``__getitem__`` (mutating the returned
-    array in place writes the shared segment directly) plus
-    ``__setitem__`` / ``__contains__``.
-    """
-
-    def __init__(self, handle: ShmViewHandle):
-        self._arrays = {}
-        for key, (name, off, shape) in handle.entries.items():
-            seg = _attach(name)
-            self._arrays[key] = np.ndarray(shape, dtype=np.float64,
-                                           buffer=seg.buf, offset=off)
-
-    def __getitem__(self, key):
-        return self._arrays[key]
-
-    def __setitem__(self, key, value):
-        self._arrays[key][:] = value
-
-    def __contains__(self, key):
-        return key in self._arrays
-
-    def __len__(self):
-        return len(self._arrays)
-
-    def keys(self):
-        return self._arrays.keys()
-
-    def release(self) -> None:
-        """Drop the array views (the segment mappings stay cached)."""
-        self._arrays.clear()
+def attach_views(handle: ShmViewHandle) -> dict:
+    """Worker-side block mapping ``(i, j) -> ndarray`` over the attached
+    segments: zero-copy, so binding a kernel program to it and mutating
+    the blocks in place writes the shared segments directly."""
+    return {key: np.ndarray(shape, dtype=np.float64,
+                            buffer=_attach(name).buf, offset=off)
+            for key, (name, off, shape) in handle.entries.items()}
 
 
 class _GridState:
     """Parent-side layout of one grid's blocks in shared memory."""
 
-    __slots__ = ("segments", "entries", "views", "dirty")
+    __slots__ = ("segments", "entries", "views")
 
     def __init__(self):
         self.segments = []   # SharedMemory objects this transport owns
         self.entries = {}    # key -> (name, offset, shape)
         self.views = {}      # key -> parent ndarray view into a segment
-        self.dirty = set()   # keys whose replica copy is newer than shm
 
 
 class ShmTransport:
-    """Parent-side segment owner, layout table and dirty tracker."""
+    """Parent-side segment owner and layout table."""
 
     def __init__(self):
         self._grids: dict[int, _GridState] = {}
@@ -166,9 +139,10 @@ class ShmTransport:
 
         ``arrays`` maps block key to the *live* replica array (no copies;
         iteration order must be deterministic — the layout replays it).
-        Unknown keys get appended to a fresh segment; dirty known keys are
-        re-copied; clean known keys cost nothing. Returns ``None`` if
-        shared memory fails, permanently downgrading this transport.
+        Unknown keys get appended to a fresh segment, known ones keep
+        their place; every block's current values are copied in. Returns
+        ``None`` if shared memory fails, permanently downgrading this
+        transport.
         """
         if self.broken:
             return None
@@ -181,15 +155,12 @@ class ShmTransport:
                 st.segments.append(seg)
                 off = 0
                 for k, a in new:
-                    view = np.ndarray(a.shape, dtype=np.float64,
-                                      buffer=seg.buf, offset=off)
-                    view[:] = a
                     st.entries[k] = (seg.name, off, a.shape)
-                    st.views[k] = view
+                    st.views[k] = np.ndarray(a.shape, dtype=np.float64,
+                                             buffer=seg.buf, offset=off)
                     off += int(a.size) * 8
-            for k in [k for k in st.dirty if k in arrays]:
-                st.views[k][:] = arrays[k]
-                st.dirty.discard(k)
+            for k, a in arrays.items():
+                st.views[k][:] = a
             return ShmViewHandle(g=g,
                                  entries={k: st.entries[k] for k in arrays})
         except (OSError, ValueError):
@@ -201,13 +172,6 @@ class ShmTransport:
         """Parent-side views of the handle's blocks (for copy-back)."""
         views = self._grids[handle.g].views
         return {k: views[k] for k in handle.entries}
-
-    def mark_dirty(self, g: int, key) -> None:
-        """Record that grid ``g``'s replica block ``key`` changed outside
-        shared memory, so the next export re-copies it."""
-        st = self._grids.get(g)
-        if st is not None and key in st.entries:
-            st.dirty.add(key)
 
     def close(self) -> None:
         """Unlink every owned segment (idempotent; crash-safe ``finally``)."""
@@ -223,7 +187,7 @@ class ShmTransport:
                 except FileNotFoundError:
                     pass
         self._grids.clear()
-        # A same-process attach (tests drive ShmBlockView directly) would
+        # A same-process attach (tests drive attach_views directly) would
         # pin the unlinked segments' memory: purge those cached mappings.
         for name in self._names:
             seg = _ATTACH_CACHE.pop(name, None)

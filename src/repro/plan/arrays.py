@@ -224,9 +224,17 @@ class TaskArrays:
         vol.add(self.stream)
         return vol
 
-    def __getstate__(self):     # the two caches never ship
+    @cached_property
+    def k_ptr(self) -> np.ndarray:
+        """``ev_ptr``'s numeric twin: task ``t``'s ops in a bound kernel
+        program (:meth:`repro.plan.backends.KernelBackend.bind`) are
+        ``k_ptr[t]:k_ptr[t + 1]`` — one per Schur pair or other task."""
+        return csr_ptr(np.where(self.kind == SCHUR_UPDATE,
+                                np.diff(self.pair_ptr), 1))
+
+    def __getstate__(self):     # the caches never ship
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("stream", "records")}
+                if k not in ("stream", "records", "k_ptr")}
 
     # -- the typed width-1 view --------------------------------------------
 

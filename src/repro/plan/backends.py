@@ -9,12 +9,14 @@ A backend bundles everything variant-specific about a factorization:
   and the Schur tasks' per-pair cost arrays
   (:meth:`KernelBackend.emit_schur`) — numpy over the concatenated panels,
   no per-block Python;
-* **numeric kernels** — what actually runs when the interpreter reaches a
-  task in numeric mode (``getrf_nopiv`` for LU, ``potrf_shifted`` for
-  Cholesky, in-place ``trsm`` panel solves and ``gemm_sub`` Schur
-  accumulation for both — all from :mod:`repro.lu2d.kernels`); the
-  interpreter books the simulator events itself, from the plan's arrays,
-  so numeric and cost-only runs book identical events;
+* **numeric kernels** — :meth:`KernelBackend.bind` turns a grid plan and
+  a block store into a flat *kernel program*, one pre-bound op per factor
+  / panel-solve task and one per Schur pair (``GETRF`` for LU, ``POTRF``
+  for Cholesky, ``trsm_op`` panel solves and ``gemm_op`` Schur
+  accumulation for both — all from :mod:`repro.lu2d.kernels`, whose
+  ``execute`` runs slices of it); the interpreter books the simulator
+  events itself, from the plan's arrays, so numeric and cost-only runs
+  book identical events;
 * **block enumeration** — the per-supernode block set the 3D replication
   and reduction layers iterate (full panels for LU, lower triangle for
   Cholesky).
@@ -31,9 +33,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.lu2d.batched import schur_pairs, syrk_pairs
-from repro.lu2d.kernels import gemm_sub, getrf_nopiv, potrf_shifted, trsm
+from repro.lu2d.kernels import GETRF, POTRF, gemm_op, trsm_op
 from repro.lu2d.storage import node_blocks
-from repro.plan.arrays import PANEL_FACTOR
+from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
 from repro.utils.ragged import ragged
 
 __all__ = ["BuildContext", "KernelBackend", "LUBackend", "CholeskyBackend",
@@ -119,6 +121,8 @@ class KernelBackend:
     #: decides offload per block pair; such a backend also provides
     #: ``accel_panel_ranks`` and ``pair_offload_words`` (see LUBackend).
     accel_aware: bool = False
+    #: Op code of the diagonal factorization (``GETRF`` / ``POTRF``).
+    factor_op: int = -1
 
     def emit_panels(self, b: BuildContext, ks: np.ndarray):
         """Panel tasks of node list ``ks``, as columns: node ``g``
@@ -134,16 +138,29 @@ class KernelBackend:
         raise NotImplementedError
 
     # -- execution ---------------------------------------------------------
-    # Numeric bodies only: the interpreter books every simulator event and
-    # calls these per task for the data movement alone.
 
-    def panel_numeric(self, ctx, kind: int, k: int, i: int, j: int) -> None:
-        """Factor ``(k, k)`` (``kind == PANEL_FACTOR``) or solve panel
-        block ``(i, j)`` of node ``k`` in place."""
-        raise NotImplementedError
-
-    def schur_numeric(self, ctx, k: int) -> None:
-        raise NotImplementedError
+    def bind(self, arrays, store, sf) -> list:
+        """The kernel program of grid plan ``arrays`` on ``store`` (any
+        mapping ``(i, j) -> C-contiguous float64 block``): task ``t``'s ops
+        are ``arrays.k_ptr[t]:arrays.k_ptr[t + 1]`` — one per factor /
+        panel-solve task, one per Schur pair in pair order — each with its
+        operands looked up and its BLAS flags derived once, here (the
+        backend's ``panel_op`` / ``schur_ops``). Any walk executes slices
+        of the list (:func:`repro.lu2d.kernels.execute`)."""
+        prog: list = []
+        for kind, k, i, j in zip(arrays.kind.tolist(), arrays.node.tolist(),
+                                 arrays.bi.tolist(), arrays.bj.tolist()):
+            if kind == SCHUR_UPDATE:
+                prog += self.schur_ops(store, sf, k)
+            elif kind == PANEL_FACTOR:
+                prog.append((self.factor_op, store[(k, k)], None, None, None))
+            else:
+                prog.append(self.panel_op(store, k, i, j))
+        if not all(op[1].dtype == np.float64 and op[1].flags.f_contiguous
+                   for op in prog if op[0] != self.factor_op):
+            raise ValueError("kernel programs overwrite blocks in place: "
+                             "the store must hold C-contiguous float64")
+        return prog
 
 
 def _panel_columns(lay, parts) -> SimpleNamespace:
@@ -166,6 +183,7 @@ class LUBackend(KernelBackend):
 
     name = "lu"
     accel_aware = True
+    factor_op = GETRF
     node_blocks = staticmethod(node_blocks)
 
     # -- plan emission -----------------------------------------------------
@@ -259,25 +277,17 @@ class LUBackend(KernelBackend):
         sj = sizes[np.asarray(sf.fill.upanel[k], dtype=np.int64)][None, :]
         return (si * s + s * sj + si * sj).ravel().astype(np.float64)
 
-    def panel_numeric(self, ctx, kind, k, i, j):
-        if kind == PANEL_FACTOR:
-            ctx.result.perturbed_pivots += getrf_nopiv(
-                ctx.store[(k, k)], ctx.opts.pivot_eps)
-        elif i == k:            # U_kj <- L_kk^{-1} A_kj
-            trsm(ctx.store[(k, k)], ctx.store[(k, j)], side="L", lower=True,
-                 unit=True)
-        else:                   # L_ik <- A_ik U_kk^{-1}
-            trsm(ctx.store[(k, k)], ctx.store[(i, k)], side="R", lower=False)
+    def panel_op(self, store, k, i, j):
+        if i == k:              # U_kj <- L_kk^{-1} A_kj
+            return trsm_op(store[(k, k)], store[(k, j)], side="L",
+                           lower=True, unit=True)
+        # L_ik <- A_ik U_kk^{-1}
+        return trsm_op(store[(k, k)], store[(i, k)], side="R", lower=False)
 
-    def schur_numeric(self, ctx, k):
-        lp, up = ctx.sf.fill.lpanel[k], ctx.sf.fill.upanel[k]
-        store = ctx.store
-        for i in lp:
-            i = int(i)
-            Lik = store[(i, k)]
-            for j in up:
-                j = int(j)
-                gemm_sub(store[(i, j)], Lik, store[(k, j)])
+    def schur_ops(self, store, sf, k):
+        up = [(store[(k, j)], j) for j in sf.fill.upanel[k].tolist()]
+        return [gemm_op(store[(i, j)], store[(i, k)], Ukj)
+                for i in sf.fill.lpanel[k].tolist() for Ukj, j in up]
 
 
 class CholeskyBackend(KernelBackend):
@@ -285,6 +295,7 @@ class CholeskyBackend(KernelBackend):
 
     name = "cholesky"
     accel_aware = False
+    factor_op = POTRF
     node_blocks = staticmethod(cholesky_node_blocks)
 
     # -- plan emission -----------------------------------------------------
@@ -324,22 +335,15 @@ class CholeskyBackend(KernelBackend):
 
     # -- execution ---------------------------------------------------------
 
-    def panel_numeric(self, ctx, kind, k, i, j):
-        if kind == PANEL_FACTOR:
-            L, nshift = potrf_shifted(ctx.store[(k, k)], ctx.opts.pivot_eps)
-            ctx.store[(k, k)][:] = L
-            ctx.result.perturbed_pivots += nshift
-        else:                   # L_ik <- A_ik L_kk^{-T}
-            trsm(ctx.store[(k, k)], ctx.store[(i, k)], side="R", lower=True,
-                 trans=True)
+    def panel_op(self, store, k, i, j):     # L_ik <- A_ik L_kk^{-T}
+        return trsm_op(store[(k, k)], store[(i, k)], side="R", lower=True,
+                       trans=True)
 
-    def schur_numeric(self, ctx, k):
-        store = ctx.store
-        lp = [int(i) for i in ctx.sf.fill.lpanel[k]]
-        for a, i in enumerate(lp):
-            for j in lp[:a + 1]:
-                gemm_sub(store[(i, j)], store[(i, k)], store[(j, k)],
-                         trans_b=True)
+    def schur_ops(self, store, sf, k):
+        lp = sf.fill.lpanel[k].tolist()
+        return [gemm_op(store[(i, j)], store[(i, k)], store[(j, k)],
+                        trans_b=True)
+                for a, i in enumerate(lp) for j in lp[:a + 1]]
 
 
 _BACKENDS: dict[str, KernelBackend] = {}

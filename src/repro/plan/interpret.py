@@ -5,12 +5,12 @@ task arrays in list order between cut points — the plan's ``runs``
 (maximal same-kind runs) for a plain or traced execution, every single
 task when something needs per-task boundaries (an accelerator, a fault
 injector, the resilience monitor, the fuzzer). Two things happen per
-interval: the backend's numeric kernels (numeric mode only, :func:`run`)
-and the booking of the interval's slice of the plan's one event stream
-(:func:`book`, one :meth:`repro.comm.Simulator.book` call). Booking
-granularity is a choice of cut points too: the ledger of a slice does not
-depend on how the stream is cut, so a full-width run that nothing monitors
-books the whole plan in a single call after its kernels.
+interval, each a slice of something laid out once: the interval's ops of
+the bound kernel program (numeric mode only, :func:`run`) and the booking
+of its events in the plan's one event stream (:func:`book`, one
+:meth:`repro.comm.Simulator.book` call). Neither the factors nor the
+ledger of a slice depend on how it is cut, so a full-width run that
+nothing monitors executes and books the whole plan as one slice of each.
 
 Because the plan's list order replays the historical drivers' exact event
 order, every broadcast's pair sequence was flattened at build time, and
@@ -32,6 +32,7 @@ import numpy as np
 from repro.comm.collectives import bcast
 from repro.comm.grid import ProcessGrid2D
 from repro.comm.simulator import Simulator
+from repro.lu2d.kernels import execute
 from repro.lu2d.options import Factor2DResult, FactorOptions
 from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
 from repro.plan.backends import get_backend
@@ -42,19 +43,19 @@ __all__ = ["GridContext", "run", "book", "execute_grid_plan",
 
 
 class GridContext:
-    """Mutable state of one grid-plan execution; ``store`` is the caller's
-    block mapping (``None`` in cost-only mode, where nothing reads it)."""
+    """Mutable state of one grid-plan execution; ``prog`` is the plan's
+    kernel program on the run's blocks (:meth:`KernelBackend.bind
+    <repro.plan.backends.KernelBackend.bind>`; ``None``: cost-only)."""
 
     def __init__(self, plan: GridPlan, sf, grid: ProcessGrid2D,
-                 sim: Simulator, data, opts: FactorOptions):
+                 sim: Simulator, prog, opts: FactorOptions):
         self.arrays = plan.arrays
         self.be = get_backend(plan.backend)
         self.sf = sf
         self.grid = grid
         self.sim = sim
         self.opts = opts
-        self.store = data
-        self.numeric = data is not None
+        self.prog = prog
         self.sizes = sf.layout.sizes()
         self.result = Factor2DResult(nodes=list(plan.nodes))
         #: Per-rank level of the live transient panel-receive buffers
@@ -89,19 +90,13 @@ class GridContext:
 
 
 def run(ctx: GridContext, a: int, b: int) -> None:
-    """The numeric kernels of tasks ``[a, b)`` — one same-kind interval
-    between two cut points — as one dispatch (a no-op in cost-only
-    mode): the only task body there is."""
-    if not ctx.numeric:
-        return
-    A, be = ctx.arrays, ctx.be
-    kind, nodes = int(A.kind[a]), A.node[a:b].tolist()
-    if kind == SCHUR_UPDATE:
-        for k in nodes:
-            be.schur_numeric(ctx, k)
-    else:
-        for k, i, j in zip(nodes, A.bi[a:b].tolist(), A.bj[a:b].tolist()):
-            be.panel_numeric(ctx, kind, k, i, j)
+    """The numeric kernels of tasks ``[a, b)`` (any kinds, any width): a
+    slice of the bound program, the numeric twin of :func:`book` (a no-op
+    in cost-only mode) — the only task body there is."""
+    if ctx.prog is not None:
+        k_ptr = ctx.arrays.k_ptr
+        ctx.result.perturbed_pivots += execute(
+            ctx.prog, k_ptr[a], k_ptr[b], ctx.opts.pivot_eps)
 
 
 def book(ctx: GridContext, a: int, b: int) -> None:
@@ -152,19 +147,22 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
                       options: FactorOptions | None = None,
                       grid: ProcessGrid2D | None = None, *,
                       fuse: bool = False, monitor=None, start: int = 0,
-                      ctx: GridContext | None = None) -> Factor2DResult:
+                      ctx: GridContext | None = None, prog=None
+                      ) -> Factor2DResult:
     """Execute ``plan`` on ``sim``, in plan list order.
 
     ``data`` is a mapping ``(i, j) -> ndarray`` holding this grid's copy
     of every block the plan touches (``None`` for cost-only simulation);
-    blocks are overwritten with the packed factors. ``grid`` may be passed
-    to reuse an existing grid object; otherwise it is rebuilt from the
-    plan's ``(px, py, base)``.
+    blocks are overwritten with the packed factors. A driver that keeps
+    its blocks across runs passes ``prog``, the plan's kernel program
+    already bound to them, instead. ``grid`` may be passed to reuse an
+    existing grid object; otherwise it is rebuilt from the plan's ``(px,
+    py, base)``.
 
     ``fuse`` selects the cut points: the plan's full-width runs
-    (:attr:`repro.plan.ExecMode.fuse`) — kernels dispatch per run and the
-    events of the whole plan are booked in one call — or, the default,
-    valid under any observer, one dispatch and one booking per task.
+    (:attr:`repro.plan.ExecMode.fuse`) — with no ``monitor`` at their
+    boundaries the whole plan is one kernel dispatch and one booking — or,
+    the default, valid under any observer, one of each per task.
     ``monitor`` is the resilience hook: ``before_task(plan, ctx, idx)``
     runs at every dispatch boundary and may raise
     :class:`repro.resilience.GridCrash`, ``after_task(plan, ctx, idx)``
@@ -176,21 +174,21 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
     if grid is None:
         grid = ProcessGrid2D(plan.px, plan.py, base=plan.base)
     if ctx is None:
-        ctx = GridContext(plan, sf, grid, sim, data, opts)
+        if prog is None and data is not None:
+            prog = get_backend(plan.backend).bind(plan.arrays, data, sf)
+        ctx = GridContext(plan, sf, grid, sim, prog, opts)
 
     cuts = plan.arrays.cuts(fuse)
-    first = bisect_right(cuts, start) - 1
-    whole = fuse and monitor is None
-    for a, b in zip(cuts[first:], cuts[first + 1:]):
+    cuts = cuts[bisect_right(cuts, start) - 1:]
+    if fuse and monitor is None:
+        cuts = [cuts[0], cuts[-1]]      # nothing watches a boundary
+    for a, b in zip(cuts, cuts[1:]):
         if monitor is not None:
             monitor.before_task(plan, ctx, a)
         run(ctx, a, b)
-        if not whole:
-            book(ctx, a, b)
+        book(ctx, a, b)
         if monitor is not None:
             monitor.after_task(plan, ctx, a)
-    if whole:
-        book(ctx, cuts[first], cuts[-1])
 
     if ctx.be.accel_aware and sim.accelerator is not None:
         for r in grid.all_ranks():
@@ -229,7 +227,7 @@ def execute_reduce(task: AncestorReduce, sim: Simulator, result=None,
     ``result`` is the ``Factor3DResult`` accumulating reduction counters
     (``None``: a replay whose traffic is not the result's — recovery, the
     fuzzer). ``accumulate`` is the numeric callback ``(dst_grid, src_grid,
-    i, j)`` (the standard variant's replica summation); ``None`` in
+    rows, cols)`` (the standard variant's replica summation); ``None`` in
     cost-only mode and in the merged variant, whose single global copy
     makes the numeric content a no-op.
     """
@@ -240,5 +238,4 @@ def execute_reduce(task: AncestorReduce, sim: Simulator, result=None,
         result.reduction_messages += int(words.size)
         result.reduction_words += float(words.sum())
     if accumulate is not None and task.ops is None:
-        for i, j in zip(task.rows.tolist(), task.cols.tolist()):
-            accumulate(task.dst_grid, task.src_grid, i, j)
+        accumulate(task.dst_grid, task.src_grid, task.rows, task.cols)

@@ -48,6 +48,7 @@ from repro.comm.events import PHASE_FACT, PHASE_REC, PHASE_RED
 from repro.comm.grid import ProcessGrid2D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import Factor2DResult, FactorOptions
+from repro.plan.backends import get_backend
 from repro.plan.interpret import GridContext, execute_grid_plan, execute_reduce
 from repro.resilience.faults import FaultInjector, FaultPlan, GridCrash
 from repro.resilience.stats import ResilienceStats
@@ -84,8 +85,9 @@ class _MappingData:
     def __init__(self, data):
         self.data = data
 
-    def view(self, gp):
-        return self.data
+    def program(self, gp, sf):
+        return None if self.data is None else \
+            get_backend(gp.backend).bind(gp.arrays, self.data, sf)
 
     def _items(self):
         store = self.data
@@ -104,9 +106,6 @@ class _MappingData:
         store = self._items()
         for k, v in snap.items():
             store[k][:] = v
-
-    def restore_grid(self, g, snap) -> None:  # pragma: no cover - 2D only
-        self.restore(snap)
 
 
 class ResilienceEngine:
@@ -292,7 +291,7 @@ class ResilienceEngine:
             gp = cp.plan_ref
             grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
             ctx = GridContext(gp, self.sf, grid, sim,
-                              self.data.view(gp), self.opts)
+                              self.data.program(gp, self.sf), self.opts)
             ctx.restore(cp.ctx_snap)
             # The transient buffers live at the checkpoint are part of
             # the re-read state: re-charge them so the memory ledgers
@@ -331,9 +330,9 @@ class ResilienceEngine:
         for kind, item in self.plan3.recovery_schedule(gp.g, li):
             if kind == "plan":
                 grid = ProcessGrid2D(item.px, item.py, base=item.base)
-                execute_grid_plan(item, self.sf, sim,
-                                  data=self.data.view(item),
-                                  options=self.opts, grid=grid)
+                execute_grid_plan(item, self.sf, sim, options=self.opts,
+                                  grid=grid,
+                                  prog=self.data.program(item, self.sf))
             else:
                 # The original reduction's messages/words were already
                 # absorbed into the result; the replay's traffic belongs
@@ -392,9 +391,9 @@ def execute_plan3d_resilient(plan3, sf, sim: Simulator, result, opts,
             engine.enter_plan(li, gi, gp)
             grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
             try:
-                r2d = execute_grid_plan(gp, sf, sim, data=data.view(gp),
-                                        options=opts, grid=grid,
-                                        monitor=engine, start=ti, ctx=ctx)
+                r2d = execute_grid_plan(gp, sf, sim, options=opts, grid=grid,
+                                        monitor=engine, start=ti, ctx=ctx,
+                                        prog=data.program(gp, sf))
             except GridCrash as crash:
                 li, gi, ti, ctx = engine.recover(crash)
                 step = levels[li]

@@ -16,8 +16,8 @@ one :meth:`repro.comm.Simulator.book` of the whole stream under phase
 ``'solve'``. The facades replay the plans memoized on their
 :class:`~repro.plan.PlanBundle`; the four public solves build theirs from
 ``grid_of``, the callable mapping a supernode to its 2D layer. ``blocks``
-is any mapping ``(i, j) -> ndarray`` (a :class:`BlockMatrix`, a
-:class:`HomeView`); ``unit`` is the diagonal kind of ``L`` (unit for
+is any mapping ``(i, j) -> ndarray`` (a :class:`BlockMatrix`, a replica
+manager's ``home_view()``); ``unit`` is the diagonal kind of ``L`` (unit for
 packed LU factors, not for a Cholesky ``L``) — numerics only.
 """
 

@@ -63,25 +63,73 @@ class BlockLayout:
         return np.searchsorted(self.offsets, np.asarray(idx), side="right") - 1
 
 
+def zero_buffer(n: int) -> np.ndarray:
+    """``n`` zeroed float64 words from the C allocator. Not ``np.zeros``:
+    numpy asks for transparent huge pages from 4 MB up, and a
+    factorization-sized buffer then stalls in the kernel's page compaction
+    when memory is fragmented (0.2–0.9 s measured on the first touch of a
+    22 MB arena after a worker-pool run)."""
+    return np.frombuffer(bytearray(8 * n), dtype=np.float64)
+
+
+def _entries(A: sp.csr_matrix, layout: BlockLayout):
+    """``(rows, cols, bi, bj)`` of CSR ``A``'s entries: where, which block."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    bi = np.repeat(np.arange(layout.nblocks),
+                   np.diff(A.indptr[layout.offsets]))
+    return rows, A.indices, bi, layout.block_of_index(A.indices)
+
+
 class BlockMatrix:
     """Dense-block sparse matrix over a :class:`BlockLayout`.
 
-    Blocks are stored in a dict keyed by ``(i, j)`` block coordinates. Missing
-    blocks are structurally zero. This is the numeric working set of both the
-    2D and 3D factorization drivers; in cost-only (symbolic) runs, no
-    ``BlockMatrix`` is materialized at all.
+    ``blocks`` maps ``(i, j)`` block coordinates to dense arrays; missing
+    blocks are structurally zero. A matrix built by :meth:`from_csr` /
+    :meth:`zeros` is an *arena*: one float64 buffer ``buf`` laid out once,
+    every block a C-contiguous view into it, refilled in place by
+    :meth:`rebind` — SuperLU_DIST's static L/U structure. A hand-assembled
+    matrix (:meth:`alloc`, item assignment) has no buffer. This is the
+    numeric working set of both the 2D and 3D factorization drivers; in
+    cost-only (symbolic) runs, no ``BlockMatrix`` is materialized at all.
     """
 
     def __init__(self, layout: BlockLayout):
         self.layout = layout
         self.blocks: dict[tuple[int, int], np.ndarray] = {}
+        self.buf: np.ndarray | None = None
+        # Arena index: sorted block keys i * nb + j and their offsets in
+        # buf, closed by a sentinel key no block has.
+        self._keys, self._starts = np.array([layout.n ** 2]), np.array([-1])
 
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def zeros(cls, layout: BlockLayout, ii: np.ndarray, jj: np.ndarray,
+              A: sp.csr_matrix | None = None) -> "BlockMatrix":
+        """An arena over the distinct blocks ``(ii[t], jj[t])``, in that
+        order: zero, or holding ``A``'s values (:meth:`rebind`'s rules)."""
+        bm = cls(layout)
+        sizes = layout.sizes()
+        rows, cols = sizes[ii], sizes[jj]
+        ends = np.cumsum(rows * cols)
+        starts = ends - rows * cols
+        key = ii * layout.nblocks + jj
+        order = np.argsort(key)
+        bm._keys = np.append(key[order], bm._keys)
+        bm._starts = np.append(starts[order], bm._starts)
+        bm.buf = buf = zero_buffer(int(ends[-1]) if ends.size else 0)
+        bm.blocks = {
+            (i, j): buf[s:e].reshape(r, c) for i, j, s, e, r, c in zip(
+                ii.tolist(), jj.tolist(), starts.tolist(), ends.tolist(),
+                rows.tolist(), cols.tolist())}
+        return bm if A is None else bm._scatter(A)
+
+    @classmethod
     def from_csr(cls, A: sp.csr_matrix, layout: BlockLayout,
                  block_pattern: set[tuple[int, int]] | None = None) -> "BlockMatrix":
-        """Scatter a CSR matrix (already permuted) into dense blocks.
+        """Scatter a CSR matrix (already permuted) into an arena of dense
+        blocks, node-major: block ``(i, j)`` sits with supernode
+        ``min(i, j)``, diagonal first, then the L panel, then the U panel.
 
         If ``block_pattern`` is given (the *filled* pattern from symbolic
         factorization), blocks in the pattern are materialized even when
@@ -91,31 +139,53 @@ class BlockMatrix:
         if A.shape[0] != layout.n:
             raise ValueError(
                 f"matrix dimension {A.shape[0]} != layout dimension {layout.n}")
-        bm = cls(layout)
         A = A.tocsr()
-        Acoo = A.tocoo()
-        bi = layout.block_of_index(Acoo.row)
-        bj = layout.block_of_index(Acoo.col)
-        order = np.lexsort((bj, bi))
-        bi, bj = bi[order], bj[order]
-        r = Acoo.row[order]
-        c = Acoo.col[order]
-        v = Acoo.data[order]
-        # Group runs of identical (bi, bj).
-        boundaries = np.flatnonzero(np.diff(bi) | np.diff(bj)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [bi.shape[0]]])
-        for s, e in zip(starts, ends):
-            if s == e:
-                continue
-            i, j = int(bi[s]), int(bj[s])
-            blk = bm.alloc(i, j)
-            blk[r[s:e] - layout.offsets[i], c[s:e] - layout.offsets[j]] = v[s:e]
-        if block_pattern is not None:
-            missing = block_pattern.difference(bm.blocks.keys())
-            for (i, j) in missing:
-                bm.alloc(i, j)
-        return bm
+        nb = layout.nblocks
+        at = _entries(A, layout)
+        keys = at[2] * nb + at[3]
+        keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]  # runs: a row's
+        if block_pattern:                       # neighbours share its block
+            pat = np.array(list(block_pattern), dtype=np.int64)
+            keys = np.concatenate((keys, pat[:, 0] * nb + pat[:, 1]))
+        i, j = np.divmod(np.unique(keys), nb)
+        order = np.lexsort((np.maximum(i, j), i < j, np.minimum(i, j)))
+        return cls.zeros(layout, i[order], j[order])._scatter(A, at)
+
+    def rebind(self, A: sp.csr_matrix) -> "BlockMatrix":
+        """Refill the arena with the values of ``A`` in place (array
+        identities are preserved); returns ``self``. The arena cannot
+        grow: a nonzero in a block it does not hold raises ``ValueError`` —
+        except where the transposed block is held, i.e. the mirror image of
+        a pattern stored as one triangle (the Cholesky backend's), which is
+        never read and is dropped."""
+        self.buf.fill(0.0)
+        return self._scatter(A)
+
+    def offsets_of(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        """Offset into ``buf`` of each block ``(ii[t], jj[t])``; -1 where
+        the arena does not hold it."""
+        key = ii * self.layout.nblocks + jj
+        slot = np.searchsorted(self._keys, key)
+        return np.where(self._keys[slot] == key, self._starts[slot], -1)
+
+    def _scatter(self, A: sp.csr_matrix, at=None) -> "BlockMatrix":
+        A = A.tocsr()
+        rows, cols, bi, bj = at or _entries(A, self.layout)
+        data, off = A.data, self.layout.offsets
+        start = self.offsets_of(bi, bj)
+        if (start < 0).any():
+            miss = np.flatnonzero((start < 0) & (data != 0))    # 0: no value
+            stray = miss[self.offsets_of(bj[miss], bi[miss]) < 0]
+            if stray.size:
+                raise ValueError(
+                    f"{stray.size} entries fall in blocks outside the block "
+                    f"pattern, the first at (row, col) = "
+                    f"({rows[stray[0]]}, {cols[stray[0]]})")
+            rows, cols, bi, bj, start, data = (
+                x[start >= 0] for x in (rows, cols, bi, bj, start, data))
+        width = self.layout.sizes()[bj]
+        self.buf[start + (rows - off[bi]) * width + (cols - off[bj])] = data
+        return self
 
     def alloc(self, i: int, j: int) -> np.ndarray:
         """Allocate (zero-filled) and return block ``(i, j)``."""
@@ -126,9 +196,6 @@ class BlockMatrix:
         return blk
 
     # -- access ------------------------------------------------------------
-
-    def get(self, i: int, j: int) -> np.ndarray | None:
-        return self.blocks.get((i, j))
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self.blocks

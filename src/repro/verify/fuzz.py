@@ -220,7 +220,8 @@ def _run_order(units, ctx_plans, order, setup, sf, opts):
             if ctx is None:
                 gp = ctx_plans[u.ctx_key]
                 grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
-                ctx = GridContext(gp, sf, grid, sim, data.view(gp), opts)
+                ctx = GridContext(gp, sf, grid, sim, data.program(gp, sf),
+                                  opts)
                 contexts[u.ctx_key] = ctx
             run(ctx, *u.span)
             book(ctx, *u.span)

@@ -94,3 +94,88 @@ def test_copy_is_deep():
     cp = bm.copy()
     cp[(0, 0)][0, 0] = 99.0
     assert bm[(0, 0)][0, 0] == 1.0
+
+
+# -- the arena -------------------------------------------------------------
+
+def _loop_reference(A, layout, pattern):
+    """The per-block loop ``from_csr`` replaced, kept as the referee: one
+    separately allocated array per block, filled entry by entry."""
+    ref = {key: np.zeros((layout.block_size(key[0]),
+                          layout.block_size(key[1]))) for key in pattern}
+    coo = A.tocoo()
+    for r, c, v in zip(coo.row, coo.col, coo.data):
+        i, j = (int(layout.block_of_index(x)) for x in (r, c))
+        blk = ref.setdefault((i, j), np.zeros((layout.block_size(i),
+                                               layout.block_size(j))))
+        blk[r - layout.offsets[i], c - layout.offsets[j]] = v
+    return ref
+
+
+@st.composite
+def arena_cases(draw):
+    """A layout, a matrix on it and a ``block_pattern`` that is any subset
+    of the block grid — so both supersets of the matrix's own blocks and
+    patterns the matrix sticks out of."""
+    layout, A = draw(layouts_and_matrices())
+    nb = layout.nblocks
+    cells = [(i, j) for i in range(nb) for j in range(nb)]
+    pattern = set(draw(st.lists(st.sampled_from(cells), unique=True)))
+    return layout, A, pattern
+
+
+@given(arena_cases())
+@settings(max_examples=60, deadline=None)
+def test_arena_equals_the_block_loop(case):
+    layout, A, pattern = case
+    bm = BlockMatrix.from_csr(A, layout, block_pattern=pattern)
+    ref = _loop_reference(A, layout, pattern)
+    assert set(bm.blocks) == set(ref)
+    assert np.array_equal(bm.to_dense(), A.toarray())
+    for key, blk in bm.blocks.items():
+        assert np.array_equal(blk, ref[key])        # pattern-only: zero
+        assert blk.flags.c_contiguous and blk.base is bm.buf
+    assert bm.buf.size == bm.words() == sum(b.size for b in ref.values())
+    # Node-major: supernode min(i, j)'s diagonal, L panel, U panel.
+    at = bm.offsets_of(*np.array(list(bm.blocks), dtype=np.int64)
+                       .reshape(-1, 2).T)
+    order = [key for _o, key in sorted(zip(at.tolist(), bm.blocks))]
+    assert order == sorted(bm.blocks, key=lambda k: (min(k), k[0] < k[1],
+                                                     max(k)))
+
+
+@given(arena_cases(), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rebind_twice_equals_a_fresh_build(case, seed):
+    layout, A, pattern = case
+    bm = BlockMatrix.from_csr(A, layout, block_pattern=pattern)
+    ids = {key: id(blk) for key, blk in bm.blocks.items()}
+    buf = bm.buf
+    rng = np.random.default_rng(seed)
+    for _ in range(2):              # same pattern, fresh values, a sub-pattern
+        B = A.copy()
+        B.data = rng.random(B.nnz) * (rng.random(B.nnz) < 0.7)
+        assert bm.rebind(B) is bm
+    fresh = BlockMatrix.from_csr(B, layout, block_pattern=set(bm.blocks))
+    assert np.array_equal(bm.buf, fresh.buf)
+    assert bm.buf is buf
+    assert ids == {key: id(blk) for key, blk in bm.blocks.items()}
+
+
+def test_rebind_refuses_a_value_outside_the_arena():
+    lay = BlockLayout(np.array([0, 2, 4, 6]))
+    bm = BlockMatrix.from_csr(sp.identity(6, format="csr"), lay,
+                              block_pattern={(1, 0)})
+    stray = sp.identity(6, format="lil")
+    stray[1, 5] = stray[0, 4] = 5.0           # block (0, 2): not held
+    with pytest.raises(ValueError, match=r"2 entries .* \(0, 4\)"):
+        bm.rebind(stray.tocsr())
+    mirrored = sp.identity(6, format="lil")
+    mirrored[0, 3] = 5.0                      # block (0, 1): (1, 0) is held
+    bm.rebind(mirrored.tocsr())
+    assert np.array_equal(bm.to_dense(), np.eye(6))
+    zero = sp.csr_matrix(([1.0] * 6 + [0.0], (list(range(6)) + [0],
+                                              list(range(6)) + [4])))
+    assert zero.nnz == 7                      # a stored zero is no value
+    bm.rebind(zero)
+    assert np.array_equal(bm.to_dense(), np.eye(6))

@@ -295,8 +295,7 @@ class TestShmTransport:
         levels = _levels(res_p)
         assert levels and not _fallbacks(res_p)
         shipped = sum(st.bytes_shipped for st in levels)
-        block_bytes = sum(a.nbytes
-                          for a in res_p.replicas.snapshot().values())
+        block_bytes = sum(a.nbytes for a in res_p.replicas.snapshot())
         assert 0 < shipped < block_bytes / 10, \
             f"shm shipped {shipped}B for {block_bytes}B of blocks"
         assert ledger_state(sim_s) == ledger_state(sim_p)
@@ -308,12 +307,12 @@ class TestShmTransport:
         """A kernel that raises inside a pool worker (the patched module
         is inherited through fork) propagates unchanged and still unlinks
         every segment."""
-        from repro.plan import backends
+        from repro.plan import interpret
 
-        def exploding_getrf(block, eps):
+        def exploding_execute(prog, lo, hi, eps):
             raise RuntimeError("worker exploded")
 
-        monkeypatch.setattr(backends, "getrf_nopiv", exploding_getrf)
+        monkeypatch.setattr(interpret, "execute", exploding_execute)
         with pytest.raises(RuntimeError, match="worker exploded"):
             _run_numeric(planar, n_workers=2)
         assert _no_shm_leftovers() == []
@@ -360,24 +359,25 @@ class TestShmTransport:
         assert np.array_equal(res_s.factors().to_dense(),
                               res_p.factors().to_dense())
 
-    def test_dirty_block_recopied(self, planar):
-        """Cross-level caching must not ship stale data: the z-reduction
-        dirties accumulated blocks between fan-outs, and the numeric
-        result still matches the fully-serial factorization bit-for-bit
-        (already asserted above) -- here we check the transport actually
-        reuses segments instead of re-exporting everything."""
+    def test_reexport_keeps_the_layout_and_refreshes_values(self):
+        """Cross-level reuse must not ship stale data: a block exported
+        again (an ancestor block, summed into by the z-reduction between
+        fan-outs) keeps its place in the segment and gets its current
+        values; only unknown blocks open a new segment."""
         tr = ShmTransport()
         a = np.arange(6.0).reshape(2, 3)
         h1 = tr.export(7, {(0, 0): a})
-        views = tr.views_for(h1)
-        assert np.array_equal(views[(0, 0)], a)
+        assert np.array_equal(tr.views_for(h1)[(0, 0)], a)
         a[0, 0] = 99.0
-        h2 = tr.export(7, {(0, 0): a})   # clean: NOT re-copied
-        assert tr.views_for(h2)[(0, 0)][0, 0] == 0.0
-        tr.mark_dirty(7, (0, 0))
-        h3 = tr.export(7, {(0, 0): a})   # dirty: re-copied
-        assert tr.views_for(h3)[(0, 0)][0, 0] == 99.0
-        assert h1.entries == h2.entries == h3.entries
+        h2 = tr.export(7, {(0, 0): a, (0, 1): np.ones((2, 2))})
+        assert tr.views_for(h2)[(0, 0)][0, 0] == 99.0
+        assert h2.entries[(0, 0)] == h1.entries[(0, 0)]
+        assert h2.entries[(0, 1)][0] != h1.entries[(0, 0)][0]   # new segment
+        from repro.parallel import attach_views
+        worker = attach_views(h2)
+        worker[(0, 1)][:] = 7.0                 # lands in the parent's view
+        assert (tr.views_for(h2)[(0, 1)] == 7.0).all()
+        del worker
         tr.close()
         assert _no_shm_leftovers() == []
 

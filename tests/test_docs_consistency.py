@@ -147,6 +147,8 @@ class TestCrossReferences:
         "batch_fill_ratio", "format_kernel_counters", "exec_panel_factor",
         "exec_panel_bcast", "exec_schur", "export_view", "factor_3d_dense25",
         "lu3d/dense25", "lu3d.dense25", "--no-compile",
+        "GridStoreView", "HomeView", "panel_numeric", "schur_numeric",
+        "ShmBlockView", "add_dirty_hook", "mark_dirty",
     )
 
     def test_no_deleted_name_survives(self):
@@ -170,8 +172,8 @@ class TestOnePlanForm:
 
     def test_fuse_only_selects_cut_points(self):
         """Nothing in the program branches on ``fuse`` except the cut-point
-        selector, the booking granularity (one call per plan at full
-        width) and the record of which width ran."""
+        selector, the unmonitored full-width walk (one kernel dispatch
+        and one booking per plan) and the record of which width ran."""
         branch = re.compile(r"\bif\s+(not\s+)?(\w+\.)?fuse\b"
                             r"|\b(\w+\.)?fuse\s+(else|and|or)\b")
         hits = sorted(
@@ -182,7 +184,7 @@ class TestOnePlanForm:
             "lu3d/factor3d.py: if mode.fuse:",
             "plan/arrays.py: return self.runs.tolist() if fuse "
             "else list(range(self.n_tasks + 1))",
-            "plan/interpret.py: whole = fuse and monitor is None"]
+            "plan/interpret.py: if fuse and monitor is None:"]
 
     def test_one_task_body(self):
         """``run`` is the only function that dispatches a grid task's
@@ -195,6 +197,20 @@ class TestOnePlanForm:
                 assert not re.search(
                     r"\.(book|(compute|sendrecv|alloc|free)_batch)\(",
                     path.read_text()), path
+
+    def test_run_executes_a_slice_of_a_bound_program(self):
+        """``run`` is the numeric twin of ``book``: a slice of something
+        laid out once. It looks no operand up (no ``store[`` in the
+        interpreter at all) and the executor loop lives with the kernels."""
+        text = (self.SRC / "plan" / "interpret.py").read_text()
+        assert "store[" not in text
+        body = text.split("def run(")[1].split("\ndef ")[0]
+        assert "execute(" in body and "k_ptr" in body
+        kernels = (self.SRC / "lu2d" / "kernels.py").read_text()
+        assert kernels.count("def execute(") == 1
+        # trsm / gemm_sub are "bind one op, execute it": one implementation.
+        for name in ("dtrsm(", "dgemm("):
+            assert kernels.count(name) == 1, name
 
     def test_solve_books_only_through_book(self):
         """A triangular sweep is a solve plan walked and booked in one

@@ -194,8 +194,8 @@ class TestReplication:
         root = sf.tree.root
         home = tf.home_grid(root)
         other = 1 - home
-        assert np.array_equal(mgr.block(home, root, root), expected_root)
-        assert np.all(mgr.block(other, root, root) == 0.0)
+        assert np.array_equal(mgr.view(home)[(root, root)], expected_root)
+        assert np.all(mgr.view(other)[(root, root)] == 0.0)
 
     def test_missing_replica_raises(self, planar_small):
         A, geom = planar_small
@@ -206,8 +206,8 @@ class TestReplication:
         mgr = ReplicaManager(sf, tf, base)
         leaf_forest_1 = tf.forests[(1, 1)]
         v = leaf_forest_1[0]
-        with pytest.raises(KeyError, match="replica"):
-            mgr.block(0, v, v)  # grid 0 holds no copy of grid 1's leaves
+        with pytest.raises(KeyError):
+            mgr.view(0)[(v, v)]  # grid 0 holds no copy of grid 1's leaves
 
     def test_replica_words_match_simulator_charge(self, planar_small):
         A, geom = planar_small
@@ -220,6 +220,105 @@ class TestReplication:
         expected = replica_words_per_rank(sf, tf, grid3,
                                           volume=volume_for(sf, None))
         assert np.allclose(sim.mem_current, expected)
+
+
+class TestArena:
+    """The replica storage is two buffers laid out once."""
+
+    def _manager(self, planar_small, pz=4):
+        A, geom = planar_small
+        sf = symbolic_factorize(A, geom, leaf_size=16)
+        tf = greedy_partition(sf, pz)
+        base = BlockMatrix.from_csr(sf.A_perm, sf.layout,
+                                    block_pattern=sf.fill.all_blocks())
+        return sf, tf, base, ReplicaManager(sf, tf, base)
+
+    def test_layout_matches_the_per_block_loop(self, planar_small):
+        """Every grid holds exactly the blocks of the nodes replicated on
+        it; home copies are the base's own arrays, every other replica a
+        zero view into the second buffer, grid-major."""
+        from repro.lu2d.storage import node_blocks
+        sf, tf, base, mgr = self._manager(planar_small)
+        home_buf, rest = mgr._bufs
+        assert home_buf is base.buf
+        seen = 0
+        for g in range(tf.pz):
+            want = {(i, j): v for v in range(sf.nb)
+                    if g in tf.grids_of_node(v)
+                    for i, j, _w in node_blocks(sf, v)}
+            assert set(mgr.view(g)) == set(want)
+            for key, v in want.items():
+                blk = mgr.view(g)[key]
+                assert blk.flags.c_contiguous
+                if g == tf.home_grid(v):
+                    assert blk is base[key] is mgr.home_view()[key]
+                else:
+                    assert blk.base is rest and not blk.any()
+                    assert blk.shape == base[key].shape
+                    seen += blk.size
+        assert seen == rest.size
+        starts = [mgr.view(g)[key].__array_interface__["data"][0]
+                  for g in range(tf.pz) for key in mgr.view(g)
+                  if mgr.view(g)[key].base is rest]
+        assert starts == sorted(starts)         # grid-major, one pass
+
+    def test_reduce_snapshot_restore_are_buffer_operations(self, planar_small):
+        sf, tf, base, mgr = self._manager(planar_small, pz=2)
+        rng = np.random.default_rng(0)
+        for buf in mgr._bufs:
+            buf[:] = rng.random(buf.size)
+        root = sf.tree.root
+        before = {g: {k: b.copy() for k, b in mgr.view(g).items()}
+                  for g in range(2)}
+        snap = mgr.snapshot()
+        rows, cols = (np.array(x) for x in zip(*[
+            (i, j) for i, j, _w in mgr.blocks_fn(sf, root)]))
+        mgr.accumulate(0, 1, rows, cols)
+        for key in zip(rows.tolist(), cols.tolist()):
+            assert np.array_equal(mgr.view(0)[key],
+                                  before[0][key] + before[1][key])
+        assert np.array_equal(mgr.view(1)[(root, root)],
+                              before[1][(root, root)])
+        mgr.restore_grid(1, [np.zeros_like(b) for b in snap])
+        assert not any(b.any() for b in mgr.view(1).values())
+        assert mgr.view(0)[(root, root)].any()
+        mgr.restore(snap)
+        for g in range(2):
+            for key, blk in mgr.view(g).items():
+                assert np.array_equal(blk, before[g][key])
+
+    def test_base_must_be_an_arena_over_the_pattern(self, planar_small):
+        sf, tf, base, _mgr = self._manager(planar_small)
+        with pytest.raises(ValueError, match="arena"):
+            ReplicaManager(sf, tf, base.copy())        # hand-assembled
+        with pytest.raises(ValueError, match="arena"):
+            ReplicaManager(sf, tf, BlockMatrix.from_csr(sf.A_perm, sf.layout))
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "refactorized"])
+    def test_buffers_die_by_reference_count(self, planar_small, warm):
+        """No cycle through the manager, its views or its memoized kernel
+        programs: dropping the solver frees both buffers with the cycle
+        collector off (a 20 MB arena per request must not wait for it)."""
+        import gc
+        import weakref
+
+        from repro import SparseLU3D
+        A, geom = planar_small
+        gc.collect()
+        gc.disable()
+        try:
+            solver = SparseLU3D(A, geometry=geom, px=2, py=2, pz=2,
+                                leaf_size=16)
+            solver.factorize()
+            if warm:
+                solver.refactorize(A * 2.0)
+            solver.solve(np.ones(A.shape[0]))
+            refs = [weakref.ref(buf) for buf in solver.result.replicas._bufs]
+            assert solver.result.replicas._programs
+            del solver
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestCriticalPath:

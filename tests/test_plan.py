@@ -254,6 +254,83 @@ class TestPlanPlumbing:
         assert ledger_dict(sims[0]) == ledger_dict(sims[1])
 
 
+class TestKernelProgram:
+    """A grid plan binds to a store once, as a flat list of per-block ops
+    under the per-task pointer ``k_ptr`` — ``ev_ptr``'s numeric twin."""
+
+    @pytest.mark.parametrize("backend", ["lu", "cholesky"])
+    def test_k_ptr_spans_the_program(self, backend):
+        from repro.lu2d.kernels import GEMM, GETRF, POTRF, TRSM
+        from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
+        from repro.plan.backends import get_backend
+        sf, tf = (spd_setup if backend == "cholesky" else planar_setup)(
+            14, 16, 4)
+        grid3 = ProcessGrid3D(2, 2, 4)
+        res = factor_3d(sf, tf, grid3, Simulator(grid3.size), backend=backend,
+                        matrix=sp.tril(sf.A_perm).tocsr()
+                        if backend == "cholesky" else None)
+        factor = {"lu": GETRF, "cholesky": POTRF}[backend]
+        for step in res.plan.levels:
+            for gp in step.grid_plans:
+                A = gp.arrays
+                prog = res.replicas.program(gp)
+                assert prog is res.replicas.program(gp)     # bound once
+                assert len(prog) == A.k_ptr[-1] == A.k_ptr.max()
+                n_ops = np.diff(A.k_ptr)
+                schur = A.kind == SCHUR_UPDATE
+                assert np.array_equal(n_ops[schur], np.diff(A.pair_ptr)[schur])
+                assert (n_ops[~schur] == 1).all()
+                for t, kind in enumerate(A.kind.tolist()):
+                    codes = {op[0] for op in prog[A.k_ptr[t]:A.k_ptr[t + 1]]}
+                    assert codes <= {GEMM if kind == SCHUR_UPDATE else
+                                     factor if kind == PANEL_FACTOR else TRSM}
+                view = res.replicas.view(gp.g)
+                fresh = get_backend(backend).bind(A, view, sf)
+                assert all(a[0] == b[0] and a[4] == b[4]
+                           and all(x is y or np.shares_memory(x, y)
+                                   for x, y in zip(a[1:4], b[1:4]))
+                           for a, b in zip(prog, fresh))
+
+    def test_merged_store_binds_the_same_ops(self):
+        """``bind`` takes any block mapping: on the merged variant's one
+        global :class:`BlockMatrix` a grid plan binds to the same ops, on
+        the same-shaped operands, as on a replica view — and running them
+        gives the same factors."""
+        from repro.lu3d.factor3d import GlobalStoreData
+        from repro.sparse import BlockMatrix
+        sf, tf = planar_setup(14, 16, 1)
+        grid3 = ProcessGrid3D(2, 2, 1)
+        res = factor_3d(sf, tf, grid3, Simulator(grid3.size))
+        (gp,) = [gp for step in res.plan.levels for gp in step.grid_plans]
+        store = BlockMatrix.from_csr(sf.A_perm, sf.layout,
+                                     block_pattern=sf.fill.all_blocks())
+        ours = GlobalStoreData(store).program(gp, sf)
+
+        def shape(op):
+            return (op[0], op[4], *(None if x is None else x.shape
+                                    for x in op[1:4]))
+
+        assert [shape(op) for op in ours] == \
+            [shape(op) for op in res.replicas.program(gp)]
+        merged = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size),
+                                  numeric=True)
+        assert np.array_equal(merged.merged_blocks.to_dense(),
+                              res.factors().to_dense())
+
+    def test_bind_refuses_a_block_blas_would_copy(self):
+        from repro.plan.backends import get_backend
+        from repro.sparse import BlockMatrix
+        sf, _tf = planar_setup(8, 16, 1)
+        plan = build_grid_plan(sf, list(range(sf.nb)), ProcessGrid2D(1, 2),
+                               FactorOptions())
+        store = dict(BlockMatrix.from_csr(
+            sf.A_perm, sf.layout, block_pattern=sf.fill.all_blocks()).blocks)
+        key = next(k for k in store if k[0] != k[1])
+        store[key] = np.asfortranarray(store[key])
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            get_backend("lu").bind(plan.arrays, store, sf)
+
+
 class TestPlanStats:
     def test_critical_path_reported(self):
         sf, tf = planar_setup(14, 16, 4)

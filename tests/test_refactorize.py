@@ -184,6 +184,67 @@ class TestExplicitZeros:
             solver.refactorize(bad.tocsr())
 
 
+class TestStrayValues:
+    """A value in a block outside the filled pattern is refused — the plan
+    never reads that block, so the factors would silently be those of
+    another matrix (``PlanBundle.check`` compares ``sf``'s pattern, not
+    ``matrix``'s)."""
+
+    @pytest.fixture()
+    def planted(self, stepping_pair):
+        from repro import ProcessGrid3D, greedy_partition, symbolic_factorize
+        A1, _, g, _ = stepping_pair
+        sf = symbolic_factorize(A1, g, leaf_size=24)
+        held = sf.fill.all_blocks()
+        i, j = next((i, j) for i in range(sf.nb) for j in range(i)
+                    if (i, j) not in held)
+        off = sf.layout.offsets
+        M = sf.A_perm.tolil(copy=True)
+        M[off[i], off[j]] = 5.0
+        return (sf, greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2),
+                M.tocsr(), (int(off[i]), int(off[j])))
+
+    @pytest.mark.parametrize("merged", [False, True],
+                             ids=["replicated", "merged"])
+    def test_cold_bind_refuses(self, planted, merged):
+        from repro import Simulator
+        from repro.lu3d import factor_3d
+        from repro.lu3d.merged import factor_3d_merged
+        sf, tf, grid3, M, at = planted
+        run = factor_3d_merged if merged else factor_3d
+        with pytest.raises(ValueError, match=rf"1 entries .*{at}"):
+            run(sf, tf, grid3, Simulator(grid3.size), numeric=True, matrix=M)
+
+    def test_warm_rebind_refuses_and_the_arena_survives(self, planted):
+        from repro import Simulator
+        from repro.lu3d import factor_3d
+        sf, tf, grid3, M, _at = planted
+        cold = factor_3d(sf, tf, grid3, Simulator(grid3.size))
+        want = cold.factors().to_dense()
+        kw = dict(cached=cold.bundle, replicas=cold.replicas)
+        with pytest.raises(ValueError, match="outside the block pattern"):
+            factor_3d(sf, tf, grid3, Simulator(grid3.size), matrix=M, **kw)
+        warm = factor_3d(sf, tf, grid3, Simulator(grid3.size), **kw)
+        assert np.array_equal(warm.factors().to_dense(), want)
+
+    def test_cholesky_mirror_image_is_exempt(self, stepping_pair):
+        """The Cholesky backend stores and reads the lower triangle only:
+        the upper triangle of a symmetric ``matrix`` is dropped, and the
+        factors are those of ``tril(matrix)``."""
+        from repro import ProcessGrid3D, Simulator, greedy_partition, \
+            symbolic_factorize
+        from repro.lu3d import factor_3d
+        A1, _, g, _ = stepping_pair
+        S = ((A1 + A1.T) * 0.5).tocsr()
+        sf = symbolic_factorize(S, g, leaf_size=24)
+        tf, grid3 = greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2)
+        full, lower = (
+            factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                      backend="cholesky", matrix=M).factors().to_dense()
+            for M in (sf.A_perm, sp.tril(sf.A_perm).tocsr()))
+        assert np.array_equal(full, lower)
+
+
 #: The refactorize × execution-mode interaction matrix: the plan-replay
 #: warm path must stay bit-identical to a cold factorization on the inline
 #: serial levels and on the real process pool (shared-memory transport).

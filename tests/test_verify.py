@@ -407,6 +407,67 @@ class TestVerifyStackBothVolumes:
 
 
 @pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
+@pytest.mark.parametrize("backend", ["lu", "cholesky"])
+class TestOneProgramAnyWalk:
+    """Every walk executes slices of one list of per-block ops — one per
+    task, one per Schur pair — so the factors are *bit*-equal across walk
+    widths, legal task orders and the worker pool."""
+
+    def runs(self, sf, tf, backend, compact, matrix):
+        from tests.conftest import width1_simulator
+        grid3 = ProcessGrid3D(2, 2, 2)
+        out = {}
+        for name, sim, workers in (
+                ("fullwidth", Simulator(grid3.size), 1),
+                ("width1", width1_simulator(grid3.size), 1),
+                ("pool", Simulator(grid3.size), 2)):
+            res = factor_3d(sf, tf, grid3, sim, backend=backend, matrix=matrix,
+                            options=FactorOptions(compact_comm=compact,
+                                                  n_workers=workers))
+            assert (res.compiled is not None) == (name != "width1")
+            if name == "pool":
+                assert res.parallel_stats and not any(
+                    hasattr(st, "reason") for st in res.parallel_stats)
+            out[name] = (res.factors().to_dense(), res.perturbed_pivots)
+        return out
+
+    def test_factors_bit_equal(self, planar2, spd2, backend, compact):
+        sf, tf = spd2 if backend == "cholesky" else planar2
+        matrix = sp.tril(sf.A_perm).tocsr() if backend == "cholesky" else None
+        out = self.runs(sf, tf, backend, compact, matrix)
+        want, n_perturbed = out.pop("fullwidth")
+        assert n_perturbed == 0
+        for name, (F, n) in out.items():
+            assert np.array_equal(F, want) and n == 0, name
+        rep = fuzz_3d(sf, tf, ProcessGrid3D(2, 2, 2), backend=backend,
+                      numeric=True, n_orders=FAST_FUZZ, seed=23,
+                      options=FactorOptions(compact_comm=compact))
+        assert rep.ok and rep.n_perturbed > 0, rep.summary()
+        assert rep.factor_max_dev == 0.0
+
+    def test_planted_tiny_pivot_counted_alike(self, planar2, spd2, backend,
+                                              compact):
+        """A sub-threshold pivot takes ``getrf_nopiv`` off LAPACK's answer
+        and onto the GESP loop (a decoupled zero pivot takes
+        ``potrf_shifted`` through a shift): same count, same factors, on
+        every walk."""
+        sf, tf = spd2 if backend == "cholesky" else planar2
+        M = sf.A_perm.tolil(copy=True)
+        if backend == "cholesky":
+            M[0, :] = 0.0
+            M[:, 0] = 0.0
+            M = sp.tril(M.tocsr()).tocsr()
+        else:
+            M[0, 0] = 1e-14
+            M = M.tocsr()
+        out = self.runs(sf, tf, backend, compact, M)
+        want, n_perturbed = out.pop("fullwidth")
+        assert n_perturbed > 0 and np.isfinite(want).all()
+        for name, (F, n) in out.items():
+            assert np.array_equal(F, want) and n == n_perturbed, name
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
 class TestVerifyStackOnSolvePlans:
     """Analyzer, mutation self-test, conservation (reduction == walk) and
     schedule fuzz on the solve plans of the LU, transposed and Cholesky
