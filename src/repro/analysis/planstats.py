@@ -88,8 +88,8 @@ def _rows(plan, machine: Machine):
         yield from _grid_rows(plan.arrays, machine)
         return
     for step in plan.levels:
-        for gp in step.grid_plans:
-            yield from _grid_rows(gp.arrays, machine)
+        if step.arrays is not None:
+            yield from _grid_rows(step.arrays, machine)
         for task in (*step.replicated, *step.reduces, step.barrier):
             yield _level_row(task, machine)
 

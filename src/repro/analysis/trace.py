@@ -92,11 +92,6 @@ class Trace:
             out[ev.kind] += ev.duration
         return dict(out)
 
-    def critical_events(self, rank: int) -> list[TraceEvent]:
-        """Rank's events in time order (its personal timeline)."""
-        return sorted((ev for ev in self.events if ev.rank == rank),
-                      key=lambda ev: ev.start)
-
     # -- rendering -------------------------------------------------------------
 
     _GLYPHS = {"diag": "D", "panel": "P", "schur": "S", "reduce_add": "R",

@@ -336,19 +336,21 @@ def cmd_report(args) -> int:
     from repro.experiments.fig10 import fig10_text, run_fig10
     from repro.experiments.fig11 import fig11_text, run_fig11
     from repro.experiments.fig12 import fig12_text, run_fig12
+    from repro.experiments.harness import prepared_suite
     from repro.experiments.table2 import run_table2, table2_text
     from repro.experiments.table3 import run_table3, table3_text
 
+    suite = prepared_suite(args.scale)      # Fig. 9-11 share its sweeps
     sections = {
         "table2": lambda: table2_text(run_table2()),
         "table3": lambda: table3_text(run_table3(scale=args.scale)),
         "fig9": lambda: "\n".join(
             fig9_text(res, P) + "\nheadline best-config speedups: "
             + repr(headline_speedups(res))
-            for P, res in ((96, run_fig9(P=96, scale=args.scale)),
-                           (384, run_fig9(P=384, scale=args.scale)))),
-        "fig10": lambda: fig10_text(run_fig10(scale=args.scale)),
-        "fig11": lambda: fig11_text(run_fig11(scale=args.scale), 96),
+            for P, res in ((96, run_fig9(P=96, suite=suite)),
+                           (384, run_fig9(P=384, suite=suite)))),
+        "fig10": lambda: fig10_text(run_fig10(suite=suite)),
+        "fig11": lambda: fig11_text(run_fig11(suite=suite), 96),
         "fig12": lambda: fig12_text(run_fig12(scale=args.scale)),
     }
     wanted = args.only.split(",") if args.only else list(sections)

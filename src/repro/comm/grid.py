@@ -86,9 +86,6 @@ class ProcessGrid2D:
         cols = np.asarray(cols, dtype=np.int64)
         return self.base + (rows % self.px) * self.py + (cols % self.py)
 
-    def owner_coords(self, i: int, j: int) -> tuple[int, int]:
-        return (i % self.px, j % self.py)
-
     def row_ranks(self, i: int) -> list[int]:
         """Ranks of the process row owning block-row ``i`` (paper's Px(k)).
 

@@ -436,10 +436,6 @@ class Simulator(Volume):
         if self.accel_clock is not None:
             self.clock[rank] = max(self.clock[rank], self.accel_clock[rank])
 
-    def accel_sync_all(self) -> None:
-        if self.accel_clock is not None:
-            np.maximum(self.clock, self.accel_clock, out=self.clock)
-
     # -- synchronization -------------------------------------------------------
 
     def barrier(self, ranks) -> None:

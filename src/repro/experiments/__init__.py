@@ -11,6 +11,7 @@ the paper's claims on them at the ``small`` scale.
 from repro.experiments.harness import (
     PreparedMatrix,
     RunRecord,
+    prepared_suite,
     pz_sweep,
     run_configuration,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "TestMatrix",
     "paper_suite",
     "prepared",
+    "prepared_suite",
     "pz_sweep",
     "run_configuration",
 ]

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
 from repro.comm.machine import Machine
-from repro.experiments.harness import PreparedMatrix, pz_sweep
-from repro.experiments.matrices import paper_suite
+from repro.experiments.harness import prepared_suite, pz_sweep
 
 __all__ = ["Fig10Series", "run_fig10", "fig10_text"]
 
@@ -37,19 +36,14 @@ class Fig10Series:
     def w_total_bytes(self) -> list[float]:
         return [f + r for f, r in zip(self.w_fact_bytes, self.w_red_bytes)]
 
-    @property
-    def fact_reduction_at_max_pz(self) -> float:
-        """W_fact(2D) / W_fact(max Pz) — the paper's 3-4.7x."""
-        return self.w_fact_bytes[0] / self.w_fact_bytes[-1]
-
 
 def run_fig10(names=("K2D5pt4096", "nlpkkt80"), P_values=(96, 384),
-              scale: str = "small", machine: Machine | None = None
-              ) -> list[Fig10Series]:
-    suite = {tm.name: tm for tm in paper_suite(scale)}
+              scale: str = "small", machine: Machine | None = None,
+              suite=None) -> list[Fig10Series]:
+    suite = suite or prepared_suite(scale)
     out = []
     for name in names:
-        pm = PreparedMatrix(suite[name])
+        pm = suite[name]
         for P in P_values:
             series = Fig10Series(name, P)
             for rec in pz_sweep(pm, P, PZ_VALUES, machine=machine):

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
 from repro.comm.machine import Machine
-from repro.experiments.harness import PreparedMatrix, pz_sweep
-from repro.experiments.matrices import paper_suite
+from repro.experiments.harness import prepared_suite, pz_sweep
 
 __all__ = ["Fig11Series", "run_fig11", "fig11_text"]
 
@@ -42,13 +41,12 @@ class Fig11Series:
 
 def run_fig11(P: int = 96, scale: str = "small",
               machine: Machine | None = None,
-              names: list[str] | None = None) -> list[Fig11Series]:
-    suite = paper_suite(scale)
-    if names is not None:
-        suite = [tm for tm in suite if tm.name in names]
+              names: list[str] | None = None, suite=None) -> list[Fig11Series]:
     out = []
-    for tm in suite:
-        pm = PreparedMatrix(tm)
+    for pm in (suite or prepared_suite(scale)).values():
+        tm = pm.tm
+        if names is not None and tm.name not in names:
+            continue
         recs = pz_sweep(pm, P, PZ_VALUES, machine=machine)
         base = recs[0].metrics
         s = Fig11Series(tm.name, tm.planar)

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.report import format_table
 from repro.comm.machine import Machine
-from repro.experiments.harness import PreparedMatrix, pz_sweep
-from repro.experiments.matrices import paper_suite
+from repro.experiments.harness import prepared_suite, pz_sweep
 
 __all__ = ["Fig9Matrix", "run_fig9", "fig9_text", "headline_speedups"]
 
@@ -51,13 +50,12 @@ class Fig9Matrix:
 
 def run_fig9(P: int = 96, scale: str = "small",
              machine: Machine | None = None,
-             names: list[str] | None = None) -> list[Fig9Matrix]:
-    suite = paper_suite(scale)
-    if names is not None:
-        suite = [tm for tm in suite if tm.name in names]
+             names: list[str] | None = None, suite=None) -> list[Fig9Matrix]:
     out = []
-    for tm in suite:
-        pm = PreparedMatrix(tm)
+    for pm in (suite or prepared_suite(scale)).values():
+        tm = pm.tm
+        if names is not None and tm.name not in names:
+            continue
         recs = pz_sweep(pm, P, PZ_VALUES, machine=machine)
         base = recs[0].metrics.makespan
         fm = Fig9Matrix(tm.name, tm.planar)

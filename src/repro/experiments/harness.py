@@ -3,7 +3,9 @@
 ``PreparedMatrix`` caches the symbolic factorization (ordering + fill +
 costs) so that sweeping process-grid configurations — the bulk of the
 paper's evaluation — re-runs only the simulated schedule, which is the
-part that depends on the grid.
+part that depends on the grid; it also keeps each finished ``Pz`` sweep,
+so figure runners handed one :func:`prepared_suite` simulate each
+configuration once between them.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from repro.analysis.metrics import FactorizationMetrics
 from repro.comm.grid import ProcessGrid3D
 from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
-from repro.experiments.matrices import TestMatrix
+from repro.experiments.matrices import TestMatrix, paper_suite
 from repro.lu2d.factor2d import FactorOptions
 from repro.lu3d.factor3d import factor_3d
 from repro.symbolic.symbolic_factor import SymbolicFactorization, symbolic_factorize
 from repro.tree.partition import greedy_partition, naive_partition
 
-__all__ = ["PreparedMatrix", "RunRecord", "run_configuration", "pz_sweep"]
+__all__ = ["PreparedMatrix", "RunRecord", "run_configuration", "pz_sweep",
+           "prepared_suite"]
 
 
 class PreparedMatrix:
@@ -30,6 +33,7 @@ class PreparedMatrix:
         self.tm = tm
         self._sf: SymbolicFactorization | None = None
         self._partitions: dict[tuple[str, int], object] = {}
+        self._sweeps: dict[tuple, list] = {}     # see pz_sweep
 
     @property
     def name(self) -> str:
@@ -92,7 +96,19 @@ def pz_sweep(pm: PreparedMatrix, P: int, pz_values=(1, 2, 4, 8, 16),
              machine: Machine | None = None,
              options: FactorOptions | None = None,
              strategy: str = "greedy") -> list[RunRecord]:
-    """The paper's standard sweep: fixed total P, growing Pz (Fig. 9/10/11)."""
-    return [run_configuration(pm, P, pz, machine=machine, options=options,
+    """The paper's standard sweep: fixed total P, growing Pz (Fig. 9/10/11).
+    Deterministic, so memoized on ``pm`` next to its partitions."""
+    key = (P, tuple(pz_values), machine, options, strategy)
+    if key not in pm._sweeps:
+        pm._sweeps[key] = [
+            run_configuration(pm, P, pz, machine=machine, options=options,
                               strategy=strategy)
             for pz in pz_values if P % pz == 0]
+    return list(pm._sweeps[key])
+
+
+def prepared_suite(scale: str = "small") -> dict[str, PreparedMatrix]:
+    """``name -> PreparedMatrix`` of :func:`paper_suite` at ``scale``. The
+    figure runners take one as ``suite=``: symbolic phases, partitions and
+    sweeps are then computed once, whichever figure asks first."""
+    return {tm.name: PreparedMatrix(tm) for tm in paper_suite(scale)}

@@ -66,10 +66,10 @@ def _factor_nodes(backend: str, sf, nodes, grid, sim, data, options
     if mode.monitored:
         from repro.resilience.engine import execute_grid_plan_resilient
         result = execute_grid_plan_resilient(plan, sf, sim, data=data,
-                                             options=opts, grid=grid)
+                                             options=opts)
     else:
         result = execute_grid_plan(plan, sf, sim, data=data, options=opts,
-                                   grid=grid, fuse=mode.fuse)
+                                   fuse=mode.fuse)
     result.extras["plan"] = plan
     result.extras["fused"] = mode.fuse
     return result

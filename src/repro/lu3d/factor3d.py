@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.comm.grid import ProcessGrid2D, ProcessGrid3D
+from repro.comm.grid import ProcessGrid3D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
 from repro.lu2d.storage import node_block_arrays
@@ -54,7 +54,7 @@ from repro.plan.backends import get_backend
 from repro.plan.execmode import resolve_exec
 from repro.plan.interpret import (
     execute_grid_plan,
-    execute_reduce,
+    execute_reduces,
     execute_replicated,
 )
 from repro.plan.replay import PlanBundle
@@ -129,7 +129,8 @@ class CostOnlyData:
     supports_zreplica = True
 
     def program(self, gp, sf):
-        """``gp``'s kernel program on this run's blocks (``None``: none)."""
+        """The kernel program of ``gp`` — a grid plan or a whole level
+        step — on this run's blocks (``None``: none)."""
         return None
 
     def export(self, gp):
@@ -278,7 +279,8 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
         result.parallel_stats.append(mode.fallback)
 
     if cached is not None:
-        cached.check(grid3, backend, merged, mode.accelerated, opts, sf=sf)
+        cached.check(grid3, backend, merged, mode.accelerated, opts, sf=sf,
+                     tf=tf)
         bundle = cached
     else:
         bundle = PlanBundle.build(sf, tf, grid3, opts, backend=backend,
@@ -352,14 +354,15 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
                     fuse: bool = False) -> None:
     """Walk the 3D plan level by level (shared by standard and merged).
 
-    ``data`` is one of the data strategies above; ``fuse`` selects the grid
-    plans' full-width cut points (see :func:`execute_grid_plan`). Levels
-    with ≥ 2 grid plans fan out to the engine when one is present;
-    everything else runs inline through the shared interpreter. A
-    shared-memory failure while exporting a level ends the fan-out for the
-    rest of the run: that level and every later one run inline (the
-    replicas are authoritative between levels, so nothing is lost) and the
-    run records why.
+    ``data`` is one of the data strategies above; ``fuse`` selects the
+    full-width cut points (see :func:`execute_grid_plan`). Levels with
+    ≥ 2 grid plans fan out to the engine when one is present; everything
+    else runs inline through the shared interpreter — at full width the
+    whole level as one slice, at width 1 grid slice by grid slice; the
+    level's reductions are one booking either way. A shared-memory failure while
+    exporting a level ends the fan-out for the rest of the run: that level
+    and every later one run inline (the replicas are authoritative between
+    levels, so nothing is lost) and the run records why.
     """
     fan_out = engine is not None
     try:
@@ -375,21 +378,19 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
                                f"{step.level}'s replica blocks; this and "
                                "the remaining levels ran inline",
                         requested_workers=opts.n_workers))
-            if not fanned:
-                for gp in step.grid_plans:
-                    grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
-                    r2d = execute_grid_plan(gp, sf, sim, options=opts,
-                                            grid=grid, fuse=fuse,
-                                            prog=data.program(gp, sf))
-                    _absorb_2d(result, r2d)
+            if not fanned and step.grid_plans:
+                # At full width nothing observes a grid boundary: the
+                # level is one slice. Width 1 walks grid slice by slice.
+                for part in [step] if fuse else step.grid_plans:
+                    _absorb_2d(result, execute_grid_plan(
+                        part, sf, sim, options=opts, fuse=fuse,
+                        prog=data.program(part, sf)))
             for rep in step.replicated:
                 execute_replicated(rep, sim)
 
             if step.level > 0:
                 sim.set_phase("red")
-                for red in step.reduces:
-                    execute_reduce(red, sim, result,
-                                   accumulate=data.accumulate)
+                execute_reduces(step, sim, result, data.accumulate)
             result.per_level_makespan.append(sim.makespan)
     finally:
         if engine is not None:

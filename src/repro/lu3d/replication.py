@@ -88,12 +88,19 @@ class ReplicaManager:
 
     def program(self, gp) -> list:
         """Grid plan ``gp``'s kernel program on grid ``gp.g``'s replicas
-        (:meth:`repro.plan.backends.KernelBackend.bind`), bound once:
-        :meth:`reset` keeps every array, so a replay runs the same list."""
+        (:meth:`repro.plan.backends.KernelBackend.bind`) — for a whole
+        level step: its grids' programs back to back, each on its own
+        replicas, under the level's ``k_ptr`` — bound once: :meth:`reset`
+        keeps every array, so a replay runs the same list."""
         prog = self._programs.get(gp.arrays)
         if prog is None:
-            prog = self._programs[gp.arrays] = get_backend(gp.backend).bind(
-                gp.arrays, self._views[gp.g], self.sf)
+            if hasattr(gp, "grid_plans"):       # a level step
+                prog = [op for part in gp.grid_plans
+                        for op in self.program(part)]
+            else:
+                prog = get_backend(gp.backend).bind(
+                    gp.arrays, self._views[gp.g], self.sf)
+            self._programs[gp.arrays] = prog
         return prog
 
     # -- worker transport --------------------------------------------------

@@ -104,9 +104,6 @@ class DissectionTree:
     def children_of(self, k: int) -> list[int]:
         return self.nodes[k].children
 
-    def depth_of(self, k: int) -> int:
-        return self.nodes[k].depth
-
     def ancestors_of(self, k: int) -> list[int]:
         """Proper ancestors of ``k``, nearest first."""
         out = []

@@ -4,9 +4,10 @@ The paper's Algorithm 1 is a dependency structure — per-forest 2D
 eliminations, pairwise ancestor reductions, level-wise grid growth — and
 this package makes that structure a first-class object. A *builder*
 (:mod:`repro.plan.build`) walks the symbolic factorization and tree-forest
-once and emits the task DAG — per grid as one struct-of-arrays
-(:mod:`repro.plan.arrays`, fused by construction; typed task records,
-:mod:`repro.plan.tasks`, are its lazily materialised view); a single
+once and emits the task DAG — per level as one struct-of-arrays
+(:mod:`repro.plan.arrays`, fused by construction, a grid plan a slice of
+it; typed task records, :mod:`repro.plan.tasks`, are its lazily
+materialised view); a single
 *interpreter* (:mod:`repro.plan.interpret`) executes any plan against a
 pluggable kernel backend (:mod:`repro.plan.backends` — LU or Cholesky,
 numeric or cost-only). Every driver (2D baseline, 3D, merged-grid,
@@ -30,8 +31,9 @@ from repro.plan.arrays import TaskArrays
 from repro.plan.build import (
     build_3d_plan,
     build_grid_plan,
+    build_level,
+    partition_signature,
     pattern_signature,
-    sink_tids,
 )
 from repro.plan.execmode import ExecMode, resolve_exec
 from repro.plan.interpret import execute_grid_plan, execute_reduce
@@ -71,12 +73,13 @@ __all__ = [
     "TaskArrays",
     "build_3d_plan",
     "build_grid_plan",
+    "build_level",
     "cholesky_node_blocks",
     "execute_grid_plan",
     "execute_reduce",
     "get_backend",
+    "partition_signature",
     "pattern_signature",
     "plan_options_key",
     "resolve_exec",
-    "sink_tids",
 ]

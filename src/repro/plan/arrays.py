@@ -1,7 +1,9 @@
-"""The array form of a grid plan: one struct-of-arrays over its tasks.
+"""The array form of a plan: one struct-of-arrays over its tasks.
 
-A grid plan *is* a :class:`TaskArrays`: parallel columns over the plan's
-``T`` tasks in list (= schedule) order, plus CSR side tables. GLU3.0
+A level of Algorithm 1 *is* a :class:`TaskArrays` — parallel columns over
+the ``T`` tasks of all its grids, grid-major, in list (= schedule) order,
+plus CSR side tables — and a grid plan a slice of it
+(:meth:`TaskArrays.cut`; a 2D plan is the level of one grid). GLU3.0
 (PAPERS.md) removed per-task host overhead the same way: levelized arrays
 emitted once, fused by construction.
 
@@ -47,6 +49,14 @@ PANEL_FACTOR, PANEL_BCAST, SCHUR_UPDATE = 0, 1, 2
 SIDES = ("", "U", "L")
 
 _I64 = np.int64
+#: Columns with one entry per task, and each CSR side table: its pointer
+#: column -> the columns it spans.
+_PER_TASK = ("tid", "kind", "node", "bi", "bj", "side", "owner", "flops")
+_TABLES = {"dep_ptr": ("dep_idx",),
+           "bc_ptr": ("bc_root", "bc_comm", "bc_words", "bc_route"),
+           "pair_ptr": ("pair_owner", "pair_flops"),
+           "ev_ptr": ("ev_src", "ev_dst", "ev_val", "ev_kind"),
+           "mem_ptr": ("mem_rank", "mem_words")}
 
 
 @dataclass(eq=False)
@@ -106,6 +116,19 @@ class TaskArrays:
     def cuts(self, fuse: bool) -> list[int]:
         """The walk's dispatch boundaries: ``runs`` or every task."""
         return self.runs.tolist() if fuse else list(range(self.n_tasks + 1))
+
+    def cut(self, a: int, b: int) -> "TaskArrays":
+        """Tasks ``[a, b)`` (cut points of ``runs``) as arrays of their own
+        — one grid plan of a level's arrays: a view of every column, each
+        pointer re-based to zero, ``comms`` shared."""
+        cols = {c: getattr(self, c)[a:b] for c in _PER_TASK}
+        for ptr, table in _TABLES.items():
+            p = getattr(self, ptr)
+            cols[ptr] = p[a:b + 1] - p[a]
+            cols.update((c, getattr(self, c)[p[a]:p[b]]) for c in table)
+        i, j = np.searchsorted(self.runs, (a, b))
+        return TaskArrays(comms=self.comms, runs=self.runs[i:j + 1] - a,
+                          **cols)
 
     # -- derived columns ---------------------------------------------------
 

@@ -32,6 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.comm.grid import ProcessGrid2D
 from repro.lu2d.batched import schur_pairs, syrk_pairs
 from repro.lu2d.kernels import GETRF, POTRF, gemm_op, trsm_op
 from repro.lu2d.storage import node_blocks
@@ -56,11 +57,15 @@ def cholesky_node_blocks(sf, k: int) -> list[tuple[int, int, int]]:
 
 
 class BuildContext:
-    """Shared state of one :func:`repro.plan.build.build_grid_plan` call."""
+    """Shared state of one :func:`repro.plan.build.build_level` pass: the
+    level's 2D shape as the base-0 ``grid``, its grids' base ranks
+    ``bases`` and, per node, the index ``slot`` of the grid factoring it."""
 
-    def __init__(self, sf, grid, opts, volume):
+    def __init__(self, sf, px, py, bases, slot, opts, volume):
         self.sf = sf
-        self.grid = grid
+        self.grid = ProcessGrid2D(px, py)
+        self.bases = np.asarray(bases, dtype=np.int64)
+        self.slot = slot
         self.opts = opts
         self.sizes = sf.layout.sizes()
         # Every message the backends emit is priced through the block-
@@ -69,13 +74,21 @@ class BuildContext:
         self.volume = volume
         #: Interned communicators: rank tuple -> id, in id order.
         self.comm_ids: dict[tuple[int, ...], int] = {}
+        ranks = (self.bases[:, None, None]
+                 + np.arange(px * py).reshape(px, py)).tolist()
+        #: ``[grid slot, process row / column]`` -> communicator id.
         self.row_comm = np.asarray(
-            [self.comm_id(grid.row_ranks(pi)) for pi in range(grid.px)])
+            [[self.comm_id(row) for row in g] for g in ranks])
         self.col_comm = np.asarray(
-            [self.comm_id(grid.col_ranks(pj)) for pj in range(grid.py)])
+            [[self.comm_id(col) for col in zip(*g)] for g in ranks])
 
     def comm_id(self, ranks) -> int:
         return self.comm_ids.setdefault(tuple(ranks), len(self.comm_ids))
+
+    def owner(self, i, j, k) -> np.ndarray:
+        """Elementwise owner rank of block ``(i, j)`` on the grid that
+        factors node ``k``."""
+        return self.grid.owner_pairs(i, j) + self.bases[self.slot[k]]
 
     def panel_layout(self, ks, upper: bool) -> SimpleNamespace:
         """The panel-task columns both backends share. Node ``ks[g]``
@@ -168,7 +181,8 @@ def _panel_columns(lay, parts) -> SimpleNamespace:
     the per-family ``(task, sub, root, comm, words, route)`` spec columns
     ``parts`` merged into task order (``sub`` orders a task's own
     broadcasts)."""
-    spec = [np.concatenate([np.broadcast_to(p[c], p[0].shape) for p in parts])
+    spec = [np.concatenate([p[c] if np.ndim(p[c]) else
+                            np.full(p[0].shape, p[c]) for p in parts])
             for c in range(6)]
     order = np.argsort(spec[0] * 2 + spec[1], kind="stable")
     task, _sub, root, comm, words, route = (c[order] for c in spec)
@@ -195,25 +209,26 @@ class LUBackend(KernelBackend):
         if b.opts.sparse_bcast:
             row_of, col_of = self._sparse_comms(b, ks, gu, ju, gl, il)
         else:           # whole process rows / columns (Section IV)
+            slot = b.slot[ks]
+
             def row_of(g, i):
-                return b.row_comm[i % grid.px]
+                return b.row_comm[slot[g], i % grid.px]
 
             def col_of(g, j):
-                return b.col_comm[j % grid.py]
+                return b.col_comm[slot[g], j % grid.py]
 
         has_u, has_l = np.flatnonzero(lay.nu), np.flatnonzero(lay.nl)
         k_u, k_l = ks[has_u], ks[has_l]
         tri = b.volume.cap_many(ks, ks, s * (s + 1) / 2.0)
-        owner = grid.owner_pairs
         return _panel_columns(lay, [
             # U_kk along the process row, L_kk down the process column
-            (lay.pf[has_u], 0, owner(k_u, k_u), row_of(has_u, k_u),
+            (lay.pf[has_u], 0, b.owner(k_u, k_u, k_u), row_of(has_u, k_u),
              tri[has_u], -1),
-            (lay.pf[has_l], 1, owner(k_l, k_l), col_of(has_l, k_l),
+            (lay.pf[has_l], 1, b.owner(k_l, k_l, k_l), col_of(has_l, k_l),
              tri[has_l], -1),
-            (lay.pu, 0, owner(ks[gu], ju), col_of(gu, ju),
+            (lay.pu, 0, b.owner(ks[gu], ju, ks[gu]), col_of(gu, ju),
              b.volume.cap_many(ks[gu], ju, s[gu] * sizes[ju]), -1),
-            (lay.pl, 0, owner(il, ks[gl]), row_of(gl, il),
+            (lay.pl, 0, b.owner(il, ks[gl], ks[gl]), row_of(gl, il),
              b.volume.cap_many(il, ks[gl], sizes[il] * s[gl]), -1)])
 
     @staticmethod
@@ -224,21 +239,26 @@ class LUBackend(KernelBackend):
         LU convention). Returns the per-(node, block) communicator
         lookups ``row_of(g, i)`` / ``col_of(g, j)``."""
         grid = b.grid
-        px, py = grid.px, grid.py
+        px, py, n_grids = grid.px, grid.py, b.bases.size
 
         def table(present, own, lines, rank_at):
             # present[g, x]: coordinate x of the line holds a target of
-            # node g; own[g]: the root's coordinate along the line.
+            # node g; own[g]: the root's coordinate along the line. One
+            # communicator per distinct (members, root, grid).
             q = present.shape[1]
-            key = (present @ (1 << np.arange(q))) * q + own
+            key = ((present @ (1 << np.arange(q))) * q + own) * n_grids \
+                + b.slot[ks]
             uniq, inv = np.unique(key, return_inverse=True)
             ids = np.empty((uniq.size, lines), dtype=np.int64)
-            for u, (mask, o) in enumerate(divmod(int(v), q) for v in uniq):
+            for u, v in enumerate(uniq.tolist()):
+                v, slot = divmod(v, n_grids)
+                mask, o = divmod(v, q)
+                base = int(b.bases[slot])
                 members = [x for x in range(q) if mask >> x & 1]
                 for line in range(lines):
-                    ranks = [rank_at(line, x) for x in members]
+                    ranks = [base + rank_at(line, x) for x in members]
                     if o not in members:
-                        ranks.insert(0, rank_at(line, o))
+                        ranks.insert(0, base + rank_at(line, o))
                     ids[u, line] = b.comm_id(ranks)
             return ids[inv]
 
@@ -253,11 +273,12 @@ class LUBackend(KernelBackend):
 
     def emit_schur(self, b, ks):
         lp_ptr, lp_idx, up_ptr, up_idx = b.sf.fill.panel_csr()
-        count, owners, flops = schur_pairs(
+        count, local, flops = schur_pairs(
             b.sizes[ks], lp_ptr[ks], lp_ptr[ks + 1] - lp_ptr[ks], lp_idx,
             up_ptr[ks], up_ptr[ks + 1] - up_ptr[ks], up_idx, b.sizes, b.grid)
-        return SimpleNamespace(flops=b.sf.costs.schur_flops[ks], count=count,
-                               owners=owners, pair_flops=flops)
+        return SimpleNamespace(
+            flops=b.sf.costs.schur_flops[ks], count=count, pair_flops=flops,
+            owners=local + np.repeat(b.bases[b.slot[ks]], count))
 
     # -- execution ---------------------------------------------------------
 
@@ -306,32 +327,34 @@ class CholeskyBackend(KernelBackend):
         lay.flops[lay.pf] = s ** 3 / 3.0
         has_l = np.flatnonzero(lay.nl)
         k_l, kk = ks[has_l], ks[gl]
-        o = grid.owner_pairs(il, kk)
+        slot = b.slot[kk]
+        o = b.owner(il, kk, kk)
         words = b.volume.cap_many(il, kk, b.sizes[il] * s[gl])
         # The transposed operand goes down block-column i's process
         # column; an owner outside it routes the payload through the
         # column's entry rank first (the routed hop of pdpotrf).
         inside = kk % grid.py == il % grid.py
-        entry = grid.owner_pairs(np.zeros_like(il), il)
+        entry = b.owner(np.zeros_like(il), il, kk)
         return _panel_columns(lay, [
             # L_kk down the process column for the panel solves
-            (lay.pf[has_l], 0, grid.owner_pairs(k_l, k_l),
-             b.col_comm[k_l % grid.py],
+            (lay.pf[has_l], 0, b.owner(k_l, k_l, k_l),
+             b.col_comm[b.slot[k_l], k_l % grid.py],
              b.volume.cap_many(k_l, k_l, (s * (s + 1) / 2.0)[has_l]), -1),
             # left operand along block-row i's process row
-            (lay.pl, 0, o, b.row_comm[il % grid.px], words, -1),
-            (lay.pl, 1, np.where(inside, o, entry), b.col_comm[il % grid.py],
-             words, np.where(inside, -1, o))])
+            (lay.pl, 0, o, b.row_comm[slot, il % grid.px], words, -1),
+            (lay.pl, 1, np.where(inside, o, entry),
+             b.col_comm[slot, il % grid.py], words, np.where(inside, -1, o))])
 
     def emit_schur(self, b, ks):
         lp_ptr, lp_idx, _up_ptr, _up_idx = b.sf.fill.panel_csr()
-        count, owners, flops = syrk_pairs(
+        count, local, flops = syrk_pairs(
             b.sizes[ks], lp_ptr[ks], lp_ptr[ks + 1] - lp_ptr[ks], lp_idx,
             b.sizes, b.grid)
         node = np.repeat(np.arange(ks.size), count)
         return SimpleNamespace(
             flops=np.bincount(node, weights=flops, minlength=ks.size),
-            count=count, owners=owners, pair_flops=flops)
+            count=count, pair_flops=flops,
+            owners=local + b.bases[b.slot[ks]][node])
 
     # -- execution ---------------------------------------------------------
 

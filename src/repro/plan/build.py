@@ -1,16 +1,18 @@
 """Plan builders: walk the symbolic factorization once, emit the task DAG.
 
-:func:`build_grid_plan` turns one node list on one 2D grid into an ordered
-:class:`~repro.plan.tasks.GridPlan`. The list order *is* the schedule the
-historical imperative drivers executed — including the Section II-F
-lookahead interleave, which is replayed here at build time with the same
-``pending``/``panel_done`` bookkeeping the drivers carried at run time.
-Only that replay (one short loop per node) is Python: the tasks themselves
-are emitted as whole columns — the backend's panel and Schur columns of
-the node list, scattered to their schedule positions, with the dependency
-CSR filled by index arithmetic — and completed by
-:meth:`repro.plan.arrays.TaskArrays.assemble`. The ``deps`` edges are pure
-data dependencies layered on top of the list order:
+:func:`build_level` turns one level — the node lists of its active grids,
+identically shaped 2D grids on disjoint ranks — into ONE ordered
+:class:`~repro.plan.arrays.TaskArrays`, grid-major; a
+:class:`~repro.plan.tasks.GridPlan` is a slice of it and
+:func:`build_grid_plan` the level of one grid. The list order *is* the
+schedule the historical imperative drivers executed, including the
+Section II-F lookahead interleave, replayed here per grid with the
+drivers' ``pending`` bookkeeping. Only that replay (one short loop per
+node) is Python: the tasks are emitted as whole columns — the backend's
+panel and Schur columns of the level's nodes, scattered to their schedule
+positions, the dependency CSR filled by index arithmetic — and completed
+by one :meth:`repro.plan.arrays.TaskArrays.assemble`. The ``deps`` edges
+are pure data dependencies layered on top of the list order:
 
 * ``PanelBcast(k) -> PanelFactor(k)`` (solves consume the diagonal);
 * ``SchurUpdate(k) -> PanelBcast(k, *)`` (updates consume the panels);
@@ -18,12 +20,12 @@ data dependencies layered on top of the list order:
   whose nearest in-list ancestor is ``a`` (a panel is ready only when all
   descendant updates have landed — the lookahead readiness condition);
 * level roots -> previous :class:`LevelBarrier`; reduces -> the sink
-  tasks of their two grids' plans; barriers -> everything in the level.
+  tasks of their two grids; barriers -> everything in the level.
 
-:func:`build_3d_plan` stacks per-grid plans into Algorithm 1's level
-schedule (standard per-layer grids or the merged-grid variant) with
-``AncestorReduce`` tasks whose payloads — block lists, owner-rank arrays,
-merged redistribution ops — are fully resolved at build time.
+:func:`build_3d_plan` makes one such pass per level of Algorithm 1's
+schedule (standard per-layer grids or the merged-grid variant) and adds
+the ``AncestorReduce`` tasks, their payloads — block lists, owner-rank
+arrays, merged redistribution ops — fully resolved at build time.
 """
 
 from __future__ import annotations
@@ -53,33 +55,24 @@ from repro.plan.tasks import (
 )
 from repro.utils.ragged import csr_ptr, ragged
 
-__all__ = ["TidCounter", "build_grid_plan", "build_3d_plan", "sink_tids",
-           "pattern_signature", "POST_BUILD_HOOK"]
+__all__ = ["build_level", "build_grid_plan", "build_3d_plan",
+           "pattern_signature", "partition_signature", "POST_BUILD_HOOK"]
 
 #: Optional callback ``hook(plan, sf)`` invoked on every *complete* plan
 #: this module builds: each standalone :class:`GridPlan` and each finished
-#: :class:`Plan3D` (not the per-grid sub-plans inside a 3D build, which
-#: are only fragments of the DAG until the reduces and barriers land).
+#: :class:`Plan3D` (not the levels inside a 3D build, which are only
+#: fragments of the DAG until the reduces and barriers land).
 #: The test suite installs the static analyzer here
 #: (:func:`repro.verify.static.analyze_plan`) so every plan built anywhere
 #: in a test run is race-checked for free.
 POST_BUILD_HOOK = None
 
 
-class TidCounter:
-    """Monotone task-id allocator shared across a whole plan."""
-
-    def __init__(self, start: int = 0):
-        self._next = start
-
-    def next(self) -> int:
-        return self.take(1)
-
-    def take(self, n: int) -> int:
-        """Reserve ``n`` consecutive tids; returns the first."""
-        tid = self._next
-        self._next += n
-        return tid
+def _digest(*arrays) -> str:
+    h = hashlib.sha1()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 def pattern_signature(sf) -> tuple:
@@ -88,28 +81,31 @@ def pattern_signature(sf) -> tuple:
     factorizations with equal signatures build identical plans."""
     sig = getattr(sf, "_pattern_sig", None)
     if sig is None:
-        h = hashlib.sha1()
-        for a in (sf.layout.sizes(), *sf.fill.panel_csr()):
-            h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
-        sig = sf._pattern_sig = (sf.nb, h.hexdigest())
+        sig = sf._pattern_sig = (
+            sf.nb, _digest(sf.layout.sizes(), *sf.fill.panel_csr()))
     return sig
 
 
-def sink_tids(plan: GridPlan) -> tuple[int, ...]:
-    """Tids of ``plan``'s sink tasks (consumed by no later task in it)."""
-    a = plan.arrays
-    return tuple(a.tid[~np.isin(a.tid, a.dep_idx)].tolist())
+def partition_signature(tf) -> tuple:
+    """``(pz, digest)`` of what a plan depends on in the tree-forest
+    ``tf``: every node's forest and level (memoized on ``tf``)."""
+    sig = getattr(tf, "_partition_sig", None)
+    if sig is None:
+        sig = tf._partition_sig = (
+            tf.pz, _digest(tf.node_forest, tf.node_level))
+    return sig
 
 
-def _schedule(parent: list[int], nodes: list[int], lookahead: int
-              ) -> tuple[list[int], list[int]]:
-    """Replay the II-F lookahead interleave over ``nodes`` (ascending).
+def _schedule(parent: list[int], nodes: list[int], lookahead: int,
+              q0: int = 0) -> tuple[list[int], list[int]]:
+    """Replay the II-F lookahead interleave over ``nodes`` (ascending),
+    numbered from ``q0`` (their offset in a level's node list).
 
     Returns the emission events in schedule order — ``q >= 0``: the panel
-    tasks of ``nodes[q]``, ``~q``: its Schur task — and each node's
-    nearest in-list ancestor (an index into ``nodes``, -1 for none): the
-    drivers' lookahead-readiness counters, replayed here so the emitted
-    order equals the executed order.
+    tasks of node ``q``, ``~q``: its Schur task — and each node's nearest
+    in-list ancestor (a node number, -1 for none): the drivers'
+    lookahead-readiness counters, replayed here so the emitted order
+    equals the executed order.
     """
     where = {k: q for q, k in enumerate(nodes)}
     n = len(nodes)
@@ -130,46 +126,56 @@ def _schedule(parent: list[int], nodes: list[int], lookahead: int
     for q in range(n):
         if not done[q]:
             done[q] = True
-            events.append(q)
+            events.append(q0 + q)
         # Lookahead: panels of upcoming ready nodes interleave here.
         for m in range(q + 1, min(q + 1 + lookahead, n)):
             if not done[m] and pending[m] == 0:
                 done[m] = True
-                events.append(m)
-        events.append(~q)
+                events.append(q0 + m)
+        events.append(~(q0 + q))
         for a in chains[q]:
             pending[a] -= 1
-    return events, [c[0] if c else -1 for c in chains]
+    return events, [q0 + c[0] if c else -1 for c in chains]
 
 
-def build_grid_plan(sf, nodes, grid: ProcessGrid2D,
-                    options: FactorOptions | None = None, *,
-                    backend: str = "lu",
-                    counter: TidCounter | None = None, g: int = 0,
-                    level: int = 0,
-                    barrier_dep: int | None = None,
-                    volume=None) -> GridPlan:
-    """Emit one grid's ordered task arrays for ``nodes`` (ascending ids).
+def build_level(sf, grids, px: int, py: int, opts: FactorOptions, *,
+                backend: str, volume, level: int = 0, tid0: int = 0,
+                barrier_dep: int | None = None):
+    """Emit one level's ordered task arrays in one pass. ``grids`` lists
+    ``(g, nodes, base)`` per grid that has work, ascending: ``px x py``
+    grids on disjoint rank spans from ``base``. Returns ``(arrays,
+    grid_ptr, grid_plans)``: the level's :class:`TaskArrays`, grid-major
+    (tids ``tid0 ...`` in list order), and grid ``q``'s tasks
+    ``grid_ptr[q]:grid_ptr[q + 1]`` of it as a :class:`GridPlan` slice.
 
     ``barrier_dep`` is the previous level's barrier tid in a 3D plan:
     tasks with no in-plan data dependency anchor to it, keeping the DAG
-    connected across levels. ``volume`` is the :class:`repro.comm.volume.BlockVolume`
-    pricing every emitted message; ``None`` resolves it from ``options``
-    (dense unless compact mode is on).
+    connected across levels. ``volume`` is the
+    :class:`repro.comm.volume.BlockVolume` pricing every emitted message.
     """
-    opts = options or FactorOptions()
     be = get_backend(backend)
-    if volume is None:
-        from repro.comm.volume import volume_for
-        volume = volume_for(sf, opts)
-    b = BuildContext(sf, grid, opts, volume)
-    nodes = sorted(int(k) for k in nodes)
-    n = len(nodes)
-    ks = np.asarray(nodes, dtype=np.int64)
-    events, near = _schedule(sf.tree.parent.tolist(), nodes, opts.lookahead)
+    grids = [(g, sorted(int(k) for k in nodes), base)
+             for g, nodes, base in grids]
+    ks = np.asarray([k for _g, nodes, _b in grids for k in nodes],
+                    dtype=np.int64)
+    n = ks.size
+    slot = np.zeros(sf.nb, dtype=np.int64)
+    slot[ks] = np.repeat(np.arange(len(grids)),
+                         [len(nodes) for _g, nodes, _b in grids])
+    b = BuildContext(sf, px, py, [base for _g, _n, base in grids], slot,
+                     opts, volume)
+    # The schedule is replayed grid by grid (lookahead never reaches into
+    # a sibling grid); everything after it is one pass over the level.
+    parent = sf.tree.parent.tolist()
+    events, near, ev_ptr = [], [], [0]
+    for _g, nodes, _base in grids:
+        ev_g, near_g = _schedule(parent, nodes, opts.lookahead, len(near))
+        events += ev_g
+        near += near_g
+        ev_ptr.append(len(events))
     ev = np.asarray(events, dtype=np.int64)
     is_schur = ev < 0
-    pq, sq = ev[~is_schur], ~ev[is_schur]    # node indices, schedule order
+    pq, sq = ev[~is_schur], ~ev[is_schur]    # node numbers, schedule order
     pan = be.emit_panels(b, ks[pq])
     sch = be.emit_schur(b, ks[sq])
 
@@ -179,6 +185,7 @@ def build_grid_plan(sf, nodes, grid: ProcessGrid2D,
     span[~is_schur] = pan.count
     first = np.cumsum(span) - span
     T = int(span.sum())
+    grid_ptr = np.append(first, T)[ev_ptr]
     grp, off = ragged(pan.count)
     ppos = first[~is_schur][grp] + off      # every panel task
     pf_of = np.empty(n, dtype=np.int64)     # per node: its factor task,
@@ -198,8 +205,7 @@ def build_grid_plan(sf, nodes, grid: ProcessGrid2D,
     flops = np.empty(T)
     flops[ppos], flops[sp_of[sq]] = pan.flops, sch.flops
     owner = np.full(T, -1, dtype=np.int64)
-    owner[ppos] = grid.owner_pairs(pan.bi, pan.bj)
-    tid0 = (counter or TidCounter()).take(T)
+    owner[ppos] = b.owner(pan.bi, pan.bj, node[ppos])
 
     # Dependencies: solve -> its factor; Schur -> its node's solves (or
     # the factor when there are none); factor -> the Schur tasks of the
@@ -233,9 +239,30 @@ def build_grid_plan(sf, nodes, grid: ProcessGrid2D,
         bc_route=pan.spec_route, comms=list(b.comm_ids),
         pair_ptr=csr_ptr(n_pair),
         pair_owner=sch.owners, pair_flops=sch.pair_flops)
-    plan = GridPlan(backend=backend, g=g, level=level, px=grid.px,
-                    py=grid.py, base=grid.base, nodes=nodes, arrays=arrays)
-    if POST_BUILD_HOOK is not None and counter is None:
+    # A grid ends on a Schur task and starts on a factor task: the union
+    # only makes "runs cut at grid boundaries" independent of that.
+    arrays.runs = np.union1d(arrays.runs, grid_ptr)
+    cuts = grid_ptr.tolist()
+    return arrays, grid_ptr, [
+        GridPlan(backend, g, level, px, py, base, nodes,
+                 arrays if len(grids) == 1 else (arrays, lo, hi))
+        for (g, nodes, base), lo, hi in zip(grids, cuts, cuts[1:])]
+
+
+def build_grid_plan(sf, nodes, grid: ProcessGrid2D,
+                    options: FactorOptions | None = None, *,
+                    backend: str = "lu", volume=None) -> GridPlan:
+    """One grid's ordered task arrays for ``nodes``: the level of one grid
+    (:func:`build_level`). ``volume`` ``None`` resolves the message
+    pricing from ``options`` (dense unless compact mode is on)."""
+    opts = options or FactorOptions()
+    if volume is None:
+        from repro.comm.volume import volume_for
+        volume = volume_for(sf, opts)
+    _arrays, _ptr, (plan,) = build_level(
+        sf, [(0, nodes, grid.base)], grid.px, grid.py, opts, backend=backend,
+        volume=volume)
+    if POST_BUILD_HOOK is not None:
         POST_BUILD_HOOK(plan, sf)
     return plan
 
@@ -256,7 +283,8 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
                   options: FactorOptions | None = None, *,
                   backend: str = "lu", merged: bool = False,
                   accelerated: bool = False, blocks_fn=None) -> Plan3D:
-    """Emit Algorithm 1's full level schedule as a :class:`Plan3D`.
+    """Emit Algorithm 1's full level schedule as a :class:`Plan3D`, one
+    :func:`build_level` pass per level.
 
     ``blocks_fn`` enumerates a node's stored blocks (default: the
     backend's ``node_blocks``). ``accelerated`` is what callers record on
@@ -279,40 +307,44 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
             f"ancestor_replication={creplication} exceeds the replication "
             f"group supply Pz={tf.pz} (need c <= Pz)")
     nlev = tf.l
-    counter = TidCounter()
+    tid = 0                                 # next free task id
     prev_barrier: int | None = None
     levels: list[LevelStep] = []
 
     for lvl in range(nlev, -1, -1):
         width = 2 ** (nlev - lvl)
         c_lvl = min(creplication, width)
-        replicated, grid_plans = [], []
+        replicated, grid_plans, arrays, grid_ptr = [], [], None, None
         sinks: dict[int, list[int]] = {}    # grid -> its sink tids
         if c_lvl > 1:
             replicated = _build_replicated_level(
-                sf, tf, grid3, blocks_fn, counter, lvl, c_lvl,
-                prev_barrier, volume)
+                sf, tf, grid3, blocks_fn, tid, lvl, c_lvl, prev_barrier,
+                volume)
+            tid += len(replicated)
             for task in replicated:
                 for g in tf.grids_of_forest(lvl, task.forest):
                     sinks.setdefault(g, []).append(task.tid)
             level_sinks = tuple(t.tid for t in replicated)
         else:
-            if merged:
-                work = [(bidx, nodes,
-                         _merged_grid(grid3, bidx * width, width))
-                        for bidx in range(2 ** lvl)
-                        if (nodes := tf.forests[(lvl, bidx)])]
-            else:
-                work = [(g, nodes, grid3.layer(g))
-                        for g in range(0, tf.pz, width)
-                        if (nodes := tf.forest_of_grid(g, lvl))]
-            grid_plans = [
-                build_grid_plan(sf, nodes, grid2, opts, backend=backend,
-                                counter=counter, g=g, level=lvl,
-                                barrier_dep=prev_barrier, volume=volume)
-                for g, nodes, grid2 in work]
-            sinks = {gp.g: sink_tids(gp) for gp in grid_plans}
-            level_sinks = tuple(t for gp in grid_plans for t in sinks[gp.g])
+            # Forest b runs on layer b * width — merged: on the `width`
+            # layers from there on, stacked along x, as grid b.
+            grids = [(b if merged else b * width, nodes,
+                      b * width * grid3.pxy)
+                     for b in range(2 ** lvl)
+                     if (nodes := tf.forests[(lvl, b)])]
+            level_sinks = ()
+            if grids:
+                arrays, grid_ptr, grid_plans = build_level(
+                    sf, grids, grid3.px * (width if merged else 1), grid3.py,
+                    opts, backend=backend, volume=volume, level=lvl,
+                    tid0=tid, barrier_dep=prev_barrier)
+                # Tasks no later task of the level consumes, per grid.
+                sink = arrays.tid[~np.isin(arrays.tid, arrays.dep_idx)]
+                cut = np.searchsorted(sink, tid + grid_ptr).tolist()
+                level_sinks = tuple(sink.tolist())
+                sinks = {gp.g: level_sinks[lo:hi] for gp, lo, hi
+                         in zip(grid_plans, cut, cut[1:])}
+                tid += arrays.n_tasks
 
         def _dep_on(*gids) -> tuple[int, ...]:
             deps = tuple(t for gid in gids for t in sinks.get(gid, ()))
@@ -325,35 +357,38 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
             if merged:      # forests 2k, 2k+1 merge into the doubled grid
                 k = first // (2 * width)
                 red = _build_merged_reduce(
-                    sf, tf, grid3, blocks_fn, counter,
+                    sf, tf, grid3, blocks_fn, tid,
                     deps=_dep_on(2 * k, 2 * k + 1), left_first=first,
                     width=width, below_level=lvl, volume=volume)
             else:
                 red = _build_standard_reduce(
-                    sf, tf, grid3, blocks_fn, counter,
+                    sf, tf, grid3, blocks_fn, tid,
                     deps=_dep_on(first, first + width), dst_grid=first,
                     src_grid=first + width, below_level=lvl, volume=volume)
             if red is not None:
                 reduces.append(red)
+                tid += 1
 
         barrier_deps = level_sinks + tuple(r.tid for r in reduces)
         if not barrier_deps and prev_barrier is not None:
             barrier_deps = (prev_barrier,)
-        barrier = LevelBarrier(tid=counter.next(), deps=barrier_deps,
-                               level=lvl)
-        prev_barrier = barrier.tid
+        barrier = LevelBarrier(tid=tid, deps=barrier_deps, level=lvl)
+        prev_barrier = tid
+        tid += 1
         levels.append(LevelStep(level=lvl, grid_plans=grid_plans,
                                 reduces=reduces, barrier=barrier,
-                                replicated=replicated))
+                                replicated=replicated, arrays=arrays,
+                                grid_ptr=grid_ptr))
 
     plan = Plan3D(backend=backend, merged=merged, levels=levels,
-                  pattern_sig=pattern_signature(sf))
+                  pattern_sig=pattern_signature(sf),
+                  partition_sig=partition_signature(tf))
     if POST_BUILD_HOOK is not None:
         POST_BUILD_HOOK(plan, sf)
     return plan
 
 
-def _build_replicated_level(sf, tf, grid3, blocks_fn, counter, lvl: int,
+def _build_replicated_level(sf, tf, grid3, blocks_fn, tid0: int, lvl: int,
                             c_lvl: int, prev_barrier: int | None,
                             volume) -> list[ReplicatedFactor]:
     """Emit level ``lvl``'s forests as aggregate 2.5D sweeps (Section VII).
@@ -398,7 +433,7 @@ def _build_replicated_level(sf, tf, grid3, blocks_fn, counter, lvl: int,
         per_rank_w = words / (c_lvl * np.sqrt(pxy))
         steps = max(ncols, 1)
         tasks.append(ReplicatedFactor(
-            tid=counter.next(), deps=deps, level=lvl, forest=b,
+            tid=tid0 + len(tasks), deps=deps, level=lvl, forest=b,
             nodes=tuple(int(v) for v in nodes), home=home,
             grids=tuple(group), ranks=tuple(ranks), bcasts=bcasts,
             steps=steps, chunk=per_rank_w / steps, flops=flops,
@@ -419,7 +454,7 @@ def _ancestor_blocks(sf, tf, blocks_fn, grid_for_forests: int,
     return ii[at], jj[at], ww[at]
 
 
-def _build_standard_reduce(sf, tf, grid3, blocks_fn, counter, deps,
+def _build_standard_reduce(sf, tf, grid3, blocks_fn, tid: int, deps,
                            dst_grid: int, src_grid: int, below_level: int,
                            volume) -> AncestorReduce | None:
     """Plan one pairwise z-hop: src layer's ancestor copies -> dst layer."""
@@ -427,14 +462,14 @@ def _build_standard_reduce(sf, tf, grid3, blocks_fn, counter, deps,
     if not ii.size:
         return None
     return AncestorReduce(
-        tid=counter.next(), deps=deps, dst_grid=dst_grid, src_grid=src_grid,
+        tid=tid, deps=deps, dst_grid=dst_grid, src_grid=src_grid,
         below_level=below_level, rows=ii, cols=jj,
         words=volume.cap_many(ii, jj, ww),
         srcs=grid3.layer(src_grid).owner_pairs(ii, jj),
         dsts=grid3.layer(dst_grid).owner_pairs(ii, jj))
 
 
-def _build_merged_reduce(sf, tf, grid3, blocks_fn, counter, deps,
+def _build_merged_reduce(sf, tf, grid3, blocks_fn, tid: int, deps,
                          left_first: int, width: int, below_level: int,
                          volume) -> AncestorReduce | None:
     """Plan one merged-grid reduce + redistribution into the doubled grid.
@@ -459,6 +494,6 @@ def _build_merged_reduce(sf, tf, grid3, blocks_fn, counter, deps,
     if not ops:
         return None
     return AncestorReduce(
-        tid=counter.next(), deps=deps, dst_grid=left_first,
+        tid=tid, deps=deps, dst_grid=left_first,
         src_grid=left_first + width, below_level=below_level,
         ops=tuple(ops))

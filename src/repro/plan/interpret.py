@@ -10,7 +10,9 @@ the bound kernel program (numeric mode only, :func:`run`) and the booking
 of its events in the plan's one event stream (:func:`book`, one
 :meth:`repro.comm.Simulator.book` call). Neither the factors nor the
 ledger of a slice depend on how it is cut, so a full-width run that
-nothing monitors executes and books the whole plan as one slice of each.
+nothing monitors executes and books the whole plan as one slice of each —
+in a 3D run the whole *level* (a :class:`~repro.plan.tasks.LevelStep`,
+whose grids own disjoint ranks), its grid plans being slices of it.
 
 Because the plan's list order replays the historical drivers' exact event
 order, every broadcast's pair sequence was flattened at build time, and
@@ -20,12 +22,14 @@ the golden-ledger tests (:mod:`tests.test_plan`) pin this.
 
 :func:`execute_reduce` is the matching executor for
 :class:`~repro.plan.tasks.AncestorReduce` tasks (both the batched standard
-variant and the merged-grid redistribution variant).
+variant and the merged-grid redistribution variant), and
+:func:`execute_reduces` for a level's worth, booked as one stream.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 
 import numpy as np
 
@@ -39,20 +43,21 @@ from repro.plan.backends import get_backend
 from repro.plan.tasks import AncestorReduce, GridPlan, ReplicatedFactor
 
 __all__ = ["GridContext", "run", "book", "execute_grid_plan",
-           "execute_reduce", "execute_replicated"]
+           "execute_reduce", "execute_reduces",
+           "execute_replicated"]
 
 
 class GridContext:
-    """Mutable state of one grid-plan execution; ``prog`` is the plan's
-    kernel program on the run's blocks (:meth:`KernelBackend.bind
+    """Mutable state of one execution of ``plan`` — a grid plan, or a
+    whole level step on the plain walk; ``prog`` is its kernel program on
+    the run's blocks (:meth:`KernelBackend.bind
     <repro.plan.backends.KernelBackend.bind>`; ``None``: cost-only)."""
 
-    def __init__(self, plan: GridPlan, sf, grid: ProcessGrid2D,
-                 sim: Simulator, prog, opts: FactorOptions):
+    def __init__(self, plan, sf, sim: Simulator, prog, opts: FactorOptions):
+        self.plan = plan
         self.arrays = plan.arrays
         self.be = get_backend(plan.backend)
         self.sf = sf
-        self.grid = grid
         self.sim = sim
         self.opts = opts
         self.prog = prog
@@ -63,6 +68,11 @@ class GridContext:
         #: buffer_peak_words must exclude). Crash recovery frees these, a
         #: restart from a checkpoint re-charges them.
         self.buf_current = np.zeros(sim.nranks)
+
+    @cached_property
+    def grid(self) -> ProcessGrid2D:
+        """The plan's 2D grid (a grid plan's; only HALO offload asks)."""
+        return ProcessGrid2D(self.plan.px, self.plan.py, base=self.plan.base)
 
     # -- checkpoint support (repro.resilience) -----------------------------
 
@@ -144,20 +154,21 @@ def _book_offloading(ctx: GridContext, t: int):
 
 
 def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
-                      options: FactorOptions | None = None,
-                      grid: ProcessGrid2D | None = None, *,
+                      options: FactorOptions | None = None, *,
                       fuse: bool = False, monitor=None, start: int = 0,
                       ctx: GridContext | None = None, prog=None
                       ) -> Factor2DResult:
-    """Execute ``plan`` on ``sim``, in plan list order.
+    """Execute ``plan`` on ``sim``, in plan list order. On the plain walk
+    (``fuse``, no monitor, no accelerator) ``plan`` may be a whole
+    :class:`~repro.plan.tasks.LevelStep`: its grids own disjoint rank
+    sets, so one dispatch and one booking of the level is, per rank and
+    bit for bit, the grid-after-grid walk.
 
     ``data`` is a mapping ``(i, j) -> ndarray`` holding this grid's copy
     of every block the plan touches (``None`` for cost-only simulation);
     blocks are overwritten with the packed factors. A driver that keeps
     its blocks across runs passes ``prog``, the plan's kernel program
-    already bound to them, instead. ``grid`` may be passed to reuse an
-    existing grid object; otherwise it is rebuilt from the plan's ``(px,
-    py, base)``.
+    already bound to them, instead.
 
     ``fuse`` selects the cut points: the plan's full-width runs
     (:attr:`repro.plan.ExecMode.fuse`) — with no ``monitor`` at their
@@ -171,12 +182,10 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
     interpretation at task index ``start`` with its restored context.
     """
     opts = options or FactorOptions()
-    if grid is None:
-        grid = ProcessGrid2D(plan.px, plan.py, base=plan.base)
     if ctx is None:
         if prog is None and data is not None:
             prog = get_backend(plan.backend).bind(plan.arrays, data, sf)
-        ctx = GridContext(plan, sf, grid, sim, prog, opts)
+        ctx = GridContext(plan, sf, sim, prog, opts)
 
     cuts = plan.arrays.cuts(fuse)
     cuts = cuts[bisect_right(cuts, start) - 1:]
@@ -191,7 +200,7 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
             monitor.after_task(plan, ctx, a)
 
     if ctx.be.accel_aware and sim.accelerator is not None:
-        for r in grid.all_ranks():
+        for r in ctx.grid.all_ranks():
             sim.accel_sync(r)
     return ctx.result
 
@@ -221,8 +230,9 @@ def execute_replicated(task: ReplicatedFactor, sim: Simulator) -> None:
 
 
 def execute_reduce(task: AncestorReduce, sim: Simulator, result=None,
-                   accumulate=None) -> None:
-    """Execute one Ancestor-Reduction task and book its counters.
+                   accumulate=None, *, booked: bool = False) -> None:
+    """Execute one Ancestor-Reduction task (``booked``: its events are
+    already on the ledgers, in its level's stream) and book its counters.
 
     ``result`` is the ``Factor3DResult`` accumulating reduction counters
     (``None``: a replay whose traffic is not the result's — recovery, the
@@ -231,7 +241,8 @@ def execute_reduce(task: AncestorReduce, sim: Simulator, result=None,
     cost-only mode and in the merged variant, whose single global copy
     makes the numeric content a no-op.
     """
-    sim.book(task.stream())
+    if not booked:
+        sim.book(task.stream())
     if result is not None:
         words = task.words if task.ops is None \
             else np.array([w for *_x, w in task.ops])
@@ -239,3 +250,14 @@ def execute_reduce(task: AncestorReduce, sim: Simulator, result=None,
         result.reduction_words += float(words.sum())
     if accumulate is not None and task.ops is None:
         accumulate(task.dst_grid, task.src_grid, task.rows, task.cols)
+
+
+def execute_reduces(step, sim: Simulator, result=None,
+                    accumulate=None) -> None:
+    """A level's whole Ancestor-Reduction: its hops booked as one stream
+    (:attr:`~repro.plan.tasks.LevelStep.reduce_stream`), then each hop's
+    counters and numeric summation."""
+    if step.reduces:
+        sim.book(step.reduce_stream)
+    for task in step.reduces:
+        execute_reduce(task, sim, result, accumulate, booked=True)

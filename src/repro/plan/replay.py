@@ -22,8 +22,9 @@ identical to cold ones (pinned by ``tests/test_service.py`` and
 
 Bundles are validated, not trusted: :meth:`PlanBundle.check` rejects reuse
 under a different grid shape, backend, merged/accelerated mode,
-plan-relevant options (see :func:`plan_options_key`) or sparsity pattern
-(the plan's recorded :func:`repro.plan.build.pattern_signature`). Lazy
+plan-relevant options (see :func:`plan_options_key`), sparsity pattern or
+tree-forest partition (the plan's recorded
+:func:`repro.plan.build.pattern_signature` / ``partition_signature``). Lazy
 products (replica words, block pattern, the triangular sweeps' solve
 plans) are memoized under a lock so
 concurrent service jobs (:mod:`repro.service`) can share one bundle.
@@ -132,11 +133,12 @@ class PlanBundle:
                    build_seconds=time.perf_counter() - t0)
 
     def check(self, grid3, backend, merged: bool, accelerated: bool,
-              options, sf=None) -> None:
+              options, sf=None, tf=None) -> None:
         """Refuse replay under conditions the cached plan was not built
         for — a wrong-bundle replay would book a wrong-but-plausible
         ledger, which is strictly worse than failing loudly. With ``sf``
-        given, that includes a different sparsity pattern."""
+        (``tf``) given, that includes a different sparsity pattern
+        (tree-forest partition)."""
         shape = (grid3.px, grid3.py, grid3.pz)
         if shape != self.grid_shape:
             raise ValueError(
@@ -158,13 +160,15 @@ class PlanBundle:
                 f"options {self.opts_key} (lookahead, sparse_bcast, "
                 "blocking, volume kind, ancestor_replication); got "
                 f"{plan_options_key(options)}")
-        if sf is not None and self.plan3.pattern_sig is not None:
-            from repro.plan.build import pattern_signature
-            if pattern_signature(sf) != self.plan3.pattern_sig:
-                raise ValueError(
-                    "cached plan was built from a different sparsity "
-                    f"pattern (nb, digest) = {self.plan3.pattern_sig}, got "
-                    f"{pattern_signature(sf)}")
+        from repro.plan.build import partition_signature, pattern_signature
+        for what, built, obj, sign in (
+                ("from a different sparsity pattern (nb, digest)",
+                 self.plan3.pattern_sig, sf, pattern_signature),
+                ("for a different tree-forest partition (pz, digest)",
+                 self.plan3.partition_sig, tf, partition_signature)):
+            if obj is not None and built is not None and sign(obj) != built:
+                raise ValueError(f"cached plan was built {what} = {built}, "
+                                 f"got {sign(obj)}")
 
     # -- memoized lazy products -------------------------------------------
 

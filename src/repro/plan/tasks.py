@@ -9,10 +9,11 @@ single shared interpreter against a pluggable kernel backend
 (:mod:`repro.plan.interpret` / :mod:`repro.plan.backends`).
 
 The three per-grid kinds exist in one form only: the struct-of-arrays of
-:mod:`repro.plan.arrays`, which a :class:`GridPlan` holds and the
-interpreter walks. Their classes here are the records of the lazily
-materialised width-1 *view* (``GridPlan.tasks`` / ``iter_tasks()``) that
-analysis reads and no default run ever builds. The three level-scope
+:mod:`repro.plan.arrays`, which a :class:`LevelStep` holds for all its
+grids (a :class:`GridPlan` a slice of it) and the interpreter walks.
+Their classes here are the records of the lazily materialised width-1
+*view* (``GridPlan.tasks``) that analysis reads and no default run ever
+builds. The three level-scope
 kinds are few and already array payloads; they stay objects.
 
 Two orders coexist on every plan:
@@ -34,7 +35,8 @@ edge and one forward pass is a topological traversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -275,9 +277,22 @@ class FusionStats:
                 f"{self.fusion_ratio:.0%} of the tasks")
 
 
+def _fusion(parts: list[TaskArrays], extra: int = 0) -> FusionStats:
+    """Full-width vs width-1 dispatch counts of ``parts``, O(1) from their
+    cuts, plus ``extra`` tasks that are one dispatch at either width."""
+    width = np.concatenate([np.diff(a.runs) for a in parts]
+                           + [np.zeros(0, dtype=np.int64)])
+    fused = width[width > 1]
+    return FusionStats(extra + int(width.sum()), extra + int(width.size),
+                       int(fused.size), int(fused.sum()))
+
+
 @dataclass
 class GridPlan:
-    """One grid's ordered tasks for one level (or the whole 2D run).
+    """One grid's ordered tasks for one level (or the whole 2D run): a
+    slice of its level's arrays. Given ``arrays=(level arrays, lo, hi)``
+    it is cut (:meth:`TaskArrays.cut`) on first use — the plain walk books
+    whole levels and never asks.
 
     ``backend`` names the kernel backend (``'lu'`` / ``'cholesky'``) the
     interpreter resolves. The 2D grid ships as ``(px, py, base)`` and the
@@ -294,6 +309,9 @@ class GridPlan:
     nodes: list[int]
     arrays: TaskArrays
 
+    def __getstate__(self):     # ship the slice, never the level behind it
+        return {**self.__dict__, "_arrays": self.arrays}
+
     @property
     def tasks(self) -> list[Task]:
         """The width-1 view (:attr:`TaskArrays.records`)."""
@@ -307,9 +325,6 @@ class GridPlan:
         return GridPlan(self.backend, self.g, self.level, self.px, self.py,
                         self.base, self.nodes, arrays)
 
-    def iter_tasks(self):
-        yield from self.tasks
-
     @property
     def n_tasks(self) -> int:
         return self.arrays.n_tasks
@@ -320,20 +335,33 @@ class GridPlan:
         return self.arrays.volume(nranks or self.base + self.px * self.py)
 
     def fusion_stats(self) -> FusionStats:
-        """Full-width vs width-1 dispatch counts, O(1) from the cuts."""
-        width = np.diff(self.arrays.runs)
-        fused = width[width > 1]
-        return FusionStats(self.n_tasks, int(width.size), int(fused.size),
-                           int(fused.sum()))
+        return _fusion([self.arrays])
+
+
+def _cut_once(self: GridPlan) -> TaskArrays:
+    if type(self._arrays) is tuple:
+        whole, lo, hi = self._arrays
+        self._arrays = whole.cut(lo, hi)
+    return self._arrays
+
+
+GridPlan.arrays = property(
+    _cut_once, lambda self, arrays: setattr(self, "_arrays", arrays))
 
 
 @dataclass
 class LevelStep:
-    """One level of Algorithm 1: independent grid plans (or, under 2.5D
-    ancestor replication, :class:`ReplicatedFactor` sweeps), then
-    reductions, then the barrier."""
+    """One level of Algorithm 1, the unit a plan is built, stored and
+    booked in: the active grids' tasks as ONE :class:`TaskArrays`,
+    grid-major (or, under 2.5D ancestor replication,
+    :class:`ReplicatedFactor` sweeps), then reductions, then the barrier.
+    A level's grids own disjoint rank sets, so each rank's events in the
+    concatenation are its events of the grid-after-grid walk."""
 
     level: int
+    #: Grid ``q``: tasks ``grid_ptr[q]:grid_ptr[q + 1]`` of ``arrays`` as a
+    #: plan of its own, for what is per grid by nature (pool, rewind,
+    #: fuzzer, analyzer).
     grid_plans: list[GridPlan]
     reduces: list[AncestorReduce]
     barrier: LevelBarrier
@@ -341,6 +369,34 @@ class LevelStep:
     #: ``FactorOptions.ancestor_replication > 1`` (empty otherwise — a
     #: level is either all grid plans or all replicated sweeps).
     replicated: list = field(default_factory=list)
+    #: The level's tasks (``None``: no grid has work at this level).
+    arrays: TaskArrays | None = None
+    grid_ptr: np.ndarray | None = None
+
+    @property
+    def backend(self) -> str:
+        return self.grid_plans[0].backend
+
+    @cached_property
+    def nodes(self) -> list[int]:
+        return [k for gp in self.grid_plans for k in gp.nodes]
+
+    def with_tasks(self, tasks) -> "LevelStep":
+        """:meth:`GridPlan.with_tasks` for the whole level, re-cut."""
+        arrays = TaskArrays.from_records(tasks,
+                                         self.arrays.schur_pair_costs())
+        cuts = self.grid_ptr.tolist()
+        return replace(self, arrays=arrays, grid_plans=[
+            replace(gp, arrays=(arrays, lo, hi))
+            for gp, lo, hi in zip(self.grid_plans, cuts, cuts[1:])])
+
+    @cached_property
+    def reduce_stream(self) -> EventStream:
+        """The level's reductions as one event stream, hop after hop
+        (their ``(dst, src)`` grid pairs are disjoint)."""
+        evs = [red.stream() for red in self.reduces]
+        return EventStream(*(np.concatenate([getattr(ev, c) for ev in evs])
+                             for c in ("src", "dst", "val", "kind")))
 
 
 @dataclass
@@ -354,6 +410,8 @@ class Plan3D:
     #: factorization the plan was built from — what
     #: :meth:`repro.plan.PlanBundle.check` compares before a replay.
     pattern_sig: tuple | None = None
+    #: :func:`repro.plan.build.partition_signature` of its tree-forest.
+    partition_sig: tuple | None = None
 
     def iter_tasks(self):
         for step in self.levels:
@@ -372,31 +430,27 @@ class Plan3D:
         return self.fusion_stats().n_tasks_before
 
     def fusion_stats(self) -> FusionStats:
-        """The grid plans' :meth:`GridPlan.fusion_stats`, summed; level-
-        scope tasks are one dispatch each at either width."""
-        parts = [gp.fusion_stats() for s in self.levels
-                 for gp in s.grid_plans]
-        extra = self._level_scope_tasks()
-        return FusionStats(
-            extra + sum(p.n_tasks_before for p in parts),
-            extra + sum(p.n_tasks_after for p in parts),
-            sum(p.n_fused for p in parts), sum(p.n_members for p in parts))
+        """The levels' dispatch counts (runs cut at grid boundaries);
+        level-scope tasks are one dispatch each at either width."""
+        return _fusion([s.arrays for s in self.levels
+                        if s.arrays is not None], self._level_scope_tasks())
 
     def volume(self, nranks: int) -> Volume:
         """The whole schedule reduced to per-rank volume ledgers: every
-        grid plan, sweep and reduction in executed order, under the phase
-        it runs in — per rank and bit for bit what a fault-free run books
-        (memory: transient receive buffers only, no static storage)."""
+        level's tasks, sweeps and reductions in executed order, under the
+        phase they run in — per rank and bit for bit what a fault-free run
+        books (memory: transient receive buffers only, no static
+        storage)."""
         vol = Volume(nranks)
         for step in self.levels:
             vol.phase = PHASE_FACT
-            for gp in step.grid_plans:
-                vol.add(gp.arrays.stream)
+            if step.arrays is not None:
+                vol.add(step.arrays.stream)
             for rep in step.replicated:
                 vol.add(rep.volume_stream())
             vol.phase = PHASE_RED
-            for red in step.reduces if step.level > 0 else ():
-                vol.add(red.stream())
+            if step.reduces and step.level > 0:
+                vol.add(step.reduce_stream)
         vol.phase = PHASE_FACT
         return vol
 

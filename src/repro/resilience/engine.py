@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.comm.events import PHASE_FACT, PHASE_REC, PHASE_RED
-from repro.comm.grid import ProcessGrid2D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import Factor2DResult, FactorOptions
 from repro.plan.backends import get_backend
@@ -289,8 +288,7 @@ class ResilienceEngine:
         ctx = None
         if cp.ctx_snap is not None:
             gp = cp.plan_ref
-            grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
-            ctx = GridContext(gp, self.sf, grid, sim,
+            ctx = GridContext(gp, self.sf, sim,
                               self.data.program(gp, self.sf), self.opts)
             ctx.restore(cp.ctx_snap)
             # The transient buffers live at the checkpoint are part of
@@ -329,9 +327,7 @@ class ResilienceEngine:
         sim.set_phase(PHASE_REC)
         for kind, item in self.plan3.recovery_schedule(gp.g, li):
             if kind == "plan":
-                grid = ProcessGrid2D(item.px, item.py, base=item.base)
                 execute_grid_plan(item, self.sf, sim, options=self.opts,
-                                  grid=grid,
                                   prog=self.data.program(item, self.sf))
             else:
                 # The original reduction's messages/words were already
@@ -389,9 +385,8 @@ def execute_plan3d_resilient(plan3, sf, sim: Simulator, result, opts,
         while gi < len(step.grid_plans):
             gp = step.grid_plans[gi]
             engine.enter_plan(li, gi, gp)
-            grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
             try:
-                r2d = execute_grid_plan(gp, sf, sim, options=opts, grid=grid,
+                r2d = execute_grid_plan(gp, sf, sim, options=opts,
                                         monitor=engine, start=ti, ctx=ctx,
                                         prog=data.program(gp, sf))
             except GridCrash as crash:
@@ -415,8 +410,7 @@ def execute_plan3d_resilient(plan3, sf, sim: Simulator, result, opts,
 
 
 def execute_grid_plan_resilient(plan, sf, sim: Simulator, data=None,
-                                options: FactorOptions | None = None,
-                                grid: ProcessGrid2D | None = None
+                                options: FactorOptions | None = None
                                 ) -> Factor2DResult:
     """Monitored execution of a single 2D grid plan.
 
@@ -429,16 +423,13 @@ def execute_grid_plan_resilient(plan, sf, sim: Simulator, data=None,
     opts = options or FactorOptions()
     engine = ResilienceEngine(opts, sim)
     engine.bind(None, sf, _MappingData(data), None)
-    if grid is None:
-        grid = ProcessGrid2D(plan.px, plan.py, base=plan.base)
     ti = 0
     ctx = None
     while True:
         engine.enter_plan(0, 0, plan)
         try:
             r2d = execute_grid_plan(plan, sf, sim, data=data, options=opts,
-                                    grid=grid, monitor=engine,
-                                    start=ti, ctx=ctx)
+                                    monitor=engine, start=ti, ctx=ctx)
             break
         except GridCrash as crash:
             _li, _gi, ti, ctx = engine.recover(crash)

@@ -97,10 +97,6 @@ class SymbolicFactorization:
     def perm(self):
         return self.tree.perm
 
-    def block_words(self, i: int, j: int) -> int:
-        """Dense storage of block (i, j) in words."""
-        return self.layout.block_size(i) * self.layout.block_size(j)
-
     def subtree_flops(self, k: int) -> float:
         """Total node flops over the subtree rooted at ``k`` (paper's T(C))."""
         return float(self.costs.node_flops[self.tree.subtree_of(k)].sum())

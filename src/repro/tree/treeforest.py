@@ -117,14 +117,6 @@ class TreeForest:
             out.extend(self.forests[(q, b)])
         return out
 
-    def ancestor_nodes_for_grid(self, g: int, above_level: int) -> list[int]:
-        """Local ancestor nodes at levels strictly above (shallower than)
-        ``above_level`` — the ``A_s`` sets exchanged in Ancestor-Reduction."""
-        out: list[int] = []
-        for q in range(above_level):
-            out.extend(self.forest_of_grid(g, q))
-        return out
-
     def replication_factor(self) -> float:
         """Average number of grids holding each node (memory blow-up proxy)."""
         total = sum(len(self.grids_of_forest(q, b)) * len(nodes)

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.comm.events import PHASE_FACT, PHASE_RED
-from repro.comm.grid import ProcessGrid2D
 from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
@@ -219,10 +218,8 @@ def _run_order(units, ctx_plans, order, setup, sf, opts):
             ctx = contexts.get(u.ctx_key)
             if ctx is None:
                 gp = ctx_plans[u.ctx_key]
-                grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
-                ctx = GridContext(gp, sf, grid, sim, data.program(gp, sf),
-                                  opts)
-                contexts[u.ctx_key] = ctx
+                ctx = contexts[u.ctx_key] = GridContext(
+                    gp, sf, sim, data.program(gp, sf), opts)
             run(ctx, *u.span)
             book(ctx, *u.span)
     sim.set_phase(PHASE_FACT)

@@ -310,17 +310,16 @@ def _check_retired_sources(plan: Plan3D, add) -> None:
             retired.add(red.src_grid)
 
 
-def _check_arrays(gp: GridPlan, add) -> None:
+def _check_arrays(have: TaskArrays, tasks, where: str, add) -> None:
     """The arrays the interpreter walks equal what the view derives."""
-    have = gp.arrays
-    want = TaskArrays.from_records(gp.tasks, have.schur_pair_costs())
+    want = TaskArrays.from_records(tasks, have.schur_pair_costs())
     for f in dataclasses.fields(TaskArrays):
         if f.name in ("comms", "bc_comm"):   # interning order is free
             continue
         if not np.array_equal(getattr(have, f.name), getattr(want, f.name)):
-            add("inconsistent-arrays", f"grid {gp.g} level {gp.level}: "
-                f"column {f.name!r} differs from what the task records "
-                "derive", tuple(have.tid[:1].tolist()))
+            add("inconsistent-arrays", f"{where}: column {f.name!r} differs "
+                "from what the task records derive",
+                tuple(have.tid[:1].tolist()))
 
 
 def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
@@ -379,7 +378,15 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
         _check_retired_sources(plan, add)
     for gp in [plan] if isinstance(plan, GridPlan) else \
             [gp for step in plan.levels for gp in step.grid_plans]:
-        _check_arrays(gp, add)
+        _check_arrays(gp.arrays, gp.tasks, f"grid {gp.g} level {gp.level}",
+                      add)
+    for step in getattr(plan, "levels", ()):
+        # What the plain walk books: the level's arrays, against its grid
+        # plans' records (a one-grid level shares its grid's arrays).
+        if step.grid_plans and step.arrays is not step.grid_plans[0].arrays:
+            _check_arrays(step.arrays,
+                          [t for gp in step.grid_plans for t in gp.tasks],
+                          f"level {step.level}", add)
 
     # -- race pass ---------------------------------------------------------
     if len(entries) > max_race_tasks:
@@ -490,7 +497,8 @@ def grid_plan_rank_escapes(plan: GridPlan) -> list[str]:
     panel = A.kind != SCHUR_UPDATE
     ranks = np.concatenate(
         [A.owner[panel], A.bc_root, A.bc_route[A.bc_route >= 0]]
-        + [np.asarray(c, dtype=np.int64) for c in A.comms])
+        + [np.asarray(A.comms[c], dtype=np.int64)   # a slice shares its
+           for c in np.unique(A.bc_comm).tolist()])  # level's communicators
     if not ranks.size or (lo <= ranks.min() and ranks.max() < hi):
         return []   # the common case: no record is ever built
     out: list[str] = []
@@ -519,16 +527,13 @@ def _race_edge_candidates(plan) -> list[tuple]:
     anchors) are ordering-only — removing them may leave the block
     accesses transitively ordered, which would make the self-test flaky.
     """
-    if isinstance(plan, GridPlan):
-        walk = [((), plan)]
-    else:
-        walk = [((li, gi), gp) for li, step in enumerate(plan.levels)
-                for gi, gp in enumerate(step.grid_plans)]
-
+    walk = [((), plan)] if isinstance(plan, GridPlan) else \
+        [(li, step) for li, step in enumerate(plan.levels) if step.grid_plans]
     cands: list[tuple] = []
-    for loc, gp in walk:
-        kind_of = {t.tid: t.kind for t in gp.tasks}
-        for ti, t in enumerate(gp.tasks):
+    for loc, part in walk:
+        tasks = part.arrays.records
+        kind_of = {t.tid: t.kind for t in tasks}
+        for ti, t in enumerate(tasks):
             for d in t.deps:
                 if (t.kind, kind_of.get(d)) in (("panel_bcast", "panel_factor"),
                                 ("schur_update", "panel_bcast")):
@@ -540,8 +545,9 @@ def drop_dep_edge(plan, seed: int = 0):
     """Return ``(mutated_plan, description)`` with one dep edge removed.
 
     The edge is drawn (seeded) from the guaranteed-race candidates of
-    :func:`_race_edge_candidates`; the mutated grid plan is re-packed from
-    its task records with the one task rebuilt. Feeding the result to
+    :func:`_race_edge_candidates`; the mutated grid plan (in a 3D plan:
+    the whole level, its grid plans re-cut) is re-packed from its task
+    records with the one task rebuilt. Feeding the result to
     :func:`analyze_plan` MUST produce at least one ``race`` issue — the
     mutation self-test that proves the analyzer is not vacuous. Every edge
     of a solve plan qualifies: each is the only path between a segment's
@@ -560,22 +566,17 @@ def drop_dep_edge(plan, seed: int = 0):
     rng = np.random.default_rng(seed)
     loc, ti, dep = cands[int(rng.integers(len(cands)))]
 
-    def mutate_grid_plan(gp: GridPlan) -> GridPlan:
-        tasks = list(gp.tasks)
+    def mutate(part):       # a grid plan, or a whole level step
+        tasks = list(part.arrays.records)
         old = tasks[ti]
         tasks[ti] = dataclasses.replace(
             old, deps=tuple(d for d in old.deps if d != dep))
         desc = f"dropped dep {dep} from task {old.tid} " \
             f"({old.kind}, node {old.node})"
-        return gp.with_tasks(tasks), desc
+        return part.with_tasks(tasks), desc
 
     if isinstance(plan, GridPlan):
-        return mutate_grid_plan(plan)
-    li, gi = loc
+        return mutate(plan)
     levels = list(plan.levels)
-    step = levels[li]
-    grid_plans = list(step.grid_plans)
-    grid_plans[gi], desc = mutate_grid_plan(grid_plans[gi])
-    levels[li] = dataclasses.replace(step, grid_plans=grid_plans)
-    return Plan3D(backend=plan.backend, merged=plan.merged,
-                  levels=levels), desc
+    levels[loc], desc = mutate(levels[loc])
+    return dataclasses.replace(plan, levels=levels), desc

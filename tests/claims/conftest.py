@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import FactorizationMetrics
 from repro.comm import Machine, ProcessGrid3D, Simulator
-from repro.experiments import PreparedMatrix, paper_suite
+from repro.experiments import prepared_suite
 from repro.lu3d import factor_3d
 
 #: The proxy scale of every Table III suite claim (n between 8,000 and
@@ -40,9 +40,10 @@ def _verify_every_plan():
 
 @pytest.fixture(scope="session")
 def suite():
-    """``name -> PreparedMatrix`` for the ten Table III proxies at ``SCALE``;
-    each symbolic phase and partition is computed once per session."""
-    return {tm.name: PreparedMatrix(tm) for tm in paper_suite(SCALE)}
+    """``name -> PreparedMatrix`` for the ten Table III proxies at ``SCALE``
+    — the instances the figure runners use, so each symbolic phase,
+    partition and ``Pz`` sweep is computed once per session."""
+    return prepared_suite(SCALE)
 
 
 def cost_only(sf, tf, *, driver=factor_3d, options=None, topology=None,

@@ -18,13 +18,13 @@ from tests.claims.conftest import P, SCALE
 
 
 @pytest.fixture(scope="module")
-def fig9_16nodes():
-    return run_fig9(P=P, scale=SCALE)
+def fig9_16nodes(suite):
+    return run_fig9(P=P, suite=suite)
 
 
 @pytest.fixture(scope="module")
-def fig9_64nodes():
-    return run_fig9(P=4 * P, scale=SCALE)
+def fig9_64nodes(suite):
+    return run_fig9(P=4 * P, suite=suite)
 
 
 @pytest.mark.slow
@@ -127,11 +127,11 @@ def test_fig9_16_vs_64nodes(fig9_16nodes, fig9_64nodes):
         assert by64[name].speedup_at_max_pz > by16[name].speedup_at_max_pz
 
 
-def test_fig10_comm_volume():
+def test_fig10_comm_volume(suite):
     """Fig. 10: W_fact falls and W_red grows with Pz; the total drops 2x or
     more at the best Pz, by more on the planar matrix; on 96 ranks W_red
     eats nlpkkt80's gain between Pz=8 and 16 (Section V-D)."""
-    series = run_fig10(scale=SCALE)
+    series = run_fig10(suite=suite)
     by = {(s.matrix, s.P): s for s in series}
     for s in series:
         assert all(a >= b for a, b in zip(s.w_fact_bytes, s.w_fact_bytes[1:])), \
@@ -161,13 +161,13 @@ def test_fig10_comm_volume():
 
 
 @pytest.mark.slow
-def test_fig11_memory_overhead():
+def test_fig11_memory_overhead(suite):
     """Fig. 11: replication overhead grows with Pz, stays cheap for planar
     matrices (paper ~30% for K2D5pt4096 at Pz=16) and is extreme for
     nlpkkt80 (~200%); the suite spans a wide range (18-245%). The KKT
     proxy's separators are better than the real nlpkkt80's, so the
     planar-vs-KKT gap is the reproducible content, not the absolutes."""
-    series = run_fig11(P=P, scale=SCALE)
+    series = run_fig11(P=P, suite=suite)
     by = {s.matrix: s for s in series}
     for s in series:
         assert all(a <= b + 1e-9 for a, b in

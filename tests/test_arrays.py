@@ -156,8 +156,7 @@ def walk(plan, sf, sim, how: str, seed: int = 0):
             if how in ("whole", "tasks"):
                 execute_grid_plan(gp, sf, sim, fuse=how == "whole")
                 continue
-            grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
-            ctx = GridContext(gp, sf, grid, sim, None, FactorOptions())
+            ctx = GridContext(gp, sf, sim, None, FactorOptions())
             spans = list(zip(gp.arrays.runs[:-1].tolist(),
                              gp.arrays.runs[1:].tolist()))
             if how == "permuted":
@@ -262,6 +261,80 @@ class TestOneEventStream:
                            for s in task.bcasts)
                 assert A.ev_ptr[t + 1] - head - 1 == hops
                 assert (A.mem_words[mem] >= 0).all()
+
+
+class TestGridPlansAreSlices:
+    """``golden_plan_arrays.json`` was written at ``be41204`` by the per-grid
+    builder (one ``build_grid_plan`` + one ``assemble`` per grid plan): the
+    level builder's slices must reproduce every grid plan, reduce and
+    barrier of the zoo byte for byte. This — not timing — is what "a grid
+    plan is a slice of its level's arrays" rests on."""
+
+    @pytest.fixture(scope="class")
+    def rebuilt(self):
+        """Every case rebuilt through the level path. The suite-wide
+        analyzer hook is off here: 301 plans, and every builder shape of
+        the zoo is analyzed under it elsewhere in tier-1."""
+        from repro.plan import build
+        from tests.data.regen_plan_arrays import cases, plan_record
+        prev, build.POST_BUILD_HOOK = build.POST_BUILD_HOOK, None
+        try:
+            return {name: plan_record(make()) for name, make in cases()}
+        finally:
+            build.POST_BUILD_HOOK = prev
+
+    def test_level_path_reproduces_the_per_grid_builder(self, rebuilt):
+        want = json.loads((DATA / "golden_plan_arrays.json").read_text())
+        want.pop("_readme")
+        assert sorted(rebuilt) == sorted(want) and len(want) == 301
+        assert sum(len(rec["plans"]) for rec in want.values()) == 2901
+        for name, rec in want.items():
+            assert rebuilt[name] == rec, name
+
+    def test_regenerating_rewrites_the_file_byte_for_byte(self, rebuilt):
+        from tests.data.regen_plan_arrays import render
+        assert render(rebuilt) == \
+            (DATA / "golden_plan_arrays.json").read_text()
+
+    def test_levels_without_a_grid_plan_are_pinned(self, rebuilt):
+        """``Pz`` above the leaf count: one supernode on sixteen layers."""
+        rec = rebuilt["one_supernode_pz16_lu_dense"]
+        assert rec["plans_per_level"] == [1, 0, 0, 0, 0]
+        assert len(rec["plans"]) == 1 and rec["reduces"] == []
+
+    def test_one_assemble_per_level(self, monkeypatch):
+        """A 3D build calls ``TaskArrays.assemble`` once per level that has
+        work — 5 for 31 grid plans here — and cuts no slice until asked."""
+        from tests.data.regen_plan_arrays import matrices
+        sf = dict(matrices())["brick"]
+        calls = {"assemble": 0, "cut": 0}
+        assemble, cut = TaskArrays.assemble.__func__, TaskArrays.cut
+
+        def count(name, real):
+            def counted(*args, **kw):
+                calls[name] += 1
+                return real(*args, **kw)
+            return counted
+        monkeypatch.setattr(TaskArrays, "assemble",
+                            classmethod(count("assemble", assemble)))
+        monkeypatch.setattr(TaskArrays, "cut", count("cut", cut))
+        from repro.plan import build
+        monkeypatch.setattr(build, "POST_BUILD_HOOK", None)
+        plan = build_3d_plan(sf, greedy_partition(sf, 16),
+                             ProcessGrid3D(2, 3, 16), FactorOptions())
+        n_plans = [len(s.grid_plans) for s in plan.levels]
+        assert calls == {"assemble": sum(n > 0 for n in n_plans), "cut": 0}
+        plan.volume(96), plan.fusion_stats()       # level arrays only
+        assert calls["cut"] == 0
+        gps = grid_plans(plan)
+        assert [gp.arrays.n_tasks > 0 for gp in gps] == [True] * sum(n_plans)
+        assert calls["cut"] == sum(n for n in n_plans if n > 1)
+        assert gps[0].arrays is gps[0].arrays      # memoized
+        # The pool's pre-flight reads a slice's own communicators, not its
+        # level's: no escape, and no record view built to find that out.
+        from repro.verify import grid_plan_rank_escapes
+        assert [grid_plan_rank_escapes(gp) for gp in gps] == [[]] * len(gps)
+        assert not any("records" in gp.arrays.__dict__ for gp in gps)
 
 
 class TestMemoryBatches:

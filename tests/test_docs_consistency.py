@@ -173,7 +173,8 @@ class TestOnePlanForm:
     def test_fuse_only_selects_cut_points(self):
         """Nothing in the program branches on ``fuse`` except the cut-point
         selector, the unmonitored full-width walk (one kernel dispatch
-        and one booking per plan) and the record of which width ran."""
+        and one booking per plan), what that walk is handed — the whole
+        level or its grid slices — and the record of which width ran."""
         branch = re.compile(r"\bif\s+(not\s+)?(\w+\.)?fuse\b"
                             r"|\b(\w+\.)?fuse\s+(else|and|or)\b")
         hits = sorted(
@@ -181,6 +182,8 @@ class TestOnePlanForm:
             for path in self.SRC.rglob("*.py")
             for line in path.read_text().splitlines() if branch.search(line))
         assert hits == [
+            "lu3d/factor3d.py: for part in [step] if fuse "
+            "else step.grid_plans:",
             "lu3d/factor3d.py: if mode.fuse:",
             "plan/arrays.py: return self.runs.tolist() if fuse "
             "else list(range(self.n_tasks + 1))",
@@ -224,6 +227,32 @@ class TestOnePlanForm:
         text = (self.SRC / "solve" / "triangular.py").read_text()
         assert "_sweep_down" not in text and "_sweep_up" not in text
         assert text.count("sim.book(") == 2    # whole stream, or per task
+
+    def test_the_level_is_the_unit(self):
+        """One builder, one ``assemble`` per level, one booking per level:
+        ``build_3d_plan`` calls no per-grid builder, ``plan/build.py`` has
+        exactly one function that calls ``TaskArrays.assemble`` (and
+        ``build_grid_plan`` is that function's level of one grid), and the
+        plain path of ``_execute_plan3d`` books no grid plan on its own."""
+        text = (self.SRC / "plan" / "build.py").read_text()
+        funcs = dict(zip(re.findall(r"^def (\w+)\(", text, flags=re.M),
+                         re.split(r"^def \w+\(", text, flags=re.M)[1:]))
+        assert "build_grid_plan(" not in funcs["build_3d_plan"]
+        assert funcs["build_3d_plan"].count("build_level(") == 1
+        assert [f for f, body in funcs.items()
+                if "TaskArrays.assemble(" in body] == ["build_level"]
+        assert "build_level(" in funcs["build_grid_plan"]
+        walk = (self.SRC / "lu3d" / "factor3d.py").read_text() \
+            .split("def _execute_plan3d(")[1].split("\ndef ")[0]
+        assert "for gp in step.grid_plans" not in walk
+        assert "for part in [step] if fuse else step.grid_plans:" in walk
+        assert walk.count("execute_grid_plan(") == 1
+        assert "execute_reduces(step" in walk and "execute_reduce(" not in walk
+        tasks = (self.SRC / "plan" / "tasks.py").read_text()
+        for method in ("def volume(self, nranks: int)", "def fusion_stats"):
+            body = tasks.split("class Plan3D")[1].split(method)[1] \
+                .split("\n    def ")[0]
+            assert "grid_plans" not in body, method
 
     def test_no_hoist_machinery_survives(self):
         """The interleaved event stream has nothing to hoist and no size

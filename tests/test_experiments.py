@@ -119,6 +119,36 @@ class TestFigureDrivers:
         assert s.pz == [2, 4, 8]  # 16 does not divide 24
         assert all(np.isfinite(s.overhead_pct))
 
+    def test_figure_runners_share_one_sweep(self, monkeypatch):
+        """Fig. 9, 10 and 11 read the same (matrix, P, machine) sweep: given
+        one suite, each (matrix, P, Pz) configuration is simulated once
+        between them, and the records are the ones a fresh sweep returns."""
+        from collections import Counter
+
+        from repro.experiments import harness
+        suite = harness.prepared_suite("tiny")
+        booked = Counter()
+        real = harness.run_configuration
+
+        def counting(pm, P, pz, **kw):
+            booked[pm.name, P, pz] += 1
+            return real(pm, P, pz, **kw)
+        monkeypatch.setattr(harness, "run_configuration", counting)
+        names = ["K2D5pt4096", "Serena"]
+        fig9 = run_fig9(P=24, names=names, suite=suite)
+        run_fig10(names=tuple(names), P_values=(24, 48), suite=suite)
+        fig11 = run_fig11(P=24, names=names, suite=suite)
+        assert run_fig9(P=24, names=names, suite=suite) == fig9
+        assert set(booked) == {(n, P, pz) for n in names for P in (24, 48)
+                               for pz in (1, 2, 4, 8, 16) if P % pz == 0}
+        assert set(booked.values()) == {1}
+        # Same numbers as an unshared sweep of a fresh PreparedMatrix.
+        pm = harness.PreparedMatrix(suite[names[0]].tm)
+        fresh = harness.pz_sweep(pm, 24, (1, 2, 4, 8, 16))
+        assert [r.metrics.makespan / fresh[0].metrics.makespan
+                for r in fresh] == fig9[0].t_norm
+        assert fig11[0].pz == [r.pz for r in fresh[1:]]
+
     def test_fig12(self):
         hm = run_fig12(names=("Ecology1",), scale="tiny",
                        pxy_values=(4, 8), pz_values=(1, 2))[0]

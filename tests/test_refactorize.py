@@ -400,3 +400,74 @@ class TestCholeskyRefactorize:
         bad[0, 1] = bad[0, 1] + 3.0
         with pytest.raises(ValueError, match="symmetric"):
             solver.refactorize(bad.tocsr())
+
+
+class TestStalePartition:
+    """A plan bundle is a function of the tree-forest partition too: it
+    must refuse to replay under one it was not built for. Before the
+    partition signature, ``factor_3d(sf, tf_naive, cached=bundle_greedy)``
+    raised nothing, returned ``result.tf is tf_naive`` and booked the
+    *greedy* ledger in cost-only mode, and died in ``bind`` with a bare
+    ``KeyError: (0, 0)`` in numeric mode."""
+
+    @staticmethod
+    def setup():
+        from repro.comm import ProcessGrid3D
+        from repro.sparse import grid3d_7pt
+        from repro.symbolic import symbolic_factorize
+        from repro.tree import greedy_partition, naive_partition
+        A, geom = grid3d_7pt(10)
+        sf = symbolic_factorize(A, geom, leaf_size=8)
+        tf_greedy, tf_naive = greedy_partition(sf, 2), naive_partition(sf, 2)
+        assert (tf_greedy.node_forest != tf_naive.node_forest).any() \
+            or (tf_greedy.node_level != tf_naive.node_level).any()
+        return A, geom, sf, tf_greedy, tf_naive, ProcessGrid3D(2, 2, 2)
+
+    @pytest.mark.parametrize("numeric", [False, True],
+                             ids=["cost_only", "numeric"])
+    def test_foreign_partition_refused(self, numeric):
+        from repro.comm import Simulator
+        from repro.lu3d import factor_3d
+        _A, _g, sf, tf_greedy, tf_naive, grid3 = self.setup()
+        ref = Simulator(grid3.size)
+        factor_3d(sf, tf_naive, grid3, ref, numeric=numeric)
+        bundle = factor_3d(sf, tf_greedy, grid3, Simulator(grid3.size),
+                           numeric=numeric).bundle
+        sim = Simulator(grid3.size)
+        with pytest.raises(ValueError,
+                           match="different tree-forest partition"):
+            factor_3d(sf, tf_naive, grid3, sim, numeric=numeric,
+                      cached=bundle)
+        assert not any(sim.clock) and not any(sim.mem_peak)
+        # It still replays its own partition, bit for bit, and the naive
+        # partition's own bundle books the cold naive ledger.
+        cold, warm = Simulator(grid3.size), Simulator(grid3.size)
+        res = factor_3d(sf, tf_greedy, grid3, cold, numeric=numeric)
+        factor_3d(sf, tf_greedy, grid3, warm, numeric=numeric, cached=bundle)
+        assert ledger_state(cold) == ledger_state(warm)
+        assert ledger_state(cold) != ledger_state(ref)
+        assert res.bundle.plan3.partition_sig == bundle.plan3.partition_sig
+
+    def test_signature_is_the_partition(self):
+        from repro.plan import partition_signature
+        from repro.tree import greedy_partition
+        _A, _g, sf, tf_greedy, tf_naive, _grid3 = self.setup()
+        assert partition_signature(tf_greedy) != partition_signature(tf_naive)
+        assert partition_signature(tf_greedy) == \
+            partition_signature(greedy_partition(sf, 2))
+        assert partition_signature(tf_greedy)[0] == 2
+        assert partition_signature(greedy_partition(sf, 4)) != \
+            partition_signature(tf_greedy)
+
+    def test_facade_rebuilds_cold_under_a_new_partition(self):
+        A, geom, _sf, _tg, _tn, _grid3 = self.setup()
+        from repro.tree import naive_partition
+        s = SparseLU3D(A, geometry=geom, px=2, py=2, pz=2, leaf_size=8)
+        s.factorize()
+        stale = s._bundle
+        assert s._usable_bundle() is stale
+        s.tf = naive_partition(s.sf, 2)
+        assert s._usable_bundle() is None
+        x = s.factorize().solve(np.ones(A.shape[0]))
+        assert s._bundle is not stale
+        assert np.linalg.norm(A @ x - 1.0) <= 1e-10 * np.sqrt(A.shape[0])

@@ -76,6 +76,11 @@ def planar2():
 
 
 @pytest.fixture(scope="module")
+def spd4():
+    return spd_setup(14, 16, 4)
+
+
+@pytest.fixture(scope="module")
 def spd2():
     return spd_setup(14, 16, 2)
 
@@ -465,6 +470,192 @@ class TestOneProgramAnyWalk:
         assert n_perturbed > 0 and np.isfinite(want).all()
         for name, (F, n) in out.items():
             assert np.array_equal(F, want) and n == n_perturbed, name
+
+
+def per_grid_walk(sf, tf, grid3, opts, *, backend="lu", merged=False,
+                  numeric=True, matrix=None):
+    """The walk the level walk replaced: every grid *slice* at full width,
+    one after the other, and every reduce booked on its own — through the
+    drivers' own plan bundle, storage charge and data binding. Returns
+    ``(sim, dense factors or None, plan)``."""
+    from repro.lu3d.factor3d import Factor3DResult, _bind_data
+    from repro.plan import PlanBundle, execute_grid_plan, execute_reduce
+    from repro.plan.execmode import ExecMode
+    bundle = PlanBundle.build(sf, tf, grid3, opts, backend=backend,
+                              merged=merged)
+    sim = Simulator(grid3.size)
+    sim.alloc_batch(np.arange(grid3.size),
+                    bundle.replica_words(sf, tf, grid3))
+    result = Factor3DResult(tf=tf)
+    data = _bind_data(sf, tf, result, bundle,
+                      ExecMode(fuse=True, monitored=False, n_workers=1,
+                               accelerated=False),
+                      numeric=numeric, merged=merged, matrix=matrix,
+                      replicas=None)
+    for step in bundle.plan3.levels:
+        sim.set_phase("fact")
+        for gp in step.grid_plans:
+            execute_grid_plan(gp, sf, sim, options=opts, fuse=True,
+                              prog=data.program(gp, sf))
+        sim.set_phase("red")
+        for red in step.reduces:
+            execute_reduce(red, sim, accumulate=data.accumulate)
+    sim.set_phase("fact")
+    F = None if not numeric else result.merged_blocks.to_dense() if merged \
+        else result.factors().to_dense()
+    return sim, F, bundle.plan3
+
+
+@pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
+@pytest.mark.parametrize("variant", ["lu", "cholesky", "merged"])
+class TestOneWalkAnyWidthAnyGrouping:
+    """The level walk (one dispatch + one booking per level, one per level's
+    reduces), the per-grid walk over slices, the width-1 walk, a
+    fuzzer-permuted legal order and the 2-worker pool book one
+    ``ledger_state`` and produce ``array_equal`` factors; the plan's
+    reduction (one ``add`` per level) is that ledger per rank, exactly."""
+
+    def setup(self, variant, planar4, spd4):
+        sf, tf = spd4 if variant == "cholesky" else planar4
+        fn = {"lu": factor_3d, "cholesky": factor_chol_3d,
+              "merged": factor_3d_merged}[variant]
+        kw = {"backend": "cholesky"} if variant == "cholesky" else \
+            {"merged": True} if variant == "merged" else {}
+        matrix = sp.tril(sf.A_perm).tocsr() if variant == "cholesky" else None
+        return sf, tf, fn, kw, matrix
+
+    def test_ledgers_and_factors(self, planar4, spd4, variant, compact):
+        from tests.conftest import width1_simulator
+        sf, tf, fn, kw, matrix = self.setup(variant, planar4, spd4)
+        grid3 = ProcessGrid3D(2, 2, 4)
+        opts = FactorOptions(compact_comm=compact)
+
+        def dense(res):
+            return (res.merged_blocks if variant == "merged"
+                    else res.factors()).to_dense()
+
+        sim = Simulator(grid3.size)
+        res = fn(sf, tf, grid3, sim, numeric=True, options=opts)
+        want, F = ledger_state(sim), dense(res)
+        assert max(len(s.grid_plans) for s in res.plan.levels) == 4
+        check_conservation(sim, res.plan)       # volume() == booked, per rank
+
+        sim_g, F_g, _plan = per_grid_walk(sf, tf, grid3, opts, matrix=matrix,
+                                          **kw)
+        assert ledger_state(sim_g) == want and np.array_equal(F_g, F)
+
+        sim_1 = width1_simulator(grid3.size)
+        res_1 = fn(sf, tf, grid3, sim_1, numeric=True, options=opts)
+        assert res_1.compiled is None
+        assert ledger_state(sim_1) == want and np.array_equal(dense(res_1), F)
+
+        rep = fuzz_3d(sf, tf, grid3, numeric=True, n_orders=2, seed=29,
+                      options=opts, fuse=True, machine=sim.machine, **kw)
+        assert rep.ok and rep.n_perturbed > 0, rep.summary()
+        assert rep.canonical_ledger == want
+        # Merged: sibling forests add into one shared ancestor copy, so a
+        # permuted order reassociates those sums (and only those).
+        assert rep.factor_max_dev == 0.0 or variant == "merged"
+
+        sim_p = Simulator(grid3.size)
+        res_p = fn(sf, tf, grid3, sim_p, numeric=True,
+                   options=dataclasses.replace(opts, n_workers=2))
+        # Merged numeric keeps one global copy: it records why it stays
+        # inline; the other two fan their levels out.
+        assert any(hasattr(st, "reason") for st in res_p.parallel_stats) \
+            == (variant == "merged")
+        assert ledger_state(sim_p) == want and np.array_equal(dense(res_p), F)
+
+    def test_analyzer_sees_slices_and_level_arrays(self, planar4, spd4,
+                                                   variant, compact):
+        """Clean on the built plan; the mutation self-test trips the race
+        detector with level and slices still agreeing; a level or a slice
+        tampered on its own is an ``inconsistent-arrays`` finding."""
+        sf, tf, _fn, kw, _m = self.setup(variant, planar4, spd4)
+        plan = build_3d_plan(sf, tf, ProcessGrid3D(2, 2, 4),
+                             FactorOptions(compact_comm=compact), **kw)
+        assert analyze_plan(plan, sf).ok
+        step = plan.levels[0]
+        assert len(step.grid_plans) == 4 and step.grid_ptr.size == 5
+        for gp, lo, hi in zip(step.grid_plans, step.grid_ptr,
+                              step.grid_ptr[1:]):
+            assert np.shares_memory(gp.arrays.ev_val, step.arrays.ev_val)
+            assert gp.arrays.comms is step.arrays.comms
+            assert gp.arrays.tid.tolist() == step.arrays.tid[lo:hi].tolist()
+            assert {lo, hi} <= set(step.arrays.runs.tolist())
+        for seed in range(3):
+            mutated, desc = drop_dep_edge(plan, seed=seed)
+            counts = analyze_plan(mutated, sf).counts()
+            assert "race" in counts and "inconsistent-arrays" not in counts, \
+                desc
+
+        def issues(bad_step):
+            bad = dataclasses.replace(plan, levels=[bad_step, *plan.levels[1:]])
+            return [i.message for i in analyze_plan(bad, sf).issues
+                    if i.kind == "inconsistent-arrays"]
+
+        level_only = dataclasses.replace(step, arrays=dataclasses.replace(
+            step.arrays, ev_val=step.arrays.ev_val * 2.0))
+        assert issues(level_only) and all(
+            m.startswith("level ") for m in issues(level_only))
+        gp = step.grid_plans[1]
+        slice_only = dataclasses.replace(step, grid_plans=[
+            step.grid_plans[0],
+            dataclasses.replace(gp, arrays=dataclasses.replace(
+                gp.arrays, ev_val=gp.arrays.ev_val * 2.0)),
+            *step.grid_plans[2:]])
+        assert any(m.startswith("grid ") for m in issues(slice_only))
+
+
+class TestDegenerateLevels:
+    """A level with no grid plan, and the plan of one level and one grid."""
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_levels_without_a_grid_plan(self, numeric):
+        """One supernode on four layers: its level holds the only grid
+        plan, the two above hold none (and no reduce: nothing to sum)."""
+        from tests.conftest import width1_simulator
+        A, geom = grid2d_5pt(3)
+        sf = symbolic_factorize(A, geom, leaf_size=64)
+        tf = greedy_partition(sf, 4)
+        grid3 = ProcessGrid3D(2, 2, 4)
+        sim = Simulator(grid3.size)
+        res = factor_3d(sf, tf, grid3, sim, numeric=numeric)
+        assert [len(s.grid_plans) for s in res.plan.levels] == [1, 0, 0]
+        assert [s.arrays is None for s in res.plan.levels] == \
+            [False, True, True]
+        assert not any(s.reduces for s in res.plan.levels)
+        assert analyze_plan(res.plan, sf).ok
+        check_conservation(sim, res.plan)
+        sim_g, F_g, _ = per_grid_walk(sf, tf, grid3, FactorOptions(),
+                                      numeric=numeric)
+        sim_1 = width1_simulator(grid3.size)
+        res_1 = factor_3d(sf, tf, grid3, sim_1, numeric=numeric)
+        assert ledger_state(sim) == ledger_state(sim_g) == ledger_state(sim_1)
+        if numeric:
+            F = res.factors().to_dense()
+            assert np.array_equal(F, F_g)
+            assert np.array_equal(F, res_1.factors().to_dense())
+            assert verify_factors(F, sf.A_perm) < 1e-12
+
+    def test_pz1_is_one_level_of_one_grid(self, lu2d_sf):
+        """The level's arrays *are* its only grid plan's, and they are the
+        standalone 2D builder's, column for column."""
+        from tests.test_arrays import assert_arrays_equal
+        tf = greedy_partition(lu2d_sf, 1)
+        grid3 = ProcessGrid3D(2, 3, 1)
+        sim = Simulator(grid3.size)
+        res = factor_3d(lu2d_sf, tf, grid3, sim, numeric=True)
+        (step,) = res.plan.levels
+        (gp,) = step.grid_plans
+        assert gp.arrays is step.arrays and step.grid_ptr.tolist() == \
+            [0, gp.n_tasks]
+        assert_arrays_equal(gp.arrays, build_grid_plan(
+            lu2d_sf, range(lu2d_sf.nb), ProcessGrid2D(2, 3)).arrays)
+        sim_g, F_g, _ = per_grid_walk(lu2d_sf, tf, grid3, FactorOptions())
+        assert ledger_state(sim) == ledger_state(sim_g)
+        assert np.array_equal(res.factors().to_dense(), F_g)
+        check_conservation(sim, res.plan)
 
 
 @pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
