@@ -112,14 +112,18 @@ def mem_profile(ranks: np.ndarray, words: np.ndarray, nranks: int):
     otherwise: one stable sort by rank, one ``cumsum``, one segmented
     max/min. The running sums cross rank segments and are rebased, which
     is exact — equal to charging event by event — because block-volume
-    words are integers or half-integers (``r*c``, ``min(r*c, 1.5*nnz)``)."""
+    words are integers or half-integers (``r*c``, ``min(r*c, 1.5*nnz)``).
+    The sort key is the narrowest dtype holding every rank: a stable sort
+    is one permutation whatever the dtype, and numpy radix-sorts keys of
+    16 bits or fewer."""
     net = np.bincount(ranks, words, minlength=nranks)
     peak, low = np.zeros((2, nranks))
     if words.min() >= 0:
         return net, net, low
     if words.max() <= 0:
         return net, peak, net
-    order = np.argsort(ranks, kind="stable")
+    order = np.argsort(ranks.astype(np.min_scalar_type(nranks - 1)),
+                       kind="stable")
     r, level = ranks[order], np.cumsum(words[order])
     cut = np.flatnonzero(r[1:] != r[:-1]) + 1     # where a new rank starts
     first = np.concatenate(([0], cut))

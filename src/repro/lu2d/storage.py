@@ -18,7 +18,14 @@ from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.utils.ragged import csr_ptr, ragged
 
 __all__ = ["allocate_factor_storage", "factor_words_per_rank", "node_blocks",
-           "node_block_arrays"]
+           "cholesky_node_blocks", "node_block_arrays"]
+
+
+def _node_slice(sf, k: int, blocks_fn) -> list[tuple[int, int, int]]:
+    ptr, ii, jj, ww = node_block_arrays(sf, blocks_fn)
+    at = slice(ptr[k], ptr[k + 1])
+    return list(zip(ii[at].tolist(), jj[at].tolist(),
+                    ww[at].astype(np.int64).tolist()))
 
 
 def node_blocks(sf: SymbolicFactorization, k: int
@@ -27,35 +34,55 @@ def node_blocks(sf: SymbolicFactorization, k: int
 
     Returns ``(i, j, words)`` triples for the diagonal block, the L panel
     (blocks ``(i, k)``) and the U panel (blocks ``(k, j)``) — the paper's
-    ``A_s`` set for ``s = k``.
+    ``A_s`` set for ``s = k``: node ``k``'s slice of
+    :func:`node_block_arrays`.
     """
-    s = sf.layout.block_size(k)
-    out = [(k, k, s * s)]
-    for i in sf.fill.lpanel[k]:
-        out.append((int(i), k, sf.layout.block_size(int(i)) * s))
-    for j in sf.fill.upanel[k]:
-        out.append((k, int(j), s * sf.layout.block_size(int(j))))
-    return out
+    return _node_slice(sf, k, node_blocks)
+
+
+def cholesky_node_blocks(sf: SymbolicFactorization, k: int
+                         ) -> list[tuple[int, int, int]]:
+    """Lower-triangle blocks of supernode ``k``: diagonal + L panel.
+
+    The Cholesky analogue of :func:`node_blocks` — half the storage, half
+    the replication, half the reduction traffic.
+    """
+    return _node_slice(sf, k, cholesky_node_blocks)
 
 
 def node_block_arrays(sf: SymbolicFactorization, blocks_fn=None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                  np.ndarray]:
-    """``(ptr, ii, jj, words)``: every node's ``blocks_fn`` triples as one
-    CSR over the nodes (``ptr[v]:ptr[v + 1]`` spans node ``v``, in the
-    enumerator's order), memoized on ``sf`` per enumerator. The replica
-    accounting, the Ancestor-Reduction builder and the numeric block
-    pattern all gather from these arrays instead of re-enumerating."""
+    """``(ptr, ii, jj, words)``: every node's blocks under enumerator
+    ``blocks_fn`` (:func:`node_blocks`, the default, or
+    :func:`cholesky_node_blocks`) as one CSR over the nodes
+    (``ptr[v]:ptr[v + 1]`` spans node ``v``: its diagonal block, its L
+    panel, then — LU only — its U panel), gathered from the fill's panel
+    CSR and memoized on ``sf`` per enumerator. It is the enumerators'
+    single source: they return slices of it, and the replica accounting,
+    the Ancestor-Reduction builder and the numeric block pattern gather
+    from it."""
     blocks_fn = blocks_fn or node_blocks
+    if blocks_fn not in (node_blocks, cholesky_node_blocks):
+        raise ValueError(f"unknown block enumerator {blocks_fn!r}")
     cache = sf.__dict__.setdefault("_node_block_arrays", {})
     out = cache.get(blocks_fn)
     if out is None:
-        per_node = [blocks_fn(sf, v) for v in range(sf.nb)]
-        flat = np.asarray([t for blocks in per_node for t in blocks],
-                          dtype=np.int64).reshape(-1, 3)
-        out = cache[blocks_fn] = (
-            csr_ptr([len(blocks) for blocks in per_node]), flat[:, 0].copy(),
-            flat[:, 1].copy(), flat[:, 2].astype(np.float64))
+        lp_ptr, lp_idx, up_ptr, up_idx = sf.fill.panel_csr()
+        upper, s = blocks_fn is node_blocks, sf.layout.sizes()
+        nl, nu = np.diff(lp_ptr), np.diff(up_ptr) * upper
+        ptr = csr_ptr(1 + nl + nu)
+        ii, jj, ww = np.empty((3, ptr[-1]), dtype=np.int64)
+        ii[ptr[:-1]] = jj[ptr[:-1]] = np.arange(sf.nb)
+        ww[ptr[:-1]] = s * s if upper else s * (s + 1) // 2
+        g, w = ragged(nl)
+        at = ptr[g] + 1 + w
+        ii[at], jj[at], ww[at] = lp_idx, g, s[lp_idx] * s[g]
+        if upper:
+            g, w = ragged(nu)
+            at = ptr[g] + 1 + nl[g] + w
+            ii[at], jj[at], ww[at] = g, up_idx, s[g] * s[up_idx]
+        out = cache[blocks_fn] = (ptr, ii, jj, ww.astype(np.float64))
     return out
 
 

@@ -144,8 +144,4 @@ def tree_from_order(A: sp.spmatrix, order: np.ndarray,
     nodes = [DissectionNode(order[np.asarray(cols, dtype=np.int64)],
                             children[s], node_id=s)
              for s, cols in enumerate(sup_cols)]
-    # Depths for analysis tooling.
-    for s in range(nb - 1, -1, -1):
-        p = int(sup_parent[s])
-        nodes[s].depth = 0 if p == -1 else nodes[p].depth + 1
     return DissectionTree(nodes, n)

@@ -74,14 +74,14 @@ class DissectionTree:
         self.parent = np.full(nb, -1, dtype=np.int64)
         for node in nodes:
             for c in node.children:
-                self.parent[c] = node.node_id
-        # Postorder: parents follow children, and the last node is the root.
-        for node in nodes:
-            for c in node.children:
-                if c >= node.node_id:
+                if c >= node.node_id:   # postorder: parents follow children
                     raise ValueError("nodes are not in postorder")
+                self.parent[c] = node.node_id
         if int(np.sum(self.parent == -1)) != 1:
             raise ValueError("tree must have exactly one root")
+        # Every builder's depths, here once the shape is final: parents first.
+        for k, p in reversed(list(enumerate(self.parent.tolist()))):
+            nodes[k].depth = 0 if p == -1 else nodes[p].depth + 1
 
         # Build the permutation: vertices in postorder of owning node.
         chunks = [node.vertices for node in nodes]
@@ -160,21 +160,6 @@ class _Builder:
         return node.node_id
 
     def finish(self, n: int) -> DissectionTree:
-        # Depths are easiest to assign after the tree shape is final.
-        nb = len(self.nodes)
-        parent = np.full(nb, -1, dtype=np.int64)
-        for node in self.nodes:
-            for c in node.children:
-                parent[c] = node.node_id
-        root = int(np.flatnonzero(parent == -1)[0])
-        depth = np.zeros(nb, dtype=np.int64)
-        # Process in reverse postorder: parents before children.
-        for k in range(nb - 1, -1, -1):
-            if parent[k] != -1:
-                depth[k] = depth[parent[k]] + 1
-        for node, d in zip(self.nodes, depth):
-            node.depth = int(d)
-        assert self.nodes[root].depth == 0
         return DissectionTree(self.nodes, n)
 
 
@@ -213,25 +198,33 @@ def geometric_nd(adj: sp.csr_matrix, coords: np.ndarray, leaf_size: int = 64,
         raise ValueError(f"coords has {coords.shape[0]} rows for n={n}")
     leaf_size = check_positive_int(leaf_size, "leaf_size")
     builder = _Builder(max_block)
+    # No call below costs O(n): the repair borrows one marker array, and
+    # each region gathers its coordinates once, one contiguous row per
+    # dimension (``take`` on the transpose: a fraction of ``coords[v]``).
+    adj, marker = adj.tocsr(), np.zeros(n, dtype=bool)
+    coords_t = np.ascontiguousarray(coords.T)
 
     def recurse(vertices: np.ndarray) -> int:
         if vertices.size <= leaf_size:
             return builder.add(vertices, [])
-        vc = coords[vertices]
-        spans = vc.max(axis=0) - vc.min(axis=0)
+        vc = coords_t.take(vertices, axis=1)
+        spans = vc.max(axis=1) - vc.min(axis=1)
+        h = vertices.size // 2
+        kth = [h - 1, h] if vertices.size % 2 == 0 else [h]
         for d in np.argsort(spans)[::-1]:
             if spans[d] < 2:
                 continue  # cannot carve a plane out of a 2-thick slab
-            vals = vc[:, d]
+            vals = vc[d]
             # Cut at the floor of the median value: on an integer lattice this
-            # is an exact one-thick plane.
-            plane = np.floor(np.median(vals))
+            # is an exact one-thick plane. (np.median's own partition + mean.)
+            plane = np.floor(np.partition(vals, kth)[kth].mean())
             sep = vertices[vals == plane]
             part_a = vertices[vals < plane]
             part_b = vertices[vals > plane]
             if part_a.size == 0 or part_b.size == 0:
                 continue
-            sep, part_a, part_b = repair_separator(adj, sep, part_a, part_b)
+            sep, part_a, part_b = repair_separator(adj, sep, part_a, part_b,
+                                                   marker)
             sep, part_a, part_b = _ensure_nonempty_separator(sep, part_a, part_b)
             children = []
             if part_a.size:

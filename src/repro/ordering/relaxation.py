@@ -64,13 +64,4 @@ def relax_supernodes(tree: DissectionTree, min_size: int = 16,
                             sorted(new_id[c] for c in child_sets[old]),
                             node_id=new_id[old])
              for old in survivors]
-    # Recompute depths on the renumbered tree.
-    nb2 = len(nodes)
-    parent = np.full(nb2, -1, dtype=np.int64)
-    for node in nodes:
-        for c in node.children:
-            parent[c] = node.node_id
-    for k in range(nb2 - 1, -1, -1):
-        pk = int(parent[k])
-        nodes[k].depth = 0 if pk == -1 else nodes[pk].depth + 1
-    return DissectionTree(nodes, tree.n)
+    return DissectionTree(nodes, tree.n)    # assigns the new depths

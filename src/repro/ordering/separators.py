@@ -196,7 +196,7 @@ def fiedler_separator(adj: sp.csr_matrix, vertices: np.ndarray,
 
 
 def repair_separator(adj: sp.csr_matrix, sep: np.ndarray, part_a: np.ndarray,
-                     part_b: np.ndarray
+                     part_b: np.ndarray, marker: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Move endpoints of any a—b crossing edge into the separator.
 
@@ -208,7 +208,9 @@ def repair_separator(adj: sp.csr_matrix, sep: np.ndarray, part_a: np.ndarray,
     of ``adj`` between the parts, whatever its value.
 
     All ids here are in one consistent numbering (caller's choice); the
-    returned triple uses the same numbering.
+    returned triple uses the same numbering. ``marker`` is an all-False
+    bool scratch array of length ``n`` a recursion lends to every call
+    (handed back all-False), so a call costs its parts' size, not ``n``.
     """
     part_a = np.asarray(part_a, dtype=np.int64)
     part_b = np.asarray(part_b, dtype=np.int64)
@@ -216,11 +218,12 @@ def repair_separator(adj: sp.csr_matrix, sep: np.ndarray, part_a: np.ndarray,
     if part_a.size == 0 or part_b.size == 0:
         return sep, part_a, part_b
     adj = adj.tocsr()
-    in_b = np.zeros(adj.shape[0], dtype=bool)
+    in_b = np.zeros(adj.shape[0], dtype=bool) if marker is None else marker
     in_b[part_b] = True
     nbrs, g = _neighbours((adj.indptr, adj.indices), part_a)
     crossings = np.zeros(part_a.size, dtype=bool)
     crossings[g[in_b[nbrs]]] = True
+    in_b[part_b] = False
     if crossings.any():
         sep = np.concatenate([sep, part_a[crossings]])
         part_a = part_a[~crossings]

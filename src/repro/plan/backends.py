@@ -35,25 +35,12 @@ import numpy as np
 from repro.comm.grid import ProcessGrid2D
 from repro.lu2d.batched import schur_pairs, syrk_pairs
 from repro.lu2d.kernels import GETRF, POTRF, gemm_op, trsm_op
-from repro.lu2d.storage import node_blocks
+from repro.lu2d.storage import cholesky_node_blocks, node_blocks
 from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
 from repro.utils.ragged import ragged
 
 __all__ = ["BuildContext", "KernelBackend", "LUBackend", "CholeskyBackend",
            "get_backend", "cholesky_node_blocks"]
-
-
-def cholesky_node_blocks(sf, k: int) -> list[tuple[int, int, int]]:
-    """Lower-triangle blocks of supernode ``k``: diagonal + L panel.
-
-    The Cholesky analogue of :func:`repro.lu2d.storage.node_blocks` —
-    half the storage, half the replication, half the reduction traffic.
-    """
-    s = sf.layout.block_size(k)
-    out = [(k, k, s * (s + 1) // 2)]
-    for i in sf.fill.lpanel[k]:
-        out.append((int(i), k, sf.layout.block_size(int(i)) * s))
-    return out
 
 
 class BuildContext:

@@ -161,16 +161,6 @@ def _chain_split(tree: DissectionTree, chunker) -> DissectionTree:
         for chunk in chunks[1:]:
             nid = add_one(chunk, [nid])
         top_of[orig.node_id] = nid
-
-    # Depth assignment mirrors the uniform builder's finish().
-    nb = len(nodes)
-    parent = np.full(nb, -1, dtype=np.int64)
-    for node in nodes:
-        for c in node.children:
-            parent[c] = node.node_id
-    for k in range(nb - 1, -1, -1):
-        pk = int(parent[k])
-        nodes[k].depth = 0 if pk == -1 else nodes[pk].depth + 1
     return DissectionTree(nodes, tree.n)
 
 
@@ -306,14 +296,6 @@ def _amalgamate(tree: DissectionTree, S: sp.csr_matrix,
                             sorted(new_id[c] for c in child_sets[old]),
                             node_id=new_id[old])
              for old in survivors]
-    nb2 = len(nodes)
-    parent = np.full(nb2, -1, dtype=np.int64)
-    for node in nodes:
-        for c in node.children:
-            parent[c] = node.node_id
-    for k in range(nb2 - 1, -1, -1):
-        pk = int(parent[k])
-        nodes[k].depth = 0 if pk == -1 else nodes[pk].depth + 1
     return DissectionTree(nodes, tree.n)
 
 

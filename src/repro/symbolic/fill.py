@@ -15,6 +15,8 @@ replication correctness depends on it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -80,23 +82,25 @@ class BlockFill:
 
 
 def _initial_block_pattern(A: sp.csr_matrix, layout: BlockLayout
-                           ) -> tuple[list[set[int]], list[set[int]]]:
-    """Block rows/cols of the permuted A below/right of each diagonal block."""
-    nb = layout.nblocks
-    lsets: list[set[int]] = [set() for _ in range(nb)]
-    usets: list[set[int]] = [set() for _ in range(nb)]
-    coo = A.tocoo()
-    bi = layout.block_of_index(coo.row)
-    bj = layout.block_of_index(coo.col)
-    # Deduplicate block pairs up front: entries per block pair are many.
-    pairs = np.unique(bi * np.int64(nb) + bj)
-    ui, uj = pairs // nb, pairs % nb
-    for i, j in zip(ui.tolist(), uj.tolist()):
-        if i > j:
-            lsets[j].add(i)
-        elif j > i:
-            usets[i].add(j)
-    return lsets, usets
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Off-diagonal blocks of the permuted A as sorted keys: ``j * nb + i``
+    for an L block ``(i, j)``, ``i > j`` (column-major), ``i * nb + j`` for
+    a U block, ``j > i`` (row-major). Blocks come from one index -> block
+    lookup; a row's runs of equal keys collapse before one ``np.unique``."""
+    A, nb = A.tocsr(), layout.nblocks
+    block = np.repeat(np.arange(nb), layout.sizes())
+    key = np.repeat(block, np.diff(A.indptr)) * nb + block[A.indices]
+    keys = np.unique(key[np.r_[True, key[1:] != key[:-1]]])
+    i, j = np.divmod(keys, nb)
+    return np.sort((j * nb + i)[i > j]), keys[j > i]
+
+
+def _key_sets(keys: np.ndarray, nb: int) -> list[set[int]]:
+    """Sorted keys ``major * nb + minor`` as one set of minors per major."""
+    major, minor = np.divmod(keys, nb)
+    cut = np.searchsorted(major, np.arange(nb + 1)).tolist()
+    minor = minor.tolist()
+    return [set(minor[a:b]) for a, b in zip(cut[:-1], cut[1:])]
 
 
 def block_fill(A: sp.csr_matrix, layout: BlockLayout,
@@ -110,54 +114,65 @@ def block_fill(A: sp.csr_matrix, layout: BlockLayout,
     layout:
         Supernode block layout (from the dissection tree).
     tree_parent:
-        Optional block-etree parent array. When given, the ancestor-closure
-        invariant is verified: every filled block must connect
-        ancestor-related nodes. A violation means the ordering and the tree
-        are inconsistent — a programming error, reported loudly.
+        Optional block-etree parent array, every parent numbered above its
+        child (``ValueError`` otherwise) as in every dissection tree. When
+        given, the ancestor-closure invariant is verified: every filled
+        block must connect ancestor-related nodes. A violation means the
+        ordering and the tree are inconsistent — a programming error,
+        reported loudly.
     """
     if A.shape[0] != layout.n:
         raise ValueError("matrix / layout dimension mismatch")
     nb = layout.nblocks
-    lsets, usets = _initial_block_pattern(A, layout)
+    lower, upper = _initial_block_pattern(A, layout)
+    lsets, usets = _key_sets(lower, nb), _key_sets(upper, nb)
 
+    # Step k adds L[i, j] for i > j and U[i, j] for j > i over i in L(k),
+    # j in U(k) (i == j is the diagonal): per j, the tail of L(k) above
+    # it; per i, the tail of U(k) right of it. Column k is final here.
+    lpanel, upanel = [], []
     for k in range(nb):
-        lk = sorted(lsets[k])
-        uk = sorted(usets[k])
+        lk, uk = sorted(lsets[k]), sorted(usets[k])
+        for j in uk:
+            lsets[j].update(lk[bisect_right(lk, j):])
         for i in lk:
-            for j in uk:
-                if i > j:
-                    lsets[j].add(i)
-                elif j > i:
-                    usets[i].add(j)
-                # i == j: diagonal block, implicitly present.
+            usets[i].update(uk[bisect_right(uk, i):])
+        lpanel.append(np.array(lk, dtype=np.int64))
+        upanel.append(np.array(uk, dtype=np.int64))
 
-    lpanel = [np.fromiter(sorted(s), dtype=np.int64, count=len(s))
-              for s in lsets]
-    upanel = [np.fromiter(sorted(s), dtype=np.int64, count=len(s))
-              for s in usets]
-
+    fill = BlockFill(lpanel, upanel)
     if tree_parent is not None:
-        _check_ancestor_closure(lpanel, upanel, np.asarray(tree_parent))
-    return BlockFill(lpanel, upanel)
+        _check_ancestor_closure(fill, np.asarray(tree_parent))
+    return fill
 
 
-def _check_ancestor_closure(lpanel, upanel, parent: np.ndarray) -> None:
-    """Verify every filled block joins a node with one of its ancestors."""
+def _check_ancestor_closure(fill: BlockFill, parent: np.ndarray) -> None:
+    """Verify every filled block joins a node with one of its ancestors;
+    report the first offender in ``k`` order, L panel before U panel.
+
+    Ancestor chains increase (``parent[v] > v`` in every dissection tree),
+    so ``a`` is above ``k`` iff the chain's last member ``<= a`` is ``a``:
+    binary lifting over doubled parent arrays, all blocks at once. (Ids
+    need not be a contiguous postorder, e.g. a minimum-degree tree's.)"""
     nb = parent.shape[0]
-    # ancestors via repeated parent hops; trees here are O(log nb) deep.
-    def is_ancestor(a: int, d: int) -> bool:
-        while d != -1:
-            if d == a:
-                return True
-            d = int(parent[d])
-        return False
-
-    for k in range(nb):
-        for i in lpanel[k]:
-            if not is_ancestor(int(i), k):
-                raise AssertionError(
-                    f"L block ({int(i)}, {k}) violates ancestor closure")
-        for j in upanel[k]:
-            if not is_ancestor(int(j), k):
-                raise AssertionError(
-                    f"U block ({k}, {int(j)}) violates ancestor closure")
+    lp_ptr, lp_idx, up_ptr, up_idx = fill.panel_csr()
+    ids = np.arange(nb)
+    k = np.concatenate([np.repeat(ids, np.diff(lp_ptr)),
+                        np.repeat(ids, np.diff(up_ptr))])
+    a = np.concatenate([lp_idx, up_idx])
+    up = np.append(np.where(parent < 0, nb, parent), nb)   # nb: above roots
+    if (up[:nb] <= ids).any():
+        raise ValueError("tree_parent must number every parent above its child")
+    jumps = [up]
+    while (jumps[-1][:nb] < nb).any():
+        jumps.append(jumps[-1][jumps[-1]])
+    cur = k
+    for up in reversed(jumps):
+        cur = np.where(up[cur] <= a, up[cur], cur)
+    bad = np.flatnonzero(cur != a)
+    if bad.size:
+        is_u = np.arange(k.size) >= lp_idx.size
+        e = bad[np.argmin((2 * k + is_u)[bad])]
+        raise AssertionError(
+            f"U block ({k[e]}, {a[e]}) violates ancestor closure" if is_u[e]
+            else f"L block ({a[e]}, {k[e]}) violates ancestor closure")

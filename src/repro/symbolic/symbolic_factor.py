@@ -114,21 +114,15 @@ class SymbolicFactorization:
 
 def _compute_costs(layout: BlockLayout, fill: BlockFill) -> NodeCosts:
     nb = layout.nblocks
-    sizes = layout.sizes().astype(np.float64)
-    factor_flops = np.empty(nb)
-    panel_flops = np.empty(nb)
-    schur_flops = np.empty(nb)
-    factor_words = np.empty(nb)
-    for k in range(nb):
-        s = sizes[k]
-        lrows = sizes[fill.lpanel[k]]
-        ucols = sizes[fill.upanel[k]]
-        factor_flops[k] = (2.0 / 3.0) * s ** 3
-        panel_flops[k] = s * s * (lrows.sum() + ucols.sum())
-        # GEMM flops: sum_{i,j} 2 * s_i * s * s_j = 2 s (sum s_i)(sum s_j)
-        schur_flops[k] = 2.0 * s * lrows.sum() * ucols.sum()
-        factor_words[k] = s * s + s * (lrows.sum() + ucols.sum())
-    return NodeCosts(factor_flops, panel_flops, schur_flops, factor_words)
+    s = layout.sizes().astype(np.float64)
+    lp_ptr, lp_idx, up_ptr, up_idx = fill.panel_csr()
+    # Panel row / column totals: sums of integer-valued floats, exact in
+    # any order, so one bincount each equals the per-node sum.
+    lsum = np.bincount(np.repeat(np.arange(nb), np.diff(lp_ptr)), s[lp_idx], minlength=nb)
+    usum = np.bincount(np.repeat(np.arange(nb), np.diff(up_ptr)), s[up_idx], minlength=nb)
+    # GEMM flops: sum_{i,j} 2 * s_i * s * s_j = 2 s (sum s_i)(sum s_j)
+    return NodeCosts((2.0 / 3.0) * s ** 3, s * s * (lsum + usum),
+                     2.0 * s * lsum * usum, s * s + s * (lsum + usum))
 
 
 def _build_on(A: sp.spmatrix, tree: DissectionTree) -> tuple:

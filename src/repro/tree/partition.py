@@ -29,23 +29,19 @@ from repro.utils import check_power_of_two
 __all__ = ["greedy_partition", "naive_partition", "critical_path_cost"]
 
 
-def _children_lists(parent: np.ndarray) -> list[list[int]]:
+def _tree_tables(parent: np.ndarray, weights: np.ndarray
+                 ) -> tuple[list[list[int]], np.ndarray]:
+    """``(kids, sub)``: each node's children and the weight of its whole
+    subtree, built once per partition call and shared by its candidates.
+    Postorder ids make ``sub`` one pass; it adds in ascending id order
+    (children first), the order every pinned partition depends on."""
     kids: list[list[int]] = [[] for _ in range(parent.shape[0])]
-    for v in range(parent.shape[0]):
-        p = int(parent[v])
+    sub = weights.astype(np.float64).tolist()
+    for v, p in enumerate(parent.tolist()):
         if p != -1:
             kids[p].append(v)
-    return kids
-
-
-def _subtree_weights(parent: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """weight of each node's whole subtree; postorder ids make this one pass."""
-    sub = weights.astype(np.float64).copy()
-    for v in range(parent.shape[0]):  # ascending id = children first
-        p = int(parent[v])
-        if p != -1:
             sub[p] += sub[v]
-    return sub
+    return kids, np.asarray(sub)
 
 
 def _pack_two_bins(items: list[int], sub: np.ndarray
@@ -128,10 +124,9 @@ def _collect_subtrees(roots: list[int], kids: list[list[int]]) -> list[int]:
 
 
 def _build_forests(parent: np.ndarray, weights: np.ndarray, pz: int,
-                   splitter) -> dict[tuple[int, int], list[int]]:
+                   splitter, kids: list[list[int]], sub: np.ndarray
+                   ) -> dict[tuple[int, int], list[int]]:
     nlev = int(np.log2(pz))
-    kids = _children_lists(parent)
-    sub = _subtree_weights(parent, weights)
     roots = sorted(np.flatnonzero(parent == -1).tolist())
     forests: dict[tuple[int, int], list[int]] = {}
 
@@ -170,10 +165,11 @@ def greedy_partition(sf: SymbolicFactorization, pz: int,
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape[0] != parent.shape[0]:
         raise ValueError("weights length must equal number of blocks")
+    tables = _tree_tables(parent, weights)
     greedy = TreeForest(pz, _build_forests(parent, weights, pz,
-                                           _greedy_split), parent)
+                                           _greedy_split, *tables), parent)
     naive = TreeForest(pz, _build_forests(parent, weights, pz,
-                                          _naive_split), parent)
+                                          _naive_split, *tables), parent)
     if critical_path_cost(naive, weights) < critical_path_cost(greedy, weights):
         return naive
     return greedy
@@ -203,7 +199,8 @@ def naive_partition(sf: SymbolicFactorization, pz: int,
     if weights is None:
         weights = sf.costs.node_flops
     weights = np.asarray(weights, dtype=np.float64)
-    forests = _build_forests(parent, weights, pz, _naive_split)
+    forests = _build_forests(parent, weights, pz, _naive_split,
+                             *_tree_tables(parent, weights))
     return TreeForest(pz, forests, parent)
 
 

@@ -13,6 +13,8 @@ queries Algorithm 1 needs:
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.utils import check_power_of_two
@@ -48,14 +50,23 @@ class TreeForest:
         if set(self.forests.keys()) != expected:
             raise ValueError("forests must contain every (level, index) key")
 
-        self.node_level = np.full(nb, -1, dtype=np.int64)
-        self.node_forest = np.full(nb, -1, dtype=np.int64)
-        for (q, b), nodes in self.forests.items():
-            for v in nodes:
-                if self.node_level[v] != -1:
-                    raise ValueError(f"node {v} assigned to two forests")
-                self.node_level[v] = q
-                self.node_forest[v] = b
+        # Every node id in key order, with its forest's (level, index); an
+        # error names the first offender in that order.
+        ids = np.fromiter(chain.from_iterable(self.forests.values()),
+                          dtype=np.int64)
+        keys = np.repeat(np.asarray(list(self.forests), dtype=np.int64),
+                         list(map(len, self.forests.values())), axis=0)
+        out = (ids < 0) | (ids >= nb)
+        if out.any():
+            raise ValueError(f"node id {ids[out.argmax()]} out of range "
+                             f"[0, {nb})")
+        seen = np.zeros(ids.size, dtype=bool)
+        seen[np.unique(ids, return_index=True)[1]] = True
+        if not seen.all():
+            raise ValueError(f"node {ids[seen.argmin()]} assigned to two "
+                             "forests")
+        self.node_level, self.node_forest = np.full((2, nb), -1, np.int64)
+        self.node_level[ids], self.node_forest[ids] = keys.T
         if (self.node_level == -1).any():
             missing = np.flatnonzero(self.node_level == -1)
             raise ValueError(f"nodes {missing.tolist()} not assigned to any forest")
@@ -70,16 +81,16 @@ class TreeForest:
         the prefix ``b >> (q - q')``. This is what makes the replication
         domains nested, which Algorithm 1's pairwise reduction requires.
         """
-        for v in range(self.parent.shape[0]):
-            p = int(self.parent[v])
-            if p == -1:
-                continue
-            q, b = int(self.node_level[v]), int(self.node_forest[v])
-            qp, bp = int(self.node_level[p]), int(self.node_forest[p])
-            if qp > q or bp != (b >> (q - qp)):
-                raise ValueError(
-                    f"parent {p} (level {qp}, forest {bp}) inconsistent with "
-                    f"child {v} (level {q}, forest {b})")
+        v = np.flatnonzero(self.parent != -1)
+        p = self.parent[v]
+        q, b = self.node_level[v], self.node_forest[v]
+        qp, bp = self.node_level[p], self.node_forest[p]
+        bad = (qp > q) | (bp != b >> np.maximum(q - qp, 0))
+        if bad.any():
+            e = bad.argmax()
+            raise ValueError(
+                f"parent {p[e]} (level {qp[e]}, forest {bp[e]}) inconsistent "
+                f"with child {v[e]} (level {q[e]}, forest {b[e]})")
 
     # -- grid mapping (the queries Algorithm 1 performs) --------------------
 

@@ -340,6 +340,52 @@ class TestOrderingOnFrontiers:
             "no SpMV crossing test: crossings come from the gather"
 
 
+class TestAnalysisAsArrays:
+    """The analysis phase is array passes over the panel CSR and the parent
+    array: none of these functions loops over nodes, blocks or entries (a
+    loop over forests, levels or doubled parent arrays is fine), and
+    ``mem_profile`` sorts ranks in the narrowest dtype."""
+
+    SRC = ROOT / "src" / "repro"
+    PINNED = (("symbolic/fill.py", "_initial_block_pattern"),
+              ("symbolic/fill.py", "_check_ancestor_closure"),
+              ("symbolic/symbolic_factor.py", "_compute_costs"),
+              ("lu2d/storage.py", "node_block_arrays"),
+              ("tree/treeforest.py", "TreeForest.__init__"),
+              ("tree/treeforest.py",
+               "TreeForest._validate_ancestor_consistency"))
+    #: What a loop over nodes iterates: a range over a node count, a
+    #: converted array, a panel, a node list or the parent array.
+    NODE_LOOP = re.compile(r"range\([^)]*\b(nb|shape|size|len)\b|\.tolist\("
+                           r"|panel|\bnodes\b|\bparent\b|zip\(|enumerate\(")
+
+    @pytest.mark.parametrize("path, qualname", PINNED)
+    def test_no_loop_over_nodes(self, path, qualname):
+        scope = ast.parse((self.SRC / path).read_text())
+        for name in qualname.split("."):
+            scope = next(n for n in ast.walk(scope) if getattr(n, "name", "")
+                         == name and isinstance(n, (ast.ClassDef,
+                                                    ast.FunctionDef)))
+        loops = [ast.unparse(n.iter) for n in ast.walk(scope)
+                 if isinstance(n, (ast.For, ast.comprehension))]
+        loops += [ast.unparse(n.test) for n in ast.walk(scope)
+                  if isinstance(n, ast.While)]
+        assert [s for s in loops if self.NODE_LOOP.search(s)] == []
+
+    def test_mem_profile_sort_key_is_narrow(self, monkeypatch):
+        import numpy as np
+
+        from repro.comm import stream
+        keys = []
+        argsort = np.argsort
+        monkeypatch.setattr(stream.np, "argsort",
+                            lambda a, **kw: keys.append(a.dtype)
+                            or argsort(a, **kw))
+        ranks = np.array([5, 1, 5, 63, 1], dtype=np.int64)
+        stream.mem_profile(ranks, np.array([4., -2., -4., 1., 2.]), 64)
+        assert keys == [np.uint8]
+
+
 class TestPublicApiHygiene:
     def test_top_level_all_resolves(self):
         import repro

@@ -83,6 +83,82 @@ class TestBlockFill:
             with pytest.raises(AssertionError, match="ancestor closure"):
                 block_fill(sf.A_perm, sf.layout, tree_parent=bogus_parent)
 
+    @staticmethod
+    def _first_offender(fill, parent) -> str | None:
+        """The per-block loop the closure check replaced: ``k`` ascending,
+        L panel before U panel, each ascending."""
+        def is_ancestor(a, d):
+            while d != -1:
+                if d == a:
+                    return True
+                d = int(parent[d])
+            return False
+
+        for k in range(fill.nb):
+            for i in fill.lpanel[k].tolist():
+                if not is_ancestor(i, k):
+                    return f"L block ({i}, {k}) violates ancestor closure"
+            for j in fill.upanel[k].tolist():
+                if not is_ancestor(j, k):
+                    return f"U block ({k}, {j}) violates ancestor closure"
+        return None
+
+    @pytest.mark.parametrize("cut", [0, 1, 2, 3])
+    def test_closure_error_names_first_block_in_loop_order(self, cut):
+        """Detach nodes from a real tree: many blocks then violate closure,
+        and the error must name the one the per-block loop met first."""
+        A, geom = grid2d_5pt(16)
+        A = (sp.tril(A) + sp.triu(A, 2)).tocsr()    # L and U panels differ
+        sf = symbolic_factorize(A, geom, leaf_size=8)
+        parent = sf.tree.parent.copy()
+        detached = [v for v in range(sf.nb - 1)
+                    if parent[v] != -1][cut::5][:3]
+        parent[detached] = -1
+        want = self._first_offender(sf.fill, parent)
+        assert want is not None
+        with pytest.raises(AssertionError) as err:
+            block_fill(sf.A_perm, sf.layout, tree_parent=parent)
+        assert str(err.value) == want
+
+    def test_parent_numbered_below_its_child_rejected(self):
+        """The check lifts along increasing ancestor chains, so a parent
+        array that is not topologically numbered is refused, not misread."""
+        A, geom = grid2d_5pt(8)
+        sf = symbolic_factorize(A, geom, leaf_size=8)
+        parent = sf.tree.parent.copy()
+        parent[1] = 0
+        with pytest.raises(ValueError, match="above its child"):
+            block_fill(sf.A_perm, sf.layout, tree_parent=parent)
+
+    def test_closure_check_agrees_with_the_loop_on_random_forests(self):
+        """Any topologically numbered forest (``parent > child``), not only
+        contiguous postorders: pass/fail and the first offender match."""
+        from repro.symbolic.fill import BlockFill, _check_ancestor_closure
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            nb = int(rng.integers(1, 30))
+            parent = np.array([rng.integers(v + 1, nb)
+                               if v < nb - 1 and rng.random() < 0.9 else -1
+                               for v in range(nb)], dtype=np.int64)
+            anc = np.zeros((nb, nb), dtype=bool)     # anc[k, a]: a above k
+            for k in range(nb - 1, -1, -1):
+                if parent[k] != -1:
+                    anc[k] = anc[parent[k]]
+                    anc[k, parent[k]] = True
+            # Mostly ancestors, now and then any later node.
+            panels = [[np.flatnonzero((anc[k] & (rng.random(nb) < 0.7))
+                                      | ((np.arange(nb) > k)
+                                         & (rng.random(nb) < 0.01)))
+                       for k in range(nb)] for _ in range(2)]
+            fill = BlockFill(*panels)
+            want = self._first_offender(fill, parent)
+            try:
+                _check_ancestor_closure(fill, parent)
+                got = None
+            except AssertionError as e:
+                got = str(e)
+            assert got == want
+
     def test_schur_pairs(self, planar_small):
         A, geom = planar_small
         sf = symbolic_factorize(A, geom, leaf_size=16)
@@ -170,3 +246,17 @@ class TestFactorizeEntry:
                 if (i, j) not in blocks:
                     assert np.abs(M[lay.range_of(i), lay.range_of(j)]).max() \
                         < 1e-12
+
+
+class TestAnalysisGolden:
+    """``golden_analysis.json`` was written at ``86a81ba`` by the per-node
+    loops (ordering recursion, block-pattern and closure loops, per-node
+    costs, per-node block enumerators, the partition's per-node checks):
+    the array passes must reproduce the tree, both panel CSRs, the costs,
+    both enumerators' block arrays and every partition byte for byte."""
+
+    def test_regenerating_rewrites_the_file_byte_for_byte(self):
+        from tests.data.regen_analysis import OUT, cases, render
+        records = {name: make() for name, make in cases()}
+        assert len(records) == 18
+        assert render(records) == OUT.read_text()

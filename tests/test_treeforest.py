@@ -160,6 +160,43 @@ class TestTreeForestValidation:
         with pytest.raises(ValueError, match="inconsistent"):
             TreeForest(2, bad, sf_planar.tree.parent)
 
+    @pytest.mark.parametrize("forests, bad", [
+        ({(0, 0): [-1], (1, 0): [0], (1, 1): [1]}, -1),   # aliases node 2
+        ({(0, 0): [2, -1], (1, 0): [0, -1], (1, 1): [1]}, -1),
+        ({(0, 0): [2, 3], (1, 0): [0], (1, 1): [1]}, 3),
+    ])
+    def test_node_id_out_of_range_rejected(self, forests, bad):
+        """A negative id must not alias a node from the end, nor an id past
+        the last node surface as an ``IndexError``: a ``ValueError``
+        naming the first offender, before any other check."""
+        with pytest.raises(ValueError,
+                           match=rf"^node id {bad} out of range \[0, 3\)$"):
+            TreeForest(2, forests, parent=[2, 2, -1])
+
+    # Each error names the first offender the per-node loops met: forests
+    # in key order and their nodes in list order; children by ascending id.
+    PARENT5 = [2, 2, 4, 4, -1]
+
+    def test_double_assignment_names_first_repeat(self):
+        forests = {(0, 0): [4], (1, 0): [0, 1, 2], (1, 1): [3, 1, 0]}
+        with pytest.raises(ValueError,
+                           match=r"^node 1 assigned to two forests$"):
+            TreeForest(2, forests, self.PARENT5)
+
+    def test_missing_nodes_listed(self):
+        forests = {(0, 0): [4], (1, 0): [0], (1, 1): [2]}
+        with pytest.raises(ValueError, match=r"^nodes \[1, 3\] not assigned "
+                                             r"to any forest$"):
+            TreeForest(2, forests, self.PARENT5)
+
+    def test_inconsistent_parent_names_first_child(self):
+        """Every child is inconsistent here; child 0 is reported."""
+        forests = {(0, 0): [0, 3], (1, 0): [1, 4], (1, 1): [2]}
+        with pytest.raises(ValueError, match=(
+                r"^parent 2 \(level 1, forest 1\) inconsistent with child 0 "
+                r"\(level 0, forest 0\)$")):
+            TreeForest(2, forests, self.PARENT5)
+
     def test_forest_of_grid_range_check(self, sf_planar):
         tf = greedy_partition(sf_planar, 2)
         with pytest.raises(ValueError, match="out of range"):
