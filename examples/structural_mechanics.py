@@ -3,8 +3,9 @@
 Ties three library extensions together on a 3D-FEM-like problem (the
 class audikw_1/Serena represent in the paper's suite):
 
-1. the auto-tuner measures the matrix's separator-growth exponent and
-   recommends a process-grid shape (Section IV's planar/non-planar regimes);
+1. the auto-tuner sweeps every executable process-grid shape, scores each
+   by its plan's per-rank words, and reports the matrix's measured
+   separator-growth exponent (Section IV's planar/non-planar regimes);
 2. the SPD system is factored with the 3D *Cholesky* engine (Section
    VII's proposed variant) on that grid;
 3. an execution trace shows where each rank's time went, including the
@@ -20,7 +21,7 @@ from repro.analysis import FactorizationMetrics, Trace
 from repro.cholesky import SparseCholesky3D
 from repro.comm import Simulator
 from repro.cholesky.factor import factor_chol_3d
-from repro.tune import suggest_grid
+from repro.tune import autotune_grid
 
 P_BUDGET = 32
 
@@ -31,15 +32,18 @@ def main() -> None:
     n = A.shape[0]
     print(f"stiffness matrix: n={n}, nnz/n={A.nnz / n:.1f} (3D brick)")
 
-    # 1. Auto-tune the grid for a 32-rank budget.
-    s = suggest_grid(A, P_BUDGET, geometry=geometry)
-    print(f"auto-tuner: sigma={s.sigma:.2f} -> {s.classification};"
-          f" grid {s.px}x{s.py}x{s.pz}")
-    print(f"            {s.rationale}")
+    # 1. Auto-tune the grid for a 32-rank budget. Like `solve --grid auto`,
+    #    the numeric run adopts the grid shape only (a tuned c > 1 is a
+    #    cost-only LU study).
+    tuned = autotune_grid(A, P_BUDGET, geometry=geometry)
+    ch = tuned.chosen
+    print(f"auto-tuner: sigma={tuned.sigma:.2f} -> {tuned.classification};"
+          f" grid {ch.px}x{ch.py}x{ch.pz}")
+    print(tuned.summary())
 
-    # 2. Cholesky-factor on the suggested grid and solve a load case.
-    solver = SparseCholesky3D(A, geometry=geometry, px=s.px, py=s.py,
-                              pz=s.pz, leaf_size=64,
+    # 2. Cholesky-factor on the tuned grid and solve a load case.
+    solver = SparseCholesky3D(A, geometry=geometry, px=ch.px, py=ch.py,
+                              pz=ch.pz, leaf_size=64,
                               machine=Machine.edison_like())
     solver.factorize()
     loads = np.zeros((n, 2))

@@ -44,7 +44,6 @@ from repro.sparse import (
 )
 from repro.symbolic import SymbolicFactorization, symbolic_factorize
 from repro.tree import TreeForest, critical_path_cost, greedy_partition, naive_partition
-from repro.tune import suggest_grid
 
 __version__ = "1.0.0"
 
@@ -78,7 +77,6 @@ __all__ = [
     "naive_partition",
     "nested_dissection",
     "random_symmetric_pattern",
-    "suggest_grid",
     "symbolic_factorize",
     "thin_slab_7pt",
 ]

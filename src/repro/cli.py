@@ -5,15 +5,15 @@ Commands
 ``generate``  write a synthetic test matrix (Matrix Market format);
 ``solve``     factor a matrix and solve against a right-hand side;
 ``sweep``     run the Fig. 9-style Pz sweep and print the trade-off table;
-``suggest``   analytic grid-shape recommendation (separator exponent);
-``tune``      ledger-validated (Px, Py, Pz, c) configuration search;
+``tune``      (Px, Py, Pz, c) configuration search, every executable
+              candidate measured by its plan's volume;
 ``report``    regenerate every paper table/figure (EXPERIMENTS.md data).
 
 Matrices read from ``.mtx`` files have no lattice geometry attached, so
 ordering falls back to general-graph nested dissection unless ``--grid``
 re-supplies the lattice shape ("64", "64,48" or "16,16,8"). ``solve``
 additionally accepts ``--grid auto``: the process-grid shape is chosen by
-the ledger-validated tuner (``repro tune``) instead of ``--px/--py/--pz``.
+the tuner (``repro tune``) instead of ``--px/--py/--pz``.
 """
 
 from __future__ import annotations
@@ -202,12 +202,11 @@ def _auto_grid(args, A) -> None:
     from repro.tune import TuneCache, autotune_grid
     P = args.P if args.P else max(args.px * args.py * args.pz, 16)
     cache = TuneCache(args.tune_cache) if args.tune_cache else None
-    tr = autotune_grid(A, P, leaf_size=args.leaf_size,
-                       budget=args.tune_budget, cache=cache)
+    tr = autotune_grid(A, P, leaf_size=args.leaf_size, cache=cache)
     ch = tr.chosen
     args.px, args.py, args.pz = ch.px, ch.py, ch.pz
     note = f" (tuned c={ch.c} applies to cost-only runs)" if ch.c > 1 else ""
-    print(f"auto grid: {ch.label} after {tr.evaluations} simulator runs "
+    print(f"auto grid: {ch.label} of {len(tr.candidates)} candidates "
           f"(sigma={tr.sigma:.2f}, {tr.classification}; "
           f"{tr.measured_improvement:.2f}x measured words vs naive "
           f"{tr.baseline.candidate.label}){note}")
@@ -290,19 +289,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_suggest(args) -> int:
-    A, geom = _load(args)
-    from repro.tune import suggest_grid
-    s = suggest_grid(A, args.P, geometry=geom, leaf_size=args.leaf_size)
-    print(f"matrix class : {s.classification} (sigma={s.sigma:.3f})")
-    print(f"suggested    : {s.px} x {s.py} x {s.pz}  (P={s.total})")
-    print(f"rationale    : {s.rationale}")
-    return 0
-
-
 def cmd_tune(args) -> int:
-    """Ledger-validated configuration search (Section IV models seeded by
-    the measured separator exponent, validated by cost-only plans)."""
+    """Configuration search: every executable candidate measured by its
+    plan's volume, the Section IV model (seeded by the measured separator
+    exponent) reported beside it."""
     from repro.tune import TuneCache, autotune_grid
     A, geom = _load(args)
     cache = TuneCache(args.cache) if args.cache else None
@@ -311,8 +301,7 @@ def cmd_tune(args) -> int:
     blockings = tuple(t.strip() for t in args.blocking.split(","))
     res = autotune_grid(A, args.P, geometry=geom,
                         leaf_size=args.leaf_size, c_values=c_values,
-                        blockings=blockings,
-                        budget=args.budget, cache=cache)
+                        blockings=blockings, cache=cache)
     print(res.summary())
     rows = []
     for r in res.candidates[:args.top]:
@@ -340,10 +329,10 @@ def cmd_report(args) -> int:
     from repro.experiments.table2 import run_table2, table2_text
     from repro.experiments.table3 import run_table3, table3_text
 
-    suite = prepared_suite(args.scale)      # Fig. 9-11 share its sweeps
+    suite = prepared_suite(args.scale)      # one analysis, shared sweeps
     sections = {
         "table2": lambda: table2_text(run_table2()),
-        "table3": lambda: table3_text(run_table3(scale=args.scale)),
+        "table3": lambda: table3_text(run_table3(suite=suite)),
         "fig9": lambda: "\n".join(
             fig9_text(res, P) + "\nheadline best-config speedups: "
             + repr(headline_speedups(res))
@@ -351,7 +340,7 @@ def cmd_report(args) -> int:
                            (384, run_fig9(P=384, suite=suite)))),
         "fig10": lambda: fig10_text(run_fig10(suite=suite)),
         "fig11": lambda: fig11_text(run_fig11(suite=suite), 96),
-        "fig12": lambda: fig12_text(run_fig12(scale=args.scale)),
+        "fig12": lambda: fig12_text(run_fig12(suite=suite)),
     }
     wanted = args.only.split(",") if args.only else list(sections)
     unknown = set(wanted) - set(sections)
@@ -401,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tune-cache", default=None,
                    help="JSON tuning-cache path consulted/updated by "
                         "--grid auto")
-    s.add_argument("--tune-budget", type=int, default=6,
-                   help="simulator-run budget for --grid auto")
     s.add_argument("--rhs", choices=("ones", "random"), default="ones")
     s.add_argument("--seed", type=int, default=0,
                    help="RNG seed for --rhs random")
@@ -470,12 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(fn=cmd_sweep)
 
     tu = sub.add_parser("tune",
-                        help="ledger-validated (Px,Py,Pz,c) grid search")
+                        help="measured (Px,Py,Pz,c) grid search")
     common(tu)
     tu.add_argument("--P", type=int, default=96,
                     help="total simulated ranks to factor over")
-    tu.add_argument("--budget", type=int, default=8,
-                    help="max cost-only simulator runs (baseline included)")
     tu.add_argument("--c", default=None,
                     help="comma list of 2.5D replication factors to try "
                          "(default: all powers of two up to each Pz)")
@@ -487,11 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     tu.add_argument("--cache", default=None,
                     help="JSON tuning-cache path to consult and update")
     tu.set_defaults(fn=cmd_tune)
-
-    t = sub.add_parser("suggest", help="auto-tune the grid shape")
-    common(t)
-    t.add_argument("--P", type=int, default=96)
-    t.set_defaults(fn=cmd_suggest)
 
     r = sub.add_parser("report",
                        help="regenerate every paper table and figure")

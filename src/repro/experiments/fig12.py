@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.comm.machine import Machine
-from repro.experiments.harness import PreparedMatrix, run_configuration
-from repro.experiments.matrices import paper_suite
+from repro.experiments.harness import prepared_suite, run_configuration
 
 __all__ = ["Fig12Heatmap", "run_fig12", "fig12_text"]
 
@@ -59,13 +58,13 @@ class Fig12Heatmap:
 
 def run_fig12(names=("K2D5pt4096", "nlpkkt80"), scale: str = "small",
               machine: Machine | None = None,
-              pxy_values=PXY_VALUES, pz_values=PZ_VALUES
-              ) -> list[Fig12Heatmap]:
-    suite = {tm.name: tm for tm in paper_suite(scale)}
+              pxy_values=PXY_VALUES, pz_values=PZ_VALUES,
+              suite=None) -> list[Fig12Heatmap]:
+    suite = suite or prepared_suite(scale)
     out = []
     for name in names:
-        tm = suite[name]
-        pm = PreparedMatrix(tm)
+        pm = suite[name]
+        tm = pm.tm
         flops = pm.sf.costs.total_flops  # paper normalizes by baseline flops
         grid = np.zeros((len(pxy_values), len(pz_values)))
         for i, pxy in enumerate(pxy_values):

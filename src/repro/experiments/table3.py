@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from repro.analysis.report import format_table
 from repro.comm.machine import Machine
-from repro.experiments.harness import PreparedMatrix, run_configuration
-from repro.experiments.matrices import paper_suite
+from repro.experiments.harness import prepared_suite, run_configuration
 
 __all__ = ["Table3Row", "run_table3"]
 
@@ -34,11 +33,13 @@ class Table3Row:
 
 
 def run_table3(scale: str = "small", P: int = 96,
-               machine: Machine | None = None) -> list[Table3Row]:
-    """Build the suite and measure the baseline per matrix."""
+               machine: Machine | None = None,
+               suite=None) -> list[Table3Row]:
+    """Measure the baseline per matrix of ``suite`` (default: a fresh
+    :func:`prepared_suite` at ``scale``)."""
     rows = []
-    for tm in paper_suite(scale):
-        pm = PreparedMatrix(tm)
+    for pm in (suite or prepared_suite(scale)).values():
+        tm = pm.tm
         rec = run_configuration(pm, P=P, pz=1, machine=machine)
         rows.append(Table3Row(
             name=tm.name, planar=tm.planar, n=tm.n, paper_n=tm.paper_n,

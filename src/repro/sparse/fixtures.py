@@ -1,31 +1,17 @@
-"""Real-matrix fixture pipeline: vendored workloads + cached downloads.
+"""Real-matrix fixtures: the vendored workloads.
 
 The generators in :mod:`repro.sparse.generators` are *proxies*; this module
-is how actual matrices enter the test suite and benchmarks:
-
-* **Vendored fixtures** live in ``tests/fixtures/*.mtx`` — small matrices
-  written once by ``tests/fixtures/regen_fixtures.py`` from this package's
-  own generators, with provenance recorded in ``%`` comments. They are
-  committed, so every fixture test runs offline and bit-reproducibly.
-* **Download fixtures** name real SuiteSparse matrices (circuit and
-  power-network classes — the workloads ROADMAP's service layer targets).
-  They are fetched once into a local cache directory and read from there
-  afterwards. Downloads only happen when explicitly enabled
-  (``REPRO_FIXTURE_DOWNLOAD=1`` or ``allow_download=True``); everything
-  else — offline machines, CI without network, missing cache — raises
-  :class:`FixtureUnavailable`, which callers (pytest) turn into a *skip*,
-  never a failure.
-
-Environment knobs: ``REPRO_FIXTURES_DIR`` overrides the vendored
-directory, ``REPRO_FIXTURE_CACHE`` the download cache (default
-``~/.cache/repro-fixtures``).
+is how committed matrices enter the test suite and benchmarks. Each
+fixture lives in ``tests/fixtures/*.mtx`` — a small matrix written once by
+``tests/fixtures/regen_fixtures.py`` from this package's own generators,
+with provenance recorded in ``%`` comments — so every fixture test runs
+offline and bit-reproducibly, through the same Matrix Market reader any
+external file takes.
 """
 
 from __future__ import annotations
 
-import os
-import tarfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import scipy.sparse as sp
@@ -33,167 +19,80 @@ import scipy.sparse as sp
 from repro.sparse.io import read_matrix_market
 
 __all__ = ["FIXTURES", "Fixture", "FixtureUnavailable", "fixture_names",
-           "load_fixture", "fixtures_dir", "fixture_cache_dir"]
+           "load_fixture", "fixtures_dir"]
 
 
 class FixtureUnavailable(Exception):
-    """Raised when a fixture cannot be provided *through no fault of the
-    caller* — no network, download disabled, vendored file missing. Test
-    code should translate this into a skip."""
+    """Raised when a fixture's file is missing or does not hold the
+    registered matrix. Test code should translate this into a skip."""
 
 
 @dataclass(frozen=True)
 class Fixture:
-    """One named test matrix.
-
-    ``source`` is ``'vendored'`` (committed under ``tests/fixtures/``) or
-    ``'suitesparse'`` (fetched into the cache from ``url``). ``n`` is the
-    expected dimension, validated after load — a truncated download must
-    not impersonate the real matrix.
-    """
+    """One named test matrix: ``filename`` under :func:`fixtures_dir`,
+    ``n`` its expected dimension (validated after load — a truncated
+    file must not impersonate the real matrix)."""
 
     name: str
-    source: str
+    filename: str
     description: str
     n: int
-    filename: str = ""
-    url: str = ""
-    #: Workload class tag used by docs/benchmarks ("circuit", "power",
+    #: Workload class tag used by docs/benchmarks ("circuit", "graph",
     #: "adversarial", ...).
     workload: str = ""
-    extra: dict = field(default_factory=dict, hash=False, compare=False)
 
 
-#: The registry. Vendored entries are honest *generator* outputs (their
-#: provenance is in the .mtx comments and regen_fixtures.py) standing in
-#: for matrix classes; the suitesparse entries are the real thing.
+#: The registry: honest *generator* outputs (their provenance is in the
+#: .mtx comments and regen_fixtures.py) standing in for matrix classes.
 FIXTURES: dict[str, Fixture] = {f.name: f for f in [
-    Fixture(name="arrowhead_200", source="vendored",
-            filename="arrowhead_200.mtx", n=200, workload="adversarial",
+    Fixture(name="arrowhead_200", filename="arrowhead_200.mtx", n=200,
+            workload="adversarial",
             description="banded core + 6 dense border rows "
                         "(generators.arrowhead(200, border=6))"),
-    Fixture(name="banded_rails_300", source="vendored",
-            filename="banded_rails_300.mtx", n=300, workload="circuit",
+    Fixture(name="banded_rails_300", filename="banded_rails_300.mtx", n=300,
+            workload="circuit",
             description="banded matrix with 4 near-dense supply rails "
                         "(generators.banded_dense_rows(300, ndense=4))"),
-    Fixture(name="powerlaw_300", source="vendored",
-            filename="powerlaw_300.mtx", n=300, workload="graph",
+    Fixture(name="powerlaw_300", filename="powerlaw_300.mtx", n=300,
+            workload="graph",
             description="preferential-attachment Laplacian + I "
                         "(generators.power_law_laplacian(300))"),
-    Fixture(name="circuit_grid_24", source="vendored",
-            filename="circuit_grid_24.mtx", n=576, workload="circuit",
+    Fixture(name="circuit_grid_24", filename="circuit_grid_24.mtx", n=576,
+            workload="circuit",
             description="jittered 24x24 lattice with random vias "
                         "(generators.circuit_like(24))"),
-    Fixture(name="bcspwr03", source="suitesparse", n=118, workload="power",
-            url="https://suitesparse-collection-website.herokuapp.com"
-                "/MM/HB/bcspwr03.tar.gz",
-            description="HB/bcspwr03: 118-bus power network pattern "
-                        "(SuiteSparse, symmetric)"),
-    Fixture(name="nos4", source="suitesparse", n=100, workload="structural",
-            url="https://suitesparse-collection-website.herokuapp.com"
-                "/MM/HB/nos4.tar.gz",
-            description="HB/nos4: SPD beam-structure matrix "
-                        "(SuiteSparse, symmetric)"),
 ]}
 
 
-def fixture_names(source: str | None = None) -> list[str]:
-    """Registered fixture names, optionally filtered by source."""
-    return sorted(name for name, f in FIXTURES.items()
-                  if source is None or f.source == source)
+def fixture_names() -> list[str]:
+    """Registered fixture names, sorted."""
+    return sorted(FIXTURES)
 
 
 def fixtures_dir() -> Path:
     """The vendored-fixture directory (``tests/fixtures`` of the repo)."""
-    env = os.environ.get("REPRO_FIXTURES_DIR")
-    if env:
-        return Path(env)
     return Path(__file__).resolve().parents[3] / "tests" / "fixtures"
 
 
-def fixture_cache_dir() -> Path:
-    """Cache directory for downloaded fixtures (created lazily)."""
-    env = os.environ.get("REPRO_FIXTURE_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-fixtures"
+def load_fixture(name: str) -> tuple[sp.csr_matrix, Fixture]:
+    """Load a registered fixture from :func:`fixtures_dir`; returns
+    ``(A, fixture)``.
 
-
-def _download(fx: Fixture, dest: Path) -> None:
-    """Fetch one SuiteSparse tarball and extract its .mtx into ``dest``.
-
-    Every network failure mode — no connectivity, DNS, HTTP errors,
-    timeouts — surfaces as :class:`FixtureUnavailable` so callers skip.
-    """
-    import urllib.error
-    import urllib.request
-
-    tmp = dest.with_suffix(".download")
-    try:
-        with urllib.request.urlopen(fx.url, timeout=30) as resp, \
-                open(tmp, "wb") as out:
-            out.write(resp.read())
-    except (urllib.error.URLError, OSError, ValueError) as exc:
-        tmp.unlink(missing_ok=True)
-        raise FixtureUnavailable(
-            f"fixture {fx.name}: download failed ({exc})") from exc
-    try:
-        # SuiteSparse MM tarballs contain <name>/<name>.mtx.
-        with tarfile.open(tmp, "r:gz") as tar:
-            member = next((m for m in tar.getmembers()
-                           if m.name.endswith(f"{fx.name}.mtx")), None)
-            if member is None:
-                raise FixtureUnavailable(
-                    f"fixture {fx.name}: no {fx.name}.mtx in tarball")
-            src = tar.extractfile(member)
-            if src is None:
-                raise FixtureUnavailable(
-                    f"fixture {fx.name}: unreadable tar member")
-            with open(dest, "wb") as out:
-                out.write(src.read())
-    except (tarfile.TarError, OSError) as exc:
-        raise FixtureUnavailable(
-            f"fixture {fx.name}: bad tarball ({exc})") from exc
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def load_fixture(name: str, allow_download: bool | None = None
-                 ) -> tuple[sp.csr_matrix, Fixture]:
-    """Load a registered fixture; returns ``(A, fixture)``.
-
-    Vendored fixtures read from :func:`fixtures_dir`. SuiteSparse
-    fixtures read from :func:`fixture_cache_dir`, downloading on a miss
-    only when ``allow_download`` is true (default: the
-    ``REPRO_FIXTURE_DOWNLOAD=1`` environment toggle). Raises ``KeyError``
-    for unknown names and :class:`FixtureUnavailable` when the matrix
-    cannot be provided offline-safely.
+    Raises ``KeyError`` for unknown names and :class:`FixtureUnavailable`
+    when the file is missing or its shape is not the registered one.
     """
     if name not in FIXTURES:
         raise KeyError(f"unknown fixture {name!r}; "
                        f"known: {fixture_names()}")
     fx = FIXTURES[name]
-    if fx.source == "vendored":
-        path = fixtures_dir() / fx.filename
-        if not path.exists():
-            raise FixtureUnavailable(
-                f"fixture {name}: vendored file {path} missing "
-                "(run tests/fixtures/regen_fixtures.py)")
-    else:
-        if allow_download is None:
-            allow_download = os.environ.get(
-                "REPRO_FIXTURE_DOWNLOAD", "0") == "1"
-        path = fixture_cache_dir() / f"{name}.mtx"
-        if not path.exists():
-            if not allow_download:
-                raise FixtureUnavailable(
-                    f"fixture {name}: not cached and downloads disabled "
-                    "(set REPRO_FIXTURE_DOWNLOAD=1 to fetch)")
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _download(fx, path)
+    path = fixtures_dir() / fx.filename
+    if not path.exists():
+        raise FixtureUnavailable(
+            f"fixture {name}: vendored file {path} missing "
+            "(run tests/fixtures/regen_fixtures.py)")
     A = read_matrix_market(path)
     if A.shape[0] != fx.n or A.shape[1] != fx.n:
         raise FixtureUnavailable(
             f"fixture {name}: expected {fx.n}x{fx.n}, file has "
-            f"{A.shape[0]}x{A.shape[1]} (corrupt cache? delete {path})")
+            f"{A.shape[0]}x{A.shape[1]} (regenerate {path})")
     return A, fx

@@ -64,48 +64,48 @@ class BlockNnzTables:
 
 
 def _scalar_fill_counts(sf) -> BlockNnzTables:
-    """Run the O(|L|) symbolic walk and bucket entries into blocks."""
+    """Run the O(|L|) symbolic walk and bucket entries into blocks.
+
+    The walk is one Python step per factor entry, so it reads plain lists:
+    numpy scalar indexing would cost more than the step itself."""
     S = symmetrize_pattern(sf.A_perm).tocsc()
     n = S.shape[0]
-    parent = elimination_tree(sf.A_perm)
-    block_of = sf.layout.block_of_index(np.arange(n)).astype(np.int64)
-    nb = sf.nb
+    parent = elimination_tree(sf.A_perm).tolist()
+    block_of = sf.layout.block_of_index(np.arange(n)).tolist()
     nnz: dict[tuple[int, int], int] = {}
-    tri = np.zeros(nb, dtype=np.int64)
-    marker = np.full(n, -1, dtype=np.int64)
-    indptr, indices = S.indptr, S.indices
-
-    def bump(bi: int, bj: int, amount: int = 1) -> None:
-        key = (bi, bj)
-        nnz[key] = nnz.get(key, 0) + amount
+    get = nnz.get
+    tri = [0] * sf.nb
+    marker = [-1] * n
+    indptr, indices = S.indptr.tolist(), S.indices.tolist()
 
     for i in range(n):
-        bi = int(block_of[i])
+        bi = block_of[i]
+        diag = (bi, bi)
         marker[i] = i
         # Diagonal entry of row i: always structurally present.
-        bump(bi, bi)
+        nnz[diag] = get(diag, 0) + 1
         tri[bi] += 1
-        for r in indices[indptr[i]:indptr[i + 1]]:
-            j = int(r)
+        for j in indices[indptr[i]:indptr[i + 1]]:
             if j >= i:
                 continue
             # March up the etree from j; every unmarked node on the path
             # is a (possibly filled) entry L[i, j'] of row i.
             while marker[j] != i:
                 marker[j] = i
-                bj = int(block_of[j])
+                bj = block_of[j]
                 if bj == bi:
                     # In-tile strict-lower entry: the packed L\U diagonal
                     # tile carries it and its U mirror.
-                    bump(bi, bi, 2)
+                    nnz[diag] = get(diag, 0) + 2
                     tri[bi] += 1
                 else:
-                    bump(bi, bj)       # L-panel entry
-                    bump(bj, bi)       # U mirror (symmetrized superset)
-                j = int(parent[j])
+                    low, up = (bi, bj), (bj, bi)
+                    nnz[low] = get(low, 0) + 1     # L-panel entry
+                    nnz[up] = get(up, 0) + 1       # U mirror (symmetrized)
+                j = parent[j]
                 if j == -1:
                     break
-    return BlockNnzTables(nnz, tri)
+    return BlockNnzTables(nnz, np.array(tri, dtype=np.int64))
 
 
 def block_nnz_tables(sf) -> BlockNnzTables:

@@ -1,37 +1,28 @@
 """Process-grid auto-tuning.
 
 The paper's evaluation shows the best ``P_XY × P_z`` depends on the
-matrix's geometry class: planar problems want depth (large ``Pz``,
+matrix's separator growth: planar problems want depth (large ``Pz``,
 Eq. 8), strongly 3D problems want a moderate ``Pz`` (Section IV-C's
 constant optimum), and in-between matrices (the paper's ldoor) sit in
-between. Two tiers automate that choice:
-
-* :func:`suggest_grid` — the analytic recommender: *measures* the
-  separator-growth exponent of the matrix's own dissection tree (the
-  quantity that actually separates the regimes) and maps it onto the
-  closed-form optima. Cheap, no simulation.
-* :func:`autotune_grid` — the ledger-validated search: enumerates every
-  divisor factorization of ``P`` crossed with the 2.5D ancestor-
-  replication factor (:mod:`repro.tune.space`), ranks candidates with
-  the sigma-seeded model (:mod:`repro.tune.evaluate`), validates the
-  leaders by executing real cost-only plans, and reports
-  predicted-vs-measured per candidate (:mod:`repro.tune.search`).
-  Results persist in a pattern-fingerprint-keyed JSON cache
-  (:mod:`repro.tune.cache`) that the factorization service consults to
-  auto-adopt tuned grids on warm requests.
+between. The paper finds the optimum by sweeping; :func:`autotune_grid`
+does the same sweep exactly: it enumerates every divisor factorization of
+``P`` crossed with the 2.5D ancestor-replication factor
+(:mod:`repro.tune.space`), measures every executable candidate by its
+plan's own per-rank volume (:mod:`repro.tune.evaluate` — no simulator),
+reports the closed-form prediction seeded by the *measured* separator
+exponent beside each measurement, and picks the smallest measured volume
+(:mod:`repro.tune.search`). Results persist in a pattern-fingerprint-keyed
+JSON cache (:mod:`repro.tune.cache`) that the factorization service
+consults to auto-adopt tuned grids on warm requests.
 """
 
-from repro.tune.autotune import (
-    GridSuggestion,
-    classify_geometry,
-    estimate_separator_exponent,
-    suggest_grid,
-)
 from repro.tune.cache import TuneCache, tune_key
 from repro.tune.evaluate import (
     CandidateResult,
     Evaluator,
     MatrixProfile,
+    classify_geometry,
+    estimate_separator_exponent,
     predicted_words,
 )
 from repro.tune.search import TuneResult, autotune_grid
@@ -43,10 +34,8 @@ from repro.tune.space import (
 )
 
 __all__ = [
-    "GridSuggestion",
     "classify_geometry",
     "estimate_separator_exponent",
-    "suggest_grid",
     "TuneCandidate",
     "divisors",
     "factor_triples",

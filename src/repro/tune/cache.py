@@ -1,16 +1,18 @@
 """On-disk tuning cache, keyed by sparsity-pattern fingerprint.
 
-A tuning session costs several cost-only simulations; its *result* is a
-pure function of (sparsity pattern, P, symbolic knobs, plan-relevant
-options) — the same identity insight the factorization service's
-:class:`~repro.service.cache.PlanCache` is built on, so the key reuses
-:func:`repro.service.cache.pattern_fingerprint` verbatim. The cache is a
-human-readable JSON file, safe to commit next to benchmark outputs, and
-is what lets the service layer auto-adopt a tuned grid the next time the
-same pattern arrives (see ``FactorizationService(tune_cache=...)``).
+A tuning session builds one plan per executable candidate; its *result*
+is a pure function of (sparsity pattern, P, symbolic knobs, plan-relevant
+options, search space) — the same identity insight the factorization
+service's :class:`~repro.service.cache.PlanCache` is built on, so the key
+reuses :func:`repro.service.cache.pattern_fingerprint` verbatim. The cache
+is a human-readable JSON file, safe to commit next to benchmark outputs,
+and is what lets the service layer auto-adopt a tuned grid the next time
+the same pattern arrives (see ``FactorizationService(tune_cache=...)``).
 
-Writes are atomic (temp file + rename) so a crashed tuning run never
-truncates previous results.
+Entries are stored in the order they were written, latest last, so any
+reader — a later process included — finds the most recent result for a
+pattern. Writes are atomic (temp file + rename) so a crashed tuning run
+never truncates previous results.
 """
 
 from __future__ import annotations
@@ -27,17 +29,22 @@ from repro.tune.search import TuneResult
 
 __all__ = ["TuneCache", "tune_key"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def tune_key(A: sp.spmatrix, P: int, *, leaf_size: int = 64,
-             options=None) -> str:
+             options=None, max_blocks: tuple = (None,),
+             c_values: tuple | None = None,
+             blockings: tuple = ("uniform",)) -> str:
     """The cache key of one tuning result: pattern fingerprint x ranks x
-    the knobs that change what a tuning session would measure."""
+    the knobs that change what a tuning session would measure, its search
+    space included."""
     from repro.plan.replay import plan_options_key
     opts_part = "default" if options is None \
         else ",".join(str(v) for v in plan_options_key(options))
-    return f"{pattern_fingerprint(A)}:P{P}:leaf{leaf_size}:{opts_part}"
+    cs = "all" if c_values is None else ",".join(map(str, c_values))
+    space = f"mb{','.join(map(str, max_blocks))}:c{cs}:{','.join(blockings)}"
+    return f"{pattern_fingerprint(A)}:P{P}:leaf{leaf_size}:{opts_part}:{space}"
 
 
 class TuneCache:
@@ -71,9 +78,9 @@ class TuneCache:
         return self._data
 
     def _save(self) -> None:
+        # Insertion order is the recency order: no sort_keys.
         payload = json.dumps({"version": _FORMAT_VERSION,
-                              "results": self._data}, indent=1,
-                             sort_keys=True)
+                              "results": self._data}, indent=1)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.path.parent,
                                    prefix=self.path.name, suffix=".tmp")
@@ -88,11 +95,10 @@ class TuneCache:
 
     # -- client API --------------------------------------------------------
 
-    def get(self, A: sp.spmatrix, P: int, *, leaf_size: int = 64,
-            options=None) -> TuneResult | None:
-        """The cached :class:`TuneResult` for this configuration, if any."""
-        entry = self._load().get(tune_key(A, P, leaf_size=leaf_size,
-                                          options=options))
+    def get(self, A: sp.spmatrix, P: int, **key) -> TuneResult | None:
+        """The cached :class:`TuneResult` for this configuration, if any
+        (``key``: :func:`tune_key`'s keyword arguments)."""
+        entry = self._load().get(tune_key(A, P, **key))
         return TuneResult.from_dict(entry) if entry is not None else None
 
     def get_by_fingerprint(self, fingerprint: str) -> TuneResult | None:
@@ -105,11 +111,13 @@ class TuneCache:
                 best = entry
         return TuneResult.from_dict(best) if best is not None else None
 
-    def put(self, A: sp.spmatrix, result: TuneResult, *,
-            leaf_size: int = 64, options=None) -> None:
+    def put(self, A: sp.spmatrix, result: TuneResult, **key) -> None:
+        """Store ``result`` as the most recent entry (``key``:
+        :func:`tune_key`'s keyword arguments)."""
         data = self._load()
-        data[tune_key(A, result.P, leaf_size=leaf_size,
-                      options=options)] = result.to_dict()
+        k = tune_key(A, result.P, **key)
+        data.pop(k, None)
+        data[k] = result.to_dict()
         self._save()
 
     def __len__(self) -> int:

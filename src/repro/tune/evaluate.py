@@ -1,31 +1,31 @@
-"""Candidate scoring: closed-form model prediction + simulator validation.
+"""Candidate scoring: the plan's own volume, with the closed form reported
+beside it.
 
-Two tiers, mirroring how the paper itself argues:
-
+* :class:`Evaluator` measures a candidate by *building its plan*: the
+  level schedule :func:`~repro.plan.build.build_3d_plan` emits for the
+  candidate's grid, reduced by :meth:`~repro.plan.tasks.Plan3D.volume` to
+  the critical-path per-process volume (Fig. 10's ``W_total``) — bit for
+  bit what a cost-only ``factor_3d`` books into a simulator, without one.
+  The symbolic phase is cached per supernode cap and blocking, partitions
+  per ``(cap, blocking, Pz)``.
 * :func:`predicted_words` prices a candidate with the Section IV closed
   forms (Eq. 7 + Eq. 10 for planar separators, the Table II non-planar
   expression otherwise), *seeded by the measured separator exponent* of
-  the actual matrix — the regime choice is data-driven, not asserted.
-  The 2.5D generalization enters exactly where Section VII says it does:
-  the replicated-top term is divided by the replication factor ``c``
+  the actual matrix (:func:`estimate_separator_exponent`). The 2.5D
+  generalization enters exactly where Section VII says it does: the
+  replicated-top term is divided by the replication factor ``c``
   (per-rank ancestor traffic ``D/(c·sqrt(P_XY))``), while subtree and
   z-reduction terms are untouched. Skewed 2D layers pay the classical
   aspect penalty ``(1/Px + 1/Py)·sqrt(P_XY)/2 >= 1`` (panel broadcasts
   travel rows *and* columns, so a ``1xN`` layer is strictly worse than a
   square one of equal size).
-* :class:`Evaluator` validates a candidate by *running it*: a real
-  cost-only plan through the simulator, with the symbolic phase cached
-  per supernode cap, partitions cached per ``(cap, Pz)``, and the built
-  :class:`~repro.plan.replay.PlanBundle` cached per candidate so
-  re-measurement replays instead of rebuilding. Measured cost is the
-  critical-path per-process volume (Fig. 10's ``W_total``), the same
-  quantity the model predicts.
 
-Predictions are asymptotic shapes, not word counts — the search uses
-them only to *rank* candidates before spending simulator budget, and
-:class:`CandidateResult.model_error` records how far each validated
-prediction was off (after per-run normalization, see
-:meth:`repro.tune.search.TuneResult`).
+Predictions are asymptotic shapes, not word counts, and the only score a
+non-power-of-two ``Pz`` (which no plan can run) gets. The search never
+chooses by them: they are a reported column, and
+:attr:`CandidateResult.model_error` records how far each measured
+candidate's prediction was off (after per-run normalization, see
+:func:`repro.tune.search.autotune_grid`).
 """
 
 from __future__ import annotations
@@ -35,22 +35,71 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from repro.analysis.metrics import FactorizationMetrics
 from repro.comm.grid import ProcessGrid3D
-from repro.comm.machine import Machine
-from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
-from repro.lu3d.factor3d import factor_3d
 from repro.model.nonplanar import KAPPA1_DEFAULT
 from repro.model.planar import volume_3d_planar_z
+from repro.ordering.nested_dissection import nested_dissection
+from repro.plan import build_3d_plan
 from repro.sparse.generators import GridGeometry
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
-from repro.tune.autotune import classify_geometry, estimate_separator_exponent
 from repro.tune.space import TuneCandidate
 
-__all__ = ["MatrixProfile", "CandidateResult", "predicted_words",
+__all__ = ["classify_geometry", "estimate_separator_exponent",
+           "MatrixProfile", "CandidateResult", "predicted_words",
            "Evaluator"]
+
+PLANAR_SIGMA_MAX = 0.55
+NONPLANAR_SIGMA_MIN = 0.60
+
+
+def estimate_separator_exponent(A: sp.spmatrix,
+                                geometry: GridGeometry | None = None,
+                                leaf_size: int = 64,
+                                min_region: int = 64) -> float:
+    """Estimate ``sigma`` in ``separator ~ region^sigma`` on ``A``'s own
+    dissection tree.
+
+    Section IV's regimes are separator growth: ``sigma = 1/2`` for planar
+    graphs (Lipton-Tarjan), ``2/3`` for well-shaped 3D meshes. Each
+    branching node with a region of at least ``min_region`` vertices
+    contributes its pointwise exponent ``log(sep)/log(region)``; the
+    estimate is the *median* of those, which is far more robust at modest
+    problem sizes than a global log-log regression (separator sizes are
+    small discrete integers with aspect-ratio wobble level to level).
+    Calibration on the generator families: 2D grids/circuits measure
+    0.43-0.49, 3D bricks and the KKT proxy 0.62-0.65, thin slabs ~0.58 —
+    the intermediate, ldoor-like band. The tree is built without a
+    supernode cap so each internal node owns one whole separator. Fewer
+    than 3 samples (a tiny problem, where any ``Pz`` works) read as planar,
+    0.5.
+    """
+    tree = nested_dissection(A, geometry, leaf_size=leaf_size,
+                             max_block=None)
+    # Subtree vertex counts in one postorder pass.
+    region = np.array([node.size for node in tree.nodes], dtype=np.int64)
+    for v in range(tree.nblocks):
+        p = int(tree.parent[v])
+        if p != -1:
+            region[p] += region[v]
+    vals = [np.log(node.size) / np.log(region[v])
+            for v, node in enumerate(tree.nodes)
+            if len(node.children) >= 2 and region[v] >= min_region]
+    return float(np.median(vals)) if len(vals) >= 3 else 0.5
+
+
+def classify_geometry(sigma: float) -> str:
+    """Map a separator exponent to the paper's regimes: ``planar``
+    (Eq. 8's ``Pz* = log2(n)/2``), ``non-planar`` (Section IV-C's constant
+    optimum) or ``intermediate`` in between."""
+    if not np.isfinite(sigma):
+        raise ValueError("sigma must be finite")
+    if sigma < PLANAR_SIGMA_MAX:
+        return "planar"
+    if sigma > NONPLANAR_SIGMA_MIN:
+        return "non-planar"
+    return "intermediate"
 
 
 @dataclass(frozen=True)
@@ -94,7 +143,7 @@ def _nonplanar_words(n: int, P: int, pz: int, c: int,
 
 def predicted_words(cand: TuneCandidate, profile: MatrixProfile) -> float:
     """Closed-form per-process communication volume of ``cand`` (model
-    units — meaningful for ranking, not as absolute word counts)."""
+    units — a shape to compare with the measurement, not a word count)."""
     n, P, pz, c = profile.n, cand.total, cand.pz, cand.c
     if profile.classification == "planar":
         w = _planar_words(n, P, pz, c)
@@ -108,13 +157,12 @@ def predicted_words(cand: TuneCandidate, profile: MatrixProfile) -> float:
 
 @dataclass
 class CandidateResult:
-    """One candidate's scores: model prediction, and — when simulator
-    budget was spent on it — the measured cost-only run."""
+    """One candidate's scores: the model prediction, and — for every
+    executable candidate — the measured plan volume."""
 
     candidate: TuneCandidate
     predicted_words: float
     measured_words: float | None = None     # critical-path W_total
-    measured_makespan: float | None = None
     #: measured / (normalizer · predicted); populated by the search once
     #: the run's normalizer is known. 1.0 = the model was exact.
     model_error: float | None = None
@@ -127,35 +175,27 @@ class CandidateResult:
         return {"candidate": self.candidate.to_dict(),
                 "predicted_words": self.predicted_words,
                 "measured_words": self.measured_words,
-                "measured_makespan": self.measured_makespan,
                 "model_error": self.model_error}
 
 
 class Evaluator:
-    """Runs candidates as real cost-only simulations, with caching.
+    """Measures candidates by their plans' volume, sharing the analysis.
 
-    The symbolic factorization is computed once per supernode cap, the
-    tree-forest partition once per ``(cap, Pz)``, and each candidate's
-    first run deposits its :class:`~repro.plan.replay.PlanBundle` so a
-    re-measurement replays the cached plan instead of rebuilding it —
-    the same amortization the factorization service uses, scoped to one
-    tuning session.
+    The symbolic factorization is computed once per supernode cap and
+    blocking, the tree-forest partition once per ``(cap, blocking, Pz)``;
+    each measurement then builds one plan.
     """
 
     def __init__(self, A: sp.spmatrix, geometry: GridGeometry | None = None,
                  *, leaf_size: int = 64, default_max_block: int | None = 256,
-                 machine: Machine | None = None,
                  options: FactorOptions | None = None):
         self.A = A
         self.geometry = geometry
         self.leaf_size = leaf_size
         self.default_max_block = default_max_block
-        self.machine = machine or Machine.edison_like()
         self.options = options or FactorOptions()
-        self._sf: dict[object, object] = {}
+        self._sf: dict[tuple, object] = {}
         self._tf: dict[tuple, object] = {}
-        self._bundles: dict[TuneCandidate, object] = {}
-        self.runs = 0
 
     def sf_for(self, max_block: int | None, blocking: str = "uniform"):
         cap = self.default_max_block if max_block is None else max_block
@@ -175,32 +215,21 @@ class Evaluator:
                 self.sf_for(max_block, blocking), pz)
         return self._tf[key]
 
-    def measure(self, cand: TuneCandidate) -> FactorizationMetrics:
-        """Execute ``cand`` cost-only and return its metrics."""
+    def measure(self, cand: TuneCandidate) -> float:
+        """Fig. 10's ``W_total`` of ``cand``: the largest per-rank words of
+        the factorization phase plus the largest of the reduction phase,
+        from its plan's :meth:`~repro.plan.tasks.Plan3D.volume` — what
+        ``FactorizationMetrics.w_total_max`` reads off a cost-only run."""
         if not cand.executable:
             raise ValueError(f"candidate {cand.label} is not executable "
                              "(Pz must be a power of two); it can only be "
                              "model-scored")
-        sf = self.sf_for(cand.max_block, cand.blocking)
-        tf = self.tf_for(cand.max_block, cand.pz, cand.blocking)
         grid3 = ProcessGrid3D(cand.px, cand.py, cand.pz)
         opts = replace(self.options, ancestor_replication=cand.c,
                        blocking=cand.blocking)
-        sim = Simulator(grid3.size, self.machine)
-        res = factor_3d(sf, tf, grid3, sim, numeric=False, options=opts,
-                        cached=self._bundles.get(cand))
-        self._bundles[cand] = res.bundle
-        self.runs += 1
-        return FactorizationMetrics.from_simulator(sim)
-
-    def score(self, cand: TuneCandidate, profile: MatrixProfile,
-              validate: bool = False) -> CandidateResult:
-        """Model-score ``cand``; optionally also run it in the simulator."""
-        result = CandidateResult(candidate=cand,
-                                 predicted_words=predicted_words(cand,
-                                                                 profile))
-        if validate:
-            m = self.measure(cand)
-            result.measured_words = m.w_total_max
-            result.measured_makespan = m.makespan
-        return result
+        plan = build_3d_plan(self.sf_for(cand.max_block, cand.blocking),
+                             self.tf_for(cand.max_block, cand.pz,
+                                         cand.blocking), grid3, opts)
+        vol = plan.volume(grid3.size)
+        return float(vol.words_per_rank("fact").max()
+                     + vol.words_per_rank("red").max())

@@ -1,4 +1,4 @@
-"""Ledger-validated configuration search over the (Px, Py, Pz, c) space.
+"""Configuration search over the (Px, Py, Pz, c, max_block, blocking) space.
 
 :func:`autotune_grid` is the tuner's entry point:
 
@@ -7,20 +7,19 @@
    score.
 2. **Enumerate** — all divisor factorizations of ``P`` crossed with the
    2.5D replication factor (:func:`repro.tune.space.enumerate_candidates`).
-3. **Rank** — score every candidate with the closed-form model; this is
-   free and covers shapes the simulator cannot even run (non-power-of-two
-   ``Pz``).
-4. **Validate** — spend the evaluation ``budget`` executing the top-ranked
-   *executable* candidates as real cost-only plans, plus the naive
-   near-square ``Pz = 1`` baseline (always validated, so the reported
-   improvement is measured-vs-measured, never model-vs-model).
-5. **Choose** — the validated candidate with the smallest measured
-   critical-path volume; ties break toward the model's preference.
+3. **Score** — every *executable* candidate (power-of-two ``Pz``) is
+   measured by its plan's own volume
+   (:meth:`~repro.tune.evaluate.Evaluator.measure`); every candidate,
+   executable or not, also gets its closed-form prediction. The naive
+   near-square ``Pz = 1`` grid is always measured, so the reported
+   improvement is measured-vs-measured, never model-vs-model.
+4. **Choose** — the candidate with the smallest measured critical-path
+   volume; ties break toward the model's preference.
 
 The per-candidate model error (measured / normalized prediction) is
 reported so benchmark plots can show where the asymptotic forms and the
-simulated schedule part ways — the crossover datum Table II's
-constant-factor claims hinge on.
+schedule part ways — the crossover datum Table II's constant-factor claims
+hinge on.
 """
 
 from __future__ import annotations
@@ -31,10 +30,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.comm.grid import near_square_grid
-from repro.comm.machine import Machine
 from repro.lu2d.options import FactorOptions
 from repro.sparse.generators import GridGeometry
-from repro.tune.evaluate import CandidateResult, Evaluator, MatrixProfile
+from repro.tune.evaluate import (
+    CandidateResult,
+    Evaluator,
+    MatrixProfile,
+    predicted_words,
+)
 from repro.tune.space import TuneCandidate, enumerate_candidates
 from repro.utils import check_positive_int
 
@@ -45,11 +48,10 @@ __all__ = ["TuneResult", "autotune_grid"]
 class TuneResult:
     """Everything one tuning session learned.
 
-    ``candidates`` holds every scored candidate (validated ones carry
-    measured numbers), ranked by the search's final preference —
-    measured cost first, model score for the rest. ``chosen`` is the
-    winner; ``baseline`` the naive near-square ``Pz = 1`` grid every
-    improvement is quoted against.
+    ``candidates`` holds every scored candidate, measured ones first in
+    order of measured cost, then the model-only ones in order of
+    prediction. ``chosen`` is the winner; ``baseline`` the naive
+    near-square ``Pz = 1`` grid every improvement is quoted against.
     """
 
     P: int
@@ -59,10 +61,9 @@ class TuneResult:
     chosen: TuneCandidate
     baseline: CandidateResult
     candidates: list[CandidateResult] = field(default_factory=list)
-    evaluations: int = 0
-    #: Geometric mean over validated candidates of measured/normalized-
+    #: Geometric mean over measured candidates of measured/normalized-
     #: predicted volume — 1.0 means the seeded model ranked in exactly
-    #: the simulator's proportions.
+    #: the schedule's proportions.
     model_error_geomean: float = 1.0
 
     @property
@@ -93,7 +94,6 @@ class TuneResult:
                 "chosen": self.chosen.to_dict(),
                 "baseline": self.baseline.to_dict(),
                 "candidates": [r.to_dict() for r in self.candidates],
-                "evaluations": self.evaluations,
                 "model_error_geomean": self.model_error_geomean,
                 "measured_improvement": self.measured_improvement,
                 "predicted_improvement": self.predicted_improvement}
@@ -105,38 +105,38 @@ class TuneResult:
                 candidate=TuneCandidate.from_dict(rd["candidate"]),
                 predicted_words=float(rd["predicted_words"]),
                 measured_words=rd.get("measured_words"),
-                measured_makespan=rd.get("measured_makespan"),
                 model_error=rd.get("model_error"))
         return cls(P=int(d["P"]), n=int(d["n"]), sigma=float(d["sigma"]),
                    classification=d["classification"],
                    chosen=TuneCandidate.from_dict(d["chosen"]),
                    baseline=_res(d["baseline"]),
                    candidates=[_res(rd) for rd in d["candidates"]],
-                   evaluations=int(d.get("evaluations", 0)),
                    model_error_geomean=float(
                        d.get("model_error_geomean", 1.0)))
 
     def summary(self) -> str:
         ch = self.chosen_result
+        measured = sum(r.validated for r in self.candidates)
         lines = [
             f"tuned {self.P} ranks (sigma={self.sigma:.2f}, "
-            f"{self.classification}): chose {self.chosen.label} after "
-            f"{self.evaluations} simulator runs",
+            f"{self.classification}): chose {self.chosen.label} of "
+            f"{measured} measured candidates "
+            f"({len(self.candidates) - measured} model-only)",
             f"  measured words: {ch.measured_words:.3g} vs baseline "
             f"{self.baseline.measured_words:.3g} "
             f"({self.measured_improvement:.2f}x better)",
-            f"  model error (geomean over validated): "
+            f"  model error (geomean over measured): "
             f"{self.model_error_geomean:.2f}",
         ]
         return "\n".join(lines)
 
 
 def _normalize_errors(results: list[CandidateResult]) -> float:
-    """Fill ``model_error`` on validated results; return the geomean.
+    """Fill ``model_error`` on measured results; return the geomean.
 
     Predictions are asymptotic shapes, so a single scale factor between
-    model units and simulated words is legitimate; it is chosen as the
-    geometric-mean ratio over the validated set, making the per-candidate
+    model units and plan words is legitimate; it is chosen as the
+    geometric-mean ratio over the measured set, making the per-candidate
     errors pure *shape* disagreement.
     """
     val = [r for r in results
@@ -159,71 +159,48 @@ def autotune_grid(A: sp.spmatrix, P: int,
                   max_blocks: tuple[int | None, ...] = (None,),
                   c_values: tuple[int, ...] | None = None,
                   blockings: tuple[str, ...] = ("uniform",),
-                  budget: int = 8,
-                  machine: Machine | None = None,
                   options: FactorOptions | None = None,
                   cache=None) -> TuneResult:
     """Search ``(Px, Py, Pz, c, max_block, blocking)`` for factoring ``A``
-    on ``P`` ranks; returns the ledger-validated :class:`TuneResult`.
+    on ``P`` ranks; returns the measured :class:`TuneResult`.
 
-    ``budget`` caps the number of cost-only simulator executions (the
-    baseline's run is counted inside it; at least 2 are needed to
-    validate anything beyond the baseline). ``cache`` (a
-    :class:`repro.tune.cache.TuneCache`) is consulted first and updated
-    with the fresh result.
+    ``cache`` (a :class:`repro.tune.cache.TuneCache`) is consulted first
+    and updated with the fresh result.
     """
     P = check_positive_int(P, "P")
-    budget = check_positive_int(budget, "budget")
+    space = dict(max_blocks=max_blocks, c_values=c_values,
+                 blockings=blockings)
+    key = dict(space, leaf_size=leaf_size, options=options)
     if cache is not None:
-        hit = cache.get(A, P, leaf_size=leaf_size, options=options)
+        hit = cache.get(A, P, **key)
         if hit is not None:
             return hit
 
     profile = MatrixProfile.measure(A, geometry, leaf_size=leaf_size)
-    ev = Evaluator(A, geometry, leaf_size=leaf_size, machine=machine,
-                   options=options)
+    ev = Evaluator(A, geometry, leaf_size=leaf_size, options=options)
 
-    results = [ev.score(c, profile)
-               for c in enumerate_candidates(P, max_blocks=max_blocks,
-                                             c_values=c_values,
-                                             blockings=blockings)]
-    results.sort(key=lambda r: r.predicted_words)
+    def score(cand: TuneCandidate) -> CandidateResult:
+        return CandidateResult(
+            cand, predicted_words(cand, profile),
+            ev.measure(cand) if cand.executable else None)
 
+    results = [score(c) for c in enumerate_candidates(P, **space)]
     # The naive near-square Pz=1 grid: always measured, so improvements
-    # are quoted against a real run.
+    # are quoted against a real plan even when the space excludes it.
     bx, by = near_square_grid(P)
-    naive = TuneCandidate(px=bx, py=by, pz=1, c=1)
-    baseline = None
-    for r in results:
-        if r.candidate == naive:
-            baseline = r
-            break
-    if baseline is None:  # pragma: no cover - naive is always enumerated
-        baseline = ev.score(naive, profile)
+    naive = TuneCandidate(px=bx, py=by, pz=1)
+    baseline = next((r for r in results if r.candidate == naive), None)
+    if baseline is None:
+        baseline = score(naive)
         results.append(baseline)
 
-    to_validate = [baseline] + [
-        r for r in results
-        if r is not baseline and r.candidate.executable][:max(budget - 1, 0)]
-    for r in to_validate:
-        if ev.runs >= budget and r is not baseline:
-            break
-        m = ev.measure(r.candidate)
-        r.measured_words = m.w_total_max
-        r.measured_makespan = m.makespan
-
     geomean = _normalize_errors(results)
-    validated = [r for r in results if r.validated]
-    winner = min(validated, key=lambda r: (r.measured_words,
-                                           r.predicted_words))
-    results.sort(key=lambda r: (not r.validated,
-                                r.measured_words
-                                if r.validated else r.predicted_words))
+    results.sort(key=lambda r: (not r.validated, r.measured_words or 0.0,
+                                r.predicted_words))
     out = TuneResult(P=P, n=profile.n, sigma=profile.sigma,
                      classification=profile.classification,
-                     chosen=winner.candidate, baseline=baseline,
-                     candidates=results, evaluations=ev.runs,
-                     model_error_geomean=geomean)
+                     chosen=results[0].candidate, baseline=baseline,
+                     candidates=results, model_error_geomean=geomean)
     if cache is not None:
-        cache.put(A, out, leaf_size=leaf_size, options=options)
+        cache.put(A, out, **key)
     return out

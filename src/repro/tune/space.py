@@ -12,10 +12,10 @@ supernode cap.
 Not every candidate is *executable*: Algorithm 1's pairwise
 Ancestor-Reduction needs a power-of-two ``Pz`` (``ProcessGrid3D`` and
 ``TreeForest`` enforce it), so non-power-of-two depths can be scored by
-the closed-form model but never validated in the simulator.
+the closed-form model but have no plan to measure.
 :attr:`TuneCandidate.executable` records the distinction; the search
-(:mod:`repro.tune.search`) only spends simulator budget on executable
-candidates and reports the rest as model-only.
+(:mod:`repro.tune.search`) measures every executable candidate and
+reports the rest as model-only.
 """
 
 from __future__ import annotations

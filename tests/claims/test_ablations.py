@@ -2,7 +2,6 @@
 swept against its alternatives on the Table III proxies at 96 ranks."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
 from repro.experiments import (
@@ -147,7 +146,6 @@ def test_greedy_vs_naive_partition(suite):
     assert t["greedy"] <= t["naive"] * 1.05
 
 
-@pytest.mark.slow
 def test_optimal_pz_rule(suite):
     """Section IV-B/C: Eq. (8)'s Pz* = log2(n)/2 minimizes the *asymptotic*
     factorization-phase model; the paper's own measurements put the finite-n

@@ -14,7 +14,7 @@ from repro.experiments.fig9 import headline_speedups, run_fig9
 from repro.experiments.scaling import run_scaling, scaling_text
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
-from tests.claims.conftest import P, SCALE
+from tests.claims.conftest import P
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,6 @@ def fig9_64nodes(suite):
     return run_fig9(P=4 * P, suite=suite)
 
 
-@pytest.mark.slow
 def test_table2_asymptotics():
     """Every fitted log-log exponent of per-process M / W / L is within 0.25
     of its model's (the closed forms carry log factors, so exact power-law
@@ -50,11 +49,10 @@ def test_table2_asymptotics():
                    - by[(problem, "3D", "M")].measured_exponent) < 0.2
 
 
-@pytest.mark.slow
-def test_table3_suite():
+def test_table3_suite(suite):
     """The structure of Table III: the class split, nnz/n per class, and
     the fill asymmetry between planar and non-planar matrices."""
-    rows = run_table3(scale=SCALE)
+    rows = run_table3(suite=suite)
     assert len(rows) == 10
     assert sum(r.planar for r in rows) == 4
 
@@ -160,7 +158,6 @@ def test_fig10_comm_volume(suite):
     assert gain_16 < 1.25 * gain_8, "expected W_total flattening at Pz=16"
 
 
-@pytest.mark.slow
 def test_fig11_memory_overhead(suite):
     """Fig. 11: replication overhead grows with Pz, stays cheap for planar
     matrices (paper ~30% for K2D5pt4096 at Pz=16) and is extreme for
@@ -189,13 +186,12 @@ def test_fig11_memory_overhead(suite):
     assert hi / max(lo, 1.0) > 3.0, f"spread too narrow: {lo:.0f}%..{hi:.0f}%"
 
 
-@pytest.mark.slow
-def test_fig12_heatmap():
+def test_fig12_heatmap(suite):
     """Fig. 12 + Section V-F: the best configuration of both matrices has
     Pz > 1; at a fixed rank budget the planar matrix prefers at least as
     much depth as the non-planar one; performance keeps growing with total
     ranks along each ridge."""
-    heatmaps = run_fig12(scale=SCALE)
+    heatmaps = run_fig12(suite=suite)
     by = {hm.matrix: hm for hm in heatmaps}
     k2d, nlp = by["K2D5pt4096"], by["nlpkkt80"]
 

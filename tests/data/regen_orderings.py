@@ -79,7 +79,7 @@ def _disconnected():
 
 def matrices():
     """``name -> (A, geometry | None)``, built lazily."""
-    for name in fixture_names("vendored"):
+    for name in fixture_names():
         yield name, lambda name=name: (load_fixture(name)[0], None)
     yield "circuit_24", lambda: (circuit_like(24)[0], None)
     yield "circuit_48", lambda: (circuit_like(48)[0], None)

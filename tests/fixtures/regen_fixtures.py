@@ -48,10 +48,9 @@ def main() -> None:
         B, _ = load_fixture(name)
         assert B.shape == A.shape and B.nnz == A.nnz, name
         print(f"{path.name}: n={A.shape[0]} nnz={A.nnz}")
-    missing = [n for n, f in FIXTURES.items()
-               if f.source == "vendored" and n not in BUILDERS]
+    missing = [n for n in FIXTURES if n not in BUILDERS]
     if missing:
-        raise SystemExit(f"vendored fixtures without builders: {missing}")
+        raise SystemExit(f"fixtures without builders: {missing}")
 
 
 if __name__ == "__main__":

@@ -85,13 +85,32 @@ class TestSweep:
             main(["sweep", str(mtx), "--P", "9", "--pz", "2,4"])
 
 
-class TestSuggest:
-    def test_planar_suggestion(self, mtx, capsys):
-        rc = main(["suggest", str(mtx), "--grid", "16,16", "--P", "24"])
+class TestTune:
+    def test_table_and_cache(self, mtx, tmp_path, capsys):
+        cache = tmp_path / "tune.json"
+        rc = main(["tune", str(mtx), "--grid", "16,16", "--P", "12",
+                   "--leaf-size", "32", "--cache", str(cache)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "matrix class" in out
-        assert "suggested" in out
+        assert "of 10 measured candidates (11 model-only)" in out
+        assert "model-only" in out and "measured W/rank" in out
+        assert cache.is_file() and "1 entries" in out
+
+    def test_budget_flag_is_gone(self, mtx):
+        with pytest.raises(SystemExit):
+            main(["tune", str(mtx), "--budget", "6"])
+
+
+class TestSolveAutoGrid:
+    def test_grid_auto_adopts_the_tuned_shape(self, mtx, capsys):
+        rc = main(["solve", str(mtx), "--grid", "auto", "--P", "8",
+                   "--leaf-size", "32"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        line = next(s for s in out.splitlines() if s.startswith("auto grid"))
+        shape = line.split()[2]             # "PxxPyxPz" of the chosen label
+        assert f"grid {shape}  algorithm=LU" in out
+        assert "relative residual" in out
 
 
 class TestReport:

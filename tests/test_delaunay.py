@@ -5,7 +5,7 @@ import pytest
 
 from repro import SparseLU3D
 from repro.sparse import delaunay_mesh_2d, structural_symmetry
-from repro.tune import estimate_separator_exponent, suggest_grid
+from repro.tune import classify_geometry, estimate_separator_exponent
 
 
 class TestDelaunayMesh:
@@ -42,8 +42,7 @@ class TestDelaunayMesh:
         A, _ = delaunay_mesh_2d(1500, seed=1)
         sigma = estimate_separator_exponent(A)
         assert sigma < 0.60
-        s = suggest_grid(A, 64)
-        assert s.classification in ("planar", "intermediate")
+        assert classify_geometry(sigma) in ("planar", "intermediate")
 
     def test_solves_through_graph_nd(self):
         """End-to-end on the general-graph (BFS-separator) pipeline."""

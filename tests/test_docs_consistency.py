@@ -102,8 +102,8 @@ class TestCrossReferences:
     def test_api_doc_names_importable(self):
         """Spot-check the API reference's headline symbols."""
         import repro
-        for name in ("SparseLU3D", "SparseCholesky3D", "suggest_grid",
-                     "factor_3d", "factor_2d", "Machine", "Simulator",
+        for name in ("SparseLU3D", "SparseCholesky3D", "factor_3d",
+                     "factor_2d", "Machine", "Simulator",
                      "delaunay_mesh_2d", "nested_dissection",
                      "symbolic_factorize", "greedy_partition"):
             assert hasattr(repro, name), f"repro.{name} missing"
@@ -149,6 +149,8 @@ class TestCrossReferences:
         "lu3d/dense25", "lu3d.dense25", "--no-compile",
         "GridStoreView", "HomeView", "panel_numeric", "schur_numeric",
         "ShmBlockView", "add_dirty_hook", "mark_dirty",
+        "suggest_grid", "GridSuggestion", "_snap_pz", "--tune-budget",
+        "REPRO_FIXTURE",
     )
 
     def test_no_deleted_name_survives(self):
@@ -403,6 +405,14 @@ class TestPublicApiHygiene:
         assert mod.__all__, f"{pkg} exports nothing"
         for name in mod.__all__:
             assert hasattr(mod, name), f"{pkg}.{name} missing"
+
+    def test_no_environment_variable_readers(self):
+        """No mode, path or switch of the program comes from the
+        environment: ``os.environ`` / ``getenv`` appear nowhere in
+        ``src/``."""
+        for path in (ROOT / "src").rglob("*.py"):
+            text = path.read_text()
+            assert "os.environ" not in text and "getenv" not in text, path
 
     def test_every_module_has_docstring(self):
         for path in (ROOT / "src" / "repro").rglob("*.py"):

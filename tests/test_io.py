@@ -1,6 +1,6 @@
 """Tests for Matrix-Market I/O and the real-matrix fixture pipeline.
 
-The reader edge cases mirror what SuiteSparse downloads actually contain
+The reader edge cases mirror what SuiteSparse files actually contain
 (comments, blank lines, CRLF, gzip, pattern/symmetric storage) and what
 corruption looks like (out-of-range indices, truncated entry lists) —
 each pinned to a ValueError, never a silently wrong matrix.
@@ -16,6 +16,7 @@ from repro.sparse import (
     FIXTURES,
     FixtureUnavailable,
     fixture_names,
+    fixtures,
     grid2d_5pt,
     load_fixture,
     read_matrix_market,
@@ -215,19 +216,17 @@ class TestReaderEdgeCases:
 
 
 class TestFixtures:
-    """The vendored fixture pipeline (download path covered in CI only)."""
+    """The vendored fixture pipeline."""
 
     def test_registry_names(self):
-        assert set(fixture_names("vendored")) <= set(fixture_names())
-        assert "arrowhead_200" in fixture_names("vendored")
-        assert "bcspwr03" in fixture_names("suitesparse")
+        assert fixture_names() == sorted(FIXTURES)
+        assert "arrowhead_200" in fixture_names()
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown fixture"):
             load_fixture("no_such_matrix")
 
-    @pytest.mark.parametrize("name", sorted(
-        n for n, f in FIXTURES.items() if f.source == "vendored"))
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_vendored_load(self, name):
         A, fx = load_fixture(name)
         assert A.shape == (fx.n, fx.n)
@@ -246,44 +245,17 @@ class TestFixtures:
 
     def test_missing_vendored_file_is_unavailable(self, tmp_path,
                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_FIXTURES_DIR", str(tmp_path / "empty"))
+        monkeypatch.setattr(fixtures, "fixtures_dir", lambda: tmp_path)
         with pytest.raises(FixtureUnavailable, match="missing"):
             load_fixture("arrowhead_200")
 
-    def test_download_disabled_is_unavailable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FIXTURE_CACHE", str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_FIXTURE_DOWNLOAD", raising=False)
-        with pytest.raises(FixtureUnavailable, match="downloads disabled"):
-            load_fixture("bcspwr03")
-
-    def test_cached_download_is_read_without_network(self, tmp_path,
-                                                     monkeypatch):
-        """A pre-populated cache short-circuits the network entirely."""
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        A, _ = grid2d_5pt(11)  # n=121 != registered 118
-        write_matrix_market(cache / "bcspwr03.mtx", A)
-        monkeypatch.setenv("REPRO_FIXTURE_CACHE", str(cache))
-        with pytest.raises(FixtureUnavailable, match="expected 118x118"):
-            load_fixture("bcspwr03")
-
     def test_shape_validated_against_registry(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        A = sp.identity(118, format="csr")
-        write_matrix_market(cache / "bcspwr03.mtx", A)
-        monkeypatch.setenv("REPRO_FIXTURE_CACHE", str(cache))
-        B, fx = load_fixture("bcspwr03")
-        assert B.shape == (118, 118) and fx.workload == "power"
-
-    @pytest.mark.network
-    def test_suitesparse_download(self, tmp_path, monkeypatch):
-        """The real download path — exercised by the non-blocking CI job;
-        offline machines skip via FixtureUnavailable."""
-        monkeypatch.setenv("REPRO_FIXTURE_CACHE", str(tmp_path / "dl"))
-        try:
-            A, fx = load_fixture("bcspwr03", allow_download=True)
-        except FixtureUnavailable as exc:
-            pytest.skip(f"offline: {exc}")
-        assert A.shape == (fx.n, fx.n)
-        assert (abs(A - A.T) > 0).nnz == 0  # power-network pattern is symmetric
+        monkeypatch.setattr(fixtures, "fixtures_dir", lambda: tmp_path)
+        A, _ = grid2d_5pt(11)  # n=121 != registered 200
+        write_matrix_market(tmp_path / "arrowhead_200.mtx", A)
+        with pytest.raises(FixtureUnavailable, match="expected 200x200"):
+            load_fixture("arrowhead_200")
+        write_matrix_market(tmp_path / "arrowhead_200.mtx",
+                            sp.identity(200, format="csr"))
+        B, fx = load_fixture("arrowhead_200")
+        assert B.shape == (200, 200) and fx.workload == "adversarial"
