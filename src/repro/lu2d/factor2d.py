@@ -9,9 +9,11 @@ in place on a :class:`repro.sparse.blockmatrix.BlockMatrix`-like store.
 Since the :mod:`repro.plan` refactor this module is a thin wrapper: it
 builds the node list's task plan (:func:`repro.plan.build.build_grid_plan`
 — which replays the Section II-F lookahead pipeline at build time),
-asks :func:`repro.plan.execmode.resolve_exec` how to run it, and hands it
-to the shared interpreter with the chosen kernel backend. The emitted
-simulator events are bit-identical to the historical imperative loop.
+asks :func:`repro.plan.execmode.resolve_exec` how to run it, and runs it
+as one level of one grid through the 3D drivers' one walk
+(:func:`repro.lu3d.factor3d._execute_plan3d`), resilience hooks
+included. The emitted simulator events are bit-identical to the
+historical imperative loop.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.lu2d.storage import allocate_factor_storage
 from repro.plan.backends import get_backend
 from repro.plan.build import build_grid_plan
 from repro.plan.execmode import resolve_exec
-from repro.plan.interpret import execute_grid_plan
+from repro.plan.tasks import Plan3D
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.utils import require_finite
 
@@ -35,15 +37,20 @@ def factor_nodes_2d(sf: SymbolicFactorization, nodes: list[int],
                     options: FactorOptions | None = None) -> Factor2DResult:
     """Factor ``nodes`` (ascending block ids) on ``grid``.
 
-    ``data`` is a mapping ``(i, j) -> ndarray`` holding this grid's copy of
-    every block the nodes touch (their panels and all Schur-update targets);
-    pass ``None`` for cost-only simulation. Blocks are overwritten with the
-    packed L\\U factors.
+    ``data`` is a :class:`~repro.sparse.blockmatrix.BlockMatrix` holding
+    this grid's copy of every block the nodes touch (their panels and all
+    Schur-update targets); pass ``None`` for cost-only simulation. Blocks
+    are overwritten with the packed L\\U factors. Without resilience any
+    mapping ``(i, j) -> ndarray`` works; a checkpoint snapshots the
+    matrix's arena.
 
     The emitted plan is stored on ``result.extras['plan']`` so callers can
     inspect the schedule (:class:`repro.analysis.PlanStats`,
     ``plan.fusion_stats()``); ``result.extras['fused']`` says whether the
-    run walked its full-width cut points.
+    run walked its full-width cut points, and
+    ``result.extras['resilience']`` holds the run's
+    :class:`repro.resilience.ResilienceStats` when the resilience engine
+    watched it.
     """
     return _factor_nodes("lu", sf, nodes, grid, sim, data, options)
 
@@ -52,6 +59,7 @@ def _factor_nodes(backend: str, sf, nodes, grid, sim, data, options
                   ) -> Factor2DResult:
     """The one 2D node driver behind the LU and Cholesky entry points:
     build the grid plan → resolve how to run it → execute."""
+    from repro.lu3d import factor3d as f3d      # it imports this package
     opts = options or FactorOptions()
     if data is not None:
         # The kernels do not scan for NaN/inf: stop them here, on every
@@ -63,15 +71,16 @@ def _factor_nodes(backend: str, sf, nodes, grid, sim, data, options
     mode = resolve_exec(opts, sim, numeric=data is not None, merged=False,
                         backend=backend)
     plan = build_grid_plan(sf, nodes, grid, opts, backend=backend)
-    if mode.monitored:
-        from repro.resilience.engine import execute_grid_plan_resilient
-        result = execute_grid_plan_resilient(plan, sf, sim, data=data,
-                                             options=opts)
-    else:
-        result = execute_grid_plan(plan, sf, sim, data=data, options=opts,
-                                   fuse=mode.fuse)
+    plan3 = Plan3D.of_grid(plan)
+    store = f3d.CostOnlyData() if data is None else f3d.GlobalStoreData(data)
+    monitor = f3d._monitor(opts, sim, plan3, sf, store)
+    result = f3d._execute_plan3d(plan3, sf, sim, f3d.Factor3DResult(tf=None),
+                                 opts, None, store, fuse=mode.fuse,
+                                 monitor=monitor)
     result.extras["plan"] = plan
     result.extras["fused"] = mode.fuse
+    if monitor is not None:
+        result.extras["resilience"] = monitor.finish()
     return result
 
 

@@ -42,8 +42,10 @@ class FactorOptions:
         A :class:`repro.resilience.FaultPlan` of deterministic faults to
         inject (``None`` / empty = fault-free: every ledger stays
         bit-identical to seed). A non-empty plan (or checkpointing)
-        routes the run through the resilience engine's serial monitored
-        walk — worker fan-out is recorded as a ``ParallelFallback``.
+        hooks the resilience engine onto every task boundary of the one
+        serial walk — worker fan-out is recorded as a
+        ``ParallelFallback``. A crash fault that no task boundary of the
+        run can match raises ``ValueError``.
     checkpoint_every:
         Take a coordinated checkpoint of the replica blocks and the plan
         walk position every this many interpreted tasks (``0`` = off).
@@ -117,7 +119,8 @@ class FactorOptions:
                              "expected 'restart' or 'z-replica'")
 
     def resilience_active(self) -> bool:
-        """Whether this run needs the monitored (serial) resilient walk."""
+        """Whether the resilience engine watches this run (serial, one
+        dispatch per task)."""
         return bool(self.fault_plan) or self.checkpoint_every > 0
 
 

@@ -24,11 +24,12 @@ grids' rank sets are disjoint. When the pool cannot engage, the run stays
 serial and records *why* on ``Factor3DResult.parallel_stats`` as a
 :class:`repro.parallel.ParallelFallback` — no silent fallbacks.
 
-How a run executes (full width or per task, monitored or not, how many
-workers) is decided once, by :func:`repro.plan.execmode.resolve_exec`; the
-standard, merged-grid and Cholesky entry points are argument bindings of
-one pipeline (:func:`_factor`): validate → acquire the plan bundle →
-charge storage → bind data → execute.
+How a run executes (full width or per task, how many workers) is decided
+once, by :func:`repro.plan.execmode.resolve_exec`; the standard,
+merged-grid and Cholesky entry points are argument bindings of one
+pipeline (:func:`_factor`): validate → acquire the plan bundle → charge
+storage → bind data → execute. :func:`_execute_plan3d` is the one
+execution walk — the 2D driver's too — and resilience is hooks on it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from repro.parallel.shm import ShmTransport
 from repro.plan.backends import get_backend
 from repro.plan.execmode import resolve_exec
 from repro.plan.interpret import (
+    Resume,
     execute_grid_plan,
     execute_reduces,
     execute_replicated,
@@ -91,9 +93,9 @@ class Factor3DResult:
     #: cut points (:attr:`repro.plan.ExecMode.fuse`); ``None`` for a
     #: width-1 run.
     compiled: object | None = None
-    #: :class:`repro.resilience.ResilienceStats` when the run went through
-    #: the resilience engine (``FactorOptions.resilience_active()``);
-    #: ``None`` for plain runs.
+    #: :class:`repro.resilience.ResilienceStats` when the resilience engine
+    #: watched the run (``FactorOptions.resilience_active()``); ``None``
+    #: for plain runs.
     resilience: object | None = None
     #: The :class:`repro.plan.PlanBundle` of pattern-only build products
     #: this run used (built cold or passed in via ``cached=``); feed it
@@ -298,23 +300,25 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
     data = _bind_data(sf, tf, result, bundle, mode, numeric=numeric,
                       merged=merged, matrix=matrix, replicas=replicas)
 
-    if mode.monitored:
-        from repro.resilience.engine import (
-            ResilienceEngine,
-            execute_plan3d_resilient,
-        )
-        rengine = ResilienceEngine(opts, sim)
-        execute_plan3d_resilient(bundle.plan3, sf, sim, result, opts, data,
-                                 rengine, _absorb_2d)
-        result.resilience = rengine.stats
-        return result
+    monitor = _monitor(opts, sim, bundle.plan3, sf, data, result)
     if mode.fuse:
         result.compiled = bundle.compiled()
     engine = ParallelExecutor(mode.n_workers, sf, opts) \
         if mode.n_workers > 1 else None
     _execute_plan3d(bundle.plan3, sf, sim, result, opts, engine, data,
-                    fuse=mode.fuse)
+                    fuse=mode.fuse, monitor=monitor)
+    if monitor is not None:
+        result.resilience = monitor.finish()
     return result
+
+
+def _monitor(opts, sim, plan3, sf, data, result3=None):
+    """The :class:`repro.resilience.ResilienceEngine` bound to this run
+    (``None``: nothing to watch; ``result3`` ``None``: a 2D run)."""
+    if not opts.resilience_active():
+        return None
+    from repro.resilience.engine import ResilienceEngine
+    return ResilienceEngine(opts, sim, plan3, sf, data, result3)
 
 
 def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, mode, *,
@@ -351,8 +355,9 @@ def _absorb_2d(result: Factor3DResult, r2d) -> None:
 def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
                     result: Factor3DResult, opts: FactorOptions,
                     engine: ParallelExecutor | None, data, *,
-                    fuse: bool = False) -> None:
-    """Walk the 3D plan level by level (shared by standard and merged).
+                    fuse: bool = False, monitor=None):
+    """Walk the plan level by level: the one execution walk of every
+    driver (standard, merged, Cholesky, and 2D as one level of one grid).
 
     ``data`` is one of the data strategies above; ``fuse`` selects the
     full-width cut points (see :func:`execute_grid_plan`). Levels with
@@ -363,10 +368,20 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
     exporting a level ends the fan-out for the rest of the run: that level
     and every later one run inline (the replicas are authoritative between
     levels, so nothing is lost) and the run records why.
+
+    Its position is ``(li, gi, ti, ctx)``: level step, grid plan, task,
+    live context. ``monitor`` (the resilience engine) sees every task
+    boundary; a crash makes :func:`execute_grid_plan` return the
+    :class:`Resume` position its recovery picked, and the walk jumps
+    there. Returns the last part's result (a one-grid plan's whole one).
     """
     fan_out = engine is not None
+    levels = plan3.levels
+    li, gi, ti, ctx = 0, 0, 0, None
+    out = None
     try:
-        for step in plan3.levels:
+        while li < len(levels):
+            step = levels[li]
             sim.set_phase("fact")
             fanned = False
             if fan_out and len(step.grid_plans) >= 2:
@@ -378,20 +393,31 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
                                f"{step.level}'s replica blocks; this and "
                                "the remaining levels ran inline",
                         requested_workers=opts.n_workers))
-            if not fanned and step.grid_plans:
-                # At full width nothing observes a grid boundary: the
-                # level is one slice. Width 1 walks grid slice by slice.
-                for part in [step] if fuse else step.grid_plans:
-                    _absorb_2d(result, execute_grid_plan(
-                        part, sf, sim, options=opts, fuse=fuse,
-                        prog=data.program(part, sf)))
-            for rep in step.replicated:
-                execute_replicated(rep, sim)
-
-            if step.level > 0:
-                sim.set_phase("red")
-                execute_reduces(step, sim, result, data.accumulate)
-            result.per_level_makespan.append(sim.makespan)
+            # At full width nothing observes a grid boundary: the level is
+            # one slice. Width 1 walks grid slice by slice.
+            parts = [step] if fuse else step.grid_plans
+            if fanned or not step.grid_plans:
+                parts = []
+            while gi < len(parts):
+                part = parts[gi]
+                if monitor is not None:
+                    monitor.enter_plan(li, gi, part)
+                out = execute_grid_plan(part, sf, sim, options=opts,
+                                        fuse=fuse, monitor=monitor, start=ti,
+                                        ctx=ctx, prog=data.program(part, sf))
+                if isinstance(out, Resume):     # a crash rewound the walk
+                    li, gi, ti, ctx = out
+                    break
+                _absorb_2d(result, out)
+                gi, ti, ctx = gi + 1, 0, None
+            else:       # the level's grids are done
+                for rep in step.replicated:
+                    execute_replicated(rep, sim)
+                if step.level > 0:
+                    sim.set_phase("red")
+                    execute_reduces(step, sim, result, data.accumulate)
+                result.per_level_makespan.append(sim.makespan)
+                li, gi = li + 1, 0
     finally:
         if engine is not None:
             engine.close()
@@ -401,6 +427,7 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
         result.parallel_stats.extend(engine.stats)
 
     sim.set_phase("fact")
+    return out
 
 
 def _fan_out_level(engine: ParallelExecutor, sf, sim: Simulator,

@@ -14,21 +14,22 @@ observed                                  outcome
 ``ancestor_replication > 1`` + resilience ``ValueError``
 ``ancestor_replication > 1`` + merged     ``ValueError``
 or a non-LU backend
-fault plan / checkpointing                monitored serial walk, width 1
-accelerator or fault injector             width-1 walk (per-task events)
-otherwise                                 full-width walk (fused runs)
 ========================================  ==================================
 
-Width is a choice of cut points over the plan's one array form
-(:mod:`repro.plan.arrays`), not of plan object or task body. A trace does
-not select it: :meth:`repro.comm.Simulator.book` issues a stream event by
+and one width rule: one dispatch per task when anything observes task
+boundaries — an accelerator, a fault injector, the resilience engine
+(fault plan / checkpointing) — else the plan's full-width runs. Width is
+a choice of cut points over the plan's one array form
+(:mod:`repro.plan.arrays`), not of plan object, task body or walk: every
+run walks :func:`repro.lu3d.factor3d._execute_plan3d`. A trace does not
+select it: :meth:`repro.comm.Simulator.book` issues a stream event by
 event under a trace, so a traced run walks the same width as an untraced
 one.
 
-and, independently, for ``n_workers != 1`` the pool engages unless the
-data is one shared global copy (merged numeric), the walk is monitored,
-the simulator cannot fork, the count resolves to one worker, or a numeric
-run finds no shared memory — each recorded as a
+Independently, for ``n_workers != 1`` the pool engages unless the data is
+one shared global copy (merged numeric), the resilience engine watches
+the run, the simulator cannot fork, the count resolves to one worker, or
+a numeric run finds no shared memory — each recorded as a
 :class:`~repro.parallel.ParallelFallback`, never silent.
 """
 
@@ -49,8 +50,6 @@ class ExecMode:
     #: Walk the plan's full-width runs (one dispatch per same-kind run)
     #: instead of one dispatch per task.
     fuse: bool
-    #: Walk serially under the resilience engine's task-boundary monitor.
-    monitored: bool
     #: Pool size for the per-level grid fan-out; ``1`` = inline levels.
     n_workers: int
     #: The simulator carries an accelerator (what plan bundles record).
@@ -63,14 +62,14 @@ def resolve_exec(opts, sim, *, numeric: bool, merged: bool,
                  backend: str) -> ExecMode:
     """Resolve ``opts`` and ``sim``'s attachments into an :class:`ExecMode`,
     or raise the typed refusal for a combination that cannot run."""
-    monitored = opts.resilience_active()
+    resilient = opts.resilience_active()
     if opts.ancestor_replication > 1:
         if numeric:
             raise NotImplementedError(
                 "2.5D ancestor factorization is a first-order cost study "
                 "(Section VII); numeric execution uses "
                 "ancestor_replication=1")
-        if monitored:
+        if resilient:
             raise ValueError(
                 "ancestor_replication > 1 emits aggregate cost sweeps with "
                 "no per-task recovery boundaries; resilience requires "
@@ -81,9 +80,9 @@ def resolve_exec(opts, sim, *, numeric: bool, merged: bool,
                 "the standard LU driver; the merged-grid variant and other "
                 f"backends keep c=1 (got merged={merged}, "
                 f"backend={backend!r})")
-    # Full-width runs coarsen what an accelerator's per-pair offload or a
-    # fault injector observes, and the monitor needs per-task boundaries.
-    fuse = not monitored and sim.accelerator is None and sim.faults is None
+    # Full-width runs coarsen what an accelerator's per-pair offload, a
+    # fault injector or the resilience engine observes at task boundaries.
+    fuse = not resilient and sim.accelerator is None and sim.faults is None
     n_workers, fallback = 1, None
     if opts.n_workers != 1:
         resolved = resolve_workers(opts.n_workers)
@@ -92,9 +91,10 @@ def resolve_exec(opts, sim, *, numeric: bool, merged: bool,
             why = ("merged numeric mode keeps a single global block copy "
                    "shared across sibling forests; grid fan-out would race "
                    "on it")
-        elif monitored:
+        elif resilient:
             why = ("resilience instrumentation (fault_plan / "
-                   "checkpoint_every) requires the serial monitored schedule")
+                   "checkpoint_every) watches every task boundary of one "
+                   "serial walk")
         elif not sim.can_fork():
             why = ("simulator cannot fork: trace, topology or accelerator "
                    "attached (these need globally ordered events)")
@@ -110,6 +110,6 @@ def resolve_exec(opts, sim, *, numeric: bool, merged: bool,
         else:
             fallback = ParallelFallback(reason=why,
                                         requested_workers=opts.n_workers)
-    return ExecMode(fuse=fuse, monitored=monitored, n_workers=n_workers,
+    return ExecMode(fuse=fuse, n_workers=n_workers,
                     accelerated=sim.accelerator is not None,
                     fallback=fallback)

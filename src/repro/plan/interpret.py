@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
 from repro.plan.backends import get_backend
 from repro.plan.tasks import AncestorReduce, GridPlan, ReplicatedFactor
 
-__all__ = ["GridContext", "run", "book", "execute_grid_plan",
+__all__ = ["GridContext", "Resume", "run", "book", "execute_grid_plan",
            "execute_reduce", "execute_reduces",
            "execute_replicated"]
 
@@ -82,10 +83,7 @@ class GridContext:
 
     def snapshot(self) -> dict:
         """Logical state of this plan execution at a task boundary: the
-        transient buffer levels and the result counters. Simulator ledgers
-        are deliberately *not* part of it: physical time and traffic keep
-        accumulating across a rollback, which is exactly the recovery
-        overhead the resilience stats report."""
+        transient buffer levels and the result counters (never ledgers)."""
         return {
             "buf_current": self.buf_current.copy(),
             "result": {f: getattr(self.result, f)
@@ -97,6 +95,17 @@ class GridContext:
         self.buf_current = snap["buf_current"].copy()
         for f, val in snap["result"].items():
             setattr(self.result, f, val)
+
+
+class Resume(NamedTuple):
+    """Where a rewound walk continues: task ``ti`` of grid plan ``gi`` of
+    level step ``li``, in context ``ctx`` (``None``: a fresh one) — what
+    a monitor's ``before_task`` returns when a crash fires."""
+
+    li: int
+    gi: int
+    ti: int
+    ctx: GridContext | None
 
 
 def run(ctx: GridContext, a: int, b: int) -> None:
@@ -157,7 +166,7 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
                       options: FactorOptions | None = None, *,
                       fuse: bool = False, monitor=None, start: int = 0,
                       ctx: GridContext | None = None, prog=None
-                      ) -> Factor2DResult:
+                      ) -> Factor2DResult | Resume:
     """Execute ``plan`` on ``sim``, in plan list order. On the plain walk
     (``fuse``, no monitor, no accelerator) ``plan`` may be a whole
     :class:`~repro.plan.tasks.LevelStep`: its grids own disjoint rank
@@ -175,11 +184,11 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
     boundaries the whole plan is one kernel dispatch and one booking — or,
     the default, valid under any observer, one of each per task.
     ``monitor`` is the resilience hook: ``before_task(plan, ctx, idx)``
-    runs at every dispatch boundary and may raise
-    :class:`repro.resilience.GridCrash`, ``after_task(plan, ctx, idx)``
-    may take a checkpoint; a monitored walk books per interval, so both
-    read true clocks. ``start``/``ctx`` resume a checkpointed
-    interpretation at task index ``start`` with its restored context.
+    runs at every dispatch boundary — a :class:`Resume` it returns (a
+    crash fired and was recovered) stops the execution and is returned
+    for the walk to jump to — and ``after_task(plan, ctx, idx)`` may
+    checkpoint; both read true clocks. ``start``/``ctx`` resume at task
+    index ``start`` with a restored context.
     """
     opts = options or FactorOptions()
     if ctx is None:
@@ -192,8 +201,9 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
     if fuse and monitor is None:
         cuts = [cuts[0], cuts[-1]]      # nothing watches a boundary
     for a, b in zip(cuts, cuts[1:]):
-        if monitor is not None:
-            monitor.before_task(plan, ctx, a)
+        if monitor is not None and (
+                resume := monitor.before_task(plan, ctx, a)) is not None:
+            return resume
         run(ctx, a, b)
         book(ctx, a, b)
         if monitor is not None:

@@ -413,6 +413,16 @@ class Plan3D:
     #: :func:`repro.plan.build.partition_signature` of its tree-forest.
     partition_sig: tuple | None = None
 
+    @classmethod
+    def of_grid(cls, gp: GridPlan) -> "Plan3D":
+        """One grid plan as one level of one grid — the 2D driver's plan
+        in the form the one walk executes."""
+        n = gp.n_tasks
+        return cls(gp.backend, False, [LevelStep(
+            level=gp.level, grid_plans=[gp], reduces=[],
+            barrier=LevelBarrier(tid=n, level=gp.level), arrays=gp.arrays,
+            grid_ptr=np.array([0, n]))])
+
     def iter_tasks(self):
         for step in self.levels:
             for gp in step.grid_plans:

@@ -6,9 +6,10 @@ Three layers:
 * :mod:`repro.resilience.faults` — the typed, seeded :class:`FaultPlan`
   and the :class:`FaultInjector` that perturbs simulator events
   (message drop / delay, slow ranks) reproducibly;
-* :mod:`repro.resilience.engine` — the :class:`ResilienceEngine` plan
-  monitor: coordinated checkpoints over the task DAG, crash detection at
-  task boundaries, and the ``restart`` / ``z-replica`` recovery policies;
+* :mod:`repro.resilience.engine` — the :class:`ResilienceEngine`, hooks
+  on the one plan walk: coordinated checkpoints over the task DAG, crash
+  detection at task boundaries, and the ``restart`` / ``z-replica``
+  recovery policies, which return where the walk resumes;
 * :mod:`repro.resilience.stats` — :class:`ResilienceStats`, the
   overhead attribution the drivers surface and
   :func:`repro.analysis.format_resilience_stats` renders.
@@ -20,18 +21,8 @@ checkpointing off, nothing attaches to the simulator and every ledger
 stays bit-for-bit identical to a fault-free run.
 """
 
-from repro.resilience.engine import (
-    ResilienceEngine,
-    execute_grid_plan_resilient,
-    execute_plan3d_resilient,
-)
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    Fault,
-    FaultInjector,
-    FaultPlan,
-    GridCrash,
-)
+from repro.resilience.engine import ResilienceEngine
+from repro.resilience.faults import FAULT_KINDS, Fault, FaultInjector, FaultPlan
 from repro.resilience.stats import ResilienceStats
 
 __all__ = [
@@ -39,9 +30,6 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "FaultInjector",
-    "GridCrash",
     "ResilienceEngine",
     "ResilienceStats",
-    "execute_grid_plan_resilient",
-    "execute_plan3d_resilient",
 ]

@@ -1,59 +1,58 @@
-"""Checkpoint/restart and z-replica recovery over the task-graph plans.
+"""Checkpoint/restart and z-replica recovery: hooks on the one plan walk.
 
-The :class:`ResilienceEngine` is the monitor the plan interpreter calls
-at every task boundary (``before_task`` / ``after_task``). It does three
-jobs:
+The :class:`ResilienceEngine` is the ``monitor`` that the one walk,
+:func:`repro.lu3d.factor3d._execute_plan3d` (3D, merged, Cholesky, and 2D
+as one level of one grid), hands the plan interpreter at every task
+boundary. It does three jobs:
 
-1. **Fault arming.** Crash faults from the run's
+1. **Fault arming** (``before_task``). Crash faults of the run's
    :class:`~repro.resilience.FaultPlan` fire at the first matching task
-   boundary (grid / level / task-id / simulated-time filters) by raising
-   :class:`~repro.resilience.GridCrash`; mechanical faults (drop, delay,
-   slow) are handed to a :class:`~repro.resilience.FaultInjector`
-   attached to the simulator.
-
-2. **Coordinated checkpointing.** Every ``checkpoint_every`` interpreted
-   tasks the engine snapshots the *logical* state of the run — the data
-   strategy's block values, the walk position ``(level, grid, task)``,
-   the live :class:`~repro.plan.interpret.GridContext` and the result
-   counters — and charges the write to the machine model
-   (``io_alpha + io_beta * resident_words`` per rank). Simulator ledgers
-   are deliberately *not* checkpointed: physical time, flops and traffic
-   keep accumulating across a rollback, which is exactly the recovery
-   overhead :class:`~repro.resilience.ResilienceStats` attributes.
-
-3. **Recovery.** ``restart`` rolls every grid back to the last
-   checkpoint and resumes the walk there (lost work is re-executed).
-   ``z-replica`` exploits the paper's ancestor replication: only the
-   crashed grid is reset to its initial (Fig. 5) state and its plans —
-   plus the Ancestor-Reduction hops aimed at it — are replayed from the
-   surviving sibling replicas along z, under the simulator's ``'rec'``
-   phase. The pairwise reduction schedule makes a grid active at level
-   ``lvl`` the *destination* (never the source) of every deeper
-   boundary's reduce, and ``accumulate`` leaves source copies intact, so
-   the replay is bit-exact. Where no sibling replicas exist (2D runs,
-   the merged variant's single global copy) z-replica falls back to
-   restart and records why on ``stats.notes``.
-
-:func:`execute_plan3d_resilient` is the monitored serial walk of a
-:class:`~repro.plan.tasks.Plan3D` used by the 3D drivers whenever
-``FactorOptions.resilience_active()``; :func:`execute_grid_plan_resilient`
-is the matching single-grid wrapper for the 2D driver.
+   boundary (grid / level / task-id / simulated-time filters); one that
+   no boundary of the run can match is refused when the engine binds.
+   Mechanical faults (drop, delay, slow) go to a
+   :class:`~repro.resilience.FaultInjector` on the simulator.
+2. **Coordinated checkpointing** (``after_task``). Every
+   ``checkpoint_every`` tasks the engine snapshots the *logical* state —
+   block values, walk position ``(level, grid, task)``, live
+   :class:`~repro.plan.interpret.GridContext`, result counters — and
+   charges the write (``io_alpha + io_beta * resident_words`` per rank).
+   Simulator ledgers are *not* checkpointed: time, flops and traffic keep
+   accumulating across a rollback, which is exactly the overhead
+   :class:`~repro.resilience.ResilienceStats` attributes.
+3. **Recovery.** A fired crash is recovered on the spot and
+   ``before_task`` returns where the walk resumes, a
+   :class:`~repro.plan.interpret.Resume`. ``restart`` rolls every grid
+   back to the last checkpoint. ``z-replica`` exploits the paper's
+   ancestor replication: only the crashed grid is reset to its initial
+   (Fig. 5) state and its plans — plus the Ancestor-Reduction hops aimed
+   at it — are replayed from the surviving sibling replicas along z,
+   under the ``'rec'`` phase. A grid active at level ``lvl`` is the
+   *destination* (never the source) of every deeper boundary's reduce,
+   and ``accumulate`` leaves source copies intact, so the replay is
+   bit-exact. Where no sibling replicas exist (2D runs, the merged
+   variant's single global copy) z-replica falls back to restart and
+   records why on ``stats.notes``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.comm.events import PHASE_FACT, PHASE_REC, PHASE_RED
+import numpy as np
+
+from repro.comm.events import PHASE_FACT, PHASE_REC
 from repro.comm.simulator import Simulator
-from repro.lu2d.options import Factor2DResult, FactorOptions
-from repro.plan.backends import get_backend
-from repro.plan.interpret import GridContext, execute_grid_plan, execute_reduce
-from repro.resilience.faults import FaultInjector, FaultPlan, GridCrash
+from repro.lu2d.options import FactorOptions
+from repro.plan.interpret import (
+    GridContext,
+    Resume,
+    execute_grid_plan,
+    execute_reduce,
+)
+from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.stats import ResilienceStats
 
-__all__ = ["ResilienceEngine", "execute_plan3d_resilient",
-           "execute_grid_plan_resilient"]
+__all__ = ["ResilienceEngine"]
 
 #: Factor3DResult counters a checkpoint must roll back with the walk.
 _RESULT3D_FIELDS = ("perturbed_pivots", "schur_block_updates",
@@ -67,7 +66,6 @@ class _Checkpoint:
     li: int                  # level-step index to resume at
     gi: int                  # grid-plan index within the level step
     ti: int                  # task index within the grid plan
-    plan_ref: object         # the GridPlan at (li, gi), None at (0, 0, 0)
     data_snap: object        # data strategy snapshot (block values)
     ctx_snap: dict | None    # GridContext.snapshot() when ti > 0
     result_snap: dict        # Factor3DResult scalar counters
@@ -75,100 +73,51 @@ class _Checkpoint:
     compute_sum: float       # aggregate booked compute at snapshot time
 
 
-class _MappingData:
-    """Adapter giving a 2D run's plain block mapping the strategy API."""
-
-    accumulate = None
-    supports_zreplica = False
-
-    def __init__(self, data):
-        self.data = data
-
-    def program(self, gp, sf):
-        return None if self.data is None else \
-            get_backend(gp.backend).bind(gp.arrays, self.data, sf)
-
-    def _items(self):
-        store = self.data
-        if hasattr(store, "blocks"):      # BlockMatrix
-            store = store.blocks
-        return store
-
-    def snapshot(self):
-        if self.data is None:
-            return None
-        return {k: v.copy() for k, v in self._items().items()}
-
-    def restore(self, snap) -> None:
-        if snap is None:
-            return
-        store = self._items()
-        for k, v in snap.items():
-            store[k][:] = v
-
-
 class ResilienceEngine:
-    """One run's fault monitor, checkpoint store and recovery dispatcher."""
+    """One run's fault monitor, checkpoint store and recovery policies,
+    bound to its plan, symbolic factorization, data strategy and (3D)
+    result, whose counters a restart rolls back — ``None`` marks a 2D run,
+    with no z axis to rebuild a grid from. Binding resolves the policy and
+    takes the implicit, I/O-free initial checkpoint at ``(0, 0, 0)``."""
 
-    def __init__(self, opts: FactorOptions, sim: Simulator):
-        self.opts = opts
-        self.sim = sim
-        self.machine = sim.machine
+    def __init__(self, opts: FactorOptions, sim: Simulator, plan3, sf, data,
+                 result3=None):
         plan = opts.fault_plan if opts.fault_plan is not None else FaultPlan()
         if not isinstance(plan, FaultPlan):
             raise TypeError(
                 f"fault_plan must be a FaultPlan, got {type(plan).__name__}")
-        self.fault_plan = plan
-        self.policy = opts.recovery
-        self.stats = ResilienceStats(policy=opts.recovery,
-                                     checkpoint_every=opts.checkpoint_every,
-                                     n_faults=len(plan))
-        self._crashes = list(plan.crashes())
-        self._crash_fired = [False] * len(self._crashes)
-        self.injector = None
-        if plan.mechanical():
-            self.injector = FaultInjector(plan, sim.machine)
-            sim.attach_faults(self.injector)
-        # Bound by bind():
-        self.plan3 = None
-        self.sf = None
-        self.data = None
-        self.result3 = None
-        self._initial = None
-        self.checkpoint = None
-        self._since_checkpoint = 0
-        self._pos = (0, 0)
-        self._entry_grid_compute = 0.0
-
-    # -- run binding -------------------------------------------------------
-
-    def bind(self, plan3, sf, data, result3) -> None:
-        """Attach the engine to one factorization run's plan and data.
-
-        Takes the implicit initial checkpoint at position ``(0, 0, 0)``
-        (the pre-factorization state; no I/O is charged — it is the input
-        the ranks already hold) and resolves the effective policy: where
-        the data strategy has no sibling replicas to rebuild from,
-        z-replica degrades to restart, recorded on ``stats.notes``.
-        """
+        self.opts = opts
+        self.sim = sim
+        self.machine = sim.machine
         self.plan3 = plan3
         self.sf = sf
         self.data = data
         self.result3 = result3
-        if self.policy == "z-replica" and (
-                plan3 is None or not data.supports_zreplica):
-            why = ("2D run has no sibling replicas along z"
-                   if plan3 is None else
-                   "single global block copy has no sibling replicas")
+        self._crashes = _check_crashes(plan.crashes(), plan3)
+        self._crash_fired = [False] * len(self._crashes)
+        self.policy = opts.recovery
+        self.stats = ResilienceStats(policy=opts.recovery,
+                                     checkpoint_every=opts.checkpoint_every,
+                                     n_faults=len(plan))
+        why = ("2D run has no sibling replicas along z" if result3 is None
+               else None if data.supports_zreplica
+               else "single global block copy has no sibling replicas")
+        if self.policy == "z-replica" and why is not None:
             self.stats.notes.append(
                 f"z-replica recovery unavailable ({why}); using restart")
-            self.policy = "restart"
-            self.stats.policy = "restart"
+            self.policy = self.stats.policy = "restart"
+        self.injector = None
+        if plan.mechanical():
+            self.injector = FaultInjector(plan, sim.machine)
+            sim.attach_faults(self.injector)
         self._initial = data.snapshot()
         self.checkpoint = _Checkpoint(
-            li=0, gi=0, ti=0, plan_ref=None, data_snap=self._initial,
+            li=0, gi=0, ti=0, data_snap=self._initial,
             ctx_snap=None, result_snap=self._result_scalars(),
             n_level_makespans=0, compute_sum=self._compute_sum())
+        self._since_checkpoint = 0
+        self._pos = (0, 0)
+        self._entry_grid_compute = 0.0
 
     def enter_plan(self, li: int, gi: int, plan) -> None:
         """Record the walk position before a grid plan starts (or resumes)."""
@@ -186,7 +135,12 @@ class ResilienceEngine:
 
     # -- interpreter monitor protocol --------------------------------------
 
-    def before_task(self, plan, ctx, idx) -> None:
+    def before_task(self, plan, ctx, idx) -> Resume | None:
+        """Fire the first armed crash matching this boundary, recover it,
+        and return where the walk resumes (``None``: no crash). Crashes
+        fire at task boundaries, where no message is in flight (every
+        broadcast and reduction completes within its task), so the rewind
+        never strands queued traffic."""
         for k, fault in enumerate(self._crashes):
             if self._crash_fired[k]:
                 continue
@@ -203,7 +157,12 @@ class ResilienceEngine:
             self._crash_fired[k] = True
             self.stats.faults_fired += 1
             self.stats.crashes += 1
-            raise GridCrash(fault, plan, idx, ctx)
+            # The crashed plan's context ends here.
+            self.sim.free_batch(range(self.sim.nranks), ctx.buf_current)
+            if self.policy == "z-replica":
+                return self._recover_zreplica(plan)
+            return self._recover_restart()
+        return None
 
     def after_task(self, plan, ctx, idx) -> None:
         every = self.opts.checkpoint_every
@@ -230,7 +189,7 @@ class ResilienceEngine:
         m = self.machine
         li, gi = self._pos
         cp = _Checkpoint(
-            li=li, gi=gi, ti=idx + 1, plan_ref=plan,
+            li=li, gi=gi, ti=idx + 1,
             data_snap=self.data.snapshot(),
             ctx_snap=ctx.snapshot(),
             result_snap=self._result_scalars(),
@@ -248,19 +207,9 @@ class ResilienceEngine:
         st.checkpoint_words += float(sim.mem_current.sum())
         st.checkpoint_io_seconds += float(io.sum())
 
-    # -- recovery ----------------------------------------------------------
+    # -- the two recovery policies -----------------------------------------
 
-    def recover(self, crash: GridCrash):
-        """Handle a fired crash; returns the resume position
-        ``(li, gi, ti, ctx)`` for the monitored walk."""
-        if crash.ctx is not None:   # the crashed walk's context ends here
-            self.sim.free_batch(range(self.sim.nranks),
-                                crash.ctx.buf_current)
-        if self.policy == "z-replica":
-            return self._recover_zreplica(crash)
-        return self._recover_restart(crash)
-
-    def _recover_restart(self, crash: GridCrash):
+    def _recover_restart(self) -> Resume:
         """Global rollback: every grid returns to the last checkpoint."""
         sim = self.sim
         m = self.machine
@@ -287,7 +236,7 @@ class ResilienceEngine:
         # taken inside a grid plan.
         ctx = None
         if cp.ctx_snap is not None:
-            gp = cp.plan_ref
+            gp = self.plan3.levels[cp.li].grid_plans[cp.gi]
             ctx = GridContext(gp, self.sf, sim,
                               self.data.program(gp, self.sf), self.opts)
             ctx.restore(cp.ctx_snap)
@@ -296,15 +245,14 @@ class ResilienceEngine:
             # match the logical state.
             sim.alloc_batch(range(sim.nranks), ctx.buf_current)
         self._since_checkpoint = 0
-        return cp.li, cp.gi, cp.ti, ctx
+        return Resume(cp.li, cp.gi, cp.ti, ctx)
 
-    def _recover_zreplica(self, crash: GridCrash):
+    def _recover_zreplica(self, gp) -> Resume:
         """Local rebuild: reset only the crashed grid and replay its
         subtree from the surviving sibling replicas along z."""
         sim = self.sim
         m = self.machine
         st = self.stats
-        gp = crash.plan
         lo, hi = gp.base, gp.base + gp.px * gp.py
         li, gi = self._pos
         # Work the crashed grid booked on the current plan attempt is lost.
@@ -340,7 +288,7 @@ class ResilienceEngine:
         self._since_checkpoint = 0
         # Resume the crashed plan from scratch: the grid is now exactly
         # in its level-entry state.
-        return li, gi, 0, None
+        return Resume(li, gi, 0, None)
 
     # -- ledger probes -----------------------------------------------------
 
@@ -362,77 +310,19 @@ class ResilienceEngine:
                 for name in _RESULT3D_FIELDS}
 
 
-def execute_plan3d_resilient(plan3, sf, sim: Simulator, result, opts,
-                             data, engine: ResilienceEngine,
-                             absorb) -> None:
-    """The monitored serial walk of a 3D plan (standard and merged).
-
-    Same schedule as the fault-free walk — with an empty fault plan and
-    checkpointing off it books bit-identical ledgers — but every task
-    boundary passes through the engine, and a :class:`GridCrash` rewinds
-    the walk to the position the recovery policy returns. Crashes fire at
-    task boundaries, where no messages are in flight (every broadcast and
-    reduction completes within its task), so the rewind never strands
-    queued traffic.
-    """
-    engine.bind(plan3, sf, data, result)
-    levels = plan3.levels
-    li = gi = ti = 0
-    ctx = None
-    while li < len(levels):
-        step = levels[li]
-        sim.set_phase(PHASE_FACT)
-        while gi < len(step.grid_plans):
-            gp = step.grid_plans[gi]
-            engine.enter_plan(li, gi, gp)
-            try:
-                r2d = execute_grid_plan(gp, sf, sim, options=opts,
-                                        monitor=engine, start=ti, ctx=ctx,
-                                        prog=data.program(gp, sf))
-            except GridCrash as crash:
-                li, gi, ti, ctx = engine.recover(crash)
-                step = levels[li]
-                sim.set_phase(PHASE_FACT)
-                continue
-            absorb(result, r2d)
-            gi += 1
-            ti = 0
-            ctx = None
-        if step.level > 0:
-            sim.set_phase(PHASE_RED)
-            for red in step.reduces:
-                execute_reduce(red, sim, result, accumulate=data.accumulate)
-        result.per_level_makespan.append(sim.makespan)
-        li += 1
-        gi = 0
-    sim.set_phase(PHASE_FACT)
-    engine.finish()
-
-
-def execute_grid_plan_resilient(plan, sf, sim: Simulator, data=None,
-                                options: FactorOptions | None = None
-                                ) -> Factor2DResult:
-    """Monitored execution of a single 2D grid plan.
-
-    The 2D driver's resilient path: crash faults matching the plan fire
-    and recover via restart (z-replica needs sibling grids along z, which
-    a 2D run does not have — the degradation is recorded on the stats).
-    The returned result carries the run's :class:`ResilienceStats` under
-    ``extras['resilience']``.
-    """
-    opts = options or FactorOptions()
-    engine = ResilienceEngine(opts, sim)
-    engine.bind(None, sf, _MappingData(data), None)
-    ti = 0
-    ctx = None
-    while True:
-        engine.enter_plan(0, 0, plan)
-        try:
-            r2d = execute_grid_plan(plan, sf, sim, data=data, options=opts,
-                                    monitor=engine, start=ti, ctx=ctx)
-            break
-        except GridCrash as crash:
-            _li, _gi, ti, ctx = engine.recover(crash)
-    engine.finish()
-    r2d.extras["resilience"] = engine.stats
-    return r2d
+def _check_crashes(crashes, plan3) -> tuple:
+    """``crashes``, refusing one no task boundary of ``plan3`` can match."""
+    steps = [s for s in plan3.levels if s.grid_plans]
+    grids = sorted({gp.g for s in steps for gp in s.grid_plans})
+    top = max(s.level for s in plan3.levels)
+    tids = np.concatenate([s.arrays.tid for s in steps])
+    valid = {"grid": {None, *grids}, "level": {None, *range(top + 1)},
+             "at_task": {None, *tids.tolist()}}
+    for f in crashes:
+        if any(getattr(f, key) not in ok for key, ok in valid.items()):
+            raise ValueError(
+                f"crash fault (grid={f.grid}, level={f.level}, "
+                f"at_task={f.at_task}) can never fire in this run: grid "
+                f"must be one of {grids}, level in 0..{top}, at_task one "
+                f"of the plan's grid task ids ({tids.min()}..{tids.max()})")
+    return crashes

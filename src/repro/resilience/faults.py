@@ -5,8 +5,8 @@ A :class:`FaultPlan` is an immutable, ordered list of typed
 
 * ``crash``  — a whole 2D grid's ranks fail and lose their in-memory
   replicas. Crashes are detected at task boundaries by the resilience
-  engine's plan monitor (:mod:`repro.resilience.engine`) and recovered
-  by the selected policy (``restart`` / ``z-replica``).
+  engine (:mod:`repro.resilience.engine`) and recovered by the selected
+  policy (``restart`` / ``z-replica``).
 * ``drop``   — a matching point-to-point message is lost in the network;
   the sender times out and retransmits, paying the timeout plus a second
   full transfer (extra words/messages are booked on the ledgers).
@@ -35,29 +35,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["FAULT_KINDS", "Fault", "FaultPlan", "FaultInjector", "GridCrash"]
+__all__ = ["FAULT_KINDS", "Fault", "FaultPlan", "FaultInjector"]
 
 #: Recognized fault kinds.
 FAULT_KINDS = ("crash", "drop", "delay", "slow")
-
-
-class GridCrash(Exception):
-    """Raised by the plan monitor when a crash fault fires.
-
-    Carries everything the recovery policy needs: the fault, the grid
-    plan being executed, the task index the crash interrupted, and the
-    live :class:`repro.plan.interpret.GridContext` (whose transient
-    buffers the recovery must release).
-    """
-
-    def __init__(self, fault: "Fault", plan, task_index: int, ctx):
-        super().__init__(
-            f"grid {plan.g} crashed at level {plan.level}, "
-            f"task index {task_index}")
-        self.fault = fault
-        self.plan = plan
-        self.task_index = task_index
-        self.ctx = ctx
 
 
 @dataclass(frozen=True)
@@ -71,7 +52,8 @@ class Fault:
     grid / level / at_task:
         Crash scheduling: the z-grid to kill, the tree level at which to
         kill it, and/or the exact plan task id. A crash fires at the
-        first monitored task boundary matching every set filter, once.
+        first task boundary matching every set filter, once; one that no
+        boundary of the run can match is refused (``ValueError``).
     at_time:
         Simulated-time arming threshold (seconds). Crashes fire at the
         first matching task boundary at or after this time; mechanical

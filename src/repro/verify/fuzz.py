@@ -289,8 +289,7 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
                               backend="lu" if merged else backend)
     plan3 = bundle.plan3
     charge = bundle.replica_words(sf, tf, grid3)
-    serial = ExecMode(fuse=fuse, monitored=False, n_workers=1,
-                      accelerated=False)
+    serial = ExecMode(fuse=fuse, n_workers=1, accelerated=False)
 
     def setup():
         sim = Simulator(grid3.size, mach)

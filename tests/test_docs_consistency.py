@@ -22,12 +22,18 @@ def _read(name: str) -> str:
 
 class TestCrossReferences:
     def test_cited_tests_resolve(self):
-        """Every ``tests/...py[::Class][::name]`` the paper map, DESIGN.md
-        section 4 and EXPERIMENTS.md cite: the file exists and each name
-        occurs in it."""
+        """Every ``tests/...py[::Class][::name]`` that ``docs/*.md``,
+        DESIGN.md section 4 and EXPERIMENTS.md cite: the file exists and
+        each name occurs in it. Every bare ``TestClass::test_name`` they
+        cite (EXPERIMENTS.md's dated per-PR history aside, which names
+        deleted tests on purpose): some file under ``tests/`` defines
+        that method in that class."""
         design = _read("DESIGN.md")
         section4 = design[design.index("## 4. "):design.index("## 5. ")]
-        text = _read("docs/paper-map.md") + section4 + _read("EXPERIMENTS.md")
+        docs = "".join(p.read_text()
+                       for p in sorted((ROOT / "docs").glob("*.md")))
+        experiments = _read("EXPERIMENTS.md")
+        text = docs + section4 + experiments
         cited = set(re.findall(r"tests/[\w/]+\.py(?:::\w+)*", text))
         assert len(cited) > 40
         for ref in cited:
@@ -37,6 +43,18 @@ class TestCrossReferences:
             for name in names:
                 assert re.search(rf"\b{name}\b", source), \
                     f"{ref}: no {name} in {path}"
+        current = re.sub(r"^## [^\n]*\(PR \d+\)\n.*?(?=^## |\Z)", "",
+                         experiments, flags=re.M | re.S)
+        bare = set(re.findall(r"\b(Test\w+)::(test_\w+)",
+                              docs + section4 + current))
+        defined = {(cls.name, fn.name)
+                   for path in (ROOT / "tests").rglob("test_*.py")
+                   if any(f"class {c}" in path.read_text() for c, _ in bare)
+                   for cls in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        assert len(bare) >= 5
+        assert sorted(bare - defined) == []
 
     def test_readme_examples_exist(self):
         text = _read("README.md")
@@ -151,6 +169,8 @@ class TestCrossReferences:
         "ShmBlockView", "add_dirty_hook", "mark_dirty",
         "suggest_grid", "GridSuggestion", "_snap_pz", "--tune-budget",
         "REPRO_FIXTURE",
+        "execute_plan3d_resilient", "execute_grid_plan_resilient",
+        "_MappingData", "GridCrash",
     )
 
     def test_no_deleted_name_survives(self):
@@ -175,7 +195,7 @@ class TestOnePlanForm:
     def test_fuse_only_selects_cut_points(self):
         """Nothing in the program branches on ``fuse`` except the cut-point
         selector, the unmonitored full-width walk (one kernel dispatch
-        and one booking per plan), what that walk is handed — the whole
+        and one booking per plan), what the one walk hands it — the whole
         level or its grid slices — and the record of which width ran."""
         branch = re.compile(r"\bif\s+(not\s+)?(\w+\.)?fuse\b"
                             r"|\b(\w+\.)?fuse\s+(else|and|or)\b")
@@ -184,9 +204,8 @@ class TestOnePlanForm:
             for path in self.SRC.rglob("*.py")
             for line in path.read_text().splitlines() if branch.search(line))
         assert hits == [
-            "lu3d/factor3d.py: for part in [step] if fuse "
-            "else step.grid_plans:",
             "lu3d/factor3d.py: if mode.fuse:",
+            "lu3d/factor3d.py: parts = [step] if fuse else step.grid_plans",
             "plan/arrays.py: return self.runs.tolist() if fuse "
             "else list(range(self.n_tasks + 1))",
             "plan/interpret.py: if fuse and monitor is None:"]
@@ -235,7 +254,9 @@ class TestOnePlanForm:
         ``build_3d_plan`` calls no per-grid builder, ``plan/build.py`` has
         exactly one function that calls ``TaskArrays.assemble`` (and
         ``build_grid_plan`` is that function's level of one grid), and the
-        plain path of ``_execute_plan3d`` books no grid plan on its own."""
+        plain path of ``_execute_plan3d`` books no grid plan on its own: a
+        full-width level is one part, and every part — a level, or a grid
+        slice at width 1, rewinds included — goes through one call."""
         text = (self.SRC / "plan" / "build.py").read_text()
         funcs = dict(zip(re.findall(r"^def (\w+)\(", text, flags=re.M),
                          re.split(r"^def \w+\(", text, flags=re.M)[1:]))
@@ -247,7 +268,8 @@ class TestOnePlanForm:
         walk = (self.SRC / "lu3d" / "factor3d.py").read_text() \
             .split("def _execute_plan3d(")[1].split("\ndef ")[0]
         assert "for gp in step.grid_plans" not in walk
-        assert "for part in [step] if fuse else step.grid_plans:" in walk
+        assert "parts = [step] if fuse else step.grid_plans" in walk
+        assert "while gi < len(parts):" in walk
         assert walk.count("execute_grid_plan(") == 1
         assert "execute_reduces(step" in walk and "execute_reduce(" not in walk
         tasks = (self.SRC / "plan" / "tasks.py").read_text()
@@ -255,6 +277,51 @@ class TestOnePlanForm:
             body = tasks.split("class Plan3D")[1].split(method)[1] \
                 .split("\n    def ")[0]
             assert "grid_plans" not in body, method
+
+    @staticmethod
+    def _calls(name: str) -> list[str]:
+        """``path::function`` of every function in ``src/repro`` calling
+        ``name`` (nested functions report their own name too)."""
+        src = TestOnePlanForm.SRC
+        return sorted(
+            f"{path.relative_to(src)}::{fn.name}"
+            for path in src.rglob("*.py") if name in path.read_text()
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(c, ast.Call) and name in (
+                getattr(c.func, "id", None), getattr(c.func, "attr", None))
+                for c in ast.walk(fn)))
+
+    def test_one_execution_walk(self):
+        """``_execute_plan3d`` is the one loop that executes a plan's
+        levels — every driver's, the 2D one as one level of one grid.
+        Besides it only the pool worker (one grid plan) and the z-replica
+        replay (the crashed grid's own subtree) execute a grid plan."""
+        assert self._calls("execute_grid_plan") == [
+            "lu3d/factor3d.py::_execute_plan3d",
+            "parallel/engine.py::_worker_run",
+            "resilience/engine.py::_recover_zreplica"]
+        assert self._calls("_execute_plan3d") == [
+            "lu2d/factor2d.py::_factor_nodes", "lu3d/factor3d.py::_factor"]
+        loops = [path for path in self.SRC.rglob("*.py")
+                 if re.search(r"while \w+ < len\((\w+\.)?levels\)",
+                              path.read_text())]
+        assert loops == [self.SRC / "lu3d" / "factor3d.py"]
+
+    def test_a_rewind_is_a_return_value(self):
+        """One place turns a crash into a resume position: the engine's
+        ``before_task`` hands it to one of the two recovery policies,
+        which alone build a :class:`~repro.plan.interpret.Resume`; nothing
+        raises or catches a crash."""
+        assert self._calls("Resume") == [
+            "resilience/engine.py::_recover_restart",
+            "resilience/engine.py::_recover_zreplica"]
+        for policy in ("_recover_restart", "_recover_zreplica"):
+            assert self._calls(policy) == [
+                "resilience/engine.py::before_task"], policy
+        for path in self.SRC.rglob("*.py"):
+            assert not re.search(r"\bclass \w*Crash\w*\(|except \w*Crash",
+                                 path.read_text()), path
 
     def test_no_hoist_machinery_survives(self):
         """The interleaved event stream has nothing to hoist and no size

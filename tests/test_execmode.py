@@ -207,13 +207,13 @@ class TestResolveExec:
                             **kw)
 
     def test_plain_run_fuses_inline(self):
-        assert self.mode() == ExecMode(fuse=True, monitored=False,
-                                       n_workers=1, accelerated=False)
+        assert self.mode() == ExecMode(fuse=True, n_workers=1,
+                                       accelerated=False)
 
     @pytest.mark.parametrize("attachment", ["accelerator", "faults"])
     def test_observed_runs_walk_unfused(self, attachment):
         m = self.mode(attachment=attachment)
-        assert not m.fuse and not m.monitored
+        assert not m.fuse
         assert m.accelerated == (attachment == "accelerator")
 
     def test_topology_only_blocks_the_fork(self):
@@ -229,9 +229,13 @@ class TestResolveExec:
         assert "cannot fork" in m.fallback.reason
 
     def test_resilience_is_monitored_and_serial(self):
+        """The resilience engine observes task boundaries: one width rule
+        covers it, and no field of the mode names it."""
         m = self.mode(FactorOptions(checkpoint_every=5, n_workers=2))
-        assert m.monitored and not m.fuse and m.n_workers == 1
+        assert not m.fuse and m.n_workers == 1
         assert "resilience" in m.fallback.reason
+        assert "monitored" not in {f.name for f in
+                                   dataclasses.fields(ExecMode)}
 
     def test_pool_engages_with_resolved_count(self):
         m = self.mode(FactorOptions(n_workers=3))

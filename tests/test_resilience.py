@@ -5,17 +5,20 @@ Three invariant families:
 
 * **Do no harm** — with an empty fault plan nothing attaches to the
   simulator and every driver's ledgers stay bit-for-bit identical to the
-  golden seed; a monitored walk whose faults never fire is equally
-  bit-exact.
+  golden seed; a walk the engine watches whose faults never fire is
+  equally bit-exact.
 * **Determinism** — the same fault plan perturbs two runs (and any
-  worker-count setting, which falls back to the serial monitored walk)
-  bit-identically.
+  worker-count setting, which falls back to the serial walk)
+  bit-identically; ``golden_resilience.json`` pins 96 faulted runs.
 * **Recovery correctness** — a grid crash at every ancestor level, under
   both policies, completes with factors within 1e-12 of the fault-free
   run and nonzero finite recovery overhead.
 """
 
 from __future__ import annotations
+
+import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.resilience import (
     Fault,
     FaultInjector,
     FaultPlan,
+    ResilienceEngine,
     ResilienceStats,
 )
 from repro.sparse import grid2d_5pt
@@ -44,9 +48,9 @@ from tests.test_plan import (
     spd_setup,
 )
 
-#: A crash fault that can never fire (no such grid) — routes the run
-#: through the monitored resilient walk without perturbing anything.
-NEVER = FaultPlan((Fault("crash", grid=99),))
+#: A crash fault armed at a time no run reaches — hooks the resilience
+#: engine onto the walk without perturbing anything.
+NEVER = FaultPlan((Fault("crash", at_time=math.inf),))
 
 
 def lu3d_run(options=None, numeric=True, pz=4):
@@ -221,13 +225,29 @@ class TestCrashRecovery:
         sf, tf, sim, res = lu3d_run()
         return tf, sim, res.factors().to_dense()
 
-    @pytest.mark.parametrize("policy", ["restart", "z-replica"])
-    def test_crash_at_every_level(self, clean, policy):
+    @pytest.mark.parametrize("policy, every", [
+        ("restart", 20), ("z-replica", 20), ("restart", 0), ("z-replica", 0)],
+        ids=["restart", "z-replica", "restart-no-checkpoints",
+             "z-replica-no-checkpoints"])
+    def test_crash_at_every_level(self, clean, policy, every, monkeypatch):
+        """Where each crash resumes the walk: with no checkpoint a restart
+        rewinds to ``(0, 0, 0)`` from every level, across levels; z-replica
+        restarts the crashed grid's plan at its own level."""
         tf, _, F0 = clean
+        resumes = []
+        before = ResilienceEngine.before_task
+
+        def spy(self, *args):
+            resume = before(self, *args)
+            if resume is not None:
+                resumes.append(tuple(resume[:3]))
+            return resume
+
+        monkeypatch.setattr(ResilienceEngine, "before_task", spy)
         for lvl in range(tf.l + 1):
             plan = FaultPlan((Fault("crash", grid=0, level=lvl),))
             _, _, sim, res = lu3d_run(options=FactorOptions(
-                fault_plan=plan, recovery=policy, checkpoint_every=20))
+                fault_plan=plan, recovery=policy, checkpoint_every=every))
             st = res.resilience
             assert st.crashes == 1
             assert st.faults_fired == 1
@@ -236,6 +256,13 @@ class TestCrashRecovery:
             assert st.overhead_pct > 0
             err = float(np.abs(res.factors().to_dense() - F0).max())
             assert err <= 1e-12, (policy, lvl, err)
+            # Levels run top (index 0) down; grid 0 is each level's first.
+            if policy == "z-replica":
+                assert resumes.pop() == (tf.l - lvl, 0, 0)
+            elif every == 0:
+                assert resumes.pop() == (0, 0, 0)
+            else:
+                assert len(resumes) == 1 and resumes.pop()[0] <= tf.l - lvl
 
     def test_zreplica_leaves_survivor_clocks_untouched(self, clean):
         _, clean_sim, _ = clean
@@ -335,6 +362,56 @@ class TestCrashRecovery:
         assert float(np.abs(F - F0).max()) <= 1e-12
 
 
+class TestUnmatchedCrash:
+    """A crash fault no task boundary of the run can match is refused
+    when the engine binds, naming the fault and what could match —
+    never a run that passes with ``faults_fired 0``."""
+
+    CASES = {"grid=7": "grid must be one of [0, 1, 2, 3]",
+             "level=9": "level in 0..2",
+             "task=100000": "at_task one of the plan's grid task ids"}
+
+    @pytest.mark.parametrize("spec", CASES)
+    def test_factor_3d(self, spec):
+        plan = FaultPlan.parse(f"crash:{spec}")
+        with pytest.raises(ValueError, match=re.escape(self.CASES[spec])):
+            lu3d_run(options=FactorOptions(fault_plan=plan))
+
+    @pytest.mark.parametrize("spec, why", [
+        ("grid=1", "grid must be one of [0]"), ("level=1", "level in 0..0")])
+    def test_factor_2d(self, spec, why):
+        A, geom = grid2d_5pt(12)
+        sf = symbolic_factorize(A, geom, leaf_size=16)
+        grid = ProcessGrid2D(2, 3)
+        opts = FactorOptions(fault_plan=FaultPlan.parse(f"crash:{spec}"))
+        with pytest.raises(ValueError, match=re.escape(why)):
+            factor_2d(sf, grid, Simulator(grid.size), options=opts)
+
+    @pytest.mark.parametrize("spec", ["grid=7", "level=9"])
+    def test_cli_faults(self, tmp_path, spec):
+        from repro.cli import main
+        mtx = tmp_path / "m.mtx"
+        assert main(["generate", "--kind", "grid2d_5pt", "--size", "14",
+                     "--out", str(mtx)]) == 0
+        why = f"crash fault .*{re.escape(self.CASES[spec])}"
+        with pytest.raises(ValueError, match=why):
+            main(["solve", str(mtx), "--grid", "14,14", "--px", "2",
+                  "--py", "2", "--pz", "4", "--leaf-size", "16",
+                  "--faults", f"crash:{spec}"])
+
+
+class TestResilienceGolden:
+    """``golden_resilience.json`` was written at ``ae87111`` by the two
+    resilient level loops the one walk replaced: every faulted run —
+    ledger hash, every stats field, factor hash — byte for byte."""
+
+    def test_regenerating_rewrites_the_file_byte_for_byte(self):
+        from tests.data.regen_resilience import OUT, records, render
+        recs = records()
+        assert len(recs) == 96
+        assert render(recs) == OUT.read_text()
+
+
 class TestSerialization:
     def test_workers_fall_back_and_match_serial(self):
         plan = FaultPlan((Fault("crash", grid=0, level=1),))
@@ -356,7 +433,7 @@ class TestSerialization:
                              n_workers=2)
         mode = resolve_exec(opts, Simulator(4), numeric=True, merged=False,
                             backend="lu")
-        assert mode.monitored and not mode.fuse and mode.n_workers == 1
+        assert not mode.fuse and mode.n_workers == 1
         assert "serial" in mode.fallback.reason
 
 

@@ -488,8 +488,7 @@ def per_grid_walk(sf, tf, grid3, opts, *, backend="lu", merged=False,
                     bundle.replica_words(sf, tf, grid3))
     result = Factor3DResult(tf=tf)
     data = _bind_data(sf, tf, result, bundle,
-                      ExecMode(fuse=True, monitored=False, n_workers=1,
-                               accelerated=False),
+                      ExecMode(fuse=True, n_workers=1, accelerated=False),
                       numeric=numeric, merged=merged, matrix=matrix,
                       replicas=None)
     for step in bundle.plan3.levels:
