@@ -15,7 +15,7 @@ import numpy as np
 from repro.comm.grid import ProcessGrid2D
 from repro.comm.simulator import Simulator
 from repro.symbolic.symbolic_factor import SymbolicFactorization
-from repro.utils.ragged import csr_ptr, ragged
+from repro.utils.ragged import csr_ptr, ragged, ranges
 
 __all__ = ["allocate_factor_storage", "factor_words_per_rank", "node_blocks",
            "cholesky_node_blocks", "node_block_arrays"]
@@ -96,8 +96,7 @@ def factor_words_per_rank(sf: SymbolicFactorization, nodes: Iterable[int],
     """
     ptr, ii, jj, ww = node_block_arrays(sf)
     nodes = np.fromiter(nodes, dtype=np.int64)
-    g, w = ragged(ptr[nodes + 1] - ptr[nodes])
-    at = ptr[nodes][g] + w
+    at = ranges(ptr[nodes], ptr[nodes + 1] - ptr[nodes])
     ii, jj, ww = ii[at], jj[at], ww[at]
     if volume is not None:
         ww = volume.cap_many(ii, jj, ww)

@@ -159,24 +159,43 @@ class _Builder:
         self.nodes.append(node)
         return node.node_id
 
-    def finish(self, n: int) -> DissectionTree:
+    def dissect(self, n: int, leaf_size: int, cut) -> DissectionTree:
+        """The tree of ``range(n)``: a region of at most ``leaf_size``
+        vertices, or one ``cut(vertices)`` leaves whole (``None``), is a
+        leaf; else ``cut``'s separator parents its non-empty parts' subtrees.
+        An empty separator takes one vertex of the larger part (a zero-size
+        block would break the layout; the vertex is merely eliminated late)."""
+        leaf_size = check_positive_int(leaf_size, "leaf_size")
+
+        def recurse(vertices: np.ndarray) -> int:
+            parts = cut(vertices) if vertices.size > leaf_size else None
+            if parts is None:
+                return self.add(vertices, [])
+            sep, part_a, part_b = parts
+            if sep.size == 0 and part_a.size >= part_b.size:
+                sep, part_a = part_a[:1], part_a[1:]
+            elif sep.size == 0:
+                sep, part_b = part_b[:1], part_b[1:]
+            return self.add(sep, [recurse(p) for p in (part_a, part_b)
+                                  if p.size])
+
+        recurse(np.arange(n, dtype=np.int64))
         return DissectionTree(self.nodes, n)
 
 
-def _ensure_nonempty_separator(sep: np.ndarray, part_a: np.ndarray,
-                               part_b: np.ndarray
-                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Guarantee the internal node owns at least one vertex.
-
-    A zero-size block would break the contiguous layout; moving one vertex
-    from the larger part into the separator is always structurally safe (it
-    is merely eliminated later than it could have been).
-    """
-    if sep.size > 0:
-        return sep, part_a, part_b
-    if part_a.size >= part_b.size:
-        return part_a[:1], part_a[1:], part_b
-    return part_b[:1], part_a, part_b[1:]
+def _unit_steps(adj: sp.csr_matrix, coords_t: np.ndarray) -> bool:
+    """Whether ``coords_t`` (a row per dimension) is integer-typed and no
+    stored entry of ``adj`` spans over one lattice step in any dimension:
+    then no edge can cross a one-thick integer plane (that takes two)."""
+    if not np.issubdtype(coords_t.dtype, np.integer):
+        return False
+    per_row = np.diff(adj.indptr)
+    for c in coords_t:          # one dimension at a time: no (d, nnz) array
+        step = c[adj.indices]
+        step -= np.repeat(c, per_row)
+        if step.size and (step.min() < -1 or step.max() > 1):
+            return False
+    return True
 
 
 def geometric_nd(adj: sp.csr_matrix, coords: np.ndarray, leaf_size: int = 64,
@@ -187,56 +206,48 @@ def geometric_nd(adj: sp.csr_matrix, coords: np.ndarray, leaf_size: int = 64,
     dimension; the plane's vertices form the separator. Works for any vertex
     set with lattice-like coordinates, including multi-field problems where
     several vertices share a coordinate (e.g. the KKT proxy's state/adjoint
-    pairs — both land in the same region or separator together). A
-    :func:`repair_separator` pass afterwards restores the separation
-    invariant for matrices with couplings longer than one lattice step;
-    it reads ``adj`` for its structure only (every stored entry an edge).
+    pairs — both land in the same region or separator together).
+    ``coords`` is a finite ``(n, d)`` array. Unless :func:`_unit_steps`
+    rules a leak out, a :func:`repair_separator` pass after every cut
+    restores the separation invariant; it reads ``adj`` for its structure
+    only (every stored entry an edge).
     """
     n = adj.shape[0]
     coords = np.asarray(coords)
-    if coords.shape[0] != n:
-        raise ValueError(f"coords has {coords.shape[0]} rows for n={n}")
-    leaf_size = check_positive_int(leaf_size, "leaf_size")
-    builder = _Builder(max_block)
-    # No call below costs O(n): the repair borrows one marker array, and
+    if coords.ndim != 2 or coords.shape[0] != n or not np.isfinite(coords).all():
+        raise ValueError(f"coords must be a finite (n, d) array with n={n} "
+                         f"rows, got shape {coords.shape}")
+    # No call below costs O(n): a repair borrows one marker array, and
     # each region gathers its coordinates once, one contiguous row per
     # dimension (``take`` on the transpose: a fraction of ``coords[v]``).
-    adj, marker = adj.tocsr(), np.zeros(n, dtype=bool)
+    adj = adj.tocsr()
     coords_t = np.ascontiguousarray(coords.T)
+    marker = None if _unit_steps(adj, coords_t) else np.zeros(n, dtype=bool)
 
-    def recurse(vertices: np.ndarray) -> int:
-        if vertices.size <= leaf_size:
-            return builder.add(vertices, [])
+    def cut(vertices: np.ndarray):
         vc = coords_t.take(vertices, axis=1)
         spans = vc.max(axis=1) - vc.min(axis=1)
-        h = vertices.size // 2
-        kth = [h - 1, h] if vertices.size % 2 == 0 else [h]
+        kth = [(vertices.size - 1) // 2, vertices.size // 2]
         for d in np.argsort(spans)[::-1]:
             if spans[d] < 2:
                 continue  # cannot carve a plane out of a 2-thick slab
             vals = vc[d]
             # Cut at the floor of the median value: on an integer lattice this
-            # is an exact one-thick plane. (np.median's own partition + mean.)
-            plane = np.floor(np.partition(vals, kth)[kth].mean())
+            # is an exact one-thick plane. (np.median's own partition; the
+            # halves are exact, so their sum is the mean's rounding.)
+            mid = np.partition(vals, kth)[kth]
+            plane = np.floor(mid[0] / 2 + mid[-1] / 2)
             sep = vertices[vals == plane]
             part_a = vertices[vals < plane]
             part_b = vertices[vals > plane]
             if part_a.size == 0 or part_b.size == 0:
                 continue
-            sep, part_a, part_b = repair_separator(adj, sep, part_a, part_b,
-                                                   marker)
-            sep, part_a, part_b = _ensure_nonempty_separator(sep, part_a, part_b)
-            children = []
-            if part_a.size:
-                children.append(recurse(part_a))
-            if part_b.size:
-                children.append(recurse(part_b))
-            return builder.add(sep, children)
-        # No dimension could be split (degenerate region): make a leaf.
-        return builder.add(vertices, [])
+            if marker is not None:
+                return repair_separator(adj, sep, part_a, part_b, marker)
+            return sep, part_a, part_b
+        return None         # no dimension could be split: a leaf
 
-    recurse(np.arange(n, dtype=np.int64))
-    return builder.finish(n)
+    return _Builder(max_block).dissect(n, leaf_size, cut)
 
 
 def graph_nd(adj: sp.csr_matrix, leaf_size: int = 64, method: str = "bfs",
@@ -253,29 +264,17 @@ def graph_nd(adj: sp.csr_matrix, leaf_size: int = 64, method: str = "bfs",
     if method not in ("bfs", "fiedler"):
         raise ValueError(f"unknown separator method {method!r}")
     find = bfs_level_separator if method == "bfs" else fiedler_separator
-    n = adj.shape[0]
-    leaf_size = check_positive_int(leaf_size, "leaf_size")
-    builder = _Builder(max_block)
 
-    def recurse(vertices: np.ndarray) -> int:
-        if vertices.size <= leaf_size:
-            return builder.add(vertices, [])
+    def cut(vertices: np.ndarray):
         sep, part_a, part_b = find(adj, vertices)
+        # Nothing split (<= 2 vertices, or one component a single BFS level
+        # deep, e.g. a clique): a leaf, not a chain peeled off one vertex
+        # per recursion.
         if max(sep.size, part_a.size, part_b.size) == vertices.size:
-            # Nothing was split (<= 2 vertices, or one component a single
-            # BFS level deep, e.g. a clique): a leaf, not a chain peeled
-            # off one vertex per recursion.
-            return builder.add(vertices, [])
-        sep, part_a, part_b = _ensure_nonempty_separator(sep, part_a, part_b)
-        children = []
-        if part_a.size:
-            children.append(recurse(part_a))
-        if part_b.size:
-            children.append(recurse(part_b))
-        return builder.add(sep, children)
+            return None
+        return sep, part_a, part_b
 
-    recurse(np.arange(n, dtype=np.int64))
-    return builder.finish(n)
+    return _Builder(max_block).dissect(adj.shape[0], leaf_size, cut)
 
 
 def nested_dissection(A: sp.spmatrix, geometry: GridGeometry | None = None,

@@ -30,14 +30,14 @@ the arrays the interpreter walks cannot drift apart:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 
 from repro.comm.collectives import tree_pattern
 from repro.comm.stream import MSG, EventStream, Volume
-from repro.utils.ragged import csr_ptr, ragged
+from repro.utils.ragged import csr_ptr, ranges
 
 __all__ = ["PANEL_FACTOR", "PANEL_BCAST", "SCHUR_UPDATE", "SIDES",
            "TaskArrays", "tree_pattern"]
@@ -57,6 +57,21 @@ _TABLES = {"dep_ptr": ("dep_idx",),
            "pair_ptr": ("pair_owner", "pair_flops"),
            "ev_ptr": ("ev_src", "ev_dst", "ev_val", "ev_kind"),
            "mem_ptr": ("mem_rank", "mem_words")}
+_NONE = np.zeros(0, dtype=_I64)
+
+
+@lru_cache(maxsize=4096)
+def tree_arrays(route: int, root: int, comm: tuple) -> tuple:
+    """:func:`tree_pattern` as read-only arrays, self-pairs (free) dropped:
+    a pure function of hashable arguments (communicators are interned rank
+    tuples), so a process expands each broadcast pattern once."""
+    src, dst, buf = (np.asarray(c, dtype=_I64)
+                     for c in tree_pattern(route, root, comm))
+    live = src != dst
+    out = (src[live], dst[live], buf)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @dataclass(eq=False)
@@ -146,30 +161,20 @@ class TaskArrays:
         key = ((self.bc_route - lo) * span + (self.bc_root - lo)) * ncomm \
             + self.bc_comm
         uniq, inv = np.unique(key, return_inverse=True)
-        pat_src: list = []
-        pat_dst: list = []
-        pat_buf: list = []
-        n_pair_of, n_buf_of = [], []
+        pats = []
         for u in uniq.tolist():
             u, comm = divmod(u, ncomm)
             route, root = divmod(u, span)
-            s, d, b = tree_pattern(route + lo, root + lo, self.comms[comm])
-            pat_src += s
-            pat_dst += d
-            pat_buf += b
-            n_pair_of.append(len(s))
-            n_buf_of.append(len(b))
+            pats.append(tree_arrays(route + lo, root + lo,
+                                    tuple(self.comms[comm])))
 
-        def flatten(counts, *patterns):
-            """Per-spec entry counts, per-entry spec index and pattern
-            columns of every spec's pattern entries, in spec order."""
-            counts = np.asarray(counts, dtype=_I64)
-            start = csr_ptr(counts)[inv]
-            counts = counts[inv]                  # per spec
-            spec, off = ragged(counts)
-            at = start[spec] + off
-            return (counts, spec,
-                    *(np.asarray(p, dtype=_I64)[at] for p in patterns))
+        def expand(*cols):
+            """Each spec's entry count, then its pattern's ``cols``."""
+            n_of = np.asarray([p[cols[0]].size for p in pats], dtype=_I64)
+            counts = n_of[inv]
+            at = ranges(csr_ptr(n_of)[inv], counts)
+            return (counts, *(np.concatenate([_NONE, *(p[c] for p in pats)])
+                              [at] for c in cols))
 
         def per_task(per_spec):     # specs are task-contiguous
             return np.diff(csr_ptr(per_spec)[self.bc_ptr])
@@ -177,11 +182,9 @@ class TaskArrays:
         schur = self.kind == SCHUR_UPDATE
         n_pair = np.diff(self.pair_ptr)
         # Event stream: a panel task's compute event, then its live pairs.
-        _n, spec, src, dst = flatten(n_pair_of, pat_src, pat_dst)
-        live = src != dst
-        spec, src, dst = spec[live], src[live], dst[live]
-        n_live = per_task(np.bincount(spec, minlength=self.bc_root.size))
-        self.ev_ptr = csr_ptr(np.where(schur, n_pair, 1 + n_live))
+        n_live, src, dst = expand(0, 1)
+        task_live = per_task(n_live)
+        self.ev_ptr = csr_ptr(np.where(schur, n_pair, 1 + task_live))
         E = int(self.ev_ptr[-1])
         self.ev_src, self.ev_dst = np.empty((2, E), dtype=_I64)
         self.ev_val = np.empty(E)
@@ -190,12 +193,10 @@ class TaskArrays:
         self.ev_src[head] = self.ev_dst[head] = self.owner[~schur]
         self.ev_val[head] = self.flops[~schur]
         self.ev_kind[head] = self.kind[~schur]
-        task, off = ragged(n_live)
-        at = self.ev_ptr[task] + 1 + off
+        at = ranges(self.ev_ptr[:-1] + 1, task_live)
         self.ev_src[at], self.ev_dst[at] = src, dst
-        self.ev_val[at] = self.bc_words[spec]
-        task, off = ragged(n_pair)      # pairs belong to Schur tasks only
-        at = self.ev_ptr[task] + off
+        self.ev_val[at] = np.repeat(self.bc_words, n_live)
+        at = ranges(self.ev_ptr[:-1], n_pair)   # Schur tasks' pairs only
         self.ev_src[at] = self.ev_dst[at] = self.pair_owner
         self.ev_val[at] = self.pair_flops
         self.ev_kind[at] = SCHUR_UPDATE
@@ -203,8 +204,8 @@ class TaskArrays:
         # broadcast receiver; a Schur task releases its node's charges. A
         # node's panel tasks are one contiguous group of the schedule, so
         # that is one slice [lo, hi) of the charges.
-        n_buf, spec, buf_rank = flatten(n_buf_of, pat_buf)
-        buf_words = self.bc_words[spec]
+        n_buf, buf_rank = expand(2)
+        buf_words = np.repeat(self.bc_words, n_buf)
         buf_ptr = csr_ptr(per_task(n_buf))
         sch = np.flatnonzero(schur)
         panel = np.flatnonzero(~schur)
@@ -219,10 +220,10 @@ class TaskArrays:
         start[sch] = buf_ptr[panel[first]]
         n_mem[sch] = buf_ptr[panel[last - 1] + 1] - start[sch]
         self.mem_ptr = csr_ptr(n_mem)
-        task, at = ragged(n_mem)
-        at += start[task]
+        at = ranges(start, n_mem)
         self.mem_rank, self.mem_words = buf_rank[at], buf_words[at]
-        np.negative(self.mem_words, out=self.mem_words, where=schur[task])
+        np.negative(self.mem_words, out=self.mem_words,
+                    where=np.repeat(schur, n_mem))
         # Cut points.
         self.runs = np.concatenate(
             ([0], np.flatnonzero(np.diff(self.kind)) + 1, [T])

@@ -6,13 +6,13 @@ identically shaped 2D grids on disjoint ranks — into ONE ordered
 :class:`~repro.plan.tasks.GridPlan` is a slice of it and
 :func:`build_grid_plan` the level of one grid. The list order *is* the
 schedule the historical imperative drivers executed, including the
-Section II-F lookahead interleave, replayed here per grid with the
-drivers' ``pending`` bookkeeping. Only that replay (one short loop per
-node) is Python: the tasks are emitted as whole columns — the backend's
-panel and Schur columns of the level's nodes, scattered to their schedule
-positions, the dependency CSR filled by index arithmetic — and completed
-by one :meth:`repro.plan.arrays.TaskArrays.assemble`. The ``deps`` edges
-are pure data dependencies layered on top of the list order:
+Section II-F lookahead interleave (:func:`_schedule`, one array pass for
+all grids). No step loops over nodes: the tasks are emitted as whole
+columns — the backend's panel and Schur columns of the level's nodes,
+scattered to their schedule positions, the dependency CSR filled by index
+arithmetic — and completed by one
+:meth:`repro.plan.arrays.TaskArrays.assemble`. The ``deps`` edges are
+pure data dependencies layered on top of the list order:
 
 * ``PanelBcast(k) -> PanelFactor(k)`` (solves consume the diagonal);
 * ``SchurUpdate(k) -> PanelBcast(k, *)`` (updates consume the panels);
@@ -53,7 +53,7 @@ from repro.plan.tasks import (
     Plan3D,
     ReplicatedFactor,
 )
-from repro.utils.ragged import csr_ptr, ragged
+from repro.utils.ragged import csr_ptr, ragged, ranges
 
 __all__ = ["build_level", "build_grid_plan", "build_3d_plan",
            "pattern_signature", "partition_signature", "POST_BUILD_HOOK"]
@@ -96,46 +96,45 @@ def partition_signature(tf) -> tuple:
     return sig
 
 
-def _schedule(parent: list[int], nodes: list[int], lookahead: int,
-              q0: int = 0) -> tuple[list[int], list[int]]:
-    """Replay the II-F lookahead interleave over ``nodes`` (ascending),
-    numbered from ``q0`` (their offset in a level's node list).
-
-    Returns the emission events in schedule order — ``q >= 0``: the panel
-    tasks of node ``q``, ``~q``: its Schur task — and each node's nearest
-    in-list ancestor (a node number, -1 for none): the drivers'
-    lookahead-readiness counters, replayed here so the emitted order
-    equals the executed order.
-    """
-    where = {k: q for q, k in enumerate(nodes)}
-    n = len(nodes)
-    chains: list[list[int]] = []
-    pending = [0] * n
-    for u in nodes:
-        chain = []
-        p = parent[u]
-        while p != -1:
-            q = where.get(p)
-            if q is not None:
-                chain.append(q)
-                pending[q] += 1
-            p = parent[p]
-        chains.append(chain)
-    done = [False] * n
-    events: list[int] = []
-    for q in range(n):
-        if not done[q]:
-            done[q] = True
-            events.append(q0 + q)
-        # Lookahead: panels of upcoming ready nodes interleave here.
-        for m in range(q + 1, min(q + 1 + lookahead, n)):
-            if not done[m] and pending[m] == 0:
-                done[m] = True
-                events.append(q0 + m)
-        events.append(~(q0 + q))
-        for a in chains[q]:
-            pending[a] -= 1
-    return events, [q0 + c[0] if c else -1 for c in chains]
+def _schedule(parent: np.ndarray, ks: np.ndarray, node_ptr: np.ndarray,
+              grid: np.ndarray, lookahead: int) -> tuple[np.ndarray, np.ndarray]:
+    """The II-F lookahead interleave of a level's node list ``ks`` (grid
+    ``g``'s nodes ascending at ``node_ptr[g]:node_ptr[g + 1]``, ``grid[q]``
+    the grid of position ``q``) in one array pass: the events in schedule
+    order (``q``: the panel tasks of the node at position ``q``, ``~q``: its
+    Schur task) and each node's nearest in-list ancestor in its grid (a
+    position, -1 for none; one on a sibling grid is refused). The drivers'
+    step ``q`` emitted node ``q``'s panels (unless out), those of the ready
+    nodes among the next ``lookahead``, then ``q``'s Schur update. Ids
+    number parents above children, so node ``m`` is ready after step
+    ``last(m)``, the largest position whose nearest in-list ancestor is
+    ``m``, and its panels go out at step ``s = max(m - lookahead, last(m) +
+    1, its grid's start)`` if ``s < m``, else at step ``m``: the walk is a
+    sort by (step, own panel < lookahead panel < Schur, position)."""
+    n, nb = ks.size, parent.size
+    q = np.arange(n)
+    pos = np.full(nb + 1, -1, dtype=np.int64)   # nb: the sentinel above roots
+    pos[ks] = q
+    up = np.append(np.where(parent < 0, nb, parent), nb)
+    # Pointer jumping: each node ends on its chain's first listed node.
+    hop = np.where(pos >= 0, np.arange(nb + 1), up)
+    nxt = hop[hop]
+    while (nxt != hop).any():
+        hop, nxt = nxt, nxt[nxt]
+    near = pos[hop[up[ks]]]
+    bad = np.flatnonzero((near >= 0) & (grid[near] != grid))
+    if bad.size:        # its update could never reach that grid's replica
+        raise ValueError(f"node {ks[bad[0]]}'s ancestor {ks[near[bad[0]]]} "
+                         "is on another grid: a level's grids hold disjoint "
+                         "subtrees")
+    last = np.full(n + 1, -1, dtype=np.int64)   # last[n]: no ancestor
+    np.maximum.at(last, near, q)
+    s = np.maximum(np.maximum(q - lookahead, last[:n] + 1), node_ptr[grid])
+    early = s < q
+    step = np.where(early, s, q)
+    order = np.argsort(np.concatenate([(3 * step + early) * n + q,
+                                       (3 * q + 2) * n + q]))
+    return np.where(order < n, order, ~(order - n)), near
 
 
 def build_level(sf, grids, px: int, py: int, opts: FactorOptions, *,
@@ -154,26 +153,24 @@ def build_level(sf, grids, px: int, py: int, opts: FactorOptions, *,
     :class:`repro.comm.volume.BlockVolume` pricing every emitted message.
     """
     be = get_backend(backend)
-    grids = [(g, sorted(int(k) for k in nodes), base)
+    grids = [(g, np.sort(np.asarray(nodes, dtype=np.int64)), base)
              for g, nodes, base in grids]
-    ks = np.asarray([k for _g, nodes, _b in grids for k in nodes],
-                    dtype=np.int64)
+    node_ptr = csr_ptr([nodes.size for _g, nodes, _b in grids])
+    ks = np.concatenate([np.zeros(0, dtype=np.int64),
+                         *(nodes for _g, nodes, _b in grids)])
     n = ks.size
+    bad = ks[(ks < 0) | (ks >= sf.nb)]
+    if not bad.size:
+        bad = np.flatnonzero(np.bincount(ks, minlength=sf.nb) > 1)
+    if bad.size:
+        raise ValueError(f"node id {bad[0]} is outside [0, {sf.nb}) or listed "
+                         "twice: a level's node ids are distinct and in range")
     slot = np.zeros(sf.nb, dtype=np.int64)
-    slot[ks] = np.repeat(np.arange(len(grids)),
-                         [len(nodes) for _g, nodes, _b in grids])
+    slot[ks] = np.repeat(np.arange(len(grids)), np.diff(node_ptr))
     b = BuildContext(sf, px, py, [base for _g, _n, base in grids], slot,
                      opts, volume)
-    # The schedule is replayed grid by grid (lookahead never reaches into
-    # a sibling grid); everything after it is one pass over the level.
-    parent = sf.tree.parent.tolist()
-    events, near, ev_ptr = [], [], [0]
-    for _g, nodes, _base in grids:
-        ev_g, near_g = _schedule(parent, nodes, opts.lookahead, len(near))
-        events += ev_g
-        near += near_g
-        ev_ptr.append(len(events))
-    ev = np.asarray(events, dtype=np.int64)
+    ev, near = _schedule(sf.tree.parent, ks, node_ptr, slot[ks],
+                         opts.lookahead)
     is_schur = ev < 0
     pq, sq = ev[~is_schur], ~ev[is_schur]    # node numbers, schedule order
     pan = be.emit_panels(b, ks[pq])
@@ -185,7 +182,7 @@ def build_level(sf, grids, px: int, py: int, opts: FactorOptions, *,
     span[~is_schur] = pan.count
     first = np.cumsum(span) - span
     T = int(span.sum())
-    grid_ptr = np.append(first, T)[ev_ptr]
+    grid_ptr = np.append(first, T)[2 * node_ptr]   # events are grid-major
     grp, off = ragged(pan.count)
     ppos = first[~is_schur][grp] + off      # every panel task
     pf_of = np.empty(n, dtype=np.int64)     # per node: its factor task,
@@ -210,7 +207,6 @@ def build_level(sf, grids, px: int, py: int, opts: FactorOptions, *,
     # Dependencies: solve -> its factor; Schur -> its node's solves (or
     # the factor when there are none); factor -> the Schur tasks of the
     # children by nearest in-list ancestor, else the previous barrier.
-    near = np.asarray(near, dtype=np.int64)
     kids = np.flatnonzero(near >= 0)
     kids = kids[np.argsort(near[kids], kind="stable")]
     n_kids = np.bincount(near[kids], minlength=n)
@@ -244,7 +240,7 @@ def build_level(sf, grids, px: int, py: int, opts: FactorOptions, *,
     arrays.runs = np.union1d(arrays.runs, grid_ptr)
     cuts = grid_ptr.tolist()
     return arrays, grid_ptr, [
-        GridPlan(backend, g, level, px, py, base, nodes,
+        GridPlan(backend, g, level, px, py, base, nodes.tolist(),
                  arrays if len(grids) == 1 else (arrays, lo, hi))
         for (g, nodes, base), lo, hi in zip(grids, cuts, cuts[1:])]
 
@@ -449,8 +445,7 @@ def _ancestor_blocks(sf, tf, blocks_fn, grid_for_forests: int,
     nodes = np.asarray(
         [s for la in range(below_level - 1, -1, -1)
          for s in tf.forest_of_grid(grid_for_forests, la)], dtype=np.int64)
-    g, w = ragged(ptr[nodes + 1] - ptr[nodes])
-    at = ptr[nodes][g] + w
+    at = ranges(ptr[nodes], ptr[nodes + 1] - ptr[nodes])
     return ii[at], jj[at], ww[at]
 
 

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.collectives import tree_pattern
 from repro.comm.events import COMPUTE_KINDS, PHASE_SOLVE
 from repro.comm.stream import MSG, EventStream, Volume
 from repro.plan import build
+from repro.plan.arrays import tree_arrays
 from repro.utils.ragged import csr_ptr, ragged
 
 __all__ = ["DIAG_SOLVE", "UPDATE", "SolvePlan", "build_solve_plan"]
@@ -105,19 +105,16 @@ def build_solve_plan(sf, grid_of, down: bool, lower: bool) -> SolvePlan:
     tgt_owner, words = diag_owner[seg_t], sz[seg_t]
     live = blk_owner != tgt_owner       # a self-message is never emitted
 
-    # Broadcast pairs: one binomial tree per distinct (root, communicator).
-    trees: dict = {}
+    # Broadcast pairs: one binomial tree per (root, communicator), memoized.
     n_bc = np.zeros(nb, dtype=_I64)
-    bc_src, bc_dst = [], []
+    bc_src, bc_dst = [np.zeros(0, dtype=_I64)], [np.zeros(0, dtype=_I64)]
     for k, root in zip(nodes[cnt > 0].tolist(), diag_owner[cnt > 0].tolist()):
         comm = grids[k].row_ranks(k) if down and not lower \
             else grids[k].col_ranks(k)
-        pairs = trees.get((root, *comm))
-        if pairs is None:
-            pairs = trees[(root, *comm)] = tree_pattern(-1, root, comm)[:2]
-        bc_src += pairs[0]
-        bc_dst += pairs[1]
-        n_bc[k] = len(pairs[0])
+        pairs = tree_arrays(-1, root, tuple(comm))
+        bc_src.append(pairs[0])
+        bc_dst.append(pairs[1])
+        n_bc[k] = pairs[0].size
     bc, bc_off = ragged(n_bc)           # per broadcast pair: its node
 
     # Task positions: each node is one contiguous group of the schedule.
@@ -144,7 +141,8 @@ def build_solve_plan(sf, grid_of, down: bool, lower: bool) -> SolvePlan:
     src[h] = dst[h] = diag_owner
     val[h] = sz * sz
     at = h[bc] + 1 + bc_off
-    src[at], dst[at], val[at], kind[at] = bc_src, bc_dst, sz[bc], MSG
+    src[at], dst[at] = np.concatenate(bc_src), np.concatenate(bc_dst)
+    val[at], kind[at] = sz[bc], MSG
     h = ev_ptr[t_upd]
     src[h] = dst[h] = blk_owner
     val[h] = 2 * sz[idx] * sz[node]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["csr_ptr", "ragged"]
+__all__ = ["csr_ptr", "ragged", "ranges"]
 
 
 def csr_ptr(counts) -> np.ndarray:
@@ -26,3 +26,10 @@ def ragged(counts) -> tuple[np.ndarray, np.ndarray]:
     group = np.repeat(np.arange(counts.size), counts)
     starts = np.cumsum(counts) - counts
     return group, np.arange(group.size) - starts[group]
+
+
+def ranges(start, counts) -> np.ndarray:
+    """``start[g] + 0 .. counts[g] - 1`` for every group ``g``, concatenated:
+    :func:`ragged`'s ``start[group] + offset`` as one ``arange + repeat``."""
+    ptr = csr_ptr(counts)
+    return np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], counts)

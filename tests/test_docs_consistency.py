@@ -56,6 +56,18 @@ class TestCrossReferences:
         assert len(bare) >= 5
         assert sorted(bare - defined) == []
 
+    def test_ci_names_every_golden(self):
+        """Tier-1's comment in CI lists what it pins: every
+        ``tests/data/golden_*.json`` is named there (a glob counts)."""
+        import fnmatch
+        named = re.findall(r"golden_[\w*]+\.json",
+                           _read(".github/workflows/ci.yml"))
+        goldens = sorted(p.name for p in (ROOT / "tests" / "data")
+                         .glob("golden_*.json"))
+        assert len(goldens) >= 11
+        assert [g for g in goldens
+                if not any(fnmatch.fnmatch(g, n) for n in named)] == []
+
     def test_readme_examples_exist(self):
         text = _read("README.md")
         listed = set(re.findall(r"`([a-z_]+\.py)`", text))
@@ -277,6 +289,46 @@ class TestOnePlanForm:
             body = tasks.split("class Plan3D")[1].split(method)[1] \
                 .split("\n    def ")[0]
             assert "grid_plans" not in body, method
+
+    def test_the_schedule_is_one_array_pass(self):
+        """``build_level`` and its schedule helper loop over grids, never
+        over a level's nodes: every ``for`` / comprehension walks
+        ``grids``, and the only ``while`` is the helper's whole-array
+        pointer jumping."""
+        tree = ast.parse((self.SRC / "plan" / "build.py").read_text())
+        funcs = {fn.name: fn for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)}
+        for name in ("build_level", "_schedule"):
+            iters = [ast.unparse(n.iter) for n in ast.walk(funcs[name])
+                     if isinstance(n, (ast.For, ast.comprehension))]
+            assert all(re.match(r"(zip\()?grids\b", s) for s in iters), \
+                (name, iters)
+        tests = [ast.unparse(n.test) for n in ast.walk(funcs["build_level"])
+                 if isinstance(n, ast.While)]
+        assert tests == []
+        tests = [ast.unparse(n.test) for n in ast.walk(funcs["_schedule"])
+                 if isinstance(n, ast.While)]
+        assert tests == ["(nxt != hop).any()"]
+        assert "_schedule(" in ast.unparse(funcs["build_level"])
+
+    def test_separator_repair_only_where_a_plane_can_leak(self):
+        """``geometric_nd`` repairs a cut only under its one guard: the
+        marker exists exactly when ``_unit_steps`` cannot rule a leak out."""
+        text = (self.SRC / "ordering" / "nested_dissection.py").read_text()
+        tree = ast.parse(text)
+
+        def repairs(node):
+            return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                    and getattr(c.func, "id", None) == "repair_separator"]
+        guarded = [c for node in ast.walk(tree) if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "marker is not None"
+                   for stmt in node.body for c in repairs(stmt)]
+        assert len(repairs(tree)) == 1 and guarded == repairs(tree)
+        assert "marker = None if _unit_steps(adj, coords_t) else " in text
+        assert self._calls("repair_separator") == [
+            "ordering/nested_dissection.py::cut",
+            "ordering/nested_dissection.py::geometric_nd",
+            "ordering/separators.py::fiedler_separator"]
 
     @staticmethod
     def _calls(name: str) -> list[str]:

@@ -23,6 +23,8 @@ from repro.ordering import (
 from repro.sparse import (
     circuit_like,
     grid2d_5pt,
+    grid3d_7pt,
+    kkt_like,
     random_symmetric_pattern,
     symmetrize_pattern,
 )
@@ -101,6 +103,65 @@ class TestGeometricND:
         bad = GridGeometry((5, 5), "bad")
         with pytest.raises(ValueError, match="multiple"):
             nested_dissection(A, bad)
+
+    @pytest.mark.parametrize("how, match", [
+        ("nan", "finite"), ("inf", "finite"), ("1d", r"\(n, d\)"),
+        ("rows", r"\(n, d\)")])
+    def test_bad_coordinates_are_refused_up_front(self, how, match):
+        """A NaN coordinate used to fall into no part ("tree owns 122
+        vertices but matrix has 144"), 1-D coordinates into a bare
+        ``AxisError``."""
+        from repro.ordering import geometric_nd
+        A, geom = grid2d_5pt(12)
+        coords = np.indices(geom.shape).reshape(2, -1).T.astype(float)
+        if how in ("nan", "inf"):
+            coords[5, 1] = np.nan if how == "nan" else np.inf
+        elif how == "1d":
+            coords = coords[:, 0]
+        else:
+            coords = coords[:-1]
+        with pytest.raises(ValueError, match=match):
+            geometric_nd(strip_diagonal(symmetrize_pattern(A)), coords,
+                         leaf_size=16)
+
+
+class TestRepairOnlyWhereAPlaneCanLeak:
+    """On integer coordinates whose stored entries all span at most one
+    lattice step per dimension no cut plane can leak, so no separator
+    repair runs; long couplings or float coordinates keep it — and the
+    trees stay the ones the repair would have produced."""
+
+    @pytest.fixture
+    def repairs(self, monkeypatch):
+        import importlib
+        nd = importlib.import_module("repro.ordering.nested_dissection")
+        calls = []
+        real = nd.repair_separator
+        monkeypatch.setattr(nd, "repair_separator",
+                            lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("gen, leaks", [
+        (lambda: grid2d_5pt(24), False), (lambda: grid3d_7pt(8), False),
+        (lambda: kkt_like(6), False), (lambda: circuit_like(24), True)],
+        ids=["grid2d", "grid3d", "kkt_like", "circuit_like"])
+    def test_repair_runs_only_where_a_plane_can_leak(self, repairs, gen,
+                                                     leaks):
+        A, geom = gen()
+        _assert_separated(nested_dissection(A, geom, leaf_size=16), A)
+        assert bool(repairs) == leaks
+
+    def test_float_coordinates_keep_the_repair(self, repairs):
+        from repro.ordering import geometric_nd
+        A, geom = grid2d_5pt(24)
+        S = strip_diagonal(symmetrize_pattern(A))
+        coords = np.indices(geom.shape).reshape(2, -1).T
+        lattice = geometric_nd(S, coords, leaf_size=16)
+        assert not repairs
+        real = geometric_nd(S, coords.astype(float), leaf_size=16)
+        assert repairs
+        assert np.array_equal(real.perm.perm, lattice.perm.perm)
+        assert np.array_equal(real.parent, lattice.parent)
 
 
 class TestGraphND:

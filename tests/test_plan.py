@@ -254,6 +254,135 @@ class TestPlanPlumbing:
         assert ledger_dict(sims[0]) == ledger_dict(sims[1])
 
 
+def replay_schedule(parent: list, nodes: list, lookahead: int, q0: int = 0):
+    """The drivers' II-F lookahead walk over one grid's ``nodes``
+    (ascending, numbered from ``q0``), step by step with their ``pending``
+    counters: the referee of ``repro.plan.build._schedule``. Returns the
+    events (``q``: node ``q``'s panels, ``~q``: its Schur update) and each
+    node's nearest in-list ancestor (-1 for none)."""
+    where = {k: q for q, k in enumerate(nodes)}
+    n = len(nodes)
+    chains, pending = [], [0] * n
+    for u in nodes:
+        chain = []
+        p = parent[u]
+        while p != -1:
+            q = where.get(p)
+            if q is not None:
+                chain.append(q)
+                pending[q] += 1
+            p = parent[p]
+        chains.append(chain)
+    done, events = [False] * n, []
+    for q in range(n):
+        if not done[q]:
+            done[q] = True
+            events.append(q0 + q)
+        for m in range(q + 1, min(q + 1 + lookahead, n)):
+            if not done[m] and pending[m] == 0:
+                done[m] = True
+                events.append(q0 + m)
+        events.append(~(q0 + q))
+        for a in chains[q]:
+            pending[a] -= 1
+    return events, [q0 + c[0] if c else -1 for c in chains]
+
+
+class TestLookaheadSchedule:
+    """``_schedule`` computes a level's interleave in one array pass; the
+    walk it replaced is the referee, level by level and on node lists no
+    tree-forest partition produces (random subsets, spread over grids that
+    hold disjoint subtrees), at every lookahead that matters."""
+
+    @staticmethod
+    def check(parent: np.ndarray, grids: list, counter: list):
+        from repro.plan.build import _schedule
+        nodes = [sorted(int(k) for k in g) for g in grids]
+        ks = np.asarray([k for g in nodes for k in g], dtype=np.int64)
+        node_ptr = np.cumsum([0] + [len(g) for g in nodes])
+        grid = np.repeat(np.arange(len(nodes)), np.diff(node_ptr))
+        for lookahead in sorted({0, 1, 2, 8, ks.size}):
+            want_ev, want_near = [], []
+            for g in nodes:
+                ev, near = replay_schedule(parent.tolist(), g, lookahead,
+                                           len(want_near))
+                want_ev += ev
+                want_near += near
+            ev, near = _schedule(parent, ks, node_ptr, grid, lookahead)
+            assert ev.tolist() == want_ev, (grids, lookahead)
+            assert near.tolist() == want_near, (grids, lookahead)
+            counter.append(1)
+
+    def test_every_level_of_real_plans(self):
+        counter = []
+        for A, geom, leaf in (grid2d_5pt(16) + (16,), grid3d_7pt(6) + (24,)):
+            sf = symbolic_factorize(A, geom, leaf_size=leaf)
+            for pz in (1, 2, 4, 8, 16):
+                tf = greedy_partition(sf, pz)
+                for lvl in range(tf.l + 1):
+                    grids = [f for b in range(2 ** lvl)
+                             if len(f := tf.forests[(lvl, b)])]
+                    self.check(sf.tree.parent, grids, counter)
+        assert len(counter) >= 100
+
+    def test_random_subsets_and_multi_grid_levels(self):
+        from repro.ordering.minimum_degree import (minimum_degree_order,
+                                                   tree_from_order)
+        A, geom = grid2d_5pt(20)
+        geometric = symbolic_factorize(A, geom, leaf_size=8).tree.parent
+        B, _ = grid2d_5pt(12)
+        md = tree_from_order(B, minimum_degree_order(B), max_block=4).parent
+        rng = np.random.default_rng(7)
+        counter = []
+        for parent in (geometric, md):
+            nb = parent.size
+            depth = np.zeros(nb, dtype=np.int64)
+            for v in range(nb - 1, -1, -1):     # parents above children
+                depth[v] = depth[parent[v]] + 1 if parent[v] >= 0 else 0
+            for _ in range(40):
+                pick = rng.permutation(nb)[:rng.integers(1, nb + 1)]
+                # Up to three grids holding disjoint subtrees: those below
+                # a random depth, each on a random grid.
+                d = int(rng.integers(0, depth.max() + 1))
+                top = np.arange(nb)
+                while (depth[top] > d).any():
+                    top = np.where(depth[top] > d, parent[top], top)
+                grid = rng.integers(0, rng.integers(1, 4), nb)[top]
+                pick = pick[depth[pick] >= d]
+                self.check(parent, [pick[grid[pick] == g] for g in range(3)
+                                    if (grid[pick] == g).any()], counter)
+        assert len(counter) > 300
+
+    @pytest.mark.parametrize("ids, match", [
+        (lambda nb: [0, 0, 1], r"node id 0 is outside \[0, \d+\) or listed twice"),
+        (lambda nb: [nb + 3], r"node id \d+ is outside \[0, \d+\)"),
+        (lambda nb: [-1], r"node id -1 is outside \[0, \d+\)"),
+    ], ids=["duplicate", "above", "negative"])
+    def test_bad_node_ids_are_refused(self, ids, match):
+        A, geom = grid2d_5pt(12)
+        sf = symbolic_factorize(A, geom, leaf_size=16)
+        with pytest.raises(ValueError, match=match):
+            build_grid_plan(sf, ids(sf.nb), ProcessGrid2D(2, 3))
+
+    @pytest.mark.parametrize("grids, match", [
+        (lambda p: [[0, 1], [1, 2]], "node id 1 .* listed twice"),
+        (lambda p: [[0], [p[0]]], "ancestor .* is on another grid"),
+    ], ids=["an-id-on-two-grids", "an-ancestor-on-a-sibling-grid"])
+    def test_levels_that_are_not_disjoint_forests_are_refused(self, grids,
+                                                               match):
+        """A level's grids hold disjoint subtrees: a node's update could
+        never reach an ancestor's replica on another grid of its level."""
+        from repro.comm.volume import volume_for
+        from repro.plan.build import build_level
+        A, geom = grid2d_5pt(12)
+        sf = symbolic_factorize(A, geom, leaf_size=16)
+        opts = FactorOptions()
+        with pytest.raises(ValueError, match=match):
+            build_level(sf, [(g, nodes, 6 * g) for g, nodes in enumerate(
+                grids(sf.tree.parent.tolist()))], 2, 3, opts, backend="lu",
+                volume=volume_for(sf, opts))
+
+
 class TestKernelProgram:
     """A grid plan binds to a store once, as a flat list of per-block ops
     under the per-task pointer ``k_ptr`` — ``ev_ptr``'s numeric twin."""
