@@ -54,18 +54,15 @@ def format_table(headers: list[str], rows: list[list], title: str = "",
 
 
 def format_parallel_stats(result, title: str = "parallel execution") -> str:
-    """Per-level worker utilization of a fanned-out 3D factorization.
+    """Per-level thread utilization of a fanned-out 3D factorization.
 
     ``result`` is a ``Factor3DResult``; its ``parallel_stats`` holds one
     :class:`repro.parallel.LevelStats` per level that actually fanned out
     (levels with a single runnable grid stay serial and do not appear),
-    plus a :class:`repro.parallel.ParallelFallback` when workers were
+    or a :class:`repro.parallel.ParallelFallback` when workers were
     requested but the run stayed serial — that reason is printed here so
     the decision is never silent. Utilization is summed task seconds over
-    ``workers x wall``; the serial fraction is the Amdahl share of
-    fork/export + merge/import time; ``shipped`` is how many bytes of
-    shared-memory descriptors were pickled for the fan-out (0 for
-    cost-only levels, which ship no blocks).
+    ``workers x wall``.
     """
     stats = getattr(result, "parallel_stats", None) or []
     levels = [st for st in stats if hasattr(st, "utilization")]
@@ -73,13 +70,11 @@ def format_parallel_stats(result, title: str = "parallel execution") -> str:
     out: list[str] = []
     if levels:
         rows = [[st.level, st.n_tasks, st.n_workers,
-                 format_si(float(st.bytes_shipped)) + "B",
                  st.wall_seconds * 1e3, st.task_seconds * 1e3,
-                 st.utilization, st.serial_fraction]
+                 st.utilization]
                 for st in levels]
         out.append(format_table(
-            ["level", "grids", "workers", "shipped", "wall [ms]",
-             "task [ms]", "util", "serial frac"],
+            ["level", "grids", "workers", "wall [ms]", "task [ms]", "util"],
             rows, title=title))
     else:
         out.append(title)

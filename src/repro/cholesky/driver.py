@@ -24,7 +24,7 @@ class SparseCholesky3D(_Solver3D):
     refinement, and reported via ``result.perturbed_pivots``).
     ``options.n_workers`` flows through
     :func:`repro.lu3d.factor3d.factor_3d` unchanged, so the Cholesky
-    engine fans its per-level grids out to the same worker pool as LU.
+    engine runs its per-level grids on the same host threads as LU.
     """
 
     backend = "cholesky"

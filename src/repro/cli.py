@@ -108,6 +108,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    fault_plan = FaultPlan.parse(args.faults) if args.faults else None
+    try:
+        opts = FactorOptions(n_workers=args.workers, fault_plan=fault_plan,
+                             checkpoint_every=args.checkpoint_every,
+                             recovery=args.recovery,
+                             compact_comm=args.compact,
+                             blocking=args.blocking)
+    except ValueError as exc:   # a bad flag value: a usage error, exit 2
+        args.parser.error(str(exc))
     A, geom = _load(args)
     if args.grid == "auto":
         _auto_grid(args, A)
@@ -115,12 +124,6 @@ def cmd_solve(args) -> int:
         from repro.cholesky import SparseCholesky3D as Solver
     else:
         from repro.solve import SparseLU3D as Solver
-    fault_plan = FaultPlan.parse(args.faults) if args.faults else None
-    opts = FactorOptions(n_workers=args.workers, fault_plan=fault_plan,
-                         checkpoint_every=args.checkpoint_every,
-                         recovery=args.recovery,
-                         compact_comm=args.compact,
-                         blocking=args.blocking)
     if args.steps:
         return _solve_steps(args, A, geom, opts)
     solver = Solver(A, geometry=geom, px=args.px, py=args.py, pz=args.pz,
@@ -409,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cholesky", action="store_true",
                    help="use the SPD Cholesky engine")
     s.add_argument("--workers", type=int, default=1,
-                   help="host worker processes for the per-level grid "
-                        "fan-out (0 = one per core, 1 = serial); ledgers "
-                        "and factors are identical at any setting")
+                   help="host threads for the per-level grid fan-out "
+                        "(0 = one per core, 1 = serial); ledgers and "
+                        "factors are identical at any setting")
     s.add_argument("--blocking", choices=("uniform", "irregular"),
                    default="uniform",
                    help="supernode-boundary strategy: 'uniform' caps "
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, default=1e-8,
                    help="residual threshold for exit status")
     s.add_argument("--x-out", default=None, help="write solution vector here")
-    s.set_defaults(fn=cmd_solve)
+    s.set_defaults(fn=cmd_solve, parser=s)
 
     w = sub.add_parser("sweep", help="Pz sweep (Fig. 9-style table)")
     common(w)

@@ -21,7 +21,7 @@ the factorization's real message/compute schedule against virtual ranks:
 from repro.comm.collectives import bcast, reduce_pairwise
 from repro.comm.grid import ProcessGrid2D, ProcessGrid3D, near_square_grid
 from repro.comm.machine import Machine
-from repro.comm.simulator import CommError, LedgerDelta, Simulator
+from repro.comm.simulator import CommError, Simulator
 from repro.comm.topology import DragonflyTopology, Torus3D, UniformTopology
 from repro.comm.volume import (
     BlockVolume,
@@ -38,7 +38,6 @@ __all__ = [
     "CompactVolume",
     "DenseVolume",
     "DragonflyTopology",
-    "LedgerDelta",
     "Machine",
     "ProcessGrid2D",
     "ProcessGrid3D",

@@ -33,24 +33,11 @@ The driver must issue events in a causally valid order (a ``recv`` only
 after its ``send``); :class:`CommError` flags violations. Because the
 collectives are built from these point-to-point events, volume conservation
 (Σ words sent = Σ words received) holds mechanically, and tests assert it.
-
-Fork/merge
-----------
-Algorithm 1's per-level 2D factorizations touch *disjoint* rank sets, so
-a parallel host can execute them in separate OS processes against
-*forked* sub-simulators (:meth:`Simulator.fork`) and splice the resulting
-:class:`LedgerDelta` objects back with :meth:`Simulator.merge_delta`.
-Because each forked rank starts from its exact parent-side ledger state
-and undergoes the exact event sequence the serial schedule would have
-issued, the merged per-rank arrays are *copies* of what the serial run
-produces — bit-for-bit, with no floating-point reassociation anywhere.
-The only cross-rank state, ``event_counts``, is integer-summed.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -65,23 +52,7 @@ from repro.comm.stream import MSG, CommError, EventStream, Volume, mem_profile
 if TYPE_CHECKING:  # avoid the comm <-> analysis import cycle at runtime
     from repro.analysis.trace import Trace
 
-__all__ = ["Simulator", "CommError", "LedgerDelta"]
-
-
-@dataclass
-class LedgerDelta:
-    """Compact ledger state of a forked sub-simulator, ready to merge.
-
-    ``arrays`` holds, in :meth:`Simulator.ledgers` order, the *absolute*
-    final values of every per-rank ledger at ``ranks`` (their rank sets
-    are disjoint across concurrent forks, so merging copies rather than
-    sums and stays bit-exact); ``event_counts`` holds integer increments
-    accumulated since the fork.
-    """
-
-    ranks: np.ndarray
-    arrays: list[np.ndarray]
-    event_counts: dict[str, int] = field(default_factory=dict)
+__all__ = ["Simulator", "CommError"]
 
 
 class Simulator(Volume):
@@ -321,84 +292,6 @@ class Simulator(Volume):
                 clock[d] = a
         self.clock[:] = clock
         return prof
-
-    # -- fork / merge -------------------------------------------------------
-
-    def can_fork(self) -> bool:
-        """Forking requires plain per-rank ledgers: no trace (globally
-        ordered intervals), no topology (cross-fork link factors), no
-        accelerator (device clocks are not part of the delta), no fault
-        injector (its message-count state is global across ranks)."""
-        return (self.trace is None and self.topology is None
-                and self.accelerator is None and self.faults is None)
-
-    def ledgers(self) -> list[np.ndarray]:
-        return [self.clock, *self.t_compute.values(), *super().ledgers()]
-
-    def _pending_touching(self, rank_set: set[int]) -> int:
-        return sum(len(q) for (s, d), q in self._queues.items()
-                   if q and (s in rank_set or d in rank_set))
-
-    def fork(self, ranks) -> "Simulator":
-        """A fresh simulator carrying ``ranks``' exact ledger state.
-
-        The returned sub-simulator has the same rank numbering and machine
-        model; every ledger entry of ``ranks`` is copied, all other ranks
-        start at zero, and ``event_counts`` starts empty so that
-        :meth:`extract_delta` reports pure increments. Raises
-        :class:`CommError` if the simulator is not forkable
-        (:meth:`can_fork`) or if messages to/from ``ranks`` are pending.
-        """
-        if not self.can_fork():
-            raise CommError("cannot fork a traced, topology-aware or "
-                            "accelerator-attached simulator")
-        idx = np.asarray(sorted(self._check_rank(r) for r in ranks),
-                         dtype=np.intp)
-        if self._pending_touching(set(idx.tolist())):
-            raise CommError("cannot fork: pending messages touch the "
-                            "forked rank set")
-        sub = Simulator(self.nranks, self.machine)
-        sub.phase = self.phase
-        for theirs, mine in zip(sub.ledgers(), self.ledgers()):
-            theirs[idx] = mine[idx]
-        return sub
-
-    def extract_delta(self, ranks) -> LedgerDelta:
-        """Package a forked run's ledger state for :meth:`merge_delta`.
-
-        Verifies that the fork's events stayed inside ``ranks`` (any
-        ledger activity on an outside rank means the schedule escaped its
-        layer, which would make the merge silently wrong) and that no
-        messages are still in flight.
-        """
-        idx = np.asarray(sorted(self._check_rank(r) for r in ranks),
-                         dtype=np.intp)
-        if self.pending_messages():
-            raise CommError("extract_delta with messages still in flight")
-        outside = np.ones(self.nranks, dtype=bool)
-        outside[idx] = False
-        if any(a[outside].any() for a in self.ledgers()):
-            raise CommError("forked events escaped the declared rank set")
-        return LedgerDelta(ranks=idx,
-                           arrays=[a[idx] for a in self.ledgers()],
-                           event_counts=dict(self.event_counts))
-
-    def merge_delta(self, delta: LedgerDelta) -> None:
-        """Splice a fork's final ledger state back into this simulator.
-
-        Per-rank arrays are *copied* at ``delta.ranks`` (disjointness
-        across concurrent forks makes this exact); event counts are
-        integer-added. The caller merges deltas in grid order so that the
-        whole operation is deterministic regardless of worker scheduling.
-        """
-        idx = np.asarray(delta.ranks, dtype=np.intp)
-        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self.nranks):
-            raise CommError("delta ranks outside this simulator")
-        for mine, theirs in zip(self.ledgers(), delta.arrays):
-            mine[idx] = theirs
-        for kind, n in delta.event_counts.items():
-            if n:
-                self.event_counts[kind] += int(n)
 
     # -- accelerator offload -----------------------------------------------
 

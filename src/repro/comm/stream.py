@@ -199,12 +199,6 @@ class Volume:
             self.event_counts[name] += n
         return prof
 
-    def ledgers(self) -> list[np.ndarray]:
-        """Every per-rank ledger array, in a fixed order (fork / merge)."""
-        return [*self.flops.values(), *self.words_sent.values(),
-                *self.words_recv.values(), *self.msgs_sent.values(),
-                *self.msgs_recv.values(), self.mem_current, self.mem_peak]
-
     def words_per_rank(self, phase: str | None = None) -> np.ndarray:
         """Per-rank communication volume (sent + received)."""
         return sum(self.words_sent[p] + self.words_recv[p]

@@ -31,19 +31,20 @@ class FactorOptions:
         those ranks). ``False`` broadcasts along whole process rows/
         columns — the flat model Section IV analyzes.
     n_workers:
-        Host worker processes for the 3D drivers' per-level fan-out
-        (:mod:`repro.parallel`). ``1`` (default) keeps the serial in-place
-        schedule with no pool; ``0`` means one worker per host core.
-        Ledgers and factors are identical either way — the fan-out merges
-        forked sub-simulator ledgers deterministically in grid order. When
-        the pool cannot engage (see :func:`repro.plan.execmode.resolve_exec`)
-        the run stays serial and records a ``ParallelFallback``.
+        Host threads for the 3D drivers' per-level fan-out
+        (:mod:`repro.parallel`): a level's grids run their kernels
+        concurrently, each on its own replicas, and the level is booked
+        on the calling thread. ``1`` (default) keeps the serial schedule
+        with no pool; ``0`` means one thread per host core. Ledgers,
+        traces and factors are identical either way. When the threads
+        cannot engage (see :func:`repro.plan.execmode.resolve_exec`) the
+        run stays serial and records a ``ParallelFallback``.
     fault_plan:
         A :class:`repro.resilience.FaultPlan` of deterministic faults to
         inject (``None`` / empty = fault-free: every ledger stays
         bit-identical to seed). A non-empty plan (or checkpointing)
         hooks the resilience engine onto every task boundary of the one
-        serial walk — worker fan-out is recorded as a
+        serial walk — a requested thread fan-out is recorded as a
         ``ParallelFallback``. A crash fault that no task boundary of the
         run can match raises ``ValueError``.
     checkpoint_every:

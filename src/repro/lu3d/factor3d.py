@@ -16,11 +16,11 @@ sender and receiver layers, booked under the ``'red'`` phase so the
 benchmarks can split ``W_fact`` / ``W_red`` exactly as Fig. 10 does.
 
 With ``FactorOptions(n_workers != 1)`` the active grids of each level run
-*concurrently* on a host worker pool (:mod:`repro.parallel`): each grid's
-sub-plan executes against a forked sub-simulator and a shared-memory view
-of its replica blocks, and the parent merges the returned ledger deltas in
-grid order — bit-for-bit identical to the serial schedule, because the
-grids' rank sets are disjoint. When the pool cannot engage, the run stays
+their kernels *concurrently* on host threads (:mod:`repro.parallel`): the
+level's bound kernel program is cut at its grid boundaries and each grid's
+piece writes only its own replica views, while the level is booked on the
+calling thread as before — ledgers, traces and factors are the serial
+run's by construction. When the threads cannot engage, the run stays
 serial and records *why* on ``Factor3DResult.parallel_stats`` as a
 :class:`repro.parallel.ParallelFallback` — no silent fallbacks.
 
@@ -34,8 +34,6 @@ execution walk — the 2D driver's too — and resilience is hooks on it.
 
 from __future__ import annotations
 
-import pickle
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,12 +43,7 @@ from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
 from repro.lu2d.storage import node_block_arrays
 from repro.lu3d.replication import ReplicaManager
-from repro.parallel.engine import (
-    GridTask,
-    ParallelExecutor,
-    ParallelFallback,
-)
-from repro.parallel.shm import ShmTransport
+from repro.parallel import GridThreads
 from repro.plan.backends import get_backend
 from repro.plan.execmode import resolve_exec
 from repro.plan.interpret import (
@@ -82,7 +75,7 @@ class Factor3DResult:
     #: The merged-grid variant's single global block copy (numeric mode).
     merged_blocks: BlockMatrix | None = None
     per_level_makespan: list[float] = field(default_factory=list)
-    #: One :class:`repro.parallel.LevelStats` per fanned-out level, plus a
+    #: One :class:`repro.parallel.LevelStats` per fanned-out level, or a
     #: :class:`repro.parallel.ParallelFallback` record when workers were
     #: requested but the run stayed serial (empty for plain serial runs).
     parallel_stats: list = field(default_factory=list)
@@ -122,9 +115,6 @@ class CostOnlyData:
     """No numeric content: no program runs, reductions book only."""
 
     accumulate = None
-    #: Shared-memory transport backing ``export`` / ``import_back``
-    #: (:class:`repro.parallel.ShmTransport`); ``None`` = nothing to ship.
-    transport = None
     #: Whether z-replica crash recovery can rebuild a grid's state from
     #: sibling replicas. True here: with no numeric content there is
     #: nothing to rebuild, so the policy is trivially applicable.
@@ -134,12 +124,6 @@ class CostOnlyData:
         """The kernel program of ``gp`` — a grid plan or a whole level
         step — on this run's blocks (``None``: none)."""
         return None
-
-    def export(self, gp):
-        return None
-
-    def import_back(self, g, handle) -> None:
-        pass
 
     def snapshot(self):
         return None
@@ -153,30 +137,15 @@ class CostOnlyData:
 
 class ReplicaData(CostOnlyData):
     """Standard numeric mode: per-grid replica views + z-axis summation.
+    Each grid's program writes only its own views, so a level's grids may
+    run their kernels on separate threads."""
 
-    With a :class:`repro.parallel.ShmTransport` attached (pool runs),
-    ``export`` copies the blocks a grid plan may touch into shared memory
-    and ships (segment, offset, shape) descriptors. A shared-memory
-    failure makes ``export`` return ``None`` with the transport closed;
-    the executor then finishes the run inline.
-    """
-
-    def __init__(self, replicas: ReplicaManager, transport=None):
+    def __init__(self, replicas: ReplicaManager):
         self.replicas = replicas
         self.accumulate = replicas.accumulate
-        self.transport = transport
 
     def program(self, gp, sf):
         return self.replicas.program(gp)
-
-    def export(self, gp):
-        return self.transport.export(
-            gp.g, self.replicas.grid_block_refs(gp.g, gp.nodes))
-
-    def import_back(self, g, handle) -> None:
-        view = self.replicas.view(g)
-        for key, arr in self.transport.views_for(handle).items():
-            view[key][:] = arr      # in place: bound programs stay valid
 
     def snapshot(self):
         return self.replicas.snapshot()
@@ -191,7 +160,7 @@ class ReplicaData(CostOnlyData):
 class GlobalStoreData(CostOnlyData):
     """Merged numeric mode: one global block copy shared by every grid.
 
-    The shared copy rules out the fork/merge fan-out (sibling forests
+    The shared copy rules out the threaded grid fan-out (sibling forests
     accumulate into the same ancestor blocks), and makes the reduction's
     numeric content a no-op — its messages remain, for the cost ledgers.
     It also rules out z-replica recovery: there are no sibling replicas
@@ -297,16 +266,20 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
         sim.alloc_batch(np.arange(grid3.size),
                         bundle.replica_words(sf, tf, grid3))
 
-    data = _bind_data(sf, tf, result, bundle, mode, numeric=numeric,
+    data = _bind_data(sf, tf, result, bundle, numeric=numeric,
                       merged=merged, matrix=matrix, replicas=replicas)
 
     monitor = _monitor(opts, sim, bundle.plan3, sf, data, result)
     if mode.fuse:
         result.compiled = bundle.compiled()
-    engine = ParallelExecutor(mode.n_workers, sf, opts) \
-        if mode.n_workers > 1 else None
-    _execute_plan3d(bundle.plan3, sf, sim, result, opts, engine, data,
-                    fuse=mode.fuse, monitor=monitor)
+    threads = GridThreads(mode.n_workers) if mode.n_workers > 1 else None
+    try:
+        _execute_plan3d(bundle.plan3, sf, sim, result, opts, threads, data,
+                        fuse=mode.fuse, monitor=monitor)
+    finally:
+        if threads is not None:
+            threads.close()
+            result.parallel_stats.extend(threads.stats)
     if monitor is not None:
         result.resilience = monitor.finish()
     return result
@@ -321,7 +294,7 @@ def _monitor(opts, sim, plan3, sf, data, result3=None):
     return ResilienceEngine(opts, sim, plan3, sf, data, result3)
 
 
-def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, mode, *,
+def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
                numeric: bool, merged: bool, matrix, replicas):
     """Scatter the values into block storage — laid out once, only
     refilled by a replay (``replicas``) — and pick the data strategy. A
@@ -343,8 +316,7 @@ def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, mode, *,
             return GlobalStoreData(store)
         replicas = ReplicaManager(sf, tf, store, blocks_fn=bundle.blocks_fn)
     result.replicas = replicas
-    return ReplicaData(replicas, transport=ShmTransport()
-                       if mode.n_workers > 1 else None)
+    return ReplicaData(replicas)
 
 
 def _absorb_2d(result: Factor3DResult, r2d) -> None:
@@ -354,20 +326,16 @@ def _absorb_2d(result: Factor3DResult, r2d) -> None:
 
 def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
                     result: Factor3DResult, opts: FactorOptions,
-                    engine: ParallelExecutor | None, data, *,
+                    threads: GridThreads | None, data, *,
                     fuse: bool = False, monitor=None):
     """Walk the plan level by level: the one execution walk of every
     driver (standard, merged, Cholesky, and 2D as one level of one grid).
 
     ``data`` is one of the data strategies above; ``fuse`` selects the
-    full-width cut points (see :func:`execute_grid_plan`). Levels with
-    ≥ 2 grid plans fan out to the engine when one is present; everything
-    else runs inline through the shared interpreter — at full width the
-    whole level as one slice, at width 1 grid slice by grid slice; the
-    level's reductions are one booking either way. A shared-memory failure while
-    exporting a level ends the fan-out for the rest of the run: that level
-    and every later one run inline (the replicas are authoritative between
-    levels, so nothing is lost) and the run records why.
+    full-width cut points (see :func:`execute_grid_plan`): at full width
+    the whole level is one slice — its grids' kernels on ``threads`` when
+    a pool is given — at width 1 the walk goes grid slice by grid slice;
+    the level's reductions are one booking either way.
 
     Its position is ``(li, gi, ti, ctx)``: level step, grid plan, task,
     live context. ``monitor`` (the resilience engine) sees every task
@@ -375,88 +343,38 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
     :class:`Resume` position its recovery picked, and the walk jumps
     there. Returns the last part's result (a one-grid plan's whole one).
     """
-    fan_out = engine is not None
     levels = plan3.levels
     li, gi, ti, ctx = 0, 0, 0, None
     out = None
-    try:
-        while li < len(levels):
-            step = levels[li]
-            sim.set_phase("fact")
-            fanned = False
-            if fan_out and len(step.grid_plans) >= 2:
-                fanned = fan_out = _fan_out_level(engine, sf, sim, result,
-                                                  step, data, fuse)
-                if not fanned:
-                    result.parallel_stats.append(ParallelFallback(
-                        reason="shared memory failed while exporting level "
-                               f"{step.level}'s replica blocks; this and "
-                               "the remaining levels ran inline",
-                        requested_workers=opts.n_workers))
-            # At full width nothing observes a grid boundary: the level is
-            # one slice. Width 1 walks grid slice by slice.
-            parts = [step] if fuse else step.grid_plans
-            if fanned or not step.grid_plans:
-                parts = []
-            while gi < len(parts):
-                part = parts[gi]
-                if monitor is not None:
-                    monitor.enter_plan(li, gi, part)
-                out = execute_grid_plan(part, sf, sim, options=opts,
-                                        fuse=fuse, monitor=monitor, start=ti,
-                                        ctx=ctx, prog=data.program(part, sf))
-                if isinstance(out, Resume):     # a crash rewound the walk
-                    li, gi, ti, ctx = out
-                    break
-                _absorb_2d(result, out)
-                gi, ti, ctx = gi + 1, 0, None
-            else:       # the level's grids are done
-                for rep in step.replicated:
-                    execute_replicated(rep, sim)
-                if step.level > 0:
-                    sim.set_phase("red")
-                    execute_reduces(step, sim, result, data.accumulate)
-                result.per_level_makespan.append(sim.makespan)
-                li, gi = li + 1, 0
-    finally:
-        if engine is not None:
-            engine.close()
-        if data.transport is not None:
-            data.transport.close()
-    if engine is not None:
-        result.parallel_stats.extend(engine.stats)
+    while li < len(levels):
+        step = levels[li]
+        sim.set_phase("fact")
+        # At full width nothing observes a grid boundary: the level is
+        # one slice. Width 1 walks grid slice by slice.
+        parts = [step] if fuse else step.grid_plans
+        if not step.grid_plans:
+            parts = []
+        while gi < len(parts):
+            part = parts[gi]
+            if monitor is not None:
+                monitor.enter_plan(li, gi, part)
+            out = execute_grid_plan(part, sf, sim, options=opts, fuse=fuse,
+                                    monitor=monitor, start=ti, ctx=ctx,
+                                    prog=data.program(part, sf),
+                                    threads=threads)
+            if isinstance(out, Resume):     # a crash rewound the walk
+                li, gi, ti, ctx = out
+                break
+            _absorb_2d(result, out)
+            gi, ti, ctx = gi + 1, 0, None
+        else:       # the level's grids are done
+            for rep in step.replicated:
+                execute_replicated(rep, sim)
+            if step.level > 0:
+                sim.set_phase("red")
+                execute_reduces(step, sim, result, data.accumulate)
+            result.per_level_makespan.append(sim.makespan)
+            li, gi = li + 1, 0
 
     sim.set_phase("fact")
     return out
-
-
-def _fan_out_level(engine: ParallelExecutor, sf, sim: Simulator,
-                   result: Factor3DResult, step, data, fuse: bool) -> bool:
-    """Run one level's grid plans on the worker pool and merge back.
-
-    Fork order, submission order and merge order are all ascending grid
-    id; together with the disjoint per-grid rank sets this makes the
-    merged ledgers independent of worker scheduling. Returns ``False`` —
-    with nothing forked, submitted or mutated — when the level's replica
-    blocks could not be exported to shared memory.
-    """
-    t0 = time.perf_counter()
-    handles = {gp.g: data.export(gp) for gp in step.grid_plans}
-    if data.transport is not None and data.transport.broken:
-        return False
-    tasks = [GridTask(plan=gp, blocks=handles[gp.g], fuse=fuse,
-                      sub=sim.fork(range(gp.base, gp.base + gp.px * gp.py)))
-             for gp in step.grid_plans]
-    shipped = float(sum(len(pickle.dumps(h)) for h in handles.values()
-                        if h is not None))
-    outcomes = engine.run_level(step.level, tasks,
-                                prep_seconds=time.perf_counter() - t0,
-                                bytes_shipped=shipped)
-    t1 = time.perf_counter()
-    for out in outcomes:  # ascending grid id (engine sorts)
-        sim.merge_delta(out.delta)
-        if handles[out.g] is not None:
-            data.import_back(out.g, handles[out.g])
-        _absorb_2d(result, out.result)
-    engine.add_merge_seconds(time.perf_counter() - t1)
-    return True

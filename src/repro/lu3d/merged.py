@@ -29,12 +29,11 @@ driver is sequential, Schur updates are pure accumulations, and merging
 means every rank of a range works on the same logical ancestor copy
 anyway — so the per-layer replica machinery is unnecessary here and the
 reduction's numeric content degenerates to a no-op (its messages remain,
-for the cost ledgers). That shared copy also rules out the fork/merge
+for the cost ledgers). That shared copy also rules out the threaded grid
 fan-out: sibling forests at a level accumulate into shared ancestor
 blocks, so numeric runs that ask for workers stay serial and record a
-:class:`repro.parallel.ParallelFallback`. Cost-only runs have no shared
-data and parallelize like Algorithm 1 (the merged grids of a level span
-disjoint contiguous rank ranges).
+:class:`repro.parallel.ParallelFallback` (as cost-only runs do: they have
+no kernel program to fan out).
 """
 
 from __future__ import annotations

@@ -103,26 +103,6 @@ class ReplicaManager:
             self._programs[gp.arrays] = prog
         return prog
 
-    # -- worker transport --------------------------------------------------
-
-    def grid_block_refs(self, g: int,
-                        nodes) -> dict[tuple[int, int], np.ndarray]:
-        """Grid ``g``'s replicas of every block factoring ``nodes`` can
-        touch, as direct references in sorted key order — the shm
-        transport's export source. A conservative superset (the nodes' own
-        blocks, the LU Schur targets ``lpanel × upanel``, the symmetric
-        engines' ``i >= j`` pairs of the L panel) cut to what the grid
-        holds: targets are ancestors, whose replication domains nest."""
-        lpanel, upanel = self.sf.fill.lpanel, self.sf.fill.upanel
-        keys: set[tuple[int, int]] = set()
-        for v in map(int, nodes):
-            rows, cols = lpanel[v].tolist(), upanel[v].tolist()
-            keys.update((i, j) for i, j, _w in self.blocks_fn(self.sf, v))
-            keys.update((i, j) for i in rows for j in cols)
-            keys.update((i, j) for a, i in enumerate(rows) for j in rows[:a + 1])
-        view = self._views[g]
-        return {key: view[key] for key in sorted(keys) if key in view}
-
     def _segment(self, g: int, v: int) -> np.ndarray:
         buf, lo, hi = self._seg[(g, v)]
         return self._bufs[buf][lo:hi]

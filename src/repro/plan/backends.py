@@ -22,8 +22,7 @@ A backend bundles everything variant-specific about a factorization:
   Cholesky).
 
 Backends are stateless singletons resolved by name, so a
-:class:`~repro.plan.tasks.GridPlan` pickles to a pool worker as data plus
-a string.
+:class:`~repro.plan.tasks.GridPlan` pickles as data plus a string.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 Every driver (2D, 3D, merged, Cholesky) asks :func:`resolve_exec` once
 and follows the returned :class:`ExecMode`; nothing else in the package
 reads the simulator's attachments (``trace`` / ``topology`` /
-``accelerator`` / ``faults``), ``FactorOptions.resilience_active()``, the
-worker count or shared-memory availability to *choose a path* (kernels and
-the simulator still read them to book events). The rows, first match wins:
+``accelerator`` / ``faults``), ``FactorOptions.resilience_active()`` or
+the worker count to *choose a path* (kernels and the simulator still read
+them to book events). The rows, first match wins:
 
 ========================================  ==================================
 observed                                  outcome
@@ -26,19 +26,19 @@ select it: :meth:`repro.comm.Simulator.book` issues a stream event by
 event under a trace, so a traced run walks the same width as an untraced
 one.
 
-Independently, for ``n_workers != 1`` the pool engages unless the data is
-one shared global copy (merged numeric), the resilience engine watches
-the run, the simulator cannot fork, the count resolves to one worker, or
-a numeric run finds no shared memory — each recorded as a
-:class:`~repro.parallel.ParallelFallback`, never silent.
+Independently, for ``n_workers != 1`` a level's grids run their kernels
+on host threads (:mod:`repro.parallel`) unless the data is one shared
+global copy (merged numeric), the run is width 1, the run is cost-only
+(no kernel program), or the count resolves to one worker — each recorded
+as a :class:`~repro.parallel.ParallelFallback`, never silent. A trace or
+a topology does not change the schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.parallel.engine import ParallelFallback, resolve_workers
-from repro.parallel.shm import shm_available
+from repro.parallel import ParallelFallback, resolve_workers
 
 __all__ = ["ExecMode", "resolve_exec"]
 
@@ -50,7 +50,7 @@ class ExecMode:
     #: Walk the plan's full-width runs (one dispatch per same-kind run)
     #: instead of one dispatch per task.
     fuse: bool
-    #: Pool size for the per-level grid fan-out; ``1`` = inline levels.
+    #: Threads for the per-level grid fan-out; ``1`` = inline levels.
     n_workers: int
     #: The simulator carries an accelerator (what plan bundles record).
     accelerated: bool
@@ -91,20 +91,15 @@ def resolve_exec(opts, sim, *, numeric: bool, merged: bool,
             why = ("merged numeric mode keeps a single global block copy "
                    "shared across sibling forests; grid fan-out would race "
                    "on it")
-        elif resilient:
-            why = ("resilience instrumentation (fault_plan / "
-                   "checkpoint_every) watches every task boundary of one "
-                   "serial walk")
-        elif not sim.can_fork():
-            why = ("simulator cannot fork: trace, topology or accelerator "
-                   "attached (these need globally ordered events)")
+        elif not fuse:
+            why = ("width-1 run: resilience instrumentation (fault_plan / "
+                   "checkpoint_every), an accelerator or a fault injector "
+                   "watches every task boundary of one serial walk")
+        elif not numeric:
+            why = "cost-only run: no kernel program to fan out"
         elif resolved <= 1:
             why = (f"n_workers={opts.n_workers} resolves to a single worker "
                    "on this host")
-        elif numeric and not shm_available():
-            why = ("shared memory (multiprocessing.shared_memory) is "
-                   "unavailable on this platform; replica blocks cannot "
-                   "reach the workers")
         if why is None:
             n_workers = resolved
         else:

@@ -12,7 +12,10 @@ of its events in the plan's one event stream (:func:`book`, one
 ledger of a slice depend on how it is cut, so a full-width run that
 nothing monitors executes and books the whole plan as one slice of each —
 in a 3D run the whole *level* (a :class:`~repro.plan.tasks.LevelStep`,
-whose grids own disjoint ranks), its grid plans being slices of it.
+whose grids own disjoint ranks), its grid plans being slices of it. Given
+a thread pool, :func:`run` cuts a level's kernel slice at its grid
+boundaries and runs the pieces concurrently; :func:`book` stays on the
+calling thread.
 
 Because the plan's list order replays the historical drivers' exact event
 order, every broadcast's pair sequence was flattened at build time, and
@@ -54,7 +57,8 @@ class GridContext:
     the run's blocks (:meth:`KernelBackend.bind
     <repro.plan.backends.KernelBackend.bind>`; ``None``: cost-only)."""
 
-    def __init__(self, plan, sf, sim: Simulator, prog, opts: FactorOptions):
+    def __init__(self, plan, sf, sim: Simulator, prog, opts: FactorOptions,
+                 threads=None):
         self.plan = plan
         self.arrays = plan.arrays
         self.be = get_backend(plan.backend)
@@ -69,6 +73,12 @@ class GridContext:
         #: buffer_peak_words must exclude). Crash recovery frees these, a
         #: restart from a checkpoint re-charges them.
         self.buf_current = np.zeros(sim.nranks)
+        #: The run's :class:`repro.parallel.GridThreads` when ``plan`` is a
+        #: level of two or more grids (``None``: :func:`run` dispatches
+        #: inline).
+        grid_ptr = getattr(plan, "grid_ptr", None)
+        self.threads = threads if grid_ptr is not None and grid_ptr.size > 2 \
+            else None
 
     @cached_property
     def grid(self) -> ProcessGrid2D:
@@ -111,11 +121,20 @@ class Resume(NamedTuple):
 def run(ctx: GridContext, a: int, b: int) -> None:
     """The numeric kernels of tasks ``[a, b)`` (any kinds, any width): a
     slice of the bound program, the numeric twin of :func:`book` (a no-op
-    in cost-only mode) — the only task body there is."""
-    if ctx.prog is not None:
-        k_ptr = ctx.arrays.k_ptr
-        ctx.result.perturbed_pivots += execute(
-            ctx.prog, k_ptr[a], k_ptr[b], ctx.opts.pivot_eps)
+    in cost-only mode) — the only task body there is. With
+    ``ctx.threads`` the slice is cut at the level's grid boundaries and
+    the per-grid pieces run concurrently: each writes only its own grid's
+    replicas."""
+    if ctx.prog is None:
+        return
+    prog, k_ptr, eps = ctx.prog, ctx.arrays.k_ptr, ctx.opts.pivot_eps
+    if ctx.threads is None:
+        ctx.result.perturbed_pivots += execute(prog, k_ptr[a], k_ptr[b], eps)
+        return
+    cut = k_ptr[np.unique(np.clip(ctx.plan.grid_ptr, a, b))].tolist()
+    ctx.result.perturbed_pivots += ctx.threads.run(
+        ctx.plan.level, lambda lo, hi: execute(prog, lo, hi, eps),
+        list(zip(cut, cut[1:])))
 
 
 def book(ctx: GridContext, a: int, b: int) -> None:
@@ -165,8 +184,8 @@ def _book_offloading(ctx: GridContext, t: int):
 def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
                       options: FactorOptions | None = None, *,
                       fuse: bool = False, monitor=None, start: int = 0,
-                      ctx: GridContext | None = None, prog=None
-                      ) -> Factor2DResult | Resume:
+                      ctx: GridContext | None = None, prog=None,
+                      threads=None) -> Factor2DResult | Resume:
     """Execute ``plan`` on ``sim``, in plan list order. On the plain walk
     (``fuse``, no monitor, no accelerator) ``plan`` may be a whole
     :class:`~repro.plan.tasks.LevelStep`: its grids own disjoint rank
@@ -188,13 +207,15 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
     crash fired and was recovered) stops the execution and is returned
     for the walk to jump to — and ``after_task(plan, ctx, idx)`` may
     checkpoint; both read true clocks. ``start``/``ctx`` resume at task
-    index ``start`` with a restored context.
+    index ``start`` with a restored context. ``threads`` (a
+    :class:`repro.parallel.GridThreads`) runs a level's grids' kernels
+    concurrently (:func:`run`).
     """
     opts = options or FactorOptions()
     if ctx is None:
         if prog is None and data is not None:
             prog = get_backend(plan.backend).bind(plan.arrays, data, sf)
-        ctx = GridContext(plan, sf, sim, prog, opts)
+        ctx = GridContext(plan, sf, sim, prog, opts, threads)
 
     cuts = plan.arrays.cuts(fuse)
     cuts = cuts[bisect_right(cuts, start) - 1:]

@@ -297,7 +297,7 @@ class GridPlan:
     ``backend`` names the kernel backend (``'lu'`` / ``'cholesky'``) the
     interpreter resolves. The 2D grid ships as ``(px, py, base)`` and the
     tasks as :class:`~repro.plan.arrays.TaskArrays`, so the plan pickles
-    to pool workers as a few dozen ndarrays.
+    as a few dozen ndarrays.
     """
 
     backend: str

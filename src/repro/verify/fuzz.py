@@ -271,10 +271,7 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
     them), so random legal orders exercise the runs' unioned dependency
     edges; the default is one unit per task.
     """
-    # Imported here: repro.lu3d.factor3d pulls repro.parallel, which in
-    # turn reaches back into repro.verify for its pre-flight check.
     from repro.lu3d.factor3d import Factor3DResult, _bind_data
-    from repro.plan.execmode import ExecMode
     from repro.plan.replay import PlanBundle
 
     opts = options or FactorOptions()
@@ -289,13 +286,12 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
                               backend="lu" if merged else backend)
     plan3 = bundle.plan3
     charge = bundle.replica_words(sf, tf, grid3)
-    serial = ExecMode(fuse=fuse, n_workers=1, accelerated=False)
 
     def setup():
         sim = Simulator(grid3.size, mach)
         sim.alloc_batch(np.arange(grid3.size), charge)
         result = Factor3DResult(tf=tf)
-        data = _bind_data(sf, tf, result, bundle, serial, numeric=numeric,
+        data = _bind_data(sf, tf, result, bundle, numeric=numeric,
                           merged=merged, matrix=matrix, replicas=None)
         if not numeric:
             return sim, data, None

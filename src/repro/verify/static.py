@@ -25,8 +25,8 @@ properties the rest of the system silently relies on:
   promise to skip owner-preserving moves (a ``'mov'`` with
   ``src == dst`` would double-charge the ledger);
 * **rank escapes** — a task referencing ranks outside its grid's span
-  (the fork/merge fan-out of :mod:`repro.parallel` requires per-grid
-  event locality);
+  (a level is booked as one stream and its grids' kernels may run on
+  separate threads only because each grid keeps to its own ranks);
 * **disconnected roots** — a task with no dependencies that is not a
   panel root, a level barrier, or a first-level reduce;
 * **inconsistent arrays** — the analyzer reads a grid plan through its
@@ -485,10 +485,9 @@ def _analyze_solve(plan: SolvePlan, report: StaticReport, add,
 def grid_plan_rank_escapes(plan: GridPlan) -> list[str]:
     """Cheap structural rank-containment check for one grid plan.
 
-    Used by the parallel fan-out engine before forking a sub-simulator:
-    any rank outside ``[base, base + px*py)`` would make the forked
-    ledger delta escape its slice (a late, hard-to-attribute
-    ``CommError``). Only the ranks recorded in task payloads are checked
+    Any rank outside ``[base, base + px*py)`` would put the grid's events
+    on a sibling grid's ranks, which a level booked as one stream would
+    not notice. Only the ranks recorded in task payloads are checked
     — Schur-update targets are grid-owner lookups and cannot escape by
     construction.
     """

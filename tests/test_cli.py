@@ -70,6 +70,20 @@ class TestSolve:
         with pytest.raises(SystemExit, match="does not match"):
             main(["solve", str(mtx), "--grid", "7,7"])
 
+    @pytest.mark.parametrize("flag,field", [("--workers", "n_workers"),
+                                            ("--checkpoint-every",
+                                             "checkpoint_every")])
+    def test_negative_count_is_a_usage_error(self, mtx, capsys, flag, field):
+        """A value ``FactorOptions`` refuses exits 2 with one argparse
+        error line, not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(mtx), flag, "-1"])
+        assert exc.value.code == 2
+        (line,) = [s for s in capsys.readouterr().err.splitlines()
+                   if "error:" in s]
+        assert line.startswith(f"repro solve: error: {field} must be "
+                               "non-negative")
+
 
 class TestSweep:
     def test_table_printed(self, mtx, capsys):

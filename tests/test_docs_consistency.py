@@ -145,9 +145,9 @@ class TestCrossReferences:
         from repro.lu3d.merged import factor_3d_merged  # noqa: F401
         from repro.ordering import relax_supernodes  # noqa: F401
         from repro.parallel import (  # noqa: F401
+            GridThreads,
             LevelStats,
             ParallelFallback,
-            ShmTransport,
         )
         from repro.plan import ExecMode, resolve_exec  # noqa: F401
         from repro.solve import condest, equilibrate  # noqa: F401
@@ -183,6 +183,11 @@ class TestCrossReferences:
         "REPRO_FIXTURE",
         "execute_plan3d_resilient", "execute_grid_plan_resilient",
         "_MappingData", "GridCrash",
+        "ShmTransport", "ShmViewHandle", "attach_views", "shm_available",
+        "SHM_PREFIX", "LedgerDelta", "extract_delta", "merge_delta",
+        "can_fork", "_pending_touching", "ParallelExecutor", "GridTask",
+        "GridOutcome", "_worker_run", "_worker_init", "_fan_out_level",
+        "grid_block_refs", "import_back", "Simulator.fork",
     )
 
     def test_no_deleted_name_survives(self):
@@ -192,6 +197,16 @@ class TestCrossReferences:
             text = path.read_text()
             for name in self.DELETED_NAMES:
                 assert name not in text, f"{name!r} survives in {path}"
+
+    def test_no_process_pool(self):
+        """Host parallelism is threads over the one arena: nothing under
+        ``src/repro`` imports a process pool or shared memory."""
+        banned = re.compile(r"multiprocessing|ProcessPoolExecutor"
+                            r"|shared_memory")
+        hits = [str(path.relative_to(ROOT))
+                for path in (ROOT / "src" / "repro").rglob("*.py")
+                if banned.search(path.read_text())]
+        assert hits == []
 
 
 class TestOnePlanForm:
@@ -347,11 +362,10 @@ class TestOnePlanForm:
     def test_one_execution_walk(self):
         """``_execute_plan3d`` is the one loop that executes a plan's
         levels — every driver's, the 2D one as one level of one grid.
-        Besides it only the pool worker (one grid plan) and the z-replica
-        replay (the crashed grid's own subtree) execute a grid plan."""
+        Besides it only the z-replica replay (the crashed grid's own
+        subtree) executes a grid plan."""
         assert self._calls("execute_grid_plan") == [
             "lu3d/factor3d.py::_execute_plan3d",
-            "parallel/engine.py::_worker_run",
             "resilience/engine.py::_recover_zreplica"]
         assert self._calls("_execute_plan3d") == [
             "lu2d/factor2d.py::_factor_nodes", "lu3d/factor3d.py::_factor"]

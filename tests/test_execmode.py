@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -34,6 +35,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.analysis import Trace  # noqa: E402
 from repro.cholesky import factor_chol_3d  # noqa: E402
 from repro.comm import (  # noqa: E402
+    DragonflyTopology,
     Machine,
     ProcessGrid3D,
     Simulator,
@@ -105,10 +107,15 @@ def expected_error(opts: FactorOptions, driver: str, numeric: bool):
 
 
 def expect_fallback(opts, attachment, driver, numeric) -> bool:
+    """The four stay-serial reasons: merged numeric, a width-1 run,
+    a cost-only run, one resolved worker. A trace or a topology is none
+    of them."""
     if opts.n_workers == 1:
         return False
-    return (driver == "merged" and numeric) or opts.resilience_active() \
-        or attachment != "none" or resolve_workers(opts.n_workers) <= 1
+    width1 = opts.resilience_active() \
+        or attachment in ("accelerator", "faults")
+    return (driver == "merged" and numeric) or width1 or not numeric \
+        or resolve_workers(opts.n_workers) <= 1
 
 
 _reference_cache: dict = {}
@@ -197,6 +204,29 @@ def test_width_follows_what_observes(observer, compact):
     assert ledger_state(sim) == reference_ledger("lu", True, opts)
 
 
+@pytest.mark.parametrize("observer", ["trace", "topology"])
+def test_observed_threaded_run_is_the_serial_run(observer):
+    """A traced run and one under a (ledger-changing) topology fan their
+    levels out on threads like a plain run — ``LevelStats``, no fallback —
+    and book the serial run's trace, ledger and factors exactly."""
+    sf, tf = setup_for("lu", "uniform")
+    runs = []
+    for nw in (1, 2):
+        sim = Simulator(GRID3.size, MACHINE, trace=Trace()) \
+            if observer == "trace" else Simulator(
+                GRID3.size, MACHINE, topology=DragonflyTopology(2, 1))
+        runs.append((sim, run_driver("lu", sf, tf, sim, True,
+                                     FactorOptions(n_workers=nw))))
+    (sim_s, res_s), (sim_p, res_p) = runs
+    assert [type(p) for p in res_p.parallel_stats] == [LevelStats]
+    assert ledger_state(sim_p) == ledger_state(sim_s)
+    assert np.array_equal(res_p.factors().to_dense(),
+                          res_s.factors().to_dense())
+    if observer == "trace":
+        assert sim_s.trace.events and \
+            sim_p.trace.events == sim_s.trace.events
+
+
 class TestResolveExec:
     """The table's rows, one by one, without running anything."""
 
@@ -216,17 +246,21 @@ class TestResolveExec:
         assert not m.fuse
         assert m.accelerated == (attachment == "accelerator")
 
-    def test_topology_only_blocks_the_fork(self):
-        m = self.mode(FactorOptions(n_workers=2), attachment="topology")
-        assert m.fuse and m.n_workers == 1
-        assert "cannot fork" in m.fallback.reason
+    @pytest.mark.parametrize("attachment", ["accelerator", "faults"])
+    def test_width1_runs_stay_serial(self, attachment):
+        m = self.mode(FactorOptions(n_workers=2), attachment=attachment)
+        assert not m.fuse and m.n_workers == 1
+        assert "width-1" in m.fallback.reason
 
-    def test_trace_only_blocks_the_fork(self):
-        """A trace no longer selects the walk: traced runs are full width."""
+    def test_topology_fans_out(self):
+        m = self.mode(FactorOptions(n_workers=2), attachment="topology")
+        assert m == ExecMode(fuse=True, n_workers=2, accelerated=False)
+
+    def test_trace_fans_out(self):
+        """A trace selects neither the walk nor the thread count."""
         assert self.mode(attachment="trace") == self.mode()
         m = self.mode(FactorOptions(n_workers=2), attachment="trace")
-        assert m.fuse and m.n_workers == 1
-        assert "cannot fork" in m.fallback.reason
+        assert m == ExecMode(fuse=True, n_workers=2, accelerated=False)
 
     def test_resilience_is_monitored_and_serial(self):
         """The resilience engine observes task boundaries: one width rule
@@ -247,11 +281,13 @@ class TestResolveExec:
         m = self.mode(FactorOptions(n_workers=0))
         assert m.n_workers == 1 and "single worker" in m.fallback.reason
 
-    def test_merged_numeric_stays_serial_cost_only_fans_out(self):
+    def test_merged_numeric_and_cost_only_stay_serial(self):
         opts = FactorOptions(n_workers=2)
         assert "global block copy" in self.mode(opts, merged=True
                                                 ).fallback.reason
-        assert self.mode(opts, merged=True, numeric=False).n_workers == 2
+        for merged in (False, True):
+            m = self.mode(opts, merged=merged, numeric=False)
+            assert m.n_workers == 1 and "cost-only" in m.fallback.reason
 
     def test_replication_refusals(self):
         c2 = FactorOptions(ancestor_replication=2)

@@ -1,28 +1,31 @@
-"""Tests for the parallel z-grid execution engine (repro.parallel).
+"""Tests for the threaded z-grid fan-out (repro.parallel).
 
-The contract under test: fanning the independent per-level 2D
-factorizations out to a worker pool changes *nothing observable* — every
-simulator ledger is bit-for-bit identical to the serial schedule and the
-numeric factors match to 1e-12 (they are in fact bit-identical, since the
-workers run the same kernels on copies of the same data).
+The contract under test: running a level's grids' kernels on host threads
+changes *nothing observable* — every simulator ledger is bit-for-bit the
+serial schedule's and the factors are ``np.array_equal``: each grid's
+piece of the level's bound kernel program writes only its own replicas,
+and the level is booked on the calling thread.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.parallel as parallel
 from repro.cholesky import factor_chol_3d
 from repro.comm import CommError, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.comm.collectives import reduce_pairwise
-from repro.comm.simulator import COMPUTE_KINDS, PHASES
 from repro.lu2d.factor2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
-from repro.parallel import engine as engine_mod
-from repro.parallel.engine import resolve_workers
+from repro.parallel import LevelStats, ParallelFallback, resolve_workers
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from repro.verify.oracle import ledger_state
 
 PZ = 4
 
@@ -45,35 +48,59 @@ def spd_setup():
     return S, sf, tf
 
 
-def _ledgers(sim):
-    out = {"clock": sim.clock, "mem_current": sim.mem_current,
-           "mem_peak": sim.mem_peak}
-    for p in PHASES:
-        out[f"ws:{p}"] = sim.words_sent[p]
-        out[f"wr:{p}"] = sim.words_recv[p]
-        out[f"ms:{p}"] = sim.msgs_sent[p]
-        out[f"mr:{p}"] = sim.msgs_recv[p]
-    for k in COMPUTE_KINDS:
-        out[f"fl:{k}"] = sim.flops[k]
-        out[f"tc:{k}"] = sim.t_compute[k]
-    return out
-
-
 def assert_ledgers_identical(sim_a, sim_b):
-    la, lb = _ledgers(sim_a), _ledgers(sim_b)
-    for key in la:
-        assert np.array_equal(la[key], lb[key]), f"ledger {key} diverged"
-    assert dict(sim_a.event_counts) == dict(sim_b.event_counts)
+    assert ledger_state(sim_a) == ledger_state(sim_b)
 
 
-def _run_lu(sf, tf, numeric, opts):
+DRIVERS = {"lu": factor_3d, "cholesky": factor_chol_3d,
+           "merged": factor_3d_merged}
+
+
+def _run(driver, sf, tf, numeric, opts):
     grid3 = ProcessGrid3D(2, 2, PZ)
     sim = Simulator(grid3.size)
-    res = factor_3d(sf, tf, grid3, sim, numeric=numeric, options=opts)
+    res = DRIVERS[driver](sf, tf, grid3, sim, numeric=numeric, options=opts)
     return sim, res
 
 
+def _run_lu(sf, tf, numeric, opts):
+    return _run("lu", sf, tf, numeric, opts)
+
+
+def _levels(res):
+    return [st for st in res.parallel_stats if isinstance(st, LevelStats)]
+
+
+def _fallbacks(res):
+    return [st for st in res.parallel_stats
+            if isinstance(st, ParallelFallback)]
+
+
 class TestParallelMatchesSerial:
+    @pytest.mark.parametrize("compact", [False, True],
+                             ids=["dense", "compact"])
+    @pytest.mark.parametrize("n_workers", [2, 0])
+    @pytest.mark.parametrize("case", ["lu", "cholesky", "merged-cost-only"])
+    def test_threads_book_the_serial_run(self, planar_setup, spd_setup,
+                                         case, n_workers, compact):
+        """LU and Cholesky fan out and stay bit-equal; merged cost-only
+        stays serial (no kernel program) and says so — same ledger."""
+        driver, numeric = case.split("-")[0], case != "merged-cost-only"
+        _, sf, tf = spd_setup if driver == "cholesky" else planar_setup
+        runs = [_run(driver, sf, tf, numeric,
+                     FactorOptions(compact_comm=compact, n_workers=nw))
+                for nw in (1, n_workers)]
+        (sim_s, res_s), (sim_p, res_p) = runs
+        assert_ledgers_identical(sim_s, sim_p)
+        if numeric:
+            assert np.array_equal(res_s.factors().to_dense(),
+                                  res_p.factors().to_dense())
+            assert _levels(res_p) and not _fallbacks(res_p)
+        else:
+            (fb,) = res_p.parallel_stats
+            assert "cost-only" in fb.reason
+            assert fb.requested_workers == n_workers
+
     @pytest.mark.parametrize("n_workers", [2, 4])
     def test_lu_numeric(self, planar_setup, n_workers):
         _, sf, tf = planar_setup
@@ -81,94 +108,115 @@ class TestParallelMatchesSerial:
         sim_p, res_p = _run_lu(sf, tf, True,
                                FactorOptions(n_workers=n_workers))
         assert_ledgers_identical(sim_s, sim_p)
-        delta = np.abs(res_s.factors().to_dense()
-                       - res_p.factors().to_dense()).max()
-        assert delta <= 1e-12
+        assert np.array_equal(res_s.factors().to_dense(),
+                              res_p.factors().to_dense())
         assert res_s.perturbed_pivots == res_p.perturbed_pivots
         assert res_s.schur_block_updates == res_p.schur_block_updates
         assert res_s.per_level_makespan == res_p.per_level_makespan
-        assert res_p.parallel_stats, "no level fanned out"
+        assert _levels(res_p), "no level fanned out"
 
     def test_lu_cost_only(self, planar_setup):
+        """No kernel program, nothing to fan out: serial, recorded."""
         _, sf, tf = planar_setup
         sim_s, _ = _run_lu(sf, tf, False, FactorOptions())
         sim_p, res_p = _run_lu(sf, tf, False, FactorOptions(n_workers=2))
         assert_ledgers_identical(sim_s, sim_p)
-        assert res_p.parallel_stats
+        (fb,) = res_p.parallel_stats
+        assert "cost-only" in fb.reason and fb.backend == "thread"
 
     @pytest.mark.parametrize("numeric", [False, True])
     def test_merged(self, planar_setup, numeric):
         _, sf, tf = planar_setup
-        runs = []
-        for nw in (1, 2):
-            grid3 = ProcessGrid3D(2, 2, PZ)
-            sim = Simulator(grid3.size)
-            res = factor_3d_merged(sf, tf, grid3, sim, numeric=numeric,
-                                   options=FactorOptions(n_workers=nw))
-            runs.append((sim, res))
-        assert_ledgers_identical(runs[0][0], runs[1][0])
-        if numeric:
-            # The single global block copy is shared across sibling
-            # forests, so numeric merged runs stay serial — and correct —
-            # with the decision recorded instead of silent.
-            serial, parallel = runs[0][1], runs[1][1]
-            assert not serial.parallel_stats  # n_workers=1: nothing to say
-            (fb,) = parallel.parallel_stats
-            assert "global block copy" in fb.reason
-            assert fb.requested_workers == 2
-        else:
-            assert runs[1][1].parallel_stats
+        (sim_s, serial), (sim_p, par) = [
+            _run("merged", sf, tf, numeric, FactorOptions(n_workers=nw))
+            for nw in (1, 2)]
+        assert_ledgers_identical(sim_s, sim_p)
+        # The single global block copy is shared across sibling forests,
+        # so numeric merged runs stay serial — and correct — with the
+        # decision recorded instead of silent; cost-only runs have no
+        # kernel program to fan out.
+        assert not serial.parallel_stats  # n_workers=1: nothing to say
+        (fb,) = par.parallel_stats
+        assert ("global block copy" if numeric else "cost-only") in fb.reason
+        assert fb.requested_workers == 2
 
     def test_cholesky_numeric(self, spd_setup):
+        """One ``LevelStats`` per level with two or more grids, counting
+        them; the root level (one grid) runs inline."""
         _, sf, tf = spd_setup
-        runs = []
-        for nw in (1, 2):
-            grid3 = ProcessGrid3D(2, 2, PZ)
-            sim = Simulator(grid3.size)
-            res = factor_chol_3d(sf, tf, grid3, sim, numeric=True,
-                                 options=FactorOptions(n_workers=nw))
-            runs.append((sim, res))
-        assert_ledgers_identical(runs[0][0], runs[1][0])
-        delta = np.abs(runs[0][1].factors().to_dense()
-                       - runs[1][1].factors().to_dense()).max()
-        assert delta <= 1e-12
-        assert runs[1][1].parallel_stats
+        _, res = _run("cholesky", sf, tf, True, FactorOptions(n_workers=2))
+        assert [(st.level, st.n_tasks) for st in res.parallel_stats] == \
+            [(2, 4), (1, 2)]
 
     def test_stats_shape(self, planar_setup):
         _, sf, tf = planar_setup
-        _, res = _run_lu(sf, tf, False, FactorOptions(n_workers=2))
+        _, res = _run_lu(sf, tf, True, FactorOptions(n_workers=2))
         for st in res.parallel_stats:
-            assert st.n_tasks >= 2
-            assert st.wall_seconds > 0
-            assert 0.0 <= st.serial_fraction <= 1.0
+            assert st.n_tasks >= 2 and st.n_workers == 2
+            assert st.wall_seconds > 0 and st.task_seconds > 0
+            assert st.bytes_shipped == 0 and st.serial_seconds == 0
 
 
 class TestEngineMachinery:
     def test_worker_error_propagates(self, planar_setup, monkeypatch):
-        """A worker-side exception reaches the caller unchanged. The
-        monkeypatched interpreter entry is inherited through fork."""
+        """A kernel that raises on a pool thread reaches the caller
+        unchanged, and the pool is closed behind it."""
         from repro.plan import interpret
 
         def exploding(*args, **kwargs):
             raise RuntimeError("worker exploded")
 
-        monkeypatch.setattr(interpret, "execute_grid_plan", exploding)
+        monkeypatch.setattr(interpret, "execute", exploding)
         _, sf, tf = planar_setup
-        grid3 = ProcessGrid3D(2, 2, PZ)
-        sim = Simulator(grid3.size)
         with pytest.raises(RuntimeError, match="worker exploded"):
-            factor_3d(sf, tf, grid3, sim, numeric=False,
-                      options=FactorOptions(n_workers=2))
+            _run_lu(sf, tf, True, FactorOptions(n_workers=2))
+        assert not any(t.name.startswith("repro-grid")
+                       for t in threading.enumerate())
+
+    def test_pieces_run_on_pool_threads(self, planar_setup, monkeypatch):
+        """A fanned-out level's kernels run on the pool's threads, one
+        piece per grid; the root level's on the calling thread."""
+        from repro.plan import interpret
+        seen = []
+
+        def spy(prog, lo, hi, eps):
+            seen.append(threading.current_thread().name)
+            return execute(prog, lo, hi, eps)
+
+        execute = interpret.execute
+        monkeypatch.setattr(interpret, "execute", spy)
+        _, sf, tf = planar_setup
+        _run_lu(sf, tf, True, FactorOptions(n_workers=2))
+        pooled = [n for n in seen if n.startswith("repro-grid")]
+        assert len(pooled) == 4 + 2 and len(seen) == len(pooled) + 1
+
+    def test_more_threads_than_cores_under_fast_switching(self,
+                                                          planar_setup):
+        """Eight threads on a short switch interval, every pivot of the
+        level perturbed: a lost update to a shared counter or a grid
+        writing another's blocks would change the count or the factors."""
+        _, sf, tf = planar_setup
+        opts = FactorOptions(pivot_eps=0.99)
+        sim_s, res_s = _run_lu(sf, tf, True, opts)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sim_p, res_p = _run_lu(sf, tf, True, FactorOptions(
+                pivot_eps=0.99, n_workers=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert res_s.perturbed_pivots > 0
+        assert res_p.perturbed_pivots == res_s.perturbed_pivots
+        assert np.array_equal(res_s.factors().to_dense(),
+                              res_p.factors().to_dense())
+        assert_ledgers_identical(sim_s, sim_p)
 
     def test_n_workers_1_spawns_no_pool(self, planar_setup, monkeypatch):
         def boom(*a, **k):
             raise AssertionError("pool spawned for n_workers=1")
-        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", boom)
         _, sf, tf = planar_setup
-        grid3 = ProcessGrid3D(2, 2, PZ)
-        sim = Simulator(grid3.size)
-        res = factor_3d(sf, tf, grid3, sim, numeric=False,
-                        options=FactorOptions(n_workers=1))
+        _, res = _run_lu(sf, tf, True, FactorOptions(n_workers=1))
         assert not res.parallel_stats
 
     def test_resolve_workers(self):
@@ -180,52 +228,6 @@ class TestEngineMachinery:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
             FactorOptions(n_workers=-2)
-
-
-class TestForkMerge:
-    def test_fork_merge_roundtrip(self):
-        sim = Simulator(8)
-        sim.compute(1, 100.0, "schur")
-        sim.sendrecv(0, 1, 50.0)
-        sub = sim.fork([0, 1, 2, 3])
-        assert sub.clock[1] == sim.clock[1]
-        sub.compute(2, 10.0, "panel")
-        sub.sendrecv(2, 3, 5.0)
-        delta = sub.extract_delta([0, 1, 2, 3])
-        before = sim.clock[4:].copy()
-        sim.merge_delta(delta)
-        assert sim.clock[2] == sub.clock[2]
-        assert np.array_equal(sim.clock[4:], before)
-        assert sim.event_counts["panel"] == 1
-
-    def test_fork_rejects_traced_sim(self):
-        from repro.analysis import Trace
-        sim = Simulator(4, trace=Trace())
-        assert not sim.can_fork()
-        with pytest.raises(CommError, match="fork"):
-            sim.fork([0, 1])
-
-    def test_fork_rejects_pending_messages(self):
-        sim = Simulator(4)
-        sim.send(0, 1, 10.0)  # posted, never received
-        with pytest.raises(CommError, match="pending"):
-            sim.fork([0, 1])
-        sim.recv(1, 0)
-        sim.fork([0, 1])  # drained: forkable again
-
-    def test_extract_delta_detects_escape(self):
-        sim = Simulator(4)
-        sub = sim.fork([0, 1])
-        sub.compute(3, 10.0, "schur")  # outside the declared set
-        with pytest.raises(CommError, match="escaped"):
-            sub.extract_delta([0, 1])
-
-    def test_extract_delta_rejects_in_flight(self):
-        sim = Simulator(4)
-        sub = sim.fork([0, 1])
-        sub.send(0, 1, 10.0)
-        with pytest.raises(CommError, match="in flight"):
-            sub.extract_delta([0, 1])
 
 
 class TestSendrecvBatch:

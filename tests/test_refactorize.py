@@ -247,7 +247,7 @@ class TestStrayValues:
 
 #: The refactorize × execution-mode interaction matrix: the plan-replay
 #: warm path must stay bit-identical to a cold factorization on the inline
-#: serial levels and on the real process pool (shared-memory transport).
+#: serial levels and with a level's grids on host threads.
 #: The unfused walk is covered by ``test_unfused_replay_matches_cold``.
 INTERACTION_MODES = [
     ("serial", FactorOptions()),

@@ -33,7 +33,6 @@ from repro.parallel import ParallelFallback
 from repro.resilience import (
     FAULT_KINDS,
     Fault,
-    FaultInjector,
     FaultPlan,
     ResilienceEngine,
     ResilienceStats,
@@ -173,13 +172,6 @@ class TestMechanicalFaults:
             clean.words_sent["fact"].tolist()
         assert sim.msgs_sent["fact"].tolist() == \
             clean.msgs_sent["fact"].tolist()
-
-    def test_injector_blocks_fork(self):
-        sim = Simulator(4, Machine.edison_like())
-        assert sim.can_fork()
-        sim.attach_faults(FaultInjector(
-            FaultPlan((Fault("slow", rank=0),)), sim.machine))
-        assert not sim.can_fork()
 
 
 class TestGoldenFaults:

@@ -416,7 +416,7 @@ class TestVerifyStackBothVolumes:
 class TestOneProgramAnyWalk:
     """Every walk executes slices of one list of per-block ops — one per
     task, one per Schur pair — so the factors are *bit*-equal across walk
-    widths, legal task orders and the worker pool."""
+    widths, legal task orders and the grid threads."""
 
     def runs(self, sf, tf, backend, compact, matrix):
         from tests.conftest import width1_simulator
@@ -480,17 +480,14 @@ def per_grid_walk(sf, tf, grid3, opts, *, backend="lu", merged=False,
     ``(sim, dense factors or None, plan)``."""
     from repro.lu3d.factor3d import Factor3DResult, _bind_data
     from repro.plan import PlanBundle, execute_grid_plan, execute_reduce
-    from repro.plan.execmode import ExecMode
     bundle = PlanBundle.build(sf, tf, grid3, opts, backend=backend,
                               merged=merged)
     sim = Simulator(grid3.size)
     sim.alloc_batch(np.arange(grid3.size),
                     bundle.replica_words(sf, tf, grid3))
     result = Factor3DResult(tf=tf)
-    data = _bind_data(sf, tf, result, bundle,
-                      ExecMode(fuse=True, n_workers=1, accelerated=False),
-                      numeric=numeric, merged=merged, matrix=matrix,
-                      replicas=None)
+    data = _bind_data(sf, tf, result, bundle, numeric=numeric, merged=merged,
+                      matrix=matrix, replicas=None)
     for step in bundle.plan3.levels:
         sim.set_phase("fact")
         for gp in step.grid_plans:
@@ -510,7 +507,7 @@ def per_grid_walk(sf, tf, grid3, opts, *, backend="lu", merged=False,
 class TestOneWalkAnyWidthAnyGrouping:
     """The level walk (one dispatch + one booking per level, one per level's
     reduces), the per-grid walk over slices, the width-1 walk, a
-    fuzzer-permuted legal order and the 2-worker pool book one
+    fuzzer-permuted legal order and the 2-thread fan-out book one
     ``ledger_state`` and produce ``array_equal`` factors; the plan's
     reduction (one ``add`` per level) is that ledger per rank, exactly."""
 
