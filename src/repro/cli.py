@@ -430,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "change")
     s.add_argument("--verify-plan", action="store_true",
                    help="after factorization, run the static plan analyzer "
-                        "(races, cycles, malformed collectives, task "
-                        "arrays vs their records) on the executed plan, "
-                        "then the ledger-conservation oracle; non-zero "
-                        "exit on any finding")
+                        "(races, cycles, malformed collectives, rank "
+                        "escapes, inconsistent task arrays) on the executed "
+                        "plan, then the ledger-conservation oracle; "
+                        "non-zero exit on any finding")
     s.add_argument("--dump-plan", action="store_true",
                    help="print the execution plan's task-kind totals and "
                         "critical-path length (tasks + modeled alpha-beta "

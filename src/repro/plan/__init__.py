@@ -6,14 +6,13 @@ this package makes that structure a first-class object. A *builder*
 (:mod:`repro.plan.build`) walks the symbolic factorization and tree-forest
 once and emits the task DAG — per level as one struct-of-arrays
 (:mod:`repro.plan.arrays`, fused by construction, a grid plan a slice of
-it; typed task records, :mod:`repro.plan.tasks`, are its lazily
-materialised view); a single
-*interpreter* (:mod:`repro.plan.interpret`) executes any plan against a
-pluggable kernel backend (:mod:`repro.plan.backends` — LU or Cholesky,
-numeric or cost-only). Every driver (2D baseline, 3D, merged-grid,
-Cholesky) is a thin wrapper over this machinery, and the parallel engine
-ships per-grid sub-plans to its workers instead of re-deriving driver
-structure.
+it; the level-scope tasks and the plan containers are
+:mod:`repro.plan.tasks`); a single *interpreter*
+(:mod:`repro.plan.interpret`) executes any plan against a pluggable
+kernel backend (:mod:`repro.plan.backends` — LU or Cholesky, numeric or
+cost-only). Every driver (2D baseline, 3D, merged-grid, Cholesky) is a
+thin wrapper over this machinery, and the grid threads run a level's
+per-grid slices of it instead of re-deriving driver structure.
 
 Plan list order replays the historical drivers' exact event schedule, so
 ledgers are bit-identical to the pre-plan code; the dependency edges feed
@@ -45,10 +44,7 @@ from repro.plan.tasks import (
     GridPlan,
     LevelBarrier,
     LevelStep,
-    PanelBcast,
-    PanelFactor,
     Plan3D,
-    SchurUpdate,
     Task,
 )
 
@@ -64,11 +60,8 @@ __all__ = [
     "LUBackend",
     "LevelBarrier",
     "LevelStep",
-    "PanelBcast",
-    "PanelFactor",
     "Plan3D",
     "PlanBundle",
-    "SchurUpdate",
     "Task",
     "TaskArrays",
     "build_3d_plan",

@@ -18,20 +18,18 @@ dispatch per maximal same-kind run), width 1 cuts at every task.
 :meth:`TaskArrays.volume` reduces the stream to per-rank words, messages,
 flops and peak memory with no simulator at all.
 
-The builder (:mod:`repro.plan.build`; :meth:`TaskArrays.from_records` for
-a hand-edited task list) fills the primary columns and
-:meth:`TaskArrays.assemble` derives everything executed from them, so the
-typed width-1 view (:attr:`TaskArrays.records`) that analysis reads and
-the arrays the interpreter walks cannot drift apart:
-``from_records(records)`` reproduces the arrays column for column
-(test-pinned, and re-checked by the analyzer on every plan it sees).
+The builder (:mod:`repro.plan.build`) fills the :data:`PRIMARY` columns
+and :meth:`TaskArrays.assemble` derives the executed :data:`DERIVED` ones
+from them. There is no second form: the static analyzer
+(:mod:`repro.verify.static`) reads the same columns the interpreter walks,
+and checks that the derived ones are what ``assemble`` makes of the
+primary ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,12 +37,14 @@ from repro.comm.collectives import tree_pattern
 from repro.comm.stream import MSG, EventStream, Volume
 from repro.utils.ragged import csr_ptr, ranges
 
-__all__ = ["PANEL_FACTOR", "PANEL_BCAST", "SCHUR_UPDATE", "SIDES",
-           "TaskArrays", "tree_pattern"]
+__all__ = ["PANEL_FACTOR", "PANEL_BCAST", "SCHUR_UPDATE", "KINDS", "SIDES",
+           "PRIMARY", "DERIVED", "TaskArrays", "tree_pattern"]
 
 #: ``TaskArrays.kind`` codes — each is also the ``COMPUTE_KINDS`` index
 #: ('diag', 'panel', 'schur') of the compute events the kind books.
 PANEL_FACTOR, PANEL_BCAST, SCHUR_UPDATE = 0, 1, 2
+#: The kinds' names (index = code).
+KINDS = ("panel_factor", "panel_bcast", "schur_update")
 #: ``TaskArrays.side`` codes (index = code).
 SIDES = ("", "U", "L")
 
@@ -258,90 +258,10 @@ class TaskArrays:
 
     def __getstate__(self):     # the caches never ship
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("stream", "records", "k_ptr")}
+                if k not in ("stream", "k_ptr")}
 
-    # -- the typed width-1 view --------------------------------------------
 
-    @cached_property
-    def records(self) -> list:
-        """The tasks as typed records, one per task, in list order: built
-        on first use (analysis only — execution never touches it)."""
-        from repro.plan.tasks import (BcastSpec, PanelBcast, PanelFactor,
-                                      SchurUpdate)
-        c = SimpleNamespace(**{n: getattr(self, n).tolist() for n in (
-            "tid", "kind", "node", "bi", "bj", "side", "owner", "flops",
-            "dep_ptr", "dep_idx", "bc_ptr", "bc_root", "bc_comm", "bc_words",
-            "bc_route", "pair_ptr")})
-        specs = [BcastSpec(root, tuple(self.comms[comm]), words,
-                           None if route < 0 else route)
-                 for root, comm, words, route in zip(
-                     c.bc_root, c.bc_comm, c.bc_words, c.bc_route)]
-        out = []
-        for t, kind in enumerate(c.kind):
-            common = dict(
-                tid=c.tid[t], node=c.node[t], flops=c.flops[t],
-                deps=tuple(c.dep_idx[c.dep_ptr[t]:c.dep_ptr[t + 1]]))
-            if kind == SCHUR_UPDATE:
-                out.append(SchurUpdate(
-                    n_pairs=c.pair_ptr[t + 1] - c.pair_ptr[t], **common))
-                continue
-            common.update(owner=c.owner[t],
-                          bcasts=tuple(specs[c.bc_ptr[t]:c.bc_ptr[t + 1]]))
-            out.append(PanelFactor(**common) if kind == PANEL_FACTOR else
-                       PanelBcast(block=(c.bi[t], c.bj[t]),
-                                  side=SIDES[c.side[t]], **common))
-        return out
-
-    @classmethod
-    def from_records(cls, tasks, pair_costs) -> "TaskArrays":
-        """Pack a task list back into arrays — :attr:`records`' inverse.
-        ``pair_costs`` maps a node to its Schur ``(owners, flops)`` pair
-        arrays (the one column a ``SchurUpdate`` record does not carry)."""
-        from repro.plan.tasks import PanelFactor, SchurUpdate
-        comm_ids: dict = {}
-        rows, specs, dep_idx, n_dep, n_spec, pairs = [], [], [], [], [], []
-        no_pairs = (np.zeros(0, dtype=_I64), np.zeros(0))
-        for t in tasks:
-            if isinstance(t, SchurUpdate):
-                head, tail = SCHUR_UPDATE, (t.node, t.node, 0, -1)
-            elif isinstance(t, PanelFactor):
-                head, tail = PANEL_FACTOR, (t.node, t.node, 0, t.owner)
-            else:
-                head, tail = PANEL_BCAST, (*t.block, SIDES.index(t.side),
-                                           t.owner)
-            rows.append((t.tid, head, t.node, *tail, t.flops))
-            bcasts = getattr(t, "bcasts", ())
-            specs += [(s.root,
-                       comm_ids.setdefault(tuple(s.ranks), len(comm_ids)),
-                       s.words, -1 if s.route_from is None else s.route_from)
-                      for s in bcasts]
-            dep_idx += t.deps
-            n_dep.append(len(t.deps))
-            n_spec.append(len(bcasts))
-            pairs.append(pair_costs[t.node] if head == SCHUR_UPDATE
-                         else no_pairs)
-
-        def columns(tuples, dtypes):
-            cols = zip(*tuples) if tuples else [()] * len(dtypes)
-            return [np.asarray(c, dtype=d) for c, d in zip(cols, dtypes)]
-
-        tid, kind, node, bi, bj, side, owner, flops = columns(
-            rows, (_I64, np.int8, _I64, _I64, _I64, np.int8, _I64, float))
-        root, comm, words, route = columns(specs, (_I64, _I64, float, _I64))
-        return cls.assemble(
-            tid=tid, kind=kind, node=node, bi=bi, bj=bj, side=side,
-            owner=owner, flops=flops, dep_ptr=csr_ptr(n_dep),
-            dep_idx=np.asarray(dep_idx, dtype=_I64), bc_ptr=csr_ptr(n_spec),
-            bc_root=root, bc_comm=comm, bc_words=words, bc_route=route,
-            comms=list(comm_ids),
-            pair_ptr=csr_ptr([p[0].size for p in pairs]),
-            pair_owner=np.concatenate([p[0] for p in [no_pairs, *pairs]]),
-            pair_flops=np.concatenate([p[1] for p in [no_pairs, *pairs]]))
-
-    def schur_pair_costs(self) -> dict:
-        """``node -> (owners, flops)`` of every Schur task (what
-        :meth:`from_records` needs back)."""
-        ptr = self.pair_ptr
-        return {int(self.node[t]): (self.pair_owner[ptr[t]:ptr[t + 1]],
-                                    self.pair_flops[ptr[t]:ptr[t + 1]])
-                for t in np.flatnonzero(self.kind == SCHUR_UPDATE)}
+#: The columns the builder fills (``comms`` included) and the ones
+#: :meth:`TaskArrays.assemble` derives from them.
+PRIMARY = tuple(f.name for f in fields(TaskArrays) if f.default is MISSING)
+DERIVED = tuple(f.name for f in fields(TaskArrays) if f.default is None)

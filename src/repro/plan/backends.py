@@ -21,8 +21,8 @@ A backend bundles everything variant-specific about a factorization:
   and reduction layers iterate (full panels for LU, lower triangle for
   Cholesky).
 
-Backends are stateless singletons resolved by name, so a
-:class:`~repro.plan.tasks.GridPlan` pickles as data plus a string.
+Backends are stateless singletons resolved by name: a
+:class:`~repro.plan.tasks.GridPlan` holds data plus a string.
 """
 
 from __future__ import annotations

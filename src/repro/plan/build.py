@@ -14,9 +14,9 @@ arithmetic — and completed by one
 :meth:`repro.plan.arrays.TaskArrays.assemble`. The ``deps`` edges are
 pure data dependencies layered on top of the list order:
 
-* ``PanelBcast(k) -> PanelFactor(k)`` (solves consume the diagonal);
-* ``SchurUpdate(k) -> PanelBcast(k, *)`` (updates consume the panels);
-* ``PanelFactor(a) -> SchurUpdate(u)`` for every in-list child ``u``
+* ``PANEL_BCAST(k) -> PANEL_FACTOR(k)`` (solves consume the diagonal);
+* ``SCHUR_UPDATE(k) -> PANEL_BCAST(k, *)`` (updates consume the panels);
+* ``PANEL_FACTOR(a) -> SCHUR_UPDATE(u)`` for every in-list child ``u``
   whose nearest in-list ancestor is ``a`` (a panel is ready only when all
   descendant updates have landed — the lookahead readiness condition);
 * level roots -> previous :class:`LevelBarrier`; reduces -> the sink

@@ -1,20 +1,19 @@
 """Typed task graph for the factorization drivers.
 
-A *plan* is an explicit DAG of six task kinds — ``PanelFactor``,
-``PanelBcast``, ``SchurUpdate``, ``ReplicatedFactor``, ``AncestorReduce``
-and ``LevelBarrier`` —
-emitted once by a builder that walks the :class:`SymbolicFactorization`
-and :class:`TreeForest` (:mod:`repro.plan.build`), and executed by a
-single shared interpreter against a pluggable kernel backend
-(:mod:`repro.plan.interpret` / :mod:`repro.plan.backends`).
+A *plan* is an explicit DAG of six task kinds — the three per-grid kinds
+of :mod:`repro.plan.arrays` (``PANEL_FACTOR``, ``PANEL_BCAST``,
+``SCHUR_UPDATE``) and :class:`ReplicatedFactor`, :class:`AncestorReduce`
+and :class:`LevelBarrier` — emitted once by a builder that walks the
+:class:`SymbolicFactorization` and :class:`TreeForest`
+(:mod:`repro.plan.build`), and executed by a single shared interpreter
+against a pluggable kernel backend (:mod:`repro.plan.interpret` /
+:mod:`repro.plan.backends`).
 
 The three per-grid kinds exist in one form only: the struct-of-arrays of
 :mod:`repro.plan.arrays`, which a :class:`LevelStep` holds for all its
-grids (a :class:`GridPlan` a slice of it) and the interpreter walks.
-Their classes here are the records of the lazily materialised width-1
-*view* (``GridPlan.tasks``) that analysis reads and no default run ever
-builds. The three level-scope
-kinds are few and already array payloads; they stay objects.
+grids (a :class:`GridPlan` a slice of it) and the interpreter, the
+analyzer and the fuzzer all read. The three level-scope kinds are few and
+already array payloads; they stay objects.
 
 Two orders coexist on every plan:
 
@@ -23,11 +22,11 @@ Two orders coexist on every plan:
   builder replays at plan-build time). The interpreter walks tasks in
   list order, so simulator ledgers are *bit-identical* to the historical
   loop drivers.
-* **dependency order** — each task's ``deps`` tuple names the data it
-  waits on (tids of earlier tasks). This is analysis metadata: the
-  critical-path instrumentation (:mod:`repro.analysis.planstats`) walks
-  it to find the longest α-β-γ chain, mirroring the paper's Section IV
-  latency analysis.
+* **dependency order** — each task's deps (``dep_ptr`` / ``dep_idx`` of
+  the arrays, ``deps`` of a level-scope task) name the data it waits on
+  (tids of earlier tasks). This is analysis metadata: the critical-path
+  instrumentation (:mod:`repro.analysis.planstats`) walks it to find the
+  longest α-β-γ chain, mirroring the paper's Section IV latency analysis.
 
 Tids are assigned in emission order, so ``dep < tid`` holds for every
 edge and one forward pass is a topological traversal.
@@ -35,7 +34,7 @@ edge and one forward pass is a topological traversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,14 +44,16 @@ from repro.comm.events import COMPUTE_KINDS, PHASE_FACT, PHASE_RED
 from repro.comm.stream import MSG, EventStream, Volume
 from repro.plan.arrays import TaskArrays
 
-__all__ = ["BcastSpec", "Task", "PanelFactor", "PanelBcast", "SchurUpdate",
-           "ReplicatedFactor", "AncestorReduce", "LevelBarrier", "FusionStats",
-           "GridPlan", "LevelStep", "Plan3D"]
+__all__ = ["BcastSpec", "Task", "ReplicatedFactor", "AncestorReduce",
+           "LevelBarrier", "FusionStats", "GridPlan", "LevelStep", "Plan3D"]
 
 
 @dataclass(frozen=True)
 class BcastSpec:
-    """One broadcast's participants, resolved at plan-build time.
+    """One broadcast's participants, resolved at plan-build time: a
+    :class:`ReplicatedFactor`'s z-broadcasts (a grid plan's broadcasts are
+    the same fields as columns, ``bc_root`` / ``comms[bc_comm]`` /
+    ``bc_words`` / ``bc_route`` of :mod:`repro.plan.arrays`).
 
     ``root`` is the *effective* broadcast root and is always a member of
     ``ranks``. When the owning rank is outside the target communicator,
@@ -65,9 +66,8 @@ class BcastSpec:
 
     ``words`` is priced at build time through the block-volume model
     (:mod:`repro.comm.volume` — dense ``rows * cols`` or compact
-    ``min(dense, 1.5 * nnz)``), so the interpreter's flattened replays,
-    :func:`task_comm` and the conservation oracle all see one consistent
-    number with no per-layer re-derivation.
+    ``min(dense, 1.5 * nnz)``), so the interpreter's flattened replays
+    and the conservation oracle see one number, never re-derived.
     """
 
     root: int
@@ -84,54 +84,6 @@ class Task:
     deps: tuple[int, ...] = ()
 
     kind = "task"
-
-
-@dataclass(frozen=True, kw_only=True)
-class PanelFactor(Task):
-    """Diagonal-block factorization of supernode ``node`` (getrf/potrf)
-    plus the diagonal-block broadcasts feeding its panel solves."""
-
-    node: int
-    owner: int
-    flops: float
-    bcasts: tuple[BcastSpec, ...] = ()
-
-    kind = "panel_factor"
-
-
-@dataclass(frozen=True, kw_only=True)
-class PanelBcast(Task):
-    """One panel block's triangular solve and broadcast(s).
-
-    ``block`` is the (row, col) block id; ``side`` is ``'U'`` (row panel,
-    LU only) or ``'L'``. LU panels broadcast along one communicator;
-    Cholesky L panels along two (row operand + transposed column operand).
-    """
-
-    node: int
-    block: tuple[int, int]
-    side: str
-    owner: int
-    flops: float
-    bcasts: tuple[BcastSpec, ...] = ()
-
-    kind = "panel_bcast"
-
-
-@dataclass(frozen=True, kw_only=True)
-class SchurUpdate(Task):
-    """Supernode ``node``'s whole Schur update (all (i, j) target pairs).
-
-    ``n_pairs`` block pairs are updated by one small GEMM each; their
-    per-pair owners and flops (the booked events) are the plan's
-    ``pair_owner`` / ``pair_flops`` arrays.
-    """
-
-    node: int
-    n_pairs: int
-    flops: float
-
-    kind = "schur_update"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -295,9 +247,9 @@ class GridPlan:
     whole levels and never asks.
 
     ``backend`` names the kernel backend (``'lu'`` / ``'cholesky'``) the
-    interpreter resolves. The 2D grid ships as ``(px, py, base)`` and the
-    tasks as :class:`~repro.plan.arrays.TaskArrays`, so the plan pickles
-    as a few dozen ndarrays.
+    interpreter resolves. The 2D grid is ``(px, py, base)`` and the tasks
+    are :class:`~repro.plan.arrays.TaskArrays`, so the plan pickles as a
+    few dozen ndarrays.
     """
 
     backend: str
@@ -311,19 +263,6 @@ class GridPlan:
 
     def __getstate__(self):     # ship the slice, never the level behind it
         return {**self.__dict__, "_arrays": self.arrays}
-
-    @property
-    def tasks(self) -> list[Task]:
-        """The width-1 view (:attr:`TaskArrays.records`)."""
-        return self.arrays.records
-
-    def with_tasks(self, tasks) -> "GridPlan":
-        """This plan with its task list replaced (mutation tests): packed
-        back into arrays, with this plan's nodes' Schur pair costs."""
-        arrays = TaskArrays.from_records(tasks,
-                                         self.arrays.schur_pair_costs())
-        return GridPlan(self.backend, self.g, self.level, self.px, self.py,
-                        self.base, self.nodes, arrays)
 
     @property
     def n_tasks(self) -> int:
@@ -360,8 +299,8 @@ class LevelStep:
 
     level: int
     #: Grid ``q``: tasks ``grid_ptr[q]:grid_ptr[q + 1]`` of ``arrays`` as a
-    #: plan of its own, for what is per grid by nature (pool, rewind,
-    #: fuzzer, analyzer).
+    #: plan of its own, for what is per grid by nature (grid threads,
+    #: rewind, fuzzer, analyzer).
     grid_plans: list[GridPlan]
     reduces: list[AncestorReduce]
     barrier: LevelBarrier
@@ -380,15 +319,6 @@ class LevelStep:
     @cached_property
     def nodes(self) -> list[int]:
         return [k for gp in self.grid_plans for k in gp.nodes]
-
-    def with_tasks(self, tasks) -> "LevelStep":
-        """:meth:`GridPlan.with_tasks` for the whole level, re-cut."""
-        arrays = TaskArrays.from_records(tasks,
-                                         self.arrays.schur_pair_costs())
-        cuts = self.grid_ptr.tolist()
-        return replace(self, arrays=arrays, grid_plans=[
-            replace(gp, arrays=(arrays, lo, hi))
-            for gp, lo, hi in zip(self.grid_plans, cuts, cuts[1:])])
 
     @cached_property
     def reduce_stream(self) -> EventStream:
@@ -422,14 +352,6 @@ class Plan3D:
             level=gp.level, grid_plans=[gp], reduces=[],
             barrier=LevelBarrier(tid=n, level=gp.level), arrays=gp.arrays,
             grid_ptr=np.array([0, n]))])
-
-    def iter_tasks(self):
-        for step in self.levels:
-            for gp in step.grid_plans:
-                yield from gp.tasks
-            yield from step.replicated
-            yield from step.reduces
-            yield step.barrier
 
     def _level_scope_tasks(self) -> int:
         return sum(len(s.replicated) + len(s.reduces) + 1

@@ -68,7 +68,7 @@ def zero_buffer(n: int) -> np.ndarray:
     numpy asks for transparent huge pages from 4 MB up, and a
     factorization-sized buffer then stalls in the kernel's page compaction
     when memory is fragmented (0.2–0.9 s measured on the first touch of a
-    22 MB arena after a worker-pool run)."""
+    22 MB arena in a fragmented process)."""
     return np.frombuffer(bytearray(8 * n), dtype=np.float64)
 
 

@@ -45,14 +45,13 @@ from repro.verify.static import (
     StaticReport,
     analyze_plan,
     drop_dep_edge,
-    grid_plan_rank_escapes,
 )
 
 __all__ = [
     "READ", "WRITE", "ACCUM", "GLOBAL_VIEW", "conflicts",
     "grid_task_accesses", "reduce_accesses",
     "Issue", "StaticReport", "PlanVerificationError", "analyze_plan",
-    "drop_dep_edge", "grid_plan_rank_escapes",
+    "drop_dep_edge",
     "FuzzReport", "fuzz_2d", "fuzz_3d", "fuzz_solve",
     "random_legal_orders",
     "VerificationError", "ledger_state", "conservation_issues",

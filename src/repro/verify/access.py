@@ -37,9 +37,9 @@ the work vector's block-row segments ``("seg", k)``.
 
 from __future__ import annotations
 
+from repro.plan.arrays import PANEL_BCAST, PANEL_FACTOR, SCHUR_UPDATE
 from repro.plan.solve import DIAG_SOLVE
-from repro.plan.tasks import AncestorReduce, PanelBcast, PanelFactor, \
-    ReplicatedFactor, SchurUpdate
+from repro.plan.tasks import AncestorReduce, ReplicatedFactor
 
 __all__ = ["READ", "WRITE", "ACCUM", "GLOBAL_VIEW", "conflicts",
            "grid_task_accesses", "reduce_accesses", "replicated_accesses",
@@ -62,21 +62,23 @@ def conflicts(m1: str, m2: str) -> bool:
     return True
 
 
-def grid_task_accesses(backend: str, sf, task) -> list[tuple[int, int, str]]:
-    """``(i, j, mode)`` for every block a grid-plan task touches.
+def grid_task_accesses(backend: str, sf, kind: int, node: int, bi: int,
+                       bj: int) -> list[tuple[int, int, str]]:
+    """``(i, j, mode)`` for every block a grid-plan task touches, given
+    its ``kind`` code, ``node`` and block ``(bi, bj)`` (the columns of
+    :class:`repro.plan.arrays.TaskArrays`).
 
     Mirrors the kernel backends (:mod:`repro.plan.backends`): the LU Schur
     update reads both panels and accumulates into the full ``lp x up``
     cross product; the Cholesky one reads the L panel and accumulates into
     the lower triangle of its outer product.
     """
-    if isinstance(task, PanelFactor):
-        return [(task.node, task.node, WRITE)]
-    if isinstance(task, PanelBcast):
-        i, j = task.block
-        return [(task.node, task.node, READ), (int(i), int(j), WRITE)]
-    if isinstance(task, SchurUpdate):
-        k = task.node
+    if kind == PANEL_FACTOR:
+        return [(node, node, WRITE)]
+    if kind == PANEL_BCAST:
+        return [(node, node, READ), (bi, bj, WRITE)]
+    if kind == SCHUR_UPDATE:
+        k = node
         lp = [int(i) for i in sf.fill.lpanel[k]]
         acc: list[tuple[int, int, str]] = []
         if backend == "cholesky":

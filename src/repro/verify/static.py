@@ -2,7 +2,9 @@
 
 :func:`analyze_plan` walks a :class:`~repro.plan.tasks.GridPlan` or
 :class:`~repro.plan.tasks.Plan3D` and reports every violation of the
-properties the rest of the system silently relies on:
+properties the rest of the system silently relies on. It reads a grid
+plan's task arrays (:mod:`repro.plan.arrays`) — the columns the
+interpreter walks — so its verdicts are about what executes:
 
 * **races** — two tasks touch the same ``(view, i, j)`` block in
   conflicting modes (see :mod:`repro.verify.access`) with no dependency
@@ -12,9 +14,9 @@ properties the rest of the system silently relies on:
 * **cycles / dangling deps** — a dep tid that does not exist or does not
   precede its task (tids are emitted in topological order, so any
   forward edge would be a cycle);
-* **malformed broadcasts / reduces** — a ``BcastSpec`` whose root is
-  outside its participant list, duplicate participants, negative
-  payloads; an ``AncestorReduce`` whose parallel arrays are missing or
+* **malformed broadcasts / reduces** — a broadcast whose root is outside
+  its communicator, duplicate participants, negative payloads; an
+  ``AncestorReduce`` whose parallel arrays are missing or
   length-mismatched (an unmatched send/recv pair in the making);
 * **reduce aliasing** — the generalized z-replica invariant from the
   resilience subsystem: a reduce must never target its own source
@@ -24,17 +26,17 @@ properties the rest of the system silently relies on:
   pre-reduction partial sums. Merged-variant redistributions instead
   promise to skip owner-preserving moves (a ``'mov'`` with
   ``src == dst`` would double-charge the ledger);
-* **rank escapes** — a task referencing ranks outside its grid's span
-  (a level is booked as one stream and its grids' kernels may run on
+* **rank escapes** — a panel task's owner, a Schur task's pair owners, or
+  a broadcast's root, routing hop or communicator outside its grid's
+  span (a level is booked as one stream and its grids' kernels may run on
   separate threads only because each grid keeps to its own ranks);
 * **disconnected roots** — a task with no dependencies that is not a
   panel root, a level barrier, or a first-level reduce;
-* **inconsistent arrays** — the analyzer reads a grid plan through its
-  typed width-1 view while the interpreter walks the arrays
-  (:mod:`repro.plan.arrays`), so the verdicts above transfer to what
-  executes only if the two agree: each grid plan's records are packed
-  back into arrays and compared column by column with the plan's own,
-  flattened broadcast pairs, buffer charges and cut points included.
+* **inconsistent arrays** — the derived columns (``ev_*``, ``mem_*``,
+  ``runs``) are what :meth:`TaskArrays.assemble` derives from the primary
+  ones, and each grid plan of a level is the level's arrays cut at
+  ``grid_ptr``: checked on the primary columns, the verdicts above then
+  hold for every stream the interpreter books, whole level or slice.
 
 A :class:`~repro.plan.solve.SolvePlan` (one triangular sweep) gets the
 dependency checks, a check that its ``ev_ptr`` tiles its event stream, and
@@ -53,18 +55,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.comm.grid import ProcessGrid2D
-from repro.plan.arrays import SCHUR_UPDATE, TaskArrays
+from repro.plan.arrays import (
+    DERIVED,
+    KINDS,
+    PANEL_BCAST,
+    PANEL_FACTOR,
+    PRIMARY,
+    SCHUR_UPDATE,
+    TaskArrays,
+)
 from repro.plan.solve import SolvePlan
 from repro.plan.tasks import (
+    AncestorReduce,
     GridPlan,
     LevelBarrier,
-    PanelBcast,
-    PanelFactor,
     Plan3D,
     ReplicatedFactor,
-    SchurUpdate,
 )
+from repro.utils.ragged import csr_ptr
 from repro.verify.access import (
     GLOBAL_VIEW,
     conflicts,
@@ -73,10 +81,9 @@ from repro.verify.access import (
     replicated_accesses,
     solve_task_accesses,
 )
-from repro.utils.ragged import csr_ptr
 
 __all__ = ["Issue", "StaticReport", "PlanVerificationError", "analyze_plan",
-           "grid_plan_rank_escapes", "drop_dep_edge"]
+           "drop_dep_edge"]
 
 
 class PlanVerificationError(AssertionError):
@@ -141,102 +148,91 @@ class StaticReport:
 _MAX_ISSUES_PER_KIND = 50
 
 
-@dataclass
-class _Entry:
-    """One task in analyzer-normalized form."""
-
-    task: object
-    pos: int
-    view: object = None
-    grid: ProcessGrid2D | None = None
-    backend: str | None = None
-    level_index: int = 0
-    is_reduce: bool = False
-
-
-def _entries(plan) -> tuple[list[_Entry], bool]:
-    """Flatten a GridPlan or Plan3D into analyzer entries, in plan order."""
-    out: list[_Entry] = []
+def _levels(plan) -> tuple[bool, list]:
+    """``(merged, levels)`` for a GridPlan or Plan3D, in plan order: per
+    level its grid plans, each with the block view its tasks touch, then
+    its level-scope tasks (2.5D sweeps, reduces, barrier)."""
     if isinstance(plan, GridPlan):
-        grid = ProcessGrid2D(plan.px, plan.py, base=plan.base)
-        view = ("replica", plan.g)
-        for t in plan.tasks:
-            out.append(_Entry(t, len(out), view=view, grid=grid,
-                              backend=plan.backend))
-        return out, False
+        return False, [([(plan, ("replica", plan.g))], [])]
     if not isinstance(plan, Plan3D):
         raise TypeError(f"expected GridPlan or Plan3D, got {type(plan)!r}")
-    for li, step in enumerate(plan.levels):
-        for gp in step.grid_plans:
-            grid = ProcessGrid2D(gp.px, gp.py, base=gp.base)
-            view = GLOBAL_VIEW if plan.merged else ("replica", gp.g)
-            for t in gp.tasks:
-                out.append(_Entry(t, len(out), view=view, grid=grid,
-                                  backend=gp.backend, level_index=li))
-        for rep in step.replicated:
-            out.append(_Entry(rep, len(out), level_index=li))
-        for red in step.reduces:
-            out.append(_Entry(red, len(out), level_index=li, is_reduce=True))
-        out.append(_Entry(step.barrier, len(out), level_index=li))
-    return out, plan.merged
+    return plan.merged, [
+        ([(gp, GLOBAL_VIEW if plan.merged else ("replica", gp.g))
+          for gp in step.grid_plans],
+         [*step.replicated, *step.reduces, step.barrier])
+        for step in plan.levels]
 
 
-def _check_specs(task, allowed, where: str, add) -> None:
-    """Every broadcast of ``task`` is well-formed and stays inside the
-    rank set ``allowed`` (described as ``where`` in the finding)."""
-    for spec in task.bcasts:
-        for bad, what in (
-                (spec.root not in spec.ranks,
-                 f"bcast root {spec.root} not in its participant list"),
-                (len(set(spec.ranks)) != len(spec.ranks),
+def _check_specs(specs, allowed, where: str, add) -> None:
+    """Every broadcast ``(tid, root, ranks, words, hop)`` — task ``tid``
+    sending ``words`` from ``root`` over the communicator ``ranks``, routed
+    from ``hop`` (-1: no hop) — is well-formed and stays inside the rank
+    set ``allowed`` (``where`` in the finding). One check for a grid
+    plan's columns and a 2.5D sweep's broadcast specs alike."""
+    faults: dict = {}       # per distinct (root, communicator, hop)
+    for t, r, ranks, w, hop in specs:
+        key = r, ranks, hop
+        if key not in faults:
+            what = [msg for bad, msg in (
+                (r not in ranks, f"bcast root {r} not in its participant "
+                 "list"),
+                (len(set(ranks)) != len(ranks),
                  "duplicate bcast participants"),
-                (not spec.ranks, "empty bcast participant list"),
-                (spec.words < 0, "negative bcast payload"),
-                (spec.route_from is not None
-                 and spec.route_from == spec.root,
-                 "bcast routed from its own root")):
-            if bad:
-                add("malformed-bcast", f"task {task.tid}: {what}",
-                    (task.tid,))
-        route = [] if spec.route_from is None else [spec.route_from]
-        bad = [r for r in dict.fromkeys((spec.root, *spec.ranks, *route))
-               if r not in allowed]
-        if bad:
-            add("rank-escape", f"task {task.tid}: bcast ranks {bad} "
-                f"outside {where}", (task.tid,))
+                (not ranks, "empty bcast participant list"),
+                (0 <= hop == r, "bcast routed from its own root")) if bad]
+            route = (hop,) if hop >= 0 else ()
+            faults[key] = what, [x for x in dict.fromkeys((r, *ranks, *route))
+                                 if x not in allowed]
+        what, out = faults[key]
+        for msg in [*what, "negative bcast payload"] if w < 0 else what:
+            add("malformed-bcast", f"task {t}: {msg}", (t,))
+        if out:
+            add("rank-escape", f"task {t}: bcast ranks {out} outside "
+                f"{where}", (t,))
 
 
-def _check_bcasts(entry: _Entry, add) -> None:
-    task = entry.task
-    lo, hi = entry.grid.base, entry.grid.base + entry.grid.px * entry.grid.py
-    if not (lo <= task.owner < hi):
-        add("rank-escape", f"task {task.tid} ({task.kind}) owner "
-            f"{task.owner} outside grid span [{lo}, {hi})", (task.tid,))
-    _check_specs(task, range(lo, hi), f"grid span [{lo}, {hi})", add)
+def _check_grid(gp: GridPlan, add) -> None:
+    """A grid plan's panel owners, Schur pair owners and broadcasts keep
+    to its rank span."""
+    A, lo, hi = gp.arrays, gp.base, gp.base + gp.px * gp.py
+    span = f"grid span [{lo}, {hi})"
+    owner = np.where(A.kind == SCHUR_UPDATE, lo, A.owner)
+    for t in np.flatnonzero((owner < lo) | (owner >= hi)).tolist():
+        tid = int(A.tid[t])
+        add("rank-escape", f"task {tid} ({KINDS[A.kind[t]]}) owner "
+            f"{A.owner[t]} outside {span}", (tid,))
+    out = (A.pair_owner < lo) | (A.pair_owner >= hi)
+    for t in np.unique(np.repeat(np.arange(A.n_tasks), np.diff(A.pair_ptr))
+                       [out]).tolist():
+        tid, pairs = int(A.tid[t]), slice(A.pair_ptr[t], A.pair_ptr[t + 1])
+        bad = sorted(set(A.pair_owner[pairs][out[pairs]].tolist()))
+        add("rank-escape", f"task {tid} ({KINDS[SCHUR_UPDATE]}) pair owners "
+            f"{bad} outside {span}", (tid,))
+    _check_specs(zip(np.repeat(A.tid, np.diff(A.bc_ptr)).tolist(),
+                     A.bc_root.tolist(),
+                     [A.comms[c] for c in A.bc_comm.tolist()],
+                     A.bc_words.tolist(), A.bc_route.tolist()),
+                 range(lo, hi), span, add)
 
 
-def _check_replicated(entry: _Entry, add) -> None:
-    """Structural checks for a 2.5D aggregate ancestor sweep.
-
-    The sweep spans several z-layers by design, so there is no single
-    grid span to contain it; instead its broadcasts must stay within the
-    recorded replication group's rank footprint, and the home layer must
-    be part of the group (it holds the authoritative level data the
-    z-broadcasts fan out from).
-    """
-    task = entry.task
+def _check_replicated(task: ReplicatedFactor, add) -> None:
+    """Structural checks for a 2.5D aggregate ancestor sweep: it spans
+    several z-layers, so its broadcasts must stay within the replication
+    group's rank footprint, and the home layer (whose level data the
+    z-broadcasts fan out from) must be in the group."""
     if task.home not in task.grids:
         add("malformed-bcast", f"task {task.tid}: home grid {task.home} "
             "not in its replication group", (task.tid,))
     if len(set(task.grids)) != len(task.grids):
         add("malformed-bcast", f"task {task.tid}: duplicate grids in "
             "replication group", (task.tid,))
-    _check_specs(task, set(task.ranks),
-                 "the replication group's footprint", add)
+    _check_specs([(task.tid, s.root, s.ranks, s.words,
+                   -1 if s.route_from is None else s.route_from)
+                  for s in task.bcasts],
+                 set(task.ranks), "the replication group's footprint", add)
 
 
-def _check_reduce(entry: _Entry, merged: bool, add) -> None:
-    red = entry.task
+def _check_reduce(red: AncestorReduce, add) -> None:
     if red.ops is not None:
         for op, src, dst, w in red.ops:
             if op not in ("red", "mov"):
@@ -293,7 +289,7 @@ def _check_retired_sources(plan: Plan3D, add) -> None:
             if gp.g in retired:
                 add("reduce-alias", f"level {step.level}: grid {gp.g} is "
                     "active after serving as a reduction source",
-                    tuple(t.tid for t in gp.tasks[:1]))
+                    tuple(gp.arrays.tid[:1].tolist()))
         for rep in step.replicated:
             if rep.home in retired:
                 add("reduce-alias", f"level {step.level}: replicated "
@@ -310,16 +306,49 @@ def _check_retired_sources(plan: Plan3D, add) -> None:
             retired.add(red.src_grid)
 
 
-def _check_arrays(have: TaskArrays, tasks, where: str, add) -> None:
-    """The arrays the interpreter walks equal what the view derives."""
-    want = TaskArrays.from_records(tasks, have.schur_pair_costs())
-    for f in dataclasses.fields(TaskArrays):
-        if f.name in ("comms", "bc_comm"):   # interning order is free
-            continue
-        if not np.array_equal(getattr(have, f.name), getattr(want, f.name)):
-            add("inconsistent-arrays", f"{where}: column {f.name!r} differs "
-                "from what the task records derive",
+def _compare(have: TaskArrays, want: TaskArrays, cols, where: str, add
+             ) -> None:
+    for col in cols:
+        a, b = getattr(have, col), getattr(want, col)
+        if not (a == b if col == "comms" else np.array_equal(a, b)):
+            add("inconsistent-arrays", f"{where}: column {col!r} differs",
                 tuple(have.tid[:1].tolist()))
+
+
+def _rederived(have: TaskArrays, where: str, add) -> TaskArrays:
+    """What :meth:`TaskArrays.assemble` derives from ``have``'s primary
+    columns, with ``have``'s derived columns checked against it."""
+    want = TaskArrays.assemble(**{c: getattr(have, c) for c in PRIMARY})
+    _compare(have, want, DERIVED, f"{where}, against what its primary "
+             "columns derive", add)
+    return want
+
+
+def _check_arrays(plan, add) -> None:
+    """The arrays are one form: every derived column is what the primary
+    columns derive, and a level's grid plans are its arrays cut at
+    ``grid_ptr`` — so what the analyzer reads is what any walk books."""
+    if isinstance(plan, GridPlan):
+        _rederived(plan.arrays, f"grid {plan.g} level {plan.level}", add)
+        return
+    for step in plan.levels:
+        if not step.grid_plans:
+            continue
+        want = _rederived(step.arrays, f"level {step.level}", add)
+        cuts = step.grid_ptr.tolist()
+        if len(cuts) != len(step.grid_plans) + 1:
+            add("inconsistent-arrays", f"level {step.level}: "
+                f"{len(step.grid_plans)} grid plans, {len(cuts)} cut points")
+        elif step.arrays is not step.grid_plans[0].arrays:
+            for gp, lo, hi in zip(step.grid_plans, cuts, cuts[1:]):
+                _compare(gp.arrays, want.cut(lo, hi), PRIMARY + DERIVED,
+                         f"grid {gp.g} level {gp.level}, against its level's "
+                         "arrays cut at grid_ptr", add)
+
+
+def _cat(parts, dtype=np.int64) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=dtype),
+                           *(np.asarray(p, dtype=dtype) for p in parts)])
 
 
 def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
@@ -342,74 +371,83 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
 
     if isinstance(plan, SolvePlan):
         return _analyze_solve(plan, report, add, max_race_tasks)
-    entries, merged = _entries(plan)
-    report.n_tasks = len(entries)
-    pos_of: dict[int, int] = {}
+    merged, levels = _levels(plan)
 
-    # -- structural pass ---------------------------------------------------
-    for e in entries:
-        t = e.task
-        if t.tid in pos_of:
-            add("cycle", f"duplicate tid {t.tid}", (t.tid,))
-        pos_of[t.tid] = e.pos
-        if e.is_reduce:
-            _check_reduce(e, merged, add)
-        elif isinstance(t, ReplicatedFactor):
-            _check_replicated(e, add)
-        elif isinstance(t, (PanelFactor, PanelBcast)):
-            _check_bcasts(e, add)
-    for e in entries:
-        t = e.task
-        for d in t.deps:
-            dp = pos_of.get(d)
-            if dp is None:
-                add("cycle", f"task {t.tid} depends on unknown tid {d}",
-                    (t.tid, d))
-            elif dp >= e.pos:
-                add("cycle", f"task {t.tid} depends on later task {d} "
-                    "(forward edge / cycle)", (t.tid, d))
-        root_ok = isinstance(t, (PanelFactor, LevelBarrier))
-        if not t.deps and not root_ok \
-                and not (e.is_reduce and e.level_index == 0):
-            add("disconnected", f"task {t.tid} ({t.kind}) has no "
-                "dependencies but is not a panel root or level barrier",
-                (t.tid,))
+    # -- structural pass: one position per task, in plan order -------------
+    tid, n_dep, dep, root_ok, kinds = [], [], [], [], []
+    for li, (grids, scope) in enumerate(levels):
+        for gp, _view in grids:
+            A = gp.arrays
+            tid.append(A.tid)
+            n_dep.append(np.diff(A.dep_ptr))
+            dep.append(A.dep_idx)
+            root_ok.append(A.kind == PANEL_FACTOR)
+            kinds += [KINDS[k] for k in A.kind.tolist()]
+            _check_grid(gp, add)
+        for t in scope:
+            tid.append([t.tid])
+            n_dep.append([len(t.deps)])
+            dep.append(t.deps)
+            root_ok.append([isinstance(t, LevelBarrier) or (
+                isinstance(t, AncestorReduce) and li == 0)])
+            kinds.append(t.kind)
+            if isinstance(t, AncestorReduce):
+                _check_reduce(t, add)
+            elif isinstance(t, ReplicatedFactor):
+                _check_replicated(t, add)
+    tid, n_dep, dep = _cat(tid), _cat(n_dep), _cat(dep)
+    root_ok = _cat(root_ok, bool)
+    n = report.n_tasks = tid.size
+    # tid -> position, a repeated tid resolving to its last holder.
+    order = np.argsort(tid, kind="stable")
+    by_tid = tid[order]
+    for p in np.sort(order[1:][by_tid[1:] == by_tid[:-1]]).tolist():
+        add("cycle", f"duplicate tid {tid[p]}", (int(tid[p]),))
+    at = np.repeat(np.arange(n), n_dep)
+    i = np.maximum(np.searchsorted(by_tid, dep, "right") - 1, 0)
+    known = by_tid[i] == dep
+    dpos = np.where(known, order[i], n)
+    for e in np.flatnonzero(~known | (dpos >= at)).tolist():
+        t, d = int(tid[at[e]]), int(dep[e])
+        why = f"later task {d} (forward edge / cycle)" if known[e] \
+            else f"unknown tid {d}"
+        add("cycle", f"task {t} depends on {why}", (t, d))
+    for p in np.flatnonzero((n_dep == 0) & ~root_ok).tolist():
+        add("disconnected", f"task {tid[p]} ({kinds[p]}) has no "
+            "dependencies but is not a panel root or level barrier",
+            (int(tid[p]),))
     if isinstance(plan, Plan3D) and not merged:
         _check_retired_sources(plan, add)
-    for gp in [plan] if isinstance(plan, GridPlan) else \
-            [gp for step in plan.levels for gp in step.grid_plans]:
-        _check_arrays(gp.arrays, gp.tasks, f"grid {gp.g} level {gp.level}",
-                      add)
-    for step in getattr(plan, "levels", ()):
-        # What the plain walk books: the level's arrays, against its grid
-        # plans' records (a one-grid level shares its grid's arrays).
-        if step.grid_plans and step.arrays is not step.grid_plans[0].arrays:
-            _check_arrays(step.arrays,
-                          [t for gp in step.grid_plans for t in gp.tasks],
-                          f"level {step.level}", add)
+    _check_arrays(plan, add)
 
     # -- race pass ---------------------------------------------------------
-    if len(entries) > max_race_tasks:
+    if n > max_race_tasks:
         report.race_check_skipped = True
         return report
 
     accesses: dict[tuple, list[tuple[int, int, str]]] = {}
-    for e in entries:
-        t = e.task
-        if e.is_reduce:
-            for g, i, j, mode in reduce_accesses(t):
-                key = (("replica", g), i, j)
-                accesses.setdefault(key, []).append((e.pos, t.tid, mode))
-        elif isinstance(t, ReplicatedFactor):
-            for g, i, j, mode in replicated_accesses(sf, t):
-                key = (("replica", g), i, j)
-                accesses.setdefault(key, []).append((e.pos, t.tid, mode))
-        elif isinstance(t, (PanelFactor, PanelBcast, SchurUpdate)):
-            for i, j, mode in grid_task_accesses(e.backend, sf, t):
-                key = (e.view, i, j)
-                accesses.setdefault(key, []).append((e.pos, t.tid, mode))
-    _race_pass(report, add, [[pos_of.get(d, len(entries))
-                              for d in e.task.deps] for e in entries],
+    p = 0
+    for grids, scope in levels:
+        for gp, view in grids:
+            A = gp.arrays
+            for t, kind, node, bi, bj in zip(
+                    A.tid.tolist(), A.kind.tolist(), A.node.tolist(),
+                    A.bi.tolist(), A.bj.tolist()):
+                for i, j, mode in grid_task_accesses(gp.backend, sf, kind,
+                                                     node, bi, bj):
+                    accesses.setdefault((view, i, j), []).append(
+                        (p, t, mode))
+                p += 1
+        for t in scope:
+            acc = reduce_accesses(t) if isinstance(t, AncestorReduce) else \
+                replicated_accesses(sf, t) \
+                if isinstance(t, ReplicatedFactor) else ()
+            for g, i, j, mode in acc:
+                accesses.setdefault((("replica", g), i, j), []).append(
+                    (p, t.tid, mode))
+            p += 1
+    ptr, dpos = csr_ptr(n_dep).tolist(), dpos.tolist()
+    _race_pass(report, add, [dpos[a:b] for a, b in zip(ptr, ptr[1:])],
                accesses)
     return report
 
@@ -482,100 +520,71 @@ def _analyze_solve(plan: SolvePlan, report: StaticReport, add,
     return report
 
 
-def grid_plan_rank_escapes(plan: GridPlan) -> list[str]:
-    """Cheap structural rank-containment check for one grid plan.
-
-    Any rank outside ``[base, base + px*py)`` would put the grid's events
-    on a sibling grid's ranks, which a level booked as one stream would
-    not notice. Only the ranks recorded in task payloads are checked
-    — Schur-update targets are grid-owner lookups and cannot escape by
-    construction.
-    """
-    lo, hi = plan.base, plan.base + plan.px * plan.py
-    A = plan.arrays
-    panel = A.kind != SCHUR_UPDATE
-    ranks = np.concatenate(
-        [A.owner[panel], A.bc_root, A.bc_route[A.bc_route >= 0]]
-        + [np.asarray(A.comms[c], dtype=np.int64)   # a slice shares its
-           for c in np.unique(A.bc_comm).tolist()])  # level's communicators
-    if not ranks.size or (lo <= ranks.min() and ranks.max() < hi):
-        return []   # the common case: no record is ever built
-    out: list[str] = []
-    grid = ProcessGrid2D(plan.px, plan.py, base=plan.base)
-    for pos, t in enumerate(plan.tasks):
-        if isinstance(t, (PanelFactor, PanelBcast)):
-            _check_bcasts(_Entry(t, pos, grid=grid),
-                          lambda kind, message, _tids:
-                          kind == "rank-escape" and out.append(message))
-    return out
-
-
 # -- mutation self-test helper ---------------------------------------------
 
 def _race_edge_candidates(plan) -> list[tuple]:
-    """Dep edges whose removal is *guaranteed* to create a block race.
-
-    Two classes qualify on every real plan:
-
-    * ``PanelBcast -> PanelFactor``: the solve reads the diagonal block
-      the factorization writes, and that edge is the only path;
-    * ``SchurUpdate -> PanelBcast``: the update reads the panel block the
-      solve writes, again with no alternative path.
-
-    Other edges (``PanelFactor -> SchurUpdate`` readiness edges, barrier
-    anchors) are ordering-only — removing them may leave the block
-    accesses transitively ordered, which would make the self-test flaky.
-    """
-    walk = [((), plan)] if isinstance(plan, GridPlan) else \
-        [(li, step) for li, step in enumerate(plan.levels) if step.grid_plans]
+    """Dep edges whose removal is *guaranteed* to create a block race, as
+    ``(level index, edge)`` (``edge`` indexes the level's ``dep_idx``; a
+    grid plan's level index is ``()``): a panel solve's edge to its factor
+    (the solve reads the diagonal block the factor writes) and a Schur
+    update's to a panel solve (it reads the block the solve writes) are
+    the only paths between the two. Other edges (factor -> Schur
+    readiness, barrier anchors) may leave the accesses transitively
+    ordered, which would make the self-test flaky."""
+    walk = [((), plan.arrays)] if isinstance(plan, GridPlan) else \
+        [(li, step.arrays) for li, step in enumerate(plan.levels)
+         if step.grid_plans]
     cands: list[tuple] = []
-    for loc, part in walk:
-        tasks = part.arrays.records
-        kind_of = {t.tid: t.kind for t in tasks}
-        for ti, t in enumerate(tasks):
-            for d in t.deps:
-                if (t.kind, kind_of.get(d)) in (("panel_bcast", "panel_factor"),
-                                ("schur_update", "panel_bcast")):
-                    cands.append((loc, ti, d))
+    for loc, A in walk:     # a level's tids ascend from its first
+        kind = A.kind[np.repeat(np.arange(A.n_tasks), np.diff(A.dep_ptr))]
+        i = np.minimum(np.searchsorted(A.tid, A.dep_idx), A.n_tasks - 1)
+        dep_kind = np.where(A.tid[i] == A.dep_idx, A.kind[i], -1)
+        hit = ((kind == PANEL_BCAST) & (dep_kind == PANEL_FACTOR)) \
+            | ((kind == SCHUR_UPDATE) & (dep_kind == PANEL_BCAST))
+        cands += [(loc, e) for e in np.flatnonzero(hit).tolist()]
     return cands
+
+
+def _drop(dep_ptr: np.ndarray, dep_idx: np.ndarray, e: int) -> tuple:
+    """The dependency CSR without edge ``e``, and the task that lost it."""
+    t = int(np.searchsorted(dep_ptr, e, "right")) - 1
+    n_dep = np.diff(dep_ptr)
+    n_dep[t] -= 1
+    return csr_ptr(n_dep), np.delete(dep_idx, e), t
 
 
 def drop_dep_edge(plan, seed: int = 0):
     """Return ``(mutated_plan, description)`` with one dep edge removed.
 
     The edge is drawn (seeded) from the guaranteed-race candidates of
-    :func:`_race_edge_candidates`; the mutated grid plan (in a 3D plan:
-    the whole level, its grid plans re-cut) is re-packed from its task
-    records with the one task rebuilt. Feeding the result to
-    :func:`analyze_plan` MUST produce at least one ``race`` issue — the
-    mutation self-test that proves the analyzer is not vacuous. Every edge
-    of a solve plan qualifies: each is the only path between a segment's
-    writer and a reader or accumulator of it.
+    :func:`_race_edge_candidates` and cut out of ``dep_ptr`` / ``dep_idx``;
+    in a 3D plan the level's grid plans are re-cut at ``grid_ptr``.
+    Feeding the result to :func:`analyze_plan` MUST produce at least one
+    ``race`` issue — the mutation self-test that proves the analyzer is
+    not vacuous. Every edge of a solve plan qualifies: each is the only
+    path between a segment's writer and a reader or accumulator of it.
     """
     if isinstance(plan, SolvePlan):
         e = int(np.random.default_rng(seed).integers(plan.dep_idx.size))
-        n_dep = np.diff(plan.dep_ptr)
-        n_dep[np.searchsorted(plan.dep_ptr, e, "right") - 1] -= 1
-        return dataclasses.replace(
-            plan, dep_ptr=csr_ptr(n_dep), dep_idx=np.delete(plan.dep_idx, e)
-        ), f"dropped solve-plan dep edge {e} (on task {plan.dep_idx[e]})"
+        dep_ptr, dep_idx, _t = _drop(plan.dep_ptr, plan.dep_idx, e)
+        return dataclasses.replace(plan, dep_ptr=dep_ptr, dep_idx=dep_idx), \
+            f"dropped solve-plan dep edge {e} (on task {plan.dep_idx[e]})"
     cands = _race_edge_candidates(plan)
     if not cands:
         raise ValueError("plan has no droppable race-guaranteed dep edges")
     rng = np.random.default_rng(seed)
-    loc, ti, dep = cands[int(rng.integers(len(cands)))]
-
-    def mutate(part):       # a grid plan, or a whole level step
-        tasks = list(part.arrays.records)
-        old = tasks[ti]
-        tasks[ti] = dataclasses.replace(
-            old, deps=tuple(d for d in old.deps if d != dep))
-        desc = f"dropped dep {dep} from task {old.tid} " \
-            f"({old.kind}, node {old.node})"
-        return part.with_tasks(tasks), desc
-
+    loc, e = cands[int(rng.integers(len(cands)))]
+    A = plan.arrays if isinstance(plan, GridPlan) else plan.levels[loc].arrays
+    dep_ptr, dep_idx, t = _drop(A.dep_ptr, A.dep_idx, e)
+    arrays = dataclasses.replace(A, dep_ptr=dep_ptr, dep_idx=dep_idx)
+    desc = f"dropped dep {A.dep_idx[e]} from task {A.tid[t]} " \
+        f"({KINDS[A.kind[t]]}, node {A.node[t]})"
     if isinstance(plan, GridPlan):
-        return mutate(plan)
+        return dataclasses.replace(plan, arrays=arrays), desc
+    step, cuts = plan.levels[loc], plan.levels[loc].grid_ptr.tolist()
     levels = list(plan.levels)
-    levels[loc], desc = mutate(levels[loc])
+    levels[loc] = dataclasses.replace(step, arrays=arrays, grid_plans=[
+        dataclasses.replace(gp, arrays=arrays if len(cuts) == 2
+                            else (arrays, lo, hi))
+        for gp, lo, hi in zip(step.grid_plans, cuts, cuts[1:])])
     return dataclasses.replace(plan, levels=levels), desc

@@ -49,6 +49,35 @@ def width1_simulator(nranks: int, machine=None):
     return sim
 
 
+def reassembled(A, **cols):
+    """Task arrays ``A`` with the primary columns ``cols`` replaced and
+    every derived column assembled afresh: a hand-edited plan that is
+    consistent with itself."""
+    from repro.plan.arrays import PRIMARY, TaskArrays
+    return TaskArrays.assemble(**{c: cols.get(c, getattr(A, c))
+                                  for c in PRIMARY})
+
+
+def plan_tasks(plan):
+    """``(tid, deps, kind name)`` of every task of a GridPlan or Plan3D in
+    plan order: grid tasks read off their arrays' columns, then each
+    level's sweeps, reduces and barrier."""
+    from repro.plan.arrays import KINDS
+
+    def grid(A):
+        ptr, dep = A.dep_ptr.tolist(), A.dep_idx.tolist()
+        for t, (tid, kind) in enumerate(zip(A.tid.tolist(), A.kind.tolist())):
+            yield tid, tuple(dep[ptr[t]:ptr[t + 1]]), KINDS[kind]
+    if not hasattr(plan, "levels"):
+        yield from grid(plan.arrays)
+        return
+    for step in plan.levels:
+        for gp in step.grid_plans:
+            yield from grid(gp.arrays)
+        for t in [*step.replicated, *step.reduces, step.barrier]:
+            yield t.tid, t.deps, t.kind
+
+
 # -- hypothesis strategies (tests/test_verify.py) --------------------------
 # Guarded: hypothesis is an optional dev dependency; without it the
 # property tests skip (pytest.importorskip) but collection must not break.

@@ -9,9 +9,9 @@ messages, words, total and critical-path α-β-γ cost — exact floats) of
 the golden-ledger cases' plans, in dense and compact block pricing. The
 committed file was generated at commit ``108666a`` from the typed per-task
 plans ``plan/build.py`` emitted before the array form
-(:mod:`repro.plan.arrays`) replaced them, so it pins the array form's
-width-1 view — which ``PlanStats``, the static analyzer and the
-conservation oracle read — to the original task graph. Regenerate it only
+(:mod:`repro.plan.arrays`) replaced them, so it pins the array form —
+which ``PlanStats``, the static analyzer and the conservation oracle
+read — to the original task graph. Regenerate it only
 when a PR intentionally changes the emitted tasks.
 """
 

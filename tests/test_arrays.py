@@ -2,9 +2,10 @@
 
 Pins what makes one plan form safe:
 
-* the typed width-1 view and the arrays agree — ``from_records(records)``
-  reproduces every column, and ``PlanStats`` over the view equals the
-  numbers the pre-array typed builder produced (``golden_planstats.json``);
+* the arrays are one form — ``assemble`` over a plan's primary columns
+  reproduces every derived one, and ``PlanStats`` over the arrays equals
+  the numbers the pre-array typed builder produced
+  (``golden_planstats.json``);
 * booking a plan's event stream on a plain ``Simulator`` — whole, per run,
   per task, in a permuted legal order — equals the same plan issued event
   by event, and ``volume()`` equals the walked ledger per rank, over
@@ -13,7 +14,7 @@ Pins what makes one plan form safe:
   interleavings with repeated ranks;
 * a hand-built malformed plan ends in an analyzer issue or a
   ``CommError`` — never a booked ledger;
-* plans pickle as arrays only (no view, no list cache) to pool workers;
+* plans pickle as arrays only (no stream or kernel-pointer cache);
 * a plan bundle refuses to replay against a different sparsity pattern.
 """
 
@@ -40,7 +41,12 @@ from repro.plan import (
     execute_grid_plan,
     pattern_signature,
 )
-from repro.plan.arrays import SCHUR_UPDATE, tree_pattern
+from repro.plan.arrays import (
+    DERIVED,
+    PRIMARY,
+    SCHUR_UPDATE,
+    tree_pattern,
+)
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
@@ -50,7 +56,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tests.conftest import plan_cases  # noqa: E402
+from tests.conftest import plan_cases, plan_tasks, reassembled  # noqa: E402
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,26 +101,31 @@ class TestViewAndArraysAgree:
               suppress_health_check=list(HealthCheck))
     @given(plan_cases())
     def test_round_trip(self, case):
+        """``assemble`` over a plan's primary columns reproduces every
+        derived one — a level's and each grid plan's."""
+        assert {*PRIMARY, *DERIVED} == {
+            f.name for f in dataclasses.fields(TaskArrays)}
         plan, _sf = build(case)
-        for gp in grid_plans(plan):
-            assert_arrays_equal(
-                gp.arrays, TaskArrays.from_records(
-                    gp.tasks, gp.arrays.schur_pair_costs()))
+        parts = [plan] if hasattr(plan, "arrays") else \
+            [*grid_plans(plan), *(s for s in plan.levels if s.grid_plans)]
+        for part in parts:
+            assert_arrays_equal(part.arrays, reassembled(part.arrays))
 
     def test_tids_and_deps_are_consistent(self, lu2d):
         plan, _ = lu2d
         A = plan.arrays
         assert A.tid.tolist() == list(range(A.n_tasks))
-        assert [t.tid for t in plan.tasks] == A.tid.tolist()
-        for t in plan.tasks:
-            assert all(d < t.tid for d in t.deps)
+        tasks = list(plan_tasks(plan))
+        assert [tid for tid, _deps, _kind in tasks] == A.tid.tolist()
+        for tid, deps, _kind in tasks:
+            assert all(d < tid for d in deps)
 
     @pytest.mark.parametrize("name", sorted(
         k for k in json.loads((DATA / "golden_planstats.json").read_text())
         if not k.startswith("_")))
     def test_planstats_equal_the_typed_builders(self, name):
-        """``PlanStats`` over the width-1 view == the numbers recorded from
-        the pre-array typed plans, dense and compact."""
+        """``PlanStats`` over the arrays == the numbers recorded from the
+        pre-array typed plans, dense and compact."""
         from tests.data.regen_planstats import cases, planstats_record
         want = json.loads((DATA / "golden_planstats.json").read_text())[name]
         case = name.removesuffix("_compact")
@@ -237,12 +248,12 @@ class TestOneEventStream:
                 assert a == 0 or A.kind[a - 1] != A.kind[a]
             assert (A.ev_src[A.ev_kind == MSG]
                     != A.ev_dst[A.ev_kind == MSG]).all()
-            for t, task in enumerate(gp.tasks):
+            for t in range(A.n_tasks):
                 ev = slice(A.ev_ptr[t], A.ev_ptr[t + 1])
                 mem = slice(A.mem_ptr[t], A.mem_ptr[t + 1])
                 if A.kind[t] == SCHUR_UPDATE:
                     assert (A.ev_kind[ev] == SCHUR_UPDATE).all()
-                    assert A.ev_val[ev].sum() == task.flops
+                    assert A.ev_val[ev].sum() == A.flops[t]
                     charged = np.concatenate([
                         np.arange(A.mem_ptr[u], A.mem_ptr[u + 1])
                         for u in np.flatnonzero((A.node == A.node[t])
@@ -254,11 +265,12 @@ class TestOneEventStream:
                     continue
                 head = A.ev_ptr[t]
                 assert (A.ev_src[head], A.ev_dst[head], A.ev_val[head],
-                        A.ev_kind[head]) == (task.owner, task.owner,
-                                             task.flops, A.kind[t])
+                        A.ev_kind[head]) == (A.owner[t], A.owner[t],
+                                             A.flops[t], A.kind[t])
                 assert (A.ev_kind[ev][1:] == MSG).all()
-                hops = sum(len(s.ranks) - 1 + (s.route_from is not None)
-                           for s in task.bcasts)
+                hops = sum(len(A.comms[A.bc_comm[s]]) - 1
+                           + (A.bc_route[s] >= 0)
+                           for s in range(A.bc_ptr[t], A.bc_ptr[t + 1]))
                 assert A.ev_ptr[t + 1] - head - 1 == hops
                 assert (A.mem_words[mem] >= 0).all()
 
@@ -330,11 +342,11 @@ class TestGridPlansAreSlices:
         assert [gp.arrays.n_tasks > 0 for gp in gps] == [True] * sum(n_plans)
         assert calls["cut"] == sum(n for n in n_plans if n > 1)
         assert gps[0].arrays is gps[0].arrays      # memoized
-        # The pool's pre-flight reads a slice's own communicators, not its
-        # level's: no escape, and no record view built to find that out.
-        from repro.verify import grid_plan_rank_escapes
-        assert [grid_plan_rank_escapes(gp) for gp in gps] == [[]] * len(gps)
-        assert not any("records" in gp.arrays.__dict__ for gp in gps)
+        # A slice shares its level's communicators; the analyzer checks
+        # only the ones the slice uses, so it finds no rank escape — and it
+        # assembles nothing beyond one re-derivation per level.
+        assert analyze_plan(plan, sf).ok
+        assert calls["assemble"] == 2 * sum(n > 0 for n in n_plans)
 
 
 class TestMemoryBatches:
@@ -409,9 +421,6 @@ class TestMalformedPlans:
         return dataclasses.replace(
             plan, arrays=dataclasses.replace(plan.arrays, **cols))
 
-    def first_spec_task(self, plan):
-        return next(t for t in plan.tasks if getattr(t, "bcasts", ()))
-
     def test_root_outside_ranks(self, lu2d):
         plan, sf = lu2d
         A = plan.arrays
@@ -432,8 +441,8 @@ class TestMalformedPlans:
             self.poke(plan, bc_words=words), sf)
 
     def test_negative_words_in_the_flattened_replay(self, lu2d):
-        """Only the executed column is tampered: the view looks sane, so
-        the analyzer's arrays-vs-records check has to catch it — and the
+        """Only the executed column is tampered: the primary columns look
+        sane, so the analyzer's re-derivation has to catch it — and the
         simulator refuses it anyway."""
         plan, sf = lu2d
         A = plan.arrays
@@ -448,24 +457,15 @@ class TestMalformedPlans:
 
     def test_rank_outside_the_grid(self, lu2d):
         plan, sf = lu2d
-        victim = self.first_spec_task(plan)
-        bad = plan.with_tasks([
-            dataclasses.replace(t, owner=500) if t is victim else t
-            for t in plan.tasks])
+        owner = plan.arrays.owner.copy()
+        owner[np.flatnonzero(np.diff(plan.arrays.bc_ptr))[0]] = 500
+        bad = dataclasses.replace(
+            plan, arrays=reassembled(plan.arrays, owner=owner))
         assert "rank-escape" in self.outcome(bad, sf)
         sim = Simulator(plan.px * plan.py)
         with pytest.raises(CommError):      # and it cannot be booked
             execute_grid_plan(bad, sf, sim, fuse=True)
         assert not any(sim.clock)
-
-    def test_with_tasks_round_trips_an_untouched_list(self, lu2d):
-        plan, sf = lu2d
-        again = plan.with_tasks(list(plan.tasks))
-        assert_arrays_equal(plan.arrays, again.arrays)
-        sims = [Simulator(6), Simulator(6)]
-        execute_grid_plan(plan, sf, sims[0], fuse=True)
-        execute_grid_plan(again, sf, sims[1], fuse=False)
-        assert ledger_state(sims[0]) == ledger_state(sims[1])
 
 
 class TestBlockArrays:
@@ -531,12 +531,12 @@ class TestPickling:
     def test_plans_ship_as_arrays_only(self, lu2d):
         plan, sf = lu2d
         cold = len(pickle.dumps(plan))
-        plan.tasks                        # materialise the view ...
+        plan.arrays.k_ptr                 # materialise the kernel cuts ...
         execute_grid_plan(plan, sf, Simulator(6), fuse=True)  # ... and stream
-        assert {"stream", "records"} <= set(plan.arrays.__dict__)
+        assert {"stream", "k_ptr"} <= set(plan.arrays.__dict__)
         assert len(pickle.dumps(plan)) == cold
         clone = pickle.loads(pickle.dumps(plan))
-        assert not {"stream", "records"} & set(clone.arrays.__dict__)
+        assert not {"stream", "k_ptr"} & set(clone.arrays.__dict__)
         assert_arrays_equal(plan.arrays, clone.arrays)
         sims = [Simulator(6), Simulator(6)]
         execute_grid_plan(plan, sf, sims[0], fuse=True)

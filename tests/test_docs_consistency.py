@@ -188,6 +188,9 @@ class TestCrossReferences:
         "can_fork", "_pending_touching", "ParallelExecutor", "GridTask",
         "GridOutcome", "_worker_run", "_worker_init", "_fan_out_level",
         "grid_block_refs", "import_back", "Simulator.fork",
+        "TaskArrays.records", "GridPlan.tasks", "from_records", "with_tasks",
+        "schur_pair_costs", "iter_tasks", "PanelFactor", "PanelBcast",
+        "SchurUpdate", "grid_plan_rank_escapes",
     )
 
     def test_no_deleted_name_survives(self):
@@ -218,6 +221,25 @@ class TestOnePlanForm:
 
     def test_no_compile_module(self):
         assert not (self.SRC / "plan" / "compile.py").exists()
+
+    def test_no_record_view(self):
+        """The analyzer reads the columns the interpreter walks: nothing
+        under ``repro/verify`` imports a per-grid-task type from
+        ``repro.plan.tasks`` (only the level-scope kinds and the plan
+        containers), and no plan object hands out a task list."""
+        from repro.plan import GridPlan, LevelStep, Plan3D, TaskArrays
+        allowed = {"AncestorReduce", "GridPlan", "LevelBarrier", "Plan3D",
+                   "ReplicatedFactor"}
+        for path in (self.SRC / "verify").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) \
+                        and node.module == "repro.plan.tasks":
+                    names = {a.name for a in node.names}
+                    assert names <= allowed, (path.name, names - allowed)
+        for cls in (TaskArrays, GridPlan, LevelStep, Plan3D):
+            for name in ("records", "tasks", "iter_tasks", "with_tasks",
+                         "from_records", "schur_pair_costs"):
+                assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
     def test_fuse_only_selects_cut_points(self):
         """Nothing in the program branches on ``fuse`` except the cut-point

@@ -16,6 +16,7 @@ from repro.lu3d.merged import factor_3d_merged
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from tests.conftest import plan_tasks
 
 ENGINES = {
     "lu": lambda sf, tf, g3, sim: factor_3d(sf, tf, g3, sim, numeric=False),
@@ -87,9 +88,9 @@ def test_ledger_invariants(brick, pz, engine):
     assert ps.comm_words == pytest.approx(booked_words, rel=1e-9)
     # 9. The dependency DAG is well-formed and its critical path sane.
     seen = set()
-    for task in res.plan.iter_tasks():
-        assert task.tid not in seen
-        assert all(d in seen for d in task.deps), "dep emitted after task"
-        seen.add(task.tid)
+    for tid, deps, _kind in plan_tasks(res.plan):
+        assert tid not in seen
+        assert all(d in seen for d in deps), "dep emitted after task"
+        seen.add(tid)
     assert 0 < ps.critical_path_tasks <= ps.n_tasks
     assert 0.0 < ps.critical_path_cost <= ps.total_cost * (1 + 1e-12)

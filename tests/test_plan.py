@@ -35,6 +35,7 @@ from repro.plan import GridPlan, Plan3D, build_grid_plan
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from tests.conftest import plan_tasks
 
 # The goldens are pinned per block-volume mode: the dense file is the
 # original seed (never regenerated by refactors); the compact file pins
@@ -217,11 +218,11 @@ class TestPlanPlumbing:
     def test_deps_point_backwards_and_tids_unique(self, lu_run):
         _, _, res = lu_run
         seen = set()
-        for task in res.plan.iter_tasks():
-            assert task.tid not in seen
-            for d in task.deps:
+        for tid, deps, _kind in plan_tasks(res.plan):
+            assert tid not in seen
+            for d in deps:
                 assert d in seen
-            seen.add(task.tid)
+            seen.add(tid)
 
     def test_lookahead_reorders_but_preserves_tasks(self):
         A, geom = grid2d_5pt(12)
@@ -230,10 +231,12 @@ class TestPlanPlumbing:
         nodes = list(range(sf.nb))
         base = build_grid_plan(sf, nodes, grid, FactorOptions(lookahead=0))
         ahead = build_grid_plan(sf, nodes, grid, FactorOptions(lookahead=8))
-        key = lambda t: (t.kind, getattr(t, "node", -1),
-                         getattr(t, "block", None))
-        assert sorted(map(key, base.tasks)) == sorted(map(key, ahead.tasks))
-        assert [key(t) for t in base.tasks] != [key(t) for t in ahead.tasks]
+        def keys(plan):
+            A = plan.arrays
+            return list(zip(*(getattr(A, c).tolist()
+                              for c in ("kind", "node", "bi", "bj"))))
+        assert sorted(keys(base)) == sorted(keys(ahead))
+        assert keys(base) != keys(ahead)
 
     def test_plan_pickles(self, lu_run):
         _, _, res = lu_run

@@ -286,7 +286,7 @@ class TestCrashRecovery:
     def test_restart_without_checkpoints_replays_from_scratch(self, clean):
         tf, _, F0 = clean
         ref = lu3d_run()[3]
-        tid = ref.plan.levels[0].grid_plans[0].tasks[8].tid
+        tid = int(ref.plan.levels[0].grid_plans[0].arrays.tid[8])
         plan = FaultPlan((Fault("crash", grid=0, at_task=tid),))
         _, _, _, res = lu3d_run(options=FactorOptions(fault_plan=plan))
         st = res.resilience
@@ -296,7 +296,7 @@ class TestCrashRecovery:
 
     def test_checkpoints_shrink_lost_work(self):
         ref = lu3d_run()[3]
-        tid = ref.plan.levels[0].grid_plans[0].tasks[8].tid
+        tid = int(ref.plan.levels[0].grid_plans[0].arrays.tid[8])
         plan = FaultPlan((Fault("crash", grid=0, at_task=tid),))
         lost = {}
         for every in (0, 1):
@@ -310,7 +310,7 @@ class TestCrashRecovery:
         assert opts.resilience_active()
         _, _, sim, res = lu3d_run(options=opts)
         st = res.resilience
-        n_tasks = sum(len(gp.tasks) for step in res.plan.levels
+        n_tasks = sum(gp.n_tasks for step in res.plan.levels
                       for gp in step.grid_plans)
         assert st.checkpoints_taken == n_tasks // 5
         assert st.checkpoint_io_seconds > 0

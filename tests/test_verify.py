@@ -30,11 +30,13 @@ from repro.comm.simulator import CommError
 from repro.lu2d.factor2d import FactorOptions, factor_2d
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
+from repro.plan.arrays import PANEL_BCAST, PANEL_FACTOR, SCHUR_UPDATE
 from repro.plan.build import build_3d_plan, build_grid_plan
-from repro.plan.tasks import BcastSpec, PanelBcast, Plan3D
+from repro.plan.tasks import Plan3D
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from repro.utils.ragged import csr_ptr
 from repro.verify import (
     PlanVerificationError,
     VerificationError,
@@ -48,6 +50,7 @@ from repro.verify import (
     ledger_state,
     verify_factors,
 )
+from tests.conftest import plan_tasks, reassembled
 from tests.test_plan import planar_setup, spd_setup
 
 OPTION_POINTS = {
@@ -168,14 +171,19 @@ class TestMutationSelfTest:
             analyze_plan(mutated, lu2d_sf).raise_if_issues()
 
 
-def _tamper_task(plan, pred, **changes):
-    """Rebuild a GridPlan with the first task matching ``pred`` changed."""
-    tasks = list(plan.tasks)
-    for i, t in enumerate(tasks):
-        if pred(t):
-            tasks[i] = dataclasses.replace(t, **changes)
-            return plan.with_tasks(tasks)
-    raise AssertionError("no matching task to tamper with")
+def _tampered(plan, **cols):
+    """``plan`` (a grid plan) with primary columns replaced, re-assembled."""
+    return dataclasses.replace(plan, arrays=reassembled(plan.arrays, **cols))
+
+
+def _with_deps(plan, t: int, deps):
+    """``plan`` with task ``t``'s dependencies replaced by ``deps``."""
+    A = plan.arrays
+    n_dep = np.diff(A.dep_ptr)
+    n_dep[t] = len(deps)
+    return _tampered(plan, dep_ptr=csr_ptr(n_dep), dep_idx=np.concatenate(
+        [A.dep_idx[:A.dep_ptr[t]], np.asarray(deps, dtype=np.int64),
+         A.dep_idx[A.dep_ptr[t + 1]:]]))
 
 
 class TestSyntheticDefects:
@@ -184,43 +192,72 @@ class TestSyntheticDefects:
     def test_cycle_forward_edge(self, lu2d_sf):
         plan = build_grid_plan(lu2d_sf, range(lu2d_sf.nb),
                                ProcessGrid2D(2, 3), FactorOptions())
-        last_tid = plan.tasks[-1].tid
-        bad = _tamper_task(plan, lambda t: t.tid == 0,
-                           deps=(last_tid,))
+        t = int(np.flatnonzero(plan.arrays.tid == 0)[0])
+        bad = _with_deps(plan, t, [plan.arrays.tid[-1]])
         assert "cycle" in analyze_plan(bad, lu2d_sf).counts()
 
     def test_dangling_dep(self, lu2d_sf):
         plan = build_grid_plan(lu2d_sf, range(lu2d_sf.nb),
                                ProcessGrid2D(2, 3), FactorOptions())
-        bad = _tamper_task(plan, lambda t: bool(t.deps), deps=(99999,))
+        t = int(np.flatnonzero(np.diff(plan.arrays.dep_ptr))[0])
+        bad = _with_deps(plan, t, [99999])
         assert "cycle" in analyze_plan(bad, lu2d_sf).counts()
 
     def test_malformed_bcast_root(self, lu2d_sf):
+        """A panel solve's broadcast over a communicator without its
+        root."""
         plan = build_grid_plan(lu2d_sf, range(lu2d_sf.nb),
                                ProcessGrid2D(2, 3), FactorOptions())
-
-        def break_bcast(t):
-            return isinstance(t, PanelBcast) and bool(t.bcasts)
-
-        victim = next(t for t in plan.tasks if break_bcast(t))
-        spec = victim.bcasts[0]
-        bad_spec = BcastSpec(root=spec.root,
-                             ranks=tuple(r for r in spec.ranks
-                                         if r != spec.root) or (spec.root + 1,),
-                             words=spec.words)
-        bad = _tamper_task(plan, break_bcast, bcasts=(bad_spec,))
+        A = plan.arrays
+        spec_kind = A.kind[np.repeat(np.arange(A.n_tasks), np.diff(A.bc_ptr))]
+        s = int(np.flatnonzero(spec_kind == PANEL_BCAST)[0])
+        root = int(A.bc_root[s])
+        ranks = tuple(r for r in A.comms[A.bc_comm[s]] if r != root) \
+            or (root + 1,)
+        comm = A.bc_comm.copy()
+        comm[s] = len(A.comms)
+        bad = _tampered(plan, bc_comm=comm, comms=[*A.comms, ranks])
         assert "malformed-bcast" in analyze_plan(bad, lu2d_sf).counts()
 
     def test_rank_escape(self, lu2d_sf):
         plan = build_grid_plan(lu2d_sf, range(lu2d_sf.nb),
                                ProcessGrid2D(2, 3), FactorOptions())
-        bad = _tamper_task(plan, lambda t: t.kind == "panel_factor",
-                           owner=500)
-        report = analyze_plan(bad, lu2d_sf)
-        assert "rank-escape" in report.counts()
-        # the parallel engine's cheap pre-check sees the same escape
-        from repro.verify import grid_plan_rank_escapes
-        assert grid_plan_rank_escapes(bad)
+        owner = plan.arrays.owner.copy()
+        owner[np.flatnonzero(plan.arrays.kind == PANEL_FACTOR)[0]] = 500
+        report = analyze_plan(_tampered(plan, owner=owner), lu2d_sf)
+        assert report.counts() == {"rank-escape": 1}
+        assert "owner 500 outside grid span [0, 6)" in report.issues[0].message
+
+    def test_schur_pair_rank_escape(self):
+        """A Schur pair booked on a sibling grid's rank, with the level
+        re-assembled and re-cut consistently: only the pair owners show
+        it. So does a 2D grid plan's pair owner outside the grid."""
+        A0, geom = grid2d_5pt(16)
+        sf = symbolic_factorize(A0, geom, leaf_size=16)
+        plan = build_3d_plan(sf, greedy_partition(sf, 4),
+                             ProcessGrid3D(2, 2, 4), FactorOptions())
+        step = plan.levels[0]
+        A, (lo, hi) = step.arrays, step.grid_ptr[:2]
+        t = lo + int(np.flatnonzero((A.kind[lo:hi] == SCHUR_UPDATE)
+                                    & (np.diff(A.pair_ptr)[lo:hi] > 0))[0])
+        owner = A.pair_owner.copy()
+        owner[A.pair_ptr[t]] = step.grid_plans[1].base
+        arrays = reassembled(A, pair_owner=owner)
+        cuts = step.grid_ptr.tolist()
+        bad = dataclasses.replace(plan, levels=[dataclasses.replace(
+            step, arrays=arrays, grid_plans=[
+                dataclasses.replace(gp, arrays=(arrays, a, b))
+                for gp, a, b in zip(step.grid_plans, cuts, cuts[1:])]),
+            *plan.levels[1:]])
+        report = analyze_plan(bad, sf)
+        assert report.counts() == {"rank-escape": 1}, report.summary()
+        assert f"task {A.tid[t]} (schur_update) pair owners [4]" in \
+            report.issues[0].message
+        gp = build_grid_plan(sf, range(sf.nb), ProcessGrid2D(2, 3))
+        owner = gp.arrays.pair_owner.copy()
+        owner[0] = 500
+        assert analyze_plan(_tampered(gp, pair_owner=owner), sf).counts() \
+            == {"rank-escape": 1}
 
     def test_reduce_alias_standard(self, planar4):
         plan, sf = _lu3d_plan(planar4)
@@ -270,6 +307,24 @@ class TestSyntheticDefects:
                                             reduces=[bad_red])
         bad = Plan3D(backend=plan.backend, merged=plan.merged, levels=levels)
         assert "reduce-alias" in analyze_plan(bad, sf).counts()
+
+
+class TestAnalyzerGolden:
+    """``golden_analyzer.json`` was written at ``a871862``, when the
+    analyzer read a typed record per grid task and packed the records back
+    into arrays to compare them: reading the columns instead must give
+    every zoo plan, and every mutant of the self-test, the same verdict."""
+
+    def test_regenerating_rewrites_the_file_byte_for_byte(self, monkeypatch):
+        from repro.plan import build
+        from tests.data.regen_analyzer import OUT, case_record, render
+        from tests.data.regen_plan_arrays import cases
+        monkeypatch.setattr(build, "POST_BUILD_HOOK", None)  # 301 plans
+        records = {name: case_record(name, make()) for name, make in cases()}
+        assert len(records) == 301
+        assert sum(len(r.get("drop_dep_edge", ()))
+                   for r in records.values()) == 90
+        assert render(records) == OUT.read_text()
 
 
 class TestEventConstants:
@@ -601,6 +656,9 @@ class TestOneWalkAnyWidthAnyGrouping:
                 gp.arrays, ev_val=gp.arrays.ev_val * 2.0)),
             *step.grid_plans[2:]])
         assert any(m.startswith("grid ") for m in issues(slice_only))
+        one_short = dataclasses.replace(step, grid_plans=step.grid_plans[1:])
+        assert issues(one_short) == [
+            f"level {step.level}: 3 grid plans, 5 cut points"]
 
 
 class TestDegenerateLevels:
@@ -913,18 +971,6 @@ def _build_from_case(case):
         merged=case["merged"])
 
 
-def _all_tasks(plan):
-    if isinstance(plan, Plan3D):
-        out = []
-        for step in plan.levels:
-            for gp in step.grid_plans:
-                out.extend(gp.tasks)
-            out.extend(step.reduces)
-            out.append(step.barrier)
-        return out
-    return list(plan.tasks)
-
-
 class TestPlanProperties:
     @_PROP_SETTINGS
     @given(case=plan_cases())
@@ -936,28 +982,27 @@ class TestPlanProperties:
     @_PROP_SETTINGS
     @given(case=plan_cases())
     def test_deps_acyclic_and_backward(self, case):
-        tasks = _all_tasks(_build_from_case(case))
-        tids = {t.tid for t in tasks}
+        tasks = list(plan_tasks(_build_from_case(case)))
+        tids = {tid for tid, _deps, _kind in tasks}
         assert len(tids) == len(tasks)  # unique
-        for t in tasks:
-            for d in t.deps:
-                assert d in tids and d < t.tid
+        for tid, deps, _kind in tasks:
+            for d in deps:
+                assert d in tids and d < tid
 
     @_PROP_SETTINGS
     @given(case=plan_cases())
     def test_every_task_reachable_from_roots(self, case):
         """Forward reachability: every non-root task is reachable from a
         panel root or a LevelBarrier (the DAG has no orphaned islands)."""
-        tasks = _all_tasks(_build_from_case(case))
-        roots = {t.tid for t in tasks
-                 if not t.deps and t.kind in ("panel_factor",
-                                              "level_barrier",
-                                              "ancestor_reduce")}
+        tasks = sorted(plan_tasks(_build_from_case(case)))
+        roots = {tid for tid, deps, kind in tasks
+                 if not deps and kind in ("panel_factor", "level_barrier",
+                                          "ancestor_reduce")}
         reached = set(roots)
-        for t in sorted(tasks, key=lambda t: t.tid):
-            if t.tid in reached:
+        for tid, deps, _kind in tasks:
+            if tid in reached:
                 continue
-            if any(d in reached for d in t.deps):
-                reached.add(t.tid)
-        missing = [t.tid for t in tasks if t.tid not in reached]
+            if any(d in reached for d in deps):
+                reached.add(tid)
+        missing = [tid for tid, _deps, _kind in tasks if tid not in reached]
         assert not missing, f"unreachable tasks: {missing[:10]}"
