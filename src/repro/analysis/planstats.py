@@ -33,7 +33,7 @@ from repro.comm.events import COMPUTE_KINDS
 from repro.comm.machine import Machine
 from repro.comm.stream import MSG
 from repro.plan.arrays import SCHUR_UPDATE
-from repro.plan.tasks import AncestorReduce, ReplicatedFactor
+from repro.plan.tasks import AncestorReduce
 
 __all__ = ["PlanStats", "format_plan_summary"]
 
@@ -66,13 +66,11 @@ def _grid_rows(A, machine: Machine):
 
 def _level_row(task, machine: Machine):
     """The same row for one level-scope task, summed from its own event
-    stream: a reduce pays one flop per word at the receiving copy, an
-    aggregate 2.5D sweep books its level under ``'schur'`` (both at the
+    stream: a reduce pays one flop per word at the receiving copy (at the
     GEMM rate); a barrier costs nothing."""
     msgs, words, ckind, flops = 0, 0.0, "", 0.0
-    if isinstance(task, (AncestorReduce, ReplicatedFactor)):
-        ev = task.stream() if isinstance(task, AncestorReduce) \
-            else task.volume_stream()
+    if isinstance(task, AncestorReduce):
+        ev = task.stream()
         msg = ev.kind == MSG
         msgs, words = int(msg.sum()), float(ev.val[msg].sum())
         flops = float(ev.val[~msg].sum())
@@ -90,7 +88,7 @@ def _rows(plan, machine: Machine):
     for step in plan.levels:
         if step.arrays is not None:
             yield from _grid_rows(step.arrays, machine)
-        for task in (*step.replicated, *step.reduces, step.barrier):
+        for task in (*step.reduces, step.barrier):
             yield _level_row(task, machine)
 
 
@@ -174,5 +172,4 @@ def format_plan_summary(stats: PlanStats,
 
 #: Which compute-kind ledger a task kind's flops land in.
 _FLOP_KIND = {"panel_factor": "diag", "panel_bcast": "panel",
-              "schur_update": "schur", "replicated_factor": "schur",
-              "ancestor_reduce": "reduce_add"}
+              "schur_update": "schur", "ancestor_reduce": "reduce_add"}

@@ -5,7 +5,7 @@ Commands
 ``generate``  write a synthetic test matrix (Matrix Market format);
 ``solve``     factor a matrix and solve against a right-hand side;
 ``sweep``     run the Fig. 9-style Pz sweep and print the trade-off table;
-``tune``      (Px, Py, Pz, c) configuration search, every executable
+``tune``      (Px, Py, Pz) configuration search, every executable
               candidate measured by its plan's volume;
 ``report``    regenerate every paper table/figure (EXPERIMENTS.md data).
 
@@ -34,6 +34,7 @@ from repro.analysis import (
 from repro.comm import Machine
 from repro.lu2d.factor2d import FactorOptions
 from repro.resilience import FaultPlan
+from repro.utils import check_positive_int, check_power_of_two
 from repro.sparse import (
     GridGeometry,
     arrowhead,
@@ -119,7 +120,7 @@ def cmd_solve(args) -> int:
         args.parser.error(str(exc))
     A, geom = _load(args)
     if args.grid == "auto":
-        _auto_grid(args, A)
+        _auto_grid(args, A, opts)
     if args.cholesky:
         from repro.cholesky import SparseCholesky3D as Solver
     else:
@@ -194,25 +195,25 @@ def _verify_plans(solver, fault_plan) -> bool:
     return ok and not issues
 
 
-def _auto_grid(args, A) -> None:
-    """``--grid auto``: replace --px/--py/--pz with the tuner's choice.
+def _auto_grid(args, A, opts: FactorOptions) -> None:
+    """``--grid auto``: replace --px/--py/--pz with the tuner's choice,
+    scored under the run's own options (``opts``: compact pricing,
+    blocking).
 
     Total ranks come from --P (or the --px/--py/--pz product when that
-    is non-trivial). Numeric solves adopt only the grid *shape* — the
-    2.5D replication factor is a cost-only study, so a tuned ``c > 1``
-    is reported but not applied.
+    is non-trivial).
     """
     from repro.tune import TuneCache, autotune_grid
     P = args.P if args.P else max(args.px * args.py * args.pz, 16)
     cache = TuneCache(args.tune_cache) if args.tune_cache else None
-    tr = autotune_grid(A, P, leaf_size=args.leaf_size, cache=cache)
+    tr = autotune_grid(A, P, leaf_size=args.leaf_size, options=opts,
+                       blockings=(opts.blocking,), cache=cache)
     ch = tr.chosen
     args.px, args.py, args.pz = ch.px, ch.py, ch.pz
-    note = f" (tuned c={ch.c} applies to cost-only runs)" if ch.c > 1 else ""
     print(f"auto grid: {ch.label} of {len(tr.candidates)} candidates "
           f"(sigma={tr.sigma:.2f}, {tr.classification}; "
           f"{tr.measured_improvement:.2f}x measured words vs naive "
-          f"{tr.baseline.candidate.label}){note}")
+          f"{tr.baseline.candidate.label})")
 
 
 def _solve_steps(args, L, geom, opts) -> int:
@@ -299,12 +300,10 @@ def cmd_tune(args) -> int:
     from repro.tune import TuneCache, autotune_grid
     A, geom = _load(args)
     cache = TuneCache(args.cache) if args.cache else None
-    c_values = None if args.c is None \
-        else tuple(int(t) for t in args.c.split(","))
     blockings = tuple(t.strip() for t in args.blocking.split(","))
     res = autotune_grid(A, args.P, geometry=geom,
-                        leaf_size=args.leaf_size, c_values=c_values,
-                        blockings=blockings, cache=cache)
+                        leaf_size=args.leaf_size, blockings=blockings,
+                        cache=cache)
     print(res.summary())
     rows = []
     for r in res.candidates[:args.top]:
@@ -356,6 +355,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _checked(check):
+    """An argparse ``type``: ``check(int(text), name)``, its refusal an
+    argparse error (exit 2, one line) instead of a traceback."""
+    def parse(text: str) -> int:
+        try:
+            return check(int(text), "value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -380,14 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--grid", default=None,
                             help="lattice shape for geometric ordering, "
                                  "e.g. 64,64")
-        sp.add_argument("--leaf-size", type=int, default=64)
+        sp.add_argument("--leaf-size", type=_checked(check_positive_int),
+                        default=64)
 
     s = sub.add_parser("solve", help="factor and solve")
     common(s)
-    s.add_argument("--px", type=int, default=1)
-    s.add_argument("--py", type=int, default=1)
-    s.add_argument("--pz", type=int, default=1)
-    s.add_argument("--P", type=int, default=0,
+    s.add_argument("--px", type=_checked(check_positive_int), default=1)
+    s.add_argument("--py", type=_checked(check_positive_int), default=1)
+    s.add_argument("--pz", type=_checked(check_power_of_two), default=1)
+    s.add_argument("--P", type=_checked(check_positive_int), default=None,
                    help="total ranks for --grid auto (default: the "
                         "--px/--py/--pz product, floored at 16)")
     s.add_argument("--tune-cache", default=None,
@@ -454,19 +465,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="Pz sweep (Fig. 9-style table)")
     common(w)
-    w.add_argument("--P", type=int, default=96, help="total simulated ranks")
+    w.add_argument("--P", type=_checked(check_positive_int), default=96,
+                   help="total simulated ranks")
     w.add_argument("--pz", default="1,2,4,8,16",
                    help="comma-separated Pz values")
     w.set_defaults(fn=cmd_sweep)
 
-    tu = sub.add_parser("tune",
-                        help="measured (Px,Py,Pz,c) grid search")
+    tu = sub.add_parser("tune", help="measured (Px,Py,Pz) grid search")
     common(tu)
-    tu.add_argument("--P", type=int, default=96,
+    tu.add_argument("--P", type=_checked(check_positive_int), default=96,
                     help="total simulated ranks to factor over")
-    tu.add_argument("--c", default=None,
-                    help="comma list of 2.5D replication factors to try "
-                         "(default: all powers of two up to each Pz)")
     tu.add_argument("--blocking", default="uniform",
                     help="comma list of blocking strategies to cross into "
                          "the search space (uniform, irregular)")

@@ -68,8 +68,7 @@ def _factor_nodes(backend: str, sf, nodes, grid, sim, data, options
         for k in nodes:
             for i, j, _w in node_blocks(sf, k):
                 require_finite(data[(i, j)], f"data block ({i}, {j})")
-    mode = resolve_exec(opts, sim, numeric=data is not None, merged=False,
-                        backend=backend)
+    mode = resolve_exec(opts, sim, numeric=data is not None, merged=False)
     plan = build_grid_plan(sf, nodes, grid, opts, backend=backend)
     plan3 = Plan3D.of_grid(plan)
     store = f3d.CostOnlyData() if data is None else f3d.GlobalStoreData(data)

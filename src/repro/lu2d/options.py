@@ -66,19 +66,6 @@ class FactorOptions:
         per-block nnz tables, instead of dense ``rows * cols``. Numerics
         are unaffected — only the booked word counts change. This field
         is the only switch (no environment override).
-    ancestor_replication:
-        2.5D replication factor ``c`` for the dense common-ancestor levels
-        (paper Section VII / Solomonik-Demmel). ``1`` (default) keeps
-        Algorithm 1's schedule: each ancestor forest is factored by its
-        home grid's 2D engine alone. ``c > 1`` factors each ancestor
-        forest as one aggregate 2.5D sweep over ``min(c, 2^{l-q})`` of
-        its replication range's grids — per-rank level volume drops from
-        ``D/sqrt(Pxy)`` to ``D/(c*sqrt(Pxy))`` at ``c``-fold panel
-        traffic. ``c = Pz`` replicates every ancestor level across its
-        whole range (the paper's 2.5D dense-ancestor study). A first-order
-        *cost model*: ``c > 1`` requires cost-only
-        runs (``numeric=False``, no resilience) on the standard
-        (non-merged) LU driver.
     blocking:
         Supernode-boundary strategy for the symbolic phase: ``'uniform'``
         (the default — ``max_block``-capped equal chunks, SuperLU_DIST's
@@ -98,15 +85,12 @@ class FactorOptions:
     checkpoint_every: int = 0
     recovery: str = "restart"
     compact_comm: bool = False
-    ancestor_replication: int = 1
     blocking: str = "uniform"
 
     def __post_init__(self):
         if self.blocking not in ("uniform", "irregular"):
             raise ValueError(f"unknown blocking strategy {self.blocking!r}; "
                              "expected 'uniform' or 'irregular'")
-        if self.ancestor_replication < 1:
-            raise ValueError("ancestor_replication must be >= 1")
         if self.lookahead < 0:
             raise ValueError("lookahead must be non-negative")
         if self.pivot_eps <= 0:

@@ -50,7 +50,6 @@ from repro.plan.interpret import (
     Resume,
     execute_grid_plan,
     execute_reduces,
-    execute_replicated,
 )
 from repro.plan.replay import PlanBundle
 from repro.plan.tasks import Plan3D
@@ -243,8 +242,7 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
         require_finite((sf.A_perm if matrix is None else matrix).tocsr().data,
                        "sf.A_perm" if matrix is None else "matrix")
     opts = options or FactorOptions()
-    mode = resolve_exec(opts, sim, numeric=numeric, merged=merged,
-                        backend=backend)
+    mode = resolve_exec(opts, sim, numeric=numeric, merged=merged)
     result = Factor3DResult(tf=tf)
     if mode.fallback is not None:
         result.parallel_stats.append(mode.fallback)
@@ -368,8 +366,6 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
             _absorb_2d(result, out)
             gi, ti, ctx = gi + 1, 0, None
         else:       # the level's grids are done
-            for rep in step.replicated:
-                execute_replicated(rep, sim)
             if step.level > 0:
                 sim.set_phase("red")
                 execute_reduces(step, sim, result, data.accumulate)

@@ -39,7 +39,6 @@ from repro.plan.interpret import execute_grid_plan, execute_reduce
 from repro.plan.replay import FusedPlan, PlanBundle, plan_options_key
 from repro.plan.tasks import (
     AncestorReduce,
-    BcastSpec,
     FusionStats,
     GridPlan,
     LevelBarrier,
@@ -50,7 +49,6 @@ from repro.plan.tasks import (
 
 __all__ = [
     "AncestorReduce",
-    "BcastSpec",
     "CholeskyBackend",
     "ExecMode",
     "FusedPlan",

@@ -46,12 +46,10 @@ from repro.plan.arrays import (
 from repro.plan.backends import BuildContext, get_backend
 from repro.plan.tasks import (
     AncestorReduce,
-    BcastSpec,
     GridPlan,
     LevelBarrier,
     LevelStep,
     Plan3D,
-    ReplicatedFactor,
 )
 from repro.utils.ragged import csr_ptr, ragged, ranges
 
@@ -292,16 +290,6 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
         blocks_fn = get_backend(backend).node_blocks
     from repro.comm.volume import volume_for
     volume = volume_for(sf, opts)
-    creplication = opts.ancestor_replication
-    if creplication > 1 and (merged or backend != "lu"):
-        raise ValueError(
-            "ancestor_replication > 1 (2.5D ancestor sweeps) requires the "
-            "standard LU driver; the merged-grid variant and other "
-            f"backends keep c=1 (got merged={merged}, backend={backend!r})")
-    if creplication > tf.pz:
-        raise ValueError(
-            f"ancestor_replication={creplication} exceeds the replication "
-            f"group supply Pz={tf.pz} (need c <= Pz)")
     nlev = tf.l
     tid = 0                                 # next free task id
     prev_barrier: int | None = None
@@ -309,38 +297,25 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
 
     for lvl in range(nlev, -1, -1):
         width = 2 ** (nlev - lvl)
-        c_lvl = min(creplication, width)
-        replicated, grid_plans, arrays, grid_ptr = [], [], None, None
-        sinks: dict[int, list[int]] = {}    # grid -> its sink tids
-        if c_lvl > 1:
-            replicated = _build_replicated_level(
-                sf, tf, grid3, blocks_fn, tid, lvl, c_lvl, prev_barrier,
-                volume)
-            tid += len(replicated)
-            for task in replicated:
-                for g in tf.grids_of_forest(lvl, task.forest):
-                    sinks.setdefault(g, []).append(task.tid)
-            level_sinks = tuple(t.tid for t in replicated)
-        else:
-            # Forest b runs on layer b * width — merged: on the `width`
-            # layers from there on, stacked along x, as grid b.
-            grids = [(b if merged else b * width, nodes,
-                      b * width * grid3.pxy)
-                     for b in range(2 ** lvl)
-                     if (nodes := tf.forests[(lvl, b)])]
-            level_sinks = ()
-            if grids:
-                arrays, grid_ptr, grid_plans = build_level(
-                    sf, grids, grid3.px * (width if merged else 1), grid3.py,
-                    opts, backend=backend, volume=volume, level=lvl,
-                    tid0=tid, barrier_dep=prev_barrier)
-                # Tasks no later task of the level consumes, per grid.
-                sink = arrays.tid[~np.isin(arrays.tid, arrays.dep_idx)]
-                cut = np.searchsorted(sink, tid + grid_ptr).tolist()
-                level_sinks = tuple(sink.tolist())
-                sinks = {gp.g: level_sinks[lo:hi] for gp, lo, hi
-                         in zip(grid_plans, cut, cut[1:])}
-                tid += arrays.n_tasks
+        grid_plans, arrays, grid_ptr = [], None, None
+        sinks: dict[int, tuple[int, ...]] = {}  # grid -> its sink tids
+        # Forest b runs on layer b * width — merged: on the `width`
+        # layers from there on, stacked along x, as grid b.
+        grids = [(b if merged else b * width, nodes, b * width * grid3.pxy)
+                 for b in range(2 ** lvl) if (nodes := tf.forests[(lvl, b)])]
+        level_sinks = ()
+        if grids:
+            arrays, grid_ptr, grid_plans = build_level(
+                sf, grids, grid3.px * (width if merged else 1), grid3.py,
+                opts, backend=backend, volume=volume, level=lvl, tid0=tid,
+                barrier_dep=prev_barrier)
+            # Tasks no later task of the level consumes, per grid.
+            sink = arrays.tid[~np.isin(arrays.tid, arrays.dep_idx)]
+            cut = np.searchsorted(sink, tid + grid_ptr).tolist()
+            level_sinks = tuple(sink.tolist())
+            sinks = {gp.g: level_sinks[lo:hi] for gp, lo, hi
+                     in zip(grid_plans, cut, cut[1:])}
+            tid += arrays.n_tasks
 
         def _dep_on(*gids) -> tuple[int, ...]:
             deps = tuple(t for gid in gids for t in sinks.get(gid, ()))
@@ -373,8 +348,7 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
         tid += 1
         levels.append(LevelStep(level=lvl, grid_plans=grid_plans,
                                 reduces=reduces, barrier=barrier,
-                                replicated=replicated, arrays=arrays,
-                                grid_ptr=grid_ptr))
+                                arrays=arrays, grid_ptr=grid_ptr))
 
     plan = Plan3D(backend=backend, merged=merged, levels=levels,
                   pattern_sig=pattern_signature(sf),
@@ -382,59 +356,6 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
     if POST_BUILD_HOOK is not None:
         POST_BUILD_HOOK(plan, sf)
     return plan
-
-
-def _build_replicated_level(sf, tf, grid3, blocks_fn, tid0: int, lvl: int,
-                            c_lvl: int, prev_barrier: int | None,
-                            volume) -> list[ReplicatedFactor]:
-    """Emit level ``lvl``'s forests as aggregate 2.5D sweeps (Section VII).
-
-    One :class:`ReplicatedFactor` per non-empty forest, in forest order.
-    Aggregate flops come from the symbolic per-node totals (numpy sums —
-    the pinned 2.5D goldens depend on that summation order); the moved
-    words are re-priced per block through the volume model when it is not
-    the dense identity.
-    """
-    pxy = grid3.pxy
-    dense_kind = getattr(volume, "kind", "dense") == "dense"
-    tasks: list[ReplicatedFactor] = []
-    deps = (prev_barrier,) if prev_barrier is not None else ()
-    for b in range(2 ** lvl):
-        nodes = tf.forests[(lvl, b)]
-        if not nodes:
-            continue
-        flops = float(sf.costs.node_flops[nodes].sum())
-        words = float(sf.costs.factor_words[nodes].sum())
-        if not dense_kind:
-            words = 0.0
-            for v in nodes:
-                for i, j, w in blocks_fn(sf, int(v)):
-                    words += volume.cap(i, j, float(w))
-        ncols = len(nodes)
-        rng = list(tf.grids_of_forest(lvl, b))
-        home = tf.home_grid(int(nodes[0]))
-        group = rng[:c_lvl]
-        if home not in group:
-            group = sorted(rng[:c_lvl - 1] + [home])
-        ranks: list[int] = []
-        for g in group:
-            ranks.extend(grid3.layer(g).all_ranks())
-        share = words / pxy
-        bcasts = tuple(
-            BcastSpec(root=grid3.layer(home).base + local,
-                      ranks=tuple(grid3.layer(g).base + local
-                                  for g in group),
-                      words=share)
-            for local in range(pxy))
-        per_rank_w = words / (c_lvl * np.sqrt(pxy))
-        steps = max(ncols, 1)
-        tasks.append(ReplicatedFactor(
-            tid=tid0 + len(tasks), deps=deps, level=lvl, forest=b,
-            nodes=tuple(int(v) for v in nodes), home=home,
-            grids=tuple(group), ranks=tuple(ranks), bcasts=bcasts,
-            steps=steps, chunk=per_rank_w / steps, flops=flops,
-            words=words))
-    return tasks
 
 
 def _ancestor_blocks(sf, tf, blocks_fn, grid_for_forests: int,

@@ -1,22 +1,12 @@
-"""The one decision table: how does this run execute.
+"""The one decision: how does this run execute.
 
 Every driver (2D, 3D, merged, Cholesky) asks :func:`resolve_exec` once
 and follows the returned :class:`ExecMode`; nothing else in the package
 reads the simulator's attachments (``trace`` / ``topology`` /
 ``accelerator`` / ``faults``), ``FactorOptions.resilience_active()`` or
 the worker count to *choose a path* (kernels and the simulator still read
-them to book events). The rows, first match wins:
-
-========================================  ==================================
-observed                                  outcome
-========================================  ==================================
-``ancestor_replication > 1`` + numeric    ``NotImplementedError``
-``ancestor_replication > 1`` + resilience ``ValueError``
-``ancestor_replication > 1`` + merged     ``ValueError``
-or a non-LU backend
-========================================  ==================================
-
-and one width rule: one dispatch per task when anything observes task
+them to book events). Every combination of options runs; one width rule
+decides how: one dispatch per task when anything observes task
 boundaries — an accelerator, a fault injector, the resilience engine
 (fault plan / checkpointing) — else the plan's full-width runs. Width is
 a choice of cut points over the plan's one array form
@@ -58,28 +48,9 @@ class ExecMode:
     fallback: ParallelFallback | None = None
 
 
-def resolve_exec(opts, sim, *, numeric: bool, merged: bool,
-                 backend: str) -> ExecMode:
-    """Resolve ``opts`` and ``sim``'s attachments into an :class:`ExecMode`,
-    or raise the typed refusal for a combination that cannot run."""
+def resolve_exec(opts, sim, *, numeric: bool, merged: bool) -> ExecMode:
+    """Resolve ``opts`` and ``sim``'s attachments into an :class:`ExecMode`."""
     resilient = opts.resilience_active()
-    if opts.ancestor_replication > 1:
-        if numeric:
-            raise NotImplementedError(
-                "2.5D ancestor factorization is a first-order cost study "
-                "(Section VII); numeric execution uses "
-                "ancestor_replication=1")
-        if resilient:
-            raise ValueError(
-                "ancestor_replication > 1 emits aggregate cost sweeps with "
-                "no per-task recovery boundaries; resilience requires "
-                "ancestor_replication=1")
-        if merged or backend != "lu":
-            raise ValueError(
-                "ancestor_replication > 1 (2.5D ancestor sweeps) requires "
-                "the standard LU driver; the merged-grid variant and other "
-                f"backends keep c=1 (got merged={merged}, "
-                f"backend={backend!r})")
     # Full-width runs coarsen what an accelerator's per-pair offload, a
     # fault injector or the resilience engine observes at task boundaries.
     fuse = not resilient and sim.accelerator is None and sim.faults is None

@@ -37,18 +37,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.comm.collectives import bcast
 from repro.comm.grid import ProcessGrid2D
 from repro.comm.simulator import Simulator
 from repro.lu2d.kernels import execute
 from repro.lu2d.options import Factor2DResult, FactorOptions
 from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
 from repro.plan.backends import get_backend
-from repro.plan.tasks import AncestorReduce, GridPlan, ReplicatedFactor
+from repro.plan.tasks import AncestorReduce, GridPlan
 
 __all__ = ["GridContext", "Resume", "run", "book", "execute_grid_plan",
-           "execute_reduce", "execute_reduces",
-           "execute_replicated"]
+           "execute_reduce", "execute_reduces"]
 
 
 class GridContext:
@@ -234,30 +232,6 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
         for r in ctx.grid.all_ranks():
             sim.accel_sync(r)
     return ctx.result
-
-
-def execute_replicated(task: ReplicatedFactor, sim: Simulator) -> None:
-    """Execute one 2.5D ancestor sweep's aggregate cost events.
-
-    Event order for one forest: z-replication broadcasts of the level
-    panel (one per (x, y) position), then ``steps`` ring exchanges — all
-    sends, then all receives, per step — then the evenly-spread level
-    flops, booked under ``'schur'``. Cost-only by construction: there is
-    no per-block numeric content to execute.
-    """
-    for spec in task.bcasts:
-        bcast(sim, spec.root, list(spec.ranks), spec.words)
-    ranks = task.ranks
-    nranks = len(ranks)
-    chunk = task.chunk
-    for _step in range(task.steps):
-        for idx, r in enumerate(ranks):
-            sim.send(r, ranks[(idx + 1) % nranks], chunk)
-        for idx, r in enumerate(ranks):
-            sim.recv(r, ranks[(idx - 1) % nranks])
-    flops_each = task.flops / nranks
-    for r in ranks:
-        sim.compute(r, flops_each, "schur", n_block_updates=task.steps)
 
 
 def execute_reduce(task: AncestorReduce, sim: Simulator, result=None,

@@ -64,7 +64,7 @@ def plan_options_key(options) -> tuple:
     """
     from repro.comm.volume import volume_kind
     return (options.lookahead, options.sparse_bcast, options.blocking,
-            volume_kind(options), options.ancestor_replication)
+            volume_kind(options))
 
 
 @dataclass
@@ -158,7 +158,7 @@ class PlanBundle:
             raise ValueError(
                 "cached plan was built with different plan-relevant "
                 f"options {self.opts_key} (lookahead, sparse_bcast, "
-                "blocking, volume kind, ancestor_replication); got "
+                "blocking, volume kind); got "
                 f"{plan_options_key(options)}")
         from repro.plan.build import partition_signature, pattern_signature
         for what, built, obj, sign in (

@@ -1,9 +1,9 @@
 """Typed task graph for the factorization drivers.
 
-A *plan* is an explicit DAG of six task kinds — the three per-grid kinds
+A *plan* is an explicit DAG of five task kinds — the three per-grid kinds
 of :mod:`repro.plan.arrays` (``PANEL_FACTOR``, ``PANEL_BCAST``,
-``SCHUR_UPDATE``) and :class:`ReplicatedFactor`, :class:`AncestorReduce`
-and :class:`LevelBarrier` — emitted once by a builder that walks the
+``SCHUR_UPDATE``) and :class:`AncestorReduce` and :class:`LevelBarrier`
+— emitted once by a builder that walks the
 :class:`SymbolicFactorization` and :class:`TreeForest`
 (:mod:`repro.plan.build`), and executed by a single shared interpreter
 against a pluggable kernel backend (:mod:`repro.plan.interpret` /
@@ -12,7 +12,7 @@ against a pluggable kernel backend (:mod:`repro.plan.interpret` /
 The three per-grid kinds exist in one form only: the struct-of-arrays of
 :mod:`repro.plan.arrays`, which a :class:`LevelStep` holds for all its
 grids (a :class:`GridPlan` a slice of it) and the interpreter, the
-analyzer and the fuzzer all read. The three level-scope kinds are few and
+analyzer and the fuzzer all read. The two level-scope kinds are few and
 already array payloads; they stay objects.
 
 Two orders coexist on every plan:
@@ -34,46 +34,17 @@ edge and one forward pass is a topological traversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from repro.comm.collectives import tree_pattern
-from repro.comm.events import COMPUTE_KINDS, PHASE_FACT, PHASE_RED
-from repro.comm.stream import MSG, EventStream, Volume
+from repro.comm.events import PHASE_FACT, PHASE_RED
+from repro.comm.stream import EventStream, Volume
 from repro.plan.arrays import TaskArrays
 
-__all__ = ["BcastSpec", "Task", "ReplicatedFactor", "AncestorReduce",
-           "LevelBarrier", "FusionStats", "GridPlan", "LevelStep", "Plan3D"]
-
-
-@dataclass(frozen=True)
-class BcastSpec:
-    """One broadcast's participants, resolved at plan-build time: a
-    :class:`ReplicatedFactor`'s z-broadcasts (a grid plan's broadcasts are
-    the same fields as columns, ``bc_root`` / ``comms[bc_comm]`` /
-    ``bc_words`` / ``bc_route`` of :mod:`repro.plan.arrays`).
-
-    ``root`` is the *effective* broadcast root and is always a member of
-    ``ranks``. When the owning rank is outside the target communicator,
-    the two drivers historically differed: LU prepends the owner to the
-    participant list (``ranks[0] == root``), while Cholesky routes the
-    payload through the communicator's entry rank first
-    (``route_from`` = the original owner, ``root`` = the entry rank —
-    pdpotrf's transpose-and-broadcast hop). Both conventions reduce to
-    plain payload fields here, so the interpreter needs no variant logic.
-
-    ``words`` is priced at build time through the block-volume model
-    (:mod:`repro.comm.volume` — dense ``rows * cols`` or compact
-    ``min(dense, 1.5 * nnz)``), so the interpreter's flattened replays
-    and the conservation oracle see one number, never re-derived.
-    """
-
-    root: int
-    ranks: tuple[int, ...]
-    words: float
-    route_from: int | None = None
+__all__ = ["Task", "AncestorReduce", "LevelBarrier", "FusionStats",
+           "GridPlan", "LevelStep", "Plan3D"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -84,67 +55,6 @@ class Task:
     deps: tuple[int, ...] = ()
 
     kind = "task"
-
-
-@dataclass(frozen=True, kw_only=True)
-class ReplicatedFactor(Task):
-    """One ancestor forest's aggregate 2.5D factorization sweep.
-
-    Emitted by :func:`repro.plan.build.build_3d_plan` when
-    ``FactorOptions.ancestor_replication > 1``: instead of the home grid's
-    per-block 2D plan, forest ``forest`` at tree level ``level`` is
-    factored by ``len(grids)``-way replication over its range's z-layers
-    (paper Section VII / Solomonik-Demmel 2.5D dense LU). A first-order
-    cost model — no per-block schedule, so cost-only execution only.
-
-    ``bcasts`` replicate the level panel from the home layer along z
-    (one :class:`BcastSpec` per (x, y) position); the factorization sweep
-    then moves ``chunk`` words per rank per ring step for ``steps`` steps
-    around ``ranks`` (ascending, ring order) and spreads ``flops`` evenly
-    over them. ``words`` is the volume-priced level total the chunks were
-    derived from (reporting only). ``nodes`` records which tree nodes the
-    sweep factors — the verify stack derives the task's block-access
-    footprint from their fill panels.
-    """
-
-    level: int
-    forest: int
-    nodes: tuple[int, ...]
-    home: int
-    grids: tuple[int, ...]
-    ranks: tuple[int, ...]
-    bcasts: tuple[BcastSpec, ...]
-    steps: int
-    chunk: float
-    flops: float
-    words: float
-
-    kind = "replicated_factor"
-
-    def volume_stream(self) -> EventStream:
-        """The sweep's events, each rank's in the order
-        :func:`repro.plan.interpret.execute_replicated` issues them — for
-        :class:`~repro.comm.stream.Volume` reductions only: a ring step
-        posts every send before any receive, which is not a sequence of
-        matched pairs, so its *clocks* need the per-event replay."""
-        src, dst, val = [], [], []
-        for spec in self.bcasts:
-            s, d, _ = tree_pattern(-1, spec.root, spec.ranks)
-            src += s
-            dst += d
-            val += [spec.words] * len(s)
-        ring = list(self.ranks)
-        if len(ring) > 1:       # a one-rank ring is a self-message: free
-            src += ring * self.steps
-            dst += (ring[1:] + ring[:1]) * self.steps
-            val += [self.chunk] * (len(ring) * self.steps)
-        n, p = len(src), len(ring)
-        return EventStream(
-            np.array(src + ring, dtype=np.int64),
-            np.array(dst + ring, dtype=np.int64),
-            np.array(val + [self.flops / p] * p, dtype=np.float64),
-            np.array([MSG] * n + [COMPUTE_KINDS.index("schur")] * p, np.int8),
-            np.array([0] * n + [self.steps] * p))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -292,8 +202,7 @@ GridPlan.arrays = property(
 class LevelStep:
     """One level of Algorithm 1, the unit a plan is built, stored and
     booked in: the active grids' tasks as ONE :class:`TaskArrays`,
-    grid-major (or, under 2.5D ancestor replication,
-    :class:`ReplicatedFactor` sweeps), then reductions, then the barrier.
+    grid-major, then reductions, then the barrier.
     A level's grids own disjoint rank sets, so each rank's events in the
     concatenation are its events of the grid-after-grid walk."""
 
@@ -304,10 +213,6 @@ class LevelStep:
     grid_plans: list[GridPlan]
     reduces: list[AncestorReduce]
     barrier: LevelBarrier
-    #: Aggregate 2.5D forest sweeps replacing this level's grid plans when
-    #: ``FactorOptions.ancestor_replication > 1`` (empty otherwise — a
-    #: level is either all grid plans or all replicated sweeps).
-    replicated: list = field(default_factory=list)
     #: The level's tasks (``None``: no grid has work at this level).
     arrays: TaskArrays | None = None
     grid_ptr: np.ndarray | None = None
@@ -354,8 +259,7 @@ class Plan3D:
             grid_ptr=np.array([0, n]))])
 
     def _level_scope_tasks(self) -> int:
-        return sum(len(s.replicated) + len(s.reduces) + 1
-                   for s in self.levels)
+        return sum(len(s.reduces) + 1 for s in self.levels)
 
     @property
     def n_tasks(self) -> int:
@@ -369,7 +273,7 @@ class Plan3D:
 
     def volume(self, nranks: int) -> Volume:
         """The whole schedule reduced to per-rank volume ledgers: every
-        level's tasks, sweeps and reductions in executed order, under the
+        level's tasks and reductions in executed order, under the
         phase they run in — per rank and bit for bit what a fault-free run
         books (memory: transient receive buffers only, no static
         storage)."""
@@ -378,8 +282,6 @@ class Plan3D:
             vol.phase = PHASE_FACT
             if step.arrays is not None:
                 vol.add(step.arrays.stream)
-            for rep in step.replicated:
-                vol.add(rep.volume_stream())
             vol.phase = PHASE_RED
             if step.reduces and step.level > 0:
                 vol.add(step.reduce_stream)

@@ -192,10 +192,9 @@ class FactorizationService:
 
         Only fields the caller did not pin are overridden: an explicit
         ``px``/``py``/``pz`` (or an explicit ``pz`` alone) always wins,
-        the 2.5D replication factor is adopted only for cost-only
-        jobs (``ancestor_replication > 1`` has no numeric path), and the
-        tuned blocking strategy is adopted unless the caller pinned its
-        own ``options``. Returns the adopted grid's label, or ``None``.
+        and the tuned blocking strategy is adopted unless the caller
+        pinned its own ``options``. Returns the adopted grid's label, or
+        ``None``.
         """
         if self.tune_cache is None or {"px", "py", "pz"} & explicit:
             return None
@@ -207,14 +206,10 @@ class FactorizationService:
         cfg["px"], cfg["py"], cfg["pz"] = ch.px, ch.py, ch.pz
         if ch.max_block is not None and "max_block" not in explicit:
             cfg["max_block"] = ch.max_block
-        if "options" not in explicit:
+        if "options" not in explicit \
+                and ch.blocking != cfg["options"].blocking:
             from dataclasses import replace
-            if ch.c > 1 and not cfg["numeric"]:
-                cfg["options"] = replace(cfg["options"],
-                                         ancestor_replication=ch.c)
-            if ch.blocking != cfg["options"].blocking:
-                cfg["options"] = replace(cfg["options"],
-                                         blocking=ch.blocking)
+            cfg["options"] = replace(cfg["options"], blocking=ch.blocking)
         return ch.label
 
     def _run_job(self, A, b, cfg, explicit: frozenset = frozenset()

@@ -6,7 +6,7 @@ Eq. 8), strongly 3D problems want a moderate ``Pz`` (Section IV-C's
 constant optimum), and in-between matrices (the paper's ldoor) sit in
 between. The paper finds the optimum by sweeping; :func:`autotune_grid`
 does the same sweep exactly: it enumerates every divisor factorization of
-``P`` crossed with the 2.5D ancestor-replication factor
+``P`` crossed with the supernode caps and blockings
 (:mod:`repro.tune.space`), measures every executable candidate by its
 plan's own per-rank volume (:mod:`repro.tune.evaluate` — no simulator),
 reports the closed-form prediction seeded by the *measured* separator

@@ -29,12 +29,11 @@ from repro.tune.search import TuneResult
 
 __all__ = ["TuneCache", "tune_key"]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def tune_key(A: sp.spmatrix, P: int, *, leaf_size: int = 64,
              options=None, max_blocks: tuple = (None,),
-             c_values: tuple | None = None,
              blockings: tuple = ("uniform",)) -> str:
     """The cache key of one tuning result: pattern fingerprint x ranks x
     the knobs that change what a tuning session would measure, its search
@@ -42,8 +41,7 @@ def tune_key(A: sp.spmatrix, P: int, *, leaf_size: int = 64,
     from repro.plan.replay import plan_options_key
     opts_part = "default" if options is None \
         else ",".join(str(v) for v in plan_options_key(options))
-    cs = "all" if c_values is None else ",".join(map(str, c_values))
-    space = f"mb{','.join(map(str, max_blocks))}:c{cs}:{','.join(blockings)}"
+    space = f"mb{','.join(map(str, max_blocks))}:{','.join(blockings)}"
     return f"{pattern_fingerprint(A)}:P{P}:leaf{leaf_size}:{opts_part}:{space}"
 
 

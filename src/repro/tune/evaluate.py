@@ -11,11 +11,8 @@ beside it.
 * :func:`predicted_words` prices a candidate with the Section IV closed
   forms (Eq. 7 + Eq. 10 for planar separators, the Table II non-planar
   expression otherwise), *seeded by the measured separator exponent* of
-  the actual matrix (:func:`estimate_separator_exponent`). The 2.5D
-  generalization enters exactly where Section VII says it does: the
-  replicated-top term is divided by the replication factor ``c``
-  (per-rank ancestor traffic ``D/(c·sqrt(P_XY))``), while subtree and
-  z-reduction terms are untouched. Skewed 2D layers pay the classical
+  the actual matrix (:func:`estimate_separator_exponent`). Skewed 2D
+  layers pay the classical
   aspect penalty ``(1/Px + 1/Py)·sqrt(P_XY)/2 >= 1`` (panel broadcasts
   travel rows *and* columns, so a ``1xN`` layer is strictly worse than a
   square one of equal size).
@@ -125,33 +122,31 @@ def _aspect_penalty(px: int, py: int) -> float:
     return (1.0 / px + 1.0 / py) * np.sqrt(px * py) / 2.0
 
 
-def _planar_words(n: int, P: int, pz: int, c: int) -> float:
-    # Eq. (7) with the ancestor (2·sqrt(Pz)) term c-way replicated,
-    # plus the Eq. (10) z-reduction volume.
-    xy = n / np.sqrt(P) * (2.0 * np.sqrt(pz) / c
+def _planar_words(n: int, P: int, pz: int) -> float:
+    # Eq. (7) plus the Eq. (10) z-reduction volume.
+    xy = n / np.sqrt(P) * (2.0 * np.sqrt(pz)
                            + np.log2(max(n, 4)) / np.sqrt(pz))
     return xy + volume_3d_planar_z(n, P, pz)
 
 
-def _nonplanar_words(n: int, P: int, pz: int, c: int,
+def _nonplanar_words(n: int, P: int, pz: int,
                      kappa1: float = KAPPA1_DEFAULT) -> float:
-    # Table II non-planar volume with the replicated-top term divided
-    # by c (Section VII's D/(c·sqrt(P_XY)) per-rank ancestor traffic).
+    # Table II non-planar volume.
     return n ** (4.0 / 3.0) / np.sqrt(P) * (
-        kappa1 * np.sqrt(pz) / c + (1.0 - kappa1) / pz ** (4.0 / 3.0))
+        kappa1 * np.sqrt(pz) + (1.0 - kappa1) / pz ** (4.0 / 3.0))
 
 
 def predicted_words(cand: TuneCandidate, profile: MatrixProfile) -> float:
     """Closed-form per-process communication volume of ``cand`` (model
     units — a shape to compare with the measurement, not a word count)."""
-    n, P, pz, c = profile.n, cand.total, cand.pz, cand.c
+    n, P, pz = profile.n, cand.total, cand.pz
     if profile.classification == "planar":
-        w = _planar_words(n, P, pz, c)
+        w = _planar_words(n, P, pz)
     elif profile.classification == "non-planar":
-        w = _nonplanar_words(n, P, pz, c)
+        w = _nonplanar_words(n, P, pz)
     else:
-        w = float(np.sqrt(_planar_words(n, P, pz, c)
-                          * _nonplanar_words(n, P, pz, c)))
+        w = float(np.sqrt(_planar_words(n, P, pz)
+                          * _nonplanar_words(n, P, pz)))
     return float(w * _aspect_penalty(cand.px, cand.py))
 
 
@@ -225,8 +220,7 @@ class Evaluator:
                              "(Pz must be a power of two); it can only be "
                              "model-scored")
         grid3 = ProcessGrid3D(cand.px, cand.py, cand.pz)
-        opts = replace(self.options, ancestor_replication=cand.c,
-                       blocking=cand.blocking)
+        opts = replace(self.options, blocking=cand.blocking)
         plan = build_3d_plan(self.sf_for(cand.max_block, cand.blocking),
                              self.tf_for(cand.max_block, cand.pz,
                                          cand.blocking), grid3, opts)

@@ -1,4 +1,4 @@
-"""Configuration search over the (Px, Py, Pz, c, max_block, blocking) space.
+"""Configuration search over the (Px, Py, Pz, max_block, blocking) space.
 
 :func:`autotune_grid` is the tuner's entry point:
 
@@ -6,7 +6,8 @@
    (:class:`~repro.tune.evaluate.MatrixProfile`); it seeds every model
    score.
 2. **Enumerate** — all divisor factorizations of ``P`` crossed with the
-   2.5D replication factor (:func:`repro.tune.space.enumerate_candidates`).
+   supernode caps and blockings
+   (:func:`repro.tune.space.enumerate_candidates`).
 3. **Score** — every *executable* candidate (power-of-two ``Pz``) is
    measured by its plan's own volume
    (:meth:`~repro.tune.evaluate.Evaluator.measure`); every candidate,
@@ -157,19 +158,17 @@ def autotune_grid(A: sp.spmatrix, P: int,
                   geometry: GridGeometry | None = None, *,
                   leaf_size: int = 64,
                   max_blocks: tuple[int | None, ...] = (None,),
-                  c_values: tuple[int, ...] | None = None,
                   blockings: tuple[str, ...] = ("uniform",),
                   options: FactorOptions | None = None,
                   cache=None) -> TuneResult:
-    """Search ``(Px, Py, Pz, c, max_block, blocking)`` for factoring ``A``
+    """Search ``(Px, Py, Pz, max_block, blocking)`` for factoring ``A``
     on ``P`` ranks; returns the measured :class:`TuneResult`.
 
     ``cache`` (a :class:`repro.tune.cache.TuneCache`) is consulted first
     and updated with the fresh result.
     """
     P = check_positive_int(P, "P")
-    space = dict(max_blocks=max_blocks, c_values=c_values,
-                 blockings=blockings)
+    space = dict(max_blocks=max_blocks, blockings=blockings)
     key = dict(space, leaf_size=leaf_size, options=options)
     if cache is not None:
         hit = cache.get(A, P, **key)

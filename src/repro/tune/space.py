@@ -1,13 +1,12 @@
-"""Configuration search space for the (Px, Py, Pz, c, max_block, blocking)
+"""Configuration search space for the (Px, Py, Pz, max_block, blocking)
 tuner.
 
 The paper's evaluation fixes ``P`` and sweeps ``Pz`` over powers of two;
 real allocations are rarely that tidy (``P = 12`` nodes cannot even
 express ``Pz = 3`` as a power of two). The tuner therefore enumerates
 *every* divisor factorization of ``P`` — each triple ``Px·Py·Pz = P``
-with the SuperLU_DIST convention ``Px <= Py`` — crossed with the 2.5D
-ancestor-replication factor ``c`` (powers of two up to ``Pz``) and the
-supernode cap.
+with the SuperLU_DIST convention ``Px <= Py`` — crossed with the
+supernode cap and the blocking strategy.
 
 Not every candidate is *executable*: Algorithm 1's pairwise
 Ancestor-Reduction needs a power-of-two ``Pz`` (``ProcessGrid3D`` and
@@ -35,8 +34,6 @@ class TuneCandidate:
     px: int
     py: int
     pz: int
-    #: 2.5D ancestor-replication factor (``FactorOptions.ancestor_replication``).
-    c: int = 1
     #: Supernode cap forwarded to the symbolic phase; ``None`` keeps the
     #: matrix's default.
     max_block: int | None = None
@@ -45,10 +42,8 @@ class TuneCandidate:
     blocking: str = "uniform"
 
     def __post_init__(self):
-        for name in ("px", "py", "pz", "c"):
+        for name in ("px", "py", "pz"):
             check_positive_int(getattr(self, name), name)
-        if self.c > self.pz:
-            raise ValueError(f"c={self.c} exceeds pz={self.pz}")
         if self.blocking not in ("uniform", "irregular"):
             raise ValueError(f"unknown blocking strategy {self.blocking!r}")
 
@@ -63,25 +58,22 @@ class TuneCandidate:
     @property
     def executable(self) -> bool:
         """Whether Algorithm 1 can actually run this shape (power-of-two
-        ``Pz``; the replication factor is already constrained to powers
-        of two by :func:`enumerate_candidates`)."""
+        ``Pz``)."""
         return is_power_of_two(self.pz)
 
     @property
     def label(self) -> str:
-        tail = f" c={self.c}" if self.c > 1 else ""
         cap = f" cap={self.max_block}" if self.max_block is not None else ""
         blk = " irregular" if self.blocking != "uniform" else ""
-        return f"{self.px}x{self.py}x{self.pz}{tail}{cap}{blk}"
+        return f"{self.px}x{self.py}x{self.pz}{cap}{blk}"
 
     def to_dict(self) -> dict:
-        return {"px": self.px, "py": self.py, "pz": self.pz, "c": self.c,
+        return {"px": self.px, "py": self.py, "pz": self.pz,
                 "max_block": self.max_block, "blocking": self.blocking}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TuneCandidate":
         return cls(px=int(d["px"]), py=int(d["py"]), pz=int(d["pz"]),
-                   c=int(d.get("c", 1)),
                    max_block=None if d.get("max_block") is None
                    else int(d["max_block"]),
                    blocking=str(d.get("blocking", "uniform")))
@@ -114,35 +106,17 @@ def factor_triples(P: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _pow2_upto(limit: int) -> list[int]:
-    vals, v = [], 1
-    while v <= limit:
-        vals.append(v)
-        v *= 2
-    return vals
-
-
 def enumerate_candidates(P: int, *,
                          max_blocks: tuple[int | None, ...] = (None,),
-                         c_values: tuple[int, ...] | None = None,
                          blockings: tuple[str, ...] = ("uniform",),
                          executable_only: bool = False
                          ) -> list[TuneCandidate]:
-    """The full candidate list for ``P`` total ranks.
-
-    ``c_values=None`` enumerates every power of two up to each
-    candidate's ``Pz`` (``c = 1`` is Algorithm 1, ``c = Pz`` the full
-    Section VII sweep); passing an explicit tuple restricts it (values
-    exceeding a shape's ``Pz`` are skipped, and non-power-of-two values
-    are rejected — the replication group walk halves per level).
-    ``blockings`` crosses in the supernode-boundary strategy (pass
-    ``("uniform", "irregular")`` to let the tuner weigh the
-    structure-aware blocking against the default per matrix).
+    """The full candidate list for ``P`` total ranks: every shape crossed
+    with every supernode cap in ``max_blocks``. ``blockings`` crosses in
+    the supernode-boundary strategy (pass ``("uniform", "irregular")`` to
+    let the tuner weigh the structure-aware blocking against the default
+    per matrix).
     """
-    if c_values is not None:
-        for c in c_values:
-            if not is_power_of_two(check_positive_int(c, "c")):
-                raise ValueError(f"c={c} is not a power of two")
     for b in blockings:
         if b not in ("uniform", "irregular"):
             raise ValueError(f"unknown blocking strategy {b!r}")
@@ -150,11 +124,8 @@ def enumerate_candidates(P: int, *,
     for px, py, pz in factor_triples(P):
         if executable_only and not is_power_of_two(pz):
             continue
-        cs = _pow2_upto(pz) if c_values is None \
-            else [c for c in c_values if c <= pz]
-        for c in cs:
-            for mb in max_blocks:
-                for b in blockings:
-                    out.append(TuneCandidate(px=px, py=py, pz=pz, c=c,
-                                             max_block=mb, blocking=b))
+        for mb in max_blocks:
+            for b in blockings:
+                out.append(TuneCandidate(px=px, py=py, pz=pz, max_block=mb,
+                                         blocking=b))
     return out

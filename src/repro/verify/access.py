@@ -39,11 +39,10 @@ from __future__ import annotations
 
 from repro.plan.arrays import PANEL_BCAST, PANEL_FACTOR, SCHUR_UPDATE
 from repro.plan.solve import DIAG_SOLVE
-from repro.plan.tasks import AncestorReduce, ReplicatedFactor
+from repro.plan.tasks import AncestorReduce
 
 __all__ = ["READ", "WRITE", "ACCUM", "GLOBAL_VIEW", "conflicts",
-           "grid_task_accesses", "reduce_accesses", "replicated_accesses",
-           "solve_task_accesses"]
+           "grid_task_accesses", "reduce_accesses", "solve_task_accesses"]
 
 READ = "R"
 WRITE = "W"
@@ -114,33 +113,6 @@ def reduce_accesses(task: AncestorReduce) -> list[tuple[int, int, int, str]]:
     for i, j in zip(task.rows.tolist(), task.cols.tolist()):
         out.append((task.src_grid, int(i), int(j), READ))
         out.append((task.dst_grid, int(i), int(j), ACCUM))
-    return out
-
-
-def replicated_accesses(sf, task: ReplicatedFactor) \
-        -> list[tuple[int, int, int, str]]:
-    """``(grid, i, j, mode)`` for a 2.5D aggregate ancestor sweep.
-
-    The sweep performs its forest's full per-node work — diagonal
-    factorization, panel solves, and the Schur accumulation into
-    shallower ancestors — on *every* grid of its replication group (each
-    holds a replica of the level data). Modes mirror the per-block tasks:
-    the forest's own blocks are written, the cross-product targets
-    accumulate. Intra-task repeats are internally ordered by construction.
-    """
-    out: list[tuple[int, int, int, str]] = []
-    for g in task.grids:
-        for k in task.nodes:
-            lp = [int(i) for i in sf.fill.lpanel[k]]
-            up = [int(j) for j in sf.fill.upanel[k]]
-            out.append((g, k, k, WRITE))
-            for i in lp:
-                out.append((g, i, k, WRITE))
-            for j in up:
-                out.append((g, k, j, WRITE))
-            for i in lp:
-                for j in up:
-                    out.append((g, i, j, ACCUM))
     return out
 
 

@@ -44,8 +44,7 @@ from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
 from repro.plan.build import build_grid_plan
-from repro.plan.interpret import GridContext, book, execute_reduce, \
-    execute_replicated, run
+from repro.plan.interpret import GridContext, book, execute_reduce, run
 from repro.plan.tasks import GridPlan, Plan3D
 from repro.utils.ragged import ragged
 from repro.verify.oracle import ledger_state
@@ -126,7 +125,7 @@ class _Unit:
     """One schedulable unit: a grid-plan dispatch interval (one task at
     width 1, one same-kind run at full width), a reduce, or a barrier."""
 
-    kind: str                   # 'grid' | 'replicated' | 'reduce' | 'barrier'
+    kind: str                   # 'grid' | 'reduce' | 'barrier'
     task: object = None         # the level-scope task (None for 'grid')
     ctx_key: object = None      # 'grid': which GridContext executes it ...
     span: tuple | None = None   # ... over which task interval [a, b)
@@ -172,9 +171,6 @@ def _plan3d_units(plan3: Plan3D, fuse: bool) -> tuple[list[_Unit], dict]:
         for gi, gp in enumerate(step.grid_plans):
             ctx_plans[(li, gi)] = gp
             units += _grid_units(gp, (li, gi), fuse)
-        for rep in step.replicated:
-            units.append(_Unit("replicated", rep,
-                               ranks=_stream_ranks(rep.volume_stream())))
         for red in step.reduces:
             units.append(_Unit("reduce", red, phase=PHASE_RED,
                                ranks=_stream_ranks(red.stream())))
@@ -212,8 +208,6 @@ def _run_order(units, ctx_plans, order, setup, sf, opts):
         sim.set_phase(u.phase)
         if u.kind == "reduce":
             execute_reduce(u.task, sim, accumulate=data.accumulate)
-        elif u.kind == "replicated":
-            execute_replicated(u.task, sim)
         else:
             ctx = contexts.get(u.ctx_key)
             if ctx is None:
@@ -275,9 +269,6 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
     from repro.plan.replay import PlanBundle
 
     opts = options or FactorOptions()
-    if numeric and opts.ancestor_replication > 1:
-        raise ValueError("ancestor_replication > 1 is a cost-only study; "
-                         "fuzz it with numeric=False")
     mach = machine if machine is not None else Machine.edison_like()
     if backend == "cholesky" and numeric and matrix is None:
         import scipy.sparse as sp

@@ -88,9 +88,7 @@ def conservation_issues(sim: Simulator, plan=None, solves=()) -> list[str]:
     for p in PHASES:
         ws = float(sim.words_sent[p].sum())
         wr = float(sim.words_recv[p].sum())
-        # Two totals summed in different orders: a 2.5D sweep's ring
-        # chunks are not half-integers, so allow the last bits.
-        if not np.isclose(ws, wr, rtol=1e-12, atol=1e-9):
+        if ws != wr:
             issues.append(f"phase {p!r}: {ws} words sent != {wr} received")
         ms = int(sim.msgs_sent[p].sum())
         mr = int(sim.msgs_recv[p].sum())

@@ -70,7 +70,6 @@ from repro.plan.tasks import (
     GridPlan,
     LevelBarrier,
     Plan3D,
-    ReplicatedFactor,
 )
 from repro.utils.ragged import csr_ptr
 from repro.verify.access import (
@@ -78,7 +77,6 @@ from repro.verify.access import (
     conflicts,
     grid_task_accesses,
     reduce_accesses,
-    replicated_accesses,
     solve_task_accesses,
 )
 
@@ -151,7 +149,7 @@ _MAX_ISSUES_PER_KIND = 50
 def _levels(plan) -> tuple[bool, list]:
     """``(merged, levels)`` for a GridPlan or Plan3D, in plan order: per
     level its grid plans, each with the block view its tasks touch, then
-    its level-scope tasks (2.5D sweeps, reduces, barrier)."""
+    its level-scope tasks (reduces, barrier)."""
     if isinstance(plan, GridPlan):
         return False, [([(plan, ("replica", plan.g))], [])]
     if not isinstance(plan, Plan3D):
@@ -159,7 +157,7 @@ def _levels(plan) -> tuple[bool, list]:
     return plan.merged, [
         ([(gp, GLOBAL_VIEW if plan.merged else ("replica", gp.g))
           for gp in step.grid_plans],
-         [*step.replicated, *step.reduces, step.barrier])
+         [*step.reduces, step.barrier])
         for step in plan.levels]
 
 
@@ -167,8 +165,7 @@ def _check_specs(specs, allowed, where: str, add) -> None:
     """Every broadcast ``(tid, root, ranks, words, hop)`` — task ``tid``
     sending ``words`` from ``root`` over the communicator ``ranks``, routed
     from ``hop`` (-1: no hop) — is well-formed and stays inside the rank
-    set ``allowed`` (``where`` in the finding). One check for a grid
-    plan's columns and a 2.5D sweep's broadcast specs alike."""
+    set ``allowed`` (``where`` in the finding)."""
     faults: dict = {}       # per distinct (root, communicator, hop)
     for t, r, ranks, w, hop in specs:
         key = r, ranks, hop
@@ -215,23 +212,6 @@ def _check_grid(gp: GridPlan, add) -> None:
                  range(lo, hi), span, add)
 
 
-def _check_replicated(task: ReplicatedFactor, add) -> None:
-    """Structural checks for a 2.5D aggregate ancestor sweep: it spans
-    several z-layers, so its broadcasts must stay within the replication
-    group's rank footprint, and the home layer (whose level data the
-    z-broadcasts fan out from) must be in the group."""
-    if task.home not in task.grids:
-        add("malformed-bcast", f"task {task.tid}: home grid {task.home} "
-            "not in its replication group", (task.tid,))
-    if len(set(task.grids)) != len(task.grids):
-        add("malformed-bcast", f"task {task.tid}: duplicate grids in "
-            "replication group", (task.tid,))
-    _check_specs([(task.tid, s.root, s.ranks, s.words,
-                   -1 if s.route_from is None else s.route_from)
-                  for s in task.bcasts],
-                 set(task.ranks), "the replication group's footprint", add)
-
-
 def _check_reduce(red: AncestorReduce, add) -> None:
     if red.ops is not None:
         for op, src, dst, w in red.ops:
@@ -276,12 +256,6 @@ def _check_retired_sources(plan: Plan3D, add) -> None:
     again — not as an active grid, not as a reduce endpoint. This is the
     property :meth:`Plan3D.recovery_schedule` (and thereby z-replica crash
     recovery) is built on.
-
-    2.5D aggregate sweeps (``ancestor_replication > 1``) are the one
-    sanctioned exception: re-enlisting retired/idle layers as extra
-    replication bandwidth is exactly their point, so group membership is
-    exempt — but the *home* layer, whose replica seeds the z-broadcasts,
-    must still be live.
     """
     retired: set[int] = set()
     for step in plan.levels:
@@ -290,11 +264,6 @@ def _check_retired_sources(plan: Plan3D, add) -> None:
                 add("reduce-alias", f"level {step.level}: grid {gp.g} is "
                     "active after serving as a reduction source",
                     tuple(gp.arrays.tid[:1].tolist()))
-        for rep in step.replicated:
-            if rep.home in retired:
-                add("reduce-alias", f"level {step.level}: replicated "
-                    f"factor {rep.tid} homes on grid {rep.home}, already "
-                    "retired as a reduction source", (rep.tid,))
         for red in step.reduces:
             for role, g in (("source", red.src_grid),
                             ("destination", red.dst_grid)):
@@ -393,8 +362,6 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
             kinds.append(t.kind)
             if isinstance(t, AncestorReduce):
                 _check_reduce(t, add)
-            elif isinstance(t, ReplicatedFactor):
-                _check_replicated(t, add)
     tid, n_dep, dep = _cat(tid), _cat(n_dep), _cat(dep)
     root_ok = _cat(root_ok, bool)
     n = report.n_tasks = tid.size
@@ -439,9 +406,8 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
                         (p, t, mode))
                 p += 1
         for t in scope:
-            acc = reduce_accesses(t) if isinstance(t, AncestorReduce) else \
-                replicated_accesses(sf, t) \
-                if isinstance(t, ReplicatedFactor) else ()
+            acc = reduce_accesses(t) if isinstance(t, AncestorReduce) \
+                else ()
             for g, i, j, mode in acc:
                 accesses.setdefault((("replica", g), i, j), []).append(
                     (p, t.tid, mode))
@@ -478,10 +444,6 @@ def _race_pass(report: StaticReport, add, deps, accesses) -> None:
             pa, tida, ma = accs[a]
             for b in range(a + 1, n):
                 pb, tidb, mb = accs[b]
-                if pa == pb:
-                    # Same entry: an aggregate sweep accesses the block
-                    # more than once — internally ordered by construction.
-                    continue
                 if not conflicts(ma, mb):
                     continue
                 pairs += 1

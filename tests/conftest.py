@@ -74,7 +74,7 @@ def plan_tasks(plan):
     for step in plan.levels:
         for gp in step.grid_plans:
             yield from grid(gp.arrays)
-        for t in [*step.replicated, *step.reduces, step.barrier]:
+        for t in [*step.reduces, step.barrier]:
             yield t.tid, t.deps, t.kind
 
 

@@ -50,9 +50,6 @@ def cases():
         yield ("merged_pz4" if merged else "lu3d_pz4"), \
             lambda o, m=merged: build_3d_plan(
                 sf, tf, ProcessGrid3D(2, 2, 4), o, merged=m)
-    yield "lu3d_pz4_c2", lambda o: build_3d_plan(
-        sf, tf, ProcessGrid3D(2, 2, 4),
-        dataclasses.replace(o, ancestor_replication=2))
     Ab, gb = grid3d_7pt(6)
     sfb = symbolic_factorize(Ab, gb, leaf_size=24)
     tfb = greedy_partition(sfb, 2)

@@ -9,8 +9,9 @@ Records the critical-path words (Fig. 10's ``W_total``) that
 executable candidate ``autotune_grid`` enumerates, for ``grid2d_5pt(32)``,
 ``grid3d_7pt(10)`` and ``arrowhead(512, border=8)`` with their geometry at
 ``leaf_size=32``, × ``P`` {12, 16} × dense / compact block pricing ×
-uniform / irregular blocking × ``max_block`` {None, 32}: 48 cases, 768
-candidates. The committed file was generated at commit
+uniform / irregular blocking × ``max_block`` {None, 32}: 48 cases, 360
+candidates (the file also held 408 candidates with a 2.5D replication
+factor ``c > 1``, removed with that option). The committed file was generated at commit
 ``57ae25f``, where each score was a cost-only ``factor_3d`` run under a
 ``Simulator`` (``FactorizationMetrics.w_total_max``); the scores now come
 from the plan's own volume reduction, so the file pins that reduction to

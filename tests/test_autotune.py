@@ -106,9 +106,8 @@ class TestSpace:
         pzs = {c.pz for c in cands}
         assert {1, 2, 3, 4, 6, 12} <= pzs
         assert all(c.total == 12 for c in cands)
-        # c ranges over powers of two up to pz, always including 1.
-        assert {c.c for c in cands if c.pz == 4} == {1, 2, 4}
-        assert {c.c for c in cands if c.pz == 3} == {1, 2}
+        # One candidate per shape: no replication axis crosses in.
+        assert len(cands) == len(factor_triples(12))
 
     def test_executable_only_filter(self):
         cands = enumerate_candidates(12, executable_only=True)
@@ -116,16 +115,14 @@ class TestSpace:
 
     def test_candidate_validation(self):
         with pytest.raises(ValueError):
-            TuneCandidate(px=2, py=2, pz=2, c=4)  # c > pz
-        with pytest.raises(ValueError):
             TuneCandidate(px=0, py=2, pz=2)
         with pytest.raises(ValueError):
-            enumerate_candidates(12, c_values=(3,))  # non-pow2 c
+            enumerate_candidates(12, blockings=("ragged",))
 
     def test_candidate_roundtrip(self):
-        c = TuneCandidate(px=2, py=3, pz=4, c=2, max_block=128)
+        c = TuneCandidate(px=2, py=3, pz=4, max_block=128)
         assert TuneCandidate.from_dict(c.to_dict()) == c
-        assert c.label == "2x3x4 c=2 cap=128"
+        assert c.label == "2x3x4 cap=128"
         assert not TuneCandidate(px=1, py=4, pz=3).executable
         assert TuneCandidate(px=1, py=4, pz=4).executable
 
@@ -138,14 +135,6 @@ class TestEvaluate:
         A3, g3 = grid3d_7pt(12)
         prof3 = MatrixProfile.measure(A3, geometry=g3)
         assert prof3.classification == "non-planar"
-
-    def test_replication_discounts_top_term(self):
-        """Section VII: replicating ancestors by c divides the dense-top
-        volume term by c, so predicted words fall as c grows."""
-        prof = MatrixProfile(n=4096, sigma=0.67, classification="non-planar")
-        base = TuneCandidate(px=2, py=2, pz=8)
-        more = TuneCandidate(px=2, py=2, pz=8, c=8)
-        assert predicted_words(more, prof) < predicted_words(base, prof)
 
     def test_skewed_layers_penalized(self):
         prof = MatrixProfile(n=4096, sigma=0.5, classification="planar")
@@ -172,8 +161,8 @@ class TestEvaluate:
 class TestVolumeGolden:
     """``golden_tune_words.json`` was written at ``57ae25f`` from cost-only
     simulator runs: the plan's volume reduction reproduces every score of
-    its 768 candidates bit for bit. The suite-wide analyzer hook is off
-    here, as in ``tests/claims``: it would cost 3x the 768 builds, whose
+    its 360 candidates bit for bit. The suite-wide analyzer hook is off
+    here, as in ``tests/claims``: it would cost 3x the 360 builds, whose
     builder the rest of tier-1 runs under the hook."""
 
     def test_regenerating_rewrites_the_file_byte_for_byte(self, monkeypatch):
@@ -189,7 +178,7 @@ class TestVolumeGolden:
         evs = evaluators()
         records = {case: case_words(evs[name, pricing], P, blocking, mb)
                    for case, name, P, pricing, blocking, mb in cases()}
-        assert sum(map(len, records.values())) == 768
+        assert sum(map(len, records.values())) == 360
         assert render(records) == OUT.read_text()
 
 
@@ -206,7 +195,7 @@ class TestSearch:
         assert res.measured_improvement >= 1.0
         assert all(r.validated == r.candidate.executable
                    for r in res.candidates)
-        assert sum(r.validated for r in res.candidates) == 22
+        assert sum(r.validated for r in res.candidates) == 9
 
     def test_chosen_grid_is_feasible(self):
         """The chosen grid multiplies to P, is runnable (power-of-two Pz)
@@ -242,10 +231,13 @@ class TestSearch:
         assert len(cache) == 2
 
     def test_cache_version_guard(self, tmp_path):
+        """A cache of another format is refused, not misread: version 2
+        included, whose candidates carried a 2.5D replication factor."""
         p = tmp_path / "tune.json"
-        p.write_text('{"version": 99, "results": {}}')
-        with pytest.raises(ValueError, match="version"):
-            TuneCache(p).get(grid3d_7pt(8)[0], 8)
+        for version in (99, 2):
+            p.write_text(f'{{"version": {version}, "results": {{}}}}')
+            with pytest.raises(ValueError, match=f"version {version}"):
+                TuneCache(p).get(grid3d_7pt(8)[0], 8)
 
     def test_tune_key_separates_options(self):
         from repro.lu2d.options import FactorOptions
@@ -260,8 +252,7 @@ class TestSearch:
         result."""
         A, g = grid2d_5pt(12)
         assert len({tune_key(A, 4), tune_key(A, 4, max_blocks=(None, 32)),
-                    tune_key(A, 4, c_values=(1,)),
-                    tune_key(A, 4, blockings=("uniform", "irregular"))}) == 4
+                    tune_key(A, 4, blockings=("uniform", "irregular"))}) == 3
         cache = TuneCache(tmp_path / "tune.json")
         autotune_grid(A, 4, geometry=g, leaf_size=16, cache=cache)
         both = autotune_grid(A, 4, geometry=g, leaf_size=16, cache=cache,
@@ -351,5 +342,5 @@ class TestModelLedgerConsistency:
     def test_measured_totals_finite_and_positive(self):
         A, g = grid3d_7pt(8)
         ev = Evaluator(A, geometry=g, leaf_size=32)
-        w = ev.measure(TuneCandidate(px=1, py=2, pz=4, c=4))
+        w = ev.measure(TuneCandidate(px=1, py=2, pz=4))
         assert np.isfinite(w) and w > 0

@@ -70,19 +70,38 @@ class TestSolve:
         with pytest.raises(SystemExit, match="does not match"):
             main(["solve", str(mtx), "--grid", "7,7"])
 
-    @pytest.mark.parametrize("flag,field", [("--workers", "n_workers"),
-                                            ("--checkpoint-every",
-                                             "checkpoint_every")])
-    def test_negative_count_is_a_usage_error(self, mtx, capsys, flag, field):
-        """A value ``FactorOptions`` refuses exits 2 with one argparse
-        error line, not a traceback."""
+    @pytest.mark.parametrize("argv,error", [
+        pytest.param(["solve", "--workers", "-1"],
+                     "n_workers must be non-negative",
+                     id="--workers-n_workers"),
+        pytest.param(["solve", "--checkpoint-every", "-1"],
+                     "checkpoint_every must be non-negative",
+                     id="--checkpoint-every-checkpoint_every"),
+        pytest.param(["solve", "--pz", "3"],
+                     "argument --pz: value must be a power of two, got 3",
+                     id="--pz-3"),
+        pytest.param(["solve", "--px", "-1"],
+                     "argument --px: value must be positive, got -1",
+                     id="--px--1"),
+        pytest.param(["solve", "--leaf-size", "0"],
+                     "argument --leaf-size: value must be positive, got 0",
+                     id="--leaf-size-0"),
+        pytest.param(["solve", "--grid", "auto", "--P", "-4"],
+                     "argument --P: value must be positive, got -4",
+                     id="--P--4"),
+        pytest.param(["tune", "--P", "0"],
+                     "argument --P: value must be positive, got 0",
+                     id="tune--P-0")])
+    def test_negative_count_is_a_usage_error(self, mtx, capsys, argv, error):
+        """A value ``FactorOptions`` or the grid refuses exits 2 with one
+        argparse error line, not a traceback."""
+        cmd, *flags = argv
         with pytest.raises(SystemExit) as exc:
-            main(["solve", str(mtx), flag, "-1"])
+            main([cmd, str(mtx), *flags])
         assert exc.value.code == 2
         (line,) = [s for s in capsys.readouterr().err.splitlines()
                    if "error:" in s]
-        assert line.startswith(f"repro solve: error: {field} must be "
-                               "non-negative")
+        assert line.startswith(f"repro {cmd}: error: {error}")
 
 
 class TestSweep:
@@ -106,7 +125,7 @@ class TestTune:
                    "--leaf-size", "32", "--cache", str(cache)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "of 10 measured candidates (11 model-only)" in out
+        assert "of 6 measured candidates (4 model-only)" in out
         assert "model-only" in out and "measured W/rank" in out
         assert cache.is_file() and "1 entries" in out
 
@@ -125,6 +144,22 @@ class TestSolveAutoGrid:
         shape = line.split()[2]             # "PxxPyxPz" of the chosen label
         assert f"grid {shape}  algorithm=LU" in out
         assert "relative residual" in out
+
+    def test_grid_auto_scores_the_options_it_runs(self, tmp_path, capsys):
+        """The tuner scores candidates under the run's own options: with
+        ``--compact`` it picks the shape of least *compact* words (2x2x4,
+        8,630 words on this circuit; dense scoring picks 1x1x16, whose
+        compact words are 11,354.5)."""
+        path = tmp_path / "circuit.mtx"
+        main(["generate", "--kind", "circuit", "--size", "24",
+              "--out", str(path)])
+        rc = main(["solve", str(path), "--grid", "auto", "--P", "16",
+                   "--leaf-size", "32", "--compact"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        line = next(s for s in out.splitlines() if s.startswith("auto grid"))
+        assert line.split()[2] == "2x2x4"
+        assert "grid 2x2x4  algorithm=LU" in out
 
 
 class TestReport:

@@ -191,6 +191,10 @@ class TestCrossReferences:
         "TaskArrays.records", "GridPlan.tasks", "from_records", "with_tasks",
         "schur_pair_costs", "iter_tasks", "PanelFactor", "PanelBcast",
         "SchurUpdate", "grid_plan_rank_escapes",
+        "ReplicatedFactor", "BcastSpec", "replicated_factor",
+        "step.replicated", "_build_replicated_level", "execute_replicated",
+        "_check_replicated", "replicated_accesses", "ancestor_replication",
+        "c_values", "volume_stream",
     )
 
     def test_no_deleted_name_survives(self):
@@ -200,6 +204,17 @@ class TestCrossReferences:
             text = path.read_text()
             for name in self.DELETED_NAMES:
                 assert name not in text, f"{name!r} survives in {path}"
+
+    def test_no_replication_axis(self):
+        """``c > 1`` is gone: no option, no tuner axis, no CLI flag."""
+        import dataclasses
+
+        from repro.cli import build_parser
+        from repro.lu2d import FactorOptions
+        from repro.tune import TuneCandidate
+        assert len(dataclasses.fields(FactorOptions)) == 9
+        assert "c" not in {f.name for f in dataclasses.fields(TuneCandidate)}
+        assert not hasattr(build_parser().parse_args(["tune", "m.mtx"]), "c")
 
     def test_no_process_pool(self):
         """Host parallelism is threads over the one arena: nothing under
@@ -228,8 +243,7 @@ class TestOnePlanForm:
         ``repro.plan.tasks`` (only the level-scope kinds and the plan
         containers), and no plan object hands out a task list."""
         from repro.plan import GridPlan, LevelStep, Plan3D, TaskArrays
-        allowed = {"AncestorReduce", "GridPlan", "LevelBarrier", "Plan3D",
-                   "ReplicatedFactor"}
+        allowed = {"AncestorReduce", "GridPlan", "LevelBarrier", "Plan3D"}
         for path in (self.SRC / "verify").glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ImportFrom) \

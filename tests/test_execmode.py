@@ -1,13 +1,12 @@
 """The execution-mode decision table, swept end to end.
 
 ``repro.plan.resolve_exec`` is the only place that chooses how a run
-executes. This module sweeps the whole observable input space — the ten
+executes. This module sweeps the whole observable input space — the nine
 ``FactorOptions`` fields × what is attached to the simulator × the driver
 × numeric/cost-only — and demands that every combination does exactly one
-of three things:
+of two things:
 
-* books the **serial reference ledger** bit for bit,
-* raises the **documented typed refusal**, or
+* books the **serial reference ledger** bit for bit, or
 * books the reference ledger *and* records a ``ParallelFallback``
 
 — nothing else. The reference is independent of the drivers' path choice:
@@ -96,16 +95,6 @@ def run_driver(driver: str, sf, tf, sim, numeric: bool, opts: FactorOptions):
     return fn(sf, tf, GRID3, sim, numeric=numeric, options=opts)
 
 
-def expected_error(opts: FactorOptions, driver: str, numeric: bool):
-    """The documented refusals, restated independently of the table."""
-    if opts.ancestor_replication > 1:
-        if numeric:
-            return NotImplementedError
-        if opts.resilience_active() or driver != "lu":
-            return ValueError
-    return None
-
-
 def expect_fallback(opts, attachment, driver, numeric) -> bool:
     """The four stay-serial reasons: merged numeric, a width-1 run,
     a cost-only run, one resolved worker. A trace or a topology is none
@@ -124,7 +113,7 @@ _reference_cache: dict = {}
 def reference_ledger(driver, numeric, opts: FactorOptions) -> dict:
     """The serial reference of ``opts``' ledger-relevant part."""
     key = (driver, numeric, opts.lookahead, opts.sparse_bcast,
-           opts.compact_comm, opts.ancestor_replication, opts.blocking,
+           opts.compact_comm, opts.blocking,
            opts.fault_plan, opts.checkpoint_every, opts.recovery)
     if key not in _reference_cache:
         sf, tf = setup_for(driver, opts.blocking)
@@ -155,7 +144,6 @@ def cases(draw):
         checkpoint_every=draw(st.sampled_from([0, 7])),
         recovery=draw(st.sampled_from(["restart", "z-replica"])),
         compact_comm=draw(st.booleans()),
-        ancestor_replication=draw(st.sampled_from([1, 2])),
         blocking=draw(st.sampled_from(["uniform", "irregular"])))
     return (opts, draw(st.sampled_from(ATTACHMENTS)),
             draw(st.sampled_from(DRIVERS)), draw(st.booleans()))
@@ -168,11 +156,6 @@ def test_every_combination_matches_reference_raises_or_falls_back(case):
     opts, attachment, driver, numeric = case
     sf, tf = setup_for(driver, opts.blocking)
     sim = make_sim(attachment)
-    error = expected_error(opts, driver, numeric)
-    if error is not None:
-        with pytest.raises(error):
-            run_driver(driver, sf, tf, sim, numeric, opts)
-        return
     res = run_driver(driver, sf, tf, sim, numeric, opts)
     assert ledger_state(sim) == reference_ledger(driver, numeric, opts)
     fallbacks = [p for p in res.parallel_stats
@@ -228,11 +211,11 @@ def test_observed_threaded_run_is_the_serial_run(observer):
 
 
 class TestResolveExec:
-    """The table's rows, one by one, without running anything."""
+    """The decision, case by case, without running anything."""
 
     @staticmethod
     def mode(opts=None, attachment="none", **kw) -> ExecMode:
-        kw = {"numeric": True, "merged": False, "backend": "lu", **kw}
+        kw = {"numeric": True, "merged": False, **kw}
         return resolve_exec(opts or FactorOptions(), make_sim(attachment),
                             **kw)
 
@@ -289,15 +272,3 @@ class TestResolveExec:
             m = self.mode(opts, merged=merged, numeric=False)
             assert m.n_workers == 1 and "cost-only" in m.fallback.reason
 
-    def test_replication_refusals(self):
-        c2 = FactorOptions(ancestor_replication=2)
-        with pytest.raises(NotImplementedError):
-            self.mode(c2)
-        with pytest.raises(ValueError, match="recovery boundaries"):
-            self.mode(dataclasses.replace(c2, checkpoint_every=3),
-                      numeric=False)
-        with pytest.raises(ValueError, match="standard LU"):
-            self.mode(c2, numeric=False, merged=True)
-        with pytest.raises(ValueError, match="standard LU"):
-            self.mode(c2, numeric=False, backend="cholesky")
-        assert self.mode(c2, numeric=False).fuse

@@ -423,8 +423,7 @@ class TestSerialization:
         from repro.plan import resolve_exec
         opts = FactorOptions(fault_plan=FaultPlan((Fault("slow"),)),
                              n_workers=2)
-        mode = resolve_exec(opts, Simulator(4), numeric=True, merged=False,
-                            backend="lu")
+        mode = resolve_exec(opts, Simulator(4), numeric=True, merged=False)
         assert not mode.fuse and mode.n_workers == 1
         assert "serial" in mode.fallback.reason
 

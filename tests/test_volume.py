@@ -185,7 +185,7 @@ class TestBundleModeGuard:
     def test_options_key_carries_volume_kind(self):
         kd = plan_options_key(FactorOptions())
         kc = plan_options_key(COMPACT)
-        assert kd[-2] == "dense" and kc[-2] == "compact"
+        assert kd[-1] == "dense" and kc[-1] == "compact"
         assert kd != kc
 
     def test_cross_mode_replay_refused(self):
