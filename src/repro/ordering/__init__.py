@@ -17,11 +17,13 @@ consumed by :mod:`repro.symbolic`.
 
 from repro.ordering.minimum_degree import minimum_degree_order, tree_from_order
 from repro.ordering.nested_dissection import (
-    DissectionNode,
     DissectionTree,
+    cap_split,
     geometric_nd,
     graph_nd,
+    merge_into_parents,
     nested_dissection,
+    split_chains,
 )
 from repro.ordering.permutation import Permutation
 from repro.ordering.relaxation import relax_supernodes
@@ -32,16 +34,18 @@ from repro.ordering.separators import (
 )
 
 __all__ = [
-    "DissectionNode",
     "DissectionTree",
     "Permutation",
     "bfs_level_separator",
+    "cap_split",
     "fiedler_separator",
     "geometric_nd",
     "graph_nd",
+    "merge_into_parents",
     "minimum_degree_order",
     "nested_dissection",
     "relax_supernodes",
     "tree_from_order",
     "repair_separator",
+    "split_chains",
 ]

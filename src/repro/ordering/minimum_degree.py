@@ -22,7 +22,7 @@ import heapq
 import numpy as np
 import scipy.sparse as sp
 
-from repro.ordering.nested_dissection import DissectionNode, DissectionTree
+from repro.ordering.nested_dissection import DissectionTree
 from repro.sparse.pattern import strip_diagonal, symmetrize_pattern
 from repro.symbolic.etree import elimination_tree
 from repro.utils import check_positive_int
@@ -106,42 +106,23 @@ def tree_from_order(A: sp.spmatrix, order: np.ndarray,
     S_perm = S[order][:, order].tocsr()
     parent = elimination_tree(S_perm)  # scalar etree in permuted numbering
 
-    nchildren = np.zeros(n + 1, dtype=np.int64)  # slot n counts roots
-    for v in range(n):
-        nchildren[parent[v]] += 1
+    # Greedy supernode merge: column v joins v - 1's supernode when v - 1
+    # is its only child, until the supernode holds max_block columns.
+    cols = np.arange(n, dtype=np.int64)
+    joins = np.zeros(n, dtype=bool)
+    nchildren = np.bincount(parent[parent >= 0], minlength=n)
+    joins[1:] = (parent[:-1] == cols[1:]) & (nchildren[1:] == 1)
+    run_start = np.maximum.accumulate(np.where(joins, 0, cols))
+    is_start = ~joins | ((cols - run_start) % max_block == 0)
+    starts = np.flatnonzero(is_start)
+    sup_of = np.cumsum(is_start) - 1
+    nb = starts.shape[0]
 
-    # Greedy supernode merge: start a new supernode unless the previous
-    # column is our only child and the cap allows one more column.
-    sup_of = np.empty(n, dtype=np.int64)
-    sup_cols: list[list[int]] = []
-    for v in range(n):
-        if (v > 0 and parent[v - 1] == v and nchildren[v] == 1
-                and len(sup_cols[-1]) < max_block):
-            sup_cols[-1].append(v)
-        else:
-            sup_cols.append([v])
-        sup_of[v] = len(sup_cols) - 1
-
-    nb = len(sup_cols)
-    sup_parent = np.full(nb, -1, dtype=np.int64)
-    for s, cols in enumerate(sup_cols):
-        p = int(parent[cols[-1]])
-        if p != -1:
-            sup_parent[s] = sup_of[p]
-
+    last = np.append(starts[1:], n) - 1
+    p = parent[last]
+    sup_parent = np.where(p >= 0, sup_of[p], -1)
     # The factorization machinery wants a single root: chain any extra
     # forest roots under the last supernode (adds dependencies, never
     # removes them, so ancestor closure is preserved).
-    roots = np.flatnonzero(sup_parent == -1)
-    for r in roots[:-1]:
-        sup_parent[r] = nb - 1
-
-    children: list[list[int]] = [[] for _ in range(nb)]
-    for s in range(nb):
-        if sup_parent[s] != -1:
-            children[int(sup_parent[s])].append(s)
-
-    nodes = [DissectionNode(order[np.asarray(cols, dtype=np.int64)],
-                            children[s], node_id=s)
-             for s, cols in enumerate(sup_cols)]
-    return DissectionTree(nodes, n)
+    sup_parent[:-1][sup_parent[:-1] == -1] = nb - 1
+    return DissectionTree(sup_parent, order, np.append(starts, n))

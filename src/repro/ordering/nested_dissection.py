@@ -5,16 +5,20 @@ defines the block (supernode) ordering, its parent links are the block
 elimination tree (Fig. 2c / Fig. 3b of the paper), and its subtrees are what
 the 3D algorithm maps onto 2D process grids.
 
-Each :class:`DissectionNode` *owns* a set of original vertex ids — the
-separator it contributes (for internal nodes) or an entire undissected
-region (for leaves). The permutation places each node's vertices after all
-of its descendants' vertices, so every node is a contiguous block row/column
-of the permuted matrix.
+A :class:`DissectionTree` is three arrays: ``parent`` (the block tree),
+``perm`` (original vertex ids in elimination order) and ``layout`` (block
+``k`` owns ``perm[offsets[k]:offsets[k + 1]]`` — the separator it
+contributes, or a whole undissected region for a leaf). Every node's
+vertices come after all of its descendants', so each node is a contiguous
+block row/column of the permuted matrix. Every builder emits that form:
+the recursion here, :func:`split_chains` (the supernode cap),
+:func:`merge_into_parents` (relaxation and amalgamation) and
+:func:`repro.ordering.tree_from_order`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,160 +31,170 @@ from repro.sparse.generators import GridGeometry
 from repro.sparse.pattern import strip_diagonal, symmetrize_pattern
 from repro.utils import check_positive_int
 
-__all__ = ["DissectionNode", "DissectionTree", "geometric_nd", "graph_nd",
-           "nested_dissection"]
-
-
-@dataclass
-class DissectionNode:
-    """One node of the dissection tree.
-
-    Attributes
-    ----------
-    vertices:
-        Original vertex ids owned by this node (its separator, or the whole
-        region for a leaf). Never empty.
-    children:
-        Postorder ids of the children (empty for leaves).
-    depth:
-        Distance from the root (root has depth 0), the paper's level index.
-    node_id:
-        Postorder position == block index in the permuted matrix.
-    """
-
-    vertices: np.ndarray
-    children: list[int] = field(default_factory=list)
-    depth: int = 0
-    node_id: int = -1
-
-    @property
-    def size(self) -> int:
-        return int(self.vertices.shape[0])
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+__all__ = ["DissectionTree", "cap_split", "geometric_nd", "graph_nd",
+           "merge_into_parents", "nested_dissection", "split_chains"]
 
 
 class DissectionTree:
-    """Postordered dissection tree with derived permutation and layout."""
+    """Postordered block tree: ``parent``, ``perm`` and block ``layout``.
 
-    def __init__(self, nodes: list[DissectionNode], n: int):
-        if not nodes:
-            raise ValueError("dissection tree must have at least one node")
-        self.nodes = nodes
-        self.n = n
-        nb = len(nodes)
-        self.parent = np.full(nb, -1, dtype=np.int64)
-        for node in nodes:
-            for c in node.children:
-                if c >= node.node_id:   # postorder: parents follow children
-                    raise ValueError("nodes are not in postorder")
-                self.parent[c] = node.node_id
-        if int(np.sum(self.parent == -1)) != 1:
-            raise ValueError("tree must have exactly one root")
-        # Every builder's depths, here once the shape is final: parents first.
-        for k, p in reversed(list(enumerate(self.parent.tolist()))):
-            nodes[k].depth = 0 if p == -1 else nodes[p].depth + 1
+    ``parent[k] > k`` for every node but the root, which is the last node
+    (``parent == -1``); ``perm`` is a :class:`Permutation` (or its
+    ``perm[new] = old`` array) and ``offsets`` the ``nb + 1`` block
+    boundaries in the permuted order.
+    """
 
-        # Build the permutation: vertices in postorder of owning node.
-        chunks = [node.vertices for node in nodes]
-        perm = np.concatenate(chunks)
-        if perm.shape[0] != n:
-            raise ValueError(
-                f"tree owns {perm.shape[0]} vertices but matrix has {n}")
-        self.perm = Permutation(perm)
-        offsets = np.concatenate([[0], np.cumsum([c.shape[0] for c in chunks])])
+    def __init__(self, parent, perm, offsets):
+        self.parent = parent = np.asarray(parent, dtype=np.int64)
+        self.perm = perm if isinstance(perm, Permutation) else Permutation(perm)
         self.layout = BlockLayout(offsets)
+        nb = parent.shape[0]
+        if nb != self.layout.nblocks:
+            raise ValueError(f"{nb} parent links for "
+                             f"{self.layout.nblocks} blocks")
+        if self.layout.n != self.perm.n:
+            raise ValueError(f"tree owns {self.layout.n} vertices but "
+                             f"the permutation has {self.perm.n}")
+        if parent[-1] != -1 or int(np.sum(parent == -1)) != 1:
+            raise ValueError("tree must have exactly one root, the last node")
+        if np.any(parent[:-1] <= np.arange(nb - 1)) or np.any(parent >= nb):
+            raise ValueError("nodes are not in postorder")
+
+    @property
+    def n(self) -> int:
+        return self.perm.n
 
     @property
     def nblocks(self) -> int:
-        return len(self.nodes)
+        return self.parent.shape[0]
 
     @property
     def root(self) -> int:
-        return int(np.flatnonzero(self.parent == -1)[0])
+        return self.nblocks - 1
 
-    def children_of(self, k: int) -> list[int]:
-        return self.nodes[k].children
+    @property
+    def sizes(self) -> np.ndarray:
+        """Vertices per block (the layout's memoized sizes)."""
+        return self.layout.sizes()
 
-    def ancestors_of(self, k: int) -> list[int]:
-        """Proper ancestors of ``k``, nearest first."""
-        out = []
-        p = int(self.parent[k])
-        while p != -1:
-            out.append(p)
-            p = int(self.parent[p])
-        return out
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Distance from the root (the root has depth 0), per node."""
+        depth = [0] * self.nblocks
+        par = self.parent.tolist()
+        for k in range(self.nblocks - 2, -1, -1):   # parents first
+            depth[k] = depth[par[k]] + 1
+        return np.asarray(depth, dtype=np.int64)
 
-    def subtree_of(self, k: int) -> list[int]:
+    def vertices(self, k: int) -> np.ndarray:
+        """Original vertex ids block ``k`` owns, in elimination order."""
+        return self.perm.perm[self.layout.range_of(k)]
+
+    def children_of(self, k: int) -> np.ndarray:
+        return np.flatnonzero(self.parent == k)
+
+    def subtree_of(self, k: int) -> np.ndarray:
         """All nodes of the subtree rooted at ``k`` (including ``k``), ascending."""
-        out = []
-        stack = [k]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.nodes[v].children)
-        return sorted(out)
+        inside = np.zeros(self.nblocks, dtype=bool)
+        inside[k] = True
+        par = self.parent.tolist()
+        for v in range(k - 1, -1, -1):      # parents are decided first
+            inside[v] = inside[par[v]]
+        return np.flatnonzero(inside)
 
     def height(self) -> int:
-        return max(node.depth for node in self.nodes) + 1
+        return int(self.depth.max()) + 1
 
 
-class _Builder:
-    """Accumulates nodes during recursion and assigns postorder ids.
+def _from_blocks(parent, blocks: list[np.ndarray]) -> DissectionTree:
+    """The tree whose node ``k`` owns ``blocks[k]``."""
+    sizes = [b.shape[0] for b in blocks]
+    return DissectionTree(parent, np.concatenate(blocks),
+                          np.concatenate([[0], np.cumsum(sizes)]))
 
-    ``max_block`` caps supernode sizes: a vertex set larger than the cap is
-    emitted as a *chain* of tree nodes (bottom chunk keeps the children,
-    each next chunk parents the previous). This mirrors SuperLU_DIST's
-    relaxed-supernode size limit (``maxsup``): big separators are factored
-    as a sequence of moderate panels, not one monolithic block — which is
-    what keeps the diagonal factorization off a single process and the
-    block-cyclic distribution smooth.
+
+def cap_chunks(vertices: np.ndarray, cap: int | None) -> list[np.ndarray]:
+    """``vertices`` as ``ceil(size / cap)`` near-equal chunks (the bigger
+    first), or whole when ``cap`` is ``None`` or not exceeded."""
+    if cap is None or vertices.size <= cap:
+        return [vertices]
+    return np.array_split(vertices, -(-vertices.size // cap))
+
+
+def split_chains(tree: DissectionTree, chunker) -> DissectionTree:
+    """Re-emit ``tree`` with each node split into a parent chain of chunks.
+
+    ``chunker(vertices)`` returns a node's vertices as an ordered list of
+    non-empty chunks (together a permutation of them). The first chunk
+    keeps the node's children and each later chunk parents the previous
+    one, so a node split into one chunk keeps its place in the tree.
     """
+    pieces = [chunker(v) for v in
+              np.split(tree.perm.perm, tree.layout.offsets[1:-1])]
+    counts = np.array([len(p) for p in pieces], dtype=np.int64)
+    start = np.cumsum(counts) - counts          # first chunk of each node
+    parent = np.arange(1, int(counts.sum()) + 1, dtype=np.int64)
+    p = tree.parent
+    parent[start + counts - 1] = np.where(p >= 0, start[p], -1)
+    return _from_blocks(parent, [c for chunks in pieces for c in chunks])
 
-    def __init__(self, max_block: int | None = None) -> None:
-        self.nodes: list[DissectionNode] = []
-        self.max_block = max_block
 
-    def add(self, vertices: np.ndarray, children: list[int]) -> int:
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if self.max_block is not None and vertices.size > self.max_block:
-            nchunks = -(-vertices.size // self.max_block)  # ceil division
-            chunks = np.array_split(vertices, nchunks)
-            nid = self._add_one(chunks[0], children)
-            for chunk in chunks[1:]:
-                nid = self._add_one(chunk, [nid])
-            return nid
-        return self._add_one(vertices, children)
+def cap_split(tree: DissectionTree, max_block: int | None) -> DissectionTree:
+    """Apply the supernode cap (SuperLU_DIST's ``maxsup``) to ``tree``: a
+    node over ``max_block`` vertices becomes a chain of near-equal blocks,
+    so a big separator is factored as a sequence of moderate panels."""
+    if max_block is None:
+        return tree
+    max_block = check_positive_int(max_block, "max_block")
+    if tree.sizes.max() <= max_block:
+        return tree
+    return split_chains(tree, lambda v: cap_chunks(v, max_block))
 
-    def _add_one(self, vertices: np.ndarray, children: list[int]) -> int:
-        node = DissectionNode(vertices, children, node_id=len(self.nodes))
-        self.nodes.append(node)
-        return node.node_id
 
-    def dissect(self, n: int, leaf_size: int, cut) -> DissectionTree:
-        """The tree of ``range(n)``: a region of at most ``leaf_size``
-        vertices, or one ``cut(vertices)`` leaves whole (``None``), is a
-        leaf; else ``cut``'s separator parents its non-empty parts' subtrees.
-        An empty separator takes one vertex of the larger part (a zero-size
-        block would break the layout; the vertex is merely eliminated late)."""
-        leaf_size = check_positive_int(leaf_size, "leaf_size")
+def merge_into_parents(tree: DissectionTree, absorbed) -> DissectionTree:
+    """Drop the nodes marked ``absorbed``: each one's vertices join the
+    first surviving node after it (the node that absorbed it, whose
+    children its children become). The permutation stays; only the
+    absorbed nodes' upper boundaries leave the layout."""
+    keep = ~np.asarray(absorbed, dtype=bool)
+    if keep.all():
+        return tree
+    new_id = np.cumsum(keep) - keep     # first survivor at or after each id
+    p = tree.parent[keep]
+    return DissectionTree(np.where(p >= 0, new_id[p], -1), tree.perm,
+                          np.concatenate([[0], tree.layout.offsets[1:][keep]]))
 
-        def recurse(vertices: np.ndarray) -> int:
-            parts = cut(vertices) if vertices.size > leaf_size else None
-            if parts is None:
-                return self.add(vertices, [])
-            sep, part_a, part_b = parts
-            if sep.size == 0 and part_a.size >= part_b.size:
-                sep, part_a = part_a[:1], part_a[1:]
-            elif sep.size == 0:
-                sep, part_b = part_b[:1], part_b[1:]
-            return self.add(sep, [recurse(p) for p in (part_a, part_b)
-                                  if p.size])
 
-        recurse(np.arange(n, dtype=np.int64))
-        return DissectionTree(self.nodes, n)
+def _dissect(n: int, leaf_size: int, cut) -> DissectionTree:
+    """The uncapped tree of ``range(n)``: a region of at most ``leaf_size``
+    vertices, or one ``cut(vertices)`` leaves whole (``None``), is a leaf;
+    else ``cut``'s separator parents its non-empty parts' subtrees. An
+    empty separator takes one vertex of the larger part (a zero-size block
+    would break the layout; the vertex is merely eliminated late)."""
+    leaf_size = check_positive_int(leaf_size, "leaf_size")
+    blocks: list[np.ndarray] = []
+    parent: list[int] = []
+
+    def add(vertices: np.ndarray, children: list[int]) -> int:
+        for c in children:
+            parent[c] = len(blocks)
+        blocks.append(vertices)
+        parent.append(-1)
+        return len(blocks) - 1
+
+    def recurse(vertices: np.ndarray) -> int:
+        parts = cut(vertices) if vertices.size > leaf_size else None
+        if parts is None:
+            return add(vertices, [])
+        sep, part_a, part_b = parts
+        if sep.size == 0 and part_a.size >= part_b.size:
+            sep, part_a = part_a[:1], part_a[1:]
+        elif sep.size == 0:
+            sep, part_b = part_b[:1], part_b[1:]
+        return add(sep, [recurse(p) for p in (part_a, part_b) if p.size])
+
+    recurse(np.arange(n, dtype=np.int64))
+    return _from_blocks(parent, blocks)
 
 
 def _unit_steps(adj: sp.csr_matrix, coords_t: np.ndarray) -> bool:
@@ -247,7 +261,7 @@ def geometric_nd(adj: sp.csr_matrix, coords: np.ndarray, leaf_size: int = 64,
             return sep, part_a, part_b
         return None         # no dimension could be split: a leaf
 
-    return _Builder(max_block).dissect(n, leaf_size, cut)
+    return cap_split(_dissect(n, leaf_size, cut), max_block)
 
 
 def graph_nd(adj: sp.csr_matrix, leaf_size: int = 64, method: str = "bfs",
@@ -274,7 +288,7 @@ def graph_nd(adj: sp.csr_matrix, leaf_size: int = 64, method: str = "bfs",
             return None
         return sep, part_a, part_b
 
-    return _Builder(max_block).dissect(adj.shape[0], leaf_size, cut)
+    return cap_split(_dissect(adj.shape[0], leaf_size, cut), max_block)
 
 
 def nested_dissection(A: sp.spmatrix, geometry: GridGeometry | None = None,

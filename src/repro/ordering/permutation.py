@@ -30,12 +30,10 @@ class Permutation:
         if perm.ndim != 1:
             raise ValueError("perm must be 1-D")
         n = perm.shape[0]
-        counts = np.zeros(n, dtype=np.int64)
         valid = (perm >= 0) & (perm < n)
         if not valid.all():
             raise ValueError("perm entries out of range")
-        np.add.at(counts, perm, 1)
-        if not (counts == 1).all():
+        if not (np.bincount(perm, minlength=n) == 1).all():
             raise ValueError("perm is not a bijection")
         self.perm = perm
         self.iperm = np.empty(n, dtype=np.int64)
@@ -49,18 +47,28 @@ class Permutation:
     def n(self) -> int:
         return self.perm.shape[0]
 
+    def _check(self, m: int, what: str) -> None:
+        if m != self.n:
+            raise ValueError(f"{what} has leading dimension {m}, but the "
+                             f"permutation is of size {self.n}")
+
     def apply_matrix(self, A: sp.spmatrix) -> sp.csr_matrix:
         """Return ``A[perm][:, perm]`` as CSR (symmetric permutation)."""
         A = A.tocsr()
+        self._check(A.shape[0], "matrix")
         return A[self.perm][:, self.perm].tocsr()
 
     def apply_vector(self, x: np.ndarray) -> np.ndarray:
         """Permute a vector into the new ordering: ``y[new] = x[old]``."""
-        return np.asarray(x)[self.perm]
+        x = np.asarray(x)
+        self._check(x.shape[0], "vector")
+        return x[self.perm]
 
     def unapply_vector(self, y: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`apply_vector`: ``x[old] = y[new]``."""
-        return np.asarray(y)[self.iperm]
+        y = np.asarray(y)
+        self._check(y.shape[0], "vector")
+        return y[self.iperm]
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Return the permutation equivalent to applying ``other`` then ``self``."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ordering.nested_dissection import DissectionNode, DissectionTree
+from repro.ordering.nested_dissection import DissectionTree, merge_into_parents
 from repro.utils import check_positive_int
 
 __all__ = ["relax_supernodes"]
@@ -31,37 +31,21 @@ def relax_supernodes(tree: DissectionTree, min_size: int = 16,
 
     Walking nodes in postorder, each node absorbs its postorder-adjacent
     children while they are smaller than ``min_size`` and the merged block
-    stays within ``max_block``. Survivors are renumbered in postorder.
+    stays within ``max_block``; it stops after absorbing a child that had
+    itself absorbed (the node below is then already taken). Survivors are
+    renumbered in postorder.
     """
     min_size = check_positive_int(min_size, "min_size")
     max_block = check_positive_int(max_block, "max_block")
-    nb = tree.nblocks
-
-    vertices: list[np.ndarray] = [node.vertices for node in tree.nodes]
-    child_sets: list[set[int]] = [set(node.children) for node in tree.nodes]
-    absorbed = np.zeros(nb, dtype=bool)
-
-    for p in range(nb):
-        span_lo = p  # vertices[p] currently covers postorder ids [span_lo, p]
-        while True:
-            c = span_lo - 1
-            if c < 0 or c not in child_sets[p] or absorbed[c]:
-                break
-            if vertices[c].shape[0] >= min_size:
-                break
-            if vertices[c].shape[0] + vertices[p].shape[0] > max_block:
-                break
-            vertices[p] = np.concatenate([vertices[c], vertices[p]])
-            child_sets[p].discard(c)
-            child_sets[p].update(child_sets[c])
-            child_sets[c] = set()
+    size = tree.sizes.tolist()
+    parent = tree.parent.tolist()
+    absorbed = np.zeros(tree.nblocks, dtype=bool)
+    for p in range(tree.nblocks):
+        # p's block covers ids (c, p]: c is its child iff parent[c] <= p.
+        c = p - 1
+        while (c >= 0 and not absorbed[c] and parent[c] <= p
+               and size[c] < min_size and size[c] + size[p] <= max_block):
+            size[p] += size[c]
             absorbed[c] = True
-            span_lo = c
-
-    survivors = [v for v in range(nb) if not absorbed[v]]
-    new_id = {old: i for i, old in enumerate(survivors)}
-    nodes = [DissectionNode(vertices[old],
-                            sorted(new_id[c] for c in child_sets[old]),
-                            node_id=new_id[old])
-             for old in survivors]
-    return DissectionTree(nodes, tree.n)    # assigns the new depths
+            c -= 1
+    return merge_into_parents(tree, absorbed)

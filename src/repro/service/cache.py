@@ -59,8 +59,7 @@ def pattern_fingerprint(A: sp.spmatrix) -> str:
 def cache_key(A: sp.spmatrix, grid_shape: tuple[int, int, int],
               backend: str, options, *, leaf_size: int = 64,
               nd_method: str = "bfs", max_block: int | None = 256,
-              partition: str = "greedy", relax: int = 0,
-              geometry=None) -> tuple:
+              partition: str = "greedy", geometry=None) -> tuple:
     """The full identity of a cached plan.
 
     Pattern fingerprint × grid shape × backend × every solver knob the
@@ -72,7 +71,7 @@ def cache_key(A: sp.spmatrix, grid_shape: tuple[int, int, int],
     geom_key = (geometry.shape, geometry.kind) if geometry is not None \
         else None
     return (pattern_fingerprint(A), tuple(grid_shape), backend,
-            leaf_size, nd_method, max_block, partition, relax, geom_key,
+            leaf_size, nd_method, max_block, partition, geom_key,
             plan_options_key(options))
 
 

@@ -74,15 +74,14 @@ class FactorizationService:
     Parameters mirror the solver facades; they form the *default* job
     configuration, overridable per request via ``submit`` keyword
     arguments (``backend``, ``px``/``py``/``pz``, ``leaf_size``,
-    ``nd_method``, ``max_block``, ``partition``, ``relax``,
-    ``geometry``, ``numeric``, ``options``). ``capacity`` bounds the LRU
+    ``nd_method``, ``max_block``, ``partition``, ``geometry``, ``numeric``, ``options``). ``capacity`` bounds the LRU
     plan cache; ``max_workers`` sizes the thread pool.
 
     Use as a context manager, or call :meth:`close`.
     """
 
     _CFG_KEYS = ("backend", "px", "py", "pz", "leaf_size", "nd_method",
-                 "max_block", "partition", "relax", "geometry", "numeric",
+                 "max_block", "partition", "geometry", "numeric",
                  "options")
 
     def __init__(self, px: int = 1, py: int = 1, pz: int = 1,
@@ -90,8 +89,8 @@ class FactorizationService:
                  options: FactorOptions | None = None, capacity: int = 8,
                  max_workers: int = 4, leaf_size: int = 64,
                  nd_method: str = "bfs", max_block: int | None = 256,
-                 partition: str = "greedy", relax: int = 0,
-                 geometry=None, numeric: bool = True, tune_cache=None):
+                 partition: str = "greedy", geometry=None,
+                 numeric: bool = True, tune_cache=None):
         if backend not in ("lu", "cholesky"):
             raise ValueError(f"unknown backend {backend!r}")
         self.machine = machine or Machine.edison_like()
@@ -103,7 +102,7 @@ class FactorizationService:
         self._defaults = dict(
             backend=backend, px=px, py=py, pz=pz, leaf_size=leaf_size,
             nd_method=nd_method, max_block=max_block, partition=partition,
-            relax=relax, geometry=geometry, numeric=numeric,
+            geometry=geometry, numeric=numeric,
             options=options or FactorOptions())
         self._pool = ThreadPoolExecutor(max_workers=max_workers,
                                         thread_name_prefix="repro-svc")
@@ -167,7 +166,7 @@ class FactorizationService:
                    machine=self.machine, partition=cfg["partition"],
                    options=cfg["options"], numeric=cfg["numeric"],
                    nd_method=cfg["nd_method"], max_block=cfg["max_block"],
-                   relax=cfg["relax"], **extra)
+                   **extra)
 
     def _build_entry(self, key, A, cfg) -> PlanEntry:
         """Cold path: symbolic phase + plan build, once per key.
@@ -228,7 +227,7 @@ class FactorizationService:
                         leaf_size=cfg["leaf_size"],
                         nd_method=cfg["nd_method"],
                         max_block=cfg["max_block"],
-                        partition=cfg["partition"], relax=cfg["relax"],
+                        partition=cfg["partition"],
                         geometry=cfg["geometry"])
         entry, hit = self.cache.get_or_build(
             key, lambda: self._build_entry(key, A, cfg))

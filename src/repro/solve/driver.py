@@ -62,8 +62,7 @@ class _Solver3D:
                  px: int = 1, py: int = 1, pz: int = 1, leaf_size: int = 64,
                  machine: Machine | None = None, partition: str = "greedy",
                  options: FactorOptions | None = None, numeric: bool = True,
-                 nd_method: str = "bfs", max_block: int | None = 256,
-                 relax: int = 0):
+                 nd_method: str = "bfs", max_block: int | None = 256):
         self.equ: Equilibration | None = None
         self._bind(self._checked(A))
         self.geometry = geometry
@@ -77,7 +76,6 @@ class _Solver3D:
         self._leaf_size = leaf_size
         self._nd_method = nd_method
         self._max_block = max_block
-        self._relax = relax
 
         self.sf: SymbolicFactorization | None = None
         self.tf = None
@@ -110,25 +108,10 @@ class _Solver3D:
 
     def analyze(self):
         """Run the symbolic phase (ordering + block fill + costs)."""
-        tree = None
-        if self._relax:
-            if self.options.blocking != "uniform":
-                raise ValueError(
-                    "relax > 0 is a uniform-blocking relaxation; it cannot "
-                    "be combined with blocking='irregular' (which runs its "
-                    "own similarity-gated amalgamation)")
-            from repro.ordering import nested_dissection, relax_supernodes
-            tree = relax_supernodes(
-                nested_dissection(self._A_work, self.geometry,
-                                  leaf_size=self._leaf_size,
-                                  method=self._nd_method,
-                                  max_block=self._max_block),
-                min_size=self._relax,
-                max_block=self._max_block or 256)
         self.sf = symbolic_factorize(self._A_work, self.geometry,
                                      leaf_size=self._leaf_size,
                                      method=self._nd_method,
-                                     max_block=self._max_block, tree=tree,
+                                     max_block=self._max_block,
                                      blocking=self.options.blocking)
         part = greedy_partition if self._partition == "greedy" else naive_partition
         self.tf = part(self.sf, self.grid.pz)
@@ -352,10 +335,6 @@ class SparseLU3D(_Solver3D):
     equil:
         Row/column equilibration before factoring (GESP's ``equil`` step);
         recommended for badly scaled matrices.
-    relax:
-        Supernode relaxation threshold: blocks smaller than this are
-        amalgamated into their parents (``0`` disables) — fewer messages
-        at the cost of some extra fill.
     """
 
     #: :meth:`solve_transposed`'s sweeps — ``U^T`` is lower: downward over
@@ -367,11 +346,10 @@ class SparseLU3D(_Solver3D):
                  machine: Machine | None = None, partition: str = "greedy",
                  options: FactorOptions | None = None, numeric: bool = True,
                  nd_method: str = "bfs", max_block: int | None = 256,
-                 equil: bool = False, relax: int = 0):
+                 equil: bool = False):
         self._equil = equil
         super().__init__(A, geometry, px, py, pz, leaf_size, machine,
-                         partition, options, numeric, nd_method, max_block,
-                         relax)
+                         partition, options, numeric, nd_method, max_block)
 
     def _bind(self, A: sp.spmatrix) -> None:
         self.A = A

@@ -17,13 +17,7 @@ The symbolic phase runs once per matrix and feeds everything downstream:
   load-balance heuristic (Section III-C).
 """
 
-from repro.symbolic.blocking import (
-    BLOCKING_STRATEGIES,
-    BlockingOptions,
-    blocking_signature,
-    irregular_blocking,
-    uniform_cap_split,
-)
+from repro.symbolic.blocking import irregular_blocking
 from repro.symbolic.blocknnz import BlockNnzTables, block_nnz_tables
 from repro.symbolic.etree import elimination_tree, etree_heights, postorder
 from repro.symbolic.fill import block_fill
@@ -34,18 +28,14 @@ from repro.symbolic.symbolic_factor import (
 )
 
 __all__ = [
-    "BLOCKING_STRATEGIES",
     "BlockNnzTables",
-    "BlockingOptions",
     "NodeCosts",
     "SymbolicFactorization",
     "block_fill",
     "block_nnz_tables",
-    "blocking_signature",
     "elimination_tree",
     "etree_heights",
     "irregular_blocking",
     "postorder",
     "symbolic_factorize",
-    "uniform_cap_split",
 ]

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.ordering.nested_dissection import DissectionTree, nested_dissection
+from repro.ordering.nested_dissection import DissectionTree, cap_split, \
+    nested_dissection
 from repro.sparse.blockmatrix import BlockLayout
 from repro.sparse.generators import GridGeometry
 from repro.symbolic.fill import BlockFill, block_fill
@@ -137,8 +138,7 @@ def symbolic_factorize(A: sp.spmatrix, geometry: GridGeometry | None = None,
                        leaf_size: int = 64, method: str = "bfs",
                        tree: DissectionTree | None = None,
                        max_block: int | None = None,
-                       blocking: str = "uniform",
-                       blocking_options=None
+                       blocking: str = "uniform"
                        ) -> SymbolicFactorization:
     """Run the full symbolic phase on ``A``.
 
@@ -155,7 +155,9 @@ def symbolic_factorize(A: sp.spmatrix, geometry: GridGeometry | None = None,
         Separator method for non-geometric dissection (``'bfs'``/``'fiedler'``).
     tree:
         Pre-computed dissection tree (skips ordering); used by the ablation
-        benchmarks to compare partitions on a fixed structure. Incompatible
+        benchmarks to compare partitions on a fixed structure, and the way
+        to factor a :func:`repro.ordering.relax_supernodes` tree. It must
+        be a tree of ``A``'s size. Incompatible
         with ``blocking='irregular'`` (the irregular strategy *derives* its
         tree from the pattern).
     max_block:
@@ -167,12 +169,8 @@ def symbolic_factorize(A: sp.spmatrix, geometry: GridGeometry | None = None,
         ``'uniform'`` (default) or ``'irregular'``
         (:mod:`repro.symbolic.blocking`): pattern-driven boundaries with
         dense-row snapping + similarity amalgamation, floored by the
-        uniform blocking on filled factor words so the result never
-        stores (or ships) more than the default would.
-    blocking_options:
-        Optional :class:`repro.symbolic.blocking.BlockingOptions`
-        overriding the irregular strategy's knobs (its ``max_block``
-        is taken from this function's ``max_block`` when unset).
+        uniform blocking on aggregate filled factor words so the result
+        never stores more words in total than the default would.
     """
     A = check_square_sparse(A)
     if blocking not in ("uniform", "irregular"):
@@ -182,13 +180,11 @@ def symbolic_factorize(A: sp.spmatrix, geometry: GridGeometry | None = None,
         if tree is not None:
             raise ValueError("blocking='irregular' derives its own tree; "
                              "an explicit tree= cannot be combined with it")
-        from repro.symbolic.blocking import BlockingOptions, \
-            irregular_blocking, uniform_cap_split
+        from repro.symbolic.blocking import irregular_blocking
         base = nested_dissection(A, geometry, leaf_size=leaf_size,
                                  method=method, max_block=None)
-        opts = blocking_options or BlockingOptions(max_block=max_block)
-        irr_tree, info = irregular_blocking(A, base, opts)
-        uni_tree = uniform_cap_split(base, max_block)
+        uni_tree = cap_split(base, max_block)
+        irr_tree, info = irregular_blocking(A, base, max_block)
         irr = _build_on(A, irr_tree)
         uni = _build_on(A, uni_tree)
         # Uniform floor: filled factor words are the storage/traffic proxy

@@ -75,14 +75,12 @@ def estimate_separator_exponent(A: sp.spmatrix,
     tree = nested_dissection(A, geometry, leaf_size=leaf_size,
                              max_block=None)
     # Subtree vertex counts in one postorder pass.
-    region = np.array([node.size for node in tree.nodes], dtype=np.int64)
-    for v in range(tree.nblocks):
-        p = int(tree.parent[v])
-        if p != -1:
-            region[p] += region[v]
-    vals = [np.log(node.size) / np.log(region[v])
-            for v, node in enumerate(tree.nodes)
-            if len(node.children) >= 2 and region[v] >= min_region]
+    region = tree.sizes.copy()
+    for v in range(tree.nblocks - 1):
+        region[tree.parent[v]] += region[v]
+    nkids = np.bincount(tree.parent[:-1], minlength=tree.nblocks)
+    vals = [np.log(tree.sizes[v]) / np.log(region[v])
+            for v in np.flatnonzero((nkids >= 2) & (region >= min_region))]
     return float(np.median(vals)) if len(vals) >= 3 else 0.5
 
 

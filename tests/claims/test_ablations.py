@@ -112,7 +112,7 @@ def test_greedy_vs_naive_partition(suite):
             rows.append([name, pz, cg, cn, cn / cg])
 
     sf = suite["K2D5pt4096"].sf
-    is_leaf = np.array([sf.tree.nodes[k].is_leaf for k in range(sf.nb)])
+    is_leaf = ~np.isin(np.arange(sf.nb), sf.tree.parent)
     w_skew = np.where(is_leaf, 100.0, 1.0)
     # Descend the root's supernode chain to the first real branching node;
     # one of its two region subtrees becomes the heavy corner.

@@ -77,9 +77,12 @@ def test_autotuned_grid_beats_naive():
 
 def test_irregular_blocking_never_ships_more():
     """Structure-aware irregular blocking (PAPERS.md) against the uniform
-    ``max_block`` cap on matrices the paper never tested: never more factor
-    words (the uniform floor), never more 3D comm on the circuit and
-    arrowhead cases, a real win on >= 2 adversarial ones; and the paper's
+    ``max_block`` cap on matrices the paper never tested: never more
+    aggregate filled-panel words (the uniform floor compares the words
+    summed over all blocks, nothing per rank), no more 3D comm on the
+    circuit and arrowhead cases at this one grid (measured here, not
+    implied by the floor: other grid shapes can lose per-rank words, see
+    EXPERIMENTS.md), a real win on >= 2 adversarial ones; and the paper's
     3D-over-2D volume trade at P = 8 holds on power-law and banded — and is
     honestly bounded on arrowhead, whose chain etree gives Pz nothing to
     distribute (3D can at best tie)."""

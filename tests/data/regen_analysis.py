@@ -77,9 +77,8 @@ def _sha(parts) -> str:
 def analysis_record(A, geom, leaf: int, mb) -> dict:
     sf = symbolic_factorize(A, geom, leaf_size=leaf, max_block=mb)
     tree = sf.tree
-    sizes = np.array([node.size for node in tree.nodes], dtype=np.int64)
     c = sf.costs
-    parts = [tree.perm.perm, tree.parent, sizes, *sf.fill.panel_csr(),
+    parts = [tree.perm.perm, tree.parent, tree.sizes, *sf.fill.panel_csr(),
              c.factor_flops, c.panel_flops, c.schur_flops, c.factor_words]
     for backend in ("lu", "cholesky"):
         parts += node_block_arrays(sf, get_backend(backend).node_blocks)

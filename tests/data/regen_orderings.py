@@ -116,9 +116,8 @@ FIEDLER_VARIANTS = (("fiedler/leaf16", 16, None),
 
 
 def tree_record(tree) -> dict:
-    sizes = np.array([node.size for node in tree.nodes], dtype=np.int64)
     h = hashlib.sha1()
-    for arr in (tree.perm.perm, tree.parent, sizes):
+    for arr in (tree.perm.perm, tree.parent, tree.sizes):
         h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
     return {"nblocks": tree.nblocks, "height": tree.height(),
             "sha1": h.hexdigest()}

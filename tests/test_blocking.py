@@ -2,16 +2,17 @@
 
 Pins the invariants the module docstring promises:
 
-* ``uniform_cap_split`` of an uncapped dissection is **bit-identical** to
+* ``cap_split`` of an uncapped dissection is **bit-identical** to
   passing ``max_block`` to the builder directly — the foundation of the
   one-shared-dissection floor comparison;
-* every tree the irregular strategy emits covers the permuted range with
-  contiguous blocks, respects the effective cap, and keeps the scalar
-  adjacency inside block-tree ancestor chains (etree consistency) — as
-  hypothesis properties over generators x caps x knobs;
-* the uniform floor never loses: ``blocking='irregular'`` factor words
-  are <= the uniform blocking's on every matrix, and strictly < on the
-  adversarial generators where the strategy earns its keep;
+* every tree the irregular strategy emits covers the permuted range,
+  respects the effective cap, and keeps the scalar adjacency inside
+  block-tree ancestor chains (etree consistency) — as hypothesis
+  properties over generators x caps;
+* the uniform floor holds on aggregate filled-panel words:
+  ``blocking='irregular'`` total factor words are <= the uniform
+  blocking's on every matrix, and strictly < on the adversarial
+  generators where the strategy earns its keep;
 * plans built from irregular symbolic factorizations are analyzer-clean
   (via the session-wide POST_BUILD_HOOK) and their ledgers are
   bit-identical under random legal schedules (fuzz conformance, tier-1
@@ -26,7 +27,7 @@ import pytest
 
 from repro.comm import ProcessGrid3D
 from repro.lu2d.options import FactorOptions
-from repro.ordering.nested_dissection import nested_dissection
+from repro.ordering import cap_split, nested_dissection
 from repro.sparse import (
     arrowhead,
     banded_dense_rows,
@@ -35,14 +36,7 @@ from repro.sparse import (
     power_law_laplacian,
 )
 from repro.sparse.pattern import strip_diagonal, symmetrize_pattern
-from repro.symbolic import (
-    BLOCKING_STRATEGIES,
-    BlockingOptions,
-    blocking_signature,
-    irregular_blocking,
-    symbolic_factorize,
-    uniform_cap_split,
-)
+from repro.symbolic import irregular_blocking, symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify import fuzz_3d
 
@@ -78,18 +72,14 @@ def _base_tree(name, leaf=24):
 
 
 def _trees_equal(t1, t2) -> bool:
-    if t1.nblocks != t2.nblocks:
-        return False
-    for a, b in zip(t1.nodes, t2.nodes):
-        if not np.array_equal(a.vertices, b.vertices):
-            return False
-        if a.children != b.children or a.depth != b.depth:
-            return False
-    return True
+    return all(np.array_equal(a, b) for a, b in (
+        (t1.parent, t2.parent), (t1.perm.perm, t2.perm.perm),
+        (t1.layout.offsets, t2.layout.offsets)))
 
 
 def _check_invariants(A, tree, cap):
-    """The blocking contract: cover, contiguity, cap, etree consistency."""
+    """The blocking contract: cover, cap, etree consistency (contiguity
+    is the tree's form: block k is ``perm[offsets[k]:offsets[k + 1]]``)."""
     n = A.shape[0]
     # Cover: the blocks partition [0, n) (Permutation's constructor
     # already rejects non-bijections; assert the layout agrees).
@@ -97,15 +87,8 @@ def _check_invariants(A, tree, cap):
     sizes = tree.layout.sizes()
     assert (sizes > 0).all()
     assert sizes.sum() == n
-    # Contiguity + cap: block k owns exactly permuted span
-    # [offsets[k], offsets[k+1]), of size <= cap.
     if cap is not None:
         assert sizes.max() <= cap, f"block of {sizes.max()} exceeds cap {cap}"
-    iperm = tree.perm.iperm
-    for k, node in enumerate(tree.nodes):
-        pos = np.sort(iperm[node.vertices])
-        lo, hi = tree.layout.offsets[k], tree.layout.offsets[k + 1]
-        assert pos[0] == lo and pos[-1] == hi - 1 and pos.size == hi - lo
     # Etree consistency: every symmetrized off-diagonal edge connects a
     # block to itself or to one of its block-tree ancestors — the
     # separation property block_fill's ancestor closure relies on.
@@ -114,7 +97,12 @@ def _check_invariants(A, tree, cap):
     blk = np.empty(n, dtype=np.int64)
     for k in range(tree.nblocks):
         blk[tree.layout.offsets[k]:tree.layout.offsets[k + 1]] = k
-    anc = [frozenset([k] + tree.ancestors_of(k)) for k in range(tree.nblocks)]
+    anc = []
+    for k in range(tree.nblocks):
+        chain = [k]
+        while tree.parent[chain[-1]] != -1:
+            chain.append(int(tree.parent[chain[-1]]))
+        anc.append(frozenset(chain))
     for i, j in zip(S_perm.row, S_perm.col):
         bi, bj = int(blk[i]), int(blk[j])
         lo, hi = min(bi, bj), max(bi, bj)
@@ -127,39 +115,18 @@ class TestUniformCapSplit:
     def test_bit_identical_to_in_build_cap(self, name, cap):
         """Post-hoc chain splitting == in-build capping, byte for byte."""
         A, geom = _matrix(name)
-        split = uniform_cap_split(_base_tree(name), cap)
+        split = cap_split(_base_tree(name), cap)
         direct = nested_dissection(A, geom, leaf_size=24, max_block=cap)
         assert _trees_equal(split, direct)
         assert np.array_equal(split.perm.perm, direct.perm.perm)
 
     def test_none_cap_is_identity(self):
         base = _base_tree("mesh")
-        assert uniform_cap_split(base, None) is base
+        assert cap_split(base, None) is base
 
 
 class TestOptionsAndSignature:
-    def test_strategies_tuple(self):
-        assert BLOCKING_STRATEGIES == ("uniform", "irregular")
-
-    def test_signature_uniform_ignores_opts(self):
-        assert blocking_signature("uniform") == ("uniform",)
-        assert blocking_signature("uniform", BlockingOptions()) == ("uniform",)
-
-    def test_signature_irregular_carries_knobs(self):
-        sig = blocking_signature("irregular", BlockingOptions(max_block=32))
-        assert sig[0] == "irregular" and 32 in sig
-        assert sig != blocking_signature("irregular", BlockingOptions())
-
-    def test_signature_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown blocking strategy"):
-            blocking_signature("adaptive")
-
-    @pytest.mark.parametrize("kw", [dict(max_block=0), dict(snap_ratio=1.0),
-                                    dict(relax_budget=1.5),
-                                    dict(tiny_budget=-0.1)])
-    def test_options_validation(self, kw):
-        with pytest.raises(ValueError):
-            BlockingOptions(**kw)
+    """The blocking strategy is validated and keys the plan cache."""
 
     def test_factor_options_blocking_validation(self):
         with pytest.raises(ValueError):
@@ -169,6 +136,12 @@ class TestOptionsAndSignature:
         A, geom = _matrix("mesh")
         with pytest.raises(ValueError, match="unknown blocking strategy"):
             symbolic_factorize(A, geom, blocking="adaptive")
+
+    @pytest.mark.parametrize("blocking", ["uniform", "irregular"])
+    def test_symbolic_rejects_nonpositive_cap(self, blocking):
+        A, geom = _matrix("mesh")
+        with pytest.raises(ValueError, match="max_block must be positive"):
+            symbolic_factorize(A, geom, max_block=0, blocking=blocking)
 
     def test_symbolic_rejects_tree_with_irregular(self):
         A, geom = _matrix("mesh")
@@ -188,6 +161,8 @@ class TestFloor:
 
     @pytest.mark.parametrize("name", sorted(_CASES))
     def test_never_loses_words(self, name):
+        """Aggregate filled-panel words, summed over every block: the
+        floor says nothing about per-rank words (EXPERIMENTS.md)."""
         A, geom = _matrix(name)
         sf_i = symbolic_factorize(A, geom, leaf_size=24, max_block=32,
                                   blocking="irregular")
@@ -279,17 +254,12 @@ _PROP_SETTINGS = settings(
 
 
 @given(name=st.sampled_from(sorted(_CASES)),
-       cap=st.sampled_from([12, 16, 32, None]),
-       snap_ratio=st.floats(min_value=2.0, max_value=8.0),
-       relax=st.floats(min_value=0.0, max_value=0.6),
-       tiny=st.floats(min_value=0.0, max_value=1.0))
+       cap=st.sampled_from([12, 16, 32, None]))
 @_PROP_SETTINGS
-def test_irregular_tree_invariants(name, cap, snap_ratio, relax, tiny):
-    """Cover + contiguity + cap + etree consistency over the knob space."""
+def test_irregular_tree_invariants(name, cap):
+    """Cover + cap + etree consistency over generators x caps."""
     A, _geom = _matrix(name)
-    opts = BlockingOptions(max_block=cap, snap_ratio=snap_ratio,
-                           relax_budget=relax, tiny_budget=tiny)
-    tree, info = irregular_blocking(A, _base_tree(name), opts)
+    tree, info = irregular_blocking(A, _base_tree(name), cap)
     _check_invariants(A, tree, cap)
     assert info["nb_after_amalgamation"] == tree.nblocks
     assert info["amalgamated"] >= 0

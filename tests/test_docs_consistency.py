@@ -195,6 +195,8 @@ class TestCrossReferences:
         "step.replicated", "_build_replicated_level", "execute_replicated",
         "_check_replicated", "replicated_accesses", "ancestor_replication",
         "c_values", "volume_stream",
+        "DissectionNode", "BlockingOptions", "blocking_signature",
+        "BLOCKING_STRATEGIES", "uniform_cap_split", "blocking_options",
     )
 
     def test_no_deleted_name_survives(self):

@@ -117,7 +117,7 @@ class TestThinSlab:
         from repro.ordering import nested_dissection
         A, g = thin_slab_7pt(16, 16, 2)
         tree = nested_dissection(A, g, leaf_size=32)
-        root_size = tree.nodes[tree.root].size
+        root_size = tree.sizes[tree.root]
         assert root_size == 16 * 2  # plane through the thin slab
 
 

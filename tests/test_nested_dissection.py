@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ordering import (
+    DissectionTree,
     bfs_level_separator,
     fiedler_separator,
     graph_nd,
@@ -35,28 +36,56 @@ def _check_tree_invariants(tree, A):
     """Full structural validation of a dissection tree against its matrix."""
     n = A.shape[0]
     # 1. Every vertex owned exactly once.
-    owned = np.concatenate([node.vertices for node in tree.nodes])
+    owned = np.concatenate([tree.vertices(k) for k in range(tree.nblocks)])
     assert sorted(owned.tolist()) == list(range(n))
     # 2. Postorder: children have smaller ids; depths are parent+1.
-    for node in tree.nodes:
-        for c in node.children:
-            assert c < node.node_id
-            assert tree.nodes[c].depth == node.depth + 1
+    kids = np.arange(tree.nblocks - 1)
+    assert (tree.parent[kids] > kids).all()
+    assert (tree.depth[kids] == tree.depth[tree.parent[kids]] + 1).all()
     # 3. No block has size zero.
     assert (tree.layout.sizes() > 0).all()
     # 4. Separator property at every internal node: the induced subgraphs of
     #    any two distinct child subtrees are disconnected.
     S = strip_diagonal(symmetrize_pattern(A))
-    for node in tree.nodes:
-        kids = node.children
+    for k in range(tree.nblocks):
+        kids = tree.children_of(k)
         for a in range(len(kids)):
             for b in range(a + 1, len(kids)):
                 va = np.concatenate(
-                    [tree.nodes[d].vertices for d in tree.subtree_of(kids[a])])
+                    [tree.vertices(d) for d in tree.subtree_of(kids[a])])
                 vb = np.concatenate(
-                    [tree.nodes[d].vertices for d in tree.subtree_of(kids[b])])
+                    [tree.vertices(d) for d in tree.subtree_of(kids[b])])
                 assert S[va][:, vb].nnz == 0, \
-                    f"children of node {node.node_id} are connected"
+                    f"children of node {k} are connected"
+
+
+class TestTreeArrays:
+    """A tree is ``parent`` + ``perm`` + block offsets; the rest derives."""
+
+    def _tree(self):
+        # Leaves 0 and 1 under separator 2, chained under the root 3.
+        return DissectionTree([2, 2, 3, -1], [4, 0, 5, 1, 2, 3],
+                              [0, 2, 3, 5, 6])
+
+    def test_derived_views(self):
+        tree = self._tree()
+        assert (tree.n, tree.nblocks, tree.root, tree.height()) == (6, 4, 3, 3)
+        assert tree.sizes.tolist() == [2, 1, 2, 1]
+        assert tree.depth.tolist() == [2, 2, 1, 0]
+        assert tree.vertices(2).tolist() == [1, 2]
+        assert tree.children_of(2).tolist() == [0, 1]
+        assert tree.subtree_of(2).tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("parent, offsets, match", [
+        ([2, 2, -1, -1], [0, 2, 3, 5, 6], "one root"),
+        ([2, 0, 3, -1], [0, 2, 3, 5, 6], "postorder"),
+        ([2, 2, -1], [0, 2, 3, 5, 6], "parent links"),
+        ([2, 3, 4, -1], [0, 2, 3, 5, 6], "postorder"),
+        ([2, 2, 3, -1], [0, 2, 3, 5, 7], "owns"),
+    ])
+    def test_malformed_is_refused(self, parent, offsets, match):
+        with pytest.raises(ValueError, match=match):
+            DissectionTree(parent, [4, 0, 5, 1, 2, 3], offsets)
 
 
 class TestGeometricND:
@@ -68,25 +97,24 @@ class TestGeometricND:
     def test_planar_root_separator_is_line(self, planar_small):
         A, geom = planar_small
         tree = nested_dissection(A, geom, leaf_size=16)
-        assert tree.nodes[tree.root].size == 16  # one grid line
+        assert tree.sizes[tree.root] == 16  # one grid line
 
     def test_brick_root_separator_is_plane(self, brick_small):
         A, geom = brick_small
         tree = nested_dissection(A, geom, leaf_size=32)
-        assert tree.nodes[tree.root].size == 64  # one grid plane
+        assert tree.sizes[tree.root] == 64  # one grid plane
 
     def test_leaf_size_respected(self, planar_small):
         A, geom = planar_small
         tree = nested_dissection(A, geom, leaf_size=10)
-        for node in tree.nodes:
-            if node.is_leaf:
-                assert node.size <= 10
+        leaves = ~np.isin(np.arange(tree.nblocks), tree.parent)
+        assert (tree.sizes[leaves] <= 10).all()
 
     def test_single_node_tree(self):
         A, geom = grid2d_5pt(3)
         tree = nested_dissection(A, geom, leaf_size=100)
         assert tree.nblocks == 1
-        assert tree.nodes[0].depth == 0
+        assert tree.depth[0] == 0
 
     def test_separator_scaling_planar(self):
         """Planar root separators grow like sqrt(n) (Lipton-Tarjan regime)."""
@@ -94,7 +122,7 @@ class TestGeometricND:
         for nx in (8, 16, 32):
             A, geom = grid2d_5pt(nx)
             tree = nested_dissection(A, geom, leaf_size=16)
-            sizes.append(tree.nodes[tree.root].size)
+            sizes.append(tree.sizes[tree.root])
         assert sizes == [8, 16, 32]  # exactly one grid line each
 
     def test_geometry_dimension_mismatch(self):
@@ -280,9 +308,8 @@ def _assert_separated(tree, adj):
     owner = np.repeat(np.arange(nb), tree.layout.sizes())[tree.perm.iperm]
     # Postorder: the subtree of node k is the id range [first[k], k].
     first = np.arange(nb)
-    for k in range(nb):
-        for c in tree.nodes[k].children:
-            first[k] = min(first[k], first[c])
+    for c in range(nb - 1):
+        first[tree.parent[c]] = min(first[tree.parent[c]], first[c])
     adj = sp.csr_matrix(adj)
     u = owner[np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))]
     v = owner[adj.indices]
@@ -364,8 +391,8 @@ class TestUnsplittableRegion:
         K = sp.csr_matrix(np.ones((300, 300)))
         tree = nested_dissection(K, None, leaf_size=64, max_block=64)
         assert tree.nblocks == 5 and tree.height() == 5  # ceil(300 / 64)
-        assert max(node.size for node in tree.nodes) <= 64
-        assert all(len(node.children) <= 1 for node in tree.nodes)
+        assert tree.sizes.max() <= 64
+        assert np.array_equal(tree.parent, [1, 2, 3, 4, -1])
 
     def test_star_is_one_leaf(self):
         """Entered at its hub (vertex 0) a star is one BFS level deep."""
@@ -388,14 +415,15 @@ class TestUnsplittableRegion:
         tree = nested_dissection(G, None, leaf_size=32)
         _check_tree_invariants(tree, G)
         clique = set(range(n, n + k))
-        holders = [node for node in tree.nodes
-                   if clique & set(node.vertices.tolist())]
+        holders = [k for k in range(tree.nblocks)
+                   if clique & set(tree.vertices(k).tolist())]
         assert len(holders) <= 2            # not peeled into a chain
         assert tree.height() <= 8
-        grid_leaves = [node for node in tree.nodes if node.is_leaf
-                       and not clique & set(node.vertices.tolist())]
+        grid_leaves = [k for k in range(tree.nblocks)
+                       if k not in tree.parent
+                       and not clique & set(tree.vertices(k).tolist())]
         assert len(grid_leaves) >= 8
-        assert all(node.size <= 32 for node in grid_leaves)
+        assert all(tree.sizes[k] <= 32 for k in grid_leaves)
 
     def test_two_sided_empty_separator_still_recurses(self):
         """Disconnected halves (empty separator, both parts non-empty) are

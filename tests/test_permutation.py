@@ -81,3 +81,23 @@ def test_compose_order():
     x = np.array([10.0, 20.0, 30.0])
     c = a.compose(b)
     assert np.array_equal(c.apply_vector(x), a.apply_vector(b.apply_vector(x)))
+
+
+class TestSizeMismatch:
+    """A matrix or vector of the wrong size is refused, never truncated."""
+
+    @pytest.mark.parametrize("m", [3, 7])
+    def test_apply_matrix(self, m):
+        with pytest.raises(ValueError, match=f"{m}.*5|5.*{m}"):
+            Permutation.identity(5).apply_matrix(sp.eye(m, format="csr"))
+
+    @pytest.mark.parametrize("shape", [(3,), (7,), (4, 2), (6, 3)])
+    @pytest.mark.parametrize("method", ["apply_vector", "unapply_vector"])
+    def test_vectors(self, method, shape):
+        with pytest.raises(ValueError, match=f"{shape[0]}.*5|5.*{shape[0]}"):
+            getattr(Permutation.identity(5), method)(np.zeros(shape))
+
+    def test_blocks_of_right_size_pass(self):
+        p = Permutation(np.array([2, 0, 1]))
+        X = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(p.unapply_vector(p.apply_vector(X)), X)

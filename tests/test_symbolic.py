@@ -234,6 +234,19 @@ class TestFactorizeEntry:
         with pytest.raises(TypeError):
             symbolic_factorize(np.eye(4))
 
+    @pytest.mark.parametrize("tree_n", [50, 150])
+    def test_tree_of_another_size_is_refused(self, tree_n):
+        """A tree built for another matrix names both sizes, not a
+        truncated factorization or a bare IndexError."""
+        from repro.ordering import nested_dissection
+        A = sp.diags([np.ones(99), 4 * np.ones(100), np.ones(99)],
+                     [-1, 0, 1], format="csr")
+        B = sp.diags([np.ones(tree_n - 1), 4 * np.ones(tree_n),
+                      np.ones(tree_n - 1)], [-1, 0, 1], format="csr")
+        tree = nested_dissection(B, None, leaf_size=8)
+        with pytest.raises(ValueError, match=f"100.*{tree_n}|{tree_n}.*100"):
+            symbolic_factorize(A, tree=tree)
+
     def test_numeric_factor_respects_pattern(self, planar_small):
         """Blocks outside the fill pattern stay exactly zero during LU."""
         A, geom = planar_small
