@@ -38,11 +38,3 @@ class SparseCholesky3D(_Solver3D):
             raise ValueError("Cholesky requires a symmetric matrix "
                              f"(asymmetry {sym_err:.2e})")
         return A
-
-    def _values(self):
-        """The lower triangle of the (permuted) values: the engine factors
-        ``tril(A)`` in place."""
-        if not self.numeric:
-            return None
-        values = super()._values()
-        return sp.tril(self.sf.A_perm if values is None else values).tocsr()

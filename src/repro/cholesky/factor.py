@@ -22,8 +22,6 @@ variant-independent and now shared rather than duplicated.
 
 from __future__ import annotations
 
-import scipy.sparse as sp
-
 from repro.comm.grid import ProcessGrid2D, ProcessGrid3D
 from repro.comm.simulator import Simulator
 from repro.lu2d.factor2d import _factor_nodes
@@ -59,14 +57,11 @@ def factor_chol_3d(sf: SymbolicFactorization, tf: TreeForest,
     writes its (unreferenced) strict upper triangle; correctness tests
     compare ``tril(L) tril(L)^T`` against ``A``.
 
-    ``matrix`` overrides ``sf.A_perm`` as the value source (the lower
-    triangle is taken here, matching the default); ``cached`` /
-    ``replicas`` replay a previous run's plan bundle and replica storage,
-    as in :func:`repro.lu3d.factor_3d`.
+    ``matrix`` overrides ``sf.A_perm`` as the value source (the backend
+    binds its lower triangle); ``cached`` / ``replicas`` replay a
+    previous run's plan bundle and replica storage, as in
+    :func:`repro.lu3d.factor_3d`.
     """
-    values = None
-    if numeric:
-        values = sp.tril(sf.A_perm if matrix is None else matrix).tocsr()
     return factor_3d(sf, tf, grid3, sim, numeric=numeric, options=options,
                      charge_storage=charge_storage, backend="cholesky",
-                     matrix=values, cached=cached, replicas=replicas)
+                     matrix=matrix, cached=cached, replicas=replicas)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.comm.grid import ProcessGrid2D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import Factor2DResult, FactorOptions
-from repro.lu2d.storage import allocate_factor_storage
+from repro.lu2d.storage import allocate_factor_storage, block_rows
 from repro.plan.backends import get_backend
 from repro.plan.build import build_grid_plan
 from repro.plan.execmode import resolve_exec
@@ -42,7 +42,8 @@ def factor_nodes_2d(sf: SymbolicFactorization, nodes: list[int],
     Schur-update targets); pass ``None`` for cost-only simulation. Blocks
     are overwritten with the packed L\\U factors. Without resilience any
     mapping ``(i, j) -> ndarray`` works; a checkpoint snapshots the
-    matrix's arena.
+    matrix's arena. A nonzero outside an L block's structural rows
+    (:func:`repro.lu2d.storage.block_rows`) raises ``ValueError``.
 
     The emitted plan is stored on ``result.extras['plan']`` so callers can
     inspect the schedule (:class:`repro.analysis.PlanStats`,
@@ -62,12 +63,16 @@ def _factor_nodes(backend: str, sf, nodes, grid, sim, data, options
     from repro.lu3d import factor3d as f3d      # it imports this package
     opts = options or FactorOptions()
     if data is not None:
-        # The kernels do not scan for NaN/inf: stop them here, on every
-        # block this call factors (its nodes' diagonal and panel blocks).
+        # The kernels neither scan for NaN/inf nor read rows outside an L
+        # block's range: stop both here, on every block of the nodes.
         node_blocks = get_backend(backend).node_blocks
-        for k in nodes:
-            for i, j, _w in node_blocks(sf, k):
-                require_finite(data[(i, j)], f"data block ({i}, {j})")
+        rows = block_rows(sf, node_blocks)[2]
+        for i, j, _w in (b for k in nodes for b in node_blocks(sf, k)):
+            block, r = data[(i, j)], rows[(i, j)]
+            require_finite(block, f"data block ({i}, {j})")
+            if block[:r.start].any() or block[r.stop:].any():
+                raise ValueError(f"data block ({i}, {j}) has a value outside "
+                                 f"the block pattern (rows {r.start}:{r.stop})")
     mode = resolve_exec(opts, sim, numeric=data is not None, merged=False)
     plan = build_grid_plan(sf, nodes, grid, opts, backend=backend)
     plan3 = Plan3D.of_grid(plan)

@@ -34,7 +34,8 @@ from scipy.linalg.lapack import dgetrf, dpotrf
 
 __all__ = ["trsm", "gemm_sub", "getrf_nopiv", "potrf_shifted",
            "solve_lower_panel", "solve_upper_panel", "chol_panel_solve",
-           "GETRF", "POTRF", "TRSM", "GEMM", "trsm_op", "gemm_op", "execute"]
+           "GETRF", "POTRF", "TRSM", "GEMM", "trsm_op", "gemm_op", "gemm_ops",
+           "execute"]
 
 #: Op codes of a bound kernel program (:func:`execute`).
 GETRF, POTRF, TRSM, GEMM = range(4)
@@ -64,7 +65,15 @@ def gemm_op(C: np.ndarray, A: np.ndarray, B: np.ndarray,
             trans_b: bool = False, trans_a: bool = False) -> tuple:
     """The bound form of :func:`gemm_sub` on an overwritable ``C``:
     ``C^T -= op(B)^T op(A)^T`` on the F-views."""
-    return (GEMM, C.T, B.T, A.T, (trans_b, trans_a, 1))
+    return gemm_ops([[C]], [A], [B], trans_b, trans_a)[0]
+
+
+def gemm_ops(Cs, As, Bs, trans_b=False, trans_a=False) -> list:
+    """``gemm_op(Cs[a][b], As[a], Bs[b], trans_b, trans_a)`` for each ``a``,
+    ``b < len(Cs[a])``: a node's Schur update, each F-view taken once."""
+    Bt, flags = [B.T for B in Bs], (trans_b, trans_a, 1)
+    return [(GEMM, C.T, B, A, flags) for row, A in zip(Cs, [A.T for A in As])
+            for C, B in zip(row, Bt)]
 
 
 def execute(prog, lo: int = 0, hi: int | None = None,

@@ -18,7 +18,7 @@ from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.utils.ragged import csr_ptr, ragged, ranges
 
 __all__ = ["allocate_factor_storage", "factor_words_per_rank", "node_blocks",
-           "cholesky_node_blocks", "node_block_arrays"]
+           "cholesky_node_blocks", "node_block_arrays", "block_rows"]
 
 
 def _node_slice(sf, k: int, blocks_fn) -> list[tuple[int, int, int]]:
@@ -83,6 +83,25 @@ def node_block_arrays(sf: SymbolicFactorization, blocks_fn=None
             at = ptr[g] + 1 + nl[g] + w
             ii[at], jj[at], ww[at] = g, up_idx, s[g] * s[up_idx]
         out = cache[blocks_fn] = (ptr, ii, jj, ww.astype(np.float64))
+    return out
+
+
+def block_rows(sf: SymbolicFactorization, blocks_fn=None
+               ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """``(r0, r1, rows)``: the rows ``r0:r1`` of each block of
+    :func:`node_block_arrays` that can be nonzero (an L block's structural
+    range, :meth:`SymbolicFactorization.row_ranges`, else all), and
+    ``rows[(i, j)] = slice(r0, r1)``; memoized, numeric runs only."""
+    blocks_fn = blocks_fn or node_blocks
+    cache = sf.__dict__.setdefault("_block_rows", {})
+    out = cache.get(blocks_fn)
+    if out is None:
+        ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
+        r0, r1 = np.zeros_like(ii), sf.layout.sizes()[ii]
+        g, w = ragged(np.diff(sf.fill.panel_csr()[0]))  # after diagonals:
+        r0[ptr[g] + 1 + w], r1[ptr[g] + 1 + w] = sf.row_ranges()  # L panels
+        out = cache[blocks_fn] = (r0, r1, dict(zip(zip(
+            ii.tolist(), jj.tolist()), map(slice, r0.tolist(), r1.tolist()))))
     return out
 
 

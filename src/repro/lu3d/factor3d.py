@@ -41,7 +41,7 @@ import numpy as np
 from repro.comm.grid import ProcessGrid3D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
-from repro.lu2d.storage import node_block_arrays
+from repro.lu2d.storage import block_rows, node_block_arrays
 from repro.lu3d.replication import ReplicaManager
 from repro.parallel import GridThreads
 from repro.plan.backends import get_backend
@@ -294,18 +294,21 @@ def _monitor(opts, sim, plan3, sf, data, result3=None):
 
 def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
                numeric: bool, merged: bool, matrix, replicas):
-    """Scatter the values into block storage — laid out once, only
-    refilled by a replay (``replicas``) — and pick the data strategy. A
-    value outside the block pattern raises (:meth:`BlockMatrix.rebind`):
-    no plan reads it, the factors would be those of another matrix."""
+    """Scatter the values the backend binds into block storage — laid out
+    once over the L blocks' row ranges, only refilled by a replay
+    (``replicas``) — and pick the data strategy. A value outside the
+    blocks or ranges raises (:meth:`BlockMatrix.rebind`): no kernel reads
+    it, the factors would be those of another matrix."""
     if not numeric:
         return CostOnlyData()
-    A_vals = sf.A_perm if matrix is None else matrix
+    A_vals = get_backend(bundle.backend).values(
+        sf.A_perm if matrix is None else matrix)
     if replicas is not None:
         replicas.reset(A_vals)
     else:
         _ptr, ii, jj, _ww = node_block_arrays(sf, bundle.blocks_fn)
-        store = BlockMatrix.zeros(sf.layout, ii, jj, A_vals)
+        r0, r1, _rows = block_rows(sf, bundle.blocks_fn)
+        store = BlockMatrix.zeros(sf.layout, ii, jj, A_vals, (r0, r1))
         if merged:
             # One *global* copy of every block: the driver is sequential,
             # Schur updates are pure accumulations, and merging means every

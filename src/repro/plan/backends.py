@@ -12,7 +12,7 @@ A backend bundles everything variant-specific about a factorization:
 * **numeric kernels** — :meth:`KernelBackend.bind` turns a grid plan and
   a block store into a flat *kernel program*, one pre-bound op per factor
   / panel-solve task and one per Schur pair (``GETRF`` for LU, ``POTRF``
-  for Cholesky, ``trsm_op`` panel solves and ``gemm_op`` Schur
+  for Cholesky, ``trsm_op`` panel solves and ``gemm_ops`` Schur
   accumulation for both — all from :mod:`repro.lu2d.kernels`, whose
   ``execute`` runs slices of it); the interpreter books the simulator
   events itself, from the plan's arrays, so numeric and cost-only runs
@@ -30,11 +30,12 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.comm.grid import ProcessGrid2D
 from repro.lu2d.batched import schur_pairs, syrk_pairs
-from repro.lu2d.kernels import GETRF, POTRF, gemm_op, trsm_op
-from repro.lu2d.storage import cholesky_node_blocks, node_blocks
+from repro.lu2d.kernels import GETRF, POTRF, gemm_ops, trsm_op
+from repro.lu2d.storage import block_rows, cholesky_node_blocks, node_blocks
 from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
 from repro.utils.ragged import ragged
 
@@ -138,6 +139,10 @@ class KernelBackend:
 
     # -- execution ---------------------------------------------------------
 
+    def values(self, A):
+        """The values this backend binds from the permuted CSR ``A``."""
+        return A
+
     def bind(self, arrays, store, sf) -> list:
         """The kernel program of grid plan ``arrays`` on ``store`` (any
         mapping ``(i, j) -> C-contiguous float64 block``): task ``t``'s ops
@@ -145,16 +150,21 @@ class KernelBackend:
         panel-solve task, one per Schur pair in pair order — each with its
         operands looked up and its BLAS flags derived once, here (the
         backend's ``panel_op`` / ``schur_ops``). Any walk executes slices
-        of the list (:func:`repro.lu2d.kernels.execute`)."""
+        of the list (:func:`repro.lu2d.kernels.execute`).
+
+        Every L-panel solve and Schur pair runs on a row slice of its L
+        block (:func:`repro.lu2d.storage.block_rows`), outside which the
+        factors are structurally zero."""
+        rows = block_rows(sf, self.node_blocks)[2]
         prog: list = []
         for kind, k, i, j in zip(arrays.kind.tolist(), arrays.node.tolist(),
                                  arrays.bi.tolist(), arrays.bj.tolist()):
             if kind == SCHUR_UPDATE:
-                prog += self.schur_ops(store, sf, k)
+                prog += self.schur_ops(store, sf, k, rows)
             elif kind == PANEL_FACTOR:
                 prog.append((self.factor_op, store[(k, k)], None, None, None))
             else:
-                prog.append(self.panel_op(store, k, i, j))
+                prog.append(self.panel_op(store, k, i, j, rows))
         if not all(op[1].dtype == np.float64 and op[1].flags.f_contiguous
                    for op in prog if op[0] != self.factor_op):
             raise ValueError("kernel programs overwrite blocks in place: "
@@ -284,17 +294,20 @@ class LUBackend(KernelBackend):
         sj = sizes[np.asarray(sf.fill.upanel[k], dtype=np.int64)][None, :]
         return (si * s + s * sj + si * sj).ravel().astype(np.float64)
 
-    def panel_op(self, store, k, i, j):
+    def panel_op(self, store, k, i, j, rows):
         if i == k:              # U_kj <- L_kk^{-1} A_kj
             return trsm_op(store[(k, k)], store[(k, j)], side="L",
                            lower=True, unit=True)
-        # L_ik <- A_ik U_kk^{-1}
-        return trsm_op(store[(k, k)], store[(i, k)], side="R", lower=False)
+        # L_ik <- A_ik U_kk^{-1}, on its structural rows
+        return trsm_op(store[(k, k)], store[(i, k)][rows[(i, k)]], side="R",
+                       lower=False)
 
-    def schur_ops(self, store, sf, k):
-        up = [(store[(k, j)], j) for j in sf.fill.upanel[k].tolist()]
-        return [gemm_op(store[(i, j)], store[(i, k)], Ukj)
-                for i in sf.fill.lpanel[k].tolist() for Ukj, j in up]
+    def schur_ops(self, store, sf, k, rows):
+        lp = [(i, rows[(i, k)]) for i in sf.fill.lpanel[k].tolist()]
+        up = sf.fill.upanel[k].tolist()
+        return gemm_ops([[store[(i, j)][r] for j in up] for i, r in lp],
+                        [store[(i, k)][r] for i, r in lp],
+                        [store[(k, j)] for j in up])
 
 
 class CholeskyBackend(KernelBackend):
@@ -344,15 +357,21 @@ class CholeskyBackend(KernelBackend):
 
     # -- execution ---------------------------------------------------------
 
-    def panel_op(self, store, k, i, j):     # L_ik <- A_ik L_kk^{-T}
-        return trsm_op(store[(k, k)], store[(i, k)], side="R", lower=True,
-                       trans=True)
+    def values(self, A):
+        """The lower triangle: the one this backend stores and reads."""
+        return sp.tril(A).tocsr()
 
-    def schur_ops(self, store, sf, k):
+    def panel_op(self, store, k, i, j, rows):  # L_ik <- A_ik L_kk^{-T}
+        return trsm_op(store[(k, k)], store[(i, k)][rows[(i, k)]],
+                       side="R", lower=True, trans=True)
+
+    def schur_ops(self, store, sf, k, rows):
         lp = sf.fill.lpanel[k].tolist()
-        return [gemm_op(store[(i, j)], store[(i, k)], store[(j, k)],
-                        trans_b=True)
-                for a, i in enumerate(lp) for j in lp[:a + 1]]
+        L = [(i, rows[(i, k)]) for i in lp]
+        return gemm_ops([[store[(i, j)][r] for j in lp[:a + 1]]
+                         for a, (i, r) in enumerate(L)],
+                        [store[(i, k)][r] for i, r in L],
+                        [store[(j, k)] for j in lp], trans_b=True)
 
 
 _BACKENDS: dict[str, KernelBackend] = {}

@@ -31,7 +31,7 @@ from repro.comm.simulator import Simulator
 from repro.lu2d.factor2d import FactorOptions
 from repro.lu3d.factor3d import Factor3DResult, factor_3d
 from repro.solve.condest import condest
-from repro.solve.equilibrate import Equilibration, equilibrate
+from repro.solve.equilibrate import equilibrate
 from repro.solve.refine import RefinementResult, iterative_refinement
 from repro.solve.triangular import sweep
 from repro.sparse.generators import GridGeometry
@@ -48,8 +48,7 @@ class _Solver3D:
     symbolic phase, plan-bundle reuse, (re)factorization, the refined
     solve wrapper and the ledger accessors.
 
-    Subclasses name their kernel ``backend`` and their ``sweeps``, and may
-    override :meth:`_values` (the numeric value source).
+    Subclasses name their kernel ``backend`` and their ``sweeps``.
     """
 
     #: Kernel backend name handed to :func:`repro.lu3d.factor_3d`.
@@ -63,8 +62,8 @@ class _Solver3D:
                  machine: Machine | None = None, partition: str = "greedy",
                  options: FactorOptions | None = None, numeric: bool = True,
                  nd_method: str = "bfs", max_block: int | None = 256):
-        self.equ: Equilibration | None = None
-        self._bind(self._checked(A))
+        self.A = self._checked(A)
+        self._A_work, self.equ = self._work(self.A)
         self.geometry = geometry
         self.grid = ProcessGrid3D(px, py, pz)
         self.machine = machine or Machine.edison_like()
@@ -100,9 +99,9 @@ class _Solver3D:
         """Validate an input matrix (subclasses add their own conditions)."""
         return check_square_sparse(A)
 
-    def _bind(self, A: sp.spmatrix) -> None:
-        """Make ``A`` the matrix being factored (subclasses rescale it)."""
-        self.A = self._A_work = A
+    def _work(self, A: sp.spmatrix):
+        """``(matrix to factor, Equilibration or None)`` of input ``A``."""
+        return A, None
 
     # -- pipeline ------------------------------------------------------------
 
@@ -170,14 +169,20 @@ class _Solver3D:
         """
         if self.sf is None:
             self.analyze()
-        self.sim = Simulator(self.grid.size, self.machine)
+        return self._factorize(self._values())
+
+    def _factorize(self, matrix):
+        """Factor the permuted values ``matrix`` (``None``: ``sf.A_perm``);
+        values the arena refuses raise before the solver changes."""
+        sim = Simulator(self.grid.size, self.machine)
         cached = self._usable_bundle()
         replicas = self.result.replicas if cached is not None \
             and self.result is not None else None
-        self.result = factor_3d(self.sf, self.tf, self.grid, self.sim,
+        self.result = factor_3d(self.sf, self.tf, self.grid, sim,
                                 numeric=self.numeric, options=self.options,
-                                matrix=self._values(), backend=self.backend,
+                                matrix=matrix, backend=self.backend,
                                 cached=cached, replicas=replicas)
+        self.sim = sim
         self._bundle = self.result.bundle
         if self.numeric:
             self._factor_blocks = self.result.replicas.home_view()
@@ -197,7 +202,10 @@ class _Solver3D:
         simply zero. Explicitly-stored zeros — common in Matrix Market
         files — are immaterial on both sides: they are dropped from the
         incoming matrix before comparing, and the analyzed pattern keeps
-        the ones the symbolic phase covered structurally.
+        the ones the symbolic phase covered structurally. The pattern is
+        compared symmetrized, so a numeric run may still refuse an entry
+        the factors cannot hold (in a block the unsymmetric LU fill lacks):
+        the solver then keeps its matrix, symbolic objects and factors.
 
         Warm path: the plan bundle and replica storage of the previous
         run are replayed — only the numeric kernels re-execute, with
@@ -207,25 +215,26 @@ class _Solver3D:
         if A_new.shape != self.A.shape:
             raise ValueError(
                 f"shape {A_new.shape} differs from original {self.A.shape}")
+        work, equ = self._work(A_new)
         if self.sf is None:
-            self._bind(A_new)
+            self.A, self._A_work, self.equ = A_new, work, equ
             return self.factorize()
-        if self._pattern is None:  # analyzed before this field existed
-            self._pattern = symmetrize_pattern(self._A_work, stored=True)
         new = pattern_of(A_new)  # eliminates explicitly-stored zeros
         outside = (new - new.multiply(self._pattern)).nnz
         if outside:
             raise ValueError(
                 f"{outside} entries of the new matrix fall outside the "
                 "original pattern; run a fresh analyze()+factorize()")
-        self._bind(A_new)
+        P = self.sf.perm.apply_matrix(work)
+        self._factorize(P)
+        self.A, self._A_work, self.equ = A_new, work, equ
         if not self._shared_symbolic:
             # Refresh the permuted values inside the cached symbolic
             # object; pattern containment guarantees the cached fill
             # still covers it. (Adopted symbolic objects stay untouched —
             # factorize() routes the values via ``matrix=``.)
-            self.sf.A_perm = self.sf.perm.apply_matrix(self._A_work)
-        return self.factorize()
+            self.sf.A_perm = P
+        return self
 
     def solve_plans(self, sweeps=None) -> list:
         """The bundle's memoized :class:`repro.plan.solve.SolvePlan` of
@@ -351,10 +360,9 @@ class SparseLU3D(_Solver3D):
         super().__init__(A, geometry, px, py, pz, leaf_size, machine,
                          partition, options, numeric, nd_method, max_block)
 
-    def _bind(self, A: sp.spmatrix) -> None:
-        self.A = A
-        self.equ = equilibrate(A) if self._equil else None
-        self._A_work = self.equ.apply(A) if self._equil else A
+    def _work(self, A: sp.spmatrix):
+        equ = equilibrate(A) if self._equil else None
+        return (A if equ is None else equ.apply(A)), equ
 
     def solve_transposed(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A^T x = b`` with the same factors (SuperLU's trans='T').

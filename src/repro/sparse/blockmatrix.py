@@ -3,9 +3,10 @@
 After nested dissection, the permuted matrix is viewed as an ``nb × nb``
 block matrix whose block rows/columns are the supernodes (tree nodes). Blocks
 that are structurally nonzero (in the *filled* pattern) are stored as dense
-``numpy`` arrays — the same "supernodal panels packed dense for BLAS-3" view
-SuperLU_DIST takes, with the supernode granularity set by the dissection
-leaf size.
+``numpy`` arrays, with the supernode granularity set by the dissection leaf
+size. SuperLU_DIST packs only the nonzero rows of each L block; here every
+block is dense, the kernels skip its zero rows, and an arena refuses a
+value outside a block's structural row range (:meth:`BlockMatrix.zeros`).
 """
 
 from __future__ import annotations
@@ -97,31 +98,36 @@ class BlockMatrix:
         self.layout = layout
         self.blocks: dict[tuple[int, int], np.ndarray] = {}
         self.buf: np.ndarray | None = None
-        # Arena index: sorted block keys i * nb + j and their offsets in
-        # buf, closed by a sentinel key no block has.
+        # Arena index: sorted keys i * nb + j, buf offsets and the row range
+        # r0:r1 a value may take, closed by a sentinel key no block has.
         self._keys, self._starts = np.array([layout.n ** 2]), np.array([-1])
+        self._r0 = self._r1 = np.array([0])
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def zeros(cls, layout: BlockLayout, ii: np.ndarray, jj: np.ndarray,
-              A: sp.csr_matrix | None = None) -> "BlockMatrix":
+              A: sp.csr_matrix | None = None, rows: tuple | None = None
+              ) -> "BlockMatrix":
         """An arena over the distinct blocks ``(ii[t], jj[t])``, in that
-        order: zero, or holding ``A``'s values (:meth:`rebind`'s rules)."""
+        order, block ``t`` taking values on rows ``r0[t]:r1[t]`` only
+        (``rows = (r0, r1)``; ``None``: all), zero or holding ``A``'s."""
         bm = cls(layout)
         sizes = layout.sizes()
-        rows, cols = sizes[ii], sizes[jj]
-        ends = np.cumsum(rows * cols)
-        starts = ends - rows * cols
+        h, w = sizes[ii], sizes[jj]
+        ends = np.cumsum(h * w)
+        starts = ends - h * w
+        r0, r1 = rows if rows is not None else (np.zeros_like(ii), h)
         key = ii * layout.nblocks + jj
         order = np.argsort(key)
-        bm._keys = np.append(key[order], bm._keys)
-        bm._starts = np.append(starts[order], bm._starts)
+        bm._keys, bm._starts, bm._r0, bm._r1 = (
+            np.append(x[order], sentinel) for x, sentinel in (
+                (key, bm._keys), (starts, bm._starts), (r0, 0), (r1, 0)))
         bm.buf = buf = zero_buffer(int(ends[-1]) if ends.size else 0)
         bm.blocks = {
             (i, j): buf[s:e].reshape(r, c) for i, j, s, e, r, c in zip(
                 ii.tolist(), jj.tolist(), starts.tolist(), ends.tolist(),
-                rows.tolist(), cols.tolist())}
+                h.tolist(), w.tolist())}
         return bm if A is None else bm._scatter(A)
 
     @classmethod
@@ -154,12 +160,11 @@ class BlockMatrix:
     def rebind(self, A: sp.csr_matrix) -> "BlockMatrix":
         """Refill the arena with the values of ``A`` in place (array
         identities are preserved); returns ``self``. The arena cannot
-        grow: a nonzero in a block it does not hold raises ``ValueError`` —
-        except where the transposed block is held, i.e. the mirror image of
-        a pattern stored as one triangle (the Cholesky backend's), which is
-        never read and is dropped."""
-        self.buf.fill(0.0)
-        return self._scatter(A)
+        grow: a nonzero outside its blocks or their row ranges raises
+        ``ValueError`` naming the first, and leaves the arena as it was —
+        no kernel reads it, the factors would be those of another matrix.
+        A stored zero is no value."""
+        return self._scatter(A, refill=True)
 
     def offsets_of(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         """Offset into ``buf`` of each block ``(ii[t], jj[t])``; -1 where
@@ -168,23 +173,29 @@ class BlockMatrix:
         slot = np.searchsorted(self._keys, key)
         return np.where(self._keys[slot] == key, self._starts[slot], -1)
 
-    def _scatter(self, A: sp.csr_matrix, at=None) -> "BlockMatrix":
+    def _scatter(self, A: sp.csr_matrix, at=None, refill=False
+                 ) -> "BlockMatrix":
         A = A.tocsr()
         rows, cols, bi, bj = at or _entries(A, self.layout)
         data, off = A.data, self.layout.offsets
-        start = self.offsets_of(bi, bj)
-        if (start < 0).any():
-            miss = np.flatnonzero((start < 0) & (data != 0))    # 0: no value
-            stray = miss[self.offsets_of(bj[miss], bi[miss]) < 0]
+        key = bi * self.layout.nblocks + bj
+        slot = np.searchsorted(self._keys, key)
+        r = rows - off[bi]
+        held = (self._keys[slot] == key) & (self._r0[slot] <= r) \
+            & (r < self._r1[slot])
+        if not held.all():
+            stray = np.flatnonzero(~held & (data != 0))
             if stray.size:
                 raise ValueError(
-                    f"{stray.size} entries fall in blocks outside the block "
-                    f"pattern, the first at (row, col) = "
-                    f"({rows[stray[0]]}, {cols[stray[0]]})")
-            rows, cols, bi, bj, start, data = (
-                x[start >= 0] for x in (rows, cols, bi, bj, start, data))
+                    f"{stray.size} entries fall outside the block pattern "
+                    "(its blocks and their row ranges), the first at (row, "
+                    f"col) = ({rows[stray[0]]}, {cols[stray[0]]})")
+            cols, bj, slot, r, data = (x[held] for x in (cols, bj, slot, r,
+                                                         data))
+        if refill:
+            self.buf.fill(0.0)
         width = self.layout.sizes()[bj]
-        self.buf[start + (rows - off[bi]) * width + (cols - off[bj])] = data
+        self.buf[self._starts[slot] + r * width + (cols - off[bj])] = data
         return self
 
     def alloc(self, i: int, j: int) -> np.ndarray:

@@ -11,6 +11,10 @@ With a dissection-tree ordering the result is *ancestor-closed*: every
 filled off-diagonal block connects a node to one of its tree ancestors. That
 closure property is asserted here (cheaply) because the 3D algorithm's
 replication correctness depends on it.
+
+:func:`row_ranges` refines the L blocks to rows: the bounding range of the
+block-row rows that can be nonzero, closed under the same footprint. The
+numeric kernels run on those rows only.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.sparse.blockmatrix import BlockLayout
-from repro.utils.ragged import csr_ptr
+from repro.utils.ragged import csr_ptr, ragged
 
-__all__ = ["block_fill", "BlockFill"]
+__all__ = ["block_fill", "BlockFill", "row_ranges"]
 
 
 class BlockFill:
@@ -144,6 +148,47 @@ def block_fill(A: sp.csr_matrix, layout: BlockLayout,
     if tree_parent is not None:
         _check_ancestor_closure(fill, np.asarray(tree_parent))
     return fill
+
+
+def row_ranges(A: sp.csr_matrix, layout: BlockLayout, fill: BlockFill
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``(r0, r1)`` parallel to ``fill.panel_csr()``'s ``lp_idx``: rows
+    ``r0:r1`` of L block ``(i, k)`` bound its rows that can be nonzero.
+    Seeded by the stored, symmetrized pattern of the permuted ``A``, then
+    eliminating ``k`` widens ``(i, j)`` by ``(i, k)`` for each ``j`` in
+    ``upanel(k)`` below ``i``: one fixpoint over all Schur triples."""
+    n, nb, off = layout.n, layout.nblocks, layout.offsets
+    lp_ptr, lp_idx, up_ptr, up_idx = fill.panel_csr()
+    lkeys = np.append(np.repeat(np.arange(nb), np.diff(lp_ptr)) * nb
+                      + lp_idx, nb * nb)        # closed by a sentinel
+    A = A.tocsr()
+    block = np.repeat(np.arange(nb), layout.sizes())
+    per_row = np.diff(A.indptr)
+    bi, bj = np.repeat(block, per_row), block[A.indices]
+    at = np.flatnonzero(bi != bj)  # (r, c) seeds row r; (c, r) seeds row c
+    bi, bj, c = bi[at], bj[at], A.indices[at]
+    r = np.where(bi > bj, np.repeat(np.arange(n), per_row)[at], c)
+    i, k = np.maximum(bi, bj), np.minimum(bi, bj)
+    key, r = np.divmod(np.sort((k * nb + i) * n + r - off[i]), n)
+    first = np.flatnonzero(np.diff(key, prepend=-1))        # of each key
+    last = np.flatnonzero(np.diff(key, append=nb * nb))
+    slot = np.searchsorted(lkeys, key[first])
+    held = lkeys[slot] == key[first]
+    r0, r1 = np.full(lp_idx.size, n), np.zeros(lp_idx.size, dtype=np.int64)
+    r0[slot[held]], r1[slot[held]] = r[first[held]], r[last[held]] + 1
+    # Schur triples: L(k)[a] x U(k)[b] with j < i, from slot lp_ptr[k] + a
+    # to the slot of L block (i, j).
+    node, w = ragged(np.diff(lp_ptr) * np.diff(up_ptr))
+    a, b = np.divmod(w, np.diff(up_ptr)[node])
+    src = lp_ptr[node] + a
+    i, j = lp_idx[src], up_idx[up_ptr[node] + b]
+    src, dst = src[j < i], np.searchsorted(lkeys, (j * nb + i)[j < i])
+    while True:                 # r0 only falls, r1 only rises
+        width = r1.sum() - r0.sum()
+        np.minimum.at(r0, dst, r0[src])
+        np.maximum.at(r1, dst, r1[src])
+        if r1.sum() - r0.sum() == width:
+            return r0, r1
 
 
 def _check_ancestor_closure(fill: BlockFill, parent: np.ndarray) -> None:

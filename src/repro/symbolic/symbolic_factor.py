@@ -19,7 +19,7 @@ from repro.ordering.nested_dissection import DissectionTree, cap_split, \
     nested_dissection
 from repro.sparse.blockmatrix import BlockLayout
 from repro.sparse.generators import GridGeometry
-from repro.symbolic.fill import BlockFill, block_fill
+from repro.symbolic.fill import BlockFill, block_fill, row_ranges
 from repro.utils import check_square_sparse
 
 __all__ = ["NodeCosts", "SymbolicFactorization", "symbolic_factorize"]
@@ -71,7 +71,7 @@ class SymbolicFactorization:
     def __init__(self, A_perm: sp.csr_matrix, tree: DissectionTree,
                  fill: BlockFill, costs: NodeCosts,
                  blocking_info: dict | None = None):
-        self.A_perm = A_perm
+        self.A_perm = self._analyzed = A_perm
         self.tree = tree
         self.fill = fill
         self.costs = costs
@@ -97,6 +97,10 @@ class SymbolicFactorization:
     @property
     def perm(self):
         return self.tree.perm
+
+    def row_ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``fill.row_ranges`` of the pattern analyzed, not a later one."""
+        return row_ranges(self._analyzed, self.layout, self.fill)
 
     def subtree_flops(self, k: int) -> float:
         """Total node flops over the subtree rooted at ``k`` (paper's T(C))."""

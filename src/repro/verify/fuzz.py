@@ -43,6 +43,7 @@ from repro.comm.events import PHASE_FACT, PHASE_RED
 from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
+from repro.plan.backends import get_backend
 from repro.plan.build import build_grid_plan
 from repro.plan.interpret import GridContext, book, execute_reduce, run
 from repro.plan.tasks import GridPlan, Plan3D
@@ -270,9 +271,6 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
 
     opts = options or FactorOptions()
     mach = machine if machine is not None else Machine.edison_like()
-    if backend == "cholesky" and numeric and matrix is None:
-        import scipy.sparse as sp
-        matrix = sp.tril(sf.A_perm).tocsr()
     bundle = PlanBundle.build(sf, tf, grid3, opts, merged=merged,
                               backend="lu" if merged else backend)
     plan3 = bundle.plan3
@@ -322,12 +320,8 @@ def fuzz_2d(sf, grid, *, backend: str = "lu", numeric: bool = False,
                                 volume=volume_for(sf, opts))
         if not numeric:
             return sim, CostOnlyData(), None
-        if backend == "cholesky":
-            import scipy.sparse as sp
-            A_vals = sp.tril(sf.A_perm).tocsr()
-        else:
-            A_vals = sf.A_perm
-        store = BlockMatrix.from_csr(A_vals, sf.layout,
+        store = BlockMatrix.from_csr(get_backend(backend).values(sf.A_perm),
+                                     sf.layout,
                                      block_pattern=sf.fill.all_blocks())
         return sim, GlobalStoreData(store), store.to_dense
 

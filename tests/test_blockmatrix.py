@@ -171,9 +171,10 @@ def test_rebind_refuses_a_value_outside_the_arena():
     with pytest.raises(ValueError, match=r"2 entries .* \(0, 4\)"):
         bm.rebind(stray.tocsr())
     mirrored = sp.identity(6, format="lil")
-    mirrored[0, 3] = 5.0                      # block (0, 1): (1, 0) is held
-    bm.rebind(mirrored.tocsr())
-    assert np.array_equal(bm.to_dense(), np.eye(6))
+    mirrored[0, 3] = 5.0                      # block (0, 1): only (1, 0) held
+    with pytest.raises(ValueError, match=r"1 entries .* \(0, 3\)"):
+        bm.rebind(mirrored.tocsr())
+    assert np.array_equal(bm.to_dense(), np.eye(6))     # refused: untouched
     zero = sp.csr_matrix(([1.0] * 6 + [0.0], (list(range(6)) + [0],
                                               list(range(6)) + [4])))
     assert zero.nnz == 7                      # a stored zero is no value

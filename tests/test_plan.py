@@ -28,11 +28,19 @@ from repro.analysis import PlanStats, format_plan_summary
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.comm.simulator import COMPUTE_KINDS, PHASES
-from repro.lu2d.factor2d import FactorOptions, factor_2d
+from repro.lu2d.factor2d import FactorOptions, factor_2d, factor_nodes_2d
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
 from repro.plan import GridPlan, Plan3D, build_grid_plan
-from repro.sparse import grid2d_5pt, grid3d_7pt
+from repro.sparse import (
+    arrowhead,
+    circuit_like,
+    delaunay_mesh_2d,
+    grid2d_5pt,
+    grid3d_7pt,
+    kkt_like,
+    power_law_laplacian,
+)
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from tests.conftest import plan_tasks
@@ -386,6 +394,68 @@ class TestLookaheadSchedule:
                 volume=volume_for(sf, opts))
 
 
+#: The row-range referee's zoo: (A, geometry) per generator, small. The
+#: last two hold no entry outside their diagonal blocks at leaf 32: one
+#: supernode, and a diagonal matrix's many.
+RANGE_ZOO = {
+    "grid2d_5pt": lambda: grid2d_5pt(14),
+    "grid3d_7pt": lambda: grid3d_7pt(6),
+    "circuit_like": lambda: circuit_like(12),
+    "kkt_like": lambda: kkt_like(5),
+    "power_law_laplacian": lambda: power_law_laplacian(200),
+    "delaunay_mesh_2d": lambda: delaunay_mesh_2d(200),
+    "arrowhead": lambda: arrowhead(200),
+    "one_supernode": lambda: grid2d_5pt(3),
+    "diagonal": lambda: (sp.diags(np.arange(1.0, 65.0)).tocsr(), None),
+}
+
+
+def _range_case(gen: str, backend: str):
+    """The zoo matrix made unsymmetric in pattern for LU (one-sided
+    entries ``(r, 13 r + 5 mod n)``; the diagonal one stays diagonal) or
+    SPD for Cholesky."""
+    A, geom = RANGE_ZOO[gen]()
+    n = A.shape[0]
+    if backend == "lu" and gen != "diagonal":
+        r = np.arange(0, n, 7)
+        A = A + sp.csr_matrix((np.full(r.size, 0.01), (r, (13 * r + 5) % n)),
+                              shape=(n, n))
+    else:
+        A = (A + A.T) * 0.5
+    return (A + sp.eye(n) * (abs(A).sum(axis=1).max() + 1.0)).tocsr(), geom
+
+
+def _ranges_by_loop(sf) -> np.ndarray:
+    """``row_ranges``' referee loop: seed every L block from the
+    symmetrized pattern entry by entry, then close it node by node."""
+    off, nb = sf.layout.offsets, sf.nb
+    block = np.repeat(np.arange(nb), sf.layout.sizes())
+    R = {(int(i), k): [sf.n, 0] for k in range(nb) for i in sf.fill.lpanel[k]}
+    S = (abs(sf.A_perm) + abs(sf.A_perm.T)).tocoo()
+    for r, c in zip(S.row.tolist(), S.col.tolist()):
+        if (block[r], block[c]) in R:
+            i = block[r]
+            R[i, block[c]][0] = min(R[i, block[c]][0], r - off[i])
+            R[i, block[c]][1] = max(R[i, block[c]][1], r - off[i] + 1)
+    for k in range(nb):
+        for i in sf.fill.lpanel[k].tolist():
+            for j in sf.fill.upanel[k][sf.fill.upanel[k] < i].tolist():
+                R[i, j] = [min(R[i, j][0], R[i, k][0]),
+                           max(R[i, j][1], R[i, k][1])]
+    return np.array([R[int(i), k] for k in range(nb)
+                     for i in sf.fill.lpanel[k]]).reshape(-1, 2)
+
+
+def _scalar_fill(A) -> np.ndarray:
+    """Boolean structure of ``L\\U`` by dense elimination, no pivoting."""
+    G = A.toarray() != 0
+    np.fill_diagonal(G, True)
+    for k in range(G.shape[0]):
+        r, c = (np.flatnonzero(x) + k + 1 for x in (G[k + 1:, k], G[k, k + 1:]))
+        G[np.ix_(r, c)] = True
+    return G
+
+
 class TestKernelProgram:
     """A grid plan binds to a store once, as a flat list of per-block ops
     under the per-task pointer ``k_ptr`` — ``ev_ptr``'s numeric twin."""
@@ -448,6 +518,93 @@ class TestKernelProgram:
                                   numeric=True)
         assert np.array_equal(merged.merged_blocks.to_dense(),
                               res.factors().to_dense())
+
+    @pytest.mark.parametrize("leaf", [8, 32])
+    @pytest.mark.parametrize("gen", sorted(RANGE_ZOO))
+    @pytest.mark.parametrize("backend", ["lu", "cholesky"])
+    def test_row_ranges_referee(self, backend, gen, leaf):
+        """The L blocks' structural row ranges the kernels run on: they
+        equal the per-node loop's, each covers its block's rows of the
+        scalar elimination, the finished
+        factors are exactly zero outside them on the 3D, merged and 2D
+        drivers, and a value outside one is refused on a cold bind, on a
+        warm rebind (which leaves the factors as they were) and in a 2D
+        driver's data."""
+        from repro.cholesky import factor_nodes_chol_2d
+        from repro.plan.backends import get_backend
+        from repro.sparse import BlockMatrix
+        A, geom = _range_case(gen, backend)
+        sf = symbolic_factorize(A, geom, leaf_size=leaf)
+        off = sf.layout.offsets
+        lp_ptr, lp_idx, _up_ptr, _up_idx = sf.fill.panel_csr()
+        k_of = np.repeat(np.arange(sf.nb), np.diff(lp_ptr))
+        blocks = list(zip(lp_idx.tolist(), k_of.tolist(),
+                          *(r.tolist() for r in sf.row_ranges())))
+        assert np.array_equal(np.column_stack(sf.row_ranges()),
+                              _ranges_by_loop(sf))
+        G = _scalar_fill(sf.A_perm)
+        for i, k, r0, r1 in blocks:
+            rows = np.flatnonzero(
+                G[off[i]:off[i + 1], off[k]:off[k + 1]].any(axis=1))
+            assert not rows.size or r0 <= rows[0] and rows[-1] < r1, (i, k)
+
+        tf, grid3 = greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2)
+        cold = factor_3d(sf, tf, grid3, Simulator(grid3.size), backend=backend)
+        values = get_backend(backend).values(sf.A_perm)
+        store = BlockMatrix.from_csr(values, sf.layout,
+                                     block_pattern=sf.fill.all_blocks())
+        finished = [cold.factors(), store]
+        if backend == "lu":
+            factor_2d(sf, ProcessGrid2D(2, 2), Simulator(4), data=store)
+            finished.append(factor_3d_merged(
+                sf, tf, grid3, Simulator(grid3.size), numeric=True
+            ).merged_blocks)
+        else:
+            factor_nodes_chol_2d(sf, list(range(sf.nb)), ProcessGrid2D(2, 2),
+                                 Simulator(4), data=store)
+        for F in finished:
+            for i, k, r0, r1 in blocks:
+                assert not F[(i, k)][:r0].any() and not F[(i, k)][r1:].any()
+
+        sizes = sf.layout.sizes()
+        room = [b for b in blocks if b[2] > 0 or b[3] < sizes[b[0]]]
+        if not room:        # arrowhead: its dense border fills every row
+            return
+        i, k, r0, r1 = room[0]
+        M = values.tolil()
+        M[off[i] + (0 if r0 > 0 else r1), off[k]] = 1.0
+        with pytest.raises(ValueError, match="outside the block pattern"):
+            factor_3d(sf, tf, grid3, Simulator(grid3.size), backend=backend,
+                      matrix=M.tocsr())
+        want = cold.factors().to_dense()
+        with pytest.raises(ValueError, match="outside the block pattern"):
+            factor_3d(sf, tf, grid3, Simulator(grid3.size), backend=backend,
+                      matrix=M.tocsr(), cached=cold.bundle,
+                      replicas=cold.replicas)
+        assert np.array_equal(cold.factors().to_dense(), want)
+        store = BlockMatrix.from_csr(M.tocsr(), sf.layout,
+                                     block_pattern=sf.fill.all_blocks())
+        factor_nodes = factor_nodes_2d if backend == "lu" \
+            else factor_nodes_chol_2d
+        with pytest.raises(ValueError, match="outside the block pattern"):
+            factor_nodes(sf, list(range(sf.nb)), ProcessGrid2D(2, 2),
+                         Simulator(4), data=store)
+
+    def test_a_cost_only_run_computes_no_row_ranges(self, monkeypatch):
+        import repro.symbolic.symbolic_factor as symbolic
+
+        def refuse(*_args):
+            raise AssertionError("row ranges computed on a cost-only run")
+
+        monkeypatch.setattr(symbolic, "row_ranges", refuse)
+        sf, tf = planar_setup(14, 16, 4)
+        grid3 = ProcessGrid3D(2, 2, 4)
+        for backend in ("lu", "cholesky"):
+            factor_3d(sf, tf, grid3, Simulator(grid3.size), numeric=False,
+                      backend=backend)
+        factor_3d_merged(sf, tf, grid3, Simulator(grid3.size))
+        with pytest.raises(AssertionError, match="cost-only"):
+            factor_3d(sf, tf, grid3, Simulator(grid3.size))
 
     def test_bind_refuses_a_block_blas_would_copy(self):
         from repro.plan.backends import get_backend

@@ -185,10 +185,10 @@ class TestExplicitZeros:
 
 
 class TestStrayValues:
-    """A value in a block outside the filled pattern is refused — the plan
-    never reads that block, so the factors would silently be those of
-    another matrix (``PlanBundle.check`` compares ``sf``'s pattern, not
-    ``matrix``'s)."""
+    """A value in a block outside the filled pattern is refused — also the
+    mirror image of a held LU block — since the plan never reads that
+    block, so the factors would silently be those of another matrix
+    (``PlanBundle.check`` compares ``sf``'s pattern, not ``matrix``'s)."""
 
     @pytest.fixture()
     def planted(self, stepping_pair):
@@ -227,10 +227,70 @@ class TestStrayValues:
         warm = factor_3d(sf, tf, grid3, Simulator(grid3.size), **kw)
         assert np.array_equal(warm.factors().to_dense(), want)
 
+    @pytest.fixture()
+    def mirrored(self):
+        """``A1`` holds one entry ``(u, v)`` from the first row of block 0
+        to the first row of block 14, an ancestor outside block 0's L
+        fill, and ``M`` adds its mirror ``(v, u)``: inside the symmetrized
+        pattern ``refactorize`` compares with, in a block the LU fill
+        lacks. Returns the facade on ``A1``, factored, and ``M``."""
+        A, g = grid2d_5pt(32)
+        n = A.shape[0]
+        probe = SparseLU3D(A, geometry=g, leaf_size=8).analyze()
+        u, v = probe.sf.perm.perm[probe.sf.layout.offsets[[0, 14]]]
+
+        def plus(M, i, j, x):
+            return (M + sp.csr_matrix(([x], ([i], [j])), shape=(n, n))).tocsr()
+
+        A1 = plus(A, u, v, 0.5)
+        solver = SparseLU3D(A1, geometry=g, px=2, py=2, pz=2, leaf_size=8)
+        solver.factorize()
+        held = solver.sf.fill.all_blocks()
+        assert (0, 14) in held and (14, 0) not in held
+        return solver, plus(A1, v, u, 3.0)
+
+    def test_lu_cold_bind_refuses_a_mirror_value(self, mirrored):
+        from repro import Simulator
+        from repro.lu3d import factor_3d
+        solver, M = mirrored
+        sf, grid3 = solver.sf, solver.grid
+        v = sf.layout.offsets[14]
+        with pytest.raises(ValueError, match=rf"1 entries .* \({v}, 0\)"):
+            factor_3d(sf, solver.tf, grid3, Simulator(grid3.size),
+                      matrix=sf.perm.apply_matrix(M))
+
+    def test_lu_warm_rebind_refuses_a_mirror_value(self, mirrored):
+        from repro import Simulator
+        from repro.lu3d import factor_3d
+        solver, M = mirrored
+        sf, grid3, res = solver.sf, solver.grid, solver.result
+        want = res.factors().to_dense()
+        with pytest.raises(ValueError, match="outside the block pattern"):
+            factor_3d(sf, solver.tf, grid3, Simulator(grid3.size),
+                      matrix=sf.perm.apply_matrix(M), cached=res.bundle,
+                      replicas=res.replicas)
+        assert np.array_equal(res.factors().to_dense(), want)   # untouched
+
+    def test_lu_refactorize_refuses_and_keeps_the_solver(self, mirrored):
+        """An arena that dropped the mirror value would have the facade
+        factor another matrix, and refinement stall unconverged."""
+        solver, M = mirrored
+        A1, A_perm, result = solver.A, solver.sf.A_perm, solver.result
+        ledger = ledger_state(solver.sim)
+        with pytest.raises(ValueError, match="outside the block pattern"):
+            solver.refactorize(M)
+        assert solver.A is A1 and solver.sf.A_perm is A_perm
+        assert solver.result is result
+        assert ledger_state(solver.sim) == ledger
+        b = np.ones(A1.shape[0])
+        x = solver.solve(b)
+        assert solver.last_refinement.converged
+        assert np.linalg.norm(A1 @ x - b) / np.linalg.norm(b) < 1e-12
+
     def test_cholesky_mirror_image_is_exempt(self, stepping_pair):
-        """The Cholesky backend stores and reads the lower triangle only:
-        the upper triangle of a symmetric ``matrix`` is dropped, and the
-        factors are those of ``tril(matrix)``."""
+        """The Cholesky backend stores and reads the lower triangle only
+        and binds ``tril(matrix)`` itself: the upper triangle of a
+        symmetric ``matrix`` is never bound."""
         from repro import ProcessGrid3D, Simulator, greedy_partition, \
             symbolic_factorize
         from repro.lu3d import factor_3d
