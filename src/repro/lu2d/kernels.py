@@ -64,8 +64,8 @@ def trsm_op(A: np.ndarray, B: np.ndarray, *, side: str = "L", lower: bool,
 def gemm_op(C: np.ndarray, A: np.ndarray, B: np.ndarray,
             trans_b: bool = False, trans_a: bool = False) -> tuple:
     """The bound form of :func:`gemm_sub` on an overwritable ``C``:
-    ``C^T -= op(B)^T op(A)^T`` on the F-views."""
-    return gemm_ops([[C]], [A], [B], trans_b, trans_a)[0]
+    ``C^T -= op(B)^T op(A)^T`` on the F-views, one tuple (cheap to bind)."""
+    return (GEMM, C.T, B.T, A.T, (trans_b, trans_a, 1))
 
 
 def gemm_ops(Cs, As, Bs, trans_b=False, trans_a=False) -> list:

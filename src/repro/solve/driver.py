@@ -33,7 +33,7 @@ from repro.lu3d.factor3d import Factor3DResult, factor_3d
 from repro.solve.condest import condest
 from repro.solve.equilibrate import equilibrate
 from repro.solve.refine import RefinementResult, iterative_refinement
-from repro.solve.triangular import sweep
+from repro.solve.triangular import bind, run
 from repro.sparse.generators import GridGeometry
 from repro.sparse.pattern import pattern_of, symmetrize_pattern
 from repro.symbolic.symbolic_factor import SymbolicFactorization, symbolic_factorize
@@ -83,6 +83,8 @@ class _Solver3D:
         #: Convergence record of the last refined :meth:`solve`.
         self.last_refinement: RefinementResult | None = None
         self._factor_blocks = None
+        #: sweeps -> (work, [(plan, program, stream)]) on ``_factor_blocks``.
+        self._solves: dict = {}
         #: Pattern the symbolic phase covered (captured at analyze time,
         #: explicitly-stored zeros included) — the containment referee for
         #: :meth:`refactorize`.
@@ -185,7 +187,9 @@ class _Solver3D:
         self.sim = sim
         self._bundle = self.result.bundle
         if self.numeric:
-            self._factor_blocks = self.result.replicas.home_view()
+            blocks = self.result.replicas.home_view()
+            if blocks is not self._factor_blocks:   # a new arena: rebind
+                self._factor_blocks, self._solves = blocks, {}
         return self
 
     def refactorize(self, A_new: sp.spmatrix):
@@ -243,13 +247,40 @@ class _Solver3D:
                                         lower)
                 for down, lower, _unit in sweeps or self.sweeps]
 
-    def _raw_solve(self, y: np.ndarray, sweeps=None) -> np.ndarray:
-        """Walk each sweep's plan on the permuted ``y`` and book it."""
-        sweeps = sweeps or self.sweeps
-        for plan, (_down, _lower, unit) in zip(self.solve_plans(sweeps),
-                                               sweeps):
-            y = sweep(plan, self._factor_blocks, y, self.sim, unit)
-        return y
+    def _factored(self, b: np.ndarray, transposed: bool = False
+                  ) -> np.ndarray:
+        """``x`` of ``A x = b`` (``A^T x = b``) by :attr:`sweeps`
+        (:attr:`transposed_sweeps`), bound once per arena and ``nrhs`` over
+        one buffer (not re-entrant), between (un)scaling and permuting."""
+        d_in, d_out = (None, None) if self.equ is None else \
+            (self.equ.row_scale, self.equ.col_scale)[::-1 if transposed else 1]
+        y = self.sf.perm.apply_vector(b if d_in is None else (d_in * b.T).T)
+        sweeps = self.transposed_sweeps if transposed else self.sweeps
+        bound = self._solves.get(sweeps)
+        if bound is None or bound[0].size != y.size:
+            work = np.empty((y.shape[0], y.size // y.shape[0]))
+            bound = self._solves[sweeps] = (work, [
+                (plan, bind(plan, self.sf, self._factor_blocks, work, unit),
+                 plan.stream(work.shape[1]))
+                for plan, (_down, _lower, unit) in zip(
+                    self.solve_plans(sweeps), sweeps)])
+        work, programs = bound
+        work[...] = y.reshape(work.shape)
+        for plan, prog, stream in programs:
+            run(plan, prog, stream, self.sim)
+        x = self.sf.perm.unapply_vector(work.reshape(y.shape))
+        x = x if d_out is None else (d_out * x.T).T
+        if not np.isfinite(x).all():    # a zero pivot or overflowed factors
+            raise np.linalg.LinAlgError(
+                "the factors produced a non-finite solution: the matrix is "
+                "numerically singular under static pivoting")
+        return x
+
+    def _rhs(self, b: np.ndarray, what: str) -> np.ndarray:
+        if self._factor_blocks is None:
+            raise RuntimeError(
+                f"{what} requires factorize() with numeric=True first")
+        return check_rhs(b, self.A.shape[0])
 
     def solve(self, b: np.ndarray, refine: bool = True,
               tol: float = 1e-14) -> np.ndarray:
@@ -260,34 +291,13 @@ class _Solver3D:
         factorization used static pivoting). ``b`` may be a vector or an
         ``(n, nrhs)`` matrix of right-hand sides, all solved in one sweep.
         """
-        if self._factor_blocks is None:
-            raise RuntimeError(
-                "solve requires factorize() with numeric=True first")
-        b = check_rhs(b, self.A.shape[0])
-        perm = self.sf.perm
-
-        def factored_solve(rhs: np.ndarray) -> np.ndarray:
-            if self.equ is not None:
-                rhs = self.equ.scale_rhs(rhs)
-            y = perm.unapply_vector(self._raw_solve(perm.apply_vector(rhs)))
-            return self.equ.unscale_solution(y) if self.equ is not None else y
-
-        x = self._finite(factored_solve(b))
+        b = self._rhs(b, "solve")
+        x = self._factored(b)
         if refine:
-            res = iterative_refinement(self.A, b, x, factored_solve, tol=tol)
+            res = iterative_refinement(self.A, b, x, self._factored, tol=tol)
             self.last_refinement = res
             return res.x
         self.last_refinement = None
-        return x
-
-    @staticmethod
-    def _finite(x: np.ndarray) -> np.ndarray:
-        """The factors' answer, or ``LinAlgError`` if it is not finite (a
-        zero pivot or overflowed factors — the kernels do not check)."""
-        if not np.isfinite(x).all():
-            raise np.linalg.LinAlgError(
-                "the factors produced a non-finite solution: the matrix is "
-                "numerically singular under static pivoting")
         return x
 
     # -- evaluation accessors ---------------------------------------------------
@@ -370,25 +380,10 @@ class SparseLU3D(_Solver3D):
         ``A = D_r^{-1} P^T L U P D_c^{-1}`` (with optional equilibration),
         so ``A^T x = b`` solves via ``U^T`` then ``L^T`` sweeps.
         """
-        if self._factor_blocks is None:
-            raise RuntimeError(
-                "solve_transposed requires factorize() with numeric=True first")
-        b = check_rhs(b, self.A.shape[0])
-        if self.equ is not None:
-            b = self.equ.col_scale * b if b.ndim == 1 else \
-                self.equ.col_scale[:, None] * b
-        perm = self.sf.perm
-        x = perm.unapply_vector(self._raw_solve(perm.apply_vector(b),
-                                                self.transposed_sweeps))
-        if self.equ is not None:
-            x = self.equ.row_scale * x if x.ndim == 1 else \
-                self.equ.row_scale[:, None] * x
-        return self._finite(x)
+        return self._factored(self._rhs(b, "solve_transposed"), True)
 
     def condition_estimate(self) -> float:
-        """Estimated 1-norm condition number of ``A`` (dgscon analogue)."""
-        if self._factor_blocks is None:
-            raise RuntimeError(
-                "condition_estimate requires a numeric factorization")
+        """Estimated 1-norm condition number of ``A`` (dgscon analogue);
+        ``RuntimeError`` without a numeric factorization, as :meth:`solve`."""
         return condest(self.A, lambda r: self.solve(r, refine=False),
                        self.solve_transposed)

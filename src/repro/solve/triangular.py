@@ -1,24 +1,20 @@
 """Distributed block triangular solves over the factor distribution.
 
-The solution vector is distributed by block row: segment ``x_k`` lives with
-the diagonal-block owner of supernode ``k`` on ``k``'s home grid. A forward
-sweep follows ascending supernodes: after ``y_k`` is solved it is broadcast
-down ``k``'s process column, each L-panel owner forms its partial product
-and sends it to the target segment's diagonal owner for accumulation —
-SuperLU_DIST's ``pdgstrs`` pattern. A *downward* sweep serves a lower
-operator (``L``, or ``U^T`` over the U panels read transposed), an *upward*
-one ``U`` or ``L^T``.
+Segment ``x_k`` of the solution lives with the diagonal-block owner of
+supernode ``k`` on its home grid. A *downward* sweep (ascending nodes)
+serves a lower operator (``L``, or ``U^T`` over the U panels), an *upward*
+one ``U`` or ``L^T``: each solved segment is broadcast to its panel's
+owners, which send their partial products to the target segment's diagonal
+owner — SuperLU_DIST's ``pdgstrs`` pattern.
 
-A sweep is a :class:`repro.plan.solve.SolvePlan` and :func:`sweep` walks
-it: one numeric loop (:func:`~repro.lu2d.kernels.trsm` /
-:func:`~repro.lu2d.kernels.gemm_sub`, in place on the work vector), then
-one :meth:`repro.comm.Simulator.book` of the whole stream under phase
-``'solve'``. The facades replay the plans memoized on their
-:class:`~repro.plan.PlanBundle`; the four public solves build theirs from
-``grid_of``, the callable mapping a supernode to its 2D layer. ``blocks``
-is any mapping ``(i, j) -> ndarray`` (a :class:`BlockMatrix`, a replica
-manager's ``home_view()``); ``unit`` is the diagonal kind of ``L`` (unit for
-packed LU factors, not for a Cholesky ``L``) — numerics only.
+A sweep is a :class:`repro.plan.solve.SolvePlan`; :func:`bind` makes it a
+kernel program over a work buffer, :func:`run` executes it with the
+factorization's one executor (:func:`repro.lu2d.kernels.execute`) and
+books its stream in one :meth:`repro.comm.Simulator.book`. The facades
+bind once per factor arena and ``nrhs``; the public sweeps build their
+plan from ``grid_of`` (supernode -> its 2D layer) and bind on every call.
+``blocks`` maps ``(i, j)`` to factors computed on ``sf``; ``unit``: ``L``
+has a unit diagonal (LU), not a Cholesky ``L``.
 """
 
 from __future__ import annotations
@@ -27,37 +23,66 @@ import numpy as np
 
 from repro.comm.events import PHASE_SOLVE
 from repro.comm.simulator import Simulator
-from repro.lu2d.kernels import gemm_sub, trsm
+from repro.lu2d.kernels import execute, gemm_op, trsm_op
+from repro.lu2d.storage import block_rows
 from repro.plan.solve import UPDATE, SolvePlan, build_solve_plan
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 
 __all__ = ["forward_solve", "backward_solve", "transposed_solve",
-           "lower_transposed_solve", "sweep"]
+           "lower_transposed_solve", "sweep", "bind", "run"]
 
 
-def sweep(plan: SolvePlan, blocks, b: np.ndarray, sim: Simulator,
-          unit: bool, order=None) -> np.ndarray:
-    """Walk ``plan`` on a copy of ``b`` and book its events. The operator
-    is ``L`` / ``U`` when the sweep direction matches the panel side, the
-    transpose otherwise. ``order`` (a legal task order) is the schedule
-    fuzzer's hook: the walk follows it and books task by task."""
-    y = np.array(b, dtype=np.float64, order="C")   # contiguous row slices
-    work = y.reshape(y.shape[0], -1)
+def bind(plan: SolvePlan, sf: SymbolicFactorization, blocks,
+         work: np.ndarray, unit: bool) -> list:
+    """``plan``'s kernel program on ``work`` (C-ordered ``(n, nrhs)``
+    float64, solved in place), op ``t`` = task ``t``: ``trsm_op`` per
+    diag-solve, ``gemm_op`` per update. An L block is bound on its
+    structural rows (:func:`~repro.lu2d.storage.block_rows`): the target
+    rows shrink for ``L``, the source rows for ``L^T``."""
     lower, trans = plan.lower, plan.down != plan.lower
-    steps = plan.steps if order is None else plan.steps[order]
-    for kind, i, j, t0, t1, s0, s1 in steps.tolist():
-        if kind == UPDATE:
-            gemm_sub(work[t0:t1], blocks[i, j], work[s0:s1], trans_a=trans)
-        else:
-            trsm(blocks[i, j], work[t0:t1], lower=lower, trans=trans,
-                 unit=unit)
+    rows = block_rows(sf)[2] if lower else None
+    prog = []
+    for kind, i, j, t0, t1, s0, s1 in plan.steps.tolist():
+        A = blocks[i, j]
+        if kind != UPDATE:
+            prog.append(trsm_op(A, work[t0:t1], lower=lower, trans=trans,
+                                unit=unit))
+            continue
+        if lower:
+            r = rows[i, j]
+            A = A[r]
+            if trans:
+                s0, s1 = s0 + r.start, s0 + r.stop
+            else:
+                t0, t1 = t0 + r.start, t0 + r.stop
+        prog.append(gemm_op(work[t0:t1], A, work[s0:s1], trans_a=trans))
+    return prog
+
+
+def run(plan: SolvePlan, prog: list, stream, sim: Simulator,
+        order=None) -> None:
+    """Execute a bound sweep and book its ``stream`` (``plan.stream(nrhs)``);
+    ``order``, the fuzzer's hook: run and book task by task in that order."""
+    if order is None:
+        execute(prog)
+    else:
+        for t in order:
+            execute(prog, t, t + 1)
     sim.set_phase(PHASE_SOLVE)
-    stream = plan.stream(work.shape[1])
     if order is None:
         sim.book(stream)
     else:
         for t in order:
             sim.book(stream, plan.ev_ptr[t], plan.ev_ptr[t + 1])
+
+
+def sweep(plan: SolvePlan, sf: SymbolicFactorization, blocks, b: np.ndarray,
+          sim: Simulator, unit: bool, order=None) -> np.ndarray:
+    """Bind ``plan`` on a copy of ``b``, :func:`run` it, return the copy."""
+    y = np.array(b, dtype=np.float64, order="C")   # contiguous row slices
+    work = y.reshape(y.shape[0], -1)
+    run(plan, bind(plan, sf, blocks, work, unit), plan.stream(work.shape[1]),
+        sim, order)
     return y
 
 
@@ -66,15 +91,15 @@ def forward_solve(sf: SymbolicFactorization, blocks, b: np.ndarray,
     """Solve ``L y = b`` (``unit=False``: a Cholesky ``L``). ``b`` and the
     result are in the *permuted* ordering; an ``(n, nrhs)`` ``b`` solves
     all columns in one sweep, communication and flops scaled to match."""
-    return sweep(build_solve_plan(sf, grid_of, True, True), blocks, b, sim,
-                 unit)
+    return sweep(build_solve_plan(sf, grid_of, True, True), sf, blocks, b,
+                 sim, unit)
 
 
 def backward_solve(sf: SymbolicFactorization, blocks, y: np.ndarray,
                    sim: Simulator, grid_of) -> np.ndarray:
     """Solve ``U x = y`` (upper triangular, packed factors)."""
-    return sweep(build_solve_plan(sf, grid_of, False, False), blocks, y, sim,
-                 False)
+    return sweep(build_solve_plan(sf, grid_of, False, False), sf, blocks, y,
+                 sim, False)
 
 
 def lower_transposed_solve(sf: SymbolicFactorization, blocks, y: np.ndarray,
@@ -82,8 +107,8 @@ def lower_transposed_solve(sf: SymbolicFactorization, blocks, y: np.ndarray,
                            ) -> np.ndarray:
     """Solve ``L^T x = y`` over the L panels: the second half of
     :func:`transposed_solve`, and (``unit=False``) of the Cholesky solve."""
-    return sweep(build_solve_plan(sf, grid_of, False, True), blocks, y, sim,
-                 unit)
+    return sweep(build_solve_plan(sf, grid_of, False, True), sf, blocks, y,
+                 sim, unit)
 
 
 def transposed_solve(sf: SymbolicFactorization, blocks, b: np.ndarray,
@@ -91,6 +116,6 @@ def transposed_solve(sf: SymbolicFactorization, blocks, b: np.ndarray,
     """Solve ``(L U)^T x = b`` with the packed factors (trans='T'):
     ``U^T`` is lower (non-unit), a downward sweep over the U panels;
     ``L^T`` unit upper, an upward sweep over the L panels."""
-    y = sweep(build_solve_plan(sf, grid_of, True, False), blocks, b, sim,
-              False)
+    y = sweep(build_solve_plan(sf, grid_of, True, False), sf, blocks, b,
+              sim, False)
     return lower_transposed_solve(sf, blocks, y, sim, grid_of)

@@ -44,11 +44,11 @@ def require_finite(values, name: str) -> None:
 
 def check_rhs(b, n: int, name: str = "b") -> np.ndarray:
     """Validate a right-hand side for an ``n x n`` system: shape ``(n,)``
-    or ``(n, nrhs)``, all finite; return it as a float64 array."""
+    or ``(n, nrhs >= 1)``, all finite; return it as a float64 array."""
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim not in (1, 2) or b.shape[0] != n:
-        raise ValueError(
-            f"{name} must have shape ({n},) or ({n}, nrhs), got {b.shape}")
+    if b.ndim not in (1, 2) or b.shape[0] != n or b.size == 0:
+        raise ValueError(f"{name} must have shape ({n},) or ({n}, nrhs) "
+                         f"with nrhs >= 1, got {b.shape}")
     require_finite(b, name)
     return b
 

@@ -333,21 +333,21 @@ def fuzz_2d(sf, grid, *, backend: str = "lu", numeric: bool = False,
                  n_orders=n_orders, seed=seed)
 
 
-def fuzz_solve(plan, blocks, b, nranks: int, *, unit: bool,
+def fuzz_solve(plan, sf, blocks, b, nranks: int, *, unit: bool,
                n_orders: int = 25, seed: int = 0, machine=None
                ) -> FuzzReport:
     """Fuzz one triangular sweep (:class:`repro.plan.solve.SolvePlan`):
     random linear extensions of its dependency DAG through
-    :func:`repro.solve.triangular.sweep` (numeric walk and task-by-task
-    booking in that order). The *volume* ledgers — words, messages, flops,
-    event counts: integer sums — must be bit-identical under any legal
-    order (clocks depend on the interleaving and are not compared); the
-    solution deviates only by reassociated segment accumulations."""
+    :func:`repro.solve.triangular.sweep` (its bound program run and booked
+    task by task in that order). The *volume* ledgers — words, messages,
+    flops, event counts: integer sums — must be bit-identical under any
+    legal order (clocks depend on the interleaving and are not compared);
+    the solution deviates only by reassociated segment accumulations."""
     from repro.solve.triangular import sweep
 
     def run(order):
         sim = Simulator(nranks, machine)
-        x = sweep(plan, blocks, b, sim, unit, order)
+        x = sweep(plan, sf, blocks, b, sim, unit, order)
         return {k: v for k, v in ledger_state(sim).items() if k.startswith(
             ("words_", "msgs_", "flops:", "event_counts"))}, x
 

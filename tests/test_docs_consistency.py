@@ -301,6 +301,18 @@ class TestOnePlanForm:
         for name in ("dtrsm(", "dgemm("):
             assert kernels.count(name) == 1, name
 
+    def test_solves_run_through_the_one_executor(self):
+        """A triangular sweep is a bound kernel program too: the sweeps
+        call the factorization's ``execute`` and no per-step kernel
+        wrapper, and no module but the kernels calls BLAS."""
+        text = (self.SRC / "solve" / "triangular.py").read_text()
+        assert "execute(" in text
+        assert "gemm_sub(" not in text and re.search(r"\btrsm\(", text) is None
+        for path in self.SRC.rglob("*.py"):
+            if path.name != "kernels.py":
+                src = path.read_text()
+                assert "dgemm(" not in src and "dtrsm(" not in src, path
+
     def test_solve_books_only_through_book(self):
         """A triangular sweep is a solve plan walked and booked in one
         ``Simulator.book`` call: nothing under ``solve/`` or ``cholesky/``

@@ -165,6 +165,29 @@ class TestGemmSub:
         assert gemm_sub(y, A, x) is y
         assert np.allclose(y, ref, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("trans_a,trans_b",
+                             itertools.product([False, True], repeat=2))
+    def test_gemm_ops_run_what_gemm_op_binds(self, trans_a, trans_b):
+        """``gemm_ops`` (a node's pairs, each F-view taken once) and
+        ``gemm_op`` (one op) write one op form: executed, bit for bit the
+        same updates."""
+        rng = np.random.default_rng(2)
+        As = [rng.standard_normal((4, 3 + a) if trans_a else (3 + a, 4))
+              for a in range(2)]
+        Bs = [rng.standard_normal((5, 4) if trans_b else (4, 5))
+              for _ in range(3)]
+        C0 = [[rng.standard_normal((3 + a, 5)) for _ in Bs] for a in range(2)]
+        Cs, Cr = ([[c.copy() for c in row] for row in C0] for _ in range(2))
+        kernels.execute(kernels.gemm_ops(Cs, As, Bs, trans_b, trans_a))
+        kernels.execute([kernels.gemm_op(C, A, B, trans_b, trans_a)
+                         for row, A in zip(Cr, As) for C, B in zip(row, Bs)])
+        for row, A, ref in zip(C0, As, Cr):
+            for C, B, got in zip(row, Bs, ref):
+                want = C - (A.T if trans_a else A) @ (B.T if trans_b else B)
+                assert _rel_err(got, want) <= RTOL
+        assert all(np.array_equal(x, y) for x, y in zip(sum(Cs, []),
+                                                        sum(Cr, [])))
+
 
 # -- getrf_nopiv ------------------------------------------------------------
 

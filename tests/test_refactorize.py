@@ -287,6 +287,21 @@ class TestStrayValues:
         assert solver.last_refinement.converged
         assert np.linalg.norm(A1 @ x - b) / np.linalg.norm(b) < 1e-12
 
+    def test_refused_refactorize_keeps_the_bound_solve(self, mirrored,
+                                                       monkeypatch):
+        """The sweeps bound before a refused ``refactorize`` stay bound to
+        the untouched arena and keep solving the old matrix."""
+        import repro.solve.driver as driver
+        solver, M = mirrored
+        A1 = solver.A
+        b = np.ones(A1.shape[0])
+        x0 = solver.solve(b)
+        monkeypatch.setattr(driver, "bind", None)       # no rebind allowed
+        with pytest.raises(ValueError, match="outside the block pattern"):
+            solver.refactorize(M)
+        assert np.array_equal(solver.solve(b), x0)
+        assert np.linalg.norm(A1 @ x0 - b) / np.linalg.norm(b) < 1e-12
+
     def test_cholesky_mirror_image_is_exempt(self, stepping_pair):
         """The Cholesky backend stores and reads the lower triangle only
         and binds ``tril(matrix)`` itself: the upper triangle of a
@@ -434,6 +449,69 @@ class TestWarmReplayMechanics:
         with pytest.raises(ValueError, match="grid"):
             factor_3d(solver.sf, tf1, wrong, sim,
                       cached=solver.result.bundle)
+
+
+class TestBoundSolveLifetime:
+    """The solver binds each sweep shape once per factor arena and
+    right-hand-side count: ``refactorize`` refills the arena in place and
+    keeps the programs, a cold ``factorize`` (new arena) and a new
+    ``nrhs`` rebind."""
+
+    @pytest.fixture()
+    def binds(self, monkeypatch):
+        """``(down, lower) -> number of binds`` of the facades' sweeps."""
+        import repro.solve.driver as driver
+        counts: dict = {}
+        real = driver.bind
+
+        def spy(plan, *args):
+            key = (plan.down, plan.lower)
+            counts[key] = counts.get(key, 0) + 1
+            return real(plan, *args)
+        monkeypatch.setattr(driver, "bind", spy)
+        return counts
+
+    @pytest.mark.parametrize("cholesky", [False, True], ids=["lu", "chol"])
+    def test_refactorize_rounds_bind_each_shape_once(self, stepping_pair,
+                                                     binds, cholesky):
+        from repro.cholesky import SparseCholesky3D
+        A1, A2, g, n = stepping_pair
+        cls = SparseCholesky3D if cholesky else SparseLU3D
+        kw = dict(geometry=g, px=2, py=2, pz=2, leaf_size=24)
+        solver = cls(A1, **kw).factorize()
+        B = np.random.default_rng(4).standard_normal((n, 3))
+        for r in range(4):
+            A = A1 + (0.1 * r) * A2
+            solver.refactorize(A)
+            fresh = cls(A, **kw).factorize()
+            assert np.array_equal(solver.solve(B), fresh.solve(B))
+            if not cholesky:
+                assert np.array_equal(solver.solve_transposed(B),
+                                      fresh.solve_transposed(B))
+        shapes = {(True, True), (False, True)} if cholesky else \
+            {(True, True), (False, False), (True, False), (False, True)}
+        # One bind per shape for ``solver``, one per fresh solver.
+        assert binds == {k: 1 + 4 for k in shapes}
+
+    def test_cold_factorize_and_new_nrhs_rebind(self, stepping_pair, binds):
+        A1, A2, g, n = stepping_pair
+        solver = SparseLU3D(A1, geometry=g, px=2, py=2, pz=2, leaf_size=24)
+        solver.factorize()
+        b = np.ones(n)
+        solver.solve(b)
+        solver.solve(2 * b)
+        assert binds == {(True, True): 1, (False, False): 1}
+        solver.solve(np.ones((n, 2)))           # a new nrhs
+        assert binds == {(True, True): 2, (False, False): 2}
+        solver.solve(b)                          # and back
+        assert binds == {(True, True): 3, (False, False): 3}
+        solver.refactorize(A2)
+        solver.solve(b)
+        assert binds == {(True, True): 3, (False, False): 3}
+        solver.analyze().factorize()            # a new arena
+        x = solver.solve(b)
+        assert binds == {(True, True): 4, (False, False): 4}
+        assert np.linalg.norm(A2 @ x - b) / np.linalg.norm(b) < 1e-12
 
 
 class TestCholeskyRefactorize:

@@ -387,3 +387,62 @@ class TestSharedSymbolicSafety:
         for s, M in mats.items():
             cold = SparseLU3D(M, **kw).factorize()
             assert ledger_state(jobs[s].solver.sim) == ledger_state(cold.sim)
+
+    def test_two_clients_interleaved_on_one_pattern(self, problem):
+        """Jobs on one pattern share the entry's plans but each binds its
+        solve to its own factor arena: two client threads, 20 jobs each,
+        interleaved, every ``x`` agrees with ``splu``."""
+        from scipy.sparse.linalg import splu
+        A, geom = problem
+        n = A.shape[0]
+        got, errors = {}, []
+        with FactorizationService(geometry=geom, px=2, py=2, pz=2,
+                                  leaf_size=16, max_workers=2) as svc:
+            def client(c):
+                try:
+                    for r in range(20):
+                        M = _perturbed(A, 100 * c + r)
+                        b = np.random.default_rng(r).standard_normal((n, 2))
+                        got[c, r] = M, b, svc.submit(M, b).result().x
+                except Exception as exc:     # surfaced below
+                    errors.append(exc)
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert svc.stats()["entries"] == 1
+        assert not errors and len(got) == 40
+        for M, b, x in got.values():
+            want = splu(M.tocsc()).solve(b)
+            assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+
+
+class TestZeroColumnRhs:
+    """An ``(n, 0)`` right-hand side is refused where ``b`` enters, naming
+    ``b`` and its shape — not deep in BLAS."""
+
+    @pytest.mark.parametrize("method", ["solve", "solve_transposed",
+                                        "cholesky"])
+    def test_facades_refuse(self, problem, method):
+        A, geom = problem
+        cls = SparseCholesky3D if method == "cholesky" else SparseLU3D
+        s = cls(A, geometry=geom, px=2, py=2, pz=2, leaf_size=16).factorize()
+        solve = getattr(s, "solve" if method == "cholesky" else method)
+        with pytest.raises(ValueError, match=r"b must .* got \(144, 0\)"):
+            solve(np.ones((A.shape[0], 0)))
+
+    def test_service_job_fails_before_the_cache(self, problem):
+        A, geom = problem
+        with FactorizationService(geometry=geom, px=2, py=2, pz=2,
+                                  leaf_size=16) as svc:
+            fut = svc.submit(A, np.ones((A.shape[0], 0)))
+            with pytest.raises(ValueError, match=r"b must .* got \(144, 0\)"):
+                fut.result()
+            assert len(svc.cache) == 0 and svc.cache._building == {}
+            svc.solve(A)
+            st = svc.stats()
+            with pytest.raises(ValueError, match=r"got \(144, 0\)"):
+                svc.solve(A, np.ones((A.shape[0], 0)))
+            assert svc.stats() == st                # a cached pattern too

@@ -405,3 +405,95 @@ class TestSolvePlanReplay:
         assert np.array_equal(s.sf.perm.unapply_vector(x),
                               ref.solve(b, refine=False))
         assert ledger_state(s.sim) == ledger_state(ref.sim)
+
+
+def _spd(A):
+    """``A`` symmetrized and shifted diagonally dominant: SPD, same
+    pattern as the symmetrized ``A``."""
+    S = (A + A.T) * 0.5
+    return (S + sp.eye(A.shape[0]) * (abs(S).sum(axis=1).max() + 1.0)).tocsr()
+
+
+class TestBoundSweeps:
+    """The referee of the bound sweeps: every sweep shape, bound once on the
+    factor arena's structural rows and replayed by the one executor, solves
+    what numpy solves on the assembled dense factors, books exactly the
+    plan's stream, and stays exact under random legal task orders."""
+
+    #: ``(down, lower)`` -> ``(operator of the dense factors, lower, trans)``
+    SHAPES = {(True, True): ("L", True, False),
+              (False, True): ("L", True, True),
+              (False, False): ("U", False, False),
+              (True, False): ("U", False, True)}
+
+    @pytest.fixture(scope="class",
+                    params=["planar", "brick", "circuit", "kkt"])
+    def matrix(self, request, planar_small, brick_small, circuit_small,
+               kkt_small):
+        return {"planar": planar_small, "brick": brick_small,
+                "circuit": circuit_small, "kkt": kkt_small}[request.param]
+
+    @pytest.mark.parametrize("pz", [1, 2, 4])
+    @pytest.mark.parametrize("cls", [SparseLU3D, SparseCholesky3D])
+    def test_every_shape_against_dense_factors(self, matrix, cls, pz):
+        from scipy.linalg import solve_triangular
+
+        from repro.comm.events import PHASE_SOLVE
+        from repro.verify import fuzz_solve
+        A, geom = matrix
+        chol = cls is SparseCholesky3D
+        s = cls(_spd(A) if chol else A, geometry=geom, px=2, py=1, pz=pz,
+                leaf_size=16).factorize()
+        F = s.result.factors().to_dense()
+        dense = {"L": np.tril(F) if chol else np.tril(F, -1) + np.eye(len(F)),
+                 "U": np.triu(F)}
+        unit = not chol
+        shapes = [k for k in self.SHAPES if k[1] or not chol]
+        rng = np.random.default_rng(pz)
+        for nrhs in (1, 3):
+            b = rng.standard_normal(A.shape[0] if nrhs == 1
+                                    else (A.shape[0], nrhs))
+            for down, lower in shapes:
+                op, low, trans = self.SHAPES[down, lower]
+                want = solve_triangular(dense[op], b, lower=low,
+                                        trans=int(trans),
+                                        unit_diagonal=unit and op == "L")
+                s.sim = Simulator(s.grid.size, s.machine)
+                s.sweeps = ((down, lower, unit and lower),)
+                got = s.sf.perm.apply_vector(s.solve(
+                    s.sf.perm.unapply_vector(b), refine=False))
+                assert got.shape == b.shape
+                assert np.abs(got - want).max() <= \
+                    1e-12 * max(1.0, np.abs(want).max()), (down, lower, nrhs)
+                (plan,) = s.solve_plans(((down, lower, unit),))
+                ref = Simulator(s.grid.size, s.machine)
+                ref.set_phase(PHASE_SOLVE)
+                ref.book(plan.stream(nrhs))
+                assert ledger_state(s.sim) == ledger_state(ref)
+                if nrhs == 3:
+                    rep = fuzz_solve(plan, s.sf, s._factor_blocks, b,
+                                     s.grid.size, unit=unit and lower,
+                                     n_orders=3, seed=pz)
+                    assert rep.ok, rep.summary()
+                    assert rep.factor_max_dev <= 1e-12
+
+    def test_l_blocks_are_bound_on_their_structural_rows(self, brick_small):
+        """The L sweeps' GEMMs read fewer rows than their whole blocks (the
+        target rows shrink for ``L``, the source rows for ``L^T``) and the
+        U sweeps' every row."""
+        from repro.lu2d.kernels import GEMM
+        from repro.solve.triangular import bind
+        A, geom = brick_small
+        s = SparseLU3D(A, geometry=geom, leaf_size=16).factorize()
+        for plan in s.solve_plans(((True, True, True), (False, True, True),
+                                   (True, False, False),
+                                   (False, False, False))):
+            work = np.zeros((A.shape[0], 2))
+            prog = bind(plan, s.sf, s._factor_blocks, work, True)
+            assert len(prog) == plan.n_tasks
+            gemm = [op for op in prog if op[0] == GEMM]
+            rows = sum(op[3].shape[1] for op in gemm)  # op[3]: block^T
+            whole = sum(s._factor_blocks[i, j].shape[0]
+                        for i, j in plan.steps[plan.steps[:, 0] == 1, 1:3]
+                        .tolist())
+            assert (rows < whole) == plan.lower, (plan.down, plan.lower)

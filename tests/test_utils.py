@@ -99,7 +99,7 @@ class TestCheckRhs:
         assert check_rhs(np.ones((3, 2), dtype=np.float32), 3).shape == (3, 2)
 
     @pytest.mark.parametrize("b", [np.ones(4), np.ones((2, 3)),
-                                   np.ones((3, 1, 1)), 1.0])
+                                   np.ones((3, 1, 1)), 1.0, np.ones((3, 0))])
     def test_rejects_wrong_shape(self, b):
         with pytest.raises(ValueError, match=r"rhs must have shape \(3,\)"):
             check_rhs(b, 3, "rhs")
