@@ -24,7 +24,7 @@ paper-vs-measured record of every table and figure.
 
 from repro.cholesky import SparseCholesky3D
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
-from repro.lu2d import FactorOptions, factor_2d
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.ordering import Permutation, nested_dissection
 from repro.solve import SparseLU3D, iterative_refinement
@@ -65,7 +65,6 @@ __all__ = [
     "circuit_like",
     "critical_path_cost",
     "delaunay_mesh_2d",
-    "factor_2d",
     "factor_3d",
     "greedy_partition",
     "grid2d_5pt",

@@ -90,7 +90,7 @@ def format_resilience_stats(stats, title: str = "resilience") -> str:
     """Overhead attribution of a resilient factorization run.
 
     ``stats`` is a :class:`repro.resilience.ResilienceStats` (found on
-    ``Factor3DResult.resilience`` or ``Factor2DResult.extras['resilience']``).
+    ``Factor3DResult.resilience``).
     Times are aggregate rank-seconds, so the overhead percentage compares
     like with like: total fault-tolerance overhead (lost work + recovery
     replay + checkpoint/recovery I/O + downtime) over total booked compute.

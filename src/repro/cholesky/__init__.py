@@ -14,11 +14,7 @@ factorization-variant independent.
 """
 
 from repro.cholesky.driver import SparseCholesky3D
-from repro.cholesky.factor import (
-    cholesky_node_blocks,
-    factor_chol_3d,
-    factor_nodes_chol_2d,
-)
+from repro.cholesky.factor import cholesky_node_blocks, factor_chol_3d
 from repro.lu2d.kernels import chol_panel_solve, potrf_shifted
 
 __all__ = [
@@ -26,6 +22,5 @@ __all__ = [
     "chol_panel_solve",
     "cholesky_node_blocks",
     "factor_chol_3d",
-    "factor_nodes_chol_2d",
     "potrf_shifted",
 ]

@@ -1,4 +1,4 @@
-"""Right-looking supernodal Cholesky: the 2D engine and its 3D wrapper.
+"""Right-looking supernodal Cholesky: Algorithm 1 with the Cholesky backend.
 
 Per supernode ``k`` (lower triangle only):
 
@@ -22,28 +22,15 @@ variant-independent and now shared rather than duplicated.
 
 from __future__ import annotations
 
-from repro.comm.grid import ProcessGrid2D, ProcessGrid3D
+from repro.comm.grid import ProcessGrid3D
 from repro.comm.simulator import Simulator
-from repro.lu2d.factor2d import _factor_nodes
-from repro.lu2d.options import Factor2DResult, FactorOptions
+from repro.lu2d.options import FactorOptions
 from repro.lu3d.factor3d import Factor3DResult, factor_3d
 from repro.plan.backends import cholesky_node_blocks
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.tree.treeforest import TreeForest
 
-__all__ = ["cholesky_node_blocks", "factor_nodes_chol_2d", "factor_chol_3d"]
-
-
-def factor_nodes_chol_2d(sf: SymbolicFactorization, nodes, grid: ProcessGrid2D,
-                         sim: Simulator, data=None,
-                         options: FactorOptions | None = None
-                         ) -> Factor2DResult:
-    """Cholesky-factor ``nodes`` on one 2D grid (lower triangle in place).
-
-    :func:`repro.lu2d.factor_nodes_2d` with the Cholesky kernel backend;
-    ``perturbed_pivots`` counts diagonal shifts.
-    """
-    return _factor_nodes("cholesky", sf, nodes, grid, sim, data, options)
+__all__ = ["cholesky_node_blocks", "factor_chol_3d"]
 
 
 def factor_chol_3d(sf: SymbolicFactorization, tf: TreeForest,

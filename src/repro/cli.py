@@ -32,7 +32,7 @@ from repro.analysis import (
     format_table,
 )
 from repro.comm import Machine
-from repro.lu2d.factor2d import FactorOptions
+from repro.lu2d.options import FactorOptions
 from repro.resilience import FaultPlan
 from repro.utils import check_positive_int, check_power_of_two
 from repro.sparse import (

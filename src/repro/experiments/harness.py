@@ -17,7 +17,7 @@ from repro.comm.grid import ProcessGrid3D
 from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
 from repro.experiments.matrices import TestMatrix, paper_suite
-from repro.lu2d.factor2d import FactorOptions
+from repro.lu2d.options import FactorOptions
 from repro.lu3d.factor3d import factor_3d
 from repro.symbolic.symbolic_factor import SymbolicFactorization, symbolic_factorize
 from repro.tree.partition import greedy_partition, naive_partition

@@ -18,19 +18,18 @@ simulated runtime:
 A lookahead window pipelines the panel work of upcoming independent
 supernodes with the current Schur update (Section II-F), which is what lets
 communication hide behind computation in the simulator's timing model.
+
+The baseline runs as :func:`repro.lu3d.factor_3d` at ``Pz = 1`` (one layer,
+no Ancestor-Reduction); this package holds its kernels, options and block
+enumerators.
 """
 
-from repro.lu2d.factor2d import Factor2DResult, FactorOptions, factor_2d, factor_nodes_2d
 from repro.lu2d.kernels import getrf_nopiv, solve_lower_panel, solve_upper_panel
-from repro.lu2d.storage import allocate_factor_storage, factor_words_per_rank
+from repro.lu2d.options import Factor2DResult, FactorOptions
 
 __all__ = [
     "Factor2DResult",
     "FactorOptions",
-    "allocate_factor_storage",
-    "factor_2d",
-    "factor_nodes_2d",
-    "factor_words_per_rank",
     "getrf_nopiv",
     "solve_lower_panel",
     "solve_upper_panel",

@@ -1,14 +1,14 @@
 """Shared driver options and per-grid result records.
 
-These live in their own module (rather than in ``factor2d``) because both
-the drivers and the :mod:`repro.plan` layer need them: the plan builders
-read the options, the plan interpreter fills the result, and keeping them
-here breaks the import cycle between the two.
+These live in their own module because both the drivers and the
+:mod:`repro.plan` layer need them: the plan builders read the options, the
+plan interpreter fills the result, and keeping them here breaks the import
+cycle between the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["FactorOptions", "Factor2DResult"]
 
@@ -58,7 +58,7 @@ class FactorOptions:
         grid's state from the surviving sibling replicas along the z
         axis (the paper's ancestor replication, exploited for fault
         tolerance), falling back to restart where no replicas exist
-        (2D runs, the merged variant's single global copy).
+        (``Pz = 1`` runs, the merged variant's single global copy).
     compact_comm:
         Price every block message and block of factor/replica storage with
         the sparsity-aware compact model (:mod:`repro.comm.volume`):
@@ -122,4 +122,3 @@ class Factor2DResult:
     panel_steps: int = 0
     schur_block_updates: int = 0
     buffer_peak_words: float = 0.0
-    extras: dict = field(default_factory=dict)

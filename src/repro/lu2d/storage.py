@@ -1,24 +1,19 @@
-"""Per-rank factor-storage accounting for the 2D block-cyclic distribution.
+"""The factor blocks of each supernode and the rows each can hold nonzero.
 
-The static L/U data structure is allocated before numeric factorization
-begins (SuperLU_DIST does the same after its symbolic phase); these helpers
-charge that storage to each rank's memory ledger and compute the per-rank
-word counts the memory experiments (Fig. 11, Eq. 1/5) need.
+Every consumer of the static L/U block set gathers from these arrays: the
+storage charge (:func:`repro.lu3d.replica_words_per_rank`, the Fig. 11 /
+Eq. 1/5 memory), the Ancestor-Reduction builder and the numeric arena.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
-from repro.comm.grid import ProcessGrid2D
-from repro.comm.simulator import Simulator
 from repro.symbolic.symbolic_factor import SymbolicFactorization
-from repro.utils.ragged import csr_ptr, ragged, ranges
+from repro.utils.ragged import csr_ptr, ragged
 
-__all__ = ["allocate_factor_storage", "factor_words_per_rank", "node_blocks",
-           "cholesky_node_blocks", "node_block_arrays", "block_rows"]
+__all__ = ["node_blocks", "cholesky_node_blocks", "node_block_arrays",
+           "block_rows"]
 
 
 def _node_slice(sf, k: int, blocks_fn) -> list[tuple[int, int, int]]:
@@ -103,30 +98,3 @@ def block_rows(sf: SymbolicFactorization, blocks_fn=None
         out = cache[blocks_fn] = (r0, r1, dict(zip(zip(
             ii.tolist(), jj.tolist()), map(slice, r0.tolist(), r1.tolist()))))
     return out
-
-
-def factor_words_per_rank(sf: SymbolicFactorization, nodes: Iterable[int],
-                          grid: ProcessGrid2D, nranks: int,
-                          volume=None) -> np.ndarray:
-    """Words of L/U factor storage each global rank owns for ``nodes``.
-
-    ``volume`` is the :class:`repro.comm.volume.BlockVolume` pricing each
-    block (``None`` = dense, the historical ``rows * cols`` accounting).
-    """
-    ptr, ii, jj, ww = node_block_arrays(sf)
-    nodes = np.fromiter(nodes, dtype=np.int64)
-    at = ranges(ptr[nodes], ptr[nodes + 1] - ptr[nodes])
-    ii, jj, ww = ii[at], jj[at], ww[at]
-    if volume is not None:
-        ww = volume.cap_many(ii, jj, ww)
-    words = np.zeros(nranks)
-    np.add.at(words, grid.owner_pairs(ii, jj), ww)
-    return words
-
-
-def allocate_factor_storage(sf: SymbolicFactorization, nodes: Iterable[int],
-                            grid: ProcessGrid2D, sim: Simulator,
-                            volume=None) -> None:
-    """Charge the static factor storage of ``nodes`` to the owners' ledgers."""
-    sim.alloc_batch(np.arange(sim.nranks), factor_words_per_rank(
-        sf, nodes, grid, sim.nranks, volume=volume))

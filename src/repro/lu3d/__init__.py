@@ -10,9 +10,10 @@
 * level ``q < l``: the ``2^q`` surviving home grids factor the ancestor
   forests on their now fully-summed copies.
 
-The per-grid 2D work is the same grid plan :func:`repro.lu2d.factor_nodes_2d`
-builds and interprets — mirroring how the real implementation reuses
-SuperLU_DIST's 2D factorization routine on the local tree-forest.
+Each grid's 2D work is one grid plan (:func:`repro.plan.build.build_grid_plan`
+is the builder's per-grid unit) — mirroring how the real implementation
+reuses SuperLU_DIST's 2D factorization routine on the local tree-forest.
+At ``Pz = 1`` the schedule is that 2D baseline itself.
 """
 
 from repro.lu3d.factor3d import Factor3DResult, factor_3d

@@ -28,8 +28,9 @@ How a run executes (full width or per task, how many workers) is decided
 once, by :func:`repro.plan.execmode.resolve_exec`; the standard,
 merged-grid and Cholesky entry points are argument bindings of one
 pipeline (:func:`_factor`): validate → acquire the plan bundle → charge
-storage → bind data → execute. :func:`_execute_plan3d` is the one
-execution walk — the 2D driver's too — and resilience is hooks on it.
+storage → bind data → execute. The 2D baseline is its ``Pz = 1`` run: one
+layer, no Ancestor-Reduction. :func:`_execute_plan3d` is the one execution
+walk, and resilience is hooks on it.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ class Factor3DResult:
     bundle: PlanBundle | None = None
 
     def factors(self) -> BlockMatrix:
-        """Assembled L\\U factors (numeric runs only)."""
+        """Assembled L\\U factors, a copy (numeric runs only)."""
+        if self.merged_blocks is not None:
+            return self.merged_blocks.copy()
         if self.replicas is None:
             raise ValueError("cost-only run: no numeric factors")
         out = BlockMatrix(self.replicas.sf.layout)
@@ -223,8 +226,8 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
     additionally reuses a previous run's :class:`ReplicaManager` storage
     (reset in place) instead of allocating a fresh one.
 
-    With ``pz == 1`` this degenerates exactly to the baseline 2D algorithm
-    (one layer, no reduction) — tests rely on that equivalence.
+    With ``pz == 1`` (``greedy_partition(sf, 1)`` on a ``ProcessGrid3D(px,
+    py, 1)``) this is the baseline 2D algorithm: one layer, no reduction.
     """
     return _factor(sf, tf, grid3, sim, numeric=numeric, options=options,
                    charge_storage=charge_storage, matrix=matrix,
@@ -267,7 +270,10 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
     data = _bind_data(sf, tf, result, bundle, numeric=numeric,
                       merged=merged, matrix=matrix, replicas=replicas)
 
-    monitor = _monitor(opts, sim, bundle.plan3, sf, data, result)
+    monitor = None
+    if opts.resilience_active():
+        from repro.resilience.engine import ResilienceEngine
+        monitor = ResilienceEngine(opts, sim, bundle.plan3, sf, data, result)
     if mode.fuse:
         result.compiled = bundle.compiled()
     threads = GridThreads(mode.n_workers) if mode.n_workers > 1 else None
@@ -281,15 +287,6 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
     if monitor is not None:
         result.resilience = monitor.finish()
     return result
-
-
-def _monitor(opts, sim, plan3, sf, data, result3=None):
-    """The :class:`repro.resilience.ResilienceEngine` bound to this run
-    (``None``: nothing to watch; ``result3`` ``None``: a 2D run)."""
-    if not opts.resilience_active():
-        return None
-    from repro.resilience.engine import ResilienceEngine
-    return ResilienceEngine(opts, sim, plan3, sf, data, result3)
 
 
 def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
@@ -330,7 +327,7 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
                     threads: GridThreads | None, data, *,
                     fuse: bool = False, monitor=None):
     """Walk the plan level by level: the one execution walk of every
-    driver (standard, merged, Cholesky, and 2D as one level of one grid).
+    driver (standard, merged, Cholesky; 2D is ``Pz = 1``).
 
     ``data`` is one of the data strategies above; ``fuse`` selects the
     full-width cut points (see :func:`execute_grid_plan`): at full width
@@ -342,11 +339,10 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
     live context. ``monitor`` (the resilience engine) sees every task
     boundary; a crash makes :func:`execute_grid_plan` return the
     :class:`Resume` position its recovery picked, and the walk jumps
-    there. Returns the last part's result (a one-grid plan's whole one).
+    there.
     """
     levels = plan3.levels
     li, gi, ti, ctx = 0, 0, 0, None
-    out = None
     while li < len(levels):
         step = levels[li]
         sim.set_phase("fact")
@@ -376,4 +372,3 @@ def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
             li, gi = li + 1, 0
 
     sim.set_phase("fact")
-    return out

@@ -1,6 +1,6 @@
 """The one decision: how does this run execute.
 
-Every driver (2D, 3D, merged, Cholesky) asks :func:`resolve_exec` once
+Every driver (standard, merged, Cholesky) asks :func:`resolve_exec` once
 and follows the returned :class:`ExecMode`; nothing else in the package
 reads the simulator's attachments (``trace`` / ``topology`` /
 ``accelerator`` / ``faults``), ``FactorOptions.resilience_active()`` or

@@ -179,7 +179,7 @@ def _book_offloading(ctx: GridContext, t: int):
     return sim.book(A.stream, lo, hi, A.mem_ptr[t], A.mem_ptr[t + 1])
 
 
-def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
+def execute_grid_plan(plan: GridPlan, sf, sim: Simulator,
                       options: FactorOptions | None = None, *,
                       fuse: bool = False, monitor=None, start: int = 0,
                       ctx: GridContext | None = None, prog=None,
@@ -190,11 +190,9 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
     sets, so one dispatch and one booking of the level is, per rank and
     bit for bit, the grid-after-grid walk.
 
-    ``data`` is a mapping ``(i, j) -> ndarray`` holding this grid's copy
-    of every block the plan touches (``None`` for cost-only simulation);
-    blocks are overwritten with the packed factors. A driver that keeps
-    its blocks across runs passes ``prog``, the plan's kernel program
-    already bound to them, instead.
+    ``prog`` is the plan's kernel program, bound to the run's blocks by
+    the data strategy (``None``: cost-only simulation); the kernels
+    overwrite the blocks with the packed factors.
 
     ``fuse`` selects the cut points: the plan's full-width runs
     (:attr:`repro.plan.ExecMode.fuse`) — with no ``monitor`` at their
@@ -211,8 +209,6 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator, data=None,
     """
     opts = options or FactorOptions()
     if ctx is None:
-        if prog is None and data is not None:
-            prog = get_backend(plan.backend).bind(plan.arrays, data, sf)
         ctx = GridContext(plan, sf, sim, prog, opts, threads)
 
     cuts = plan.arrays.cuts(fuse)

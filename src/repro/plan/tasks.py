@@ -151,7 +151,7 @@ def _fusion(parts: list[TaskArrays], extra: int = 0) -> FusionStats:
 
 @dataclass
 class GridPlan:
-    """One grid's ordered tasks for one level (or the whole 2D run): a
+    """One grid's ordered tasks for one level (at ``Pz = 1``, all of them): a
     slice of its level's arrays. Given ``arrays=(level arrays, lo, hi)``
     it is cut (:meth:`TaskArrays.cut`) on first use — the plain walk books
     whole levels and never asks.
@@ -247,16 +247,6 @@ class Plan3D:
     pattern_sig: tuple | None = None
     #: :func:`repro.plan.build.partition_signature` of its tree-forest.
     partition_sig: tuple | None = None
-
-    @classmethod
-    def of_grid(cls, gp: GridPlan) -> "Plan3D":
-        """One grid plan as one level of one grid — the 2D driver's plan
-        in the form the one walk executes."""
-        n = gp.n_tasks
-        return cls(gp.backend, False, [LevelStep(
-            level=gp.level, grid_plans=[gp], reduces=[],
-            barrier=LevelBarrier(tid=n, level=gp.level), arrays=gp.arrays,
-            grid_ptr=np.array([0, n]))])
 
     def _level_scope_tasks(self) -> int:
         return sum(len(s.reduces) + 1 for s in self.levels)

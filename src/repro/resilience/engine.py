@@ -1,8 +1,8 @@
 """Checkpoint/restart and z-replica recovery: hooks on the one plan walk.
 
 The :class:`ResilienceEngine` is the ``monitor`` that the one walk,
-:func:`repro.lu3d.factor3d._execute_plan3d` (3D, merged, Cholesky, and 2D
-as one level of one grid), hands the plan interpreter at every task
+:func:`repro.lu3d.factor3d._execute_plan3d` (every driver; the 2D baseline
+is its ``Pz = 1`` run), hands the plan interpreter at every task
 boundary. It does three jobs:
 
 1. **Fault arming** (``before_task``). Crash faults of the run's
@@ -29,8 +29,8 @@ boundary. It does three jobs:
    under the ``'rec'`` phase. A grid active at level ``lvl`` is the
    *destination* (never the source) of every deeper boundary's reduce,
    and ``accumulate`` leaves source copies intact, so the replay is
-   bit-exact. Where no sibling replicas exist (2D runs, the merged
-   variant's single global copy) z-replica falls back to restart and
+   bit-exact. Where no sibling replicas exist (``Pz = 1`` runs, the
+   merged variant's single global copy) z-replica falls back to restart and
    records why on ``stats.notes``.
 """
 
@@ -75,13 +75,14 @@ class _Checkpoint:
 
 class ResilienceEngine:
     """One run's fault monitor, checkpoint store and recovery policies,
-    bound to its plan, symbolic factorization, data strategy and (3D)
-    result, whose counters a restart rolls back — ``None`` marks a 2D run,
-    with no z axis to rebuild a grid from. Binding resolves the policy and
-    takes the implicit, I/O-free initial checkpoint at ``(0, 0, 0)``."""
+    bound to its plan, symbolic factorization, data strategy and result,
+    whose counters a restart rolls back. Binding resolves the policy —
+    z-replica needs sibling replicas along z: ``result.tf.pz > 1`` and a
+    data strategy that keeps them — and takes the implicit, I/O-free
+    initial checkpoint at ``(0, 0, 0)``."""
 
     def __init__(self, opts: FactorOptions, sim: Simulator, plan3, sf, data,
-                 result3=None):
+                 result):
         plan = opts.fault_plan if opts.fault_plan is not None else FaultPlan()
         if not isinstance(plan, FaultPlan):
             raise TypeError(
@@ -92,14 +93,14 @@ class ResilienceEngine:
         self.plan3 = plan3
         self.sf = sf
         self.data = data
-        self.result3 = result3
+        self.result = result
         self._crashes = _check_crashes(plan.crashes(), plan3)
         self._crash_fired = [False] * len(self._crashes)
         self.policy = opts.recovery
         self.stats = ResilienceStats(policy=opts.recovery,
                                      checkpoint_every=opts.checkpoint_every,
                                      n_faults=len(plan))
-        why = ("2D run has no sibling replicas along z" if result3 is None
+        why = ("2D run has no sibling replicas along z" if result.tf.pz == 1
                else None if data.supports_zreplica
                else "single global block copy has no sibling replicas")
         if self.policy == "z-replica" and why is not None:
@@ -193,8 +194,7 @@ class ResilienceEngine:
             data_snap=self.data.snapshot(),
             ctx_snap=ctx.snapshot(),
             result_snap=self._result_scalars(),
-            n_level_makespans=(0 if self.result3 is None
-                               else len(self.result3.per_level_makespan)),
+            n_level_makespans=len(self.result.per_level_makespan),
             compute_sum=self._compute_sum())
         # Every rank writes its resident state (factors + replicas +
         # transient buffers) to stable storage; the blocking write gates
@@ -220,10 +220,9 @@ class ResilienceEngine:
         st.lost_work_seconds += self._compute_sum() - cp.compute_sum
         # Roll the logical state back; physical ledgers keep running.
         self.data.restore(cp.data_snap)
-        if self.result3 is not None:
-            for name, val in cp.result_snap.items():
-                setattr(self.result3, name, val)
-            del self.result3.per_level_makespan[cp.n_level_makespans:]
+        for name, val in cp.result_snap.items():
+            setattr(self.result, name, val)
+        del self.result.per_level_makespan[cp.n_level_makespans:]
         # Detection + relaunch synchronizes every rank, then each rank
         # re-reads its checkpointed state from stable storage.
         top = float(sim.clock.max())
@@ -304,9 +303,7 @@ class ResilienceEngine:
         return float(self.sim.clock[lo:hi].max())
 
     def _result_scalars(self) -> dict:
-        if self.result3 is None:
-            return {}
-        return {name: getattr(self.result3, name)
+        return {name: getattr(self.result, name)
                 for name in _RESULT3D_FIELDS}
 
 

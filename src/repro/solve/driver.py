@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from repro.comm.grid import ProcessGrid3D
 from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
-from repro.lu2d.factor2d import FactorOptions
+from repro.lu2d.options import FactorOptions
 from repro.lu3d.factor3d import Factor3DResult, factor_3d
 from repro.solve.condest import condest
 from repro.solve.equilibrate import equilibrate

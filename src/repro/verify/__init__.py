@@ -28,8 +28,7 @@ from repro.verify.access import (
     grid_task_accesses,
     reduce_accesses,
 )
-from repro.verify.fuzz import FuzzReport, fuzz_2d, fuzz_3d, fuzz_solve, \
-    random_legal_orders
+from repro.verify.fuzz import FuzzReport, fuzz_3d, fuzz_solve, random_legal_orders
 from repro.verify.oracle import (
     VerificationError,
     check_conservation,
@@ -52,7 +51,7 @@ __all__ = [
     "grid_task_accesses", "reduce_accesses",
     "Issue", "StaticReport", "PlanVerificationError", "analyze_plan",
     "drop_dep_edge",
-    "FuzzReport", "fuzz_2d", "fuzz_3d", "fuzz_solve",
+    "FuzzReport", "fuzz_3d", "fuzz_solve",
     "random_legal_orders",
     "VerificationError", "ledger_state", "conservation_issues",
     "check_conservation", "lu_residual", "cholesky_error",

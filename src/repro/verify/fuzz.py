@@ -43,14 +43,12 @@ from repro.comm.events import PHASE_FACT, PHASE_RED
 from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
-from repro.plan.backends import get_backend
-from repro.plan.build import build_grid_plan
 from repro.plan.interpret import GridContext, book, execute_reduce, run
 from repro.plan.tasks import GridPlan, Plan3D
 from repro.utils.ragged import ragged
 from repro.verify.oracle import ledger_state
 
-__all__ = ["FuzzReport", "fuzz_2d", "fuzz_3d", "fuzz_solve",
+__all__ = ["FuzzReport", "fuzz_3d", "fuzz_solve",
            "random_legal_orders"]
 
 
@@ -294,42 +292,6 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
                                           opts),
                  len(units), _constraint_edges(units),
                  driver=f"{name}3d{'_numeric' if numeric else ''}",
-                 n_orders=n_orders, seed=seed)
-
-
-def fuzz_2d(sf, grid, *, backend: str = "lu", numeric: bool = False,
-            n_orders: int = 25, seed: int = 0,
-            options: FactorOptions | None = None, machine=None,
-            fuse: bool = False) -> FuzzReport:
-    """Fuzz a single-grid 2D plan (:func:`repro.lu2d.factor2d.factor_2d`
-    setup: full node range, static factor storage charged up front).
-    ``fuse=True`` fuzzes the plan's full-width runs."""
-    from repro.comm.volume import volume_for
-    from repro.lu2d.storage import allocate_factor_storage
-    from repro.lu3d.factor3d import CostOnlyData, GlobalStoreData
-    from repro.sparse.blockmatrix import BlockMatrix
-
-    opts = options or FactorOptions()
-    mach = machine if machine is not None else Machine.edison_like()
-    nodes = list(range(sf.nb))
-    plan = build_grid_plan(sf, nodes, grid, opts, backend=backend)
-
-    def setup():
-        sim = Simulator(grid.size, mach)
-        allocate_factor_storage(sf, nodes, grid, sim,
-                                volume=volume_for(sf, opts))
-        if not numeric:
-            return sim, CostOnlyData(), None
-        store = BlockMatrix.from_csr(get_backend(backend).values(sf.A_perm),
-                                     sf.layout,
-                                     block_pattern=sf.fill.all_blocks())
-        return sim, GlobalStoreData(store), store.to_dense
-
-    units, ctx_plans = _grid_units(plan, (0, 0), fuse), {(0, 0): plan}
-    return _fuzz(lambda order: _run_order(units, ctx_plans, order, setup, sf,
-                                          opts),
-                 len(units), _constraint_edges(units),
-                 driver=f"{backend}2d{'_numeric' if numeric else ''}",
                  n_orders=n_orders, seed=seed)
 
 

@@ -49,6 +49,15 @@ def width1_simulator(nranks: int, machine=None):
     return sim
 
 
+def one_layer(sf, px: int, py: int):
+    """``(tf, grid3)`` of the 2D baseline on a ``px x py`` grid: Algorithm 1
+    at ``Pz = 1`` — one layer, no Ancestor-Reduction. Pass them to
+    ``factor_3d`` / ``factor_chol_3d`` / ``fuzz_3d``."""
+    from repro.comm import ProcessGrid3D
+    from repro.tree import greedy_partition
+    return greedy_partition(sf, 1), ProcessGrid3D(px, py, 1)
+
+
 def reassembled(A, **cols):
     """Task arrays ``A`` with the primary columns ``cols`` replaced and
     every derived column assembled afresh: a hand-edited plan that is

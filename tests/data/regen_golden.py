@@ -35,9 +35,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.cholesky import factor_chol_3d
-from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
+from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.comm.simulator import COMPUTE_KINDS, PHASES
-from repro.lu2d.factor2d import FactorOptions, factor_2d
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
 from repro.resilience import Fault, FaultPlan
@@ -106,9 +106,8 @@ def main(compact: bool = False) -> None:
 
     cases: dict = {"_readme": README}
 
-    # -- LU 2D baseline, four option points pinning the schedule variants --
-    A, geom = grid2d_5pt(12)
-    sf2 = symbolic_factorize(A, geom, leaf_size=16)
+    # -- LU 2D baseline (Pz = 1), four option points pinning the schedule -
+    sf2, tf2 = planar_setup(12, 16, 1)
     for label, opts in (
             ("default", O()),
             ("lookahead0", O(lookahead=0)),
@@ -116,9 +115,9 @@ def main(compact: bool = False) -> None:
             # Row name kept from the deleted ``batched_schur=False`` per-block
             # loop: the one Schur body has to keep reproducing it.
             ("unbatched", O())):
-        grid = ProcessGrid2D(2, 3)
+        grid = ProcessGrid3D(2, 3, 1)
         sim = Simulator(grid.size, Machine.edison_like())
-        factor_2d(sf2, grid, sim, options=opts)
+        factor_3d(sf2, tf2, grid, sim, numeric=False, options=opts)
         cases[f"lu2d_{label}"] = ledger_dict(sim)
 
     # -- LU 3D, planar pz=4 (cost-only ledgers + numeric checksum) --------

@@ -16,8 +16,9 @@ time-armed crashes, and dense / compact block pricing: 96 cases.
 The committed file was generated at commit ``ae87111``, where the 3D and
 2D drivers walked a resilient run through loops of their own in
 ``repro.resilience.engine``; every later walk must reproduce it byte for
-byte. Regenerate only when a PR intentionally changes what a fault,
-checkpoint or recovery books.
+byte. The ``lu2d*`` cases are the 2D baseline, now run as
+:func:`repro.lu3d.factor_3d` at ``Pz = 1``. Regenerate only when a PR
+intentionally changes what a fault, checkpoint or recovery books.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.cholesky import factor_chol_3d
-from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
-from repro.lu2d.factor2d import FactorOptions, factor_2d
+from repro.comm import Machine, ProcessGrid3D, Simulator
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
 from repro.resilience import Fault, FaultPlan
 from repro.sparse import grid2d_5pt
-from repro.sparse.blockmatrix import BlockMatrix
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify import ledger_state
@@ -72,7 +72,8 @@ def spd_setup(pz: int):
 @functools.cache
 def lu2d_setup():
     A, geom = grid2d_5pt(12)
-    return symbolic_factorize(A, geom, leaf_size=16)
+    sf = symbolic_factorize(A, geom, leaf_size=16)
+    return sf, greedy_partition(sf, 1)
 
 
 SLOW = Fault("slow", rank=0, slow_factor=3.0)
@@ -127,35 +128,23 @@ def run_case(driver: str, policy: str, every: int, faults, compact: bool
                          checkpoint_every=every, compact_comm=compact)
     mach = Machine.edison_like()
     dense = None
-    if driver.startswith("lu2d"):
-        sf = lu2d_setup()
-        grid = ProcessGrid2D(2, 3)
-        sim = Simulator(grid.size, mach)
-        data = None if driver == "lu2d_cost" else BlockMatrix.from_csr(
-            sf.A_perm, sf.layout, block_pattern=sf.fill.all_blocks())
-        stats = factor_2d(sf, grid, sim, data=data,
-                          options=opts).extras["resilience"]
-        if data is not None:
-            dense = data.to_dense()
+    if driver.startswith("lu2d"):       # the 2D baseline: Pz = 1
+        sf, tf = lu2d_setup()
+        grid3 = ProcessGrid3D(2, 3, 1)
+    elif driver == "chol":
+        sf, tf = spd_setup(2)
+        grid3 = ProcessGrid3D(2, 2, 2)
     else:
-        if driver == "chol":
-            sf, tf = spd_setup(2)
-            grid3 = ProcessGrid3D(2, 2, 2)
-        else:
-            sf, tf = planar_setup(4)
-            grid3 = ProcessGrid3D(2, 2, 4)
-        sim = Simulator(grid3.size, mach)
-        if driver == "merged":
-            res = factor_3d_merged(sf, tf, grid3, sim, numeric=True,
-                                   options=opts)
-            dense = res.merged_blocks.to_dense()
-        else:
-            run = factor_chol_3d if driver == "chol" else factor_3d
-            res = run(sf, tf, grid3, sim, numeric=driver != "lu3d_cost",
-                      options=opts)
-            if driver != "lu3d_cost":
-                dense = res.factors().to_dense()
-        stats = res.resilience
+        sf, tf = planar_setup(4)
+        grid3 = ProcessGrid3D(2, 2, 4)
+    sim = Simulator(grid3.size, mach)
+    numeric = not driver.endswith("_cost")
+    run = {"merged": factor_3d_merged, "chol": factor_chol_3d}.get(
+        driver, factor_3d)
+    res = run(sf, tf, grid3, sim, numeric=numeric, options=opts)
+    if numeric:
+        dense = res.factors().to_dense()
+    stats = res.resilience
     rec = {"ledger": _sha1(json.dumps(ledger_state(sim),
                                       sort_keys=True).encode()),
            "stats": dataclasses.asdict(stats)}

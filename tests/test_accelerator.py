@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.comm import CommError, Machine, ProcessGrid2D, Simulator
+from repro.comm import CommError, Machine, Simulator
 from repro.comm.accelerator import Accelerator
-from repro.lu2d import FactorOptions, factor_2d
-from repro.sparse import BlockMatrix, grid3d_7pt, grid2d_5pt
+from repro.lu2d import FactorOptions
+from repro.lu3d import factor_3d
+from repro.sparse import grid3d_7pt, grid2d_5pt
 from repro.symbolic import symbolic_factorize
+from tests.conftest import one_layer
 
 
 class TestAcceleratorModel:
@@ -74,10 +76,8 @@ class TestHaloFactorization:
             sim = Simulator(4)
             if accel:
                 sim.attach_accelerator(Accelerator(min_flops=1e4))
-            data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                        block_pattern=sf.fill.all_blocks())
-            factor_2d(sf, ProcessGrid2D(2, 2), sim, data=data, options=opts)
-            results[accel] = data.to_dense()
+            res = factor_3d(sf, *one_layer(sf, 2, 2), sim, options=opts)
+            results[accel] = res.factors().to_dense()
         assert np.array_equal(results[False], results[True])
 
     def test_flops_split_host_device(self):
@@ -86,7 +86,7 @@ class TestHaloFactorization:
         sf = symbolic_factorize(A, g, leaf_size=32)
         sim = Simulator(4)
         sim.attach_accelerator(Accelerator(min_flops=1e5))
-        factor_2d(sf, ProcessGrid2D(2, 2), sim)
+        factor_3d(sf, *one_layer(sf, 2, 2), sim, numeric=False)
         total = sim.flops["schur"].sum() + sim.accel_flops.sum()
         assert total == pytest.approx(sf.costs.schur_flops.sum())
         assert sim.accel_flops.sum() > 0
@@ -101,7 +101,7 @@ class TestHaloFactorization:
             sim = Simulator(4, Machine.edison_like())
             if accel:
                 sim.attach_accelerator(Accelerator(min_flops=2e5))
-            factor_2d(sf, ProcessGrid2D(2, 2), sim)
+            factor_3d(sf, *one_layer(sf, 2, 2), sim, numeric=False)
             times[accel] = sim.makespan
         assert times[True] < times[False]
 
@@ -113,6 +113,6 @@ class TestHaloFactorization:
             sim = Simulator(4, Machine.edison_like())
             if accel:
                 sim.attach_accelerator(Accelerator(min_flops=1e12))
-            factor_2d(sf, ProcessGrid2D(2, 2), sim)
+            factor_3d(sf, *one_layer(sf, 2, 2), sim, numeric=False)
             times[accel] = sim.makespan
         assert times[True] == pytest.approx(times[False])

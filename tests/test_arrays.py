@@ -511,19 +511,20 @@ class TestBlockArrays:
         assert got.tolist() == want.tolist() and got.sum() > 0
 
     def test_factor_words_equal_the_loop(self, setup):
+        """The 2D baseline's static factor storage is the replica charge
+        at Pz = 1: every node's blocks once, on the one layer's owners."""
         from repro.comm.volume import CompactVolume
-        from repro.lu2d.storage import factor_words_per_rank, node_blocks
-        sf, _tf, _ = setup
-        grid = ProcessGrid2D(2, 3, base=6)
-        nodes = list(range(1, sf.nb, 2))
+        from repro.lu3d.replication import replica_words_per_rank
+        sf, _tf, blocks_fn = setup
+        grid3 = ProcessGrid3D(2, 3, 1)
         for volume in (None, CompactVolume(sf)):
-            want = np.zeros(12)
-            for k in nodes:
-                for i, j, w in node_blocks(sf, k):
-                    want[grid.owner(i, j)] += w if volume is None \
+            want = np.zeros(6)
+            for k in range(sf.nb):
+                for i, j, w in blocks_fn(sf, k):
+                    want[grid3.layer(0).owner(i, j)] += w if volume is None \
                         else volume.cap(i, j, float(w))
-            got = factor_words_per_rank(sf, iter(nodes), grid, 12,
-                                        volume=volume)
+            got = replica_words_per_rank(sf, greedy_partition(sf, 1), grid3,
+                                         blocks_fn=blocks_fn, volume=volume)
             assert got.tolist() == want.tolist()
 
 

@@ -12,18 +12,18 @@ import numpy as np
 import pytest
 
 from repro.analysis import Trace
-from repro.cholesky import factor_nodes_chol_2d
+from repro.cholesky import factor_chol_3d
 from repro.comm import (CommError, ProcessGrid2D, ProcessGrid3D, Simulator,
                         UniformTopology)
 from repro.comm.accelerator import Accelerator
 from repro.comm.collectives import bcast
-from repro.lu2d import factor_2d
 from repro.lu2d.batched import schur_pairs, syrk_pairs
-from repro.lu3d import factor_3d
-from repro.sparse import (BlockMatrix, delaunay_mesh_2d, grid2d_5pt,
-                          grid3d_7pt)
+from repro.lu3d import factor_3d, replica_words_per_rank
+from repro.plan import build_grid_plan, execute_grid_plan
+from repro.sparse import delaunay_mesh_2d, grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from tests.conftest import one_layer
 
 
 def ledger_snapshot(sim: Simulator) -> dict[str, np.ndarray]:
@@ -193,21 +193,17 @@ class TestFactor2DEquivalence:
     def test_batched_booking_matches_per_event(self, name, A, geom):
         """Same factors and bit-identical ledgers on both booking paths."""
         sf = symbolic_factorize(A, geom, leaf_size=24)
-        grid = ProcessGrid2D(2, 2)
         runs = {}
         for traced in (True, False):
             sim = _sim(4, traced)
-            data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                        block_pattern=sf.fill.all_blocks())
-            res = factor_2d(sf, grid, sim, data=data)
-            runs[traced] = (data.to_dense(), sim, res)
+            res = factor_3d(sf, *one_layer(sf, 2, 2), sim)
+            runs[traced] = (res.factors().to_dense(), sim, res)
         dense_loop, sim_loop, res_loop = runs[True]
         dense_bat, sim_bat, res_bat = runs[False]
         scale = np.abs(dense_loop).max()
         assert np.allclose(dense_bat, dense_loop, atol=1e-12 * max(scale, 1))
         assert_ledgers_identical(sim_loop, sim_bat)
         assert res_bat.schur_block_updates == res_loop.schur_block_updates
-        assert res_bat.buffer_peak_words == res_loop.buffer_peak_words
 
     def test_cost_only_ledgers_identical(self):
         A, g = grid2d_5pt(14)
@@ -215,16 +211,16 @@ class TestFactor2DEquivalence:
         sims = {}
         for traced in (True, False):
             sims[traced] = _sim(4, traced)
-            factor_2d(sf, ProcessGrid2D(2, 2), sims[traced])
+            factor_3d(sf, *one_layer(sf, 2, 2), sims[traced], numeric=False)
         assert_ledgers_identical(sims[True], sims[False])
 
     def test_event_counts_match_result_counters(self):
         A, g = grid2d_5pt(12)
         sf = symbolic_factorize(A, g, leaf_size=24)
         sim = Simulator(4)
-        res = factor_2d(sf, ProcessGrid2D(2, 2), sim)
+        res = factor_3d(sf, *one_layer(sf, 2, 2), sim, numeric=False)
         assert sim.event_counts["schur"] == res.schur_block_updates
-        assert sim.event_counts["diag"] == res.panel_steps
+        assert sim.event_counts["diag"] == sf.nb    # one panel step each
         assert sim.event_counts["send"] == sim.event_counts["recv"]
         assert sim.event_counts["send"] > 0
 
@@ -252,17 +248,11 @@ class TestCholeskyEquivalence:
     def test_batched_booking_matches_per_event_chol(self):
         A, g = grid2d_5pt(14)
         sf = symbolic_factorize(A, g, leaf_size=24)
-        import scipy.sparse as sp
-        nodes = list(range(sf.nb))
         runs = {}
         for traced in (True, False):
             sim = _sim(4, traced)
-            sim.set_phase("fact")
-            data = BlockMatrix.from_csr(sp.tril(sf.A_perm).tocsr(), sf.layout,
-                                        block_pattern=sf.fill.all_blocks())
-            res = factor_nodes_chol_2d(sf, nodes, ProcessGrid2D(2, 2), sim,
-                                       data=data)
-            runs[traced] = (data.to_dense(), sim, res)
+            res = factor_chol_3d(sf, *one_layer(sf, 2, 2), sim)
+            runs[traced] = (res.factors().to_dense(), sim, res)
         dense_loop, sim_loop, res_loop = runs[True]
         dense_bat, sim_bat, res_bat = runs[False]
         scale = np.abs(dense_loop).max()
@@ -354,12 +344,14 @@ class TestBufferPeak:
     def test_excludes_static_storage(self):
         A, g = grid2d_5pt(14)
         sf = symbolic_factorize(A, g, leaf_size=24)
+        plan = build_grid_plan(sf, list(range(sf.nb)), ProcessGrid2D(2, 2))
+        static = replica_words_per_rank(sf, *one_layer(sf, 2, 2))
 
         def run(charge):
             sim = Simulator(4)
-            res = factor_2d(sf, ProcessGrid2D(2, 2), sim,
-                            charge_storage=charge)
-            return res, sim
+            if charge:
+                sim.alloc_batch(np.arange(4), static)
+            return execute_grid_plan(plan, sf, sim), sim
 
         res_charged, sim_charged = run(True)
         res_plain, sim_plain = run(False)

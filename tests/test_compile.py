@@ -3,7 +3,8 @@
 **Observational equivalence of the two widths** — a plan is one array
 form (:mod:`repro.plan.arrays`); walking its full-width runs books
 ledgers bit-identical to walking it task by task and produces bit-equal
-factors, across all four drivers (2D LU, 3D LU, merged 3D, Cholesky) and
+factors, across the drivers (3D LU, the 2D baseline as its Pz = 1 run,
+merged 3D, Cholesky) and
 under the randomized-schedule fuzzer; the static analyzer is clean on it,
 cut points and derived columns included, and dropping a dep edge still
 trips the race detector. (This file keeps its name from the compile pass
@@ -24,16 +25,16 @@ import scipy.sparse as sp
 from repro.analysis import format_parallel_stats
 from repro.cholesky import factor_chol_3d
 from repro.comm import ProcessGrid2D, ProcessGrid3D, Simulator
-from repro.lu2d.factor2d import FactorOptions, factor_2d
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
 from repro.plan import FusedPlan, build_3d_plan, build_grid_plan
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
-from repro.verify import analyze_plan, drop_dep_edge, fuzz_2d, fuzz_3d
+from repro.verify import analyze_plan, drop_dep_edge, fuzz_3d
 from repro.verify.oracle import ledger_state
-from tests.conftest import width1_simulator
+from tests.conftest import one_layer, width1_simulator
 
 
 @pytest.fixture(scope="module")
@@ -78,16 +79,15 @@ class TestCompiledBitIdentity:
 
     def test_lu2d(self, planar):
         sf, _ = planar
-        grid = ProcessGrid2D(2, 3)
 
         def run(per_task):
-            sim = _sim(grid.size, per_task)
-            res = factor_2d(sf, grid, sim)
+            sim = _sim(6, per_task)
+            res = factor_3d(sf, *one_layer(sf, 2, 3), sim, numeric=False)
             return sim, res
 
         res_c, res_u = assert_equivalent(run, compare_factors=False)
-        assert res_c.extras["fused"] and not res_u.extras["fused"]
-        stats = res_c.extras["plan"].fusion_stats()
+        assert res_c.compiled is not None and res_u.compiled is None
+        stats = res_c.plan.fusion_stats()
         assert stats.n_fused > 0
         assert stats.dispatch_reduction > 1.0
 
@@ -213,9 +213,9 @@ class TestCompiledStatic:
 
     def test_fuzz_2d_compiled(self, planar):
         sf, _ = planar
-        grid = ProcessGrid2D(2, 3)
-        rep_u = fuzz_2d(sf, grid, numeric=True, n_orders=6)
-        rep_c = fuzz_2d(sf, grid, numeric=True, n_orders=6, fuse=True)
+        rep_u = fuzz_3d(sf, *one_layer(sf, 2, 3), numeric=True, n_orders=6)
+        rep_c = fuzz_3d(sf, *one_layer(sf, 2, 3), numeric=True, n_orders=6,
+                        fuse=True)
         assert rep_c.ok, rep_c.summary()
         # Full-width runs serialize the single-grid pipeline into a chain,
         # so the identity order may be the only legal one here; the

@@ -133,7 +133,7 @@ class TestCrossReferences:
         """Spot-check the API reference's headline symbols."""
         import repro
         for name in ("SparseLU3D", "SparseCholesky3D", "factor_3d",
-                     "factor_2d", "Machine", "Simulator",
+                     "Machine", "Simulator",
                      "delaunay_mesh_2d", "nested_dissection",
                      "symbolic_factorize", "greedy_partition"):
             assert hasattr(repro, name), f"repro.{name} missing"
@@ -197,6 +197,10 @@ class TestCrossReferences:
         "c_values", "volume_stream",
         "DissectionNode", "BlockingOptions", "blocking_signature",
         "BLOCKING_STRATEGIES", "uniform_cap_split", "blocking_options",
+        "factor_2d", "factor_nodes_2d", "_factor_nodes", "lu2d/factor2d",
+        "lu2d.factor2d", "factor_nodes_chol_2d", "Plan3D.of_grid",
+        ".of_grid(", "fuzz_2d", "allocate_factor_storage",
+        "factor_words_per_rank", ".extras", "result3",
     )
 
     def test_no_deleted_name_survives(self):
@@ -411,14 +415,14 @@ class TestOnePlanForm:
 
     def test_one_execution_walk(self):
         """``_execute_plan3d`` is the one loop that executes a plan's
-        levels — every driver's, the 2D one as one level of one grid.
-        Besides it only the z-replica replay (the crashed grid's own
-        subtree) executes a grid plan."""
+        levels, and the one pipeline ``_factor`` its one caller — every
+        driver's, the 2D baseline as its ``Pz = 1`` run. Besides it only
+        the z-replica replay (the crashed grid's own subtree) executes a
+        grid plan."""
         assert self._calls("execute_grid_plan") == [
             "lu3d/factor3d.py::_execute_plan3d",
             "resilience/engine.py::_recover_zreplica"]
-        assert self._calls("_execute_plan3d") == [
-            "lu2d/factor2d.py::_factor_nodes", "lu3d/factor3d.py::_factor"]
+        assert self._calls("_execute_plan3d") == ["lu3d/factor3d.py::_factor"]
         loops = [path for path in self.SRC.rglob("*.py")
                  if re.search(r"while \w+ < len\((\w+\.)?levels\)",
                               path.read_text())]

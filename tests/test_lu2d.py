@@ -1,4 +1,5 @@
-"""Tests for the 2D baseline factorization: numerics, kernels, pipeline, ledgers."""
+"""Tests for the 2D baseline factorization — Algorithm 1 at ``Pz = 1``:
+numerics, kernels, pipeline, ledgers."""
 
 import numpy as np
 import pytest
@@ -6,27 +7,24 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import Machine, ProcessGrid2D, Simulator
+from repro.comm import Machine, Simulator
 from repro.lu2d import (
     FactorOptions,
-    factor_2d,
-    factor_words_per_rank,
     getrf_nopiv,
     solve_lower_panel,
     solve_upper_panel,
 )
-from repro.sparse import BlockMatrix, grid2d_5pt
+from repro.lu3d import factor_3d, replica_words_per_rank
+from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
+from tests.conftest import one_layer
 
 
 def _factor_and_error(A, geom, leaf_size=24, px=2, py=2, **kw):
     sf = symbolic_factorize(A, geom, leaf_size=leaf_size)
-    grid = ProcessGrid2D(px, py)
     sim = Simulator(px * py)
-    data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                block_pattern=sf.fill.all_blocks())
-    res = factor_2d(sf, grid, sim, data=data, **kw)
-    LU = data.to_dense()
+    res = factor_3d(sf, *one_layer(sf, px, py), sim, **kw)
+    LU = res.factors().to_dense()
     n = sf.n
     L = np.tril(LU, -1) + np.eye(n)
     U = np.triu(LU)
@@ -103,10 +101,8 @@ class TestNumericCorrectness:
         the same permuted system."""
         A, geom = planar_small
         sf = symbolic_factorize(A, geom, leaf_size=16)
-        data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                    block_pattern=sf.fill.all_blocks())
-        factor_2d(sf, ProcessGrid2D(2, 2), Simulator(4), data=data)
-        LU = data.to_dense()
+        LU = factor_3d(sf, *one_layer(sf, 2, 2),
+                       Simulator(4)).factors().to_dense()
         n = sf.n
         rng = np.random.default_rng(0)
         b = rng.random(n)
@@ -149,12 +145,11 @@ class TestScheduleAccounting:
     def test_memory_charged_matches_factor_words(self, planar_small):
         A, geom = planar_small
         sf = symbolic_factorize(A, geom, leaf_size=16)
-        grid = ProcessGrid2D(2, 2)
         sim = Simulator(4)
-        factor_2d(sf, grid, sim)  # cost-only
+        factor_3d(sf, *one_layer(sf, 2, 2), sim, numeric=False)
         from repro.comm.volume import volume_for
-        expected = factor_words_per_rank(sf, range(sf.nb), grid, 4,
-                                         volume=volume_for(sf, None))
+        expected = replica_words_per_rank(sf, *one_layer(sf, 2, 2),
+                                          volume=volume_for(sf, None))
         # Peak >= static storage; current == static + no leaked buffers.
         assert (sim.mem_peak >= expected - 1e-9).all()
         assert np.allclose(sim.mem_current, expected)
@@ -162,10 +157,9 @@ class TestScheduleAccounting:
     def test_buffers_all_freed(self, planar_small):
         A, geom = planar_small
         _, _, sim, sf = _factor_and_error(A, geom)
-        grid = ProcessGrid2D(2, 2)
         from repro.comm.volume import volume_for
-        static = factor_words_per_rank(sf, range(sf.nb), grid, 4,
-                                       volume=volume_for(sf, None))
+        static = replica_words_per_rank(sf, *one_layer(sf, 2, 2),
+                                        volume=volume_for(sf, None))
         assert np.allclose(sim.mem_current, static)
 
 
@@ -178,7 +172,7 @@ class TestLookaheadPipeline:
         times = {}
         for w in (0, 8):
             sim = Simulator(16, Machine.edison_like())
-            factor_2d(sf, ProcessGrid2D(4, 4), sim,
+            factor_3d(sf, *one_layer(sf, 4, 4), sim, numeric=False,
                       options=FactorOptions(lookahead=w))
             times[w] = sim.makespan
         assert times[8] < times[0]
@@ -190,7 +184,7 @@ class TestLookaheadPipeline:
         vols = []
         for w in (0, 4, 16):
             sim = Simulator(4)
-            factor_2d(sf, ProcessGrid2D(2, 2), sim,
+            factor_3d(sf, *one_layer(sf, 2, 2), sim, numeric=False,
                       options=FactorOptions(lookahead=w))
             vols.append(sim.total_words_sent())
         assert vols[0] == vols[1] == vols[2]

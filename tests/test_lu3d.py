@@ -4,8 +4,8 @@ replication accounting, and reduction structure."""
 import numpy as np
 import pytest
 
-from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
-from repro.lu2d import factor_2d
+from repro.comm import Machine, ProcessGrid3D, Simulator
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d, replica_words_per_rank
 from repro.lu3d.replication import ReplicaManager
 from repro.sparse import BlockMatrix, grid2d_5pt
@@ -54,28 +54,33 @@ class TestNumericCorrectness:
 
     def test_3d_factors_equal_2d_factors(self, planar_small):
         """Same ordering => identical factors regardless of pz (the 3D
-        algorithm replicates data, not arithmetic)."""
+        algorithm replicates data, not arithmetic): Pz = 4 against the
+        2D baseline, Pz = 1."""
         A, geom = planar_small
         sf = symbolic_factorize(A, geom, leaf_size=16)
-        data2d = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                      block_pattern=sf.fill.all_blocks())
-        factor_2d(sf, ProcessGrid2D(2, 2), Simulator(4), data=data2d)
-
+        lu2d = factor_3d(sf, greedy_partition(sf, 1), ProcessGrid3D(2, 2, 1),
+                         Simulator(4)).factors().to_dense()
         tf = greedy_partition(sf, 4)
         res = factor_3d(sf, tf, ProcessGrid3D(2, 2, 4), Simulator(16))
         lu3d = res.factors().to_dense()
-        assert np.allclose(lu3d, data2d.to_dense(), atol=1e-9)
+        assert np.allclose(lu3d, lu2d, atol=1e-9)
 
-    def test_pz1_degenerates_to_2d(self, planar_small):
-        """pz=1: no reduction traffic, same volume as the 2D driver."""
-        A, geom = planar_small
-        sf, tf, sim3, res = _run_3d(A, geom, 1, leaf_size=16)
-        assert res.reduction_messages == 0
-        assert sim3.total_words_sent("red") == 0.0
-        sim2 = Simulator(4)
-        factor_2d(sf, ProcessGrid2D(2, 2), sim2)
-        assert sim3.total_words_sent() == pytest.approx(sim2.total_words_sent())
-        assert sim3.makespan == pytest.approx(sim2.makespan)
+    def test_pz1_degenerates_to_2d(self):
+        """pz=1: no reduction traffic, and every ledger of the 2D
+        baseline's golden row, exactly, under both block pricings
+        (cost-only and numeric runs book the same events)."""
+        from tests.test_plan import GOLDENS, ledger_dict
+        A, geom = grid2d_5pt(12)
+        sf = symbolic_factorize(A, geom, leaf_size=16)
+        tf, grid3 = greedy_partition(sf, 1), ProcessGrid3D(2, 3, 1)
+        for numeric in (False, True):
+            for compact in (False, True):
+                sim = Simulator(grid3.size, Machine.edison_like())
+                res = factor_3d(sf, tf, grid3, sim, numeric=numeric,
+                                options=FactorOptions(compact_comm=compact))
+                assert res.reduction_messages == 0
+                assert sim.total_words_sent("red") == 0.0
+                assert ledger_dict(sim) == GOLDENS[compact]["lu2d_default"]
 
 
 class TestScheduleStructure:

@@ -100,6 +100,21 @@ class TestMergedSchedule:
         assert np.allclose(res_m.merged_blocks.to_dense(),
                            res_s.factors().to_dense(), atol=1e-9)
 
+    def test_factors_are_a_copy_of_the_merged_store(self):
+        """``factors()`` on a merged numeric run returns the one global
+        store, copied; a cost-only run still has none."""
+        sf, tf, grid3 = _setup(12, pz=2, px=2, py=2)
+        res = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size),
+                               numeric=True)
+        F = res.factors()
+        assert F is not res.merged_blocks
+        assert np.array_equal(F.to_dense(), res.merged_blocks.to_dense())
+        F[(0, 0)][:] = 0.0
+        assert res.merged_blocks[(0, 0)].any()
+        cost = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size))
+        with pytest.raises(ValueError, match="cost-only run"):
+            cost.factors()
+
     def test_mismatched_pz_rejected(self):
         sf, tf, _ = _setup(8, pz=2)
         with pytest.raises(ValueError, match="pz"):

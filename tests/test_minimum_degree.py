@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import ProcessGrid2D, ProcessGrid3D, Simulator
-from repro.lu2d import factor_2d
+from repro.comm import ProcessGrid3D, Simulator
 from repro.lu3d import factor_3d
 from repro.ordering import minimum_degree_order, tree_from_order
-from repro.sparse import BlockMatrix, random_symmetric_pattern
+from repro.sparse import random_symmetric_pattern
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from tests.conftest import one_layer
 
 
 class TestMinimumDegreeOrder:
@@ -91,10 +91,8 @@ class TestTreeFromOrder:
         A, _ = planar_small
         sf = symbolic_factorize(
             A, tree=tree_from_order(A, minimum_degree_order(A), max_block=32))
-        data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                    block_pattern=sf.fill.all_blocks())
-        factor_2d(sf, ProcessGrid2D(2, 2), Simulator(4), data=data)
-        LU = data.to_dense()
+        LU = factor_3d(sf, *one_layer(sf, 2, 2),
+                       Simulator(4)).factors().to_dense()
         n = sf.n
         L = np.tril(LU, -1) + np.eye(n)
         err = np.abs(L @ np.triu(LU) - sf.A_perm.toarray()).max()

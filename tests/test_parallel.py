@@ -18,7 +18,7 @@ import repro.parallel as parallel
 from repro.cholesky import factor_chol_3d
 from repro.comm import CommError, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.comm.collectives import reduce_pairwise
-from repro.lu2d.factor2d import FactorOptions
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
 from repro.parallel import LevelStats, ParallelFallback, resolve_workers

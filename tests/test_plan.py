@@ -28,7 +28,7 @@ from repro.analysis import PlanStats, format_plan_summary
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.comm.simulator import COMPUTE_KINDS, PHASES
-from repro.lu2d.factor2d import FactorOptions, factor_2d, factor_nodes_2d
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
 from repro.plan import GridPlan, Plan3D, build_grid_plan
@@ -43,7 +43,7 @@ from repro.sparse import (
 )
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
-from tests.conftest import plan_tasks
+from tests.conftest import one_layer, plan_tasks
 
 # The goldens are pinned per block-volume mode: the dense file is the
 # original seed (never regenerated by refactors); the compact file pins
@@ -121,11 +121,12 @@ class TestGoldenLedgers:
         ("unbatched", {}),
     ])
     def test_lu2d(self, label, opts):
-        A, geom = grid2d_5pt(12)
-        sf = symbolic_factorize(A, geom, leaf_size=16)
-        grid = ProcessGrid2D(2, 3)
-        sim = Simulator(grid.size, Machine.edison_like())
-        factor_2d(sf, grid, sim, options=self.opts(**opts))
+        """The 2D baseline's rows, reproduced by Algorithm 1 at Pz = 1."""
+        sf, tf = planar_setup(12, 16, 1)
+        grid3 = ProcessGrid3D(2, 3, 1)
+        sim = Simulator(grid3.size, Machine.edison_like())
+        factor_3d(sf, tf, grid3, sim, numeric=False,
+                  options=self.opts(**opts))
         self.check(f"lu2d_{label}", sim)
 
     @pytest.mark.parametrize("numeric", [False, True])
@@ -212,16 +213,20 @@ class TestPlanPlumbing:
         assert [s.level for s in res.plan.levels] == \
             list(range(res.tf.l, -1, -1))
 
-    def test_2d_plan_on_extras(self):
-        A, geom = grid2d_5pt(12)
-        sf = symbolic_factorize(A, geom, leaf_size=16)
-        grid = ProcessGrid2D(2, 3)
-        sim = Simulator(grid.size, Machine.edison_like())
-        r2d = factor_2d(sf, grid, sim)
-        plan = r2d.extras["plan"]
-        assert isinstance(plan, GridPlan)
-        assert plan.backend == "lu"
-        assert plan.n_tasks > 0
+    def test_2d_plan_is_one_level_of_one_grid(self):
+        """At Pz = 1 the plan is the per-grid builder's plan of every node
+        as one level of one grid, with no reduction."""
+        sf, tf = planar_setup(12, 16, 1)
+        grid3 = ProcessGrid3D(2, 3, 1)
+        res = factor_3d(sf, tf, grid3, Simulator(grid3.size), numeric=False)
+        (step,) = res.plan.levels
+        (plan,) = step.grid_plans
+        assert isinstance(plan, GridPlan) and step.reduces == []
+        assert plan.backend == "lu" and plan.nodes == list(range(sf.nb))
+        want = build_grid_plan(sf, plan.nodes, grid3.layer(0)).arrays
+        for col in ("tid", "kind", "node", "bi", "bj"):
+            assert np.array_equal(getattr(plan.arrays, col),
+                                  getattr(want, col)), col
 
     def test_deps_point_backwards_and_tids_unique(self, lu_run):
         _, _, res = lu_run
@@ -526,13 +531,10 @@ class TestKernelProgram:
         """The L blocks' structural row ranges the kernels run on: they
         equal the per-node loop's, each covers its block's rows of the
         scalar elimination, the finished
-        factors are exactly zero outside them on the 3D, merged and 2D
-        drivers, and a value outside one is refused on a cold bind, on a
-        warm rebind (which leaves the factors as they were) and in a 2D
-        driver's data."""
-        from repro.cholesky import factor_nodes_chol_2d
+        factors are exactly zero outside them at Pz = 2 and 1 and on the
+        merged driver, and a value outside one is refused on a cold bind
+        and on a warm rebind (which leaves the factors as they were)."""
         from repro.plan.backends import get_backend
-        from repro.sparse import BlockMatrix
         A, geom = _range_case(gen, backend)
         sf = symbolic_factorize(A, geom, leaf_size=leaf)
         off = sf.layout.offsets
@@ -551,17 +553,12 @@ class TestKernelProgram:
         tf, grid3 = greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2)
         cold = factor_3d(sf, tf, grid3, Simulator(grid3.size), backend=backend)
         values = get_backend(backend).values(sf.A_perm)
-        store = BlockMatrix.from_csr(values, sf.layout,
-                                     block_pattern=sf.fill.all_blocks())
-        finished = [cold.factors(), store]
+        finished = [cold.factors(), factor_3d(
+            sf, *one_layer(sf, 2, 2), Simulator(4), backend=backend).factors()]
         if backend == "lu":
-            factor_2d(sf, ProcessGrid2D(2, 2), Simulator(4), data=store)
             finished.append(factor_3d_merged(
                 sf, tf, grid3, Simulator(grid3.size), numeric=True
             ).merged_blocks)
-        else:
-            factor_nodes_chol_2d(sf, list(range(sf.nb)), ProcessGrid2D(2, 2),
-                                 Simulator(4), data=store)
         for F in finished:
             for i, k, r0, r1 in blocks:
                 assert not F[(i, k)][:r0].any() and not F[(i, k)][r1:].any()
@@ -582,13 +579,6 @@ class TestKernelProgram:
                       matrix=M.tocsr(), cached=cold.bundle,
                       replicas=cold.replicas)
         assert np.array_equal(cold.factors().to_dense(), want)
-        store = BlockMatrix.from_csr(M.tocsr(), sf.layout,
-                                     block_pattern=sf.fill.all_blocks())
-        factor_nodes = factor_nodes_2d if backend == "lu" \
-            else factor_nodes_chol_2d
-        with pytest.raises(ValueError, match="outside the block pattern"):
-            factor_nodes(sf, list(range(sf.nb)), ProcessGrid2D(2, 2),
-                         Simulator(4), data=store)
 
     def test_a_cost_only_run_computes_no_row_ranges(self, monkeypatch):
         import repro.symbolic.symbolic_factor as symbolic

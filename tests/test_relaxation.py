@@ -4,13 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm import ProcessGrid2D, ProcessGrid3D, Simulator
-from repro.lu2d import factor_2d
+from repro.comm import ProcessGrid3D, Simulator
 from repro.lu3d import factor_3d
 from repro.ordering import nested_dissection, relax_supernodes
-from repro.sparse import BlockMatrix, grid2d_5pt, random_symmetric_pattern
+from repro.sparse import grid2d_5pt, random_symmetric_pattern
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from tests.conftest import one_layer
 
 
 def _tree(leaf=8, nx=20):
@@ -75,10 +75,8 @@ class TestNumericsAndEffect:
         A, tree = _tree(nx=16)
         relaxed = relax_supernodes(tree, min_size=24)
         sf = symbolic_factorize(A, tree=relaxed)
-        data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                    block_pattern=sf.fill.all_blocks())
-        factor_2d(sf, ProcessGrid2D(2, 2), Simulator(4), data=data)
-        LU = data.to_dense()
+        LU = factor_3d(sf, *one_layer(sf, 2, 2),
+                       Simulator(4)).factors().to_dense()
         n = sf.n
         L = np.tril(LU, -1) + np.eye(n)
         assert np.abs(L @ np.triu(LU) - sf.A_perm.toarray()).max() < 1e-10
@@ -102,7 +100,7 @@ class TestNumericsAndEffect:
         for label, t in (("orig", tree), ("relaxed", relaxed)):
             sf = symbolic_factorize(A, tree=t)
             sim = Simulator(4)
-            factor_2d(sf, ProcessGrid2D(2, 2), sim)
+            factor_3d(sf, *one_layer(sf, 2, 2), sim, numeric=False)
             stats[label] = (sim.msgs_per_rank().max(), sf.costs.total_words)
         msgs_o, words_o = stats["orig"]
         msgs_r, words_r = stats["relaxed"]

@@ -25,8 +25,8 @@ import pytest
 
 from repro.analysis import format_resilience_stats
 from repro.cholesky import factor_chol_3d
-from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
-from repro.lu2d.factor2d import FactorOptions, factor_2d
+from repro.comm import Machine, ProcessGrid3D, Simulator
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
 from repro.parallel import ParallelFallback
@@ -38,8 +38,7 @@ from repro.resilience import (
     ResilienceStats,
 )
 from repro.sparse import grid2d_5pt
-from repro.sparse.blockmatrix import BlockMatrix
-from repro.symbolic import symbolic_factorize
+from repro.verify import ledger_state
 from tests.test_plan import (
     assert_matches_golden,
     ledger_dict,
@@ -60,6 +59,15 @@ def lu3d_run(options=None, numeric=True, pz=4):
     return sf, tf, sim, res
 
 
+def lu2d_run(options=None, numeric=True):
+    """The 2D baseline the ``lu2d*`` goldens pin: Algorithm 1 at Pz = 1."""
+    sf, tf = planar_setup(12, 16, 1)
+    grid3 = ProcessGrid3D(2, 3, 1)
+    sim = Simulator(grid3.size, Machine.edison_like())
+    res = factor_3d(sf, tf, grid3, sim, numeric=numeric, options=options)
+    return sim, res
+
+
 class TestDoNoHarm:
     def test_empty_plan_is_inactive(self):
         opts = FactorOptions(fault_plan=FaultPlan())
@@ -76,13 +84,8 @@ class TestDoNoHarm:
         assert_matches_golden("lu3d_pz4_numeric", sim, res)
 
     def test_monitored_walk_lu2d_golden(self):
-        A, geom = grid2d_5pt(12)
-        sf = symbolic_factorize(A, geom, leaf_size=16)
-        grid = ProcessGrid2D(2, 3)
-        sim = Simulator(grid.size, Machine.edison_like())
-        r2d = factor_2d(sf, grid, sim,
-                        options=FactorOptions(fault_plan=NEVER))
-        assert isinstance(r2d.extras["resilience"], ResilienceStats)
+        sim, res = lu2d_run(FactorOptions(fault_plan=NEVER), numeric=False)
+        assert isinstance(res.resilience, ResilienceStats)
         assert_matches_golden("lu2d_default", sim)
 
     def test_monitored_walk_merged_golden(self):
@@ -332,26 +335,44 @@ class TestCrashRecovery:
         assert st.crashes == 1
 
     def test_2d_crash_restart(self):
-        A, geom = grid2d_5pt(12)
-        sf = symbolic_factorize(A, geom, leaf_size=16)
-
-        def run(options=None):
-            grid = ProcessGrid2D(2, 3)
-            sim = Simulator(grid.size, Machine.edison_like())
-            data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                        block_pattern=sf.fill.all_blocks())
-            r2d = factor_2d(sf, grid, sim, data=data, options=options)
-            return data.to_dense(), r2d
-
-        F0, _ = run()
+        F0 = lu2d_run()[1].factors().to_dense()
         plan = FaultPlan((Fault("crash", grid=0),))
-        F, r2d = run(FactorOptions(fault_plan=plan, checkpoint_every=7,
-                                   recovery="z-replica"))
-        st = r2d.extras["resilience"]
+        _sim, res = lu2d_run(FactorOptions(fault_plan=plan, checkpoint_every=7,
+                                           recovery="z-replica"))
+        st = res.resilience
         assert st.policy == "restart"  # degraded: no z replicas in 2D
         assert st.crashes == 1
         assert st.overhead_seconds > 0
+        F = res.factors().to_dense()
         assert float(np.abs(F - F0).max()) <= 1e-12
+
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_pz1_zreplica_is_restart_by_any_entry(self, numeric):
+        """At Pz = 1 there are no sibling replicas: z-replica falls back
+        to restart and says why, whether the run enters through
+        ``factor_3d`` or the facade — its ledger is the restart run's,
+        checkpoint and all."""
+        from repro.solve import SparseLU3D
+        plan = FaultPlan((Fault("crash", grid=0, at_task=30),))
+        runs = {}
+        for policy in ("z-replica", "restart"):
+            opts = FactorOptions(fault_plan=plan, checkpoint_every=7,
+                                 recovery=policy)
+            sim, res = lu2d_run(opts, numeric=numeric)
+            A, geom = grid2d_5pt(12)
+            solver = SparseLU3D(A, geometry=geom, px=2, py=3, pz=1,
+                                leaf_size=16, options=opts, numeric=numeric)
+            solver.factorize()
+            runs[policy] = [(ledger_state(sim), res.resilience),
+                            (ledger_state(solver.sim),
+                             solver.result.resilience)]
+        for (ledger, st), (ledger_r, st_r) in zip(runs["z-replica"],
+                                                  runs["restart"]):
+            assert st.policy == "restart" and st.crashes == 1
+            assert st.notes == ["z-replica recovery unavailable (2D run has "
+                                "no sibling replicas along z); using restart"]
+            assert ledger == ledger_r
+            assert st.makespan == st_r.makespan
 
 
 class TestUnmatchedCrash:
@@ -372,12 +393,9 @@ class TestUnmatchedCrash:
     @pytest.mark.parametrize("spec, why", [
         ("grid=1", "grid must be one of [0]"), ("level=1", "level in 0..0")])
     def test_factor_2d(self, spec, why):
-        A, geom = grid2d_5pt(12)
-        sf = symbolic_factorize(A, geom, leaf_size=16)
-        grid = ProcessGrid2D(2, 3)
         opts = FactorOptions(fault_plan=FaultPlan.parse(f"crash:{spec}"))
         with pytest.raises(ValueError, match=re.escape(why)):
-            factor_2d(sf, grid, Simulator(grid.size), options=opts)
+            lu2d_run(opts, numeric=False)
 
     @pytest.mark.parametrize("spec", ["grid=7", "level=9"])
     def test_cli_faults(self, tmp_path, spec):

@@ -7,17 +7,14 @@ import scipy.sparse as sp
 from repro import (
     FactorOptions,
     Machine,
-    ProcessGrid2D,
     ProcessGrid3D,
     Simulator,
-    factor_2d,
     factor_3d,
     greedy_partition,
     symbolic_factorize,
 )
 from repro.cholesky import SparseCholesky3D
 from repro.solve import SparseLU3D, iterative_refinement
-from repro.sparse import BlockMatrix
 from repro.verify.oracle import ledger_state
 
 
@@ -249,16 +246,15 @@ class TestNonFiniteInput:
         assert not sim.event_counts and not sim.mem_current.any()
 
     def test_direct_factor_2d_rejects_a_poisoned_block(self, planar_small):
+        """The 2D baseline (Pz = 1) refuses a non-finite value before it
+        books or charges anything."""
         A, geom = planar_small
         sf = symbolic_factorize(A, geom, leaf_size=16)
-        data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                    block_pattern=sf.fill.all_blocks())
-        data[(1, 1)][0, 0] = np.nan
-        grid = ProcessGrid2D(2, 2)
-        sim = Simulator(grid.size, Machine.edison_like())
-        with pytest.raises(ValueError, match=r"data block \(1, 1\) contains"):
-            factor_2d(sf, grid, sim, data=data, charge_storage=False)
-        assert not sim.event_counts
+        tf, grid3 = greedy_partition(sf, 1), ProcessGrid3D(2, 2, 1)
+        sim = Simulator(grid3.size, Machine.edison_like())
+        with pytest.raises(ValueError, match="matrix contains NaN"):
+            factor_3d(sf, tf, grid3, sim, matrix=_poisoned(sf.A_perm, np.nan))
+        assert not sim.event_counts and not sim.mem_current.any()
 
     def test_solve_refuses_to_return_a_non_finite_x(self):
         """Static pivoting all but switched off (the smallest positive

@@ -3,25 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
-from repro.lu2d import FactorOptions, factor_2d
+from repro.comm import Machine, ProcessGrid3D, Simulator
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.sparse import BlockMatrix
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from tests.conftest import one_layer
 
 
 def _run2d(A, geom, sparse_bcast, numeric=True, p=(4, 4), leaf=16):
+    """The 2D baseline (Pz = 1) on a ``p`` grid."""
     sf = symbolic_factorize(A, geom, leaf_size=leaf)
-    grid = ProcessGrid2D(*p)
-    sim = Simulator(grid.size, Machine.edison_like())
-    data = None
-    if numeric:
-        data = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                    block_pattern=sf.fill.all_blocks())
-    factor_2d(sf, grid, sim, data=data,
-              options=FactorOptions(sparse_bcast=sparse_bcast))
-    return sf, sim, data
+    sim = Simulator(p[0] * p[1], Machine.edison_like())
+    res = factor_3d(sf, *one_layer(sf, *p), sim, numeric=numeric,
+                    options=FactorOptions(sparse_bcast=sparse_bcast))
+    return sf, sim, res
 
 
 class TestSparseBcast:
@@ -29,8 +25,8 @@ class TestSparseBcast:
         A, geom = planar_small
         outs = {}
         for sb in (False, True):
-            _, _, data = _run2d(A, geom, sb)
-            outs[sb] = data.to_dense()
+            _, _, res = _run2d(A, geom, sb)
+            outs[sb] = res.factors().to_dense()
         assert np.array_equal(outs[False], outs[True])
 
     def test_volume_strictly_reduced(self, planar_small):

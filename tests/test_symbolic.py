@@ -182,12 +182,13 @@ class TestBlockFill:
 class TestCosts:
     def test_total_flops_match_simulated_updates(self, planar_small):
         """Symbolic flop totals must equal what the driver executes."""
-        from repro.comm import ProcessGrid2D, Simulator
-        from repro.lu2d import factor_2d
+        from repro.comm import Simulator
+        from repro.lu3d import factor_3d
+        from tests.conftest import one_layer
         A, geom = planar_small
         sf = symbolic_factorize(A, geom, leaf_size=16)
         sim = Simulator(4)
-        factor_2d(sf, ProcessGrid2D(2, 2), sim)
+        factor_3d(sf, *one_layer(sf, 2, 2), sim, numeric=False)
         executed = sum(f.sum() for f in sim.flops.values())
         assert executed == pytest.approx(sf.costs.total_flops, rel=1e-12)
 

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.comm.simulator import CommError
-from repro.lu2d.factor2d import FactorOptions, factor_2d
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
 from repro.plan.arrays import PANEL_BCAST, PANEL_FACTOR, SCHUR_UPDATE
@@ -44,13 +44,12 @@ from repro.verify import (
     check_conservation,
     conservation_issues,
     drop_dep_edge,
-    fuzz_2d,
     fuzz_3d,
     fuzz_solve,
     ledger_state,
     verify_factors,
 )
-from tests.conftest import plan_tasks, reassembled
+from tests.conftest import one_layer, plan_tasks, reassembled
 from tests.test_plan import planar_setup, spd_setup
 
 OPTION_POINTS = {
@@ -389,7 +388,7 @@ class TestFuzzer:
         assert rep.n_perturbed > 0
 
     def test_lu2d(self, lu2d_sf):
-        rep = fuzz_2d(lu2d_sf, ProcessGrid2D(2, 3), n_orders=FAST_FUZZ,
+        rep = fuzz_3d(lu2d_sf, *one_layer(lu2d_sf, 2, 3), n_orders=FAST_FUZZ,
                       seed=13)
         assert rep.ok, rep.summary()
 
@@ -403,10 +402,10 @@ class TestFuzzer:
         assert rep.canonical_ledger == ledger_state(sim)
 
     def test_identity_order_matches_driver_2d(self, lu2d_sf):
-        grid = ProcessGrid2D(2, 3)
-        sim = Simulator(grid.size, Machine.edison_like())
-        factor_2d(lu2d_sf, grid, sim)
-        rep = fuzz_2d(lu2d_sf, grid, n_orders=1, seed=0)
+        tf, grid3 = one_layer(lu2d_sf, 2, 3)
+        sim = Simulator(grid3.size, Machine.edison_like())
+        factor_3d(lu2d_sf, tf, grid3, sim, numeric=False)
+        rep = fuzz_3d(lu2d_sf, tf, grid3, n_orders=1, seed=0)
         assert rep.canonical_ledger == ledger_state(sim)
 
 
@@ -449,13 +448,14 @@ class TestVerifyStackBothVolumes:
         grid = ProcessGrid2D(2, 3)
         plan = build_grid_plan(lu2d_sf, range(lu2d_sf.nb), grid, opts)
         assert analyze_plan(plan, lu2d_sf).ok
-        rep = fuzz_2d(lu2d_sf, grid, n_orders=FAST_FUZZ, seed=19,
+        tf, grid3 = one_layer(lu2d_sf, 2, 3)
+        rep = fuzz_3d(lu2d_sf, tf, grid3, n_orders=FAST_FUZZ, seed=19,
                       options=opts, fuse=fuse)
         assert rep.ok, rep.summary()
         sim = Simulator(grid.size, Machine.edison_like())
-        res = factor_2d(lu2d_sf, grid, sim, options=opts)
+        res = factor_3d(lu2d_sf, tf, grid3, sim, numeric=False, options=opts)
         assert ledger_state(sim) == rep.canonical_ledger
-        check_conservation(sim, res.extras["plan"])
+        check_conservation(sim, res.plan)
 
     def test_mutation_still_trips_the_race_detector(self, lu2d_sf, compact,
                                                     fuse):
@@ -811,7 +811,7 @@ class TestFuzzerSweep:
         assert rep.ok, rep.summary()
 
     def test_lu2d_sweep(self, lu2d_sf):
-        rep = fuzz_2d(lu2d_sf, ProcessGrid2D(2, 3), numeric=True,
+        rep = fuzz_3d(lu2d_sf, *one_layer(lu2d_sf, 2, 3), numeric=True,
                       n_orders=FULL_FUZZ, seed=4)
         assert rep.ok, rep.summary()
 

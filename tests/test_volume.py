@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
+from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.comm.collectives import bcast, reduce_pairwise
 from repro.comm.simulator import PHASES
 from repro.comm.volume import (
@@ -27,7 +27,7 @@ from repro.comm.volume import (
     volume_for,
     volume_kind,
 )
-from repro.lu2d.factor2d import FactorOptions
+from repro.lu2d import FactorOptions
 from repro.lu2d.storage import node_block_arrays
 from repro.lu3d import factor_3d
 from repro.plan.replay import plan_options_key
@@ -35,7 +35,7 @@ from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.symbolic.blocknnz import block_nnz_tables
 from repro.tree import greedy_partition
-from repro.verify import check_conservation, fuzz_2d, fuzz_3d
+from repro.verify import check_conservation, fuzz_3d
 
 COMPACT = FactorOptions(compact_comm=True)
 
@@ -173,8 +173,8 @@ class TestCompactRuns:
     def test_fuzz_2d_compact_ok(self):
         A, geom = grid2d_5pt(10)
         sf = symbolic_factorize(A, geom, leaf_size=12)
-        rep = fuzz_2d(sf, ProcessGrid2D(2, 2), numeric=True, n_orders=6,
-                      seed=3, options=COMPACT)
+        rep = fuzz_3d(sf, greedy_partition(sf, 1), ProcessGrid3D(2, 2, 1),
+                      numeric=True, n_orders=6, seed=3, options=COMPACT)
         assert rep.ok, rep.summary()
 
 
