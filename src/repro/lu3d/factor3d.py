@@ -236,9 +236,13 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
 
 
 def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
-            backend, merged, cached, replicas=None) -> Factor3DResult:
+            backend, merged, cached, replicas=None, perm=None
+            ) -> Factor3DResult:
     """The one 3D pipeline behind every entry point (standard, merged,
-    Cholesky): validate → plan bundle → storage → data → execute."""
+    Cholesky, the facades): validate → plan bundle → storage → data →
+    execute. ``perm`` takes ``matrix`` to the factors' ordering (``None``:
+    it is permuted already; the facades pass ``sf.perm`` and their
+    input-ordered matrix, which the bundle's value map permutes)."""
     if tf.pz != grid3.pz:
         raise ValueError(f"tree-forest pz={tf.pz} != grid pz={grid3.pz}")
     if numeric:     # the kernels do not scan for NaN/inf: stop them here
@@ -268,7 +272,8 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
                         bundle.replica_words(sf, tf, grid3))
 
     data = _bind_data(sf, tf, result, bundle, numeric=numeric,
-                      merged=merged, matrix=matrix, replicas=replicas)
+                      merged=merged, matrix=matrix, replicas=replicas,
+                      perm=perm)
 
     monitor = None
     if opts.resilience_active():
@@ -290,22 +295,22 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
 
 
 def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
-               numeric: bool, merged: bool, matrix, replicas):
-    """Scatter the values the backend binds into block storage — laid out
+               numeric: bool, merged: bool, matrix, replicas, perm=None):
+    """Copy the values the backend binds into block storage — laid out
     once over the L blocks' row ranges, only refilled by a replay
-    (``replicas``) — and pick the data strategy. A value outside the
-    blocks or ranges raises (:meth:`BlockMatrix.rebind`): no kernel reads
-    it, the factors would be those of another matrix."""
+    (``replicas``) — through the bundle's value map of the matrix's
+    structure, and pick the data strategy. A value outside the blocks or
+    ranges raises (:meth:`ValueMap.fill`)."""
     if not numeric:
         return CostOnlyData()
-    A_vals = get_backend(bundle.backend).values(
-        sf.A_perm if matrix is None else matrix)
+    A = (sf.A_perm if matrix is None else matrix).tocsr()
     if replicas is not None:
-        replicas.reset(A_vals)
+        replicas.reset(bundle.value_map(replicas.base, A, perm), A.data)
     else:
         _ptr, ii, jj, _ww = node_block_arrays(sf, bundle.blocks_fn)
         r0, r1, _rows = block_rows(sf, bundle.blocks_fn)
-        store = BlockMatrix.zeros(sf.layout, ii, jj, A_vals, (r0, r1))
+        store = BlockMatrix.zeros(sf.layout, ii, jj, (r0, r1))
+        bundle.value_map(store, A, perm).fill(store.buf, A.data)
         if merged:
             # One *global* copy of every block: the driver is sequential,
             # Schur updates are pure accumulations, and merging means every

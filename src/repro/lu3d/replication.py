@@ -115,15 +115,13 @@ class ReplicaManager:
         for v in node[np.flatnonzero(np.diff(node, prepend=-1))].tolist():
             self._segment(g_dst, v)[:] += self._segment(g_src, v)
 
-    def reset(self, A) -> None:
-        """Re-initialize every replica to Fig. 5's initial state with the
-        values of the (permuted) CSR matrix ``A``, in place — the replay
-        path's allocation-free setup: the home arena is refilled
-        (:meth:`BlockMatrix.rebind`), the other replicas zeroed. Every
-        array keeps its identity, so outstanding views, a previous run's
-        :meth:`home_view` and the bound programs see the new values."""
-        self.base.rebind(A)
-        self._bufs[1].fill(0.0)
+    def reset(self, vmap, data) -> None:
+        """Re-initialize every replica to Fig. 5's initial state in place
+        (the replay path's setup): both buffers zeroed, the home arena
+        given ``data`` through ``vmap``, a ``ValueMap`` onto ``base``.
+        Every array keeps its identity, so outstanding views, a previous
+        run's :meth:`home_view` and the bound programs see the values."""
+        vmap.fill(self.base.buf, data, self._bufs)
 
     # -- checkpoint / recovery support (repro.resilience) ------------------
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.comm.grid import ProcessGrid2D
 from repro.lu2d.batched import schur_pairs, syrk_pairs
@@ -139,9 +138,9 @@ class KernelBackend:
 
     # -- execution ---------------------------------------------------------
 
-    def values(self, A):
-        """The values this backend binds from the permuted CSR ``A``."""
-        return A
+    #: Which entries at permuted ``(rows, cols)`` this backend binds (a
+    #: mask; ``None``: all), for :meth:`BlockMatrix.value_map`.
+    keeps = None
 
     def bind(self, arrays, store, sf) -> list:
         """The kernel program of grid plan ``arrays`` on ``store`` (any
@@ -357,9 +356,10 @@ class CholeskyBackend(KernelBackend):
 
     # -- execution ---------------------------------------------------------
 
-    def values(self, A):
+    @staticmethod
+    def keeps(rows, cols):
         """The lower triangle: the one this backend stores and reads."""
-        return sp.tril(A).tocsr()
+        return rows >= cols
 
     def panel_op(self, store, k, i, j, rows):  # L_ik <- A_ik L_kk^{-T}
         return trsm_op(store[(k, k)], store[(i, k)][rows[(i, k)]],

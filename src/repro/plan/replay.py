@@ -26,8 +26,9 @@ plan-relevant options (see :func:`plan_options_key`), sparsity pattern or
 tree-forest partition (the plan's recorded
 :func:`repro.plan.build.pattern_signature` / ``partition_signature``). Lazy
 products (replica words, block pattern, the triangular sweeps' solve
-plans) are memoized under a lock so
-concurrent service jobs (:mod:`repro.service`) can share one bundle.
+plans, the value map of the last matrix structure bound) are memoized
+under a lock so concurrent service jobs (:mod:`repro.service`) can share
+one bundle.
 """
 
 from __future__ import annotations
@@ -199,6 +200,18 @@ class PlanBundle:
         from repro.plan.solve import build_solve_plan
         return self._memo((down, lower), lambda: build_solve_plan(
             sf, lambda k: grid3.layer(tf.home_grid(k)), down, lower))
+
+    def value_map(self, arena, A, perm=None):
+        """The ``ValueMap`` of CSR ``A``'s structure (through ``perm``)
+        onto this bundle's arenas, which all have ``arena``'s layout: kept
+        for the structure last mapped, rebuilt under the lock for another."""
+        from repro.plan.backends import get_backend
+        with self._lock:
+            vmap = self._lazy.get("value_map")
+            if vmap is None or not vmap.matches(A, perm):
+                vmap = self._lazy["value_map"] = arena.value_map(
+                    A, perm, get_backend(self.backend).keeps)
+            return vmap
 
     def block_pattern(self, sf):
         """The numeric replica block pattern ``{(i, j)}`` (memoized)."""

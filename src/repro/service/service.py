@@ -10,9 +10,9 @@ concurrent clients and executes them on a thread pool against shared
    and then hit;
 3. every job then adopts the entry's read-only symbolic objects
    (:meth:`repro.solve.SparseLU3D.adopt`) and replays the cached plan
-   bundle against its own values — only numeric kernels run, with
-   ledgers bit-identical to a cold factorization (the PR-5 oracles are
-   the referee, pinned in ``tests/test_service.py``).
+   bundle against its own values, copied in through the bundle's value
+   map — only numeric kernels run, with ledgers bit-identical to a cold
+   factorization (pinned in ``tests/test_service.py``).
 
 Worker threads suit this workload: jobs spend their time in numpy/BLAS
 (which release the GIL) and share large read-only state (symbolic

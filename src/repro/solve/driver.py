@@ -29,18 +29,27 @@ from repro.comm.grid import ProcessGrid3D
 from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
-from repro.lu3d.factor3d import Factor3DResult, factor_3d
+from repro.lu3d.factor3d import Factor3DResult, _factor
 from repro.solve.condest import condest
 from repro.solve.equilibrate import equilibrate
 from repro.solve.refine import RefinementResult, iterative_refinement
 from repro.solve.triangular import bind, run
 from repro.sparse.generators import GridGeometry
-from repro.sparse.pattern import pattern_of, symmetrize_pattern
+from repro.sparse.pattern import same_structure, symmetrize_pattern
 from repro.symbolic.symbolic_factor import SymbolicFactorization, symbolic_factorize
 from repro.tree.partition import greedy_partition, naive_partition
 from repro.utils import check_rhs, check_square_sparse
 
 __all__ = ["SparseLU3D"]
+
+
+def outside_pattern(A: sp.csr_matrix, pattern: sp.csr_matrix) -> np.ndarray:
+    """Positions in ``A.data`` of ``A``'s stored entries outside
+    ``pattern``: where :meth:`_Solver3D.refactorize` refuses a nonzero."""
+    ids = sp.csr_matrix((np.arange(1, A.nnz + 1), A.indices, A.indptr),
+                        shape=A.shape)
+    inside = ids.multiply(pattern).tocsr().data - 1
+    return np.setdiff1d(np.arange(A.nnz), inside)
 
 
 class _Solver3D:
@@ -89,13 +98,11 @@ class _Solver3D:
         #: explicitly-stored zeros included) — the containment referee for
         #: :meth:`refactorize`.
         self._pattern: sp.csr_matrix | None = None
+        #: ``(matrix, entries)``: memo of :meth:`_outside`.
+        self._loose = None
         #: :class:`repro.plan.PlanBundle` of the last factorization —
         #: replayed by repeat factorizations against the same pattern.
         self._bundle = None
-        #: True when ``sf``/``tf`` are adopted from a shared cache entry
-        #: (:mod:`repro.service`): treat them read-only — values travel
-        #: via ``matrix=`` instead of rebinding ``sf.A_perm``.
-        self._shared_symbolic = False
 
     def _checked(self, A: sp.spmatrix) -> sp.spmatrix:
         """Validate an input matrix (subclasses add their own conditions)."""
@@ -117,8 +124,7 @@ class _Solver3D:
         part = greedy_partition if self._partition == "greedy" else naive_partition
         self.tf = part(self.sf, self.grid.pz)
         self._pattern = symmetrize_pattern(self._A_work, stored=True)
-        self._bundle = None
-        self._shared_symbolic = False
+        self._bundle = self._loose = None
         return self
 
     def adopt(self, sf: SymbolicFactorization, tf, pattern=None, bundle=None):
@@ -126,19 +132,17 @@ class _Solver3D:
 
         The :mod:`repro.service` entry point: a cache entry's symbolic
         objects (and optionally its plan bundle) are adopted in place of
-        running :meth:`analyze`. Adopted objects are treated as read-only
-        — every factorization passes its values through ``matrix=`` rather
-        than rebinding ``sf.A_perm``, so any number of concurrent solvers
-        can share one entry safely. ``pattern`` is the stored-zeros
-        symmetrized pattern the symbolic phase covered (computed from the
-        solver's own matrix when omitted).
+        running :meth:`analyze`. No solver writes its symbolic objects —
+        every factorization passes its values through ``matrix=`` — so any
+        number of concurrent solvers can share one entry safely.
+        ``pattern`` is the stored-zeros symmetrized pattern the symbolic
+        phase covered (computed from the solver's own matrix when omitted).
         """
         self.sf = sf
         self.tf = tf
         self._pattern = pattern if pattern is not None else \
             symmetrize_pattern(self._A_work, stored=True)
-        self._bundle = bundle
-        self._shared_symbolic = True
+        self._bundle, self._loose = bundle, None
         return self
 
     def _usable_bundle(self):
@@ -155,13 +159,6 @@ class _Solver3D:
             return None
         return self._bundle
 
-    def _values(self):
-        """The ``matrix=`` value source of the next factorization
-        (``None`` = ``sf.A_perm``, which :meth:`refactorize` keeps fresh
-        unless the symbolic objects are shared)."""
-        return self.sf.perm.apply_matrix(self._A_work) \
-            if self._shared_symbolic else None
-
     def factorize(self):
         """Numeric (or cost-only) factorization; idempotent symbolic phase.
 
@@ -171,19 +168,22 @@ class _Solver3D:
         """
         if self.sf is None:
             self.analyze()
-        return self._factorize(self._values())
+        return self._factorize(self._A_work)
 
-    def _factorize(self, matrix):
-        """Factor the permuted values ``matrix`` (``None``: ``sf.A_perm``);
-        values the arena refuses raise before the solver changes."""
+    def _factorize(self, work):
+        """Factor ``work``, in the input ordering: the bundle's value map
+        of its structure permutes it into the arena. Values the arena
+        refuses raise before the solver changes."""
         sim = Simulator(self.grid.size, self.machine)
         cached = self._usable_bundle()
         replicas = self.result.replicas if cached is not None \
             and self.result is not None else None
-        self.result = factor_3d(self.sf, self.tf, self.grid, sim,
-                                numeric=self.numeric, options=self.options,
-                                matrix=matrix, backend=self.backend,
-                                cached=cached, replicas=replicas)
+        self.result = _factor(self.sf, self.tf, self.grid, sim,
+                              numeric=self.numeric, options=self.options,
+                              charge_storage=True, matrix=work,
+                              backend=self.backend, merged=False,
+                              cached=cached, replicas=replicas,
+                              perm=self.sf.perm)
         self.sim = sim
         self._bundle = self.result.bundle
         if self.numeric:
@@ -204,16 +204,18 @@ class _Solver3D:
         *analyzed* pattern (the cached symbolic fill would be
         insufficient); a *sub*-pattern is fine, its missing entries are
         simply zero. Explicitly-stored zeros — common in Matrix Market
-        files — are immaterial on both sides: they are dropped from the
-        incoming matrix before comparing, and the analyzed pattern keeps
-        the ones the symbolic phase covered structurally. The pattern is
+        files — are immaterial on both sides: a stored zero outside the
+        analyzed pattern is no value, and the analyzed pattern keeps the
+        ones the symbolic phase covered structurally. The pattern is
         compared symmetrized, so a numeric run may still refuse an entry
         the factors cannot hold (in a block the unsymmetric LU fill lacks):
         the solver then keeps its matrix, symbolic objects and factors.
 
         Warm path: the plan bundle and replica storage of the previous
         run are replayed — only the numeric kernels re-execute, with
-        ledgers bit-identical to a cold ``factorize()``.
+        ledgers bit-identical to a cold ``factorize()``; a matrix with the
+        previous one's ``indptr`` / ``indices`` (``SamePattern_SameRowPerm``)
+        compares no pattern and reaches the arena by one indexed copy.
         """
         A_new = self._checked(A_new)
         if A_new.shape != self.A.shape:
@@ -223,22 +225,21 @@ class _Solver3D:
         if self.sf is None:
             self.A, self._A_work, self.equ = A_new, work, equ
             return self.factorize()
-        new = pattern_of(A_new)  # eliminates explicitly-stored zeros
-        outside = (new - new.multiply(self._pattern)).nnz
+        outside = np.count_nonzero(A_new.data[self._outside(A_new)])
         if outside:
             raise ValueError(
                 f"{outside} entries of the new matrix fall outside the "
                 "original pattern; run a fresh analyze()+factorize()")
-        P = self.sf.perm.apply_matrix(work)
-        self._factorize(P)
+        self._factorize(work)
         self.A, self._A_work, self.equ = A_new, work, equ
-        if not self._shared_symbolic:
-            # Refresh the permuted values inside the cached symbolic
-            # object; pattern containment guarantees the cached fill
-            # still covers it. (Adopted symbolic objects stay untouched —
-            # factorize() routes the values via ``matrix=``.)
-            self.sf.A_perm = P
         return self
+
+    def _outside(self, A: sp.csr_matrix) -> np.ndarray:
+        """:func:`outside_pattern` of ``A``, computed once per structure: a
+        same-structure refactorize compares no pattern."""
+        if self._loose is None or not same_structure(self._loose[0], A):
+            self._loose = A.copy(), outside_pattern(A, self._pattern)
+        return self._loose[1]
 
     def solve_plans(self, sweeps=None) -> list:
         """The bundle's memoized :class:`repro.plan.solve.SolvePlan` of

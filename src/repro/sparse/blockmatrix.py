@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.sparse.pattern import same_structure
+
 __all__ = ["BlockLayout", "BlockMatrix"]
 
 
@@ -73,12 +75,36 @@ def zero_buffer(n: int) -> np.ndarray:
     return np.frombuffer(bytearray(8 * n), dtype=np.float64)
 
 
-def _entries(A: sp.csr_matrix, layout: BlockLayout):
-    """``(rows, cols, bi, bj)`` of CSR ``A``'s entries: where, which block."""
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    bi = np.repeat(np.arange(layout.nblocks),
-                   np.diff(A.indptr[layout.offsets]))
-    return rows, A.indices, bi, layout.block_of_index(A.indices)
+class ValueMap:
+    """Where each stored entry of one CSR structure lands in an arena
+    (:meth:`BlockMatrix.value_map`): offsets ``dest`` of the entries
+    ``keep`` (``None``: all); the entries ``stray`` (at permuted ``at``)
+    lie outside the arena's blocks or row ranges and must hold zero."""
+
+    def __init__(self, A, perm, dest, keep, stray, at):
+        self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
+        self.perm, self.dest, self.keep = perm, dest, keep
+        self.stray, self.at = stray, at
+
+    def matches(self, A, perm=None) -> bool:
+        """Whether CSR ``A`` through ``perm`` has this map's structure."""
+        return perm is self.perm and same_structure(A, self)
+
+    def fill(self, buf, data, clear=()) -> None:
+        """Zero each buffer of ``clear`` and copy ``data`` — the values of
+        a matrix of this structure — into ``buf``: one indexed copy. A
+        nonzero stray raises ``ValueError`` naming the first, before
+        anything is written (no kernel reads it: the factors would be
+        those of another matrix); a stored zero is no value."""
+        bad = np.flatnonzero(data[self.stray])
+        if bad.size:
+            raise ValueError(
+                f"{bad.size} entries fall outside the block pattern (its "
+                "blocks and their row ranges), the first at (row, col) = "
+                f"({self.at[0][bad[0]]}, {self.at[1][bad[0]]})")
+        for b in clear:
+            b.fill(0.0)
+        buf[self.dest] = data if self.keep is None else data[self.keep]
 
 
 class BlockMatrix:
@@ -107,11 +133,10 @@ class BlockMatrix:
 
     @classmethod
     def zeros(cls, layout: BlockLayout, ii: np.ndarray, jj: np.ndarray,
-              A: sp.csr_matrix | None = None, rows: tuple | None = None
-              ) -> "BlockMatrix":
-        """An arena over the distinct blocks ``(ii[t], jj[t])``, in that
-        order, block ``t`` taking values on rows ``r0[t]:r1[t]`` only
-        (``rows = (r0, r1)``; ``None``: all), zero or holding ``A``'s."""
+              rows: tuple | None = None) -> "BlockMatrix":
+        """A zero arena over the distinct blocks ``(ii[t], jj[t])``, in
+        that order, block ``t`` taking values on rows ``r0[t]:r1[t]`` only
+        (``rows = (r0, r1)``; ``None``: all)."""
         bm = cls(layout)
         sizes = layout.sizes()
         h, w = sizes[ii], sizes[jj]
@@ -128,7 +153,7 @@ class BlockMatrix:
             (i, j): buf[s:e].reshape(r, c) for i, j, s, e, r, c in zip(
                 ii.tolist(), jj.tolist(), starts.tolist(), ends.tolist(),
                 h.tolist(), w.tolist())}
-        return bm if A is None else bm._scatter(A)
+        return bm
 
     @classmethod
     def from_csr(cls, A: sp.csr_matrix, layout: BlockLayout,
@@ -147,24 +172,25 @@ class BlockMatrix:
                 f"matrix dimension {A.shape[0]} != layout dimension {layout.n}")
         A = A.tocsr()
         nb = layout.nblocks
-        at = _entries(A, layout)
-        keys = at[2] * nb + at[3]
+        bi = np.repeat(np.arange(nb), np.diff(A.indptr[layout.offsets]))
+        keys = bi * nb + layout.block_of_index(A.indices)
         keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]  # runs: a row's
         if block_pattern:                       # neighbours share its block
             pat = np.array(list(block_pattern), dtype=np.int64)
             keys = np.concatenate((keys, pat[:, 0] * nb + pat[:, 1]))
         i, j = np.divmod(np.unique(keys), nb)
         order = np.lexsort((np.maximum(i, j), i < j, np.minimum(i, j)))
-        return cls.zeros(layout, i[order], j[order])._scatter(A, at)
+        bm = cls.zeros(layout, i[order], j[order])
+        bm.value_map(A).fill(bm.buf, A.data)
+        return bm
 
     def rebind(self, A: sp.csr_matrix) -> "BlockMatrix":
-        """Refill the arena with the values of ``A`` in place (array
-        identities are preserved); returns ``self``. The arena cannot
-        grow: a nonzero outside its blocks or their row ranges raises
-        ``ValueError`` naming the first, and leaves the arena as it was —
-        no kernel reads it, the factors would be those of another matrix.
-        A stored zero is no value."""
-        return self._scatter(A, refill=True)
+        """Refill the arena with the values of ``A`` in place through its
+        :meth:`value_map`, keeping every array identity; returns ``self``.
+        The arena cannot grow (:meth:`ValueMap.fill` refuses)."""
+        A = A.tocsr()
+        self.value_map(A).fill(self.buf, A.data, (self.buf,))
+        return self
 
     def offsets_of(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         """Offset into ``buf`` of each block ``(ii[t], jj[t])``; -1 where
@@ -173,30 +199,33 @@ class BlockMatrix:
         slot = np.searchsorted(self._keys, key)
         return np.where(self._keys[slot] == key, self._starts[slot], -1)
 
-    def _scatter(self, A: sp.csr_matrix, at=None, refill=False
-                 ) -> "BlockMatrix":
-        A = A.tocsr()
-        rows, cols, bi, bj = at or _entries(A, self.layout)
-        data, off = A.data, self.layout.offsets
-        key = bi * self.layout.nblocks + bj
+    def value_map(self, A: sp.csr_matrix, perm=None, keeps=None
+                  ) -> ValueMap:
+        """The :class:`ValueMap` of CSR ``A``'s structure onto this arena
+        (the one place entry positions are computed): each stored entry's
+        ``(row, col)`` goes through ``perm`` (``None``: ``A`` is already
+        permuted), the backend's filter ``keeps(rows, cols)`` (a mask,
+        :meth:`repro.plan.backends.KernelBackend.keeps`; ``None``: all)
+        and the arena's index — its block, then its row range."""
+        lay, off = self.layout, self.layout.offsets
+        if A.shape != (lay.n, lay.n):
+            raise ValueError(f"matrix shape {A.shape} != layout {lay.n}")
+        new = np.arange(lay.n) if perm is None else perm.iperm
+        block = np.repeat(np.arange(lay.nblocks), lay.sizes())[new]
+        local = new - off[block]        # both per input row / column
+        n_row = np.diff(A.indptr)
+        bi, r = np.repeat(block, n_row), np.repeat(local, n_row)
+        bj, c = block[A.indices], local[A.indices]
+        key = bi * lay.nblocks + bj
         slot = np.searchsorted(self._keys, key)
-        r = rows - off[bi]
         held = (self._keys[slot] == key) & (self._r0[slot] <= r) \
             & (r < self._r1[slot])
-        if not held.all():
-            stray = np.flatnonzero(~held & (data != 0))
-            if stray.size:
-                raise ValueError(
-                    f"{stray.size} entries fall outside the block pattern "
-                    "(its blocks and their row ranges), the first at (row, "
-                    f"col) = ({rows[stray[0]]}, {cols[stray[0]]})")
-            cols, bj, slot, r, data = (x[held] for x in (cols, bj, slot, r,
-                                                         data))
-        if refill:
-            self.buf.fill(0.0)
-        width = self.layout.sizes()[bj]
-        self.buf[self._starts[slot] + r * width + (cols - off[bj])] = data
-        return self
+        mine = True if keeps is None else keeps(off[bi] + r, off[bj] + c)
+        keep, out = np.flatnonzero(held & mine), np.flatnonzero(~held & mine)
+        dest = self._starts[slot] + r * lay.sizes()[bj] + c
+        return ValueMap(A, perm, dest[keep],
+                        None if keep.size == A.nnz else keep, out,
+                        (off[bi[out]] + r[out], off[bj[out]] + c[out]))
 
     def alloc(self, i: int, j: int) -> np.ndarray:
         """Allocate (zero-filled) and return block ``(i, j)``."""

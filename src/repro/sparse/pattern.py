@@ -8,12 +8,19 @@ and interrogate such patterns.
 
 from __future__ import annotations
 
+import numpy as np
 import scipy.sparse as sp
 
 from repro.utils import check_square_sparse
 
-__all__ = ["pattern_of", "strip_diagonal", "symmetrize_pattern",
-           "structural_symmetry"]
+__all__ = ["pattern_of", "same_structure", "strip_diagonal",
+           "symmetrize_pattern", "structural_symmetry"]
+
+
+def same_structure(A, B) -> bool:
+    """Whether CSR ``A`` and ``B`` hold the same ``indptr`` / ``indices``."""
+    return np.array_equal(A.indptr, B.indptr) \
+        and np.array_equal(A.indices, B.indices)
 
 
 def strip_diagonal(P: sp.spmatrix) -> sp.csr_matrix:

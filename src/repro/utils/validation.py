@@ -55,7 +55,8 @@ def check_rhs(b, n: int, name: str = "b") -> np.ndarray:
 
 def check_square_sparse(A, name: str = "A") -> sp.csr_matrix:
     """Validate that ``A`` is a square 2-D sparse matrix with finite stored
-    values; return it as CSR."""
+    values; return it as canonical CSR: duplicates summed (as scipy does;
+    stored zeros stay) into a copy — the caller's matrix is not touched."""
     if not sp.issparse(A):
         raise TypeError(f"{name} must be a scipy sparse matrix, got {type(A).__name__}")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -63,5 +64,8 @@ def check_square_sparse(A, name: str = "A") -> sp.csr_matrix:
     if A.shape[0] == 0:
         raise ValueError(f"{name} must be non-empty")
     A = A.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
     require_finite(A.data, name)
     return A

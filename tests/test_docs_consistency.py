@@ -317,6 +317,30 @@ class TestOnePlanForm:
                 src = path.read_text()
                 assert "dgemm(" not in src and "dtrsm(" not in src, path
 
+    def test_values_enter_an_arena_only_through_the_map(self):
+        """A matrix's values reach an arena by one indexed copy through a
+        ``ValueMap``: its ``fill`` is the program's only indexed write into
+        a buffer, ``BlockMatrix.value_map`` is where entry positions are
+        computed, and outside the arena's own constructors its one caller
+        is the bundle's per-structure memo, which the pipeline binds
+        through (a refill, cold or warm)."""
+        def per_file(pattern):
+            found = {p.relative_to(self.SRC).as_posix():
+                     re.findall(pattern, p.read_text())
+                     for p in self.SRC.rglob("*.py")}
+            return {k: v for k, v in found.items() if v}
+        assert per_file(r"\bbuf\[[^\]:]*\] =") == {
+            "sparse/blockmatrix.py": ["buf[self.dest] ="]}
+        assert per_file(r"\w+\.value_map\(") == {
+            "sparse/blockmatrix.py": ["bm.value_map(", "self.value_map("],
+            "plan/replay.py": ["arena.value_map("],
+            "lu3d/factor3d.py": ["bundle.value_map("] * 2}
+        assert per_file(r"searchsorted\(self\._keys") == {    # entries in
+            "sparse/blockmatrix.py": ["searchsorted(self._keys"] * 2}  # value_map,
+        # blocks in offsets_of.
+        assert per_file(r"\b(?:rebind|from_csr)\(") == {
+            "sparse/blockmatrix.py": ["from_csr(", "rebind("]}
+
     def test_solve_books_only_through_book(self):
         """A triangular sweep is a solve plan walked and booked in one
         ``Simulator.book`` call: nothing under ``solve/`` or ``cholesky/``

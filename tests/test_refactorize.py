@@ -150,8 +150,8 @@ class TestExplicitZeros:
         assert np.linalg.norm(A1 @ x - 1.0) < 1e-10
 
     def test_incoming_stored_zero_outside_pattern_accepted(self):
-        # A stored zero OUTSIDE the analyzed pattern carries no value —
-        # eliminate_zeros() drops it before the containment check.
+        # A stored zero OUTSIDE the analyzed pattern carries no value:
+        # the containment check counts only nonzeros.
         A, _ = grid2d_5pt(8)
         n = A.shape[0]
         solver = SparseLU3D(A, px=1, py=2, pz=1, leaf_size=16)
@@ -301,6 +301,38 @@ class TestStrayValues:
             solver.refactorize(M)
         assert np.array_equal(solver.solve(b), x0)
         assert np.linalg.norm(A1 @ x0 - b) / np.linalg.norm(b) < 1e-12
+
+    @pytest.mark.parametrize("where", ["outside", "mirror"])
+    def test_refusal_survives_the_same_structure_refill(self, mirrored,
+                                                        where):
+        """A stored zero outside the factors' blocks (or at the mirror of
+        a held LU block) is accepted; the same structure with a nonzero
+        there takes the same-structure path — the value map is not rebuilt
+        — and is refused, leaving the solver as it was."""
+        solver, M = mirrored
+        sf, A1 = solver.sf, solver.A
+        if where == "mirror":
+            D = (M - A1).tocoo()
+            at = (int(D.row[0]), int(D.col[0]))
+        else:
+            held, off = sf.fill.all_blocks(), sf.layout.offsets
+            i, j = next((i, j) for i in range(sf.nb) for j in range(i)
+                        if (i, j) not in held and (j, i) not in held)
+            at = tuple(int(x) for x in sf.perm.perm[off[[i, j]]])
+        Z = _with_stored_zeros(A1, [at])
+        solver.refactorize(Z)
+        vmap, result = solver._bundle._lazy["value_map"], solver.result
+        ledger = ledger_state(solver.sim)
+        bad = Z.copy()
+        bad.data[Z.data == 0] = 3.0
+        with pytest.raises(ValueError, match="outside the"):
+            solver.refactorize(bad)
+        assert solver._bundle._lazy["value_map"] is vmap
+        assert solver.A is Z and solver.result is result
+        assert ledger_state(solver.sim) == ledger
+        b = np.ones(A1.shape[0])
+        x = solver.solve(b)
+        assert np.linalg.norm(A1 @ x - b) / np.linalg.norm(b) < 1e-12
 
     def test_cholesky_mirror_image_is_exempt(self, stepping_pair):
         """The Cholesky backend stores and reads the lower triangle only
@@ -609,3 +641,177 @@ class TestStalePartition:
         x = s.factorize().solve(np.ones(A.shape[0]))
         assert s._bundle is not stale
         assert np.linalg.norm(A @ x - 1.0) <= 1e-10 * np.sqrt(A.shape[0])
+
+
+class TestSameStructureRefill:
+    """A matrix with the structure (``indptr`` / ``indices``) of the one
+    before it is refilled through the bundle's value map — one indexed
+    copy, no permutation, no pattern comparison — and factors exactly as a
+    cold factorization does (SuperLU_DIST's ``SamePattern_SameRowPerm``)."""
+
+    @staticmethod
+    def assert_cold(solver):
+        """The solver's factors and ledger are those of a cold
+        ``factor_3d`` of its matrix, permuted, on its own analysis."""
+        from repro import Simulator
+        from repro.lu3d import factor_3d
+        sf = solver.sf
+        sim = Simulator(solver.grid.size, solver.machine)
+        cold = factor_3d(sf, solver.tf, solver.grid, sim,
+                         options=solver.options, backend=solver.backend,
+                         matrix=sf.perm.apply_matrix(solver._A_work))
+        got, want = solver.result.factors().blocks, cold.factors().blocks
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+        assert ledger_state(solver.sim) == ledger_state(sim)
+
+    @pytest.fixture()
+    def spies(self, monkeypatch):
+        """Calls of the permutation and of the containment check."""
+        import repro.solve.driver as driver
+        from repro.ordering.permutation import Permutation
+        calls = {"permute": 0, "contain": 0}
+
+        def counted(name, real):
+            def spy(*args, **kw):
+                calls[name] += 1
+                return real(*args, **kw)
+            return spy
+        monkeypatch.setattr(Permutation, "apply_matrix", counted(
+            "permute", Permutation.apply_matrix))
+        monkeypatch.setattr(driver, "outside_pattern", counted(
+            "contain", driver.outside_pattern))
+        return calls
+
+    def test_second_refactorize_permutes_and_compares_nothing(
+            self, stepping_pair, spies):
+        A1, A2, g, _n = stepping_pair
+        kw = dict(geometry=g, px=2, py=2, pz=2, leaf_size=24)
+        solver = SparseLU3D(A1, **kw).factorize()
+        vmap = solver._bundle.value_map
+        solver.refactorize(A2)
+        assert spies["contain"] == 1
+        before = dict(spies)
+        A3 = A2.copy()
+        A3.data = A3.data * 1.5
+        solver.refactorize(A3)
+        assert spies == before
+        assert solver._bundle.value_map == vmap
+        self.assert_cold(solver)
+
+    @pytest.mark.parametrize("cholesky", [False, True], ids=["lu", "chol"])
+    def test_no_stale_map(self, stepping_pair, cholesky):
+        """The analyzed pattern, a sub-pattern, the analyzed pattern
+        again: each refill equals a cold factorization."""
+        from repro.cholesky import SparseCholesky3D
+        A1, A2, g, n = stepping_pair
+        cls = SparseCholesky3D if cholesky else SparseLU3D
+        kw = dict(geometry=g, px=2, py=2, pz=2, leaf_size=24)
+        solver = cls(A1, **kw).factorize()
+        C = A2.tocoo()
+        keep = np.abs(C.row - C.col) != 1       # drops a symmetric subset
+        sub = sp.csr_matrix((C.data[keep], (C.row[keep], C.col[keep])),
+                            shape=(n, n))
+        for A in (A2, sub, 2.0 * A2):
+            solver.refactorize(A.tocsr())
+            self.assert_cold(solver)
+
+    @pytest.mark.parametrize("backend", ["lu", "cholesky"])
+    @pytest.mark.parametrize("label,opts", INTERACTION_MODES,
+                             ids=[m[0] for m in INTERACTION_MODES])
+    def test_symbolic_objects_stay_untouched(self, stepping_pair, backend,
+                                             label, opts):
+        """No facade writes ``sf``: ``sf.A_perm`` stays the analyzed
+        matrix, and a ``factorize()`` after a refill reads the values
+        through the map — the refill's factors and ledger again."""
+        from repro.cholesky import SparseCholesky3D
+        A1, A2, g, _n = stepping_pair
+        cls = SparseCholesky3D if backend == "cholesky" else SparseLU3D
+        kw = dict(geometry=g, px=2, py=2, pz=2, leaf_size=24, options=opts)
+        solver = cls(A1, **kw).factorize()
+        A_perm = solver.sf.A_perm
+        analyzed = A_perm.copy()
+        for A in (A2, 2.0 * A2):
+            solver.refactorize(A.tocsr())
+        assert solver.sf.A_perm is A_perm
+        assert (A_perm != analyzed).nnz == 0
+        self.assert_cold(solver)
+        solver.factorize()
+        self.assert_cold(solver)
+
+    def test_equilibrated_refills_match_cold(self, stepping_pair):
+        A1, A2, g, _n = stepping_pair
+        kw = dict(geometry=g, px=2, py=2, pz=2, leaf_size=24, equil=True)
+        solver = SparseLU3D(A1, **kw).factorize()
+        for A in (A2, 3.0 * A2):
+            solver.refactorize(A.tocsr())
+            self.assert_cold(solver)
+
+
+def _duplicated_diagonal(A):
+    """``A`` with every diagonal entry stored twice, as two halves: the
+    same matrix, in a CSR scipy sums on conversion but a raw walk of
+    ``indptr`` / ``indices`` / ``data`` does not."""
+    C, n = A.tocoo(), A.shape[0]
+    off = C.row != C.col
+    d = A.diagonal() / 2
+    rows = np.concatenate([C.row[off], np.arange(n), np.arange(n)])
+    cols = np.concatenate([C.col[off], np.arange(n), np.arange(n)])
+    vals = np.concatenate([C.data[off], d, d])
+    o = np.lexsort((cols, rows))
+    D = sp.csr_matrix((vals[o], cols[o], np.searchsorted(
+        rows[o], np.arange(n + 1))), shape=A.shape)
+    assert not D.has_canonical_format and D.nnz == A.nnz + n
+    assert abs(D - A).max() == 0
+    return D
+
+
+class TestDuplicateEntries:
+    """A CSR that stores one position twice is the matrix with the sum
+    there; the input boundary (``check_square_sparse``) canonicalizes a
+    copy, so every path factors the matrix the caller means."""
+
+    @pytest.fixture()
+    def case(self):
+        A, g = grid2d_5pt(8)
+        return A.tocsr(), _duplicated_diagonal(A), g, \
+            np.random.default_rng(2).random(A.shape[0])
+
+    @staticmethod
+    def assert_same(x, want):
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("equil", [False, True])
+    def test_lu(self, case, equil):
+        A, D, g, b = case
+        kw = dict(geometry=g, px=1, py=1, pz=1, equil=equil)
+        nnz = D.nnz
+        s = SparseLU3D(D, **kw).factorize()
+        self.assert_same(s.solve(b), SparseLU3D(A, **kw).factorize().solve(b))
+        assert s.last_refinement.converged
+        assert D.nnz == nnz and not D.has_canonical_format  # not mutated
+
+    def test_refactorize(self, case):
+        A, D, g, b = case
+        kw = dict(geometry=g, px=2, py=2, pz=2, leaf_size=16)
+        s = SparseLU3D(A, **kw).factorize()
+        want = s.solve(b)
+        s.refactorize(2.0 * A)
+        self.assert_same(s.refactorize(D).solve(b), want)
+
+    def test_cholesky(self, case):
+        from repro.cholesky import SparseCholesky3D
+        A, D, g, b = case
+        kw = dict(geometry=g, px=2, py=1, pz=2, leaf_size=16)
+        self.assert_same(SparseCholesky3D(D, **kw).factorize().solve(b),
+                         SparseCholesky3D(A, **kw).factorize().solve(b))
+
+    def test_service(self, case):
+        from repro.service import FactorizationService
+        A, D, _g, b = case
+        with FactorizationService(px=2, py=2, pz=2, leaf_size=16,
+                                  max_workers=1) as svc:
+            want = svc.solve(A, b).x
+            dup = svc.solve(D, b)
+        assert dup.cache_hit
+        self.assert_same(dup.x, want)

@@ -388,6 +388,46 @@ class TestSharedSymbolicSafety:
             cold = SparseLU3D(M, **kw).factorize()
             assert ledger_state(jobs[s].solver.sim) == ledger_state(cold.sim)
 
+    def test_value_map_memo_under_racing_structures(self, problem):
+        """Threads racing two structures through one bundle's value map
+        (more threads than cores, a short switch interval) each get the
+        map of their own structure: its fill equals a fresh map's."""
+        import sys
+        A, geom = problem
+        s = SparseLU3D(A, geometry=geom, px=2, py=2, pz=2, leaf_size=16)
+        s.factorize()
+        bundle, arena, perm = s._bundle, s.result.replicas.base, s.sf.perm
+        mats = [A, sp.diags(A.diagonal()).tocsr()]
+
+        def filled(vmap, M):
+            buf = np.zeros(arena.buf.size)
+            vmap.fill(buf, M.data)
+            return buf
+        want = [filled(arena.value_map(M, perm), M) for M in mats]
+        errors = []
+
+        def worker(t):
+            try:
+                for i in range(40):
+                    k = (t + i) % 2
+                    vmap = bundle.value_map(arena, mats[k], perm)
+                    assert vmap.matches(mats[k], perm)
+                    assert np.array_equal(filled(vmap, mats[k]), want[k])
+            except Exception as exc:        # surfaced below
+                errors.append(exc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+
     def test_two_clients_interleaved_on_one_pattern(self, problem):
         """Jobs on one pattern share the entry's plans but each binds its
         solve to its own factor arena: two client threads, 20 jobs each,

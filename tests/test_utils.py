@@ -87,6 +87,20 @@ class TestCheckSquareSparse:
         with pytest.raises(ValueError, match="A_new contains NaN or infinite"):
             check_square_sparse(A.asformat(fmt), "A_new")
 
+    def test_duplicates_sum_into_a_copy(self):
+        """The one input boundary canonicalizes: duplicates sum (stored
+        zeros, summed ones included, stay stored), indices come out
+        sorted, and the caller's matrix is not touched."""
+        A = sp.csr_matrix((np.array([1.0, 0.0, 2.0, -2.0, 3.0]),
+                           np.array([0, 1, 1, 1, 0]), np.array([0, 2, 5])),
+                          shape=(2, 2))
+        out = check_square_sparse(A)
+        assert out.has_canonical_format and out is not A
+        assert out.indices.tolist() == [0, 1, 0, 1]
+        assert out.data.tolist() == [1.0, 0.0, 3.0, 0.0]
+        assert A.nnz == 5 and not A.has_canonical_format
+        assert check_square_sparse(out) is out
+
     def test_pattern_matrices_pass(self):
         """Boolean / integer pattern matrices go through the same check."""
         P = sp.eye(3, format="csr", dtype=bool)
