@@ -47,7 +47,8 @@ import numpy as np
 # import them alongside the Simulator.
 from repro.comm.events import COMPUTE_KINDS, PHASES
 from repro.comm.machine import Machine
-from repro.comm.stream import MSG, CommError, EventStream, Volume, mem_profile
+from repro.comm.stream import MSG, CommError, EventStream, Volume, \
+    kind_counts, mem_profile
 
 if TYPE_CHECKING:  # avoid the comm <-> analysis import cycle at runtime
     from repro.analysis.trace import Trace
@@ -254,8 +255,10 @@ class Simulator(Volume):
         clocks the one scalar loop: a message advances its sender and
         lifts its receiver to the arrival time; a compute event is the
         case ``src == dst``. Ranks, signs and the memory balance are
-        checked first, and no message may be in flight on entry. Returns
-        the memory slice's :func:`~repro.comm.stream.mem_profile`."""
+        checked first, and no message may be in flight on entry. A slice
+        booked before from the same ledgers is replayed: its stored exit
+        state copied (docs/simulator.md § "Replayed slices"). Returns the
+        memory slice's :func:`~repro.comm.stream.mem_profile`."""
         ev.check(self.nranks)
         src, dst = ev.src[lo:hi], ev.dst[lo:hi]
         val, kind = ev.val[lo:hi], ev.kind[lo:hi]
@@ -281,6 +284,20 @@ class Simulator(Volume):
                     self.alloc(r, w)
             return mem_profile(ranks, words, self.nranks) \
                 if ranks.size else None
+        key = (lo, hi, mlo, mhi, self.phase, self._rate.tobytes(),
+               self._fixed.tobytes(), self.machine.gemm_overhead)
+        memo = ev.memo.get(key, False)
+        if memo is False:               # a first booking stores nothing
+            ev.memo[key] = None
+        else:
+            ledgers = list(self.ledgers().values())
+            image = b"".join(a.tobytes() for a in ledgers)
+            if memo is not None and memo[0] == image:
+                for a, x in zip(ledgers, memo[1]):
+                    a[...] = x
+                for code, n in memo[2]:
+                    self.count(code, n)
+                return memo[3]
         dt = val * self._rate[kind] \
             + (self._fixed[kind] + upd * self.machine.gemm_overhead)
         prof = self.add(ev, lo, hi, mlo, mhi, times=dt)
@@ -291,7 +308,27 @@ class Simulator(Volume):
             if a > clock[d]:
                 clock[d] = a
         self.clock[:] = clock
+        if memo is not False:
+            for a in prof or ():
+                a.flags.writeable = False
+            ev.memo[key] = (image, [a.copy() for a in ledgers],
+                            kind_counts(kind), prof)
         return prof
+
+    def ledgers(self) -> dict[str, np.ndarray]:
+        """Every per-rank ledger array, by its
+        :func:`repro.verify.ledger_state` name: all that :meth:`book`
+        reads, and all it writes but ``event_counts``."""
+        out = {"clock": self.clock, "mem_current": self.mem_current,
+               "mem_peak": self.mem_peak}
+        for k in COMPUTE_KINDS:
+            out[f"flops:{k}"] = self.flops[k]
+            out[f"t_compute:{k}"] = self.t_compute[k]
+        for p in PHASES:
+            for name in ("words_sent", "words_recv", "msgs_sent",
+                         "msgs_recv"):
+                out[f"{name}:{p}"] = getattr(self, name)[p]
+        return out
 
     # -- accelerator offload -----------------------------------------------
 

@@ -20,11 +20,14 @@ import numpy as np
 from repro.comm.events import COMPUTE_KINDS, PHASES
 from repro.utils import check_positive_int
 
-__all__ = ["MSG", "CommError", "EventStream", "Volume", "mem_profile"]
+__all__ = ["MSG", "CommError", "EventStream", "Volume", "kind_counts",
+           "mem_profile"]
 
 #: ``EventStream.kind`` of a message; a compute event carries its kind's
 #: index into :data:`~repro.comm.events.COMPUTE_KINDS`.
 MSG = -1
+#: The first ``event_counts`` key an event of each kind code books.
+_KEY = {MSG: "send", **dict(enumerate(COMPUTE_KINDS))}
 
 
 class CommError(RuntimeError):
@@ -53,6 +56,8 @@ class EventStream:
         default_factory=lambda: np.zeros(0, dtype=np.int64))
     mem_words: np.ndarray = field(default_factory=lambda: np.zeros(0))
     _checked: int = field(default=0, repr=False)
+    #: :meth:`repro.comm.Simulator.book`'s replayed slices, one per key.
+    memo: dict = field(default_factory=dict, repr=False)
 
     def check(self, nranks: int) -> None:
         """Raise :class:`CommError` unless every rank is in ``[0, nranks)``
@@ -103,6 +108,20 @@ class EventStream:
                    np.repeat(dsts, 2)[keep],
                    np.stack([words, flops], 1).ravel()[keep],
                    np.tile(np.array([MSG, code], np.int8), srcs.size)[keep])
+
+
+def kind_counts(kind: np.ndarray, counted=()) -> list[tuple[int, int]]:
+    """``(code, events)`` of each kind in an event slice: the kinds already
+    in ``counted`` (``event_counts`` keys), then the others in the order
+    of their first event — the order per-event booking inserts keys."""
+    n = np.bincount(kind + 1, minlength=len(COMPUTE_KINDS) + 1).tolist()
+    codes = [c for c, k in enumerate(n, MSG) if k]
+    new = [c for c in codes if _KEY[c] not in counted]
+    if len(new) > 1:                # first events: the head's, else a scan
+        head = list(dict.fromkeys(kind[:64].tolist()))
+        new.sort(key=lambda c: head.index(c) if c in head
+                 else 64 + int(np.argmax(kind == c)))
+    return [(c, n[c + 1]) for c in [c for c in codes if c not in new] + new]
 
 
 def mem_profile(ranks: np.ndarray, words: np.ndarray, nranks: int):
@@ -175,11 +194,8 @@ class Volume:
             self.mem_current += net
         src, dst = ev.src[lo:hi], ev.dst[lo:hi]
         val, kind = ev.val[lo:hi], ev.kind[lo:hi]
-        counts = np.bincount(kind + 1,
-                             minlength=len(COMPUTE_KINDS) + 1).tolist()
-        for code, n in enumerate(counts, MSG):
-            if not n:
-                continue
+        for code, n in kind_counts(kind, self.event_counts):
+            self.count(code, n)
             m = slice(None) if n == kind.size else kind == code
             if code == MSG:
                 s, d, w = src[m], dst[m], val[m]
@@ -189,15 +205,18 @@ class Volume:
                     s, minlength=self.nranks)
                 self.msgs_recv[self.phase] += np.bincount(
                     d, minlength=self.nranks)
-                self.event_counts["send"] += n
-                self.event_counts["recv"] += n
                 continue
             name = COMPUTE_KINDS[code]
             np.add.at(self.flops[name], src[m], val[m])
             if times is not None:
                 np.add.at(self.t_compute[name], src[m], times[m])
-            self.event_counts[name] += n
         return prof
+
+    def count(self, code: int, n: int) -> None:
+        """Count ``n`` events of kind ``code``: a message is a send and a
+        receive."""
+        for name in ("send", "recv") if code == MSG else (COMPUTE_KINDS[code],):
+            self.event_counts[name] += n
 
     def words_per_rank(self, phase: str | None = None) -> np.ndarray:
         """Per-rank communication volume (sent + received)."""

@@ -111,14 +111,8 @@ class FactorOptions:
 
 @dataclass
 class Factor2DResult:
-    """Outcome of one per-grid (2D) factorization.
-
-    ``buffer_peak_words`` is the peak *transient* panel-receive-buffer
-    footprint on any rank — static L/U factor storage is excluded.
-    """
+    """Outcome of one per-grid (2D) factorization."""
 
     nodes: list[int]
     perturbed_pivots: int = 0
-    panel_steps: int = 0
     schur_block_updates: int = 0
-    buffer_peak_words: float = 0.0

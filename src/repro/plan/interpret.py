@@ -66,10 +66,9 @@ class GridContext:
         self.prog = prog
         self.sizes = sf.layout.sizes()
         self.result = Factor2DResult(nodes=list(plan.nodes))
-        #: Per-rank level of the live transient panel-receive buffers
-        #: (sim.mem_peak also counts the static L/U storage, which
-        #: buffer_peak_words must exclude). Crash recovery frees these, a
-        #: restart from a checkpoint re-charges them.
+        #: Per-rank level of the live transient panel-receive buffers.
+        #: Crash recovery frees these, a restart from a checkpoint
+        #: re-charges them.
         self.buf_current = np.zeros(sim.nranks)
         #: The run's :class:`repro.parallel.GridThreads` when ``plan`` is a
         #: level of two or more grids (``None``: :func:`run` dispatches
@@ -86,8 +85,7 @@ class GridContext:
     # -- checkpoint support (repro.resilience) -----------------------------
 
     #: Result counters a checkpoint must roll back with the walk position.
-    _RESULT_FIELDS = ("perturbed_pivots", "panel_steps",
-                      "schur_block_updates", "buffer_peak_words")
+    _RESULT_FIELDS = ("perturbed_pivots", "schur_block_updates")
 
     def snapshot(self) -> dict:
         """Logical state of this plan execution at a task boundary: the
@@ -149,12 +147,8 @@ def book(ctx: GridContext, a: int, b: int) -> None:
                           A.mem_ptr[a], A.mem_ptr[b])]
     for prof in profs:
         if prof is not None:
-            net, peak, _low = prof
-            res.buffer_peak_words = max(
-                res.buffer_peak_words, float((ctx.buf_current + peak).max()))
-            ctx.buf_current += net
+            ctx.buf_current += prof[0]
     res.schur_block_updates += int(A.pair_ptr[b] - A.pair_ptr[a])
-    res.panel_steps += int(np.count_nonzero(A.kind[a:b] == PANEL_FACTOR))
 
 
 def _book_offloading(ctx: GridContext, t: int):

@@ -17,7 +17,7 @@ equals pricing each event at ``nrhs`` columns, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,15 +58,18 @@ class SolvePlan:
     ev: EventStream
     dep_ptr: np.ndarray
     dep_idx: np.ndarray
+    _streams: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_tasks(self) -> int:
         return len(self.steps)
 
     def stream(self, nrhs: int = 1) -> EventStream:
-        """The sweep's events at ``nrhs`` right-hand sides."""
-        return EventStream(self.ev.src, self.ev.dst, self.ev.val * nrhs,
-                           self.ev.kind)
+        """The sweep's events at ``nrhs`` right-hand sides, one stream per
+        ``nrhs`` (so its booked slices replay)."""
+        return self._streams.get(nrhs) or self._streams.setdefault(
+            nrhs, EventStream(self.ev.src, self.ev.dst, self.ev.val * nrhs,
+                              self.ev.kind))
 
     def volume(self, nranks: int, nrhs: int = 1) -> Volume:
         """One sweep's per-rank solve-phase words, messages and flops: the

@@ -51,22 +51,13 @@ class VerificationError(AssertionError):
 def ledger_state(sim: Simulator) -> dict:
     """Full ledger state as plain lists/ints, comparable with ``==``.
 
-    Same shape as the golden-ledger files: per-rank clocks, memory,
-    per-kind flops/compute-time, per-phase traffic, and event counts.
+    Same shape as the golden-ledger files: :meth:`Simulator.ledgers
+    <repro.comm.Simulator.ledgers>` (per-rank clocks, memory, per-kind
+    flops/compute-time, per-phase traffic), then the event counts.
     Two runs with equal ``ledger_state`` are bit-for-bit
     indistinguishable to every analysis built on the simulator.
     """
-    out: dict = {"clock": sim.clock.tolist(),
-                 "mem_current": sim.mem_current.tolist(),
-                 "mem_peak": sim.mem_peak.tolist()}
-    for k in COMPUTE_KINDS:
-        out[f"flops:{k}"] = sim.flops[k].tolist()
-        out[f"t_compute:{k}"] = sim.t_compute[k].tolist()
-    for p in PHASES:
-        out[f"words_sent:{p}"] = sim.words_sent[p].tolist()
-        out[f"words_recv:{p}"] = sim.words_recv[p].tolist()
-        out[f"msgs_sent:{p}"] = sim.msgs_sent[p].tolist()
-        out[f"msgs_recv:{p}"] = sim.msgs_recv[p].tolist()
+    out: dict = {k: a.tolist() for k, a in sim.ledgers().items()}
     out["event_counts"] = {k: int(v) for k, v in sim.event_counts.items()}
     return out
 

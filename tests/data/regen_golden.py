@@ -36,7 +36,6 @@ import scipy.sparse as sp
 
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid3D, Simulator
-from repro.comm.simulator import COMPUTE_KINDS, PHASES
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
@@ -44,9 +43,10 @@ from repro.resilience import Fault, FaultPlan
 from repro.sparse import arrowhead, grid2d_5pt, grid3d_7pt, power_law_laplacian
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from repro.verify import ledger_state
 
-OUT = Path(__file__).resolve().parent / "golden_ledgers.json"
-OUT_COMPACT = Path(__file__).resolve().parent / "golden_ledgers_compact.json"
+HERE = Path(__file__).resolve().parent
+NAMES = {False: "golden_ledgers.json", True: "golden_ledgers_compact.json"}
 
 #: Stored under the JSON key ``_readme`` so the data file documents its
 #: own provenance (tests access cases by name and never iterate keys).
@@ -62,22 +62,6 @@ README = ("Golden per-rank simulator ledgers; regenerate with "
           "and generators.power_law_laplacian(150, seed=0) [graph "
           "ordering] — matrices whose irregular blockings beat the "
           "uniform cap.")
-
-
-def ledger_dict(sim: Simulator) -> dict:
-    out: dict = {"clock": sim.clock.tolist(),
-                 "mem_current": sim.mem_current.tolist(),
-                 "mem_peak": sim.mem_peak.tolist()}
-    for k in COMPUTE_KINDS:
-        out[f"flops:{k}"] = sim.flops[k].tolist()
-        out[f"t_compute:{k}"] = sim.t_compute[k].tolist()
-    for p in PHASES:
-        out[f"words_sent:{p}"] = sim.words_sent[p].tolist()
-        out[f"words_recv:{p}"] = sim.words_recv[p].tolist()
-        out[f"msgs_sent:{p}"] = sim.msgs_sent[p].tolist()
-        out[f"msgs_recv:{p}"] = sim.msgs_recv[p].tolist()
-    out["event_counts"] = {k: int(v) for k, v in sim.event_counts.items()}
-    return out
 
 
 def factor_checksum(result) -> dict:
@@ -100,7 +84,10 @@ def spd_setup(nx: int, leaf: int, pz: int):
     return sf, greedy_partition(sf, pz)
 
 
-def main(compact: bool = False) -> None:
+def main(compact: bool = False, out_dir: Path = HERE) -> None:
+    """Write ``NAMES[compact]`` into ``out_dir`` (default: next to this
+    script; ``tests/test_plan.py::TestGoldenRegeneration`` regenerates
+    into a temporary directory and compares with the committed files)."""
     def O(**kw):
         return FactorOptions(compact_comm=compact, **kw)
 
@@ -118,17 +105,17 @@ def main(compact: bool = False) -> None:
         grid = ProcessGrid3D(2, 3, 1)
         sim = Simulator(grid.size, Machine.edison_like())
         factor_3d(sf2, tf2, grid, sim, numeric=False, options=opts)
-        cases[f"lu2d_{label}"] = ledger_dict(sim)
+        cases[f"lu2d_{label}"] = ledger_state(sim)
 
     # -- LU 3D, planar pz=4 (cost-only ledgers + numeric checksum) --------
     sf, tf = planar_setup(14, 16, 4)
     grid3 = ProcessGrid3D(2, 2, 4)
     sim = Simulator(grid3.size, Machine.edison_like())
     factor_3d(sf, tf, grid3, sim, numeric=False, options=O())
-    cases["lu3d_pz4"] = ledger_dict(sim)
+    cases["lu3d_pz4"] = ledger_state(sim)
     sim_n = Simulator(grid3.size, Machine.edison_like())
     res_n = factor_3d(sf, tf, grid3, sim_n, numeric=True, options=O())
-    cases["lu3d_pz4_numeric"] = ledger_dict(sim_n)
+    cases["lu3d_pz4_numeric"] = ledger_state(sim_n)
     cases["lu3d_pz4_numeric"]["factor_checksum"] = factor_checksum(res_n)
 
     # -- LU 3D, brick pz=2 ------------------------------------------------
@@ -138,25 +125,25 @@ def main(compact: bool = False) -> None:
     g3b = ProcessGrid3D(1, 2, 2)
     simb = Simulator(g3b.size, Machine.edison_like())
     factor_3d(sfb, tfb, g3b, simb, numeric=False, options=O())
-    cases["lu3d_brick_pz2"] = ledger_dict(simb)
+    cases["lu3d_brick_pz2"] = ledger_state(simb)
 
     # -- merged-grid ancestors, pz=4 (cost-only + numeric) ----------------
     simm = Simulator(grid3.size, Machine.edison_like())
     factor_3d_merged(sf, tf, grid3, simm, options=O())
-    cases["merged_pz4"] = ledger_dict(simm)
+    cases["merged_pz4"] = ledger_state(simm)
     simmn = Simulator(grid3.size, Machine.edison_like())
     factor_3d_merged(sf, tf, grid3, simmn, numeric=True, options=O())
-    cases["merged_pz4_numeric"] = ledger_dict(simmn)
+    cases["merged_pz4_numeric"] = ledger_state(simmn)
 
     # -- Cholesky, SPD planar pz=2 (cost-only + numeric checksum) ---------
     sfs, tfs = spd_setup(14, 16, 2)
     g3s = ProcessGrid3D(2, 2, 2)
     sims = Simulator(g3s.size, Machine.edison_like())
     factor_chol_3d(sfs, tfs, g3s, sims, numeric=False, options=O())
-    cases["chol_pz2"] = ledger_dict(sims)
+    cases["chol_pz2"] = ledger_state(sims)
     simsn = Simulator(g3s.size, Machine.edison_like())
     ress = factor_chol_3d(sfs, tfs, g3s, simsn, numeric=True, options=O())
-    cases["chol_pz2_numeric"] = ledger_dict(simsn)
+    cases["chol_pz2_numeric"] = ledger_state(simsn)
     cases["chol_pz2_numeric"]["factor_checksum"] = factor_checksum(ress)
 
     # -- irregular blocking: adversarial generators pinned end-to-end -----
@@ -175,7 +162,7 @@ def main(compact: bool = False) -> None:
         simi = Simulator(g3i.size, Machine.edison_like())
         resi = factor_3d(sfi, tfi, g3i, simi, numeric=True,
                          options=O(blocking="irregular"))
-        case = cases[f"lu3d_{label}_irregular"] = ledger_dict(simi)
+        case = cases[f"lu3d_{label}_irregular"] = ledger_state(simi)
         case["factor_checksum"] = factor_checksum(resi)
 
     # -- resilience: deterministic grid crash, both recovery policies ----
@@ -188,10 +175,10 @@ def main(compact: bool = False) -> None:
             ("zreplica", O(fault_plan=crash, recovery="z-replica"))):
         simf = Simulator(grid3.size, Machine.edison_like())
         resf = factor_3d(sf, tf, grid3, simf, numeric=True, options=opts)
-        case = cases[f"lu3d_pz4_fault_{label}"] = ledger_dict(simf)
+        case = cases[f"lu3d_pz4_fault_{label}"] = ledger_state(simf)
         case["factor_checksum"] = factor_checksum(resf)
 
-    out = OUT_COMPACT if compact else OUT
+    out = Path(out_dir) / NAMES[compact]
     out.write_text(json.dumps(cases, indent=1) + "\n")
     print(f"wrote {out} ({len(cases) - 1} cases)")
 

@@ -201,6 +201,7 @@ class TestCrossReferences:
         "lu2d.factor2d", "factor_nodes_chol_2d", "Plan3D.of_grid",
         ".of_grid(", "fuzz_2d", "allocate_factor_storage",
         "factor_words_per_rank", ".extras", "result3",
+        "panel_steps", "buffer_peak_words",
     )
 
     def test_no_deleted_name_survives(self):

@@ -69,7 +69,8 @@ class TestNumericCorrectness:
         """pz=1: no reduction traffic, and every ledger of the 2D
         baseline's golden row, exactly, under both block pricings
         (cost-only and numeric runs book the same events)."""
-        from tests.test_plan import GOLDENS, ledger_dict
+        from repro.verify import ledger_state
+        from tests.test_plan import GOLDENS
         A, geom = grid2d_5pt(12)
         sf = symbolic_factorize(A, geom, leaf_size=16)
         tf, grid3 = greedy_partition(sf, 1), ProcessGrid3D(2, 3, 1)
@@ -80,7 +81,7 @@ class TestNumericCorrectness:
                                 options=FactorOptions(compact_comm=compact))
                 assert res.reduction_messages == 0
                 assert sim.total_words_sent("red") == 0.0
-                assert ledger_dict(sim) == GOLDENS[compact]["lu2d_default"]
+                assert ledger_state(sim) == GOLDENS[compact]["lu2d_default"]
 
 
 class TestScheduleStructure:

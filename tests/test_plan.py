@@ -27,7 +27,6 @@ import scipy.sparse as sp
 from repro.analysis import PlanStats, format_plan_summary
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
-from repro.comm.simulator import COMPUTE_KINDS, PHASES
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
@@ -43,6 +42,7 @@ from repro.sparse import (
 )
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from repro.verify import ledger_state
 from tests.conftest import one_layer, plan_tasks
 
 # The goldens are pinned per block-volume mode: the dense file is the
@@ -56,26 +56,10 @@ GOLDENS = {
                           (True, "golden_ledgers_compact.json"))}
 
 
-def ledger_dict(sim: Simulator) -> dict:
-    out: dict = {"clock": sim.clock.tolist(),
-                 "mem_current": sim.mem_current.tolist(),
-                 "mem_peak": sim.mem_peak.tolist()}
-    for k in COMPUTE_KINDS:
-        out[f"flops:{k}"] = sim.flops[k].tolist()
-        out[f"t_compute:{k}"] = sim.t_compute[k].tolist()
-    for p in PHASES:
-        out[f"words_sent:{p}"] = sim.words_sent[p].tolist()
-        out[f"words_recv:{p}"] = sim.words_recv[p].tolist()
-        out[f"msgs_sent:{p}"] = sim.msgs_sent[p].tolist()
-        out[f"msgs_recv:{p}"] = sim.msgs_recv[p].tolist()
-    out["event_counts"] = {k: int(v) for k, v in sim.event_counts.items()}
-    return out
-
-
 def assert_matches_golden(case: str, sim: Simulator, result=None,
                           compact: bool = False):
     want = GOLDENS[compact][case]
-    got = ledger_dict(sim)
+    got = ledger_state(sim)
     for key, val in want.items():
         if key == "factor_checksum":
             F = result.factors().to_dense()
@@ -195,6 +179,29 @@ class TestGoldenLedgersCompact(TestGoldenLedgers):
     COMPACT = True
 
 
+class TestGoldenRegeneration:
+    def test_regen_script_rewrites_the_committed_files(self, tmp_path):
+        """``tests/data/regen_golden.py`` run into a temporary directory
+        writes both committed files again: ledgers exactly, in the same
+        key order (``event_counts`` included), checksums to 1e-12."""
+        import importlib.util
+        path = Path(__file__).parent / "data" / "regen_golden.py"
+        spec = importlib.util.spec_from_file_location("regen_golden", path)
+        regen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(regen)
+        for compact, name in regen.NAMES.items():
+            regen.main(compact, tmp_path)
+            got = json.loads((tmp_path / name).read_text())
+            assert list(got) == list(GOLDENS[compact])
+            for case, want in GOLDENS[compact].items():
+                have = got[case]
+                if isinstance(want, dict) and "factor_checksum" in want:
+                    want, have = dict(want), dict(have)
+                    assert have.pop("factor_checksum") == pytest.approx(
+                        want.pop("factor_checksum"), rel=1e-12), case
+                assert json.dumps(have) == json.dumps(want), case
+
+
 class TestPlanPlumbing:
     @pytest.fixture(scope="class")
     def lu_run(self):
@@ -267,7 +274,7 @@ class TestPlanPlumbing:
             sim = Simulator(grid.size, Machine.edison_like())
             execute_grid_plan(plan, sf, sim)
             sims.append(sim)
-        assert ledger_dict(sims[0]) == ledger_dict(sims[1])
+        assert ledger_state(sims[0]) == ledger_state(sims[1])
 
 
 def replay_schedule(parent: list, nodes: list, lookahead: int, q0: int = 0):

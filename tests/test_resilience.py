@@ -39,12 +39,7 @@ from repro.resilience import (
 )
 from repro.sparse import grid2d_5pt
 from repro.verify import ledger_state
-from tests.test_plan import (
-    assert_matches_golden,
-    ledger_dict,
-    planar_setup,
-    spd_setup,
-)
+from tests.test_plan import assert_matches_golden, planar_setup, spd_setup
 
 #: A crash fault armed at a time no run reaches — hooks the resilience
 #: engine onto the walk without perturbing anything.
@@ -145,10 +140,10 @@ class TestFaultPlanConstruction:
 class TestMechanicalFaults:
     def test_slow_rank_bit_identical_across_runs(self):
         plan = FaultPlan((Fault("slow", rank=0, slow_factor=3.0),))
-        runs = [ledger_dict(lu3d_run(
+        runs = [ledger_state(lu3d_run(
             options=FactorOptions(fault_plan=plan))[2]) for _ in range(2)]
         assert runs[0] == runs[1]
-        clean = ledger_dict(lu3d_run()[2])
+        clean = ledger_state(lu3d_run()[2])
         assert runs[0]["clock"] != clean["clock"]
         # Slowing perturbs time, never flops or traffic.
         assert runs[0]["flops:schur"] == clean["flops:schur"]
@@ -199,7 +194,7 @@ class TestGoldenFaults:
         _, _, sim, res = lu3d_run(options=opts)
         assert_matches_golden("lu3d_pz4_fault_zreplica", sim, res)
         # the golden case must actually exercise the 'rec' phase
-        want = ledger_dict(sim)
+        want = ledger_state(sim)
         assert sum(want["words_sent:rec"]) > 0
 
     @pytest.mark.parametrize("case,kw", [
@@ -429,7 +424,7 @@ class TestSerialization:
         for nw in (1, 2):
             _, _, sim, res = lu3d_run(options=FactorOptions(
                 fault_plan=plan, recovery="z-replica", n_workers=nw))
-            ledgers[nw] = ledger_dict(sim)
+            ledgers[nw] = ledger_state(sim)
             if nw != 1:
                 fbs = [s for s in res.parallel_stats
                        if isinstance(s, ParallelFallback)]

@@ -235,6 +235,9 @@ class TestStreamBooking:
             sliced.book(ev, int(a * n), int(b * n), int(a * m), int(b * m))
         assert ledger_state(whole) == ledger_state(loop)
         assert ledger_state(sliced) == ledger_state(loop)
+        # ... and each kind is counted first where the loop counts it first.
+        assert list(whole.event_counts) == list(loop.event_counts) \
+            == list(sliced.event_counts)
         for name in ("flops", "words_sent", "words_recv", "msgs_sent",
                      "msgs_recv"):
             for key, arr in getattr(vol, name).items():
