@@ -57,8 +57,9 @@ class FactorOptions:
         the last checkpoint; ``'z-replica'`` rebuilds only the crashed
         grid's state from the surviving sibling replicas along the z
         axis (the paper's ancestor replication, exploited for fault
-        tolerance), falling back to restart where no replicas exist
-        (``Pz = 1`` runs, the merged variant's single global copy).
+        tolerance), falling back to restart where it cannot apply
+        (``Pz = 1`` runs have no replicas; a merged grid's rank span
+        holds the ones it would rebuild from).
     compact_comm:
         Price every block message and block of factor/replica storage with
         the sparsity-aware compact model (:mod:`repro.comm.volume`):

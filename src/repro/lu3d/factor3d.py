@@ -45,7 +45,6 @@ from repro.lu2d.options import FactorOptions
 from repro.lu2d.storage import block_rows, node_block_arrays
 from repro.lu3d.replication import ReplicaManager
 from repro.parallel import GridThreads
-from repro.plan.backends import get_backend
 from repro.plan.execmode import resolve_exec
 from repro.plan.interpret import (
     Resume,
@@ -72,8 +71,6 @@ class Factor3DResult:
     reduction_messages: int = 0
     reduction_words: float = 0.0
     replicas: ReplicaManager | None = None
-    #: The merged-grid variant's single global block copy (numeric mode).
-    merged_blocks: BlockMatrix | None = None
     per_level_makespan: list[float] = field(default_factory=list)
     #: One :class:`repro.parallel.LevelStats` per fanned-out level, or a
     #: :class:`repro.parallel.ParallelFallback` record when workers were
@@ -98,8 +95,6 @@ class Factor3DResult:
 
     def factors(self) -> BlockMatrix:
         """Assembled L\\U factors, a copy (numeric runs only)."""
-        if self.merged_blocks is not None:
-            return self.merged_blocks.copy()
         if self.replicas is None:
             raise ValueError("cost-only run: no numeric factors")
         out = BlockMatrix(self.replicas.sf.layout)
@@ -108,19 +103,13 @@ class Factor3DResult:
 
 
 # -- data strategies -------------------------------------------------------
-# What the interpreter reads/writes per grid: nothing (cost-only), the
-# per-grid replica views (standard numeric), or one shared global store
-# (merged numeric). Keeping this a small strategy object is what lets the
-# standard and merged drivers share one plan executor.
+# What the interpreter reads/writes per grid: nothing (cost-only) or the
+# per-grid replica views (numeric, every variant).
 
 class CostOnlyData:
     """No numeric content: no program runs, reductions book only."""
 
     accumulate = None
-    #: Whether z-replica crash recovery can rebuild a grid's state from
-    #: sibling replicas. True here: with no numeric content there is
-    #: nothing to rebuild, so the policy is trivially applicable.
-    supports_zreplica = True
 
     def program(self, gp, sf):
         """The kernel program of ``gp`` — a grid plan or a whole level
@@ -138,9 +127,10 @@ class CostOnlyData:
 
 
 class ReplicaData(CostOnlyData):
-    """Standard numeric mode: per-grid replica views + z-axis summation.
-    Each grid's program writes only its own views, so a level's grids may
-    run their kernels on separate threads."""
+    """Numeric mode: per-grid replica views + z-axis summation. A grid
+    plan — merged ones included — binds to the views of its first z-layer
+    and writes only those, so a level's grids may run their kernels on
+    separate threads."""
 
     def __init__(self, replicas: ReplicaManager):
         self.replicas = replicas
@@ -157,31 +147,6 @@ class ReplicaData(CostOnlyData):
 
     def restore_grid(self, g, snap) -> None:
         self.replicas.restore_grid(g, snap)
-
-
-class GlobalStoreData(CostOnlyData):
-    """Merged numeric mode: one global block copy shared by every grid.
-
-    The shared copy rules out the threaded grid fan-out (sibling forests
-    accumulate into the same ancestor blocks), and makes the reduction's
-    numeric content a no-op — its messages remain, for the cost ledgers.
-    It also rules out z-replica recovery: there are no sibling replicas
-    to rebuild from, so crashes fall back to the restart policy.
-    """
-
-    supports_zreplica = False
-
-    def __init__(self, store):
-        self.store = store
-
-    def program(self, gp, sf):
-        return get_backend(gp.backend).bind(gp.arrays, self.store, sf)
-
-    def snapshot(self):
-        return self.store.buf.copy()
-
-    def restore(self, snap) -> None:
-        self.store.buf[:] = snap
 
 
 def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
@@ -249,7 +214,7 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
         require_finite((sf.A_perm if matrix is None else matrix).tocsr().data,
                        "sf.A_perm" if matrix is None else "matrix")
     opts = options or FactorOptions()
-    mode = resolve_exec(opts, sim, numeric=numeric, merged=merged)
+    mode = resolve_exec(opts, sim, numeric=numeric)
     result = Factor3DResult(tf=tf)
     if mode.fallback is not None:
         result.parallel_stats.append(mode.fallback)
@@ -272,8 +237,7 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
                         bundle.replica_words(sf, tf, grid3))
 
     data = _bind_data(sf, tf, result, bundle, numeric=numeric,
-                      merged=merged, matrix=matrix, replicas=replicas,
-                      perm=perm)
+                      matrix=matrix, replicas=replicas, perm=perm)
 
     monitor = None
     if opts.resilience_active():
@@ -295,7 +259,7 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
 
 
 def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
-               numeric: bool, merged: bool, matrix, replicas, perm=None):
+               numeric: bool, matrix, replicas, perm=None):
     """Copy the values the backend binds into block storage — laid out
     once over the L blocks' row ranges, only refilled by a replay
     (``replicas``) — through the bundle's value map of the matrix's
@@ -311,12 +275,6 @@ def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
         r0, r1, _rows = block_rows(sf, bundle.blocks_fn)
         store = BlockMatrix.zeros(sf.layout, ii, jj, (r0, r1))
         bundle.value_map(store, A, perm).fill(store.buf, A.data)
-        if merged:
-            # One *global* copy of every block: the driver is sequential,
-            # Schur updates are pure accumulations, and merging means every
-            # rank of a range works on the same logical ancestor copy anyway.
-            result.merged_blocks = store
-            return GlobalStoreData(store)
         replicas = ReplicaManager(sf, tf, store, blocks_fn=bundle.blocks_fn)
     result.replicas = replicas
     return ReplicaData(replicas)

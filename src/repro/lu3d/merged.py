@@ -23,17 +23,13 @@ pipeline and executor are the ones the standard driver uses
 (:func:`repro.lu3d.factor3d._factor`); this entry point only binds
 ``merged=True``.
 
-Numeric mode works too, through a deliberately simple data strategy: one
-*global* copy of every block (``Factor3DResult.merged_blocks``). The
-driver is sequential, Schur updates are pure accumulations, and merging
-means every rank of a range works on the same logical ancestor copy
-anyway — so the per-layer replica machinery is unnecessary here and the
-reduction's numeric content degenerates to a no-op (its messages remain,
-for the cost ledgers). That shared copy also rules out the threaded grid
-fan-out: sibling forests at a level accumulate into shared ancestor
-blocks, so numeric runs that ask for workers stay serial and record a
-:class:`repro.parallel.ParallelFallback` (as cost-only runs do: they have
-no kernel program to fan out).
+Numeric mode runs on the standard data path: a merged grid plan is
+numbered by its first z-layer and binds to that layer's replicas
+(:class:`repro.lu3d.replication.ReplicaManager`), and its reduce sums the
+right half's replicas into the left half's, as the standard reduce does;
+the redistribution moves are ledger only. So the factors are
+:func:`repro.lu3d.factor_3d`'s bit for bit, and with ``n_workers > 1`` a
+level's grids fan out as the standard driver's do.
 """
 
 from __future__ import annotations

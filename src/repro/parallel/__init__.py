@@ -10,11 +10,12 @@ is cut at the level's grid boundaries and the per-grid pieces run on one
 thread, so ledgers, traces and factors are the serial run's by
 construction.
 
-Where the fan-out cannot engage — merged numeric (one shared block
-store), a width-1 run (resilience, accelerator, fault injector), a
-cost-only run (no kernel program) or a count that resolves to one
-worker — :func:`repro.plan.execmode.resolve_exec` keeps the run serial
-and it records a :class:`ParallelFallback`, never silently.
+The merged-grid variant fans out the same way: its grid plans bind to
+their first z-layer's replica views. Where the fan-out cannot engage — a
+width-1 run (resilience, accelerator, fault injector), a cost-only run
+(no kernel program) or a count that resolves to one worker —
+:func:`repro.plan.execmode.resolve_exec` keeps the run serial and it
+records a :class:`ParallelFallback`, never silently.
 """
 
 from __future__ import annotations

@@ -299,9 +299,9 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
         width = 2 ** (nlev - lvl)
         grid_plans, arrays, grid_ptr = [], None, None
         sinks: dict[int, tuple[int, ...]] = {}  # grid -> its sink tids
-        # Forest b runs on layer b * width — merged: on the `width`
-        # layers from there on, stacked along x, as grid b.
-        grids = [(b if merged else b * width, nodes, b * width * grid3.pxy)
+        # Forest b runs as grid b * width, its home layer — merged: on
+        # the `width` layers from there on, stacked along x.
+        grids = [(b * width, nodes, b * width * grid3.pxy)
                  for b in range(2 ** lvl) if (nodes := tf.forests[(lvl, b)])]
         level_sinks = ()
         if grids:
@@ -317,25 +317,15 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
                      in zip(grid_plans, cut, cut[1:])}
             tid += arrays.n_tasks
 
-        def _dep_on(*gids) -> tuple[int, ...]:
-            deps = tuple(t for gid in gids for t in sinks.get(gid, ()))
-            if not deps and prev_barrier is not None:
-                deps = (prev_barrier,)
-            return deps
-
+        build = _build_merged_reduce if merged else _build_standard_reduce
         reduces: list[AncestorReduce] = []
         for first in range(0, tf.pz, 2 * width) if lvl > 0 else ():
-            if merged:      # forests 2k, 2k+1 merge into the doubled grid
-                k = first // (2 * width)
-                red = _build_merged_reduce(
-                    sf, tf, grid3, blocks_fn, tid,
-                    deps=_dep_on(2 * k, 2 * k + 1), left_first=first,
-                    width=width, below_level=lvl, volume=volume)
-            else:
-                red = _build_standard_reduce(
-                    sf, tf, grid3, blocks_fn, tid,
-                    deps=_dep_on(first, first + width), dst_grid=first,
-                    src_grid=first + width, below_level=lvl, volume=volume)
+            # A hop waits on its two grids' sinks (no tasks: the barrier).
+            deps = sinks.get(first, ()) + sinks.get(first + width, ())
+            if not deps and prev_barrier is not None:
+                deps = (prev_barrier,)
+            red = build(sf, tf, grid3, blocks_fn, tid, deps=deps, first=first,
+                        width=width, below_level=lvl, volume=volume)
             if red is not None:
                 reduces.append(red)
                 tid += 1
@@ -371,33 +361,36 @@ def _ancestor_blocks(sf, tf, blocks_fn, grid_for_forests: int,
 
 
 def _build_standard_reduce(sf, tf, grid3, blocks_fn, tid: int, deps,
-                           dst_grid: int, src_grid: int, below_level: int,
+                           first: int, width: int, below_level: int,
                            volume) -> AncestorReduce | None:
-    """Plan one pairwise z-hop: src layer's ancestor copies -> dst layer."""
-    ii, jj, ww = _ancestor_blocks(sf, tf, blocks_fn, dst_grid, below_level)
+    """Plan one pairwise z-hop: layer ``first + width``'s ancestor copies
+    -> layer ``first``."""
+    ii, jj, ww = _ancestor_blocks(sf, tf, blocks_fn, first, below_level)
     if not ii.size:
         return None
     return AncestorReduce(
-        tid=tid, deps=deps, dst_grid=dst_grid, src_grid=src_grid,
+        tid=tid, deps=deps, dst_grid=first, src_grid=first + width,
         below_level=below_level, rows=ii, cols=jj,
         words=volume.cap_many(ii, jj, ww),
-        srcs=grid3.layer(src_grid).owner_pairs(ii, jj),
-        dsts=grid3.layer(dst_grid).owner_pairs(ii, jj))
+        srcs=grid3.layer(first + width).owner_pairs(ii, jj),
+        dsts=grid3.layer(first).owner_pairs(ii, jj))
 
 
 def _build_merged_reduce(sf, tf, grid3, blocks_fn, tid: int, deps,
-                         left_first: int, width: int, below_level: int,
+                         first: int, width: int, below_level: int,
                          volume) -> AncestorReduce | None:
     """Plan one merged-grid reduce + redistribution into the doubled grid.
 
     The right half's copy always travels (reduce); the left half's copy
     travels only when its owner changes under the doubled layout
-    (redistribution move). Sums land on the target owner.
+    (redistribution move). Sums land on the target owner; numerically
+    the right half's replicas add into the left half's, as in the
+    standard reduce (``rows`` / ``cols``).
     """
-    left = _merged_grid(grid3, left_first, width)
-    right = _merged_grid(grid3, left_first + width, width)
-    target = _merged_grid(grid3, left_first, 2 * width)
-    ii, jj, ww = _ancestor_blocks(sf, tf, blocks_fn, left_first, below_level)
+    left = _merged_grid(grid3, first, width)
+    right = _merged_grid(grid3, first + width, width)
+    target = _merged_grid(grid3, first, 2 * width)
+    ii, jj, ww = _ancestor_blocks(sf, tf, blocks_fn, first, below_level)
     ops: list[tuple[str, int, int, float]] = []
     for w, dst, src_r, src_l in zip(
             volume.cap_many(ii, jj, ww).tolist(),
@@ -410,6 +403,5 @@ def _build_merged_reduce(sf, tf, grid3, blocks_fn, tid: int, deps,
     if not ops:
         return None
     return AncestorReduce(
-        tid=tid, deps=deps, dst_grid=left_first,
-        src_grid=left_first + width, below_level=below_level,
-        ops=tuple(ops))
+        tid=tid, deps=deps, dst_grid=first, src_grid=first + width,
+        below_level=below_level, rows=ii, cols=jj, ops=tuple(ops))

@@ -17,11 +17,11 @@ event under a trace, so a traced run walks the same width as an untraced
 one.
 
 Independently, for ``n_workers != 1`` a level's grids run their kernels
-on host threads (:mod:`repro.parallel`) unless the data is one shared
-global copy (merged numeric), the run is width 1, the run is cost-only
-(no kernel program), or the count resolves to one worker — each recorded
-as a :class:`~repro.parallel.ParallelFallback`, never silent. A trace or
-a topology does not change the schedule.
+on host threads (:mod:`repro.parallel`; in every variant a grid writes
+only its own replica views) unless the run is width 1, the run is
+cost-only (no kernel program), or the count resolves to one worker —
+each recorded as a :class:`~repro.parallel.ParallelFallback`, never
+silent. A trace or a topology does not change the schedule.
 """
 
 from __future__ import annotations
@@ -48,21 +48,17 @@ class ExecMode:
     fallback: ParallelFallback | None = None
 
 
-def resolve_exec(opts, sim, *, numeric: bool, merged: bool) -> ExecMode:
+def resolve_exec(opts, sim, *, numeric: bool) -> ExecMode:
     """Resolve ``opts`` and ``sim``'s attachments into an :class:`ExecMode`."""
-    resilient = opts.resilience_active()
     # Full-width runs coarsen what an accelerator's per-pair offload, a
     # fault injector or the resilience engine observes at task boundaries.
-    fuse = not resilient and sim.accelerator is None and sim.faults is None
+    width1 = opts.resilience_active() or sim.accelerator is not None \
+        or sim.faults is not None
     n_workers, fallback = 1, None
     if opts.n_workers != 1:
         resolved = resolve_workers(opts.n_workers)
         why = None
-        if merged and numeric:
-            why = ("merged numeric mode keeps a single global block copy "
-                   "shared across sibling forests; grid fan-out would race "
-                   "on it")
-        elif not fuse:
+        if width1:
             why = ("width-1 run: resilience instrumentation (fault_plan / "
                    "checkpoint_every), an accelerator or a fault injector "
                    "watches every task boundary of one serial walk")
@@ -76,6 +72,6 @@ def resolve_exec(opts, sim, *, numeric: bool, merged: bool) -> ExecMode:
         else:
             fallback = ParallelFallback(reason=why,
                                         requested_workers=opts.n_workers)
-    return ExecMode(fuse=fuse, n_workers=n_workers,
+    return ExecMode(fuse=not width1, n_workers=n_workers,
                     accelerated=sim.accelerator is not None,
                     fallback=fallback)

@@ -232,9 +232,8 @@ def execute_reduce(task: AncestorReduce, sim: Simulator, result=None,
     ``result`` is the ``Factor3DResult`` accumulating reduction counters
     (``None``: a replay whose traffic is not the result's — recovery, the
     fuzzer). ``accumulate`` is the numeric callback ``(dst_grid, src_grid,
-    rows, cols)`` (the standard variant's replica summation); ``None`` in
-    cost-only mode and in the merged variant, whose single global copy
-    makes the numeric content a no-op.
+    rows, cols)`` (the replica summation, the merged variant's too);
+    ``None`` in cost-only mode.
     """
     if not booked:
         sim.book(task.stream())
@@ -243,7 +242,7 @@ def execute_reduce(task: AncestorReduce, sim: Simulator, result=None,
             else np.array([w for *_x, w in task.ops])
         result.reduction_messages += int(words.size)
         result.reduction_words += float(words.sum())
-    if accumulate is not None and task.ops is None:
+    if accumulate is not None:
         accumulate(task.dst_grid, task.src_grid, task.rows, task.cols)
 
 

@@ -67,7 +67,8 @@ class AncestorReduce(Task):
 
     Merged-grid variant: ``ops`` is a tuple of ``(op, src, dst, words)``
     with ``op`` = ``'red'`` (pairwise reduce) or ``'mov'`` (redistribution
-    move into the doubled layout); ``srcs/dsts`` are ``None``.
+    move into the doubled layout, ledger only); ``rows/cols`` are the
+    blocks the replicas sum, as above, and ``srcs/dsts`` are ``None``.
     """
 
     dst_grid: int

@@ -29,9 +29,10 @@ boundary. It does three jobs:
    under the ``'rec'`` phase. A grid active at level ``lvl`` is the
    *destination* (never the source) of every deeper boundary's reduce,
    and ``accumulate`` leaves source copies intact, so the replay is
-   bit-exact. Where no sibling replicas exist (``Pz = 1`` runs, the
-   merged variant's single global copy) z-replica falls back to restart and
-   records why on ``stats.notes``.
+   bit-exact. Where it cannot apply — ``Pz = 1`` runs have no sibling
+   replicas; a merged grid's rank span holds the very replicas it would
+   rebuild from — z-replica falls back to restart and records why on
+   ``stats.notes``.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ class ResilienceEngine:
     """One run's fault monitor, checkpoint store and recovery policies,
     bound to its plan, symbolic factorization, data strategy and result,
     whose counters a restart rolls back. Binding resolves the policy —
-    z-replica needs sibling replicas along z: ``result.tf.pz > 1`` and a
-    data strategy that keeps them — and takes the implicit, I/O-free
-    initial checkpoint at ``(0, 0, 0)``."""
+    z-replica needs sibling replicas along z on surviving ranks:
+    ``result.tf.pz > 1`` and a plan that is not merged — and takes the
+    implicit, I/O-free initial checkpoint at ``(0, 0, 0)``."""
 
     def __init__(self, opts: FactorOptions, sim: Simulator, plan3, sf, data,
                  result):
@@ -101,8 +102,8 @@ class ResilienceEngine:
                                      checkpoint_every=opts.checkpoint_every,
                                      n_faults=len(plan))
         why = ("2D run has no sibling replicas along z" if result.tf.pz == 1
-               else None if data.supports_zreplica
-               else "single global block copy has no sibling replicas")
+               else "a merged grid's rank span holds the sibling replicas "
+               "it would rebuild from" if plan3.merged else None)
         if self.policy == "z-replica" and why is not None:
             self.stats.notes.append(
                 f"z-replica recovery unavailable ({why}); using restart")
@@ -308,18 +309,20 @@ class ResilienceEngine:
 
 
 def _check_crashes(crashes, plan3) -> tuple:
-    """``crashes``, refusing one no task boundary of ``plan3`` can match."""
-    steps = [s for s in plan3.levels if s.grid_plans]
-    grids = sorted({gp.g for s in steps for gp in s.grid_plans})
+    """``crashes``, refusing one no task boundary of ``plan3`` can match:
+    ``grid``, ``level`` and ``at_task`` must all hold on one grid plan."""
+    gps = [gp for s in plan3.levels for gp in s.grid_plans]
+    grids = sorted({gp.g for gp in gps})
     top = max(s.level for s in plan3.levels)
-    tids = np.concatenate([s.arrays.tid for s in steps])
-    valid = {"grid": {None, *grids}, "level": {None, *range(top + 1)},
-             "at_task": {None, *tids.tolist()}}
+    tids = np.concatenate([gp.arrays.tid for gp in gps])
     for f in crashes:
-        if any(getattr(f, key) not in ok for key, ok in valid.items()):
+        if not any(f.grid in (None, gp.g) and f.level in (None, gp.level)
+                   and (f.at_task is None or f.at_task in gp.arrays.tid)
+                   for gp in gps):
             raise ValueError(
                 f"crash fault (grid={f.grid}, level={f.level}, "
-                f"at_task={f.at_task}) can never fire in this run: grid "
-                f"must be one of {grids}, level in 0..{top}, at_task one "
-                f"of the plan's grid task ids ({tids.min()}..{tids.max()})")
+                f"at_task={f.at_task}) can never fire in this run: no grid "
+                f"plan matches all three (grid must be one of {grids}, "
+                f"level in 0..{top}, at_task one of the plan's grid task "
+                f"ids ({tids.min()}..{tids.max()}))")
     return crashes

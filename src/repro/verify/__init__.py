@@ -21,7 +21,6 @@ equivalence guarantees.
 
 from repro.verify.access import (
     ACCUM,
-    GLOBAL_VIEW,
     READ,
     WRITE,
     conflicts,
@@ -47,7 +46,7 @@ from repro.verify.static import (
 )
 
 __all__ = [
-    "READ", "WRITE", "ACCUM", "GLOBAL_VIEW", "conflicts",
+    "READ", "WRITE", "ACCUM", "conflicts",
     "grid_task_accesses", "reduce_accesses",
     "Issue", "StaticReport", "PlanVerificationError", "analyze_plan",
     "drop_dep_edge",

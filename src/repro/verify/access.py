@@ -21,14 +21,12 @@ Access modes
 
 Views
 -----
-Block keys are scoped by a *view*: in the standard 3D algorithm each
-z-grid owns a full replica of its ancestor blocks
-(:class:`repro.lu3d.replication.ReplicaManager`), so grid ``g``'s
-``(i, j)`` and grid ``g'``'s ``(i, j)`` are different memory. The merged
-variant keeps one global copy (``GLOBAL_VIEW``) shared by every merged
-grid, and its redistribution reduces move no replica content (the numeric
-accumulate is a no-op there), so they carry no block accesses at all —
-only structural checks apply to them.
+Block keys are scoped by a *view*: each z-grid owns a full replica of
+its ancestor blocks (:class:`repro.lu3d.replication.ReplicaManager`), so
+grid ``g``'s ``(i, j)`` and grid ``g'``'s ``(i, j)`` are different
+memory. A grid plan is numbered by its first z-layer and touches that
+layer's replicas — a merged grid plan too, whatever ranks it spans — and
+every reduce sums its source layer's replicas into its destination's.
 
 A solve plan (:class:`repro.plan.solve.SolvePlan`) is modelled at segment
 level: besides the factor blocks, which a sweep only reads, the memory is
@@ -41,15 +39,12 @@ from repro.plan.arrays import PANEL_BCAST, PANEL_FACTOR, SCHUR_UPDATE
 from repro.plan.solve import DIAG_SOLVE
 from repro.plan.tasks import AncestorReduce
 
-__all__ = ["READ", "WRITE", "ACCUM", "GLOBAL_VIEW", "conflicts",
+__all__ = ["READ", "WRITE", "ACCUM", "conflicts",
            "grid_task_accesses", "reduce_accesses", "solve_task_accesses"]
 
 READ = "R"
 WRITE = "W"
 ACCUM = "A"
-
-#: View key of the merged variant's single global block store.
-GLOBAL_VIEW = "global"
 
 
 def conflicts(m1: str, m2: str) -> bool:
@@ -99,16 +94,13 @@ def grid_task_accesses(backend: str, sf, kind: int, node: int, bi: int,
 
 
 def reduce_accesses(task: AncestorReduce) -> list[tuple[int, int, int, str]]:
-    """``(grid, i, j, mode)`` for a standard Ancestor-Reduction task.
+    """``(grid, i, j, mode)`` for an Ancestor-Reduction task, merged or
+    not.
 
     The destination replica accumulates (``dst += src``), which commutes
     with the destination grid's own Schur accumulations into the same
-    block; the source replica is only read. The merged variant's
-    redistribution carries no replica accesses (single global copy, no-op
-    accumulate) and returns an empty list.
+    block; the source replica is only read.
     """
-    if task.ops is not None:
-        return []
     out: list[tuple[int, int, int, str]] = []
     for i, j in zip(task.rows.tolist(), task.cols.tolist()):
         out.append((task.src_grid, int(i), int(j), READ))

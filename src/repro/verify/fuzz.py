@@ -26,11 +26,11 @@ those reorderings are what the fuzzer explores. The integer-valued
 ledgers (words, messages, flops, event counts) would survive arbitrary
 topological orders; the clocks and peaks would not.
 
-Factors: in the standard (replica) variant every access to a given block
-lands on its owner rank, so block arithmetic orders are preserved and
-factors stay bit-identical too. The merged variant's single global store
-is updated from *different* ranks across sibling grids, so a reorder may
-reassociate floating-point accumulations — that is the 1e-12 tolerance.
+Factors: every variant binds each grid plan to its own z-layer's
+replicas, and every access to a given block lands on its owner rank, so
+block arithmetic orders are preserved and factors stay bit-identical too.
+The 1e-12 tolerance is for :func:`fuzz_solve`, whose orders reassociate
+segment accumulations.
 """
 
 from __future__ import annotations
@@ -252,7 +252,9 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
             numeric: bool = False, n_orders: int = 25, seed: int = 0,
             options: FactorOptions | None = None, machine=None,
             matrix=None, fuse: bool = False) -> FuzzReport:
-    """Fuzz a 3D plan (standard, merged, or Cholesky via ``backend``).
+    """Fuzz a 3D plan (standard, merged, or Cholesky via ``backend``;
+    the merged variant is LU only, so ``merged`` with another backend
+    raises ``ValueError``).
 
     Builds the plan and binds the numeric state with the drivers' own
     steps (:func:`repro.lu3d.factor3d.factor_3d` /
@@ -267,10 +269,13 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
     from repro.lu3d.factor3d import Factor3DResult, _bind_data
     from repro.plan.replay import PlanBundle
 
+    if merged and backend != "lu":
+        raise ValueError(f"the merged variant is LU only, got "
+                         f"backend={backend!r}")
     opts = options or FactorOptions()
     mach = machine if machine is not None else Machine.edison_like()
     bundle = PlanBundle.build(sf, tf, grid3, opts, merged=merged,
-                              backend="lu" if merged else backend)
+                              backend=backend)
     plan3 = bundle.plan3
     charge = bundle.replica_words(sf, tf, grid3)
 
@@ -279,11 +284,9 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
         sim.alloc_batch(np.arange(grid3.size), charge)
         result = Factor3DResult(tf=tf)
         data = _bind_data(sf, tf, result, bundle, numeric=numeric,
-                          merged=merged, matrix=matrix, replicas=None)
+                          matrix=matrix, replicas=None)
         if not numeric:
             return sim, data, None
-        if merged:
-            return sim, data, result.merged_blocks.to_dense
         return sim, data, lambda: result.factors().to_dense()
 
     units, ctx_plans = _plan3d_units(plan3, fuse)

@@ -23,7 +23,7 @@ interpreter walks — so its verdicts are about what executes:
   (``dst_grid == src_grid``), and once a grid has been a reduction
   *source* it is retired — it must never reappear at a shallower level
   as an active grid or reduce endpoint, because its replica now holds
-  pre-reduction partial sums. Merged-variant redistributions instead
+  pre-reduction partial sums. Merged-variant redistributions also
   promise to skip owner-preserving moves (a ``'mov'`` with
   ``src == dst`` would double-charge the ledger);
 * **rank escapes** — a panel task's owner, a Schur task's pair owners, or
@@ -73,7 +73,6 @@ from repro.plan.tasks import (
 )
 from repro.utils.ragged import csr_ptr
 from repro.verify.access import (
-    GLOBAL_VIEW,
     conflicts,
     grid_task_accesses,
     reduce_accesses,
@@ -146,19 +145,16 @@ class StaticReport:
 _MAX_ISSUES_PER_KIND = 50
 
 
-def _levels(plan) -> tuple[bool, list]:
-    """``(merged, levels)`` for a GridPlan or Plan3D, in plan order: per
-    level its grid plans, each with the block view its tasks touch, then
-    its level-scope tasks (reduces, barrier)."""
+def _levels(plan) -> list:
+    """A GridPlan's or Plan3D's levels, in plan order: per level its grid
+    plans, each with the block view its tasks touch, then its level-scope
+    tasks (reduces, barrier)."""
     if isinstance(plan, GridPlan):
-        return False, [([(plan, ("replica", plan.g))], [])]
+        return [([(plan, ("replica", plan.g))], [])]
     if not isinstance(plan, Plan3D):
         raise TypeError(f"expected GridPlan or Plan3D, got {type(plan)!r}")
-    return plan.merged, [
-        ([(gp, GLOBAL_VIEW if plan.merged else ("replica", gp.g))
-          for gp in step.grid_plans],
-         [*step.reduces, step.barrier])
-        for step in plan.levels]
+    return [([(gp, ("replica", gp.g)) for gp in step.grid_plans],
+             [*step.reduces, step.barrier]) for step in plan.levels]
 
 
 def _check_specs(specs, allowed, where: str, add) -> None:
@@ -340,7 +336,7 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
 
     if isinstance(plan, SolvePlan):
         return _analyze_solve(plan, report, add, max_race_tasks)
-    merged, levels = _levels(plan)
+    levels = _levels(plan)
 
     # -- structural pass: one position per task, in plan order -------------
     tid, n_dep, dep, root_ok, kinds = [], [], [], [], []
@@ -383,7 +379,7 @@ def analyze_plan(plan, sf, *, max_race_tasks: int = 20000) -> StaticReport:
         add("disconnected", f"task {tid[p]} ({kinds[p]}) has no "
             "dependencies but is not a panel root or level barrier",
             (int(tid[p]),))
-    if isinstance(plan, Plan3D) and not merged:
+    if isinstance(plan, Plan3D):
         _check_retired_sources(plan, add)
     _check_arrays(plan, add)
 

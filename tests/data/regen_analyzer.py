@@ -13,8 +13,12 @@ at the default lookahead it also records the mutation self-test:
 description string plus the mutant's ``counts()``. The committed file was
 generated at commit ``a871862``, when the analyzer still read a typed
 per-task record view of the plan, so it pins the column-reading analyzer
-to that one's verdicts. Regenerate only when a PR intentionally changes
-what the analyzer reports.
+to that one's verdicts. The 96 merged rows were regenerated once, when
+merged grid plans came to touch their first z-layer's replica views
+instead of one global view (merged numeric runs moved onto the replicas):
+only their ``n_blocks`` and ``n_pairs_checked`` moved; every ``counts()``
+and every mutant verdict stayed. Regenerate only when a PR intentionally
+changes what the analyzer reports.
 """
 
 from __future__ import annotations

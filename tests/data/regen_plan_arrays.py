@@ -18,8 +18,13 @@ plan. The committed file was generated at commit ``be41204`` from the
 per-grid builder (one ``build_grid_plan`` + one ``TaskArrays.assemble`` per
 grid plan), before the level became the unit of plan construction, so it
 pins every slice of a level's arrays to the grid plan that used to be built
-on its own. Regenerate only when a PR intentionally changes the emitted
-tasks.
+on its own. The 72 merged rows at ``Pz >= 2`` were regenerated once, when
+a merged grid plan came to be numbered by its first z-layer (``b *
+width``) rather than its forest index ``b``, so that grid plans and
+reduces share one numbering and merged numeric runs bind to the replicas;
+only their ``plans`` digests moved, and re-digesting them with the forest
+index reproduces the earlier file byte for byte. Regenerate only when a
+PR intentionally changes the emitted tasks.
 """
 
 from __future__ import annotations

@@ -17,8 +17,13 @@ The committed file was generated at commit ``ae87111``, where the 3D and
 2D drivers walked a resilient run through loops of their own in
 ``repro.resilience.engine``; every later walk must reproduce it byte for
 byte. The ``lu2d*`` cases are the 2D baseline, now run as
-:func:`repro.lu3d.factor_3d` at ``Pz = 1``. Regenerate only when a PR
-intentionally changes what a fault, checkpoint or recovery books.
+:func:`repro.lu3d.factor_3d` at ``Pz = 1``. The 12 merged rows were
+regenerated once, when merged numeric runs moved from one global block
+store onto the replicas: their ``factors`` became the LU 3D rows' hash
+and the z-replica rows' note names the true reason for the restart (a
+merged grid's rank span holds the sibling replicas); every ledger hash
+stayed. Regenerate only when a PR intentionally changes what a fault,
+checkpoint or recovery books.
 """
 
 from __future__ import annotations

@@ -202,6 +202,8 @@ class TestCrossReferences:
         ".of_grid(", "fuzz_2d", "allocate_factor_storage",
         "factor_words_per_rank", ".extras", "result3",
         "panel_steps", "buffer_peak_words",
+        "GlobalStoreData", "merged_blocks", "supports_zreplica",
+        "GLOBAL_VIEW",
     )
 
     def test_no_deleted_name_survives(self):

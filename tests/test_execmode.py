@@ -96,15 +96,14 @@ def run_driver(driver: str, sf, tf, sim, numeric: bool, opts: FactorOptions):
 
 
 def expect_fallback(opts, attachment, driver, numeric) -> bool:
-    """The four stay-serial reasons: merged numeric, a width-1 run,
-    a cost-only run, one resolved worker. A trace or a topology is none
-    of them."""
+    """The three stay-serial reasons: a width-1 run, a cost-only run, one
+    resolved worker — for every driver, merged included. A trace or a
+    topology is none of them."""
     if opts.n_workers == 1:
         return False
     width1 = opts.resilience_active() \
         or attachment in ("accelerator", "faults")
-    return (driver == "merged" and numeric) or width1 or not numeric \
-        or resolve_workers(opts.n_workers) <= 1
+    return width1 or not numeric or resolve_workers(opts.n_workers) <= 1
 
 
 _reference_cache: dict = {}
@@ -215,7 +214,7 @@ class TestResolveExec:
 
     @staticmethod
     def mode(opts=None, attachment="none", **kw) -> ExecMode:
-        kw = {"numeric": True, "merged": False, **kw}
+        kw = {"numeric": True, **kw}
         return resolve_exec(opts or FactorOptions(), make_sim(attachment),
                             **kw)
 
@@ -264,11 +263,7 @@ class TestResolveExec:
         m = self.mode(FactorOptions(n_workers=0))
         assert m.n_workers == 1 and "single worker" in m.fallback.reason
 
-    def test_merged_numeric_and_cost_only_stay_serial(self):
-        opts = FactorOptions(n_workers=2)
-        assert "global block copy" in self.mode(opts, merged=True
-                                                ).fallback.reason
-        for merged in (False, True):
-            m = self.mode(opts, merged=merged, numeric=False)
-            assert m.n_workers == 1 and "cost-only" in m.fallback.reason
+    def test_cost_only_stays_serial(self):
+        m = self.mode(FactorOptions(n_workers=2), numeric=False)
+        assert m.n_workers == 1 and "cost-only" in m.fallback.reason
 

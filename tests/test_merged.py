@@ -7,6 +7,7 @@ from repro.analysis import FactorizationMetrics
 from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import _merged_grid, factor_3d_merged
+from repro.plan import build_3d_plan
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
@@ -86,31 +87,51 @@ class TestMergedSchedule:
         sf, tf, grid3 = _setup(16, pz=4)
         res = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size),
                                numeric=True)
-        LU = res.merged_blocks.to_dense()
+        LU = res.factors().to_dense()
         n = sf.n
         L = np.tril(LU, -1) + np.eye(n)
         err = np.abs(L @ np.triu(LU) - sf.A_perm.toarray()).max()
         assert err < 1e-10
 
     def test_numeric_matches_standard_factors(self):
-        sf, tf, grid3 = _setup(12, pz=2, px=2, py=2)
-        res_m = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size),
-                                 numeric=True)
-        res_s = factor_3d(sf, tf, grid3, Simulator(grid3.size), numeric=True)
-        assert np.allclose(res_m.merged_blocks.to_dense(),
-                           res_s.factors().to_dense(), atol=1e-9)
+        """A merged grid plan binds to its first z-layer's replicas, so
+        the merged factors are the standard driver's, bit for bit."""
+        for nx, pz, brick in ((14, 1, False), (12, 2, False), (16, 4, False),
+                              (20, 4, False), (6, 4, True), (24, 8, False),
+                              (24, 16, False)):
+            sf, tf, grid3 = _setup(nx, pz=pz, px=2, py=2, brick=brick)
+            res_m = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size),
+                                     numeric=True)
+            res_s = factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                              numeric=True)
+            assert np.array_equal(res_m.factors().to_dense(),
+                                  res_s.factors().to_dense())
 
-    def test_factors_are_a_copy_of_the_merged_store(self):
-        """``factors()`` on a merged numeric run returns the one global
-        store, copied; a cost-only run still has none."""
+    def test_grid_plans_are_numbered_by_first_layer(self):
+        """Grid plans and reduces share one numbering: z-layers. A merged
+        plan's grids are the standard plan's, only on wider rank spans."""
+        sf, tf, grid3 = _setup(16, pz=8, px=1, py=2)
+        plans = {m: build_3d_plan(sf, tf, grid3, merged=m)
+                 for m in (False, True)}
+        for std, mrg in zip(plans[False].levels, plans[True].levels):
+            assert [gp.g for gp in mrg.grid_plans] \
+                == [gp.g for gp in std.grid_plans]
+            assert all(gp.base == gp.g * grid3.pxy for gp in mrg.grid_plans)
+            assert [(r.dst_grid, r.src_grid) for r in mrg.reduces] \
+                == [(r.dst_grid, r.src_grid) for r in std.reduces]
+            for r, q in zip(mrg.reduces, std.reduces):
+                assert np.array_equal(r.rows, q.rows)
+                assert np.array_equal(r.cols, q.cols)
+
+    def test_factors_are_a_copy_of_the_home_replicas(self):
+        """``factors()`` on a merged numeric run copies the home replicas;
+        a cost-only run still has none."""
         sf, tf, grid3 = _setup(12, pz=2, px=2, py=2)
         res = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size),
                                numeric=True)
         F = res.factors()
-        assert F is not res.merged_blocks
-        assert np.array_equal(F.to_dense(), res.merged_blocks.to_dense())
         F[(0, 0)][:] = 0.0
-        assert res.merged_blocks[(0, 0)].any()
+        assert res.factors()[(0, 0)].any()
         cost = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size))
         with pytest.raises(ValueError, match="cost-only run"):
             cost.factors()

@@ -131,14 +131,17 @@ class TestParallelMatchesSerial:
             _run("merged", sf, tf, numeric, FactorOptions(n_workers=nw))
             for nw in (1, 2)]
         assert_ledgers_identical(sim_s, sim_p)
-        # The single global block copy is shared across sibling forests,
-        # so numeric merged runs stay serial — and correct — with the
-        # decision recorded instead of silent; cost-only runs have no
-        # kernel program to fan out.
         assert not serial.parallel_stats  # n_workers=1: nothing to say
-        (fb,) = par.parallel_stats
-        assert ("global block copy" if numeric else "cost-only") in fb.reason
-        assert fb.requested_workers == 2
+        if numeric:
+            # Each merged grid writes only its first layer's replicas, so
+            # numeric merged runs fan out like LU: no fallback, the serial
+            # run's factors bit for bit.
+            assert _levels(par) and not _fallbacks(par)
+            assert np.array_equal(serial.factors().to_dense(),
+                                  par.factors().to_dense())
+        else:   # cost-only runs have no kernel program to fan out
+            (fb,) = par.parallel_stats
+            assert "cost-only" in fb.reason and fb.requested_workers == 2
 
     def test_cholesky_numeric(self, spd_setup):
         """One ``LevelStats`` per level with two or more grids, counting

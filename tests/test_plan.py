@@ -505,32 +505,6 @@ class TestKernelProgram:
                                    for x, y in zip(a[1:4], b[1:4]))
                            for a, b in zip(prog, fresh))
 
-    def test_merged_store_binds_the_same_ops(self):
-        """``bind`` takes any block mapping: on the merged variant's one
-        global :class:`BlockMatrix` a grid plan binds to the same ops, on
-        the same-shaped operands, as on a replica view — and running them
-        gives the same factors."""
-        from repro.lu3d.factor3d import GlobalStoreData
-        from repro.sparse import BlockMatrix
-        sf, tf = planar_setup(14, 16, 1)
-        grid3 = ProcessGrid3D(2, 2, 1)
-        res = factor_3d(sf, tf, grid3, Simulator(grid3.size))
-        (gp,) = [gp for step in res.plan.levels for gp in step.grid_plans]
-        store = BlockMatrix.from_csr(sf.A_perm, sf.layout,
-                                     block_pattern=sf.fill.all_blocks())
-        ours = GlobalStoreData(store).program(gp, sf)
-
-        def shape(op):
-            return (op[0], op[4], *(None if x is None else x.shape
-                                    for x in op[1:4]))
-
-        assert [shape(op) for op in ours] == \
-            [shape(op) for op in res.replicas.program(gp)]
-        merged = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size),
-                                  numeric=True)
-        assert np.array_equal(merged.merged_blocks.to_dense(),
-                              res.factors().to_dense())
-
     @pytest.mark.parametrize("leaf", [8, 32])
     @pytest.mark.parametrize("gen", sorted(RANGE_ZOO))
     @pytest.mark.parametrize("backend", ["lu", "cholesky"])
@@ -564,7 +538,7 @@ class TestKernelProgram:
         if backend == "lu":
             finished.append(factor_3d_merged(
                 sf, tf, grid3, Simulator(grid3.size), numeric=True
-            ).merged_blocks)
+            ).factors())
         for F in finished:
             for i, k, r0, r1 in blocks:
                 assert not F[(i, k)][:r0].any() and not F[(i, k)][r1:].any()

@@ -326,8 +326,15 @@ class TestCrashRecovery:
                                                      recovery="z-replica"))
         st = res.resilience
         assert st.policy == "restart"
-        assert st.notes and "z-replica" in st.notes[0]
+        assert st.notes == [
+            "z-replica recovery unavailable (a merged grid's rank span "
+            "holds the sibling replicas it would rebuild from); using "
+            "restart"]
         assert st.crashes == 1
+        # The restart replays onto the replicas: the fault-free factors.
+        clean = factor_3d(sf, tf, grid3, Simulator(grid3.size), numeric=True)
+        assert np.array_equal(res.factors().to_dense(),
+                              clean.factors().to_dense())
 
     def test_2d_crash_restart(self):
         F0 = lu2d_run()[1].factors().to_dense()
@@ -377,7 +384,11 @@ class TestUnmatchedCrash:
 
     CASES = {"grid=7": "grid must be one of [0, 1, 2, 3]",
              "level=9": "level in 0..2",
-             "task=100000": "at_task one of the plan's grid task ids"}
+             "task=100000": "at_task one of the plan's grid task ids",
+             # Each key is valid on its own; no grid plan has both: at
+             # Pz = 4 level 1 runs grids 0 and 2, level 0 grid 0 only.
+             "grid=1,level=1": "no grid plan matches all three",
+             "grid=2,level=0": "no grid plan matches all three"}
 
     @pytest.mark.parametrize("spec", CASES)
     def test_factor_3d(self, spec):
@@ -436,7 +447,7 @@ class TestSerialization:
         from repro.plan import resolve_exec
         opts = FactorOptions(fault_plan=FaultPlan((Fault("slow"),)),
                              n_workers=2)
-        mode = resolve_exec(opts, Simulator(4), numeric=True, merged=False)
+        mode = resolve_exec(opts, Simulator(4), numeric=True)
         assert not mode.fuse and mode.n_workers == 1
         assert "serial" in mode.fallback.reason
 

@@ -379,6 +379,15 @@ class TestFuzzer:
         rep = fuzz_3d(sf, tf, ProcessGrid3D(2, 2, 2), merged=True,
                       numeric=True, n_orders=FAST_FUZZ, seed=5)
         assert rep.ok, rep.summary()
+        assert rep.factor_max_dev == 0.0
+
+    def test_merged_is_lu_only(self, planar2):
+        """The merged variant has no Cholesky plan: asking for one is
+        refused, not fuzzed as LU under another name."""
+        sf, tf = planar2
+        with pytest.raises(ValueError, match="LU only"):
+            fuzz_3d(sf, tf, ProcessGrid3D(2, 2, 2), merged=True,
+                    backend="cholesky", n_orders=0)
 
     def test_cholesky(self, spd2):
         sf, tf = spd2
@@ -541,7 +550,7 @@ def per_grid_walk(sf, tf, grid3, opts, *, backend="lu", merged=False,
     sim.alloc_batch(np.arange(grid3.size),
                     bundle.replica_words(sf, tf, grid3))
     result = Factor3DResult(tf=tf)
-    data = _bind_data(sf, tf, result, bundle, numeric=numeric, merged=merged,
+    data = _bind_data(sf, tf, result, bundle, numeric=numeric,
                       matrix=matrix, replicas=None)
     for step in bundle.plan3.levels:
         sim.set_phase("fact")
@@ -552,8 +561,7 @@ def per_grid_walk(sf, tf, grid3, opts, *, backend="lu", merged=False,
         for red in step.reduces:
             execute_reduce(red, sim, accumulate=data.accumulate)
     sim.set_phase("fact")
-    F = None if not numeric else result.merged_blocks.to_dense() if merged \
-        else result.factors().to_dense()
+    F = result.factors().to_dense() if numeric else None
     return sim, F, bundle.plan3
 
 
@@ -582,8 +590,7 @@ class TestOneWalkAnyWidthAnyGrouping:
         opts = FactorOptions(compact_comm=compact)
 
         def dense(res):
-            return (res.merged_blocks if variant == "merged"
-                    else res.factors()).to_dense()
+            return res.factors().to_dense()
 
         sim = Simulator(grid3.size)
         res = fn(sf, tf, grid3, sim, numeric=True, options=opts)
@@ -604,17 +611,13 @@ class TestOneWalkAnyWidthAnyGrouping:
                       options=opts, fuse=True, machine=sim.machine, **kw)
         assert rep.ok and rep.n_perturbed > 0, rep.summary()
         assert rep.canonical_ledger == want
-        # Merged: sibling forests add into one shared ancestor copy, so a
-        # permuted order reassociates those sums (and only those).
-        assert rep.factor_max_dev == 0.0 or variant == "merged"
+        assert rep.factor_max_dev == 0.0
 
         sim_p = Simulator(grid3.size)
         res_p = fn(sf, tf, grid3, sim_p, numeric=True,
                    options=dataclasses.replace(opts, n_workers=2))
-        # Merged numeric keeps one global copy: it records why it stays
-        # inline; the other two fan their levels out.
-        assert any(hasattr(st, "reason") for st in res_p.parallel_stats) \
-            == (variant == "merged")
+        # Every variant fans its levels out, merged included.
+        assert not any(hasattr(st, "reason") for st in res_p.parallel_stats)
         assert ledger_state(sim_p) == want and np.array_equal(dense(res_p), F)
 
     def test_analyzer_sees_slices_and_level_arrays(self, planar4, spd4,
