@@ -82,7 +82,7 @@ class Trace:
         if horizon <= 0:
             return util
         for ev in self.events:
-            if ev.kind not in ("send", "recv_wait", "offload"):
+            if ev.kind not in ("send", "recv_wait"):
                 util[ev.rank] += ev.duration
         return util / horizon
 
@@ -95,7 +95,7 @@ class Trace:
     # -- rendering -------------------------------------------------------------
 
     _GLYPHS = {"diag": "D", "panel": "P", "schur": "S", "reduce_add": "R",
-               "solve": "V", "send": ">", "recv_wait": ".", "offload": "O"}
+               "solve": "V", "send": ">", "recv_wait": "."}
 
     def gantt(self, nranks: int, width: int = 72) -> str:
         """Text Gantt chart: one row per rank, one glyph per time bucket.

@@ -24,10 +24,10 @@ COMPUTE_KINDS = ("diag", "panel", "schur", "reduce_add", "solve")
 PHASES = ("fact", "red", "solve", "rec")
 
 #: Everything a :class:`repro.analysis.trace.TraceEvent` may carry as its
-#: ``kind``: the compute kinds plus the communication/offload intervals.
+#: ``kind``: the compute kinds plus the communication intervals.
 #: (The trace records blocked receives as ``'recv_wait'``; the simulator's
 #: ``event_counts`` tallies the raw ``'recv'`` calls separately.)
-TRACE_KINDS = COMPUTE_KINDS + ("send", "recv_wait", "offload")
+TRACE_KINDS = COMPUTE_KINDS + ("send", "recv_wait")
 
 #: Named phase constants for call sites that set phases programmatically
 #: (the resilience engine's recovery replay, the 3D drivers).

@@ -82,12 +82,6 @@ class Simulator(Volume):
         #: deterministically, event by event.
         self.faults = None
 
-        # Optional per-rank accelerators (attach_accelerator).
-        self.accelerator = None
-        self.accel_clock: np.ndarray | None = None
-        self.accel_flops: np.ndarray | None = None
-        self.offloaded_updates: np.ndarray | None = None
-
     # -- validation helpers --------------------------------------------------
 
     def _check_rank(self, r: int) -> int:
@@ -329,42 +323,6 @@ class Simulator(Volume):
                          "msgs_recv"):
                 out[f"{name}:{p}"] = getattr(self, name)[p]
         return out
-
-    # -- accelerator offload -----------------------------------------------
-
-    def attach_accelerator(self, accel) -> None:
-        """Give every rank an accelerator (see repro.comm.accelerator)."""
-        self.accelerator = accel
-        self.accel_clock = np.zeros(self.nranks)
-        self.accel_flops = np.zeros(self.nranks)
-        self.offloaded_updates = np.zeros(self.nranks, dtype=np.int64)
-
-    def offload_gemm(self, rank: int, flops: float, words: float) -> None:
-        """Enqueue a GEMM on ``rank``'s accelerator (asynchronous).
-
-        Host pays the enqueue overhead; the device starts no earlier than
-        the host's enqueue time and runs transfer + GEMM back-to-back.
-        """
-        rank = self._check_rank(rank)
-        if self.accelerator is None:
-            raise CommError("no accelerator attached")
-        start = self.clock[rank]
-        self.clock[rank] += self.accelerator.offload_overhead
-        device_start = max(self.accel_clock[rank], self.clock[rank])
-        self.accel_clock[rank] = device_start + \
-            self.accelerator.device_time(flops, words)
-        self.accel_flops[rank] += flops
-        self.offloaded_updates[rank] += 1
-        self.event_counts["offload"] += 1
-        if self.trace is not None:
-            self.trace.record(rank, start, self.clock[rank], "offload",
-                              self.phase, words)
-
-    def accel_sync(self, rank: int) -> None:
-        """Block the host until ``rank``'s accelerator has drained."""
-        rank = self._check_rank(rank)
-        if self.accel_clock is not None:
-            self.clock[rank] = max(self.clock[rank], self.accel_clock[rank])
 
     # -- synchronization -------------------------------------------------------
 

@@ -170,8 +170,7 @@ class Volume:
         self.msgs_recv = {p: np.zeros(nranks, dtype=np.int64) for p in PHASES}
         self.mem_current = np.zeros(nranks)
         self.mem_peak = np.zeros(nranks)
-        #: Per-kind event counts: compute kinds plus 'send', 'recv',
-        #: 'offload'.
+        #: Per-kind event counts: compute kinds plus 'send' and 'recv'.
         self.event_counts: dict[str, int] = defaultdict(int)
 
     def add(self, ev: EventStream, lo: int = 0, hi: int | None = None,

@@ -185,7 +185,7 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
     (``result.bundle``): the build/analyze phases are skipped and
     the cached DAG executes against the fresh values — same events, same
     order, so ledgers stay bit-identical to a cold run. The bundle is
-    validated against (grid shape, backend, merged/accelerated mode,
+    validated against (grid shape, backend, merged mode,
     plan-relevant options, sparsity pattern) and refused loudly on
     mismatch. ``replicas``
     additionally reuses a previous run's :class:`ReplicaManager` storage
@@ -220,13 +220,11 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
         result.parallel_stats.append(mode.fallback)
 
     if cached is not None:
-        cached.check(grid3, backend, merged, mode.accelerated, opts, sf=sf,
-                     tf=tf)
+        cached.check(grid3, backend, merged, opts, sf=sf, tf=tf)
         bundle = cached
     else:
         bundle = PlanBundle.build(sf, tf, grid3, opts, backend=backend,
-                                  merged=merged,
-                                  accelerated=mode.accelerated)
+                                  merged=merged)
     result.plan = bundle.plan3
     result.bundle = bundle
 

@@ -12,7 +12,7 @@ construction.
 
 The merged-grid variant fans out the same way: its grid plans bind to
 their first z-layer's replica views. Where the fan-out cannot engage — a
-width-1 run (resilience, accelerator, fault injector), a cost-only run
+width-1 run (resilience, fault injector), a cost-only run
 (no kernel program) or a count that resolves to one worker —
 :func:`repro.plan.execmode.resolve_exec` keeps the run serial and it
 records a :class:`ParallelFallback`, never silently.

@@ -115,11 +115,6 @@ class KernelBackend:
     """Interface; see :class:`LUBackend` for the reference implementation."""
 
     name: str = ""
-    #: Whether the interpreter runs the accelerator sync prologue/epilogue
-    #: around this backend's panels (the LU driver's HALO sync points) and
-    #: decides offload per block pair; such a backend also provides
-    #: ``accel_panel_ranks`` and ``pair_offload_words`` (see LUBackend).
-    accel_aware: bool = False
     #: Op code of the diagonal factorization (``GETRF`` / ``POTRF``).
     factor_op: int = -1
 
@@ -191,7 +186,6 @@ class LUBackend(KernelBackend):
     """Right-looking supernodal LU (GESP, no dynamic pivoting)."""
 
     name = "lu"
-    accel_aware = True
     factor_op = GETRF
     node_blocks = staticmethod(node_blocks)
 
@@ -277,22 +271,6 @@ class LUBackend(KernelBackend):
 
     # -- execution ---------------------------------------------------------
 
-    def accel_panel_ranks(self, sf, k, grid) -> list[int]:
-        """Ranks whose accelerators must drain before node ``k``'s panel
-        is factored: pending offloaded updates may target its blocks (the
-        HALO sync point)."""
-        return [grid.owner(k, k)] \
-            + [grid.owner(k, int(j)) for j in sf.fill.upanel[k]] \
-            + [grid.owner(int(i), k) for i in sf.fill.lpanel[k]]
-
-    def pair_offload_words(self, sf, k, sizes) -> np.ndarray:
-        """Words one offloaded pair GEMM moves over PCIe (both operands
-        plus the result), parallel to the node's Schur pair arrays."""
-        s = int(sizes[k])
-        si = sizes[np.asarray(sf.fill.lpanel[k], dtype=np.int64)][:, None]
-        sj = sizes[np.asarray(sf.fill.upanel[k], dtype=np.int64)][None, :]
-        return (si * s + s * sj + si * sj).ravel().astype(np.float64)
-
     def panel_op(self, store, k, i, j, rows):
         if i == k:              # U_kj <- L_kk^{-1} A_kj
             return trsm_op(store[(k, k)], store[(k, j)], side="L",
@@ -313,7 +291,6 @@ class CholeskyBackend(KernelBackend):
     """Right-looking supernodal Cholesky (lower triangle, shifted potrf)."""
 
     name = "cholesky"
-    accel_aware = False
     factor_op = POTRF
     node_blocks = staticmethod(cholesky_node_blocks)
 

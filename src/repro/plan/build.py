@@ -281,9 +281,9 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
     :func:`build_level` pass per level.
 
     ``blocks_fn`` enumerates a node's stored blocks (default: the
-    backend's ``node_blocks``). ``accelerated`` is what callers record on
-    their :class:`~repro.plan.replay.PlanBundle`; the emitted tasks do not
-    depend on it (offload is decided per block pair at execution time).
+    backend's ``node_blocks``). ``accelerated`` is ignored: it is kept
+    only because the frozen benchmark harness (``benchmarks/e2e``) passes
+    it.
     """
     opts = options or FactorOptions()
     if blocks_fn is None:

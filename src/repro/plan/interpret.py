@@ -3,8 +3,8 @@
 :func:`execute_grid_plan` walks a :class:`~repro.plan.tasks.GridPlan`'s
 task arrays in list order between cut points — the plan's ``runs``
 (maximal same-kind runs) for a plain or traced execution, every single
-task when something needs per-task boundaries (an accelerator, a fault
-injector, the resilience monitor, the fuzzer). Two things happen per
+task when something needs per-task boundaries (a fault injector, the
+resilience monitor, the fuzzer). Two things happen per
 interval, each a slice of something laid out once: the interval's ops of
 the bound kernel program (numeric mode only, :func:`run`) and the booking
 of its events in the plan's one event stream (:func:`book`, one
@@ -32,17 +32,13 @@ variant and the merged-grid redistribution variant), and
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.comm.grid import ProcessGrid2D
 from repro.comm.simulator import Simulator
 from repro.lu2d.kernels import execute
 from repro.lu2d.options import Factor2DResult, FactorOptions
-from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
-from repro.plan.backends import get_backend
 from repro.plan.tasks import AncestorReduce, GridPlan
 
 __all__ = ["GridContext", "Resume", "run", "book", "execute_grid_plan",
@@ -59,12 +55,10 @@ class GridContext:
                  threads=None):
         self.plan = plan
         self.arrays = plan.arrays
-        self.be = get_backend(plan.backend)
         self.sf = sf
         self.sim = sim
         self.opts = opts
         self.prog = prog
-        self.sizes = sf.layout.sizes()
         self.result = Factor2DResult(nodes=list(plan.nodes))
         #: Per-rank level of the live transient panel-receive buffers.
         #: Crash recovery frees these, a restart from a checkpoint
@@ -76,11 +70,6 @@ class GridContext:
         grid_ptr = getattr(plan, "grid_ptr", None)
         self.threads = threads if grid_ptr is not None and grid_ptr.size > 2 \
             else None
-
-    @cached_property
-    def grid(self) -> ProcessGrid2D:
-        """The plan's 2D grid (a grid plan's; only HALO offload asks)."""
-        return ProcessGrid2D(self.plan.px, self.plan.py, base=self.plan.base)
 
     # -- checkpoint support (repro.resilience) -----------------------------
 
@@ -136,41 +125,13 @@ def run(ctx: GridContext, a: int, b: int) -> None:
 def book(ctx: GridContext, a: int, b: int) -> None:
     """Book everything tasks ``[a, b)`` (any kinds) put on the ledgers:
     their slice of the plan's event and memory streams, in one
-    :meth:`~repro.comm.Simulator.book` call, and the result counters.
-    With an accelerator on an offload-aware backend the slice is booked
-    task by task (:func:`_book_offloading`)."""
-    A, sim, res = ctx.arrays, ctx.sim, ctx.result
-    if ctx.be.accel_aware and sim.accelerator is not None:
-        profs = [_book_offloading(ctx, t) for t in range(a, b)]
-    else:
-        profs = [sim.book(A.stream, A.ev_ptr[a], A.ev_ptr[b],
-                          A.mem_ptr[a], A.mem_ptr[b])]
-    for prof in profs:
-        if prof is not None:
-            ctx.buf_current += prof[0]
-    res.schur_block_updates += int(A.pair_ptr[b] - A.pair_ptr[a])
-
-
-def _book_offloading(ctx: GridContext, t: int):
-    """Book task ``t`` under HALO: a diagonal factorization first drains
-    the devices it reads from; a Schur task's GEMMs go to the device (big
-    ones — operands + result cross PCIe) or stay on the host pair by
-    pair, and only its buffer releases are left to the stream."""
-    A, sim, be = ctx.arrays, ctx.sim, ctx.be
-    lo, hi = A.ev_ptr[t], A.ev_ptr[t + 1]
-    if A.kind[t] == PANEL_FACTOR:
-        for r in be.accel_panel_ranks(ctx.sf, int(A.node[t]), ctx.grid):
-            sim.accel_sync(r)
-    elif A.kind[t] == SCHUR_UPDATE:
-        words = be.pair_offload_words(ctx.sf, int(A.node[t]), ctx.sizes)
-        for o, f, w in zip(A.ev_src[lo:hi].tolist(),
-                           A.ev_val[lo:hi].tolist(), words.tolist()):
-            if sim.accelerator.should_offload(f):
-                sim.offload_gemm(o, f, w)
-            else:
-                sim.compute(o, f, "schur", n_block_updates=1)
-        lo = hi
-    return sim.book(A.stream, lo, hi, A.mem_ptr[t], A.mem_ptr[t + 1])
+    :meth:`~repro.comm.Simulator.book` call, and the result counters."""
+    A = ctx.arrays
+    prof = ctx.sim.book(A.stream, A.ev_ptr[a], A.ev_ptr[b],
+                        A.mem_ptr[a], A.mem_ptr[b])
+    if prof is not None:
+        ctx.buf_current += prof[0]
+    ctx.result.schur_block_updates += int(A.pair_ptr[b] - A.pair_ptr[a])
 
 
 def execute_grid_plan(plan: GridPlan, sf, sim: Simulator,
@@ -179,7 +140,7 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator,
                       ctx: GridContext | None = None, prog=None,
                       threads=None) -> Factor2DResult | Resume:
     """Execute ``plan`` on ``sim``, in plan list order. On the plain walk
-    (``fuse``, no monitor, no accelerator) ``plan`` may be a whole
+    (``fuse``, no monitor) ``plan`` may be a whole
     :class:`~repro.plan.tasks.LevelStep`: its grids own disjoint rank
     sets, so one dispatch and one booking of the level is, per rank and
     bit for bit, the grid-after-grid walk.
@@ -217,10 +178,6 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator,
         book(ctx, a, b)
         if monitor is not None:
             monitor.after_task(plan, ctx, a)
-
-    if ctx.be.accel_aware and sim.accelerator is not None:
-        for r in ctx.grid.all_ranks():
-            sim.accel_sync(r)
     return ctx.result
 
 

@@ -21,7 +21,7 @@ identical to cold ones (pinned by ``tests/test_service.py`` and
 ``tests/test_refactorize.py``).
 
 Bundles are validated, not trusted: :meth:`PlanBundle.check` rejects reuse
-under a different grid shape, backend, merged/accelerated mode,
+under a different grid shape, backend, merged mode,
 plan-relevant options (see :func:`plan_options_key`), sparsity pattern or
 tree-forest partition (the plan's recorded
 :func:`repro.plan.build.pattern_signature` / ``partition_signature``). Lazy
@@ -80,10 +80,6 @@ class PlanBundle:
         Whether ``plan3`` is the merged-grid variant.
     grid_shape:
         ``(px, py, pz)`` of the 3D grid the plan's ranks refer to.
-    accelerated:
-        Whether the plan was built for a simulator with an accelerator
-        attached; a bundle is replayed only under the condition it was
-        built for.
     opts_key:
         :func:`plan_options_key` of the options the plan was built with.
     blocks_fn:
@@ -94,6 +90,9 @@ class PlanBundle:
         execution — one object serves every replay).
     build_seconds:
         Host seconds the cold build spent on plan construction.
+    accelerated:
+        Ignored: nothing reads it. It is kept only because the frozen
+        benchmark harness (``benchmarks/e2e``) passes it.
     volume:
         The :class:`repro.comm.volume.BlockVolume` the build priced
         messages with (``None`` = dense); reused by the memoized replica
@@ -103,19 +102,18 @@ class PlanBundle:
     backend: str
     merged: bool
     grid_shape: tuple[int, int, int]
-    accelerated: bool
     opts_key: tuple
     blocks_fn: object
     plan3: Plan3D
     volume: object | None = None
     build_seconds: float = 0.0
+    accelerated: bool = False
     _lazy: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @classmethod
     def build(cls, sf, tf, grid3, options, *, backend: str = "lu",
-              merged: bool = False, accelerated: bool = False
-              ) -> "PlanBundle":
+              merged: bool = False) -> "PlanBundle":
         """Build the plan of ``(sf, tf, grid3, options)`` and bundle it
         (what every cold path — drivers, service, fuzzer — calls)."""
         from repro.comm.volume import volume_for
@@ -124,17 +122,15 @@ class PlanBundle:
         t0 = time.perf_counter()
         blocks_fn = get_backend(backend).node_blocks
         plan3 = build_3d_plan(sf, tf, grid3, options, backend=backend,
-                              merged=merged, accelerated=accelerated,
-                              blocks_fn=blocks_fn)
+                              merged=merged, blocks_fn=blocks_fn)
         return cls(backend=backend, merged=merged,
                    grid_shape=(grid3.px, grid3.py, grid3.pz),
-                   accelerated=accelerated,
                    opts_key=plan_options_key(options), blocks_fn=blocks_fn,
                    plan3=plan3, volume=volume_for(sf, options),
                    build_seconds=time.perf_counter() - t0)
 
-    def check(self, grid3, backend, merged: bool, accelerated: bool,
-              options, sf=None, tf=None) -> None:
+    def check(self, grid3, backend, merged: bool, options, sf=None,
+              tf=None) -> None:
         """Refuse replay under conditions the cached plan was not built
         for — a wrong-bundle replay would book a wrong-but-plausible
         ledger, which is strictly worse than failing loudly. With ``sf``
@@ -150,11 +146,6 @@ class PlanBundle:
                 f"cached plan was built for backend={self.backend!r} "
                 f"merged={self.merged}, got backend={backend!r} "
                 f"merged={merged}")
-        if accelerated != self.accelerated:
-            raise ValueError(
-                "cached plan was built "
-                + ("with" if self.accelerated else "without")
-                + " an accelerator attached; rebuild for this simulator")
         if plan_options_key(options) != self.opts_key:
             raise ValueError(
                 "cached plan was built with different plan-relevant "

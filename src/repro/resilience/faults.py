@@ -151,21 +151,29 @@ class FaultPlan:
                  slow_factor: float = 4.0) -> "FaultPlan":
         """A reproducible random plan: same seed, same faults, always.
 
-        Crash faults target a random grid at a random level; mechanical
-        faults target random ranks, armed at a random time in
-        ``[0, t_max]``.
+        Crash faults target a random level, then a random grid active at
+        it (a multiple of ``n_grids >> level``: level 0 is the root, held
+        by grid 0); mechanical faults target random ranks, armed at a
+        random time in ``[0, t_max]``. ``n_grids`` is the run's ``Pz`` (a
+        power of two) and ``n_levels`` at most ``log2(n_grids) + 1``.
         """
         for k in kinds:
             if k not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {k!r}")
+        if n_grids < 1 or n_grids & (n_grids - 1):
+            raise ValueError(f"n_grids={n_grids} is not a power of two")
+        if not 1 <= n_levels <= n_grids.bit_length():
+            raise ValueError(f"n_levels={n_levels} outside 1..log2(n_grids)"
+                             f" + 1 = {n_grids.bit_length()}")
         rng = np.random.default_rng(seed)
         faults = []
         for _ in range(n_faults):
             kind = kinds[int(rng.integers(len(kinds)))]
             at = float(rng.uniform(0.0, t_max)) if t_max > 0 else None
             if kind == "crash":
-                faults.append(Fault(kind, grid=int(rng.integers(n_grids)),
-                                    level=int(rng.integers(n_levels)),
+                level = int(rng.integers(n_levels))
+                grid = (n_grids >> level) * int(rng.integers(1 << level))
+                faults.append(Fault(kind, grid=grid, level=level,
                                     at_time=at))
             elif kind == "slow":
                 faults.append(Fault(kind, rank=int(rng.integers(n_ranks)),

@@ -148,13 +148,12 @@ class _Solver3D:
     def _usable_bundle(self):
         """The retained plan bundle iff it matches this run's conditions
         (grid, backend, plan-relevant options, sparsity pattern,
-        partition; the facade's own simulator never carries an
-        accelerator) — else None and the run rebuilds cold."""
+        partition) — else None and the run rebuilds cold."""
         if self._bundle is None:
             return None
         try:
-            self._bundle.check(self.grid, self.backend, False, False,
-                               self.options, sf=self.sf, tf=self.tf)
+            self._bundle.check(self.grid, self.backend, False, self.options,
+                               sf=self.sf, tf=self.tf)
         except ValueError:
             return None
         return self._bundle

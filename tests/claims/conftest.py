@@ -47,14 +47,12 @@ def suite():
 
 
 def cost_only(sf, tf, *, driver=factor_3d, options=None, topology=None,
-              accelerator=None, cached=None):
+              cached=None):
     """Cost-only run of ``driver`` on ``P`` ranks arranged ``(P/pz) x pz``
     -> ``(FactorizationMetrics, Simulator)``; ``cached`` is the plan
     bundle to walk instead of a fresh build."""
     grid3 = ProcessGrid3D.from_total(P, tf.pz)
     sim = Simulator(grid3.size, Machine.edison_like(), topology=topology)
-    if accelerator is not None:
-        sim.attach_accelerator(accelerator)
     driver(sf, tf, grid3, sim, numeric=False, options=options,
            cached=cached)
     return FactorizationMetrics.from_simulator(sim), sim

@@ -1,5 +1,5 @@
 """Section VII and beyond: the variants the paper proposes but does not
-evaluate (Cholesky, merged grids, 2.5D ancestors, HALO offload), the
+evaluate (Cholesky, merged grids, 2.5D ancestors), the
 topology footnote, and the solve phase under the 3D layout."""
 
 from collections import defaultdict
@@ -10,7 +10,6 @@ import pytest
 from repro.analysis import format_table
 from repro.cholesky import factor_chol_3d
 from repro.comm import DragonflyTopology, Machine, ProcessGrid3D, Torus3D
-from repro.comm.accelerator import Accelerator
 from repro.comm.volume import DenseVolume
 from repro.experiments import paper_suite
 from repro.lu2d import FactorOptions
@@ -258,50 +257,6 @@ def test_per_block_25d_loses_to_merged(suite):
             assert data[name, c].w_total_max > 1.2 * mrg.w_total_max
             # Same arithmetic, plus one add per reduced word.
             assert data[name, c].total_flops < 1.002 * mrg.total_flops
-
-
-@pytest.mark.slow
-def test_halo_offload_with_3d(suite):
-    """Section VII on HALO (threshold-based Schur-GEMM offload to per-rank
-    accelerators): it "works much better for matrices that have large dense
-    blocks", 3D "for sparser matrices with small dense separators", and
-    combining the two covers "a wider spectrum of matrices"."""
-    sparse, dense, pz3d = "Ecology1", "Serena", 8
-    data = {name: {(pz, accel): simulate(
-                       suite[name], pz,
-                       accelerator=Accelerator() if accel else None)
-                   for pz in (1, pz3d) for accel in (False, True)}
-            for name in (sparse, dense)}
-    print()
-    print(format_table(
-        ["matrix", "Pz", "accel", "T [ms]", "speedup vs 2D-host",
-         "#offloaded"],
-        [[name, pz, "yes" if accel else "no", m.makespan * 1e3,
-          g[(1, False)][0].makespan / m.makespan,
-          int(sim.offloaded_updates.sum()) if accel else 0]
-         for name, g in data.items() for (pz, accel), (m, sim) in sorted(g.items())],
-        title=f"Extension — HALO offload x 3D algorithm, P={P} ranks"))
-
-    def t(name, pz, accel):
-        return data[name][(pz, accel)][0].makespan
-
-    def offloaded(name):
-        return int(data[name][(1, True)][1].offloaded_updates.sum())
-
-    # Accelerators pay off on the dense-blocked matrix, not the sparse one.
-    halo_gain_sparse = t(sparse, 1, False) / t(sparse, 1, True)
-    assert t(dense, 1, False) / t(dense, 1, True) > halo_gain_sparse
-    assert halo_gain_sparse < 1.05  # nothing above threshold to offload
-    assert offloaded(dense) > 10 * max(offloaded(sparse), 1)
-    # The 3D algorithm pays off most on the sparse matrix.
-    gain_3d_sparse = t(sparse, 1, False) / t(sparse, pz3d, False)
-    assert gain_3d_sparse > t(dense, 1, False) / t(dense, pz3d, False)
-    assert gain_3d_sparse > halo_gain_sparse
-    # The combination at least matches the best single technique.
-    for name in (sparse, dense):
-        best_single = min(t(name, pz3d, False), t(name, 1, True))
-        assert t(name, pz3d, True) <= best_single * 1.02, \
-            f"{name}: 3D+HALO should not lose to the best single technique"
 
 
 @pytest.mark.slow

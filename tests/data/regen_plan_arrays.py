@@ -150,7 +150,7 @@ def plan_record(plan) -> dict:
 
 def render(records: dict) -> str:
     """The file's text for ``name -> plan_record`` of every case."""
-    out = {"_readme": " ".join(__doc__.split("\n\n")[2].split()), **records}
+    out = {"_readme": " ".join(__doc__.split("\n\n")[3].split()), **records}
     return json.dumps(out, indent=0, sort_keys=True) + "\n"
 
 

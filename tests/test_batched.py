@@ -15,7 +15,6 @@ from repro.analysis import Trace
 from repro.cholesky import factor_chol_3d
 from repro.comm import (CommError, ProcessGrid2D, ProcessGrid3D, Simulator,
                         UniformTopology)
-from repro.comm.accelerator import Accelerator
 from repro.comm.collectives import bcast
 from repro.lu2d.batched import schur_pairs, syrk_pairs
 from repro.lu3d import factor_3d, replica_words_per_rank
@@ -325,19 +324,6 @@ class TestClosedFormBcast:
         wr = sim.words_recv["fact"]
         assert ws.sum() == wr.sum() == 700.0
         assert sim.event_counts["send"] == sim.event_counts["recv"] == 7
-
-
-class TestOffloadTrace:
-    def test_offload_recorded_with_own_kind(self):
-        sim = Simulator(2, trace=Trace())
-        sim.attach_accelerator(Accelerator())
-        sim.offload_gemm(1, 5e6, 1e4)
-        evs = [ev for ev in sim.trace.events if ev.kind == "offload"]
-        assert len(evs) == 1
-        assert evs[0].rank == 1 and evs[0].words == 1e4
-        assert sim.event_counts["offload"] == 1
-        # Offload host-side time is overhead, not compute utilization.
-        assert sim.trace.utilization(2)[1] == 0.0
 
 
 class TestBufferPeak:

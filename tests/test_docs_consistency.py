@@ -204,6 +204,10 @@ class TestCrossReferences:
         "panel_steps", "buffer_peak_words",
         "GlobalStoreData", "merged_blocks", "supports_zreplica",
         "GLOBAL_VIEW",
+        "Accelerator", "attach_accelerator", "offload_gemm", "accel_sync",
+        "accel_aware", "accel_panel_ranks", "pair_offload_words",
+        "_book_offloading", "offloaded_updates", "accel_clock",
+        "comm/accelerator",
     )
 
     def test_no_deleted_name_survives(self):

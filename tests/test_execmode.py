@@ -13,9 +13,8 @@ of two things:
 for plain runs it is the plan-level width-1 walk of the fuzzer
 (``fuzz_3d(...).canonical_ledger``, identity order, one dispatch per
 task), and the attachments used here are ledger-neutral by construction
-(an empty trace, a uniform topology, an accelerator whose threshold
-nothing reaches, an injector with no faults), so one reference serves
-them all.
+(an empty trace, a uniform topology, an injector with no faults), so one
+reference serves them all.
 Resilient runs (faults / checkpoints change the ledger by design) are
 referenced against their own serial, unattached run.
 """
@@ -40,7 +39,6 @@ from repro.comm import (  # noqa: E402
     Simulator,
     UniformTopology,
 )
-from repro.comm.accelerator import Accelerator  # noqa: E402
 from repro.lu2d import FactorOptions  # noqa: E402
 from repro.lu3d import factor_3d  # noqa: E402
 from repro.lu3d.merged import factor_3d_merged  # noqa: E402
@@ -59,7 +57,7 @@ from tests.conftest import _symbolic, width1_simulator  # noqa: E402
 PZ = 2
 GRID3 = ProcessGrid3D(2, 1, PZ)
 MACHINE = Machine.edison_like()
-ATTACHMENTS = ("none", "trace", "topology", "accelerator", "faults")
+ATTACHMENTS = ("none", "trace", "topology", "faults")
 DRIVERS = ("lu", "merged", "cholesky")
 FAULT_PLANS = {
     "none": None,
@@ -76,10 +74,7 @@ def make_sim(attachment: str) -> Simulator:
         return Simulator(GRID3.size, MACHINE, topology=UniformTopology())
     if attachment == "faults":
         return width1_simulator(GRID3.size, MACHINE)
-    sim = Simulator(GRID3.size, MACHINE)
-    if attachment == "accelerator":
-        sim.attach_accelerator(Accelerator(min_flops=1e12))
-    return sim
+    return Simulator(GRID3.size, MACHINE)
 
 
 def setup_for(driver: str, blocking: str):
@@ -101,8 +96,7 @@ def expect_fallback(opts, attachment, driver, numeric) -> bool:
     topology is none of them."""
     if opts.n_workers == 1:
         return False
-    width1 = opts.resilience_active() \
-        or attachment in ("accelerator", "faults")
+    width1 = opts.resilience_active() or attachment == "faults"
     return width1 or not numeric or resolve_workers(opts.n_workers) <= 1
 
 
@@ -172,9 +166,8 @@ def test_every_combination_matches_reference_raises_or_falls_back(case):
 @pytest.mark.parametrize("observer", [*ATTACHMENTS, "monitor"])
 def test_width_follows_what_observes(observer, compact):
     """A run nothing observes per task walks its full-width runs — a trace
-    does not count, the batch entries book per event under it; an
-    accelerator, a fault injector or the resilience monitor get one
-    dispatch per task — same plan object, same ledger, either pricing."""
+    does not count, the batch entries book per event under it; a fault
+    injector or the resilience monitor get one dispatch per task — same plan object, same ledger, either pricing."""
     opts = FactorOptions(compact_comm=compact,
                          checkpoint_every=7 if observer == "monitor" else 0)
     sf, tf = setup_for("lu", "uniform")
@@ -219,16 +212,15 @@ class TestResolveExec:
                             **kw)
 
     def test_plain_run_fuses_inline(self):
-        assert self.mode() == ExecMode(fuse=True, n_workers=1,
-                                       accelerated=False)
+        assert self.mode() == ExecMode(fuse=True, n_workers=1)
+        assert [f.name for f in dataclasses.fields(ExecMode)] == \
+            ["fuse", "n_workers", "fallback"]
 
-    @pytest.mark.parametrize("attachment", ["accelerator", "faults"])
+    @pytest.mark.parametrize("attachment", ["faults"])
     def test_observed_runs_walk_unfused(self, attachment):
-        m = self.mode(attachment=attachment)
-        assert not m.fuse
-        assert m.accelerated == (attachment == "accelerator")
+        assert not self.mode(attachment=attachment).fuse
 
-    @pytest.mark.parametrize("attachment", ["accelerator", "faults"])
+    @pytest.mark.parametrize("attachment", ["faults"])
     def test_width1_runs_stay_serial(self, attachment):
         m = self.mode(FactorOptions(n_workers=2), attachment=attachment)
         assert not m.fuse and m.n_workers == 1
@@ -236,13 +228,13 @@ class TestResolveExec:
 
     def test_topology_fans_out(self):
         m = self.mode(FactorOptions(n_workers=2), attachment="topology")
-        assert m == ExecMode(fuse=True, n_workers=2, accelerated=False)
+        assert m == ExecMode(fuse=True, n_workers=2)
 
     def test_trace_fans_out(self):
         """A trace selects neither the walk nor the thread count."""
         assert self.mode(attachment="trace") == self.mode()
         m = self.mode(FactorOptions(n_workers=2), attachment="trace")
-        assert m == ExecMode(fuse=True, n_workers=2, accelerated=False)
+        assert m == ExecMode(fuse=True, n_workers=2)
 
     def test_resilience_is_monitored_and_serial(self):
         """The resilience engine observes task boundaries: one width rule

@@ -115,6 +115,25 @@ class TestFaultPlanConstruction:
         assert len(a) == 5
         assert all(f.kind in FAULT_KINDS for f in a)
 
+    def test_generated_crashes_bind_and_fire(self):
+        """A generated crash targets a grid active at its level, so every
+        seeded plan binds to a 2x2x4 run and its crash fires."""
+        for seed in range(20):
+            plan = FaultPlan.generate(seed, kinds=("crash",), n_grids=4,
+                                      n_levels=3)
+            (f,) = plan.crashes()
+            assert f.grid % (4 >> f.level) == 0
+            *_, res = lu3d_run(FactorOptions(fault_plan=plan))
+            assert res.resilience.crashes == 1, (seed, f)
+
+    @pytest.mark.parametrize("n_grids, n_levels", [(3, 1), (6, 2), (4, 4),
+                                                   (1, 2), (0, 1)])
+    def test_generate_refuses_a_grid_count_no_run_has(self, n_grids,
+                                                      n_levels):
+        with pytest.raises(ValueError, match="n_grids|n_levels"):
+            FaultPlan.generate(0, kinds=("crash",), n_grids=n_grids,
+                               n_levels=n_levels)
+
     def test_parse_spec(self):
         plan = FaultPlan.parse(
             "crash:grid=1,level=2;slow:rank=3,factor=4;"
