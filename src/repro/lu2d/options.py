@@ -37,7 +37,7 @@ class FactorOptions:
         on the calling thread. ``1`` (default) keeps the serial schedule
         with no pool; ``0`` means one thread per host core. Ledgers,
         traces and factors are identical either way. When the threads
-        cannot engage (see :func:`repro.plan.execmode.resolve_exec`) the
+        cannot engage (see :func:`repro.parallel.resolve_threads`) the
         run stays serial and records a ``ParallelFallback``.
     fault_plan:
         A :class:`repro.resilience.FaultPlan` of deterministic faults to

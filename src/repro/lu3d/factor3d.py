@@ -24,13 +24,13 @@ run's by construction. When the threads cannot engage, the run stays
 serial and records *why* on ``Factor3DResult.parallel_stats`` as a
 :class:`repro.parallel.ParallelFallback` — no silent fallbacks.
 
-How a run executes (full width or per task, how many workers) is decided
-once, by :func:`repro.plan.execmode.resolve_exec`; the standard,
-merged-grid and Cholesky entry points are argument bindings of one
-pipeline (:func:`_factor`): validate → acquire the plan bundle → charge
-storage → bind data → execute. The 2D baseline is its ``Pz = 1`` run: one
-layer, no Ancestor-Reduction. :func:`_execute_plan3d` is the one execution
-walk, and resilience is hooks on it.
+The standard, merged-grid and Cholesky entry points are argument bindings
+of one pipeline (:func:`_factor`): validate → acquire the plan bundle →
+charge storage → bind data → execute. The 2D baseline is its ``Pz = 1``
+run: one layer, no Ancestor-Reduction. :func:`_execute_plan3d` is the one
+execution walk, and resilience is a monitor on it — the one observer of
+task boundaries, so the walk's width follows from it: a level is one
+slice without it, and a task at a time with it.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
 from repro.lu2d.storage import block_rows, node_block_arrays
 from repro.lu3d.replication import ReplicaManager
-from repro.parallel import GridThreads
-from repro.plan.execmode import resolve_exec
+from repro.parallel import GridThreads, resolve_threads
 from repro.plan.interpret import (
     Resume,
     execute_grid_plan,
@@ -79,9 +78,8 @@ class Factor3DResult:
     #: The executed task-graph plan (:class:`repro.plan.Plan3D`).
     plan: Plan3D | None = None
     #: ``plan`` with its full-width dispatch statistics
-    #: (:class:`repro.plan.FusedPlan`) when the run walked its full-width
-    #: cut points (:attr:`repro.plan.ExecMode.fuse`); ``None`` for a
-    #: width-1 run.
+    #: (:class:`repro.plan.FusedPlan`) when the run walked it at full
+    #: width (no resilience monitor); ``None`` for a width-1 run.
     compiled: object | None = None
     #: :class:`repro.resilience.ResilienceStats` when the resilience engine
     #: watched the run (``FactorOptions.resilience_active()``); ``None``
@@ -111,7 +109,7 @@ class CostOnlyData:
 
     accumulate = None
 
-    def program(self, gp, sf):
+    def program(self, gp):
         """The kernel program of ``gp`` — a grid plan or a whole level
         step — on this run's blocks (``None``: none)."""
         return None
@@ -136,7 +134,7 @@ class ReplicaData(CostOnlyData):
         self.replicas = replicas
         self.accumulate = replicas.accumulate
 
-    def program(self, gp, sf):
+    def program(self, gp):
         return self.replicas.program(gp)
 
     def snapshot(self):
@@ -214,10 +212,7 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
         require_finite((sf.A_perm if matrix is None else matrix).tocsr().data,
                        "sf.A_perm" if matrix is None else "matrix")
     opts = options or FactorOptions()
-    mode = resolve_exec(opts, sim, numeric=numeric)
     result = Factor3DResult(tf=tf)
-    if mode.fallback is not None:
-        result.parallel_stats.append(mode.fallback)
 
     if cached is not None:
         cached.check(grid3, backend, merged, opts, sf=sf, tf=tf)
@@ -240,13 +235,17 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
     monitor = None
     if opts.resilience_active():
         from repro.resilience.engine import ResilienceEngine
-        monitor = ResilienceEngine(opts, sim, bundle.plan3, sf, data, result)
-    if mode.fuse:
+        monitor = ResilienceEngine(opts, sim, bundle.plan3, data, result)
+    else:
         result.compiled = bundle.compiled()
-    threads = GridThreads(mode.n_workers) if mode.n_workers > 1 else None
+    n_workers, fallback = resolve_threads(
+        opts.n_workers, full_width=monitor is None, numeric=numeric)
+    if fallback is not None:
+        result.parallel_stats.append(fallback)
+    threads = GridThreads(n_workers) if n_workers > 1 else None
     try:
-        _execute_plan3d(bundle.plan3, sf, sim, result, opts, threads, data,
-                        fuse=mode.fuse, monitor=monitor)
+        _execute_plan3d(bundle.plan3, sim, result, opts, threads, data,
+                        monitor=monitor)
     finally:
         if threads is not None:
             threads.close()
@@ -283,43 +282,39 @@ def _absorb_2d(result: Factor3DResult, r2d) -> None:
     result.schur_block_updates += r2d.schur_block_updates
 
 
-def _execute_plan3d(plan3: Plan3D, sf, sim: Simulator,
-                    result: Factor3DResult, opts: FactorOptions,
-                    threads: GridThreads | None, data, *,
-                    fuse: bool = False, monitor=None):
+def _execute_plan3d(plan3: Plan3D, sim: Simulator, result: Factor3DResult,
+                    opts: FactorOptions, threads: GridThreads | None, data,
+                    *, monitor=None):
     """Walk the plan level by level: the one execution walk of every
     driver (standard, merged, Cholesky; 2D is ``Pz = 1``).
 
-    ``data`` is one of the data strategies above; ``fuse`` selects the
-    full-width cut points (see :func:`execute_grid_plan`): at full width
-    the whole level is one slice — its grids' kernels on ``threads`` when
-    a pool is given — at width 1 the walk goes grid slice by grid slice;
-    the level's reductions are one booking either way.
+    ``data`` is one of the data strategies above. With no ``monitor`` the
+    whole level is one slice — its grids' kernels on ``threads`` when a
+    pool is given; ``monitor`` (the resilience engine) sees every task
+    boundary, so the walk goes grid plan by grid plan and
+    :func:`execute_grid_plan` task by task. The level's reductions are
+    one booking either way.
 
     Its position is ``(li, gi, ti, ctx)``: level step, grid plan, task,
-    live context. ``monitor`` (the resilience engine) sees every task
-    boundary; a crash makes :func:`execute_grid_plan` return the
-    :class:`Resume` position its recovery picked, and the walk jumps
-    there.
+    live context. A crash makes :func:`execute_grid_plan` return the
+    :class:`Resume` position the monitor's recovery picked, and the walk
+    jumps there.
     """
     levels = plan3.levels
     li, gi, ti, ctx = 0, 0, 0, None
     while li < len(levels):
         step = levels[li]
         sim.set_phase("fact")
-        # At full width nothing observes a grid boundary: the level is
-        # one slice. Width 1 walks grid slice by slice.
-        parts = [step] if fuse else step.grid_plans
-        if not step.grid_plans:
-            parts = []
+        parts = step.grid_plans
+        if monitor is None and parts:   # nothing watches a grid boundary
+            parts = [step]
         while gi < len(parts):
             part = parts[gi]
             if monitor is not None:
                 monitor.enter_plan(li, gi, part)
-            out = execute_grid_plan(part, sf, sim, options=opts, fuse=fuse,
+            out = execute_grid_plan(part, sim, options=opts,
                                     monitor=monitor, start=ti, ctx=ctx,
-                                    prog=data.program(part, sf),
-                                    threads=threads)
+                                    prog=data.program(part), threads=threads)
             if isinstance(out, Resume):     # a crash rewound the walk
                 li, gi, ti, ctx = out
                 break

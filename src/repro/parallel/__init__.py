@@ -12,10 +12,10 @@ construction.
 
 The merged-grid variant fans out the same way: its grid plans bind to
 their first z-layer's replica views. Where the fan-out cannot engage — a
-width-1 run (resilience, fault injector), a cost-only run
-(no kernel program) or a count that resolves to one worker —
-:func:`repro.plan.execmode.resolve_exec` keeps the run serial and it
-records a :class:`ParallelFallback`, never silently.
+width-1 run (the resilience monitor cuts the walk at every task), a
+cost-only run (no kernel program) or a count that resolves to one worker
+— :func:`resolve_threads` keeps the run serial and the run records the
+:class:`ParallelFallback` it returns, never silently.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 __all__ = ["GridThreads", "LevelStats", "ParallelFallback",
-           "resolve_workers"]
+           "resolve_threads", "resolve_workers"]
 
 
 def resolve_workers(n_workers: int) -> int:
@@ -34,6 +34,29 @@ def resolve_workers(n_workers: int) -> int:
     if n_workers < 0:
         raise ValueError("n_workers must be non-negative")
     return n_workers if n_workers else max(1, os.cpu_count() or 1)
+
+
+def resolve_threads(n_workers: int, *, full_width: bool, numeric: bool
+                    ) -> tuple[int, ParallelFallback | None]:
+    """How many threads a run that asked for ``n_workers`` fans its levels
+    out on, and why it stays serial when it asked for more than one
+    (``None``: it did not). Threads engage only on a full-width walk (no
+    resilience monitor), only numeric, and only with more than one
+    resolved worker."""
+    if n_workers == 1:
+        return 1, None
+    resolved = resolve_workers(n_workers)
+    if not full_width:
+        why = ("width-1 run: the resilience monitor (fault_plan / "
+               "checkpoint_every) watches every task boundary of one "
+               "serial walk")
+    elif not numeric:
+        why = "cost-only run: no kernel program to fan out"
+    elif resolved <= 1:
+        why = f"n_workers={n_workers} resolves to a single worker on this host"
+    else:
+        return resolved, None
+    return 1, ParallelFallback(reason=why, requested_workers=n_workers)
 
 
 @dataclass

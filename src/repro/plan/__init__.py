@@ -34,7 +34,6 @@ from repro.plan.build import (
     partition_signature,
     pattern_signature,
 )
-from repro.plan.execmode import ExecMode, resolve_exec
 from repro.plan.interpret import execute_grid_plan, execute_reduce
 from repro.plan.replay import FusedPlan, PlanBundle, plan_options_key
 from repro.plan.tasks import (
@@ -50,7 +49,6 @@ from repro.plan.tasks import (
 __all__ = [
     "AncestorReduce",
     "CholeskyBackend",
-    "ExecMode",
     "FusedPlan",
     "FusionStats",
     "GridPlan",
@@ -72,5 +70,4 @@ __all__ = [
     "partition_signature",
     "pattern_signature",
     "plan_options_key",
-    "resolve_exec",
 ]

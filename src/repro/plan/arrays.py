@@ -12,9 +12,11 @@ Everything a plan books is **one event stream**
 per-event order is, with ``ev_ptr`` / ``mem_ptr`` marking each task's
 slice: booking a task, a run or the whole plan is one
 :meth:`repro.comm.Simulator.book` call on a slice — granularity is a
-choice of cut points, nothing else. "Fused" and "per-task" execution are
-two such choices: ``runs`` cuts at every task-kind change (one kernel
-dispatch per maximal same-kind run), width 1 cuts at every task.
+choice of cut points, nothing else. A walk nothing monitors makes no cut
+(the whole plan is one slice), the resilience monitor's walk cuts at
+every task (width 1), and ``runs`` cuts at every task-kind change (the
+maximal same-kind runs :meth:`~repro.plan.tasks.Plan3D.fusion_stats`
+counts, and the fuzzer's coarse units).
 :meth:`TaskArrays.volume` reduces the stream to per-rank words, messages,
 flops and peak memory with no simulator at all.
 
@@ -127,10 +129,6 @@ class TaskArrays:
     @property
     def n_tasks(self) -> int:
         return int(self.kind.size)
-
-    def cuts(self, fuse: bool) -> list[int]:
-        """The walk's dispatch boundaries: ``runs`` or every task."""
-        return self.runs.tolist() if fuse else list(range(self.n_tasks + 1))
 
     def cut(self, a: int, b: int) -> "TaskArrays":
         """Tasks ``[a, b)`` (cut points of ``runs``) as arrays of their own

@@ -1,18 +1,17 @@
 """The shared plan interpreter: one executor for every driver variant.
 
 :func:`execute_grid_plan` walks a :class:`~repro.plan.tasks.GridPlan`'s
-task arrays in list order between cut points — the plan's ``runs``
-(maximal same-kind runs) for a plain or traced execution, every single
-task when something needs per-task boundaries (a fault injector, the
-resilience monitor, the fuzzer). Two things happen per
+task arrays in list order between cut points — every single task when
+the resilience monitor watches the run (the fuzzer picks its own), else
+none: the plan is one interval. Two things happen per
 interval, each a slice of something laid out once: the interval's ops of
 the bound kernel program (numeric mode only, :func:`run`) and the booking
 of its events in the plan's one event stream (:func:`book`, one
 :meth:`repro.comm.Simulator.book` call). Neither the factors nor the
-ledger of a slice depend on how it is cut, so a full-width run that
-nothing monitors executes and books the whole plan as one slice of each —
-in a 3D run the whole *level* (a :class:`~repro.plan.tasks.LevelStep`,
-whose grids own disjoint ranks), its grid plans being slices of it. Given
+ledger of a slice depend on how it is cut, so a run that nothing
+monitors executes and books the whole plan as one slice of each — in a
+3D run the whole *level* (a :class:`~repro.plan.tasks.LevelStep`, whose
+grids own disjoint ranks), its grid plans being slices of it. Given
 a thread pool, :func:`run` cuts a level's kernel slice at its grid
 boundaries and runs the pieces concurrently; :func:`book` stays on the
 calling thread.
@@ -31,7 +30,6 @@ variant and the merged-grid redistribution variant), and
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -51,11 +49,10 @@ class GridContext:
     the run's blocks (:meth:`KernelBackend.bind
     <repro.plan.backends.KernelBackend.bind>`; ``None``: cost-only)."""
 
-    def __init__(self, plan, sf, sim: Simulator, prog, opts: FactorOptions,
+    def __init__(self, plan, sim: Simulator, prog, opts: FactorOptions,
                  threads=None):
         self.plan = plan
         self.arrays = plan.arrays
-        self.sf = sf
         self.sim = sim
         self.opts = opts
         self.prog = prog
@@ -134,13 +131,14 @@ def book(ctx: GridContext, a: int, b: int) -> None:
     ctx.result.schur_block_updates += int(A.pair_ptr[b] - A.pair_ptr[a])
 
 
-def execute_grid_plan(plan: GridPlan, sf, sim: Simulator,
+def execute_grid_plan(plan: GridPlan, sim: Simulator,
                       options: FactorOptions | None = None, *,
-                      fuse: bool = False, monitor=None, start: int = 0,
+                      monitor=None, start: int = 0,
                       ctx: GridContext | None = None, prog=None,
                       threads=None) -> Factor2DResult | Resume:
-    """Execute ``plan`` on ``sim``, in plan list order. On the plain walk
-    (``fuse``, no monitor) ``plan`` may be a whole
+    """Execute ``plan`` on ``sim``, in plan list order. With no
+    ``monitor`` tasks ``[start, n)`` are one kernel dispatch and one
+    booking, and ``plan`` may be a whole
     :class:`~repro.plan.tasks.LevelStep`: its grids own disjoint rank
     sets, so one dispatch and one booking of the level is, per rank and
     bit for bit, the grid-after-grid walk.
@@ -149,35 +147,29 @@ def execute_grid_plan(plan: GridPlan, sf, sim: Simulator,
     the data strategy (``None``: cost-only simulation); the kernels
     overwrite the blocks with the packed factors.
 
-    ``fuse`` selects the cut points: the plan's full-width runs
-    (:attr:`repro.plan.ExecMode.fuse`) — with no ``monitor`` at their
-    boundaries the whole plan is one kernel dispatch and one booking — or,
-    the default, valid under any observer, one of each per task.
-    ``monitor`` is the resilience hook: ``before_task(plan, ctx, idx)``
-    runs at every dispatch boundary — a :class:`Resume` it returns (a
-    crash fired and was recovered) stops the execution and is returned
-    for the walk to jump to — and ``after_task(plan, ctx, idx)`` may
-    checkpoint; both read true clocks. ``start``/``ctx`` resume at task
-    index ``start`` with a restored context. ``threads`` (a
-    :class:`repro.parallel.GridThreads`) runs a level's grids' kernels
-    concurrently (:func:`run`).
+    ``monitor`` is the resilience hook, and it cuts the walk at every
+    task: ``before_task(plan, ctx, idx)`` runs before each — a
+    :class:`Resume` it returns (a crash fired and was recovered) stops
+    the execution and is returned for the walk to jump to — and
+    ``after_task(plan, ctx, idx)`` may checkpoint; both read true clocks.
+    ``start``/``ctx`` resume at task index ``start`` with a restored
+    context. ``threads`` (a :class:`repro.parallel.GridThreads`) runs a
+    level's grids' kernels concurrently (:func:`run`).
     """
     opts = options or FactorOptions()
     if ctx is None:
-        ctx = GridContext(plan, sf, sim, prog, opts, threads)
-
-    cuts = plan.arrays.cuts(fuse)
-    cuts = cuts[bisect_right(cuts, start) - 1:]
-    if fuse and monitor is None:
-        cuts = [cuts[0], cuts[-1]]      # nothing watches a boundary
-    for a, b in zip(cuts, cuts[1:]):
-        if monitor is not None and (
-                resume := monitor.before_task(plan, ctx, a)) is not None:
+        ctx = GridContext(plan, sim, prog, opts, threads)
+    n = plan.arrays.n_tasks
+    if monitor is None:         # nothing watches a boundary: one slice
+        run(ctx, start, n)
+        book(ctx, start, n)
+        return ctx.result
+    for a in range(start, n):
+        if (resume := monitor.before_task(plan, ctx, a)) is not None:
             return resume
-        run(ctx, a, b)
-        book(ctx, a, b)
-        if monitor is not None:
-            monitor.after_task(plan, ctx, a)
+        run(ctx, a, a + 1)
+        book(ctx, a, a + 1)
+        monitor.after_task(plan, ctx, a)
     return ctx.result
 
 

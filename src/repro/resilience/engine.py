@@ -76,13 +76,13 @@ class _Checkpoint:
 
 class ResilienceEngine:
     """One run's fault monitor, checkpoint store and recovery policies,
-    bound to its plan, symbolic factorization, data strategy and result,
+    bound to its plan, data strategy and result,
     whose counters a restart rolls back. Binding resolves the policy —
     z-replica needs sibling replicas along z on surviving ranks:
     ``result.tf.pz > 1`` and a plan that is not merged — and takes the
     implicit, I/O-free initial checkpoint at ``(0, 0, 0)``."""
 
-    def __init__(self, opts: FactorOptions, sim: Simulator, plan3, sf, data,
+    def __init__(self, opts: FactorOptions, sim: Simulator, plan3, data,
                  result):
         plan = opts.fault_plan if opts.fault_plan is not None else FaultPlan()
         if not isinstance(plan, FaultPlan):
@@ -92,7 +92,6 @@ class ResilienceEngine:
         self.sim = sim
         self.machine = sim.machine
         self.plan3 = plan3
-        self.sf = sf
         self.data = data
         self.result = result
         self._crashes = _check_crashes(plan.crashes(), plan3)
@@ -237,8 +236,7 @@ class ResilienceEngine:
         ctx = None
         if cp.ctx_snap is not None:
             gp = self.plan3.levels[cp.li].grid_plans[cp.gi]
-            ctx = GridContext(gp, self.sf, sim,
-                              self.data.program(gp, self.sf), self.opts)
+            ctx = GridContext(gp, sim, self.data.program(gp), self.opts)
             ctx.restore(cp.ctx_snap)
             # The transient buffers live at the checkpoint are part of
             # the re-read state: re-charge them so the memory ledgers
@@ -275,8 +273,8 @@ class ResilienceEngine:
         sim.set_phase(PHASE_REC)
         for kind, item in self.plan3.recovery_schedule(gp.g, li):
             if kind == "plan":
-                execute_grid_plan(item, self.sf, sim, options=self.opts,
-                                  prog=self.data.program(item, self.sf))
+                execute_grid_plan(item, sim, options=self.opts,
+                                  prog=self.data.program(item))
             else:
                 # The original reduction's messages/words were already
                 # absorbed into the result; the replay's traffic belongs

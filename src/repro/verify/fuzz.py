@@ -121,8 +121,8 @@ def random_legal_orders(n: int, edges, n_orders: int, seed: int):
 
 @dataclass
 class _Unit:
-    """One schedulable unit: a grid-plan dispatch interval (one task at
-    width 1, one same-kind run at full width), a reduce, or a barrier."""
+    """One schedulable unit: a grid-plan dispatch interval (one task, or
+    one same-kind run), a reduce, or a barrier."""
 
     kind: str                   # 'grid' | 'reduce' | 'barrier'
     task: object = None         # the level-scope task (None for 'grid')
@@ -144,13 +144,13 @@ def _stream_ranks(ev, lo=0, hi=None, mlo=0, mhi=None) -> frozenset:
         (ev.src[lo:hi], ev.dst[lo:hi], ev.mem_rank[mlo:mhi])).tolist())
 
 
-def _grid_units(gp: GridPlan, key, fuse: bool) -> list[_Unit]:
-    """``gp``'s dispatch intervals at the chosen width, as units: an
-    interval's footprint is the ranks of its slice of the plan's event
-    and memory streams, its dependencies the union of its tasks' that
-    leave the interval."""
+def _grid_units(gp: GridPlan, key, runs: bool) -> list[_Unit]:
+    """``gp``'s dispatch intervals — its same-kind ``runs``, or one per
+    task — as units: an interval's footprint is the ranks of its slice of
+    the plan's event and memory streams, its dependencies the union of
+    its tasks' that leave the interval."""
     A = gp.arrays
-    cuts = A.cuts(fuse)
+    cuts = A.runs.tolist() if runs else list(range(A.n_tasks + 1))
     units = []
     for a, b in zip(cuts, cuts[1:]):
         tids = set(A.tid[a:b].tolist())
@@ -162,14 +162,14 @@ def _grid_units(gp: GridPlan, key, fuse: bool) -> list[_Unit]:
     return units
 
 
-def _plan3d_units(plan3: Plan3D, fuse: bool) -> tuple[list[_Unit], dict]:
+def _plan3d_units(plan3: Plan3D, runs: bool) -> tuple[list[_Unit], dict]:
     """Flatten a 3D plan into canonical-order units + per-context plans."""
     units: list[_Unit] = []
     ctx_plans: dict = {}
     for li, step in enumerate(plan3.levels):
         for gi, gp in enumerate(step.grid_plans):
             ctx_plans[(li, gi)] = gp
-            units += _grid_units(gp, (li, gi), fuse)
+            units += _grid_units(gp, (li, gi), runs)
         for red in step.reduces:
             units.append(_Unit("reduce", red, phase=PHASE_RED,
                                ranks=_stream_ranks(red.stream())))
@@ -196,7 +196,7 @@ def _constraint_edges(units: list[_Unit]) -> set[tuple[int, int]]:
     return edges
 
 
-def _run_order(units, ctx_plans, order, setup, sf, opts):
+def _run_order(units, ctx_plans, order, setup, opts):
     """Execute one schedule; return ``(ledger_state, dense_factors)``."""
     sim, data, factors_fn = setup()
     contexts: dict = {}
@@ -212,7 +212,7 @@ def _run_order(units, ctx_plans, order, setup, sf, opts):
             if ctx is None:
                 gp = ctx_plans[u.ctx_key]
                 ctx = contexts[u.ctx_key] = GridContext(
-                    gp, sf, sim, data.program(gp, sf), opts)
+                    gp, sim, data.program(gp), opts)
             run(ctx, *u.span)
             book(ctx, *u.span)
     sim.set_phase(PHASE_FACT)
@@ -251,7 +251,7 @@ def _fuzz(run, n_units: int, edges, *, driver: str, n_orders: int,
 def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
             numeric: bool = False, n_orders: int = 25, seed: int = 0,
             options: FactorOptions | None = None, machine=None,
-            matrix=None, fuse: bool = False) -> FuzzReport:
+            matrix=None, runs: bool = False) -> FuzzReport:
     """Fuzz a 3D plan (standard, merged, or Cholesky via ``backend``;
     the merged variant is LU only, so ``merged`` with another backend
     raises ``ValueError``).
@@ -261,10 +261,10 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
     :func:`repro.lu3d.merged.factor_3d_merged` /
     :func:`repro.cholesky.factor_chol_3d`), so the identity-order run
     books the drivers' golden-pinned ledgers — the tests assert that
-    chain explicitly. With ``fuse=True`` the plan's full-width runs are
-    the schedulable units (one dispatch each, as a plain driver run walks
-    them), so random legal orders exercise the runs' unioned dependency
-    edges; the default is one unit per task.
+    chain explicitly. With ``runs=True`` the plan's same-kind runs are
+    the schedulable units (one dispatch each), so random legal orders
+    exercise the runs' unioned dependency edges; the default is one unit
+    per task — the identity order is then the monitored walk's width.
     """
     from repro.lu3d.factor3d import Factor3DResult, _bind_data
     from repro.plan.replay import PlanBundle
@@ -289,9 +289,9 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
             return sim, data, None
         return sim, data, lambda: result.factors().to_dense()
 
-    units, ctx_plans = _plan3d_units(plan3, fuse)
+    units, ctx_plans = _plan3d_units(plan3, runs)
     name = "merged" if merged else backend
-    return _fuzz(lambda order: _run_order(units, ctx_plans, order, setup, sf,
+    return _fuzz(lambda order: _run_order(units, ctx_plans, order, setup,
                                           opts),
                  len(units), _constraint_edges(units),
                  driver=f"{name}3d{'_numeric' if numeric else ''}",

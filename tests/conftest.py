@@ -38,15 +38,27 @@ def _verify_every_plan():
     build.POST_BUILD_HOOK = prev
 
 
-def width1_simulator(nranks: int, machine=None):
-    """A simulator whose driver runs walk the plan task by task: a fault
-    injector with no faults is something ``resolve_exec`` must give per-task
-    events to, and it perturbs nothing (the ledger is the plain run's)."""
+def per_event_simulator(nranks: int, machine=None):
+    """A simulator that books every stream event by event: a fault
+    injector with no faults observes each ``send`` / ``compute`` and
+    perturbs nothing (the ledger is the plain simulator's)."""
     from repro.comm import Simulator
     from repro.resilience import FaultInjector, FaultPlan
     sim = Simulator(nranks, machine)
     sim.attach_faults(FaultInjector(FaultPlan(), sim.machine))
     return sim
+
+
+def width1_options(opts=None):
+    """``opts`` (default ``FactorOptions()``) walked at width 1: a
+    checkpoint cadence past any plan's task count puts the resilience
+    monitor on the run — the walk goes task by task — and never takes a
+    checkpoint, so the ledger is the full-width run's."""
+    import dataclasses
+
+    from repro.lu2d import FactorOptions
+    return dataclasses.replace(opts or FactorOptions(),
+                               checkpoint_every=10**9)
 
 
 def one_layer(sf, px: int, py: int):

@@ -150,7 +150,18 @@ class TestViewAndArraysAgree:
             assert (routed[0], routed[1]) == ([8] + srcs, [root] + dsts)
 
 
-def walk(plan, sf, sim, how: str, seed: int = 0):
+class EveryTask:
+    """A monitor that watches every task boundary and acts on none: under
+    it :func:`execute_grid_plan` walks at width 1."""
+
+    def before_task(self, plan, ctx, idx):
+        return None
+
+    def after_task(self, plan, ctx, idx):
+        pass
+
+
+def walk(plan, sim, how: str, seed: int = 0):
     """Book ``plan`` (cost-only) on ``sim`` at one choice of cut points:
     ``'whole'`` (one call per grid plan), ``'runs'``, ``'tasks'``, or
     ``'permuted'`` — per task, in a random legal order as the fuzzer
@@ -165,13 +176,14 @@ def walk(plan, sf, sim, how: str, seed: int = 0):
         sim.set_phase("fact")
         for gp in step.grid_plans:
             if how in ("whole", "tasks"):
-                execute_grid_plan(gp, sf, sim, fuse=how == "whole")
+                execute_grid_plan(gp, sim, monitor=EveryTask()
+                                  if how == "tasks" else None)
                 continue
-            ctx = GridContext(gp, sf, sim, None, FactorOptions())
+            ctx = GridContext(gp, sim, None, FactorOptions())
             spans = list(zip(gp.arrays.runs[:-1].tolist(),
                              gp.arrays.runs[1:].tolist()))
             if how == "permuted":
-                units = _grid_units(gp, 0, fuse=False)
+                units = _grid_units(gp, 0, runs=False)
                 order = next(random_legal_orders(
                     len(units), _constraint_edges(units), 1, seed))
                 spans = [units[p].span for p in order]
@@ -198,12 +210,12 @@ class TestOneEventStream:
         from tests.test_simulator import EventByEvent
         plan, sf = build(case, compact)
         n = case["px"] * case["py"] * case["pz"]
-        ref = walk(plan, sf, EventByEvent(n), "tasks")
+        ref = walk(plan, EventByEvent(n), "tasks")
         assert ref["event_counts"]
         for how in ("whole", "runs", "tasks", "permuted"):
-            assert walk(plan, sf, Simulator(n), how, seed) == ref, how
-        assert walk(plan, sf, EventByEvent(n), "permuted", seed) == ref
-        assert walk(plan, sf, EventByEvent(n), "whole") == ref
+            assert walk(plan, Simulator(n), how, seed) == ref, how
+        assert walk(plan, EventByEvent(n), "permuted", seed) == ref
+        assert walk(plan, EventByEvent(n), "whole") == ref
 
     @pytest.mark.parametrize("compact", [False, True])
     @settings(max_examples=8, deadline=None, derandomize=True,
@@ -216,7 +228,7 @@ class TestOneEventStream:
         plan, sf = build(case, compact)
         n = case["px"] * case["py"] * case["pz"]
         sim = EventByEvent(n)
-        walk(plan, sf, sim, "tasks")
+        walk(plan, sim, "tasks")
         vol = plan.volume(n)
         for name in ("flops", "words_sent", "words_recv", "msgs_sent",
                      "msgs_recv"):
@@ -410,10 +422,10 @@ class TestMalformedPlans:
         must refuse to execute, at either width."""
         kinds = set(analyze_plan(bad, sf).counts())
         if not kinds:
-            for fuse in (False, True):
+            for monitor in (EveryTask(), None):
                 sim = Simulator(bad.px * bad.py)
                 with pytest.raises(CommError):
-                    execute_grid_plan(bad, sf, sim, fuse=fuse)
+                    execute_grid_plan(bad, sim, monitor=monitor)
                 kinds.add("CommError")
         return kinds
 
@@ -450,10 +462,10 @@ class TestMalformedPlans:
         words[np.flatnonzero(A.ev_kind == MSG)[0]] = -4.0
         bad = self.poke(plan, ev_val=words)
         assert self.outcome(bad, sf) == {"inconsistent-arrays"}
-        for fuse in (False, True):
+        for monitor in (EveryTask(), None):
             sim = Simulator(plan.px * plan.py)
             with pytest.raises(CommError, match="non-negative"):
-                execute_grid_plan(bad, sf, sim, fuse=fuse)
+                execute_grid_plan(bad, sim, monitor=monitor)
 
     def test_rank_outside_the_grid(self, lu2d):
         plan, sf = lu2d
@@ -464,7 +476,7 @@ class TestMalformedPlans:
         assert "rank-escape" in self.outcome(bad, sf)
         sim = Simulator(plan.px * plan.py)
         with pytest.raises(CommError):      # and it cannot be booked
-            execute_grid_plan(bad, sf, sim, fuse=True)
+            execute_grid_plan(bad, sim)
         assert not any(sim.clock)
 
 
@@ -533,15 +545,15 @@ class TestPickling:
         plan, sf = lu2d
         cold = len(pickle.dumps(plan))
         plan.arrays.k_ptr                 # materialise the kernel cuts ...
-        execute_grid_plan(plan, sf, Simulator(6), fuse=True)  # ... and stream
+        execute_grid_plan(plan, Simulator(6))  # ... and stream
         assert {"stream", "k_ptr"} <= set(plan.arrays.__dict__)
         assert len(pickle.dumps(plan)) == cold
         clone = pickle.loads(pickle.dumps(plan))
         assert not {"stream", "k_ptr"} & set(clone.arrays.__dict__)
         assert_arrays_equal(plan.arrays, clone.arrays)
         sims = [Simulator(6), Simulator(6)]
-        execute_grid_plan(plan, sf, sims[0], fuse=True)
-        execute_grid_plan(clone, sf, sims[1], fuse=True)
+        execute_grid_plan(plan, sims[0])
+        execute_grid_plan(clone, sims[1])
         assert ledger_state(sims[0]) == ledger_state(sims[1])
 
 

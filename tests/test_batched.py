@@ -337,7 +337,7 @@ class TestBufferPeak:
             sim = Simulator(4)
             if charge:
                 sim.alloc_batch(np.arange(4), static)
-            execute_grid_plan(plan, sf, sim)
+            execute_grid_plan(plan, sim)
             return sim
 
         sim_charged, sim_plain = run(True), run(False)

@@ -10,10 +10,11 @@ cut points and derived columns included, and dropping a dep edge still
 trips the race detector. (This file keeps its name from the compile pass
 those guarantees were first pinned for.)
 
-The drivers decide the width from what they observe (``resolve_exec``), so
-the width-1 driver run here is the one a simulator with an (empty) fault
-injector gets; the plan-level identity goes through
-``execute_grid_plan(fuse=...)`` and the fuzzer's ``canonical_ledger``.
+The resilience monitor is the one observer that cuts the walk at every
+task, so the width-1 driver run here is a monitored one that never
+checkpoints (``tests.conftest.width1_options``); the plan-level identity
+goes through the fuzzer's ``canonical_ledger``, whose units are tasks or
+same-kind runs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify import analyze_plan, drop_dep_edge, fuzz_3d
 from repro.verify.oracle import ledger_state
-from tests.conftest import one_layer, width1_simulator
+from tests.conftest import one_layer, width1_options
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +58,13 @@ def _opts(**kw) -> FactorOptions:
     return FactorOptions(**kw)
 
 
-def _sim(nranks: int, per_task: bool) -> Simulator:
-    return width1_simulator(nranks) if per_task else Simulator(nranks)
+def _width(per_task: bool) -> FactorOptions:
+    return width1_options() if per_task else _opts()
 
 
 def assert_equivalent(run, compare_factors=True):
-    """Run ``run(per_task)`` at full width (plain simulator) and at width 1
-    (a fault injector observes per-task events); demand bit-identity."""
+    """Run ``run(per_task)`` at full width (plain options) and at width 1
+    (the resilience monitor watches every task); demand bit-identity."""
     sim_c, res_c = run(False)
     sim_u, res_u = run(True)
     assert ledger_state(sim_c) == ledger_state(sim_u)
@@ -81,8 +82,9 @@ class TestCompiledBitIdentity:
         sf, _ = planar
 
         def run(per_task):
-            sim = _sim(6, per_task)
-            res = factor_3d(sf, *one_layer(sf, 2, 3), sim, numeric=False)
+            sim = Simulator(6)
+            res = factor_3d(sf, *one_layer(sf, 2, 3), sim, numeric=False,
+                            options=_width(per_task))
             return sim, res
 
         res_c, res_u = assert_equivalent(run, compare_factors=False)
@@ -97,8 +99,9 @@ class TestCompiledBitIdentity:
         grid3 = ProcessGrid3D(2, 2, 4)
 
         def run(per_task):
-            sim = _sim(grid3.size, per_task)
-            res = factor_3d(sf, tf, grid3, sim, numeric=numeric)
+            sim = Simulator(grid3.size)
+            res = factor_3d(sf, tf, grid3, sim, numeric=numeric,
+                            options=_width(per_task))
             return sim, res
 
         res_c, res_u = assert_equivalent(run, compare_factors=numeric)
@@ -114,8 +117,9 @@ class TestCompiledBitIdentity:
         grid3 = ProcessGrid3D(2, 2, 4)
 
         def run(per_task):
-            sim = _sim(grid3.size, per_task)
-            res = factor_3d_merged(sf, tf, grid3, sim, numeric=True)
+            sim = Simulator(grid3.size)
+            res = factor_3d_merged(sf, tf, grid3, sim, numeric=True,
+                                   options=_width(per_task))
             return sim, res
 
         res_c, _ = assert_equivalent(run, compare_factors=False)
@@ -126,8 +130,9 @@ class TestCompiledBitIdentity:
         grid3 = ProcessGrid3D(2, 2, 2)
 
         def run(per_task):
-            sim = _sim(grid3.size, per_task)
-            res = factor_chol_3d(sf, tf, grid3, sim, numeric=True)
+            sim = Simulator(grid3.size)
+            res = factor_chol_3d(sf, tf, grid3, sim, numeric=True,
+                                 options=_width(per_task))
             return sim, res
 
         res_c, _ = assert_equivalent(run)
@@ -139,7 +144,7 @@ class TestCompiledBitIdentity:
         from repro.verify.fuzz import _plan3d_units
         sf, tf = planar
         plan3 = build_3d_plan(sf, tf, ProcessGrid3D(2, 2, 4), _opts())
-        units, _ = _plan3d_units(plan3, fuse=True)
+        units, _ = _plan3d_units(plan3, runs=True)
         seen: set = set()
         for u in units:
             assert u.deps <= seen, "full-width unit has a forward dep"
@@ -149,8 +154,6 @@ class TestCompiledBitIdentity:
         """The retired ``bench_compile`` bars, as deterministic
         assertions on its input (``grid2d_5pt(48)``, leaf 8, 2x2x8):
         full-width dispatches <= tasks / 3, ledgers equal at both widths."""
-        from repro.lu3d.factor3d import (CostOnlyData, Factor3DResult,
-                                         _execute_plan3d)
         A, geom = grid2d_5pt(48)
         sf = symbolic_factorize(A, geom, leaf_size=8)
         tf = greedy_partition(sf, 8)
@@ -160,10 +163,10 @@ class TestCompiledBitIdentity:
         assert st.n_tasks_before == plan3.n_tasks
         assert st.n_tasks_after * 3 <= st.n_tasks_before
         ledgers = []
-        for fuse in (True, False):
+        for per_task in (False, True):
             sim = Simulator(grid3.size)
-            _execute_plan3d(plan3, sf, sim, Factor3DResult(tf), _opts(),
-                            None, CostOnlyData(), fuse=fuse)
+            factor_3d(sf, tf, grid3, sim, numeric=False,
+                      options=_width(per_task))
             ledgers.append(ledger_state(sim))
         assert ledgers[0] == ledgers[1]
 
@@ -215,7 +218,7 @@ class TestCompiledStatic:
         sf, _ = planar
         rep_u = fuzz_3d(sf, *one_layer(sf, 2, 3), numeric=True, n_orders=6)
         rep_c = fuzz_3d(sf, *one_layer(sf, 2, 3), numeric=True, n_orders=6,
-                        fuse=True)
+                        runs=True)
         assert rep_c.ok, rep_c.summary()
         # Full-width runs serialize the single-grid pipeline into a chain,
         # so the identity order may be the only legal one here; the
@@ -229,7 +232,7 @@ class TestCompiledStatic:
         grid3 = ProcessGrid3D(2, 2, 4)
         rep_u = fuzz_3d(sf, tf, grid3, numeric=True, n_orders=6)
         rep_c = fuzz_3d(sf, tf, grid3, numeric=True, n_orders=6,
-                        fuse=True)
+                        runs=True)
         assert rep_c.ok, rep_c.summary()
         assert rep_c.n_perturbed > 0, "3D full-width fuzz was vacuous"
         assert rep_c.canonical_ledger == rep_u.canonical_ledger

@@ -148,8 +148,8 @@ class TestCrossReferences:
             GridThreads,
             LevelStats,
             ParallelFallback,
+            resolve_threads,
         )
-        from repro.plan import ExecMode, resolve_exec  # noqa: F401
         from repro.solve import condest, equilibrate  # noqa: F401
         from repro.symbolic import block_nnz_tables  # noqa: F401
 
@@ -208,6 +208,7 @@ class TestCrossReferences:
         "accel_aware", "accel_panel_ranks", "pair_offload_words",
         "_book_offloading", "offloaded_updates", "accel_clock",
         "comm/accelerator",
+        "ExecMode", "resolve_exec", "plan/execmode", "plan.execmode",
     )
 
     def test_no_deleted_name_survives(self):
@@ -268,23 +269,20 @@ class TestOnePlanForm:
                          "from_records", "schur_pair_costs"):
                 assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
-    def test_fuse_only_selects_cut_points(self):
-        """Nothing in the program branches on ``fuse`` except the cut-point
-        selector, the unmonitored full-width walk (one kernel dispatch
-        and one booking per plan), what the one walk hands it — the whole
-        level or its grid slices — and the record of which width ran."""
-        branch = re.compile(r"\bif\s+(not\s+)?(\w+\.)?fuse\b"
-                            r"|\b(\w+\.)?fuse\s+(else|and|or)\b")
+    def test_only_the_monitor_selects_the_width(self):
+        """No width flag is left: the walk's width follows from whether the
+        resilience monitor watches — with none, the one walk hands a whole
+        level to the interpreter and the interpreter runs and books it as
+        one slice — and nothing outside the simulator reads its fault
+        injector."""
+        width = re.compile(r"\bfuse\b|\bsim\.faults\b|\bif monitor is None")
         hits = sorted(
-            f"{path.relative_to(self.SRC)}: {line.strip()}"
-            for path in self.SRC.rglob("*.py")
-            for line in path.read_text().splitlines() if branch.search(line))
+            f"{path.relative_to(self.SRC)}: {line.split('#')[0].strip()}"
+            for path in self.SRC.rglob("*.py") if path.name != "simulator.py"
+            for line in path.read_text().splitlines() if width.search(line))
         assert hits == [
-            "lu3d/factor3d.py: if mode.fuse:",
-            "lu3d/factor3d.py: parts = [step] if fuse else step.grid_plans",
-            "plan/arrays.py: return self.runs.tolist() if fuse "
-            "else list(range(self.n_tasks + 1))",
-            "plan/interpret.py: if fuse and monitor is None:"]
+            "lu3d/factor3d.py: if monitor is None and parts:",
+            "plan/interpret.py: if monitor is None:"]
 
     def test_one_task_body(self):
         """``run`` is the only function that dispatches a grid task's
@@ -380,7 +378,8 @@ class TestOnePlanForm:
         walk = (self.SRC / "lu3d" / "factor3d.py").read_text() \
             .split("def _execute_plan3d(")[1].split("\ndef ")[0]
         assert "for gp in step.grid_plans" not in walk
-        assert "parts = [step] if fuse else step.grid_plans" in walk
+        assert "if monitor is None and parts:" in walk
+        assert "parts = [step]" in walk
         assert "while gi < len(parts):" in walk
         assert walk.count("execute_grid_plan(") == 1
         assert "execute_reduces(step" in walk and "execute_reduce(" not in walk

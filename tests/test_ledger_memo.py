@@ -37,7 +37,7 @@ from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify import ledger_state
-from tests.conftest import width1_simulator
+from tests.conftest import per_event_simulator
 
 
 def state(sim) -> str:
@@ -168,7 +168,7 @@ class TestWhenItApplies:
         sim = {"trace": lambda: Simulator(4, trace=Trace()),
                "topology": lambda: Simulator(
                    4, topology=UniformTopology()),
-               "faults": lambda: width1_simulator(4),
+               "faults": lambda: per_event_simulator(4),
                "subclass": lambda: Sub(4)}[observed]()
         calls = []
         sim.compute = lambda *a, **kw: calls.append(a)

@@ -21,7 +21,12 @@ from repro.comm.collectives import reduce_pairwise
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
-from repro.parallel import LevelStats, ParallelFallback, resolve_workers
+from repro.parallel import (
+    LevelStats,
+    ParallelFallback,
+    resolve_threads,
+    resolve_workers,
+)
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
@@ -231,6 +236,37 @@ class TestEngineMachinery:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
             FactorOptions(n_workers=-2)
+
+
+class TestResolveThreads:
+    """The thread decision, case by case, without running anything: threads
+    only on a full-width walk, only numeric, only with more than one
+    resolved worker — else a ``ParallelFallback`` saying why."""
+
+    def test_one_worker_asks_for_nothing(self):
+        for full_width in (False, True):
+            for numeric in (False, True):
+                assert resolve_threads(1, full_width=full_width,
+                                       numeric=numeric) == (1, None)
+
+    def test_pool_engages_with_resolved_count(self):
+        assert resolve_threads(3, full_width=True, numeric=True) == (3, None)
+
+    def test_monitored_run_stays_serial(self):
+        n, fb = resolve_threads(2, full_width=False, numeric=True)
+        assert n == 1 and fb.requested_workers == 2
+        assert "width-1" in fb.reason and "resilience" in fb.reason
+
+    def test_cost_only_stays_serial(self):
+        n, fb = resolve_threads(2, full_width=True, numeric=False)
+        assert n == 1 and "cost-only" in fb.reason
+
+    def test_one_resolved_worker_is_a_fallback(self, monkeypatch):
+        import os
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        n, fb = resolve_threads(0, full_width=True, numeric=True)
+        assert n == 1 and "single worker" in fb.reason
+        assert fb.requested_workers == 0
 
 
 class TestSendrecvBatch:

@@ -272,7 +272,7 @@ class TestPlanPlumbing:
         sims = []
         for _ in range(2):
             sim = Simulator(grid.size, Machine.edison_like())
-            execute_grid_plan(plan, sf, sim)
+            execute_grid_plan(plan, sim)
             sims.append(sim)
         assert ledger_state(sims[0]) == ledger_state(sims[1])
 

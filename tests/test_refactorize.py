@@ -387,25 +387,25 @@ class TestRefactorizeInteractions:
         assert np.linalg.norm(A2 @ x - b) / np.linalg.norm(b) < 1e-12
 
     def test_unfused_replay_matches_cold(self, stepping_pair):
-        """A bundle replayed under a fault injector takes the unfused walk
-        (``resolve_exec``: injector => no fusion) and must still match a
-        cold run observed the same way — and the fused run's ledger — bit
-        for bit."""
-        from repro import ProcessGrid3D
+        """A bundle replayed under the resilience monitor takes the width-1
+        walk and must still match a cold run monitored the same way — and
+        the full-width run's ledger — bit for bit."""
+        from repro import ProcessGrid3D, Simulator
         from repro.lu3d import factor_3d
-        from tests.conftest import width1_simulator
+        from tests.conftest import width1_options
         A1, A2, g, _ = stepping_pair
         solver = SparseLU3D(A1, geometry=g, px=2, py=2, pz=2, leaf_size=24)
         solver.factorize()
         sf, tf = solver.sf, solver.tf
         grid3 = ProcessGrid3D(2, 2, 2)
         A2p = sf.perm.apply_matrix(A2)
+        opts = width1_options(solver.options)
         sims = {}
         for label, cached in (("warm", solver.result.bundle), ("cold", None)):
-            sims[label] = width1_simulator(grid3.size, solver.machine)
+            sims[label] = Simulator(grid3.size, solver.machine)
             res = factor_3d(sf, tf, grid3, sims[label], matrix=A2p,
-                            cached=cached)
-            assert res.compiled is None  # observed per task: unfused walk
+                            cached=cached, options=opts)
+            assert res.compiled is None  # monitored per task: width 1
         assert ledger_state(sims["warm"]) == ledger_state(sims["cold"])
         solver.refactorize(A2)  # fused replay of the same bundle
         assert solver.result.compiled is not None

@@ -10,6 +10,11 @@ Three invariant families:
 * **Determinism** — the same fault plan perturbs two runs (and any
   worker-count setting, which falls back to the serial walk)
   bit-identically; ``golden_resilience.json`` pins 96 faulted runs.
+* **One width rule** — the engine is the one observer of task boundaries:
+  a run it watches walks task by task and keeps its levels serial, every
+  other run — traced, under a topology or a hand-attached fault injector
+  — walks full width and may fan out, and every combination of options
+  books the serial reference ledger.
 * **Recovery correctness** — a grid crash at every ancestor level, under
   both policies, completes with factors within 1e-12 of the fault-free
   run and nonzero finite recovery overhead.
@@ -17,28 +22,39 @@ Three invariant families:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from repro.analysis import format_resilience_stats
+from repro.analysis import Trace, format_resilience_stats
 from repro.cholesky import factor_chol_3d
-from repro.comm import Machine, ProcessGrid3D, Simulator
+from repro.comm import (
+    DragonflyTopology,
+    Machine,
+    ProcessGrid3D,
+    Simulator,
+    UniformTopology,
+)
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
-from repro.parallel import ParallelFallback
+from repro.parallel import LevelStats, ParallelFallback, resolve_workers
 from repro.resilience import (
     FAULT_KINDS,
     Fault,
+    FaultInjector,
     FaultPlan,
     ResilienceEngine,
     ResilienceStats,
 )
-from repro.sparse import grid2d_5pt
-from repro.verify import ledger_state
+from repro.sparse import grid2d_5pt, grid3d_7pt
+from repro.symbolic import symbolic_factorize
+from repro.tree import greedy_partition
+from repro.verify import fuzz_3d, ledger_state
+from tests.conftest import per_event_simulator, width1_options
 from tests.test_plan import assert_matches_golden, planar_setup, spd_setup
 
 #: A crash fault armed at a time no run reaches — hooks the resilience
@@ -462,13 +478,12 @@ class TestSerialization:
         assert ledgers[1] == ledgers[2]
 
     def test_decision_table_never_pairs_pool_with_fault_plan(self):
-        from repro import Simulator
-        from repro.plan import resolve_exec
         opts = FactorOptions(fault_plan=FaultPlan((Fault("slow"),)),
                              n_workers=2)
-        mode = resolve_exec(opts, Simulator(4), numeric=True)
-        assert not mode.fuse and mode.n_workers == 1
-        assert "serial" in mode.fallback.reason
+        _, _, _, res = lu3d_run(options=opts)
+        assert res.compiled is None             # the monitor: width 1
+        (fb,) = res.parallel_stats
+        assert isinstance(fb, ParallelFallback) and "serial" in fb.reason
 
 
 class TestReporting:
@@ -514,3 +529,236 @@ class TestReporting:
             else 1
         assert same
         assert diff > 0
+
+
+# -- one width rule: the monitor decides it ---------------------------------
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tests.conftest import _symbolic  # noqa: E402
+
+PZ = 2
+GRID3 = ProcessGrid3D(2, 1, PZ)
+MACHINE = Machine.edison_like()
+ATTACHMENTS = ("none", "trace", "topology", "faults")
+DRIVERS = ("lu", "merged", "cholesky")
+FAULT_PLANS = {
+    "none": None,
+    "slow": FaultPlan((Fault("slow", rank=0, slow_factor=2.0),)),
+    "crash": FaultPlan((Fault("crash", grid=0, level=1),)),
+}
+
+
+def make_sim(attachment: str) -> Simulator:
+    """A simulator carrying one ledger-neutral attachment."""
+    if attachment == "trace":
+        return Simulator(GRID3.size, MACHINE, trace=Trace())
+    if attachment == "topology":
+        return Simulator(GRID3.size, MACHINE, topology=UniformTopology())
+    if attachment == "faults":
+        return per_event_simulator(GRID3.size, MACHINE)
+    return Simulator(GRID3.size, MACHINE)
+
+
+def setup_for(driver: str, blocking: str):
+    sf = _symbolic(12, 16, driver == "cholesky", blocking)
+    return sf, greedy_partition(sf, PZ)
+
+
+def run_driver(driver: str, sf, tf, sim, numeric: bool, opts: FactorOptions):
+    if driver == "merged":
+        return factor_3d_merged(sf, tf, GRID3, sim, numeric=numeric,
+                                options=opts)
+    fn = factor_chol_3d if driver == "cholesky" else factor_3d
+    return fn(sf, tf, GRID3, sim, numeric=numeric, options=opts)
+
+
+def expect_fallback(opts, driver, numeric) -> bool:
+    """The three stay-serial reasons: a monitored (width-1) run, a
+    cost-only run, one resolved worker — for every driver, merged
+    included. A trace, a topology or a hand-attached injector is none of
+    them."""
+    if opts.n_workers == 1:
+        return False
+    return opts.resilience_active() or not numeric \
+        or resolve_workers(opts.n_workers) <= 1
+
+
+_reference_cache: dict = {}
+
+
+def reference_ledger(driver, numeric, opts: FactorOptions) -> dict:
+    """The serial reference of ``opts``' ledger-relevant part: the
+    fuzzer's identity order (one unit per task) for plain runs, the
+    serial unattached run for resilient ones (faults and checkpoints
+    change the ledger by design)."""
+    key = (driver, numeric, opts.lookahead, opts.sparse_bcast,
+           opts.compact_comm, opts.blocking,
+           opts.fault_plan, opts.checkpoint_every, opts.recovery)
+    if key not in _reference_cache:
+        sf, tf = setup_for(driver, opts.blocking)
+        serial = dataclasses.replace(opts, n_workers=1)
+        if opts.resilience_active():
+            sim = make_sim("none")
+            run_driver(driver, sf, tf, sim, numeric, serial)
+            ledger = ledger_state(sim)
+        else:
+            ledger = fuzz_3d(
+                sf, tf, GRID3, numeric=numeric, n_orders=0, options=serial,
+                machine=MACHINE, merged=driver == "merged",
+                backend="cholesky" if driver == "cholesky" else "lu",
+            ).canonical_ledger
+        _reference_cache[key] = ledger
+    return _reference_cache[key]
+
+
+@st.composite
+def cases(draw):
+    fault = draw(st.sampled_from(sorted(FAULT_PLANS)))
+    opts = FactorOptions(
+        lookahead=draw(st.sampled_from([0, 8])),
+        pivot_eps=draw(st.sampled_from([1e-10, 1e-8])),
+        sparse_bcast=draw(st.booleans()),
+        n_workers=draw(st.sampled_from([1, 2, 0])),
+        fault_plan=FAULT_PLANS[fault],
+        checkpoint_every=draw(st.sampled_from([0, 7])),
+        recovery=draw(st.sampled_from(["restart", "z-replica"])),
+        compact_comm=draw(st.booleans()),
+        blocking=draw(st.sampled_from(["uniform", "irregular"])))
+    return (opts, draw(st.sampled_from(ATTACHMENTS)),
+            draw(st.sampled_from(DRIVERS)), draw(st.booleans()))
+
+
+class TestOneWidthRule:
+    """The whole observable input space — the nine ``FactorOptions``
+    fields × what is attached to the simulator × the driver × numeric /
+    cost-only — and every combination books the serial reference ledger
+    bit for bit, recording a ``ParallelFallback`` exactly when it asked
+    for threads it cannot use. The attachments are ledger-neutral by
+    construction (an empty trace, a uniform topology, an injector with no
+    faults), so one reference serves them all."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=list(HealthCheck))
+    @given(cases())
+    def test_every_combination_matches_reference_raises_or_falls_back(
+            self, case):
+        opts, attachment, driver, numeric = case
+        sf, tf = setup_for(driver, opts.blocking)
+        sim = make_sim(attachment)
+        res = run_driver(driver, sf, tf, sim, numeric, opts)
+        assert ledger_state(sim) == reference_ledger(driver, numeric, opts)
+        fallbacks = [p for p in res.parallel_stats
+                     if isinstance(p, ParallelFallback)]
+        levels = [p for p in res.parallel_stats if isinstance(p, LevelStats)]
+        if expect_fallback(opts, driver, numeric):
+            assert len(fallbacks) == 1 and not levels
+            assert fallbacks[0].requested_workers == opts.n_workers
+        else:
+            assert not fallbacks
+            assert bool(levels) == (opts.n_workers != 1)
+
+    @pytest.mark.parametrize("compact", [False, True],
+                             ids=["dense", "compact"])
+    @pytest.mark.parametrize("observer", [*ATTACHMENTS, "monitor"])
+    def test_width_follows_what_observes(self, observer, compact):
+        """Only the resilience monitor cuts the walk at every task: a
+        trace, a topology and a fault injector are fed event by event
+        inside ``Simulator.book``, so their runs walk full width — same
+        plan object, same ledger, either pricing."""
+        opts = FactorOptions(compact_comm=compact,
+                             checkpoint_every=7 if observer == "monitor" else 0)
+        sf, tf = setup_for("lu", "uniform")
+        sim = make_sim("none" if observer == "monitor" else observer)
+        res = run_driver("lu", sf, tf, sim, True, opts)
+        assert (res.compiled is not None) == (observer != "monitor")
+        assert res.plan is res.bundle.plan3
+        assert ledger_state(sim) == reference_ledger("lu", True, opts)
+
+    @pytest.mark.parametrize("observer", ["trace", "topology"])
+    def test_observed_threaded_run_is_the_serial_run(self, observer):
+        """A traced run and one under a (ledger-changing) topology fan their
+        levels out on threads like a plain run — ``LevelStats``, no
+        fallback — and book the serial run's trace, ledger and factors
+        exactly."""
+        sf, tf = setup_for("lu", "uniform")
+        runs = []
+        for nw in (1, 2):
+            sim = Simulator(GRID3.size, MACHINE, trace=Trace()) \
+                if observer == "trace" else Simulator(
+                    GRID3.size, MACHINE, topology=DragonflyTopology(2, 1))
+            runs.append((sim, run_driver("lu", sf, tf, sim, True,
+                                         FactorOptions(n_workers=nw))))
+        (sim_s, res_s), (sim_p, res_p) = runs
+        assert [type(p) for p in res_p.parallel_stats] == [LevelStats]
+        assert ledger_state(sim_p) == ledger_state(sim_s)
+        assert np.array_equal(res_p.factors().to_dense(),
+                              res_s.factors().to_dense())
+        if observer == "trace":
+            assert sim_s.trace.events and \
+                sim_p.trace.events == sim_s.trace.events
+
+
+#: Mechanical faults on a hand-attached injector: wildcard drops and
+#: delays (every message matches until the budget is spent), one
+#: destination, every rank slowed.
+INJECTED = {
+    "drop-any": (Fault("drop", n_messages=3), Fault("drop", n_messages=300)),
+    "delay-any": (Fault("delay", delay=1e-4, n_messages=50),),
+    "dst3": (Fault("drop", dst=3, n_messages=5),
+             Fault("delay", dst=3, delay=2e-4, n_messages=5)),
+    "slow-all": (Fault("slow", slow_factor=4.0),),
+}
+
+
+class TestInjectorWalksFullWidth:
+    """A fault injector perturbs events inside ``Simulator.book``'s
+    per-event path whatever the cut points, so a run it is attached to by
+    hand (no resilience monitor) walks full width and books exactly what
+    the per-task walk books."""
+
+    @staticmethod
+    def run(sf, tf, grid3, faults, numeric, opts):
+        sim = Simulator(grid3.size, MACHINE)
+        injector = FaultInjector(FaultPlan(faults), sim.machine)
+        sim.attach_faults(injector)
+        res = factor_3d(sf, tf, grid3, sim, numeric=numeric, options=opts)
+        assert injector.n_fired_faults() > 0
+        return sim, res
+
+    @pytest.mark.parametrize("numeric", [False, True],
+                             ids=["cost-only", "numeric"])
+    @pytest.mark.parametrize("spec", sorted(INJECTED))
+    @pytest.mark.parametrize("make", [lambda: grid2d_5pt(16),
+                                      lambda: grid3d_7pt(6)],
+                             ids=["planar", "non-planar"])
+    def test_full_width_is_the_per_task_walk(self, make, spec, numeric):
+        A, g = make()
+        sf = symbolic_factorize(A, g, leaf_size=16)
+        tf, grid3 = greedy_partition(sf, 4), ProcessGrid3D(2, 2, 4)
+        sim_w, wide = self.run(sf, tf, grid3, INJECTED[spec], numeric,
+                               FactorOptions())
+        sim_1, unit = self.run(sf, tf, grid3, INJECTED[spec], numeric,
+                               width1_options())
+        assert wide.compiled is not None and unit.compiled is None
+        assert ledger_state(sim_w) == ledger_state(sim_1)
+        if numeric:
+            assert np.array_equal(wide.factors().to_dense(),
+                                  unit.factors().to_dense())
+
+    def test_threads_engage_and_book_the_serial_ledger(self):
+        sf, tf = planar_setup(14, 16, 4)
+        grid3 = ProcessGrid3D(2, 2, 4)
+        faults = INJECTED["drop-any"] + INJECTED["delay-any"]
+        sim_s, serial = self.run(sf, tf, grid3, faults, True, FactorOptions())
+        sim_p, pooled = self.run(sf, tf, grid3, faults, True,
+                                 FactorOptions(n_workers=2))
+        assert serial.parallel_stats == []
+        assert pooled.parallel_stats and all(
+            isinstance(p, LevelStats) for p in pooled.parallel_stats)
+        assert ledger_state(sim_p) == ledger_state(sim_s)
+        assert np.array_equal(pooled.factors().to_dense(),
+                              serial.factors().to_dense())

@@ -99,25 +99,19 @@ class TestSimulatorIntegration:
 
 
 class TestTraceDoesNotSelectTheWalk:
-    """A traced run walks the plan's full-width runs like an untraced one;
-    forcing it onto the per-task walk changes only the append order of
-    ``Trace.events`` (ranks interleave differently, each rank's own
-    timeline does not)."""
+    """A traced run walks the plan at full width like an untraced one;
+    putting it on the per-task walk (a resilience monitor that never
+    checkpoints) changes only the append order of ``Trace.events`` (ranks
+    interleave differently, each rank's own timeline does not)."""
 
     @staticmethod
-    def run(sf, tf, numeric, fuse, monkeypatch):
-        import dataclasses
-
-        from repro.lu3d import factor3d
+    def run(sf, tf, numeric, full):
         from repro.verify.oracle import ledger_state
-        real = factor3d.resolve_exec
-        with monkeypatch.context() as m:
-            m.setattr(factor3d, "resolve_exec", lambda *a, **kw:
-                      dataclasses.replace(real(*a, **kw), fuse=fuse))
-            trace = Trace()
-            sim = Simulator(8, Machine.edison_like(), trace=trace)
-            res = factor_3d(sf, tf, ProcessGrid3D(2, 2, 2), sim,
-                            numeric=numeric)
+        from tests.conftest import width1_options
+        trace = Trace()
+        sim = Simulator(8, Machine.edison_like(), trace=trace)
+        res = factor_3d(sf, tf, ProcessGrid3D(2, 2, 2), sim, numeric=numeric,
+                        options=None if full else width1_options())
         return res, ledger_state(sim), trace
 
     @pytest.mark.parametrize("numeric", [False, True],
@@ -125,13 +119,12 @@ class TestTraceDoesNotSelectTheWalk:
     @pytest.mark.parametrize("make", [lambda: grid2d_5pt(12),
                                       lambda: grid3d_7pt(6)],
                              ids=["planar", "non-planar"])
-    def test_same_ledger_and_timelines_at_both_widths(self, make, numeric,
-                                                      monkeypatch):
+    def test_same_ledger_and_timelines_at_both_widths(self, make, numeric):
         A, g = make()
         sf = symbolic_factorize(A, g, leaf_size=16)
         tf = greedy_partition(sf, 2)
-        wide, ledger_w, trace_w = self.run(sf, tf, numeric, True, monkeypatch)
-        unit, ledger_1, trace_1 = self.run(sf, tf, numeric, False, monkeypatch)
+        wide, ledger_w, trace_w = self.run(sf, tf, numeric, True)
+        unit, ledger_1, trace_1 = self.run(sf, tf, numeric, False)
         assert wide.compiled is not None and unit.compiled is None
         assert ledger_w == ledger_1
         assert trace_w.to_rows() == trace_1.to_rows()

@@ -49,7 +49,7 @@ from repro.verify import (
     ledger_state,
     verify_factors,
 )
-from tests.conftest import one_layer, plan_tasks, reassembled
+from tests.conftest import one_layer, plan_tasks, reassembled, width1_options
 from tests.test_plan import planar_setup, spd_setup
 
 OPTION_POINTS = {
@@ -418,7 +418,7 @@ class TestFuzzer:
         assert rep.canonical_ledger == ledger_state(sim)
 
 
-@pytest.mark.parametrize("fuse", [False, True], ids=["width1", "fullwidth"])
+@pytest.mark.parametrize("full", [False, True], ids=["width1", "fullwidth"])
 @pytest.mark.parametrize("compact", [False, True], ids=["dense", "compact"])
 class TestVerifyStackBothVolumes:
     """Analyzer + fuzz + conservation on every driver shape, in dense and
@@ -429,7 +429,7 @@ class TestVerifyStackBothVolumes:
                "cholesky": {"backend": "cholesky"}}
 
     @pytest.mark.parametrize("driver", sorted(DRIVERS))
-    def test_3d(self, planar2, spd2, driver, compact, fuse):
+    def test_3d(self, planar2, spd2, driver, compact, full):
         sf, tf = spd2 if driver == "cholesky" else planar2
         grid3 = ProcessGrid3D(2, 2, 2)
         opts = FactorOptions(compact_comm=compact)
@@ -438,28 +438,28 @@ class TestVerifyStackBothVolumes:
         report = analyze_plan(plan, sf)
         assert report.ok and report.n_pairs_checked > 0, report.summary()
         rep = fuzz_3d(sf, tf, grid3, n_orders=FAST_FUZZ, seed=17,
-                      options=opts, fuse=fuse, numeric=True, **kw)
+                      options=opts, runs=full, numeric=True, **kw)
         assert rep.ok, rep.summary()
         # The fuzzer's canonical run at this width is the driver's run
-        # (plain simulator: full width; empty fault injector: width 1), and
+        # (plain options: full width; a resilience monitor: width 1), and
         # that run conserves against the plan's static cost model.
-        from tests.conftest import width1_simulator
-        sim = Simulator(grid3.size) if fuse else width1_simulator(grid3.size)
+        sim = Simulator(grid3.size)
         fn = {"lu": factor_3d, "merged": factor_3d_merged,
               "cholesky": factor_chol_3d}[driver]
-        res = fn(sf, tf, grid3, sim, numeric=True, options=opts)
-        assert (res.compiled is not None) == fuse
+        res = fn(sf, tf, grid3, sim, numeric=True,
+                 options=opts if full else width1_options(opts))
+        assert (res.compiled is not None) == full
         assert ledger_state(sim) == rep.canonical_ledger
         check_conservation(sim, res.plan)
 
-    def test_2d(self, lu2d_sf, compact, fuse):
+    def test_2d(self, lu2d_sf, compact, full):
         opts = FactorOptions(compact_comm=compact)
         grid = ProcessGrid2D(2, 3)
         plan = build_grid_plan(lu2d_sf, range(lu2d_sf.nb), grid, opts)
         assert analyze_plan(plan, lu2d_sf).ok
         tf, grid3 = one_layer(lu2d_sf, 2, 3)
         rep = fuzz_3d(lu2d_sf, tf, grid3, n_orders=FAST_FUZZ, seed=19,
-                      options=opts, fuse=fuse)
+                      options=opts, runs=full)
         assert rep.ok, rep.summary()
         sim = Simulator(grid.size, Machine.edison_like())
         res = factor_3d(lu2d_sf, tf, grid3, sim, numeric=False, options=opts)
@@ -467,11 +467,11 @@ class TestVerifyStackBothVolumes:
         check_conservation(sim, res.plan)
 
     def test_mutation_still_trips_the_race_detector(self, lu2d_sf, compact,
-                                                    fuse):
+                                                    full):
         plan = build_grid_plan(lu2d_sf, range(lu2d_sf.nb),
                                ProcessGrid2D(2, 3),
                                FactorOptions(compact_comm=compact))
-        mutated, desc = drop_dep_edge(plan, seed=int(fuse))
+        mutated, desc = drop_dep_edge(plan, seed=int(full))
         assert "race" in analyze_plan(mutated, lu2d_sf).counts(), desc
 
 
@@ -483,16 +483,13 @@ class TestOneProgramAnyWalk:
     widths, legal task orders and the grid threads."""
 
     def runs(self, sf, tf, backend, compact, matrix):
-        from tests.conftest import width1_simulator
         grid3 = ProcessGrid3D(2, 2, 2)
+        opts = FactorOptions(compact_comm=compact)
         out = {}
-        for name, sim, workers in (
-                ("fullwidth", Simulator(grid3.size), 1),
-                ("width1", width1_simulator(grid3.size), 1),
-                ("pool", Simulator(grid3.size), 2)):
-            res = factor_3d(sf, tf, grid3, sim, backend=backend, matrix=matrix,
-                            options=FactorOptions(compact_comm=compact,
-                                                  n_workers=workers))
+        for name, o in (("fullwidth", opts), ("width1", width1_options(opts)),
+                        ("pool", dataclasses.replace(opts, n_workers=2))):
+            res = factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                            backend=backend, matrix=matrix, options=o)
             assert (res.compiled is not None) == (name != "width1")
             if name == "pool":
                 assert res.parallel_stats and not any(
@@ -555,8 +552,7 @@ def per_grid_walk(sf, tf, grid3, opts, *, backend="lu", merged=False,
     for step in bundle.plan3.levels:
         sim.set_phase("fact")
         for gp in step.grid_plans:
-            execute_grid_plan(gp, sf, sim, options=opts, fuse=True,
-                              prog=data.program(gp, sf))
+            execute_grid_plan(gp, sim, options=opts, prog=data.program(gp))
         sim.set_phase("red")
         for red in step.reduces:
             execute_reduce(red, sim, accumulate=data.accumulate)
@@ -584,7 +580,6 @@ class TestOneWalkAnyWidthAnyGrouping:
         return sf, tf, fn, kw, matrix
 
     def test_ledgers_and_factors(self, planar4, spd4, variant, compact):
-        from tests.conftest import width1_simulator
         sf, tf, fn, kw, matrix = self.setup(variant, planar4, spd4)
         grid3 = ProcessGrid3D(2, 2, 4)
         opts = FactorOptions(compact_comm=compact)
@@ -602,13 +597,14 @@ class TestOneWalkAnyWidthAnyGrouping:
                                           **kw)
         assert ledger_state(sim_g) == want and np.array_equal(F_g, F)
 
-        sim_1 = width1_simulator(grid3.size)
-        res_1 = fn(sf, tf, grid3, sim_1, numeric=True, options=opts)
+        sim_1 = Simulator(grid3.size)
+        res_1 = fn(sf, tf, grid3, sim_1, numeric=True,
+                   options=width1_options(opts))
         assert res_1.compiled is None
         assert ledger_state(sim_1) == want and np.array_equal(dense(res_1), F)
 
         rep = fuzz_3d(sf, tf, grid3, numeric=True, n_orders=2, seed=29,
-                      options=opts, fuse=True, machine=sim.machine, **kw)
+                      options=opts, runs=True, machine=sim.machine, **kw)
         assert rep.ok and rep.n_perturbed > 0, rep.summary()
         assert rep.canonical_ledger == want
         assert rep.factor_max_dev == 0.0
@@ -671,7 +667,6 @@ class TestDegenerateLevels:
     def test_levels_without_a_grid_plan(self, numeric):
         """One supernode on four layers: its level holds the only grid
         plan, the two above hold none (and no reduce: nothing to sum)."""
-        from tests.conftest import width1_simulator
         A, geom = grid2d_5pt(3)
         sf = symbolic_factorize(A, geom, leaf_size=64)
         tf = greedy_partition(sf, 4)
@@ -686,8 +681,9 @@ class TestDegenerateLevels:
         check_conservation(sim, res.plan)
         sim_g, F_g, _ = per_grid_walk(sf, tf, grid3, FactorOptions(),
                                       numeric=numeric)
-        sim_1 = width1_simulator(grid3.size)
-        res_1 = factor_3d(sf, tf, grid3, sim_1, numeric=numeric)
+        sim_1 = Simulator(grid3.size)
+        res_1 = factor_3d(sf, tf, grid3, sim_1, numeric=numeric,
+                          options=width1_options())
         assert ledger_state(sim) == ledger_state(sim_g) == ledger_state(sim_1)
         if numeric:
             F = res.factors().to_dense()
