@@ -40,7 +40,7 @@ class ReplicaManager:
         self.tf = tf
         self.base = base
         self.blocks_fn = blocks_fn or node_blocks
-        self._programs: dict = {}       # see program()
+        self._programs: dict = {}       # program(), solve_program()
         ptr, ii, jj, _ww = node_block_arrays(sf, self.blocks_fn)
         sizes = sf.layout.sizes()
         rows, size = sizes[ii], sizes[ii] * sizes[jj]
@@ -102,6 +102,21 @@ class ReplicaManager:
                     gp.arrays, self._views[gp.g], self.sf)
             self._programs[gp.arrays] = prog
         return prog
+
+    def solve_program(self, sweeps, plans, shape) -> tuple:
+        """``(work, [(plan, program, stream)])``: ``plans``, the triangular
+        ``sweeps`` ``(down, lower, unit)``, bound on the home copies to one
+        ``(n, nrhs)`` ``shape`` buffer (:func:`repro.solve.triangular.bind`),
+        once per sweeps and ``nrhs``: a solve here is not re-entrant."""
+        from repro.solve.triangular import bind
+        bound = self._programs.get(sweeps)
+        if bound is None or bound[0].shape != shape:
+            work = np.empty(shape)
+            bound = self._programs[sweeps] = (work, [
+                (plan, bind(plan, self.sf, self._home, work, unit),
+                 plan.stream(shape[1]))
+                for plan, (_down, _lower, unit) in zip(plans, sweeps)])
+        return bound
 
     def _segment(self, g: int, v: int) -> np.ndarray:
         buf, lo, hi = self._seg[(g, v)]

@@ -198,6 +198,10 @@ class PlanCache:
                 self._entries.move_to_end(key)
             return entry
 
+    def holds(self, entry: PlanEntry) -> bool:
+        """Whether ``entry`` is cached: one lock-free lookup (finalizers)."""
+        return self._entries.get(entry.key) is entry
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -17,8 +17,10 @@ concurrent clients and executes them on a thread pool against shared
 Worker threads suit this workload: jobs spend their time in numpy/BLAS
 (which release the GIL) and share large read-only state (symbolic
 factorization, plan DAG) that a process pool would have to pickle per
-job. Each job gets its own solver, simulator and replica storage — the
-only shared mutable state is the cache's counters, which take locks.
+job. Each job gets its own solver and simulator, and borrows its entry's
+idle *arena* (replica storage, bound programs) until its ``Factor3DResult``
+is collected (:meth:`FactorizationService._give_back`); the counters and
+the idle list take locks.
 
 The service never equilibrates (``equil`` rescales values per matrix,
 which would break value-independent plan sharing guarantees the cache
@@ -28,7 +30,10 @@ equilibration should use :class:`repro.solve.SparseLU3D` directly).
 
 from __future__ import annotations
 
+import threading
 import time
+import weakref
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,7 +56,9 @@ class JobResult:
     ``build_seconds`` is the symbolic + plan-build cost this request paid
     (0.0 on hits — that is the amortization the service exists for).
     ``solver`` is the per-job solver facade, exposing ``result`` (ledgers,
-    factors) and further ``solve`` calls against the same factorization.
+    factors) and further ``solve`` calls against the same factorization;
+    its arena is the job's until ``solver.result`` is collected, and a
+    ``refactorize`` of it lays out its own.
     """
 
     x: np.ndarray | None
@@ -107,6 +114,10 @@ class FactorizationService:
         self._pool = ThreadPoolExecutor(max_workers=max_workers,
                                         thread_name_prefix="repro-svc")
         self._closed = False
+        #: ``entry.key -> (entry, idle arena)``, least recently returned first
+        self._idle: OrderedDict = OrderedDict()
+        self._idle_lock = threading.RLock()
+        self._max_idle, self._loans = max_workers, 0
 
     # -- client API --------------------------------------------------------
 
@@ -133,18 +144,22 @@ class FactorizationService:
     def stats(self) -> dict:
         """Cache counters + per-entry hit/build/exec split."""
         cs = self.cache.stats()
+        self._prune()
         return {
             "hits": cs.hits,
             "misses": cs.misses,
             "evictions": cs.evictions,
             "entries": cs.entries,
             "hit_ratio": cs.hit_ratio,
+            "arena_loans": self._loans,
+            "idle_arenas": len(self._idle),
             "per_entry": self.cache.entry_stats(),
         }
 
     def close(self) -> None:
         self._closed = True
         self._pool.shutdown(wait=True)
+        self._idle.clear()
 
     def __enter__(self) -> "FactorizationService":
         return self
@@ -185,6 +200,35 @@ class FactorizationService:
         return PlanEntry(key=key, sf=solver.sf, tf=solver.tf,
                          pattern=solver._pattern, bundle=bundle,
                          build_seconds=0.0)
+
+    # -- idle arenas ---------------------------------------------------------
+
+    def _prune(self) -> None:
+        """Drop the idle arenas whose entry has left the cache."""
+        with self._idle_lock:
+            for key, (entry, _arena) in list(self._idle.items()):
+                if not self.cache.holds(entry):
+                    self._idle.pop(key, None)
+
+    def _borrow(self, entry):
+        """``entry``'s idle arena, taken off the list, or ``None``."""
+        self._prune()
+        with self._idle_lock:
+            arena = self._idle.pop(entry.key, (None, None))[1]
+            self._loans += arena is not None
+            return arena
+
+    def _give_back(self, entry, arena) -> None:
+        """A job's result was collected (a finalizer, on any thread: the lock
+        is re-entrant): its arena replaces the entry's idle one; the least
+        recently returned beyond ``max_workers`` are dropped."""
+        with self._idle_lock:
+            if self._closed or not self.cache.holds(entry):
+                return
+            self._idle[entry.key] = (entry, arena)
+            self._idle.move_to_end(entry.key)
+            while len(self._idle) > self._max_idle:
+                self._idle.popitem(last=False)
 
     def _adopt_tuned(self, A, cfg, explicit: frozenset) -> str | None:
         """Overlay the tuning cache's configuration for this pattern.
@@ -235,7 +279,8 @@ class FactorizationService:
         t0 = time.perf_counter()
         solver = self._make_solver(A, cfg)
         solver.adopt(entry.sf, entry.tf, pattern=entry.pattern,
-                     bundle=entry.bundle)
+                     bundle=entry.bundle,
+                     replicas=self._borrow(entry) if cfg["numeric"] else None)
         solver.factorize()
         t1 = time.perf_counter()
         x = residual = None
@@ -245,6 +290,10 @@ class FactorizationService:
                              / max(np.linalg.norm(b), 1e-300))
         t2 = time.perf_counter()
         entry.record_job(t2 - t0, hit)
+        if cfg["numeric"]:      # lent until the result is collected
+            solver._arena = None        # a refactorize lays out its own
+            weakref.finalize(solver.result, self._give_back, entry,
+                             solver.result.replicas)
         return JobResult(
             x=x, residual=residual, cache_hit=hit, fingerprint=key[0],
             build_seconds=0.0 if hit else entry.build_seconds,

@@ -33,7 +33,7 @@ from repro.lu3d.factor3d import Factor3DResult, _factor
 from repro.solve.condest import condest
 from repro.solve.equilibrate import equilibrate
 from repro.solve.refine import RefinementResult, iterative_refinement
-from repro.solve.triangular import bind, run
+from repro.solve.triangular import run
 from repro.sparse.generators import GridGeometry
 from repro.sparse.pattern import same_structure, symmetrize_pattern
 from repro.symbolic.symbolic_factor import SymbolicFactorization, symbolic_factorize
@@ -91,9 +91,8 @@ class _Solver3D:
         self.result: Factor3DResult | None = None
         #: Convergence record of the last refined :meth:`solve`.
         self.last_refinement: RefinementResult | None = None
-        self._factor_blocks = None
-        #: sweeps -> (work, [(plan, program, stream)]) on ``_factor_blocks``.
-        self._solves: dict = {}
+        #: The arena (``ReplicaManager``) the next replay refills, or None.
+        self._arena = None
         #: Pattern the symbolic phase covered (captured at analyze time,
         #: explicitly-stored zeros included) — the containment referee for
         #: :meth:`refactorize`.
@@ -127,7 +126,8 @@ class _Solver3D:
         self._bundle = self._loose = None
         return self
 
-    def adopt(self, sf: SymbolicFactorization, tf, pattern=None, bundle=None):
+    def adopt(self, sf: SymbolicFactorization, tf, pattern=None, bundle=None,
+              replicas=None):
         """Attach a *shared* symbolic factorization + partition.
 
         The :mod:`repro.service` entry point: a cache entry's symbolic
@@ -137,12 +137,15 @@ class _Solver3D:
         number of concurrent solvers can share one entry safely.
         ``pattern`` is the stored-zeros symmetrized pattern the symbolic
         phase covered (computed from the solver's own matrix when omitted).
+        ``replicas`` lends an idle arena laid out for ``bundle`` (the
+        service's pool): the next factorization refills it, as
+        :meth:`refactorize` refills the solver's own.
         """
         self.sf = sf
         self.tf = tf
         self._pattern = pattern if pattern is not None else \
             symmetrize_pattern(self._A_work, stored=True)
-        self._bundle, self._loose = bundle, None
+        self._bundle, self._loose, self._arena = bundle, None, replicas
         return self
 
     def _usable_bundle(self):
@@ -175,20 +178,14 @@ class _Solver3D:
         refuses raise before the solver changes."""
         sim = Simulator(self.grid.size, self.machine)
         cached = self._usable_bundle()
-        replicas = self.result.replicas if cached is not None \
-            and self.result is not None else None
         self.result = _factor(self.sf, self.tf, self.grid, sim,
                               numeric=self.numeric, options=self.options,
                               charge_storage=True, matrix=work,
                               backend=self.backend, merged=False,
-                              cached=cached, replicas=replicas,
-                              perm=self.sf.perm)
+                              cached=cached, perm=self.sf.perm,
+                              replicas=None if cached is None else self._arena)
         self.sim = sim
-        self._bundle = self.result.bundle
-        if self.numeric:
-            blocks = self.result.replicas.home_view()
-            if blocks is not self._factor_blocks:   # a new arena: rebind
-                self._factor_blocks, self._solves = blocks, {}
+        self._bundle, self._arena = self.result.bundle, self.result.replicas
         return self
 
     def refactorize(self, A_new: sp.spmatrix):
@@ -256,15 +253,9 @@ class _Solver3D:
             (self.equ.row_scale, self.equ.col_scale)[::-1 if transposed else 1]
         y = self.sf.perm.apply_vector(b if d_in is None else (d_in * b.T).T)
         sweeps = self.transposed_sweeps if transposed else self.sweeps
-        bound = self._solves.get(sweeps)
-        if bound is None or bound[0].size != y.size:
-            work = np.empty((y.shape[0], y.size // y.shape[0]))
-            bound = self._solves[sweeps] = (work, [
-                (plan, bind(plan, self.sf, self._factor_blocks, work, unit),
-                 plan.stream(work.shape[1]))
-                for plan, (_down, _lower, unit) in zip(
-                    self.solve_plans(sweeps), sweeps)])
-        work, programs = bound
+        work, programs = self.result.replicas.solve_program(
+            sweeps, self.solve_plans(sweeps),
+            (y.shape[0], y.size // y.shape[0]))
         work[...] = y.reshape(work.shape)
         for plan, prog, stream in programs:
             run(plan, prog, stream, self.sim)
@@ -277,7 +268,7 @@ class _Solver3D:
         return x
 
     def _rhs(self, b: np.ndarray, what: str) -> np.ndarray:
-        if self._factor_blocks is None:
+        if self.result is None or self.result.replicas is None:
             raise RuntimeError(
                 f"{what} requires factorize() with numeric=True first")
         return check_rhs(b, self.A.shape[0])

@@ -291,12 +291,12 @@ class TestStrayValues:
                                                        monkeypatch):
         """The sweeps bound before a refused ``refactorize`` stay bound to
         the untouched arena and keep solving the old matrix."""
-        import repro.solve.driver as driver
+        import repro.solve.triangular as triangular
         solver, M = mirrored
         A1 = solver.A
         b = np.ones(A1.shape[0])
         x0 = solver.solve(b)
-        monkeypatch.setattr(driver, "bind", None)       # no rebind allowed
+        monkeypatch.setattr(triangular, "bind", None)   # no rebind allowed
         with pytest.raises(ValueError, match="outside the block pattern"):
             solver.refactorize(M)
         assert np.array_equal(solver.solve(b), x0)
@@ -492,15 +492,15 @@ class TestBoundSolveLifetime:
     @pytest.fixture()
     def binds(self, monkeypatch):
         """``(down, lower) -> number of binds`` of the facades' sweeps."""
-        import repro.solve.driver as driver
+        import repro.solve.triangular as triangular
         counts: dict = {}
-        real = driver.bind
+        real = triangular.bind
 
         def spy(plan, *args):
             key = (plan.down, plan.lower)
             counts[key] = counts.get(key, 0) + 1
             return real(plan, *args)
-        monkeypatch.setattr(driver, "bind", spy)
+        monkeypatch.setattr(triangular, "bind", spy)
         return counts
 
     @pytest.mark.parametrize("cholesky", [False, True], ids=["lu", "chol"])

@@ -6,6 +6,7 @@ agreement. The cache layer is additionally tested for single-build
 semantics under concurrent clients and bounded-LRU eviction.
 """
 
+import gc
 import threading
 
 import numpy as np
@@ -32,6 +33,17 @@ def _perturbed(A, seed):
     rng = np.random.default_rng(seed)
     B.data = B.data * (1.0 + 0.1 * rng.random(B.nnz))
     return ((B + B.T) * 0.5).tocsr()
+
+
+def _count(monkeypatch, calls, owner, name):
+    """Count the calls of ``owner.name`` into ``calls[name]``."""
+    real = getattr(owner, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
 
 
 @pytest.fixture(scope="module")
@@ -224,20 +236,11 @@ class TestServiceFrontend:
         import repro.solve.driver
         import repro.symbolic.symbolic_factor
         calls = {}
-
-        def count(module, name):
-            real = getattr(module, name)
-            calls[name] = 0
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-
-        count(repro.symbolic.symbolic_factor, "nested_dissection")
-        count(repro.solve.driver, "symbolic_factorize")
-        count(repro.solve.driver, "greedy_partition")
-        count(repro.plan.build, "build_3d_plan")
+        for owner, name in ((repro.symbolic.symbolic_factor, "nested_dissection"),
+                            (repro.solve.driver, "symbolic_factorize"),
+                            (repro.solve.driver, "greedy_partition"),
+                            (repro.plan.build, "build_3d_plan")):
+            _count(monkeypatch, calls, owner, name)
         A, geom = problem
         with FactorizationService(geometry=geom, px=2, py=2, pz=2,
                                   leaf_size=16) as svc:
@@ -485,3 +488,152 @@ class TestZeroColumnRhs:
             with pytest.raises(ValueError, match=r"got \(144, 0\)"):
                 svc.solve(A, np.ones((A.shape[0], 0)))
             assert svc.stats() == st                # a cached pattern too
+
+
+class TestArenaLoans:
+    """A job borrows its entry's idle arena (replica storage with its
+    factor and solve programs bound) and returns it when its
+    ``Factor3DResult`` is collected: what a caller keeps never changes."""
+
+    def _setup(self, problem, backend="lu"):
+        """Four matrices on one pattern, the service's keywords and a cold
+        factorization by the backend's facade."""
+        A, geom = problem
+        chol = backend == "cholesky"
+        shift = 4.0 * sp.identity(A.shape[0], format="csr") if chol else 0
+        mats = [(_perturbed(A, s) + shift).tocsr() for s in range(4)]
+        kw = dict(geometry=geom, px=2, py=2, pz=2, leaf_size=16)
+        cls = SparseCholesky3D if chol else SparseLU3D
+        return mats, dict(kw, backend=backend), \
+            lambda M: cls(M, **kw).factorize()
+
+    @pytest.mark.parametrize("collect", [True, False], ids=["gc", "refcount"])
+    @pytest.mark.parametrize("backend", ["lu", "cholesky"])
+    def test_kept_factors_stay_the_first_jobs(self, problem, backend,
+                                              collect):
+        """Keep only the job, its solver or its result; three more jobs on
+        the entry, with other values, leave its factors those of a cold
+        factorization of its matrix — also with the cycle collector off,
+        where the arenas come back by reference count alone."""
+        mats, kw, cold = self._setup(problem, backend)
+        want = cold(mats[0]).result.factors().to_dense()
+        keeps = {"job": (lambda j: j, lambda k: k.solver.result),
+                 "solver": (lambda j: j.solver, lambda k: k.result),
+                 "result": (lambda j: j.solver.result, lambda k: k)}
+        enabled = gc.isenabled()
+        if not collect:
+            gc.disable()
+        try:
+            with FactorizationService(max_workers=2, **kw) as svc:
+                for keep, reach in keeps.values():
+                    kept = keep(svc.solve(mats[0]))
+                    for M in mats[1:]:
+                        svc.solve(M)
+                    got = reach(kept).factors().to_dense()
+                    assert np.array_equal(got, want), backend
+                    del kept
+                # 2 loans while the first kept job holds the miss's
+                # arena; then 3 a round, its first job borrowing too.
+                assert svc.stats()["arena_loans"] == 8
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_job_solvers_refactorize_lays_out_its_own(self, problem):
+        mats, kw, cold = self._setup(problem)
+        with FactorizationService(max_workers=2, **kw) as svc:
+            solver = svc.solve(mats[0]).solver
+            lent = solver.result.replicas
+            solver.refactorize(mats[1])         # the lent arena goes back
+            assert solver.result.replicas is not lent
+            job = svc.solve(mats[2])
+            assert job.solver.result.replicas is lent
+        assert np.array_equal(solver.result.factors().to_dense(),
+                              cold(mats[1]).result.factors().to_dense())
+
+    def test_borrowed_arena_binds_nothing(self, problem, monkeypatch):
+        """A second sequential job on one entry lays out no arena and binds
+        no factor or solve program, and books a cold run's ledger."""
+        import repro.solve.triangular
+        from repro.lu3d.replication import ReplicaManager
+        from repro.plan.backends import KernelBackend
+        from repro.sparse.blockmatrix import BlockMatrix
+        mats, kw, cold = self._setup(problem)
+        b = np.ones(mats[0].shape[0])
+        calls = {}
+        with FactorizationService(max_workers=2, **kw) as svc:
+            svc.solve(mats[0], b)
+            for owner, name in ((KernelBackend, "bind"),
+                                (repro.solve.triangular, "bind"),
+                                (BlockMatrix, "zeros"),
+                                (ReplicaManager, "__init__")):
+                _count(monkeypatch, calls, owner, name)
+            job = svc.solve(mats[1], b)
+            assert calls == {"bind": 0, "zeros": 0, "__init__": 0}, calls
+            assert svc.stats()["arena_loans"] == 1
+        monkeypatch.undo()
+        ref = cold(mats[1])
+        ref.solve(b)
+        assert ledger_state(job.solver.sim) == ledger_state(ref.sim)
+        assert np.array_equal(job.x, ref.solve(b))
+
+    def test_raising_job_returns_no_arena(self, problem, monkeypatch):
+        mats, kw, cold = self._setup(problem)
+        b = np.ones(mats[0].shape[0])
+        with FactorizationService(max_workers=2, **kw) as svc:
+            svc.solve(mats[0], b)
+            assert svc.stats()["idle_arenas"] == 1
+
+            def boom(self, *args, **kwargs):
+                raise RuntimeError("solve exploded")
+            monkeypatch.setattr(SparseLU3D, "solve", boom)
+            with pytest.raises(RuntimeError, match="exploded"):
+                svc.solve(mats[1], b)
+            monkeypatch.undo()
+            gc.collect()
+            st = svc.stats()
+            assert (st["arena_loans"], st["idle_arenas"]) == (1, 0)
+            job = svc.solve(mats[2], b)     # lays out a fresh arena
+            assert svc.stats()["arena_loans"] == 1
+        ref = cold(mats[2])
+        ref.solve(b)
+        assert ledger_state(job.solver.sim) == ledger_state(ref.sim)
+        assert np.array_equal(job.solver.result.factors().to_dense(),
+                              ref.result.factors().to_dense())
+
+    def test_evicted_entry_leaves_no_idle_arena(self, problem):
+        A, _ = problem
+        B, _ = grid2d_5pt(10)
+        C, _ = grid2d_5pt(8)
+        with FactorizationService(leaf_size=16, capacity=2,
+                                  max_workers=2) as svc:
+            svc.solve(A)
+            svc.solve(B)
+            assert svc.stats()["idle_arenas"] == 2
+            svc.solve(C)                    # evicts A's entry
+            st = svc.stats()
+            assert (st["evictions"], st["idle_arenas"]) == (1, 2)
+            assert all(svc.cache.holds(e) for e, _a in svc._idle.values())
+            assert not svc.solve(_perturbed(A, 1)).cache_hit
+            assert svc.stats()["arena_loans"] == 0
+
+    def test_at_most_max_workers_idle(self, problem):
+        A, _ = problem
+        B, _ = grid2d_5pt(10)
+        with FactorizationService(leaf_size=16, max_workers=1) as svc:
+            svc.solve(A)
+            svc.solve(B)                    # A's idle arena is dropped
+            assert svc.stats()["idle_arenas"] == 1
+            assert svc.solve(_perturbed(A, 1)).cache_hit
+            assert svc.stats()["arena_loans"] == 0
+
+    def test_close_drops_idle_arenas(self, problem):
+        mats, kw, _cold = self._setup(problem)
+        svc = FactorizationService(max_workers=2, **kw)
+        kept = svc.solve(mats[0])
+        svc.solve(mats[1])
+        assert svc.stats()["idle_arenas"] == 1
+        svc.close()
+        assert svc.stats()["idle_arenas"] == 0
+        del kept                        # returned after close: dropped
+        assert svc.stats()["idle_arenas"] == 0

@@ -396,8 +396,8 @@ class TestSolvePlanReplay:
         def grid_of(k):
             return s.grid.layer(s.tf.home_grid(k))
 
-        y = forward_solve(s.sf, s._factor_blocks, bp, s.sim, grid_of)
-        x = backward_solve(s.sf, s._factor_blocks, y, s.sim, grid_of)
+        y = forward_solve(s.sf, s.result.replicas.home_view(), bp, s.sim, grid_of)
+        x = backward_solve(s.sf, s.result.replicas.home_view(), y, s.sim, grid_of)
         assert np.array_equal(s.sf.perm.unapply_vector(x),
                               ref.solve(b, refine=False))
         assert ledger_state(s.sim) == ledger_state(ref.sim)
@@ -467,7 +467,7 @@ class TestBoundSweeps:
                 ref.book(plan.stream(nrhs))
                 assert ledger_state(s.sim) == ledger_state(ref)
                 if nrhs == 3:
-                    rep = fuzz_solve(plan, s.sf, s._factor_blocks, b,
+                    rep = fuzz_solve(plan, s.sf, s.result.replicas.home_view(), b,
                                      s.grid.size, unit=unit and lower,
                                      n_orders=3, seed=pz)
                     assert rep.ok, rep.summary()
@@ -485,11 +485,11 @@ class TestBoundSweeps:
                                    (True, False, False),
                                    (False, False, False))):
             work = np.zeros((A.shape[0], 2))
-            prog = bind(plan, s.sf, s._factor_blocks, work, True)
+            prog = bind(plan, s.sf, s.result.replicas.home_view(), work, True)
             assert len(prog) == plan.n_tasks
             gemm = [op for op in prog if op[0] == GEMM]
             rows = sum(op[3].shape[1] for op in gemm)  # op[3]: block^T
-            whole = sum(s._factor_blocks[i, j].shape[0]
+            whole = sum(s.result.replicas.home_view()[i, j].shape[0]
                         for i, j in plan.steps[plan.steps[:, 0] == 1, 1:3]
                         .tolist())
             assert (rows < whole) == plan.lower, (plan.down, plan.lower)

@@ -763,7 +763,7 @@ class TestVerifyStackOnSolvePlans:
         # Random legal task orders: volume ledgers exact, x to 1e-12.
         bp = s.sf.perm.apply_vector(b)
         for plan, (_down, _lower, unit) in zip(plans, sweeps):
-            rep = fuzz_solve(plan, s.sf, s._factor_blocks, bp, s.grid.size,
+            rep = fuzz_solve(plan, s.sf, s.result.replicas.home_view(), bp, s.grid.size,
                              unit=unit, n_orders=FAST_FUZZ, seed=23)
             assert rep.ok and rep.n_perturbed > 0, rep.summary()
             assert rep.canonical_ledger["flops:solve"] == \
