@@ -7,7 +7,9 @@ discussion raises qualitatively — *where* does the critical rank spend its
 time, how idle are the other layers while grid-0 factors the ancestors —
 and exports a text Gantt chart plus per-rank utilization statistics.
 
-Tracing is opt-in and adds nothing to untraced runs.
+A traced run is the production run: :meth:`repro.comm.Simulator.book`'s
+clock loop appends one row per interval to :attr:`Trace.rows`. Tracing is
+opt-in and adds nothing to untraced runs, whose loop is the row-free one.
 """
 
 from __future__ import annotations
@@ -42,7 +44,15 @@ class Trace:
     """Event container with aggregation and rendering helpers."""
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        #: ``(rank, start, end, kind, phase, words)`` per interval, in
+        #: booking order, empty ones included.
+        self.rows: list[tuple] = []
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The rows as :class:`TraceEvent` s, built on each read, less the
+        zero-length, zero-word ones."""
+        return [TraceEvent(*r) for r in self.rows if r[2] > r[1] or r[5]]
 
     def record(self, rank: int, start: float, end: float, kind: str,
                phase: str, words: float = 0.0) -> None:
@@ -56,9 +66,7 @@ class Trace:
         if phase not in PHASES:
             raise ValueError(f"unknown trace event phase {phase!r}; "
                              f"expected one of {PHASES}")
-        if end > start or words:
-            self.events.append(TraceEvent(rank, start, end, kind, phase,
-                                          words))
+        self.rows.append((rank, start, end, kind, phase, words))
 
     # -- aggregation ---------------------------------------------------------
 
@@ -104,14 +112,15 @@ class Trace:
         blank. Meant for eyeballing schedules in tests and notebooks, not
         for precision.
         """
-        horizon = max((ev.end for ev in self.events), default=0.0)
+        events = self.events
+        horizon = max((ev.end for ev in events), default=0.0)
         if horizon <= 0:
             return "\n".join(f"r{r:<3d}|" for r in range(nranks))
         dt = horizon / width
         rows = []
         for r in range(nranks):
             buckets = [defaultdict(float) for _ in range(width)]
-            for ev in self.events:
+            for ev in events:
                 if ev.rank != r or ev.duration == 0:
                     continue
                 b0 = min(int(ev.start / dt), width - 1)
@@ -121,8 +130,6 @@ class Trace:
                     hi = min(ev.end, (b + 1) * dt)
                     if hi > lo:
                         buckets[b][ev.kind] += hi - lo
-                if ev.duration == 0 and ev.words:
-                    buckets[b0][ev.kind] += dt * 1e-9
             line = "".join(
                 self._GLYPHS.get(max(b, key=b.get), "?") if b else " "
                 for b in buckets)

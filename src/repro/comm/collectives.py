@@ -10,8 +10,8 @@ holds by construction.
 A broadcast is its :func:`tree_pattern` — a flat list of matched pairs —
 booked with one :meth:`repro.comm.Simulator.book` call, exactly as the
 plan builders (:mod:`repro.plan.arrays`, :mod:`repro.plan.solve`) flatten
-theirs into a plan's event stream; an observed simulator (trace, topology,
-faults) gets the same pairs one by one from ``book`` itself.
+theirs into a plan's event stream; only a fault injector or a subclass
+gets the pairs one by one from ``book`` itself.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ run, a whole grid plan — with one :meth:`Simulator.book` call: the volume
 ledgers are the :class:`~repro.comm.stream.Volume` reduction this class
 inherits, and only the clocks, the one order-dependent quantity, replay
 the events in a scalar loop. The result is bit for bit the per-event
-calls'; a simulator that something observes event by event (a trace, a
-topology, a fault injector, a subclass) gets exactly those calls instead.
+calls', a trace's rows and a topology's prices included; only a fault
+injector or a subclass, which act on single events, gets those calls.
 
 Everything not booked as compute is, by definition, non-overlapped
 communication/synchronization — the paper's ``T_comm``.
@@ -240,19 +240,20 @@ class Simulator(Volume):
         """Book events ``[lo, hi)`` and memory charges ``[mlo, mhi)`` of
         ``ev``: bit for bit what issuing them through :meth:`compute` /
         :meth:`send` + :meth:`recv` / :meth:`alloc` / :meth:`free` books —
-        which is what happens when a trace, a topology, a fault injector
-        or a subclass observes events.
+        which is what happens under a fault injector or in a subclass.
 
         Otherwise the volume ledgers are :meth:`Volume.add`'s reduction,
         the durations one array expression (the per-event roundings:
-        ``alpha + beta*w``, ``f*gamma + n_upd*gemm_overhead``) and the
-        clocks the one scalar loop: a message advances its sender and
-        lifts its receiver to the arrival time; a compute event is the
-        case ``src == dst``. Ranks, signs and the memory balance are
-        checked first, and no message may be in flight on entry. A slice
-        booked before from the same ledgers is replayed: its stored exit
-        state copied (docs/simulator.md § "Replayed slices"). Returns the
-        memory slice's :func:`~repro.comm.stream.mem_profile`."""
+        ``alpha*f_l + (beta*f_b)*w``, a topology's factors or 1, and
+        ``f*gamma + n_upd*gemm_overhead``) and the clocks the one scalar
+        loop, which also appends a trace's rows: a message advances its
+        sender and lifts its receiver to the arrival time; a compute event
+        is the case ``src == dst``. Ranks, signs and the memory balance
+        are checked first, and no message may be in flight on entry.
+        Untraced and topology-free, a slice booked before from the same
+        ledgers is replayed: its stored exit state copied
+        (docs/simulator.md § "Replayed slices"). Returns the memory
+        slice's :func:`~repro.comm.stream.mem_profile`."""
         ev.check(self.nranks)
         src, dst = ev.src[lo:hi], ev.dst[lo:hi]
         val, kind = ev.val[lo:hi], ev.kind[lo:hi]
@@ -260,8 +261,7 @@ class Simulator(Volume):
         if self._queues and self.pending_messages():
             raise CommError("book() with messages in flight: a queued "
                             "message must be received first")
-        if self.trace is not None or self.topology is not None \
-                or self.faults is not None or type(self) is not Simulator:
+        if self.faults is not None or type(self) is not Simulator:
             for s, d, v, k, u in zip(
                     src.tolist(), dst.tolist(), val.tolist(), kind.tolist(),
                     np.broadcast_to(upd, src.shape).tolist()):
@@ -280,9 +280,11 @@ class Simulator(Volume):
                 if ranks.size else None
         key = (lo, hi, mlo, mhi, self.phase, self._rate.tobytes(),
                self._fixed.tobytes(), self.machine.gemm_overhead)
-        memo = ev.memo.get(key, False)
+        memos = ev.memo if self.trace is None and self.topology is None \
+            else {}                     # an observed booking never looks
+        memo = memos.get(key, False)
         if memo is False:               # a first booking stores nothing
-            ev.memo[key] = None
+            memos[key] = None
         else:
             ledgers = list(self.ledgers().values())
             image = b"".join(a.tobytes() for a in ledgers)
@@ -292,21 +294,36 @@ class Simulator(Volume):
                 for code, n in memo[2]:
                     self.count(code, n)
                 return memo[3]
-        dt = val * self._rate[kind] \
-            + (self._fixed[kind] + upd * self.machine.gemm_overhead)
+        rate, fixed = self._rate[kind], self._fixed[kind]
+        if self.topology is not None:   # send()'s alpha*f_l + (beta*f_b)*w
+            m = kind == MSG
+            rate[m] *= self.topology.bandwidth_factor(src[m], dst[m])
+            fixed[m] *= self.topology.latency_factor(src[m], dst[m])
+        dt = val * rate + (fixed + upd * self.machine.gemm_overhead)
         prof = self.add(ev, lo, hi, mlo, mhi, times=dt)
         clock = self.clock.tolist()
-        for s, d, c in zip(src.tolist(), dst.tolist(), dt.tolist()):
-            a = clock[s] + c
-            clock[s] = a
-            if a > clock[d]:
-                clock[d] = a
+        if self.trace is None:
+            for s, d, c in zip(src.tolist(), dst.tolist(), dt.tolist()):
+                clock[s] = a = clock[s] + c
+                if a > clock[d]:
+                    clock[d] = a
+        else:               # the rows compute / send / recv record; MSG = -1
+            rows, ph, name = self.trace.rows, self.phase, COMPUTE_KINDS + ("send",)
+            words = np.where(kind == MSG, val, 0.0).tolist()
+            for s, d, c, k, w in zip(src.tolist(), dst.tolist(), dt.tolist(),
+                                     kind.tolist(), words):
+                t = clock[s]
+                clock[s] = a = t + c
+                rows.append((s, t, a, name[k], ph, w))
+                if a > clock[d]:        # never for a compute event: d == s
+                    rows.append((d, clock[d], a, "recv_wait", ph, w))
+                    clock[d] = a
         self.clock[:] = clock
         if memo is not False:
             for a in prof or ():
                 a.flags.writeable = False
-            ev.memo[key] = (image, [a.copy() for a in ledgers],
-                            kind_counts(kind), prof)
+            memos[key] = (image, [a.copy() for a in ledgers],
+                          kind_counts(kind), prof)
         return prof
 
     def ledgers(self) -> dict[str, np.ndarray]:

@@ -13,6 +13,9 @@ conclusions are not artifacts of the uniform-network assumption:
 * :class:`Torus3D` — hop-count (Manhattan, periodic) latency scaling of
   older torus machines, where rank placement matters most.
 
+A factor takes two ranks or two rank arrays (``Simulator.book`` prices a
+stream slice's messages at once); both forms are one formula.
+
 Ranks map to hardware in order: ``node = rank // ranks_per_node`` etc.,
 matching how MPI typically fills nodes with consecutive ranks — which
 means a z-layer (contiguous rank block) tends to be node-local, and
@@ -32,10 +35,10 @@ __all__ = ["UniformTopology", "DragonflyTopology", "Torus3D"]
 class UniformTopology:
     """Flat network: every pair costs the same (the default model)."""
 
-    def latency_factor(self, src: int, dst: int) -> float:
+    def latency_factor(self, src, dst) -> float:
         return 1.0
 
-    def bandwidth_factor(self, src: int, dst: int) -> float:
+    def bandwidth_factor(self, src, dst) -> float:
         return 1.0
 
 
@@ -65,22 +68,19 @@ class DragonflyTopology:
         self.global_latency = global_latency
         self.global_bandwidth = global_bandwidth
 
-    def _tier(self, src: int, dst: int) -> int:
-        """0 = same node, 1 = same group, 2 = global."""
+    def _tier(self, src, dst):
+        """0 = same node, 1 = same group, 2 = global: boundaries crossed."""
         ns, nd = src // self.ranks_per_node, dst // self.ranks_per_node
-        if ns == nd:
-            return 0
-        if ns // self.nodes_per_group == nd // self.nodes_per_group:
-            return 1
-        return 2
+        return 1 * (ns != nd) + (ns // self.nodes_per_group
+                                 != nd // self.nodes_per_group)
 
-    def latency_factor(self, src: int, dst: int) -> float:
-        return (self.node_latency, 1.0, self.global_latency)[
-            self._tier(src, dst)]
+    def latency_factor(self, src, dst):
+        return np.take((self.node_latency, 1.0, self.global_latency),
+                       self._tier(src, dst))
 
-    def bandwidth_factor(self, src: int, dst: int) -> float:
-        return (self.node_bandwidth, 1.0, self.global_bandwidth)[
-            self._tier(src, dst)]
+    def bandwidth_factor(self, src, dst):
+        return np.take((self.node_bandwidth, 1.0, self.global_bandwidth),
+                       self._tier(src, dst))
 
 
 class Torus3D:
@@ -99,26 +99,23 @@ class Torus3D:
             raise ValueError("hop factors must be non-negative")
         self.hop_latency = hop_latency
         self.hop_bandwidth = hop_bandwidth
+        self.size = int(np.prod(self.shape))
 
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
-
-    def coords(self, rank: int) -> tuple[int, int, int]:
+    def coords(self, rank):
         nx, ny, nz = self.shape
-        rank %= self.size
+        rank = rank % self.size
         return (rank // (ny * nz), (rank // nz) % ny, rank % nz)
 
-    def hops(self, src: int, dst: int) -> int:
+    def hops(self, src, dst):
         out = 0
         for a, b, extent in zip(self.coords(src), self.coords(dst),
                                 self.shape):
             d = abs(a - b)
-            out += min(d, extent - d)
+            out += np.minimum(d, extent - d)
         return out
 
-    def latency_factor(self, src: int, dst: int) -> float:
+    def latency_factor(self, src, dst):
         return 1.0 + self.hop_latency * self.hops(src, dst)
 
-    def bandwidth_factor(self, src: int, dst: int) -> float:
+    def bandwidth_factor(self, src, dst):
         return 1.0 + self.hop_bandwidth * self.hops(src, dst)

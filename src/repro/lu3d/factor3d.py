@@ -102,7 +102,7 @@ class Factor3DResult:
 
 # -- data strategies -------------------------------------------------------
 # What the interpreter reads/writes per grid: nothing (cost-only) or the
-# per-grid replica views (numeric, every variant).
+# per-grid replica views (numeric, every variant: the ReplicaManager itself).
 
 class CostOnlyData:
     """No numeric content: no program runs, reductions book only."""
@@ -122,29 +122,6 @@ class CostOnlyData:
 
     def restore_grid(self, g, snap) -> None:
         pass
-
-
-class ReplicaData(CostOnlyData):
-    """Numeric mode: per-grid replica views + z-axis summation. A grid
-    plan — merged ones included — binds to the views of its first z-layer
-    and writes only those, so a level's grids may run their kernels on
-    separate threads."""
-
-    def __init__(self, replicas: ReplicaManager):
-        self.replicas = replicas
-        self.accumulate = replicas.accumulate
-
-    def program(self, gp):
-        return self.replicas.program(gp)
-
-    def snapshot(self):
-        return self.replicas.snapshot()
-
-    def restore(self, snap) -> None:
-        self.replicas.restore(snap)
-
-    def restore_grid(self, g, snap) -> None:
-        self.replicas.restore_grid(g, snap)
 
 
 def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
@@ -274,7 +251,7 @@ def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
         bundle.value_map(store, A, perm).fill(store.buf, A.data)
         replicas = ReplicaManager(sf, tf, store, blocks_fn=bundle.blocks_fn)
     result.replicas = replicas
-    return ReplicaData(replicas)
+    return replicas
 
 
 def _absorb_2d(result: Factor3DResult, r2d) -> None:

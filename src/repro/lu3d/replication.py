@@ -32,7 +32,7 @@ class ReplicaManager:
     *home* copies, mutated in place by the factorization; a second buffer
     holds every other replica, grid-major. A node's blocks are contiguous,
     in ``blocks_fn`` order, on every grid that holds them: one *segment*
-    per (grid, node)."""
+    per (grid, node). A numeric run's data strategy is the manager itself."""
 
     def __init__(self, sf: SymbolicFactorization, tf: TreeForest,
                  base: BlockMatrix, blocks_fn=None):

@@ -259,7 +259,6 @@ def test_per_block_25d_loses_to_merged(suite):
             assert data[name, c].total_flops < 1.002 * mrg.total_flops
 
 
-@pytest.mark.slow
 def test_topology_sensitivity(suite):
     """Footnote 1 concedes that "the network topology ... may increase the
     asymptotic complexity" of the flat alpha-beta analysis. Under a flat

@@ -3,6 +3,7 @@ plus the suite-wide plan-verification hook and hypothesis strategies."""
 
 import pytest
 
+from repro.comm import Simulator
 from repro.sparse import (
     circuit_like,
     grid2d_5pt,
@@ -38,11 +39,43 @@ def _verify_every_plan():
     build.POST_BUILD_HOOK = prev
 
 
+class EventByEvent(Simulator):
+    """The per-event referee: a subclass observes events, so
+    :meth:`Simulator.book` issues a stream through ``compute`` / ``send``
+    / ``recv`` / ``alloc`` / ``free`` (with a trace or a topology attached,
+    the calls that record and price events one at a time) — what a plain
+    ``Simulator``'s array path must book bit for bit. ``calls`` lists
+    them."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.calls: list = []
+
+    def compute(self, rank, flops, kind, n_block_updates=0):
+        self.calls.append(("compute", rank, flops, kind, n_block_updates))
+        super().compute(rank, flops, kind, n_block_updates)
+
+    def send(self, src, dst, words):
+        self.calls.append(("send", src, dst, words))
+        super().send(src, dst, words)
+
+    def recv(self, dst, src):
+        self.calls.append(("recv", dst, src))
+        return super().recv(dst, src)
+
+    def alloc(self, rank, words):
+        self.calls.append(("alloc", rank, words))
+        super().alloc(rank, words)
+
+    def free(self, rank, words):
+        self.calls.append(("free", rank, words))
+        super().free(rank, words)
+
+
 def per_event_simulator(nranks: int, machine=None):
     """A simulator that books every stream event by event: a fault
     injector with no faults observes each ``send`` / ``compute`` and
     perturbs nothing (the ledger is the plain simulator's)."""
-    from repro.comm import Simulator
     from repro.resilience import FaultInjector, FaultPlan
     sim = Simulator(nranks, machine)
     sim.attach_faults(FaultInjector(FaultPlan(), sim.machine))

@@ -207,7 +207,7 @@ class TestOneEventStream:
         reduction — equals, by ``ledger_state``, the plan issued event by
         event through a subclass, whatever the cut points; a permuted
         legal order books the canonical ledger on both."""
-        from tests.test_simulator import EventByEvent
+        from tests.conftest import EventByEvent
         plan, sf = build(case, compact)
         n = case["px"] * case["py"] * case["pz"]
         ref = walk(plan, EventByEvent(n), "tasks")
@@ -224,7 +224,7 @@ class TestOneEventStream:
     def test_volume_is_the_walked_ledger(self, compact, case):
         """``volume()`` — no simulator, no clock — holds per rank the
         words, messages, flops and buffer peak a walk books."""
-        from tests.test_simulator import EventByEvent
+        from tests.conftest import EventByEvent
         plan, sf = build(case, compact)
         n = case["px"] * case["py"] * case["pz"]
         sim = EventByEvent(n)

@@ -22,7 +22,7 @@ from repro.plan import build_grid_plan, execute_grid_plan
 from repro.sparse import delaunay_mesh_2d, grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
-from tests.conftest import one_layer
+from tests.conftest import EventByEvent, one_layer
 
 
 def ledger_snapshot(sim: Simulator) -> dict[str, np.ndarray]:
@@ -283,7 +283,7 @@ class TestComputeBatch:
             sims[0].compute(int(r), float(f), "panel")
         sims[1].compute_batch(ranks, flops, "panel")
         assert_ledgers_identical(sims[0], sims[1])
-        assert len(sims[0].trace.events) == len(sims[1].trace.events)
+        assert sims[0].trace.events == sims[1].trace.events
 
     def test_validation(self):
         sim = Simulator(4)
@@ -302,9 +302,10 @@ class TestComputeBatch:
 class TestClosedFormBcast:
     @pytest.mark.parametrize("p", [2, 3, 5, 8, 13])
     def test_matches_event_path(self, p):
-        """UniformTopology forces the event path with identical link costs."""
-        sim_cf = Simulator(16)
-        sim_ev = Simulator(16, topology=UniformTopology())
+        """Under a topology of identical link costs the array path books
+        the per-event referee's ledger."""
+        sim_cf = Simulator(16, topology=UniformTopology())
+        sim_ev = EventByEvent(16, topology=UniformTopology())
         ranks = list(range(3, 3 + p))
         for root in (ranks[0], ranks[-1], ranks[p // 2]):
             bcast(sim_cf, root, ranks, 512.0)
@@ -312,10 +313,13 @@ class TestClosedFormBcast:
         assert_ledgers_identical(sim_cf, sim_ev)
 
     def test_traced_run_takes_event_path(self):
-        sim = Simulator(4, trace=Trace())
-        bcast(sim, 0, [0, 1, 2, 3], 64.0)
+        """A traced broadcast on the array path records the events the
+        per-event path records."""
+        sim, ref = Simulator(4, trace=Trace()), EventByEvent(4, trace=Trace())
+        for s in (sim, ref):
+            bcast(s, 0, [0, 1, 2, 3], 64.0)
         kinds = {ev.kind for ev in sim.trace.events}
-        assert "send" in kinds  # events were recorded, not short-circuited
+        assert "send" in kinds and sim.trace.events == ref.trace.events
 
     def test_conservation(self):
         sim = Simulator(8)

@@ -209,7 +209,7 @@ class TestCrossReferences:
         "_book_offloading", "offloaded_updates", "accel_clock",
         "comm/accelerator",
         "ExecMode", "resolve_exec", "plan/execmode", "plan.execmode",
-        "_factor_blocks",
+        "_factor_blocks", "ReplicaData",
     )
 
     def test_no_deleted_name_survives(self):

@@ -158,22 +158,31 @@ class TestReplayEqualsBooking:
 class TestWhenItApplies:
     @pytest.mark.parametrize("observed", ["trace", "topology", "faults",
                                           "subclass"])
-    def test_an_observed_simulator_never_replays(self, observed):
+    def test_an_observed_simulator_never_replays(self, observed, adds):
+        """A trace or a topology books on the array path — no per-event
+        call — and a fault injector or a subclass event by event; none
+        reads or writes ``ev.memo``."""
         class Sub(Simulator):
             pass
         ev = stream()
         for _ in range(2):
             Simulator(4).book(ev)
         memo = dict(ev.memo)
-        sim = {"trace": lambda: Simulator(4, trace=Trace()),
-               "topology": lambda: Simulator(
-                   4, topology=UniformTopology()),
-               "faults": lambda: per_event_simulator(4),
-               "subclass": lambda: Sub(4)}[observed]()
-        calls = []
-        sim.compute = lambda *a, **kw: calls.append(a)
-        sim.book(ev)
-        assert len(calls) == 3 and ev.memo == memo
+        make = {"trace": lambda: Simulator(4, trace=Trace()),
+                "topology": lambda: Simulator(
+                    4, topology=UniformTopology()),
+                "faults": lambda: per_event_simulator(4),
+                "subclass": lambda: Sub(4)}[observed]
+        for booked in (ev, fresh := stream()):
+            sim, calls = make(), []
+            sim.compute = lambda *a, **kw: calls.append(a)
+            adds[0] = 0
+            sim.book(booked)
+            if observed in ("trace", "topology"):
+                assert calls == [] and adds[0] == 1
+            else:
+                assert len(calls) == 3 and adds[0] == 0
+        assert ev.memo == memo and fresh.memo == {}
 
     def test_a_queued_message_raises_before_the_lookup(self):
         ev = stream()

@@ -666,9 +666,9 @@ class TestOneWidthRule:
     @pytest.mark.parametrize("observer", [*ATTACHMENTS, "monitor"])
     def test_width_follows_what_observes(self, observer, compact):
         """Only the resilience monitor cuts the walk at every task: a
-        trace, a topology and a fault injector are fed event by event
-        inside ``Simulator.book``, so their runs walk full width — same
-        plan object, same ledger, either pricing."""
+        trace and a topology ride ``Simulator.book``'s array path and a
+        fault injector is fed event by event inside it, so their runs walk
+        full width — same plan object, same ledger, either pricing."""
         opts = FactorOptions(compact_comm=compact,
                              checkpoint_every=7 if observer == "monitor" else 0)
         sf, tf = setup_for("lu", "uniform")

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.trace import Trace
 from repro.comm import (
     CommError,
+    DragonflyTopology,
     Machine,
     ProcessGrid2D,
     ProcessGrid3D,
     Simulator,
+    Torus3D,
+    UniformTopology,
     bcast,
     near_square_grid,
     reduce_pairwise,
@@ -18,6 +22,7 @@ from repro.comm import (
 from repro.comm.events import COMPUTE_KINDS
 from repro.comm.stream import MSG, EventStream, Volume, mem_profile
 from repro.verify import ledger_state
+from tests.conftest import EventByEvent
 
 
 class TestMachine:
@@ -148,36 +153,6 @@ class TestMemoryLedger:
             sim.free(0, 20)
 
 
-class EventByEvent(Simulator):
-    """A subclass observes events, so :meth:`Simulator.book` issues a
-    stream through ``compute`` / ``send`` / ``recv`` / ``alloc`` / ``free``
-    — the referee for the reduction a plain ``Simulator`` books."""
-
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
-        self.calls: list = []
-
-    def compute(self, rank, flops, kind, n_block_updates=0):
-        self.calls.append(("compute", rank, flops, kind, n_block_updates))
-        super().compute(rank, flops, kind, n_block_updates)
-
-    def send(self, src, dst, words):
-        self.calls.append(("send", src, dst, words))
-        super().send(src, dst, words)
-
-    def recv(self, dst, src):
-        self.calls.append(("recv", dst, src))
-        return super().recv(dst, src)
-
-    def alloc(self, rank, words):
-        self.calls.append(("alloc", rank, words))
-        super().alloc(rank, words)
-
-    def free(self, rank, words):
-        self.calls.append(("free", rank, words))
-        super().free(rank, words)
-
-
 #: Half-integer words (dense r*c, compact min(r*c, 1.5*nnz)); any flops.
 _WORDS = st.integers(0, 4000).map(lambda n: n / 2)
 _FLOPS = st.floats(0, 1e7, allow_nan=False) | st.just(2 / 3 * 13 ** 3)
@@ -245,6 +220,30 @@ class TestStreamBooking:
         assert vol.mem_peak.tolist() == loop.mem_peak.tolist()
         assert vol.mem_current.tolist() == loop.mem_current.tolist()
         assert dict(vol.event_counts) == dict(loop.event_counts)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(_EVENT, max_size=40), st.lists(_CHARGE, max_size=30),
+           st.lists(st.floats(0, 1), max_size=4),
+           st.sampled_from([None, UniformTopology(),
+                            DragonflyTopology(ranks_per_node=2,
+                                              nodes_per_group=2),
+                            Torus3D(2, 1, 2)]))
+    def test_an_observed_booking_is_the_event_loop(self, events, charges,
+                                                   cuts, topology):
+        """With a trace and a topology attached, slices booked anywhere
+        hold the per-event calls' ledger, trace rows and events."""
+        ev = _stream(events, charges)
+        n, m = ev.src.size, ev.mem_rank.size
+        sliced = Simulator(5, trace=Trace(), topology=topology)
+        loop = EventByEvent(5, trace=Trace(), topology=topology)
+        loop.book(ev)
+        pts = sorted(cuts)
+        for a, b in zip([0.0] + pts, pts + [1.0]):
+            sliced.book(ev, int(a * n), int(b * n), int(a * m), int(b * m))
+        assert ledger_state(sliced) == ledger_state(loop)
+        assert sliced.trace.rows == loop.trace.rows
+        assert sliced.trace.events == loop.trace.events
+        assert ev.memo == {}
 
     def test_continues_a_nonzero_ledger_exactly(self):
         """Non-integer flops onto a non-zero ledger: the reduction adds in

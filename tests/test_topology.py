@@ -87,6 +87,27 @@ class TestTorus:
         assert t.latency_factor(0, 1) < t.latency_factor(0, 255)
 
 
+@pytest.mark.parametrize("topo", [
+    UniformTopology(),
+    DragonflyTopology(ranks_per_node=4, nodes_per_group=2),
+    DragonflyTopology(),
+    Torus3D(2, 3, 4),
+    Torus3D(3, 2, 2),
+], ids=["uniform", "dragonfly", "dragonfly-default", "torus", "torus-wraps"])
+def test_array_form_is_the_scalar_form(topo):
+    """``Simulator.book`` prices a slice's messages with the array form
+    and ``Simulator.send`` one message with the scalar form: the same
+    factor for every pair of 64 ranks, and the rank arrays untouched."""
+    src, dst = (a.ravel() for a in np.meshgrid(np.arange(64), np.arange(64)))
+    keep = src.copy(), dst.copy()
+    for name in ("latency_factor", "bandwidth_factor"):
+        f = getattr(topo, name)
+        got = np.broadcast_to(f(src, dst), src.shape)
+        assert got.tolist() == [f(s, d) for s, d in zip(src.tolist(),
+                                                         dst.tolist())]
+    assert np.array_equal(src, keep[0]) and np.array_equal(dst, keep[1])
+
+
 class TestConclusionsRobustToTopology:
     """The paper-footnote check: the 3D-vs-2D win must survive a
     non-uniform network (volumes are identical by construction; only the

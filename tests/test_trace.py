@@ -2,13 +2,26 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.analysis import Trace
-from repro.comm import Machine, ProcessGrid3D, Simulator
+from repro.cholesky import factor_chol_3d
+from repro.comm import (
+    DragonflyTopology,
+    Machine,
+    ProcessGrid3D,
+    Simulator,
+    Torus3D,
+    UniformTopology,
+)
+from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
+from repro.lu3d.merged import factor_3d_merged
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
+from repro.verify import ledger_state
+from tests.conftest import EventByEvent
 
 
 def _traced_run(pz=2, px=2, py=2):
@@ -137,6 +150,83 @@ class TestTraceDoesNotSelectTheWalk:
         res = factor_3d(sf, greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2),
                         sim, numeric=True)
         assert res.compiled is not None
+
+
+def _spd_grid(n: int):
+    """``grid2d_5pt(n)`` made symmetric positive definite."""
+    A, g = grid2d_5pt(n)
+    S = (A + A.T) * 0.5
+    return (S + sp.eye(A.shape[0]) * (abs(S).sum(axis=1).max() + 1.0)).tocsr(), g
+
+
+#: The golden-ledger zoo's drivers at Pz 1, 2 and 4.
+ZOO = {
+    "lu_pz1": (factor_3d, lambda: grid2d_5pt(12), 16, (2, 3, 1)),
+    "lu_brick_pz2": (factor_3d, lambda: grid3d_7pt(6), 24, (1, 2, 2)),
+    "lu_pz4": (factor_3d, lambda: grid2d_5pt(14), 16, (2, 2, 4)),
+    "merged_pz2": (factor_3d_merged, lambda: grid2d_5pt(12), 16, (2, 2, 2)),
+    "merged_pz4": (factor_3d_merged, lambda: grid2d_5pt(14), 16, (2, 2, 4)),
+    "chol_pz1": (factor_chol_3d, lambda: _spd_grid(12), 16, (2, 2, 1)),
+    "chol_pz2": (factor_chol_3d, lambda: _spd_grid(14), 16, (2, 2, 2)),
+}
+
+#: ``(trace?, topology)``: every tier of a dragonfly is crossed at these
+#: rank counts, and the torus wraps.
+OBSERVERS = {
+    "trace": (True, None),
+    "uniform": (False, UniformTopology()),
+    "dragonfly": (False, DragonflyTopology(ranks_per_node=2,
+                                           nodes_per_group=2)),
+    "torus": (False, Torus3D(2, 3, 2)),
+    "torus+trace": (True, Torus3D(2, 3, 2)),
+}
+
+
+class TestObservedRunIsTheProductionRun:
+    """A trace or a topology rides ``Simulator.book``'s array path; the
+    per-event calls of a ``Simulator`` subclass carrying the same trace
+    and topology referee it: the same ledger and the same events, in the
+    same order, float for float."""
+
+    @pytest.mark.parametrize("compact", [False, True],
+                             ids=["dense", "compact"])
+    @pytest.mark.parametrize("observer", sorted(OBSERVERS))
+    @pytest.mark.parametrize("case", sorted(ZOO))
+    def test_golden_zoo(self, case, observer, compact):
+        driver, matrix, leaf, shape = ZOO[case]
+        traced, topology = OBSERVERS[observer]
+        A, g = matrix()
+        sf = symbolic_factorize(A, g, leaf_size=leaf)
+        grid3 = ProcessGrid3D(*shape)
+        tf = greedy_partition(sf, grid3.pz)
+        bundle, sims = None, []
+        for cls in (Simulator, EventByEvent):
+            sim = cls(grid3.size, Machine.edison_like(),
+                      trace=Trace() if traced else None, topology=topology)
+            bundle = driver(sf, tf, grid3, sim, numeric=False, cached=bundle,
+                            options=FactorOptions(compact_comm=compact)).bundle
+            sims.append(sim)
+        plain, ref = sims
+        assert ledger_state(plain) == ledger_state(ref)
+        if traced:
+            assert plain.trace.events and \
+                plain.trace.events == ref.trace.events
+            assert plain.trace.rows == ref.trace.rows
+
+    def test_a_replayed_slice_is_booked_again_when_traced(self):
+        """Every traced booking emits its rows, even of a slice a plain
+        simulator would replay."""
+        A, g = grid2d_5pt(12)
+        sf = symbolic_factorize(A, g, leaf_size=16)
+        tf, grid3 = greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2)
+        bundle, traces = None, []
+        for _ in range(3):
+            traces.append(Trace())
+            sim = Simulator(8, Machine.edison_like(), trace=traces[-1])
+            bundle = factor_3d(sf, tf, grid3, sim, numeric=False,
+                               cached=bundle).bundle
+        assert traces[0].rows and \
+            traces[0].rows == traces[1].rows == traces[2].rows
 
 
 class TestRendering:

@@ -36,6 +36,7 @@ from repro.symbolic import symbolic_factorize
 from repro.symbolic.blocknnz import block_nnz_tables
 from repro.tree import greedy_partition
 from repro.verify import check_conservation, fuzz_3d
+from tests.conftest import EventByEvent
 
 COMPACT = FactorOptions(compact_comm=True)
 
@@ -265,17 +266,13 @@ class TestSimulatorAccounting:
         assert np.array_equal(msgs, sim.msgs_per_rank())
 
     def test_bcast_closed_form_matches_per_event_counts(self):
-        class NullTrace:
-            def record(self, *a, **kw):
-                pass
-
         m = Machine.edison_like()
-        fast = Simulator(8, m)                    # closed-form eligible
-        slow = Simulator(8, m, trace=NullTrace())  # forces per-event path
+        fast = Simulator(8, m)                    # the array path
+        slow = EventByEvent(8, m)            # send / recv per pair
         ranks = list(range(8))
         for s in (fast, slow):
             bcast(s, 2, ranks, 64.0)
         assert dict(fast.event_counts) == dict(slow.event_counts)
         assert np.array_equal(fast.words_per_rank(), slow.words_per_rank())
         assert np.array_equal(fast.msgs_per_rank(), slow.msgs_per_rank())
-        assert np.allclose(fast.clock, slow.clock)
+        assert np.array_equal(fast.clock, slow.clock)
