@@ -267,7 +267,8 @@ def _solve_steps(args, L, geom, opts) -> int:
         print(f"cold step {walls[0] * 1e3:.2f} ms, mean warm step "
               f"{warm * 1e3:.2f} ms -> {walls[0] / warm:.2f}x; "
               f"cache hit ratio {st['hit_ratio']:.2f} "
-              f"({st['hits']} hits / {st['misses']} miss)")
+              f"(hits {st['hits']}, misses {st['misses']}, "
+              f"refused {st['refused']})")
     return 0 if worst_resid < args.tol else 1
 
 

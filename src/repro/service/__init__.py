@@ -4,10 +4,10 @@ The re-factorization workload (GLU3.0's circuit simulation loop —
 PAPERS.md) factors thousands of matrices sharing one sparsity pattern.
 This package amortizes everything that depends only on the pattern:
 
-- :mod:`repro.service.cache` — a bounded-LRU :class:`PlanCache` keyed by
-  canonical pattern fingerprint × grid shape × solver configuration ×
-  plan-relevant options, holding the symbolic factorization, tree-forest
-  partition and built plan with per-entry hit/build/exec accounting;
+- :mod:`repro.service.cache` — a bounded :class:`PlanCache` (LRU with
+  request-count admission) keyed by pattern fingerprint × grid shape ×
+  solver configuration × plan-relevant options, holding the symbolic
+  factorization, partition and plan with per-entry accounting;
 - :mod:`repro.service.service` — :class:`FactorizationService`, a
   thread-pool front-end where concurrent clients submit ``(A_values, b)``
   jobs that replay shared cached plans (warm jobs skip build/analyze

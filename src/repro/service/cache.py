@@ -7,11 +7,18 @@ kernels — ordering, symbolic fill, tree-forest partition, the built
 (pattern, grid shape, solver configuration, plan-relevant options). The
 :class:`PlanCache` maps a :func:`cache_key` of exactly those inputs to a
 :class:`PlanEntry` holding the shared products, under a bounded LRU with
-per-entry hit/build/exec accounting.
+per-entry hit/build/exec accounting. The bound is frequency-aware, as
+TinyLFU's admission is (Einziger et al., ACM TOS 2017) for Zipf-like
+traffic over a few patterns: every request counts its key, and a newly
+built entry enters a full cache only if its key was requested at least
+as often as the least-recently-used resident, which it then evicts;
+otherwise the entry is *refused* (its job still runs on it). On a cold
+start and on ties this is plain LRU.
 
-Concurrency: one global lock guards the LRU map; each key additionally
-gets a *build lock* so that N clients racing on a cold pattern produce
-one symbolic build (the others block and then hit). Entries are
+Concurrency: one global lock guards the map and the counts; each key
+additionally gets a *build lock* so that N clients racing on a cold
+pattern produce one symbolic build (the others block and then hit the
+builder's entry, admitted or not). Entries are
 immutable-by-convention after construction — concurrent jobs adopt them
 read-only (:meth:`repro.solve.SparseLU3D.adopt`), so eviction is safe
 even with jobs in flight: an evicted entry stays alive exactly as long
@@ -122,9 +129,10 @@ class CacheStats:
     """Aggregate cache counters (snapshot — see :meth:`PlanCache.stats`)."""
 
     hits: int = 0
-    misses: int = 0
+    misses: int = 0             # refusals included
     evictions: int = 0
     entries: int = 0
+    refused: int = 0            # built, but not admitted
 
     @property
     def hit_ratio(self) -> float:
@@ -133,13 +141,18 @@ class CacheStats:
 
 
 class PlanCache:
-    """Bounded LRU of :class:`PlanEntry`, safe for concurrent clients.
+    """Bounded, frequency-admitted LRU of :class:`PlanEntry`, safe for
+    concurrent clients.
 
     ``get_or_build(key, builder)`` returns the cached entry for ``key``
     or invokes ``builder()`` exactly once per cold key (double-checked
     under a per-key build lock; concurrent requesters block and then
-    count as hits). Recency is touched on every access; when the map
-    exceeds ``capacity`` the least-recently-used entry is dropped.
+    count as hits on the builder's entry). Every call counts its key in a
+    table of at most ``8 * capacity`` keys (least recently counted dropped
+    first), halved every ``32 * capacity`` calls so past popularity fades.
+    Recency is touched on every hit; a new entry evicts the
+    least-recently-used one of a full cache only if its key's count is at
+    least that entry's, and is refused otherwise.
     """
 
     def __init__(self, capacity: int = 8):
@@ -148,41 +161,62 @@ class PlanCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, PlanEntry] = OrderedDict()
-        self._building: dict[tuple, threading.Lock] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        #: key -> [build lock, the builder's entry once built]
+        self._building: dict[tuple, list] = {}
+        self._counts: OrderedDict[tuple, int] = OrderedDict()
+        self._requests = self._hits = self._misses = 0
+        self._evictions = self._refused = 0
+
+    def _count(self, key: tuple) -> None:
+        counts = self._counts
+        counts[key] = counts.get(key, 0) + 1
+        counts.move_to_end(key)
+        if len(counts) > 8 * self.capacity:
+            counts.popitem(last=False)
+        self._requests += 1
+        if self._requests % (32 * self.capacity) == 0:
+            for k in counts:
+                counts[k] >>= 1
+
+    def _hit(self, key: tuple, entry: PlanEntry) -> tuple[PlanEntry, bool]:
+        if self._entries.get(key) is entry:
+            self._entries.move_to_end(key)
+        self._hits += 1
+        return entry, True
 
     def get_or_build(self, key: tuple, builder) -> tuple[PlanEntry, bool]:
         """Return ``(entry, hit)``; ``builder() -> PlanEntry`` runs at
         most once per cold key."""
         with self._lock:
+            self._count(key)
             entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return entry, True
-            build_lock = self._building.get(key)
-            if build_lock is None:
-                build_lock = self._building[key] = threading.Lock()
-        with build_lock:
+                return self._hit(key, entry)
+            build = self._building.get(key)
+            if build is None:
+                build = self._building[key] = [threading.Lock(), None]
+        with build[0]:
             with self._lock:  # double-check: a racer may have built it
-                entry = self._entries.get(key)
+                entry = build[1] or self._entries.get(key)
                 if entry is not None:
-                    self._entries.move_to_end(key)
-                    self._hits += 1
-                    return entry, True
+                    return self._hit(key, entry)
             try:
                 t0 = time.perf_counter()
                 entry = builder()
                 entry.build_seconds = time.perf_counter() - t0
+                build[1] = entry
                 with self._lock:
-                    self._entries[key] = entry
-                    self._entries.move_to_end(key)
                     self._misses += 1
-                    while len(self._entries) > self.capacity:
-                        self._entries.popitem(last=False)
-                        self._evictions += 1
+                    if len(self._entries) >= self.capacity and \
+                            self.frequency(key) < self.frequency(
+                                next(iter(self._entries))):
+                        self._refused += 1
+                    else:
+                        self._entries[key] = entry
+                        self._entries.move_to_end(key)
+                        while len(self._entries) > self.capacity:
+                            self._entries.popitem(last=False)
+                            self._evictions += 1
             finally:
                 # Also when ``builder`` raised: a failed build must not
                 # leave its lock behind (the next caller builds afresh).
@@ -191,7 +225,7 @@ class PlanCache:
             return entry, False
 
     def get(self, key: tuple) -> PlanEntry | None:
-        """Peek without building (touches recency on a hit)."""
+        """Peek without building or counting (touches recency on a hit)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -202,6 +236,11 @@ class PlanCache:
         """Whether ``entry`` is cached: one lock-free lookup (finalizers)."""
         return self._entries.get(entry.key) is entry
 
+    def frequency(self, key: tuple) -> int:
+        """``key``'s recent request count: one lock-free lookup
+        (finalizers)."""
+        return self._counts.get(key, 0)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -210,7 +249,8 @@ class PlanCache:
         with self._lock:
             return CacheStats(hits=self._hits, misses=self._misses,
                               evictions=self._evictions,
-                              entries=len(self._entries))
+                              entries=len(self._entries),
+                              refused=self._refused)
 
     def entry_stats(self) -> list[dict]:
         """Per-entry counters, most-recently-used last."""
@@ -222,3 +262,4 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
             self._building.clear()
+            self._counts.clear()

@@ -7,20 +7,23 @@ concurrent clients and executes them on a thread pool against shared
 1. the job's matrix is fingerprinted (:func:`~repro.service.cache.cache_key`);
 2. a cache miss runs the symbolic phase + plan build *once* — concurrent
    clients racing on the same cold pattern block on a per-key build lock
-   and then hit;
+   and then hit (a rarely requested pattern's entry may be refused by a
+   full cache: its jobs run on it uncached);
 3. every job then adopts the entry's read-only symbolic objects
    (:meth:`repro.solve.SparseLU3D.adopt`) and replays the cached plan
    bundle against its own values, copied in through the bundle's value
    map — only numeric kernels run, with ledgers bit-identical to a cold
    factorization (pinned in ``tests/test_service.py``).
 
-Worker threads suit this workload: jobs spend their time in numpy/BLAS
-(which release the GIL) and share large read-only state (symbolic
-factorization, plan DAG) that a process pool would have to pickle per
-job. Each job gets its own solver and simulator, and borrows its entry's
-idle *arena* (replica storage, bound programs) until its ``Factor3DResult``
-is collected (:meth:`FactorizationService._give_back`); the counters and
-the idle list take locks.
+Worker threads suit this workload not for parallel kernels — scipy's
+f2py ``dgemm`` / ``dtrsm`` hold the GIL — but because jobs share large
+read-only state (symbolic factorization, plan DAG) that a process pool
+would have to pickle per job, and the cache's build locks, which make
+racing clients wait for one build. Each job gets its own solver and
+simulator, and borrows its entry's idle *arena* (replica storage, bound
+programs) until its ``Factor3DResult`` is collected
+(:meth:`FactorizationService._give_back`); the counters and the idle
+list take locks.
 
 The service never equilibrates (``equil`` rescales values per matrix,
 which would break value-independent plan sharing guarantees the cache
@@ -81,8 +84,10 @@ class FactorizationService:
     Parameters mirror the solver facades; they form the *default* job
     configuration, overridable per request via ``submit`` keyword
     arguments (``backend``, ``px``/``py``/``pz``, ``leaf_size``,
-    ``nd_method``, ``max_block``, ``partition``, ``geometry``, ``numeric``, ``options``). ``capacity`` bounds the LRU
-    plan cache; ``max_workers`` sizes the thread pool.
+    ``nd_method``, ``max_block``, ``partition``, ``geometry``,
+    ``numeric``, ``options``). ``capacity`` bounds the frequency-admitted
+    LRU plan cache (:class:`PlanCache`); ``max_workers`` sizes the thread
+    pool and caps the idle arenas.
 
     Use as a context manager, or call :meth:`close`.
     """
@@ -149,6 +154,7 @@ class FactorizationService:
             "hits": cs.hits,
             "misses": cs.misses,
             "evictions": cs.evictions,
+            "refused": cs.refused,
             "entries": cs.entries,
             "hit_ratio": cs.hit_ratio,
             "arena_loans": self._loans,
@@ -220,15 +226,16 @@ class FactorizationService:
 
     def _give_back(self, entry, arena) -> None:
         """A job's result was collected (a finalizer, on any thread: the lock
-        is re-entrant): its arena replaces the entry's idle one; the least
-        recently returned beyond ``max_workers`` are dropped."""
+        is re-entrant): its arena replaces the entry's idle one; beyond
+        ``max_workers``, the least requested entry's is dropped (the least
+        recently returned on a tie). A refused entry's is never kept."""
         with self._idle_lock:
             if self._closed or not self.cache.holds(entry):
                 return
             self._idle[entry.key] = (entry, arena)
             self._idle.move_to_end(entry.key)
             while len(self._idle) > self._max_idle:
-                self._idle.popitem(last=False)
+                del self._idle[min(self._idle, key=self.cache.frequency)]
 
     def _adopt_tuned(self, A, cfg, explicit: frozenset) -> str | None:
         """Overlay the tuning cache's configuration for this pattern.

@@ -3,7 +3,9 @@
 The referee for every warm path is the PR-5 oracle: `ledger_state`
 bit-identity against a plain cold solver run, plus 1e-12 factor
 agreement. The cache layer is additionally tested for single-build
-semantics under concurrent clients and bounded-LRU eviction.
+semantics under concurrent clients and for its bound: LRU eviction with
+request-count admission (a rarely requested key's entry is refused by a
+full cache), which keeps the hot patterns of a Zipf deck resident.
 """
 
 import gc
@@ -152,6 +154,77 @@ class TestPlanCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             PlanCache(capacity=0)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_zipf_deck_keeps_the_hot_patterns(self, seed):
+        """The ``service_mix`` request trace (six patterns, each seen once,
+        then seven shuffled decks of 49): plain LRU hits 0.76 of it."""
+        deck = (20, 10, 7, 5, 4, 3)
+        cache = PlanCache(capacity=4)
+        for p in range(len(deck)):
+            cache.get_or_build(p, lambda p=p: self._entry(p))
+        warm = cache.stats()
+        for d in range(7):
+            order = np.random.default_rng([seed, 1000 + d]).permutation(
+                np.repeat(np.arange(len(deck)), deck))
+            for p in map(int, order):
+                cache.get_or_build(p, lambda p=p: self._entry(p))
+        st = cache.stats()
+        hits, misses = st.hits - warm.hits, st.misses - warm.misses
+        assert hits / (hits + misses) >= 0.82
+        assert st.refused > 0 and st.entries == 4
+        assert all(cache.get(p) is not None for p in range(4))
+
+    def test_racers_on_a_refused_key_build_once(self):
+        counted = threading.Semaphore(0)
+
+        class Counting(PlanCache):
+            def _count(self, key):
+                super()._count(key)
+                if key == "k":
+                    counted.release()
+
+        cache = Counting(capacity=2)
+        for key in ("a", "b"):
+            for _ in range(5):
+                cache.get_or_build(key, lambda k=key: self._entry(k))
+        builds, got = [], []
+
+        def builder():          # done once all three racers have counted
+            for _ in range(3):
+                assert counted.acquire(timeout=10)
+            builds.append(1)
+            return self._entry("k")
+
+        threads = [threading.Thread(
+            target=lambda: got.append(cache.get_or_build("k", builder)))
+            for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(builds) == 1 and len(got) == 3
+        assert all(entry is got[0][0] for entry, _hit in got)
+        assert sorted(hit for _e, hit in got) == [False, True, True]
+        st = cache.stats()
+        assert (st.refused, st.evictions, st.misses) == (1, 0, 3)
+        assert cache.get("k") is None and cache._building == {}
+
+    def test_count_table_is_bounded_and_halves(self):
+        cache = PlanCache(capacity=2)
+        for key in range(20):
+            cache.get_or_build(key, lambda k=key: self._entry(k))
+            assert len(cache._counts) <= 16
+        assert cache.frequency(3) == 0 and cache.frequency(4) == 1
+        cache.get(19)                   # a peek does not count
+        assert cache.frequency(19) == 1
+        for _ in range(43):             # 63 requests in all
+            cache.get_or_build("a", lambda: self._entry("a"))
+        assert cache.frequency("a") == 43
+        cache.get_or_build("a", lambda: self._entry("a"))
+        assert cache.frequency("a") == 22 and cache.frequency(19) == 0
+        cache.clear()
+        assert cache.frequency("a") == 0 and len(cache._counts) == 0
 
 
 class TestServiceCorrectness:
@@ -626,6 +699,35 @@ class TestArenaLoans:
             assert svc.stats()["idle_arenas"] == 1
             assert svc.solve(_perturbed(A, 1)).cache_hit
             assert svc.stats()["arena_loans"] == 0
+
+    def test_least_requested_entrys_arena_is_dropped(self, problem):
+        A, _ = problem
+        B, _ = grid2d_5pt(10)
+        C, _ = grid2d_5pt(8)
+        with FactorizationService(leaf_size=16, max_workers=2) as svc:
+            for M, n in ((A, 3), (B, 2), (C, 1)):
+                for seed in range(n):
+                    svc.solve(_perturbed(M, seed))
+            # C's arena came back last, but C was requested least.
+            kept = {e.key[0] for e, _a in svc._idle.values()}
+            assert kept == {pattern_fingerprint(A), pattern_fingerprint(B)}
+
+    def test_refused_jobs_arena_is_not_kept(self, problem):
+        A, _ = problem
+        B, _ = grid2d_5pt(10)
+        b = np.ones(B.shape[0])
+        with FactorizationService(leaf_size=16, capacity=1,
+                                  max_workers=2) as svc:
+            svc.solve(A)
+            svc.solve(_perturbed(A, 1))
+            assert svc.stats()["idle_arenas"] == 1
+            job = svc.solve(B, b)          # requested less than A: refused
+            assert not job.cache_hit and job.residual < 1e-10
+            del job
+            st = svc.stats()
+            assert (st["refused"], st["evictions"]) == (1, 0)
+            assert (st["entries"], st["idle_arenas"]) == (1, 1)
+            assert svc.solve(_perturbed(A, 2)).cache_hit
 
     def test_close_drops_idle_arenas(self, problem):
         mats, kw, _cold = self._setup(problem)
