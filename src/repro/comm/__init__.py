@@ -8,17 +8,19 @@ the factorization's real message/compute schedule against virtual ranks:
 
 * :class:`repro.comm.Machine` — α-β-γ cost model (latency, inverse
   bandwidth, per-flop times), default-calibrated to an Edison-like node;
-* :class:`repro.comm.Simulator` — per-rank clocks, message queues, and
-  ledgers (words/messages sent and received, flops by kernel, memory
-  watermark), with phase labels separating factorization traffic from
-  ancestor-reduction traffic (Fig. 10's ``W_fact`` vs ``W_red``);
+* :class:`repro.comm.Simulator` — per-rank clocks and ledgers
+  (words/messages sent and received, flops by kernel, memory watermark),
+  booked from an event stream by its one entry,
+  :meth:`~repro.comm.Simulator.book`, with phase labels separating
+  factorization traffic from ancestor-reduction traffic (Fig. 10's
+  ``W_fact`` vs ``W_red``);
 * :class:`repro.comm.ProcessGrid2D` / :class:`repro.comm.ProcessGrid3D` —
   the logical grids of Section II-E and Section III;
-* tree-structured broadcast/reduce collectives built from point-to-point
-  sends, so volume conservation (Σ sent = Σ received) holds by construction.
+* :func:`repro.comm.collectives.tree_pattern` — a binomial-tree broadcast
+  as matched point-to-point pairs, so volume conservation (Σ sent = Σ
+  received) holds by construction.
 """
 
-from repro.comm.collectives import bcast, reduce_pairwise
 from repro.comm.grid import ProcessGrid2D, ProcessGrid3D, near_square_grid
 from repro.comm.machine import Machine
 from repro.comm.simulator import CommError, Simulator
@@ -44,10 +46,8 @@ __all__ = [
     "Simulator",
     "Torus3D",
     "UniformTopology",
-    "bcast",
     "compact_enabled",
     "near_square_grid",
-    "reduce_pairwise",
     "volume_for",
     "volume_kind",
 ]

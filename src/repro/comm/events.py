@@ -6,8 +6,9 @@ literals. They used to be re-declared (and silently typo-able) across
 ``comm/simulator.py``, ``analysis/trace.py`` and ``resilience/engine.py``;
 a misspelled kind would simply vanish from aggregations. This module is
 the single source of truth — the simulator re-exports ``COMPUTE_KINDS``
-and ``PHASES`` for backward compatibility, and :meth:`Trace.record`
-asserts membership at record time.
+and ``PHASES`` for backward compatibility, ``set_phase`` checks a phase,
+:meth:`~repro.comm.stream.EventStream.check` a stream's kind codes, and
+:meth:`Trace.record` asserts membership for a hand-recorded row.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ PHASES = ("fact", "red", "solve", "rec")
 #: Everything a :class:`repro.analysis.trace.TraceEvent` may carry as its
 #: ``kind``: the compute kinds plus the communication intervals.
 #: (The trace records blocked receives as ``'recv_wait'``; the simulator's
-#: ``event_counts`` tallies the raw ``'recv'`` calls separately.)
+#: ``event_counts`` tallies every message's ``'recv'`` separately.)
 TRACE_KINDS = COMPUTE_KINDS + ("send", "recv_wait")
 
 #: Named phase constants for call sites that set phases programmatically

@@ -60,9 +60,9 @@ class EventStream:
     memo: dict = field(default_factory=dict, repr=False)
 
     def check(self, nranks: int) -> None:
-        """Raise :class:`CommError` unless every rank is in ``[0, nranks)``
-        and no word or flop count is negative; once per stream (its
-        columns are not mutated after)."""
+        """Raise :class:`CommError` unless every rank is in ``[0, nranks)``,
+        every kind code is known and no word or flop count is negative;
+        once per stream (its columns are not mutated after)."""
         if self._checked == nranks:
             return
         for r in (self.src, self.dst, self.mem_rank):
@@ -71,19 +71,10 @@ class EventStream:
                     f"stream contains ranks outside [0, {nranks})")
         if self.val.size and self.val.min() < 0:
             raise CommError("words and flops must be non-negative")
+        if self.kind.size and not \
+                MSG <= self.kind.min() <= self.kind.max() < len(COMPUTE_KINDS):
+            raise CommError("stream contains unknown event kinds")
         self._checked = nranks
-
-    @classmethod
-    def computes(cls, ranks, flops, kind: str, n_block_updates=0
-                 ) -> "EventStream":
-        """One compute event of ``kind`` per entry of ``ranks`` / ``flops``."""
-        ranks = np.asarray(ranks, dtype=np.int64).ravel()
-        flops = np.asarray(flops, dtype=np.float64).ravel()
-        if ranks.shape != flops.shape:
-            raise CommError("ranks and flops must have the same length")
-        return cls(ranks, ranks, flops,
-                   np.full(ranks.size, COMPUTE_KINDS.index(kind), np.int8),
-                   np.broadcast_to(np.asarray(n_block_updates), ranks.shape))
 
     @classmethod
     def pairs(cls, srcs, dsts, words, reduce_kind: str | None = None,

@@ -41,7 +41,10 @@ class DissectionTree:
     ``parent[k] > k`` for every node but the root, which is the last node
     (``parent == -1``); ``perm`` is a :class:`Permutation` (or its
     ``perm[new] = old`` array) and ``offsets`` the ``nb + 1`` block
-    boundaries in the permuted order.
+    boundaries in the permuted order. The dissection builders number
+    true postorder, where every subtree is a contiguous id range
+    (:attr:`first`); the etree of an arbitrary elimination order
+    (:func:`repro.ordering.tree_from_order`) is only parent-after-child.
     """
 
     def __init__(self, parent, perm, offsets):
@@ -93,8 +96,23 @@ class DissectionTree:
     def children_of(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.parent == k)
 
+    @cached_property
+    def first(self) -> np.ndarray | None:
+        """Each node's lowest subtree id when every subtree is the id
+        range ``first[v] .. v``, else ``None``. One pass sizes the
+        subtrees, children first; a child's range inside its parent's, for
+        every node, makes every range exactly its subtree."""
+        size = [1] * self.nblocks
+        for v, p in enumerate(self.parent[:-1].tolist()):
+            size[p] += size[v]
+        first = np.arange(self.nblocks) - np.asarray(size) + 1
+        return None if np.any(first[self.parent[:-1]] > first[:-1]) \
+            else first
+
     def subtree_of(self, k: int) -> np.ndarray:
         """All nodes of the subtree rooted at ``k`` (including ``k``), ascending."""
+        if self.first is not None:
+            return np.arange(self.first[k], k + 1)
         inside = np.zeros(self.nblocks, dtype=bool)
         inside[k] = True
         par = self.parent.tolist()

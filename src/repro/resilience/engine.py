@@ -139,9 +139,8 @@ class ResilienceEngine:
     def before_task(self, plan, ctx, idx) -> Resume | None:
         """Fire the first armed crash matching this boundary, recover it,
         and return where the walk resumes (``None``: no crash). Crashes
-        fire at task boundaries, where no message is in flight (every
-        broadcast and reduction completes within its task), so the rewind
-        never strands queued traffic."""
+        fire at task boundaries, and every message is received within the
+        task that sends it, so the rewind strands no traffic."""
         for k, fault in enumerate(self._crashes):
             if self._crash_fired[k]:
                 continue

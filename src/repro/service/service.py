@@ -163,9 +163,10 @@ class FactorizationService:
         }
 
     def close(self) -> None:
-        self._closed = True
+        with self._idle_lock:   # a give-back past its check stores first
+            self._closed = True
+            self._idle.clear()
         self._pool.shutdown(wait=True)
-        self._idle.clear()
 
     def __enter__(self) -> "FactorizationService":
         return self
@@ -228,14 +229,17 @@ class FactorizationService:
         """A job's result was collected (a finalizer, on any thread: the lock
         is re-entrant): its arena replaces the entry's idle one; beyond
         ``max_workers``, the least requested entry's is dropped (the least
-        recently returned on a tie). A refused entry's is never kept."""
+        recently returned on a tie). A refused entry's is never kept. The
+        victim is picked from a snapshot: a collection inside ``frequency``
+        can run another give-back here, on this thread."""
         with self._idle_lock:
             if self._closed or not self.cache.holds(entry):
                 return
             self._idle[entry.key] = (entry, arena)
             self._idle.move_to_end(entry.key)
             while len(self._idle) > self._max_idle:
-                del self._idle[min(self._idle, key=self.cache.frequency)]
+                self._idle.pop(min(list(self._idle),
+                                   key=self.cache.frequency), None)
 
     def _adopt_tuned(self, A, cfg, explicit: frozenset) -> str | None:
         """Overlay the tuning cache's configuration for this pattern.

@@ -113,7 +113,15 @@ def _greedy_split(roots: list[int], parent: np.ndarray, weights: np.ndarray,
     return S, bin_a, bin_b
 
 
-def _collect_subtrees(roots: list[int], kids: list[list[int]]) -> list[int]:
+def _collect_subtrees(roots: list[int], kids: list[list[int]],
+                      first: np.ndarray | None) -> list[int]:
+    """The nodes of the disjoint subtrees under ``roots``, ascending. In
+    true postorder each is the id range ``first[v] .. v``, and the ranges
+    of ascending roots follow each other; otherwise (the etree of an
+    arbitrary order) a walk collects them."""
+    if first is not None:
+        return [x for v in sorted(roots)
+                for x in range(int(first[v]), v + 1)]
     out: list[int] = []
     stack = list(roots)
     while stack:
@@ -124,7 +132,8 @@ def _collect_subtrees(roots: list[int], kids: list[list[int]]) -> list[int]:
 
 
 def _build_forests(parent: np.ndarray, weights: np.ndarray, pz: int,
-                   splitter, kids: list[list[int]], sub: np.ndarray
+                   splitter, kids: list[list[int]], sub: np.ndarray,
+                   first: np.ndarray | None
                    ) -> dict[tuple[int, int], list[int]]:
     nlev = int(np.log2(pz))
     roots = sorted(np.flatnonzero(parent == -1).tolist())
@@ -132,7 +141,7 @@ def _build_forests(parent: np.ndarray, weights: np.ndarray, pz: int,
 
     def recurse(forest_roots: list[int], q: int, b: int) -> None:
         if q == nlev:
-            forests[(q, b)] = _collect_subtrees(forest_roots, kids)
+            forests[(q, b)] = _collect_subtrees(forest_roots, kids, first)
             return
         S, c1, c2 = splitter(forest_roots, parent, weights, sub, kids)
         forests[(q, b)] = sorted(S)
@@ -165,7 +174,7 @@ def greedy_partition(sf: SymbolicFactorization, pz: int,
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape[0] != parent.shape[0]:
         raise ValueError("weights length must equal number of blocks")
-    tables = _tree_tables(parent, weights)
+    tables = *_tree_tables(parent, weights), sf.tree.first
     greedy = TreeForest(pz, _build_forests(parent, weights, pz,
                                            _greedy_split, *tables), parent)
     naive = TreeForest(pz, _build_forests(parent, weights, pz,
@@ -200,7 +209,7 @@ def naive_partition(sf: SymbolicFactorization, pz: int,
         weights = sf.costs.node_flops
     weights = np.asarray(weights, dtype=np.float64)
     forests = _build_forests(parent, weights, pz, _naive_split,
-                             *_tree_tables(parent, weights))
+                             *_tree_tables(parent, weights), sf.tree.first)
     return TreeForest(pz, forests, parent)
 
 

@@ -74,8 +74,6 @@ def conservation_issues(sim: Simulator, plan=None, solves=()) -> list[str]:
     ``flops['solve']`` with their reduction likewise.
     """
     issues: list[str] = []
-    if sim.pending_messages():
-        issues.append(f"{sim.pending_messages()} messages still in flight")
     for p in PHASES:
         ws = float(sim.words_sent[p].sum())
         wr = float(sim.words_recv[p].sum())

@@ -1,9 +1,14 @@
 """Shared fixtures: small representative matrices of each geometry class,
 plus the suite-wide plan-verification hook and hypothesis strategies."""
 
+from collections import defaultdict, deque
+
+import numpy as np
 import pytest
 
-from repro.comm import Simulator
+from repro.comm import CommError, Machine
+from repro.comm.events import COMPUTE_KINDS, PHASES
+from repro.comm.stream import MSG, EventStream
 from repro.sparse import (
     circuit_like,
     grid2d_5pt,
@@ -39,47 +44,192 @@ def _verify_every_plan():
     build.POST_BUILD_HOOK = prev
 
 
-class EventByEvent(Simulator):
-    """The per-event referee: a subclass observes events, so
-    :meth:`Simulator.book` issues a stream through ``compute`` / ``send``
-    / ``recv`` / ``alloc`` / ``free`` (with a trace or a topology attached,
-    the calls that record and price events one at a time) — what a plain
-    ``Simulator``'s array path must book bit for bit. ``calls`` lists
-    them."""
+class EventByEvent:
+    """The per-event referee of :meth:`Simulator.book`: a standalone
+    simulator that issues a stream one event at a time, through
+    ``compute`` / ``send`` + ``recv`` / ``alloc`` / ``free`` in stream
+    order. It keeps its own clocks, FIFO message queues and ledgers, and
+    applies a trace's rows, a topology's prices and a fault injector's
+    perturbations event by event — what ``Simulator.book``'s clock loop
+    must book float for float. ``calls`` lists the calls."""
 
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
+    def __init__(self, nranks, machine=None, trace=None, topology=None):
+        self.nranks, self.phase = nranks, "fact"
+        self.machine = machine or Machine.edison_like()
+        self.trace, self.topology, self.faults = trace, topology, None
+        self.clock = np.zeros(nranks)
+        self.flops = {k: np.zeros(nranks) for k in COMPUTE_KINDS}
+        self.t_compute = {k: np.zeros(nranks) for k in COMPUTE_KINDS}
+        self.words_sent = {p: np.zeros(nranks) for p in PHASES}
+        self.words_recv = {p: np.zeros(nranks) for p in PHASES}
+        self.msgs_sent = {p: np.zeros(nranks, np.int64) for p in PHASES}
+        self.msgs_recv = {p: np.zeros(nranks, np.int64) for p in PHASES}
+        self.mem_current, self.mem_peak = np.zeros(nranks), np.zeros(nranks)
+        self.event_counts = defaultdict(int)
+        self.queues = defaultdict(deque)
         self.calls: list = []
+
+    def set_phase(self, phase):
+        if phase not in PHASES:
+            raise CommError(f"unknown phase {phase!r}")
+        self.phase = phase
+
+    def attach_faults(self, injector):
+        self.faults = injector
+
+    def _record(self, rank, start, end, kind, words=0.0):
+        if self.trace is not None:
+            self.trace.record(rank, start, end, kind, self.phase, words)
 
     def compute(self, rank, flops, kind, n_block_updates=0):
         self.calls.append(("compute", rank, flops, kind, n_block_updates))
-        super().compute(rank, flops, kind, n_block_updates)
+        m = self.machine
+        gamma = m.gamma_gemm if kind in ("schur", "reduce_add") \
+            else m.gamma_panel
+        dt = flops * gamma + n_block_updates * m.gemm_overhead
+        start = self.clock[rank]
+        if self.faults is not None:
+            dt = self.faults.scale_compute(rank, start, dt)
+        self.clock[rank] += dt
+        self.flops[kind][rank] += flops
+        self.t_compute[kind][rank] += dt
+        self.event_counts[kind] += 1
+        self._record(rank, start, self.clock[rank], kind)
+
+    def _transmit(self, src, words):
+        self.words_sent[self.phase][src] += words
+        self.msgs_sent[self.phase][src] += 1
+        self.event_counts["send"] += 1
 
     def send(self, src, dst, words):
+        """The sender's NIC is busy for each transmission; a dropped one
+        times out and is sent again. A delay pushes only the arrival."""
         self.calls.append(("send", src, dst, words))
-        super().send(src, dst, words)
+        start = self.clock[src]
+        alpha, beta = self.machine.alpha, self.machine.beta
+        if self.topology is not None:
+            alpha *= self.topology.latency_factor(src, dst)
+            beta *= self.topology.bandwidth_factor(src, dst)
+        self.clock[src] += alpha + beta * words
+        arrival = self.clock[src]
+        if self.faults is not None:
+            for _ in range(self.faults.count_drops(src, dst,
+                                                   self.clock[src])):
+                self.clock[src] += self.faults.timeout + alpha + beta * words
+                self._transmit(src, words)
+            arrival = self.clock[src] + self.faults.added_delay(
+                src, dst, self.clock[src])
+        self.queues[src, dst].append((arrival, words))
+        self._transmit(src, words)
+        self._record(src, start, self.clock[src], "send", words)
 
     def recv(self, dst, src):
         self.calls.append(("recv", dst, src))
-        return super().recv(dst, src)
+        arrival, words = self.queues[src, dst].popleft()
+        start = self.clock[dst]
+        self.clock[dst] = max(self.clock[dst], arrival)
+        self.words_recv[self.phase][dst] += words
+        self.msgs_recv[self.phase][dst] += 1
+        self.event_counts["recv"] += 1
+        if self.clock[dst] > start:
+            self._record(dst, start, self.clock[dst], "recv_wait", words)
 
     def alloc(self, rank, words):
         self.calls.append(("alloc", rank, words))
-        super().alloc(rank, words)
+        self.mem_current[rank] += words
+        self.mem_peak[rank] = max(self.mem_peak[rank], self.mem_current[rank])
 
     def free(self, rank, words):
         self.calls.append(("free", rank, words))
-        super().free(rank, words)
+        self.mem_current[rank] -= words
+        if self.mem_current[rank] < -1e-9:
+            raise CommError(f"rank {rank} freed more memory than allocated")
+
+    def alloc_batch(self, ranks, words):
+        for r, w in zip(np.asarray(ranks).tolist(), np.asarray(words).tolist()):
+            self.alloc(r, w)
+
+    def free_batch(self, ranks, words):
+        for r, w in zip(np.asarray(ranks).tolist(), np.asarray(words).tolist()):
+            self.free(r, w)
+
+    def book(self, ev, lo=0, hi=None, mlo=0, mhi=None):
+        """Issue events ``[lo, hi)`` and charges ``[mlo, mhi)`` one by one;
+        returns the charges' per-rank ``(net, peak, low)`` running levels
+        (``None``: no charge)."""
+        ev.check(self.nranks)
+        upd = np.zeros(ev.src.size, np.int64) if ev.upd is None else ev.upd
+        for s, d, v, k, u in zip(*(c[lo:hi].tolist() for c in (
+                ev.src, ev.dst, ev.val, ev.kind, upd))):
+            if k == MSG:
+                self.send(s, d, v)
+                self.recv(d, s)
+            else:
+                self.compute(s, v, COMPUTE_KINDS[k], n_block_updates=u)
+        ranks = ev.mem_rank[mlo:mhi].tolist()
+        if not ranks:
+            return None
+        net, peak, low = np.zeros((3, self.nranks))
+        for r, w in zip(ranks, ev.mem_words[mlo:mhi].tolist()):
+            if w < 0:
+                self.free(r, -w)
+            else:
+                self.alloc(r, w)
+            net[r] += w
+            peak[r], low[r] = max(peak[r], net[r]), min(low[r], net[r])
+        return net, peak, low
+
+    def ledgers(self):
+        out = {"clock": self.clock, "mem_current": self.mem_current,
+               "mem_peak": self.mem_peak}
+        for k in COMPUTE_KINDS:
+            out[f"flops:{k}"] = self.flops[k]
+            out[f"t_compute:{k}"] = self.t_compute[k]
+        for p in PHASES:
+            for name in ("words_sent", "words_recv", "msgs_sent",
+                         "msgs_recv"):
+                out[f"{name}:{p}"] = getattr(self, name)[p]
+        return out
+
+    @property
+    def makespan(self):
+        return float(self.clock.max())
+
+    @property
+    def critical_rank(self):
+        return int(np.argmax(self.clock))
+
+    def words_per_rank(self, phase=None):
+        return sum(self.words_sent[p] + self.words_recv[p]
+                   for p in (PHASES if phase is None else (phase,)))
+
+    def msgs_per_rank(self, phase=None):
+        return sum(self.msgs_sent[p] + self.msgs_recv[p]
+                   for p in (PHASES if phase is None else (phase,)))
 
 
-def per_event_simulator(nranks: int, machine=None):
-    """A simulator that books every stream event by event: a fault
-    injector with no faults observes each ``send`` / ``compute`` and
-    perturbs nothing (the ledger is the plain simulator's)."""
-    from repro.resilience import FaultInjector, FaultPlan
-    sim = Simulator(nranks, machine)
-    sim.attach_faults(FaultInjector(FaultPlan(), sim.machine))
-    return sim
+def computes(ranks, flops, kind: str, n_block_updates=0) -> EventStream:
+    """One compute event of ``kind`` per entry of ``ranks`` / ``flops``."""
+    ranks = np.asarray(ranks, dtype=np.int64).ravel()
+    return EventStream(ranks, ranks, np.asarray(flops, float).ravel(),
+                       np.full(ranks.size, COMPUTE_KINDS.index(kind), np.int8),
+                       np.broadcast_to(np.asarray(n_block_updates),
+                                       ranks.shape))
+
+
+def bcast_stream(root: int, ranks, words: float) -> EventStream:
+    """A binomial-tree broadcast of ``words`` from ``root`` over ``ranks``:
+    its :func:`~repro.comm.collectives.tree_pattern` as messages."""
+    from repro.comm.collectives import tree_pattern
+    srcs, dsts, _receivers = tree_pattern(-1, root, ranks)
+    return EventStream.pairs(srcs, dsts, np.full(len(srcs), float(words)))
+
+
+def messages(ev, lo=0, hi=None) -> list:
+    """``(src, dst)`` of every message of events ``[lo, hi)`` of ``ev``:
+    what a spy wrapping ``Simulator.book`` sees."""
+    m = ev.kind[lo:hi] == MSG
+    return list(zip(ev.src[lo:hi][m].tolist(), ev.dst[lo:hi][m].tolist()))
 
 
 def width1_options(opts=None):

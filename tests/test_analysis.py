@@ -1,24 +1,25 @@
 """Tests for metrics aggregation and table rendering."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import FactorizationMetrics, format_table
 from repro.analysis.report import format_si
 from repro.comm import Machine, Simulator
+from repro.comm.events import COMPUTE_KINDS
+from repro.comm.stream import MSG, EventStream
 
 
 def _toy_sim() -> Simulator:
     sim = Simulator(3, Machine.edison_like())
-    sim.alloc(0, 100)
-    sim.alloc(1, 300)
-    sim.compute(0, 1e6, "schur", n_block_updates=2)
-    sim.compute(0, 5e5, "panel")
-    sim.compute(1, 2e6, "diag")
-    sim.send(0, 1, 1000)
-    sim.recv(1, 0)
+    code = COMPUTE_KINDS.index
+    sim.book(EventStream(
+        np.array([0, 0, 1, 0]), np.array([0, 0, 1, 1]),
+        np.array([1e6, 5e5, 2e6, 1000.0]),
+        np.array([code("schur"), code("panel"), code("diag"), MSG], np.int8),
+        np.array([2, 0, 0, 0]), np.array([0, 1]), np.array([100.0, 300.0])))
     sim.set_phase("red")
-    sim.send(2, 0, 400)
-    sim.recv(0, 2)
+    sim.book(EventStream.pairs([2], [0], [400]))
     sim.set_phase("fact")
     return sim
 

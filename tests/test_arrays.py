@@ -10,7 +10,7 @@ Pins what makes one plan form safe:
   per task, in a permuted legal order — equals the same plan issued event
   by event, and ``volume()`` equals the walked ledger per rank, over
   random build configurations in dense and compact pricing (hypothesis);
-* ``alloc_batch`` / ``free_batch`` equal the per-event loop on random
+* ``alloc_batch`` / ``free_batch`` equal the per-event referee on random
   interleavings with repeated ranks;
 * a hand-built malformed plan ends in an analyzer issue or a
   ``CommError`` — never a booked ledger;
@@ -134,13 +134,14 @@ class TestViewAndArraysAgree:
         assert json.loads(json.dumps(planstats_record(plan))) == want
 
     def test_tree_pattern_is_the_bcast_replay(self):
-        """The flattened pairs are what ``bcast`` issues event by event."""
+        """The flattened pairs are the sends a traced booking records, and
+        every other member receives once."""
         from repro.analysis import Trace
-        from repro.comm.collectives import bcast
+        from tests.conftest import bcast_stream
         for root, comm in ((2, (0, 1, 2, 3, 4)), (0, (0, 3)), (5, (5,)),
                            (1, (4, 1, 7, 2, 9, 0, 3))):
             sim = Simulator(10, trace=Trace())
-            bcast(sim, root, list(comm), 3.0)
+            sim.book(bcast_stream(root, list(comm), 3.0))
             srcs, dsts, recv = tree_pattern(-1, root, comm)
             sends = [e for e in sim.trace.events if e.kind == "send"]
             assert [e.rank for e in sends] == srcs
@@ -205,7 +206,7 @@ class TestOneEventStream:
             self, compact, case, seed):
         """The plan booked as stream slices on a plain ``Simulator`` — the
         reduction — equals, by ``ledger_state``, the plan issued event by
-        event through a subclass, whatever the cut points; a permuted
+        event by the per-event referee, whatever the cut points; a permuted
         legal order books the canonical ledger on both."""
         from tests.conftest import EventByEvent
         plan, sf = build(case, compact)
@@ -374,10 +375,10 @@ class TestMemoryBatches:
         ranks: ``mem_current`` and ``mem_peak`` match event by event,
         given plain lists or arrays (one path now: the scalar fast path
         for small lists is gone, hence half the examples it used to take)."""
-        loop, lists, arrays = Simulator(5), Simulator(5), Simulator(5)
+        from tests.conftest import EventByEvent
+        loop, lists, arrays = EventByEvent(5), Simulator(5), Simulator(5)
         for sim in (loop, lists, arrays):   # headroom so frees stay legal
-            for r in range(5):
-                sim.alloc(r, 1e12)
+            sim.alloc_batch(range(5), [1e12] * 5)
         for is_alloc, events in batches:
             ranks = [r for r, _w in events]
             words = [w for _r, w in events]
@@ -393,9 +394,9 @@ class TestMemoryBatches:
 
     def test_negative_and_out_of_range_rejected_before_booking(self):
         sim = Simulator(3)
-        sim.alloc(0, 10.0)
+        sim.alloc_batch([0], [10.0])
         with pytest.raises(CommError, match="non-negative"):
-            sim.free(0, -5.0)       # used to *raise* mem_current silently
+            sim.free_batch([0], [-5.0])  # used to *raise* mem_current
         for call in (sim.alloc_batch, sim.free_batch,
                      lambda r, w: sim.alloc_batch(np.asarray(r), w),
                      lambda r, w: sim.free_batch(np.asarray(r), w)):

@@ -1,11 +1,12 @@
 """Equivalence tests: pair-cost booking and vectorized ledger paths.
 
-The vectorized paths (``Simulator.compute_batch`` over the per-pair Schur
-cost arrays, closed-form broadcast) are performance rewrites of the
+The vectorized paths (``Simulator.book`` over the per-pair Schur cost
+arrays, a broadcast's flattened pairs) are performance rewrites of the
 per-event loops; these tests pin down the contract that makes them safe —
-simulator ledgers *bit-for-bit* identical to the per-event bookkeeping,
-against a per-pair reference loop written out here, and factors that do
-not depend on which booking path a run takes.
+simulator ledgers *bit-for-bit* identical to the per-event referee
+(``tests/conftest.py::EventByEvent``), fed by a per-pair reference loop
+written out here, and factors that do not depend on whether a run is
+traced.
 """
 
 import numpy as np
@@ -15,14 +16,13 @@ from repro.analysis import Trace
 from repro.cholesky import factor_chol_3d
 from repro.comm import (CommError, ProcessGrid2D, ProcessGrid3D, Simulator,
                         UniformTopology)
-from repro.comm.collectives import bcast
 from repro.lu2d.batched import schur_pairs, syrk_pairs
 from repro.lu3d import factor_3d, replica_words_per_rank
 from repro.plan import build_grid_plan, execute_grid_plan
 from repro.sparse import delaunay_mesh_2d, grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
-from tests.conftest import EventByEvent, one_layer
+from tests.conftest import EventByEvent, bcast_stream, computes, one_layer
 
 
 def ledger_snapshot(sim: Simulator) -> dict[str, np.ndarray]:
@@ -110,7 +110,7 @@ def syrk_pair_costs(k, lp, sizes, grid):
 
 
 class TestPairCostBooking:
-    """``compute_batch`` over the pair-cost arrays == per-event booking."""
+    """``book`` over the pair-cost arrays == per-event booking."""
 
     def test_node_lists_concatenate_the_one_node_arrays(self):
         """What the plan builder calls: a whole node list at once, any
@@ -144,15 +144,15 @@ class TestPairCostBooking:
         sf = symbolic_factorize(A, geom, leaf_size=24)
         grid = ProcessGrid2D(2, 2)
         sizes = sf.layout.sizes()
-        sim_loop, sim_batch = Simulator(4), Simulator(4)
+        sim_loop, sim_batch = EventByEvent(4), Simulator(4)
         total = 0
         for k in range(sf.nb):
             n = _book_lu_pairs_per_event(sim_loop, sf, grid, k)
             owners, flops = schur_pair_costs(
                 k, sf.fill.lpanel[k], sf.fill.upanel[k], sizes, grid)
             assert owners.size == flops.size == n
-            sim_batch.compute_batch(owners, flops, "schur",
-                                    n_block_updates=1)
+            sim_batch.book(computes(owners, flops, "schur",
+                                    n_block_updates=1))
             total += n
         assert total > 0
         assert_ledgers_identical(sim_loop, sim_batch)
@@ -162,13 +162,13 @@ class TestPairCostBooking:
         sf = symbolic_factorize(A, g, leaf_size=24)
         grid = ProcessGrid2D(2, 2)
         sizes = sf.layout.sizes()
-        sim_loop, sim_batch = Simulator(4), Simulator(4)
+        sim_loop, sim_batch = EventByEvent(4), Simulator(4)
         for k in range(sf.nb):
             n = _book_chol_pairs_per_event(sim_loop, sf, grid, k)
             owners, flops = syrk_pair_costs(k, sf.fill.lpanel[k], sizes, grid)
             assert owners.size == n
-            sim_batch.compute_batch(owners, flops, "schur",
-                                    n_block_updates=1)
+            sim_batch.book(computes(owners, flops, "schur",
+                                    n_block_updates=1))
         assert_ledgers_identical(sim_loop, sim_batch)
 
     def test_empty_panels_book_nothing(self):
@@ -181,8 +181,8 @@ class TestPairCostBooking:
 
 
 def _sim(nranks: int, traced: bool) -> Simulator:
-    """A traced simulator makes the drivers walk unfused and makes
-    ``compute_batch`` book per event — the reference path."""
+    """A traced simulator: its rows ride the same booking loop, so its
+    ledger must be the untraced one's."""
     return Simulator(nranks, trace=Trace() if traced else None)
 
 
@@ -266,36 +266,29 @@ class TestComputeBatch:
         rng = np.random.default_rng(7)
         ranks = rng.integers(0, 6, size=200)
         flops = rng.random(200) * 1e7
-        sim_loop, sim_batch = Simulator(6), Simulator(6)
+        sim_loop, sim_batch = EventByEvent(6), Simulator(6)
         for r, f in zip(ranks, flops):
             sim_loop.compute(int(r), float(f), "schur", n_block_updates=1)
-        sim_batch.compute_batch(ranks, flops, "schur", n_block_updates=1)
+        sim_batch.book(computes(ranks, flops, "schur", n_block_updates=1))
         assert_ledgers_identical(sim_loop, sim_batch)
 
     def test_traced_fallback_matches(self):
         ranks = np.array([0, 1, 0, 2])
         flops = np.array([1e6, 2e6, 3e6, 4e6])
-        sims = []
-        for _ in range(2):
-            sim = Simulator(3, trace=Trace())
-            sims.append(sim)
+        sims = [EventByEvent(3, trace=Trace()), Simulator(3, trace=Trace())]
         for r, f in zip(ranks, flops):
             sims[0].compute(int(r), float(f), "panel")
-        sims[1].compute_batch(ranks, flops, "panel")
+        sims[1].book(computes(ranks, flops, "panel"))
         assert_ledgers_identical(sims[0], sims[1])
         assert sims[0].trace.events == sims[1].trace.events
 
     def test_validation(self):
         sim = Simulator(4)
         with pytest.raises(CommError):
-            sim.compute_batch([0, 1], [1.0], "schur")
+            sim.book(computes([4], [1.0], "schur"))
         with pytest.raises(CommError):
-            sim.compute_batch([0], [1.0], "nope")
-        with pytest.raises(CommError):
-            sim.compute_batch([4], [1.0], "schur")
-        with pytest.raises(CommError):
-            sim.compute_batch([0], [-1.0], "schur")
-        sim.compute_batch([], [], "schur")  # empty batch is a no-op
+            sim.book(computes([0], [-1.0], "schur"))
+        sim.book(computes([], [], "schur"))  # empty batch is a no-op
         assert sim.clock.max() == 0.0
 
 
@@ -308,8 +301,8 @@ class TestClosedFormBcast:
         sim_ev = EventByEvent(16, topology=UniformTopology())
         ranks = list(range(3, 3 + p))
         for root in (ranks[0], ranks[-1], ranks[p // 2]):
-            bcast(sim_cf, root, ranks, 512.0)
-            bcast(sim_ev, root, ranks, 512.0)
+            for sim in (sim_cf, sim_ev):
+                sim.book(bcast_stream(root, ranks, 512.0))
         assert_ledgers_identical(sim_cf, sim_ev)
 
     def test_traced_run_takes_event_path(self):
@@ -317,13 +310,13 @@ class TestClosedFormBcast:
         per-event path records."""
         sim, ref = Simulator(4, trace=Trace()), EventByEvent(4, trace=Trace())
         for s in (sim, ref):
-            bcast(s, 0, [0, 1, 2, 3], 64.0)
+            s.book(bcast_stream(0, [0, 1, 2, 3], 64.0))
         kinds = {ev.kind for ev in sim.trace.events}
         assert "send" in kinds and sim.trace.events == ref.trace.events
 
     def test_conservation(self):
         sim = Simulator(8)
-        bcast(sim, 2, list(range(8)), 100.0)
+        sim.book(bcast_stream(2, list(range(8)), 100.0))
         ws = sim.words_sent["fact"]
         wr = sim.words_recv["fact"]
         assert ws.sum() == wr.sum() == 700.0

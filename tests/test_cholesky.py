@@ -173,7 +173,7 @@ class TestVsLU:
         c, _ = self._pair()
         assert c.sim.total_words_sent() == pytest.approx(
             c.sim.total_words_recv())
-        assert c.sim.pending_messages() == 0
+        assert c.sim.event_counts["send"] == c.sim.event_counts["recv"]
 
 
 class TestSolveLedger:

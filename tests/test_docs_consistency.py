@@ -210,6 +210,8 @@ class TestCrossReferences:
         "comm/accelerator",
         "ExecMode", "resolve_exec", "plan/execmode", "plan.execmode",
         "_factor_blocks", "ReplicaData",
+        "pending_messages", "sendrecv_batch", "compute_batch",
+        "reduce_pairwise", "_queues", "EventStream.computes",
     )
 
     def test_no_deleted_name_survives(self):

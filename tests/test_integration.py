@@ -33,7 +33,7 @@ def test_full_pipeline_every_suite_matrix(tm):
 
     sim = solver.sim
     assert sim.total_words_sent() == pytest.approx(sim.total_words_recv())
-    assert sim.pending_messages() == 0
+    assert sim.event_counts["send"] == sim.event_counts["recv"]
     assert (sim.mem_current >= -1e-9).all()
 
 

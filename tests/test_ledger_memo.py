@@ -1,9 +1,10 @@
 """The referee of ``Simulator.book``'s replayed slices.
 
-A plain simulator booking a slice it has booked from the same entry state
-before copies the stored exit state instead of booking it again
-(docs/simulator.md § "Replayed slices"). Every test here fails if a replay
-is allowed to differ from a booking: ledgers are compared as JSON text, so
+A plain simulator booking a slice whose exit state was stored, from the
+same entry state, copies that state instead of booking it again; a slice
+stores on its third booking (docs/simulator.md § "Replayed slices").
+Every test here fails if a replay is allowed to differ from a booking:
+ledgers are compared as JSON text, so
 values, dtypes *and* ``event_counts`` key order must agree; and where a
 run must replay, it is checked that no reduction ran (``Volume.add``
 counted).
@@ -22,7 +23,6 @@ from repro import SparseLU3D
 from repro.analysis.trace import Trace
 from repro.cholesky import factor_chol_3d
 from repro.comm import (
-    CommError,
     Machine,
     ProcessGrid3D,
     Simulator,
@@ -32,12 +32,12 @@ from repro.comm.stream import MSG, EventStream
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
+from repro.resilience import FaultInjector, FaultPlan
 from repro.service import FactorizationService
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify import ledger_state
-from tests.conftest import per_event_simulator
 
 
 def state(sim) -> str:
@@ -93,9 +93,9 @@ class TestReplayEqualsBooking:
     @pytest.mark.parametrize("numeric", [False, True])
     @pytest.mark.parametrize("case", sorted(ZOO))
     def test_golden_zoo(self, case, numeric, compact, adds):
-        """Three runs of one plan bundle from fresh simulators: the first
-        books, the second books and stores, the third only replays — and
-        all three ledgers are the same text."""
+        """Four runs of one plan bundle from fresh simulators: the first
+        two book, the third books and stores, the fourth only replays —
+        and all four ledgers are the same text."""
         driver, matrix, leaf, shape = ZOO[case]
         A, g = matrix()
         sf = symbolic_factorize(A, g, leaf_size=leaf)
@@ -103,20 +103,20 @@ class TestReplayEqualsBooking:
         tf = greedy_partition(sf, grid3.pz)
         opts = FactorOptions(compact_comm=compact)
         got, bundle = [], None
-        for _ in range(3):
+        for _ in range(4):
             sim = Simulator(grid3.size, Machine.edison_like())
             adds[0] = 0
             bundle = driver(sf, tf, grid3, sim, numeric=numeric,
                             options=opts, cached=bundle).bundle
             got.append(state(sim))
-        assert adds[0] == 0, "the third run booked instead of replaying"
-        assert got[0] == got[1] == got[2]
+        assert adds[0] == 0, "the fourth run booked instead of replaying"
+        assert got[0] == got[1] == got[2] == got[3]
 
     def test_refactorize_series_and_solves(self, adds):
         """20 same-pattern steps with new values and two right-hand
         sides: each step's factor and solve ledgers equal a cold solver's
-        on the same matrix; from the second step on the factorization, and
-        from the third the solve, books nothing."""
+        on the same matrix; from the third step on the factorization, and
+        from the fourth the solve, books nothing."""
         A, g = grid2d_5pt(16)
         rng = np.random.default_rng(3)
         B = rng.standard_normal((A.shape[0], 2))
@@ -128,10 +128,10 @@ class TestReplayEqualsBooking:
             cold = SparseLU3D(M, **kw).factorize()
             adds[0] = 0
             warm.refactorize(M)
-            assert step < 1 or adds[0] == 0
+            assert step < 2 or adds[0] == 0
             assert state(warm.sim) == state(cold.sim)
             x = warm.solve(B)
-            assert step < 2 or adds[0] == 0
+            assert step < 3 or adds[0] == 0
             assert np.array_equal(x, cold.solve(B))
             assert state(warm.sim) == state(cold.sim)
 
@@ -143,7 +143,7 @@ class TestReplayEqualsBooking:
 
     def test_one_ulp_misses_and_books(self, adds):
         ev = stream()
-        for _ in range(2):
+        for _ in range(3):
             Simulator(4).book(ev)
         sim, ref = Simulator(4), Simulator(4)
         for s in (sim, ref):
@@ -156,55 +156,66 @@ class TestReplayEqualsBooking:
 
 
 class TestWhenItApplies:
-    @pytest.mark.parametrize("observed", ["trace", "topology", "faults",
-                                          "subclass"])
+    @pytest.mark.parametrize("observed", ["trace", "topology", "faults"])
     def test_an_observed_simulator_never_replays(self, observed, adds):
-        """A trace or a topology books on the array path — no per-event
-        call — and a fault injector or a subclass event by event; none
-        reads or writes ``ev.memo``."""
-        class Sub(Simulator):
-            pass
+        """A trace, a topology or a fault injector books on the array
+        path, and none reads or writes ``ev.memo``."""
         ev = stream()
-        for _ in range(2):
+        for _ in range(3):
             Simulator(4).book(ev)
         memo = dict(ev.memo)
-        make = {"trace": lambda: Simulator(4, trace=Trace()),
-                "topology": lambda: Simulator(
-                    4, topology=UniformTopology()),
-                "faults": lambda: per_event_simulator(4),
-                "subclass": lambda: Sub(4)}[observed]
+
+        def make():
+            if observed == "faults":
+                sim = Simulator(4)
+                sim.attach_faults(FaultInjector(FaultPlan(), sim.machine))
+                return sim
+            if observed == "trace":
+                return Simulator(4, trace=Trace())
+            return Simulator(4, topology=UniformTopology())
         for booked in (ev, fresh := stream()):
-            sim, calls = make(), []
-            sim.compute = lambda *a, **kw: calls.append(a)
             adds[0] = 0
-            sim.book(booked)
-            if observed in ("trace", "topology"):
-                assert calls == [] and adds[0] == 1
-            else:
-                assert len(calls) == 3 and adds[0] == 0
+            make().book(booked)
+            assert adds[0] == 1
         assert ev.memo == memo and fresh.memo == {}
 
-    def test_a_queued_message_raises_before_the_lookup(self):
-        ev = stream()
-        for _ in range(2):
-            Simulator(4).book(ev)
-        sim = Simulator(4)
-        sim._queues[(0, 1)].append((0.0, 5.0))
-        with pytest.raises(CommError, match="in flight"):
+    def test_a_slice_stores_on_its_third_booking(self, adds, monkeypatch):
+        """The first two bookings of a slice take no ledger image and
+        store nothing; the third stores; the fourth and fifth replay."""
+        import repro.comm.simulator as simulator
+        images, stores = [0], [0]
+        ledgers, counts = Simulator.ledgers, simulator.kind_counts
+
+        def imaged(self):
+            images[0] += 1
+            return ledgers(self)
+
+        def stored(*args):
+            stores[0] += 1
+            return counts(*args)
+        monkeypatch.setattr(Simulator, "ledgers", imaged)
+        monkeypatch.setattr(simulator, "kind_counts", stored)
+        ev, got, sims = stream(), [], [Simulator(4) for _ in range(5)]
+        for sim in sims:
             sim.book(ev)
+            got.append((images[0], stores[0], adds[0]))
+        assert got == [(0, 0, 1), (0, 0, 2), (1, 1, 3), (2, 1, 3),
+                       (3, 1, 3)]
+        assert len(set(map(state, sims))) == 1
 
     def test_one_booking_stores_nothing_and_a_key_holds_one_entry(
             self, adds):
         ev = stream()
         Simulator(4).book(ev)
         Simulator(4).book(ev, 0, 3, 0, 2)
-        assert list(ev.memo.values()) == [None, None]
+        assert list(ev.memo.values()) == [1, 1]     # booking counts
         other, entry = Simulator(4), Simulator(4)
         for sim in (other, entry):
             sim.clock[:] = 1.0
-        for sim in (Simulator(4), other):    # each state stores over the last
+        # The third booking stores; each state stores over the last.
+        for sim in (Simulator(4), Simulator(4), other):
             sim.book(ev)
-        (key,) = [k for k, v in ev.memo.items() if v is not None]
+        (key,) = [k for k, v in ev.memo.items() if not isinstance(v, int)]
         assert ev.memo[key][0] == b"".join(
             a.tobytes() for a in entry.ledgers().values())
         adds[0] = 0
@@ -221,7 +232,7 @@ class TestWhenItApplies:
     @pytest.mark.parametrize("change", ["phase", "machine"])
     def test_phase_and_rates_are_in_the_key(self, change, adds):
         ev = stream()
-        for _ in range(2):
+        for _ in range(3):
             Simulator(4).book(ev)
         machine = Machine.zero_comm() if change == "machine" else None
         sim, ref = Simulator(4, machine), Simulator(4, machine)

@@ -11,6 +11,7 @@ from repro.lu3d.replication import ReplicaManager
 from repro.sparse import BlockMatrix, grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition, naive_partition
+from tests.conftest import messages
 
 
 def _run_3d(A, geom, pz, leaf_size=24, px=2, py=2, numeric=True,
@@ -37,7 +38,7 @@ class TestNumericCorrectness:
         A, geom = planar_small
         sf, _, sim, res = _run_3d(A, geom, pz, leaf_size=16)
         assert _lu_error(sf, res, A) < 1e-10
-        assert sim.pending_messages() == 0
+        assert sim.event_counts["send"] == sim.event_counts["recv"]
 
     @pytest.mark.parametrize("pz", [2, 4])
     def test_all_families(self, any_matrix, pz):
@@ -117,10 +118,10 @@ class TestScheduleStructure:
                 super().__init__(*a, **k)
                 self.red_pairs = []
 
-            def send(self, src, dst, words):
+            def book(self, ev, lo=0, hi=None, mlo=0, mhi=None):
                 if self.phase == "red":
-                    self.red_pairs.append((src, dst))
-                super().send(src, dst, words)
+                    self.red_pairs += messages(ev, lo, hi)
+                return super().book(ev, lo, hi, mlo, mhi)
 
         sim = SpySim(grid3.size)
         factor_3d(sf, tf, grid3, sim, numeric=False)
@@ -144,10 +145,11 @@ class TestScheduleStructure:
                 super().__init__(*a, **k)
                 self.pairs = set()
 
-            def send(self, src, dst, words):
+            def book(self, ev, lo=0, hi=None, mlo=0, mhi=None):
                 if self.phase == "red":
-                    self.pairs.add((src // grid3.pxy, dst // grid3.pxy))
-                super().send(src, dst, words)
+                    self.pairs |= {(s // grid3.pxy, d // grid3.pxy)
+                                   for s, d in messages(ev, lo, hi)}
+                return super().book(ev, lo, hi, mlo, mhi)
 
         sim = SpySim(grid3.size)
         factor_3d(sf, tf, grid3, sim, numeric=False)

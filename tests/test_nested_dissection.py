@@ -516,3 +516,47 @@ class TestGoldenOrderings:
         differ = [name for name, thunk in built.items()
                   if thunk() != golden[name]]
         assert differ == []
+
+
+class TestSubtreesAreIdRanges:
+    """The dissection builders number true postorder: every subtree is
+    the id range ``first[v] .. v``, which ``subtree_of`` and the tree
+    partition read instead of walking the tree."""
+
+    @staticmethod
+    def walked(tree, k):
+        inside = np.zeros(tree.nblocks, dtype=bool)
+        inside[k] = True
+        for v in range(k - 1, -1, -1):
+            inside[v] = inside[tree.parent[v]]
+        return np.flatnonzero(inside)
+
+    @pytest.mark.parametrize("leaf", [8, 32])
+    @pytest.mark.parametrize("name", ["grid2d_20", "grid3d_7", "circuit_16",
+                                      "kkt_5", "power_law_300",
+                                      "arrowhead_256", "delaunay_300",
+                                      "banded_300"])
+    def test_every_builder_numbers_true_postorder(self, name, leaf):
+        from repro.ordering import relax_supernodes
+        from repro.symbolic import symbolic_factorize
+        from tests.data.regen_supernodes import matrices
+        A, geom = dict(matrices())[name]()
+        trees = [symbolic_factorize(A, geom, leaf_size=leaf, max_block=cap,
+                                    blocking=blocking).tree
+                 for blocking in ("uniform", "irregular")
+                 for cap in (None, 16, 256)]
+        trees.append(relax_supernodes(
+            nested_dissection(A, geom, leaf_size=leaf), min_size=24))
+        for tree in trees:
+            assert tree.first is not None
+            for k in range(0, tree.nblocks, max(1, tree.nblocks // 16)):
+                assert tree.subtree_of(k).tolist() == \
+                    self.walked(tree, k).tolist()
+
+    def test_the_etree_of_an_arbitrary_order_is_walked(self):
+        """A parent-after-child tree whose subtrees interleave has no
+        ranges; ``subtree_of`` walks it."""
+        tree = DissectionTree([2, 3, 3, -1], np.arange(4), np.arange(5))
+        assert tree.first is None
+        assert tree.subtree_of(2).tolist() == [0, 2]
+        assert tree.subtree_of(3).tolist() == [0, 1, 2, 3]

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import repro.parallel as parallel
 from repro.cholesky import factor_chol_3d
 from repro.comm import CommError, ProcessGrid2D, ProcessGrid3D, Simulator
-from repro.comm.collectives import reduce_pairwise
+from repro.comm.stream import EventStream
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
@@ -31,6 +31,7 @@ from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify.oracle import ledger_state
+from tests.conftest import EventByEvent, messages
 
 PZ = 4
 
@@ -279,40 +280,45 @@ class TestSendrecvBatch:
     def test_matches_per_event_loop(self):
         rng = np.random.default_rng(5)
         srcs, dsts, words = self._random_traffic(rng, 200, 12)
-        sim_a, sim_b = Simulator(12), Simulator(12)
+        sim_a, sim_b = EventByEvent(12), Simulator(12)
         sim_a.set_phase("red")
         sim_b.set_phase("red")
         for s, d, w in zip(srcs, dsts, words):
-            reduce_pairwise(sim_a, int(s), int(d), float(w))
-        sim_b.sendrecv_batch(srcs, dsts, words, reduce_kind="reduce_add")
+            if s != d:                  # a self-message is never emitted
+                sim_a.send(int(s), int(d), float(w))
+                sim_a.recv(int(d), int(s))
+            sim_a.compute(int(d), float(w), "reduce_add")
+        sim_b.book(EventStream.pairs(srcs, dsts, words, "reduce_add"))
         assert_ledgers_identical(sim_a, sim_b)
 
     def test_no_reduce_matches_sendrecv(self):
         rng = np.random.default_rng(11)
         srcs, dsts, words = self._random_traffic(rng, 100, 8)
-        sim_a, sim_b = Simulator(8), Simulator(8)
+        sim_a, sim_b = EventByEvent(8), Simulator(8)
         for s, d, w in zip(srcs, dsts, words):
-            sim_a.sendrecv(int(s), int(d), float(w))
-        sim_b.sendrecv_batch(srcs, dsts, words)
+            if s != d:
+                sim_a.send(int(s), int(d), float(w))
+                sim_a.recv(int(d), int(s))
+        sim_b.book(EventStream.pairs(srcs, dsts, words))
         assert_ledgers_identical(sim_a, sim_b)
 
     def test_subclass_hooks_still_observe(self):
         pairs = []
 
         class SpySim(Simulator):
-            def send(self, src, dst, words):
-                pairs.append((src, dst))
-                super().send(src, dst, words)
+            def book(self, ev, lo=0, hi=None, mlo=0, mhi=None):
+                pairs.extend(messages(ev, lo, hi))
+                return super().book(ev, lo, hi, mlo, mhi)
 
         sim = SpySim(4)
-        sim.sendrecv_batch([0, 2], [1, 3], [10.0, 20.0],
-                           reduce_kind="reduce_add")
+        sim.book(EventStream.pairs([0, 2], [1, 3], [10.0, 20.0],
+                                   "reduce_add"))
         assert pairs == [(0, 1), (2, 3)]
+        assert sim.flops["reduce_add"].tolist() == [0, 10, 0, 20]
 
     def test_length_mismatch_rejected(self):
-        sim = Simulator(4)
         with pytest.raises(CommError):
-            sim.sendrecv_batch([0, 1], [1], [10.0, 20.0])
+            EventStream.pairs([0, 1], [1], [10.0, 20.0])
 
 
 class TestOwnerPairs:

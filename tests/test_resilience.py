@@ -54,7 +54,7 @@ from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify import fuzz_3d, ledger_state
-from tests.conftest import per_event_simulator, width1_options
+from tests.conftest import EventByEvent, width1_options
 from tests.test_plan import assert_matches_golden, planar_setup, spd_setup
 
 #: A crash fault armed at a time no run reaches — hooks the resilience
@@ -558,9 +558,10 @@ def make_sim(attachment: str) -> Simulator:
         return Simulator(GRID3.size, MACHINE, trace=Trace())
     if attachment == "topology":
         return Simulator(GRID3.size, MACHINE, topology=UniformTopology())
-    if attachment == "faults":
-        return per_event_simulator(GRID3.size, MACHINE)
-    return Simulator(GRID3.size, MACHINE)
+    sim = Simulator(GRID3.size, MACHINE)
+    if attachment == "faults":      # an injector with no faults
+        sim.attach_faults(FaultInjector(FaultPlan(), sim.machine))
+    return sim
 
 
 def setup_for(driver: str, blocking: str):
@@ -716,7 +717,7 @@ INJECTED = {
 
 class TestInjectorWalksFullWidth:
     """A fault injector perturbs events inside ``Simulator.book``'s
-    per-event path whatever the cut points, so a run it is attached to by
+    clock loop whatever the cut points, so a run it is attached to by
     hand (no resilience monitor) walks full width and books exactly what
     the per-task walk books."""
 
@@ -762,3 +763,63 @@ class TestInjectorWalksFullWidth:
         assert ledger_state(sim_p) == ledger_state(sim_s)
         assert np.array_equal(pooled.factors().to_dense(),
                               serial.factors().to_dense())
+
+
+#: One fault family each, and all three at once: slow ranks, wildcard and
+#: one-source drops, wildcard and one-destination delays, some armed only
+#: after a simulated time.
+ZOO_FAULTS = {
+    "slow": (Fault("slow", rank=1, slow_factor=3.0),
+             Fault("slow", at_time=1e-4, slow_factor=1.5)),
+    "drop": (Fault("drop", n_messages=4), Fault("drop", src=2, n_messages=2),
+             Fault("drop", at_time=1e-4, n_messages=3)),
+    "delay": (Fault("delay", delay=2e-4, n_messages=6),
+              Fault("delay", dst=1, delay=5e-5, n_messages=3)),
+}
+ZOO_FAULTS["all"] = sum(ZOO_FAULTS.values(), ())
+
+
+class TestFaultsRideTheClockLoop:
+    """The fault zoo: under every mechanical fault family, alone and
+    combined, for every driver at ``Pz`` 1, 2 and 4, traced or not,
+    attached by hand (full width) or by the resilience engine (per task),
+    ``Simulator.book``'s clock loop books the standalone per-event
+    referee's ledger and trace rows float for float, and both injectors
+    fire the same faults."""
+
+    @pytest.mark.parametrize("via", ["hand", "engine"])
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("spec", sorted(ZOO_FAULTS))
+    @pytest.mark.parametrize("pz", [1, 2, 4])
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_the_loop_books_the_referee(self, driver, pz, spec, traced,
+                                        via):
+        if driver == "merged" and pz == 1:
+            pytest.skip("a merged run needs sibling layers")
+        sf = _symbolic(12, 16, driver == "cholesky", "uniform")
+        grid3 = ProcessGrid3D(2, 1, pz)
+        fn = {"lu": factor_3d, "merged": factor_3d_merged,
+              "cholesky": factor_chol_3d}[driver]
+        sims, bundle = [], None
+        for cls in (Simulator, EventByEvent):
+            sim = cls(grid3.size, MACHINE,
+                      trace=Trace() if traced else None)
+            plan, opts = FaultPlan(ZOO_FAULTS[spec]), FactorOptions()
+            if via == "hand":
+                sim.attach_faults(FaultInjector(plan, sim.machine))
+            else:
+                opts = FactorOptions(fault_plan=plan)
+            bundle = fn(sf, greedy_partition(sf, pz), grid3, sim,
+                        numeric=False, options=opts, cached=bundle).bundle
+            assert sim.faults.n_fired_faults() > 0
+            sims.append(sim)
+        loop, ref = sims
+        assert ledger_state(loop) == ledger_state(ref)
+        assert list(loop.event_counts) == list(ref.event_counts)
+        assert loop.faults.fired == ref.faults.fired
+        assert [a.remaining for a in loop.faults._drops
+                + loop.faults._delays] == \
+            [a.remaining for a in ref.faults._drops + ref.faults._delays]
+        if traced:
+            assert loop.trace.rows and loop.trace.rows == ref.trace.rows

@@ -739,3 +739,63 @@ class TestArenaLoans:
         assert svc.stats()["idle_arenas"] == 0
         del kept                        # returned after close: dropped
         assert svc.stats()["idle_arenas"] == 0
+
+
+class TestIdleListProtocol:
+    """Two orderings of the idle-arena list that a thread race or a
+    same-thread finalizer can produce, forced deterministically."""
+
+    def test_close_waits_for_a_give_back_past_its_check(self):
+        """A give-back held inside its locked region (in ``cache.holds``,
+        after the ``_closed`` check) while another thread closes: the
+        arena it stores is cleared by ``close``, never left behind."""
+        from types import SimpleNamespace
+        svc = FactorizationService(max_workers=2)
+        inside, release = threading.Event(), threading.Event()
+
+        def holds(entry):
+            inside.set()
+            assert release.wait(5)
+            return True
+        svc.cache.holds = holds
+        giver = threading.Thread(target=svc._give_back,
+                                 args=(SimpleNamespace(key="k"), "arena"))
+        giver.start()
+        assert inside.wait(5)
+        closer = threading.Thread(target=svc.close)
+        closer.start()
+        closer.join(0.1)        # close() is blocked on the lock here
+        release.set()
+        giver.join(5)
+        closer.join(5)
+        assert not giver.is_alive() and not closer.is_alive()
+        assert svc._closed and len(svc._idle) == 0
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    @pytest.mark.parametrize("at_call", [1, 2, 3, 4])
+    def test_a_reentrant_give_back_inside_frequency(self, max_workers,
+                                                    at_call):
+        """``frequency`` runs a second give-back on the same thread (as a
+        collection running another result's finalizer would) at its
+        ``at_call``-th call: neither call raises, and at most
+        ``max_workers`` arenas stay idle, each the last one returned for
+        its entry."""
+        from types import SimpleNamespace
+        svc = FactorizationService(max_workers=max_workers)
+        svc.cache.holds = lambda entry: True
+        calls = [0]
+        freq = {"a": 1, "b": 2, "new": 5, "inner": 0}
+
+        def frequency(key):
+            calls[0] += 1
+            if calls[0] == at_call:
+                svc._give_back(SimpleNamespace(key="inner"), "inner")
+            return freq[key]
+        svc.cache.frequency = frequency
+        for key in "ab"[:max_workers]:
+            svc._idle[key] = (SimpleNamespace(key=key), key)
+        svc._give_back(SimpleNamespace(key="new"), "new")
+        assert 0 < len(svc._idle) <= max_workers
+        assert all(arena == key for key, (_e, arena) in svc._idle.items())
+        assert "new" in svc._idle
+        svc.close()

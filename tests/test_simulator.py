@@ -15,14 +15,27 @@ from repro.comm import (
     Simulator,
     Torus3D,
     UniformTopology,
-    bcast,
     near_square_grid,
-    reduce_pairwise,
 )
 from repro.comm.events import COMPUTE_KINDS
 from repro.comm.stream import MSG, EventStream, Volume, mem_profile
+from repro.resilience import Fault, FaultInjector, FaultPlan
 from repro.verify import ledger_state
-from tests.conftest import EventByEvent
+from tests.conftest import EventByEvent, bcast_stream, computes
+
+
+def compute(sim, rank, flops, kind, n_block_updates=0):
+    sim.book(computes([rank], [flops], kind, n_block_updates))
+
+
+def message(sim, src, dst, words):
+    sim.book(EventStream.pairs([src], [dst], [words]))
+
+
+def charges(sim, rank, *words):
+    sim.book(EventStream(*np.zeros((4, 0), dtype=np.int64),
+                         mem_rank=np.full(len(words), rank),
+                         mem_words=np.array(words, dtype=float)))
 
 
 class TestMachine:
@@ -42,43 +55,46 @@ class TestMachine:
 class TestSimulatorBasics:
     def test_compute_advances_clock(self):
         sim = Simulator(2)
-        sim.compute(0, 1e6, "schur")
+        compute(sim, 0, 1e6, "schur")
         assert sim.clock[0] == pytest.approx(1e6 * sim.machine.gamma_gemm)
         assert sim.clock[1] == 0.0
         assert sim.flops["schur"][0] == 1e6
 
     def test_panel_kernel_slower_than_gemm(self):
         sim = Simulator(2)
-        sim.compute(0, 1e6, "schur")
-        sim.compute(1, 1e6, "panel")
+        compute(sim, 0, 1e6, "schur")
+        compute(sim, 1, 1e6, "panel")
         assert sim.clock[1] > sim.clock[0]
 
     def test_gemm_overhead_charged(self):
         sim = Simulator(1)
-        sim.compute(0, 0.0, "schur", n_block_updates=3)
+        compute(sim, 0, 0.0, "schur", n_block_updates=3)
         assert sim.clock[0] == pytest.approx(3 * sim.machine.gemm_overhead)
 
     def test_unknown_kind_rejected(self):
         sim = Simulator(1)
-        with pytest.raises(CommError, match="kind"):
-            sim.compute(0, 1.0, "warp")
+        for code in (len(COMPUTE_KINDS), MSG - 1):
+            ev = computes([0], [1.0], "schur")
+            ev.kind[:] = code
+            with pytest.raises(CommError, match="kind"):
+                sim.book(ev)
+        assert not sim.clock.any() and not sim.event_counts
 
     def test_rank_range_checked(self):
         sim = Simulator(2)
-        with pytest.raises(CommError, match="out of range"):
-            sim.compute(5, 1.0, "schur")
+        with pytest.raises(CommError, match="outside"):
+            compute(sim, 5, 1.0, "schur")
 
     def test_negative_flops_rejected(self):
         sim = Simulator(1)
         with pytest.raises(CommError):
-            sim.compute(0, -1.0, "schur")
+            compute(sim, 0, -1.0, "schur")
 
 
 class TestPointToPoint:
     def test_send_recv_volume_and_time(self):
         sim = Simulator(2)
-        sim.send(0, 1, 1000)
-        sim.recv(1, 0)
+        message(sim, 0, 1, 1000)
         m = sim.machine
         assert sim.clock[0] == pytest.approx(m.alpha + m.beta * 1000)
         assert sim.clock[1] == pytest.approx(sim.clock[0])
@@ -86,40 +102,34 @@ class TestPointToPoint:
         assert sim.words_recv["fact"][1] == 1000
         assert sim.msgs_sent["fact"][0] == 1
 
-    def test_recv_without_send_is_error(self):
-        sim = Simulator(2)
-        with pytest.raises(CommError, match="no pending"):
-            sim.recv(1, 0)
-
     def test_self_message_free(self):
         sim = Simulator(1)
-        sim.send(0, 0, 100)
+        message(sim, 0, 0, 100)
         assert sim.clock[0] == 0.0
         assert sim.total_words_sent() == 0.0
 
     def test_fifo_ordering(self):
-        sim = Simulator(2)
-        sim.send(0, 1, 10)
-        sim.send(0, 1, 20)
-        assert sim.recv(1, 0) == 10
-        assert sim.recv(1, 0) == 20
+        """Two messages on one link arrive in the order they were sent."""
+        sim = Simulator(2, trace=Trace())
+        sim.book(EventStream.pairs([0, 0], [1, 1], [10.0, 20.0]))
+        sends = [r for r in sim.trace.rows if r[3] == "send"]
+        waits = [r for r in sim.trace.rows if r[3] == "recv_wait"]
+        assert [r[5] for r in sends] == [r[5] for r in waits] == [10, 20]
+        assert [r[2] for r in waits] == [r[2] for r in sends]
 
     def test_overlap_no_wait_when_busy(self):
         """A receiver busy past the arrival time pays no wait (lookahead)."""
         sim = Simulator(2)
-        sim.send(0, 1, 1000)
-        arrival = sim.clock[0]
-        sim.compute(1, 1e9, "schur")  # receiver busy long past arrival
+        compute(sim, 1, 1e9, "schur")  # receiver busy long past arrival
         busy_until = sim.clock[1]
-        assert busy_until > arrival
-        sim.recv(1, 0)
+        message(sim, 0, 1, 1000)
+        assert busy_until > sim.clock[0]
         assert sim.clock[1] == busy_until  # no added wait
 
     def test_idle_receiver_waits(self):
         sim = Simulator(2)
-        sim.compute(0, 1e9, "schur")  # sender is late
-        sim.send(0, 1, 10)
-        sim.recv(1, 0)
+        compute(sim, 0, 1e9, "schur")  # sender is late
+        message(sim, 0, 1, 10)
         assert sim.clock[1] == pytest.approx(sim.clock[0])
         assert sim.comm_time(1) == pytest.approx(sim.clock[1])
 
@@ -129,28 +139,23 @@ class TestPointToPoint:
     def test_conservation_property(self, msgs):
         """Σ sent == Σ recv for any delivered message pattern."""
         sim = Simulator(6)
-        for src, dst, words in msgs:
-            sim.send(src, dst, words)
-            sim.recv(dst, src)
+        sim.book(EventStream.pairs(*zip(*msgs)))
         assert sim.total_words_sent() == pytest.approx(sim.total_words_recv())
-        assert sim.pending_messages() == 0
+        assert sim.event_counts["send"] == sim.event_counts["recv"]
 
 
 class TestMemoryLedger:
     def test_peak_tracks_watermark(self):
         sim = Simulator(1)
-        sim.alloc(0, 100)
-        sim.alloc(0, 50)
-        sim.free(0, 120)
-        sim.alloc(0, 10)
+        charges(sim, 0, 100, 50, -120, 10)
         assert sim.mem_peak[0] == 150
         assert sim.mem_current[0] == pytest.approx(40)
 
     def test_over_free_detected(self):
         sim = Simulator(1)
-        sim.alloc(0, 10)
+        charges(sim, 0, 10)
         with pytest.raises(CommError, match="freed more"):
-            sim.free(0, 20)
+            charges(sim, 0, -20)
 
 
 #: Half-integer words (dense r*c, compact min(r*c, 1.5*nnz)); any flops.
@@ -162,6 +167,16 @@ _EVENT = st.one_of(
     st.tuples(st.integers(0, len(COMPUTE_KINDS) - 1), st.integers(0, 4),
               st.just(None), _FLOPS, st.integers(0, 2)))
 _CHARGE = st.tuples(st.integers(0, 4), _WORDS, st.booleans())
+_RANK = st.none() | st.integers(0, 4)
+_AT = st.none() | st.sampled_from([0.0, 1e-6, 1e-3])
+_FAULT = st.one_of(
+    st.builds(Fault, st.just("slow"), rank=_RANK, at_time=_AT,
+              slow_factor=st.sampled_from([1.0, 1.5, 4.0])),
+    st.builds(Fault, st.just("drop"), src=_RANK, dst=_RANK, at_time=_AT,
+              n_messages=st.integers(1, 5)),
+    st.builds(Fault, st.just("delay"), src=_RANK, dst=_RANK, at_time=_AT,
+              delay=st.sampled_from([0.0, 1e-5, 0.25]),
+              n_messages=st.integers(1, 5)))
 
 
 def _stream(events, charges) -> EventStream:
@@ -245,33 +260,67 @@ class TestStreamBooking:
         assert sliced.trace.events == loop.trace.events
         assert ev.memo == {}
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(_EVENT, max_size=40), st.lists(_CHARGE, max_size=20),
+           st.lists(st.floats(0, 1), max_size=4),
+           st.lists(_FAULT, min_size=1, max_size=4), st.booleans(),
+           st.sampled_from([None, Torus3D(2, 1, 2)]))
+    def test_a_faulted_booking_is_the_event_loop(self, events, charges,
+                                                 cuts, faults, traced,
+                                                 topology):
+        """Under a fault injector — slow, drop and delay, any mix — slices
+        booked anywhere hold the per-event calls' ledger and trace rows,
+        the injectors fire the same faults, and no memo is touched."""
+        ev = _stream(events, charges)
+        n, m = ev.src.size, ev.mem_rank.size
+        sliced = Simulator(5, trace=Trace() if traced else None,
+                           topology=topology)
+        loop = EventByEvent(5, trace=Trace() if traced else None,
+                            topology=topology)
+        for sim in (sliced, loop):
+            sim.attach_faults(FaultInjector(FaultPlan(tuple(faults)),
+                                            sim.machine))
+        loop.book(ev)
+        pts = sorted(cuts)
+        for a, b in zip([0.0] + pts, pts + [1.0]):
+            sliced.book(ev, int(a * n), int(b * n), int(a * m), int(b * m))
+        assert ledger_state(sliced) == ledger_state(loop)
+        assert list(sliced.event_counts) == list(loop.event_counts)
+        if traced:
+            assert sliced.trace.rows == loop.trace.rows
+        assert sliced.faults.fired == loop.faults.fired
+        assert sliced.faults.n_fired_faults() == loop.faults.n_fired_faults()
+        assert ev.memo == {}
+
+    @pytest.mark.parametrize("cls", [Simulator, EventByEvent])
+    def test_faults_read_the_clock_an_event_reaches(self, cls):
+        """Armed at 1 µs: a slow rank scales a compute event by its start
+        clock, a drop matches at the end of the first transmission
+        (1.5 µs), a delay at the end of the retransmissions (153 µs)."""
+        m = Machine.edison_like()
+        plan = FaultPlan((Fault("slow", at_time=1e-6, slow_factor=2.0),
+                          Fault("drop", at_time=1e-6),
+                          Fault("delay", at_time=1e-4, delay=1.0)))
+        sim = cls(2, m)
+        sim.attach_faults(FaultInjector(plan, m))
+        sim.book(computes([1, 1], [4e3, 4e3], "diag"))
+        sim.book(EventStream.pairs([0], [1], [0.0]))
+        dt = 4e3 * m.gamma_panel           # 1 µs: the second is slowed
+        assert sim.t_compute["diag"][1] == dt + dt * 2.0
+        send = m.alpha + (sim.faults.timeout + m.alpha)
+        assert sim.clock[0] == send and sim.msgs_sent["fact"][0] == 2
+        assert sim.clock[1] == send + 1.0
+
     def test_continues_a_nonzero_ledger_exactly(self):
         """Non-integer flops onto a non-zero ledger: the reduction adds in
         stream order onto what is there (``a + (b + c)`` would differ)."""
         f = [2 / 3 * n ** 3 for n in (7, 11, 13, 17, 19)]
         a, b = Simulator(1), Simulator(1)
         for x in f:
-            a.compute(0, x, "diag")
-        b.compute(0, f[0], "diag")
-        b.compute_batch([0] * 4, f[1:], "diag")
+            compute(a, 0, x, "diag")
+        compute(b, 0, f[0], "diag")
+        b.book(computes([0] * 4, f[1:], "diag"))
         assert ledger_state(a) == ledger_state(b)
-
-    def test_queued_message_is_refused(self):
-        """A message already queued on a link must be received before a
-        stream books that link: booking used to receive its own 5 words
-        and strand the 100."""
-        ref = Simulator(2)
-        ref.send(0, 1, 100)
-        ref.send(0, 1, 5)
-        assert ref.recv(1, 0) == 100
-        sim = Simulator(2)
-        sim.send(0, 1, 100)
-        with pytest.raises(CommError, match="in flight"):
-            sim.sendrecv_batch([0], [1], [5])
-        assert sim.pending_messages() == 1
-        assert sim.recv(1, 0) == 100
-        sim.sendrecv_batch([0], [1], [5])       # drained: books normally
-        assert sim.words_recv["fact"][1] == 105
 
     def test_bad_streams_are_refused_before_anything_is_booked(self):
         for cls in (Simulator, EventByEvent):
@@ -279,14 +328,12 @@ class TestStreamBooking:
             for bad in (EventStream.pairs([0, 1], [1, 3], [1.0, 1.0]),
                         EventStream.pairs([0, -1], [1, 2], [1.0, 1.0]),
                         EventStream.pairs([0, 1], [1, 2], [1.0, -1.0]),
-                        EventStream.computes([0, 1], [1.0, -2.0], "schur")):
+                        computes([0, 1], [1.0, -2.0], "schur")):
                 with pytest.raises(CommError):
                     sim.book(bad)
-            with pytest.raises(CommError, match="same length"):
-                sim.sendrecv_batch([0, 1], [1], [1.0, 2.0])
-            with pytest.raises(CommError, match="kind"):
-                sim.compute_batch([0], [1.0], "warp")
             assert not sim.clock.any() and not sim.event_counts
+        with pytest.raises(CommError, match="same length"):
+            EventStream.pairs([0, 1], [1], [1.0, 2.0])
         sim = Simulator(2)
         over = EventStream(*np.zeros((4, 0), dtype=np.int64),
                            mem_rank=np.array([1, 1]),
@@ -320,20 +367,11 @@ class TestStreamBooking:
 
 
 class TestBarrierAndPhases:
-    def test_barrier_aligns_clocks(self):
-        sim = Simulator(3)
-        sim.compute(0, 1e9, "schur")
-        sim.barrier([0, 1])
-        assert sim.clock[1] == sim.clock[0]
-        assert sim.clock[2] == 0.0
-
     def test_phase_attribution(self):
         sim = Simulator(2)
-        sim.send(0, 1, 100)
-        sim.recv(1, 0)
+        message(sim, 0, 1, 100)
         sim.set_phase("red")
-        sim.send(1, 0, 40)
-        sim.recv(0, 1)
+        message(sim, 1, 0, 40)
         assert sim.total_words_sent("fact") == 100
         assert sim.total_words_sent("red") == 40
         assert np.array_equal(sim.words_per_rank("red"), [40, 40])
@@ -344,10 +382,12 @@ class TestBarrierAndPhases:
 
 
 class TestCollectives:
+    """A broadcast is its ``tree_pattern`` booked as messages."""
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8])
     def test_bcast_everyone_receives_once(self, p):
         sim = Simulator(p)
-        bcast(sim, 0, list(range(p)), 100)
+        sim.book(bcast_stream(0, list(range(p)), 100))
         # Every non-root receives the payload exactly once.
         assert np.array_equal(sim.words_recv["fact"][1:], [100] * (p - 1))
         assert sim.total_words_sent() == 100 * (p - 1)
@@ -356,22 +396,20 @@ class TestCollectives:
         """Tree broadcast completes in ~log2(p) message times, not p."""
         p = 16
         sim = Simulator(p)
-        bcast(sim, 0, list(range(p)), 0)  # latency-only
+        sim.book(bcast_stream(0, list(range(p)), 0))  # latency-only
         assert sim.makespan == pytest.approx(4 * sim.machine.alpha)
-
-    def test_bcast_nonmember_root_rejected(self):
-        with pytest.raises(ValueError, match="root"):
-            bcast(Simulator(4), 3, [0, 1], 10)
 
     def test_bcast_root_relabeling(self):
         sim = Simulator(4)
-        bcast(sim, 2, [0, 1, 2, 3], 10)
+        sim.book(bcast_stream(2, [0, 1, 2, 3], 10))
         assert sim.words_recv["fact"][2] == 0
         assert sim.words_sent["fact"][2] > 0
 
     def test_reduce_pairwise_books_addition(self):
+        """One Ancestor-Reduction hop: a message, then the addition on the
+        receiver (one flop per word)."""
         sim = Simulator(2)
-        reduce_pairwise(sim, src=1, dst=0, words=500)
+        sim.book(EventStream.pairs([1], [0], [500], "reduce_add"))
         assert sim.words_sent["fact"][1] == 500
         assert sim.flops["reduce_add"][0] == 500
 

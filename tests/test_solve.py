@@ -347,10 +347,9 @@ class TestSolvePlanReplay:
 
     @pytest.mark.parametrize("cls", [SparseLU3D, SparseCholesky3D])
     def test_observers_get_the_same_events(self, planar_small, cls):
-        """A trace and a topology ride ``book``'s array path and an idle
-        fault injector makes it issue the stream event by event — the only
-        other way the solve's events are issued; the ledgers do not move,
-        and the trace holds one record per solve event."""
+        """A trace, a topology and an idle fault injector all ride
+        ``book``'s clock loop; the ledgers do not move, and the trace
+        holds one record per solve event."""
         from repro.analysis.trace import Trace
         from repro.comm.topology import UniformTopology
         from repro.resilience import FaultInjector, FaultPlan

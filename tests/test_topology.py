@@ -11,6 +11,7 @@ from repro.comm import (
     Torus3D,
     UniformTopology,
 )
+from repro.comm.stream import EventStream
 from repro.lu3d import factor_3d
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
@@ -28,8 +29,7 @@ class TestUniform:
         a = Simulator(4)
         b = Simulator(4, topology=UniformTopology())
         for sim in (a, b):
-            sim.send(0, 3, 12345)
-            sim.recv(3, 0)
+            sim.book(EventStream.pairs([0], [3], [12345]))
         assert np.allclose(a.clock, b.clock)
 
 
@@ -50,8 +50,7 @@ class TestDragonfly:
         times = []
         for dst in (1, 5, 9):
             sim = Simulator(16, topology=t)
-            sim.send(0, dst, 1000)
-            sim.recv(dst, 0)
+            sim.book(EventStream.pairs([0], [dst], [1000]))
             times.append(sim.clock[dst])
         assert times[0] < times[1] < times[2]
 

@@ -184,9 +184,9 @@ OBSERVERS = {
 
 class TestObservedRunIsTheProductionRun:
     """A trace or a topology rides ``Simulator.book``'s array path; the
-    per-event calls of a ``Simulator`` subclass carrying the same trace
-    and topology referee it: the same ledger and the same events, in the
-    same order, float for float."""
+    standalone per-event referee carrying the same trace and topology
+    referees it: the same ledger and the same events, in the same order,
+    float for float."""
 
     @pytest.mark.parametrize("compact", [False, True],
                              ids=["dense", "compact"])

@@ -26,7 +26,9 @@ import scipy.sparse as sp
 
 from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
+from repro.comm.events import COMPUTE_KINDS
 from repro.comm.simulator import CommError
+from repro.comm.stream import EventStream
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
 from repro.lu3d.merged import factor_3d_merged
@@ -349,8 +351,10 @@ class TestEventConstants:
         sim = Simulator(2, Machine.edison_like())
         with pytest.raises(CommError):
             sim.set_phase("warmup")
-        with pytest.raises(CommError):
-            sim.compute(0, 1.0, "gemm")
+        ev = EventStream.pairs([0], [1], [1.0], "reduce_add")
+        ev.kind[1] = len(COMPUTE_KINDS)         # no such compute kind
+        with pytest.raises(CommError, match="kind"):
+            sim.book(ev)
 
 
 FAST_FUZZ = 4   # orders per driver in tier-1

@@ -6,9 +6,9 @@ pricing never exceeds dense per block — hence per phase and in total —
 and a compact run still passes the full verification stack (conservation
 oracle, order fuzzing, bit-identical factors, worker fan-out).
 Also covers the option-only mode resolution, ``cap_many``, the plan-bundle cross-mode
-guard, the ``words >= 0`` validation on :func:`reduce_pairwise`, the
-``words_per_rank(phase=...)`` filter, and closed-form-vs-per-event
-``bcast`` event accounting.
+guard, the ``words >= 0`` validation of a booked reduction hop or
+broadcast, the ``words_per_rank(phase=...)`` filter, and array-vs-per-event
+broadcast event accounting.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm import Machine, ProcessGrid3D, Simulator
-from repro.comm.collectives import bcast, reduce_pairwise
+from repro.comm import CommError, Machine, ProcessGrid3D, Simulator
 from repro.comm.simulator import PHASES
+from repro.comm.stream import EventStream
 from repro.comm.volume import (
     WORDS_PER_ENTRY,
     CompactVolume,
@@ -36,7 +36,7 @@ from repro.symbolic import symbolic_factorize
 from repro.symbolic.blocknnz import block_nnz_tables
 from repro.tree import greedy_partition
 from repro.verify import check_conservation, fuzz_3d
-from tests.conftest import EventByEvent
+from tests.conftest import EventByEvent, bcast_stream
 
 COMPACT = FactorOptions(compact_comm=True)
 
@@ -233,15 +233,16 @@ class TestCompactWorkerFanout:
 class TestCollectiveValidation:
     def test_reduce_pairwise_rejects_negative_words(self):
         sim = Simulator(4, Machine.edison_like())
-        with pytest.raises(ValueError, match="non-negative"):
-            reduce_pairwise(sim, 0, 1, -1.0)
+        with pytest.raises(CommError, match="non-negative"):
+            sim.book(EventStream.pairs([0], [1], [-1.0], "reduce_add"))
         # Nothing was booked before the validation fired.
         assert sim.event_counts.get("send", 0) == 0
 
     def test_bcast_rejects_negative_words(self):
         sim = Simulator(4, Machine.edison_like())
-        with pytest.raises(ValueError, match="non-negative"):
-            bcast(sim, 0, [0, 1, 2], -4.0)
+        with pytest.raises(CommError, match="non-negative"):
+            sim.book(bcast_stream(0, [0, 1, 2], -4.0))
+        assert not sim.event_counts
 
 
 # -- satellite: simulator phase filtering + bcast parity --------------------
@@ -251,11 +252,9 @@ class TestSimulatorAccounting:
     def test_words_per_rank_phase_filter(self):
         sim = Simulator(4, Machine.edison_like())
         sim.set_phase("fact")
-        sim.send(0, 1, 100.0)
-        sim.recv(1, 0)
+        sim.book(EventStream.pairs([0], [1], [100.0]))
         sim.set_phase("red")
-        sim.send(2, 3, 7.0)
-        sim.recv(3, 2)
+        sim.book(EventStream.pairs([2], [3], [7.0]))
         fact = sim.words_per_rank(phase="fact")
         red = sim.words_per_rank(phase="red")
         assert fact.tolist() == [100.0, 100.0, 0.0, 0.0]
@@ -271,7 +270,7 @@ class TestSimulatorAccounting:
         slow = EventByEvent(8, m)            # send / recv per pair
         ranks = list(range(8))
         for s in (fast, slow):
-            bcast(s, 2, ranks, 64.0)
+            s.book(bcast_stream(2, ranks, 64.0))
         assert dict(fast.event_counts) == dict(slow.event_counts)
         assert np.array_equal(fast.words_per_rank(), slow.words_per_rank())
         assert np.array_equal(fast.msgs_per_rank(), slow.msgs_per_rank())
