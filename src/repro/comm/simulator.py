@@ -190,25 +190,27 @@ class Simulator(Volume):
         faults, ph = self.faults, self.phase
         src, dst = ev.src[lo:hi], ev.dst[lo:hi]
         kind, val = ev.kind[lo:hi], ev.val[lo:hi]
-        words = np.where(kind == MSG, val, 0.0).tolist()
-        name = COMPUTE_KINDS + ("send",)         # MSG = -1
         dt, wire, fixed = dt.tolist(), wire.tolist(), fixed.tolist()
         clock, rows, drops = self.clock.tolist(), [], []
         for i, (s, d, k, w) in enumerate(zip(src.tolist(), dst.tolist(),
-                                             kind.tolist(), words)):
+                                             kind.tolist(), val.tolist())):
             t = clock[s]
-            if faults is not None and k != MSG:
-                dt[i] = faults.scale_compute(s, t, dt[i])
+            if k != MSG:
+                if faults is not None:
+                    dt[i] = faults.scale_compute(s, t, dt[i])
+                clock[s] = a = t + dt[i]
+                rows.append((s, t, a, COMPUTE_KINDS[k], ph, 0.0))
+                continue
             a = t + dt[i]
-            if faults is not None and k == MSG:
+            if faults is not None:
                 for _ in range(faults.count_drops(s, d, a)):
                     a += faults.timeout + fixed[i] + wire[i]
                     drops.append(i)
-            rows.append((s, t, a, name[k], ph, w))
+            rows.append((s, t, a, "send", ph, w))
             clock[s] = a
-            if faults is not None and k == MSG:
+            if faults is not None:
                 a += faults.added_delay(s, d, a)
-            if a > clock[d]:            # never for a compute event: d == s
+            if a > clock[d]:
                 rows.append((d, clock[d], a, "recv_wait", ph, w))
                 clock[d] = a
         prof = self.add(ev, lo, hi, mlo, mhi, times=np.array(dt))
