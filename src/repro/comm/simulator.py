@@ -23,8 +23,8 @@ and a fault injector's perturbations ride that loop.
 Everything not booked as compute is, by definition, non-overlapped
 communication/synchronization — the paper's ``T_comm``. Every message is
 sent and received within the event that carries it, so volume
-conservation (Σ words sent = Σ words received) holds by construction,
-and tests assert it.
+conservation (Σ words sent = Σ words received) holds by construction —
+a fault injector's retransmissions aside — and tests assert it.
 """
 
 from __future__ import annotations
