@@ -92,9 +92,11 @@ def tree_from_order(A: sp.spmatrix, order: np.ndarray,
 
     Permutes the symmetrized pattern by ``order``, computes the scalar
     elimination tree, and merges *chains* (parent = next column, single
-    child) into supernodes of at most ``max_block`` columns. The resulting
-    tree satisfies the ancestor-closure property the block factorization
-    asserts, so the whole 2D/3D stack runs on it unchanged.
+    child) into supernodes of at most ``max_block`` columns, numbered in
+    postorder (``order``'s blocks reordered to match: the same supernodes
+    and fill). The resulting tree satisfies the ancestor-closure property
+    the block factorization asserts, so the whole 2D/3D stack runs on it
+    unchanged.
     """
     order = np.asarray(order, dtype=np.int64)
     n = A.shape[0]
@@ -125,4 +127,23 @@ def tree_from_order(A: sp.spmatrix, order: np.ndarray,
     # forest roots under the last supernode (adds dependencies, never
     # removes them, so ancestor closure is preserved).
     sup_parent[:-1][sup_parent[:-1] == -1] = nb - 1
-    return DissectionTree(sup_parent, order, np.append(starts, n))
+
+    # Renumber the supernodes in postorder, children in ascending id, so
+    # that every subtree is an id range, and move ``order``'s blocks to
+    # match: a topological order of the same tree, so the same fill.
+    kids: list[list[int]] = [[] for _ in range(nb)]
+    for v, p in enumerate(sup_parent[:-1].tolist()):
+        kids[p].append(v)
+    pre, stack = [], [nb - 1]
+    while stack:                        # preorder, children descending
+        v = stack.pop()
+        pre.append(v)
+        stack.extend(kids[v])
+    post = np.asarray(pre[::-1], dtype=np.int64)    # post[new] = old
+    new_id = np.empty(nb, dtype=np.int64)
+    new_id[post] = np.arange(nb)
+    sizes = (last + 1 - starts)[post]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    cols = np.arange(n) + np.repeat(starts[post] - offsets[:-1], sizes)
+    return DissectionTree(np.append(new_id[sup_parent[post[:-1]]], -1),
+                          order[cols], offsets)

@@ -41,10 +41,9 @@ class DissectionTree:
     ``parent[k] > k`` for every node but the root, which is the last node
     (``parent == -1``); ``perm`` is a :class:`Permutation` (or its
     ``perm[new] = old`` array) and ``offsets`` the ``nb + 1`` block
-    boundaries in the permuted order. The dissection builders number
-    true postorder, where every subtree is a contiguous id range
-    (:attr:`first`); the etree of an arbitrary elimination order
-    (:func:`repro.ordering.tree_from_order`) is only parent-after-child.
+    boundaries in the permuted order. The numbering is true postorder:
+    every subtree is the contiguous id range ``first[v] .. v``, and a tree
+    where one is not is refused.
     """
 
     def __init__(self, parent, perm, offsets):
@@ -62,6 +61,17 @@ class DissectionTree:
             raise ValueError("tree must have exactly one root, the last node")
         if np.any(parent[:-1] <= np.arange(nb - 1)) or np.any(parent >= nb):
             raise ValueError("nodes are not in postorder")
+        # One pass sizes the subtrees, children first; a child's range
+        # inside its parent's, for every node, makes every range exactly
+        # its subtree.
+        size = [1] * nb
+        for v, p in enumerate(parent[:-1].tolist()):
+            size[p] += size[v]
+        #: Each node's lowest subtree id: its subtree is ``first[v] .. v``.
+        self.first = np.arange(nb) - np.asarray(size) + 1
+        if np.any(self.first[parent[:-1]] > self.first[:-1]):
+            raise ValueError("a subtree is not a contiguous id range: "
+                             "nodes are not in postorder")
 
     @property
     def n(self) -> int:
@@ -96,29 +106,9 @@ class DissectionTree:
     def children_of(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.parent == k)
 
-    @cached_property
-    def first(self) -> np.ndarray | None:
-        """Each node's lowest subtree id when every subtree is the id
-        range ``first[v] .. v``, else ``None``. One pass sizes the
-        subtrees, children first; a child's range inside its parent's, for
-        every node, makes every range exactly its subtree."""
-        size = [1] * self.nblocks
-        for v, p in enumerate(self.parent[:-1].tolist()):
-            size[p] += size[v]
-        first = np.arange(self.nblocks) - np.asarray(size) + 1
-        return None if np.any(first[self.parent[:-1]] > first[:-1]) \
-            else first
-
     def subtree_of(self, k: int) -> np.ndarray:
         """All nodes of the subtree rooted at ``k`` (including ``k``), ascending."""
-        if self.first is not None:
-            return np.arange(self.first[k], k + 1)
-        inside = np.zeros(self.nblocks, dtype=bool)
-        inside[k] = True
-        par = self.parent.tolist()
-        for v in range(k - 1, -1, -1):      # parents are decided first
-            inside[v] = inside[par[v]]
-        return np.flatnonzero(inside)
+        return np.arange(self.first[k], k + 1)
 
     def height(self) -> int:
         return int(self.depth.max()) + 1

@@ -7,7 +7,7 @@ This package amortizes everything that depends only on the pattern:
 - :mod:`repro.service.cache` — a bounded :class:`PlanCache` (LRU with
   request-count admission) keyed by pattern fingerprint × grid shape ×
   solver configuration × plan-relevant options, holding the symbolic
-  factorization, partition and plan with per-entry accounting;
+  factorization, partition, plan and idle arenas under one lock;
 - :mod:`repro.service.service` — :class:`FactorizationService`, a
   thread-pool front-end where concurrent clients submit ``(A_values, b)``
   jobs that replay shared cached plans (warm jobs skip build/analyze

@@ -15,14 +15,20 @@ as often as the least-recently-used resident, which it then evicts;
 otherwise the entry is *refused* (its job still runs on it). On a cold
 start and on ties this is plain LRU.
 
-Concurrency: one global lock guards the map and the counts; each key
-additionally gets a *build lock* so that N clients racing on a cold
-pattern produce one symbolic build (the others block and then hit the
-builder's entry, admitted or not). Entries are
-immutable-by-convention after construction — concurrent jobs adopt them
-read-only (:meth:`repro.solve.SparseLU3D.adopt`), so eviction is safe
-even with jobs in flight: an evicted entry stays alive exactly as long
-as some job still references it.
+Concurrency: one plain lock, ``PlanCache._lock``, guards all shared
+state — the map, the counts, the per-entry job counters and the idle
+*arenas* jobs borrow (replica storage with its programs bound) — so
+evicting or refusing an entry drops its arena in the same locked step.
+A per-key *build lock*, held outside ``_lock`` while the key's entry is
+built, makes N clients racing on a cold pattern produce one build (the
+others block, then hit the builder's entry, admitted or not). A job's
+arena comes back from a ``weakref.finalize`` callback, on whatever thread
+collects its result, maybe inside a locked step: :meth:`PlanCache.give_back`
+only appends it to a ``deque`` of returns, which every locked step
+(lookup, admit, borrow, ``stats``, ``close``, ...) drains first. Entries
+are immutable-by-convention — jobs adopt them read-only
+(:meth:`repro.solve.SparseLU3D.adopt`), so an evicted entry stays alive
+exactly as long as some job still references it.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import OrderedDict, deque
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,46 +89,26 @@ def cache_key(A: sp.spmatrix, grid_shape: tuple[int, int, int],
             plan_options_key(options))
 
 
+
+
 @dataclass
 class PlanEntry:
     """One cached (pattern, grid, config) → shared build products.
 
     ``sf`` / ``tf`` / ``pattern`` / ``bundle`` are shared read-only by
-    every job that hits this entry; the counters are written under
-    ``lock``.
+    every job that hits this entry; the counters are written by
+    :meth:`PlanCache.record_job`, under the cache's lock.
     """
 
     key: tuple
     sf: object          # SymbolicFactorization (A_perm values = first job's)
     tf: object          # TreeForest partition
     pattern: object     # stored-zeros symmetrized pattern (containment ref)
-    bundle: object      # repro.plan.PlanBundle (filled by the first factor)
+    bundle: object      # repro.plan.PlanBundle (built with the entry)
     build_seconds: float            # symbolic + partition wall time
     hits: int = 0
     jobs: int = 0
     exec_seconds: float = 0.0       # accumulated warm factor+solve wall time
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def record_job(self, seconds: float, hit: bool) -> None:
-        with self.lock:
-            self.jobs += 1
-            self.hits += int(hit)
-            self.exec_seconds += seconds
-
-    @property
-    def plan_build_seconds(self) -> float:
-        """Plan build cost the replay path skips."""
-        return self.bundle.build_seconds if self.bundle else 0.0
-
-    def stats(self) -> dict:
-        with self.lock:
-            return {
-                "hits": self.hits,
-                "jobs": self.jobs,
-                "build_seconds": self.build_seconds,
-                "plan_build_seconds": self.plan_build_seconds,
-                "exec_seconds": self.exec_seconds,
-            }
 
 
 @dataclass
@@ -133,6 +120,8 @@ class CacheStats:
     evictions: int = 0
     entries: int = 0
     refused: int = 0            # built, but not admitted
+    arena_loans: int = 0        # borrows that found an idle arena
+    idle_arenas: int = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -141,8 +130,8 @@ class CacheStats:
 
 
 class PlanCache:
-    """Bounded, frequency-admitted LRU of :class:`PlanEntry`, safe for
-    concurrent clients.
+    """Bounded, frequency-admitted LRU of :class:`PlanEntry` and their
+    idle arenas, safe for concurrent clients.
 
     ``get_or_build(key, builder)`` returns the cached entry for ``key``
     or invokes ``builder()`` exactly once per cold key (double-checked
@@ -153,19 +142,44 @@ class PlanCache:
     Recency is touched on every hit; a new entry evicts the
     least-recently-used one of a full cache only if its key's count is at
     least that entry's, and is refused otherwise.
+
+    :meth:`borrow` lends a job its entry's idle arena; :meth:`give_back`
+    queues one. At most one idle arena per entry and ``max_idle`` in all
+    (over that, the least requested entry's is dropped, the least recently
+    returned on a tie), none for an entry that is not resident, none
+    after :meth:`close`.
     """
 
-    def __init__(self, capacity: int = 8):
+    def __init__(self, capacity: int = 8, max_idle: int = 4):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
-        self.capacity = capacity
+        self.capacity, self.max_idle = capacity, max_idle
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, PlanEntry] = OrderedDict()
         #: key -> [build lock, the builder's entry once built]
         self._building: dict[tuple, list] = {}
         self._counts: OrderedDict[tuple, int] = OrderedDict()
+        #: key -> (entry, idle arena), least recently returned first
+        self._idle: OrderedDict[tuple, tuple] = OrderedDict()
+        #: (entry, arena) given back, appended without the lock
+        self._returns: deque = deque()
         self._requests = self._hits = self._misses = 0
-        self._evictions = self._refused = 0
+        self._evictions = self._refused = self._loans = 0
+        self._closed = False
+
+    @contextmanager
+    def _step(self):
+        """One locked step: the lock held, the returns drained first."""
+        with self._lock:
+            while self._returns:
+                entry, arena = self._returns.popleft()
+                if self._closed or self._entries.get(entry.key) is not entry:
+                    continue
+                self._idle[entry.key] = (entry, arena)
+                self._idle.move_to_end(entry.key)
+                if len(self._idle) > self.max_idle:
+                    del self._idle[min(self._idle, key=self.frequency)]
+            yield
 
     def _count(self, key: tuple) -> None:
         counts = self._counts
@@ -178,88 +192,139 @@ class PlanCache:
             for k in counts:
                 counts[k] >>= 1
 
-    def _hit(self, key: tuple, entry: PlanEntry) -> tuple[PlanEntry, bool]:
+    def _hit(self, key: tuple, entry: PlanEntry) -> PlanEntry:
         if self._entries.get(key) is entry:
             self._entries.move_to_end(key)
         self._hits += 1
-        return entry, True
+        return entry
+
+    # ``get_or_build``'s three locked steps; the build runs outside them.
+
+    def _lookup(self, key: tuple) -> tuple[PlanEntry | None, list | None]:
+        """Count ``key`` and look it up: ``(entry, None)`` on a hit, else
+        ``(None, slot)``, the key's build slot, opened if none is."""
+        with self._step():
+            self._count(key)
+            entry = self._entries.get(key)
+            if entry is not None:
+                return self._hit(key, entry), None
+            return None, self._building.setdefault(
+                key, [threading.Lock(), None])
+
+    def _admit(self, key: tuple, slot: list, entry: PlanEntry | None) -> None:
+        """``key``'s build ended with ``entry`` (``None``: it raised):
+        close the slot, then admit the entry, evicting, or refuse it."""
+        with self._step():
+            if self._building.get(key) is slot:
+                del self._building[key]
+            if entry is None:
+                return
+            slot[1] = entry
+            self._misses += 1
+            entries = self._entries
+            if len(entries) >= self.capacity and self.frequency(key) \
+                    < self.frequency(next(iter(entries))):
+                self._refused += 1
+                return
+            self._idle.pop(key, None)       # a resident entry's, replaced
+            entries[key] = entry
+            entries.move_to_end(key)
+            while len(entries) > self.capacity:
+                self._idle.pop(entries.popitem(last=False)[0], None)
+                self._evictions += 1
+
+    def _join(self, key: tuple, slot: list) -> PlanEntry | None:
+        """A racer resumes: the builder's entry, admitted or not (or one
+        admitted since), as a hit; ``None`` if no build succeeded."""
+        with self._step():
+            entry = slot[1] or self._entries.get(key)
+            return None if entry is None else self._hit(key, entry)
 
     def get_or_build(self, key: tuple, builder) -> tuple[PlanEntry, bool]:
         """Return ``(entry, hit)``; ``builder() -> PlanEntry`` runs at
         most once per cold key."""
-        with self._lock:
-            self._count(key)
-            entry = self._entries.get(key)
+        entry, slot = self._lookup(key)
+        if entry is not None:
+            return entry, True
+        with slot[0]:
+            entry = self._join(key, slot)   # a racer may have built it
             if entry is not None:
-                return self._hit(key, entry)
-            build = self._building.get(key)
-            if build is None:
-                build = self._building[key] = [threading.Lock(), None]
-        with build[0]:
-            with self._lock:  # double-check: a racer may have built it
-                entry = build[1] or self._entries.get(key)
-                if entry is not None:
-                    return self._hit(key, entry)
+                return entry, True
             try:
                 t0 = time.perf_counter()
                 entry = builder()
                 entry.build_seconds = time.perf_counter() - t0
-                build[1] = entry
-                with self._lock:
-                    self._misses += 1
-                    if len(self._entries) >= self.capacity and \
-                            self.frequency(key) < self.frequency(
-                                next(iter(self._entries))):
-                        self._refused += 1
-                    else:
-                        self._entries[key] = entry
-                        self._entries.move_to_end(key)
-                        while len(self._entries) > self.capacity:
-                            self._entries.popitem(last=False)
-                            self._evictions += 1
             finally:
                 # Also when ``builder`` raised: a failed build must not
-                # leave its lock behind (the next caller builds afresh).
-                with self._lock:
-                    self._building.pop(key, None)
-            return entry, False
+                # leave its slot behind (the next caller builds afresh).
+                self._admit(key, slot, entry)
+        return entry, False
+
+    def borrow(self, entry: PlanEntry):
+        """``entry``'s idle arena, taken off the list, or ``None``."""
+        with self._step():
+            idle = self._idle.get(entry.key)
+            if idle is None or idle[0] is not entry:
+                return None
+            del self._idle[entry.key]
+            self._loans += 1
+            return idle[1]
+
+    def give_back(self, entry: PlanEntry, arena) -> None:
+        """Queue ``entry``'s arena for the next locked step, with no lock:
+        a ``weakref.finalize`` callback, on any thread, even inside one."""
+        self._returns.append((entry, arena))
+
+    def record_job(self, entry: PlanEntry, seconds: float, hit: bool) -> None:
+        with self._step():
+            entry.jobs += 1
+            entry.hits += int(hit)
+            entry.exec_seconds += seconds
+
+    def __len__(self) -> int:
+        with self._step():
+            return len(self._entries)
 
     def get(self, key: tuple) -> PlanEntry | None:
         """Peek without building or counting (touches recency on a hit)."""
-        with self._lock:
+        with self._step():
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
             return entry
 
-    def holds(self, entry: PlanEntry) -> bool:
-        """Whether ``entry`` is cached: one lock-free lookup (finalizers)."""
-        return self._entries.get(entry.key) is entry
-
     def frequency(self, key: tuple) -> int:
-        """``key``'s recent request count: one lock-free lookup
-        (finalizers)."""
+        """``key``'s recent request count."""
         return self._counts.get(key, 0)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def stats(self) -> CacheStats:
-        with self._lock:
+        with self._step():
             return CacheStats(hits=self._hits, misses=self._misses,
                               evictions=self._evictions,
                               entries=len(self._entries),
-                              refused=self._refused)
+                              refused=self._refused,
+                              arena_loans=self._loans,
+                              idle_arenas=len(self._idle))
 
     def entry_stats(self) -> list[dict]:
         """Per-entry counters, most-recently-used last."""
-        with self._lock:
-            entries = list(self._entries.values())
-        return [dict(e.stats(), key=e.key[0][:12]) for e in entries]
+        with self._step():
+            return [{"hits": e.hits, "jobs": e.jobs,
+                     "build_seconds": e.build_seconds,
+                     "plan_build_seconds":       # what a replay skips
+                         e.bundle.build_seconds if e.bundle else 0.0,
+                     "exec_seconds": e.exec_seconds, "key": e.key[0][:12]}
+                    for e in self._entries.values()]
+
+    def close(self) -> None:
+        """Drop every idle arena; keep none given back from now on."""
+        with self._step():
+            self._closed = True
+            self._idle.clear()
 
     def clear(self) -> None:
-        with self._lock:
+        with self._step():
             self._entries.clear()
             self._building.clear()
             self._counts.clear()
+            self._idle.clear()

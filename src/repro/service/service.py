@@ -2,28 +2,25 @@
 
 :class:`FactorizationService` accepts ``(A_values, b)`` jobs from many
 concurrent clients and executes them on a thread pool against shared
-:class:`~repro.service.cache.PlanCache` entries:
-
-1. the job's matrix is fingerprinted (:func:`~repro.service.cache.cache_key`);
-2. a cache miss runs the symbolic phase + plan build *once* — concurrent
-   clients racing on the same cold pattern block on a per-key build lock
-   and then hit (a rarely requested pattern's entry may be refused by a
-   full cache: its jobs run on it uncached);
-3. every job then adopts the entry's read-only symbolic objects
-   (:meth:`repro.solve.SparseLU3D.adopt`) and replays the cached plan
-   bundle against its own values, copied in through the bundle's value
-   map — only numeric kernels run, with ledgers bit-identical to a cold
-   factorization (pinned in ``tests/test_service.py``).
+:class:`~repro.service.cache.PlanCache` entries. A job's matrix is
+fingerprinted (:func:`~repro.service.cache.cache_key`); a miss runs the
+symbolic phase + plan build *once* (clients racing on a cold pattern
+block on its build lock and then hit; a rarely requested pattern's entry
+may be refused by a full cache, and its jobs run on it uncached); every
+job then adopts the entry's read-only symbolic objects
+(:meth:`repro.solve.SparseLU3D.adopt`) and replays the cached plan bundle
+against its own values — only numeric kernels run, with ledgers
+bit-identical to a cold factorization (pinned in ``tests/test_service.py``).
 
 Worker threads suit this workload not for parallel kernels — scipy's
 f2py ``dgemm`` / ``dtrsm`` hold the GIL — but because jobs share large
 read-only state (symbolic factorization, plan DAG) that a process pool
-would have to pickle per job, and the cache's build locks, which make
-racing clients wait for one build. Each job gets its own solver and
-simulator, and borrows its entry's idle *arena* (replica storage, bound
-programs) until its ``Factor3DResult`` is collected
-(:meth:`FactorizationService._give_back`); the counters and the idle
-list take locks.
+would have to pickle per job. Each job gets its own solver and simulator
+and borrows its entry's idle *arena* (replica storage, bound programs)
+until its ``Factor3DResult`` is collected. The service holds no shared
+state and no lock of its own: the cache holds it all under one lock, and
+a collected result's ``weakref.finalize`` callback only queues the arena
+(:meth:`PlanCache.give_back`) for the cache's next locked step.
 
 The service never equilibrates (``equil`` rescales values per matrix,
 which would break value-independent plan sharing guarantees the cache
@@ -33,19 +30,17 @@ equilibration should use :class:`repro.solve.SparseLU3D` directly).
 
 from __future__ import annotations
 
-import threading
 import time
 import weakref
-from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.comm.machine import Machine
 from repro.lu2d.options import FactorOptions
-from repro.service.cache import PlanCache, PlanEntry, cache_key
+from repro.service.cache import PlanCache, PlanEntry, cache_key, pattern_fingerprint
 from repro.utils import check_rhs, check_square_sparse
 
 __all__ = ["FactorizationService", "JobResult"]
@@ -87,7 +82,7 @@ class FactorizationService:
     ``nd_method``, ``max_block``, ``partition``, ``geometry``,
     ``numeric``, ``options``). ``capacity`` bounds the frequency-admitted
     LRU plan cache (:class:`PlanCache`); ``max_workers`` sizes the thread
-    pool and caps the idle arenas.
+    pool and caps the cache's idle arenas.
 
     Use as a context manager, or call :meth:`close`.
     """
@@ -106,7 +101,7 @@ class FactorizationService:
         if backend not in ("lu", "cholesky"):
             raise ValueError(f"unknown backend {backend!r}")
         self.machine = machine or Machine.edison_like()
-        self.cache = PlanCache(capacity)
+        self.cache = PlanCache(capacity, max_idle=max_workers)
         #: Optional :class:`repro.tune.cache.TuneCache`: jobs that do not
         #: pin their own grid auto-adopt the tuned configuration stored
         #: for their sparsity pattern (see :meth:`_adopt_tuned`).
@@ -119,10 +114,6 @@ class FactorizationService:
         self._pool = ThreadPoolExecutor(max_workers=max_workers,
                                         thread_name_prefix="repro-svc")
         self._closed = False
-        #: ``entry.key -> (entry, idle arena)``, least recently returned first
-        self._idle: OrderedDict = OrderedDict()
-        self._idle_lock = threading.RLock()
-        self._max_idle, self._loans = max_workers, 0
 
     # -- client API --------------------------------------------------------
 
@@ -149,23 +140,12 @@ class FactorizationService:
     def stats(self) -> dict:
         """Cache counters + per-entry hit/build/exec split."""
         cs = self.cache.stats()
-        self._prune()
-        return {
-            "hits": cs.hits,
-            "misses": cs.misses,
-            "evictions": cs.evictions,
-            "refused": cs.refused,
-            "entries": cs.entries,
-            "hit_ratio": cs.hit_ratio,
-            "arena_loans": self._loans,
-            "idle_arenas": len(self._idle),
-            "per_entry": self.cache.entry_stats(),
-        }
+        return dict(vars(cs), hit_ratio=cs.hit_ratio,
+                    per_entry=self.cache.entry_stats())
 
     def close(self) -> None:
-        with self._idle_lock:   # a give-back past its check stores first
-            self._closed = True
-            self._idle.clear()
+        self._closed = True
+        self.cache.close()
         self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "FactorizationService":
@@ -183,21 +163,13 @@ class FactorizationService:
         else:
             from repro.solve.driver import SparseLU3D
             cls, extra = SparseLU3D, {"equil": False}
-        return cls(A, geometry=cfg["geometry"], px=cfg["px"], py=cfg["py"],
-                   pz=cfg["pz"], leaf_size=cfg["leaf_size"],
-                   machine=self.machine, partition=cfg["partition"],
-                   options=cfg["options"], numeric=cfg["numeric"],
-                   nd_method=cfg["nd_method"], max_block=cfg["max_block"],
-                   **extra)
+        return cls(A, machine=self.machine, **extra,
+                   **{k: v for k, v in cfg.items() if k != "backend"})
 
     def _build_entry(self, key, A, cfg) -> PlanEntry:
-        """Cold path: symbolic phase + plan build, once per key.
-
-        The plan bundle is materialized *here* (not lazily by the first
-        factorization) so that every job — including the one that paid
-        the miss — replays the same DAG, and racing clients never build
-        duplicate plans.
-        """
+        """Cold path: symbolic phase + plan build, once per key. The plan
+        bundle is built *here*, not by the first factorization, so every
+        job — the one that paid the miss too — replays the same DAG."""
         from repro.plan.replay import PlanBundle
 
         solver = self._make_solver(A, cfg)
@@ -207,39 +179,6 @@ class FactorizationService:
         return PlanEntry(key=key, sf=solver.sf, tf=solver.tf,
                          pattern=solver._pattern, bundle=bundle,
                          build_seconds=0.0)
-
-    # -- idle arenas ---------------------------------------------------------
-
-    def _prune(self) -> None:
-        """Drop the idle arenas whose entry has left the cache."""
-        with self._idle_lock:
-            for key, (entry, _arena) in list(self._idle.items()):
-                if not self.cache.holds(entry):
-                    self._idle.pop(key, None)
-
-    def _borrow(self, entry):
-        """``entry``'s idle arena, taken off the list, or ``None``."""
-        self._prune()
-        with self._idle_lock:
-            arena = self._idle.pop(entry.key, (None, None))[1]
-            self._loans += arena is not None
-            return arena
-
-    def _give_back(self, entry, arena) -> None:
-        """A job's result was collected (a finalizer, on any thread: the lock
-        is re-entrant): its arena replaces the entry's idle one; beyond
-        ``max_workers``, the least requested entry's is dropped (the least
-        recently returned on a tie). A refused entry's is never kept. The
-        victim is picked from a snapshot: a collection inside ``frequency``
-        can run another give-back here, on this thread."""
-        with self._idle_lock:
-            if self._closed or not self.cache.holds(entry):
-                return
-            self._idle[entry.key] = (entry, arena)
-            self._idle.move_to_end(entry.key)
-            while len(self._idle) > self._max_idle:
-                self._idle.pop(min(list(self._idle),
-                                   key=self.cache.frequency), None)
 
     def _adopt_tuned(self, A, cfg, explicit: frozenset) -> str | None:
         """Overlay the tuning cache's configuration for this pattern.
@@ -252,7 +191,6 @@ class FactorizationService:
         """
         if self.tune_cache is None or {"px", "py", "pz"} & explicit:
             return None
-        from repro.service.cache import pattern_fingerprint
         tuned = self.tune_cache.get_by_fingerprint(pattern_fingerprint(A))
         if tuned is None:
             return None
@@ -262,7 +200,6 @@ class FactorizationService:
             cfg["max_block"] = ch.max_block
         if "options" not in explicit \
                 and ch.blocking != cfg["options"].blocking:
-            from dataclasses import replace
             cfg["options"] = replace(cfg["options"], blocking=ch.blocking)
         return ch.label
 
@@ -279,19 +216,16 @@ class FactorizationService:
         tuned_grid = self._adopt_tuned(A, cfg, explicit)
         key = cache_key(A, (cfg["px"], cfg["py"], cfg["pz"]),
                         cfg["backend"], cfg["options"],
-                        leaf_size=cfg["leaf_size"],
-                        nd_method=cfg["nd_method"],
-                        max_block=cfg["max_block"],
-                        partition=cfg["partition"],
-                        geometry=cfg["geometry"])
+                        **{k: cfg[k] for k in ("leaf_size", "nd_method",
+                           "max_block", "partition", "geometry")})
         entry, hit = self.cache.get_or_build(
             key, lambda: self._build_entry(key, A, cfg))
 
         t0 = time.perf_counter()
         solver = self._make_solver(A, cfg)
+        arena = self.cache.borrow(entry) if cfg["numeric"] else None
         solver.adopt(entry.sf, entry.tf, pattern=entry.pattern,
-                     bundle=entry.bundle,
-                     replicas=self._borrow(entry) if cfg["numeric"] else None)
+                     bundle=entry.bundle, replicas=arena)
         solver.factorize()
         t1 = time.perf_counter()
         x = residual = None
@@ -300,10 +234,10 @@ class FactorizationService:
             residual = float(np.linalg.norm(A @ x - b)
                              / max(np.linalg.norm(b), 1e-300))
         t2 = time.perf_counter()
-        entry.record_job(t2 - t0, hit)
+        self.cache.record_job(entry, t2 - t0, hit)
         if cfg["numeric"]:      # lent until the result is collected
             solver._arena = None        # a refactorize lays out its own
-            weakref.finalize(solver.result, self._give_back, entry,
+            weakref.finalize(solver.result, self.cache.give_back, entry,
                              solver.result.replicas)
         return JobResult(
             x=x, residual=residual, cache_hit=hit, fingerprint=key[0],

@@ -197,8 +197,8 @@ def _check_ancestor_closure(fill: BlockFill, parent: np.ndarray) -> None:
 
     Ancestor chains increase (``parent[v] > v`` in every dissection tree),
     so ``a`` is above ``k`` iff the chain's last member ``<= a`` is ``a``:
-    binary lifting over doubled parent arrays, all blocks at once. (Ids
-    need not be a contiguous postorder, e.g. a minimum-degree tree's.)"""
+    binary lifting over doubled parent arrays, all blocks at once. (It
+    reads a bare parent array, which need not be a contiguous postorder.)"""
     nb = parent.shape[0]
     lp_ptr, lp_idx, up_ptr, up_idx = fill.panel_csr()
     ids = np.arange(nb)

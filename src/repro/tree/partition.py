@@ -113,35 +113,23 @@ def _greedy_split(roots: list[int], parent: np.ndarray, weights: np.ndarray,
     return S, bin_a, bin_b
 
 
-def _collect_subtrees(roots: list[int], kids: list[list[int]],
-                      first: np.ndarray | None) -> list[int]:
-    """The nodes of the disjoint subtrees under ``roots``, ascending. In
-    true postorder each is the id range ``first[v] .. v``, and the ranges
-    of ascending roots follow each other; otherwise (the etree of an
-    arbitrary order) a walk collects them."""
-    if first is not None:
-        return [x for v in sorted(roots)
-                for x in range(int(first[v]), v + 1)]
-    out: list[int] = []
-    stack = list(roots)
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack.extend(kids[v])
-    return sorted(out)
+def _collect_subtrees(roots: list[int], first: np.ndarray) -> list[int]:
+    """The nodes of the disjoint subtrees under ``roots``, ascending: each
+    is the id range ``first[v] .. v``, and the ranges of ascending roots
+    follow each other."""
+    return [x for v in sorted(roots) for x in range(int(first[v]), v + 1)]
 
 
 def _build_forests(parent: np.ndarray, weights: np.ndarray, pz: int,
                    splitter, kids: list[list[int]], sub: np.ndarray,
-                   first: np.ndarray | None
-                   ) -> dict[tuple[int, int], list[int]]:
+                   first: np.ndarray) -> dict[tuple[int, int], list[int]]:
     nlev = int(np.log2(pz))
     roots = sorted(np.flatnonzero(parent == -1).tolist())
     forests: dict[tuple[int, int], list[int]] = {}
 
     def recurse(forest_roots: list[int], q: int, b: int) -> None:
         if q == nlev:
-            forests[(q, b)] = _collect_subtrees(forest_roots, kids, first)
+            forests[(q, b)] = _collect_subtrees(forest_roots, first)
             return
         S, c1, c2 = splitter(forest_roots, parent, weights, sub, kids)
         forests[(q, b)] = sorted(S)

@@ -23,12 +23,17 @@ The committed file was generated from the pre-plan-layer ("seed") loop
 drivers (fault cases: from the resilience engine as first landed), so it
 pins later refactors to the original schedules. Regenerate it only when a
 PR *intentionally* changes the emitted event schedule, and say so in the
-PR description.
+PR description. A checksum float that the fresh run reproduces to a
+relative 1e-12 — the tolerance ``tests/test_plan.py`` reads it with; the
+host's BLAS may move its last digits — keeps its stored text, so an
+unchanged schedule rewrites both files unchanged; the script prints what
+it kept. Every ledger field is compared exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +73,26 @@ def factor_checksum(result) -> dict:
     F = result.factors().to_dense()
     return {"sum": float(F.sum()), "abs_sum": float(np.abs(F).sum()),
             "max_abs": float(np.abs(F).max())}
+
+
+def keep_stored(cases: dict, path: Path) -> list[str]:
+    """Put the stored text back into every ``factor_checksum`` float of
+    ``cases`` that is within a relative 1e-12 of the one in ``path``;
+    returns the ``case.field`` names it kept."""
+    stored = json.loads(path.read_text()) if path.exists() else {}
+    kept = []
+    for case, record in cases.items():
+        old = stored.get(case)
+        if not (isinstance(record, dict) and "factor_checksum" in record
+                and isinstance(old, dict) and "factor_checksum" in old):
+            continue
+        fresh, was = record["factor_checksum"], old["factor_checksum"]
+        for field, value in fresh.items():
+            if field in was and value != was[field] \
+                    and math.isclose(value, was[field], rel_tol=1e-12):
+                fresh[field] = was[field]
+                kept.append(f"{case}.{field}")
+    return kept
 
 
 def planar_setup(nx: int, leaf: int, pz: int):
@@ -178,9 +203,12 @@ def main(compact: bool = False, out_dir: Path = HERE) -> None:
         case = cases[f"lu3d_pz4_fault_{label}"] = ledger_state(simf)
         case["factor_checksum"] = factor_checksum(resf)
 
+    kept = keep_stored(cases, HERE / NAMES[compact])
     out = Path(out_dir) / NAMES[compact]
     out.write_text(json.dumps(cases, indent=1) + "\n")
-    print(f"wrote {out} ({len(cases) - 1} cases)")
+    print(f"wrote {out} ({len(cases) - 1} cases; stored text kept for "
+          f"{len(kept)} checksum floats within rel 1e-12: "
+          f"{', '.join(kept) or 'none'})")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,10 @@ The zoo is ``grid2d_5pt``, ``grid3d_7pt``, ``circuit_like``, ``kkt_like``,
 leaf {8, 32}. The committed file was generated at commit ``15a2182``,
 before ``DissectionNode`` gave way to the array-only ``DissectionTree``, so
 it pins the array builders to the object builders' trees bit for bit.
-Regenerate only when a PR intentionally changes a tree.
+Its ``*/min_degree`` cases were regenerated once, when ``tree_from_order``
+came to number its supernodes in postorder (the same supernodes and
+fill, in another order). Regenerate only when a PR intentionally changes
+a tree.
 """
 
 from __future__ import annotations

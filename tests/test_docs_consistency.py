@@ -212,6 +212,8 @@ class TestCrossReferences:
         "_factor_blocks", "ReplicaData",
         "pending_messages", "sendrecv_batch", "compute_batch",
         "reduce_pairwise", "_queues", "EventStream.computes",
+        "_idle_lock", "RLock", "_prune", "_max_idle", "_give_back",
+        "_borrow", "PlanEntry.lock", "cache.holds", "lock-free lookup",
     )
 
     def test_no_deleted_name_survives(self):

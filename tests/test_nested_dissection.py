@@ -82,6 +82,8 @@ class TestTreeArrays:
         ([2, 2, -1], [0, 2, 3, 5, 6], "parent links"),
         ([2, 3, 4, -1], [0, 2, 3, 5, 6], "postorder"),
         ([2, 2, 3, -1], [0, 2, 3, 5, 7], "owns"),
+        # Parent after child, but 0 and 2 (node 2's subtree) enclose 1.
+        ([2, 3, 3, -1], [0, 2, 3, 5, 6], "contiguous"),
     ])
     def test_malformed_is_refused(self, parent, offsets, match):
         with pytest.raises(ValueError, match=match):
@@ -519,9 +521,10 @@ class TestGoldenOrderings:
 
 
 class TestSubtreesAreIdRanges:
-    """The dissection builders number true postorder: every subtree is
-    the id range ``first[v] .. v``, which ``subtree_of`` and the tree
-    partition read instead of walking the tree."""
+    """Every tree builder numbers true postorder: every subtree is the id
+    range ``first[v] .. v``, which ``subtree_of`` and the tree partition
+    read instead of walking the tree (``DissectionTree`` refuses a tree
+    where one is not: ``TestTreeArrays::test_malformed_is_refused``)."""
 
     @staticmethod
     def walked(tree, k):
@@ -537,7 +540,11 @@ class TestSubtreesAreIdRanges:
                                       "arrowhead_256", "delaunay_300",
                                       "banded_300"])
     def test_every_builder_numbers_true_postorder(self, name, leaf):
-        from repro.ordering import relax_supernodes
+        from repro.ordering import (
+            minimum_degree_order,
+            relax_supernodes,
+            tree_from_order,
+        )
         from repro.symbolic import symbolic_factorize
         from tests.data.regen_supernodes import matrices
         A, geom = dict(matrices())[name]()
@@ -547,16 +554,9 @@ class TestSubtreesAreIdRanges:
                  for cap in (None, 16, 256)]
         trees.append(relax_supernodes(
             nested_dissection(A, geom, leaf_size=leaf), min_size=24))
+        trees.append(tree_from_order(A, minimum_degree_order(A),
+                                     max_block=leaf))
         for tree in trees:
-            assert tree.first is not None
             for k in range(0, tree.nblocks, max(1, tree.nblocks // 16)):
                 assert tree.subtree_of(k).tolist() == \
                     self.walked(tree, k).tolist()
-
-    def test_the_etree_of_an_arbitrary_order_is_walked(self):
-        """A parent-after-child tree whose subtrees interleave has no
-        ranges; ``subtree_of`` walks it."""
-        tree = DissectionTree([2, 3, 3, -1], np.arange(4), np.arange(5))
-        assert tree.first is None
-        assert tree.subtree_of(2).tolist() == [0, 2]
-        assert tree.subtree_of(3).tolist() == [0, 1, 2, 3]

@@ -10,6 +10,7 @@ full cache), which keeps the hot patterns of a Zipf deck resident.
 
 import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ def _count(monkeypatch, calls, owner, name):
         calls[name] += 1
         return real(*args, **kwargs)
     monkeypatch.setattr(owner, name, counted)
+
+
+def _plan_entry(key):
+    return PlanEntry(key=key, sf=None, tf=None, pattern=None, bundle=None,
+                     build_seconds=0.0)
+
+
+def idle_entries(cache):
+    """``key -> entry`` of the cache's idle arenas, the returns drained."""
+    with cache._step():
+        return {key: entry for key, (entry, _arena) in cache._idle.items()}
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +237,18 @@ class TestPlanCache:
         assert cache.frequency("a") == 22 and cache.frequency(19) == 0
         cache.clear()
         assert cache.frequency("a") == 0 and len(cache._counts) == 0
+
+    def test_a_replaced_entry_borrows_nothing(self):
+        """A job still on an evicted entry does not borrow the arena of the
+        entry built for its key since: arenas are bound to their entry."""
+        cache = PlanCache(capacity=1, max_idle=2)
+        old, _hit = cache.get_or_build("k", lambda: _plan_entry("k"))
+        cache.get_or_build("j", lambda: _plan_entry("j"))   # evicts old
+        new, hit = cache.get_or_build("k", lambda: _plan_entry("k"))
+        assert not hit and new is not old
+        cache.give_back(new, "new's arena")
+        assert cache.borrow(old) is None
+        assert cache.borrow(new) == "new's arena"
 
 
 class TestServiceCorrectness:
@@ -686,7 +710,9 @@ class TestArenaLoans:
             svc.solve(C)                    # evicts A's entry
             st = svc.stats()
             assert (st["evictions"], st["idle_arenas"]) == (1, 2)
-            assert all(svc.cache.holds(e) for e, _a in svc._idle.values())
+            resident = svc.cache._entries
+            assert all(resident.get(k) is e
+                       for k, e in idle_entries(svc.cache).items())
             assert not svc.solve(_perturbed(A, 1)).cache_hit
             assert svc.stats()["arena_loans"] == 0
 
@@ -709,7 +735,7 @@ class TestArenaLoans:
                 for seed in range(n):
                     svc.solve(_perturbed(M, seed))
             # C's arena came back last, but C was requested least.
-            kept = {e.key[0] for e, _a in svc._idle.values()}
+            kept = {k[0] for k in idle_entries(svc.cache)}
             assert kept == {pattern_fingerprint(A), pattern_fingerprint(B)}
 
     def test_refused_jobs_arena_is_not_kept(self, problem):
@@ -742,60 +768,206 @@ class TestArenaLoans:
 
 
 class TestIdleListProtocol:
-    """Two orderings of the idle-arena list that a thread race or a
-    same-thread finalizer can produce, forced deterministically."""
+    """Two orderings that a thread race or a same-thread finalizer can
+    produce, forced deterministically: a give-back only queues its arena,
+    so it never waits for the cache's lock, and a locked step keeps or
+    drops what was queued."""
 
-    def test_close_waits_for_a_give_back_past_its_check(self):
-        """A give-back held inside its locked region (in ``cache.holds``,
-        after the ``_closed`` check) while another thread closes: the
-        arena it stores is cleared by ``close``, never left behind."""
-        from types import SimpleNamespace
-        svc = FactorizationService(max_workers=2)
-        inside, release = threading.Event(), threading.Event()
+    def test_a_give_back_takes_no_lock(self):
+        """Give-backs while another thread holds the cache's lock return at
+        once, one through a finalizer; neither the arena returned before
+        ``close`` nor the one returned after it stays idle."""
+        cache = PlanCache(capacity=2, max_idle=2)
+        entry, _hit = cache.get_or_build("k", lambda: _plan_entry("k"))
+        cache.give_back(entry, "kept")
+        assert idle_entries(cache) == {"k": entry}
 
-        def holds(entry):
-            inside.set()
-            assert release.wait(5)
-            return True
-        svc.cache.holds = holds
-        giver = threading.Thread(target=svc._give_back,
-                                 args=(SimpleNamespace(key="k"), "arena"))
-        giver.start()
-        assert inside.wait(5)
-        closer = threading.Thread(target=svc.close)
-        closer.start()
-        closer.join(0.1)        # close() is blocked on the lock here
-        release.set()
-        giver.join(5)
-        closer.join(5)
-        assert not giver.is_alive() and not closer.is_alive()
-        assert svc._closed and len(svc._idle) == 0
+        class Result:
+            pass
+        held = [Result()]               # the last reference: dropped there
+        weakref.finalize(held[0], cache.give_back, entry, "finalized")
+        threads = [threading.Thread(target=cache.give_back,
+                                    args=(entry, "before")),
+                   threading.Thread(target=held.clear)]
+        with cache._lock:
+            for t in threads:
+                t.start()
+                t.join(5)
+                assert not t.is_alive()
+            assert [a for _e, a in cache._returns] == ["before", "finalized"]
+        cache.close()
+        cache.give_back(entry, "after")
+        assert cache.stats().idle_arenas == 0 and not cache._returns
 
     @pytest.mark.parametrize("max_workers", [1, 2])
     @pytest.mark.parametrize("at_call", [1, 2, 3, 4])
     def test_a_reentrant_give_back_inside_frequency(self, max_workers,
                                                     at_call):
-        """``frequency`` runs a second give-back on the same thread (as a
-        collection running another result's finalizer would) at its
-        ``at_call``-th call: neither call raises, and at most
-        ``max_workers`` arenas stay idle, each the last one returned for
-        its entry."""
-        from types import SimpleNamespace
-        svc = FactorizationService(max_workers=max_workers)
-        svc.cache.holds = lambda entry: True
+        """Four arenas come back to a cache that keeps ``max_workers``, so
+        the drain compares frequencies; at its ``at_call``-th comparison a
+        fifth give-back runs on the same thread, with the lock held (as a
+        collection running another result's finalizer would). Nothing
+        raises or deadlocks, and the next drain applies the cap to it:
+        the most requested entries' arenas stay, the fifth's first."""
+        cache = PlanCache(capacity=5, max_idle=max_workers)
+        keys = ("a", "b", "c", "d", "inner")
+        entry = {k: cache.get_or_build(k, lambda k=k: _plan_entry(k))[0]
+                 for k in keys}
         calls = [0]
-        freq = {"a": 1, "b": 2, "new": 5, "inner": 0}
 
         def frequency(key):
             calls[0] += 1
             if calls[0] == at_call:
-                svc._give_back(SimpleNamespace(key="inner"), "inner")
-            return freq[key]
-        svc.cache.frequency = frequency
-        for key in "ab"[:max_workers]:
-            svc._idle[key] = (SimpleNamespace(key=key), key)
-        svc._give_back(SimpleNamespace(key="new"), "new")
-        assert 0 < len(svc._idle) <= max_workers
-        assert all(arena == key for key, (_e, arena) in svc._idle.items())
-        assert "new" in svc._idle
-        svc.close()
+                cache.give_back(entry["inner"], "inner")
+            return keys.index(key)
+        cache.frequency = frequency
+        for k in keys[:4]:
+            cache.give_back(entry[k], k)
+        cache.stats()                   # the drain that gets the fifth
+        assert calls[0] >= at_call
+        kept = idle_entries(cache)
+        assert set(kept) == set(["inner", "d"][:max_workers])
+        assert all(kept[k] is entry[k] for k in kept)
+        assert not cache._returns
+
+
+KEYS = ("a", "b", "c")
+
+
+class _PoolRun:
+    """The real :class:`PlanCache` (capacity 2) driven through one sequence
+    of operations from one thread, and the jobs the checker keeps beside
+    it. The operations are the service's: ``("request", k)`` (a hit that
+    borrows, a cold key that opens a build slot, or a racer on a key
+    being built), ``("built", k)`` (the build ends: admitted, evicting,
+    or refused), ``("resume", k)`` (the oldest racer whose build ended
+    takes the builder's entry), ``("collect", k)`` (the oldest live job
+    on ``k``'s result is collected: its finalizer queues the arena) and
+    ``("close",)``. A started job borrows its entry's idle arena, or lays
+    out a fresh one."""
+
+    def __init__(self, max_workers: int, ops=()):
+        self.cache = PlanCache(capacity=2, max_idle=max_workers)
+        self.building: dict = {}        # key -> slot of its pending build
+        self.racers: list = []          # (key, slot) waiting on the build
+        self.jobs: list = []            # live (key, entry, arena)
+        self.borrows = self.layouts = 0
+        self.closed = False
+        for op in ops:
+            self.apply(op)
+
+    def ops(self) -> list:
+        out = [] if self.closed else \
+            [("request", k) for k in KEYS] + [("close",)]
+        out += [("built", k) for k in sorted(self.building)]
+        out += sorted({("resume", k) for k, slot in self.racers
+                       if slot[1] is not None})
+        return out + sorted({("collect", k) for k, _e, _a in self.jobs})
+
+    def apply(self, op: tuple) -> None:
+        kind, key = op[0], op[-1]
+        cache = self.cache
+        if kind == "request":
+            entry, slot = cache._lookup(key)
+            if entry is not None:
+                self._start(entry)
+            elif key in self.building:
+                self.racers.append((key, slot))
+            else:                       # the opener holds the build lock
+                assert cache._join(key, slot) is None
+                self.building[key] = slot
+        elif kind == "built":
+            entry = _plan_entry(key)
+            cache._admit(key, self.building.pop(key), entry)
+            self._start(entry)
+        elif kind == "resume":
+            i = next(i for i, (k, slot) in enumerate(self.racers)
+                     if k == key and slot[1] is not None)
+            _k, slot = self.racers.pop(i)
+            self._start(cache._join(key, slot))
+        elif kind == "collect":
+            i = next(i for i, job in enumerate(self.jobs) if job[0] == key)
+            _k, entry, arena = self.jobs.pop(i)
+            cache.give_back(entry, arena)
+        else:
+            cache.close()
+            self.closed = True
+
+    def _start(self, entry) -> None:
+        arena = self.cache.borrow(entry)
+        if arena is None:
+            self.layouts += 1
+            arena = f"arena {self.layouts}"
+        else:
+            self.borrows += 1
+        self.cache.record_job(entry, 0.0, True)
+        self.jobs.append((entry.key, entry, arena))
+
+    def check(self, max_workers: int) -> None:
+        """The pool's invariants on the drained state."""
+        st = self.cache.stats()         # a locked step: drains the returns
+        entries, idle = self.cache._entries, self.cache._idle
+        assert st.entries == len(entries) <= self.cache.capacity
+        assert len(idle) <= max_workers
+        assert len({id(e) for e, _a in idle.values()}) == len(idle)
+        assert all(entries.get(k) is e for k, (e, _a) in idle.items())
+        assert not (self.closed and idle)
+        lent = [a for _k, _e, a in self.jobs]
+        assert len(set(lent)) == len(lent)
+        assert not set(lent) & {a for _e, a in idle.values()}
+        assert st.arena_loans == self.borrows
+
+    def state(self) -> tuple:
+        """Everything a later decision reads, objects named by first
+        appearance; counters that no decision reads are left out."""
+        names: dict = {}
+
+        def name(obj):
+            return None if obj is None else names.setdefault(id(obj),
+                                                             len(names))
+        c = self.cache
+        return (tuple((k, name(e)) for k, e in c._entries.items()),
+                tuple(sorted(c._counts.items())),
+                tuple((k, name(e), name(a)) for k, (e, a) in c._idle.items()),
+                tuple((k, name(s)) for k, s in sorted(c._building.items())),
+                tuple((k, name(e), name(a)) for k, e, a in self.jobs),
+                tuple((k, name(s), name(s[1])) for k, s in self.racers),
+                tuple((k, name(s)) for k, s in sorted(self.building.items())),
+                self.closed)
+
+
+def explore_pool(max_workers: int, depth: int) -> int:
+    """Check every state reachable in at most ``depth`` operations (each
+    reached state is expanded once); returns how many there are."""
+    start = _PoolRun(max_workers)
+    start.check(max_workers)
+    seen, frontier = {start.state()}, [()]
+    for _ in range(depth):
+        grown = []
+        for ops in frontier:
+            for op in _PoolRun(max_workers, ops).ops():
+                run = _PoolRun(max_workers, ops + (op,))
+                run.check(max_workers)
+                state = run.state()
+                if state not in seen:
+                    seen.add(state)
+                    grown.append(ops + (op,))
+        frontier = grown
+    return len(seen)
+
+
+class TestPoolSequences:
+    """Every ordering of the pool's steps up to eight operations, on the
+    real cache from one thread, with no sleeps and no threads: 3 keys,
+    capacity 2, ``max_workers`` 1 and 2. The admission rule it drives is
+    TinyLFU's (Einziger et al., https://arxiv.org/abs/1512.00727): a new
+    entry evicts the LRU one only if requested at least as often. After
+    every step, on the drained state: at most ``capacity`` entries; at
+    most one idle arena per entry and ``max_workers`` in all; none for an
+    entry that is not resident, none after ``close``; no arena both idle
+    and lent, none lent to two live jobs; ``arena_loans`` equal to the
+    borrows counted. Depth 8 takes about 2 s per case."""
+
+    @pytest.mark.parametrize("max_workers, states", [(1, 9463), (2, 9553)])
+    def test_every_ordering_up_to_eight_steps(self, max_workers, states):
+        assert explore_pool(max_workers, 8) == states
