@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from repro.ordering.nested_dissection import DissectionTree
 from repro.sparse.pattern import strip_diagonal, symmetrize_pattern
-from repro.symbolic.etree import elimination_tree
+from repro.symbolic.etree import elimination_tree, postorder
 from repro.utils import check_positive_int
 
 __all__ = ["minimum_degree_order", "tree_from_order"]
@@ -131,15 +131,7 @@ def tree_from_order(A: sp.spmatrix, order: np.ndarray,
     # Renumber the supernodes in postorder, children in ascending id, so
     # that every subtree is an id range, and move ``order``'s blocks to
     # match: a topological order of the same tree, so the same fill.
-    kids: list[list[int]] = [[] for _ in range(nb)]
-    for v, p in enumerate(sup_parent[:-1].tolist()):
-        kids[p].append(v)
-    pre, stack = [], [nb - 1]
-    while stack:                        # preorder, children descending
-        v = stack.pop()
-        pre.append(v)
-        stack.extend(kids[v])
-    post = np.asarray(pre[::-1], dtype=np.int64)    # post[new] = old
+    post = postorder(sup_parent)                    # post[new] = old
     new_id = np.empty(nb, dtype=np.int64)
     new_id[post] = np.arange(nb)
     sizes = (last + 1 - starts)[post]
