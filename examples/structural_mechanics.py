@@ -20,7 +20,7 @@ from repro import Machine, grid3d_7pt
 from repro.analysis import FactorizationMetrics, Trace
 from repro.cholesky import SparseCholesky3D
 from repro.comm import Simulator
-from repro.cholesky.factor import factor_chol_3d
+from repro.lu3d import factor_3d
 from repro.tune import autotune_grid
 
 P_BUDGET = 32
@@ -61,7 +61,8 @@ def main() -> None:
     #    timeline (cost-only: the numbers are identical).
     trace = Trace()
     sim = Simulator(solver.grid.size, solver.machine, trace=trace)
-    factor_chol_3d(solver.sf, solver.tf, solver.grid, sim, numeric=False)
+    factor_3d(solver.sf, solver.tf, solver.grid, sim, numeric=False,
+              backend="cholesky")
     print("\nper-rank timeline (D=diag P=panel S=schur R=reduce "
           ">=send .=wait):")
     print(trace.gantt(sim.nranks, width=70))

@@ -9,11 +9,11 @@ Level-by-level schedule over the elimination tree-forest ``E_f``::
 Since the :mod:`repro.plan` refactor, this module no longer encodes that
 schedule imperatively: :func:`repro.plan.build.build_3d_plan` emits it
 once as an explicit task DAG (grid plans, ``AncestorReduce`` tasks,
-``LevelBarrier`` markers) and :func:`_execute_plan3d` — shared with the
-merged-grid variant — walks it. Communication in the reduction step is
-point-to-point between ranks with the same (x, y) coordinate in the
-sender and receiver layers, booked under the ``'red'`` phase so the
-benchmarks can split ``W_fact`` / ``W_red`` exactly as Fig. 10 does.
+``LevelBarrier`` markers) and :func:`_execute_plan3d` walks it.
+Communication in the reduction step is point-to-point between ranks with
+the same (x, y) coordinate in the sender and receiver layers, booked
+under the ``'red'`` phase so the benchmarks can split ``W_fact`` /
+``W_red`` exactly as Fig. 10 does.
 
 With ``FactorOptions(n_workers != 1)`` the active grids of each level run
 their kernels *concurrently* on host threads (:mod:`repro.parallel`): the
@@ -24,13 +24,14 @@ run's by construction. When the threads cannot engage, the run stays
 serial and records *why* on ``Factor3DResult.parallel_stats`` as a
 :class:`repro.parallel.ParallelFallback` — no silent fallbacks.
 
-The standard, merged-grid and Cholesky entry points are argument bindings
-of one pipeline (:func:`_factor`): validate → acquire the plan bundle →
-charge storage → bind data → execute. The 2D baseline is its ``Pz = 1``
-run: one layer, no Ancestor-Reduction. :func:`_execute_plan3d` is the one
-execution walk, and resilience is a monitor on it — the one observer of
-task boundaries, so the walk's width follows from it: a level is one
-slice without it, and a task at a time with it.
+:func:`factor_3d` is the one entry, and the standard, merged-grid and
+Cholesky runs are its arguments (``merged=``, ``backend=``): validate →
+acquire the plan bundle → charge storage → bind data → execute. The 2D
+baseline is its ``Pz = 1`` run: one layer, no Ancestor-Reduction.
+:func:`_execute_plan3d` is the one execution walk, and resilience is a
+monitor on it — the one observer of task boundaries, so the walk's width
+follows from it: a level is one slice without it, and a task at a time
+with it.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ class Factor3DResult:
     tf: TreeForest
     perturbed_pivots: int = 0
     schur_block_updates: int = 0
-    reduction_messages: int = 0
-    reduction_words: float = 0.0
     replicas: ReplicaManager | None = None
     per_level_makespan: list[float] = field(default_factory=list)
     #: One :class:`repro.parallel.LevelStats` per fanned-out level, or a
@@ -77,13 +76,9 @@ class Factor3DResult:
     parallel_stats: list = field(default_factory=list)
     #: The executed task-graph plan (:class:`repro.plan.Plan3D`).
     plan: Plan3D | None = None
-    #: ``plan`` with its full-width dispatch statistics
-    #: (:class:`repro.plan.FusedPlan`) when the run walked it at full
-    #: width (no resilience monitor); ``None`` for a width-1 run.
-    compiled: object | None = None
     #: :class:`repro.resilience.ResilienceStats` when the resilience engine
-    #: watched the run (``FactorOptions.resilience_active()``); ``None``
-    #: for plain runs.
+    #: watched the run (``FactorOptions.resilience_active()``), which then
+    #: walked a task at a time; ``None`` for plain, full-width runs.
     resilience: object | None = None
     #: The :class:`repro.plan.PlanBundle` of pattern-only build products
     #: this run used (built cold or passed in via ``cached=``); feed it
@@ -129,7 +124,8 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
               options: FactorOptions | None = None,
               charge_storage: bool = True, matrix=None, backend: str = "lu",
               cached: PlanBundle | None = None,
-              replicas: ReplicaManager | None = None) -> Factor3DResult:
+              replicas: ReplicaManager | None = None, *,
+              merged: bool = False, perm=None) -> Factor3DResult:
     """Run Algorithm 1 on the 3D process grid.
 
     Parameters
@@ -155,6 +151,15 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
         could be applied to other variants"). Algorithm 1 itself — the
         level schedule and the pairwise reduction — is variant-independent,
         which the shared plan makes literal.
+    merged:
+        Factor each ancestor forest on the union of its range's layers
+        (Section VII's merged grids; LU only, else ``ValueError``). The
+        factors are the standard run's bit for bit; only the grid maps,
+        hence the ledgers, differ.
+    perm:
+        Takes ``matrix`` to the factors' ordering (``None``: it is
+        permuted already; the facades pass ``sf.perm`` and their
+        input-ordered matrix, which the bundle's value map permutes).
 
     ``cached`` replays a previous run's :class:`repro.plan.PlanBundle`
     (``result.bundle``): the build/analyze phases are skipped and
@@ -169,20 +174,6 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
     With ``pz == 1`` (``greedy_partition(sf, 1)`` on a ``ProcessGrid3D(px,
     py, 1)``) this is the baseline 2D algorithm: one layer, no reduction.
     """
-    return _factor(sf, tf, grid3, sim, numeric=numeric, options=options,
-                   charge_storage=charge_storage, matrix=matrix,
-                   backend=backend, merged=False, cached=cached,
-                   replicas=replicas)
-
-
-def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
-            backend, merged, cached, replicas=None, perm=None
-            ) -> Factor3DResult:
-    """The one 3D pipeline behind every entry point (standard, merged,
-    Cholesky, the facades): validate → plan bundle → storage → data →
-    execute. ``perm`` takes ``matrix`` to the factors' ordering (``None``:
-    it is permuted already; the facades pass ``sf.perm`` and their
-    input-ordered matrix, which the bundle's value map permutes)."""
     if tf.pz != grid3.pz:
         raise ValueError(f"tree-forest pz={tf.pz} != grid pz={grid3.pz}")
     if numeric:     # the kernels do not scan for NaN/inf: stop them here
@@ -213,8 +204,6 @@ def _factor(sf, tf, grid3, sim, *, numeric, options, charge_storage, matrix,
     if opts.resilience_active():
         from repro.resilience.engine import ResilienceEngine
         monitor = ResilienceEngine(opts, sim, bundle.plan3, data, result)
-    else:
-        result.compiled = bundle.compiled()
     n_workers, fallback = resolve_threads(
         opts.n_workers, full_width=monitor is None, numeric=numeric)
     if fallback is not None:
@@ -300,7 +289,7 @@ def _execute_plan3d(plan3: Plan3D, sim: Simulator, result: Factor3DResult,
         else:       # the level's grids are done
             if step.level > 0:
                 sim.set_phase("red")
-                execute_reduces(step, sim, result, data.accumulate)
+                execute_reduces(step, sim, data.accumulate)
             result.per_level_makespan.append(sim.makespan)
             li, gi = li + 1, 0
 

@@ -189,27 +189,37 @@ def _dissect(n: int, leaf_size: int, cut) -> DissectionTree:
     leaf_size = check_positive_int(leaf_size, "leaf_size")
     blocks: list[np.ndarray] = []
     parent: list[int] = []
-
-    def add(vertices: np.ndarray, children: list[int]) -> int:
-        for c in children:
+    # A depth-first walk on an explicit stack (a recursive closure would
+    # leave a reference cycle holding ``cut`` and its adjacency): a frame
+    # is a region's block, its parts to dissect and their finished ids.
+    stack = [(*_split(np.arange(n, dtype=np.int64), leaf_size, cut), [])]
+    while stack:
+        block, parts, kids = stack[-1]
+        if len(kids) < len(parts):
+            stack.append((*_split(parts[len(kids)], leaf_size, cut), []))
+            continue
+        stack.pop()
+        for c in kids:
             parent[c] = len(blocks)
-        blocks.append(vertices)
+        if stack:
+            stack[-1][2].append(len(blocks))
+        blocks.append(block)
         parent.append(-1)
-        return len(blocks) - 1
-
-    def recurse(vertices: np.ndarray) -> int:
-        parts = cut(vertices) if vertices.size > leaf_size else None
-        if parts is None:
-            return add(vertices, [])
-        sep, part_a, part_b = parts
-        if sep.size == 0 and part_a.size >= part_b.size:
-            sep, part_a = part_a[:1], part_a[1:]
-        elif sep.size == 0:
-            sep, part_b = part_b[:1], part_b[1:]
-        return add(sep, [recurse(p) for p in (part_a, part_b) if p.size])
-
-    recurse(np.arange(n, dtype=np.int64))
     return _from_blocks(parent, blocks)
+
+
+def _split(vertices: np.ndarray, leaf_size: int, cut):
+    """``(block, parts)`` of a region: itself and no parts for a leaf,
+    else ``cut``'s separator and its non-empty parts."""
+    parts = cut(vertices) if vertices.size > leaf_size else None
+    if parts is None:
+        return vertices, []
+    sep, part_a, part_b = parts
+    if sep.size == 0 and part_a.size >= part_b.size:
+        sep, part_a = part_a[:1], part_a[1:]
+    elif sep.size == 0:
+        sep, part_b = part_b[:1], part_b[1:]
+    return sep, [p for p in (part_a, part_b) if p.size]
 
 
 def _unit_steps(adj: sp.csr_matrix, coords_t: np.ndarray) -> bool:

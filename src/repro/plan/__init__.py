@@ -10,9 +10,10 @@ it; the level-scope tasks and the plan containers are
 :mod:`repro.plan.tasks`); a single *interpreter*
 (:mod:`repro.plan.interpret`) executes any plan against a pluggable
 kernel backend (:mod:`repro.plan.backends` — LU or Cholesky, numeric or
-cost-only). Every driver (2D baseline, 3D, merged-grid, Cholesky) is a
-thin wrapper over this machinery, and the grid threads run a level's
-per-grid slices of it instead of re-deriving driver structure.
+cost-only). Every run (2D baseline, 3D, merged-grid, Cholesky) is one
+entry over this machinery, :func:`repro.lu3d.factor_3d`, and the grid
+threads run a level's per-grid slices of it instead of re-deriving driver
+structure.
 
 Plan list order replays the historical drivers' exact event schedule, so
 ledgers are bit-identical to the pre-plan code; the dependency edges feed

@@ -24,8 +24,9 @@ pure data dependencies layered on top of the list order:
 
 :func:`build_3d_plan` makes one such pass per level of Algorithm 1's
 schedule (standard per-layer grids or the merged-grid variant) and adds
-the ``AncestorReduce`` tasks, their payloads — block lists, owner-rank
-arrays, merged redistribution ops — fully resolved at build time.
+the ``AncestorReduce`` tasks, their payloads — block lists and
+per-message owner-rank arrays on the variant's grid maps — fully resolved
+at build time.
 """
 
 from __future__ import annotations
@@ -283,8 +284,12 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
     ``blocks_fn`` enumerates a node's stored blocks (default: the
     backend's ``node_blocks``). ``accelerated`` is ignored: it is kept
     only because the frozen benchmark harness (``benchmarks/e2e``) passes
-    it.
+    it. The merged variant is LU only: ``merged`` with another backend
+    raises ``ValueError``.
     """
+    if merged and backend != "lu":
+        raise ValueError(f"the merged variant is LU only, got "
+                         f"backend={backend!r}")
     opts = options or FactorOptions()
     if blocks_fn is None:
         blocks_fn = get_backend(backend).node_blocks
@@ -317,15 +322,15 @@ def build_3d_plan(sf, tf, grid3: ProcessGrid3D,
                      in zip(grid_plans, cut, cut[1:])}
             tid += arrays.n_tasks
 
-        build = _build_merged_reduce if merged else _build_standard_reduce
         reduces: list[AncestorReduce] = []
         for first in range(0, tf.pz, 2 * width) if lvl > 0 else ():
             # A hop waits on its two grids' sinks (no tasks: the barrier).
             deps = sinks.get(first, ()) + sinks.get(first + width, ())
             if not deps and prev_barrier is not None:
                 deps = (prev_barrier,)
-            red = build(sf, tf, grid3, blocks_fn, tid, deps=deps, first=first,
-                        width=width, below_level=lvl, volume=volume)
+            red = _build_reduce(sf, tf, grid3, blocks_fn, tid, deps=deps,
+                                first=first, width=width, below_level=lvl,
+                                volume=volume, merged=merged)
             if red is not None:
                 reduces.append(red)
                 tid += 1
@@ -360,48 +365,34 @@ def _ancestor_blocks(sf, tf, blocks_fn, grid_for_forests: int,
     return ii[at], jj[at], ww[at]
 
 
-def _build_standard_reduce(sf, tf, grid3, blocks_fn, tid: int, deps,
-                           first: int, width: int, below_level: int,
-                           volume) -> AncestorReduce | None:
-    """Plan one pairwise z-hop: layer ``first + width``'s ancestor copies
-    -> layer ``first``."""
+def _build_reduce(sf, tf, grid3, blocks_fn, tid: int, deps, first: int,
+                  width: int, below_level: int, volume, merged: bool
+                  ) -> AncestorReduce | None:
+    """Plan one pairwise z-hop on three grid maps ``(left, right,
+    target)``: per block a reduce message right -> target, then — only
+    where the owner changes — a move left -> target. Standard: layers
+    ``first``, ``first + width``, ``first`` (``left == target``: nothing
+    moves). Merged: the ``width`` layers from ``first`` and from ``first
+    + width`` and the ``2 * width`` from ``first``, each one grid — the
+    redistribution into the doubled grid folded into the reduce.
+    Numerically the right half's replicas add into the left half's either
+    way (``rows`` / ``cols``)."""
     ii, jj, ww = _ancestor_blocks(sf, tf, blocks_fn, first, below_level)
     if not ii.size:
         return None
+    if merged:
+        left, right, target = (_merged_grid(grid3, f, k) for f, k in (
+            (first, width), (first + width, width), (first, 2 * width)))
+    else:
+        left = target = grid3.layer(first)
+        right = grid3.layer(first + width)
+    dst = target.owner_pairs(ii, jj)
+    src = np.stack([right.owner_pairs(ii, jj), left.owner_pairs(ii, jj)], 1)
+    keep = np.stack([np.ones(ii.size, dtype=bool), src[:, 1] != dst],
+                    1).ravel()
     return AncestorReduce(
         tid=tid, deps=deps, dst_grid=first, src_grid=first + width,
-        below_level=below_level, rows=ii, cols=jj,
-        words=volume.cap_many(ii, jj, ww),
-        srcs=grid3.layer(first + width).owner_pairs(ii, jj),
-        dsts=grid3.layer(first).owner_pairs(ii, jj))
-
-
-def _build_merged_reduce(sf, tf, grid3, blocks_fn, tid: int, deps,
-                         first: int, width: int, below_level: int,
-                         volume) -> AncestorReduce | None:
-    """Plan one merged-grid reduce + redistribution into the doubled grid.
-
-    The right half's copy always travels (reduce); the left half's copy
-    travels only when its owner changes under the doubled layout
-    (redistribution move). Sums land on the target owner; numerically
-    the right half's replicas add into the left half's, as in the
-    standard reduce (``rows`` / ``cols``).
-    """
-    left = _merged_grid(grid3, first, width)
-    right = _merged_grid(grid3, first + width, width)
-    target = _merged_grid(grid3, first, 2 * width)
-    ii, jj, ww = _ancestor_blocks(sf, tf, blocks_fn, first, below_level)
-    ops: list[tuple[str, int, int, float]] = []
-    for w, dst, src_r, src_l in zip(
-            volume.cap_many(ii, jj, ww).tolist(),
-            target.owner_pairs(ii, jj).tolist(),
-            right.owner_pairs(ii, jj).tolist(),
-            left.owner_pairs(ii, jj).tolist()):
-        ops.append(("red", src_r, dst, w))
-        if src_l != dst:
-            ops.append(("mov", src_l, dst, w))
-    if not ops:
-        return None
-    return AncestorReduce(
-        tid=tid, deps=deps, dst_grid=first, src_grid=first + width,
-        below_level=below_level, rows=ii, cols=jj, ops=tuple(ops))
+        below_level=below_level, rows=ii, cols=jj, srcs=src.ravel()[keep],
+        dsts=np.repeat(dst, 2)[keep],
+        words=np.repeat(volume.cap_many(ii, jj, ww), 2)[keep],
+        adds=np.tile(np.array([True, False]), ii.size)[keep])

@@ -23,9 +23,9 @@ ledgers are identical to the pre-plan loop drivers at any granularity —
 the golden-ledger tests (:mod:`tests.test_plan`) pin this.
 
 :func:`execute_reduce` is the matching executor for
-:class:`~repro.plan.tasks.AncestorReduce` tasks (both the batched standard
-variant and the merged-grid redistribution variant), and
-:func:`execute_reduces` for a level's worth, booked as one stream.
+:class:`~repro.plan.tasks.AncestorReduce` tasks (one form, standard or
+merged grid maps), and :func:`execute_reduces` for a level's worth,
+booked as one stream.
 """
 
 from __future__ import annotations
@@ -173,34 +173,23 @@ def execute_grid_plan(plan: GridPlan, sim: Simulator,
     return ctx.result
 
 
-def execute_reduce(task: AncestorReduce, sim: Simulator, result=None,
-                   accumulate=None, *, booked: bool = False) -> None:
-    """Execute one Ancestor-Reduction task (``booked``: its events are
-    already on the ledgers, in its level's stream) and book its counters.
-
-    ``result`` is the ``Factor3DResult`` accumulating reduction counters
-    (``None``: a replay whose traffic is not the result's — recovery, the
-    fuzzer). ``accumulate`` is the numeric callback ``(dst_grid, src_grid,
-    rows, cols)`` (the replica summation, the merged variant's too);
-    ``None`` in cost-only mode.
-    """
+def execute_reduce(task: AncestorReduce, sim: Simulator, accumulate=None, *,
+                   booked: bool = False) -> None:
+    """Execute one Ancestor-Reduction task: book its events (unless
+    ``booked``: they are on the ledgers already, in its level's stream)
+    and sum its replicas. ``accumulate`` is the numeric callback
+    ``(dst_grid, src_grid, rows, cols)``; ``None`` in cost-only mode."""
     if not booked:
         sim.book(task.stream())
-    if result is not None:
-        words = task.words if task.ops is None \
-            else np.array([w for *_x, w in task.ops])
-        result.reduction_messages += int(words.size)
-        result.reduction_words += float(words.sum())
     if accumulate is not None:
         accumulate(task.dst_grid, task.src_grid, task.rows, task.cols)
 
 
-def execute_reduces(step, sim: Simulator, result=None,
-                    accumulate=None) -> None:
+def execute_reduces(step, sim: Simulator, accumulate=None) -> None:
     """A level's whole Ancestor-Reduction: its hops booked as one stream
     (:attr:`~repro.plan.tasks.LevelStep.reduce_stream`), then each hop's
-    counters and numeric summation."""
+    numeric summation."""
     if step.reduces:
         sim.book(step.reduce_stream)
     for task in step.reduces:
-        execute_reduce(task, sim, result, accumulate, booked=True)
+        execute_reduce(task, sim, accumulate, booked=True)

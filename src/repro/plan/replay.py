@@ -12,7 +12,7 @@ cost is paid over and over for identical results.
 
 A :class:`PlanBundle` captures those products once. The drivers attach the
 bundle of every cold run to ``Factor3DResult.bundle``; passing it back via
-``factor_3d(..., cached=bundle)`` (or ``factor_3d_merged``) skips the
+``factor_3d(..., cached=bundle)`` skips the
 build/analyze phases entirely, so a warm re-factorization costs
 only kernel execution plus fresh-value setup. The executed plan object is
 *the same* DAG the cold run walked, and the interpreter books events in

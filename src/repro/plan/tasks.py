@@ -61,39 +61,31 @@ class Task:
 class AncestorReduce(Task):
     """One (src grid -> dst grid) hop of Algorithm 1's Ancestor-Reduction.
 
-    Standard variant: parallel arrays ``rows/cols/words`` (the ancestor
-    blocks, in the driver's gather order) and ``srcs/dsts`` (their owner
-    ranks in the two layers), booked as one event stream.
-
-    Merged-grid variant: ``ops`` is a tuple of ``(op, src, dst, words)``
-    with ``op`` = ``'red'`` (pairwise reduce) or ``'mov'`` (redistribution
-    move into the doubled layout, ledger only); ``rows/cols`` are the
-    blocks the replicas sum, as above, and ``srcs/dsts`` are ``None``.
+    ``rows`` / ``cols`` are the ancestor blocks whose replicas it sums,
+    in the driver's gather order. ``srcs`` / ``dsts`` / ``words`` /
+    ``adds`` are its messages on the variant's grid maps
+    (:func:`repro.plan.build._build_reduce`): per block a reduce (``adds``:
+    the receiver adds, one flop per word), then — merged, where the
+    owner changes — a redistribution move (ledger only).
     """
 
     dst_grid: int
     src_grid: int
     below_level: int
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
-    words: np.ndarray | None = None
-    srcs: np.ndarray | None = None
-    dsts: np.ndarray | None = None
-    ops: tuple[tuple[str, int, int, float], ...] | None = None
+    rows: np.ndarray
+    cols: np.ndarray
+    srcs: np.ndarray
+    dsts: np.ndarray
+    words: np.ndarray
+    adds: np.ndarray
 
     kind = "ancestor_reduce"
 
     def stream(self) -> EventStream:
-        """The hop's events: per block one message (free where the owner
-        is unchanged) and — except after a merged ``'mov'`` — the
-        receiver's reduce-add, one flop per word."""
-        if self.ops is None:
-            return EventStream.pairs(self.srcs, self.dsts, self.words,
-                                     "reduce_add")
-        op, src, dst, words = zip(*self.ops) if self.ops else ((),) * 4
-        return EventStream.pairs(
-            src, dst, words, "reduce_add",
-            reduce_where=np.array([o == "red" for o in op], dtype=bool))
+        """The hop's events: one message per entry (free where the owner
+        is unchanged), each reduce followed by the receiver's add."""
+        return EventStream.pairs(self.srcs, self.dsts, self.words,
+                                 "reduce_add", reduce_where=self.adds)
 
 
 @dataclass(frozen=True, kw_only=True)

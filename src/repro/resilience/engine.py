@@ -56,8 +56,7 @@ from repro.resilience.stats import ResilienceStats
 __all__ = ["ResilienceEngine"]
 
 #: Factor3DResult counters a checkpoint must roll back with the walk.
-_RESULT3D_FIELDS = ("perturbed_pivots", "schur_block_updates",
-                    "reduction_messages", "reduction_words")
+_RESULT3D_FIELDS = ("perturbed_pivots", "schur_block_updates")
 
 
 @dataclass

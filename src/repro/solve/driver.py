@@ -29,7 +29,7 @@ from repro.comm.grid import ProcessGrid3D
 from repro.comm.machine import Machine
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
-from repro.lu3d.factor3d import Factor3DResult, _factor
+from repro.lu3d.factor3d import Factor3DResult, factor_3d
 from repro.solve.condest import condest
 from repro.solve.equilibrate import equilibrate
 from repro.solve.refine import RefinementResult, iterative_refinement
@@ -178,12 +178,11 @@ class _Solver3D:
         refuses raise before the solver changes."""
         sim = Simulator(self.grid.size, self.machine)
         cached = self._usable_bundle()
-        self.result = _factor(self.sf, self.tf, self.grid, sim,
-                              numeric=self.numeric, options=self.options,
-                              charge_storage=True, matrix=work,
-                              backend=self.backend, merged=False,
-                              cached=cached, perm=self.sf.perm,
-                              replicas=None if cached is None else self._arena)
+        self.result = factor_3d(
+            self.sf, self.tf, self.grid, sim, numeric=self.numeric,
+            options=self.options, matrix=work, backend=self.backend,
+            cached=cached, perm=self.sf.perm,
+            replicas=None if cached is None else self._arena)
         self.sim = sim
         self._bundle, self._arena = self.result.bundle, self.result.replicas
         return self

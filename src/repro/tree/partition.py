@@ -123,20 +123,21 @@ def _collect_subtrees(roots: list[int], first: np.ndarray) -> list[int]:
 def _build_forests(parent: np.ndarray, weights: np.ndarray, pz: int,
                    splitter, kids: list[list[int]], sub: np.ndarray,
                    first: np.ndarray) -> dict[tuple[int, int], list[int]]:
+    """Split level by level: forest ``b`` of level ``q`` keeps its
+    ancestor set and hands its two child forests' roots to forests ``2b``
+    and ``2b + 1`` of level ``q + 1``; the last level takes whole subtrees."""
     nlev = int(np.log2(pz))
-    roots = sorted(np.flatnonzero(parent == -1).tolist())
+    level = [sorted(np.flatnonzero(parent == -1).tolist())]
     forests: dict[tuple[int, int], list[int]] = {}
-
-    def recurse(forest_roots: list[int], q: int, b: int) -> None:
-        if q == nlev:
-            forests[(q, b)] = _collect_subtrees(forest_roots, first)
-            return
-        S, c1, c2 = splitter(forest_roots, parent, weights, sub, kids)
-        forests[(q, b)] = sorted(S)
-        recurse(c1, q + 1, 2 * b)
-        recurse(c2, q + 1, 2 * b + 1)
-
-    recurse(roots, 0, 0)
+    for q in range(nlev):
+        below = []
+        for b, forest_roots in enumerate(level):
+            S, c1, c2 = splitter(forest_roots, parent, weights, sub, kids)
+            forests[(q, b)] = sorted(S)
+            below += [c1, c2]
+        level = below
+    for b, forest_roots in enumerate(level):
+        forests[(nlev, b)] = _collect_subtrees(forest_roots, first)
     return forests
 
 
@@ -204,15 +205,15 @@ def naive_partition(sf: SymbolicFactorization, pz: int,
 def critical_path_cost(tf: TreeForest, weights: np.ndarray) -> float:
     """Critical-path cost of a tree-forest under additive node ``weights``.
 
-    Recursively ``T(q, b) = T(S_{q,b}) + max(T(q+1, 2b), T(q+1, 2b+1))``,
-    the quantity the greedy heuristic minimizes (paper Fig. 8's 75 vs 95).
+    ``T(q, b) = T(S_{q,b}) + max(T(q+1, 2b), T(q+1, 2b+1))``, level by
+    level from the leaves up: the quantity the greedy heuristic minimizes
+    (paper Fig. 8's 75 vs 95).
     """
     weights = np.asarray(weights, dtype=np.float64)
-
-    def level_cost(q: int, b: int) -> float:
-        own = float(weights[tf.forests[(q, b)]].sum()) if tf.forests[(q, b)] else 0.0
-        if q == tf.l:
-            return own
-        return own + max(level_cost(q + 1, 2 * b), level_cost(q + 1, 2 * b + 1))
-
-    return level_cost(0, 0)
+    below: list[float] = []
+    for q in range(tf.l, -1, -1):
+        own = [float(weights[f].sum()) if (f := tf.forests[(q, b)]) else 0.0
+               for b in range(2 ** q)]
+        below = own if q == tf.l else [
+            t + max(below[2 * b], below[2 * b + 1]) for b, t in enumerate(own)]
+    return below[0]

@@ -34,8 +34,8 @@ import scipy.sparse as sp
 
 from repro.comm.grid import ProcessGrid3D
 from repro.lu2d.options import FactorOptions
-from repro.model.nonplanar import KAPPA1_DEFAULT
-from repro.model.planar import volume_3d_planar_z
+from repro.model.nonplanar import volume_3d_nonplanar
+from repro.model.planar import volume_3d_planar
 from repro.ordering.nested_dissection import nested_dissection
 from repro.plan import build_3d_plan
 from repro.sparse.generators import GridGeometry
@@ -74,10 +74,9 @@ def estimate_separator_exponent(A: sp.spmatrix,
     """
     tree = nested_dissection(A, geometry, leaf_size=leaf_size,
                              max_block=None)
-    # Subtree vertex counts in one postorder pass.
-    region = tree.sizes.copy()
-    for v in range(tree.nblocks - 1):
-        region[tree.parent[v]] += region[v]
+    # Subtree vertex counts: a subtree is the id range first[v] .. v.
+    offsets = tree.layout.offsets
+    region = offsets[1:] - offsets[tree.first]
     nkids = np.bincount(tree.parent[:-1], minlength=tree.nblocks)
     vals = [np.log(tree.sizes[v]) / np.log(region[v])
             for v in np.flatnonzero((nkids >= 2) & (region >= min_region))]
@@ -120,31 +119,19 @@ def _aspect_penalty(px: int, py: int) -> float:
     return (1.0 / px + 1.0 / py) * np.sqrt(px * py) / 2.0
 
 
-def _planar_words(n: int, P: int, pz: int) -> float:
-    # Eq. (7) plus the Eq. (10) z-reduction volume.
-    xy = n / np.sqrt(P) * (2.0 * np.sqrt(pz)
-                           + np.log2(max(n, 4)) / np.sqrt(pz))
-    return xy + volume_3d_planar_z(n, P, pz)
-
-
-def _nonplanar_words(n: int, P: int, pz: int,
-                     kappa1: float = KAPPA1_DEFAULT) -> float:
-    # Table II non-planar volume.
-    return n ** (4.0 / 3.0) / np.sqrt(P) * (
-        kappa1 * np.sqrt(pz) + (1.0 - kappa1) / pz ** (4.0 / 3.0))
-
-
 def predicted_words(cand: TuneCandidate, profile: MatrixProfile) -> float:
     """Closed-form per-process communication volume of ``cand`` (model
-    units — a shape to compare with the measurement, not a word count)."""
-    n, P, pz = profile.n, cand.total, cand.pz
+    units — a shape to compare with the measurement, not a word count):
+    Eq. (7) + Eq. (10), Table II's non-planar volume, or their geometric
+    mean. A matrix under 4 rows is priced as one of 4."""
+    n, P, pz = max(profile.n, 4), cand.total, cand.pz
     if profile.classification == "planar":
-        w = _planar_words(n, P, pz)
+        w = volume_3d_planar(n, P, pz)
     elif profile.classification == "non-planar":
-        w = _nonplanar_words(n, P, pz)
+        w = volume_3d_nonplanar(n, P, pz)
     else:
-        w = float(np.sqrt(_planar_words(n, P, pz)
-                          * _nonplanar_words(n, P, pz)))
+        w = float(np.sqrt(volume_3d_planar(n, P, pz)
+                          * volume_3d_nonplanar(n, P, pz)))
     return float(w * _aspect_penalty(cand.px, cand.py))
 
 

@@ -250,14 +250,12 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
             options: FactorOptions | None = None, machine=None,
             matrix=None, runs: bool = False) -> FuzzReport:
     """Fuzz a 3D plan (standard, merged, or Cholesky via ``backend``;
-    the merged variant is LU only, so ``merged`` with another backend
-    raises ``ValueError``).
+    the merged variant is LU only: :func:`repro.plan.build_3d_plan`
+    refuses ``merged`` with another backend).
 
-    Builds the plan and binds the numeric state with the drivers' own
-    steps (:func:`repro.lu3d.factor3d.factor_3d` /
-    :func:`repro.lu3d.merged.factor_3d_merged` /
-    :func:`repro.cholesky.factor_chol_3d`), so the identity-order run
-    books the drivers' golden-pinned ledgers — the tests assert that
+    Builds the plan and binds the numeric state with the driver's own
+    steps (:func:`repro.lu3d.factor3d.factor_3d`), so the identity-order
+    run books the driver's golden-pinned ledgers — the tests assert that
     chain explicitly. With ``runs=True`` the plan's same-kind runs are
     the schedulable units (one dispatch each), so random legal orders
     exercise the runs' unioned dependency edges; the default is one unit
@@ -266,9 +264,6 @@ def fuzz_3d(sf, tf, grid3, *, backend: str = "lu", merged: bool = False,
     from repro.lu3d.factor3d import Factor3DResult, _bind_data
     from repro.plan.replay import PlanBundle
 
-    if merged and backend != "lu":
-        raise ValueError(f"the merged variant is LU only, got "
-                         f"backend={backend!r}")
     opts = options or FactorOptions()
     mach = machine if machine is not None else Machine.edison_like()
     bundle = PlanBundle.build(sf, tf, grid3, opts, merged=merged,

@@ -209,36 +209,23 @@ def _check_grid(gp: GridPlan, add) -> None:
 
 
 def _check_reduce(red: AncestorReduce, add) -> None:
-    if red.ops is not None:
-        for op, src, dst, w in red.ops:
-            if op not in ("red", "mov"):
-                add("malformed-reduce", f"reduce {red.tid}: unknown op "
-                    f"{op!r}", (red.tid,))
-            if w < 0:
-                add("malformed-reduce", f"reduce {red.tid}: negative "
-                    "payload", (red.tid,))
-            if op == "mov" and src == dst:
-                # The merged builder promises to emit a move only when
-                # the owner changes; a self-move would double-charge.
-                add("reduce-alias", f"reduce {red.tid}: redistribution "
-                    f"move with src == dst == {src}", (red.tid,))
-        return
-    arrays = (red.rows, red.cols, red.words, red.srcs, red.dsts)
-    if any(a is None for a in arrays):
-        add("malformed-reduce", f"reduce {red.tid}: standard variant with "
-            "missing payload arrays", (red.tid,))
-        return
-    lens = {len(a) for a in arrays}
-    if len(lens) != 1:
+    lens = [len(a) for a in (red.words, red.srcs, red.dsts, red.adds)]
+    if len(set(lens)) != 1 or len(red.rows) != len(red.cols):
         # Unequal srcs/dsts arrays are exactly an unmatched send/recv
         # pair: no stream of matched pairs can be built from them.
         add("malformed-reduce", f"reduce {red.tid}: payload arrays have "
-            f"mismatched lengths {sorted(lens)} (unmatched send/recv "
-            "pairs)", (red.tid,))
+            f"mismatched lengths {lens} (messages) / {len(red.rows)}, "
+            f"{len(red.cols)} (blocks)", (red.tid,))
         return
     if np.any(red.words < 0):
         add("malformed-reduce", f"reduce {red.tid}: negative payload",
             (red.tid,))
+    self_move = ~red.adds & (red.srcs == red.dsts)
+    if self_move.any():
+        # The builder emits a move only where the owner changes; a
+        # self-move would double-charge.
+        add("reduce-alias", f"reduce {red.tid}: redistribution move with "
+            f"src == dst == {red.srcs[self_move][0]}", (red.tid,))
     if red.dst_grid == red.src_grid:
         add("reduce-alias", f"reduce {red.tid}: destination grid aliases "
             f"source grid {red.src_grid}", (red.tid,))

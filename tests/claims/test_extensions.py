@@ -8,18 +8,17 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_table
-from repro.cholesky import factor_chol_3d
 from repro.comm import DragonflyTopology, Machine, ProcessGrid3D, Torus3D
 from repro.comm.volume import DenseVolume
 from repro.experiments import paper_suite
 from repro.lu2d import FactorOptions
-from repro.lu3d.merged import factor_3d_merged
 from repro.plan.arrays import PANEL_BCAST, PANEL_FACTOR, TaskArrays
 from repro.plan.replay import PlanBundle
 from repro.plan.tasks import AncestorReduce, LevelStep
 from repro.solve import SparseLU3D
 from repro.utils.ragged import csr_ptr
 from tests.claims.conftest import P, cost_only, simulate
+from tests.conftest import CHOLESKY, MERGED
 
 
 @pytest.mark.slow
@@ -30,7 +29,7 @@ def test_cholesky_on_the_same_schedule(suite):
     pzs = (1, 2, 4, 8, 16)
     data = {name: {"lu": [simulate(suite[name], pz)[0] for pz in pzs],
                    "cholesky": [simulate(suite[name], pz,
-                                         driver=factor_chol_3d)[0]
+                                         driver=CHOLESKY)[0]
                                 for pz in pzs]}
             for name in ("K2D5pt4096", "Serena")}  # grid Laplacians: SPD
     print()
@@ -65,7 +64,7 @@ def test_cholesky_on_the_same_schedule(suite):
 def test_ancestor_level_variants(suite):
     """The Section VII remedy for the shrunken-grid ancestor bottleneck
     that survives as a per-block schedule: merge the idle grids
-    (``factor_3d_merged``). Where the standard algorithm retreats
+    (``factor_3d(..., merged=True)``). Where the standard algorithm retreats
     (non-planar, large Pz) merging buys the extra ranks (``W ~
     D/sqrt(c*Pxy)``); a planar matrix's tiny separators leave nothing to
     accelerate. (The other remedy, a dense 2.5D LU, loses to merging once
@@ -77,7 +76,7 @@ def test_ancestor_level_variants(suite):
         for pz in pzs:
             data[name, pz, "standard"] = simulate(suite[name], pz)[0]
             data[name, pz, "merged"] = simulate(
-                suite[name], pz, driver=factor_3d_merged)[0]
+                suite[name], pz, driver=MERGED)[0]
     print()
     print(format_table(
         ["matrix", "Pz", "T std [ms]", "T merged [ms]", "Tscu std",
@@ -212,7 +211,8 @@ def _per_block_25d(plan3, sf, tf, grid3, c: int, volume):
                 tid=-1, dst_grid=b // pxy, src_grid=b // pxy + s,
                 below_level=step.level, rows=ii, cols=jj,
                 words=volume.cap_many(ii, jj, sizes[ii] * sizes[jj] * 1.0),
-                srcs=own + s * pxy, dsts=own))
+                srcs=own + s * pxy, dsts=own,
+                adds=np.ones(ii.size, dtype=bool)))
         plan3.levels[li] = LevelStep(
             level=step.level, grid_plans=step.grid_plans,
             reduces=ends + step.reduces, barrier=step.barrier,
@@ -234,7 +234,7 @@ def test_per_block_25d_loses_to_merged(suite):
     for name in ("Serena", "nlpkkt80"):
         pm = suite[name]
         sf, tf = pm.sf, pm.partition(pz)
-        data[name, "merged"] = simulate(pm, pz, driver=factor_3d_merged)[0]
+        data[name, "merged"] = simulate(pm, pz, driver=MERGED)[0]
         for c in cs:
             bundle = PlanBundle.build(sf, tf, grid3, FactorOptions())
             _per_block_25d(bundle.plan3, sf, tf, grid3, c, DenseVolume())

@@ -2,6 +2,7 @@
 plus the suite-wide plan-verification hook and hypothesis strategies."""
 
 from collections import defaultdict, deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.comm import CommError, Machine
 from repro.comm.events import COMPUTE_KINDS, PHASES
 from repro.comm.stream import MSG, EventStream
+from repro.lu3d import factor_3d
 from repro.sparse import (
     circuit_like,
     grid2d_5pt,
@@ -244,10 +246,16 @@ def width1_options(opts=None):
                                checkpoint_every=10**9)
 
 
+#: :func:`repro.lu3d.factor_3d` bound to the merged-grid and the Cholesky
+#: run, for the tests' driver tables.
+MERGED = partial(factor_3d, merged=True)
+CHOLESKY = partial(factor_3d, backend="cholesky")
+
+
 def one_layer(sf, px: int, py: int):
     """``(tf, grid3)`` of the 2D baseline on a ``px x py`` grid: Algorithm 1
     at ``Pz = 1`` — one layer, no Ancestor-Reduction. Pass them to
-    ``factor_3d`` / ``factor_chol_3d`` / ``fuzz_3d``."""
+    ``factor_3d`` / ``fuzz_3d``."""
     from repro.comm import ProcessGrid3D
     from repro.tree import greedy_partition
     return greedy_partition(sf, 1), ProcessGrid3D(px, py, 1)

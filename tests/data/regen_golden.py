@@ -39,11 +39,9 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import factor_3d_merged
 from repro.resilience import Fault, FaultPlan
 from repro.sparse import arrowhead, grid2d_5pt, grid3d_7pt, power_law_laplacian
 from repro.symbolic import symbolic_factorize
@@ -154,20 +152,22 @@ def main(compact: bool = False, out_dir: Path = HERE) -> None:
 
     # -- merged-grid ancestors, pz=4 (cost-only + numeric) ----------------
     simm = Simulator(grid3.size, Machine.edison_like())
-    factor_3d_merged(sf, tf, grid3, simm, options=O())
+    factor_3d(sf, tf, grid3, simm, numeric=False, options=O(), merged=True)
     cases["merged_pz4"] = ledger_state(simm)
     simmn = Simulator(grid3.size, Machine.edison_like())
-    factor_3d_merged(sf, tf, grid3, simmn, numeric=True, options=O())
+    factor_3d(sf, tf, grid3, simmn, numeric=True, options=O(), merged=True)
     cases["merged_pz4_numeric"] = ledger_state(simmn)
 
     # -- Cholesky, SPD planar pz=2 (cost-only + numeric checksum) ---------
     sfs, tfs = spd_setup(14, 16, 2)
     g3s = ProcessGrid3D(2, 2, 2)
     sims = Simulator(g3s.size, Machine.edison_like())
-    factor_chol_3d(sfs, tfs, g3s, sims, numeric=False, options=O())
+    factor_3d(sfs, tfs, g3s, sims, numeric=False, options=O(),
+              backend="cholesky")
     cases["chol_pz2"] = ledger_state(sims)
     simsn = Simulator(g3s.size, Machine.edison_like())
-    ress = factor_chol_3d(sfs, tfs, g3s, simsn, numeric=True, options=O())
+    ress = factor_3d(sfs, tfs, g3s, simsn, numeric=True, options=O(),
+                     backend="cholesky")
     cases["chol_pz2_numeric"] = ledger_state(simsn)
     cases["chol_pz2_numeric"]["factor_checksum"] = factor_checksum(ress)
 

@@ -122,16 +122,15 @@ def grid_plan_digest(gp) -> str:
         np.asarray([r for c in comms for r in c], dtype=np.int64)])
 
 
-def reduce_digest(red) -> str:
+def reduce_digest(red, merged: bool) -> str:
+    """A reduce's sha1 in the byte order of the two forms it was pinned
+    in: a standard hop's blocks and messages, a merged hop's messages
+    with their reduce flags."""
     head = np.asarray([red.tid, red.dst_grid, red.src_grid, red.below_level,
                        *red.deps], dtype=np.int64)
-    if red.ops is None:
+    if not merged:
         return _sha([head, red.rows, red.cols, red.words, red.srcs, red.dsts])
-    op, src, dst, words = zip(*red.ops)
-    return _sha([head, np.asarray([o == "red" for o in op]),
-                 np.asarray(src, dtype=np.int64),
-                 np.asarray(dst, dtype=np.int64),
-                 np.asarray(words, dtype=np.float64)])
+    return _sha([head, red.adds, red.srcs, red.dsts, red.words])
 
 
 def plan_record(plan) -> dict:
@@ -140,7 +139,7 @@ def plan_record(plan) -> dict:
         "plans_per_level": [len(s.grid_plans) for s in plan.levels],
         "plans": [grid_plan_digest(gp) for s in plan.levels
                   for gp in s.grid_plans],
-        "reduces": [reduce_digest(r) for s in plan.levels
+        "reduces": [reduce_digest(r, plan.merged) for s in plan.levels
                     for r in s.reduces],
         "barriers": _sha([np.asarray(
             [s.barrier.tid, s.barrier.level, *s.barrier.deps],

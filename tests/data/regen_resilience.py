@@ -37,11 +37,9 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import factor_3d_merged
 from repro.resilience import Fault, FaultPlan
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
@@ -144,9 +142,9 @@ def run_case(driver: str, policy: str, every: int, faults, compact: bool
         grid3 = ProcessGrid3D(2, 2, 4)
     sim = Simulator(grid3.size, mach)
     numeric = not driver.endswith("_cost")
-    run = {"merged": factor_3d_merged, "chol": factor_chol_3d}.get(
-        driver, factor_3d)
-    res = run(sf, tf, grid3, sim, numeric=numeric, options=opts)
+    kw = {"merged": {"merged": True}, "chol": {"backend": "cholesky"}}.get(
+        driver, {})
+    res = factor_3d(sf, tf, grid3, sim, numeric=numeric, options=opts, **kw)
     if numeric:
         dense = res.factors().to_dense()
     stats = res.resilience

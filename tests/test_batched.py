@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import Trace
-from repro.cholesky import factor_chol_3d
 from repro.comm import (CommError, ProcessGrid2D, ProcessGrid3D, Simulator,
                         UniformTopology)
 from repro.lu2d.batched import schur_pairs, syrk_pairs
@@ -250,7 +249,7 @@ class TestCholeskyEquivalence:
         runs = {}
         for traced in (True, False):
             sim = _sim(4, traced)
-            res = factor_chol_3d(sf, *one_layer(sf, 2, 2), sim)
+            res = factor_3d(sf, *one_layer(sf, 2, 2), sim, backend="cholesky")
             runs[traced] = (res.factors().to_dense(), sim, res)
         dense_loop, sim_loop, res_loop = runs[True]
         dense_bat, sim_bat, res_bat = runs[False]

@@ -24,12 +24,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.analysis import format_parallel_stats
-from repro.cholesky import factor_chol_3d
 from repro.comm import ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import factor_3d_merged
-from repro.plan import FusedPlan, build_3d_plan, build_grid_plan
+from repro.plan import build_3d_plan, build_grid_plan
 from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
@@ -88,7 +86,7 @@ class TestCompiledBitIdentity:
             return sim, res
 
         res_c, res_u = assert_equivalent(run, compare_factors=False)
-        assert res_c.compiled is not None and res_u.compiled is None
+        assert res_c.resilience is None and res_u.resilience is not None
         stats = res_c.plan.fusion_stats()
         assert stats.n_fused > 0
         assert stats.dispatch_reduction > 1.0
@@ -105,11 +103,9 @@ class TestCompiledBitIdentity:
             return sim, res
 
         res_c, res_u = assert_equivalent(run, compare_factors=numeric)
-        assert isinstance(res_c.compiled, FusedPlan)
-        assert res_u.compiled is None
-        # One plan object serves both widths: "compiled" is a view of it.
-        assert res_c.compiled.plan is res_c.plan
-        st = res_c.compiled.stats
+        assert res_c.resilience is None
+        assert res_u.resilience is not None
+        st = res_c.plan.fusion_stats()
         assert st.n_tasks_after < st.n_tasks_before == res_c.plan.n_tasks
 
     def test_merged(self, planar):
@@ -118,12 +114,12 @@ class TestCompiledBitIdentity:
 
         def run(per_task):
             sim = Simulator(grid3.size)
-            res = factor_3d_merged(sf, tf, grid3, sim, numeric=True,
-                                   options=_width(per_task))
+            res = factor_3d(sf, tf, grid3, sim, numeric=True,
+                            options=_width(per_task), merged=True)
             return sim, res
 
         res_c, _ = assert_equivalent(run, compare_factors=False)
-        assert isinstance(res_c.compiled, FusedPlan)
+        assert res_c.resilience is None
 
     def test_cholesky(self, spd):
         sf, tf = spd
@@ -131,12 +127,12 @@ class TestCompiledBitIdentity:
 
         def run(per_task):
             sim = Simulator(grid3.size)
-            res = factor_chol_3d(sf, tf, grid3, sim, numeric=True,
-                                 options=_width(per_task))
+            res = factor_3d(sf, tf, grid3, sim, numeric=True,
+                            options=_width(per_task), backend="cholesky")
             return sim, res
 
         res_c, _ = assert_equivalent(run)
-        assert isinstance(res_c.compiled, FusedPlan)
+        assert res_c.resilience is None
 
     def test_fused_deps_point_backwards(self, planar):
         """The fuzzer's full-width units (run = one dispatch, deps = the
@@ -246,7 +242,7 @@ class TestCompileGating:
         sim = Simulator(grid3.size)
         opts = _opts(fault_plan=FaultPlan.parse("slow:rank=0,factor=2"))
         res = factor_3d(sf, tf, grid3, sim, numeric=False, options=opts)
-        assert res.compiled is None
+        assert res.resilience is not None
 
 
 class TestFormatting:

@@ -142,7 +142,6 @@ class TestCrossReferences:
             DenseVolume,
             volume_for,
         )
-        from repro.lu3d.merged import factor_3d_merged  # noqa: F401
         from repro.ordering import relax_supernodes  # noqa: F401
         from repro.parallel import (  # noqa: F401
             GridThreads,
@@ -214,6 +213,8 @@ class TestCrossReferences:
         "reduce_pairwise", "_queues", "EventStream.computes",
         "_idle_lock", "RLock", "_prune", "_max_idle", "_give_back",
         "_borrow", "PlanEntry.lock", "cache.holds", "lock-free lookup",
+        "factor_3d_merged", "factor_chol_3d", "_build_standard_reduce",
+        "_build_merged_reduce", "reduction_messages", "reduction_words",
     )
 
     def test_no_deleted_name_survives(self):
@@ -450,14 +451,16 @@ class TestOnePlanForm:
 
     def test_one_execution_walk(self):
         """``_execute_plan3d`` is the one loop that executes a plan's
-        levels, and the one pipeline ``_factor`` its one caller — every
-        driver's, the 2D baseline as its ``Pz = 1`` run. Besides it only
+        levels, and the one entry ``factor_3d`` its one caller — every
+        run's, merged, Cholesky and the 2D baseline (its ``Pz = 1`` run)
+        included. Besides it only
         the z-replica replay (the crashed grid's own subtree) executes a
         grid plan."""
         assert self._calls("execute_grid_plan") == [
             "lu3d/factor3d.py::_execute_plan3d",
             "resilience/engine.py::_recover_zreplica"]
-        assert self._calls("_execute_plan3d") == ["lu3d/factor3d.py::_factor"]
+        assert self._calls("_execute_plan3d") == [
+            "lu3d/factor3d.py::factor_3d"]
         loops = [path for path in self.SRC.rglob("*.py")
                  if re.search(r"while \w+ < len\((\w+\.)?levels\)",
                               path.read_text())]

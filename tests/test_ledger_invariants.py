@@ -9,10 +9,8 @@ looks subtly wrong.
 import pytest
 
 from repro.analysis import FactorizationMetrics, PlanStats
-from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import factor_3d_merged
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
@@ -20,9 +18,11 @@ from tests.conftest import plan_tasks
 
 ENGINES = {
     "lu": lambda sf, tf, g3, sim: factor_3d(sf, tf, g3, sim, numeric=False),
-    "cholesky": lambda sf, tf, g3, sim: factor_chol_3d(sf, tf, g3, sim,
-                                                       numeric=False),
-    "merged": factor_3d_merged,
+    "cholesky": lambda sf, tf, g3, sim: factor_3d(sf, tf, g3, sim,
+                                                  numeric=False,
+                                                  backend="cholesky"),
+    "merged": lambda sf, tf, g3, sim: factor_3d(sf, tf, g3, sim,
+                                                numeric=False, merged=True),
 }
 
 

@@ -21,7 +21,6 @@ import scipy.sparse as sp
 
 from repro import SparseLU3D
 from repro.analysis.trace import Trace
-from repro.cholesky import factor_chol_3d
 from repro.comm import (
     Machine,
     ProcessGrid3D,
@@ -31,13 +30,13 @@ from repro.comm import (
 from repro.comm.stream import MSG, EventStream
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import factor_3d_merged
 from repro.resilience import FaultInjector, FaultPlan
 from repro.service import FactorizationService
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify import ledger_state
+from tests.conftest import CHOLESKY, MERGED
 
 
 def state(sim) -> str:
@@ -82,8 +81,8 @@ ZOO = {
     "lu3d_pz4": (factor_3d, lambda: grid2d_5pt(14), 16, (2, 2, 4)),
     "lu3d_brick_pz2": (factor_3d, lambda: grid3d_7pt(6), 24, (1, 2, 2)),
     "lu3d_pz16": (factor_3d, lambda: grid2d_5pt(32), 8, (1, 2, 16)),
-    "merged_pz4": (factor_3d_merged, lambda: grid2d_5pt(14), 16, (2, 2, 4)),
-    "chol_pz2": (factor_chol_3d, lambda: (lambda A, g: (_spd(A), g))(
+    "merged_pz4": (MERGED, lambda: grid2d_5pt(14), 16, (2, 2, 4)),
+    "chol_pz2": (CHOLESKY, lambda: (lambda A, g: (_spd(A), g))(
         *grid2d_5pt(14)), 16, (2, 2, 2)),
 }
 

@@ -78,9 +78,8 @@ class TestNumericCorrectness:
         for numeric in (False, True):
             for compact in (False, True):
                 sim = Simulator(grid3.size, Machine.edison_like())
-                res = factor_3d(sf, tf, grid3, sim, numeric=numeric,
-                                options=FactorOptions(compact_comm=compact))
-                assert res.reduction_messages == 0
+                factor_3d(sf, tf, grid3, sim, numeric=numeric,
+                          options=FactorOptions(compact_comm=compact))
                 assert sim.total_words_sent("red") == 0.0
                 assert ledger_state(sim) == GOLDENS[compact]["lu2d_default"]
 

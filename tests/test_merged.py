@@ -6,8 +6,8 @@ import pytest
 from repro.analysis import FactorizationMetrics
 from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import _merged_grid, factor_3d_merged
 from repro.plan import build_3d_plan
+from repro.plan.build import _merged_grid
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
@@ -46,7 +46,7 @@ class TestMergedSchedule:
             if label == "std":
                 factor_3d(sf, tf, grid3, sim, numeric=False)
             else:
-                factor_3d_merged(sf, tf, grid3, sim)
+                factor_3d(sf, tf, grid3, sim, numeric=False, merged=True)
             sims[label] = sim
         for kind in ("diag", "panel", "schur"):
             assert sims["std"].flops[kind].sum() == pytest.approx(
@@ -55,7 +55,7 @@ class TestMergedSchedule:
     def test_conservation_and_drained_queues(self):
         sf, tf, grid3 = _setup(16, pz=4)
         sim = Simulator(grid3.size)
-        factor_3d_merged(sf, tf, grid3, sim)
+        factor_3d(sf, tf, grid3, sim, numeric=False, merged=True)
         assert sim.total_words_sent() == pytest.approx(sim.total_words_recv())
         assert sim.event_counts["send"] == sim.event_counts["recv"]
 
@@ -64,7 +64,7 @@ class TestMergedSchedule:
         a = Simulator(grid3.size)
         factor_3d(sf, tf, grid3, a, numeric=False)
         b = Simulator(grid3.size)
-        factor_3d_merged(sf, tf, grid3, b)
+        factor_3d(sf, tf, grid3, b, numeric=False, merged=True)
         assert np.allclose(a.clock, b.clock)
         assert a.total_words_sent() == pytest.approx(b.total_words_sent())
 
@@ -74,7 +74,7 @@ class TestMergedSchedule:
         std = Simulator(grid3.size)
         factor_3d(sf, tf, grid3, std, numeric=False)
         mrg = Simulator(grid3.size)
-        factor_3d_merged(sf, tf, grid3, mrg)
+        factor_3d(sf, tf, grid3, mrg, numeric=False, merged=True)
         # Max per-rank diag flops drop when the top chain is distributed
         # over the merged grid.
         assert mrg.flops["diag"].max() <= std.flops["diag"].max()
@@ -85,8 +85,8 @@ class TestMergedSchedule:
     def test_numeric_mode_exact(self):
         """Merged-grid numeric execution produces the exact LU factors."""
         sf, tf, grid3 = _setup(16, pz=4)
-        res = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size),
-                               numeric=True)
+        res = factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                        numeric=True, merged=True)
         LU = res.factors().to_dense()
         n = sf.n
         L = np.tril(LU, -1) + np.eye(n)
@@ -100,8 +100,8 @@ class TestMergedSchedule:
                               (20, 4, False), (6, 4, True), (24, 8, False),
                               (24, 16, False)):
             sf, tf, grid3 = _setup(nx, pz=pz, px=2, py=2, brick=brick)
-            res_m = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size),
-                                     numeric=True)
+            res_m = factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                              numeric=True, merged=True)
             res_s = factor_3d(sf, tf, grid3, Simulator(grid3.size),
                               numeric=True)
             assert np.array_equal(res_m.factors().to_dense(),
@@ -127,26 +127,49 @@ class TestMergedSchedule:
         """``factors()`` on a merged numeric run copies the home replicas;
         a cost-only run still has none."""
         sf, tf, grid3 = _setup(12, pz=2, px=2, py=2)
-        res = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size),
-                               numeric=True)
+        res = factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                        numeric=True, merged=True)
         F = res.factors()
         F[(0, 0)][:] = 0.0
         assert res.factors()[(0, 0)].any()
-        cost = factor_3d_merged(sf, tf, grid3, Simulator(grid3.size))
+        cost = factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                         numeric=False, merged=True)
         with pytest.raises(ValueError, match="cost-only run"):
             cost.factors()
+
+    def test_merged_is_lu_only(self):
+        """The merged variant has no Cholesky plan: the one entry refuses
+        it rather than run it as LU under another name."""
+        sf, tf, grid3 = _setup(8, pz=2)
+        with pytest.raises(ValueError, match="LU only"):
+            factor_3d(sf, tf, grid3, Simulator(grid3.size), numeric=False,
+                      backend="cholesky", merged=True)
+
+    def test_one_hop_form(self):
+        """Every hop sends one reduce per block, ``right -> target``; only
+        a merged hop adds moves, and only where the owner changes."""
+        sf, tf, grid3 = _setup(12, pz=4, px=2, py=2)
+        for merged in (False, True):
+            reds = [r for s in build_3d_plan(sf, tf, grid3, merged=merged)
+                    .levels for r in s.reduces]
+            moves = np.concatenate([~r.adds for r in reds])
+            assert moves.any() == merged
+            for r in reds:
+                assert r.adds.sum() == r.rows.size and r.adds[0]
+                assert (r.srcs[~r.adds] != r.dsts[~r.adds]).all()
 
     def test_mismatched_pz_rejected(self):
         sf, tf, _ = _setup(8, pz=2)
         with pytest.raises(ValueError, match="pz"):
-            factor_3d_merged(sf, tf, ProcessGrid3D(1, 2, 4), Simulator(8))
+            factor_3d(sf, tf, ProcessGrid3D(1, 2, 4), Simulator(8),
+                      numeric=False, merged=True)
 
     def test_helps_nonplanar_at_high_pz(self):
         sf, tf, grid3 = _setup(10, pz=8, px=1, py=2, brick=True)
         std = Simulator(grid3.size, Machine.edison_like())
         factor_3d(sf, tf, grid3, std, numeric=False)
         mrg = Simulator(grid3.size, Machine.edison_like())
-        factor_3d_merged(sf, tf, grid3, mrg)
+        factor_3d(sf, tf, grid3, mrg, numeric=False, merged=True)
         m_std = FactorizationMetrics.from_simulator(std)
         m_mrg = FactorizationMetrics.from_simulator(mrg)
         assert m_mrg.t_scu < m_std.t_scu

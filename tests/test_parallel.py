@@ -15,12 +15,10 @@ import pytest
 import scipy.sparse as sp
 
 import repro.parallel as parallel
-from repro.cholesky import factor_chol_3d
 from repro.comm import CommError, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.comm.stream import EventStream
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import factor_3d_merged
 from repro.parallel import (
     LevelStats,
     ParallelFallback,
@@ -31,7 +29,7 @@ from repro.sparse import grid2d_5pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify.oracle import ledger_state
-from tests.conftest import EventByEvent, messages
+from tests.conftest import CHOLESKY, MERGED, EventByEvent, messages
 
 PZ = 4
 
@@ -58,8 +56,7 @@ def assert_ledgers_identical(sim_a, sim_b):
     assert ledger_state(sim_a) == ledger_state(sim_b)
 
 
-DRIVERS = {"lu": factor_3d, "cholesky": factor_chol_3d,
-           "merged": factor_3d_merged}
+DRIVERS = {"lu": factor_3d, "cholesky": CHOLESKY, "merged": MERGED}
 
 
 def _run(driver, sf, tf, numeric, opts):

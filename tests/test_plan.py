@@ -25,11 +25,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.analysis import PlanStats, format_plan_summary
-from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import factor_3d_merged
 from repro.plan import GridPlan, Plan3D, build_grid_plan
 from repro.sparse import (
     arrowhead,
@@ -137,8 +135,8 @@ class TestGoldenLedgers:
         sf, tf = planar_setup(14, 16, 4)
         grid3 = ProcessGrid3D(2, 2, 4)
         sim = Simulator(grid3.size, Machine.edison_like())
-        factor_3d_merged(sf, tf, grid3, sim, numeric=numeric,
-                         options=self.opts())
+        factor_3d(sf, tf, grid3, sim, numeric=numeric,
+                  options=self.opts(), merged=True)
         self.check("merged_pz4_numeric" if numeric else "merged_pz4", sim)
 
     @pytest.mark.parametrize("numeric", [False, True])
@@ -146,8 +144,8 @@ class TestGoldenLedgers:
         sf, tf = spd_setup(14, 16, 2)
         grid3 = ProcessGrid3D(2, 2, 2)
         sim = Simulator(grid3.size, Machine.edison_like())
-        res = factor_chol_3d(sf, tf, grid3, sim, numeric=numeric,
-                             options=self.opts())
+        res = factor_3d(sf, tf, grid3, sim, numeric=numeric,
+                        options=self.opts(), backend="cholesky")
         case = "chol_pz2_numeric" if numeric else "chol_pz2"
         self.check(case, sim, res)
 
@@ -536,8 +534,8 @@ class TestKernelProgram:
         finished = [cold.factors(), factor_3d(
             sf, *one_layer(sf, 2, 2), Simulator(4), backend=backend).factors()]
         if backend == "lu":
-            finished.append(factor_3d_merged(
-                sf, tf, grid3, Simulator(grid3.size), numeric=True
+            finished.append(factor_3d(
+                sf, tf, grid3, Simulator(grid3.size), numeric=True, merged=True
             ).factors())
         for F in finished:
             for i, k, r0, r1 in blocks:
@@ -572,7 +570,8 @@ class TestKernelProgram:
         for backend in ("lu", "cholesky"):
             factor_3d(sf, tf, grid3, Simulator(grid3.size), numeric=False,
                       backend=backend)
-        factor_3d_merged(sf, tf, grid3, Simulator(grid3.size))
+        factor_3d(sf, tf, grid3, Simulator(grid3.size), numeric=False,
+                  merged=True)
         with pytest.raises(AssertionError, match="cost-only"):
             factor_3d(sf, tf, grid3, Simulator(grid3.size))
 

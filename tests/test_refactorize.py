@@ -209,11 +209,10 @@ class TestStrayValues:
     def test_cold_bind_refuses(self, planted, merged):
         from repro import Simulator
         from repro.lu3d import factor_3d
-        from repro.lu3d.merged import factor_3d_merged
         sf, tf, grid3, M, at = planted
-        run = factor_3d_merged if merged else factor_3d
         with pytest.raises(ValueError, match=rf"1 entries .*{at}"):
-            run(sf, tf, grid3, Simulator(grid3.size), numeric=True, matrix=M)
+            factor_3d(sf, tf, grid3, Simulator(grid3.size), numeric=True,
+                      matrix=M, merged=merged)
 
     def test_warm_rebind_refuses_and_the_arena_survives(self, planted):
         from repro import Simulator
@@ -405,10 +404,10 @@ class TestRefactorizeInteractions:
             sims[label] = Simulator(grid3.size, solver.machine)
             res = factor_3d(sf, tf, grid3, sims[label], matrix=A2p,
                             cached=cached, options=opts)
-            assert res.compiled is None  # monitored per task: width 1
+            assert res.resilience is not None  # monitored per task: width 1
         assert ledger_state(sims["warm"]) == ledger_state(sims["cold"])
         solver.refactorize(A2)  # fused replay of the same bundle
-        assert solver.result.compiled is not None
+        assert solver.result.resilience is None
         assert ledger_state(solver.sim) == ledger_state(sims["warm"])
 
     @pytest.mark.parametrize("label,opts", INTERACTION_MODES,

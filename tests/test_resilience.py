@@ -30,7 +30,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import Trace, format_resilience_stats
-from repro.cholesky import factor_chol_3d
 from repro.comm import (
     DragonflyTopology,
     Machine,
@@ -40,7 +39,6 @@ from repro.comm import (
 )
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import factor_3d_merged
 from repro.parallel import LevelStats, ParallelFallback, resolve_workers
 from repro.resilience import (
     FAULT_KINDS,
@@ -103,8 +101,8 @@ class TestDoNoHarm:
         sf, tf = planar_setup(14, 16, 4)
         grid3 = ProcessGrid3D(2, 2, 4)
         sim = Simulator(grid3.size, Machine.edison_like())
-        res = factor_3d_merged(sf, tf, grid3, sim, numeric=True,
-                               options=FactorOptions(fault_plan=NEVER))
+        res = factor_3d(sf, tf, grid3, sim, numeric=True,
+                        options=FactorOptions(fault_plan=NEVER), merged=True)
         assert res.resilience is not None
         assert_matches_golden("merged_pz4_numeric", sim)
 
@@ -112,8 +110,9 @@ class TestDoNoHarm:
         sf, tf = spd_setup(14, 16, 2)
         grid3 = ProcessGrid3D(2, 2, 2)
         sim = Simulator(grid3.size, Machine.edison_like())
-        res = factor_chol_3d(sf, tf, grid3, sim, numeric=True,
-                             options=FactorOptions(fault_plan=NEVER))
+        res = factor_3d(sf, tf, grid3, sim, numeric=True,
+                        options=FactorOptions(fault_plan=NEVER),
+                        backend="cholesky")
         assert res.resilience is not None
         assert_matches_golden("chol_pz2_numeric", sim, res)
 
@@ -356,9 +355,9 @@ class TestCrashRecovery:
         grid3 = ProcessGrid3D(2, 2, 4)
         plan = FaultPlan((Fault("crash", grid=0, level=1),))
         sim = Simulator(grid3.size, Machine.edison_like())
-        res = factor_3d_merged(sf, tf, grid3, sim, numeric=True,
-                               options=FactorOptions(fault_plan=plan,
-                                                     recovery="z-replica"))
+        res = factor_3d(sf, tf, grid3, sim, numeric=True, merged=True,
+                        options=FactorOptions(fault_plan=plan,
+                                              recovery="z-replica"))
         st = res.resilience
         assert st.policy == "restart"
         assert st.notes == [
@@ -481,7 +480,7 @@ class TestSerialization:
         opts = FactorOptions(fault_plan=FaultPlan((Fault("slow"),)),
                              n_workers=2)
         _, _, _, res = lu3d_run(options=opts)
-        assert res.compiled is None             # the monitor: width 1
+        assert res.resilience is not None       # the monitor: width 1
         (fb,) = res.parallel_stats
         assert isinstance(fb, ParallelFallback) and "serial" in fb.reason
 
@@ -571,10 +570,10 @@ def setup_for(driver: str, blocking: str):
 
 def run_driver(driver: str, sf, tf, sim, numeric: bool, opts: FactorOptions):
     if driver == "merged":
-        return factor_3d_merged(sf, tf, GRID3, sim, numeric=numeric,
-                                options=opts)
-    fn = factor_chol_3d if driver == "cholesky" else factor_3d
-    return fn(sf, tf, GRID3, sim, numeric=numeric, options=opts)
+        return factor_3d(sf, tf, GRID3, sim, numeric=numeric,
+                         options=opts, merged=True)
+    return factor_3d(sf, tf, GRID3, sim, numeric=numeric, options=opts,
+                     backend="cholesky" if driver == "cholesky" else "lu")
 
 
 def expect_fallback(opts, driver, numeric) -> bool:
@@ -675,7 +674,7 @@ class TestOneWidthRule:
         sf, tf = setup_for("lu", "uniform")
         sim = make_sim("none" if observer == "monitor" else observer)
         res = run_driver("lu", sf, tf, sim, True, opts)
-        assert (res.compiled is not None) == (observer != "monitor")
+        assert (res.resilience is None) == (observer != "monitor")
         assert res.plan is res.bundle.plan3
         assert ledger_state(sim) == reference_ledger("lu", True, opts)
 
@@ -744,7 +743,7 @@ class TestInjectorWalksFullWidth:
                                FactorOptions())
         sim_1, unit = self.run(sf, tf, grid3, INJECTED[spec], numeric,
                                width1_options())
-        assert wide.compiled is not None and unit.compiled is None
+        assert wide.resilience is None and unit.resilience is not None
         assert ledger_state(sim_w) == ledger_state(sim_1)
         if numeric:
             assert np.array_equal(wide.factors().to_dense(),
@@ -799,8 +798,8 @@ class TestFaultsRideTheClockLoop:
             pytest.skip("a merged run needs sibling layers")
         sf = _symbolic(12, 16, driver == "cholesky", "uniform")
         grid3 = ProcessGrid3D(2, 1, pz)
-        fn = {"lu": factor_3d, "merged": factor_3d_merged,
-              "cholesky": factor_chol_3d}[driver]
+        kw = {"lu": {}, "merged": {"merged": True},
+              "cholesky": {"backend": "cholesky"}}[driver]
         sims, bundle = [], None
         for cls in (Simulator, EventByEvent):
             sim = cls(grid3.size, MACHINE,
@@ -810,8 +809,9 @@ class TestFaultsRideTheClockLoop:
                 sim.attach_faults(FaultInjector(plan, sim.machine))
             else:
                 opts = FactorOptions(fault_plan=plan)
-            bundle = fn(sf, greedy_partition(sf, pz), grid3, sim,
-                        numeric=False, options=opts, cached=bundle).bundle
+            bundle = factor_3d(sf, greedy_partition(sf, pz), grid3, sim,
+                               numeric=False, options=opts, cached=bundle,
+                               **kw).bundle
             assert sim.faults.n_fired_faults() > 0
             sims.append(sim)
         loop, ref = sims

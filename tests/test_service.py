@@ -292,8 +292,8 @@ class TestServiceCorrectness:
 
     def test_merged_driver_replay(self, problem):
         # The merged-grid driver replays plan bundles through its own
-        # entry point (factor_3d_merged cached=...).
-        from repro.lu3d.merged import factor_3d_merged
+        # entry point (factor_3d merged=True cached=...).
+        from repro.lu3d import factor_3d
         from repro.symbolic.symbolic_factor import symbolic_factorize
         from repro.tree.partition import greedy_partition
         A, geom = problem
@@ -302,14 +302,14 @@ class TestServiceCorrectness:
         g3 = ProcessGrid3D(2, 2, 4)
         machine = Machine.edison_like()
         sim_cold0 = Simulator(g3.size, machine)
-        r0 = factor_3d_merged(sf, tf, g3, sim_cold0, numeric=True)
+        r0 = factor_3d(sf, tf, g3, sim_cold0, numeric=True, merged=True)
         A1p = sf.perm.apply_matrix(_perturbed(A, 5))
         sim_warm = Simulator(g3.size, machine)
-        rw = factor_3d_merged(sf, tf, g3, sim_warm, numeric=True,
-                              matrix=A1p, cached=r0.bundle)
+        rw = factor_3d(sf, tf, g3, sim_warm, numeric=True,
+                       matrix=A1p, cached=r0.bundle, merged=True)
         sim_cold = Simulator(g3.size, machine)
-        rc = factor_3d_merged(sf, tf, g3, sim_cold, numeric=True,
-                              matrix=A1p)
+        rc = factor_3d(sf, tf, g3, sim_cold, numeric=True,
+                       matrix=A1p, merged=True)
         assert ledger_state(sim_warm) == ledger_state(sim_cold)
         assert np.array_equal(rw.factors().to_dense(),
                               rc.factors().to_dense())

@@ -1,5 +1,8 @@
 """Tests for triangular solves, iterative refinement, and the SparseLU3D facade."""
 
+import gc
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,6 +18,7 @@ from repro import (
 )
 from repro.cholesky import SparseCholesky3D
 from repro.solve import SparseLU3D, iterative_refinement
+from repro.sparse import grid3d_7pt
 from repro.verify.oracle import ledger_state
 
 
@@ -101,6 +105,34 @@ class TestSparseLU3DFacade:
         x = solver.solve(b)
         x_ref = sp.linalg.spsolve(A.tocsc(), b)
         assert np.allclose(x, x_ref, atol=1e-8)
+
+
+class TestNoReferenceCycles:
+    def test_a_cold_solve_leaves_nothing_to_the_collector(self):
+        """A cold analyze + factorize + solve frees everything by reference
+        count: with the collector off, a collection afterwards finds
+        nothing. Recursive closures in the ordering and the partition used
+        to leave cycles holding the adjacency and both tree-forests."""
+        A, geom = grid3d_7pt(16)
+        b = np.ones(A.shape[0])
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solver = SparseLU3D(A, geometry=geom, px=2, py=2, pz=4,
+                                leaf_size=32)
+            solver.factorize()
+            solver.solve(b)
+            del solver
+            gc.set_debug(gc.DEBUG_SAVEALL)     # keep what it finds, to name
+            found = gc.collect()
+            offenders = Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert found == 0, offenders.most_common(10)
 
 
 class TestIterativeRefinement:

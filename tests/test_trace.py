@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.analysis import Trace
-from repro.cholesky import factor_chol_3d
 from repro.comm import (
     DragonflyTopology,
     Machine,
@@ -16,12 +15,11 @@ from repro.comm import (
 )
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import factor_3d_merged
 from repro.sparse import grid2d_5pt, grid3d_7pt
 from repro.symbolic import symbolic_factorize
 from repro.tree import greedy_partition
 from repro.verify import ledger_state
-from tests.conftest import EventByEvent
+from tests.conftest import CHOLESKY, MERGED, EventByEvent
 
 
 def _traced_run(pz=2, px=2, py=2):
@@ -138,7 +136,7 @@ class TestTraceDoesNotSelectTheWalk:
         tf = greedy_partition(sf, 2)
         wide, ledger_w, trace_w = self.run(sf, tf, numeric, True)
         unit, ledger_1, trace_1 = self.run(sf, tf, numeric, False)
-        assert wide.compiled is not None and unit.compiled is None
+        assert wide.resilience is None and unit.resilience is not None
         assert ledger_w == ledger_1
         assert trace_w.to_rows() == trace_1.to_rows()
         assert trace_w.by_rank() == trace_1.by_rank()
@@ -149,7 +147,7 @@ class TestTraceDoesNotSelectTheWalk:
         sim = Simulator(8, Machine.edison_like(), trace=Trace())
         res = factor_3d(sf, greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2),
                         sim, numeric=True)
-        assert res.compiled is not None
+        assert res.resilience is None
 
 
 def _spd_grid(n: int):
@@ -164,10 +162,10 @@ ZOO = {
     "lu_pz1": (factor_3d, lambda: grid2d_5pt(12), 16, (2, 3, 1)),
     "lu_brick_pz2": (factor_3d, lambda: grid3d_7pt(6), 24, (1, 2, 2)),
     "lu_pz4": (factor_3d, lambda: grid2d_5pt(14), 16, (2, 2, 4)),
-    "merged_pz2": (factor_3d_merged, lambda: grid2d_5pt(12), 16, (2, 2, 2)),
-    "merged_pz4": (factor_3d_merged, lambda: grid2d_5pt(14), 16, (2, 2, 4)),
-    "chol_pz1": (factor_chol_3d, lambda: _spd_grid(12), 16, (2, 2, 1)),
-    "chol_pz2": (factor_chol_3d, lambda: _spd_grid(14), 16, (2, 2, 2)),
+    "merged_pz2": (MERGED, lambda: grid2d_5pt(12), 16, (2, 2, 2)),
+    "merged_pz4": (MERGED, lambda: grid2d_5pt(14), 16, (2, 2, 4)),
+    "chol_pz1": (CHOLESKY, lambda: _spd_grid(12), 16, (2, 2, 1)),
+    "chol_pz2": (CHOLESKY, lambda: _spd_grid(14), 16, (2, 2, 2)),
 }
 
 #: ``(trace?, topology)``: every tier of a dragonfly is crossed at these

@@ -19,19 +19,18 @@ Covers the issue's acceptance criteria explicitly:
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.cholesky import factor_chol_3d
 from repro.comm import Machine, ProcessGrid2D, ProcessGrid3D, Simulator
 from repro.comm.events import COMPUTE_KINDS
 from repro.comm.simulator import CommError
 from repro.comm.stream import EventStream
 from repro.lu2d import FactorOptions
 from repro.lu3d import factor_3d
-from repro.lu3d.merged import factor_3d_merged
 from repro.plan.arrays import PANEL_BCAST, PANEL_FACTOR, SCHUR_UPDATE
 from repro.plan.build import build_3d_plan, build_grid_plan
 from repro.plan.tasks import Plan3D
@@ -277,7 +276,9 @@ class TestSyntheticDefects:
         levels = list(plan.levels)
         li, step = next((li, s) for li, s in enumerate(levels) if s.reduces)
         red = step.reduces[0]
-        bad_red = dataclasses.replace(red, ops=[("mov", 3, 3, 10.0)])
+        bad_red = dataclasses.replace(   # one more message: a move 3 -> 3
+            red, srcs=np.append(red.srcs, 3), dsts=np.append(red.dsts, 3),
+            words=np.append(red.words, 10.0), adds=np.append(red.adds, False))
         levels[li] = dataclasses.replace(step, reduces=[bad_red])
         bad = Plan3D(backend=plan.backend, merged=plan.merged, levels=levels)
         assert "reduce-alias" in analyze_plan(bad, sf).counts()
@@ -448,11 +449,9 @@ class TestVerifyStackBothVolumes:
         # (plain options: full width; a resilience monitor: width 1), and
         # that run conserves against the plan's static cost model.
         sim = Simulator(grid3.size)
-        fn = {"lu": factor_3d, "merged": factor_3d_merged,
-              "cholesky": factor_chol_3d}[driver]
-        res = fn(sf, tf, grid3, sim, numeric=True,
-                 options=opts if full else width1_options(opts))
-        assert (res.compiled is not None) == full
+        res = factor_3d(sf, tf, grid3, sim, numeric=True, **kw,
+                        options=opts if full else width1_options(opts))
+        assert (res.resilience is None) == full
         assert ledger_state(sim) == rep.canonical_ledger
         check_conservation(sim, res.plan)
 
@@ -494,7 +493,7 @@ class TestOneProgramAnyWalk:
                         ("pool", dataclasses.replace(opts, n_workers=2))):
             res = factor_3d(sf, tf, grid3, Simulator(grid3.size),
                             backend=backend, matrix=matrix, options=o)
-            assert (res.compiled is not None) == (name != "width1")
+            assert (res.resilience is None) == (name != "width1")
             if name == "pool":
                 assert res.parallel_stats and not any(
                     hasattr(st, "reason") for st in res.parallel_stats)
@@ -576,10 +575,9 @@ class TestOneWalkAnyWidthAnyGrouping:
 
     def setup(self, variant, planar4, spd4):
         sf, tf = spd4 if variant == "cholesky" else planar4
-        fn = {"lu": factor_3d, "cholesky": factor_chol_3d,
-              "merged": factor_3d_merged}[variant]
         kw = {"backend": "cholesky"} if variant == "cholesky" else \
             {"merged": True} if variant == "merged" else {}
+        fn = partial(factor_3d, **kw)
         matrix = sp.tril(sf.A_perm).tocsr() if variant == "cholesky" else None
         return sf, tf, fn, kw, matrix
 
@@ -604,7 +602,7 @@ class TestOneWalkAnyWidthAnyGrouping:
         sim_1 = Simulator(grid3.size)
         res_1 = fn(sf, tf, grid3, sim_1, numeric=True,
                    options=width1_options(opts))
-        assert res_1.compiled is None
+        assert res_1.resilience is not None
         assert ledger_state(sim_1) == want and np.array_equal(dense(res_1), F)
 
         rep = fuzz_3d(sf, tf, grid3, numeric=True, n_orders=2, seed=29,
@@ -832,7 +830,7 @@ class TestOracle:
         sf, tf = planar2
         grid3 = ProcessGrid3D(2, 2, 2)
         sim = Simulator(grid3.size, Machine.edison_like())
-        res = factor_3d_merged(sf, tf, grid3, sim, numeric=False)
+        res = factor_3d(sf, tf, grid3, sim, numeric=False, merged=True)
         assert conservation_issues(sim, res.plan) == []
 
     def test_tampered_ledger_detected(self, planar2):
@@ -867,7 +865,7 @@ class TestOracle:
         sf, tf = spd2
         grid3 = ProcessGrid3D(2, 2, 2)
         sim = Simulator(grid3.size, Machine.edison_like())
-        res = factor_chol_3d(sf, tf, grid3, sim, numeric=True)
+        res = factor_3d(sf, tf, grid3, sim, numeric=True, backend="cholesky")
         err = verify_factors(res.factors().to_dense(), sf.A_perm,
                              "cholesky")
         assert err < 1e-10
