@@ -13,7 +13,7 @@ from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.utils.ragged import csr_ptr, ragged
 
 __all__ = ["node_blocks", "cholesky_node_blocks", "node_block_arrays",
-           "block_rows"]
+           "block_rows", "kernel_flops"]
 
 
 def _node_slice(sf, k: int, blocks_fn) -> list[tuple[int, int, int]]:
@@ -98,3 +98,25 @@ def block_rows(sf: SymbolicFactorization, blocks_fn=None
         out = cache[blocks_fn] = (r0, r1, dict(zip(zip(
             ii.tolist(), jj.tolist()), map(slice, r0.tolist(), r1.tolist()))))
     return out
+
+
+def kernel_flops(sf: SymbolicFactorization, blocks_fn=None) -> tuple:
+    """``(factor, trsm, gemm)``: the flops of the bound kernel program's
+    GETRFs (POTRFs under :func:`cholesky_node_blocks`), panel TRSMs and
+    Schur GEMMs, every L block on its structural rows (:func:`block_rows`).
+    The ledger's :class:`NodeCosts` stay dense."""
+    blocks_fn = blocks_fn or node_blocks
+    ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
+    r0, r1, _rows = block_rows(sf, blocks_fn)
+    s, node = sf.layout.sizes() * 1.0, np.repeat(np.arange(sf.nb),
+                                                 np.diff(ptr))
+    m = np.where(ii > jj, r1 - r0, 0)               # an L block's rows
+    if blocks_fn is node_blocks:    # each L block against each U block
+        lrows, ucols = (np.bincount(node, w, minlength=sf.nb)
+                        for w in (m, np.where(jj > ii, s[jj], 0)))
+        return ((s ** 3).sum() * 2 / 3, (s * s * (lrows + ucols)).sum(),
+                (2 * s * lrows * ucols).sum())
+    left = np.cumsum(np.where(ii > jj, s[ii], 0.0))  # Cholesky: the a-th
+    left -= left[ptr[:-1]][node]            # L block against L blocks 0..a
+    return ((s ** 3).sum() / 3, (s[node] ** 2 * m).sum(),
+            (2 * s[node] * m * left).sum())

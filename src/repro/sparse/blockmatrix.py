@@ -5,8 +5,9 @@ block matrix whose block rows/columns are the supernodes (tree nodes). Blocks
 that are structurally nonzero (in the *filled* pattern) are stored as dense
 ``numpy`` arrays, with the supernode granularity set by the dissection leaf
 size. SuperLU_DIST packs only the nonzero rows of each L block; here every
-block is dense, the kernels skip its zero rows, and an arena refuses a
-value outside a block's structural row range (:meth:`BlockMatrix.zeros`).
+block is dense, the kernels skip the rows outside its structural row range
+(tight under the symbolic phase's row order inside supernodes), and an arena
+refuses a value there (:meth:`BlockMatrix.zeros`).
 """
 
 from __future__ import annotations

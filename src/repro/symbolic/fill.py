@@ -156,7 +156,9 @@ def row_ranges(A: sp.csr_matrix, layout: BlockLayout, fill: BlockFill
     ``r0:r1`` of L block ``(i, k)`` bound its rows that can be nonzero.
     Seeded by the stored, symmetrized pattern of the permuted ``A``, then
     eliminating ``k`` widens ``(i, j)`` by ``(i, k)`` for each ``j`` in
-    ``upanel(k)`` below ``i``: one fixpoint over all Schur triples."""
+    ``upanel(k)`` below ``i``: one fixpoint over all Schur triples. Tight
+    when rows come ordered by the first earlier block they touch, as
+    :func:`symbolic_factorize` orders them."""
     n, nb, off = layout.n, layout.nblocks, layout.offsets
     lp_ptr, lp_idx, up_ptr, up_idx = fill.panel_csr()
     lkeys = np.append(np.repeat(np.arange(nb), np.diff(lp_ptr)) * nb

@@ -1,11 +1,11 @@
 """The symbolic-factorization product consumed by every downstream layer.
 
-:func:`symbolic_factorize` = nested dissection + symmetric permutation +
-block symbolic elimination + per-node cost estimation. The result is enough
-to (a) run the numeric 2D/3D factorizations, (b) run them in cost-only mode
-(no numerics), and (c) drive the paper's load-balance heuristic, whose cost
-function T(v) is "number of floating-point operations in factoring node v"
-(Section III-C).
+:func:`symbolic_factorize` = nested dissection + a row order inside blocks +
+symmetric permutation + block symbolic elimination + per-node cost
+estimation. The result is enough to (a) run the numeric 2D/3D
+factorizations, (b) run them in cost-only mode (no numerics), and (c) drive
+the paper's load-balance heuristic, whose cost function T(v) is "number of
+floating-point operations in factoring node v" (Section III-C).
 """
 
 from __future__ import annotations
@@ -130,12 +130,33 @@ def _compute_costs(layout: BlockLayout, fill: BlockFill) -> NodeCosts:
                      2.0 * s * lsum * usum, s * s + s * (lsum + usum))
 
 
-def _build_on(A: sp.spmatrix, tree: DissectionTree) -> tuple:
-    """Permute + fill + cost one candidate tree."""
+def _row_order(A: sp.csr_matrix, tree: DissectionTree) -> DissectionTree:
+    """``tree`` with each block's vertices stably sorted by the smallest
+    earlier block they touch in ``A + Aᵀ`` (last if none): a row's first L
+    block, as :func:`row_ranges` only carries rows on to later nodes. With
+    subtrees ``first[k] .. k`` each L block's rows are then one range where
+    the touch sets nest. A tree already in this order is returned."""
+    tree.perm._check(A.shape[0], "matrix")
+    nb, perm = tree.nblocks, tree.perm.perm
+    block = np.repeat(np.arange(nb), tree.sizes)
+    at, per_row = block[tree.perm.iperm], np.diff(A.indptr)  # input order
+    low = np.full(A.shape[0], nb)           # smallest block touched
+    low[per_row > 0] = np.minimum.reduceat(at[A.indices],
+                                           A.indptr[:-1][per_row > 0])
+    np.minimum.at(low, A.indices, np.repeat(at, per_row))
+    order = np.argsort(block * (nb + 1) + np.minimum(low[perm], block),
+                       kind="stable")      # own block: none earlier
+    return tree if (order == np.arange(order.size)).all() else \
+        DissectionTree(tree.parent, perm[order], tree.layout.offsets)
+
+
+def _build_on(A: sp.csr_matrix, tree: DissectionTree) -> tuple:
+    """Row-order + permute + fill + cost one candidate tree."""
+    tree = _row_order(A, tree)
     A_perm = tree.perm.apply_matrix(A)
     fill = block_fill(A_perm, tree.layout, tree_parent=tree.parent)
     costs = _compute_costs(tree.layout, fill)
-    return A_perm, fill, costs
+    return A_perm, tree, fill, costs
 
 
 def symbolic_factorize(A: sp.spmatrix, geometry: GridGeometry | None = None,
@@ -161,7 +182,8 @@ def symbolic_factorize(A: sp.spmatrix, geometry: GridGeometry | None = None,
         Pre-computed dissection tree (skips ordering); used by the ablation
         benchmarks to compare partitions on a fixed structure, and the way
         to factor a :func:`repro.ordering.relax_supernodes` tree. It must
-        be a tree of ``A``'s size. Incompatible
+        be a tree of ``A``'s size. Its order inside blocks is refined
+        (``sf.tree`` is ``tree`` once that order holds). Incompatible
         with ``blocking='irregular'`` (the irregular strategy *derives* its
         tree from the pattern).
     max_block:
@@ -189,23 +211,16 @@ def symbolic_factorize(A: sp.spmatrix, geometry: GridGeometry | None = None,
                                  method=method, max_block=None)
         uni_tree = cap_split(base, max_block)
         irr_tree, info = irregular_blocking(A, base, max_block)
-        irr = _build_on(A, irr_tree)
-        uni = _build_on(A, uni_tree)
+        irr, uni = _build_on(A, irr_tree), _build_on(A, uni_tree)
         # Uniform floor: filled factor words are the storage/traffic proxy
         # every ledger prices off — ship the irregular tree only when it
         # strictly saves words (ties go to the simpler uniform blocking).
-        info["words_irregular"] = irr[2].total_words
-        info["words_uniform"] = uni[2].total_words
-        if irr[2].total_words < uni[2].total_words:
-            chosen_tree, (A_perm, fill, costs) = irr_tree, irr
-            info["chose"] = "irregular"
-        else:
-            chosen_tree, (A_perm, fill, costs) = uni_tree, uni
-            info["chose"] = "uniform"
-        return SymbolicFactorization(A_perm, chosen_tree, fill, costs,
-                                     blocking_info=info)
+        info["words_irregular"] = irr[3].total_words
+        info["words_uniform"] = uni[3].total_words
+        chosen = irr if irr[3].total_words < uni[3].total_words else uni
+        info["chose"] = "irregular" if chosen is irr else "uniform"
+        return SymbolicFactorization(*chosen, blocking_info=info)
     if tree is None:
         tree = nested_dissection(A, geometry, leaf_size=leaf_size,
                                  method=method, max_block=max_block)
-    A_perm, fill, costs = _build_on(A, tree)
-    return SymbolicFactorization(A_perm, tree, fill, costs)
+    return SymbolicFactorization(*_build_on(A, tree))

@@ -577,7 +577,9 @@ class TestAnalysisAsArrays:
     PINNED = (("symbolic/fill.py", "_initial_block_pattern"),
               ("symbolic/fill.py", "_check_ancestor_closure"),
               ("symbolic/symbolic_factor.py", "_compute_costs"),
+              ("symbolic/symbolic_factor.py", "_row_order"),
               ("lu2d/storage.py", "node_block_arrays"),
+              ("lu2d/storage.py", "kernel_flops"),
               ("tree/treeforest.py", "TreeForest.__init__"),
               ("tree/treeforest.py",
                "TreeForest._validate_ancestor_consistency"))

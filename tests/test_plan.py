@@ -558,6 +558,34 @@ class TestKernelProgram:
                       replicas=cold.replicas)
         assert np.array_equal(cold.factors().to_dense(), want)
 
+    @pytest.mark.parametrize("gen", ["grid3d_7pt", "circuit_like", "kkt_like"])
+    @pytest.mark.parametrize("backend", ["lu", "cholesky"])
+    def test_kernel_flops_count_the_bound_program(self, backend, gen):
+        """``kernel_flops`` sums the ops one grid binds for every node:
+        2/3 s^3 per GETRF (s^3 / 3 per POTRF), s^2 per row or column a TRSM
+        solves, 2 m n k per GEMM."""
+        from repro.lu2d.kernels import GEMM, GETRF, TRSM
+        from repro.lu2d.storage import cholesky_node_blocks, kernel_flops
+        from repro.plan.backends import get_backend
+        from repro.sparse import BlockMatrix
+        A, geom = _range_case(gen, backend)
+        sf = symbolic_factorize(A, geom, leaf_size=8)
+        plan = build_grid_plan(sf, list(range(sf.nb)), ProcessGrid2D(1, 1),
+                               FactorOptions(), backend=backend)
+        store = dict(BlockMatrix.from_csr(
+            sf.A_perm, sf.layout, block_pattern=sf.fill.all_blocks()).blocks)
+        ran = np.zeros(3)
+        for op, out, x, y, _flags in get_backend(backend).bind(
+                plan.arrays, store, sf):
+            if op == GEMM:      # out m x n, operands m x k and k x n
+                ran[2] += 2.0 * out.size * np.sqrt(x.size * y.size / out.size)
+            elif op == TRSM:
+                ran[1] += x.shape[0] * out.size
+            else:
+                ran[0] += out.shape[0] ** 3 * (2.0 if op == GETRF else 1.0) / 3
+        fn = cholesky_node_blocks if backend == "cholesky" else None
+        assert np.allclose(kernel_flops(sf, fn), ran, rtol=1e-12, atol=0)
+
     def test_a_cost_only_run_computes_no_row_ranges(self, monkeypatch):
         import repro.symbolic.symbolic_factor as symbolic
 

@@ -32,6 +32,12 @@ def _fill_contained(sf, A) -> bool:
     return all((int(i), int(j)) in blocks for i, j in zip(bi, bj))
 
 
+def _same_blocks(a, b) -> bool:
+    """Trees ``a`` and ``b`` put the same vertex set in every block."""
+    return all(np.array_equal(np.sort(a.vertices(k)), np.sort(b.vertices(k)))
+               for k in range(a.nblocks))
+
+
 class TestBlockFill:
     def test_fill_contains_numeric_fill(self, any_matrix):
         A, geom = any_matrix
@@ -224,12 +230,19 @@ class TestCosts:
 
 
 class TestFactorizeEntry:
-    def test_precomputed_tree_reused(self, planar_small):
+    def test_precomputed_tree_reused(self, brick_small):
+        """An explicit tree keeps its parent links and block boundaries;
+        only the order inside each block is refined, and refining the
+        result again gives it back as it is."""
         from repro.ordering import nested_dissection
-        A, geom = planar_small
+        A, geom = brick_small
         tree = nested_dissection(A, geom, leaf_size=16)
         sf = symbolic_factorize(A, tree=tree)
-        assert sf.tree is tree
+        assert sf.tree is not tree
+        assert np.array_equal(sf.tree.parent, tree.parent)
+        assert np.array_equal(sf.layout.offsets, tree.layout.offsets)
+        assert _same_blocks(sf.tree, tree)
+        assert symbolic_factorize(A, tree=sf.tree).tree is sf.tree
 
     def test_rejects_dense(self):
         with pytest.raises(TypeError):
@@ -274,3 +287,130 @@ class TestAnalysisGolden:
         records = {name: make() for name, make in cases()}
         assert len(records) == 18
         assert render(records) == OUT.read_text()
+
+
+def _row_order_zoo():
+    """13 matrices of every generator family, for the leaf / cap sweep."""
+    from repro.sparse import (arrowhead, banded_dense_rows, circuit_like,
+                              delaunay_mesh_2d, grid2d_9pt, grid3d_7pt,
+                              grid3d_27pt, kkt_like, power_law_laplacian,
+                              thin_slab_7pt)
+    return {
+        "grid2d_5pt(24)": grid2d_5pt(24),
+        "grid2d_9pt(16)": grid2d_9pt(16),
+        "grid3d_7pt(10)": grid3d_7pt(10),
+        "grid3d_7pt(12)": grid3d_7pt(12),
+        "grid3d_27pt(8)": grid3d_27pt(8),
+        "thin_slab_7pt(12)": thin_slab_7pt(12),
+        "circuit_like(16)": circuit_like(16),
+        "kkt_like(6)": kkt_like(6),
+        "random_symmetric_pattern(300)": (random_symmetric_pattern(300), None),
+        "arrowhead(200)": arrowhead(200),
+        "banded_dense_rows(300)": banded_dense_rows(300),
+        "power_law_laplacian(300)": power_law_laplacian(300),
+        "delaunay_mesh_2d(400)": delaunay_mesh_2d(400),
+    }
+
+
+class TestRowOrder:
+    """Each block's rows are ordered by the smallest earlier block they
+    touch, so an L block's structural rows are one tight range."""
+
+    @staticmethod
+    def _unrefined(A, tree, sf):
+        """``sf`` as it was on the dissection's own order inside blocks."""
+        from repro.symbolic.symbolic_factor import SymbolicFactorization
+        return SymbolicFactorization(tree.perm.apply_matrix(A), tree,
+                                     sf.fill, sf.costs)
+
+    @pytest.mark.parametrize("blocking", ["uniform", "irregular"])
+    def test_a_permutation_inside_blocks(self, any_matrix, blocking):
+        """Same parent, offsets, vertex set per block and block fill as
+        the tree it refines; refining again returns the tree itself."""
+        from repro.ordering import cap_split, nested_dissection
+        from repro.symbolic.blocking import irregular_blocking
+        A, geom = any_matrix
+        sf = symbolic_factorize(A, geom, leaf_size=16, max_block=32,
+                                blocking=blocking)
+        base = nested_dissection(A, geom, leaf_size=16)
+        tree = irregular_blocking(A, base, 32)[0] \
+            if sf.blocking_info.get("chose") == "irregular" \
+            else cap_split(base, 32)
+        assert np.array_equal(sf.tree.parent, tree.parent)
+        assert np.array_equal(sf.layout.offsets, tree.layout.offsets)
+        assert _same_blocks(sf.tree, tree)
+        fill = block_fill(tree.perm.apply_matrix(A), tree.layout)
+        for ours, theirs in ((sf.fill.lpanel, fill.lpanel),
+                             (sf.fill.upanel, fill.upanel)):
+            assert all(map(np.array_equal, ours, theirs))
+        assert symbolic_factorize(A, tree=sf.tree).tree is sf.tree
+
+    @pytest.mark.parametrize("empty", [[], [0, 77, 143]])
+    def test_rows_sorted_by_the_loop_key(self, empty):
+        """Per block, the refined order is the dissection's own order
+        stably sorted by a plain loop's key: the smallest earlier block a
+        vertex touches in ``A + Aᵀ`` (``nb`` if none), on an unsymmetric
+        pattern, with empty rows (the last one too) or without."""
+        from repro.ordering import nested_dissection
+        A, _ = grid2d_5pt(12)
+        r = np.arange(0, 144, 5)
+        A = (A + sp.csr_matrix((np.ones(r.size), (r, (13 * r + 5) % 144)),
+                               shape=A.shape)).tolil()
+        for v in empty:
+            A.rows[v], A.data[v] = [], []
+        A = A.tocsr()
+        tree = nested_dissection(A, None, leaf_size=8)
+        sf = symbolic_factorize(A, tree=tree)
+        block = {v: k for k in range(tree.nblocks)
+                 for v in tree.vertices(k).tolist()}
+        key = dict.fromkeys(block, tree.nblocks)
+        C = A.tocoo()
+        for a, b in zip(C.row.tolist(), C.col.tolist()):
+            for u, v in ((a, b), (b, a)):
+                if block[v] < block[u]:
+                    key[u] = min(key[u], block[v])
+        for k in range(tree.nblocks):
+            assert sf.tree.vertices(k).tolist() == sorted(
+                tree.vertices(k).tolist(), key=key.__getitem__)
+
+    def test_brick_ranges_are_tight(self):
+        """``grid3d_7pt(16)``, leaf 64, cap 256: at least 95 % of L blocks
+        bound exactly their rows of the scalar elimination (41.6 % on the
+        dissection's own order), and the Schur GEMMs run 0.284 GFlop on
+        structural rows (0.451 before)."""
+        from repro.lu2d.storage import kernel_flops
+        from repro.ordering import nested_dissection
+        from repro.sparse import grid3d_7pt
+        from tests.test_plan import _scalar_fill
+        A, geom = grid3d_7pt(16)
+        tree = nested_dissection(A, geom, leaf_size=64, max_block=256)
+        sf = symbolic_factorize(A, tree=tree)
+        G, off = _scalar_fill(sf.A_perm), sf.layout.offsets
+        lp_ptr, lp_idx, _up_ptr, _up_idx = sf.fill.panel_csr()
+        k_of = np.repeat(np.arange(sf.nb), np.diff(lp_ptr))
+        r0, r1 = sf.row_ranges()
+        exact = [G[off[i]:off[i + 1], off[k]:off[k + 1]].any(axis=1).sum()
+                 for i, k in zip(lp_idx.tolist(), k_of.tolist())]
+        assert np.mean(r1 - r0 == np.array(exact)) >= 0.95
+        assert kernel_flops(sf)[2] <= 0.29e9
+        assert kernel_flops(self._unrefined(A, tree, sf))[2] > 0.45e9
+
+    def test_no_zoo_case_runs_5_percent_more(self):
+        """13 matrices x leaf {8, 16, 32, 64} x cap {16, 64, 256, None}:
+        no case's executed kernel flops rise by more than 5 % over the
+        dissection's own order, and the zoo's GEMMs fall overall."""
+        from repro.lu2d.storage import kernel_flops
+        from repro.ordering import nested_dissection
+        ratios = []
+        for name, (A, geom) in _row_order_zoo().items():
+            for leaf in (8, 16, 32, 64):
+                for cap in (16, 64, 256, None):
+                    tree = nested_dissection(A, geom, leaf_size=leaf,
+                                             max_block=cap)
+                    sf = symbolic_factorize(A, tree=tree)
+                    new = kernel_flops(sf)
+                    old = kernel_flops(self._unrefined(A, tree, sf))
+                    assert sum(new) <= 1.05 * sum(old), (name, leaf, cap)
+                    ratios.append(old[2] / max(new[2], 1.0))
+        assert len(ratios) == 208
+        assert np.exp(np.mean(np.log(ratios))) > 1.1
