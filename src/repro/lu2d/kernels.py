@@ -28,20 +28,24 @@ is the SPD analogue: a diagonal shift instead of a perturbed pivot.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.blas import dasum, dgemm, dtrsm, idamax
 from scipy.linalg.lapack import dgetrf, dpotrf
 
 __all__ = ["trsm", "gemm_sub", "getrf_nopiv", "potrf_shifted",
            "solve_lower_panel", "solve_upper_panel", "chol_panel_solve",
            "GETRF", "POTRF", "TRSM", "GEMM", "trsm_op", "gemm_op", "gemm_ops",
-           "execute"]
+           "panel_factor_op", "execute"]
 
 #: Op codes of a bound kernel program (:func:`execute`).
 GETRF, POTRF, TRSM, GEMM = range(4)
 
 #: Unblocked threshold for the recursive GESP LU.
 _NB = 32
+#: The bytes of an ``n``-pivot ``dgetrf`` vector that swapped no row.
+_no_swap = functools.cache(lambda n, t: np.arange(n, dtype=t).tobytes())
 
 
 def _overwritable(X: np.ndarray) -> bool:
@@ -76,25 +80,38 @@ def gemm_ops(Cs, As, Bs, trans_b=False, trans_a=False) -> list:
             for C, B in zip(row, Bt)]
 
 
+def panel_factor_op(code: int, D: np.ndarray, Ls, P=None, **solve) -> tuple:
+    """The bound ``GETRF`` / ``POTRF`` op: factor ``D``, then solve each row
+    block of ``Ls`` against it (GETRF with ``P``: the tall panel ``D; Ls``)."""
+    if code == GETRF and P is not None:
+        return (GETRF, P, (), None, None)
+    ops = [trsm_op(D, X, side="R", **solve) for X in Ls if len(X)]
+    return (code, D, [op[1] for op in ops], D.T, ops[0][4] if ops else None)
+
+
 def execute(prog, lo: int = 0, hi: int | None = None,
             eps: float = 1e-10) -> int:
     """Run ops ``prog[lo:hi]`` of a bound kernel program, in order: tuples
     ``(op, out, x, y, flags)`` from :func:`trsm_op` / :func:`gemm_op`
     (``out``: the F-view overwritten) or ``GETRF`` / ``POTRF`` ops
-    factoring the diagonal block ``out`` in place (``eps``: pivot floor).
+    factoring ``out`` in place (a diagonal block or panel; ``eps``: pivot
+    floor), then solving the F-views ``x`` against ``y`` (its L rows).
     Returns the number of perturbed pivots / diagonal shifts."""
     perturbed = 0
     for op, out, x, y, flags in prog[lo:hi]:
         if op == GEMM:
             dgemm(-1.0, x, y, 1.0, out, *flags)
-        elif op == TRSM:
-            dtrsm(1.0, x, out, *flags)
+            continue
+        if op == TRSM:
+            x, y = (out,), x
         elif op == GETRF:
             perturbed += getrf_nopiv(out, eps)
         else:
             L, nshifts = potrf_shifted(out, eps)
             out[:] = L
             perturbed += nshifts
+        for X in x:
+            dtrsm(1.0, y, X, *flags)
     return perturbed
 
 
@@ -129,12 +146,13 @@ def gemm_sub(C: np.ndarray, A: np.ndarray, B: np.ndarray,
 
 
 def _threshold(A: np.ndarray, eps: float) -> float:
-    """``eps * ||A||_max`` of a square diagonal block (``eps`` if it is all
-    zero): the GESP pivot floor and the first Cholesky shift."""
+    """``eps * ||A||_max`` of a square block (``eps`` if zero or NaN, which
+    ``idamax`` mis-ranks, ``dasum`` shows): GESP's floor, Cholesky's shift."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("diagonal block must be square")
-    norm = np.abs(A).max()
-    return eps * norm if norm > 0 else eps
+    a = A.reshape(-1)
+    norm, total = abs(a[idamax(a)]), dasum(a)
+    return eps * norm if norm > 0 and total == total else eps
 
 
 def _getrf_base(A: np.ndarray, tiny: float) -> int:
@@ -154,26 +172,31 @@ def _getrf_base(A: np.ndarray, tiny: float) -> int:
 
 
 def getrf_nopiv(A: np.ndarray, eps: float = 1e-10) -> int:
-    """In-place unpivoted LU of a square block, ``A <- L\\U`` packed.
+    """In-place unpivoted LU of a square block, ``A <- L\\U`` packed (of
+    a tall panel ``[A_kk; A_L]``: that of ``A_kk``, ``A_L <- A_L U^{-1}``).
 
     ``L`` is unit lower (diagonal implicit), ``U`` upper. Tiny pivots are
-    perturbed to ``±eps * ||A||_max`` (GESP); the return value counts the
-    perturbations so callers can report them.
+    perturbed to ``±eps * ||A_kk||_max`` (GESP); the return value counts
+    the perturbations so callers can report them.
 
     LAPACK's partially pivoted ``dgetrf`` runs first, on a copy. Its
     result is taken only when it succeeded, swapped no rows and left every
-    ``|u_kk| >= eps * ||A||`` — exactly when partial pivoting and GESP
-    compute the same factors with no perturbation. Otherwise (a row swap,
-    a zero or tiny pivot, a NaN) the recursive GESP loop runs on the
-    untouched block.
+    ``|u_kk| >= eps * ||A_kk||`` — exactly when partial pivoting and GESP
+    compute the same factors (up to rounding) with no perturbation.
+    Otherwise (a row swap, a zero or tiny pivot, a NaN) the recursive GESP
+    loop runs on the untouched block (a panel's: the square path first).
     """
-    tiny = _threshold(A, eps)
+    n = A.shape[1]
+    tiny = _threshold(A[:n], eps)
     lu, piv, info = dgetrf(A)
-    if info == 0 and (piv == np.arange(len(piv))).all() \
+    if info == 0 and piv.tobytes() == _no_swap(piv.size, piv.dtype) \
             and np.abs(lu.diagonal()).min() >= tiny:
         A[...] = lu
         return 0
-    return _getrf_recurse(A, tiny)
+    perturbed = getrf_nopiv(A[:n], eps) if len(A) > n \
+        else _getrf_recurse(A, tiny)        # a panel: its square block,
+    trsm(A[:n], A[n:], side="R", lower=False)   # then its rows (if any)
+    return perturbed
 
 
 def _getrf_recurse(A: np.ndarray, tiny: float) -> int:

@@ -13,7 +13,7 @@ from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.utils.ragged import csr_ptr, ragged
 
 __all__ = ["node_blocks", "cholesky_node_blocks", "node_block_arrays",
-           "block_rows", "kernel_flops"]
+           "block_rows", "stored_rows", "kernel_flops"]
 
 
 def _node_slice(sf, k: int, blocks_fn) -> list[tuple[int, int, int]]:
@@ -98,6 +98,14 @@ def block_rows(sf: SymbolicFactorization, blocks_fn=None
         out = cache[blocks_fn] = (r0, r1, dict(zip(zip(
             ii.tolist(), jj.tolist()), map(slice, r0.tolist(), r1.tolist()))))
     return out
+
+
+def stored_rows(blk: np.ndarray, own: slice, r: slice | None = None):
+    """Rows ``r`` (``None``: ``own``) of a block whose rows ``own`` can be
+    nonzero (:func:`block_rows`), from ``blk`` at full height or packed."""
+    r = own if r is None else r
+    lo = own.start if len(blk) == own.stop - own.start else 0
+    return blk[r.start - lo:r.stop - lo]
 
 
 def kernel_flops(sf: SymbolicFactorization, blocks_fn=None) -> tuple:

@@ -43,7 +43,7 @@ import numpy as np
 from repro.comm.grid import ProcessGrid3D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
-from repro.lu2d.storage import block_rows, node_block_arrays
+from repro.lu2d.storage import block_rows, node_block_arrays, stored_rows
 from repro.lu3d.replication import ReplicaManager
 from repro.parallel import GridThreads, resolve_threads
 from repro.plan.interpret import (
@@ -51,6 +51,7 @@ from repro.plan.interpret import (
     execute_grid_plan,
     execute_reduces,
 )
+from repro.plan.backends import get_backend
 from repro.plan.replay import PlanBundle
 from repro.plan.tasks import Plan3D
 from repro.sparse.blockmatrix import BlockMatrix
@@ -87,12 +88,14 @@ class Factor3DResult:
     bundle: PlanBundle | None = None
 
     def factors(self) -> BlockMatrix:
-        """Assembled L\\U factors, a copy (numeric runs only)."""
+        """Assembled L\\U factors, full-height copies (numeric runs only)."""
         if self.replicas is None:
             raise ValueError("cost-only run: no numeric factors")
+        rows = block_rows(self.replicas.sf, self.replicas.blocks_fn)[2]
         out = BlockMatrix(self.replicas.sf.layout)
-        out.blocks = self.replicas.home_view()
-        return out.copy()
+        for key, blk in self.replicas.home_view().items():
+            out.alloc(*key)[rows[key]] = stored_rows(blk, rows[key])
+        return out
 
 
 # -- data strategies -------------------------------------------------------
@@ -224,10 +227,10 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
 def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
                numeric: bool, matrix, replicas, perm=None):
     """Copy the values the backend binds into block storage — laid out
-    once over the L blocks' row ranges, only refilled by a replay
-    (``replicas``) — through the bundle's value map of the matrix's
-    structure, and pick the data strategy. A value outside the blocks or
-    ranges raises (:meth:`ValueMap.fill`)."""
+    once over the L blocks' row ranges (packed to them under LU), only
+    refilled by a replay (``replicas``) — through the bundle's value map
+    of the matrix's structure, and pick the data strategy. A value outside
+    the blocks or ranges raises (:meth:`ValueMap.fill`)."""
     if not numeric:
         return CostOnlyData()
     A = (sf.A_perm if matrix is None else matrix).tocsr()
@@ -236,7 +239,8 @@ def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
     else:
         _ptr, ii, jj, _ww = node_block_arrays(sf, bundle.blocks_fn)
         r0, r1, _rows = block_rows(sf, bundle.blocks_fn)
-        store = BlockMatrix.zeros(sf.layout, ii, jj, (r0, r1))
+        store = BlockMatrix.zeros(sf.layout, ii, jj, (r0, r1),
+                                  get_backend(bundle.backend).pack)
         bundle.value_map(store, A, perm).fill(store.buf, A.data)
         replicas = ReplicaManager(sf, tf, store, blocks_fn=bundle.blocks_fn)
     result.replicas = replicas

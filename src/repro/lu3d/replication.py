@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.grid import ProcessGrid3D
-from repro.lu2d.storage import node_block_arrays, node_blocks
+from repro.lu2d.storage import block_rows, node_block_arrays, node_blocks
 from repro.plan.backends import get_backend
 from repro.sparse.blockmatrix import BlockMatrix, zero_buffer
 from repro.symbolic.symbolic_factor import SymbolicFactorization
@@ -42,16 +42,19 @@ class ReplicaManager:
         self.blocks_fn = blocks_fn or node_blocks
         self._programs: dict = {}       # program(), solve_program()
         ptr, ii, jj, _ww = node_block_arrays(sf, self.blocks_fn)
-        sizes = sf.layout.sizes()
-        rows, size = sizes[ii], sizes[ii] * sizes[jj]
+        start, lo, hi = base.offsets_of(ii, jj, rows=True)
+        rows, size = hi - lo, (hi - lo) * sf.layout.sizes()[jj]
         n_blocks = np.diff(ptr)
         node_of = np.repeat(np.arange(sf.nb), n_blocks)
         rel = csr_ptr(size)
         words = np.diff(rel[ptr])                       # per node
+        # Per node, if L blocks are packed: its (s + R) x s panel's words.
+        r0, r1, _rows = block_rows(sf, self.blocks_fn)
+        self._panel = rel[ptr[:-1] + 1 + np.diff(sf.fill.panel_csr()[0])] \
+            - rel[ptr[:-1]] if np.array_equal(rows, r1 - r0) else None
         rel = rel[:-1] - rel[ptr[:-1]][node_of]         # block inside node
-        start = base.offsets_of(ii, jj)
         home_off = start[ptr[:-1]]
-        if (start != home_off[node_of] + rel).any():
+        if (start < 0).any() or (start != home_off[node_of] + rel).any():
             raise ValueError(
                 "base must be an arena BlockMatrix over (a superset of) the "
                 "replica block pattern, node-major (BlockMatrix.from_csr)")
@@ -99,7 +102,9 @@ class ReplicaManager:
                         for op in self.program(part)]
             else:
                 prog = get_backend(gp.backend).bind(
-                    gp.arrays, self._views[gp.g], self.sf)
+                    gp.arrays, self._views[gp.g], self.sf,
+                    None if self._panel is None else
+                    lambda v: self.panel(gp.g, v))
             self._programs[gp.arrays] = prog
         return prog
 
@@ -117,6 +122,12 @@ class ReplicaManager:
                  plan.stream(shape[1]))
                 for plan, (_down, _lower, unit) in zip(plans, sweeps)])
         return bound
+
+    def panel(self, g: int, v: int) -> np.ndarray:
+        """Node ``v``'s diagonal block over its packed L blocks on grid
+        ``g``: one C-contiguous ``(s + R) x s`` array."""
+        return self._segment(g, v)[:self._panel[v]].reshape(
+            -1, self.sf.layout.block_size(v))
 
     def _segment(self, g: int, v: int) -> np.ndarray:
         buf, lo, hi = self._seg[(g, v)]

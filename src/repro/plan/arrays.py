@@ -250,9 +250,11 @@ class TaskArrays:
     def k_ptr(self) -> np.ndarray:
         """``ev_ptr``'s numeric twin: task ``t``'s ops in a bound kernel
         program (:meth:`repro.plan.backends.KernelBackend.bind`) are
-        ``k_ptr[t]:k_ptr[t + 1]`` — one per Schur pair or other task."""
+        ``k_ptr[t]:k_ptr[t + 1]`` — one per Schur pair, none per L-panel
+        solve (its node's factor op solves it) and one per other task."""
         return csr_ptr(np.where(self.kind == SCHUR_UPDATE,
-                                np.diff(self.pair_ptr), 1))
+                                np.diff(self.pair_ptr),
+                                self.side != SIDES.index("L")))
 
     def __getstate__(self):     # the caches never ship
         return {k: v for k, v in self.__dict__.items()

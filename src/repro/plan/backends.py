@@ -33,8 +33,10 @@ import numpy as np
 
 from repro.comm.grid import ProcessGrid2D
 from repro.lu2d.batched import schur_pairs, syrk_pairs
-from repro.lu2d.kernels import GETRF, POTRF, gemm_ops, trsm_op
-from repro.lu2d.storage import block_rows, cholesky_node_blocks, node_blocks
+from repro.lu2d.kernels import (GETRF, POTRF, gemm_ops, panel_factor_op,
+                                trsm_op)
+from repro.lu2d.storage import (block_rows, cholesky_node_blocks, node_blocks,
+                                stored_rows)
 from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
 from repro.utils.ragged import ragged
 
@@ -136,31 +138,40 @@ class KernelBackend:
     #: Which entries at permuted ``(rows, cols)`` this backend binds (a
     #: mask; ``None``: all), for :meth:`BlockMatrix.value_map`.
     keeps = None
+    #: Whether the arena packs L blocks to their rows (not Cholesky's: its
+    #: GEMM reads ``L_jk`` whole, so packed it would cut a target's columns).
+    pack = True
 
-    def bind(self, arrays, store, sf) -> list:
+    def bind(self, arrays, store, sf, panel=None) -> list:
         """The kernel program of grid plan ``arrays`` on ``store`` (any
         mapping ``(i, j) -> C-contiguous float64 block``): task ``t``'s ops
         are ``arrays.k_ptr[t]:arrays.k_ptr[t + 1]`` — one per factor /
-        panel-solve task, one per Schur pair in pair order — each with its
-        operands looked up and its BLAS flags derived once, here (the
-        backend's ``panel_op`` / ``schur_ops``). Any walk executes slices
-        of the list (:func:`repro.lu2d.kernels.execute`).
+        U-panel-solve task, one per Schur pair in pair order — each with
+        its operands looked up and its BLAS flags derived once, here. Any
+        walk executes slices of the list (:func:`repro.lu2d.kernels.execute`).
 
-        Every L-panel solve and Schur pair runs on a row slice of its L
-        block (:func:`repro.lu2d.storage.block_rows`), outside which the
-        factors are structurally zero."""
+        A factor op also solves its node's L panel, whose writers all
+        precede the factor task (an L-panel solve task has no op): over
+        ``panel(k)``, its diagonal block over its packed L rows, else one
+        TRSM per L block, each on its structural rows (:func:`block_rows`)."""
         rows = block_rows(sf, self.node_blocks)[2]
         prog: list = []
         for kind, k, i, j in zip(arrays.kind.tolist(), arrays.node.tolist(),
                                  arrays.bi.tolist(), arrays.bj.tolist()):
             if kind == SCHUR_UPDATE:
                 prog += self.schur_ops(store, sf, k, rows)
-            elif kind == PANEL_FACTOR:
-                prog.append((self.factor_op, store[(k, k)], None, None, None))
-            else:
-                prog.append(self.panel_op(store, k, i, j, rows))
-        if not all(op[1].dtype == np.float64 and op[1].flags.f_contiguous
-                   for op in prog if op[0] != self.factor_op):
+            elif kind == PANEL_FACTOR:      # the diagonal, then the L rows
+                d, P = store[(k, k)], panel(k) if panel else None
+                Ls = [P[len(d):]] if panel else [
+                    stored_rows(store[(i, k)], rows[(i, k)])
+                    for i in sf.fill.lpanel[k].tolist()]
+                prog.append(panel_factor_op(self.factor_op, d, Ls, P,
+                                            **self.l_solve))
+            elif i == k:        # U_kj <- L_kk^{-1} A_kj (LU only)
+                prog.append(trsm_op(store[(k, k)], store[(k, j)], side="L",
+                                    lower=True, unit=True))
+        if not all(X.dtype == np.float64 and X.flags.f_contiguous for op in prog
+                   for X in (op[2] if op[0] == self.factor_op else op[1:2])):
             raise ValueError("kernel programs overwrite blocks in place: "
                              "the store must hold C-contiguous float64")
         return prog
@@ -187,6 +198,7 @@ class LUBackend(KernelBackend):
 
     name = "lu"
     factor_op = GETRF
+    l_solve = {"lower": False}      # L_ik <- A_ik U_kk^{-1}
     node_blocks = staticmethod(node_blocks)
 
     # -- plan emission -----------------------------------------------------
@@ -271,20 +283,14 @@ class LUBackend(KernelBackend):
 
     # -- execution ---------------------------------------------------------
 
-    def panel_op(self, store, k, i, j, rows):
-        if i == k:              # U_kj <- L_kk^{-1} A_kj
-            return trsm_op(store[(k, k)], store[(k, j)], side="L",
-                           lower=True, unit=True)
-        # L_ik <- A_ik U_kk^{-1}, on its structural rows
-        return trsm_op(store[(k, k)], store[(i, k)][rows[(i, k)]], side="R",
-                       lower=False)
-
     def schur_ops(self, store, sf, k, rows):
         lp = [(i, rows[(i, k)]) for i in sf.fill.lpanel[k].tolist()]
         up = sf.fill.upanel[k].tolist()
-        return gemm_ops([[store[(i, j)][r] for j in up] for i, r in lp],
-                        [store[(i, k)][r] for i, r in lp],
-                        [store[(k, j)] for j in up])
+        return gemm_ops(
+            [[stored_rows(store[(i, j)], rows[(i, j)], r) for j in up]
+             for i, r in lp],
+            [stored_rows(store[(i, k)], r) for i, r in lp],
+            [store[(k, j)] for j in up])
 
 
 class CholeskyBackend(KernelBackend):
@@ -292,6 +298,8 @@ class CholeskyBackend(KernelBackend):
 
     name = "cholesky"
     factor_op = POTRF
+    l_solve = {"lower": True, "trans": True}    # L_ik <- A_ik L_kk^{-T}
+    pack = False
     node_blocks = staticmethod(cholesky_node_blocks)
 
     # -- plan emission -----------------------------------------------------
@@ -338,11 +346,7 @@ class CholeskyBackend(KernelBackend):
         """The lower triangle: the one this backend stores and reads."""
         return rows >= cols
 
-    def panel_op(self, store, k, i, j, rows):  # L_ik <- A_ik L_kk^{-T}
-        return trsm_op(store[(k, k)], store[(i, k)][rows[(i, k)]],
-                       side="R", lower=True, trans=True)
-
-    def schur_ops(self, store, sf, k, rows):
+    def schur_ops(self, store, sf, k, rows):    # a full-height arena
         lp = sf.fill.lpanel[k].tolist()
         L = [(i, rows[(i, k)]) for i in lp]
         return gemm_ops([[store[(i, j)][r] for j in lp[:a + 1]]

@@ -24,7 +24,7 @@ import numpy as np
 from repro.comm.events import PHASE_SOLVE
 from repro.comm.simulator import Simulator
 from repro.lu2d.kernels import execute, gemm_op, trsm_op
-from repro.lu2d.storage import block_rows
+from repro.lu2d.storage import block_rows, stored_rows
 from repro.plan.solve import UPDATE, SolvePlan, build_solve_plan
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 
@@ -36,9 +36,9 @@ def bind(plan: SolvePlan, sf: SymbolicFactorization, blocks,
          work: np.ndarray, unit: bool) -> list:
     """``plan``'s kernel program on ``work`` (C-ordered ``(n, nrhs)``
     float64, solved in place), op ``t`` = task ``t``: ``trsm_op`` per
-    diag-solve, ``gemm_op`` per update. An L block is bound on its
-    structural rows (:func:`~repro.lu2d.storage.block_rows`): the target
-    rows shrink for ``L``, the source rows for ``L^T``."""
+    diag-solve, ``gemm_op`` per update. An L block, packed or not, is bound
+    on its structural rows (:func:`~repro.lu2d.storage.stored_rows`): the
+    target rows shrink for ``L``, the source rows for ``L^T``."""
     lower, trans = plan.lower, plan.down != plan.lower
     rows = block_rows(sf)[2] if lower else None
     prog = []
@@ -50,7 +50,7 @@ def bind(plan: SolvePlan, sf: SymbolicFactorization, blocks,
             continue
         if lower:
             r = rows[i, j]
-            A = A[r]
+            A = stored_rows(A, r)
             if trans:
                 s0, s1 = s0 + r.start, s0 + r.stop
             else:

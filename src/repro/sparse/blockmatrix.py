@@ -4,10 +4,10 @@ After nested dissection, the permuted matrix is viewed as an ``nb × nb``
 block matrix whose block rows/columns are the supernodes (tree nodes). Blocks
 that are structurally nonzero (in the *filled* pattern) are stored as dense
 ``numpy`` arrays, with the supernode granularity set by the dissection leaf
-size. SuperLU_DIST packs only the nonzero rows of each L block; here every
-block is dense, the kernels skip the rows outside its structural row range
-(tight under the symbolic phase's row order inside supernodes), and an arena
-refuses a value there (:meth:`BlockMatrix.zeros`).
+size. An arena over row ranges (:meth:`BlockMatrix.zeros`) stores and takes
+only the rows ``r0:r1`` of each L block that can be nonzero (tight under the
+row order inside supernodes): a supernode's diagonal block and packed L rows
+form one dense ``(s + R) x s`` column block, as in SuperLU_DIST.
 """
 
 from __future__ import annotations
@@ -125,30 +125,33 @@ class BlockMatrix:
         self.layout = layout
         self.blocks: dict[tuple[int, int], np.ndarray] = {}
         self.buf: np.ndarray | None = None
-        # Arena index: sorted keys i * nb + j, buf offsets and the row range
-        # r0:r1 a value may take, closed by a sentinel key no block has.
+        # Arena index: sorted keys i * nb + j, buf offsets, the rows r0:r1 a
+        # value may take and lo:hi stored, closed by a sentinel no block has.
         self._keys, self._starts = np.array([layout.n ** 2]), np.array([-1])
-        self._r0 = self._r1 = np.array([0])
+        self._r0 = self._r1 = self._lo = self._hi = np.array([0])
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def zeros(cls, layout: BlockLayout, ii: np.ndarray, jj: np.ndarray,
-              rows: tuple | None = None) -> "BlockMatrix":
+              rows: tuple | None = None, pack: bool = True) -> "BlockMatrix":
         """A zero arena over the distinct blocks ``(ii[t], jj[t])``, in
         that order, block ``t`` taking values on rows ``r0[t]:r1[t]`` only
-        (``rows = (r0, r1)``; ``None``: all)."""
+        (``rows = (r0, r1)``; ``None``: all) and, with ``pack``, storing
+        only those: an ``(r1 - r0) x w`` array, not for :meth:`to_dense`."""
         bm = cls(layout)
         sizes = layout.sizes()
-        h, w = sizes[ii], sizes[jj]
+        r0, r1 = rows if rows is not None else (np.zeros_like(ii), sizes[ii])
+        lo, hi = (r0, r1) if pack else (np.zeros_like(ii), sizes[ii])
+        h, w = hi - lo, sizes[jj]
         ends = np.cumsum(h * w)
         starts = ends - h * w
-        r0, r1 = rows if rows is not None else (np.zeros_like(ii), h)
         key = ii * layout.nblocks + jj
         order = np.argsort(key)
-        bm._keys, bm._starts, bm._r0, bm._r1 = (
+        bm._keys, bm._starts, bm._r0, bm._r1, bm._lo, bm._hi = (
             np.append(x[order], sentinel) for x, sentinel in (
-                (key, bm._keys), (starts, bm._starts), (r0, 0), (r1, 0)))
+                (key, bm._keys), (starts, bm._starts), (r0, 0), (r1, 0),
+                (lo, 0), (hi, 0)))
         bm.buf = buf = zero_buffer(int(ends[-1]) if ends.size else 0)
         bm.blocks = {
             (i, j): buf[s:e].reshape(r, c) for i, j, s, e, r, c in zip(
@@ -193,12 +196,14 @@ class BlockMatrix:
         self.value_map(A).fill(self.buf, A.data, (self.buf,))
         return self
 
-    def offsets_of(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    def offsets_of(self, ii: np.ndarray, jj: np.ndarray, rows=False):
         """Offset into ``buf`` of each block ``(ii[t], jj[t])``; -1 where
-        the arena does not hold it."""
+        the arena does not hold it. ``rows``: ``(offsets, lo, hi)``, with
+        the rows ``lo:hi`` each block stores."""
         key = ii * self.layout.nblocks + jj
         slot = np.searchsorted(self._keys, key)
-        return np.where(self._keys[slot] == key, self._starts[slot], -1)
+        at = np.where(self._keys[slot] == key, self._starts[slot], -1)
+        return (at, self._lo[slot], self._hi[slot]) if rows else at
 
     def value_map(self, A: sp.csr_matrix, perm=None, keeps=None
                   ) -> ValueMap:
@@ -223,7 +228,7 @@ class BlockMatrix:
             & (r < self._r1[slot])
         mine = True if keeps is None else keeps(off[bi] + r, off[bj] + c)
         keep, out = np.flatnonzero(held & mine), np.flatnonzero(~held & mine)
-        dest = self._starts[slot] + r * lay.sizes()[bj] + c
+        dest = self._starts[slot] + (r - self._lo[slot]) * lay.sizes()[bj] + c
         return ValueMap(A, perm, dest[keep],
                         None if keep.size == A.nnz else keep, out,
                         (off[bi[out]] + r[out], off[bj[out]] + c[out]))

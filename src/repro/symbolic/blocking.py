@@ -59,6 +59,7 @@ import scipy.sparse as sp
 from repro.ordering.nested_dissection import DissectionTree, cap_chunks, \
     merge_into_parents, split_chains
 from repro.sparse.pattern import strip_diagonal, symmetrize_pattern
+from repro.utils.validation import check_positive_int
 
 __all__ = ["irregular_blocking"]
 
@@ -173,6 +174,8 @@ def irregular_blocking(A: sp.spmatrix, tree: DissectionTree,
     (:func:`repro.symbolic.symbolic_factorize`) is responsible for the
     uniform floor — this function only builds the irregular candidate.
     """
+    if max_block is not None:
+        check_positive_int(max_block, "max_block")
     S = strip_diagonal(symmetrize_pattern(A))
     deg = np.diff(S.indptr).astype(np.int64)
     snapped = 0

@@ -22,8 +22,11 @@ regenerated once, when merged numeric runs moved from one global block
 store onto the replicas: their ``factors`` became the LU 3D rows' hash
 and the z-replica rows' note names the true reason for the restart (a
 merged grid's rank span holds the sibling replicas); every ledger hash
-stayed. Regenerate only when a PR intentionally changes what a fault,
-checkpoint or recovery books.
+stayed. The 76 LU, LU 2D and merged numeric rows' ``factors`` were
+regenerated once more, when a node's factor op came to run one LAPACK
+``dgetrf`` over its diagonal block and packed L rows (the same factors up
+to rounding); every ledger hash and stats field stayed. Regenerate only
+when a PR intentionally changes what a fault, checkpoint or recovery books.
 """
 
 from __future__ import annotations

@@ -143,6 +143,14 @@ class TestOptionsAndSignature:
         with pytest.raises(ValueError, match="max_block must be positive"):
             symbolic_factorize(A, geom, max_block=0, blocking=blocking)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_irregular_blocking_rejects_nonpositive_cap(self, cap):
+        """Called directly, not only behind ``symbolic_factorize``'s own
+        check: a cap of 0 used to divide by zero in ``cap_chunks``."""
+        A, _geom = _matrix("mesh")
+        with pytest.raises(ValueError, match="max_block must be positive"):
+            irregular_blocking(A, _base_tree("mesh"), cap)
+
     def test_symbolic_rejects_tree_with_irregular(self):
         A, geom = _matrix("mesh")
         with pytest.raises(ValueError, match="derives its own tree"):

@@ -180,3 +180,38 @@ def test_rebind_refuses_a_value_outside_the_arena():
     assert zero.nnz == 7                      # a stored zero is no value
     bm.rebind(zero)
     assert np.array_equal(bm.to_dense(), np.eye(6))
+
+
+@pytest.mark.parametrize("pack", [True, False])
+def test_a_ranged_arena_stores_and_takes_only_its_rows(pack):
+    """Over row ranges an arena stores each block's rows ``r0:r1`` only
+    (``pack``; else at full height), places values on them and refuses a
+    value outside them either way."""
+    lay = BlockLayout(np.array([0, 3, 7, 12]))
+    sizes = lay.sizes()
+    ii, jj = np.array([0, 1, 2, 1, 2, 2]), np.array([0, 0, 0, 1, 1, 2])
+    r0, r1 = np.array([0, 1, 2, 0, 1, 0]), np.array([3, 3, 4, 4, 5, 5])
+    bm = BlockMatrix.zeros(lay, ii, jj, (r0, r1), pack)
+    h = r1 - r0 if pack else sizes[ii]
+    assert bm.words() == bm.buf.size == int((h * sizes[jj]).sum())
+    off = lay.offsets
+    dense = np.zeros((12, 12))
+    rng = np.random.default_rng(3)
+    for t, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        assert bm[(i, j)].shape == (h[t], sizes[j])
+        assert bm[(i, j)].flags.c_contiguous and bm[(i, j)].base is bm.buf
+        dense[off[i] + r0[t]:off[i] + r1[t], off[j]:off[j + 1]] = \
+            rng.random((r1[t] - r0[t], sizes[j]))
+    bm.rebind(sp.csr_matrix(dense))
+    for t, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        rows = slice(off[i] + r0[t], off[i] + r1[t])
+        got = bm[(i, j)] if pack else bm[(i, j)][r0[t]:r1[t]]
+        assert np.array_equal(got, dense[rows, off[j]:off[j + 1]])
+        if not pack:
+            assert not bm[(i, j)][:r0[t]].any() and not bm[(i, j)][r1[t]:].any()
+    before = bm.buf.copy()
+    stray = dense.copy()
+    stray[off[1], off[0]] = 1.0           # row 0 of block (1, 0): range 1:3
+    with pytest.raises(ValueError, match=r"1 entries .* \(3, 0\)"):
+        bm.rebind(sp.csr_matrix(stray))
+    assert np.array_equal(bm.buf, before)

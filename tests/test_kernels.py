@@ -346,6 +346,166 @@ class TestGetrfNopiv:
             getrf_nopiv(np.zeros((2, 3)))
 
 
+# -- one factor op per node -------------------------------------------------
+
+def today_getrf_nopiv(A, eps=1e-10):
+    """``getrf_nopiv`` as it was before its acceptance got leaner: the
+    ``np.abs(A).max()`` floor, the pivot vector against ``np.arange`` and
+    the LAPACK result taken under the same rule, else the GESP loop."""
+    norm = np.abs(A).max()
+    tiny = eps * norm if norm > 0 else eps
+    lu, piv, info = la.lapack.dgetrf(A)
+    if info == 0 and (piv == np.arange(len(piv))).all() \
+            and np.abs(lu.diagonal()).min() >= tiny:
+        A[...] = lu
+        return 0
+    return kernels._getrf_recurse(A, tiny)
+
+
+def _factor_corpus():
+    """``name -> (diagonal block, L blocks)``: what a node's factor op can
+    be handed, from easy to hostile."""
+    rng = np.random.default_rng(7)
+    out = {}
+
+    def case(name, D, heights=(3, 0, 5, 1)):
+        out[name] = (D, [rng.standard_normal((m, D.shape[0]))
+                         for m in heights])
+    for n in (2, 17, 33, 49):
+        case(f"dominant_{n}", _dominant(rng, n))
+    case("dominant_256", _dominant(rng, 256), (40, 7, 129))
+    case("one_by_one", np.array([[3.0]]), (4, 1))
+    case("zero_one_by_one", np.zeros((1, 1)), (2,))
+    case("row_swap", rng.standard_normal((40, 40)))
+    case("row_swap_small", HARD_BLOCKS["row_swap"])
+    tiny = _dominant(rng, 36)
+    tiny[5, :] *= 1e-13
+    case("tiny_pivot", tiny)
+    case("tiny_pivot_small", HARD_BLOCKS["tiny_pivot"])
+    case("all_zero", np.zeros((6, 6)))
+    for name in ("nan", "nan_corner", "inf"):
+        case(name, HARD_BLOCKS[name])
+    signed = _dominant(rng, 40)
+    signed[3, 30], signed[31, 2] = np.inf, -np.inf
+    case("plus_minus_inf", signed)
+    nan = _dominant(rng, 40)
+    nan[30, 7] = np.nan
+    case("nan_40", nan)
+    # A NaN makes the floor eps (max|A| is NaN), so the pivot 1e-7 stands;
+    # a floor from the finite entries alone (1e4 eps) would perturb it.
+    # (BLAS idamax picks the 1e4 here; where it picks the NaN depends on
+    # the size, so only the dasum check makes the floor the referee's.)
+    case("nan_beside_a_small_pivot",
+         np.diag(np.r_[1e-7, 1e4, np.ones(5), np.nan]))
+    return out
+
+
+FACTOR_CORPUS = _factor_corpus()
+
+
+class TestPanelFactorOp:
+    """A node's factor op — the diagonal factorization, then one TRSM over
+    its stacked L rows — is bit for bit the separate ops it replaced, and
+    the leaner LAPACK acceptance is today's rule."""
+
+    @pytest.mark.parametrize("name", sorted(FACTOR_CORPUS))
+    def test_getrf_matches_todays_rule(self, name):
+        D0, _Ls = FACTOR_CORPUS[name]
+        ref, got = D0.copy(), D0.copy()
+        with np.errstate(all="ignore"):
+            want = today_getrf_nopiv(ref, eps=1e-8)
+            assert getrf_nopiv(got, eps=1e-8) == want
+        assert np.array_equal(got, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    @pytest.mark.parametrize("name", sorted(FACTOR_CORPUS))
+    def test_lu_op_is_getrf_then_per_block_trsms(self, name, stacked):
+        D0, Ls0 = FACTOR_CORPUS[name]
+        s = D0.shape[0]
+        ref = D0.copy()
+        with np.errstate(all="ignore"):
+            want = today_getrf_nopiv(ref)
+            ref_L = [trsm(ref, L.copy(), side="R", lower=False) for L in Ls0]
+        panel = np.concatenate([D0, *Ls0])      # one C-contiguous panel
+        targets = [panel[s:]] if stacked else [L.copy() for L in Ls0]
+        op = kernels.panel_factor_op(kernels.GETRF, panel[:s], targets,
+                                     lower=False)
+        with np.errstate(all="ignore"):
+            assert kernels.execute([op]) == want
+        got_L = targets[0] if stacked else np.concatenate(targets)
+        assert np.array_equal(panel[:s], ref, equal_nan=True)
+        assert np.array_equal(got_L, np.concatenate(ref_L), equal_nan=True)
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    @pytest.mark.parametrize("name", sorted(FACTOR_CORPUS))
+    def test_cholesky_op_is_potrf_then_per_block_trsms(self, name, stacked):
+        D0, Ls0 = FACTOR_CORPUS[name]
+        s = D0.shape[0]
+        D0 = np.tril(D0) + np.tril(D0, -1).T    # symmetric, same values
+        panel = np.concatenate([D0, *Ls0])
+        targets = [panel[s:]] if stacked else [L.copy() for L in Ls0]
+        op = kernels.panel_factor_op(kernels.POTRF, panel[:s], targets,
+                                     lower=True, trans=True)
+        with np.errstate(all="ignore"):
+            try:
+                ref, want = potrf_shifted(D0.copy(), max_shifts=30)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    kernels.execute([op])
+                return
+            ref_L = [trsm(ref, L.copy(), side="R", lower=True, trans=True)
+                     for L in Ls0]
+            assert kernels.execute([op]) == want
+        got_L = targets[0] if stacked else np.concatenate(targets)
+        assert np.array_equal(panel[:s], ref, equal_nan=True)
+        assert np.array_equal(got_L, np.concatenate(ref_L), equal_nan=True)
+
+    @pytest.mark.parametrize("name", sorted(FACTOR_CORPUS))
+    def test_tall_panel_is_one_dgetrf_under_todays_rule(self, name):
+        """``GETRF`` over a packed panel: LAPACK's one ``dgetrf`` on the
+        whole panel, taken under today's rule on the diagonal block — then
+        the GESP factors up to rounding — else, bit for bit, the square
+        factorization and the TRSM."""
+        D0, Ls0 = FACTOR_CORPUS[name]
+        s = D0.shape[0]
+        ref = D0.copy()
+        with np.errstate(all="ignore"):
+            want = today_getrf_nopiv(ref)
+            ref = np.concatenate([ref] + [trsm(ref, L.copy(), side="R",
+                                               lower=False) for L in Ls0])
+            panel = np.concatenate([D0, *Ls0])
+            norm = np.abs(D0).max()
+            lu, piv, info = la.lapack.dgetrf(panel)
+            taken = info == 0 and (piv == np.arange(s)).all() and np.abs(
+                lu.diagonal()).min() >= 1e-10 * (norm if norm > 0 else 1.0)
+            op = kernels.panel_factor_op(kernels.GETRF, panel[:s], [panel[s:]],
+                                         panel, lower=False)
+            assert kernels.execute([op]) == want
+        if taken:
+            assert want == 0 and np.isfinite(ref).all()
+            assert _rel_err(panel, ref) <= RTOL
+        else:
+            assert np.array_equal(panel, ref, equal_nan=True)
+        assert taken == name.startswith(("dominant", "one_by_one"))
+
+    @given(st.integers(min_value=1, max_value=80), SEEDS,
+           st.lists(st.integers(min_value=0, max_value=60), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_one_trsm_over_stacked_rows_is_bitwise_per_block(self, s, seed,
+                                                             heights):
+        rng = np.random.default_rng(seed)
+        D = _dominant(rng, s)
+        getrf_nopiv(D)
+        Ls = [rng.standard_normal((m, s)) for m in heights]
+        for flags in ({"lower": False}, {"lower": True, "trans": True}):
+            stacked = np.concatenate([np.zeros((0, s)), *Ls])
+            kernels.execute([kernels.trsm_op(D, stacked, side="R", **flags)]
+                            if stacked.size else [])
+            each = [trsm(D, L.copy(), side="R", **flags) for L in Ls]
+            assert np.array_equal(stacked,
+                                  np.concatenate([np.zeros((0, s)), *each]))
+
+
 # -- Cholesky -----------------------------------------------------------------
 
 def ref_potrf_shifted(A, eps=1e-10, max_shifts=30):

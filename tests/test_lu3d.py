@@ -3,6 +3,7 @@ replication accounting, and reduction structure."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.comm import Machine, ProcessGrid3D, Simulator
 from repro.lu2d import FactorOptions
@@ -293,6 +294,79 @@ class TestArena:
         for g in range(2):
             for key, blk in mgr.view(g).items():
                 assert np.array_equal(blk, before[g][key])
+
+    def test_accepts_a_from_csr_base_and_a_packed_one(self, planar_small):
+        """Every replica is sized from its base block: full height over a
+        ``from_csr`` base, packed over a ranged arena, which then lays a
+        node's diagonal block and L blocks out as one panel per grid."""
+        from repro.lu2d.storage import block_rows, node_block_arrays
+        sf, tf, base, full = self._manager(planar_small)
+        _ptr, ii, jj, _ww = node_block_arrays(sf)
+        r0, r1, rows = block_rows(sf)
+        packed = BlockMatrix.zeros(sf.layout, ii, jj, (r0, r1))
+        mgr = ReplicaManager(sf, tf, packed)
+        assert (r1 - r0 < sf.layout.sizes()[ii]).any()
+        assert mgr._bufs[1].size < full._bufs[1].size
+        for g in range(tf.pz):
+            assert set(mgr.view(g)) == set(full.view(g))
+            for key, blk in mgr.view(g).items():
+                assert blk.shape == packed[key].shape
+                assert full.view(g)[key].shape == base[key].shape
+        lp = sf.fill.lpanel
+        for v in range(sf.nb):
+            for g in tf.grids_of_node(v):
+                P = mgr.panel(g, v)
+                s = sf.layout.block_size(v)
+                assert P.flags.c_contiguous and P.shape == (
+                    s + sum(rows[(i, v)].stop - rows[(i, v)].start
+                            for i in lp[v].tolist()), s)
+                blocks = [mgr.view(g)[(v, v)]] + [mgr.view(g)[(i, v)]
+                                                   for i in lp[v].tolist()]
+                assert np.shares_memory(P[:s], blocks[0])
+                assert np.array_equal(P, np.concatenate(blocks))
+
+    @pytest.mark.parametrize("backend", ["lu", "cholesky"])
+    def test_factors_are_full_height_copies(self, planar_small, backend):
+        """``factors()`` places every stored block at its rows of a fresh
+        full-height block; the LU arena is packed, Cholesky's is not."""
+        from repro.lu2d.storage import block_rows
+        from repro.plan.backends import get_backend
+        A, geom = planar_small
+        sf = symbolic_factorize(A, geom, leaf_size=16)
+        tf, grid3 = greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2)
+        res = factor_3d(sf, tf, grid3, Simulator(grid3.size), backend=backend,
+                        matrix=sp.tril(sf.A_perm).tocsr()
+                        if backend == "cholesky" else None)
+        rows = block_rows(sf, get_backend(backend).node_blocks)[2]
+        F, home = res.factors(), res.replicas.home_view()
+        assert set(F.blocks) == set(home)
+        packed = 0
+        for (i, j), blk in home.items():
+            r = rows[(i, j)]
+            full = F[(i, j)]
+            assert full.shape == (sf.layout.block_size(i),
+                                  sf.layout.block_size(j))
+            assert not np.shares_memory(full, blk)
+            assert np.array_equal(full[r], blk if len(blk) < len(full)
+                                  else blk[r])
+            assert not full[:r.start].any() and not full[r.stop:].any()
+            packed += len(blk) < len(full)
+        assert (packed > 0) == (backend == "lu")
+        if backend == "lu":
+            assert _lu_error(sf, res, A) < 1e-10
+
+    def test_the_bricks_packed_arena_is_under_70_percent(self):
+        """``brick_cold``'s matrix (``grid3d_7pt(16)``, leaf 64,
+        ``max_block`` 256): its L blocks packed to their rows hold at most
+        0.70 of the full-height arena's words."""
+        from repro.lu2d.storage import block_rows, node_block_arrays
+        from repro.sparse import grid3d_7pt
+        A, geom = grid3d_7pt(16)
+        sf = symbolic_factorize(A, geom, leaf_size=64, max_block=256)
+        _ptr, ii, jj, _ww = node_block_arrays(sf)
+        r0, r1, _rows = block_rows(sf)
+        s = sf.layout.sizes()
+        assert ((r1 - r0) * s[jj]).sum() <= 0.70 * (s[ii] * s[jj]).sum()
 
     def test_base_must_be_an_arena_over_the_pattern(self, planar_small):
         sf, tf, base, _mgr = self._manager(planar_small)

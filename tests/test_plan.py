@@ -473,6 +473,7 @@ class TestKernelProgram:
     @pytest.mark.parametrize("backend", ["lu", "cholesky"])
     def test_k_ptr_spans_the_program(self, backend):
         from repro.lu2d.kernels import GEMM, GETRF, POTRF, TRSM
+        from repro.lu2d.storage import block_rows
         from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
         from repro.plan.backends import get_backend
         sf, tf = (spd_setup if backend == "cholesky" else planar_setup)(
@@ -482,6 +483,7 @@ class TestKernelProgram:
                         matrix=sp.tril(sf.A_perm).tocsr()
                         if backend == "cholesky" else None)
         factor = {"lu": GETRF, "cholesky": POTRF}[backend]
+        rows = block_rows(sf, get_backend(backend).node_blocks)[2]
         for step in res.plan.levels:
             for gp in step.grid_plans:
                 A = gp.arrays
@@ -491,17 +493,31 @@ class TestKernelProgram:
                 n_ops = np.diff(A.k_ptr)
                 schur = A.kind == SCHUR_UPDATE
                 assert np.array_equal(n_ops[schur], np.diff(A.pair_ptr)[schur])
-                assert (n_ops[~schur] == 1).all()
+                # An L-panel solve has no op: its node's factor op solves it.
+                assert (n_ops[~schur] == (A.side[~schur] != 2)).all()
                 for t, kind in enumerate(A.kind.tolist()):
                     codes = {op[0] for op in prog[A.k_ptr[t]:A.k_ptr[t + 1]]}
                     assert codes <= {GEMM if kind == SCHUR_UPDATE else
                                      factor if kind == PANEL_FACTOR else TRSM}
+                    if kind == PANEL_FACTOR:    # every structural L row,
+                        k = int(A.node[t])  # below its diagonal or solved
+                        (op,) = prog[A.k_ptr[t]:A.k_ptr[t + 1]]
+                        assert sum(X.shape[1] for X in op[2]) + np.subtract(
+                            *op[1].shape) == sum(
+                            r.stop - r.start for key, r in rows.items()
+                            if key[1] == k and key[0] > k)
                 view = res.replicas.view(gp.g)
-                fresh = get_backend(backend).bind(A, view, sf)
-                assert all(a[0] == b[0] and a[4] == b[4]
-                           and all(x is y or np.shares_memory(x, y)
-                                   for x, y in zip(a[1:4], b[1:4]))
-                           for a, b in zip(prog, fresh))
+                fresh = get_backend(backend).bind(A, view, sf)  # per block
+                for a, b in zip(prog, fresh):
+                    assert a[0] == b[0]
+                    if a[0] == factor:      # the panel covers every block
+                        assert np.shares_memory(a[1], b[1]) and all(
+                            any(np.shares_memory(x, y) for y in [a[1], *a[2]])
+                            for x in b[2])
+                    else:
+                        assert a[4] == b[4] and all(
+                            x is y or np.shares_memory(x, y)
+                            for x, y in zip(a[1:4], b[1:4]))
 
     @pytest.mark.parametrize("leaf", [8, 32])
     @pytest.mark.parametrize("gen", sorted(RANGE_ZOO))
@@ -581,8 +597,9 @@ class TestKernelProgram:
                 ran[2] += 2.0 * out.size * np.sqrt(x.size * y.size / out.size)
             elif op == TRSM:
                 ran[1] += x.shape[0] * out.size
-            else:
+            else:       # the diagonal block, then the node's L rows
                 ran[0] += out.shape[0] ** 3 * (2.0 if op == GETRF else 1.0) / 3
+                ran[1] += sum(y.shape[0] * X.size for X in x)
         fn = cholesky_node_blocks if backend == "cholesky" else None
         assert np.allclose(kernel_flops(sf, fn), ran, rtol=1e-12, atol=0)
 

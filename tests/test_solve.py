@@ -506,9 +506,9 @@ class TestBoundSweeps:
                     assert rep.factor_max_dev <= 1e-12
 
     def test_l_blocks_are_bound_on_their_structural_rows(self, brick_small):
-        """The L sweeps' GEMMs read fewer rows than their whole blocks (the
-        target rows shrink for ``L``, the source rows for ``L^T``) and the
-        U sweeps' every row."""
+        """The L sweeps' GEMMs read fewer rows than their blocks' full
+        height (the target rows shrink for ``L``, the source rows for
+        ``L^T``) and the U sweeps' every row."""
         from repro.lu2d.kernels import GEMM
         from repro.solve.triangular import bind
         A, geom = brick_small
@@ -521,7 +521,7 @@ class TestBoundSweeps:
             assert len(prog) == plan.n_tasks
             gemm = [op for op in prog if op[0] == GEMM]
             rows = sum(op[3].shape[1] for op in gemm)  # op[3]: block^T
-            whole = sum(s.result.replicas.home_view()[i, j].shape[0]
-                        for i, j in plan.steps[plan.steps[:, 0] == 1, 1:3]
+            whole = sum(s.sf.layout.block_size(i)
+                        for i, _j in plan.steps[plan.steps[:, 0] == 1, 1:3]
                         .tolist())
             assert (rows < whole) == plan.lower, (plan.down, plan.lower)
