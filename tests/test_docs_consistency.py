@@ -215,6 +215,7 @@ class TestCrossReferences:
         "_borrow", "PlanEntry.lock", "cache.holds", "lock-free lookup",
         "factor_3d_merged", "factor_chol_3d", "_build_standard_reduce",
         "_build_merged_reduce", "reduction_messages", "reduction_words",
+        "panel_op",
     )
 
     def test_no_deleted_name_survives(self):
