@@ -80,11 +80,9 @@ def gemm_ops(Cs, As, Bs, trans_b=False, trans_a=False) -> list:
             for C, B in zip(row, Bt)]
 
 
-def panel_factor_op(code: int, D: np.ndarray, Ls, P=None, **solve) -> tuple:
+def panel_factor_op(code: int, D: np.ndarray, Ls, **solve) -> tuple:
     """The bound ``GETRF`` / ``POTRF`` op: factor ``D``, then solve each row
-    block of ``Ls`` against it (GETRF with ``P``: the tall panel ``D; Ls``)."""
-    if code == GETRF and P is not None:
-        return (GETRF, P, (), None, None)
+    block of ``Ls`` against it."""
     ops = [trsm_op(D, X, side="R", **solve) for X in Ls if len(X)]
     return (code, D, [op[1] for op in ops], D.T, ops[0][4] if ops else None)
 

@@ -43,7 +43,7 @@ import numpy as np
 from repro.comm.grid import ProcessGrid3D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
-from repro.lu2d.storage import block_rows, node_block_arrays, stored_rows
+from repro.lu2d.storage import block_rows, node_block_arrays
 from repro.lu3d.replication import ReplicaManager
 from repro.parallel import GridThreads, resolve_threads
 from repro.plan.interpret import (
@@ -91,11 +91,7 @@ class Factor3DResult:
         """Assembled L\\U factors, full-height copies (numeric runs only)."""
         if self.replicas is None:
             raise ValueError("cost-only run: no numeric factors")
-        rows = block_rows(self.replicas.sf, self.replicas.blocks_fn)[2]
-        out = BlockMatrix(self.replicas.sf.layout)
-        for key, blk in self.replicas.home_view().items():
-            out.alloc(*key)[rows[key]] = stored_rows(blk, rows[key])
-        return out
+        return self.replicas.base.copy()
 
 
 # -- data strategies -------------------------------------------------------

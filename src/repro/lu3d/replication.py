@@ -42,7 +42,7 @@ class ReplicaManager:
         self.blocks_fn = blocks_fn or node_blocks
         self._programs: dict = {}       # program(), solve_program()
         ptr, ii, jj, _ww = node_block_arrays(sf, self.blocks_fn)
-        start, lo, hi = base.offsets_of(ii, jj, rows=True)
+        start, lo, hi = base.offsets_of(ii, jj)
         rows, size = hi - lo, (hi - lo) * sf.layout.sizes()[jj]
         n_blocks = np.diff(ptr)
         node_of = np.repeat(np.arange(sf.nb), n_blocks)
@@ -103,8 +103,7 @@ class ReplicaManager:
             else:
                 prog = get_backend(gp.backend).bind(
                     gp.arrays, self._views[gp.g], self.sf,
-                    None if self._panel is None else
-                    lambda v: self.panel(gp.g, v))
+                    self._panel is not None and (lambda v: self.panel(gp.g, v)))
             self._programs[gp.arrays] = prog
         return prog
 

@@ -33,8 +33,7 @@ import numpy as np
 
 from repro.comm.grid import ProcessGrid2D
 from repro.lu2d.batched import schur_pairs, syrk_pairs
-from repro.lu2d.kernels import (GETRF, POTRF, gemm_ops, panel_factor_op,
-                                trsm_op)
+from repro.lu2d.kernels import GETRF, POTRF, gemm_ops, panel_factor_op, trsm_op
 from repro.lu2d.storage import (block_rows, cholesky_node_blocks, node_blocks,
                                 stored_rows)
 from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
@@ -151,22 +150,22 @@ class KernelBackend:
         walk executes slices of the list (:func:`repro.lu2d.kernels.execute`).
 
         A factor op also solves its node's L panel, whose writers all
-        precede the factor task (an L-panel solve task has no op): over
-        ``panel(k)``, its diagonal block over its packed L rows, else one
-        TRSM per L block, each on its structural rows (:func:`block_rows`)."""
+        precede the factor task (an L-panel solve task has no op): given
+        ``panel``, a packing backend's is ``getrf_nopiv(panel(k))`` (its
+        diagonal over its packed L rows), else one TRSM per L block."""
         rows = block_rows(sf, self.node_blocks)[2]
         prog: list = []
         for kind, k, i, j in zip(arrays.kind.tolist(), arrays.node.tolist(),
                                  arrays.bi.tolist(), arrays.bj.tolist()):
             if kind == SCHUR_UPDATE:
                 prog += self.schur_ops(store, sf, k, rows)
+            elif kind == PANEL_FACTOR and panel and self.pack:  # LU's
+                prog.append((GETRF, panel(k), (), None, None))
             elif kind == PANEL_FACTOR:      # the diagonal, then the L rows
-                d, P = store[(k, k)], panel(k) if panel else None
-                Ls = [P[len(d):]] if panel else [
-                    stored_rows(store[(i, k)], rows[(i, k)])
-                    for i in sf.fill.lpanel[k].tolist()]
-                prog.append(panel_factor_op(self.factor_op, d, Ls, P,
-                                            **self.l_solve))
+                prog.append(panel_factor_op(
+                    self.factor_op, store[(k, k)],
+                    [stored_rows(store[(i, k)], rows[(i, k)])
+                     for i in sf.fill.lpanel[k].tolist()], **self.l_solve))
             elif i == k:        # U_kj <- L_kk^{-1} A_kj (LU only)
                 prog.append(trsm_op(store[(k, k)], store[(k, j)], side="L",
                                     lower=True, unit=True))

@@ -138,7 +138,7 @@ class BlockMatrix:
         """A zero arena over the distinct blocks ``(ii[t], jj[t])``, in
         that order, block ``t`` taking values on rows ``r0[t]:r1[t]`` only
         (``rows = (r0, r1)``; ``None``: all) and, with ``pack``, storing
-        only those: an ``(r1 - r0) x w`` array, not for :meth:`to_dense`."""
+        only those: an ``(r1 - r0) x w`` array."""
         bm = cls(layout)
         sizes = layout.sizes()
         r0, r1 = rows if rows is not None else (np.zeros_like(ii), sizes[ii])
@@ -196,14 +196,14 @@ class BlockMatrix:
         self.value_map(A).fill(self.buf, A.data, (self.buf,))
         return self
 
-    def offsets_of(self, ii: np.ndarray, jj: np.ndarray, rows=False):
-        """Offset into ``buf`` of each block ``(ii[t], jj[t])``; -1 where
-        the arena does not hold it. ``rows``: ``(offsets, lo, hi)``, with
-        the rows ``lo:hi`` each block stores."""
+    def offsets_of(self, ii: np.ndarray, jj: np.ndarray) -> tuple:
+        """``(offsets, lo, hi)``: each block ``(ii[t], jj[t])``'s offset
+        into ``buf`` (-1 where the arena does not hold it) and the rows
+        ``lo:hi`` of it that it stores (``0:0`` if not held)."""
         key = ii * self.layout.nblocks + jj
         slot = np.searchsorted(self._keys, key)
-        at = np.where(self._keys[slot] == key, self._starts[slot], -1)
-        return (at, self._lo[slot], self._hi[slot]) if rows else at
+        slot = np.where(self._keys[slot] == key, slot, -1)  # -1: sentinel
+        return self._starts[slot], self._lo[slot], self._hi[slot]
 
     def value_map(self, A: sp.csr_matrix, perm=None, keeps=None
                   ) -> ValueMap:
@@ -266,24 +266,27 @@ class BlockMatrix:
 
     # -- conversion --------------------------------------------------------
 
+    def _stored(self):
+        """``(i, j, lo, block)``: ``block`` holds rows ``lo:`` of ``(i, j)``."""
+        ij = np.array(list(self.blocks), dtype=np.int64).reshape(-1, 2).T
+        return zip(*ij.tolist(), self.offsets_of(*ij)[1].tolist(),
+                   self.blocks.values())
+
     def to_dense(self) -> np.ndarray:
         """Assemble the full dense matrix (testing only; O(n^2) memory)."""
-        n = self.layout.n
-        out = np.zeros((n, n))
-        for (i, j), blk in self.blocks.items():
-            out[self.layout.range_of(i), self.layout.range_of(j)] = blk
+        out, off = np.zeros((self.layout.n,) * 2), self.layout.offsets
+        for i, j, lo, blk in self._stored():
+            out[off[i] + lo:off[i] + lo + len(blk), self.layout.range_of(j)] = blk
         return out
 
     def to_csr(self) -> sp.csr_matrix:
         """Assemble a CSR matrix from the stored blocks (drops exact zeros)."""
         rows, cols, vals = [], [], []
-        for (i, j), blk in self.blocks.items():
-            r0 = int(self.layout.offsets[i])
-            c0 = int(self.layout.offsets[j])
+        for i, j, lo, blk in self._stored():
             nz = np.nonzero(blk)
             if nz[0].size:
-                rows.append(nz[0] + r0)
-                cols.append(nz[1] + c0)
+                rows.append(nz[0] + int(self.layout.offsets[i]) + lo)
+                cols.append(nz[1] + int(self.layout.offsets[j]))
                 vals.append(blk[nz])
         n = self.layout.n
         if not rows:
@@ -293,6 +296,8 @@ class BlockMatrix:
             shape=(n, n)).tocsr()
 
     def copy(self) -> "BlockMatrix":
+        """A plain copy (no arena), every block at full height."""
         out = BlockMatrix(self.layout)
-        out.blocks = {k: v.copy() for k, v in self.blocks.items()}
+        for i, j, lo, blk in self._stored():
+            out.alloc(i, j)[lo:lo + len(blk)] = blk
         return out

@@ -10,7 +10,8 @@ Access modes
 ``READ``
     The task consumes the block's current value.
 ``WRITE``
-    Exclusive overwrite (diagonal factorization, in-place panel solve).
+    Exclusive overwrite (a node's factor op: its diagonal block and L
+    panel; an in-place U-panel solve).
 ``ACCUM``
     Additive update (``block -= L @ U``). Two accumulations into the same
     block commute — numerically up to floating-point reassociation, which
@@ -62,15 +63,16 @@ def grid_task_accesses(backend: str, sf, kind: int, node: int, bi: int,
     its ``kind`` code, ``node`` and block ``(bi, bj)`` (the columns of
     :class:`repro.plan.arrays.TaskArrays`).
 
-    Mirrors the kernel backends (:mod:`repro.plan.backends`): the LU Schur
-    update reads both panels and accumulates into the full ``lp x up``
-    cross product; the Cholesky one reads the L panel and accumulates into
-    the lower triangle of its outer product.
+    Mirrors the kernel backends (:mod:`repro.plan.backends`): the factor
+    op solves the node's L panel too, so an L-panel task only sends the
+    block it solved; the LU Schur update reads both panels and accumulates
+    into the full ``lp x up`` cross product; the Cholesky one reads the L
+    panel and accumulates into the lower triangle of its outer product.
     """
     if kind == PANEL_FACTOR:
-        return [(node, node, WRITE)]
+        return [(i, node, WRITE) for i in [node, *sf.fill.lpanel[node].tolist()]]
     if kind == PANEL_BCAST:
-        return [(node, node, READ), (bi, bj, WRITE)]
+        return [(bi, bj, READ)] if bi != node else [(node, node, READ), (bi, bj, WRITE)]
     if kind == SCHUR_UPDATE:
         k = node
         lp = [int(i) for i in sf.fill.lpanel[k]]

@@ -470,12 +470,12 @@ def _analyze_solve(plan: SolvePlan, report: StaticReport, add,
 def _race_edge_candidates(plan) -> list[tuple]:
     """Dep edges whose removal is *guaranteed* to create a block race, as
     ``(level index, edge)`` (``edge`` indexes the level's ``dep_idx``; a
-    grid plan's level index is ``()``): a panel solve's edge to its factor
-    (the solve reads the diagonal block the factor writes) and a Schur
-    update's to a panel solve (it reads the block the solve writes) are
-    the only paths between the two. Other edges (factor -> Schur
-    readiness, barrier anchors) may leave the accesses transitively
-    ordered, which would make the self-test flaky."""
+    grid plan's level index is ``()``): a panel task's edge to its factor
+    (it reads a block the factor writes) and a Schur update's to a U-panel
+    solve (it reads the block the solve writes) are the only paths between
+    the two. Other edges (factor -> Schur readiness, Schur -> L panel,
+    barrier anchors) may leave the accesses transitively ordered, which
+    would make the self-test flaky."""
     walk = [((), plan.arrays)] if isinstance(plan, GridPlan) else \
         [(li, step.arrays) for li, step in enumerate(plan.levels)
          if step.grid_plans]
@@ -485,7 +485,8 @@ def _race_edge_candidates(plan) -> list[tuple]:
         i = np.minimum(np.searchsorted(A.tid, A.dep_idx), A.n_tasks - 1)
         dep_kind = np.where(A.tid[i] == A.dep_idx, A.kind[i], -1)
         hit = ((kind == PANEL_BCAST) & (dep_kind == PANEL_FACTOR)) \
-            | ((kind == SCHUR_UPDATE) & (dep_kind == PANEL_BCAST))
+            | ((kind == SCHUR_UPDATE) & (dep_kind == PANEL_BCAST)
+               & (A.bi[i] == A.node[i]))
         cands += [(loc, e) for e in np.flatnonzero(hit).tolist()]
     return cands
 

@@ -17,8 +17,15 @@ to that one's verdicts. The 96 merged rows were regenerated once, when
 merged grid plans came to touch their first z-layer's replica views
 instead of one global view (merged numeric runs moved onto the replicas):
 only their ``n_blocks`` and ``n_pairs_checked`` moved; every ``counts()``
-and every mutant verdict stayed. Regenerate only when a PR intentionally
-changes what the analyzer reports.
+and every mutant verdict stayed. They were regenerated again when a
+node's factor op came to solve its L panel: the access model has
+``PANEL_FACTOR(k)`` write every L block of ``k`` and an L-panel task only
+read (send) its block, so ``n_pairs_checked`` fell in 280 cases (a
+read-read pair is not counted) and the mutants are drawn from the
+narrower candidate list (a panel task's edge to its factor, a Schur
+update's to a U-panel solve); every zoo plan stayed clean and every
+mutant still races. Regenerate only when a change intentionally changes
+what the analyzer reports.
 """
 
 from __future__ import annotations

@@ -137,8 +137,10 @@ def test_arena_equals_the_block_loop(case):
         assert blk.flags.c_contiguous and blk.base is bm.buf
     assert bm.buf.size == bm.words() == sum(b.size for b in ref.values())
     # Node-major: supernode min(i, j)'s diagonal, L panel, U panel.
-    at = bm.offsets_of(*np.array(list(bm.blocks), dtype=np.int64)
-                       .reshape(-1, 2).T)
+    at, lo, hi = bm.offsets_of(*np.array(list(bm.blocks), dtype=np.int64)
+                               .reshape(-1, 2).T)
+    assert (lo == 0).all() and np.array_equal(
+        hi, [layout.block_size(i) for i, _j in bm.blocks])
     order = [key for _o, key in sorted(zip(at.tolist(), bm.blocks))]
     assert order == sorted(bm.blocks, key=lambda k: (min(k), k[0] < k[1],
                                                      max(k)))
@@ -209,6 +211,14 @@ def test_a_ranged_arena_stores_and_takes_only_its_rows(pack):
         assert np.array_equal(got, dense[rows, off[j]:off[j + 1]])
         if not pack:
             assert not bm[(i, j)][:r0[t]].any() and not bm[(i, j)][r1[t]:].any()
+    # Each block's stored rows, and conversions that put them back there.
+    _at, lo, hi = bm.offsets_of(np.append(ii, 0), np.append(jj, 2))
+    assert np.array_equal(hi - lo, np.append(h, 0))
+    assert np.array_equal(lo, np.append(r0 if pack else 0 * r0, 0))
+    for out in (bm.to_dense(), bm.to_csr().toarray(), bm.copy().to_dense()):
+        assert np.array_equal(out, dense)
+    assert all(b.shape == (sizes[i], sizes[j])
+               for (i, j), b in bm.copy().blocks.items())
     before = bm.buf.copy()
     stray = dense.copy()
     stray[off[1], off[0]] = 1.0           # row 0 of block (1, 0): range 1:3

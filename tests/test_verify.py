@@ -47,6 +47,7 @@ from repro.verify import (
     drop_dep_edge,
     fuzz_3d,
     fuzz_solve,
+    grid_task_accesses,
     ledger_state,
     verify_factors,
 )
@@ -315,7 +316,10 @@ class TestAnalyzerGolden:
     """``golden_analyzer.json`` was written at ``a871862``, when the
     analyzer read a typed record per grid task and packed the records back
     into arrays to compare them: reading the columns instead must give
-    every zoo plan, and every mutant of the self-test, the same verdict."""
+    every zoo plan, and every mutant of the self-test, the same verdict
+    (the file's readme lists the intended regenerations since). Every zoo
+    plan is clean — among them, every L-block writer precedes its node's
+    factor (:class:`TestFoldIsLegal`) — and every mutant races."""
 
     def test_regenerating_rewrites_the_file_byte_for_byte(self, monkeypatch):
         from repro.plan import build
@@ -326,83 +330,49 @@ class TestAnalyzerGolden:
         assert len(records) == 301
         assert sum(len(r.get("drop_dep_edge", ()))
                    for r in records.values()) == 90
+        assert not any(r["counts"] for r in records.values())
+        assert all("race" in counts for r in records.values()
+                   for _desc, counts in r.get("drop_dep_edge", ()))
         assert render(records) == OUT.read_text()
-
-
-def fold_violations(levels, sf, backend: str) -> list:
-    """``(task, node)`` for every task that writes a block of ``node``'s L
-    panel without reaching ``node``'s ``PANEL_FACTOR`` through dep edges:
-    the condition under which the factor op may solve the L panel itself
-    (:meth:`repro.plan.backends.KernelBackend.bind`). ``levels`` is a
-    plan's level-major ``(arrays, reduces)``. A Schur task of ``j`` writes
-    ``(i, l)`` for ``i`` in ``lpanel(j)`` and ``l`` in ``upanel(j)``
-    (Cholesky: ``lpanel(j)``, ``l <= i``); a writer whose node is factored
-    in a later level is ordered by the barriers, one into a node factored
-    already is a violation, and so is a reduce into one."""
-    lp, up = sf.fill.lpanel, sf.fill.lpanel if backend == "cholesky" \
-        else sf.fill.upanel
-    done, bad = set(), []
-    for A, reduces in levels:
-        for red in reduces:
-            bad += [(red.tid, v) for v in
-                    set(np.minimum(red.rows, red.cols).tolist()) & done]
-        if A is None:
-            continue
-        t0, ptr, dep = int(A.tid[0]), A.dep_ptr.tolist(), A.dep_idx.tolist()
-        anc = []                # bitset of the tasks each one waits for
-        for t in range(A.n_tasks):
-            m = 0
-            for d in dep[ptr[t]:ptr[t + 1]]:
-                if 0 <= d - t0 < t:
-                    m |= anc[d - t0] | 1 << (d - t0)
-            anc.append(m)
-        factor = {int(A.node[t]): t
-                  for t in np.flatnonzero(A.kind == PANEL_FACTOR).tolist()}
-        for t in np.flatnonzero(A.kind == SCHUR_UPDATE).tolist():
-            j = int(A.node[t])
-            top = int(lp[j].max()) if lp[j].size else -1
-            for v in up[j][up[j] < top].tolist():   # some (i, v), i > v
-                if v in done or v in factor and not anc[factor[v]] >> t & 1:
-                    bad.append((int(A.tid[t]), v))
-        done |= set(factor)
-    return bad
-
-
-def _plan_levels(plan):
-    return [(step.arrays, step.reduces) for step in plan.levels]
 
 
 class TestFoldIsLegal:
     """A node's factor op solves its L panel (the L-panel solve tasks bind
-    no op), so everything that writes an L block must be done by then."""
-
-    def test_every_zoo_plan(self):
-        from repro.plan import build
-        from tests.data.regen_plan_arrays import _sf_cache, cases
-        n = 0
-        for name, make in cases():
-            sf = _sf_cache["one" if name.startswith("one_")
-                           else name.split("_pz")[0]]
-            plan = make()
-            assert fold_violations(_plan_levels(plan), sf,
-                                   plan.backend) == [], name
-            n += 1
-        assert n == 301 and build.POST_BUILD_HOOK is not None
+    no op), so the access model has ``PANEL_FACTOR(k)`` write every L
+    block of ``k`` and an L-panel task only read (send) its block: the
+    analyzer then checks, on every plan it sees, that everything writing
+    an L block is done before the factor. Its clean verdict on all 301
+    zoo plans is pinned by ``TestAnalyzerGolden``."""
 
     @pytest.mark.parametrize("backend", ["lu", "cholesky"])
-    def test_dropping_a_writer_edge_is_caught(self, planar4, spd4, backend):
-        """Drop the edge ``PANEL_FACTOR(k) -> SCHUR_UPDATE(j)`` of the first
-        Schur task ``j`` that writes an L block of ``k``: the check fails,
-        naming that writer."""
+    def test_the_factor_task_writes_its_l_panel(self, planar4, spd4,
+                                                backend):
+        sf, _tf = spd4 if backend == "cholesky" else planar4
+        for k in range(sf.nb):
+            lp = sf.fill.lpanel[k].tolist()
+            assert grid_task_accesses(backend, sf, PANEL_FACTOR, k, k, k) \
+                == [(i, k, "W") for i in [k, *lp]]
+            for i in lp:
+                assert grid_task_accesses(backend, sf, PANEL_BCAST, k, i,
+                                          k) == [(i, k, "R")]
+
+    @pytest.mark.parametrize("backend", ["lu", "cholesky"])
+    def test_dropping_a_writer_edge_is_a_race(self, planar4, spd4, backend,
+                                              monkeypatch):
+        """Drop the edge by which a task of node ``k`` waits for the first
+        Schur task ``j`` that writes an L block of ``k`` — fed to
+        :func:`drop_dep_edge` as its one candidate: the analyzer reports
+        the factor of ``k`` and ``j`` racing on such a block."""
+        from repro.verify import static
         sf, tf = spd4 if backend == "cholesky" else planar4
         plan = build_3d_plan(sf, tf, ProcessGrid3D(2, 2, 4), FactorOptions(),
                              backend=backend)
-        levels = _plan_levels(plan)
-        assert fold_violations(levels, sf, backend) == []
+        assert analyze_plan(plan, sf).ok
         lp = sf.fill.lpanel
         up = lp if backend == "cholesky" else sf.fill.upanel
-        for li, (A, reduces) in enumerate(levels):
-            if A is None:
+        for li, step in enumerate(plan.levels):
+            A = step.arrays
+            if not step.grid_plans:
                 continue
             for e, (d, k) in enumerate(zip(
                     A.dep_idx.tolist(),
@@ -415,11 +385,14 @@ class TestFoldIsLegal:
             else:
                 continue
             break
-        n_dep = np.diff(A.dep_ptr)
-        n_dep[np.searchsorted(A.dep_ptr, e, side="right") - 1] -= 1
-        levels[li] = (reassembled(A, dep_ptr=csr_ptr(n_dep),
-                                  dep_idx=np.delete(A.dep_idx, e)), reduces)
-        assert d in {t for t, _v in fold_violations(levels, sf, backend)}
+        monkeypatch.setattr(static, "_race_edge_candidates",
+                            lambda _plan: [(li, e)])
+        mutated, _desc = drop_dep_edge(plan)
+        factor = int(A.tid[(A.kind == PANEL_FACTOR) & (A.node == k)][0])
+        races = [iss for iss in analyze_plan(mutated, sf).issues
+                 if iss.kind == "race" and set(iss.tids) == {factor, d}]
+        assert any(f", {k})" in iss.message and f", {k}, {k})" not in
+                   iss.message for iss in races), races
 
 
 class TestEventConstants:
