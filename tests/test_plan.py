@@ -577,6 +577,51 @@ class TestKernelProgram:
                       replicas=cold.replicas)
         assert np.array_equal(cold.factors().to_dense(), want)
 
+    @pytest.mark.parametrize("leaf", [8, 32])
+    @pytest.mark.parametrize("gen", sorted(RANGE_ZOO))
+    def test_u_blocks_are_zero_outside_their_column_extent(self, gen, leaf):
+        """The mirror of the row ranges: after a numeric LU factorization,
+        every replica of every U block ``(k, j)`` is exactly zero outside
+        its column extent ``c0:c1`` — the row range of ``(j, k)`` in the
+        transposed fill, which is ``L(j, k)``'s row range when the panels
+        are symmetric — on standard and merged runs at Pz = 1, 2 and 4,
+        on the packed arena the drivers lay out and on a full-height
+        ``BlockMatrix.from_csr`` one. A U-side op bound on those columns
+        drops only zeros."""
+        from repro.lu3d.replication import ReplicaManager
+        from repro.sparse import BlockMatrix
+        from repro.symbolic.fill import BlockFill, row_ranges
+        A, geom = _range_case(gen, "lu")
+        sf = symbolic_factorize(A, geom, leaf_size=leaf)
+        lp_ptr, lp_idx, up_ptr, up_idx = sf.fill.panel_csr()
+        c0, c1 = row_ranges(sf.A_perm, sf.layout,
+                            BlockFill(sf.fill.upanel, sf.fill.lpanel))
+        if np.array_equal(lp_ptr, up_ptr) and np.array_equal(lp_idx, up_idx):
+            assert np.array_equal(np.column_stack([c0, c1]),
+                                  np.column_stack(sf.row_ranges()))
+        k_of = np.repeat(np.arange(sf.nb), np.diff(up_ptr))
+        extents = list(zip(k_of.tolist(), up_idx.tolist(), c0.tolist(),
+                           c1.tolist()))
+        for pz in (1, 2, 4):
+            tf, grid3 = greedy_partition(sf, pz), ProcessGrid3D(2, 1, pz)
+            for merged in (False, True):
+                runs = [factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                                  merged=merged)]
+                full = ReplicaManager(sf, tf, BlockMatrix.from_csr(
+                    sf.A_perm, sf.layout,
+                    block_pattern=runs[0].bundle.block_pattern(sf)))
+                runs.append(factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                                      merged=merged, replicas=full))
+                assert np.allclose(runs[0].factors().to_dense(),
+                                   runs[1].factors().to_dense(), atol=1e-12)
+                for res in runs:
+                    for g in range(pz):
+                        view = res.replicas.view(g)
+                        for k, j, r0, r1 in extents:
+                            U = view.get((k, j))
+                            assert U is None or not U[:, :r0].any() \
+                                and not U[:, r1:].any(), (pz, merged, g, k, j)
+
     @pytest.mark.parametrize("gen", ["grid3d_7pt", "circuit_like", "kkt_like"])
     @pytest.mark.parametrize("backend", ["lu", "cholesky"])
     def test_kernel_flops_count_the_bound_program(self, backend, gen):
