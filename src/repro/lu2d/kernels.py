@@ -36,14 +36,20 @@ from scipy.linalg.lapack import dgetrf, dpotrf
 
 __all__ = ["trsm", "gemm_sub", "getrf_nopiv", "potrf_shifted",
            "solve_lower_panel", "solve_upper_panel", "chol_panel_solve",
-           "GETRF", "POTRF", "TRSM", "GEMM", "trsm_op", "gemm_op", "gemm_ops",
-           "panel_factor_op", "execute"]
+           "GETRF", "POTRF", "TRSM", "GEMM", "TRSM_COLS", "GEMM_COLS",
+           "trsm_flags", "trsm_op", "gemm_op", "panel_factor_op", "execute",
+           "strided_pays"]
 
-#: Op codes of a bound kernel program (:func:`execute`).
-GETRF, POTRF, TRSM, GEMM = range(4)
+#: Op codes of a bound kernel program (:func:`execute`). ``TRSM_COLS`` /
+#: ``GEMM_COLS`` are TRSM / GEMM on a strided column range of a block:
+#: f2py runs them on a contiguous copy, written back.
+GETRF, POTRF, TRSM, GEMM, TRSM_COLS, GEMM_COLS = range(6)
 
 #: Unblocked threshold for the recursive GESP LU.
 _NB = 32
+#: A strided op's break-even (:func:`strided_pays`), in flops skipped:
+#: fixed, and per word copied.
+_STRIDED_FLOPS, _STRIDED_WORD_FLOPS = 5e4, 8.0
 #: The bytes of an ``n``-pivot ``dgetrf`` vector that swapped no row.
 _no_swap = functools.cache(lambda n, t: np.arange(n, dtype=t).tobytes())
 
@@ -53,16 +59,21 @@ def _overwritable(X: np.ndarray) -> bool:
     return X.dtype == np.float64 and X.flags.c_contiguous
 
 
-def trsm_op(A: np.ndarray, B: np.ndarray, *, side: str = "L", lower: bool,
-            unit: bool = False, trans: bool = False) -> tuple:
-    """The bound form of :func:`trsm` on an overwritable ``B``: the
-    operands' F-views and ``dtrsm``'s flags, taken once."""
+def trsm_flags(*, side: str = "L", lower: bool, unit: bool = False,
+               trans: bool = False) -> tuple:
+    """``dtrsm``'s flags for :func:`trsm`'s problem posed on the F-views."""
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     # On the F-views A.T / B.T the problem is its own transpose: sides
     # swap, the stored triangle flips, op() stays.
+    return (side == "L", not lower, trans, unit, 1)
+
+
+def trsm_op(A: np.ndarray, B: np.ndarray, **solve) -> tuple:
+    """The bound form of :func:`trsm` on an overwritable ``B``: the
+    operands' F-views and ``dtrsm``'s flags, taken once."""
     return (TRSM, B.T if B.ndim == 2 else B[None, :], A.T, None,
-            (side == "L", not lower, trans, unit, 1))
+            trsm_flags(**solve))
 
 
 def gemm_op(C: np.ndarray, A: np.ndarray, B: np.ndarray,
@@ -70,14 +81,6 @@ def gemm_op(C: np.ndarray, A: np.ndarray, B: np.ndarray,
     """The bound form of :func:`gemm_sub` on an overwritable ``C``:
     ``C^T -= op(B)^T op(A)^T`` on the F-views, one tuple (cheap to bind)."""
     return (GEMM, C.T, B.T, A.T, (trans_b, trans_a, 1))
-
-
-def gemm_ops(Cs, As, Bs, trans_b=False, trans_a=False) -> list:
-    """``gemm_op(Cs[a][b], As[a], Bs[b], trans_b, trans_a)`` for each ``a``,
-    ``b < len(Cs[a])``: a node's Schur update, each F-view taken once."""
-    Bt, flags = [B.T for B in Bs], (trans_b, trans_a, 1)
-    return [(GEMM, C.T, B, A, flags) for row, A in zip(Cs, [A.T for A in As])
-            for C, B in zip(row, Bt)]
 
 
 def panel_factor_op(code: int, D: np.ndarray, Ls, **solve) -> tuple:
@@ -91,16 +94,19 @@ def execute(prog, lo: int = 0, hi: int | None = None,
             eps: float = 1e-10) -> int:
     """Run ops ``prog[lo:hi]`` of a bound kernel program, in order: tuples
     ``(op, out, x, y, flags)`` from :func:`trsm_op` / :func:`gemm_op`
-    (``out``: the F-view overwritten) or ``GETRF`` / ``POTRF`` ops
+    (``out``: the F-view overwritten; under ``*_COLS`` a strided one,
+    assigned the result f2py computed on its copy) or ``GETRF`` / ``POTRF`` ops
     factoring ``out`` in place (a diagonal block or panel; ``eps``: pivot
     floor), then solving the F-views ``x`` against ``y`` (its L rows).
     Returns the number of perturbed pivots / diagonal shifts."""
     perturbed = 0
     for op, out, x, y, flags in prog[lo:hi]:
-        if op == GEMM:
-            dgemm(-1.0, x, y, 1.0, out, *flags)
+        if op == GEMM or op == GEMM_COLS:
+            C = dgemm(-1.0, x, y, 1.0, out, *flags)
+            if op == GEMM_COLS:
+                out[...] = C
             continue
-        if op == TRSM:
+        if op == TRSM or op == TRSM_COLS:
             x, y = (out,), x
         elif op == GETRF:
             perturbed += getrf_nopiv(out, eps)
@@ -109,8 +115,18 @@ def execute(prog, lo: int = 0, hi: int | None = None,
             out[:] = L
             perturbed += nshifts
         for X in x:
-            dtrsm(1.0, y, X, *flags)
+            C = dtrsm(1.0, y, X, *flags)
+        if op == TRSM_COLS:
+            out[...] = C
     return perturbed
+
+
+def strided_pays(saved, copied):
+    """Whether a U-side op runs on its block's column range (elementwise):
+    the flops it skips, ``saved``, outweigh a strided op's fixed cost and
+    the ``copied`` words f2py copies in and :func:`execute` writes back
+    (the measured break-even, docs/algorithm.md § 6d)."""
+    return saved > _STRIDED_FLOPS + _STRIDED_WORD_FLOPS * copied
 
 
 def trsm(A: np.ndarray, B: np.ndarray, *, side: str = "L", lower: bool,

@@ -7,13 +7,18 @@ Eq. 1/5 memory), the Ancestor-Reduction builder and the numeric arena.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+from typing import NamedTuple
+
 import numpy as np
 
+from repro.lu2d.kernels import strided_pays
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 from repro.utils.ragged import csr_ptr, ragged
 
 __all__ = ["node_blocks", "cholesky_node_blocks", "node_block_arrays",
-           "block_rows", "stored_rows", "kernel_flops"]
+           "extents", "BlockViews", "block_views", "block_ids",
+           "kernel_flops"]
 
 
 def _node_slice(sf, k: int, blocks_fn) -> list[tuple[int, int, int]]:
@@ -81,50 +86,130 @@ def node_block_arrays(sf: SymbolicFactorization, blocks_fn=None
     return out
 
 
-def block_rows(sf: SymbolicFactorization, blocks_fn=None
-               ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """``(r0, r1, rows)``: the rows ``r0:r1`` of each block of
-    :func:`node_block_arrays` that can be nonzero (an L block's structural
-    range, :meth:`SymbolicFactorization.row_ranges`, else all), and
-    ``rows[(i, j)] = slice(r0, r1)``; memoized, numeric runs only."""
+def extents(sf: SymbolicFactorization, blocks_fn=None) -> SimpleNamespace:
+    """The extents table a bound kernel program is built from, memoized on
+    ``sf`` per enumerator (numeric runs only: it computes the row ranges).
+    Per block ``b`` of :func:`node_block_arrays`: rows ``r0:r1`` and
+    columns ``c0:c1`` that can be nonzero — an L block's structural rows
+    (:meth:`SymbolicFactorization.row_ranges`), a U block's structural
+    columns (the row ranges of the transposed fill: ``L(j, k)``'s rows on
+    a symmetric pattern), else all — and ``trsm_cols``: whether its U-panel
+    solve runs on those columns. Per Schur pair, in the plan's pair order
+    (node ``k``'s at ``pair_ptr[k]:pair_ptr[k + 1]``): the ``tgt`` /
+    ``left`` / ``right`` block ids, the target's rows ``t0:t1`` counted
+    from its ``r0``, and ``gemm_cols``: whether the GEMM runs on the right
+    block's columns. Both choices are :func:`strided_pays` on block sizes."""
     blocks_fn = blocks_fn or node_blocks
-    cache = sf.__dict__.setdefault("_block_rows", {})
+    cache = sf.__dict__.setdefault("_extents", {})
     out = cache.get(blocks_fn)
     if out is None:
         ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
-        r0, r1 = np.zeros_like(ii), sf.layout.sizes()[ii]
-        g, w = ragged(np.diff(sf.fill.panel_csr()[0]))  # after diagonals:
+        lp_ptr, lp_idx, up_ptr, up_idx = sf.fill.panel_csr()
+        s, upper = sf.layout.sizes(), blocks_fn is node_blocks
+        nl, nu = np.diff(lp_ptr), np.diff(up_ptr)
+        r0, r1, c0, c1 = np.zeros_like(ii), s[ii], np.zeros_like(jj), s[jj]
+        g, w = ragged(nl)                               # after diagonals:
         r0[ptr[g] + 1 + w], r1[ptr[g] + 1 + w] = sf.row_ranges()  # L panels
-        out = cache[blocks_fn] = (r0, r1, dict(zip(zip(
-            ii.tolist(), jj.tolist()), map(slice, r0.tolist(), r1.tolist()))))
+        if upper:   # pairs L panel outer, U panel inner
+            g, w = ragged(nu)
+            sym = np.array_equal(lp_ptr, up_ptr) and np.array_equal(lp_idx,
+                                                                    up_idx)
+            c0[ptr[g] + 1 + nl[g] + w], c1[ptr[g] + 1 + nl[g] + w] = \
+                (r0[ptr[g] + 1 + w], r1[ptr[g] + 1 + w]) if sym \
+                else sf.row_ranges(upper=True)
+            g, w = ragged(nl * nu)
+            a, b = np.divmod(w, nu[g])
+            b += nl[g]
+        else:       # Cholesky: each L block against L blocks 0..a
+            g, a = ragged(nl)
+            r, b = ragged(a + 1)
+            g, a = g[r], a[r]
+        left, right = ptr[g] + 1 + a, ptr[g] + 1 + b
+        j = jj[right] if upper else ii[right]
+        tgt = block_ids(sf, ii[left], j, blocks_fn)
+        t0, t1 = r0[left] - r0[tgt], r1[left] - r0[tgt]
+        cols = c1 - c0
+        gemm = upper & strided_pays(2.0 * (t1 - t0) * s[jj[left]]
+                                    * (s[j] - cols[right]),
+                                    cols[right] * (2 * (t1 - t0) + s[jj[left]]))
+        trsm = (ii < jj) & strided_pays(1.0 * s[ii] ** 2 * (s[jj] - cols),
+                                        2 * s[ii] * cols)
+        ranged = trsm | (np.bincount(right[gemm], minlength=ii.size) > 0)
+        out = cache[blocks_fn] = SimpleNamespace(
+            r0=r0, r1=r1, c0=c0, c1=c1, trsm_cols=trsm, ranged=ranged,
+            pair_ptr=csr_ptr(np.bincount(g, minlength=sf.nb)), tgt=tgt,
+            left=left, right=right, t0=t0, t1=t1, gemm_cols=gemm,
+            pairs=np.column_stack([tgt, t0, t1, left, right, gemm,
+                                   c0[right], c1[right]]),
+            rows=(r0.tolist(), r1.tolist()), cols=list(zip(*(
+                x[ranged].tolist() for x in (np.arange(ii.size), c0, c1)))))
     return out
 
 
-def stored_rows(blk: np.ndarray, own: slice, r: slice | None = None):
-    """Rows ``r`` (``None``: ``own``) of a block whose rows ``own`` can be
-    nonzero (:func:`block_rows`), from ``blk`` at full height or packed."""
-    r = own if r is None else r
-    lo = own.start if len(blk) == own.stop - own.start else 0
-    return blk[r.start - lo:r.stop - lo]
+class BlockViews(NamedTuple):
+    """One store's blocks as the operand lists a bound kernel program
+    takes by block id under enumerator ``fn`` (:func:`block_views`)."""
+
+    fn: object
+    rows: list      # each block's F-view on its structural rows
+    full: list      # ... as stored (LU reads every block on its rows)
+    cols: list      # a ranged U block's F-view on its structural columns
+
+
+def block_views(sf: SymbolicFactorization, blocks, blocks_fn=None
+                ) -> BlockViews:
+    """The :class:`BlockViews` of ``blocks``, each stored packed to its
+    rows or at full height: a mapping ``(i, j) -> block``, whose blocks
+    must be C-contiguous float64 (else ``ValueError``: a bound op
+    overwrites them in place), or an arena's list by id (``None``: not
+    held). ``cols`` holds the U blocks a ranged op reads
+    (:func:`extents`), else ``None``."""
+    fn = blocks_fn or node_blocks
+    e = extents(sf, fn)
+    if not isinstance(blocks, list):
+        _ptr, ii, jj, _ww = node_block_arrays(sf, fn)
+        blocks = list(map(blocks.get, zip(ii.tolist(), jj.tolist())))
+        if not all(X is None or X.dtype == np.float64
+                   and X.flags.c_contiguous for X in blocks):
+            raise ValueError("kernel programs overwrite blocks in place: "
+                             "the store must hold C-contiguous float64")
+    rows = [X if X is None else (X if len(X) == b - a else X[a:b]).T
+            for X, a, b in zip(blocks, *e.rows)]
+    cols = [None] * len(blocks)
+    for b, c0, c1 in e.cols:
+        if blocks[b] is not None:
+            cols[b] = blocks[b][:, c0:c1].T
+    return BlockViews(fn, rows, rows if fn is node_blocks else
+                      [X if X is None else X.T for X in blocks], cols)
+
+
+def block_ids(sf: SymbolicFactorization, i, j, blocks_fn=None) -> np.ndarray:
+    """The ids in :func:`node_block_arrays` of blocks ``(i[t], j[t])``
+    (each must be one of its blocks): one ``searchsorted`` on the block
+    keys ``i * nb + j``, whose order is memoized beside them."""
+    blocks_fn = blocks_fn or node_blocks
+    cache = sf.__dict__.setdefault("_block_keys", {})
+    keys = cache.get(blocks_fn)
+    if keys is None:
+        _ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
+        order = np.argsort(ii * sf.nb + jj)
+        keys = cache[blocks_fn] = ((ii * sf.nb + jj)[order], order)
+    return keys[1][np.searchsorted(keys[0], np.asarray(i) * sf.nb + j)]
 
 
 def kernel_flops(sf: SymbolicFactorization, blocks_fn=None) -> tuple:
     """``(factor, trsm, gemm)``: the flops of the bound kernel program's
     GETRFs (POTRFs under :func:`cholesky_node_blocks`), panel TRSMs and
-    Schur GEMMs, every L block on its structural rows (:func:`block_rows`).
-    The ledger's :class:`NodeCosts` stay dense."""
+    Schur GEMMs, every L block on its structural rows and every ranged
+    U-side op on its block's columns (:func:`extents`). The ledger's
+    :class:`NodeCosts` stay dense."""
     blocks_fn = blocks_fn or node_blocks
-    ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
-    r0, r1, _rows = block_rows(sf, blocks_fn)
-    s, node = sf.layout.sizes() * 1.0, np.repeat(np.arange(sf.nb),
-                                                 np.diff(ptr))
-    m = np.where(ii > jj, r1 - r0, 0)               # an L block's rows
-    if blocks_fn is node_blocks:    # each L block against each U block
-        lrows, ucols = (np.bincount(node, w, minlength=sf.nb)
-                        for w in (m, np.where(jj > ii, s[jj], 0)))
-        return ((s ** 3).sum() * 2 / 3, (s * s * (lrows + ucols)).sum(),
-                (2 * s * lrows * ucols).sum())
-    left = np.cumsum(np.where(ii > jj, s[ii], 0.0))  # Cholesky: the a-th
-    left -= left[ptr[:-1]][node]            # L block against L blocks 0..a
-    return ((s ** 3).sum() / 3, (s[node] ** 2 * m).sum(),
-            (2 * s[node] * m * left).sum())
+    _ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
+    e, s = extents(sf, blocks_fn), sf.layout.sizes() * 1.0
+    cols = np.where(e.trsm_cols, e.c1 - e.c0, s[jj])
+    solved = np.where(ii > jj, e.r1 - e.r0, np.where(ii < jj, cols, 0))
+    k = np.minimum(ii, jj)                          # each block's node
+    cols = np.where(e.gemm_cols, (e.c1 - e.c0)[e.right], s[jj[e.tgt]])
+    return ((s ** 3).sum() * (2 / 3 if blocks_fn is node_blocks else 1 / 3),
+            (s[k] ** 2 * solved).sum(),
+            (2 * s[jj[e.left]] * (e.t1 - e.t0) * cols).sum())

@@ -43,7 +43,7 @@ import numpy as np
 from repro.comm.grid import ProcessGrid3D
 from repro.comm.simulator import Simulator
 from repro.lu2d.options import FactorOptions
-from repro.lu2d.storage import block_rows, node_block_arrays
+from repro.lu2d.storage import extents, node_block_arrays
 from repro.lu3d.replication import ReplicaManager
 from repro.parallel import GridThreads, resolve_threads
 from repro.plan.interpret import (
@@ -234,8 +234,8 @@ def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
         replicas.reset(bundle.value_map(replicas.base, A, perm), A.data)
     else:
         _ptr, ii, jj, _ww = node_block_arrays(sf, bundle.blocks_fn)
-        r0, r1, _rows = block_rows(sf, bundle.blocks_fn)
-        store = BlockMatrix.zeros(sf.layout, ii, jj, (r0, r1),
+        e = extents(sf, bundle.blocks_fn)
+        store = BlockMatrix.zeros(sf.layout, ii, jj, (e.r0, e.r1),
                                   get_backend(bundle.backend).pack)
         bundle.value_map(store, A, perm).fill(store.buf, A.data)
         replicas = ReplicaManager(sf, tf, store, blocks_fn=bundle.blocks_fn)

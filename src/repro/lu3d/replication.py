@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.grid import ProcessGrid3D
-from repro.lu2d.storage import block_rows, node_block_arrays, node_blocks
+from repro.lu2d.storage import (BlockViews, block_views, extents,
+                                node_block_arrays, node_blocks)
 from repro.plan.backends import get_backend
 from repro.sparse.blockmatrix import BlockMatrix, zero_buffer
 from repro.symbolic.symbolic_factor import SymbolicFactorization
@@ -49,9 +50,9 @@ class ReplicaManager:
         rel = csr_ptr(size)
         words = np.diff(rel[ptr])                       # per node
         # Per node, if L blocks are packed: its (s + R) x s panel's words.
-        r0, r1, _rows = block_rows(sf, self.blocks_fn)
+        e = extents(sf, self.blocks_fn)
         self._panel = rel[ptr[:-1] + 1 + np.diff(sf.fill.panel_csr()[0])] \
-            - rel[ptr[:-1]] if np.array_equal(rows, r1 - r0) else None
+            - rel[ptr[:-1]] if np.array_equal(rows, e.r1 - e.r0) else None
         rel = rel[:-1] - rel[ptr[:-1]][node_of]         # block inside node
         home_off = start[ptr[:-1]]
         if (start < 0).any() or (start != home_off[node_of] + rel).any():
@@ -73,21 +74,34 @@ class ReplicaManager:
             zip([0] * sf.nb + [1] * node.size,
                 home_off.tolist() + off[:-1].tolist(),
                 (home_off + words).tolist() + off[1:].tolist())))
-        keys = list(zip(ii.tolist(), jj.tolist()))
-        self._home = dict(zip(keys, map(base.blocks.__getitem__, keys)))
-        self._views: list[dict] = [{} for _ in range(tf.pz)]
-        for k, gv in zip(keys, first[node_of].tolist()):
-            self._views[gv][k] = self._home[k]
+        self._keys = keys = list(zip(ii.tolist(), jj.tolist()))
+        home = list(map(base.blocks.__getitem__, keys))
+        self._home = dict(zip(keys, home))
+        #: Per grid, its replicas by block id (``None``: not held there).
+        self._blocks = [[None] * len(keys) for _ in range(tf.pz)]
+        for b, gv in enumerate(first[node_of].tolist()):
+            self._blocks[gv][b] = home[b]
+        self._blocks.append(home)
         pair, t = ragged(n_blocks[node])
         at = ptr[node][pair] + t
         lo = off[pair] + rel[at]
-        for gv, k, s, e, r in zip(g[pair].tolist(), at.tolist(), lo.tolist(),
+        for gv, b, s, e, r in zip(g[pair].tolist(), at.tolist(), lo.tolist(),
                                   (lo + size[at]).tolist(), rows[at].tolist()):
-            self._views[gv][keys[k]] = self._bufs[1][s:e].reshape(r, -1)
+            self._blocks[gv][b] = self._bufs[1][s:e].reshape(r, -1)
 
     def view(self, g: int) -> dict[tuple[int, int], np.ndarray]:
         """Grid ``g``'s replicas ``(i, j) -> ndarray``: z-layer ``g``'s data."""
-        return self._views[g]
+        return {k: X for k, X in zip(self._keys, self._blocks[g])
+                if X is not None}
+
+    def _views(self, g: int) -> BlockViews:
+        """Grid ``g``'s (``-1``: the home copies') operand lists, made
+        once (:func:`repro.lu2d.storage.block_views`)."""
+        views = self._programs.get(("views", g))
+        if views is None:
+            views = self._programs[("views", g)] = block_views(
+                self.sf, self._blocks[g], self.blocks_fn)
+        return views
 
     def program(self, gp) -> list:
         """Grid plan ``gp``'s kernel program on grid ``gp.g``'s replicas
@@ -102,7 +116,7 @@ class ReplicaManager:
                         for op in self.program(part)]
             else:
                 prog = get_backend(gp.backend).bind(
-                    gp.arrays, self._views[gp.g], self.sf,
+                    gp.arrays, self._views(gp.g), self.sf,
                     self._panel is not None and (lambda v: self.panel(gp.g, v)))
             self._programs[gp.arrays] = prog
         return prog
@@ -117,7 +131,7 @@ class ReplicaManager:
         if bound is None or bound[0].shape != shape:
             work = np.empty(shape)
             bound = self._programs[sweeps] = (work, [
-                (plan, bind(plan, self.sf, self._home, work, unit),
+                (plan, bind(plan, self.sf, self._views(-1), work, unit),
                  plan.stream(shape[1]))
                 for plan, (_down, _lower, unit) in zip(plans, sweeps)])
         return bound

@@ -33,14 +33,19 @@ import numpy as np
 
 from repro.comm.grid import ProcessGrid2D
 from repro.lu2d.batched import schur_pairs, syrk_pairs
-from repro.lu2d.kernels import GETRF, POTRF, gemm_ops, panel_factor_op, trsm_op
-from repro.lu2d.storage import (block_rows, cholesky_node_blocks, node_blocks,
-                                stored_rows)
+from repro.lu2d.kernels import (GEMM, GEMM_COLS, GETRF, POTRF, TRSM,
+                                TRSM_COLS, panel_factor_op, trsm_flags)
+from repro.lu2d.storage import (BlockViews, block_ids, block_views,
+                                cholesky_node_blocks, extents,
+                                node_block_arrays, node_blocks)
 from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
-from repro.utils.ragged import ragged
+from repro.utils.ragged import ragged, ranges
 
 __all__ = ["BuildContext", "KernelBackend", "LUBackend", "CholeskyBackend",
            "get_backend", "cholesky_node_blocks"]
+
+#: The flags of a U-panel solve, ``U_kj <- L_kk^{-1} A_kj``.
+_U_FLAGS = trsm_flags(side="L", lower=True, unit=True)
 
 
 class BuildContext:
@@ -142,38 +147,52 @@ class KernelBackend:
     pack = True
 
     def bind(self, arrays, store, sf, panel=None) -> list:
-        """The kernel program of grid plan ``arrays`` on ``store`` (any
-        mapping ``(i, j) -> C-contiguous float64 block``): task ``t``'s ops
+        """The kernel program of grid plan ``arrays`` on ``store`` (its
+        :class:`~repro.lu2d.storage.BlockViews`, or what
+        :func:`~repro.lu2d.storage.block_views` takes): task ``t``'s ops
         are ``arrays.k_ptr[t]:arrays.k_ptr[t + 1]`` — one per factor /
         U-panel-solve task, one per Schur pair in pair order — each with
-        its operands looked up and its BLAS flags derived once, here. Any
-        walk executes slices of the list (:func:`repro.lu2d.kernels.execute`).
+        its operands taken by id from the extents table
+        (:func:`~repro.lu2d.storage.extents`) and its BLAS flags fixed
+        here. Any walk executes slices of the list
+        (:func:`repro.lu2d.kernels.execute`). A U-side op the table ranges
+        runs on its block's columns (``TRSM_COLS`` / ``GEMM_COLS``).
 
         A factor op also solves its node's L panel, whose writers all
         precede the factor task (an L-panel solve task has no op): given
         ``panel``, a packing backend's is ``getrf_nopiv(panel(k))`` (its
         diagonal over its packed L rows), else one TRSM per L block."""
-        rows = block_rows(sf, self.node_blocks)[2]
-        prog: list = []
-        for kind, k, i, j in zip(arrays.kind.tolist(), arrays.node.tolist(),
-                                 arrays.bi.tolist(), arrays.bj.tolist()):
-            if kind == SCHUR_UPDATE:
-                prog += self.schur_ops(store, sf, k, rows)
-            elif kind == PANEL_FACTOR and panel and self.pack:  # LU's
-                prog.append((GETRF, panel(k), (), None, None))
-            elif kind == PANEL_FACTOR:      # the diagonal, then the L rows
-                prog.append(panel_factor_op(
-                    self.factor_op, store[(k, k)],
-                    [stored_rows(store[(i, k)], rows[(i, k)])
-                     for i in sf.fill.lpanel[k].tolist()], **self.l_solve))
-            elif i == k:        # U_kj <- L_kk^{-1} A_kj (LU only)
-                prog.append(trsm_op(store[(k, k)], store[(k, j)], side="L",
-                                    lower=True, unit=True))
-        if not all(X.dtype == np.float64 and X.flags.f_contiguous for op in prog
-                   for X in (op[2] if op[0] == self.factor_op else op[1:2])):
-            raise ValueError("kernel programs overwrite blocks in place: "
-                             "the store must hold C-contiguous float64")
-        return prog
+        fn = self.node_blocks
+        V = store if isinstance(store, BlockViews) else \
+            block_views(sf, store, fn)
+        e, ptr = extents(sf, fn), node_block_arrays(sf, fn)[0]
+        R, C, kind = V.rows, V.cols, arrays.kind
+        schur = np.flatnonzero(kind == SCHUR_UPDATE)
+        n = np.diff(e.pair_ptr)[arrays.node[schur]]
+        P = ranges(e.pair_ptr[arrays.node[schur]], n)
+        F, fl = V.full, self.gemm_flags
+        ops = [(GEMM_COLS, R[t][c0:c1, a:b], C[r], R[l], fl) if cols
+               else (GEMM, R[t][:, a:b], F[r], R[l], fl)
+               for t, a, b, l, r, cols, c0, c1 in e.pairs[P].tolist()]
+        at = [ranges(arrays.k_ptr[schur], n)]
+        nl, code = np.diff(sf.fill.panel_csr()[0]), self.factor_op
+        factor = np.flatnonzero(kind == PANEL_FACTOR)
+        for k in arrays.node[factor].tolist():
+            if panel and self.pack:         # LU's diagonal over its L rows
+                ops.append((code, panel(k), (), None, None))
+                continue
+            L = R[ptr[k] + 1:ptr[k] + 1 + nl[k]]    # the diagonal, then L
+            ops.append(panel_factor_op(code, R[ptr[k]].T, [X.T for X in L],
+                                       **self.l_solve))
+        usolve = np.flatnonzero(arrays.side == 1)      # U_kj <- L_kk^{-1} A_kj
+        u = block_ids(sf, arrays.bi[usolve], arrays.bj[usolve], fn).tolist()
+        for b, d, cols in zip(u, ptr[arrays.bi[usolve]].tolist(),
+                              e.trsm_cols[u].tolist()):
+            ops.append((TRSM_COLS, C[b], R[d], None, _U_FLAGS) if cols
+                       else (TRSM, R[b], R[d], None, _U_FLAGS))
+        at += [arrays.k_ptr[factor], arrays.k_ptr[usolve]]
+        return list(map(ops.__getitem__,
+                        np.argsort(np.concatenate(at)).tolist()))
 
 
 def _panel_columns(lay, parts) -> SimpleNamespace:
@@ -198,6 +217,7 @@ class LUBackend(KernelBackend):
     name = "lu"
     factor_op = GETRF
     l_solve = {"lower": False}      # L_ik <- A_ik U_kk^{-1}
+    gemm_flags = (False, False, 1)      # gemm_op's: C_ij -= L_ik U_kj
     node_blocks = staticmethod(node_blocks)
 
     # -- plan emission -----------------------------------------------------
@@ -280,17 +300,6 @@ class LUBackend(KernelBackend):
             flops=b.sf.costs.schur_flops[ks], count=count, pair_flops=flops,
             owners=local + np.repeat(b.bases[b.slot[ks]], count))
 
-    # -- execution ---------------------------------------------------------
-
-    def schur_ops(self, store, sf, k, rows):
-        lp = [(i, rows[(i, k)]) for i in sf.fill.lpanel[k].tolist()]
-        up = sf.fill.upanel[k].tolist()
-        return gemm_ops(
-            [[stored_rows(store[(i, j)], rows[(i, j)], r) for j in up]
-             for i, r in lp],
-            [stored_rows(store[(i, k)], r) for i, r in lp],
-            [store[(k, j)] for j in up])
-
 
 class CholeskyBackend(KernelBackend):
     """Right-looking supernodal Cholesky (lower triangle, shifted potrf)."""
@@ -298,6 +307,7 @@ class CholeskyBackend(KernelBackend):
     name = "cholesky"
     factor_op = POTRF
     l_solve = {"lower": True, "trans": True}    # L_ik <- A_ik L_kk^{-T}
+    gemm_flags = (True, False, 1)       # gemm_op's: C_ij -= L_ik L_jk^T
     pack = False
     node_blocks = staticmethod(cholesky_node_blocks)
 
@@ -344,14 +354,6 @@ class CholeskyBackend(KernelBackend):
     def keeps(rows, cols):
         """The lower triangle: the one this backend stores and reads."""
         return rows >= cols
-
-    def schur_ops(self, store, sf, k, rows):    # a full-height arena
-        lp = sf.fill.lpanel[k].tolist()
-        L = [(i, rows[(i, k)]) for i in lp]
-        return gemm_ops([[store[(i, j)][r] for j in lp[:a + 1]]
-                         for a, (i, r) in enumerate(L)],
-                        [store[(i, k)][r] for i, r in L],
-                        [store[(j, k)] for j in lp], trans_b=True)
 
 
 _BACKENDS: dict[str, KernelBackend] = {}

@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.comm.events import PHASE_SOLVE
 from repro.comm.simulator import Simulator
-from repro.lu2d.kernels import execute, gemm_op, trsm_op
-from repro.lu2d.storage import block_rows, stored_rows
+from repro.lu2d.kernels import GEMM, TRSM, execute, trsm_flags
+from repro.lu2d.storage import BlockViews, block_ids, block_views, extents
 from repro.plan.solve import UPDATE, SolvePlan, build_solve_plan
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 
@@ -35,28 +35,28 @@ __all__ = ["forward_solve", "backward_solve", "transposed_solve",
 def bind(plan: SolvePlan, sf: SymbolicFactorization, blocks,
          work: np.ndarray, unit: bool) -> list:
     """``plan``'s kernel program on ``work`` (C-ordered ``(n, nrhs)``
-    float64, solved in place), op ``t`` = task ``t``: ``trsm_op`` per
-    diag-solve, ``gemm_op`` per update. An L block, packed or not, is bound
-    on its structural rows (:func:`~repro.lu2d.storage.stored_rows`): the
-    target rows shrink for ``L``, the source rows for ``L^T``."""
+    float64, solved in place), op ``t`` = task ``t``: a ``trsm_op`` per
+    diag-solve, a ``gemm_op`` per update, its block taken by id from
+    ``blocks`` (:class:`~repro.lu2d.storage.BlockViews`, or what
+    :func:`~repro.lu2d.storage.block_views` takes). Every block is bound on
+    its structural rows (:func:`~repro.lu2d.storage.extents`): an L
+    block's target rows shrink for ``L``, its source rows for ``L^T``."""
+    V = blocks if isinstance(blocks, BlockViews) else block_views(sf, blocks)
     lower, trans = plan.lower, plan.down != plan.lower
-    rows = block_rows(sf)[2] if lower else None
-    prog = []
-    for kind, i, j, t0, t1, s0, s1 in plan.steps.tolist():
-        A = blocks[i, j]
-        if kind != UPDATE:
-            prog.append(trsm_op(A, work[t0:t1], lower=lower, trans=trans,
-                                unit=unit))
-            continue
-        if lower:
-            r = rows[i, j]
-            A = stored_rows(A, r)
-            if trans:
-                s0, s1 = s0 + r.start, s0 + r.stop
-            else:
-                t0, t1 = t0 + r.start, t0 + r.stop
-        prog.append(gemm_op(work[t0:t1], A, work[s0:s1], trans_a=trans))
-    return prog
+    kind, i, j, t0, t1, s0, s1 = plan.steps.T
+    b = block_ids(sf, i, j, V.fn)
+    if lower:
+        r0, r1 = extents(sf, V.fn).r0[b], extents(sf, V.fn).r1[b]
+        if trans:
+            s0, s1 = s0 + r0, s0 + r1
+        else:
+            t0, t1 = t0 + r0, t0 + r1
+    tf, gf = trsm_flags(lower=lower, trans=trans, unit=unit), (False, trans, 1)
+    return [(GEMM, work[a:c].T, work[d:f].T, A, gf) if k == UPDATE
+            else (TRSM, work[a:c].T, A, None, tf)
+            for k, A, a, c, d, f in zip(
+                kind.tolist(), map(V.rows.__getitem__, b.tolist()),
+                t0.tolist(), t1.tolist(), s0.tolist(), s1.tolist())]
 
 
 def run(plan: SolvePlan, prog: list, stream, sim: Simulator,

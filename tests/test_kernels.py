@@ -165,28 +165,30 @@ class TestGemmSub:
         assert gemm_sub(y, A, x) is y
         assert np.allclose(y, ref, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("trans_a,trans_b",
-                             itertools.product([False, True], repeat=2))
-    def test_gemm_ops_run_what_gemm_op_binds(self, trans_a, trans_b):
-        """``gemm_ops`` (a node's pairs, each F-view taken once) and
-        ``gemm_op`` (one op) write one op form: executed, bit for bit the
-        same updates."""
-        rng = np.random.default_rng(2)
-        As = [rng.standard_normal((4, 3 + a) if trans_a else (3 + a, 4))
-              for a in range(2)]
-        Bs = [rng.standard_normal((5, 4) if trans_b else (4, 5))
-              for _ in range(3)]
-        C0 = [[rng.standard_normal((3 + a, 5)) for _ in Bs] for a in range(2)]
-        Cs, Cr = ([[c.copy() for c in row] for row in C0] for _ in range(2))
-        kernels.execute(kernels.gemm_ops(Cs, As, Bs, trans_b, trans_a))
-        kernels.execute([kernels.gemm_op(C, A, B, trans_b, trans_a)
-                         for row, A in zip(Cr, As) for C, B in zip(row, Bs)])
-        for row, A, ref in zip(C0, As, Cr):
-            for C, B, got in zip(row, Bs, ref):
-                want = C - (A.T if trans_a else A) @ (B.T if trans_b else B)
-                assert _rel_err(got, want) <= RTOL
-        assert all(np.array_equal(x, y) for x, y in zip(sum(Cs, []),
-                                                        sum(Cr, [])))
+    @pytest.mark.parametrize("c0,c1", [(0, 3), (2, 5), (6, 7)])
+    def test_a_ranged_op_is_the_full_op_on_its_columns(self, c0, c1):
+        """``GEMM_COLS`` / ``TRSM_COLS`` on a block's column range ``c0:c1``
+        (strided F-views, which f2py copies) write what the full-width op
+        writes there and leave every other column alone — the U block
+        being zero outside the range, as a factor's is."""
+        rng = np.random.default_rng(3)
+        C0, A = rng.standard_normal((5, 8)), rng.standard_normal((5, 4))
+        B = np.zeros((4, 8))
+        B[:, c0:c1] = rng.standard_normal((4, c1 - c0))
+        full, ranged = C0.copy(), C0.copy()
+        flags = kernels.gemm_op(full, A, B)[4]
+        kernels.execute([kernels.gemm_op(full, A, B),
+                         (kernels.GEMM_COLS, ranged[:, c0:c1].T,
+                          B[:, c0:c1].T, A.T, flags)])
+        assert np.array_equal(ranged[:, :c0], C0[:, :c0])
+        assert np.array_equal(ranged[:, c1:], C0[:, c1:])
+        assert np.allclose(ranged, full, rtol=1e-15, atol=1e-15)
+        D = np.tril(rng.standard_normal((4, 4)), -1) + np.eye(4)
+        full, ranged = B.copy(), B.copy()
+        op = kernels.trsm_op(D, full, lower=True, unit=True)
+        kernels.execute([op, (kernels.TRSM_COLS, ranged[:, c0:c1].T, D.T,
+                              None, op[4])])
+        assert np.array_equal(ranged, full)
 
 
 # -- getrf_nopiv ------------------------------------------------------------

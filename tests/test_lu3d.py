@@ -299,10 +299,11 @@ class TestArena:
         """Every replica is sized from its base block: full height over a
         ``from_csr`` base, packed over a ranged arena, which then lays a
         node's diagonal block and L blocks out as one panel per grid."""
-        from repro.lu2d.storage import block_rows, node_block_arrays
+        from repro.lu2d.storage import extents, node_block_arrays
+        from tests.reference_bind import block_rows
         sf, tf, base, full = self._manager(planar_small)
         _ptr, ii, jj, _ww = node_block_arrays(sf)
-        r0, r1, rows = block_rows(sf)
+        r0, r1, rows = extents(sf).r0, extents(sf).r1, block_rows(sf)
         packed = BlockMatrix.zeros(sf.layout, ii, jj, (r0, r1))
         mgr = ReplicaManager(sf, tf, packed)
         assert (r1 - r0 < sf.layout.sizes()[ii]).any()
@@ -329,15 +330,15 @@ class TestArena:
     def test_factors_are_full_height_copies(self, planar_small, backend):
         """``factors()`` places every stored block at its rows of a fresh
         full-height block; the LU arena is packed, Cholesky's is not."""
-        from repro.lu2d.storage import block_rows
         from repro.plan.backends import get_backend
+        from tests.reference_bind import block_rows
         A, geom = planar_small
         sf = symbolic_factorize(A, geom, leaf_size=16)
         tf, grid3 = greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2)
         res = factor_3d(sf, tf, grid3, Simulator(grid3.size), backend=backend,
                         matrix=sp.tril(sf.A_perm).tocsr()
                         if backend == "cholesky" else None)
-        rows = block_rows(sf, get_backend(backend).node_blocks)[2]
+        rows = block_rows(sf, get_backend(backend).node_blocks)
         F, home = res.factors(), res.replicas.home_view()
         assert set(F.blocks) == set(home)
         packed = 0
@@ -359,12 +360,12 @@ class TestArena:
         """``brick_cold``'s matrix (``grid3d_7pt(16)``, leaf 64,
         ``max_block`` 256): its L blocks packed to their rows hold at most
         0.70 of the full-height arena's words."""
-        from repro.lu2d.storage import block_rows, node_block_arrays
+        from repro.lu2d.storage import extents, node_block_arrays
         from repro.sparse import grid3d_7pt
         A, geom = grid3d_7pt(16)
         sf = symbolic_factorize(A, geom, leaf_size=64, max_block=256)
         _ptr, ii, jj, _ww = node_block_arrays(sf)
-        r0, r1, _rows = block_rows(sf)
+        r0, r1 = extents(sf).r0, extents(sf).r1
         s = sf.layout.sizes()
         assert ((r1 - r0) * s[jj]).sum() <= 0.70 * (s[ii] * s[jj]).sum()
 

@@ -420,6 +420,55 @@ RANGE_ZOO = {
 }
 
 
+#: The patterns the table-bound programs are refereed on: the brick's
+#: and the warm op's matrices, and two the benchmark does not run.
+BIND_ZOO = {
+    "brick": lambda: grid3d_7pt(16),
+    "warm": lambda: grid2d_5pt(64),
+    "circuit_like": lambda: circuit_like(24),
+    "kkt_like": lambda: kkt_like(8),
+}
+
+
+def _same_array(a, b) -> bool:
+    """``a`` and ``b`` are one view: address, shape, strides, flags."""
+    return (a.__array_interface__["data"][0]
+            == b.__array_interface__["data"][0] and a.shape == b.shape
+            and a.strides == b.strides and a.flags == b.flags)
+
+
+def _assert_same_program(prog, ref) -> int:
+    """Assert ``prog`` is ``ref`` op for op, a ranged op being the column
+    slice of its full-width op (rows of the F-views); return how many
+    ranged ops it holds."""
+    from repro.lu2d.kernels import GEMM, GEMM_COLS, TRSM, TRSM_COLS
+    assert len(prog) == len(ref)
+    ranged = 0
+    for a, b in zip(prog, ref):
+        assert a[4] == b[4]
+        if a[0] in (TRSM_COLS, GEMM_COLS):
+            ranged += 1
+            assert b[0] == (TRSM if a[0] == TRSM_COLS else GEMM)
+            out, full = a[1], b[1]
+            c0 = (out.__array_interface__["data"][0]
+                  - full.__array_interface__["data"][0]) // full.strides[0]
+            cut = slice(c0, c0 + len(out))
+            assert 0 <= c0 and len(out) < len(full)
+            assert _same_array(out, full[cut])
+            if a[0] == GEMM_COLS:
+                assert _same_array(a[2], b[2][cut]) and _same_array(a[3], b[3])
+            else:
+                assert _same_array(a[2], b[2]) and a[3] is b[3] is None
+            continue
+        assert a[0] == b[0]
+        for x, y in zip(a[1:4], b[1:4]):
+            if isinstance(y, (list, tuple)):
+                assert len(x) == len(y) and all(map(_same_array, x, y))
+            else:
+                assert x is y is None or _same_array(x, y)
+    return ranged
+
+
 def _range_case(gen: str, backend: str):
     """The zoo matrix made unsymmetric in pattern for LU (one-sided
     entries ``(r, 13 r + 5 mod n)``; the diagonal one stays diagonal) or
@@ -472,10 +521,11 @@ class TestKernelProgram:
 
     @pytest.mark.parametrize("backend", ["lu", "cholesky"])
     def test_k_ptr_spans_the_program(self, backend):
-        from repro.lu2d.kernels import GEMM, GETRF, POTRF, TRSM
-        from repro.lu2d.storage import block_rows
+        from repro.lu2d.kernels import (GEMM, GEMM_COLS, GETRF, POTRF, TRSM,
+                                        TRSM_COLS)
         from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
         from repro.plan.backends import get_backend
+        from tests.reference_bind import block_rows
         sf, tf = (spd_setup if backend == "cholesky" else planar_setup)(
             14, 16, 4)
         grid3 = ProcessGrid3D(2, 2, 4)
@@ -483,7 +533,7 @@ class TestKernelProgram:
                         matrix=sp.tril(sf.A_perm).tocsr()
                         if backend == "cholesky" else None)
         factor = {"lu": GETRF, "cholesky": POTRF}[backend]
-        rows = block_rows(sf, get_backend(backend).node_blocks)[2]
+        rows = block_rows(sf, get_backend(backend).node_blocks)
         for step in res.plan.levels:
             for gp in step.grid_plans:
                 A = gp.arrays
@@ -497,8 +547,9 @@ class TestKernelProgram:
                 assert (n_ops[~schur] == (A.side[~schur] != 2)).all()
                 for t, kind in enumerate(A.kind.tolist()):
                     codes = {op[0] for op in prog[A.k_ptr[t]:A.k_ptr[t + 1]]}
-                    assert codes <= {GEMM if kind == SCHUR_UPDATE else
-                                     factor if kind == PANEL_FACTOR else TRSM}
+                    assert codes <= ({GEMM, GEMM_COLS} if kind == SCHUR_UPDATE
+                                     else {factor} if kind == PANEL_FACTOR
+                                     else {TRSM, TRSM_COLS})
                     if kind == PANEL_FACTOR:    # every structural L row,
                         k = int(A.node[t])  # below its diagonal or solved
                         (op,) = prog[A.k_ptr[t]:A.k_ptr[t + 1]]
@@ -622,18 +673,70 @@ class TestKernelProgram:
                             assert U is None or not U[:, :r0].any() \
                                 and not U[:, r1:].any(), (pz, merged, g, k, j)
 
-    @pytest.mark.parametrize("gen", ["grid3d_7pt", "circuit_like", "kkt_like"])
+    @pytest.mark.parametrize("arena", ["packed", "from_csr"])
+    @pytest.mark.parametrize("gen", sorted(BIND_ZOO))
+    @pytest.mark.parametrize("backend", ["lu", "cholesky"])
+    def test_the_table_binds_the_reference_program(self, backend, gen, arena):
+        """Every factor and solve program bound from the extents table is
+        the dict-based referee's (``tests/reference_bind.py``) op for op —
+        same op code, BLAS flags, buffer address, shape, strides and array
+        flags — except that a ranged op is the column slice of the
+        referee's full-width op. On the drivers' packed arena and on the
+        full-height ``BlockMatrix.from_csr`` base the harness builds."""
+        from repro.lu3d.replication import ReplicaManager
+        from repro.sparse import BlockMatrix
+        from tests.reference_bind import factor_program, solve_program
+        A, geom = BIND_ZOO[gen]()
+        if backend == "cholesky":
+            A = ((A + A.T) * 0.5 + sp.eye(A.shape[0]) * (
+                abs(A).sum(axis=1).max() + 1.0)).tocsr()
+        sf = symbolic_factorize(A, geom, leaf_size=64, max_block=256)
+        tf, grid3 = greedy_partition(sf, 4), ProcessGrid3D(2, 2, 4)
+        res = factor_3d(sf, tf, grid3, Simulator(grid3.size), backend=backend)
+        rep = res.replicas
+        if arena == "from_csr":
+            values = sp.tril(sf.A_perm).tocsr() if backend == "cholesky" \
+                else sf.A_perm
+            rep = ReplicaManager(sf, tf, BlockMatrix.from_csr(
+                values, sf.layout, block_pattern=res.bundle.block_pattern(sf)),
+                blocks_fn=res.bundle.blocks_fn)
+        ranged = 0
+        for step in res.plan.levels:
+            for gp in step.grid_plans:
+                packed = rep._panel is not None and backend == "lu"
+                ref = factor_program(backend, gp.arrays, rep.view(gp.g), sf,
+                                     packed and (lambda v: rep.panel(gp.g, v)))
+                ranged += _assert_same_program(rep.program(gp), ref)
+        assert ranged > 0 if (backend, gen) == ("lu", "brick") else \
+            backend == "lu" or ranged == 0
+        sweeps = ((True, True, False), (False, True, False)) \
+            if backend == "cholesky" else ((True, True, True), (
+                False, False, False), (True, False, False), (False, True, True))
+        plans = [res.bundle.solve_plan(sf, tf, grid3, down, lower)
+                 for down, lower, _unit in sweeps]
+        work, bound = rep.solve_program(sweeps, plans, (sf.n, 3))
+        for (plan, prog, _stream), (_d, _l, unit) in zip(bound, sweeps):
+            assert _assert_same_program(prog, solve_program(
+                plan, sf, rep.home_view(), work, unit)) == 0
+
+    @pytest.mark.parametrize("gen", ["grid3d_7pt", "circuit_like", "kkt_like",
+                                     "brick"])
     @pytest.mark.parametrize("backend", ["lu", "cholesky"])
     def test_kernel_flops_count_the_bound_program(self, backend, gen):
         """``kernel_flops`` sums the ops one grid binds for every node:
         2/3 s^3 per GETRF (s^3 / 3 per POTRF), s^2 per row or column a TRSM
-        solves, 2 m n k per GEMM."""
-        from repro.lu2d.kernels import GEMM, GETRF, TRSM
+        solves, 2 m n k per GEMM — a ranged one on its columns (the brick,
+        at the drivers' leaf 64 and cap 256, binds them)."""
+        from repro.lu2d.kernels import GEMM, GEMM_COLS, GETRF, TRSM, TRSM_COLS
         from repro.lu2d.storage import cholesky_node_blocks, kernel_flops
         from repro.plan.backends import get_backend
         from repro.sparse import BlockMatrix
-        A, geom = _range_case(gen, backend)
-        sf = symbolic_factorize(A, geom, leaf_size=8)
+        if gen == "brick":
+            A, geom = BIND_ZOO[gen]()       # symmetric: both backends'
+            sf = symbolic_factorize(A, geom, leaf_size=64, max_block=256)
+        else:
+            A, geom = _range_case(gen, backend)
+            sf = symbolic_factorize(A, geom, leaf_size=8)
         plan = build_grid_plan(sf, list(range(sf.nb)), ProcessGrid2D(1, 1),
                                FactorOptions(), backend=backend)
         store = dict(BlockMatrix.from_csr(
@@ -641,9 +744,9 @@ class TestKernelProgram:
         ran = np.zeros(3)
         for op, out, x, y, _flags in get_backend(backend).bind(
                 plan.arrays, store, sf):
-            if op == GEMM:      # out m x n, operands m x k and k x n
+            if op in (GEMM, GEMM_COLS):     # out m x n, operands m x k, k x n
                 ran[2] += 2.0 * out.size * np.sqrt(x.size * y.size / out.size)
-            elif op == TRSM:
+            elif op in (TRSM, TRSM_COLS):
                 ran[1] += x.shape[0] * out.size
             else:       # the diagonal block, then the node's L rows
                 ran[0] += out.shape[0] ** 3 * (2.0 if op == GETRF else 1.0) / 3
