@@ -37,19 +37,13 @@ from scipy.linalg.lapack import dgetrf, dpotrf
 __all__ = ["trsm", "gemm_sub", "getrf_nopiv", "potrf_shifted",
            "solve_lower_panel", "solve_upper_panel", "chol_panel_solve",
            "GETRF", "POTRF", "TRSM", "GEMM", "TRSM_COLS", "GEMM_COLS",
-           "trsm_flags", "trsm_op", "gemm_op", "panel_factor_op", "execute",
-           "strided_pays"]
+           "trsm_op", "gemm_op", "panel_factor_op", "execute", "strided_pays"]
 
-#: Op codes of a bound kernel program (:func:`execute`). ``TRSM_COLS`` /
-#: ``GEMM_COLS`` are TRSM / GEMM on a strided column range of a block:
-#: f2py runs them on a contiguous copy, written back.
+#: Op codes of a bound kernel program (:func:`execute`).
 GETRF, POTRF, TRSM, GEMM, TRSM_COLS, GEMM_COLS = range(6)
 
 #: Unblocked threshold for the recursive GESP LU.
 _NB = 32
-#: A strided op's break-even (:func:`strided_pays`), in flops skipped:
-#: fixed, and per word copied.
-_STRIDED_FLOPS, _STRIDED_WORD_FLOPS = 5e4, 8.0
 #: The bytes of an ``n``-pivot ``dgetrf`` vector that swapped no row.
 _no_swap = functools.cache(lambda n, t: np.arange(n, dtype=t).tobytes())
 
@@ -59,21 +53,16 @@ def _overwritable(X: np.ndarray) -> bool:
     return X.dtype == np.float64 and X.flags.c_contiguous
 
 
-def trsm_flags(*, side: str = "L", lower: bool, unit: bool = False,
-               trans: bool = False) -> tuple:
-    """``dtrsm``'s flags for :func:`trsm`'s problem posed on the F-views."""
+def trsm_op(A: np.ndarray, B: np.ndarray, *, side: str = "L", lower: bool,
+            unit: bool = False, trans: bool = False) -> tuple:
+    """The bound form of :func:`trsm` on an overwritable ``B``: the
+    operands' F-views and ``dtrsm``'s flags, taken once."""
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     # On the F-views A.T / B.T the problem is its own transpose: sides
     # swap, the stored triangle flips, op() stays.
-    return (side == "L", not lower, trans, unit, 1)
-
-
-def trsm_op(A: np.ndarray, B: np.ndarray, **solve) -> tuple:
-    """The bound form of :func:`trsm` on an overwritable ``B``: the
-    operands' F-views and ``dtrsm``'s flags, taken once."""
     return (TRSM, B.T if B.ndim == 2 else B[None, :], A.T, None,
-            trsm_flags(**solve))
+            (side == "L", not lower, trans, unit, 1))
 
 
 def gemm_op(C: np.ndarray, A: np.ndarray, B: np.ndarray,
@@ -94,10 +83,10 @@ def execute(prog, lo: int = 0, hi: int | None = None,
             eps: float = 1e-10) -> int:
     """Run ops ``prog[lo:hi]`` of a bound kernel program, in order: tuples
     ``(op, out, x, y, flags)`` from :func:`trsm_op` / :func:`gemm_op`
-    (``out``: the F-view overwritten; under ``*_COLS`` a strided one,
-    assigned the result f2py computed on its copy) or ``GETRF`` / ``POTRF`` ops
-    factoring ``out`` in place (a diagonal block or panel; ``eps``: pivot
-    floor), then solving the F-views ``x`` against ``y`` (its L rows).
+    (``out``: the F-view overwritten; a ``*_COLS`` op's is strided, so
+    f2py works on a copy and the result is written back) or ``GETRF`` /
+    ``POTRF`` ops factoring ``out`` in place (a diagonal block or panel;
+    ``eps``: pivot floor), then solving the F-views ``x`` against ``y``.
     Returns the number of perturbed pivots / diagonal shifts."""
     perturbed = 0
     for op, out, x, y, flags in prog[lo:hi]:
@@ -122,11 +111,9 @@ def execute(prog, lo: int = 0, hi: int | None = None,
 
 
 def strided_pays(saved, copied):
-    """Whether a U-side op runs on its block's column range (elementwise):
-    the flops it skips, ``saved``, outweigh a strided op's fixed cost and
-    the ``copied`` words f2py copies in and :func:`execute` writes back
-    (the measured break-even, docs/algorithm.md § 6d)."""
-    return saved > _STRIDED_FLOPS + _STRIDED_WORD_FLOPS * copied
+    """Whether a U-side op's skipped flops beat its strided copies: 5e4
+    plus 8 per word copied (the measured break-even, algorithm.md § 6d)."""
+    return saved > 5e4 + 8.0 * copied
 
 
 def trsm(A: np.ndarray, B: np.ndarray, *, side: str = "L", lower: bool,

@@ -8,17 +8,15 @@ Eq. 1/5 memory), the Ancestor-Reduction builder and the numeric arena.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.lu2d.kernels import strided_pays
 from repro.symbolic.symbolic_factor import SymbolicFactorization
-from repro.utils.ragged import csr_ptr, ragged
+from repro.utils.ragged import csr_ptr, ragged, ranges
 
 __all__ = ["node_blocks", "cholesky_node_blocks", "node_block_arrays",
-           "extents", "BlockViews", "block_views", "block_ids",
-           "kernel_flops"]
+           "extents", "block_views", "kernel_flops"]
 
 
 def _node_slice(sf, k: int, blocks_fn) -> list[tuple[int, int, int]]:
@@ -87,85 +85,56 @@ def node_block_arrays(sf: SymbolicFactorization, blocks_fn=None
 
 
 def extents(sf: SymbolicFactorization, blocks_fn=None) -> SimpleNamespace:
-    """The extents table a bound kernel program is built from, memoized on
-    ``sf`` per enumerator (numeric runs only: it computes the row ranges).
-    Per block ``b`` of :func:`node_block_arrays`: rows ``r0:r1`` and
-    columns ``c0:c1`` that can be nonzero — an L block's structural rows
-    (:meth:`SymbolicFactorization.row_ranges`), a U block's structural
-    columns (the row ranges of the transposed fill: ``L(j, k)``'s rows on
-    a symmetric pattern), else all — and ``trsm_cols``: whether its U-panel
-    solve runs on those columns. Per Schur pair, in the plan's pair order
-    (node ``k``'s at ``pair_ptr[k]:pair_ptr[k + 1]``): the ``tgt`` /
-    ``left`` / ``right`` block ids, the target's rows ``t0:t1`` counted
-    from its ``r0``, and ``gemm_cols``: whether the GEMM runs on the right
-    block's columns. Both choices are :func:`strided_pays` on block sizes."""
+    """What a bound kernel program reads, memoized on ``sf`` per enumerator
+    (numeric runs only). Per block of :func:`node_block_arrays`: rows
+    ``r0:r1`` and columns ``c0:c1`` that can be nonzero (an L block's
+    structural rows, a U block's columns: the transposed fill's rows),
+    ``trsm_cols`` (a ranged U-panel solve), id ``order[searchsorted(keys, i
+    * nb + j)]``. Per Schur pair, node ``k``'s at ``pair_ptr[k]:pair_ptr[k
+    + 1]``: ``pairs[p]`` = target id, its rows from its ``r0``, left and
+    right ids, ranged GEMM (:func:`~repro.lu2d.kernels.strided_pays`),
+    right columns."""
     blocks_fn = blocks_fn or node_blocks
-    cache = sf.__dict__.setdefault("_extents", {})
-    out = cache.get(blocks_fn)
-    if out is None:
-        ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
-        lp_ptr, lp_idx, up_ptr, up_idx = sf.fill.panel_csr()
-        s, upper = sf.layout.sizes(), blocks_fn is node_blocks
-        nl, nu = np.diff(lp_ptr), np.diff(up_ptr)
-        r0, r1, c0, c1 = np.zeros_like(ii), s[ii], np.zeros_like(jj), s[jj]
-        g, w = ragged(nl)                               # after diagonals:
-        r0[ptr[g] + 1 + w], r1[ptr[g] + 1 + w] = sf.row_ranges()  # L panels
-        if upper:   # pairs L panel outer, U panel inner
-            g, w = ragged(nu)
-            sym = np.array_equal(lp_ptr, up_ptr) and np.array_equal(lp_idx,
-                                                                    up_idx)
-            c0[ptr[g] + 1 + nl[g] + w], c1[ptr[g] + 1 + nl[g] + w] = \
-                (r0[ptr[g] + 1 + w], r1[ptr[g] + 1 + w]) if sym \
-                else sf.row_ranges(upper=True)
-            g, w = ragged(nl * nu)
-            a, b = np.divmod(w, nu[g])
-            b += nl[g]
-        else:       # Cholesky: each L block against L blocks 0..a
-            g, a = ragged(nl)
-            r, b = ragged(a + 1)
-            g, a = g[r], a[r]
-        left, right = ptr[g] + 1 + a, ptr[g] + 1 + b
-        j = jj[right] if upper else ii[right]
-        tgt = block_ids(sf, ii[left], j, blocks_fn)
-        t0, t1 = r0[left] - r0[tgt], r1[left] - r0[tgt]
-        cols = c1 - c0
-        gemm = upper & strided_pays(2.0 * (t1 - t0) * s[jj[left]]
-                                    * (s[j] - cols[right]),
-                                    cols[right] * (2 * (t1 - t0) + s[jj[left]]))
-        trsm = (ii < jj) & strided_pays(1.0 * s[ii] ** 2 * (s[jj] - cols),
-                                        2 * s[ii] * cols)
-        ranged = trsm | (np.bincount(right[gemm], minlength=ii.size) > 0)
-        out = cache[blocks_fn] = SimpleNamespace(
-            r0=r0, r1=r1, c0=c0, c1=c1, trsm_cols=trsm, ranged=ranged,
-            pair_ptr=csr_ptr(np.bincount(g, minlength=sf.nb)), tgt=tgt,
-            left=left, right=right, t0=t0, t1=t1, gemm_cols=gemm,
-            pairs=np.column_stack([tgt, t0, t1, left, right, gemm,
-                                   c0[right], c1[right]]),
-            rows=(r0.tolist(), r1.tolist()), cols=list(zip(*(
-                x[ranged].tolist() for x in (np.arange(ii.size), c0, c1)))))
-    return out
+    e = sf.__dict__.setdefault("_extents", {}).get(blocks_fn)
+    if e is not None:
+        return e
+    ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
+    lp_ptr, lp_idx, up_ptr, up_idx = sf.fill.panel_csr()
+    s, nl, nu = sf.layout.sizes(), np.diff(lp_ptr), np.diff(up_ptr)
+    r0, r1, c0, c1 = np.zeros_like(ii), s[ii], np.zeros_like(jj), s[jj]
+    lb, lu = ranges(ptr[:-1] + 1, nl), blocks_fn is node_blocks
+    r0[lb], r1[lb] = sf.row_ranges()                # the L blocks' rows
+    if lu:          # the U blocks' columns
+        ub = ranges(ptr[:-1] + 1 + nl, nu)
+        sym = np.array_equal(lp_idx, up_idx) and (nl == nu).all()
+        c0[ub], c1[ub] = (r0[lb], r1[lb]) if sym else sf.row_ranges(True)
+    nr = nu if lu else nl   # pairs: L panel outer, U panel (L blocks 0..a)
+    g, w = ragged(nl * nr)
+    a, b = np.divmod(w, nr[g])
+    g, a, b = (g, a, b + nl[g]) if lu else (x[b <= a] for x in (g, a, b))
+    left, right, keys = ptr[g] + 1 + a, ptr[g] + 1 + b, ii * sf.nb + jj
+    j, m, n, order = np.maximum(ii, jj)[right], s[jj[left]], c1 - c0, \
+        np.argsort(keys)
+    tgt = order[np.searchsorted(keys[order], ii[left] * sf.nb + j)]
+    t0, t1 = r0[left] - r0[tgt], r1[left] - r0[tgt]
+    h, q = t1 - t0, n[right]        # the GEMM's rows, its ranged columns
+    gemm = lu & strided_pays(2.0 * h * m * (s[j] - q), q * (2 * h + m))
+    e = sf._extents[blocks_fn] = SimpleNamespace(
+        r0=r0, r1=r1, c0=c0, c1=c1, order=order, keys=keys[order], ptr=ptr,
+        trsm_cols=(ii < jj) & strided_pays(1.0 * s[ii] ** 2 * (s[jj] - n),
+                                           2 * s[ii] * n),
+        pair_ptr=csr_ptr(np.bincount(g, minlength=sf.nb)), pairs=np.stack(
+            [tgt, t0, t1, left, right, gemm, c0[right], c1[right]], 1))
+    return e
 
 
-class BlockViews(NamedTuple):
-    """One store's blocks as the operand lists a bound kernel program
-    takes by block id under enumerator ``fn`` (:func:`block_views`)."""
-
-    fn: object
-    rows: list      # each block's F-view on its structural rows
-    full: list      # ... as stored (LU reads every block on its rows)
-    cols: list      # a ranged U block's F-view on its structural columns
-
-
-def block_views(sf: SymbolicFactorization, blocks, blocks_fn=None
-                ) -> BlockViews:
-    """The :class:`BlockViews` of ``blocks``, each stored packed to its
-    rows or at full height: a mapping ``(i, j) -> block``, whose blocks
-    must be C-contiguous float64 (else ``ValueError``: a bound op
-    overwrites them in place), or an arena's list by id (``None``: not
-    held). ``cols`` holds the U blocks a ranged op reads
-    (:func:`extents`), else ``None``."""
-    fn = blocks_fn or node_blocks
-    e = extents(sf, fn)
+def block_views(sf: SymbolicFactorization, blocks, blocks_fn=None):
+    """The lists a bound program takes operands from by :func:`extents` id
+    (``fn``: the enumerator): ``rows``, each block's F-view on its rows,
+    and ``full``, as stored. ``blocks``: an arena's list by id, or a mapping
+    ``(i, j) -> block`` of C-contiguous float64 blocks (else ``ValueError``:
+    bound ops overwrite them in place)."""
+    e = extents(sf, fn := blocks_fn or node_blocks)
     if not isinstance(blocks, list):
         _ptr, ii, jj, _ww = node_block_arrays(sf, fn)
         blocks = list(map(blocks.get, zip(ii.tolist(), jj.tolist())))
@@ -174,27 +143,9 @@ def block_views(sf: SymbolicFactorization, blocks, blocks_fn=None
             raise ValueError("kernel programs overwrite blocks in place: "
                              "the store must hold C-contiguous float64")
     rows = [X if X is None else (X if len(X) == b - a else X[a:b]).T
-            for X, a, b in zip(blocks, *e.rows)]
-    cols = [None] * len(blocks)
-    for b, c0, c1 in e.cols:
-        if blocks[b] is not None:
-            cols[b] = blocks[b][:, c0:c1].T
-    return BlockViews(fn, rows, rows if fn is node_blocks else
-                      [X if X is None else X.T for X in blocks], cols)
-
-
-def block_ids(sf: SymbolicFactorization, i, j, blocks_fn=None) -> np.ndarray:
-    """The ids in :func:`node_block_arrays` of blocks ``(i[t], j[t])``
-    (each must be one of its blocks): one ``searchsorted`` on the block
-    keys ``i * nb + j``, whose order is memoized beside them."""
-    blocks_fn = blocks_fn or node_blocks
-    cache = sf.__dict__.setdefault("_block_keys", {})
-    keys = cache.get(blocks_fn)
-    if keys is None:
-        _ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
-        order = np.argsort(ii * sf.nb + jj)
-        keys = cache[blocks_fn] = ((ii * sf.nb + jj)[order], order)
-    return keys[1][np.searchsorted(keys[0], np.asarray(i) * sf.nb + j)]
+            for X, a, b in zip(blocks, e.r0.tolist(), e.r1.tolist())]
+    return SimpleNamespace(fn=fn, rows=rows, full=rows if fn is node_blocks
+                           else [X if X is None else X.T for X in blocks])
 
 
 def kernel_flops(sf: SymbolicFactorization, blocks_fn=None) -> tuple:
@@ -206,10 +157,10 @@ def kernel_flops(sf: SymbolicFactorization, blocks_fn=None) -> tuple:
     blocks_fn = blocks_fn or node_blocks
     _ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
     e, s = extents(sf, blocks_fn), sf.layout.sizes() * 1.0
-    cols = np.where(e.trsm_cols, e.c1 - e.c0, s[jj])
-    solved = np.where(ii > jj, e.r1 - e.r0, np.where(ii < jj, cols, 0))
-    k = np.minimum(ii, jj)                          # each block's node
-    cols = np.where(e.gemm_cols, (e.c1 - e.c0)[e.right], s[jj[e.tgt]])
+    n = np.where(e.trsm_cols, e.c1 - e.c0, s[jj])   # a U block's columns
+    solved = np.where(ii > jj, e.r1 - e.r0, np.where(ii < jj, n, 0))
+    tgt, t0, t1, left, _right, gemm, c0, c1 = e.pairs.T
     return ((s ** 3).sum() * (2 / 3 if blocks_fn is node_blocks else 1 / 3),
-            (s[k] ** 2 * solved).sum(),
-            (2 * s[jj[e.left]] * (e.t1 - e.t0) * cols).sum())
+            (s[np.minimum(ii, jj)] ** 2 * solved).sum(),
+            (2 * s[jj[left]] * (t1 - t0) * np.where(gemm, c1 - c0,
+                                                    s[jj[tgt]])).sum())

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.grid import ProcessGrid3D
-from repro.lu2d.storage import (BlockViews, block_views, extents,
-                                node_block_arrays, node_blocks)
+from repro.lu2d.storage import (block_views, extents, node_block_arrays,
+                                node_blocks)
 from repro.plan.backends import get_backend
 from repro.sparse.blockmatrix import BlockMatrix, zero_buffer
 from repro.symbolic.symbolic_factor import SymbolicFactorization
@@ -76,32 +76,23 @@ class ReplicaManager:
                 (home_off + words).tolist() + off[1:].tolist())))
         self._keys = keys = list(zip(ii.tolist(), jj.tolist()))
         home = list(map(base.blocks.__getitem__, keys))
-        self._home = dict(zip(keys, home))
-        #: Per grid, its replicas by block id (``None``: not held there).
-        self._blocks = [[None] * len(keys) for _ in range(tf.pz)]
+        #: Per grid, then home, the blocks by id (``None``: not held).
+        self._blocks = [[None] * len(keys) for _ in range(tf.pz)] + [home]
         for b, gv in enumerate(first[node_of].tolist()):
             self._blocks[gv][b] = home[b]
-        self._blocks.append(home)
         pair, t = ragged(n_blocks[node])
         at = ptr[node][pair] + t
         lo = off[pair] + rel[at]
         for gv, b, s, e, r in zip(g[pair].tolist(), at.tolist(), lo.tolist(),
                                   (lo + size[at]).tolist(), rows[at].tolist()):
             self._blocks[gv][b] = self._bufs[1][s:e].reshape(r, -1)
+        self._views = [block_views(sf, b, blocks_fn) for b in self._blocks]
 
     def view(self, g: int) -> dict[tuple[int, int], np.ndarray]:
         """Grid ``g``'s replicas ``(i, j) -> ndarray``: z-layer ``g``'s data."""
         return {k: X for k, X in zip(self._keys, self._blocks[g])
                 if X is not None}
 
-    def _views(self, g: int) -> BlockViews:
-        """Grid ``g``'s (``-1``: the home copies') operand lists, made
-        once (:func:`repro.lu2d.storage.block_views`)."""
-        views = self._programs.get(("views", g))
-        if views is None:
-            views = self._programs[("views", g)] = block_views(
-                self.sf, self._blocks[g], self.blocks_fn)
-        return views
 
     def program(self, gp) -> list:
         """Grid plan ``gp``'s kernel program on grid ``gp.g``'s replicas
@@ -116,7 +107,7 @@ class ReplicaManager:
                         for op in self.program(part)]
             else:
                 prog = get_backend(gp.backend).bind(
-                    gp.arrays, self._views(gp.g), self.sf,
+                    gp.arrays, self._views[gp.g], self.sf,
                     self._panel is not None and (lambda v: self.panel(gp.g, v)))
             self._programs[gp.arrays] = prog
         return prog
@@ -131,7 +122,7 @@ class ReplicaManager:
         if bound is None or bound[0].shape != shape:
             work = np.empty(shape)
             bound = self._programs[sweeps] = (work, [
-                (plan, bind(plan, self.sf, self._views(-1), work, unit),
+                (plan, bind(plan, self.sf, self._views[-1], work, unit),
                  plan.stream(shape[1]))
                 for plan, (_down, _lower, unit) in zip(plans, sweeps)])
         return bound
@@ -185,7 +176,7 @@ class ReplicaManager:
     def home_view(self) -> dict[tuple[int, int], np.ndarray]:
         """Every block's home-grid copy, ``(i, j) -> ndarray``: after
         factorization the final L\\U factors the solve phase reads."""
-        return self._home
+        return dict(zip(self._keys, self._blocks[-1]))
 
 
 def replica_words_per_rank(sf: SymbolicFactorization, tf: TreeForest,

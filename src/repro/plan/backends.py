@@ -10,13 +10,10 @@ A backend bundles everything variant-specific about a factorization:
   (:meth:`KernelBackend.emit_schur`) — numpy over the concatenated panels,
   no per-block Python;
 * **numeric kernels** — :meth:`KernelBackend.bind` turns a grid plan and
-  a block store into a flat *kernel program*, one pre-bound op per factor
-  / panel-solve task and one per Schur pair (``GETRF`` for LU, ``POTRF``
-  for Cholesky, ``trsm_op`` panel solves and ``gemm_ops`` Schur
-  accumulation for both — all from :mod:`repro.lu2d.kernels`, whose
-  ``execute`` runs slices of it); the interpreter books the simulator
-  events itself, from the plan's arrays, so numeric and cost-only runs
-  book identical events;
+  a block store into a flat *kernel program* of pre-bound
+  :mod:`repro.lu2d.kernels` ops, whose ``execute`` runs slices of it; the
+  interpreter books the simulator events itself, from the plan's arrays,
+  so numeric and cost-only runs book identical events;
 * **block enumeration** — the per-supernode block set the 3D replication
   and reduction layers iterate (full panels for LU, lower triangle for
   Cholesky).
@@ -34,10 +31,9 @@ import numpy as np
 from repro.comm.grid import ProcessGrid2D
 from repro.lu2d.batched import schur_pairs, syrk_pairs
 from repro.lu2d.kernels import (GEMM, GEMM_COLS, GETRF, POTRF, TRSM,
-                                TRSM_COLS, panel_factor_op, trsm_flags)
-from repro.lu2d.storage import (BlockViews, block_ids, block_views,
-                                cholesky_node_blocks, extents,
-                                node_block_arrays, node_blocks)
+                                TRSM_COLS, panel_factor_op, trsm_op)
+from repro.lu2d.storage import (block_views, cholesky_node_blocks, extents,
+                                node_blocks)
 from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
 from repro.utils.ragged import ragged, ranges
 
@@ -45,7 +41,7 @@ __all__ = ["BuildContext", "KernelBackend", "LUBackend", "CholeskyBackend",
            "get_backend", "cholesky_node_blocks"]
 
 #: The flags of a U-panel solve, ``U_kj <- L_kk^{-1} A_kj``.
-_U_FLAGS = trsm_flags(side="L", lower=True, unit=True)
+_U_FLAGS = trsm_op(np.eye(1), np.eye(1), side="L", lower=True, unit=True)[4]
 
 
 class BuildContext:
@@ -148,49 +144,43 @@ class KernelBackend:
 
     def bind(self, arrays, store, sf, panel=None) -> list:
         """The kernel program of grid plan ``arrays`` on ``store`` (its
-        :class:`~repro.lu2d.storage.BlockViews`, or what
-        :func:`~repro.lu2d.storage.block_views` takes): task ``t``'s ops
-        are ``arrays.k_ptr[t]:arrays.k_ptr[t + 1]`` — one per factor /
-        U-panel-solve task, one per Schur pair in pair order — each with
-        its operands taken by id from the extents table
-        (:func:`~repro.lu2d.storage.extents`) and its BLAS flags fixed
-        here. Any walk executes slices of the list
-        (:func:`repro.lu2d.kernels.execute`). A U-side op the table ranges
-        runs on its block's columns (``TRSM_COLS`` / ``GEMM_COLS``).
-
-        A factor op also solves its node's L panel, whose writers all
-        precede the factor task (an L-panel solve task has no op): given
-        ``panel``, a packing backend's is ``getrf_nopiv(panel(k))`` (its
-        diagonal over its packed L rows), else one TRSM per L block."""
-        fn = self.node_blocks
-        V = store if isinstance(store, BlockViews) else \
+        :func:`~repro.lu2d.storage.block_views`, or what that takes): task
+        ``t``'s ops are ``arrays.k_ptr[t]:arrays.k_ptr[t + 1]`` — one per
+        factor / U-panel-solve task, one per Schur pair — with operands by
+        id from :func:`~repro.lu2d.storage.extents` (a ranged U-side op's
+        on its U block's columns). A factor op also solves its node's L
+        panel, whose writers all precede it (an L-panel solve task has no
+        op): a packing backend's is ``getrf_nopiv(panel(k))`` given
+        ``panel``, else one TRSM per L block."""
+        fn, kind = self.node_blocks, arrays.kind
+        V = store if isinstance(store, SimpleNamespace) else \
             block_views(sf, store, fn)
-        e, ptr = extents(sf, fn), node_block_arrays(sf, fn)[0]
-        R, C, kind = V.rows, V.cols, arrays.kind
+        e, R, F, fl = extents(sf, fn), V.rows, V.full, self.gemm_flags
         schur = np.flatnonzero(kind == SCHUR_UPDATE)
         n = np.diff(e.pair_ptr)[arrays.node[schur]]
-        P = ranges(e.pair_ptr[arrays.node[schur]], n)
-        F, fl = V.full, self.gemm_flags
-        ops = [(GEMM_COLS, R[t][c0:c1, a:b], C[r], R[l], fl) if cols
-               else (GEMM, R[t][:, a:b], F[r], R[l], fl)
-               for t, a, b, l, r, cols, c0, c1 in e.pairs[P].tolist()]
-        at = [ranges(arrays.k_ptr[schur], n)]
+        ops = [(GEMM_COLS, R[t][c0:c1, a:b], F[r][c0:c1], R[l], fl) if cols
+               else (GEMM, R[t][:, a:b], F[r], R[l], fl) for t, a, b, l, r,
+               cols, c0, c1 in e.pairs[ranges(e.pair_ptr[arrays.node[schur]],
+                                              n)].tolist()]
         nl, code = np.diff(sf.fill.panel_csr()[0]), self.factor_op
         factor = np.flatnonzero(kind == PANEL_FACTOR)
         for k in arrays.node[factor].tolist():
             if panel and self.pack:         # LU's diagonal over its L rows
                 ops.append((code, panel(k), (), None, None))
                 continue
-            L = R[ptr[k] + 1:ptr[k] + 1 + nl[k]]    # the diagonal, then L
-            ops.append(panel_factor_op(code, R[ptr[k]].T, [X.T for X in L],
+            L = R[e.ptr[k] + 1:e.ptr[k] + 1 + nl[k]]    # the diagonal, then L
+            ops.append(panel_factor_op(code, R[e.ptr[k]].T, [X.T for X in L],
                                        **self.l_solve))
-        usolve = np.flatnonzero(arrays.side == 1)      # U_kj <- L_kk^{-1} A_kj
-        u = block_ids(sf, arrays.bi[usolve], arrays.bj[usolve], fn).tolist()
-        for b, d, cols in zip(u, ptr[arrays.bi[usolve]].tolist(),
-                              e.trsm_cols[u].tolist()):
-            ops.append((TRSM_COLS, C[b], R[d], None, _U_FLAGS) if cols
-                       else (TRSM, R[b], R[d], None, _U_FLAGS))
-        at += [arrays.k_ptr[factor], arrays.k_ptr[usolve]]
+        usolve = np.flatnonzero(arrays.side == 1)   # U_kj <- L_kk^-1 A_kj
+        u = e.order[np.searchsorted(e.keys, arrays.bi[usolve] * sf.nb
+                                    + arrays.bj[usolve])]
+        ops += [(TRSM_COLS, R[b][c0:c1], R[d], None, _U_FLAGS) if cols
+                else (TRSM, R[b], R[d], None, _U_FLAGS) for b, d, cols, c0, c1
+                in zip(*(x.tolist() for x in (u, e.ptr[arrays.bi[usolve]],
+                                               e.trsm_cols[u], e.c0[u],
+                                               e.c1[u])))]
+        at = [ranges(arrays.k_ptr[schur], n), arrays.k_ptr[factor],
+              arrays.k_ptr[usolve]]
         return list(map(ops.__getitem__,
                         np.argsort(np.concatenate(at)).tolist()))
 
@@ -217,7 +207,7 @@ class LUBackend(KernelBackend):
     name = "lu"
     factor_op = GETRF
     l_solve = {"lower": False}      # L_ik <- A_ik U_kk^{-1}
-    gemm_flags = (False, False, 1)      # gemm_op's: C_ij -= L_ik U_kj
+    gemm_flags = (False, False, 1)      # gemm_op's, C_ij -= L_ik U_kj
     node_blocks = staticmethod(node_blocks)
 
     # -- plan emission -----------------------------------------------------

@@ -34,9 +34,9 @@ class RefinementResult:
         return self.berr_history[-1] if self.berr_history else np.inf
 
 
-def _backward_error(A: sp.csr_matrix, x: np.ndarray, b: np.ndarray,
+def _backward_error(abs_A: sp.csr_matrix, x: np.ndarray, b: np.ndarray,
                     r: np.ndarray) -> float:
-    denom = np.abs(A) @ np.abs(x) + np.abs(b)
+    denom = abs_A @ np.abs(x) + np.abs(b)
     denom[denom == 0] = np.finfo(float).tiny
     return float(np.max(np.abs(r) / denom))
 
@@ -52,9 +52,10 @@ def iterative_refinement(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
     iterate seen.
     """
     A = A.tocsr()
+    abs_A = abs(A)      # |A| of every berr, built once
     x = x0.astype(np.float64).copy()
     r = b - A @ x
-    berr = _backward_error(A, x, b, r)
+    berr = _backward_error(abs_A, x, b, r)
     result = RefinementResult(x=x, berr_history=[berr])
     best_x, best_berr = x.copy(), berr
 
@@ -65,7 +66,7 @@ def iterative_refinement(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
         d = solve_fn(r)
         x = x + d
         r = b - A @ x
-        new_berr = _backward_error(A, x, b, r)
+        new_berr = _backward_error(abs_A, x, b, r)
         result.berr_history.append(new_berr)
         if new_berr < best_berr:
             best_x, best_berr = x.copy(), new_berr

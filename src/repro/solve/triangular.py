@@ -19,12 +19,14 @@ has a unit diagonal (LU), not a Cholesky ``L``.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.comm.events import PHASE_SOLVE
 from repro.comm.simulator import Simulator
-from repro.lu2d.kernels import GEMM, TRSM, execute, trsm_flags
-from repro.lu2d.storage import BlockViews, block_ids, block_views, extents
+from repro.lu2d.kernels import GEMM, TRSM, execute, gemm_op, trsm_op
+from repro.lu2d.storage import block_views, extents
 from repro.plan.solve import UPDATE, SolvePlan, build_solve_plan
 from repro.symbolic.symbolic_factor import SymbolicFactorization
 
@@ -35,23 +37,22 @@ __all__ = ["forward_solve", "backward_solve", "transposed_solve",
 def bind(plan: SolvePlan, sf: SymbolicFactorization, blocks,
          work: np.ndarray, unit: bool) -> list:
     """``plan``'s kernel program on ``work`` (C-ordered ``(n, nrhs)``
-    float64, solved in place), op ``t`` = task ``t``: a ``trsm_op`` per
-    diag-solve, a ``gemm_op`` per update, its block taken by id from
-    ``blocks`` (:class:`~repro.lu2d.storage.BlockViews`, or what
-    :func:`~repro.lu2d.storage.block_views` takes). Every block is bound on
-    its structural rows (:func:`~repro.lu2d.storage.extents`): an L
-    block's target rows shrink for ``L``, its source rows for ``L^T``."""
-    V = blocks if isinstance(blocks, BlockViews) else block_views(sf, blocks)
-    lower, trans = plan.lower, plan.down != plan.lower
+    float64, solved in place), op ``t`` = task ``t``: ``trsm_op`` per
+    diag-solve, ``gemm_op`` per update, each block taken by id from
+    ``blocks``' :func:`~repro.lu2d.storage.block_views` on its structural
+    rows: an L block's target rows shrink for ``L``, its source rows for
+    ``L^T``."""
+    V = blocks if isinstance(blocks, SimpleNamespace) else \
+        block_views(sf, blocks)
+    lower, trans, e = plan.lower, plan.down != plan.lower, extents(sf, V.fn)
     kind, i, j, t0, t1, s0, s1 = plan.steps.T
-    b = block_ids(sf, i, j, V.fn)
-    if lower:
-        r0, r1 = extents(sf, V.fn).r0[b], extents(sf, V.fn).r1[b]
-        if trans:
-            s0, s1 = s0 + r0, s0 + r1
-        else:
-            t0, t1 = t0 + r0, t0 + r1
-    tf, gf = trsm_flags(lower=lower, trans=trans, unit=unit), (False, trans, 1)
+    b = e.order[np.searchsorted(e.keys, i * sf.nb + j)]
+    if lower and trans:
+        s0, s1 = s0 + e.r0[b], s0 + e.r1[b]
+    elif lower:
+        t0, t1 = t0 + e.r0[b], t0 + e.r1[b]
+    tf = trsm_op(work, work, lower=lower, trans=trans, unit=unit)[4]
+    gf = gemm_op(work, work, work, trans_a=trans)[4]
     return [(GEMM, work[a:c].T, work[d:f].T, A, gf) if k == UPDATE
             else (TRSM, work[a:c].T, A, None, tf)
             for k, A, a, c, d, f in zip(

@@ -99,12 +99,10 @@ class SymbolicFactorization:
         return self.tree.perm
 
     def row_ranges(self, upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """``fill.row_ranges`` of the pattern analyzed, not a later one;
-        ``upper``: the U blocks' column ranges (parallel to ``up_idx``),
-        the row ranges of the transposed fill."""
-        fill = BlockFill(self.fill.upanel, self.fill.lpanel) if upper \
-            else self.fill
-        return row_ranges(self._analyzed, self.layout, fill)
+        """``fill.row_ranges`` of the pattern analyzed, not a later one
+        (``upper``: of the transposed fill, the U blocks' column ranges)."""
+        return row_ranges(self._analyzed, self.layout, BlockFill(
+            self.fill.upanel, self.fill.lpanel) if upper else self.fill)
 
     def subtree_flops(self, k: int) -> float:
         """Total node flops over the subtree rooted at ``k`` (paper's T(C))."""

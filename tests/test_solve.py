@@ -305,6 +305,72 @@ class TestNonFiniteInput:
         assert ok.result.perturbed_pivots >= 1
 
 
+def _refine_abs_per_evaluation(A, b, x0, solve_fn, tol=1e-14, max_iter=10):
+    """``iterative_refinement`` as it was when every backward error built
+    its own ``np.abs(A)``: the referee of the one-``|A|`` form."""
+    def berr_of(x, r):
+        denom = np.abs(A) @ np.abs(x) + np.abs(b)
+        denom[denom == 0] = np.finfo(float).tiny
+        return float(np.max(np.abs(r) / denom))
+
+    A = A.tocsr()
+    x = x0.astype(np.float64).copy()
+    r = b - A @ x
+    berr = berr_of(x, r)
+    history, best_x, best_berr = [berr], x.copy(), berr
+    for _ in range(max_iter):
+        if berr <= tol:
+            break
+        x = x + solve_fn(r)
+        r = b - A @ x
+        new_berr = berr_of(x, r)
+        history.append(new_berr)
+        if new_berr < best_berr:
+            best_x, best_berr = x.copy(), new_berr
+        if new_berr > berr / 2:
+            break
+        berr = new_berr
+    if history[-1] != best_berr:
+        history.append(best_berr)
+    return best_x, history
+
+
+class TestRefinementBuildsAbsOnce:
+    def test_the_golden_refined_cases_change_no_bit(self, monkeypatch):
+        """``iterative_refinement`` takes ``|A|`` once per call, not once
+        per backward error: on every refined case of
+        ``golden_solve_x.json`` its ``x`` and ``berr_history`` are the
+        per-evaluation form's bit for bit."""
+        from tests.data.regen_solve_ledgers import GRIDS, NRHS, matrices, near
+        builds = Counter()
+        to_abs = sp.csr_matrix.__abs__
+        monkeypatch.setattr(sp.csr_matrix, "__abs__", lambda M: (
+            builds.update([id(M)]), to_abs(M))[1])
+        for _name, (A, geom) in matrices():
+            for px, py, pz in GRIDS:
+                for compact in (False, True):
+                    s = SparseLU3D(A, geometry=geom, px=px, py=py, pz=pz,
+                                   leaf_size=16,
+                                   options=FactorOptions(compact_comm=compact))
+                    s.factorize()
+
+                    def sweep(r):
+                        return s.solve(r, refine=False)
+                    for nrhs in NRHS:
+                        rng = np.random.default_rng(nrhs)
+                        b = rng.standard_normal(A.shape[0]) if nrhs == 1 \
+                            else rng.standard_normal((A.shape[0], nrhs))
+                        A_near, x0 = near(A), sweep(b)
+                        builds.clear()
+                        res = iterative_refinement(A_near, b, x0, sweep)
+                        assert sum(builds.values()) == 1
+                        x, history = _refine_abs_per_evaluation(
+                            A_near, b, x0, sweep)
+                        assert len(res.berr_history) > 2
+                        assert res.berr_history == history
+                        assert np.array_equal(res.x, x)
+
+
 class TestSolveGolden:
     """``tests/data/golden_solve_ledgers.json`` was generated at the parent
     of the solve plan, from the per-event sweeps: the plan's one-call

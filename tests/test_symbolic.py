@@ -317,8 +317,9 @@ def _row_range_gemm_flops(sf) -> float:
     and every U block at full width: what the row ranges alone save."""
     from repro.lu2d.storage import extents, node_block_arrays
     _ptr, _ii, jj, _ww = node_block_arrays(sf)
-    e, s = extents(sf), sf.layout.sizes() * 1.0
-    return float((2 * s[jj[e.left]] * (e.t1 - e.t0) * s[jj[e.tgt]]).sum())
+    tgt, t0, t1, left = extents(sf).pairs.T[:4]
+    s = sf.layout.sizes() * 1.0
+    return float((2 * s[jj[left]] * (t1 - t0) * s[jj[tgt]]).sum())
 
 
 class TestRowOrder:
