@@ -89,11 +89,11 @@ def extents(sf: SymbolicFactorization, blocks_fn=None) -> SimpleNamespace:
     (numeric runs only). Per block of :func:`node_block_arrays`: rows
     ``r0:r1`` and columns ``c0:c1`` that can be nonzero (an L block's
     structural rows, a U block's columns: the transposed fill's rows),
-    ``trsm_cols`` (a ranged U-panel solve), id ``order[searchsorted(keys, i
-    * nb + j)]``. Per Schur pair, node ``k``'s at ``pair_ptr[k]:pair_ptr[k
-    + 1]``: ``pairs[p]`` = target id, its rows from its ``r0``, left and
-    right ids, ranged GEMM (:func:`~repro.lu2d.kernels.strided_pays`),
-    right columns."""
+    ``trsm_cols`` (a ranged U-panel solve) and, for key ``i * nb + j``, id
+    ``order[searchsorted(keys, key)]``. Per Schur pair (node ``k``'s at
+    ``pair_ptr[k]:pair_ptr[k + 1]``), ``pairs[p]`` = target id, its rows
+    from its ``r0``, left and right ids, ranged GEMM
+    (:func:`~repro.lu2d.kernels.strided_pays`), right columns."""
     blocks_fn = blocks_fn or node_blocks
     e = sf.__dict__.setdefault("_extents", {}).get(blocks_fn)
     if e is not None:

@@ -93,7 +93,6 @@ class ReplicaManager:
         return {k: X for k, X in zip(self._keys, self._blocks[g])
                 if X is not None}
 
-
     def program(self, gp) -> list:
         """Grid plan ``gp``'s kernel program on grid ``gp.g``'s replicas
         (:meth:`repro.plan.backends.KernelBackend.bind`) — for a whole

@@ -158,27 +158,27 @@ class KernelBackend:
         e, R, F, fl = extents(sf, fn), V.rows, V.full, self.gemm_flags
         schur = np.flatnonzero(kind == SCHUR_UPDATE)
         n = np.diff(e.pair_ptr)[arrays.node[schur]]
+        P = ranges(e.pair_ptr[arrays.node[schur]], n)   # the plan's pairs
         ops = [(GEMM_COLS, R[t][c0:c1, a:b], F[r][c0:c1], R[l], fl) if cols
-               else (GEMM, R[t][:, a:b], F[r], R[l], fl) for t, a, b, l, r,
-               cols, c0, c1 in e.pairs[ranges(e.pair_ptr[arrays.node[schur]],
-                                              n)].tolist()]
+               else (GEMM, R[t][:, a:b], F[r], R[l], fl)
+               for t, a, b, l, r, cols, c0, c1 in e.pairs[P].tolist()]
         nl, code = np.diff(sf.fill.panel_csr()[0]), self.factor_op
         factor = np.flatnonzero(kind == PANEL_FACTOR)
         for k in arrays.node[factor].tolist():
             if panel and self.pack:         # LU's diagonal over its L rows
                 ops.append((code, panel(k), (), None, None))
                 continue
-            L = R[e.ptr[k] + 1:e.ptr[k] + 1 + nl[k]]    # the diagonal, then L
+            L = R[e.ptr[k] + 1:e.ptr[k] + 1 + nl[k]]    # its L blocks
             ops.append(panel_factor_op(code, R[e.ptr[k]].T, [X.T for X in L],
                                        **self.l_solve))
         usolve = np.flatnonzero(arrays.side == 1)   # U_kj <- L_kk^-1 A_kj
         u = e.order[np.searchsorted(e.keys, arrays.bi[usolve] * sf.nb
                                     + arrays.bj[usolve])]
         ops += [(TRSM_COLS, R[b][c0:c1], R[d], None, _U_FLAGS) if cols
-                else (TRSM, R[b], R[d], None, _U_FLAGS) for b, d, cols, c0, c1
-                in zip(*(x.tolist() for x in (u, e.ptr[arrays.bi[usolve]],
-                                               e.trsm_cols[u], e.c0[u],
-                                               e.c1[u])))]
+                else (TRSM, R[b], R[d], None, _U_FLAGS)
+                for b, d, cols, c0, c1 in zip(*(x.tolist() for x in (
+                    u, e.ptr[arrays.bi[usolve]], e.trsm_cols[u], e.c0[u],
+                    e.c1[u])))]
         at = [ranges(arrays.k_ptr[schur], n), arrays.k_ptr[factor],
               arrays.k_ptr[usolve]]
         return list(map(ops.__getitem__,
@@ -207,7 +207,7 @@ class LUBackend(KernelBackend):
     name = "lu"
     factor_op = GETRF
     l_solve = {"lower": False}      # L_ik <- A_ik U_kk^{-1}
-    gemm_flags = (False, False, 1)      # gemm_op's, C_ij -= L_ik U_kj
+    gemm_flags = (False, False, 1)      # gemm_op's: C_ij -= L_ik U_kj
     node_blocks = staticmethod(node_blocks)
 
     # -- plan emission -----------------------------------------------------
