@@ -51,7 +51,7 @@ def bind(plan: SolvePlan, sf: SymbolicFactorization, blocks,
         s0, s1 = s0 + e.r0[b], s0 + e.r1[b]
     elif lower:
         t0, t1 = t0 + e.r0[b], t0 + e.r1[b]
-    tf = trsm_op(work, work, lower=lower, trans=trans, unit=unit)[4]
+    tf = trsm_op(work, work, lower=lower, trans=trans, unit=unit)[4]  # flags
     gf = gemm_op(work, work, work, trans_a=trans)[4]
     return [(GEMM, work[a:c].T, work[d:f].T, A, gf) if k == UPDATE
             else (TRSM, work[a:c].T, A, None, tf)
