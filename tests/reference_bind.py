@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lu2d.kernels import GETRF, gemm_op, trsm_op
+from repro.lu2d.kernels import GETRF, gemm_op, panel_factor_op, trsm_op
 from repro.lu2d.storage import extents, node_block_arrays
 from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
 from repro.plan.backends import get_backend
 from repro.plan.solve import UPDATE
-
-#: The L-panel solve of each backend's factor op.
-L_SOLVE = {"lu": {"lower": False}, "cholesky": {"lower": True, "trans": True}}
 
 
 def block_rows(sf, blocks_fn=None) -> dict:
@@ -43,11 +40,6 @@ def stored_rows(blk: np.ndarray, own: slice, r: slice | None = None):
 def gemm_ops(Cs, As, Bs, trans_b=False, trans_a=False) -> list:
     return [gemm_op(C, A, B, trans_b, trans_a) for row, A in zip(Cs, As)
             for C, B in zip(row, Bs)]
-
-
-def panel_factor_op(code: int, D: np.ndarray, Ls, **solve) -> tuple:
-    ops = [trsm_op(D, X, side="R", **solve) for X in Ls if len(X)]
-    return (code, D, [op[1] for op in ops], D.T, ops[0][4] if ops else None)
 
 
 def factor_program(backend: str, arrays, store, sf, panel=None) -> list:
@@ -78,7 +70,7 @@ def factor_program(backend: str, arrays, store, sf, panel=None) -> list:
             prog.append(panel_factor_op(
                 be.factor_op, store[(k, k)],
                 [stored_rows(store[(i, k)], rows[(i, k)])
-                 for i in lp[k].tolist()], **L_SOLVE[backend]))
+                 for i in lp[k].tolist()], **be.l_solve))
         elif i == k:
             prog.append(trsm_op(store[(k, k)], store[(k, j)], side="L",
                                 lower=True, unit=True))
