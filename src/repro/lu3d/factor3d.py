@@ -223,10 +223,10 @@ def factor_3d(sf: SymbolicFactorization, tf: TreeForest, grid3: ProcessGrid3D,
 def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
                numeric: bool, matrix, replicas, perm=None):
     """Copy the values the backend binds into block storage — laid out
-    once over the L blocks' row ranges (packed to them under LU), only
-    refilled by a replay (``replicas``) — through the bundle's value map
-    of the matrix's structure, and pick the data strategy. A value outside
-    the blocks or ranges raises (:meth:`ValueMap.fill`)."""
+    once over the blocks' row and column ranges (L rows packed under LU),
+    only refilled by a replay (``replicas``) — through the bundle's value
+    map of the matrix's structure, and pick the data strategy. A value
+    outside the blocks or ranges raises (:meth:`ValueMap.fill`)."""
     if not numeric:
         return CostOnlyData()
     A = (sf.A_perm if matrix is None else matrix).tocsr()
@@ -236,7 +236,8 @@ def _bind_data(sf, tf, result: Factor3DResult, bundle: PlanBundle, *,
         _ptr, ii, jj, _ww = node_block_arrays(sf, bundle.blocks_fn)
         e = extents(sf, bundle.blocks_fn)
         store = BlockMatrix.zeros(sf.layout, ii, jj, (e.r0, e.r1),
-                                  get_backend(bundle.backend).pack)
+                                  get_backend(bundle.backend).pack,
+                                  (e.c0, e.c1))
         bundle.value_map(store, A, perm).fill(store.buf, A.data)
         replicas = ReplicaManager(sf, tf, store, blocks_fn=bundle.blocks_fn)
     result.replicas = replicas

@@ -80,7 +80,7 @@ class ValueMap:
     """Where each stored entry of one CSR structure lands in an arena
     (:meth:`BlockMatrix.value_map`): offsets ``dest`` of the entries
     ``keep`` (``None``: all); the entries ``stray`` (at permuted ``at``)
-    lie outside the arena's blocks or row ranges and must hold zero."""
+    lie outside the arena's blocks or their ranges and must hold zero."""
 
     def __init__(self, A, perm, dest, keep, stray, at):
         self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
@@ -101,7 +101,7 @@ class ValueMap:
         if bad.size:
             raise ValueError(
                 f"{bad.size} entries fall outside the block pattern (its "
-                "blocks and their row ranges), the first at (row, col) = "
+                "blocks and their ranges), the first at (row, col) = "
                 f"({self.at[0][bad[0]]}, {self.at[1][bad[0]]})")
         for b in clear:
             b.fill(0.0)
@@ -125,33 +125,36 @@ class BlockMatrix:
         self.layout = layout
         self.blocks: dict[tuple[int, int], np.ndarray] = {}
         self.buf: np.ndarray | None = None
-        # Arena index: sorted keys i * nb + j, buf offsets, the rows r0:r1 a
-        # value may take and lo:hi stored, closed by a sentinel no block has.
+        # Arena index: sorted keys i * nb + j, buf offsets, the rows r0:r1 and
+        # columns c0:c1 a value may take, lo:hi stored; a sentinel closes it.
         self._keys, self._starts = np.array([layout.n ** 2]), np.array([-1])
-        self._r0 = self._r1 = self._lo = self._hi = np.array([0])
+        self._r0 = self._r1 = self._c0 = self._c1 = self._lo = self._hi = \
+            np.array([0])
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def zeros(cls, layout: BlockLayout, ii: np.ndarray, jj: np.ndarray,
-              rows: tuple | None = None, pack: bool = True) -> "BlockMatrix":
+              rows: tuple | None = None, pack: bool = True,
+              cols: tuple | None = None) -> "BlockMatrix":
         """A zero arena over the distinct blocks ``(ii[t], jj[t])``, in
-        that order, block ``t`` taking values on rows ``r0[t]:r1[t]`` only
-        (``rows = (r0, r1)``; ``None``: all) and, with ``pack``, storing
-        only those: an ``(r1 - r0) x w`` array."""
+        that order, block ``t`` taking values on rows ``r0[t]:r1[t]`` and
+        columns ``c0[t]:c1[t]`` only (``(r0, r1) = rows``, ``(c0, c1) =
+        cols``; ``None``: all), with ``pack`` storing only those rows."""
         bm = cls(layout)
         sizes = layout.sizes()
         r0, r1 = rows if rows is not None else (np.zeros_like(ii), sizes[ii])
+        c0, c1 = cols if cols is not None else (np.zeros_like(jj), sizes[jj])
         lo, hi = (r0, r1) if pack else (np.zeros_like(ii), sizes[ii])
         h, w = hi - lo, sizes[jj]
         ends = np.cumsum(h * w)
         starts = ends - h * w
         key = ii * layout.nblocks + jj
         order = np.argsort(key)
-        bm._keys, bm._starts, bm._r0, bm._r1, bm._lo, bm._hi = (
-            np.append(x[order], sentinel) for x, sentinel in (
-                (key, bm._keys), (starts, bm._starts), (r0, 0), (r1, 0),
-                (lo, 0), (hi, 0)))
+        (bm._keys, bm._starts, bm._r0, bm._r1, bm._c0, bm._c1, bm._lo,
+         bm._hi) = (np.append(x[order], sentinel) for x, sentinel in (
+             (key, bm._keys), (starts, bm._starts), (r0, 0), (r1, 0),
+             (c0, 0), (c1, 0), (lo, 0), (hi, 0)))
         bm.buf = buf = zero_buffer(int(ends[-1]) if ends.size else 0)
         bm.blocks = {
             (i, j): buf[s:e].reshape(r, c) for i, j, s, e, r, c in zip(
@@ -212,7 +215,7 @@ class BlockMatrix:
         ``(row, col)`` goes through ``perm`` (``None``: ``A`` is already
         permuted), the backend's filter ``keeps(rows, cols)`` (a mask,
         :meth:`repro.plan.backends.KernelBackend.keeps`; ``None``: all)
-        and the arena's index — its block, then its row range."""
+        and the arena's index — its block, then its rows and columns."""
         lay, off = self.layout, self.layout.offsets
         if A.shape != (lay.n, lay.n):
             raise ValueError(f"matrix shape {A.shape} != layout {lay.n}")
@@ -224,8 +227,8 @@ class BlockMatrix:
         bj, c = block[A.indices], local[A.indices]
         key = bi * lay.nblocks + bj
         slot = np.searchsorted(self._keys, key)
-        held = (self._keys[slot] == key) & (self._r0[slot] <= r) \
-            & (r < self._r1[slot])
+        held = (self._keys[slot] == key) & (self._r0[slot] <= r) & (
+            r < self._r1[slot]) & (self._c0[slot] <= c) & (c < self._c1[slot])
         mine = True if keeps is None else keeps(off[bi] + r, off[bj] + c)
         keep, out = np.flatnonzero(held & mine), np.flatnonzero(~held & mine)
         dest = self._starts[slot] + (r - self._lo[slot]) * lay.sizes()[bj] + c

@@ -226,6 +226,50 @@ class TestStrayValues:
         warm = factor_3d(sf, tf, grid3, Simulator(grid3.size), **kw)
         assert np.array_equal(warm.factors().to_dense(), want)
 
+    @pytest.fixture(scope="class")
+    def off_extent(self):
+        """The brick at the drivers' leaf 64 / cap 256 and its matrix with
+        one value in a held U block ``(i, j)`` one column past its
+        structural columns ``c0:c1`` (``extents``): a block whose U-panel
+        solve runs on ``c0:c1`` only, so no kernel would read the value."""
+        from repro import ProcessGrid3D, greedy_partition, symbolic_factorize
+        from repro.lu2d.storage import extents, node_block_arrays
+        from repro.sparse import grid3d_7pt
+        A, g = grid3d_7pt(16)
+        sf = symbolic_factorize(A, g, leaf_size=64, max_block=256)
+        _ptr, ii, jj, _ww = node_block_arrays(sf)
+        e, s = extents(sf), sf.layout.sizes()
+        b = np.flatnonzero(e.trsm_cols & (e.c1 < s[jj]))[0]
+        at = (int(sf.layout.offsets[ii[b]]),
+              int(sf.layout.offsets[jj[b]] + e.c1[b]))
+        M = sf.A_perm.tolil(copy=True)
+        M[at] = 5.0
+        return sf, greedy_partition(sf, 2), ProcessGrid3D(2, 2, 2), \
+            M.tocsr(), at
+
+    @pytest.mark.parametrize("merged", [False, True],
+                             ids=["replicated", "merged"])
+    def test_cold_bind_refuses_a_u_value_off_its_columns(self, off_extent,
+                                                         merged):
+        from repro import Simulator
+        from repro.lu3d import factor_3d
+        sf, tf, grid3, M, at = off_extent
+        with pytest.raises(ValueError, match=rf"1 entries .*{at}"):
+            factor_3d(sf, tf, grid3, Simulator(grid3.size), matrix=M,
+                      merged=merged)
+
+    def test_warm_rebind_refuses_a_u_value_off_its_columns(self, off_extent):
+        from repro import Simulator
+        from repro.lu3d import factor_3d
+        sf, tf, grid3, M, _at = off_extent
+        cold = factor_3d(sf, tf, grid3, Simulator(grid3.size))
+        want = cold.factors().to_dense()
+        kw = dict(cached=cold.bundle, replicas=cold.replicas)
+        with pytest.raises(ValueError, match="outside the block pattern"):
+            factor_3d(sf, tf, grid3, Simulator(grid3.size), matrix=M, **kw)
+        warm = factor_3d(sf, tf, grid3, Simulator(grid3.size), **kw)
+        assert np.array_equal(warm.factors().to_dense(), want)
+
     @pytest.fixture()
     def mirrored(self):
         """``A1`` holds one entry ``(u, v)`` from the first row of block 0
