@@ -36,11 +36,11 @@ from scipy.linalg.lapack import dgetrf, dpotrf
 
 __all__ = ["trsm", "gemm_sub", "getrf_nopiv", "potrf_shifted",
            "solve_lower_panel", "solve_upper_panel", "chol_panel_solve",
-           "GETRF", "POTRF", "TRSM", "GEMM", "TRSM_COLS", "GEMM_COLS",
-           "trsm_op", "gemm_op", "panel_factor_op", "execute", "strided_pays"]
+           "GETRF", "POTRF", "TRSM", "GEMM", "trsm_op", "gemm_op",
+           "panel_factor_op", "execute", "strided_pays"]
 
 #: Op codes of a bound kernel program (:func:`execute`).
-GETRF, POTRF, TRSM, GEMM, TRSM_COLS, GEMM_COLS = range(6)
+GETRF, POTRF, TRSM, GEMM = range(4)
 
 #: Unblocked threshold for the recursive GESP LU.
 _NB = 32
@@ -83,19 +83,18 @@ def execute(prog, lo: int = 0, hi: int | None = None,
             eps: float = 1e-10) -> int:
     """Run ops ``prog[lo:hi]`` of a bound kernel program, in order: tuples
     ``(op, out, x, y, flags)`` from :func:`trsm_op` / :func:`gemm_op`
-    (``out``: the F-view overwritten; a ``*_COLS`` op's is strided, so
-    f2py works on a copy and the result is written back) or ``GETRF`` /
-    ``POTRF`` ops factoring ``out`` in place (a diagonal block or panel;
-    ``eps``: pivot floor), then solving the F-views ``x`` against ``y``.
-    Returns the number of perturbed pivots / diagonal shifts."""
+    (``out``: the F-view overwritten; a strided one from f2py's copy) or
+    ``GETRF`` / ``POTRF`` ops factoring ``out`` in place (a diagonal block
+    or panel; ``eps``: pivot floor), then solving the F-views ``x``
+    against ``y``. Returns the number of perturbed pivots / shifts."""
     perturbed = 0
     for op, out, x, y, flags in prog[lo:hi]:
-        if op == GEMM or op == GEMM_COLS:
+        if op == GEMM:
             C = dgemm(-1.0, x, y, 1.0, out, *flags)
-            if op == GEMM_COLS:
+            if C is not out:
                 out[...] = C
             continue
-        if op == TRSM or op == TRSM_COLS:
+        if op == TRSM:
             x, y = (out,), x
         elif op == GETRF:
             perturbed += getrf_nopiv(out, eps)
@@ -105,8 +104,8 @@ def execute(prog, lo: int = 0, hi: int | None = None,
             perturbed += nshifts
         for X in x:
             C = dtrsm(1.0, y, X, *flags)
-        if op == TRSM_COLS:
-            out[...] = C
+            if C is not X:
+                X[...] = C
     return perturbed
 
 

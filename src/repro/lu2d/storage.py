@@ -99,15 +99,14 @@ def extents(sf: SymbolicFactorization, blocks_fn=None) -> SimpleNamespace:
     if e is not None:
         return e
     ptr, ii, jj, _ww = node_block_arrays(sf, blocks_fn)
-    lp_ptr, lp_idx, up_ptr, up_idx = sf.fill.panel_csr()
+    lp_ptr, _lp_idx, up_ptr, _up_idx = sf.fill.panel_csr()
     s, nl, nu = sf.layout.sizes(), np.diff(lp_ptr), np.diff(up_ptr)
     r0, r1, c0, c1 = np.zeros_like(ii), s[ii], np.zeros_like(jj), s[jj]
     lb, lu = ranges(ptr[:-1] + 1, nl), blocks_fn is node_blocks
     r0[lb], r1[lb] = sf.row_ranges()                # the L blocks' rows
     if lu:          # the U blocks' columns
         ub = ranges(ptr[:-1] + 1 + nl, nu)
-        sym = np.array_equal(lp_idx, up_idx) and (nl == nu).all()
-        c0[ub], c1[ub] = (r0[lb], r1[lb]) if sym else sf.row_ranges(True)
+        c0[ub], c1[ub] = sf.row_ranges(True)
     nr = nu if lu else nl   # pairs: L panel outer, U panel (L blocks 0..a)
     g, w = ragged(nl * nr)
     a, b = np.divmod(w, nr[g])

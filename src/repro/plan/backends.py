@@ -30,8 +30,8 @@ import numpy as np
 
 from repro.comm.grid import ProcessGrid2D
 from repro.lu2d.batched import schur_pairs, syrk_pairs
-from repro.lu2d.kernels import (GEMM, GEMM_COLS, GETRF, POTRF, TRSM,
-                                TRSM_COLS, panel_factor_op, trsm_op)
+from repro.lu2d.kernels import (GEMM, GETRF, POTRF, TRSM, panel_factor_op,
+                                trsm_op)
 from repro.lu2d.storage import (block_views, cholesky_node_blocks, extents,
                                 node_blocks)
 from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
@@ -159,7 +159,7 @@ class KernelBackend:
         schur = np.flatnonzero(kind == SCHUR_UPDATE)
         n = np.diff(e.pair_ptr)[arrays.node[schur]]
         P = ranges(e.pair_ptr[arrays.node[schur]], n)   # the plan's pairs
-        ops = [(GEMM_COLS, R[t][c0:c1, a:b], F[r][c0:c1], R[l], fl) if cols
+        ops = [(GEMM, R[t][c0:c1, a:b], F[r][c0:c1], R[l], fl) if cols
                else (GEMM, R[t][:, a:b], F[r], R[l], fl)
                for t, a, b, l, r, cols, c0, c1 in e.pairs[P].tolist()]
         nl, code = np.diff(sf.fill.panel_csr()[0]), self.factor_op
@@ -174,8 +174,7 @@ class KernelBackend:
         usolve = np.flatnonzero(arrays.side == 1)   # U_kj <- L_kk^-1 A_kj
         u = e.order[np.searchsorted(e.keys, arrays.bi[usolve] * sf.nb
                                     + arrays.bj[usolve])]
-        ops += [(TRSM_COLS, R[b][c0:c1], R[d], None, _U_FLAGS) if cols
-                else (TRSM, R[b], R[d], None, _U_FLAGS)
+        ops += [(TRSM, R[b][c0:c1] if cols else R[b], R[d], None, _U_FLAGS)
                 for b, d, cols, c0, c1 in zip(*(x.tolist() for x in (
                     u, e.ptr[arrays.bi[usolve]], e.trsm_cols[u], e.c0[u],
                     e.c1[u])))]

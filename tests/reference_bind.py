@@ -6,7 +6,8 @@ operand up in a ``(i, j) -> block`` mapping, slices each L block to its
 structural rows per op and binds every U-side op at full width.
 ``solve_program`` is the same for ``repro.solve.triangular.bind``. The
 table-bound programs must be these op for op, except that a ranged op
-(``TRSM_COLS`` / ``GEMM_COLS``) is a column slice of the op here.
+(a U-side TRSM / GEMM on its U block's columns) is a column slice of the
+op here.
 """
 
 from __future__ import annotations

@@ -216,6 +216,7 @@ class TestCrossReferences:
         "factor_3d_merged", "factor_chol_3d", "_build_standard_reduce",
         "_build_merged_reduce", "reduction_messages", "reduction_words",
         "panel_op", "stored_rows", "block_rows", "gemm_ops", "schur_ops",
+        "TRSM_COLS", "GEMM_COLS",
     )
 
     def test_no_deleted_name_survives(self):

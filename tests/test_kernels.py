@@ -167,10 +167,11 @@ class TestGemmSub:
 
     @pytest.mark.parametrize("c0,c1", [(0, 3), (2, 5), (6, 7)])
     def test_a_ranged_op_is_the_full_op_on_its_columns(self, c0, c1):
-        """``GEMM_COLS`` / ``TRSM_COLS`` on a block's column range ``c0:c1``
-        (strided F-views, which f2py copies) write what the full-width op
-        writes there and leave every other column alone — the U block
-        being zero outside the range, as a factor's is."""
+        """A GEMM / TRSM on a block's column range ``c0:c1`` (strided
+        F-views: f2py works on a copy, which ``execute`` writes back)
+        writes what the full-width op writes there and leaves every other
+        column alone — the U block being zero outside the range, as a
+        factor's is."""
         rng = np.random.default_rng(3)
         C0, A = rng.standard_normal((5, 8)), rng.standard_normal((5, 4))
         B = np.zeros((4, 8))
@@ -178,7 +179,7 @@ class TestGemmSub:
         full, ranged = C0.copy(), C0.copy()
         flags = kernels.gemm_op(full, A, B)[4]
         kernels.execute([kernels.gemm_op(full, A, B),
-                         (kernels.GEMM_COLS, ranged[:, c0:c1].T,
+                         (kernels.GEMM, ranged[:, c0:c1].T,
                           B[:, c0:c1].T, A.T, flags)])
         assert np.array_equal(ranged[:, :c0], C0[:, :c0])
         assert np.array_equal(ranged[:, c1:], C0[:, c1:])
@@ -186,8 +187,8 @@ class TestGemmSub:
         D = np.tril(rng.standard_normal((4, 4)), -1) + np.eye(4)
         full, ranged = B.copy(), B.copy()
         op = kernels.trsm_op(D, full, lower=True, unit=True)
-        kernels.execute([op, (kernels.TRSM_COLS, ranged[:, c0:c1].T, D.T,
-                              None, op[4])])
+        kernels.execute([op, (kernels.TRSM, ranged[:, c0:c1].T, D.T, None,
+                              op[4])])
         assert np.array_equal(ranged, full)
 
 

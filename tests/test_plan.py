@@ -438,29 +438,27 @@ def _same_array(a, b) -> bool:
 
 
 def _assert_same_program(prog, ref) -> int:
-    """Assert ``prog`` is ``ref`` op for op, a ranged op being the column
-    slice of its full-width op (rows of the F-views); return how many
-    ranged ops it holds."""
-    from repro.lu2d.kernels import GEMM, GEMM_COLS, TRSM, TRSM_COLS
+    """Assert ``prog`` is ``ref`` op for op, a ranged op (a TRSM / GEMM
+    whose ``out`` has fewer F-view rows, i.e. U columns) being the column
+    slice of its full-width op; return how many ranged ops it holds."""
+    from repro.lu2d.kernels import GEMM, TRSM
     assert len(prog) == len(ref)
     ranged = 0
     for a, b in zip(prog, ref):
-        assert a[4] == b[4]
-        if a[0] in (TRSM_COLS, GEMM_COLS):
+        assert a[0] == b[0] and a[4] == b[4]
+        if a[0] in (TRSM, GEMM) and len(a[1]) != len(b[1]):
             ranged += 1
-            assert b[0] == (TRSM if a[0] == TRSM_COLS else GEMM)
             out, full = a[1], b[1]
             c0 = (out.__array_interface__["data"][0]
                   - full.__array_interface__["data"][0]) // full.strides[0]
             cut = slice(c0, c0 + len(out))
             assert 0 <= c0 and len(out) < len(full)
             assert _same_array(out, full[cut])
-            if a[0] == GEMM_COLS:
+            if a[0] == GEMM:
                 assert _same_array(a[2], b[2][cut]) and _same_array(a[3], b[3])
             else:
                 assert _same_array(a[2], b[2]) and a[3] is b[3] is None
             continue
-        assert a[0] == b[0]
         for x, y in zip(a[1:4], b[1:4]):
             if isinstance(y, (list, tuple)):
                 assert len(x) == len(y) and all(map(_same_array, x, y))
@@ -521,8 +519,7 @@ class TestKernelProgram:
 
     @pytest.mark.parametrize("backend", ["lu", "cholesky"])
     def test_k_ptr_spans_the_program(self, backend):
-        from repro.lu2d.kernels import (GEMM, GEMM_COLS, GETRF, POTRF, TRSM,
-                                        TRSM_COLS)
+        from repro.lu2d.kernels import GEMM, GETRF, POTRF, TRSM
         from repro.plan.arrays import PANEL_FACTOR, SCHUR_UPDATE
         from repro.plan.backends import get_backend
         from tests.reference_bind import block_rows
@@ -547,9 +544,9 @@ class TestKernelProgram:
                 assert (n_ops[~schur] == (A.side[~schur] != 2)).all()
                 for t, kind in enumerate(A.kind.tolist()):
                     codes = {op[0] for op in prog[A.k_ptr[t]:A.k_ptr[t + 1]]}
-                    assert codes <= ({GEMM, GEMM_COLS} if kind == SCHUR_UPDATE
+                    assert codes <= ({GEMM} if kind == SCHUR_UPDATE
                                      else {factor} if kind == PANEL_FACTOR
-                                     else {TRSM, TRSM_COLS})
+                                     else {TRSM})
                     if kind == PANEL_FACTOR:    # every structural L row,
                         k = int(A.node[t])  # below its diagonal or solved
                         (op,) = prog[A.k_ptr[t]:A.k_ptr[t + 1]]
@@ -683,8 +680,11 @@ class TestKernelProgram:
         flags — except that a ranged op is the column slice of the
         referee's full-width op. On the drivers' packed arena and on the
         full-height ``BlockMatrix.from_csr`` base the harness builds."""
+        from repro.lu2d.storage import extents
         from repro.lu3d.replication import ReplicaManager
+        from repro.plan.arrays import SCHUR_UPDATE
         from repro.sparse import BlockMatrix
+        from repro.utils.ragged import ranges
         from tests.reference_bind import factor_program, solve_program
         A, geom = BIND_ZOO[gen]()
         if backend == "cholesky":
@@ -700,13 +700,20 @@ class TestKernelProgram:
             rep = ReplicaManager(sf, tf, BlockMatrix.from_csr(
                 values, sf.layout, block_pattern=res.bundle.block_pattern(sf)),
                 blocks_fn=res.bundle.blocks_fn)
-        ranged = 0
+        e, ranged, marked = extents(sf, res.bundle.blocks_fn), 0, 0
         for step in res.plan.levels:
             for gp in step.grid_plans:
                 packed = rep._panel is not None and backend == "lu"
                 ref = factor_program(backend, gp.arrays, rep.view(gp.g), sf,
                                      packed and (lambda v: rep.panel(gp.g, v)))
                 ranged += _assert_same_program(rep.program(gp), ref)
+                A = gp.arrays       # the ops the table marks as ranged
+                ks, us = A.node[A.kind == SCHUR_UPDATE], A.side == 1
+                u = e.order[np.searchsorted(e.keys, A.bi[us] * sf.nb
+                                            + A.bj[us])]
+                marked += e.pairs[ranges(e.pair_ptr[ks], np.diff(
+                    e.pair_ptr)[ks]), 5].sum() + e.trsm_cols[u].sum()
+        assert ranged == marked
         assert ranged > 0 if (backend, gen) == ("lu", "brick") else \
             backend == "lu" or ranged == 0
         sweeps = ((True, True, False), (False, True, False)) \
@@ -727,7 +734,7 @@ class TestKernelProgram:
         2/3 s^3 per GETRF (s^3 / 3 per POTRF), s^2 per row or column a TRSM
         solves, 2 m n k per GEMM — a ranged one on its columns (the brick,
         at the drivers' leaf 64 and cap 256, binds them)."""
-        from repro.lu2d.kernels import GEMM, GEMM_COLS, GETRF, TRSM, TRSM_COLS
+        from repro.lu2d.kernels import GEMM, GETRF, TRSM
         from repro.lu2d.storage import cholesky_node_blocks, kernel_flops
         from repro.plan.backends import get_backend
         from repro.sparse import BlockMatrix
@@ -744,9 +751,9 @@ class TestKernelProgram:
         ran = np.zeros(3)
         for op, out, x, y, _flags in get_backend(backend).bind(
                 plan.arrays, store, sf):
-            if op in (GEMM, GEMM_COLS):     # out m x n, operands m x k, k x n
+            if op == GEMM:      # out m x n, operands m x k, k x n
                 ran[2] += 2.0 * out.size * np.sqrt(x.size * y.size / out.size)
-            elif op in (TRSM, TRSM_COLS):
+            elif op == TRSM:
                 ran[1] += x.shape[0] * out.size
             else:       # the diagonal block, then the node's L rows
                 ran[0] += out.shape[0] ** 3 * (2.0 if op == GETRF else 1.0) / 3
