@@ -193,13 +193,12 @@ class PlanBundle:
             sf, lambda k: grid3.layer(tf.home_grid(k)), down, lower))
 
     def value_map(self, arena, A, perm=None):
-        """The ``ValueMap`` of CSR ``A``'s structure (through ``perm``)
-        onto this bundle's arenas, which all have ``arena``'s layout: kept
-        for the structure last mapped, rebuilt under the lock for another."""
+        """The ``ValueMap`` of CSR ``A``'s structure (through ``perm``) onto
+        ``arena``: kept while it matches both, rebuilt under the lock."""
         from repro.plan.backends import get_backend
         with self._lock:
             vmap = self._lazy.get("value_map")
-            if vmap is None or not vmap.matches(A, perm):
+            if vmap is None or not vmap.matches(A, perm, arena):
                 vmap = self._lazy["value_map"] = arena.value_map(
                     A, perm, get_backend(self.backend).keeps)
             return vmap

@@ -17,8 +17,8 @@ start and on ties this is plain LRU.
 
 Concurrency: one plain lock, ``PlanCache._lock``, guards all shared
 state — the map, the counts, the per-entry job counters and the idle
-*arenas* jobs borrow (replica storage with its programs bound) — so
-evicting or refusing an entry drops its arena in the same locked step.
+*arena* of each resident entry (replica storage with its programs bound)
+— so evicting or refusing an entry drops it in the same locked step.
 A per-key *build lock*, held outside ``_lock`` while the key's entry is
 built, makes N clients racing on a cold pattern produce one build (the
 others block, then hit the builder's entry, admitted or not). A job's
@@ -144,23 +144,22 @@ class PlanCache:
     least that entry's, and is refused otherwise.
 
     :meth:`borrow` lends a job its entry's idle arena; :meth:`give_back`
-    queues one. At most one idle arena per entry and ``max_idle`` in all
-    (over that, the least requested entry's is dropped, the least recently
-    returned on a tie), none for an entry that is not resident, none
-    after :meth:`close`.
+    queues one. Every resident entry keeps at most one idle arena, so
+    ``capacity`` bounds them too; none for an entry that is not resident,
+    none after :meth:`close`.
     """
 
-    def __init__(self, capacity: int = 8, max_idle: int = 4):
+    def __init__(self, capacity: int = 8):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
-        self.capacity, self.max_idle = capacity, max_idle
+        self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, PlanEntry] = OrderedDict()
         #: key -> [build lock, the builder's entry once built]
         self._building: dict[tuple, list] = {}
         self._counts: OrderedDict[tuple, int] = OrderedDict()
-        #: key -> (entry, idle arena), least recently returned first
-        self._idle: OrderedDict[tuple, tuple] = OrderedDict()
+        #: key -> (entry, idle arena) of resident entries only
+        self._idle: dict[tuple, tuple] = {}
         #: (entry, arena) given back, appended without the lock
         self._returns: deque = deque()
         self._requests = self._hits = self._misses = 0
@@ -173,12 +172,8 @@ class PlanCache:
         with self._lock:
             while self._returns:
                 entry, arena = self._returns.popleft()
-                if self._closed or self._entries.get(entry.key) is not entry:
-                    continue
-                self._idle[entry.key] = (entry, arena)
-                self._idle.move_to_end(entry.key)
-                if len(self._idle) > self.max_idle:
-                    del self._idle[min(self._idle, key=self.frequency)]
+                if not self._closed and self._entries.get(entry.key) is entry:
+                    self._idle[entry.key] = (entry, arena)
             yield
 
     def _count(self, key: tuple) -> None:
@@ -266,9 +261,8 @@ class PlanCache:
             idle = self._idle.get(entry.key)
             if idle is None or idle[0] is not entry:
                 return None
-            del self._idle[entry.key]
             self._loans += 1
-            return idle[1]
+            return self._idle.pop(entry.key)[1]
 
     def give_back(self, entry: PlanEntry, arena) -> None:
         """Queue ``entry``'s arena for the next locked step, with no lock:

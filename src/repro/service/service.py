@@ -81,8 +81,8 @@ class FactorizationService:
     arguments (``backend``, ``px``/``py``/``pz``, ``leaf_size``,
     ``nd_method``, ``max_block``, ``partition``, ``geometry``,
     ``numeric``, ``options``). ``capacity`` bounds the frequency-admitted
-    LRU plan cache (:class:`PlanCache`); ``max_workers`` sizes the thread
-    pool and caps the cache's idle arenas.
+    LRU plan cache (:class:`PlanCache`) and so its idle arenas, one per
+    resident entry at most; ``max_workers`` only sizes the thread pool.
 
     Use as a context manager, or call :meth:`close`.
     """
@@ -101,7 +101,7 @@ class FactorizationService:
         if backend not in ("lu", "cholesky"):
             raise ValueError(f"unknown backend {backend!r}")
         self.machine = machine or Machine.edison_like()
-        self.cache = PlanCache(capacity, max_idle=max_workers)
+        self.cache = PlanCache(capacity)
         #: Optional :class:`repro.tune.cache.TuneCache`: jobs that do not
         #: pin their own grid auto-adopt the tuned configuration stored
         #: for their sparsity pattern (see :meth:`_adopt_tuned`).

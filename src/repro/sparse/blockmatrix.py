@@ -78,18 +78,20 @@ def zero_buffer(n: int) -> np.ndarray:
 
 class ValueMap:
     """Where each stored entry of one CSR structure lands in an arena
-    (:meth:`BlockMatrix.value_map`): offsets ``dest`` of the entries
-    ``keep`` (``None``: all); the entries ``stray`` (at permuted ``at``)
-    lie outside the arena's blocks or their ranges and must hold zero."""
+    (:meth:`BlockMatrix.value_map`) of index ``index``: offsets ``dest``
+    of the entries ``keep`` (``None``: all); the entries ``stray`` (at
+    permuted ``at``) lie outside its blocks or ranges and must hold zero."""
 
-    def __init__(self, A, perm, dest, keep, stray, at):
+    def __init__(self, A, perm, index, dest, keep, stray, at):
         self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
-        self.perm, self.dest, self.keep = perm, dest, keep
+        self.perm, self.index, self.dest, self.keep = perm, index, dest, keep
         self.stray, self.at = stray, at
 
-    def matches(self, A, perm=None) -> bool:
-        """Whether CSR ``A`` through ``perm`` has this map's structure."""
-        return perm is self.perm and same_structure(A, self)
+    def matches(self, A, perm, arena) -> bool:
+        """Whether this maps CSR ``A`` (through ``perm``) onto ``arena``."""
+        return perm is self.perm and same_structure(A, self) and all(
+            x is y or np.array_equal(x, y) for x, y in zip(
+                self.index, arena.index()))
 
     def fill(self, buf, data, clear=()) -> None:
         """Zero each buffer of ``clear`` and copy ``data`` — the values of
@@ -199,6 +201,11 @@ class BlockMatrix:
         self.value_map(A).fill(self.buf, A.data, (self.buf,))
         return self
 
+    def index(self) -> tuple:
+        """The arena index every :class:`ValueMap` onto it is computed from."""
+        return (self._keys, self._starts, self._r0, self._r1, self._c0,
+                self._c1, self._lo, self._hi)
+
     def offsets_of(self, ii: np.ndarray, jj: np.ndarray) -> tuple:
         """``(offsets, lo, hi)``: each block ``(ii[t], jj[t])``'s offset
         into ``buf`` (-1 where the arena does not hold it) and the rows
@@ -232,7 +239,7 @@ class BlockMatrix:
         mine = True if keeps is None else keeps(off[bi] + r, off[bj] + c)
         keep, out = np.flatnonzero(held & mine), np.flatnonzero(~held & mine)
         dest = self._starts[slot] + (r - self._lo[slot]) * lay.sizes()[bj] + c
-        return ValueMap(A, perm, dest[keep],
+        return ValueMap(A, perm, self.index(), dest[keep],
                         None if keep.size == A.nnz else keep, out,
                         (off[bi[out]] + r[out], off[bj[out]] + c[out]))
 

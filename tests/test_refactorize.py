@@ -782,6 +782,31 @@ class TestSameStructureRefill:
         solver.factorize()
         self.assert_cold(solver)
 
+    def test_a_map_is_rebuilt_for_another_arena_index(self):
+        """A bundle's map of one structure onto the drivers' packed arena
+        is not reused on a full-height ``BlockMatrix.from_csr`` arena of
+        the same layout: a replay there factors as a fresh bundle does,
+        with no perturbed pivot (the stale map scattered the values to the
+        packed arena's offsets)."""
+        from repro import ProcessGrid3D, Simulator
+        from repro.lu3d import factor_3d
+        from repro.lu3d.replication import ReplicaManager
+        from repro.sparse import BlockMatrix
+        from repro.symbolic import symbolic_factorize
+        from repro.tree import greedy_partition
+        from tests.test_plan import _range_case
+        A, geom = _range_case("kkt_like", "lu")
+        sf = symbolic_factorize(A, geom, leaf_size=8)
+        tf, grid3 = greedy_partition(sf, 2), ProcessGrid3D(2, 1, 2)
+        cold = factor_3d(sf, tf, grid3, Simulator(grid3.size))
+        runs = [factor_3d(sf, tf, grid3, Simulator(grid3.size),
+                          cached=bundle, replicas=ReplicaManager(
+                              sf, tf, BlockMatrix.from_csr(sf.A_perm,
+                                                           sf.layout)))
+                for bundle in (cold.bundle, None)]
+        assert [r.perturbed_pivots for r in runs] == [0, 0]
+        assert np.array_equal(*(r.factors().to_dense() for r in runs))
+
     def test_equilibrated_refills_match_cold(self, stepping_pair):
         A1, A2, g, _n = stepping_pair
         kw = dict(geometry=g, px=2, py=2, pz=2, leaf_size=24, equil=True)

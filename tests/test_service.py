@@ -241,7 +241,7 @@ class TestPlanCache:
     def test_a_replaced_entry_borrows_nothing(self):
         """A job still on an evicted entry does not borrow the arena of the
         entry built for its key since: arenas are bound to their entry."""
-        cache = PlanCache(capacity=1, max_idle=2)
+        cache = PlanCache(capacity=1)
         old, _hit = cache.get_or_build("k", lambda: _plan_entry("k"))
         cache.get_or_build("j", lambda: _plan_entry("j"))   # evicts old
         new, hit = cache.get_or_build("k", lambda: _plan_entry("k"))
@@ -510,7 +510,7 @@ class TestSharedSymbolicSafety:
                 for i in range(40):
                     k = (t + i) % 2
                     vmap = bundle.value_map(arena, mats[k], perm)
-                    assert vmap.matches(mats[k], perm)
+                    assert vmap.matches(mats[k], perm, arena)
                     assert np.array_equal(filled(vmap, mats[k]), want[k])
             except Exception as exc:        # surfaced below
                 errors.append(exc)
@@ -716,27 +716,35 @@ class TestArenaLoans:
             assert not svc.solve(_perturbed(A, 1)).cache_hit
             assert svc.stats()["arena_loans"] == 0
 
-    def test_at_most_max_workers_idle(self, problem):
-        A, _ = problem
-        B, _ = grid2d_5pt(10)
-        with FactorizationService(leaf_size=16, max_workers=1) as svc:
-            svc.solve(A)
-            svc.solve(B)                    # A's idle arena is dropped
-            assert svc.stats()["idle_arenas"] == 1
-            assert svc.solve(_perturbed(A, 1)).cache_hit
-            assert svc.stats()["arena_loans"] == 0
-
-    def test_least_requested_entrys_arena_is_dropped(self, problem):
+    def test_every_resident_entry_keeps_its_arena(self, problem):
+        """``max_workers`` sizes the pool only: with one worker, a hit on
+        an entry whose arena came back before two other entries' still
+        borrows it; every resident entry holds one idle arena."""
         A, _ = problem
         B, _ = grid2d_5pt(10)
         C, _ = grid2d_5pt(8)
-        with FactorizationService(leaf_size=16, max_workers=2) as svc:
-            for M, n in ((A, 3), (B, 2), (C, 1)):
-                for seed in range(n):
-                    svc.solve(_perturbed(M, seed))
-            # C's arena came back last, but C was requested least.
-            kept = {k[0] for k in idle_entries(svc.cache)}
-            assert kept == {pattern_fingerprint(A), pattern_fingerprint(B)}
+        with FactorizationService(leaf_size=16, max_workers=1) as svc:
+            for M in (A, B, C):
+                svc.solve(M)
+            assert svc.stats()["idle_arenas"] == 3
+            assert svc.solve(_perturbed(A, 1)).cache_hit
+            assert svc.stats()["arena_loans"] == 1
+            assert set(idle_entries(svc.cache)) == set(svc.cache._entries)
+
+    def test_one_client_mix_lends_on_every_hit(self):
+        """One client, the six ``service_mix`` kinds, capacity 4 and one
+        worker, each job dropped before the next (``service_sequence``).
+        Only a hit before its entry's first give-back lays out an arena;
+        with one client there is none, as the miss that admitted the
+        entry has come back, so ``hits - arena_loans`` is 0. After every
+        request, at most one idle arena per entry."""
+        from tests.service_sequence import one_client_mix
+        after, worst = one_client_mix()
+        st = after[-1]
+        assert (st.hits, st.misses, st.refused, st.evictions) == (38, 11, 6, 1)
+        assert st.hits - st.arena_loans == 0
+        assert all(s.idle_arenas <= s.entries for s in after)
+        assert worst < 1e-10
 
     def test_refused_jobs_arena_is_not_kept(self, problem):
         A, _ = problem
@@ -777,7 +785,7 @@ class TestIdleListProtocol:
         """Give-backs while another thread holds the cache's lock return at
         once, one through a finalizer; neither the arena returned before
         ``close`` nor the one returned after it stays idle."""
-        cache = PlanCache(capacity=2, max_idle=2)
+        cache = PlanCache(capacity=2)
         entry, _hit = cache.get_or_build("k", lambda: _plan_entry("k"))
         cache.give_back(entry, "kept")
         assert idle_entries(cache) == {"k": entry}
@@ -799,35 +807,43 @@ class TestIdleListProtocol:
         cache.give_back(entry, "after")
         assert cache.stats().idle_arenas == 0 and not cache._returns
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
+    @pytest.mark.parametrize("capacity", [1, 2])
     @pytest.mark.parametrize("at_call", [1, 2, 3, 4])
-    def test_a_reentrant_give_back_inside_frequency(self, max_workers,
+    def test_a_reentrant_give_back_inside_frequency(self, capacity,
                                                     at_call):
-        """Four arenas come back to a cache that keeps ``max_workers``, so
-        the drain compares frequencies; at its ``at_call``-th comparison a
-        fifth give-back runs on the same thread, with the lock held (as a
-        collection running another result's finalizer would). Nothing
-        raises or deadlocks, and the next drain applies the cap to it:
-        the most requested entries' arenas stay, the fifth's first."""
-        cache = PlanCache(capacity=5, max_idle=max_workers)
-        keys = ("a", "b", "c", "d", "inner")
-        entry = {k: cache.get_or_build(k, lambda k=k: _plan_entry(k))[0]
-                 for k in keys}
-        calls = [0]
+        """A full cache's admission compares two frequencies with the lock
+        held (the new key's, then the least recently used resident's).
+        After ``capacity`` residents, a rarely requested key is refused
+        (comparisons 1-2), then a popular one evicts that resident (3-4).
+        At the ``at_call``-th comparison the resident gives its arena back
+        on the same thread, with the lock held (as a collection running a
+        finalizer would). Nothing raises or deadlocks, and the next locked
+        step keeps the arena while its entry is resident, drops it once
+        the entry is evicted, and keeps one arena per resident entry."""
+        cache = PlanCache(capacity=capacity)
+        keys = ("a", "b")[:capacity] + ("rare", "popular")
+        entry, calls = {}, [0]
+
+        def idle():
+            cache.stats()                   # a locked step: the drain
+            return {k: a for k, (_e, a) in cache._idle.items()}
 
         def frequency(key):
             calls[0] += 1
             if calls[0] == at_call:
-                cache.give_back(entry["inner"], "inner")
-            return keys.index(key)
+                cache.give_back(entry["a"], "inner")
+            return {"rare": 0, "popular": 2}.get(key, 1)
         cache.frequency = frequency
-        for k in keys[:4]:
+        for k in keys:
+            entry[k] = cache.get_or_build(k, lambda k=k: _plan_entry(k))[0]
+            if k == "rare":
+                assert idle() == ({"a": "inner"} if at_call <= 2 else {})
+        assert calls[0] == 4 and cache.stats().refused == 1
+        assert idle() == {}
+        for k in keys:
             cache.give_back(entry[k], k)
-        cache.stats()                   # the drain that gets the fifth
-        assert calls[0] >= at_call
-        kept = idle_entries(cache)
-        assert set(kept) == set(["inner", "d"][:max_workers])
-        assert all(kept[k] is entry[k] for k in kept)
+        assert idle() == {k: k for k in cache._entries} \
+            == {k: k for k in keys[1:capacity] + ("popular",)}
         assert not cache._returns
 
 
@@ -835,22 +851,23 @@ KEYS = ("a", "b", "c")
 
 
 class _PoolRun:
-    """The real :class:`PlanCache` (capacity 2) driven through one sequence
-    of operations from one thread, and the jobs the checker keeps beside
-    it. The operations are the service's: ``("request", k)`` (a hit that
-    borrows, a cold key that opens a build slot, or a racer on a key
-    being built), ``("built", k)`` (the build ends: admitted, evicting,
-    or refused), ``("resume", k)`` (the oldest racer whose build ended
-    takes the builder's entry), ``("collect", k)`` (the oldest live job
-    on ``k``'s result is collected: its finalizer queues the arena) and
-    ``("close",)``. A started job borrows its entry's idle arena, or lays
-    out a fresh one."""
+    """The real :class:`PlanCache` of ``capacity`` entries driven through
+    one sequence of operations from one thread, and the jobs the checker
+    keeps beside it. The operations are the service's: ``("request", k)``
+    (a hit that borrows, a cold key that opens a build slot, or a racer
+    on a key being built), ``("built", k)`` (the build ends: admitted,
+    evicting, or refused), ``("resume", k)`` (the oldest racer whose
+    build ended takes the builder's entry), ``("collect", k)`` (the
+    oldest live job on ``k``'s result is collected: its finalizer queues
+    the arena) and ``("close",)``. A started job borrows its entry's idle
+    arena, or lays out a fresh one."""
 
-    def __init__(self, max_workers: int, ops=()):
-        self.cache = PlanCache(capacity=2, max_idle=max_workers)
+    def __init__(self, capacity: int, ops=()):
+        self.cache = PlanCache(capacity=capacity)
         self.building: dict = {}        # key -> slot of its pending build
         self.racers: list = []          # (key, slot) waiting on the build
         self.jobs: list = []            # live (key, entry, arena)
+        self.returned: dict = {}        # key -> its last (entry, arena) back
         self.borrows = self.layouts = 0
         self.closed = False
         for op in ops:
@@ -889,6 +906,7 @@ class _PoolRun:
             i = next(i for i, job in enumerate(self.jobs) if job[0] == key)
             _k, entry, arena = self.jobs.pop(i)
             cache.give_back(entry, arena)
+            self.returned[key] = (entry, arena)
         else:
             cache.close()
             self.closed = True
@@ -900,18 +918,21 @@ class _PoolRun:
             arena = f"arena {self.layouts}"
         else:
             self.borrows += 1
+            del self.returned[entry.key]
         self.cache.record_job(entry, 0.0, True)
         self.jobs.append((entry.key, entry, arena))
 
-    def check(self, max_workers: int) -> None:
+    def check(self) -> None:
         """The pool's invariants on the drained state."""
         st = self.cache.stats()         # a locked step: drains the returns
         entries, idle = self.cache._entries, self.cache._idle
         assert st.entries == len(entries) <= self.cache.capacity
-        assert len(idle) <= max_workers
+        assert st.idle_arenas == len(idle) <= len(entries)
         assert len({id(e) for e, _a in idle.values()}) == len(idle)
         assert all(entries.get(k) is e for k, (e, _a) in idle.items())
         assert not (self.closed and idle)
+        assert all(idle.get(k) == back for k, back in self.returned.items()
+                   if not self.closed and entries.get(k) is back[0])
         lent = [a for _k, _e, a in self.jobs]
         assert len(set(lent)) == len(lent)
         assert not set(lent) & {a for _e, a in idle.values()}
@@ -936,18 +957,18 @@ class _PoolRun:
                 self.closed)
 
 
-def explore_pool(max_workers: int, depth: int) -> int:
+def explore_pool(capacity: int, depth: int) -> int:
     """Check every state reachable in at most ``depth`` operations (each
     reached state is expanded once); returns how many there are."""
-    start = _PoolRun(max_workers)
-    start.check(max_workers)
+    start = _PoolRun(capacity)
+    start.check()
     seen, frontier = {start.state()}, [()]
     for _ in range(depth):
         grown = []
         for ops in frontier:
-            for op in _PoolRun(max_workers, ops).ops():
-                run = _PoolRun(max_workers, ops + (op,))
-                run.check(max_workers)
+            for op in _PoolRun(capacity, ops).ops():
+                run = _PoolRun(capacity, ops + (op,))
+                run.check()
                 state = run.state()
                 if state not in seen:
                     seen.add(state)
@@ -959,15 +980,16 @@ def explore_pool(max_workers: int, depth: int) -> int:
 class TestPoolSequences:
     """Every ordering of the pool's steps up to eight operations, on the
     real cache from one thread, with no sleeps and no threads: 3 keys,
-    capacity 2, ``max_workers`` 1 and 2. The admission rule it drives is
-    TinyLFU's (Einziger et al., https://arxiv.org/abs/1512.00727): a new
-    entry evicts the LRU one only if requested at least as often. After
-    every step, on the drained state: at most ``capacity`` entries; at
-    most one idle arena per entry and ``max_workers`` in all; none for an
-    entry that is not resident, none after ``close``; no arena both idle
+    capacity 1 and 2. The admission rule it drives is TinyLFU's (Einziger
+    et al., https://arxiv.org/abs/1512.00727): a new entry evicts the LRU
+    one only if requested at least as often. After every step, on the
+    drained state: at most ``capacity`` entries; at most one idle arena
+    per resident entry, so at most ``capacity`` in all; none for an entry
+    that is not resident, none after ``close``; the arena a resident
+    entry's job gave back last idle until borrowed; no arena both idle
     and lent, none lent to two live jobs; ``arena_loans`` equal to the
-    borrows counted. Depth 8 takes about 2 s per case."""
+    borrows counted. Depth 8 takes about 1.5 s per case."""
 
-    @pytest.mark.parametrize("max_workers, states", [(1, 9463), (2, 9553)])
-    def test_every_ordering_up_to_eight_steps(self, max_workers, states):
-        assert explore_pool(max_workers, 8) == states
+    @pytest.mark.parametrize("capacity, states", [(1, 9262), (2, 9553)])
+    def test_every_ordering_up_to_eight_steps(self, capacity, states):
+        assert explore_pool(capacity, 8) == states
